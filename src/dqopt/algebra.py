@@ -335,35 +335,43 @@ class Quaternion:
 
     def left_matrix(self) -> np.ndarray:
         """Matrix ``L`` with ``L @ vec(q) == vec(self * q)``."""
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [
-                [w, -x, -y, -z],
-                [x, w, -z, y],
-                [y, z, w, -x],
-                [z, -y, x, w],
-            ],
-            dtype=np.float64,
-        )
+        return left_mult_matrix((self.w, self.x, self.y, self.z))
 
     def right_matrix(self) -> np.ndarray:
         """Matrix ``R`` with ``R @ vec(p) == vec(p * self)``."""
-        w, x, y, z = self.w, self.x, self.y, self.z
-        return np.array(
-            [
-                [w, -x, -y, -z],
-                [x, w, z, -y],
-                [y, -z, w, x],
-                [z, y, -x, w],
-            ],
-            dtype=np.float64,
-        )
+        return right_mult_matrix((self.w, self.x, self.y, self.z))
 
     def rotate_vector(self, v: Sequence[float]) -> np.ndarray:
         """Apply the rotation this unit quaternion represents to a 3-vector."""
         p = Quaternion(0.0, float(v[0]), float(v[1]), float(v[2]))
         r = self * p * self.conjugate()
         return np.array([r.x, r.y, r.z], dtype=np.float64)
+
+
+def left_mult_matrix(q) -> np.ndarray:
+    """Matrix ``L`` with ``L @ p == q * p`` for coefficient 4-vectors (w, x, y, z)."""
+    w, x, y, z = q
+    return np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
+
+
+def right_mult_matrix(q) -> np.ndarray:
+    """Matrix ``R`` with ``R @ p == p * q`` for coefficient 4-vectors (w, x, y, z)."""
+    w, x, y, z = q
+    return np.array([[w, -x, -y, -z], [x, w, z, -y], [y, -z, w, x], [z, y, -x, w]])
+
+
+def canonical_sign(q: Quaternion) -> int:
+    """Sign ``s`` such that ``s * q`` has its first nonzero coefficient positive.
+
+    Coefficients are scanned in (w, x, y, z) order; the zero quaternion
+    gets ``+1``.  This fixes one representative of each double-cover pair.
+    """
+    for comp in (q.w, q.x, q.y, q.z):
+        if comp > 0.0:
+            return 1
+        if comp < 0.0:
+            return -1
+    return 1
 
 
 def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
@@ -576,14 +584,8 @@ class UnitDualQuaternion:
         return np.array([t.x, t.y, t.z], dtype=np.float64)
 
     def canonicalized(self) -> "UnitDualQuaternion":
-        """Fix the double-cover sign: first nonzero of (w, x, y, z) positive."""
-        q = self.inner.std
-        for comp in (q.w, q.x, q.y, q.z):
-            if comp > 0.0:
-                return self
-            if comp < 0.0:
-                return UnitDualQuaternion(-self.inner)
-        return self
+        """Fix the double-cover sign by :func:`canonical_sign` of the standard part."""
+        return self if canonical_sign(self.inner.std) > 0 else UnitDualQuaternion(-self.inner)
 
     def conjugate(self) -> "UnitDualQuaternion":
         return UnitDualQuaternion(self.inner.conjugate())

@@ -41,6 +41,10 @@ class ArityMismatch(DqoptError):
     """Functions being combined take different numbers of variables."""
 
 
+class NonStandardProblem(DqoptError):
+    """A function of the problem does not declare standard structure."""
+
+
 class Infeasible(DqoptError):
     """No restart produced a point satisfying the constraints."""
 

@@ -161,23 +161,6 @@ class DualFunction:
         return ()
 
 
-class _CallableFunction(DualFunction):
-    """Wrap plain callables as a :class:`DualFunction`."""
-
-    def __init__(self, arity, eval_fn, grad_fn=None, declared_standard=False):
-        super().__init__(arity, declared_standard)
-        self._eval_fn = eval_fn
-        self._grad_fn = grad_fn
-
-    def value(self, values):
-        return self._eval_fn(values)
-
-    def gradient_at(self, z):
-        if self._grad_fn is None:
-            return super().gradient_at(z)
-        return self._grad_fn(z)
-
-
 def _check_same_arity(f: DualFunction, g: DualFunction):
     if f.arity != g.arity:
         raise ArityMismatch(f"arity {f.arity} vs {g.arity}")

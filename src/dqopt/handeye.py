@@ -28,6 +28,7 @@ from .algebra import (
     DualQuaternion,
     Quaternion,
     UnitDualQuaternion,
+    canonical_sign,
     random_unit_quaternion,
 )
 from .errors import InvalidPose, NoGroundTruth, TooFewMotions
@@ -188,16 +189,6 @@ def _qtuple(q: Quaternion):
     return (q.w, q.x, q.y, q.z)
 
 
-def _canonical_sign(q: Quaternion) -> int:
-    """Sign s such that s*q has its first nonzero coefficient positive."""
-    for comp in (q.w, q.x, q.y, q.z):
-        if comp > 0.0:
-            return 1
-        if comp < 0.0:
-            return -1
-    return 1
-
-
 @dataclass(frozen=True)
 class HandEyeDataset:
     """Measurement lists plus optional ground truth and generator metadata."""
@@ -279,11 +270,10 @@ def relative_motions(
     return out
 
 
-def _axis_spread(motions: Sequence[UnitDualQuaternion]) -> float:
+def _axis_spread(rotations: Sequence[Quaternion]) -> float:
     """Largest pairwise angle between rotation axis lines, 0 if under two axes."""
     axes = []
-    for m in motions:
-        q = m.std
+    for q in rotations:
         imn = q.imaginary_norm()
         if imn > 1e-6:
             axes.append(np.array([q.x, q.y, q.z]) / imn)
@@ -296,7 +286,7 @@ def _axis_spread(motions: Sequence[UnitDualQuaternion]) -> float:
 
 
 def _warn_if_degenerate(motions) -> None:
-    if _axis_spread(motions) < MIN_AXIS_SPREAD:
+    if _axis_spread([m.std for m in motions]) < MIN_AXIS_SPREAD:
         warnings.warn(
             "rotation axes of the motions are nearly parallel; the "
             "calibration problem is ill conditioned",
@@ -392,16 +382,7 @@ def _spread_motion_angles(rng: np.random.Generator, n: int) -> list[Quaternion]:
         rots = [
             _random_rotation_about(rng, rng.uniform(0.5, 2.5)) for _ in range(n)
         ]
-        axes = []
-        for q in rots:
-            imn = q.imaginary_norm()
-            axes.append(np.array([q.x, q.y, q.z]) / imn)
-        ok = False
-        for i in range(len(axes)):
-            for j in range(i + 1, len(axes)):
-                if math.acos(min(1.0, abs(float(axes[i] @ axes[j])))) >= MIN_AXIS_SPREAD:
-                    ok = True
-        if ok:
+        if _axis_spread(rots) >= MIN_AXIS_SPREAD:
             return rots
 
 
@@ -458,7 +439,7 @@ def generate_synthetic(
     # canonical signs of a_i and b_i = y^{-1} a_i x agree with the product
     # of the truths' canonical signs.  Draw poses until that holds with a
     # scalar-part margin wide enough to survive the noise model.
-    sign_target = _canonical_sign(truth_x.rotation) * _canonical_sign(truth_y.rotation)
+    sign_target = canonical_sign(truth_x.rotation) * canonical_sign(truth_y.rotation)
     while True:
         poses_a = []
         while len(poses_a) < n:
@@ -466,11 +447,11 @@ def generate_synthetic(
             qb = truth_y.rotation.conjugate() * a.rotation * truth_x.rotation
             if abs(a.rotation.w) < 0.2 or abs(qb.w) < 0.2:
                 continue
-            if _canonical_sign(a.rotation) * _canonical_sign(qb) != sign_target:
+            if canonical_sign(a.rotation) * canonical_sign(qb) != sign_target:
                 continue
             poses_a.append(a)
         rel = [
-            poses_a[i + 1].inverse().compose(poses_a[i]).to_udq()
+            poses_a[i + 1].inverse().compose(poses_a[i]).rotation
             for i in range(n - 1)
         ]
         if _axis_spread(rel) >= MIN_AXIS_SPREAD:

@@ -25,7 +25,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import DualQuaternion, Quaternion, UnitDualQuaternion
+from .algebra import (
+    DualQuaternion,
+    Quaternion,
+    UnitDualQuaternion,
+    canonical_sign,
+    left_mult_matrix,
+    right_mult_matrix,
+)
 from .errors import DisconnectedGraph, NonUnitMeasurement, ParseError
 from .functions import (
     ResidualNormObjective,
@@ -151,20 +158,6 @@ def error_vector(graph: PoseGraph, poses: Sequence) -> "DualQuaternionVector":
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def _lmat(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
-        [[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]]
-    )
-
-
-def _rmat(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
-        [[w, -x, -y, -z], [x, w, z, -y], [y, -z, w, x], [z, y, -x, w]]
-    )
-
-
 class RelativePoseResidual:
     """``q_ij - conj(x_i) x_j`` with Jacobians over the flat coordinates.
 
@@ -194,16 +187,16 @@ class RelativePoseResidual:
         xj_s = z[sj : sj + 4]
         xj_d = z[sj + 4 : sj + 8]
 
-        l_is = _lmat(xi_s)
-        l_id = _lmat(xi_d)
+        l_is = left_mult_matrix(xi_s)
+        l_id = left_mult_matrix(xi_d)
         r_s = self.q_std - l_is @ xj_s
         r_d = self.q_dual - l_is @ xj_d - l_id @ xj_s
 
         n8 = z.shape[0]
         jac_std = np.zeros((4, n8))
         jac_dual = np.zeros((4, n8))
-        rj_s = _rmat(xj_s) * _CONJ
-        rj_d = _rmat(xj_d) * _CONJ
+        rj_s = right_mult_matrix(xj_s) * _CONJ
+        rj_d = right_mult_matrix(xj_d) * _CONJ
         jac_std[:, sj : sj + 4] = -l_is
         jac_std[:, si : si + 4] = -rj_s
         jac_dual[:, sj + 4 : sj + 8] = -l_is
@@ -289,18 +282,9 @@ def _pose_from_record(numbers, line_no, record) -> Pose:
             f"line {line_no}: {record} rotation norm {n} deviates beyond 1e-06"
         )
     q = q / n
-    if _canonical_sign(q) < 0:
+    if canonical_sign(q) < 0:
         q = -q
     return Pose(q, tuple(numbers[4:7]))
-
-
-def _canonical_sign(q: Quaternion) -> int:
-    for comp in (q.w, q.x, q.y, q.z):
-        if comp > 0.0:
-            return 1
-        if comp < 0.0:
-            return -1
-    return 1
 
 
 def parse_graph(text: str) -> PoseGraph:
@@ -433,7 +417,7 @@ def generate_cycle_graph(
                 t = t + rng.normal(0.0, noise_trans, 3)
             rel = Pose(bump * rel.rotation, tuple(t))
         q = rel.rotation
-        if _canonical_sign(q) < 0:
+        if canonical_sign(q) < 0:
             q = -q
         edges.append(Edge(i, j, Pose(q, rel.translation)))
 

@@ -1,13 +1,22 @@
-"""Two-stage solver for equality-constrained dual quaternion optimization.
+"""Two-stage solver for standard equality-constrained dual quaternion optimization.
 
 A problem minimizes a dual-number-valued objective subject to dual-valued
-equality constraints, under the lexicographic order on dual numbers.  That
-order decouples the problem into two real programs:
+equality constraints, under the lexicographic order on dual numbers.  The
+problem is *standard* when the standard part of the objective and of every
+constraint ignores the dual coordinates.  The order then decouples it into
+two real programs, one per coordinate block:
 
-- stage I minimizes the standard part subject to the constraints (for
-  standard problems this involves only the standard coordinates);
-- stage II minimizes the dual part over all coordinates, subject to the
-  constraints plus a band keeping the standard part at the stage-I value.
+- stage I minimizes the standard part over the standard coordinates,
+  subject to the standard part of every constraint;
+- stage II holds the standard coordinates at the stage-I point and
+  minimizes the dual part over the dual coordinates, subject to the dual
+  part of every constraint; a band check confirms the standard value stays
+  at the stage-I value.
+
+Non-standard problems are rejected when an :class:`EqdqoProblem` is built.
+Their standard part reads the dual coordinates, so stage I could not drop
+them and the two block programs above would not be the problem's split.
+The hand-eye and pose-graph problems are standard.
 
 Each stage runs an augmented-Lagrangian outer loop with an L-BFGS inner
 minimizer.  Nonsmooth magnitude objectives are smoothed with a decreasing
@@ -33,8 +42,9 @@ from .errors import (
     DegenerateConstraintGradients,
     Infeasible,
     MaxIterations,
+    NonStandardProblem,
 )
-from .functions import DualFunction, unpack
+from .functions import DualFunction, pack, unpack
 
 __all__ = [
     "SolverConfig",
@@ -58,8 +68,8 @@ _DEFAULT_MU = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
 #: when ranking constraint-gradient systems.
 _RANK_RCOND = 1e-8
 
-# Strength of the stage-II proximal pull toward the warm start; engaged in
-# the standard-problem dual-coordinate path only.
+# Strength of the stage-II proximal pull of the dual coordinates toward the
+# warm start; see _stage2_single.
 _STAGE2_PROX = 1e-6
 
 
@@ -130,9 +140,12 @@ class SolverConfig:
 class EqdqoProblem:
     """Objective plus equality constraints, all dual-number valued.
 
-    Each constraint imposes both scalar parts equal to zero.  The problem
-    is *standard* when the objective and every constraint declare standard
-    structure; stage I then involves only the standard coordinates.
+    Each constraint imposes both scalar parts equal to zero.  The objective
+    and every constraint must declare standard structure (a standard part
+    that ignores the dual coordinates), because stage I runs over the
+    standard coordinates alone; otherwise construction raises
+    :class:`NonStandardProblem`.  :func:`dqopt.functions.check_standardness`
+    probes whether a declaration holds.
     """
 
     objective: DualFunction
@@ -145,16 +158,18 @@ class EqdqoProblem:
                 raise ArityMismatch(
                     f"constraint arity {h.arity} != objective arity {self.objective.arity}"
                 )
+        named = [("objective", self.objective)]
+        named += [(f"constraint {j}", h) for j, h in enumerate(self.constraints)]
+        for name, fn in named:
+            if not fn.declared_standard:
+                raise NonStandardProblem(
+                    f"{name} ({type(fn).__name__}) does not declare standard "
+                    "structure; stage I would depend on the dual coordinates"
+                )
 
     @property
     def arity(self) -> int:
         return self.objective.arity
-
-    @property
-    def standard(self) -> bool:
-        return self.objective.declared_standard and all(
-            h.declared_standard for h in self.constraints
-        )
 
 
 @dataclass(frozen=True)
@@ -196,8 +211,6 @@ class Stage1Result:
 
     @property
     def z(self) -> np.ndarray:
-        from .functions import pack
-
         return pack(list(self.solution))
 
 
@@ -386,39 +399,40 @@ def inner_solve(
 
 
 # ---------------------------------------------------------------------------
-# Coordinate bookkeeping
+# Coordinate blocks and constraint rows
 
 
-def _std_indices(arity: int) -> np.ndarray:
-    idx = []
-    for i in range(arity):
-        idx.extend(range(8 * i, 8 * i + 4))
-    return np.asarray(idx, dtype=np.intp)
+_NO_COORDS = np.empty(0, dtype=np.intp)
 
 
-def _dual_indices(arity: int) -> np.ndarray:
-    idx = []
-    for i in range(arity):
-        idx.extend(range(8 * i + 4, 8 * i + 8))
-    return np.asarray(idx, dtype=np.intp)
+def _part_indices(arity: int, part: int) -> np.ndarray:
+    """Flat indices of every variable's standard (part 0) or dual (part 1) slot."""
+    return (8 * np.arange(arity)[:, None] + 4 * part + np.arange(4)).ravel()
 
 
-def _constraint_rows_exact(problem: EqdqoProblem, z: np.ndarray):
-    """Exact constraint row values: (std values, dual values)."""
-    h = np.empty(len(problem.constraints))
-    h_d = np.empty(len(problem.constraints))
+def _block_rows(problem: EqdqoProblem, z: np.ndarray, part: int, idx: np.ndarray):
+    """Every constraint row at ``z``, seen from the coordinates ``idx``.
+
+    Returns the values of both scalar parts, shape ``(2, m)`` with the
+    standard part first, and the gradients of part ``part`` (0 standard,
+    1 dual) over ``idx``.
+    """
+    m = len(problem.constraints)
+    vals = np.empty((2, m))
+    grads = np.empty((m, idx.shape[0]))
     for j, con in enumerate(problem.constraints):
-        (vs, _), (vd, _) = con.fast_rows(z)
-        h[j] = vs
-        h_d[j] = vd
-    return h, h_d
+        (vals[0, j], g_std), (vals[1, j], g_dual) = con.fast_rows(z)
+        grads[j] = (g_std, g_dual)[part][idx]
+    return vals, grads
 
 
-def _max_feas(problem: EqdqoProblem, z: np.ndarray) -> float:
+def _feasibility(problem: EqdqoProblem, z: np.ndarray) -> tuple[float, float]:
+    """Largest constraint violations ``(max |h|, max |h_d|)`` at ``z``."""
     if not problem.constraints:
-        return 0.0
-    h, h_d = _constraint_rows_exact(problem, z)
-    return float(max(np.max(np.abs(h)), np.max(np.abs(h_d))))
+        return 0.0, 0.0
+    vals, _ = _block_rows(problem, z, 0, _NO_COORDS)
+    h, h_d = np.max(np.abs(vals), axis=1)
+    return float(h), float(h_d)
 
 
 def _random_start(problem: EqdqoProblem, rng: np.random.Generator) -> np.ndarray:
@@ -439,18 +453,13 @@ def _project_duals(problem: EqdqoProblem, z: np.ndarray, tol: float) -> np.ndarr
     """
     if not problem.constraints:
         return z
-    dual_idx = _dual_indices(problem.arity)
+    dual_idx = _part_indices(problem.arity, 1)
     z = z.copy()
     for _ in range(3):
-        vals = np.empty(len(problem.constraints))
-        grads = np.empty((len(problem.constraints), dual_idx.shape[0]))
-        for j, con in enumerate(problem.constraints):
-            (_, _), (vd, gd) = con.fast_rows(z)
-            vals[j] = vd
-            grads[j] = gd[dual_idx]
-        if np.max(np.abs(vals)) <= tol:
+        (_, h_d), grads = _block_rows(problem, z, 1, dual_idx)
+        if np.max(np.abs(h_d)) <= tol:
             break
-        delta, *_ = np.linalg.lstsq(grads, -vals, rcond=None)
+        delta, *_ = np.linalg.lstsq(grads, -h_d, rcond=None)
         z[dual_idx] += delta
     return z
 
@@ -476,13 +485,14 @@ class KktInfo:
 
 
 def _point_to_z(point, arity: int) -> np.ndarray:
-    from .functions import pack
-
+    """Flat coordinates of ``point``; raises ``ValueError`` unless ``(8 * arity,)``."""
     if isinstance(point, np.ndarray):
-        return np.asarray(point, dtype=np.float64)
-    if isinstance(point, DualQuaternionVector):
-        return pack(list(point))
-    return pack(list(point))
+        z = np.asarray(point, dtype=np.float64)
+    else:
+        z = pack(list(point))
+    if z.shape != (8 * arity,):
+        raise ValueError(f"expected shape ({8 * arity},), got {z.shape}")
+    return z
 
 
 def kkt_analysis(
@@ -582,69 +592,65 @@ def kkt_residual(
 # Stage drivers
 
 
-def _stage1_single(problem: EqdqoProblem, cfg: SolverConfig, z0: np.ndarray):
-    """One stage-I minimization from one starting point."""
+def _block_minimize(
+    problem: EqdqoProblem,
+    cfg: SolverConfig,
+    z: np.ndarray,
+    part: int,
+    value_grad: Callable[[np.ndarray, float], tuple[float, np.ndarray]],
+    prox: float = 0.0,
+) -> _AlOutcome:
+    """Minimize over one coordinate block of ``z``, the other block held fixed.
+
+    The block is the standard (part 0) or dual (part 1) coordinates of
+    every variable, constrained by the same part of every constraint row;
+    it is stage ``part + 1``.  ``value_grad(z, mu)`` gives the smoothed
+    stage objective over all coordinates.  ``prox`` adds
+    ``prox * |x - x0|^2`` toward the block's starting values ``x0``.  The
+    outcome's ``z`` is embedded back into all coordinates.
+    """
     n_mu = len(cfg.mu_schedule)
-    objective = problem.objective
+    idx = _part_indices(problem.arity, part)
+    template = z.copy()
+    x0 = z[idx]
+    tols = np.full(len(problem.constraints), cfg.tol_feas)
 
-    def smoothed(z, k):
-        return objective.stage1_value_grad(z, cfg.mu_schedule[min(k, n_mu - 1)])
+    def embed(x):
+        full = template.copy()
+        full[idx] = x
+        return full
 
-    if problem.standard:
-        idx = _std_indices(problem.arity)
-        template = z0.copy()
-
-        def embed(x):
-            z = template.copy()
-            z[idx] = x
-            return z
-
-        def objective_vg(x, k):
-            f, g = smoothed(embed(x), k)
+    def block_vg(x, k):
+        f, g = value_grad(embed(x), cfg.mu_schedule[min(k, n_mu - 1)])
+        if not prox:
             return f, g[idx]
+        d = x - x0
+        return f + prox * float(d @ d), g[idx] + (2.0 * prox) * d
 
-        def rows_fn(x):
-            z = embed(x)
-            m = len(problem.constraints)
-            vals = np.empty(m)
-            grads = np.empty((m, idx.shape[0]))
-            for j, con in enumerate(problem.constraints):
-                (vs, gs), _ = con.fast_rows(z)
-                vals[j] = vs
-                grads[j] = gs[idx]
-            return vals, grads, np.full(m, cfg.tol_feas)
+    def rows_fn(x):
+        vals, grads = _block_rows(problem, embed(x), part, idx)
+        return vals[part], grads, tols
 
-        def monitor(x):
-            z = embed(x)
-            v = objective.value_at(z)
-            return v.std, v.dual, _max_feas(problem, z)
+    def monitor(x):
+        full = embed(x)
+        v = problem.objective.value_at(full)
+        return v.std, v.dual, max(_feasibility(problem, full))
 
-        outcome = _al_minimize(
-            z0[idx], objective_vg, rows_fn, cfg, n_mu, 1, monitor
-        )
-        z1 = embed(outcome.z)
-    else:
+    outcome = _al_minimize(x0, block_vg, rows_fn, cfg, n_mu, part + 1, monitor)
+    outcome.z = embed(outcome.z)
+    return outcome
 
-        def rows_fn(z):
-            m = 2 * len(problem.constraints)
-            vals = np.empty(m)
-            grads = np.empty((m, z.shape[0]))
-            for j, con in enumerate(problem.constraints):
-                (vs, gs), (vd, gd) = con.fast_rows(z)
-                vals[2 * j] = vs
-                grads[2 * j] = gs
-                vals[2 * j + 1] = vd
-                grads[2 * j + 1] = gd
-            return vals, grads, np.full(m, cfg.tol_feas)
 
-        def monitor(z):
-            v = objective.value_at(z)
-            return v.std, v.dual, _max_feas(problem, z)
+def _stage1_point(problem: EqdqoProblem, cfg: SolverConfig, z0: np.ndarray):
+    """Stage I from ``z0``, then its dual coordinates projected onto the dual rows.
 
-        outcome = _al_minimize(z0, smoothed, rows_fn, cfg, n_mu, 1, monitor)
-        z1 = outcome.z
-
-    return z1, outcome
+    Stage I moves the standard coordinates only, so the dual ones keep the
+    hint from the starting point until the projection.
+    """
+    outcome = _block_minimize(
+        problem, cfg, z0, 0, lambda z, mu: problem.objective.stage1_value_grad(z, mu)
+    )
+    return _project_duals(problem, outcome.z, cfg.tol_feas * 0.1), outcome
 
 
 def _band_tolerance(cfg: SolverConfig, level: float) -> float:
@@ -659,115 +665,53 @@ def _stage2_single(
     z1: np.ndarray,
     branches: tuple[bool, ...],
 ):
-    """One stage-II minimization warm-started at the stage-I point."""
-    n_mu = len(cfg.mu_schedule)
+    """One stage-II minimization warm-started at the stage-I point.
+
+    Returns the outcome and whether the band held.
+    """
     objective = problem.objective
     mu_min = cfg.mu_schedule[-1]
 
     # Band anchor: smoothed standard value at the stage-I point, so the
     # warm start is band-feasible by construction.
     anchor, _ = objective.stage1_value_grad(z1, mu_min)
-    level = objective.value_at(z1).std
-    tau = _band_tolerance(cfg, level)
-    m = len(problem.constraints)
+    tau = _band_tolerance(cfg, objective.value_at(z1).std)
 
-    def monitor_full(z):
-        v = objective.value_at(z)
-        return v.std, v.dual, _max_feas(problem, z)
-
-    if problem.standard:
-        # The standard value depends on the standard coordinates alone and
-        # an isolated stage-I minimizer pins them, so the band holds by
-        # construction when only the dual coordinates move.  Keeping the
-        # standard block in the search instead, with the band as a penalty
-        # row, opens an unbounded descent valley on inexact fits: the dual
-        # part gains bilinearly through standard-coordinate slack that the
-        # band penalty resists only at fourth order.
-        dual_idx = _dual_indices(problem.arity)
-        template = z1.copy()
-        xd0 = z1[dual_idx].copy()
-
-        def embed(xd):
-            z = template.copy()
-            z[dual_idx] = xd
-            return z
-
-        # On inexact fits the dual part is flat, up to noise-level tilt, in
-        # whole subspaces of the dual coordinates; a weak proximal pull
-        # toward the warm start picks the nearby representative instead of
-        # drifting arbitrarily far along the tilt.  Where the dual part has
-        # real curvature the pull shifts the minimizer by O(prox/curvature),
-        # far below solver tolerances.
-        def objective_vg(xd, k):
-            f, g = objective.stage2_value_grad(
-                embed(xd), cfg.mu_schedule[min(k, n_mu - 1)], branches
-            )
-            d = xd - xd0
-            return f + _STAGE2_PROX * float(d @ d), g[dual_idx] + (
-                2.0 * _STAGE2_PROX
-            ) * d
-
-        def rows_fn(xd):
-            z = embed(xd)
-            vals = np.empty(m)
-            grads = np.empty((m, xd.shape[0]))
-            for j, con in enumerate(problem.constraints):
-                _, (vd, gd) = con.fast_rows(z)
-                vals[j] = vd
-                grads[j] = gd[dual_idx]
-            return vals, grads, np.full(m, cfg.tol_feas)
-
-        def monitor(xd):
-            return monitor_full(embed(xd))
-
-        outcome = _al_minimize(
-            z1[dual_idx].copy(), objective_vg, rows_fn, cfg, n_mu, 2, monitor
-        )
-        outcome.z = embed(outcome.z)
-        band_final, _ = objective.stage1_value_grad(outcome.z, mu_min)
-        band_ok = abs(band_final - anchor) <= tau
-        return outcome, band_ok, tau
-
-    def objective_vg(z, k):
-        return objective.stage2_value_grad(
-            z, cfg.mu_schedule[min(k, n_mu - 1)], branches
-        )
-
-    def rows_fn(z):
-        vals = np.empty(2 * m + 1)
-        grads = np.empty((2 * m + 1, z.shape[0]))
-        for j, con in enumerate(problem.constraints):
-            (vs, gs), (vd, gd) = con.fast_rows(z)
-            vals[2 * j] = vs
-            grads[2 * j] = gs
-            vals[2 * j + 1] = vd
-            grads[2 * j + 1] = gd
-        band_val, band_grad = objective.stage1_value_grad(z, mu_min)
-        vals[2 * m] = band_val - anchor
-        grads[2 * m] = band_grad
-        tols = np.full(2 * m + 1, cfg.tol_feas)
-        tols[2 * m] = tau
-        return vals, grads, tols
-
-    outcome = _al_minimize(z1, objective_vg, rows_fn, cfg, n_mu, 2, monitor_full)
+    # The standard value depends on the standard coordinates alone and an
+    # isolated stage-I minimizer pins them, so the band holds by
+    # construction when only the dual coordinates move.  Keeping the
+    # standard block in the search instead, with the band as a penalty row,
+    # opens an unbounded descent valley on inexact fits: the dual part
+    # gains bilinearly through standard-coordinate slack that the band
+    # penalty resists only at fourth order.
+    #
+    # On inexact fits the dual part is flat, up to noise-level tilt, in
+    # whole subspaces of the dual coordinates; a weak proximal pull toward
+    # the warm start picks the nearby representative instead of drifting
+    # arbitrarily far along the tilt.  Where the dual part has real
+    # curvature the pull shifts the minimizer by O(prox/curvature), far
+    # below solver tolerances.
+    outcome = _block_minimize(
+        problem,
+        cfg,
+        z1,
+        1,
+        lambda z, mu: objective.stage2_value_grad(z, mu, branches),
+        prox=_STAGE2_PROX,
+    )
     band_final, _ = objective.stage1_value_grad(outcome.z, mu_min)
-    band_ok = abs(band_final - anchor) <= tau
-    return outcome, band_ok, tau
+    return outcome, abs(band_final - anchor) <= tau
 
 
 @dataclass
 class _Candidate:
     restart_index: int
     z1: np.ndarray
-    z2: np.ndarray
     stage1_outcome: _AlOutcome
     stage2_outcome: _AlOutcome
     pair: DualNumber
-    feas_h: float
-    feas_hd: float
+    feas: tuple[float, float]
     feasible: bool
-    band_ok: bool
-    branches: tuple[bool, ...]
 
 
 def _restart_start(
@@ -777,8 +721,6 @@ def _restart_start(
     r: int,
 ) -> np.ndarray:
     if r == 0 and initial is not None:
-        from .functions import pack
-
         vals = list(initial)
         if len(vals) != problem.arity:
             raise ArityMismatch(
@@ -790,38 +732,57 @@ def _restart_start(
 
 
 def _run_pipeline(problem: EqdqoProblem, cfg: SolverConfig, initial, r: int) -> _Candidate:
-    z0 = _restart_start(problem, cfg, initial, r)
-    z1, s1_outcome = _stage1_single(problem, cfg, z0)
-    if problem.standard:
-        # Stage I ignored the dual coordinates; restore the hint from the
-        # starting point and project it onto the dual-row manifold.
-        dual_idx = _dual_indices(problem.arity)
-        z1 = z1.copy()
-        z1[dual_idx] = z0[dual_idx]
-        z1 = _project_duals(problem, z1, cfg.tol_feas * 0.1)
+    z1, s1_outcome = _stage1_point(problem, cfg, _restart_start(problem, cfg, initial, r))
     branches = problem.objective.branch_flags(z1)
-    s2_outcome, band_ok, _ = _stage2_single(problem, cfg, z1, branches)
-    z2 = s2_outcome.z
-    if problem.constraints:
-        h, h_d = _constraint_rows_exact(problem, z2)
-        feas_h = float(np.max(np.abs(h)))
-        feas_hd = float(np.max(np.abs(h_d)))
-    else:
-        feas_h = 0.0
-        feas_hd = 0.0
-    v = problem.objective.value_at(z2)
+    s2_outcome, band_ok = _stage2_single(problem, cfg, z1, branches)
+    feas_h, feas_hd = _feasibility(problem, s2_outcome.z)
+    v = problem.objective.value_at(s2_outcome.z)
     feasible = feas_h <= cfg.tol_feas and feas_hd <= cfg.tol_feas and band_ok
-    return _Candidate(
-        r, z1, z2, s1_outcome, s2_outcome, v, feas_h, feas_hd, feasible, band_ok, branches
-    )
+    return _Candidate(r, z1, s1_outcome, s2_outcome, v, (feas_h, feas_hd), feasible)
 
 
-def _run_restarts(problem, cfg, initial, runner) -> list:
+def _run_restarts(cfg: SolverConfig, runner) -> list:
     indices = list(range(cfg.restarts))
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             return list(pool.map(runner, indices))
     return [runner(r) for r in indices]
+
+
+def _report(
+    problem: EqdqoProblem,
+    cfg: SolverConfig,
+    t0: float,
+    restart_index: int,
+    kkt1: float,
+    stage1,
+    stage2: _AlOutcome,
+    feas: tuple[float, float],
+) -> SolveReport:
+    """Report at stage II's final point.
+
+    ``stage1`` supplies the stage-I iteration count and trace, ``kkt1``
+    the stage-I stationarity residual, ``feas`` the final ``(h, h_d)``
+    violations; ``t0`` is when the solve started.
+    """
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    z2 = stage2.z
+    kkt2 = kkt_analysis(problem, z2, stage=2)
+    v = problem.objective.value_at(z2)
+    return SolveReport(
+        stage1_value=v.std,
+        stage2_value=v.dual,
+        solution=DualQuaternionVector(unpack(z2, problem.arity)),
+        multipliers={"lambda": list(kkt2.lambdas), "sigma": kkt2.sigma},
+        kkt_residual={"stage1": kkt1, "stage2": kkt2.residual},
+        feasibility={"h": feas[0], "h_d": feas[1]},
+        iterations={"stage1": stage1.iterations, "stage2": stage2.iterations},
+        restart_index=restart_index,
+        wall_time_ms=wall_ms,
+        config=cfg,
+        trace=tuple(stage1.trace) + tuple(stage2.trace),
+        degenerate=kkt2.degenerate,
+    )
 
 
 def solve_eqdqo(
@@ -839,12 +800,10 @@ def solve_eqdqo(
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    results = _run_restarts(
-        problem, cfg, initial, lambda r: _run_pipeline(problem, cfg, initial, r)
-    )
+    results = _run_restarts(cfg, lambda r: _run_pipeline(problem, cfg, initial, r))
     candidates = [c for c in results if c.feasible]
     if not candidates:
-        worst = min((max(c.feas_h, c.feas_hd) for c in results), default=math.inf)
+        worst = min((max(c.feas) for c in results), default=math.inf)
         raise Infeasible(
             f"no feasible candidate across {cfg.restarts} restarts "
             f"(best feasibility {worst:.3e} > tol {cfg.tol_feas:.3e})"
@@ -853,28 +812,16 @@ def solve_eqdqo(
     for c in candidates[1:]:
         if c.pair.compare(best.pair) < 0:
             best = c
-    wall_ms = (time.perf_counter() - t0) * 1e3
-
     kkt1 = kkt_analysis(problem, best.z1, stage=1)
-    kkt2 = kkt_analysis(problem, best.z2, stage=2)
-    solution = DualQuaternionVector(unpack(best.z2, problem.arity))
-    v = problem.objective.value_at(best.z2)
-    return SolveReport(
-        stage1_value=v.std,
-        stage2_value=v.dual,
-        solution=solution,
-        multipliers={"lambda": list(kkt2.lambdas), "sigma": kkt2.sigma},
-        kkt_residual={"stage1": kkt1.residual, "stage2": kkt2.residual},
-        feasibility={"h": best.feas_h, "h_d": best.feas_hd},
-        iterations={
-            "stage1": best.stage1_outcome.iterations,
-            "stage2": best.stage2_outcome.iterations,
-        },
-        restart_index=best.restart_index,
-        wall_time_ms=wall_ms,
-        config=cfg,
-        trace=tuple(best.stage1_outcome.trace + best.stage2_outcome.trace),
-        degenerate=kkt2.degenerate,
+    return _report(
+        problem,
+        cfg,
+        t0,
+        best.restart_index,
+        kkt1.residual,
+        best.stage1_outcome,
+        best.stage2_outcome,
+        best.feas,
     )
 
 
@@ -885,39 +832,27 @@ def solve_stage1(
 ) -> Stage1Result:
     """Stage I alone: minimize the standard part over restarts.
 
-    For standard problems the dual coordinates are dropped during the
-    minimization and afterwards chosen feasible for the dual constraint
-    rows.  Raises :class:`Infeasible` when no restart reaches feasibility.
+    The dual coordinates are dropped during the minimization and
+    afterwards chosen feasible for the dual constraint rows.  Raises
+    :class:`Infeasible` when no restart reaches feasibility.
     """
     cfg = cfg or SolverConfig()
 
     def runner(r):
-        z0 = _restart_start(problem, cfg, initial, r)
-        z1, outcome = _stage1_single(problem, cfg, z0)
-        if problem.standard:
-            dual_idx = _dual_indices(problem.arity)
-            z1 = z1.copy()
-            z1[dual_idx] = z0[dual_idx]
-            z1 = _project_duals(problem, z1, cfg.tol_feas * 0.1)
-        return z1, outcome, r
+        z1, outcome = _stage1_point(problem, cfg, _restart_start(problem, cfg, initial, r))
+        return z1, outcome, r, _feasibility(problem, z1)
 
-    results = _run_restarts(problem, cfg, initial, runner)
-    scored = []
-    for z1, outcome, r in results:
-        feas = _max_feas(problem, z1)
-        if feas <= cfg.tol_feas:
-            scored.append((problem.objective.value_at(z1).std, r, z1, outcome, feas))
+    scored = [
+        (problem.objective.value_at(z1).std, r, z1, outcome, feas)
+        for z1, outcome, r, feas in _run_restarts(cfg, runner)
+        if max(feas) <= cfg.tol_feas
+    ]
     if not scored:
         raise Infeasible(
             f"stage I found no feasible point across {cfg.restarts} restarts"
         )
     scored.sort(key=lambda item: (item[0], item[1]))
-    value, r, z1, outcome, _ = scored[0]
-    h, h_d = (
-        _constraint_rows_exact(problem, z1)
-        if problem.constraints
-        else (np.zeros(0), np.zeros(0))
-    )
+    value, r, z1, outcome, feas = scored[0]
     solution = DualQuaternionVector(unpack(z1, problem.arity))
     kkt1 = kkt_analysis(problem, z1, stage=1)
     return Stage1Result(
@@ -925,10 +860,7 @@ def solve_stage1(
         x_d=tuple(e.dual for e in solution),
         value=value,
         solution=solution,
-        feasibility={
-            "h": float(np.max(np.abs(h))) if h.size else 0.0,
-            "h_d": float(np.max(np.abs(h_d))) if h_d.size else 0.0,
-        },
+        feasibility={"h": feas[0], "h_d": feas[1]},
         kkt_residual=kkt1.residual,
         grad_norm=outcome.grad_norm,
         iterations=outcome.iterations,
@@ -947,36 +879,20 @@ def solve_stage2(
     """Stage II from a stage-I record: minimize the dual part in the band."""
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    z1 = stage1.z
-    outcome, band_ok, _ = _stage2_single(problem, cfg, z1, stage1.branches)
-    z2 = outcome.z
-    if problem.constraints:
-        h, h_d = _constraint_rows_exact(problem, z2)
-        feas_h = float(np.max(np.abs(h)))
-        feas_hd = float(np.max(np.abs(h_d)))
-    else:
-        feas_h = 0.0
-        feas_hd = 0.0
+    outcome, band_ok = _stage2_single(problem, cfg, stage1.z, stage1.branches)
+    feas_h, feas_hd = _feasibility(problem, outcome.z)
     if not (feas_h <= cfg.tol_feas and feas_hd <= cfg.tol_feas and band_ok):
         raise Infeasible(
             f"stage II lost feasibility (h {feas_h:.3e}, h_d {feas_hd:.3e}, "
             f"band ok {band_ok})"
         )
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    kkt2 = kkt_analysis(problem, z2, stage=2)
-    v = problem.objective.value_at(z2)
-    solution = DualQuaternionVector(unpack(z2, problem.arity))
-    return SolveReport(
-        stage1_value=v.std,
-        stage2_value=v.dual,
-        solution=solution,
-        multipliers={"lambda": list(kkt2.lambdas), "sigma": kkt2.sigma},
-        kkt_residual={"stage1": stage1.kkt_residual, "stage2": kkt2.residual},
-        feasibility={"h": feas_h, "h_d": feas_hd},
-        iterations={"stage1": stage1.iterations, "stage2": outcome.iterations},
-        restart_index=stage1.restart_index,
-        wall_time_ms=wall_ms,
-        config=cfg,
-        trace=tuple(stage1.trace) + tuple(outcome.trace),
-        degenerate=kkt2.degenerate,
+    return _report(
+        problem,
+        cfg,
+        t0,
+        stage1.restart_index,
+        stage1.kkt_residual,
+        stage1,
+        outcome,
+        (feas_h, feas_hd),
     )

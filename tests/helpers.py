@@ -8,6 +8,8 @@ quaternions nearly uniformly for brute-force minimization.
 
 import numpy as np
 
+from dqopt import DualFunction, DualNumber
+
 # Basis products e_p * e_q = sign * e_m over (1, i, j, k).
 _SIGN = np.array(
     [
@@ -59,6 +61,17 @@ def rodrigues_matrix(angle, axis):
         ]
     )
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+class LeakyFunction(DualFunction):
+    """Deliberately non-standard: the standard part reads a dual coordinate."""
+
+    def __init__(self):
+        super().__init__(1, declared_standard=False)
+
+    def value(self, values):
+        q = values[0]
+        return DualNumber(q.std.norm() + 0.5 * q.dual.w, q.dual.norm())
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from dqopt import (
     Quaternion,
     UnitDualQuaternion,
 )
+from dqopt.algebra import canonical_sign
 from dqopt.errors import UnitValidationError
 from helpers import table_dq_product
 
@@ -147,6 +148,17 @@ def test_canonicalized_frozen_value():
     v = UnitDualQuaternion(DualQuaternion(K, -I))
     w = v.canonicalized()
     assert w.std.approx_eq(K, tol=0.0) and w.dual.approx_eq(-I, tol=0.0)
+    # w = 0 with a negative x coefficient flips on x
+    c = UnitDualQuaternion(DualQuaternion(-I, J)).canonicalized()
+    assert c.std.approx_eq(I, tol=0.0) and c.dual.approx_eq(-J, tol=0.0)
+    # leading zeros, then a negative coefficient: the first nonzero decides
+    c = UnitDualQuaternion(DualQuaternion(Quaternion(0, 0, -0.6, 0.8), I)).canonicalized()
+    assert c.std.approx_eq(Quaternion(0, 0, 0.6, -0.8), tol=0.0)
+    assert c.dual.approx_eq(-I, tol=0.0)
+    # a negative zero counts as zero; the zero quaternion keeps sign +1
+    assert canonical_sign(Quaternion(-0.0, 0, -1, 0)) == -1
+    assert canonical_sign(Quaternion(-0.0, 1, 0, 0)) == 1
+    assert canonical_sign(ZERO) == 1
 
 
 def test_unit_validation_rejects_off_unit():

@@ -3,7 +3,6 @@ import pytest
 
 from dqopt import (
     AffineResidual,
-    DualFunction,
     DualNumber,
     DualQuaternion,
     Quaternion,
@@ -27,6 +26,7 @@ from dqopt import (
     variable_map,
 )
 from dqopt.errors import ArityMismatch, NonUnitValue
+from helpers import LeakyFunction
 
 I = Quaternion(0, 1, 0, 0)
 ONE = Quaternion.identity()
@@ -121,19 +121,8 @@ def test_standardness_accepts_standard_compositions():
         assert rep.passed, rep.max_std_delta
 
 
-class _LeakyFunction(DualFunction):
-    """Deliberately non-standard: the standard part reads a dual coordinate."""
-
-    def __init__(self):
-        super().__init__(1, declared_standard=False)
-
-    def value(self, values):
-        q = values[0]
-        return DualNumber(q.std.norm() + 0.5 * q.dual.w, q.dual.norm())
-
-
 def test_standardness_catches_violations():
-    rep = check_standardness(_LeakyFunction(), n_samples=40, seed=5)
+    rep = check_standardness(LeakyFunction(), n_samples=40, seed=5)
     assert not rep.passed
     assert rep.witness is not None
     assert rep.max_std_delta > 1e-6

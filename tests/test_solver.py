@@ -20,8 +20,13 @@ from dqopt import (
     squared_distance_objective,
     unit_norm_constraint,
 )
-from dqopt.errors import DegenerateConstraintGradients, Infeasible, MaxIterations
-from helpers import covering_radius, grid_min_stage1, super_fibonacci_grid
+from dqopt.errors import (
+    DegenerateConstraintGradients,
+    Infeasible,
+    MaxIterations,
+    NonStandardProblem,
+)
+from helpers import LeakyFunction, covering_radius, grid_min_stage1, super_fibonacci_grid
 
 E0 = Quaternion.identity()
 ZERO = Quaternion(0, 0, 0, 0)
@@ -59,6 +64,29 @@ def test_kkt_multiplier_at_analytic_optimum():
     assert info.lambdas[0] == pytest.approx(1.0, abs=1e-9)
     assert info.residual <= 1e-10
     assert kkt_residual(_toy_problem(), z, stage=1) <= 1e-10
+
+
+def test_problem_rejects_non_standard_objective():
+    with pytest.raises(NonStandardProblem, match="objective .*LeakyFunction"):
+        EqdqoProblem(LeakyFunction(), (unit_norm_constraint(1, 0),))
+
+
+def test_problem_rejects_non_standard_constraint():
+    objective = squared_distance_objective(DualQuaternion.identity())
+    with pytest.raises(NonStandardProblem, match="constraint 1 .*LeakyFunction"):
+        EqdqoProblem(objective, (unit_norm_constraint(1, 0), LeakyFunction()))
+
+
+def test_kkt_rejects_a_point_of_the_wrong_arity():
+    # coordinates 8-15 would belong to a second variable the problem lacks
+    z = np.zeros(16)
+    z[0] = 1.0
+    z[8:] = 5.0
+    with pytest.raises(ValueError, match=r"expected shape \(8,\)"):
+        kkt_analysis(_toy_problem(), z, stage=1)
+    two = [DualQuaternion.identity(), DualQuaternion.identity()]
+    with pytest.raises(ValueError):
+        kkt_residual(_toy_problem(), two, stage=2)
 
 
 def test_kkt_stage2_at_analytic_optimum():
