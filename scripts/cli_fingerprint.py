@@ -1,0 +1,108 @@
+"""One SHA-256 over the outputs of a fixed set of ``dqopt`` CLI solves.
+
+Usage::
+
+    PYTHONPATH=src python3 scripts/cli_fingerprint.py [--out DIR]
+
+The solves are ``solve-handeye`` on AXXB and AXYB data at noise 0 and
+0.01, and ``solve-pgo`` on a noisy 20-vertex and a clean 60-vertex cycle
+graph, each with ``--csv``.  The generated inputs, the JSON reports with
+``wall_time_ms`` removed (the only field that changes between reruns) and
+the CSV traces are written to ``DIR`` (a new temporary directory by
+default); the hash covers every file there, by name and content.  Two
+checkouts give the same hash exactly when their CLI outputs are
+byte-identical apart from the timing field.  The script imports whichever
+``dqopt`` is first on ``PYTHONPATH`` and uses only the standard library
+besides.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+# One BLAS thread, as the benchmark runs, set before NumPy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from dqopt.cli import main  # noqa: E402
+
+HANDEYE = [
+    ("axxb", 8, 0.0),
+    ("axxb", 8, 0.01),
+    ("axyb", 8, 0.0),
+    ("axyb", 8, 0.01),
+]
+# (name, vertices, loop closures, noise, restarts)
+GRAPHS = [
+    ("pgo-noisy-20", 20, 6, 0.01, 2),
+    ("pgo-clean-60", 60, 20, 0.0, 1),
+]
+
+
+def _run(argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"dqopt {' '.join(argv)} exited with {code}")
+
+
+def _strip_timing(path: str) -> None:
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    del data["wall_time_ms"]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(data, indent=2) + "\n")
+
+
+def run_all(out: str) -> None:
+    """Generate the inputs and run every solve, writing into ``out``."""
+    for model, motions, noise in HANDEYE:
+        name = os.path.join(out, f"{model}-{noise:g}")
+        _run(["gen-handeye", "--model", model, "--motions", str(motions),
+              "--noise-rot", str(noise), "--noise-trans", str(noise),
+              "--seed", "3", "--out", name + ".data.json"])
+        _run(["solve-handeye", "--in", name + ".data.json", "--restarts", "8",
+              "--out", name + ".report.json", "--csv", name + ".trace.csv"])
+        _strip_timing(name + ".report.json")
+    for label, vertices, chords, noise, restarts in GRAPHS:
+        name = os.path.join(out, label)
+        _run(["gen-pgo", "--vertices", str(vertices), "--loop-closures", str(chords),
+              "--noise-rot", str(noise), "--noise-trans", str(noise),
+              "--seed", "5", "--out", name + ".graph"])
+        _run(["solve-pgo", "--in", name + ".graph", "--restarts", str(restarts),
+              "--out", name + ".report.json", "--csv", name + ".trace.csv"])
+        _strip_timing(name + ".report.json")
+
+
+def digest(out: str) -> str:
+    h = hashlib.sha256()
+    for fname in sorted(os.listdir(out)):
+        with open(os.path.join(out, fname), "rb") as fh:
+            content = fh.read()
+        h.update(fname.encode() + b"\0" + str(len(content)).encode() + b"\0" + content)
+    return h.hexdigest()
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--out", default=None, metavar="DIR",
+                   help="empty or new directory for the outputs (default: a temporary one)")
+    return p.parse_args(argv)
+
+
+if __name__ == "__main__":
+    args = parse_args()
+    out = args.out or tempfile.mkdtemp(prefix="cli_fingerprint_")
+    os.makedirs(out, exist_ok=True)
+    if os.listdir(out):
+        raise SystemExit(f"{out} is not empty")
+    run_all(out)
+    print(f"outputs in {out}", file=sys.stderr)
+    print(digest(out))

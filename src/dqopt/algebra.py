@@ -271,9 +271,6 @@ class Quaternion:
     def is_imaginary(self, tol: float = 1e-12) -> bool:
         return abs(self.w) <= tol
 
-    def is_unit(self, tol: float = TOL_UNIT) -> bool:
-        return abs(self.norm() - 1.0) <= tol
-
     def approx_eq(self, other: "Quaternion", tol: float = 1e-12) -> bool:
         return (
             abs(self.w - other.w) <= tol
@@ -511,10 +508,6 @@ class DualQuaternion:
             "dual": [self.dual.w, self.dual.x, self.dual.y, self.dual.z],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DualQuaternion":
-        return cls(Quaternion.from_array(data["std"]), Quaternion.from_array(data["dual"]))
-
 
 @dataclass(frozen=True, slots=True)
 class UnitDualQuaternion:
@@ -578,10 +571,6 @@ class UnitDualQuaternion:
         q = self.inner.std
         t = (q.conjugate() * self.inner.dual) * 2.0
         return q, t.imaginary()
-
-    def translation_vector(self) -> np.ndarray:
-        _, t = self.to_pose()
-        return np.array([t.x, t.y, t.z], dtype=np.float64)
 
     def canonicalized(self) -> "UnitDualQuaternion":
         """Fix the double-cover sign by :func:`canonical_sign` of the standard part."""
@@ -652,15 +641,6 @@ class DualQuaternionVector:
     def __getitem__(self, index):
         return self.entries[index]
 
-    def conj_dot(self, other: "DualQuaternionVector") -> DualQuaternion:
-        """Sum of ``conj(self_i) * other_i``."""
-        if len(self) != len(other):
-            raise ValueError("length mismatch")
-        total = DualQuaternion.zero()
-        for a, b in zip(self.entries, other.entries):
-            total = total + a.conjugate() * b
-        return total
-
     def norm2(self, tol: float = TOL_APPRECIABLE) -> DualNumber:
         """Dual-valued 2-norm.
 
@@ -685,7 +665,3 @@ class DualQuaternionVector:
 
     def to_json_list(self) -> list:
         return [e.to_dict() for e in self.entries]
-
-    @classmethod
-    def from_json_list(cls, data: list) -> "DualQuaternionVector":
-        return cls(tuple(DualQuaternion.from_dict(d) for d in data))

@@ -8,7 +8,9 @@ part, wxyz order) and ``z[8i+4:8i+8]`` (dual part).
 A function is *standard* when its standard-part value never depends on
 the dual coordinates.  Objectives and constraints built from residual
 magnitudes, unit-norm conditions, and anchors are all standard; the
-two-stage solver relies on that structure.
+two-stage solver relies on that structure.  Its constraints are unit-norm
+conditions and :func:`anchor_constraints` rows only, evaluated together by
+:class:`ConstraintBlock`; any other constraint type raises ``TypeError``.
 
 Gradients come in pairs ``(grad_std, grad_dual)``, the coordinate
 gradients of the two scalar parts over all ``8n`` coordinates.  Piecewise
@@ -54,6 +56,7 @@ __all__ = [
     "UnitNormConstraint",
     "unit_norm_constraint",
     "anchor_constraints",
+    "ConstraintBlock",
     "squared_distance_objective",
     "StandardnessReport",
     "check_standardness",
@@ -133,12 +136,6 @@ class DualFunction:
 
     def value_at(self, z: np.ndarray) -> DualNumber:
         return self.value(unpack(z, self.arity))
-
-    def fast_rows(self, z: np.ndarray):
-        """Both scalar rows with gradients: ((v_std, g_std), (v_dual, g_dual))."""
-        v = self.value_at(z)
-        g_std, g_dual = self.gradient_at(z)
-        return (v.std, g_std), (v.dual, g_dual)
 
     # -- solver stage hooks ----------------------------------------------
 
@@ -648,6 +645,8 @@ class _ComponentAnchor(DualFunction):
 
     def __init__(self, arity: int, index: int, component: int, target: DualQuaternion):
         super().__init__(arity, declared_standard=True)
+        if not 0 <= index < arity:
+            raise ValueError(f"index {index} out of range for arity {arity}")
         self.index = int(index)
         self.component = int(component)
         self.target = target
@@ -684,6 +683,72 @@ def anchor_constraints(
 ) -> tuple[DualFunction, ...]:
     """Constraints pinning variable ``index`` to ``target``, one per coefficient."""
     return tuple(_ComponentAnchor(arity, index, c, target) for c in range(4))
+
+
+class ConstraintBlock:
+    """Every unit-norm and anchor row of a problem, evaluated in one call.
+
+    Rows keep the order of ``constraints``; any other constraint type
+    raises ``TypeError``.  Both families are standard with a dual part
+    linear in the dual coordinates, so the Jacobian of ``h`` over the
+    standard coordinates equals that of ``h_d`` over the dual ones: the
+    *stage Jacobian* ``G``, shape ``(m, 4n)``, column ``4i + c`` for
+    coefficient ``c`` of variable ``i``.
+    """
+
+    def __init__(self, arity: int, constraints: Sequence[DualFunction]):
+        for j, con in enumerate(constraints):
+            # Exact types: a subclass may override the formulas the block hard-codes.
+            if type(con) not in (UnitNormConstraint, _ComponentAnchor):
+                raise TypeError(
+                    f"constraint {j} ({type(con).__name__}) is neither a unit-norm "
+                    "nor an anchor row"
+                )
+        units = [(j, c) for j, c in enumerate(constraints) if type(c) is UnitNormConstraint]
+        anchors = [(j, c) for j, c in enumerate(constraints) if type(c) is _ComponentAnchor]
+        self.arity, self.size = int(arity), len(constraints)
+        self._u_row = np.array([j for j, _ in units], dtype=np.intp)
+        u_var = np.array([c.index for _, c in units], dtype=np.intp).reshape(-1, 1)
+        self._u_slots = 8 * u_var + np.arange(8)
+        self._g_flat = 4 * (self.arity * self._u_row[:, None] + u_var) + np.arange(4)
+        self._a_row = np.array([j for j, _ in anchors], dtype=np.intp)
+        a_var = np.array([c.index for _, c in anchors], dtype=np.intp)
+        a_comp = np.array([c.component for _, c in anchors], dtype=np.intp)
+        self._a_coords = np.stack((8 * a_var + a_comp, 8 * a_var + 4 + a_comp))
+        self._a_targets = np.array([(c._t_std, c._t_dual) for _, c in anchors]).reshape(-1, 2).T
+        self._g_anchor = 4 * (self.arity * self._a_row + a_var) + a_comp
+
+    def _values(self, z: np.ndarray):
+        """Values, shape ``(2, m)`` with ``h`` first, and the unit rows' slots."""
+        zz = z[self._u_slots]
+        # xs.xs and xs.xd per unit row as a batched (1, 4) @ (4, 1) product,
+        # summed bit for bit as ``xs @ xs``; h = xs.xs - 1 and h_d = 2 xs.xd.
+        dots = (zz[:, None, None, :4] @ zz.reshape(-1, 2, 4, 1))[:, :, 0, 0]
+        vals = np.empty((2, self.size))
+        vals[0, self._u_row] = dots[:, 0] - 1.0
+        vals[1, self._u_row] = 2.0 * dots[:, 1]
+        if self._a_row.size:
+            vals[:, self._a_row] = z[self._a_coords] - self._a_targets
+        return vals, zz
+
+    def stage_rows(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(h, h_d, G)`` at ``z``; see the class notes for ``G``."""
+        (h, h_d), zz = self._values(z)
+        g = np.zeros((self.size, 4 * self.arity))
+        g.reshape(-1)[self._g_flat] = 2.0 * zz[:, :4]
+        g.reshape(-1)[self._g_anchor] = 1.0
+        return h, h_d, g
+
+    def rows(self, z: np.ndarray):
+        """``(h, h_d, J_s, J_d)`` at ``z``, Jacobians over all ``8n`` coordinates."""
+        (h, h_d), zz = self._values(z)
+        j_s = np.zeros((self.size, 8 * self.arity))
+        j_d = np.zeros_like(j_s)
+        row, std, dual = self._u_row[:, None], self._u_slots[:, :4], self._u_slots[:, 4:]
+        j_s[row, std] = j_d[row, dual] = 2.0 * zz[:, :4]
+        j_d[row, std] = 2.0 * zz[:, 4:]
+        j_s[self._a_row, self._a_coords[0]] = j_d[self._a_row, self._a_coords[1]] = 1.0
+        return h, h_d, j_s, j_d
 
 
 class _SquaredDistance(DualFunction):

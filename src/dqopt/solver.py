@@ -16,7 +16,10 @@ two real programs, one per coordinate block:
 Non-standard problems are rejected when an :class:`EqdqoProblem` is built.
 Their standard part reads the dual coordinates, so stage I could not drop
 them and the two block programs above would not be the problem's split.
-The hand-eye and pose-graph problems are standard.
+The hand-eye and pose-graph problems are standard.  Their constraints,
+unit-norm conditions and anchor rows, are the only kinds accepted (else
+``TypeError``); one :class:`~dqopt.functions.ConstraintBlock` evaluates
+them for both stages, feasibility, dual projection and KKT analysis.
 
 Each stage runs an augmented-Lagrangian outer loop with an L-BFGS inner
 minimizer.  Nonsmooth magnitude objectives are smoothed with a decreasing
@@ -44,7 +47,7 @@ from .errors import (
     MaxIterations,
     NonStandardProblem,
 )
-from .functions import DualFunction, pack, unpack
+from .functions import ConstraintBlock, DualFunction, pack, unpack
 
 __all__ = [
     "SolverConfig",
@@ -145,27 +148,28 @@ class EqdqoProblem:
     that ignores the dual coordinates), because stage I runs over the
     standard coordinates alone; otherwise construction raises
     :class:`NonStandardProblem`.  :func:`dqopt.functions.check_standardness`
-    probes whether a declaration holds.
+    probes whether a declaration holds.  The constraints must be unit-norm
+    conditions and :func:`dqopt.functions.anchor_constraints` rows, which
+    ``block`` evaluates together; any other type raises ``TypeError``.
     """
 
     objective: DualFunction
     constraints: tuple[DualFunction, ...] = ()
+    block: ConstraintBlock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
-        for h in self.constraints:
-            if h.arity != self.objective.arity:
-                raise ArityMismatch(
-                    f"constraint arity {h.arity} != objective arity {self.objective.arity}"
-                )
         named = [("objective", self.objective)]
         named += [(f"constraint {j}", h) for j, h in enumerate(self.constraints)]
         for name, fn in named:
+            if fn.arity != self.arity:
+                raise ArityMismatch(f"{name} arity {fn.arity} != objective arity {self.arity}")
             if not fn.declared_standard:
                 raise NonStandardProblem(
                     f"{name} ({type(fn).__name__}) does not declare standard "
                     "structure; stage I would depend on the dual coordinates"
                 )
+        object.__setattr__(self, "block", ConstraintBlock(self.arity, self.constraints))
 
     @property
     def arity(self) -> int:
@@ -402,37 +406,15 @@ def inner_solve(
 # Coordinate blocks and constraint rows
 
 
-_NO_COORDS = np.empty(0, dtype=np.intp)
-
-
 def _part_indices(arity: int, part: int) -> np.ndarray:
     """Flat indices of every variable's standard (part 0) or dual (part 1) slot."""
     return (8 * np.arange(arity)[:, None] + 4 * part + np.arange(4)).ravel()
 
 
-def _block_rows(problem: EqdqoProblem, z: np.ndarray, part: int, idx: np.ndarray):
-    """Every constraint row at ``z``, seen from the coordinates ``idx``.
-
-    Returns the values of both scalar parts, shape ``(2, m)`` with the
-    standard part first, and the gradients of part ``part`` (0 standard,
-    1 dual) over ``idx``.
-    """
-    m = len(problem.constraints)
-    vals = np.empty((2, m))
-    grads = np.empty((m, idx.shape[0]))
-    for j, con in enumerate(problem.constraints):
-        (vals[0, j], g_std), (vals[1, j], g_dual) = con.fast_rows(z)
-        grads[j] = (g_std, g_dual)[part][idx]
-    return vals, grads
-
-
 def _feasibility(problem: EqdqoProblem, z: np.ndarray) -> tuple[float, float]:
     """Largest constraint violations ``(max |h|, max |h_d|)`` at ``z``."""
-    if not problem.constraints:
-        return 0.0, 0.0
-    vals, _ = _block_rows(problem, z, 0, _NO_COORDS)
-    h, h_d = np.max(np.abs(vals), axis=1)
-    return float(h), float(h_d)
+    h, h_d, _ = problem.block.stage_rows(z)
+    return float(np.max(np.abs(h), initial=0.0)), float(np.max(np.abs(h_d), initial=0.0))
 
 
 def _random_start(problem: EqdqoProblem, rng: np.random.Generator) -> np.ndarray:
@@ -446,21 +428,18 @@ def _random_start(problem: EqdqoProblem, rng: np.random.Generator) -> np.ndarray
 
 
 def _project_duals(problem: EqdqoProblem, z: np.ndarray, tol: float) -> np.ndarray:
-    """Move the dual coordinates onto the dual-row constraint manifold.
+    """Move the dual coordinates onto the dual rows ``h_d = 0``.
 
-    Newton least-squares steps; exact in one step for constraints whose
-    dual row is linear in the dual coordinates (unit norms and anchors).
+    Every dual row is linear in the dual coordinates, with the stage
+    Jacobian as its slope, so one least-squares step solves them exactly.
+    A point already within ``tol`` is not moved.
     """
-    if not problem.constraints:
-        return z
-    dual_idx = _part_indices(problem.arity, 1)
     z = z.copy()
-    for _ in range(3):
-        (_, h_d), grads = _block_rows(problem, z, 1, dual_idx)
-        if np.max(np.abs(h_d)) <= tol:
-            break
-        delta, *_ = np.linalg.lstsq(grads, -h_d, rcond=None)
-        z[dual_idx] += delta
+    _, h_d, g = problem.block.stage_rows(z)
+    if np.max(np.abs(h_d), initial=0.0) <= tol:
+        return z
+    delta, *_ = np.linalg.lstsq(g, -h_d, rcond=None)
+    z[_part_indices(problem.arity, 1)] += delta
     return z
 
 
@@ -495,6 +474,14 @@ def _point_to_z(point, arity: int) -> np.ndarray:
     return z
 
 
+def _supplied(values, name: str, count: int) -> np.ndarray:
+    """Supplied multipliers as ``count`` floats; ``ValueError`` for another count."""
+    vals = np.asarray(values, dtype=np.float64).reshape(-1)
+    if vals.shape[0] != count:
+        raise ValueError(f"expected {count} {name} values, got {vals.shape[0]}")
+    return vals
+
+
 def kkt_analysis(
     problem: EqdqoProblem,
     point,
@@ -506,64 +493,40 @@ def kkt_analysis(
     Stage I: ``grad f + sum lambda_j grad h_j`` over all coordinates.
     Stage II: ``grad f_d + sigma grad f + sum lambda_j grad h_j +
     sum mu_j grad (h_j)_d``; the ``mu_j`` columns are internal.  Piecewise
-    gradients use the zero subgradient at kinks.
+    gradients use the zero subgradient at kinks.  Supplied ``multipliers``
+    must hold one ``lambda`` and, when given, one ``mu`` per constraint
+    (``mu`` defaults to zeros, ``sigma`` to 0); otherwise ``ValueError``.
     """
+    if stage not in (1, 2):
+        raise ValueError("stage must be 1 or 2")
     z = _point_to_z(point, problem.arity)
     g_std, g_dual = problem.objective.gradient_at(z)
-    cols = []
-    for con in problem.constraints:
-        cs, _ = con.gradient_at(z)
-        cols.append(cs)
-    n_lam = len(cols)
-    if stage == 1:
-        target = g_std
-        sigma_col = None
-    elif stage == 2:
-        target = g_dual
-        for con in problem.constraints:
-            _, cd = con.gradient_at(z)
-            cols.append(cd)
-        sigma_col = g_std
-        cols.append(sigma_col)
-    else:
-        raise ValueError("stage must be 1 or 2")
+    _, _, j_s, j_d = problem.block.rows(z)
+    m = problem.block.size
+    target = g_std if stage == 1 else g_dual
+    rows = (j_s,) if stage == 1 else (j_s, j_d, g_std[None])
+    # One column per multiplier, in C order: the layout fixes the summation
+    # order of ``a @ sol`` and so the last bits of the reported residual.
+    a = np.empty((z.shape[0], sum(r.shape[0] for r in rows)))
+    np.concatenate(rows, out=a.T)
 
-    if multipliers is not None:
-        lam = np.asarray(multipliers.get("lambda", ()), dtype=np.float64)
-        if lam.shape[0] != n_lam:
-            raise ValueError(f"expected {n_lam} lambda values, got {lam.shape[0]}")
-        resid = target.copy()
-        for j in range(n_lam):
-            resid += lam[j] * cols[j]
-        mus = np.asarray(multipliers.get("mu", np.zeros(n_lam)), dtype=np.float64)
+    if multipliers is None:
+        sol, _, rank, _ = np.linalg.lstsq(a, -target, rcond=_RANK_RCOND)
+        degenerate = rank < a.shape[1]
+    else:
+        lam = _supplied(multipliers.get("lambda", ()), "lambda", m)
+        mus = _supplied(multipliers.get("mu", np.zeros(m)), "mu", m)
         sigma = float(multipliers.get("sigma", 0.0))
-        if stage == 2:
-            for j in range(n_lam):
-                resid += mus[j] * cols[n_lam + j]
-            resid += sigma * sigma_col
-        return KktInfo(
-            float(np.linalg.norm(resid)),
-            tuple(float(v) for v in lam),
-            tuple(float(v) for v in mus) if stage == 2 else (),
-            sigma if stage == 2 else 0.0,
-            False,
-        )
-
-    if not cols:
-        return KktInfo(float(np.linalg.norm(target)), (), (), 0.0, False)
-
-    a = np.column_stack(cols)
-    sol, _, rank, _ = np.linalg.lstsq(a, -target, rcond=_RANK_RCOND)
+        sol = np.concatenate((lam, mus, [sigma]))[: a.shape[1]]
+        degenerate = False
     resid = target + a @ sol
-    degenerate = rank < a.shape[1]
-    lam = tuple(float(v) for v in sol[:n_lam])
-    if stage == 2:
-        mus = tuple(float(v) for v in sol[n_lam : 2 * n_lam])
-        sigma = float(sol[-1])
-    else:
-        mus = ()
-        sigma = 0.0
-    return KktInfo(float(np.linalg.norm(resid)), lam, mus, sigma, degenerate)
+    return KktInfo(
+        float(np.linalg.norm(resid)),
+        tuple(float(v) for v in sol[:m]),
+        tuple(float(v) for v in sol[m : 2 * m]),
+        float(sol[-1]) if stage == 2 else 0.0,
+        degenerate,
+    )
 
 
 def kkt_residual(
@@ -579,6 +542,8 @@ def kkt_residual(
     gradient system is rank-deficient and multipliers were not supplied,
     unless ``on_degenerate`` is ``"lstsq"``.
     """
+    if on_degenerate not in ("raise", "lstsq"):
+        raise ValueError(f"on_degenerate must be 'raise' or 'lstsq', got {on_degenerate!r}")
     info = kkt_analysis(problem, point, stage=stage, multipliers=multipliers)
     if info.degenerate and multipliers is None and on_degenerate == "raise":
         raise DegenerateConstraintGradients(
@@ -613,7 +578,7 @@ def _block_minimize(
     idx = _part_indices(problem.arity, part)
     template = z.copy()
     x0 = z[idx]
-    tols = np.full(len(problem.constraints), cfg.tol_feas)
+    tols = np.full(problem.block.size, cfg.tol_feas)
 
     def embed(x):
         full = template.copy()
@@ -628,8 +593,8 @@ def _block_minimize(
         return f + prox * float(d @ d), g[idx] + (2.0 * prox) * d
 
     def rows_fn(x):
-        vals, grads = _block_rows(problem, embed(x), part, idx)
-        return vals[part], grads, tols
+        h, h_d, g = problem.block.stage_rows(embed(x))
+        return (h, h_d)[part], g, tols
 
     def monitor(x):
         full = embed(x)

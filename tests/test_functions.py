@@ -3,6 +3,7 @@ import pytest
 
 from dqopt import (
     AffineResidual,
+    ConstraintBlock,
     DualNumber,
     DualQuaternion,
     Quaternion,
@@ -218,6 +219,40 @@ def test_anchor_constraints_pin_components():
     values = (DualQuaternion.zero(), DualQuaternion(Quaternion(1, 0, 2, 0), I))
     hit = [h.value(values) for h in cons]
     assert hit[2] == DualNumber(2.0, 0.0)
+
+
+def test_anchor_constraints_reject_an_index_out_of_range():
+    for index in (2, 5, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            anchor_constraints(2, index, DualQuaternion.identity())
+
+
+def test_constraint_block_matches_each_constraint_exactly():
+    rng = np.random.default_rng(113)
+    n = 3
+    target = _rand_dq(rng)
+    # mixed and unsorted: anchors before units, units out of variable order
+    cons = (
+        anchor_constraints(n, 2, target)
+        + (UnitNormConstraint(n, 1), UnitNormConstraint(n, 0))
+        + anchor_constraints(n, 0, target)[1:3]
+        + (UnitNormConstraint(n, 2),)
+    )
+    block = ConstraintBlock(n, cons)
+    assert block.size == len(cons)
+    std = (8 * np.arange(n)[:, None] + np.arange(4)).ravel()
+    for _ in range(50):
+        z = rng.standard_normal(8 * n) * rng.uniform(0.01, 100.0)
+        sh, sh_d, g = block.stage_rows(z)
+        rh, rh_d, j_s, j_d = block.rows(z)
+        for j, con in enumerate(cons):
+            (v_std, g_std), (v_dual, g_dual) = con.fast_rows(z)
+            assert sh[j] == rh[j] == v_std
+            assert sh_d[j] == rh_d[j] == v_dual
+            # fast_rows returns the constraint's own gradient_at
+            assert np.array_equal(j_s[j], g_std) and np.array_equal(j_d[j], g_dual)
+            # the stage Jacobian is h over the standard slots and h_d over the dual ones
+            assert np.array_equal(g[j], g_std[std]) and np.array_equal(g[j], g_dual[std + 4])
 
 
 def test_gradients_of_builders():

@@ -6,8 +6,11 @@ from dqopt import (
     EqdqoProblem,
     Quaternion,
     SolverConfig,
+    UnitNormConstraint,
     anchor_constraints,
     build_axxb,
+    build_pgo,
+    generate_cycle_graph,
     generate_synthetic,
     inner_solve,
     kkt_analysis,
@@ -75,6 +78,84 @@ def test_problem_rejects_non_standard_constraint():
     objective = squared_distance_objective(DualQuaternion.identity())
     with pytest.raises(NonStandardProblem, match="constraint 1 .*LeakyFunction"):
         EqdqoProblem(objective, (unit_norm_constraint(1, 0), LeakyFunction()))
+
+
+def test_problem_rejects_a_constraint_that_is_not_a_unit_or_anchor_row():
+    objective = squared_distance_objective(DualQuaternion.identity())
+    other = squared_distance_objective(DualQuaternion.from_real(2.0))
+    with pytest.raises(TypeError, match="constraint 1 .*_SquaredDistance"):
+        EqdqoProblem(objective, (unit_norm_constraint(1, 0), other))
+
+    class ShiftedUnitNorm(UnitNormConstraint):
+        def value(self, values):  # |x|^2 = 2 instead of 1
+            v = super().value(values)
+            return type(v)(v.std - 1.0, v.dual)
+
+    # the block would evaluate a subclass with the base unit-norm formula
+    with pytest.raises(TypeError, match="constraint 0 .*ShiftedUnitNorm"):
+        EqdqoProblem(objective, (ShiftedUnitNorm(1, 0),))
+
+
+def test_kkt_with_supplied_multipliers_at_the_toy_optimum():
+    # grad |x - 2|^2 is -2 e0 in the standard slot (stage I) and in the dual
+    # slot (stage II); the unit row's gradients there are 2 e0, so lambda = 1
+    # and mu = 1 cancel them.  At stage II the standard slot holds
+    # 2 lambda e0 - 2 sigma e0, which vanishes for lambda = sigma.
+    z = np.zeros(8)
+    z[0] = 1.0
+    problem = _toy_problem()
+    one = kkt_analysis(problem, z, stage=1, multipliers={"lambda": [1.0]})
+    assert one.residual <= 1e-10
+    assert one.lambdas == (1.0,) and one.mus == () and one.sigma == 0.0
+    for lam in (0.0, 1.0, 2.5):
+        given = {"lambda": [lam], "mu": [1.0], "sigma": lam}
+        two = kkt_analysis(problem, z, stage=2, multipliers=given)
+        assert two.residual <= 1e-10
+        assert (two.lambdas, two.mus, two.sigma) == ((lam,), (1.0,), lam)
+    assert kkt_residual(problem, z, multipliers={"lambda": [3.0]}, stage=1) == 4.0
+    wrong = {"lambda": [1.0], "mu": [0.0], "sigma": 1.0}
+    assert kkt_residual(problem, z, multipliers=wrong, stage=2) == 2.0
+
+
+def test_kkt_rejects_supplied_multipliers_of_the_wrong_length():
+    z = np.zeros(8)
+    z[0] = 1.0
+    for mu in ([], [0.0, 5.0, 7.0]):
+        with pytest.raises(ValueError, match="mu"):
+            kkt_analysis(_toy_problem(), z, stage=2, multipliers={"lambda": [1.0], "mu": mu})
+    with pytest.raises(ValueError, match="lambda"):
+        kkt_analysis(_toy_problem(), z, stage=2, multipliers={"mu": [1.0]})
+
+
+def test_kkt_residual_rejects_an_unknown_on_degenerate():
+    z = np.zeros(8)
+    z[0] = 1.0
+    with pytest.raises(ValueError, match="on_degenerate"):
+        kkt_residual(_toy_problem(), z, stage=2, on_degenerate="lstq")
+
+
+def test_kkt_reads_the_constraint_block_not_each_constraint(monkeypatch):
+    calls = []
+    original = UnitNormConstraint.gradient_at
+
+    def counted(self, z):
+        calls.append(self.index)
+        return original(self, z)
+
+    monkeypatch.setattr(UnitNormConstraint, "gradient_at", counted)
+    problem = build_pgo(generate_cycle_graph(10, loop_closures=3, seed=0))
+    z = np.tile([1.0, 0, 0, 0, 0, 0, 0, 0], 10)
+    kkt_analysis(problem, z, stage=2)
+    assert calls == []
+
+
+def test_unconstrained_problem_solves_with_an_empty_constraint_block():
+    center = DualQuaternion(Quaternion(0.5, -1.0, 2.0, 0.3), Quaternion(0.1, 0.2, -0.3, 0.4))
+    report = solve_eqdqo(EqdqoProblem(squared_distance_objective(center)), _fast_cfg(restarts=2))
+    assert report.stage1_value <= 1e-12
+    assert list(report.solution)[0].std.approx_eq(center.std, tol=1e-6)
+    assert report.feasibility == {"h": 0.0, "h_d": 0.0}
+    assert report.multipliers["lambda"] == []
 
 
 def test_kkt_rejects_a_point_of_the_wrong_arity():
