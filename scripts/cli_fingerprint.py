@@ -11,9 +11,11 @@ graph, each with ``--csv``.  The generated inputs, the JSON reports with
 the CSV traces are written to ``DIR`` (a new temporary directory by
 default); the hash covers every file there, by name and content.  Two
 checkouts give the same hash exactly when their CLI outputs are
-byte-identical apart from the timing field.  The script imports whichever
-``dqopt`` is first on ``PYTHONPATH`` and uses only the standard library
-besides.
+byte-identical apart from the timing field.  Each file's own SHA-256 is
+printed to stderr in ``sha256sum`` format, so when the combined hash of two
+checkouts differs, diffing those lines shows which solve moved.  The script
+imports whichever ``dqopt`` is first on ``PYTHONPATH`` and uses only the
+standard library besides.
 """
 
 from __future__ import annotations
@@ -82,10 +84,12 @@ def run_all(out: str) -> None:
 
 
 def digest(out: str) -> str:
+    """One SHA-256 over every file in ``out``; each file's own goes to stderr."""
     h = hashlib.sha256()
     for fname in sorted(os.listdir(out)):
         with open(os.path.join(out, fname), "rb") as fh:
             content = fh.read()
+        print(f"{hashlib.sha256(content).hexdigest()}  {fname}", file=sys.stderr)
         h.update(fname.encode() + b"\0" + str(len(content)).encode() + b"\0" + content)
     return h.hexdigest()
 

@@ -345,16 +345,26 @@ class Quaternion:
         return np.array([r.x, r.y, r.z], dtype=np.float64)
 
 
+# Both multiplication matrices place coefficient ``_MULT_INDEX[r, c]`` of q
+# at (r, c), with the signs below.  ``take`` allocates in C order, so a
+# batched ``matmul`` of a stack of them sums each product in the same order
+# as the 2-D product of one matrix.
+_MULT_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_LEFT_SIGNS = np.array([[1.0, -1, -1, -1], [1, 1, -1, 1], [1, 1, 1, -1], [1, -1, 1, 1]])
+_RIGHT_SIGNS = np.array([[1.0, -1, -1, -1], [1, 1, 1, -1], [1, -1, 1, 1], [1, 1, -1, 1]])
+
+
 def left_mult_matrix(q) -> np.ndarray:
-    """Matrix ``L`` with ``L @ p == q * p`` for coefficient 4-vectors (w, x, y, z)."""
-    w, x, y, z = q
-    return np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
+    """Matrices ``L`` with ``L @ p == q * p`` for coefficient 4-vectors (w, x, y, z).
+
+    ``q`` of shape ``(..., 4)`` gives one matrix per quaternion, shape ``(..., 4, 4)``.
+    """
+    return np.take(np.asarray(q, dtype=np.float64), _MULT_INDEX, axis=-1) * _LEFT_SIGNS
 
 
 def right_mult_matrix(q) -> np.ndarray:
-    """Matrix ``R`` with ``R @ p == p * q`` for coefficient 4-vectors (w, x, y, z)."""
-    w, x, y, z = q
-    return np.array([[w, -x, -y, -z], [x, w, z, -y], [y, -z, w, x], [z, y, -x, w]])
+    """Matrices ``R`` with ``R @ p == p * q``; shapes as in :func:`left_mult_matrix`."""
+    return np.take(np.asarray(q, dtype=np.float64), _MULT_INDEX, axis=-1) * _RIGHT_SIGNS
 
 
 def canonical_sign(q: Quaternion) -> int:

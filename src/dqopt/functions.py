@@ -11,6 +11,8 @@ magnitudes, unit-norm conditions, and anchors are all standard; the
 two-stage solver relies on that structure.  Its constraints are unit-norm
 conditions and :func:`anchor_constraints` rows only, evaluated together by
 :class:`ConstraintBlock`; any other constraint type raises ``TypeError``.
+Likewise the residuals of one :class:`ResidualNormObjective` share one type,
+whose ``stack`` evaluates all their rows in one call.
 
 Gradients come in pairs ``(grad_std, grad_dual)``, the coordinate
 gradients of the two scalar parts over all ``8n`` coordinates.  Piecewise
@@ -421,8 +423,6 @@ class AffineResidual:
             jac_dual[:, s : s + 4] += k_mix
         self.jac_std = jac_std
         self.jac_dual = jac_dual
-        self.const_std = self.constant.std.as_array()
-        self.const_dual = self.constant.dual.as_array()
 
     def eval(self, values: Sequence[DualQuaternion]) -> DualQuaternion:
         """Exact dual quaternion value, computed in quaternion arithmetic."""
@@ -432,13 +432,17 @@ class AffineResidual:
         return total
 
     def rows(self, z: np.ndarray):
-        """(r_std, r_dual, jac_std, jac_dual) at ``z``."""
-        return (
-            self.jac_std @ z + self.const_std,
-            self.jac_dual @ z + self.const_dual,
-            self.jac_std,
-            self.jac_dual,
-        )
+        """(r_std, r_dual, jac_std, jac_dual) at ``z``: the stack of this residual alone."""
+        return self.stack([self])(z)
+
+    @staticmethod
+    def stack(residuals: Sequence[AffineResidual]):
+        """Evaluator ``z -> (r_std, r_dual, jac_std, jac_dual)`` over the stacked rows."""
+        jac_std = np.vstack([r.jac_std for r in residuals])
+        jac_dual = np.vstack([r.jac_dual for r in residuals])
+        const_std = np.concatenate([r.constant.std.as_array() for r in residuals])
+        const_dual = np.concatenate([r.constant.dual.as_array() for r in residuals])
+        return lambda z: (jac_std @ z + const_std, jac_dual @ z + const_dual, jac_std, jac_dual)
 
 
 class ResidualNormObjective(DualFunction):
@@ -450,6 +454,11 @@ class ResidualNormObjective(DualFunction):
     magnitude; a single group holding every residual is the 2-norm of the
     whole residual vector.  Both stage hooks smooth the branch they are on
     with the square-root softening ``sqrt(s + mu^2) - mu``.
+
+    The residuals share one type, whose ``stack(residuals)`` gives, once at
+    construction, the evaluator ``z -> (r_std, r_dual, jac_std, jac_dual)``
+    of all their rows in group order; mixed types, or a type without
+    ``stack``, raise ``TypeError``.
     """
 
     def __init__(self, arity: int, groups, tol: float = TOL_APPRECIABLE):
@@ -459,45 +468,18 @@ class ResidualNormObjective(DualFunction):
             raise ValueError("groups must be nonempty")
         self.tol = float(tol)
         self.residuals = tuple(r for g in self.groups for r in g)
+        kinds = sorted({type(r) for r in self.residuals}, key=lambda t: t.__name__)
+        if len(kinds) > 1 or not hasattr(kinds[0], "stack"):
+            names = ", ".join(t.__name__ for t in kinds)
+            raise TypeError(f"residuals must share one type with a stack method, got {names}")
         for r in self.residuals:
             if r.arity != self.arity:
                 raise ArityMismatch(f"residual arity {r.arity} != {self.arity}")
         sizes = [4 * len(g) for g in self.groups]
         # Row index where each group's block starts, for segmented sums.
         self._starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
-        self._n_rows = int(np.sum(sizes))
         self._row_group = np.repeat(np.arange(len(self.groups)), sizes)
-        self._affine = all(isinstance(r, AffineResidual) for r in self.residuals)
-        if self._affine:
-            self._jac_std = np.vstack([r.jac_std for r in self.residuals])
-            self._jac_dual = np.vstack([r.jac_dual for r in self.residuals])
-            self._const_std = np.concatenate([r.const_std for r in self.residuals])
-            self._const_dual = np.concatenate([r.const_dual for r in self.residuals])
-
-    # -- residual stacking ------------------------------------------------
-
-    def _stacks(self, z: np.ndarray):
-        """Stacked residual values and Jacobians over all groups."""
-        if self._affine:
-            return (
-                self._jac_std @ z + self._const_std,
-                self._jac_dual @ z + self._const_dual,
-                self._jac_std,
-                self._jac_dual,
-            )
-        r_std = np.empty(self._n_rows)
-        r_dual = np.empty(self._n_rows)
-        jac_std = np.zeros((self._n_rows, z.shape[0]))
-        jac_dual = np.zeros((self._n_rows, z.shape[0]))
-        row = 0
-        for r in self.residuals:
-            vs, vd, js, jd = r.rows(z)
-            r_std[row : row + 4] = vs
-            r_dual[row : row + 4] = vd
-            jac_std[row : row + 4] = js
-            jac_dual[row : row + 4] = jd
-            row += 4
-        return r_std, r_dual, jac_std, jac_dual
+        self._stack = kinds[0].stack(self.residuals)
 
     def _group_sums(self, r_std, r_dual):
         """Per-group sums: |r_std|^2, <r_std, r_dual>, |r_dual|^2."""
@@ -509,13 +491,10 @@ class ResidualNormObjective(DualFunction):
     # -- exact value and subgradient ---------------------------------------
 
     def value(self, values):
-        return self._exact_value(pack(values))
+        return self.value_at(pack(values))
 
-    def value_at(self, z):
-        return self._exact_value(np.asarray(z, dtype=np.float64))
-
-    def _exact_value(self, z) -> DualNumber:
-        r_std, r_dual, _, _ = self._stacks(z)
+    def value_at(self, z) -> DualNumber:
+        r_std, r_dual, _, _ = self._stack(np.asarray(z, dtype=np.float64))
         s_std, cross, s_dual = self._group_sums(r_std, r_dual)
         norms = np.sqrt(s_std)
         app = norms > self.tol
@@ -528,7 +507,7 @@ class ResidualNormObjective(DualFunction):
         return DualNumber(total_std, total_dual)
 
     def gradient_at(self, z):
-        r_std, r_dual, jac_std, jac_dual = self._stacks(z)
+        r_std, r_dual, jac_std, jac_dual = self._stack(z)
         s_std, cross, s_dual = self._group_sums(r_std, r_dual)
         norms = np.sqrt(s_std)
         dual_norms = np.sqrt(s_dual)
@@ -556,7 +535,7 @@ class ResidualNormObjective(DualFunction):
     # -- smoothed stage hooks ----------------------------------------------
 
     def stage1_value_grad(self, z, mu):
-        r_std, _, jac_std, _ = self._stacks(z)
+        r_std, _, jac_std, _ = self._stack(z)
         s_std = np.add.reduceat(r_std * r_std, self._starts)
         soft = np.sqrt(s_std + mu * mu)
         value = float(np.sum(soft - mu))
@@ -566,7 +545,7 @@ class ResidualNormObjective(DualFunction):
     def stage2_value_grad(self, z, mu, branches):
         if len(branches) != len(self.groups):
             raise ValueError("branch flags must match group count")
-        r_std, r_dual, jac_std, jac_dual = self._stacks(z)
+        r_std, r_dual, jac_std, jac_dual = self._stack(z)
         s_std, cross, s_dual = self._group_sums(r_std, r_dual)
         app = np.asarray(branches, dtype=bool)
         # Appreciable groups are smooth already (|r_std| stays near its
@@ -590,7 +569,7 @@ class ResidualNormObjective(DualFunction):
         return value, grad
 
     def branch_flags(self, z):
-        r_std, _, _, _ = self._stacks(np.asarray(z, dtype=np.float64))
+        r_std, _, _, _ = self._stack(np.asarray(z, dtype=np.float64))
         s_std = np.add.reduceat(r_std * r_std, self._starts)
         return tuple(bool(b) for b in np.sqrt(s_std) > self.tol)
 

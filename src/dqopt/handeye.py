@@ -299,6 +299,15 @@ _ONE = DualQuaternion.identity()
 _MINUS_ONE = -DualQuaternion.identity()
 
 
+def _magnitude_sum(arity: int, pairs, other: int) -> ResidualNormObjective:
+    """Sum over ``(a, b)`` in ``pairs`` of ``|a x_0 - x_other b|``, one norm group each."""
+    groups = []
+    for a, b in pairs:
+        terms = [(a.as_dual_quaternion(), 0, _ONE), (_MINUS_ONE, other, b.as_dual_quaternion())]
+        groups.append([AffineResidual(arity, terms)])
+    return ResidualNormObjective(arity, groups)
+
+
 def build_axxb(dataset: HandEyeDataset) -> EqdqoProblem:
     """Problem: minimize the sum of ``|a_i x - x b_i|`` over unit ``x``.
 
@@ -308,18 +317,7 @@ def build_axxb(dataset: HandEyeDataset) -> EqdqoProblem:
     if len(motions) < 2:
         raise TooFewMotions(f"need at least 2 relative motions, got {len(motions)}")
     _warn_if_degenerate([a for a, _ in motions])
-    groups = []
-    for a, b in motions:
-        r = AffineResidual(
-            1,
-            [
-                (a.as_dual_quaternion(), 0, _ONE),
-                (_MINUS_ONE, 0, b.as_dual_quaternion()),
-            ],
-        )
-        groups.append([r])
-    objective = ResidualNormObjective(1, groups)
-    return EqdqoProblem(objective, (UnitNormConstraint(1, 0),))
+    return EqdqoProblem(_magnitude_sum(1, motions, 0), (UnitNormConstraint(1, 0),))
 
 
 def build_axyb(dataset: HandEyeDataset) -> EqdqoProblem:
@@ -338,17 +336,7 @@ def build_axyb(dataset: HandEyeDataset) -> EqdqoProblem:
         a_units[i + 1].inverse() * a_units[i] for i in range(len(a_units) - 1)
     ]
     _warn_if_degenerate(rel)
-    groups = []
-    for a, b in zip(a_units, b_units):
-        r = AffineResidual(
-            2,
-            [
-                (a.as_dual_quaternion(), 0, _ONE),
-                (_MINUS_ONE, 1, b.as_dual_quaternion()),
-            ],
-        )
-        groups.append([r])
-    objective = ResidualNormObjective(2, groups)
+    objective = _magnitude_sum(2, zip(a_units, b_units), 1)
     return EqdqoProblem(objective, (UnitNormConstraint(2, 0), UnitNormConstraint(2, 1)))
 
 

@@ -33,7 +33,7 @@ from .algebra import (
     left_mult_matrix,
     right_mult_matrix,
 )
-from .errors import DisconnectedGraph, NonUnitMeasurement, ParseError
+from .errors import DisconnectedGraph, NonUnitMeasurement, ParseError, TooFewMotions
 from .functions import (
     ResidualNormObjective,
     UnitNormConstraint,
@@ -165,45 +165,60 @@ class RelativePoseResidual:
     ``conj(x_i) x_j`` has standard-part derivative ``L(conj(x_i))`` in
     ``x_j`` and ``R(x_j) C`` in ``x_i``, and the dual part adds the same
     blocks shifted to dual slots plus cross terms from the dual factors.
+    :meth:`stack` evaluates many edges in one batched pass; :meth:`rows`
+    is the stack of this edge alone.
     """
 
     def __init__(self, arity: int, i: int, j: int, measurement: UnitDualQuaternion):
         self.arity = int(arity)
         self.i = int(i)
         self.j = int(j)
+        if not (0 <= self.i < self.arity and 0 <= self.j < self.arity) or self.i == self.j:
+            raise ValueError(f"edge ({i}, {j}) needs two distinct indices in [0, {arity})")
         self.measurement = measurement
-        self.q_std = measurement.std.as_array()
-        self.q_dual = measurement.dual.as_array()
-        self._dq = measurement.as_dual_quaternion()
 
     def eval(self, values: Sequence[DualQuaternion]) -> DualQuaternion:
-        return self._dq - values[self.i].conjugate() * values[self.j]
+        return edge_error(values[self.i], values[self.j], self.measurement)
 
     def rows(self, z: np.ndarray):
-        si = 8 * self.i
-        sj = 8 * self.j
-        xi_s = z[si : si + 4] * _CONJ
-        xi_d = z[si + 4 : si + 8] * _CONJ
-        xj_s = z[sj : sj + 4]
-        xj_d = z[sj + 4 : sj + 8]
+        """(r_std, r_dual, jac_std, jac_dual) of this edge at ``z``."""
+        return self.stack([self])(z)
 
-        l_is = left_mult_matrix(xi_s)
-        l_id = left_mult_matrix(xi_d)
-        r_s = self.q_std - l_is @ xj_s
-        r_d = self.q_dual - l_is @ xj_d - l_id @ xj_s
+    @staticmethod
+    def stack(residuals: Sequence[RelativePoseResidual]):
+        """Evaluator ``z -> (r_std, r_dual, jac_std, jac_dual)`` over every edge's rows.
 
-        n8 = z.shape[0]
-        jac_std = np.zeros((4, n8))
-        jac_dual = np.zeros((4, n8))
-        rj_s = right_mult_matrix(xj_s) * _CONJ
-        rj_d = right_mult_matrix(xj_d) * _CONJ
-        jac_std[:, sj : sj + 4] = -l_is
-        jac_std[:, si : si + 4] = -rj_s
-        jac_dual[:, sj + 4 : sj + 8] = -l_is
-        jac_dual[:, si + 4 : si + 8] = -rj_s
-        jac_dual[:, sj : sj + 4] = -l_id
-        jac_dual[:, si : si + 4] = -rj_d
-        return r_s, r_d, jac_std, jac_dual
+        Each call gathers all ``x_i``/``x_j`` with index arrays fixed here,
+        forms their multiplication matrices as ``(k, 2, 4, 4)`` stacks (both
+        parts of each edge) and scatters them into dense ``(4k, 8n)``
+        Jacobians; no loop over edges.
+        """
+        n8 = 8 * residuals[0].arity
+        si = 8 * np.array([r.i for r in residuals])[:, None] + np.arange(8)
+        sj = 8 * np.array([r.j for r in residuals])[:, None] + np.arange(8)
+        q_std = np.array([r.measurement.std.as_array() for r in residuals])
+        q_dual = np.array([r.measurement.dual.as_array() for r in residuals])
+        # Each edge's rows (k, 4, 1) against its columns (k, 1, c): the standard
+        # part depends on the standard slots of x_i and x_j, the dual part on all 16.
+        rows = np.arange(4 * len(residuals)).reshape(-1, 4, 1)
+        cols_std = np.concatenate((si[:, :4], sj[:, :4]), axis=1)[:, None, :]
+        cols_dual = np.concatenate((si, sj), axis=1)[:, None, :]
+
+        def evaluate(z: np.ndarray):
+            xj = z[sj][:, :, None]
+            # L(conj(x_i)) and R(x_j) C, each for the standard and the dual part.
+            l_i = left_mult_matrix(z[si].reshape(-1, 2, 4) * _CONJ)
+            r_j = right_mult_matrix(xj.reshape(-1, 2, 4)) * _CONJ
+            r_s = q_std - (l_i[:, 0] @ xj[:, :4])[..., 0]
+            r_d = q_dual - (l_i[:, 0] @ xj[:, 4:])[..., 0] - (l_i[:, 1] @ xj[:, :4])[..., 0]
+            jac_std = np.zeros((rows.size, n8))
+            jac_dual = np.zeros((rows.size, n8))
+            jac_std[rows, cols_std] = -np.concatenate((r_j[:, 0], l_i[:, 0]), axis=2)
+            blocks = (r_j[:, 1], r_j[:, 0], l_i[:, 1], l_i[:, 0])
+            jac_dual[rows, cols_dual] = -np.concatenate(blocks, axis=2)
+            return r_s.ravel(), r_d.ravel(), jac_std, jac_dual
+
+        return evaluate
 
 
 def build_pgo(graph: PoseGraph) -> EqdqoProblem:
@@ -212,8 +227,11 @@ def build_pgo(graph: PoseGraph) -> EqdqoProblem:
     One norm group holds every residual (a genuine vector 2-norm, not a
     sum of magnitudes).  Constraints: one unit condition per vertex plus
     the identity anchor on vertex 1.  Raises :class:`DisconnectedGraph`
-    when some vertex is unreachable.
+    when some vertex is unreachable and :class:`TooFewMotions` when the
+    graph has no edges.
     """
+    if not graph.edges:
+        raise TooFewMotions(f"graph with {graph.n} vertices has no edges")
     if not graph.is_connected():
         raise DisconnectedGraph(
             f"graph with {graph.n} vertices is not weakly connected"

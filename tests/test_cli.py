@@ -138,6 +138,13 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_solve_pgo_without_edges_exits_2(tmp_path, capsys):
+    lone = tmp_path / "lone.graph"
+    lone.write_text("VERTEX 1 1 0 0 0 0 0 0\n")
+    assert main(["solve-pgo", "--in", str(lone)]) == 2
+    assert "no edges" in capsys.readouterr().err
+
+
 def test_solver_failure_exits_1(tmp_path, capsys):
     ds = tmp_path / "ds.json"
     assert main(["gen-handeye", "--model", "axxb", "--motions", "4",

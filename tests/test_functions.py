@@ -7,7 +7,9 @@ from dqopt import (
     DualNumber,
     DualQuaternion,
     Quaternion,
+    RelativePoseResidual,
     ResidualNormObjective,
+    UnitDualQuaternion,
     UnitNormConstraint,
     anchor_constraints,
     check_standardness,
@@ -178,6 +180,24 @@ def test_residual_norm_objective_branches():
     v = obj.value((DualQuaternion.zero(),))
     assert v.std == pytest.approx(3.0)
     assert v.dual == pytest.approx(0.0 + 5.0)  # <(3,0,0,0),(0,1,0,0)>/3 = 0, then |r_d|
+
+
+def test_objective_needs_one_residual_type_with_stack():
+    affine = AffineResidual(2, [(DualQuaternion.identity(), 0, DualQuaternion.identity())])
+    edge = RelativePoseResidual(2, 0, 1, UnitDualQuaternion.identity())
+    with pytest.raises(TypeError, match="AffineResidual, RelativePoseResidual"):
+        ResidualNormObjective(2, [[affine], [edge]])
+    with pytest.raises(TypeError, match="AffineResidual, RelativePoseResidual"):
+        ResidualNormObjective(2, [[edge, affine]])
+
+    class NoStack:
+        arity = 2
+
+        def rows(self, z):
+            return affine.rows(z)
+
+    with pytest.raises(TypeError, match="NoStack"):
+        ResidualNormObjective(2, [[NoStack()]])
 
 
 def test_squared_magnitude_pitfall():

@@ -18,6 +18,7 @@ from dqopt import (
     serialize_graph,
     solve_eqdqo,
     spanning_tree_guess,
+    unpack,
     vertex_errors,
 )
 from dqopt.errors import (
@@ -25,6 +26,7 @@ from dqopt.errors import (
     NoGroundTruth,
     NonUnitMeasurement,
     ParseError,
+    TooFewMotions,
 )
 from dqopt.posegraph import RelativePoseResidual
 
@@ -156,27 +158,60 @@ def test_vertex_errors_at_truth():
 
 
 def test_residual_rows_match_eval_and_first_order():
-    g = generate_cycle_graph(5, loop_closures=1, seed=43)
-    e = g.sorted_edges()[2]
-    res = RelativePoseResidual(g.n, e.i - 1, e.j - 1, e.measurement())
+    g = generate_cycle_graph(7, loop_closures=3, seed=43)
+    res = [RelativePoseResidual(g.n, e.i - 1, e.j - 1, e.measurement()) for e in g.sorted_edges()]
+    evaluate = RelativePoseResidual.stack(res)
     rng = np.random.default_rng(47)
     z = rng.standard_normal(8 * g.n)
-    values = [
-        DualQuaternion(
-            Quaternion.from_array(z[8 * k : 8 * k + 4]),
-            Quaternion.from_array(z[8 * k + 4 : 8 * k + 8]),
-        )
-        for k in range(g.n)
-    ]
-    r_std, r_dual, jac_std, jac_dual = res.rows(z)
-    direct = res.eval(values)
-    assert np.allclose(r_std, direct.std.as_array(), atol=1e-12)
-    assert np.allclose(r_dual, direct.dual.as_array(), atol=1e-12)
-    # bilinear residual: first-order prediction is accurate to O(|dz|^2)
-    dz = rng.standard_normal(8 * g.n) * 1e-6
-    r2_std, r2_dual, _, _ = res.rows(z + dz)
-    assert np.allclose(r2_std - r_std, jac_std @ dz, atol=1e-10)
-    assert np.allclose(r2_dual - r_dual, jac_dual @ dz, atol=1e-10)
+    values = unpack(z, g.n)
+    stacked = evaluate(z)
+    r_std, r_dual, jac_std, jac_dual = stacked
+    assert jac_std.shape == jac_dual.shape == (4 * len(res), 8 * g.n)
+    for k, r in enumerate(res):
+        direct = r.eval(values)
+        assert np.allclose(r_std[4 * k : 4 * k + 4], direct.std.as_array(), rtol=0, atol=1e-12)
+        assert np.allclose(r_dual[4 * k : 4 * k + 4], direct.dual.as_array(), rtol=0, atol=1e-12)
+        # rows is the one-edge view of the stack
+        for one, full in zip(r.rows(z), stacked):
+            assert np.array_equal(one, full[4 * k : 4 * k + 4])
+    # bilinear in two distinct variables: central differences are exact up
+    # to rounding
+    step = 1e-3
+    for c in range(8 * g.n):
+        dz = np.zeros(8 * g.n)
+        dz[c] = step
+        plus, minus = evaluate(z + dz), evaluate(z - dz)
+        for part, jac in ((0, jac_std), (1, jac_dual)):
+            fd = (plus[part] - minus[part]) / (2.0 * step)
+            assert np.allclose(fd, jac[:, c], rtol=0, atol=1e-8)
+
+
+def test_relative_pose_residual_rejects_bad_indices():
+    m = UnitDualQuaternion.identity()
+    for i, j in [(1, 1), (-1, 0), (0, 3), (3, 0)]:
+        with pytest.raises(ValueError, match="distinct indices"):
+            RelativePoseResidual(3, i, j, m)
+
+
+def test_objective_evaluation_calls_no_per_edge_method(monkeypatch):
+    g = generate_cycle_graph(6, loop_closures=2, noise_rot=0.01, seed=45)
+    objective = build_pgo(g).objective
+    z = pack(spanning_tree_guess(g))
+
+    def per_edge(*args):
+        raise AssertionError("per-edge call on the evaluation path")
+
+    monkeypatch.setattr(RelativePoseResidual, "rows", per_edge)
+    monkeypatch.setattr(RelativePoseResidual, "eval", per_edge)
+    objective.value_at(z)
+    objective.gradient_at(z)
+    objective.stage1_value_grad(z, 1e-3)
+    objective.stage2_value_grad(z, 1e-3, objective.branch_flags(z))
+
+
+def test_graph_without_edges_is_rejected():
+    with pytest.raises(TooFewMotions, match="no edges"):
+        build_pgo(PoseGraph(1, ()))
 
 
 def test_gauge_invariance_of_error_vector():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from dqopt import Quaternion, random_unit_quaternion
+from dqopt.algebra import left_mult_matrix, right_mult_matrix
 from helpers import rodrigues_matrix, table_quat_product
 
 
@@ -38,6 +39,22 @@ def test_left_right_matrices_realize_the_product():
         prod = (p * q).as_array()
         assert np.allclose(p.left_matrix() @ q.as_array(), prod, atol=1e-13)
         assert np.allclose(q.right_matrix() @ p.as_array(), prod, atol=1e-13)
+
+
+def test_batched_mult_matrices_equal_each_rows_matrix_and_product():
+    # A stack of matrices, multiplied in one batched matmul, must give each
+    # row's own 2-D product bit for bit: the layout of the stack fixes the
+    # summation order.
+    rng = np.random.default_rng(31)
+    q = rng.standard_normal((9, 8))[:, 2:6]
+    x = rng.standard_normal((9, 8))[:, 4:, None]
+    for mult in (left_mult_matrix, right_mult_matrix):
+        batched = mult(q)
+        assert batched.shape == (9, 4, 4)
+        products = batched @ x
+        for k in range(9):
+            assert np.array_equal(batched[k], mult(q[k]))
+            assert np.array_equal(products[k, :, 0], mult(q[k]) @ x[k, :, 0])
 
 
 def test_norm_is_multiplicative():
