@@ -2,7 +2,7 @@
 
 Usage::
 
-    PYTHONPATH=src python3 scripts/cli_fingerprint.py [--out DIR]
+    PYTHONPATH=src python3 scripts/cli_fingerprint.py [--out DIR] [--expect HASH]
 
 The solves are ``solve-handeye`` on AXXB and AXYB data at noise 0 and
 0.01, and ``solve-pgo`` on a noisy 20-vertex and a clean 60-vertex cycle
@@ -13,7 +13,9 @@ default); the hash covers every file there, by name and content.  Two
 checkouts give the same hash exactly when their CLI outputs are
 byte-identical apart from the timing field.  Each file's own SHA-256 is
 printed to stderr in ``sha256sum`` format, so when the combined hash of two
-checkouts differs, diffing those lines shows which solve moved.  The script
+checkouts differs, diffing those lines shows which solve moved.  With
+``--expect HASH`` the script exits 1, naming both hashes on stderr, when the
+combined hash is not ``HASH``; stdout is the same either way.  The script
 imports whichever ``dqopt`` is first on ``PYTHONPATH`` and uses only the
 standard library besides.
 """
@@ -98,6 +100,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", default=None, metavar="DIR",
                    help="empty or new directory for the outputs (default: a temporary one)")
+    p.add_argument("--expect", default=None, metavar="HASH",
+                   help="exit 1 unless the combined hash equals HASH")
     return p.parse_args(argv)
 
 
@@ -109,4 +113,7 @@ if __name__ == "__main__":
         raise SystemExit(f"{out} is not empty")
     run_all(out)
     print(f"outputs in {out}", file=sys.stderr)
-    print(digest(out))
+    combined = digest(out)
+    print(combined)
+    if args.expect is not None and combined != args.expect:
+        raise SystemExit(f"fingerprint mismatch: got {combined}, expected {args.expect}")

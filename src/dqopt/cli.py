@@ -292,22 +292,24 @@ def _cmd_report(args) -> int:
             f"wall time (ms)    {data['wall_time_ms']}",
         ]
         cfg = data["config"]
+        if not isinstance(cfg, dict):
+            raise _BadInput(f"{args.infile}: not a solve report (config is not an object)")
         lines.append(
             "config            "
             + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg) if k != "mu_schedule")
         )
         errors = data.get("errors")
-    except (KeyError, TypeError) as e:
+        if isinstance(errors, dict):
+            for k in sorted(errors):
+                lines.append(f"{k:<22}{errors[k]}")
+        elif isinstance(errors, list):
+            for entry in errors:
+                lines.append(
+                    f"vertex {entry['vertex']:<11}rotation {entry['rotation_error']:.3e}"
+                    f"  translation {entry['translation_error']:.3e}"
+                )
+    except (KeyError, TypeError, ValueError) as e:
         raise _BadInput(f"{args.infile}: not a solve report ({e})")
-    if isinstance(errors, dict):
-        for k in sorted(errors):
-            lines.append(f"{k:<22}{errors[k]}")
-    elif isinstance(errors, list):
-        for entry in errors:
-            lines.append(
-                f"vertex {entry['vertex']:<11}rotation {entry['rotation_error']:.3e}"
-                f"  translation {entry['translation_error']:.3e}"
-            )
     print("\n".join(lines))
     return 0
 

@@ -12,7 +12,10 @@ two-stage solver relies on that structure.  Its constraints are unit-norm
 conditions and :func:`anchor_constraints` rows only, evaluated together by
 :class:`ConstraintBlock`; any other constraint type raises ``TypeError``.
 Likewise the residuals of one :class:`ResidualNormObjective` share one type,
-whose ``stack`` evaluates all their rows in one call.
+whose ``stack`` evaluates all their rows in one call together with their
+*pullback* ``(w_std, w_dual) -> J_s^T w_std + J_d^T w_dual``, the product of
+the transposed residual Jacobians with row weights.  The objective reads
+derivatives only through it, so no objective call builds a Jacobian matrix.
 
 Gradients come in pairs ``(grad_std, grad_dual)``, the coordinate
 gradients of the two scalar parts over all ``8n`` coordinates.  Piecewise
@@ -432,17 +435,28 @@ class AffineResidual:
         return total
 
     def rows(self, z: np.ndarray):
-        """(r_std, r_dual, jac_std, jac_dual) at ``z``: the stack of this residual alone."""
+        """(r_std, r_dual, pullback) at ``z``: the stack of this residual alone."""
         return self.stack([self])(z)
 
     @staticmethod
     def stack(residuals: Sequence[AffineResidual]):
-        """Evaluator ``z -> (r_std, r_dual, jac_std, jac_dual)`` over the stacked rows."""
+        """Evaluator ``z -> (r_std, r_dual, pullback)`` over the stacked rows.
+
+        The constant Jacobians are stacked here once; ``pullback(w_std,
+        w_dual=None)`` is ``jac_std.T @ w_std``, plus ``jac_dual.T @ w_dual``
+        when ``w_dual`` is given.
+        """
         jac_std = np.vstack([r.jac_std for r in residuals])
         jac_dual = np.vstack([r.jac_dual for r in residuals])
         const_std = np.concatenate([r.constant.std.as_array() for r in residuals])
         const_dual = np.concatenate([r.constant.dual.as_array() for r in residuals])
-        return lambda z: (jac_std @ z + const_std, jac_dual @ z + const_dual, jac_std, jac_dual)
+
+        def pullback(w_std, w_dual=None):
+            if w_dual is None:
+                return jac_std.T @ w_std
+            return jac_std.T @ w_std + jac_dual.T @ w_dual
+
+        return lambda z: (jac_std @ z + const_std, jac_dual @ z + const_dual, pullback)
 
 
 class ResidualNormObjective(DualFunction):
@@ -456,9 +470,11 @@ class ResidualNormObjective(DualFunction):
     with the square-root softening ``sqrt(s + mu^2) - mu``.
 
     The residuals share one type, whose ``stack(residuals)`` gives, once at
-    construction, the evaluator ``z -> (r_std, r_dual, jac_std, jac_dual)``
-    of all their rows in group order; mixed types, or a type without
-    ``stack``, raise ``TypeError``.
+    construction, the evaluator ``z -> (r_std, r_dual, pullback)`` of all
+    their rows in group order; mixed types, or a type without ``stack``,
+    raise ``TypeError``.  Gradients are ``pullback(w_std, w_dual)``, the
+    transposed residual Jacobians times per-row weights; value-only calls
+    (``value_at``, ``branch_flags``) never call it.
     """
 
     def __init__(self, arity: int, groups, tol: float = TOL_APPRECIABLE):
@@ -494,7 +510,7 @@ class ResidualNormObjective(DualFunction):
         return self.value_at(pack(values))
 
     def value_at(self, z) -> DualNumber:
-        r_std, r_dual, _, _ = self._stack(np.asarray(z, dtype=np.float64))
+        r_std, r_dual, _ = self._stack(np.asarray(z, dtype=np.float64))
         s_std, cross, s_dual = self._group_sums(r_std, r_dual)
         norms = np.sqrt(s_std)
         app = norms > self.tol
@@ -507,7 +523,7 @@ class ResidualNormObjective(DualFunction):
         return DualNumber(total_std, total_dual)
 
     def gradient_at(self, z):
-        r_std, r_dual, jac_std, jac_dual = self._stack(z)
+        r_std, r_dual, pullback = self._stack(z)
         s_std, cross, s_dual = self._group_sums(r_std, r_dual)
         norms = np.sqrt(s_std)
         dual_norms = np.sqrt(s_dual)
@@ -516,16 +532,14 @@ class ResidualNormObjective(DualFunction):
 
         # Row weights per group, expanded to residual rows.
         inv_norm = np.where(app, 1.0 / np.where(app, norms, 1.0), 0.0)
-        grad_std = jac_std.T @ (r_std * self._expand(inv_norm))
+        grad_std = pullback(r_std * self._expand(inv_norm))
 
         # Appreciable groups: d/dz [cross / norm]; infinitesimal groups with a
         # nonzero dual stack: d/dz |r_dual|; kinks contribute zero.
         w1 = self._expand(inv_norm)
         w2 = self._expand(np.where(app, -cross * inv_norm**3, 0.0))
         w3 = self._expand(np.where(inf_pos, 1.0 / np.where(inf_pos, dual_norms, 1.0), 0.0))
-        grad_dual = jac_std.T @ (r_dual * w1 + r_std * w2) + jac_dual.T @ (
-            r_std * w1 + r_dual * w3
-        )
+        grad_dual = pullback(r_dual * w1 + r_std * w2, r_std * w1 + r_dual * w3)
         return grad_std, grad_dual
 
     def _expand(self, per_group: np.ndarray) -> np.ndarray:
@@ -535,17 +549,17 @@ class ResidualNormObjective(DualFunction):
     # -- smoothed stage hooks ----------------------------------------------
 
     def stage1_value_grad(self, z, mu):
-        r_std, _, jac_std, _ = self._stack(z)
+        r_std, _, pullback = self._stack(z)
         s_std = np.add.reduceat(r_std * r_std, self._starts)
         soft = np.sqrt(s_std + mu * mu)
         value = float(np.sum(soft - mu))
-        grad = jac_std.T @ (r_std * self._expand(1.0 / soft))
+        grad = pullback(r_std * self._expand(1.0 / soft))
         return value, grad
 
     def stage2_value_grad(self, z, mu, branches):
         if len(branches) != len(self.groups):
             raise ValueError("branch flags must match group count")
-        r_std, r_dual, jac_std, jac_dual = self._stack(z)
+        r_std, r_dual, pullback = self._stack(z)
         s_std, cross, s_dual = self._group_sums(r_std, r_dual)
         app = np.asarray(branches, dtype=bool)
         # Appreciable groups are smooth already (|r_std| stays near its
@@ -563,13 +577,11 @@ class ResidualNormObjective(DualFunction):
         w1 = self._expand(np.where(app, 1.0 / soft_std, 0.0))
         w2 = self._expand(np.where(app, -cross / soft_std**3, 0.0))
         w3 = self._expand(np.where(app, 0.0, 1.0 / soft_dual))
-        grad = jac_std.T @ (r_dual * w1 + r_std * w2) + jac_dual.T @ (
-            r_std * w1 + r_dual * w3
-        )
+        grad = pullback(r_dual * w1 + r_std * w2, r_std * w1 + r_dual * w3)
         return value, grad
 
     def branch_flags(self, z):
-        r_std, _, _, _ = self._stack(np.asarray(z, dtype=np.float64))
+        r_std, _, _ = self._stack(np.asarray(z, dtype=np.float64))
         s_std = np.add.reduceat(r_std * r_std, self._starts)
         return tuple(bool(b) for b in np.sqrt(s_std) > self.tol)
 
@@ -697,8 +709,8 @@ class ConstraintBlock:
         self._a_targets = np.array([(c._t_std, c._t_dual) for _, c in anchors]).reshape(-1, 2).T
         self._g_anchor = 4 * (self.arity * self._a_row + a_var) + a_comp
 
-    def _values(self, z: np.ndarray):
-        """Values, shape ``(2, m)`` with ``h`` first, and the unit rows' slots."""
+    def values(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(h, h_d)`` at ``z``, without any Jacobian."""
         zz = z[self._u_slots]
         # xs.xs and xs.xd per unit row as a batched (1, 4) @ (4, 1) product,
         # summed bit for bit as ``xs @ xs``; h = xs.xs - 1 and h_d = 2 xs.xd.
@@ -708,19 +720,20 @@ class ConstraintBlock:
         vals[1, self._u_row] = 2.0 * dots[:, 1]
         if self._a_row.size:
             vals[:, self._a_row] = z[self._a_coords] - self._a_targets
-        return vals, zz
+        return vals[0], vals[1]
 
     def stage_rows(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(h, h_d, G)`` at ``z``; see the class notes for ``G``."""
-        (h, h_d), zz = self._values(z)
+        h, h_d = self.values(z)
         g = np.zeros((self.size, 4 * self.arity))
-        g.reshape(-1)[self._g_flat] = 2.0 * zz[:, :4]
+        g.reshape(-1)[self._g_flat] = 2.0 * z[self._u_slots[:, :4]]
         g.reshape(-1)[self._g_anchor] = 1.0
         return h, h_d, g
 
     def rows(self, z: np.ndarray):
         """``(h, h_d, J_s, J_d)`` at ``z``, Jacobians over all ``8n`` coordinates."""
-        (h, h_d), zz = self._values(z)
+        h, h_d = self.values(z)
+        zz = z[self._u_slots]
         j_s = np.zeros((self.size, 8 * self.arity))
         j_d = np.zeros_like(j_s)
         row, std, dual = self._u_row[:, None], self._u_slots[:, :4], self._u_slots[:, 4:]

@@ -152,21 +152,22 @@ def error_vector(graph: PoseGraph, poses: Sequence) -> "DualQuaternionVector":
 
 
 # ---------------------------------------------------------------------------
-# Residual with analytic Jacobians
+# Residual with analytic derivatives
 
 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 class RelativePoseResidual:
-    """``q_ij - conj(x_i) x_j`` with Jacobians over the flat coordinates.
+    """``q_ij - conj(x_i) x_j`` with its derivatives over the flat coordinates.
 
     Bilinear in the two variables; with ``C`` the conjugation sign matrix,
     ``conj(x_i) x_j`` has standard-part derivative ``L(conj(x_i))`` in
     ``x_j`` and ``R(x_j) C`` in ``x_i``, and the dual part adds the same
     blocks shifted to dual slots plus cross terms from the dual factors.
-    :meth:`stack` evaluates many edges in one batched pass; :meth:`rows`
-    is the stack of this edge alone.
+    :meth:`stack` evaluates many edges in one batched pass and pulls row
+    weights back through those per-edge blocks, never forming a Jacobian
+    matrix; :meth:`rows` is the stack of this edge alone.
     """
 
     def __init__(self, arity: int, i: int, j: int, measurement: UnitDualQuaternion):
@@ -181,28 +182,31 @@ class RelativePoseResidual:
         return edge_error(values[self.i], values[self.j], self.measurement)
 
     def rows(self, z: np.ndarray):
-        """(r_std, r_dual, jac_std, jac_dual) of this edge at ``z``."""
+        """(r_std, r_dual, pullback) of this edge at ``z``."""
         return self.stack([self])(z)
 
     @staticmethod
     def stack(residuals: Sequence[RelativePoseResidual]):
-        """Evaluator ``z -> (r_std, r_dual, jac_std, jac_dual)`` over every edge's rows.
+        """Evaluator ``z -> (r_std, r_dual, pullback)`` over every edge's rows.
 
-        Each call gathers all ``x_i``/``x_j`` with index arrays fixed here,
+        Each call gathers all ``x_i``/``x_j`` with index arrays fixed here and
         forms their multiplication matrices as ``(k, 2, 4, 4)`` stacks (both
-        parts of each edge) and scatters them into dense ``(4k, 8n)``
-        Jacobians; no loop over edges.
+        parts of each edge); no loop over edges.  ``pullback(w_std,
+        w_dual=None)`` returns ``J_s^T w_std + J_d^T w_dual`` as one ``8n``
+        vector: it forms each edge's 4x8 standard (and 4x16 dual) Jacobian
+        block, multiplies it by the edge's four weights and sums the products
+        into their columns with ``np.bincount``.  Value-only callers never
+        call it, so they build no block.
         """
         n8 = 8 * residuals[0].arity
         si = 8 * np.array([r.i for r in residuals])[:, None] + np.arange(8)
         sj = 8 * np.array([r.j for r in residuals])[:, None] + np.arange(8)
         q_std = np.array([r.measurement.std.as_array() for r in residuals])
         q_dual = np.array([r.measurement.dual.as_array() for r in residuals])
-        # Each edge's rows (k, 4, 1) against its columns (k, 1, c): the standard
-        # part depends on the standard slots of x_i and x_j, the dual part on all 16.
-        rows = np.arange(4 * len(residuals)).reshape(-1, 4, 1)
-        cols_std = np.concatenate((si[:, :4], sj[:, :4]), axis=1)[:, None, :]
-        cols_dual = np.concatenate((si, sj), axis=1)[:, None, :]
+        # Columns of each edge's blocks, edge by edge: the standard part depends
+        # on the standard slots of x_i and x_j, the dual part on all 16.
+        cols_std = np.concatenate((si[:, :4], sj[:, :4]), axis=1).ravel()
+        cols_dual = np.concatenate((si, sj), axis=1).ravel()
 
         def evaluate(z: np.ndarray):
             xj = z[sj][:, :, None]
@@ -211,12 +215,18 @@ class RelativePoseResidual:
             r_j = right_mult_matrix(xj.reshape(-1, 2, 4)) * _CONJ
             r_s = q_std - (l_i[:, 0] @ xj[:, :4])[..., 0]
             r_d = q_dual - (l_i[:, 0] @ xj[:, 4:])[..., 0] - (l_i[:, 1] @ xj[:, :4])[..., 0]
-            jac_std = np.zeros((rows.size, n8))
-            jac_dual = np.zeros((rows.size, n8))
-            jac_std[rows, cols_std] = -np.concatenate((r_j[:, 0], l_i[:, 0]), axis=2)
-            blocks = (r_j[:, 1], r_j[:, 0], l_i[:, 1], l_i[:, 0])
-            jac_dual[rows, cols_dual] = -np.concatenate(blocks, axis=2)
-            return r_s.ravel(), r_d.ravel(), jac_std, jac_dual
+
+            # The residual is q minus the product, so every block enters negated;
+            # negating the sums instead is exact.
+            def pullback(w_std: np.ndarray, w_dual: np.ndarray | None = None) -> np.ndarray:
+                block = np.concatenate((r_j[:, 0], l_i[:, 0]), axis=2)
+                grad = -np.bincount(cols_std, (w_std.reshape(-1, 1, 4) @ block).ravel(), n8)
+                if w_dual is not None:
+                    block = np.concatenate((r_j[:, 1], r_j[:, 0], l_i[:, 1], l_i[:, 0]), axis=2)
+                    grad -= np.bincount(cols_dual, (w_dual.reshape(-1, 1, 4) @ block).ravel(), n8)
+                return grad
+
+            return r_s.ravel(), r_d.ravel(), pullback
 
         return evaluate
 

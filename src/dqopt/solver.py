@@ -413,7 +413,7 @@ def _part_indices(arity: int, part: int) -> np.ndarray:
 
 def _feasibility(problem: EqdqoProblem, z: np.ndarray) -> tuple[float, float]:
     """Largest constraint violations ``(max |h|, max |h_d|)`` at ``z``."""
-    h, h_d, _ = problem.block.stage_rows(z)
+    h, h_d = problem.block.values(z)
     return float(np.max(np.abs(h), initial=0.0)), float(np.max(np.abs(h_d), initial=0.0))
 
 

@@ -161,14 +161,33 @@ def test_affine_residual_eval_matches_rows():
         values = (_rand_dq(rng), _rand_dq(rng))
         z = pack(list(values))
         exact = r.eval(values)
-        r_std, r_dual, jac_std, jac_dual = r.rows(z)
+        r_std, r_dual, pullback = r.rows(z)
         assert np.allclose(r_std, exact.std.as_array(), atol=1e-12)
         assert np.allclose(r_dual, exact.dual.as_array(), atol=1e-12)
-        # rows are affine: the jacobians reproduce finite differences exactly
-        dz = rng.standard_normal(16) * 0.1
-        r_std2, r_dual2, _, _ = r.rows(z + dz)
-        assert np.allclose(r_std2 - r_std, jac_std @ dz, atol=1e-12)
-        assert np.allclose(r_dual2 - r_dual, jac_dual @ dz, atol=1e-12)
+        # rows are affine: central differences of w . r are exact up to rounding
+        w_std, w_dual = rng.standard_normal((2, 4))
+        grads = (pullback(w_std), pullback(np.zeros(4), w_dual))
+        for c in range(16):
+            dz = np.zeros(16)
+            dz[c] = 0.5
+            plus, minus = r.rows(z + dz), r.rows(z - dz)
+            for part, w in enumerate((w_std, w_dual)):
+                fd = w @ (plus[part] - minus[part])
+                assert abs(fd - grads[part][c]) <= 1e-12
+
+
+def test_affine_pullback_is_the_stacked_jacobian_product():
+    rng = np.random.default_rng(107)
+    res = [
+        AffineResidual(3, [(_rand_dq(rng), v, _rand_dq(rng))], constant=_rand_dq(rng))
+        for v in (0, 2, 1, 2)
+    ]
+    jac_std = np.vstack([r.jac_std for r in res])
+    jac_dual = np.vstack([r.jac_dual for r in res])
+    _, _, pullback = AffineResidual.stack(res)(rng.standard_normal(24))
+    a, b = rng.standard_normal((2, 16))
+    assert np.array_equal(pullback(a), jac_std.T @ a)
+    assert np.array_equal(pullback(a, b), jac_std.T @ a + jac_dual.T @ b)
 
 
 def test_residual_norm_objective_branches():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,26 +166,35 @@ def test_residual_rows_match_eval_and_first_order():
     rng = np.random.default_rng(47)
     z = rng.standard_normal(8 * g.n)
     values = unpack(z, g.n)
-    stacked = evaluate(z)
-    r_std, r_dual, jac_std, jac_dual = stacked
-    assert jac_std.shape == jac_dual.shape == (4 * len(res), 8 * g.n)
+    r_std, r_dual, pullback = evaluate(z)
+    w_std, w_dual = rng.standard_normal((2, 4 * len(res)))
     for k, r in enumerate(res):
         direct = r.eval(values)
-        assert np.allclose(r_std[4 * k : 4 * k + 4], direct.std.as_array(), rtol=0, atol=1e-12)
-        assert np.allclose(r_dual[4 * k : 4 * k + 4], direct.dual.as_array(), rtol=0, atol=1e-12)
-        # rows is the one-edge view of the stack
-        for one, full in zip(r.rows(z), stacked):
-            assert np.array_equal(one, full[4 * k : 4 * k + 4])
-    # bilinear in two distinct variables: central differences are exact up
-    # to rounding
+        rows = slice(4 * k, 4 * k + 4)
+        assert np.allclose(r_std[rows], direct.std.as_array(), rtol=0, atol=1e-12)
+        assert np.allclose(r_dual[rows], direct.dual.as_array(), rtol=0, atol=1e-12)
+        # rows is the one-edge view of the stack, pullback included
+        one_std, one_dual, one_pullback = r.rows(z)
+        assert np.array_equal(one_std, r_std[rows])
+        assert np.array_equal(one_dual, r_dual[rows])
+        mask = np.zeros(4 * len(res))
+        mask[rows] = 1.0
+        assert np.array_equal(
+            one_pullback(w_std[rows], w_dual[rows]), pullback(w_std * mask, w_dual * mask)
+        )
+    # bilinear in two distinct variables: central differences of w . r are
+    # exact up to rounding
+    grad_std = pullback(w_std)
+    grad_dual = pullback(np.zeros_like(w_std), w_dual)
+    assert np.allclose(pullback(w_std, w_dual), grad_std + grad_dual, rtol=0, atol=1e-12)
     step = 1e-3
     for c in range(8 * g.n):
         dz = np.zeros(8 * g.n)
         dz[c] = step
         plus, minus = evaluate(z + dz), evaluate(z - dz)
-        for part, jac in ((0, jac_std), (1, jac_dual)):
-            fd = (plus[part] - minus[part]) / (2.0 * step)
-            assert np.allclose(fd, jac[:, c], rtol=0, atol=1e-8)
+        for part, w, grad in ((0, w_std, grad_std), (1, w_dual, grad_dual)):
+            fd = w @ (plus[part] - minus[part]) / (2.0 * step)
+            assert abs(fd - grad[c]) <= 1e-8
 
 
 def test_relative_pose_residual_rejects_bad_indices():
@@ -207,6 +218,31 @@ def test_objective_evaluation_calls_no_per_edge_method(monkeypatch):
     objective.gradient_at(z)
     objective.stage1_value_grad(z, 1e-3)
     objective.stage2_value_grad(z, 1e-3, objective.branch_flags(z))
+
+
+def test_objective_calls_allocate_no_dense_jacobian():
+    # A dense (4m, 8n) Jacobian of this graph takes 13.6 MB per part.
+    g = generate_cycle_graph(200, loop_closures=66, seed=49)
+    objective = build_pgo(g).objective
+    z = pack(spanning_tree_guess(g))
+    flags = objective.branch_flags(z)
+    calls = {
+        "value_at": lambda: objective.value_at(z),
+        "branch_flags": lambda: objective.branch_flags(z),
+        "stage1_value_grad": lambda: objective.stage1_value_grad(z, 1e-3),
+        "stage2_value_grad": lambda: objective.stage2_value_grad(z, 1e-3, flags),
+        "gradient_at": lambda: objective.gradient_at(z),
+    }
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak < 2_000_000, f"{name} peaked at {peak / 1e6:.1f} MB"
+    finally:
+        tracemalloc.stop()
 
 
 def test_graph_without_edges_is_rejected():
