@@ -51,18 +51,14 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-grad", type=float, default=1e-9, help="stationarity tolerance")
     p.add_argument("--tol-feas", type=float, default=1e-9, help="feasibility tolerance")
     p.add_argument(
-        "--tau-l",
-        type=float,
-        default=None,
-        help="second-stage band half-width (default: scaled automatically)",
-    )
-    p.add_argument(
         "--mu-min",
         type=float,
         default=None,
         help="smallest smoothing level (default: 1e-9)",
     )
-    p.add_argument("--max-outer", type=int, default=60, help="outer iteration cap")
+    p.add_argument(
+        "--max-outer", type=int, default=60, help="stage-I outer iteration and stage-II solve cap"
+    )
     p.add_argument("--max-inner", type=int, default=300, help="inner iteration cap")
     p.add_argument("--threads", type=int, default=1, help="restart parallelism")
     p.add_argument("--csv", default=None, metavar="PATH", help="write per-iteration trace")
@@ -138,7 +134,6 @@ def _config_from_args(args) -> SolverConfig:
             seed=_resolve_seed(args),
             tol_grad=args.tol_grad,
             tol_feas=args.tol_feas,
-            tau_l=args.tau_l,
             max_outer=args.max_outer,
             max_inner=args.max_inner,
             threads=args.threads,

@@ -14,8 +14,10 @@ conditions and :func:`anchor_constraints` rows only, evaluated together by
 Likewise the residuals of one :class:`ResidualNormObjective` share one type,
 whose ``stack`` evaluates all their rows in one call together with their
 *pullback* ``(w_std, w_dual) -> J_s^T w_std + J_d^T w_dual``, the product of
-the transposed residual Jacobians with row weights.  The objective reads
-derivatives only through it, so no objective call builds a Jacobian matrix.
+the transposed residual Jacobians with row weights, and a ``jacobian()``
+that builds the sparse standard-slot Jacobian on demand.  The objective's
+value and gradient calls read derivatives only through the pullback, so
+they build no Jacobian matrix; only the stage-II system asks for one.
 
 Gradients come in pairs ``(grad_std, grad_dual)``, the coordinate
 gradients of the two scalar parts over all ``8n`` coordinates.  Piecewise
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .algebra import (
     NORMALIZE_TOL,
@@ -112,9 +115,9 @@ class DualFunction:
     """Base class for dual-number-valued functions.
 
     Subclasses implement :meth:`value` and usually :meth:`gradient_at`.
-    The stage hooks below default to the exact values and gradients, which
-    is correct for objectives that are already smooth; objectives with
-    nonsmooth structure override them with smoothed counterparts.
+    The stage hooks below default to the exact standard value and gradient
+    and to no stage-II rows, which is correct for objectives that are
+    already smooth; objectives with nonsmooth structure override them.
     """
 
     def __init__(self, arity: int, declared_standard: bool = False):
@@ -150,17 +153,21 @@ class DualFunction:
         g_std, _ = self.gradient_at(z)
         return v.std, g_std
 
-    def stage2_value_grad(
-        self, z: np.ndarray, mu: float, branches: tuple[bool, ...]
-    ) -> tuple[float, np.ndarray]:
-        """Smoothed dual-part value and gradient (defaults to exact)."""
-        v = self.value_at(z)
-        _, g_dual = self.gradient_at(z)
-        return v.dual, g_dual
-
     def branch_flags(self, z: np.ndarray) -> tuple[bool, ...]:
         """Piecewise-branch selections at ``z``; empty for smooth functions."""
         return ()
+
+    def stage2_system(self, z: np.ndarray, branches: tuple[bool, ...]):
+        """Stage-II least-squares rows ``(A, r, weights)`` at ``z``.
+
+        ``r`` are residual rows whose dependence on the dual coordinates is
+        affine with slope ``A``, a sparse ``(k, 4n)`` matrix over the dual
+        slots (column ``4i + c`` for coefficient ``c`` of variable ``i``);
+        ``weights(r)`` gives the row weights of the stage-II fit at rows
+        ``r``.  A smooth standard function has a dual part linear in the
+        dual coordinates and contributes no rows.
+        """
+        return sparse.csr_matrix((0, 4 * self.arity)), np.empty(0), np.ones_like
 
 
 def _check_same_arity(f: DualFunction, g: DualFunction):
@@ -435,28 +442,34 @@ class AffineResidual:
         return total
 
     def rows(self, z: np.ndarray):
-        """(r_std, r_dual, pullback) at ``z``: the stack of this residual alone."""
+        """(r_std, r_dual, pullback, jacobian) at ``z``: the stack of this residual alone."""
         return self.stack([self])(z)
 
     @staticmethod
     def stack(residuals: Sequence[AffineResidual]):
-        """Evaluator ``z -> (r_std, r_dual, pullback)`` over the stacked rows.
+        """Evaluator ``z -> (r_std, r_dual, pullback, jacobian)`` over the stacked rows.
 
         The constant Jacobians are stacked here once; ``pullback(w_std,
         w_dual=None)`` is ``jac_std.T @ w_std``, plus ``jac_dual.T @ w_dual``
-        when ``w_dual`` is given.
+        when ``w_dual`` is given.  ``jacobian()`` is the standard-slot
+        columns of ``jac_std`` as a sparse ``(4k, 4n)`` matrix, which are
+        also the dual-slot columns of ``jac_dual``.
         """
         jac_std = np.vstack([r.jac_std for r in residuals])
         jac_dual = np.vstack([r.jac_dual for r in residuals])
         const_std = np.concatenate([r.constant.std.as_array() for r in residuals])
         const_dual = np.concatenate([r.constant.dual.as_array() for r in residuals])
+        std_slots = jac_std.reshape(jac_std.shape[0], -1, 2, 4)[:, :, 0]
 
         def pullback(w_std, w_dual=None):
             if w_dual is None:
                 return jac_std.T @ w_std
             return jac_std.T @ w_std + jac_dual.T @ w_dual
 
-        return lambda z: (jac_std @ z + const_std, jac_dual @ z + const_dual, pullback)
+        def jacobian():
+            return sparse.csr_matrix(std_slots.reshape(jac_std.shape[0], -1))
+
+        return lambda z: (jac_std @ z + const_std, jac_dual @ z + const_dual, pullback, jacobian)
 
 
 class ResidualNormObjective(DualFunction):
@@ -470,11 +483,12 @@ class ResidualNormObjective(DualFunction):
     with the square-root softening ``sqrt(s + mu^2) - mu``.
 
     The residuals share one type, whose ``stack(residuals)`` gives, once at
-    construction, the evaluator ``z -> (r_std, r_dual, pullback)`` of all
-    their rows in group order; mixed types, or a type without ``stack``,
-    raise ``TypeError``.  Gradients are ``pullback(w_std, w_dual)``, the
-    transposed residual Jacobians times per-row weights; value-only calls
-    (``value_at``, ``branch_flags``) never call it.
+    construction, the evaluator ``z -> (r_std, r_dual, pullback, jacobian)``
+    of all their rows in group order; mixed types, or a type without
+    ``stack``, raise ``TypeError``.  Gradients are ``pullback(w_std,
+    w_dual)``, the transposed residual Jacobians times per-row weights;
+    value-only calls (``value_at``, ``branch_flags``) never call it, and only
+    :meth:`stage2_system` builds the sparse ``jacobian()``.
     """
 
     def __init__(self, arity: int, groups, tol: float = TOL_APPRECIABLE):
@@ -510,7 +524,7 @@ class ResidualNormObjective(DualFunction):
         return self.value_at(pack(values))
 
     def value_at(self, z) -> DualNumber:
-        r_std, r_dual, _ = self._stack(np.asarray(z, dtype=np.float64))
+        r_std, r_dual, _, _ = self._stack(np.asarray(z, dtype=np.float64))
         s_std, cross, s_dual = self._group_sums(r_std, r_dual)
         norms = np.sqrt(s_std)
         app = norms > self.tol
@@ -523,7 +537,7 @@ class ResidualNormObjective(DualFunction):
         return DualNumber(total_std, total_dual)
 
     def gradient_at(self, z):
-        r_std, r_dual, pullback = self._stack(z)
+        r_std, r_dual, pullback, _ = self._stack(z)
         s_std, cross, s_dual = self._group_sums(r_std, r_dual)
         norms = np.sqrt(s_std)
         dual_norms = np.sqrt(s_dual)
@@ -549,7 +563,7 @@ class ResidualNormObjective(DualFunction):
     # -- smoothed stage hooks ----------------------------------------------
 
     def stage1_value_grad(self, z, mu):
-        r_std, _, pullback = self._stack(z)
+        r_std, _, pullback, _ = self._stack(z)
         s_std = np.add.reduceat(r_std * r_std, self._starts)
         soft = np.sqrt(s_std + mu * mu)
         value = float(np.sum(soft - mu))
@@ -559,7 +573,7 @@ class ResidualNormObjective(DualFunction):
     def stage2_value_grad(self, z, mu, branches):
         if len(branches) != len(self.groups):
             raise ValueError("branch flags must match group count")
-        r_std, r_dual, pullback = self._stack(z)
+        r_std, r_dual, pullback, _ = self._stack(z)
         s_std, cross, s_dual = self._group_sums(r_std, r_dual)
         app = np.asarray(branches, dtype=bool)
         # Appreciable groups are smooth already (|r_std| stays near its
@@ -581,9 +595,30 @@ class ResidualNormObjective(DualFunction):
         return value, grad
 
     def branch_flags(self, z):
-        r_std, _, _ = self._stack(np.asarray(z, dtype=np.float64))
+        r_std, _, _, _ = self._stack(np.asarray(z, dtype=np.float64))
         s_std = np.add.reduceat(r_std * r_std, self._starts)
         return tuple(bool(b) for b in np.sqrt(s_std) > self.tol)
+
+    def stage2_system(self, z, branches):
+        """Stage-II rows: every residual's dual part, weighted per group.
+
+        With the standard coordinates fixed, ``r_dual`` is affine in the dual
+        ones with slope ``jacobian()``, the standard-slot Jacobian of
+        ``r_std``.  Groups frozen as appreciable weigh 1; infinitesimal
+        groups weigh ``1 / max(|r_dual,g|, tol)``, so re-solving with updated
+        weights (iteratively reweighted least squares) minimizes their sum
+        of magnitudes ``sum_g |r_dual,g|``, the stage-II objective on them.
+        """
+        if len(branches) != len(self.groups):
+            raise ValueError("branch flags must match group count")
+        _, r_dual, _, jacobian = self._stack(z)
+        app = np.asarray(branches, dtype=bool)
+
+        def weights(r):
+            norms = np.sqrt(np.add.reduceat(r * r, self._starts))
+            return self._expand(np.where(app, 1.0, 1.0 / np.maximum(norms, self.tol)))
+
+        return jacobian(), r_dual, weights
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +719,9 @@ class ConstraintBlock:
     linear in the dual coordinates, so the Jacobian of ``h`` over the
     standard coordinates equals that of ``h_d`` over the dual ones: the
     *stage Jacobian* ``G``, shape ``(m, 4n)``, column ``4i + c`` for
-    coefficient ``c`` of variable ``i``.
+    coefficient ``c`` of variable ``i``.  Every row touches one variable,
+    so ``G`` is block diagonal by variable: :meth:`pullback` and
+    :meth:`gram` use that and never form it.
     """
 
     def __init__(self, arity: int, constraints: Sequence[DualFunction]):
@@ -699,15 +736,19 @@ class ConstraintBlock:
         anchors = [(j, c) for j, c in enumerate(constraints) if type(c) is _ComponentAnchor]
         self.arity, self.size = int(arity), len(constraints)
         self._u_row = np.array([j for j, _ in units], dtype=np.intp)
-        u_var = np.array([c.index for _, c in units], dtype=np.intp).reshape(-1, 1)
+        self._u_var = np.array([c.index for _, c in units], dtype=np.intp)
+        u_var = self._u_var.reshape(-1, 1)
         self._u_slots = 8 * u_var + np.arange(8)
         self._g_flat = 4 * (self.arity * self._u_row[:, None] + u_var) + np.arange(4)
         self._a_row = np.array([j for j, _ in anchors], dtype=np.intp)
-        a_var = np.array([c.index for _, c in anchors], dtype=np.intp)
-        a_comp = np.array([c.component for _, c in anchors], dtype=np.intp)
+        self._a_var = np.array([c.index for _, c in anchors], dtype=np.intp)
+        self._a_comp = np.array([c.component for _, c in anchors], dtype=np.intp)
+        a_var, a_comp = self._a_var, self._a_comp
         self._a_coords = np.stack((8 * a_var + a_comp, 8 * a_var + 4 + a_comp))
         self._a_targets = np.array([(c._t_std, c._t_dual) for _, c in anchors]).reshape(-1, 2).T
         self._g_anchor = 4 * (self.arity * self._a_row + a_var) + a_comp
+        # Columns of G^T v, unit rows' four then the anchors', for one bincount.
+        self._pull_cols = np.concatenate(((4 * u_var + np.arange(4)).ravel(), 4 * a_var + a_comp))
 
     def values(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(h, h_d)`` at ``z``, without any Jacobian."""
@@ -729,6 +770,20 @@ class ConstraintBlock:
         g.reshape(-1)[self._g_flat] = 2.0 * z[self._u_slots[:, :4]]
         g.reshape(-1)[self._g_anchor] = 1.0
         return h, h_d, g
+
+    def pullback(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``G^T v`` at ``z``: ``2 x_k v_k`` per unit row plus ``v`` per anchor row."""
+        unit = 2.0 * z[self._u_slots[:, :4]] * v[self._u_row, None]
+        weights = np.concatenate((unit.ravel(), v[self._a_row]))
+        return np.bincount(self._pull_cols, weights, 4 * self.arity)
+
+    def gram(self, z: np.ndarray) -> np.ndarray:
+        """``G_i^T G_i`` per variable at ``z``, shape ``(n, 4, 4)``."""
+        x2 = 2.0 * z[self._u_slots[:, :4]]
+        out = np.zeros((self.arity, 4, 4))
+        np.add.at(out, self._u_var, x2[:, :, None] * x2[:, None, :])
+        np.add.at(out, (self._a_var, self._a_comp, self._a_comp), 1.0)
+        return out
 
     def rows(self, z: np.ndarray):
         """``(h, h_d, J_s, J_d)`` at ``z``, Jacobians over all ``8n`` coordinates."""

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .algebra import (
     DualQuaternion,
@@ -166,8 +167,8 @@ class RelativePoseResidual:
     ``x_j`` and ``R(x_j) C`` in ``x_i``, and the dual part adds the same
     blocks shifted to dual slots plus cross terms from the dual factors.
     :meth:`stack` evaluates many edges in one batched pass and pulls row
-    weights back through those per-edge blocks, never forming a Jacobian
-    matrix; :meth:`rows` is the stack of this edge alone.
+    weights back through those per-edge blocks, forming a (sparse) Jacobian
+    matrix only on request; :meth:`rows` is the stack of this edge alone.
     """
 
     def __init__(self, arity: int, i: int, j: int, measurement: UnitDualQuaternion):
@@ -182,12 +183,12 @@ class RelativePoseResidual:
         return edge_error(values[self.i], values[self.j], self.measurement)
 
     def rows(self, z: np.ndarray):
-        """(r_std, r_dual, pullback) of this edge at ``z``."""
+        """(r_std, r_dual, pullback, jacobian) of this edge at ``z``."""
         return self.stack([self])(z)
 
     @staticmethod
     def stack(residuals: Sequence[RelativePoseResidual]):
-        """Evaluator ``z -> (r_std, r_dual, pullback)`` over every edge's rows.
+        """Evaluator ``z -> (r_std, r_dual, pullback, jacobian)`` over every edge's rows.
 
         Each call gathers all ``x_i``/``x_j`` with index arrays fixed here and
         forms their multiplication matrices as ``(k, 2, 4, 4)`` stacks (both
@@ -196,17 +197,26 @@ class RelativePoseResidual:
         vector: it forms each edge's 4x8 standard (and 4x16 dual) Jacobian
         block, multiplies it by the edge's four weights and sums the products
         into their columns with ``np.bincount``.  Value-only callers never
-        call it, so they build no block.
+        call it, so they build no block.  ``jacobian()`` returns the same 4x8
+        standard blocks as a sparse CSR ``(4k, 4n)`` matrix over the standard
+        slots, column ``4i + c`` for coefficient ``c`` of vertex ``i``.
         """
-        n8 = 8 * residuals[0].arity
-        si = 8 * np.array([r.i for r in residuals])[:, None] + np.arange(8)
-        sj = 8 * np.array([r.j for r in residuals])[:, None] + np.arange(8)
+        n = residuals[0].arity
+        n8 = 8 * n
+        i = np.array([r.i for r in residuals])
+        j = np.array([r.j for r in residuals])
+        si = 8 * i[:, None] + np.arange(8)
+        sj = 8 * j[:, None] + np.arange(8)
         q_std = np.array([r.measurement.std.as_array() for r in residuals])
         q_dual = np.array([r.measurement.dual.as_array() for r in residuals])
         # Columns of each edge's blocks, edge by edge: the standard part depends
         # on the standard slots of x_i and x_j, the dual part on all 16.
         cols_std = np.concatenate((si[:, :4], sj[:, :4]), axis=1).ravel()
         cols_dual = np.concatenate((si, sj), axis=1).ravel()
+        # The same blocks in the compact (4k, 4n) layout: 8 entries per row.
+        cols_jac = np.concatenate((4 * i[:, None] + np.arange(4), 4 * j[:, None] + np.arange(4)), 1)
+        cols_jac = np.repeat(cols_jac, 4, axis=0).ravel()
+        indptr = np.arange(0, 8 * 4 * len(residuals) + 1, 8)
 
         def evaluate(z: np.ndarray):
             xj = z[sj][:, :, None]
@@ -226,7 +236,11 @@ class RelativePoseResidual:
                     grad -= np.bincount(cols_dual, (w_dual.reshape(-1, 1, 4) @ block).ravel(), n8)
                 return grad
 
-            return r_s.ravel(), r_d.ravel(), pullback
+            def jacobian():
+                block = -np.concatenate((r_j[:, 0], l_i[:, 0]), axis=2)
+                return sparse.csr_matrix((block.ravel(), cols_jac, indptr), (4 * len(i), 4 * n))
+
+            return r_s.ravel(), r_d.ravel(), pullback, jacobian
 
         return evaluate
 

@@ -10,8 +10,8 @@ two real programs, one per coordinate block:
   subject to the standard part of every constraint;
 - stage II holds the standard coordinates at the stage-I point and
   minimizes the dual part over the dual coordinates, subject to the dual
-  part of every constraint; a band check confirms the standard value stays
-  at the stage-I value.
+  part of every constraint.  The standard value reads the standard
+  coordinates only, so stage II cannot move it.
 
 Non-standard problems are rejected when an :class:`EqdqoProblem` is built.
 Their standard part reads the dual coordinates, so stage I could not drop
@@ -21,11 +21,16 @@ unit-norm conditions and anchor rows, are the only kinds accepted (else
 ``TypeError``); one :class:`~dqopt.functions.ConstraintBlock` evaluates
 them for both stages, feasibility, dual projection and KKT analysis.
 
-Each stage runs an augmented-Lagrangian outer loop with an L-BFGS inner
-minimizer.  Nonsmooth magnitude objectives are smoothed with a decreasing
-schedule ``mu``; piecewise branches for stage II are frozen at the stage-I
-point.  Restarts draw independent unit starting points; the reported
-solution is the dn-order minimum over feasible restart outcomes.
+Stage I runs an augmented-Lagrangian outer loop with an L-BFGS inner
+minimizer; nonsmooth magnitude objectives are smoothed with a decreasing
+schedule ``mu``.  Stage II is exact linear algebra.  With the standard
+coordinates fixed, every dual constraint row and every residual's dual
+part is affine in the dual coordinates, so the feasible set is an affine
+*dual fiber* and stage II is a weighted least-squares fit on it (see
+:func:`solve_stage2`), with branches frozen at the stage-I point.
+Restarts draw independent unit starting points; stage II runs for the
+restarts tied at the least stage-I value, and the reported solution is
+the dn-order minimum over their feasible outcomes.
 """
 
 from __future__ import annotations
@@ -37,9 +42,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import minimize as _scipy_minimize
+from scipy.sparse.linalg import spsolve
 
-from .algebra import DualNumber, DualQuaternion, DualQuaternionVector, Quaternion
+from .algebra import DualQuaternion, DualQuaternionVector, Quaternion
 from .errors import (
     ArityMismatch,
     DegenerateConstraintGradients,
@@ -71,10 +78,6 @@ _DEFAULT_MU = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
 #: when ranking constraint-gradient systems.
 _RANK_RCOND = 1e-8
 
-# Strength of the stage-II proximal pull of the dual coordinates toward the
-# warm start; see _stage2_single.
-_STAGE2_PROX = 1e-6
-
 
 def mu_schedule_down_to(mu_min: float, start: float = 1e-2, factor: float = 10.0):
     """Smoothing schedule from ``start`` down to ``mu_min`` by ``factor``."""
@@ -93,8 +96,9 @@ def mu_schedule_down_to(mu_min: float, start: float = 1e-2, factor: float = 10.0
 class SolverConfig:
     """Tuning knobs for the two-stage solver.
 
-    ``tau_l`` is the stage-II band half-width around the stage-I value;
-    ``None`` selects ``max(1e-8, 1e-6 * |stage-I value|)`` per problem.
+    ``mu_schedule``, ``tol_grad`` and ``max_inner`` steer the stage-I
+    augmented-Lagrangian loop; ``max_outer`` caps its outer iterations and
+    the stage-II reweighted solves.
     """
 
     restarts: int = 8
@@ -102,7 +106,6 @@ class SolverConfig:
     tol_grad: float = 1e-9
     tol_feas: float = 1e-9
     mu_schedule: tuple[float, ...] = _DEFAULT_MU
-    tau_l: float | None = None
     max_outer: int = 60
     max_inner: int = 300
     threads: int = 1
@@ -112,8 +115,6 @@ class SolverConfig:
             raise ValueError("restarts must be at least 1")
         if self.tol_grad <= 0 or self.tol_feas <= 0:
             raise ValueError("tolerances must be positive")
-        if self.tau_l is not None and self.tau_l <= 0:
-            raise ValueError("tau_l must be positive when given")
         sched = tuple(float(m) for m in self.mu_schedule)
         if not sched or any(m <= 0 for m in sched):
             raise ValueError("mu_schedule must be nonempty and positive")
@@ -132,7 +133,6 @@ class SolverConfig:
             "tol_grad": self.tol_grad,
             "tol_feas": self.tol_feas,
             "mu_schedule": list(self.mu_schedule),
-            "tau_l": self.tau_l,
             "max_outer": self.max_outer,
             "max_inner": self.max_inner,
             "threads": self.threads,
@@ -178,7 +178,7 @@ class EqdqoProblem:
 
 @dataclass(frozen=True)
 class TraceRow:
-    """One augmented-Lagrangian outer iteration, for convergence plots."""
+    """One stage-I outer iteration or one stage-II solve, for convergence plots."""
 
     iteration: int
     stage: int
@@ -260,7 +260,7 @@ class SolveReport:
 
 
 @dataclass
-class _AlOutcome:
+class _StageOutcome:
     z: np.ndarray
     iterations: int
     converged: bool
@@ -271,21 +271,21 @@ class _AlOutcome:
 def _al_minimize(
     start: np.ndarray,
     objective_vg: Callable[[np.ndarray, int], tuple[float, np.ndarray]],
-    rows_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    rows_fn: Callable[[np.ndarray], tuple[np.ndarray, Callable, np.ndarray]],
     cfg: SolverConfig,
     n_mu: int,
     stage_label: int,
     monitor: Callable[[np.ndarray], tuple[float, float, float]],
-) -> _AlOutcome:
+) -> _StageOutcome:
     """Generic equality-constrained minimization.
 
     ``objective_vg(z, k)`` evaluates the (possibly smoothed) objective at
     outer iteration ``k``; ``rows_fn`` returns constraint values, their
-    gradient matrix, and per-row tolerances; ``monitor`` supplies exact
-    objective parts and feasibility for the trace.
+    pullback ``v -> (gradient matrix)^T v``, and per-row tolerances;
+    ``monitor`` supplies exact objective parts and feasibility for the trace.
     """
     z = np.asarray(start, dtype=np.float64).copy()
-    values, grads, tols = rows_fn(z)
+    values, _, tols = rows_fn(z)
     lam = np.zeros(values.shape[0])
     rho = 10.0
     s_prev = math.inf
@@ -304,10 +304,10 @@ def _al_minimize(
 
         def al_fun(zz, _k=k, _lam=lam_k, _rho=rho_k):
             f, g = objective_vg(zz, _k)
-            c, gmat, _ = rows_fn(zz)
+            c, pullback, _ = rows_fn(zz)
             if c.size:
                 mult = _lam + _rho * c
-                return f + _lam @ c + 0.5 * _rho * (c @ c), g + gmat.T @ mult
+                return f + _lam @ c + 0.5 * _rho * (c @ c), g + pullback(mult)
             return f, g
 
         gtol = max(cfg.tol_grad * 0.3, 0.05 * 0.2**outer)
@@ -321,9 +321,9 @@ def _al_minimize(
         z = np.asarray(res.x, dtype=np.float64)
 
         f, g = objective_vg(z, k)
-        values, grads, tols = rows_fn(z)
+        values, pullback, tols = rows_fn(z)
         lam_hat = lam + rho * values if values.size else lam
-        grad_l = g + grads.T @ lam_hat if values.size else g
+        grad_l = g + pullback(lam_hat) if values.size else g
         grad_norm = float(np.linalg.norm(grad_l))
         feas_ok = bool(np.all(np.abs(values) <= tols)) if values.size else True
         scaled = float(np.max(np.abs(values) / tols)) if values.size else 0.0
@@ -358,7 +358,7 @@ def _al_minimize(
             lam = lam_hat
             s_prev = scaled
 
-    return _AlOutcome(z, outer + 1, converged, grad_norm, trace)
+    return _StageOutcome(z, outer + 1, converged, grad_norm, trace)
 
 
 def inner_solve(
@@ -378,13 +378,11 @@ def inner_solve(
     constraints = list(eq_constraints)
 
     def rows_fn(z):
-        if not constraints:
-            return np.empty(0), np.empty((0, z.shape[0])), np.empty(0)
         vals = np.empty(len(constraints))
         grads = np.empty((len(constraints), z.shape[0]))
         for i, c in enumerate(constraints):
             vals[i], grads[i] = c(z)
-        return vals, grads, np.full(len(constraints), cfg.tol_feas)
+        return vals, lambda v: grads.T @ v, np.full(len(constraints), cfg.tol_feas)
 
     def monitor(z):
         f, _ = objective(z)
@@ -427,19 +425,50 @@ def _random_start(problem: EqdqoProblem, rng: np.random.Generator) -> np.ndarray
     return z
 
 
+def _dual_fiber(problem: EqdqoProblem, z: np.ndarray):
+    """The dual rows' solution map and null space at the standard point of ``z``.
+
+    Every row of the stage Jacobian ``G`` touches one variable, so one
+    batched ``eigh`` of the ``(n, 4, 4)`` stack ``G_i^T G_i`` splits each
+    variable's dual coordinates into ``G``'s row space and its null space
+    (3 directions for a unit row alone, none for an anchored variable).
+    Returns ``(solve, null)``: ``solve(v)`` is the minimum-norm ``x`` with
+    ``G x = v`` (least squares when there is none), and ``null`` a sparse
+    ``(4n, k)`` orthonormal basis of the null space.
+    """
+    block = problem.block
+    e, vecs = np.linalg.eigh(block.gram(z))
+    rank = e > _RANK_RCOND * e[:, -1:]
+    inv = np.where(rank, 1.0 / np.where(rank, e, 1.0), 0.0)
+
+    def solve(v):
+        coef = (block.pullback(z, v).reshape(-1, 1, 4) @ vecs)[:, 0] * inv
+        return (vecs @ coef[..., None]).ravel()
+
+    # One column per null eigenvector, its 4 entries in its variable's rows.
+    var, col = np.nonzero(~rank)
+    rows = (4 * var[:, None] + np.arange(4)).ravel()
+    null = sparse.csc_matrix(
+        (vecs[var, :, col].ravel(), rows, np.arange(0, rows.size + 1, 4)),
+        (4 * problem.arity, var.size),
+    )
+    return solve, null
+
+
 def _project_duals(problem: EqdqoProblem, z: np.ndarray, tol: float) -> np.ndarray:
     """Move the dual coordinates onto the dual rows ``h_d = 0``.
 
     Every dual row is linear in the dual coordinates, with the stage
-    Jacobian as its slope, so one least-squares step solves them exactly.
-    A point already within ``tol`` is not moved.
+    Jacobian as its slope, so one minimum-norm step from
+    :func:`_dual_fiber` solves them exactly.  A point already within
+    ``tol`` is not moved.
     """
     z = z.copy()
-    _, h_d, g = problem.block.stage_rows(z)
+    _, h_d = problem.block.values(z)
     if np.max(np.abs(h_d), initial=0.0) <= tol:
         return z
-    delta, *_ = np.linalg.lstsq(g, -h_d, rcond=None)
-    z[_part_indices(problem.arity, 1)] += delta
+    solve, _ = _dual_fiber(problem, z)
+    z[_part_indices(problem.arity, 1)] += solve(-h_d)
     return z
 
 
@@ -557,126 +586,89 @@ def kkt_residual(
 # Stage drivers
 
 
-def _block_minimize(
-    problem: EqdqoProblem,
-    cfg: SolverConfig,
-    z: np.ndarray,
-    part: int,
-    value_grad: Callable[[np.ndarray, float], tuple[float, np.ndarray]],
-    prox: float = 0.0,
-) -> _AlOutcome:
-    """Minimize over one coordinate block of ``z``, the other block held fixed.
+def _stage1_point(problem: EqdqoProblem, cfg: SolverConfig, z0: np.ndarray):
+    """Stage I from ``z0``, then its dual coordinates projected onto the dual rows.
 
-    The block is the standard (part 0) or dual (part 1) coordinates of
-    every variable, constrained by the same part of every constraint row;
-    it is stage ``part + 1``.  ``value_grad(z, mu)`` gives the smoothed
-    stage objective over all coordinates.  ``prox`` adds
-    ``prox * |x - x0|^2`` toward the block's starting values ``x0``.  The
-    outcome's ``z`` is embedded back into all coordinates.
+    The smoothed standard part is minimized over the standard coordinates
+    against the standard part of every constraint row.  The dual
+    coordinates keep the hint from the starting point until the projection.
     """
     n_mu = len(cfg.mu_schedule)
-    idx = _part_indices(problem.arity, part)
-    template = z.copy()
-    x0 = z[idx]
+    idx = _part_indices(problem.arity, 0)
     tols = np.full(problem.block.size, cfg.tol_feas)
 
     def embed(x):
-        full = template.copy()
+        full = z0.copy()
         full[idx] = x
         return full
 
     def block_vg(x, k):
-        f, g = value_grad(embed(x), cfg.mu_schedule[min(k, n_mu - 1)])
-        if not prox:
-            return f, g[idx]
-        d = x - x0
-        return f + prox * float(d @ d), g[idx] + (2.0 * prox) * d
+        f, g = problem.objective.stage1_value_grad(embed(x), cfg.mu_schedule[min(k, n_mu - 1)])
+        return f, g[idx]
 
     def rows_fn(x):
-        h, h_d, g = problem.block.stage_rows(embed(x))
-        return (h, h_d)[part], g, tols
+        full = embed(x)
+        h, _ = problem.block.values(full)
+        return h, lambda v: problem.block.pullback(full, v), tols
 
     def monitor(x):
         full = embed(x)
         v = problem.objective.value_at(full)
         return v.std, v.dual, max(_feasibility(problem, full))
 
-    outcome = _al_minimize(x0, block_vg, rows_fn, cfg, n_mu, part + 1, monitor)
+    outcome = _al_minimize(z0[idx], block_vg, rows_fn, cfg, n_mu, 1, monitor)
     outcome.z = embed(outcome.z)
-    return outcome
-
-
-def _stage1_point(problem: EqdqoProblem, cfg: SolverConfig, z0: np.ndarray):
-    """Stage I from ``z0``, then its dual coordinates projected onto the dual rows.
-
-    Stage I moves the standard coordinates only, so the dual ones keep the
-    hint from the starting point until the projection.
-    """
-    outcome = _block_minimize(
-        problem, cfg, z0, 0, lambda z, mu: problem.objective.stage1_value_grad(z, mu)
-    )
     return _project_duals(problem, outcome.z, cfg.tol_feas * 0.1), outcome
 
 
-def _band_tolerance(cfg: SolverConfig, level: float) -> float:
-    if cfg.tau_l is not None:
-        return cfg.tau_l
-    return max(1e-8, 1e-6 * abs(level))
-
-
-def _stage2_single(
+def _stage2(
     problem: EqdqoProblem,
     cfg: SolverConfig,
     z1: np.ndarray,
     branches: tuple[bool, ...],
-):
-    """One stage-II minimization warm-started at the stage-I point.
+) -> _StageOutcome:
+    """Stage II at the standard coordinates of ``z1``; see :func:`solve_stage2`.
 
-    Returns the outcome and whether the band held.
+    The dual coordinates are ``x_p + N y`` on the dual fiber; each pass
+    solves the sparse normal equations ``B^T W B y = -B^T W r_p`` with
+    ``B = A N``, for the objective's rows ``r = r_p + B y``, until the
+    weights stop changing or ``y`` stops moving, at most ``max_outer``
+    times.  One trace row per solve.
     """
-    objective = problem.objective
-    mu_min = cfg.mu_schedule[-1]
-
-    # Band anchor: smoothed standard value at the stage-I point, so the
-    # warm start is band-feasible by construction.
-    anchor, _ = objective.stage1_value_grad(z1, mu_min)
-    tau = _band_tolerance(cfg, objective.value_at(z1).std)
-
-    # The standard value depends on the standard coordinates alone and an
-    # isolated stage-I minimizer pins them, so the band holds by
-    # construction when only the dual coordinates move.  Keeping the
-    # standard block in the search instead, with the band as a penalty row,
-    # opens an unbounded descent valley on inexact fits: the dual part
-    # gains bilinearly through standard-coordinate slack that the band
-    # penalty resists only at fourth order.
-    #
-    # On inexact fits the dual part is flat, up to noise-level tilt, in
-    # whole subspaces of the dual coordinates; a weak proximal pull toward
-    # the warm start picks the nearby representative instead of drifting
-    # arbitrarily far along the tilt.  Where the dual part has real
-    # curvature the pull shifts the minimizer by O(prox/curvature), far
-    # below solver tolerances.
-    outcome = _block_minimize(
-        problem,
-        cfg,
-        z1,
-        1,
-        lambda z, mu: objective.stage2_value_grad(z, mu, branches),
-        prox=_STAGE2_PROX,
-    )
-    band_final, _ = objective.stage1_value_grad(outcome.z, mu_min)
-    return outcome, abs(band_final - anchor) <= tau
-
-
-@dataclass
-class _Candidate:
-    restart_index: int
-    z1: np.ndarray
-    stage1_outcome: _AlOutcome
-    stage2_outcome: _AlOutcome
-    pair: DualNumber
-    feas: tuple[float, float]
-    feasible: bool
+    dual = _part_indices(problem.arity, 1)
+    z = z1.copy()
+    z[dual] = 0.0
+    _, h_d0 = problem.block.values(z)
+    solve, null = _dual_fiber(problem, z)
+    x_p = solve(-h_d0)
+    z[dual] = x_p
+    a, r_p, weights = problem.objective.stage2_system(z, branches)
+    b = (a @ null).tocsc()
+    b.eliminate_zeros()
+    # Fiber directions that no row sees stay at x_p: all of them when the
+    # objective has no rows (a smooth one, whose dual part is linear).
+    seen = np.diff(b.indptr) > 0
+    b, null = b[:, seen].tocsr(), null[:, seen]
+    b_t = b.T.tocsr()
+    row_of = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
+    w = weights(r_p)
+    y = np.zeros(b.shape[1])
+    trace = []
+    for it in range(cfg.max_outer):
+        wb = b.copy()
+        wb.data *= w[row_of]
+        y_new = spsolve(b_t @ wb, -(b_t @ (w * r_p)))
+        z[dual] = x_p + null @ y_new
+        r = r_p + b @ y_new
+        stationarity = float(np.linalg.norm(b_t @ (w * r)))
+        v = problem.objective.value_at(z)
+        trace.append(TraceRow(it, 2, v.std, v.dual, max(_feasibility(problem, z)), stationarity))
+        w_new = weights(r)
+        done = np.array_equal(w_new, w) or np.max(np.abs(y_new - y), initial=0.0) <= cfg.tol_feas
+        y, w = y_new, w_new
+        if done:
+            break
+    return _StageOutcome(z, it + 1, done, stationarity, trace)
 
 
 def _restart_start(
@@ -696,22 +688,40 @@ def _restart_start(
     return _random_start(problem, rng)
 
 
-def _run_pipeline(problem: EqdqoProblem, cfg: SolverConfig, initial, r: int) -> _Candidate:
-    z1, s1_outcome = _stage1_point(problem, cfg, _restart_start(problem, cfg, initial, r))
-    branches = problem.objective.branch_flags(z1)
-    s2_outcome, band_ok = _stage2_single(problem, cfg, z1, branches)
-    feas_h, feas_hd = _feasibility(problem, s2_outcome.z)
-    v = problem.objective.value_at(s2_outcome.z)
-    feasible = feas_h <= cfg.tol_feas and feas_hd <= cfg.tol_feas and band_ok
-    return _Candidate(r, z1, s1_outcome, s2_outcome, v, (feas_h, feas_hd), feasible)
-
-
 def _run_restarts(cfg: SolverConfig, runner) -> list:
     indices = list(range(cfg.restarts))
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             return list(pool.map(runner, indices))
     return [runner(r) for r in indices]
+
+
+def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
+    """Stage I for every restart: the feasible outcomes, least stage-I value first.
+
+    Items are ``(value, restart, z1, outcome, feasibility)``; equal values
+    keep restart order.  Raises :class:`Infeasible` when no restart reaches
+    feasibility.
+    """
+
+    def runner(r):
+        z1, outcome = _stage1_point(problem, cfg, _restart_start(problem, cfg, initial, r))
+        return z1, outcome, r, _feasibility(problem, z1)
+
+    results = _run_restarts(cfg, runner)
+    scored = [
+        (problem.objective.value_at(z1).std, r, z1, outcome, feas)
+        for z1, outcome, r, feas in results
+        if max(feas) <= cfg.tol_feas
+    ]
+    if not scored:
+        worst = min(max(feas) for *_, feas in results)
+        raise Infeasible(
+            f"no feasible candidate across {cfg.restarts} restarts "
+            f"(best feasibility {worst:.3e} > tol {cfg.tol_feas:.3e})"
+        )
+    scored.sort(key=lambda item: (item[0], item[1]))
+    return scored
 
 
 def _report(
@@ -721,7 +731,7 @@ def _report(
     restart_index: int,
     kkt1: float,
     stage1,
-    stage2: _AlOutcome,
+    stage2: _StageOutcome,
     feas: tuple[float, float],
 ) -> SolveReport:
     """Report at stage II's final point.
@@ -757,37 +767,34 @@ def solve_eqdqo(
 ) -> SolveReport:
     """Full two-stage solve with restarts.
 
-    Every restart runs stage I then stage II; a restart is a candidate when
-    its final point satisfies all constraint rows to ``tol_feas`` and the
-    stage-II band.  The report carries the dn-order minimal candidate, ties
-    broken by restart index.  Raises :class:`Infeasible` when no restart
-    produces a candidate.
+    Every restart runs stage I.  Stage II can only break ties in the
+    standard value, so it runs for the feasible restarts whose stage-I
+    value equals the least one exactly; a restart is a candidate when its
+    final point satisfies all constraint rows to ``tol_feas``.  The report
+    carries the dn-order minimal candidate, ties broken by restart index.
+    Raises :class:`Infeasible` when no restart produces a candidate.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    results = _run_restarts(cfg, lambda r: _run_pipeline(problem, cfg, initial, r))
-    candidates = [c for c in results if c.feasible]
+    scored = _stage1_restarts(problem, cfg, initial)
+    candidates = []
+    for value, r, z1, outcome, _ in scored:
+        if value > scored[0][0]:
+            break
+        stage2 = _stage2(problem, cfg, z1, problem.objective.branch_flags(z1))
+        feas = _feasibility(problem, stage2.z)
+        if max(feas) <= cfg.tol_feas:
+            pair = problem.objective.value_at(stage2.z)
+            candidates.append((pair, r, z1, outcome, stage2, feas))
     if not candidates:
-        worst = min((max(c.feas) for c in results), default=math.inf)
         raise Infeasible(
             f"no feasible candidate across {cfg.restarts} restarts "
-            f"(best feasibility {worst:.3e} > tol {cfg.tol_feas:.3e})"
+            f"(stage II left h_d above tol {cfg.tol_feas:.3e})"
         )
-    best = candidates[0]
-    for c in candidates[1:]:
-        if c.pair.compare(best.pair) < 0:
-            best = c
-    kkt1 = kkt_analysis(problem, best.z1, stage=1)
-    return _report(
-        problem,
-        cfg,
-        t0,
-        best.restart_index,
-        kkt1.residual,
-        best.stage1_outcome,
-        best.stage2_outcome,
-        best.feas,
-    )
+    # min keeps the first of equal pairs, so ties go to the lower restart
+    _, r, z1, outcome, stage2, feas = min(candidates, key=lambda c: c[0])
+    kkt1 = kkt_analysis(problem, z1, stage=1)
+    return _report(problem, cfg, t0, r, kkt1.residual, outcome, stage2, feas)
 
 
 def solve_stage1(
@@ -802,22 +809,7 @@ def solve_stage1(
     :class:`Infeasible` when no restart reaches feasibility.
     """
     cfg = cfg or SolverConfig()
-
-    def runner(r):
-        z1, outcome = _stage1_point(problem, cfg, _restart_start(problem, cfg, initial, r))
-        return z1, outcome, r, _feasibility(problem, z1)
-
-    scored = [
-        (problem.objective.value_at(z1).std, r, z1, outcome, feas)
-        for z1, outcome, r, feas in _run_restarts(cfg, runner)
-        if max(feas) <= cfg.tol_feas
-    ]
-    if not scored:
-        raise Infeasible(
-            f"stage I found no feasible point across {cfg.restarts} restarts"
-        )
-    scored.sort(key=lambda item: (item[0], item[1]))
-    value, r, z1, outcome, feas = scored[0]
+    value, r, z1, outcome, feas = _stage1_restarts(problem, cfg, initial)[0]
     solution = DualQuaternionVector(unpack(z1, problem.arity))
     kkt1 = kkt_analysis(problem, z1, stage=1)
     return Stage1Result(
@@ -841,16 +833,31 @@ def solve_stage2(
     stage1: Stage1Result,
     cfg: SolverConfig | None = None,
 ) -> SolveReport:
-    """Stage II from a stage-I record: minimize the dual part in the band."""
+    """Stage II from a stage-I record: one exact fit on the dual fiber.
+
+    With the standard coordinates held at the stage-I point, the dual
+    constraint rows ``G x_d = -h_d(0)`` are affine, and so is every
+    residual's dual part, ``r_dual = A x_d + b`` with ``A`` the standard
+    Jacobian of the residuals.  The feasible dual coordinates form the
+    *dual fiber* ``x_p + N y`` (minimum-norm solution plus null basis, per
+    variable), and stage II minimizes ``sum_g w_g |r_dual,g|^2`` over ``y``
+    by sparse normal equations.  Groups frozen infinitesimal at stage I
+    are reweighted by ``1 / |r_dual,g|`` until the fit settles, which
+    minimizes the paper's stage-II objective ``sum_g |r_dual,g|`` on them
+    (robust to a few gross outliers).  Groups frozen appreciable weigh 1:
+    at a stage-I KKT point their part of the paper's objective is constant
+    on the fiber, so the paper leaves the dual coordinates undetermined
+    there, and the least-squares fit is a tie-break that goes beyond the
+    paper (the translation step of Daniilidis, 1999).  Objectives without
+    residual rows keep ``y = 0``, exact for smooth standard objectives.
+    Raises :class:`Infeasible` if the result misses a constraint row.
+    """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    outcome, band_ok = _stage2_single(problem, cfg, stage1.z, stage1.branches)
+    outcome = _stage2(problem, cfg, stage1.z, stage1.branches)
     feas_h, feas_hd = _feasibility(problem, outcome.z)
-    if not (feas_h <= cfg.tol_feas and feas_hd <= cfg.tol_feas and band_ok):
-        raise Infeasible(
-            f"stage II lost feasibility (h {feas_h:.3e}, h_d {feas_hd:.3e}, "
-            f"band ok {band_ok})"
-        )
+    if not (feas_h <= cfg.tol_feas and feas_hd <= cfg.tol_feas):
+        raise Infeasible(f"stage II lost feasibility (h {feas_h:.3e}, h_d {feas_hd:.3e})")
     return _report(
         problem,
         cfg,

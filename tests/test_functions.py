@@ -34,6 +34,7 @@ from helpers import LeakyFunction
 I = Quaternion(0, 1, 0, 0)
 ONE = Quaternion.identity()
 ZERO = Quaternion(0, 0, 0, 0)
+ONE_DQ = DualQuaternion.identity()
 
 
 def _rand_dq(rng):
@@ -161,7 +162,7 @@ def test_affine_residual_eval_matches_rows():
         values = (_rand_dq(rng), _rand_dq(rng))
         z = pack(list(values))
         exact = r.eval(values)
-        r_std, r_dual, pullback = r.rows(z)
+        r_std, r_dual, pullback, _ = r.rows(z)
         assert np.allclose(r_std, exact.std.as_array(), atol=1e-12)
         assert np.allclose(r_dual, exact.dual.as_array(), atol=1e-12)
         # rows are affine: central differences of w . r are exact up to rounding
@@ -184,7 +185,7 @@ def test_affine_pullback_is_the_stacked_jacobian_product():
     ]
     jac_std = np.vstack([r.jac_std for r in res])
     jac_dual = np.vstack([r.jac_dual for r in res])
-    _, _, pullback = AffineResidual.stack(res)(rng.standard_normal(24))
+    _, _, pullback, _ = AffineResidual.stack(res)(rng.standard_normal(24))
     a, b = rng.standard_normal((2, 16))
     assert np.array_equal(pullback(a), jac_std.T @ a)
     assert np.array_equal(pullback(a, b), jac_std.T @ a + jac_dual.T @ b)
@@ -292,6 +293,66 @@ def test_constraint_block_matches_each_constraint_exactly():
             assert np.array_equal(j_s[j], g_std) and np.array_equal(j_d[j], g_dual)
             # the stage Jacobian is h over the standard slots and h_d over the dual ones
             assert np.array_equal(g[j], g_std[std]) and np.array_equal(g[j], g_dual[std + 4])
+
+
+def test_block_pullback_is_the_stage_jacobian_product():
+    rng = np.random.default_rng(131)
+    n = 3
+    target = _rand_dq(rng)
+    # variable 0 carries a unit row and two anchor rows, so two gradients
+    # share its columns
+    cons = (
+        anchor_constraints(n, 2, target)
+        + (UnitNormConstraint(n, 1), UnitNormConstraint(n, 0))
+        + anchor_constraints(n, 0, target)[1:3]
+        + (UnitNormConstraint(n, 2),)
+    )
+    block = ConstraintBlock(n, cons)
+    for _ in range(50):
+        z = rng.standard_normal(8 * n) * rng.uniform(0.01, 100.0)
+        v = rng.standard_normal(len(cons))
+        _, _, g = block.stage_rows(z)
+        assert np.array_equal(block.pullback(z, v), g.T @ v)
+        gram = block.gram(z)
+        for i in range(n):
+            cols = slice(4 * i, 4 * i + 4)
+            assert np.allclose(gram[i], g[:, cols].T @ g[:, cols], rtol=1e-14, atol=0)
+    empty = ConstraintBlock(n, ())
+    assert np.array_equal(empty.pullback(z, np.empty(0)), np.zeros(4 * n))
+
+
+def _sparse_jacobian_matches_matrix_free(evaluate, arity, rng):
+    """``A`` from ``jacobian()`` against the pullback and the dual rows' slope."""
+    std = (8 * np.arange(arity)[:, None] + np.arange(4)).ravel()
+    z = rng.standard_normal(8 * arity)
+    r_std, r_dual, pullback, jacobian = evaluate(z)
+    a = jacobian()
+    assert a.shape == (r_std.size, 4 * arity)
+    w = rng.standard_normal(r_std.size)
+    assert np.allclose(a.T @ w, pullback(w)[std], rtol=0, atol=1e-12)
+    # r_dual is affine in the dual coordinates with slope A
+    at_zero = z.copy()
+    at_zero[std + 4] = 0.0
+    base = evaluate(at_zero)[1]
+    for _ in range(5):
+        v = rng.standard_normal(4 * arity)
+        moved = at_zero.copy()
+        moved[std + 4] = v
+        assert np.allclose(a @ v, evaluate(moved)[1] - base, rtol=0, atol=1e-12)
+
+
+def test_sparse_jacobian_matches_the_matrix_free_layer():
+    rng = np.random.default_rng(137)
+    res = [
+        AffineResidual(3, [(_rand_dq(rng), v, _rand_dq(rng)), (_rand_dq(rng), 2, ONE_DQ)],
+                       constant=_rand_dq(rng))
+        for v in (0, 1, 0, 2)
+    ]
+    _sparse_jacobian_matches_matrix_free(AffineResidual.stack(res), 3, rng)
+    edges = [(0, 1), (1, 2), (2, 0), (3, 1), (0, 3)]
+    unit = [UnitDualQuaternion.of(_rand_dq(rng).normalized()) for _ in edges]
+    res = [RelativePoseResidual(4, i, j, q) for (i, j), q in zip(edges, unit)]
+    _sparse_jacobian_matches_matrix_free(RelativePoseResidual.stack(res), 4, rng)
 
 
 def test_gradients_of_builders():

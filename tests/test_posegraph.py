@@ -166,7 +166,7 @@ def test_residual_rows_match_eval_and_first_order():
     rng = np.random.default_rng(47)
     z = rng.standard_normal(8 * g.n)
     values = unpack(z, g.n)
-    r_std, r_dual, pullback = evaluate(z)
+    r_std, r_dual, pullback, _ = evaluate(z)
     w_std, w_dual = rng.standard_normal((2, 4 * len(res)))
     for k, r in enumerate(res):
         direct = r.eval(values)
@@ -174,7 +174,7 @@ def test_residual_rows_match_eval_and_first_order():
         assert np.allclose(r_std[rows], direct.std.as_array(), rtol=0, atol=1e-12)
         assert np.allclose(r_dual[rows], direct.dual.as_array(), rtol=0, atol=1e-12)
         # rows is the one-edge view of the stack, pullback included
-        one_std, one_dual, one_pullback = r.rows(z)
+        one_std, one_dual, one_pullback, _ = r.rows(z)
         assert np.array_equal(one_std, r_std[rows])
         assert np.array_equal(one_dual, r_dual[rows])
         mask = np.zeros(4 * len(res))

@@ -328,5 +328,6 @@ def test_config_validation():
         SolverConfig(tol_grad=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(mu_schedule=(1e-3, 1e-2))
-    with pytest.raises(ValueError):
-        SolverConfig(tau_l=-0.5)
+    # stage II cannot move the standard value, so there is no band width to set
+    with pytest.raises(TypeError):
+        SolverConfig(tau_l=1e-6)

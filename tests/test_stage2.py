@@ -1,0 +1,114 @@
+"""Stage II as one exact fit on the dual fiber: accuracy, invariance, robustness."""
+
+import numpy as np
+import pytest
+
+from dqopt import (
+    DualQuaternion,
+    HandEyeDataset,
+    Pose,
+    SolverConfig,
+    build_axxb,
+    build_axyb,
+    build_pgo,
+    evaluate_solution,
+    generate_cycle_graph,
+    generate_synthetic,
+    pack,
+    solve_eqdqo,
+    spanning_tree_guess,
+    vertex_errors,
+)
+import dqopt.solver as solver
+
+SEEDS = range(5)
+
+
+def _handeye_errors(model, sigma, seed):
+    ds = generate_synthetic(model, 10, noise_rot=sigma, noise_trans=sigma, seed=seed)
+    problem = build_axxb(ds) if model == "axxb" else build_axyb(ds)
+    report = solve_eqdqo(problem, SolverConfig(restarts=8, seed=0))
+    errors = evaluate_solution(ds, *report.solution)
+    return [v for k, v in errors.items() if k.startswith("translation_error")]
+
+
+def _graph(sigma, seed):
+    return generate_cycle_graph(20, loop_closures=6, noise_rot=sigma, noise_trans=sigma, seed=seed)
+
+
+def _pgo_solve(graph, guess):
+    return solve_eqdqo(build_pgo(graph), SolverConfig(restarts=1, seed=0), initial=guess)
+
+
+def _pgo_errors(sigma, seed):
+    g = _graph(sigma, seed)
+    report = _pgo_solve(g, [u.as_dual_quaternion() for u in spanning_tree_guess(g)])
+    # vertex 1 is anchored to the truth
+    return [row["translation_error"] for row in vertex_errors(g, list(report.solution))[1:]]
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 1e-2])
+@pytest.mark.parametrize("kind, multiple", [("axxb", 3.0), ("axyb", 3.0), ("pgo", 4.0)])
+def test_noisy_translation_is_recovered_to_a_few_sigma(kind, multiple, sigma):
+    # pose-graph errors build up along the cycle, hence the wider bound
+    errors = []
+    for seed in SEEDS:
+        errors += _pgo_errors(sigma, seed) if kind == "pgo" else _handeye_errors(kind, sigma, seed)
+    assert np.median(errors) <= multiple * sigma, np.median(errors) / sigma
+
+
+def _shifted(pose: Pose, shift: float) -> DualQuaternion:
+    moved = Pose(pose.rotation, tuple(np.asarray(pose.translation) + shift))
+    return moved.to_udq().as_dual_quaternion()
+
+
+@pytest.mark.parametrize("kind", ["axxb", "pgo"])
+def test_stage2_does_not_follow_the_warm_start_translation(kind):
+    if kind == "axxb":
+        ds = generate_synthetic("axxb", 10, noise_rot=1e-2, noise_trans=1e-2, seed=0)
+        problem, cfg = build_axxb(ds), SolverConfig(restarts=2, seed=0)
+        truth = Pose.from_udq(ds.ground_truth_x)
+        starts = [[_shifted(truth, s)] for s in (0.0, 0.5, 2.0)]
+    else:
+        g = _graph(1e-2, 0)
+        problem, cfg = build_pgo(g), SolverConfig(restarts=1, seed=0)
+        guess = [Pose.from_udq(u) for u in spanning_tree_guess(g)]
+        starts = [[_shifted(p, s) for p in guess] for s in (0.0, 0.5, 2.0)]
+    solutions = [pack(list(solve_eqdqo(problem, cfg, initial=x).solution)) for x in starts]
+    for other in solutions[1:]:
+        assert np.max(np.abs(other - solutions[0])) <= 1e-9
+
+
+def test_a_translation_outlier_does_not_move_the_calibration():
+    # the paper's sum of magnitudes ignores one gross outlier on consistent
+    # data; a plain least-squares stage II would spread it over the answer
+    for seed in SEEDS:
+        ds = generate_synthetic("axxb", 10, seed=seed)
+        last = ds.poses_b[-1]
+        bad = Pose(last.rotation, tuple(np.asarray(last.translation) + [0.5, -0.3, 0.2]))
+        ds = HandEyeDataset(
+            "axxb", ds.poses_a, ds.poses_b[:-1] + (bad,), ground_truth_x=ds.ground_truth_x
+        )
+        report = solve_eqdqo(build_axxb(ds), SolverConfig(restarts=8, seed=0))
+        errors = evaluate_solution(ds, *report.solution)
+        assert errors["rotation_error_x"] <= 1e-6, seed
+        assert errors["translation_error_x"] <= 1e-6, seed
+        # reweighted solves, each with its trace row
+        stage2_rows = [row for row in report.trace if row.stage == 2]
+        assert report.iterations["stage2"] == len(stage2_rows) > 1
+
+
+def test_stage2_runs_once_per_restart_tied_at_the_least_stage1_value(monkeypatch):
+    calls = []
+    original = solver._stage2
+
+    def counted(problem, cfg, z1, branches):
+        calls.append(problem.objective.value_at(z1).std)
+        return original(problem, cfg, z1, branches)
+
+    monkeypatch.setattr(solver, "_stage2", counted)
+    ds = generate_synthetic("axxb", 10, noise_rot=1e-2, noise_trans=1e-2, seed=0)
+    report = solve_eqdqo(build_axxb(ds), SolverConfig(restarts=8, seed=0))
+    # noisy groups are appreciable: one solve, on the one least restart
+    assert calls == [report.stage1_value]
+    assert report.iterations["stage2"] == 1
