@@ -1,7 +1,7 @@
 """Command-line surface: generate datasets, solve, self-test, report.
 
-Exit codes: 0 on success, 1 when the solver fails (no feasible point or
-iteration caps hit), 2 on usage or input errors.  All output files are
+Exit codes: 0 on success, 1 when the solver fails (no restart ends at a
+feasible point), 2 on usage or input errors.  All output files are
 byte-identical across runs with the same inputs and seeds; the only
 nondeterministic report field is ``wall_time_ms``.  The environment
 variable ``DQOPT_SEED`` overrides ``--seed`` everywhere when set.
@@ -15,7 +15,7 @@ import os
 import sys
 
 from .algebra import DualQuaternion, UnitDualQuaternion
-from .errors import DqoptError, Infeasible, MaxIterations
+from .errors import DqoptError, Infeasible
 from .handeye import (
     HandEyeDataset,
     build_axxb,
@@ -32,7 +32,7 @@ from .posegraph import (
     vertex_errors,
 )
 from .selftest import run_all
-from .solver import SolverConfig, mu_schedule_down_to, solve_eqdqo
+from .solver import SolverConfig, solve_eqdqo
 
 __all__ = ["main", "build_parser"]
 
@@ -48,18 +48,13 @@ class _BadInput(Exception):
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=8, help="solver restarts")
     p.add_argument("--seed", type=int, default=0, help="restart seed")
-    p.add_argument("--tol-grad", type=float, default=1e-9, help="stationarity tolerance")
+    p.add_argument(
+        "--tol-grad", type=float, default=1e-9, help="stage-I tangent gradient norm to stop at"
+    )
     p.add_argument("--tol-feas", type=float, default=1e-9, help="feasibility tolerance")
     p.add_argument(
-        "--mu-min",
-        type=float,
-        default=None,
-        help="smallest smoothing level (default: 1e-9)",
+        "--max-outer", type=int, default=60, help="stage-I Gauss-Newton step and stage-II solve cap"
     )
-    p.add_argument(
-        "--max-outer", type=int, default=60, help="stage-I outer iteration and stage-II solve cap"
-    )
-    p.add_argument("--max-inner", type=int, default=300, help="inner iteration cap")
     p.add_argument("--threads", type=int, default=1, help="restart parallelism")
     p.add_argument("--csv", default=None, metavar="PATH", help="write per-iteration trace")
     p.add_argument("--out", default=None, metavar="PATH", help="report file (default: stdout)")
@@ -125,19 +120,14 @@ def _resolve_seed(args) -> int:
 
 
 def _config_from_args(args) -> SolverConfig:
-    extra = {}
     try:
-        if args.mu_min is not None:
-            extra["mu_schedule"] = mu_schedule_down_to(args.mu_min)
         return SolverConfig(
             restarts=args.restarts,
             seed=_resolve_seed(args),
             tol_grad=args.tol_grad,
             tol_feas=args.tol_feas,
             max_outer=args.max_outer,
-            max_inner=args.max_inner,
             threads=args.threads,
-            **extra,
         )
     except ValueError as e:
         raise _BadInput(str(e))
@@ -291,7 +281,7 @@ def _cmd_report(args) -> int:
             raise _BadInput(f"{args.infile}: not a solve report (config is not an object)")
         lines.append(
             "config            "
-            + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg) if k != "mu_schedule")
+            + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg))
         )
         errors = data.get("errors")
         if isinstance(errors, dict):
@@ -320,7 +310,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else 2
     try:
         return args.func(args)
-    except (Infeasible, MaxIterations) as e:
+    except Infeasible as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except _BadInput as e:

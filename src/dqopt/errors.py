@@ -49,10 +49,6 @@ class Infeasible(DqoptError):
     """No restart produced a point satisfying the constraints."""
 
 
-class MaxIterations(DqoptError):
-    """Iteration caps were reached before the termination tests held."""
-
-
 class DegenerateConstraintGradients(DqoptError):
     """Constraint gradients are rank deficient at the query point."""
 

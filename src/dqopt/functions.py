@@ -15,9 +15,9 @@ Likewise the residuals of one :class:`ResidualNormObjective` share one type,
 whose ``stack`` evaluates all their rows in one call together with their
 *pullback* ``(w_std, w_dual) -> J_s^T w_std + J_d^T w_dual``, the product of
 the transposed residual Jacobians with row weights, and a ``jacobian()``
-that builds the sparse standard-slot Jacobian on demand.  The objective's
+that gives the sparse standard-slot Jacobian on demand.  The objective's
 value and gradient calls read derivatives only through the pullback, so
-they build no Jacobian matrix; only the stage-II system asks for one.
+they build no Jacobian matrix; only the two stage systems ask for one.
 
 Gradients come in pairs ``(grad_std, grad_dual)``, the coordinate
 gradients of the two scalar parts over all ``8n`` coordinates.  Piecewise
@@ -115,9 +115,10 @@ class DualFunction:
     """Base class for dual-number-valued functions.
 
     Subclasses implement :meth:`value` and usually :meth:`gradient_at`.
-    The stage hooks below default to the exact standard value and gradient
-    and to no stage-II rows, which is correct for objectives that are
-    already smooth; objectives with nonsmooth structure override them.
+    The stage hooks below default to no branches and no stage-II rows,
+    which is correct for objectives that are already smooth; objectives
+    with nonsmooth structure override them.  An objective the solver
+    accepts also provides ``stage1_system``, its stage-I residual rows.
     """
 
     def __init__(self, arity: int, declared_standard: bool = False):
@@ -146,12 +147,6 @@ class DualFunction:
         return self.value(unpack(z, self.arity))
 
     # -- solver stage hooks ----------------------------------------------
-
-    def stage1_value_grad(self, z: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
-        """Smoothed standard-part value and gradient (defaults to exact)."""
-        v = self.value_at(z)
-        g_std, _ = self.gradient_at(z)
-        return v.std, g_std
 
     def branch_flags(self, z: np.ndarray) -> tuple[bool, ...]:
         """Piecewise-branch selections at ``z``; empty for smooth functions."""
@@ -452,14 +447,16 @@ class AffineResidual:
         The constant Jacobians are stacked here once; ``pullback(w_std,
         w_dual=None)`` is ``jac_std.T @ w_std``, plus ``jac_dual.T @ w_dual``
         when ``w_dual`` is given.  ``jacobian()`` is the standard-slot
-        columns of ``jac_std`` as a sparse ``(4k, 4n)`` matrix, which are
-        also the dual-slot columns of ``jac_dual``.
+        columns of ``jac_std`` (also the dual-slot columns of ``jac_dual``)
+        as a sparse ``(4k, 4n)`` matrix, built once here; callers must not
+        modify it.
         """
         jac_std = np.vstack([r.jac_std for r in residuals])
         jac_dual = np.vstack([r.jac_dual for r in residuals])
         const_std = np.concatenate([r.constant.std.as_array() for r in residuals])
         const_dual = np.concatenate([r.constant.dual.as_array() for r in residuals])
         std_slots = jac_std.reshape(jac_std.shape[0], -1, 2, 4)[:, :, 0]
+        jac_slots = sparse.csr_matrix(std_slots.reshape(jac_std.shape[0], -1))
 
         def pullback(w_std, w_dual=None):
             if w_dual is None:
@@ -467,7 +464,7 @@ class AffineResidual:
             return jac_std.T @ w_std + jac_dual.T @ w_dual
 
         def jacobian():
-            return sparse.csr_matrix(std_slots.reshape(jac_std.shape[0], -1))
+            return jac_slots
 
         return lambda z: (jac_std @ z + const_std, jac_dual @ z + const_dual, pullback, jacobian)
 
@@ -479,8 +476,9 @@ class ResidualNormObjective(DualFunction):
     quaternion vector branches on whether the stacked standard part is
     appreciable.  A group with a single residual is that residual's
     magnitude; a single group holding every residual is the 2-norm of the
-    whole residual vector.  Both stage hooks smooth the branch they are on
-    with the square-root softening ``sqrt(s + mu^2) - mu``.
+    whole residual vector.  The solver reads the stage systems; the
+    smoothed hooks ``*_value_grad`` (branch softened to ``sqrt(s + mu^2) -
+    mu``) are only gradient-checked by the self-test.
 
     The residuals share one type, whose ``stack(residuals)`` gives, once at
     construction, the evaluator ``z -> (r_std, r_dual, pullback, jacobian)``
@@ -488,7 +486,7 @@ class ResidualNormObjective(DualFunction):
     ``stack``, raise ``TypeError``.  Gradients are ``pullback(w_std,
     w_dual)``, the transposed residual Jacobians times per-row weights;
     value-only calls (``value_at``, ``branch_flags``) never call it, and only
-    :meth:`stage2_system` builds the sparse ``jacobian()``.
+    the stage systems ask for the sparse ``jacobian()``.
     """
 
     def __init__(self, arity: int, groups, tol: float = TOL_APPRECIABLE):
@@ -598,6 +596,22 @@ class ResidualNormObjective(DualFunction):
         r_std, _, _, _ = self._stack(np.asarray(z, dtype=np.float64))
         s_std = np.add.reduceat(r_std * r_std, self._starts)
         return tuple(bool(b) for b in np.sqrt(s_std) > self.tol)
+
+    def stage1_system(self, z):
+        """Stage-I rows ``(J, r, weights, groups)``: ``J^T W r`` is the standard gradient.
+
+        ``r`` are the standard residual rows (zero in a group at a kink,
+        ``|r_g| <= tol``, the zero subgradient) with sparse ``(k, 4n)``
+        standard-slot Jacobian ``J``; rows weigh ``1 / max(|r_g|, tol)``, so
+        ``J^T W J`` is the Hessian of the reweighted majorizer of ``sum_g
+        |r_g|``.  ``groups`` gives each group's first row, or ``None`` for
+        one group, which has the minimizer of ``|r|^2`` (Gauss-Newton).
+        """
+        r, _, _, jacobian = self._stack(z)
+        norms = np.sqrt(np.add.reduceat(r * r, self._starts))
+        weights = self._expand(1.0 / np.maximum(norms, self.tol))
+        r = r * self._expand(norms > self.tol)
+        return jacobian(), r, weights, self._starts if len(self.groups) > 1 else None
 
     def stage2_system(self, z, branches):
         """Stage-II rows: every residual's dual part, weighted per group.
@@ -777,6 +791,26 @@ class ConstraintBlock:
         weights = np.concatenate((unit.ravel(), v[self._a_row]))
         return np.bincount(self._pull_cols, weights, 4 * self.arity)
 
+    def project(self, z: np.ndarray) -> np.ndarray:
+        """``z`` with unit-row standard parts normalized, then anchored ones set to target."""
+        out = z.copy()
+        slots = self._u_slots[:, :4]
+        x = out[slots]
+        out[slots] = x / np.sqrt(np.sum(x * x, axis=1, keepdims=True))
+        out[self._a_coords[0]] = self._a_targets[0]
+        return out
+
+    def curvature(self, z: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """``x_i . grad_i`` per variable with a unit row (else 0), ``grad`` over the standard slots.
+
+        Along the unit sphere the Hessian of a function is the Euclidean one
+        minus ``(x_i . grad_i) I``.
+        """
+        out = np.zeros(self.arity)
+        x = z[self._u_slots[:, :4]]
+        out[self._u_var] = np.einsum("ij,ij->i", x, grad.reshape(-1, 4)[self._u_var])
+        return out
+
     def gram(self, z: np.ndarray) -> np.ndarray:
         """``G_i^T G_i`` per variable at ``z``, shape ``(n, 4, 4)``."""
         x2 = 2.0 * z[self._u_slots[:, :4]]
@@ -805,6 +839,8 @@ class _SquaredDistance(DualFunction):
         super().__init__(arity, declared_standard=True)
         self.center = center
         self.index = int(index)
+        cols = 4 * self.index + np.arange(4)
+        self._jac = sparse.csr_matrix((np.ones(4), cols, np.arange(5)), (4, 4 * self.arity))
 
     def value(self, values):
         d = values[self.index] - self.center
@@ -821,6 +857,11 @@ class _SquaredDistance(DualFunction):
         g_dual[s : s + 4] = 2.0 * dd
         g_dual[s + 4 : s + 8] = 2.0 * ds
         return g_std, g_dual
+
+    def stage1_system(self, z):
+        """``(J, r, 2, None)``, ``r = x_std - center_std``: the value is ``|r|^2``."""
+        s = 8 * self.index
+        return self._jac, z[s : s + 4] - self.center.std.as_array(), np.full(4, 2.0), None
 
 
 def squared_distance_objective(

@@ -21,12 +21,13 @@ unit-norm conditions and anchor rows, are the only kinds accepted (else
 ``TypeError``); one :class:`~dqopt.functions.ConstraintBlock` evaluates
 them for both stages, feasibility, dual projection and KKT analysis.
 
-Stage I runs an augmented-Lagrangian outer loop with an L-BFGS inner
-minimizer; nonsmooth magnitude objectives are smoothed with a decreasing
-schedule ``mu``.  Stage II is exact linear algebra.  With the standard
-coordinates fixed, every dual constraint row and every residual's dual
-part is affine in the dual coordinates, so the feasible set is an affine
-*dual fiber* and stage II is a weighted least-squares fit on it (see
+Stage I takes Gauss-Newton steps on the objective's residual rows in the
+tangent space of the unit-norm and anchor rows, with a Newton correction
+for sums of magnitudes, and keeps every iterate feasible (see
+:func:`solve_stage1`).  Stage II is exact linear algebra.  With the
+standard coordinates fixed, every dual constraint row and every residual's
+dual part is affine in the dual coordinates, so the feasible set is an
+affine *dual fiber* and stage II is a weighted least-squares fit on it (see
 :func:`solve_stage2`), with branches frozen at the stage-I point.
 Restarts draw independent unit starting points; stage II runs for the
 restarts tied at the least stage-I value, and the reported solution is
@@ -39,11 +40,10 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import minimize as _scipy_minimize
 from scipy.sparse.linalg import spsolve
 
 from .algebra import DualQuaternion, DualQuaternionVector, Quaternion
@@ -51,7 +51,6 @@ from .errors import (
     ArityMismatch,
     DegenerateConstraintGradients,
     Infeasible,
-    MaxIterations,
     NonStandardProblem,
 )
 from .functions import ConstraintBlock, DualFunction, pack, unpack
@@ -63,51 +62,33 @@ __all__ = [
     "SolveReport",
     "TraceRow",
     "KktInfo",
-    "mu_schedule_down_to",
     "solve_stage1",
     "solve_stage2",
     "solve_eqdqo",
-    "inner_solve",
     "kkt_analysis",
     "kkt_residual",
 ]
-
-_DEFAULT_MU = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
 
 #: Singular values below this fraction of the largest are treated as zero
 #: when ranking constraint-gradient systems.
 _RANK_RCOND = 1e-8
 
 
-def mu_schedule_down_to(mu_min: float, start: float = 1e-2, factor: float = 10.0):
-    """Smoothing schedule from ``start`` down to ``mu_min`` by ``factor``."""
-    if mu_min <= 0:
-        raise ValueError("mu_min must be positive")
-    out = []
-    mu = start
-    while mu > mu_min * (1.0 + 1e-12):
-        out.append(mu)
-        mu /= factor
-    out.append(mu_min)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Tuning knobs for the two-stage solver.
 
-    ``mu_schedule``, ``tol_grad`` and ``max_inner`` steer the stage-I
-    augmented-Lagrangian loop; ``max_outer`` caps its outer iterations and
-    the stage-II reweighted solves.
+    Stage I stops once the norm of its tangent gradient is at most
+    ``tol_grad``, or when no step lowers the standard value; ``max_outer``
+    caps its steps and the stage-II reweighted solves.  A restart's answer
+    counts only if every constraint row holds to ``tol_feas``.
     """
 
     restarts: int = 8
     seed: int = 0
     tol_grad: float = 1e-9
     tol_feas: float = 1e-9
-    mu_schedule: tuple[float, ...] = _DEFAULT_MU
     max_outer: int = 60
-    max_inner: int = 300
     threads: int = 1
 
     def __post_init__(self):
@@ -115,13 +96,7 @@ class SolverConfig:
             raise ValueError("restarts must be at least 1")
         if self.tol_grad <= 0 or self.tol_feas <= 0:
             raise ValueError("tolerances must be positive")
-        sched = tuple(float(m) for m in self.mu_schedule)
-        if not sched or any(m <= 0 for m in sched):
-            raise ValueError("mu_schedule must be nonempty and positive")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("mu_schedule must be strictly decreasing")
-        object.__setattr__(self, "mu_schedule", sched)
-        if self.max_outer < 1 or self.max_inner < 1:
+        if self.max_outer < 1:
             raise ValueError("iteration caps must be positive")
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
@@ -132,9 +107,7 @@ class SolverConfig:
             "seed": self.seed,
             "tol_grad": self.tol_grad,
             "tol_feas": self.tol_feas,
-            "mu_schedule": list(self.mu_schedule),
             "max_outer": self.max_outer,
-            "max_inner": self.max_inner,
             "threads": self.threads,
         }
 
@@ -148,9 +121,14 @@ class EqdqoProblem:
     that ignores the dual coordinates), because stage I runs over the
     standard coordinates alone; otherwise construction raises
     :class:`NonStandardProblem`.  :func:`dqopt.functions.check_standardness`
-    probes whether a declaration holds.  The constraints must be unit-norm
-    conditions and :func:`dqopt.functions.anchor_constraints` rows, which
-    ``block`` evaluates together; any other type raises ``TypeError``.
+    probes whether a declaration holds.  Stage I steps on the objective's
+    residual rows, so the objective must provide them through
+    ``stage1_system``, as :class:`~dqopt.functions.ResidualNormObjective`
+    and :func:`~dqopt.functions.squared_distance_objective` do.  The
+    constraints must be unit-norm conditions and
+    :func:`dqopt.functions.anchor_constraints` rows, which ``block``
+    evaluates together.  Any other objective or constraint raises
+    ``TypeError``.
     """
 
     objective: DualFunction
@@ -169,6 +147,11 @@ class EqdqoProblem:
                     f"{name} ({type(fn).__name__}) does not declare standard "
                     "structure; stage I would depend on the dual coordinates"
                 )
+        if not hasattr(self.objective, "stage1_system"):
+            raise TypeError(
+                f"objective ({type(self.objective).__name__}) has no residual rows "
+                "(stage1_system) for stage I"
+            )
         object.__setattr__(self, "block", ConstraintBlock(self.arity, self.constraints))
 
     @property
@@ -178,7 +161,11 @@ class EqdqoProblem:
 
 @dataclass(frozen=True)
 class TraceRow:
-    """One stage-I outer iteration or one stage-II solve, for convergence plots."""
+    """One stage-I step or one stage-II solve, for convergence plots.
+
+    ``kkt_residual`` is stage I's tangent gradient norm at the start of the
+    step, or stage II's normal-equation residual after the solve.
+    """
 
     iteration: int
     stage: int
@@ -255,10 +242,6 @@ class SolveReport:
         }
 
 
-# ---------------------------------------------------------------------------
-# Augmented-Lagrangian engine
-
-
 @dataclass
 class _StageOutcome:
     z: np.ndarray
@@ -266,138 +249,6 @@ class _StageOutcome:
     converged: bool
     grad_norm: float
     trace: list
-
-
-def _al_minimize(
-    start: np.ndarray,
-    objective_vg: Callable[[np.ndarray, int], tuple[float, np.ndarray]],
-    rows_fn: Callable[[np.ndarray], tuple[np.ndarray, Callable, np.ndarray]],
-    cfg: SolverConfig,
-    n_mu: int,
-    stage_label: int,
-    monitor: Callable[[np.ndarray], tuple[float, float, float]],
-) -> _StageOutcome:
-    """Generic equality-constrained minimization.
-
-    ``objective_vg(z, k)`` evaluates the (possibly smoothed) objective at
-    outer iteration ``k``; ``rows_fn`` returns constraint values, their
-    pullback ``v -> (gradient matrix)^T v``, and per-row tolerances;
-    ``monitor`` supplies exact objective parts and feasibility for the trace.
-    """
-    z = np.asarray(start, dtype=np.float64).copy()
-    values, _, tols = rows_fn(z)
-    lam = np.zeros(values.shape[0])
-    rho = 10.0
-    s_prev = math.inf
-    trace: list[TraceRow] = []
-    converged = False
-    grad_norm = math.inf
-    stall = 0
-    prev_obj = None
-    prev_z = None
-    outer = 0
-
-    for outer in range(cfg.max_outer):
-        k = outer
-        lam_k = lam
-        rho_k = rho
-
-        def al_fun(zz, _k=k, _lam=lam_k, _rho=rho_k):
-            f, g = objective_vg(zz, _k)
-            c, pullback, _ = rows_fn(zz)
-            if c.size:
-                mult = _lam + _rho * c
-                return f + _lam @ c + 0.5 * _rho * (c @ c), g + pullback(mult)
-            return f, g
-
-        gtol = max(cfg.tol_grad * 0.3, 0.05 * 0.2**outer)
-        res = _scipy_minimize(
-            al_fun,
-            z,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": cfg.max_inner, "ftol": 1e-18, "gtol": gtol, "maxcor": 20},
-        )
-        z = np.asarray(res.x, dtype=np.float64)
-
-        f, g = objective_vg(z, k)
-        values, pullback, tols = rows_fn(z)
-        lam_hat = lam + rho * values if values.size else lam
-        grad_l = g + pullback(lam_hat) if values.size else g
-        grad_norm = float(np.linalg.norm(grad_l))
-        feas_ok = bool(np.all(np.abs(values) <= tols)) if values.size else True
-        scaled = float(np.max(np.abs(values) / tols)) if values.size else 0.0
-
-        exact_std, exact_dual, exact_feas = monitor(z)
-        trace.append(
-            TraceRow(outer, stage_label, exact_std, exact_dual, exact_feas, grad_norm)
-        )
-
-        if feas_ok and grad_norm <= cfg.tol_grad and outer + 1 >= n_mu:
-            lam = lam_hat
-            converged = True
-            break
-
-        # Once mu is pinned and the iterate is feasible, stop if the inner
-        # solver can no longer move; rounding floors the gradient of tightly
-        # smoothed perfect-fit objectives above tol_grad.
-        if feas_ok and outer + 1 >= n_mu and prev_z is not None:
-            same_z = np.max(np.abs(z - prev_z)) <= 1e-11 * (1.0 + np.max(np.abs(z)))
-            same_f = abs(f - prev_obj) <= 1e-14 * (1.0 + abs(f))
-            stall = stall + 1 if (same_z and same_f) else 0
-            if stall >= 2:
-                lam = lam_hat
-                converged = True
-                break
-        prev_z = z.copy()
-        prev_obj = float(f)
-
-        if values.size and not (scaled <= max(1.0, 0.25 * s_prev)):
-            rho = min(rho * 10.0, 1e12)
-        else:
-            lam = lam_hat
-            s_prev = scaled
-
-    return _StageOutcome(z, outer + 1, converged, grad_norm, trace)
-
-
-def inner_solve(
-    objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    eq_constraints: Sequence[Callable[[np.ndarray], tuple[float, np.ndarray]]],
-    start: np.ndarray,
-    cfg: SolverConfig,
-) -> np.ndarray:
-    """Minimize a smooth real function subject to smooth equality constraints.
-
-    Augmented-Lagrangian outer loop, quasi-Newton inner minimization.  Each
-    callable returns ``(value, gradient)``.  Raises :class:`MaxIterations`
-    when the iteration caps are exhausted before the gradient and
-    feasibility tolerances are met.
-    """
-    start = np.asarray(start, dtype=np.float64)
-    constraints = list(eq_constraints)
-
-    def rows_fn(z):
-        vals = np.empty(len(constraints))
-        grads = np.empty((len(constraints), z.shape[0]))
-        for i, c in enumerate(constraints):
-            vals[i], grads[i] = c(z)
-        return vals, lambda v: grads.T @ v, np.full(len(constraints), cfg.tol_feas)
-
-    def monitor(z):
-        f, _ = objective(z)
-        vals, _, _ = rows_fn(z)
-        return f, 0.0, float(np.max(np.abs(vals))) if vals.size else 0.0
-
-    outcome = _al_minimize(
-        start, lambda z, k: objective(z), rows_fn, cfg, 1, 1, monitor
-    )
-    if not outcome.converged:
-        raise MaxIterations(
-            f"no convergence within {cfg.max_outer} outer iterations "
-            f"(grad norm {outcome.grad_norm:.3e})"
-        )
-    return outcome.z
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +276,20 @@ def _random_start(problem: EqdqoProblem, rng: np.random.Generator) -> np.ndarray
     return z
 
 
-def _dual_fiber(problem: EqdqoProblem, z: np.ndarray):
+def _dual_fiber(problem: EqdqoProblem, z: np.ndarray, dense_max: int = -1):
     """The dual rows' solution map and null space at the standard point of ``z``.
 
     Every row of the stage Jacobian ``G`` touches one variable, so one
     batched ``eigh`` of the ``(n, 4, 4)`` stack ``G_i^T G_i`` splits each
     variable's dual coordinates into ``G``'s row space and its null space
     (3 directions for a unit row alone, none for an anchored variable).
-    Returns ``(solve, null)``: ``solve(v)`` is the minimum-norm ``x`` with
-    ``G x = v`` (least squares when there is none), and ``null`` a sparse
-    ``(4n, k)`` orthonormal basis of the null space.
+    ``G`` is also the Jacobian of the standard rows over the standard
+    coordinates, so the null space is stage I's tangent space as well.
+    Returns ``(solve, null, var)``: ``solve(v)`` is the minimum-norm ``x``
+    with ``G x = v`` (least squares when there is none), ``null`` a
+    ``(4n, k)`` orthonormal basis of the null space, dense when ``k <=
+    dense_max`` and sparse otherwise, and ``var`` the variable of each of
+    its columns.
     """
     block = problem.block
     e, vecs = np.linalg.eigh(block.gram(z))
@@ -448,11 +303,13 @@ def _dual_fiber(problem: EqdqoProblem, z: np.ndarray):
     # One column per null eigenvector, its 4 entries in its variable's rows.
     var, col = np.nonzero(~rank)
     rows = (4 * var[:, None] + np.arange(4)).ravel()
-    null = sparse.csc_matrix(
-        (vecs[var, :, col].ravel(), rows, np.arange(0, rows.size + 1, 4)),
-        (4 * problem.arity, var.size),
-    )
-    return solve, null
+    vals, shape = vecs[var, :, col].ravel(), (4 * problem.arity, var.size)
+    if var.size <= dense_max:
+        null = np.zeros(shape)
+        null[rows, np.repeat(np.arange(var.size), 4)] = vals
+    else:
+        null = sparse.csc_matrix((vals, rows, np.arange(0, rows.size + 1, 4)), shape)
+    return solve, null, var
 
 
 def _project_duals(problem: EqdqoProblem, z: np.ndarray, tol: float) -> np.ndarray:
@@ -467,7 +324,7 @@ def _project_duals(problem: EqdqoProblem, z: np.ndarray, tol: float) -> np.ndarr
     _, h_d = problem.block.values(z)
     if np.max(np.abs(h_d), initial=0.0) <= tol:
         return z
-    solve, _ = _dual_fiber(problem, z)
+    solve, _, _ = _dual_fiber(problem, z)
     z[_part_indices(problem.arity, 1)] += solve(-h_d)
     return z
 
@@ -585,40 +442,137 @@ def kkt_residual(
 # ---------------------------------------------------------------------------
 # Stage drivers
 
+#: Stage-I systems with at most this many tangent directions are built and
+#: solved densely: for a hand-eye problem's 3 or 6, setting up
+#: ``scipy.sparse`` objects costs more than the solve, and dense solves stay
+#: faster up to pose graphs of about 40 vertices (3 directions per vertex).
+#: Larger ones stay sparse.
+_DENSE_MAX = 128
+
+#: Levenberg-Marquardt damping as a multiple of the largest diagonal entry
+#: of the reduced normal matrix: the floor keeps a rank-deficient matrix
+#: invertible, and beyond the cap no descent step is sought.
+_DAMP_FLOOR = 1e-12
+_DAMP_CAP = 1e4
+
+#: Relative change of the standard value that is rounding, not progress:
+#: residual rows carry absolute rounding errors near 1e-16, so a value summed
+#: from magnitudes near 1e-4 is uncertain to about 1e-12 of itself.
+_ROUNDING = 1e-12
+
+#: Weight factor that pins a magnitude at its kink in the Newton step.
+_PIN = 1e8
+
+
+def _reduced_solve(h, shift, rhs: np.ndarray) -> np.ndarray:
+    """``(h + diag(shift))^{-1} rhs`` for a dense or sparse ``h``; ``shift`` may be a scalar."""
+    shift = np.broadcast_to(shift, rhs.shape)
+    if sparse.issparse(h):
+        return spsolve((h + sparse.diags(shift)).tocsc(), rhs)
+    return np.linalg.solve(h + np.diag(shift), rhs)
+
+
+def _scale_rows(b, v: np.ndarray):
+    """``diag(v) @ b`` for a dense or sparse ``b``."""
+    return sparse.diags(v) @ b if sparse.issparse(b) else v[:, None] * b
+
+
+def _newton_step(b, r, w, starts, grad, h, shift):
+    """Stage-I Newton step: ``(h + diag(shift)) y = -grad``, ``h = b^T W b``, ``grad = b^T W r``.
+
+    For a sum of magnitudes (group ``starts`` given), each group's radial
+    part ``c_g^T c_g``, ``c_g = r_g^T b_g / |r_g|^(3/2)``, leaves ``h``:
+    ``|r_g|`` is flat along ``r_g``.  A group the step would carry through
+    zero (``|r_g|^(1/2) + c_g y < 0``) is pinned instead, its rows weighted
+    ``_PIN`` times more so that the next solve puts it at its kink.
+    """
+    if starts is None:
+        return _reduced_solve(h, shift, -grad)
+    group = np.repeat(np.arange(starts.size), np.diff(np.append(starts, r.size)))
+    norms = np.sqrt(np.add.reduceat(r * r, starts))
+    inv = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 0.0)
+    scaled = _scale_rows(b, r * inv[group] ** 1.5)
+    if sparse.issparse(scaled):
+        sums = (np.ones(r.size), np.arange(r.size), np.append(starts, r.size))
+        c = sparse.csr_matrix(sums, (starts.size, r.size)) @ scaled
+    else:
+        c = np.add.reduceat(scaled, starts)
+    pinned = np.zeros(starts.size, dtype=bool)
+    while True:
+        newton = (norms > 0) & ~pinned
+        extra = (_PIN - 1.0) * w * pinned[group]
+        c_n = c[newton]
+        model = h - c_n.T @ c_n + b.T @ _scale_rows(b, extra)
+        y = _reduced_solve(model, shift, -(grad + b.T @ (extra * r)))
+        through = newton & (np.sqrt(norms) + c @ y < 0)
+        if not through.any():
+            return y
+        pinned |= through
+
 
 def _stage1_point(problem: EqdqoProblem, cfg: SolverConfig, z0: np.ndarray):
     """Stage I from ``z0``, then its dual coordinates projected onto the dual rows.
 
-    The smoothed standard part is minimized over the standard coordinates
-    against the standard part of every constraint row.  The dual
-    coordinates keep the hint from the starting point until the projection.
+    Returns ``(z1, outcome)`` with one trace row per step; see
+    :func:`solve_stage1` for the steps.  The dual coordinates keep the hint
+    from the starting point until the projection.
     """
-    n_mu = len(cfg.mu_schedule)
-    idx = _part_indices(problem.arity, 0)
-    tols = np.full(problem.block.size, cfg.tol_feas)
+    obj, block = problem.objective, problem.block
+    std = _part_indices(problem.arity, 0)
+    z = block.project(z0)
+    v = obj.value_at(z)
+    damp, prev_grad, flat, converged = _DAMP_FLOOR, math.inf, False, False
+    trace = []
 
-    def embed(x):
-        full = z0.copy()
-        full[idx] = x
-        return full
+    def trial(y):
+        moved = z.copy()
+        moved[std] += basis @ y
+        moved = block.project(moved)
+        return moved, obj.value_at(moved)
 
-    def block_vg(x, k):
-        f, g = problem.objective.stage1_value_grad(embed(x), cfg.mu_schedule[min(k, n_mu - 1)])
-        return f, g[idx]
-
-    def rows_fn(x):
-        full = embed(x)
-        h, _ = problem.block.values(full)
-        return h, lambda v: problem.block.pullback(full, v), tols
-
-    def monitor(x):
-        full = embed(x)
-        v = problem.objective.value_at(full)
-        return v.std, v.dual, max(_feasibility(problem, full))
-
-    outcome = _al_minimize(z0[idx], block_vg, rows_fn, cfg, n_mu, 1, monitor)
-    outcome.z = embed(outcome.z)
-    return _project_duals(problem, outcome.z, cfg.tol_feas * 0.1), outcome
+    for it in range(cfg.max_outer):
+        jac, r, w, groups = obj.stage1_system(z)
+        _, basis, var = _dual_fiber(problem, z, _DENSE_MAX)
+        b = jac @ basis
+        wr = w * r
+        grad = b.T @ wr
+        grad_norm = float(np.linalg.norm(grad))
+        trace.append(TraceRow(it, 1, v.std, v.dual, max(_feasibility(problem, z)), grad_norm))
+        # Once the value is flat to rounding, only a falling gradient shows progress.
+        if grad_norm <= cfg.tol_grad or (flat and grad_norm >= prev_grad):
+            converged = True
+            break
+        prev_grad = grad_norm
+        h = b.T @ _scale_rows(b, w)
+        scale = float(np.max(h.diagonal(), initial=0.0)) or 1.0
+        rounding = v.std + _ROUNDING * abs(v.std)
+        curv = block.curvature(z, jac.T @ wr)
+        shift = _DAMP_FLOOR * scale - curv[var]
+        try:
+            y = _newton_step(b, r, w, groups, grad, h, shift)
+        except np.linalg.LinAlgError:
+            y = np.full_like(grad, np.nan)
+        step = None
+        if grad @ y < 0:
+            moved, moved_v = trial(y)
+            if moved_v.std <= rounding:
+                step = moved, moved_v
+        while step is None and damp <= _DAMP_CAP:
+            moved, moved_v = trial(_reduced_solve(h, damp * scale, -grad))
+            if moved_v.std < v.std:
+                step = moved, moved_v
+                damp = max(damp / 10.0, _DAMP_FLOOR)
+            elif moved_v.std <= rounding:
+                break
+            else:
+                damp *= 10.0
+        if step is None:
+            converged = True
+            break
+        flat = not step[1].std < v.std
+        z, v = step
+    outcome = _StageOutcome(z, it + 1, converged, grad_norm, trace)
+    return _project_duals(problem, z, cfg.tol_feas * 0.1), outcome
 
 
 def _stage2(
@@ -639,7 +593,7 @@ def _stage2(
     z = z1.copy()
     z[dual] = 0.0
     _, h_d0 = problem.block.values(z)
-    solve, null = _dual_fiber(problem, z)
+    solve, null, _ = _dual_fiber(problem, z)
     x_p = solve(-h_d0)
     z[dual] = x_p
     a, r_p, weights = problem.objective.stage2_system(z, branches)
@@ -804,9 +758,19 @@ def solve_stage1(
 ) -> Stage1Result:
     """Stage I alone: minimize the standard part over restarts.
 
-    The dual coordinates are dropped during the minimization and
-    afterwards chosen feasible for the dual constraint rows.  Raises
-    :class:`Infeasible` when no restart reaches feasibility.
+    Each restart starts from its point put on the standard rows and steps
+    in their tangent space ``N`` (per variable, 3 orthonormal directions on
+    a unit sphere, none if anchored).  With the objective's residual rows
+    ``r``, Jacobian ``J``, row weights ``W`` and ``B = J N``, ``g = B^T W
+    r`` is the tangent gradient.  A step first tries the Newton model
+    (:func:`_newton_step`, with each unit row's curvature), then
+    Levenberg-Marquardt steps on ``B^T W B`` until the exact standard value
+    falls; ``y`` moves to ``x + N y`` put back on the rows, so every
+    iterate is feasible.  Stage I stops when ``|g| <= tol_grad``, when no
+    step lowers the value (or, with the value flat to rounding, ``|g|``
+    stops falling), or after ``max_outer`` steps.  The dual coordinates
+    are then chosen feasible for the dual rows.  Raises :class:`Infeasible`
+    when no restart reaches feasibility.
     """
     cfg = cfg or SolverConfig()
     value, r, z1, outcome, feas = _stage1_restarts(problem, cfg, initial)[0]

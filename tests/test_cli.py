@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from dqopt.cli import main
 
 
@@ -149,9 +147,10 @@ def test_solver_failure_exits_1(tmp_path, capsys):
     ds = tmp_path / "ds.json"
     assert main(["gen-handeye", "--model", "axxb", "--motions", "4",
                  "--noise-rot", "0.05", "--seed", "3", "--out", str(ds)]) == 0
+    # every stage-I iterate is feasible up to rounding, which leaves these
+    # restarts' unit rows about 1e-16 away from zero: above a 1e-300 tolerance
     rc = main(_solve_args(ds, tmp_path / "r.json",
-                          ["--restarts", "2", "--max-outer", "1",
-                           "--max-inner", "2", "--tol-feas", "1e-13"]))
+                          ["--restarts", "2", "--max-outer", "1", "--tol-feas", "1e-300"]))
     assert rc == 1
     assert "no feasible candidate" in capsys.readouterr().err
 
@@ -211,15 +210,3 @@ def test_report_prints_to_stdout_without_out(tmp_path, capsys):
     assert main(["solve-handeye", "--in", str(ds), "--restarts", "2"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert set(data) >= {"stage1_value", "stage2_value", "solution", "config"}
-
-
-def test_mu_min_flag_maps_to_schedule(tmp_path):
-    ds = tmp_path / "ds.json"
-    assert main(["gen-handeye", "--model", "axxb", "--motions", "3",
-                 "--seed", "4", "--out", str(ds)]) == 0
-    rep = tmp_path / "r.json"
-    assert main(_solve_args(ds, rep, ["--restarts", "2", "--mu-min", "1e-7"])) == 0
-    sched = json.loads(rep.read_text())["config"]["mu_schedule"]
-    assert min(sched) == pytest.approx(1e-7)
-    assert main(_solve_args(ds, tmp_path / "r2.json",
-                            ["--restarts", "2", "--mu-min", "0"])) == 2

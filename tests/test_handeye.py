@@ -158,7 +158,7 @@ def test_rotation_angle_between():
     assert rotation_angle_between(q, -q) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_parallel_axes_warn():
+def _parallel_axes_dataset():
     # every relative motion about the same axis leaves the problem degenerate
     rot = Quaternion.exp_axis_angle(0.5, Quaternion(0, 0, 0, 1))
     poses_a = [Pose(Quaternion.identity(), (0, 0, 0))]
@@ -166,9 +166,25 @@ def test_parallel_axes_warn():
     for k in range(4):
         poses_a.append(poses_a[-1].compose(Pose(rot, (0.1 * k, 0, 0))))
         poses_b.append(poses_b[-1].compose(Pose(rot, (0, 0.1 * k, 0))))
-    ds = HandEyeDataset("axxb", poses_a, poses_b)
+    return HandEyeDataset("axxb", poses_a, poses_b)
+
+
+def test_parallel_axes_warn():
     with pytest.warns(RuntimeWarning):
-        build_axxb(ds)
+        build_axxb(_parallel_axes_dataset())
+
+
+def test_parallel_axes_solve_despite_a_singular_normal_matrix():
+    # a whole circle of rotations fits exactly, so the stage-I normal matrix
+    # is singular along it; the damped step must not raise
+    with pytest.warns(RuntimeWarning):
+        problem = build_axxb(_parallel_axes_dataset())
+    report = solve_eqdqo(problem, SolverConfig())
+    z = pack(list(report.solution))
+    assert np.all(np.isfinite(z))
+    assert abs(np.linalg.norm(z[:4]) - 1.0) <= 1e-12
+    assert max(report.feasibility.values()) <= 1e-9
+    assert report.stage1_value <= 1e-9
 
 
 def test_too_few_motions():

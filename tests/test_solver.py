@@ -12,11 +12,10 @@ from dqopt import (
     build_pgo,
     generate_cycle_graph,
     generate_synthetic,
-    inner_solve,
     kkt_analysis,
     kkt_residual,
-    mu_schedule_down_to,
     pack,
+    scalar_power,
     solve_eqdqo,
     solve_stage1,
     solve_stage2,
@@ -26,7 +25,6 @@ from dqopt import (
 from dqopt.errors import (
     DegenerateConstraintGradients,
     Infeasible,
-    MaxIterations,
     NonStandardProblem,
 )
 from helpers import LeakyFunction, covering_radius, grid_min_stage1, super_fibonacci_grid
@@ -78,6 +76,13 @@ def test_problem_rejects_non_standard_constraint():
     objective = squared_distance_objective(DualQuaternion.identity())
     with pytest.raises(NonStandardProblem, match="constraint 1 .*LeakyFunction"):
         EqdqoProblem(objective, (unit_norm_constraint(1, 0), LeakyFunction()))
+
+
+def test_problem_rejects_an_objective_without_residual_rows():
+    # standard, but stage I has no residual rows to take steps on
+    squared = scalar_power(squared_distance_objective(DualQuaternion.identity()), 2)
+    with pytest.raises(TypeError, match="objective .*_ScalarPower"):
+        EqdqoProblem(squared, (unit_norm_constraint(1, 0),))
 
 
 def test_problem_rejects_a_constraint_that_is_not_a_unit_or_anchor_row():
@@ -282,52 +287,16 @@ def test_trace_rows_are_labeled_and_feasible_at_the_end():
     assert last_stage1.feasibility <= 1e-9
 
 
-def test_inner_solve_plain_quadratic():
-    # min |z - 3|^2 with one linear constraint z_0 = 1
-    def obj(z):
-        d = z - 3.0
-        return float(d @ d), 2.0 * d
-
-    def con(z):
-        g = np.zeros(4)
-        g[0] = 1.0
-        return float(z[0] - 1.0), g
-
-    z = inner_solve(obj, [con], np.zeros(4), SolverConfig(restarts=1))
-    assert np.allclose(z, [1.0, 3.0, 3.0, 3.0], atol=1e-6)
-
-
-def test_inner_solve_max_iterations():
-    def obj(z):
-        d = z - 3.0
-        return float(d @ d), 2.0 * d
-
-    def con(z):
-        g = np.zeros(4)
-        g[0] = 1.0
-        return float(z[0] - 1.0), g
-
-    tiny = SolverConfig(restarts=1, max_outer=1, max_inner=1, tol_grad=1e-14, tol_feas=1e-14)
-    with pytest.raises(MaxIterations):
-        inner_solve(obj, [con], np.full(4, 50.0), tiny)
-
-
-def test_mu_schedule_builder():
-    sched = mu_schedule_down_to(1e-5)
-    assert sched[0] == pytest.approx(1e-2)
-    assert sched[-1] == pytest.approx(1e-5)
-    assert all(a > b for a, b in zip(sched, sched[1:]))
-    with pytest.raises(ValueError):
-        mu_schedule_down_to(0.0)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
     with pytest.raises(ValueError):
         SolverConfig(tol_grad=-1.0)
-    with pytest.raises(ValueError):
+    # stage I takes Gauss-Newton steps: there is no smoothing schedule or inner solver to set
+    with pytest.raises(TypeError):
         SolverConfig(mu_schedule=(1e-3, 1e-2))
+    with pytest.raises(TypeError):
+        SolverConfig(max_inner=300)
     # stage II cannot move the standard value, so there is no band width to set
     with pytest.raises(TypeError):
         SolverConfig(tau_l=1e-6)

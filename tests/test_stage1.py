@@ -1,0 +1,72 @@
+"""Stage I as second-order steps on the unit-quaternion tangent space."""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import dqopt
+import dqopt.solver as solver
+from dqopt import (
+    SolverConfig,
+    build_axxb,
+    build_axyb,
+    build_pgo,
+    generate_cycle_graph,
+    generate_synthetic,
+    solve_eqdqo,
+    solve_stage1,
+    spanning_tree_guess,
+)
+
+SEEDS = range(3)
+SIGMA = 0.01
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_noisy_pose_graph_stage1_is_stationary_within_ten_steps(seed):
+    g = generate_cycle_graph(20, loop_closures=6, noise_rot=SIGMA, noise_trans=SIGMA, seed=seed)
+    guess = [u.as_dual_quaternion() for u in spanning_tree_guess(g)]
+    report = solve_eqdqo(build_pgo(g), SolverConfig(restarts=1, seed=0), initial=guess)
+    assert report.kkt_residual["stage1"] <= 1e-8
+    assert report.iterations["stage1"] <= 10
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_noisy_axxb_stage1_is_stationary(seed):
+    # a reweighted least-squares step alone converges linearly and stalls
+    # near 1e-7 once the value no longer resolves its decrease
+    ds = generate_synthetic("axxb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=seed)
+    report = solve_eqdqo(build_axxb(ds), SolverConfig(restarts=8, seed=0))
+    assert report.kkt_residual["stage1"] <= 1e-8
+
+
+def test_importing_the_cli_loads_no_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dqopt.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, dqopt.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("kind", ["axyb", "pgo"])
+def test_sparse_systems_take_the_steps_of_dense_ones(kind, monkeypatch):
+    # small systems are solved densely and large ones sparsely; force the
+    # sparse path on a small problem and compare
+    if kind == "pgo":
+        g = generate_cycle_graph(12, loop_closures=4, noise_rot=SIGMA, noise_trans=SIGMA, seed=5)
+        problem = build_pgo(g)
+        initial = [u.as_dual_quaternion() for u in spanning_tree_guess(g)]
+    else:
+        ds = generate_synthetic("axyb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=5)
+        problem, initial = build_axyb(ds), None
+    cfg = SolverConfig(restarts=2, seed=0)
+    dense = solve_stage1(problem, cfg, initial)
+    monkeypatch.setattr(solver, "_DENSE_MAX", -1)
+    sparse = solve_stage1(problem, cfg, initial)
+    assert sparse.iterations == dense.iterations
+    assert sparse.value == pytest.approx(dense.value, rel=1e-12)
+    assert np.max(np.abs(sparse.z - dense.z)) <= 1e-9
