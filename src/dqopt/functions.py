@@ -734,8 +734,8 @@ class ConstraintBlock:
     standard coordinates equals that of ``h_d`` over the dual ones: the
     *stage Jacobian* ``G``, shape ``(m, 4n)``, column ``4i + c`` for
     coefficient ``c`` of variable ``i``.  Every row touches one variable,
-    so ``G`` is block diagonal by variable: :meth:`pullback` and
-    :meth:`gram` use that and never form it.
+    so ``G`` is block diagonal by variable: :meth:`pullback`,
+    :meth:`apply` and :meth:`gram` use that and never form it.
     """
 
     def __init__(self, arity: int, constraints: Sequence[DualFunction]):
@@ -753,16 +753,15 @@ class ConstraintBlock:
         self._u_var = np.array([c.index for _, c in units], dtype=np.intp)
         u_var = self._u_var.reshape(-1, 1)
         self._u_slots = 8 * u_var + np.arange(8)
-        self._g_flat = 4 * (self.arity * self._u_row[:, None] + u_var) + np.arange(4)
         self._a_row = np.array([j for j, _ in anchors], dtype=np.intp)
         self._a_var = np.array([c.index for _, c in anchors], dtype=np.intp)
         self._a_comp = np.array([c.component for _, c in anchors], dtype=np.intp)
         a_var, a_comp = self._a_var, self._a_comp
         self._a_coords = np.stack((8 * a_var + a_comp, 8 * a_var + 4 + a_comp))
         self._a_targets = np.array([(c._t_std, c._t_dual) for _, c in anchors]).reshape(-1, 2).T
-        self._g_anchor = 4 * (self.arity * self._a_row + a_var) + a_comp
+        self._a_cols = 4 * a_var + a_comp
         # Columns of G^T v, unit rows' four then the anchors', for one bincount.
-        self._pull_cols = np.concatenate(((4 * u_var + np.arange(4)).ravel(), 4 * a_var + a_comp))
+        self._pull_cols = np.concatenate(((4 * u_var + np.arange(4)).ravel(), self._a_cols))
 
     def values(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(h, h_d)`` at ``z``, without any Jacobian."""
@@ -777,19 +776,19 @@ class ConstraintBlock:
             vals[:, self._a_row] = z[self._a_coords] - self._a_targets
         return vals[0], vals[1]
 
-    def stage_rows(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(h, h_d, G)`` at ``z``; see the class notes for ``G``."""
-        h, h_d = self.values(z)
-        g = np.zeros((self.size, 4 * self.arity))
-        g.reshape(-1)[self._g_flat] = 2.0 * z[self._u_slots[:, :4]]
-        g.reshape(-1)[self._g_anchor] = 1.0
-        return h, h_d, g
-
     def pullback(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``G^T v`` at ``z``: ``2 x_k v_k`` per unit row plus ``v`` per anchor row."""
         unit = 2.0 * z[self._u_slots[:, :4]] * v[self._u_row, None]
         weights = np.concatenate((unit.ravel(), v[self._a_row]))
         return np.bincount(self._pull_cols, weights, 4 * self.arity)
+
+    def apply(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``G u`` at ``z``: ``2 x_i . u_i`` per unit row, the anchored entry of ``u`` per anchor row."""
+        out = np.empty(self.size)
+        x = z[self._u_slots[:, :4]]
+        out[self._u_row] = 2.0 * np.einsum("ij,ij->i", x, u.reshape(-1, 4)[self._u_var])
+        out[self._a_row] = u[self._a_cols]
+        return out
 
     def project(self, z: np.ndarray) -> np.ndarray:
         """``z`` with unit-row standard parts normalized, then anchored ones set to target."""
@@ -818,18 +817,6 @@ class ConstraintBlock:
         np.add.at(out, self._u_var, x2[:, :, None] * x2[:, None, :])
         np.add.at(out, (self._a_var, self._a_comp, self._a_comp), 1.0)
         return out
-
-    def rows(self, z: np.ndarray):
-        """``(h, h_d, J_s, J_d)`` at ``z``, Jacobians over all ``8n`` coordinates."""
-        h, h_d = self.values(z)
-        zz = z[self._u_slots]
-        j_s = np.zeros((self.size, 8 * self.arity))
-        j_d = np.zeros_like(j_s)
-        row, std, dual = self._u_row[:, None], self._u_slots[:, :4], self._u_slots[:, 4:]
-        j_s[row, std] = j_d[row, dual] = 2.0 * zz[:, :4]
-        j_d[row, std] = 2.0 * zz[:, 4:]
-        j_s[self._a_row, self._a_coords[0]] = j_d[self._a_row, self._a_coords[1]] = 1.0
-        return h, h_d, j_s, j_d
 
 
 class _SquaredDistance(DualFunction):

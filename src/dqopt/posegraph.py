@@ -249,8 +249,10 @@ def build_pgo(graph: PoseGraph) -> EqdqoProblem:
     """Problem: minimize the 2-norm of all edge errors over unit poses.
 
     One norm group holds every residual (a genuine vector 2-norm, not a
-    sum of magnitudes).  Constraints: one unit condition per vertex plus
-    the identity anchor on vertex 1.  Raises :class:`DisconnectedGraph`
+    sum of magnitudes).  Constraints: the identity anchor on vertex 1 and
+    one unit condition per other vertex; vertex 1 gets none, because its
+    anchor implies it and a fifth row on its 4 coordinates would make the
+    constraint gradients dependent.  Raises :class:`DisconnectedGraph`
     when some vertex is unreachable and :class:`TooFewMotions` when the
     graph has no edges.
     """
@@ -265,7 +267,7 @@ def build_pgo(graph: PoseGraph) -> EqdqoProblem:
         for e in graph.sorted_edges()
     ]
     objective = ResidualNormObjective(graph.n, [residuals])
-    constraints = [UnitNormConstraint(graph.n, k) for k in range(graph.n)]
+    constraints = [UnitNormConstraint(graph.n, k) for k in range(1, graph.n)]
     constraints.extend(anchor_constraints(graph.n, 0, DualQuaternion.identity()))
     return EqdqoProblem(objective, tuple(constraints))
 

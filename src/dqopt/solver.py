@@ -211,7 +211,11 @@ class SolveReport:
 
     ``stage1_value`` and ``stage2_value`` are the standard and dual parts
     of the exact objective recomputed at the reported solution, so the pair
-    is the dual-number objective value at ``solution``.
+    is the dual-number objective value at ``solution``.  ``multipliers``
+    and ``kkt_residual`` come from :func:`kkt_analysis`: ``"lambda"`` and
+    ``"stage1"`` at the stage-I point, ``"mu"`` and ``"stage2"`` at the
+    solution.  ``degenerate`` is true when the constraint gradients there
+    are linearly dependent, so the multipliers are not unique.
     """
 
     stage1_value: float
@@ -234,6 +238,7 @@ class SolveReport:
             "solution": self.solution.to_json_list(),
             "multipliers": dict(self.multipliers),
             "kkt_residual": dict(self.kkt_residual),
+            "degenerate": self.degenerate,
             "feasibility": dict(self.feasibility),
             "iterations": dict(self.iterations),
             "restart_index": self.restart_index,
@@ -276,30 +281,40 @@ def _random_start(problem: EqdqoProblem, rng: np.random.Generator) -> np.ndarray
     return z
 
 
-def _dual_fiber(problem: EqdqoProblem, z: np.ndarray, dense_max: int = -1):
-    """The dual rows' solution map and null space at the standard point of ``z``.
+def _gram_pinv(block: ConstraintBlock, z: np.ndarray):
+    """``(pinv, rank, vecs)`` of the stage Jacobian's Gram matrix ``G^T G`` at ``z``.
 
-    Every row of the stage Jacobian ``G`` touches one variable, so one
-    batched ``eigh`` of the ``(n, 4, 4)`` stack ``G_i^T G_i`` splits each
-    variable's dual coordinates into ``G``'s row space and its null space
-    (3 directions for a unit row alone, none for an anchored variable).
-    ``G`` is also the Jacobian of the standard rows over the standard
-    coordinates, so the null space is stage I's tangent space as well.
-    Returns ``(solve, null, var)``: ``solve(v)`` is the minimum-norm ``x``
-    with ``G x = v`` (least squares when there is none), ``null`` a
-    ``(4n, k)`` orthonormal basis of the null space, dense when ``k <=
-    dense_max`` and sparse otherwise, and ``var`` the variable of each of
-    its columns.
+    Every row of ``G`` touches one variable, so ``G^T G`` is block diagonal
+    and one batched ``eigh`` of the ``(n, 4, 4)`` stack ``G_i^T G_i`` factors
+    it.  ``pinv(u)`` is ``(G^T G)^+ u`` for a ``4n`` vector ``u``; ``rank``
+    marks each block's eigenvalues above ``_RANK_RCOND`` of its largest, and
+    ``vecs`` holds the eigenvectors as columns.
     """
-    block = problem.block
     e, vecs = np.linalg.eigh(block.gram(z))
     rank = e > _RANK_RCOND * e[:, -1:]
     inv = np.where(rank, 1.0 / np.where(rank, e, 1.0), 0.0)
 
-    def solve(v):
-        coef = (block.pullback(z, v).reshape(-1, 1, 4) @ vecs)[:, 0] * inv
+    def pinv(u):
+        coef = (u.reshape(-1, 1, 4) @ vecs)[:, 0] * inv
         return (vecs @ coef[..., None]).ravel()
 
+    return pinv, rank, vecs
+
+
+def _dual_fiber(problem: EqdqoProblem, z: np.ndarray, dense_max: int = -1):
+    """Gram pseudo-inverse and null space of the dual rows at the standard point of ``z``.
+
+    :func:`_gram_pinv` splits each variable's dual coordinates into the
+    row space of the stage Jacobian ``G`` and its null space (3 directions
+    for a unit row alone, none for an anchored variable).  ``G`` is also
+    the Jacobian of the standard rows over the standard coordinates, so the
+    null space is stage I's tangent space as well.  Returns ``(pinv, null,
+    var)``: ``pinv(G^T v)`` is the minimum-norm ``x`` with ``G x = v``
+    (least squares when there is none), ``null`` a ``(4n, k)`` orthonormal
+    basis of the null space, dense when ``k <= dense_max`` and sparse
+    otherwise, and ``var`` the variable of each of its columns.
+    """
+    pinv, rank, vecs = _gram_pinv(problem.block, z)
     # One column per null eigenvector, its 4 entries in its variable's rows.
     var, col = np.nonzero(~rank)
     rows = (4 * var[:, None] + np.arange(4)).ravel()
@@ -309,23 +324,23 @@ def _dual_fiber(problem: EqdqoProblem, z: np.ndarray, dense_max: int = -1):
         null[rows, np.repeat(np.arange(var.size), 4)] = vals
     else:
         null = sparse.csc_matrix((vals, rows, np.arange(0, rows.size + 1, 4)), shape)
-    return solve, null, var
+    return pinv, null, var
 
 
 def _project_duals(problem: EqdqoProblem, z: np.ndarray, tol: float) -> np.ndarray:
     """Move the dual coordinates onto the dual rows ``h_d = 0``.
 
     Every dual row is linear in the dual coordinates, with the stage
-    Jacobian as its slope, so one minimum-norm step from
-    :func:`_dual_fiber` solves them exactly.  A point already within
-    ``tol`` is not moved.
+    Jacobian ``G`` as its slope, so one minimum-norm step, ``(G^T G)^+ G^T
+    (-h_d)`` from :func:`_gram_pinv`, solves them exactly.  A point already
+    within ``tol`` is not moved.
     """
     z = z.copy()
     _, h_d = problem.block.values(z)
     if np.max(np.abs(h_d), initial=0.0) <= tol:
         return z
-    solve, _, _ = _dual_fiber(problem, z)
-    z[_part_indices(problem.arity, 1)] += solve(-h_d)
+    pinv, _, _ = _gram_pinv(problem.block, z)
+    z[_part_indices(problem.arity, 1)] += pinv(problem.block.pullback(z, -h_d))
     return z
 
 
@@ -337,15 +352,15 @@ def _project_duals(problem: EqdqoProblem, z: np.ndarray, tol: float) -> np.ndarr
 class KktInfo:
     """Stationarity residual with recovered multipliers.
 
-    ``lambdas`` pair with the standard constraint rows, ``mus`` with the
-    dual rows (internal; zero-length for stage I), ``sigma`` with the
-    stage-II band on the standard objective value.
+    Stage I fills ``lambdas``, one per standard constraint row, and leaves
+    ``mus`` empty; stage II fills ``mus``, one per dual row, and leaves
+    ``lambdas`` empty.  ``degenerate`` is true when multipliers were
+    recovered and the constraint gradients are linearly dependent.
     """
 
     residual: float
     lambdas: tuple[float, ...]
     mus: tuple[float, ...]
-    sigma: float
     degenerate: bool
 
 
@@ -374,43 +389,38 @@ def kkt_analysis(
     stage: int = 1,
     multipliers: dict | None = None,
 ) -> KktInfo:
-    """Least-squares multiplier recovery and stationarity residual.
+    """Multipliers and stationarity residual of one stage, over the coordinates it moves.
 
-    Stage I: ``grad f + sum lambda_j grad h_j`` over all coordinates.
-    Stage II: ``grad f_d + sigma grad f + sum lambda_j grad h_j +
-    sum mu_j grad (h_j)_d``; the ``mu_j`` columns are internal.  Piecewise
-    gradients use the zero subgradient at kinks.  Supplied ``multipliers``
-    must hold one ``lambda`` and, when given, one ``mu`` per constraint
-    (``mu`` defaults to zeros, ``sigma`` to 0); otherwise ``ValueError``.
+    There the stage Jacobian ``G`` of the constraint block is every row's
+    gradient.  Stage I: ``t + G^T lambda`` with ``t = grad f`` over the
+    standard coordinates.  Stage II: ``t + G^T mu`` with ``t = grad f_d``
+    over the dual ones.  Unless supplied, the multipliers are the
+    minimum-norm least-squares ones ``-G (G^T G)^+ t``, from the
+    per-variable Gram blocks of :func:`_gram_pinv`.  Supplied
+    ``multipliers`` must hold one ``lambda`` (stage I) or ``mu`` (stage II)
+    per constraint, else ``ValueError``.  Piecewise gradients use the zero
+    subgradient at kinks.
     """
     if stage not in (1, 2):
         raise ValueError("stage must be 1 or 2")
     z = _point_to_z(point, problem.arity)
-    g_std, g_dual = problem.objective.gradient_at(z)
-    _, _, j_s, j_d = problem.block.rows(z)
-    m = problem.block.size
-    target = g_std if stage == 1 else g_dual
-    rows = (j_s,) if stage == 1 else (j_s, j_d, g_std[None])
-    # One column per multiplier, in C order: the layout fixes the summation
-    # order of ``a @ sol`` and so the last bits of the reported residual.
-    a = np.empty((z.shape[0], sum(r.shape[0] for r in rows)))
-    np.concatenate(rows, out=a.T)
-
+    block = problem.block
+    part = stage - 1
+    target = problem.objective.gradient_at(z)[part][_part_indices(problem.arity, part)]
     if multipliers is None:
-        sol, _, rank, _ = np.linalg.lstsq(a, -target, rcond=_RANK_RCOND)
-        degenerate = rank < a.shape[1]
+        pinv, rank, _ = _gram_pinv(block, z)
+        mult = -block.apply(z, pinv(target))
+        degenerate = int(np.count_nonzero(rank)) < block.size
     else:
-        lam = _supplied(multipliers.get("lambda", ()), "lambda", m)
-        mus = _supplied(multipliers.get("mu", np.zeros(m)), "mu", m)
-        sigma = float(multipliers.get("sigma", 0.0))
-        sol = np.concatenate((lam, mus, [sigma]))[: a.shape[1]]
+        name = ("lambda", "mu")[part]
+        mult = _supplied(multipliers.get(name, ()), name, block.size)
         degenerate = False
-    resid = target + a @ sol
+    resid = target + block.pullback(z, mult)
+    mult = tuple(float(v) for v in mult)
     return KktInfo(
         float(np.linalg.norm(resid)),
-        tuple(float(v) for v in sol[:m]),
-        tuple(float(v) for v in sol[m : 2 * m]),
-        float(sol[-1]) if stage == 2 else 0.0,
+        mult if stage == 1 else (),
+        mult if stage == 2 else (),
         degenerate,
     )
 
@@ -422,11 +432,12 @@ def kkt_residual(
     stage: int = 1,
     on_degenerate: str = "raise",
 ) -> float:
-    """Stationarity residual norm; multipliers by least squares when absent.
+    """Stationarity residual norm of :func:`kkt_analysis`.
 
-    Raises :class:`DegenerateConstraintGradients` when the constraint
-    gradient system is rank-deficient and multipliers were not supplied,
-    unless ``on_degenerate`` is ``"lstsq"``.
+    Without supplied ``multipliers`` it raises
+    :class:`DegenerateConstraintGradients` when the constraint gradients are
+    linearly dependent, unless ``on_degenerate`` is ``"lstsq"``, which
+    returns the residual at the minimum-norm least-squares multipliers.
     """
     if on_degenerate not in ("raise", "lstsq"):
         raise ValueError(f"on_degenerate must be 'raise' or 'lstsq', got {on_degenerate!r}")
@@ -593,8 +604,8 @@ def _stage2(
     z = z1.copy()
     z[dual] = 0.0
     _, h_d0 = problem.block.values(z)
-    solve, null, _ = _dual_fiber(problem, z)
-    x_p = solve(-h_d0)
+    pinv, null, _ = _dual_fiber(problem, z)
+    x_p = pinv(problem.block.pullback(z, -h_d0))
     z[dual] = x_p
     a, r_p, weights = problem.objective.stage2_system(z, branches)
     b = (a @ null).tocsc()
@@ -683,27 +694,27 @@ def _report(
     cfg: SolverConfig,
     t0: float,
     restart_index: int,
-    kkt1: float,
+    z1: np.ndarray,
     stage1,
     stage2: _StageOutcome,
     feas: tuple[float, float],
 ) -> SolveReport:
-    """Report at stage II's final point.
+    """Report at stage II's final point, with stage I's KKT analysis at ``z1``.
 
-    ``stage1`` supplies the stage-I iteration count and trace, ``kkt1``
-    the stage-I stationarity residual, ``feas`` the final ``(h, h_d)``
-    violations; ``t0`` is when the solve started.
+    ``stage1`` supplies the stage-I iteration count and trace, ``feas``
+    the final ``(h, h_d)`` violations; ``t0`` is when the solve started.
     """
     wall_ms = (time.perf_counter() - t0) * 1e3
     z2 = stage2.z
+    kkt1 = kkt_analysis(problem, z1, stage=1)
     kkt2 = kkt_analysis(problem, z2, stage=2)
     v = problem.objective.value_at(z2)
     return SolveReport(
         stage1_value=v.std,
         stage2_value=v.dual,
         solution=DualQuaternionVector(unpack(z2, problem.arity)),
-        multipliers={"lambda": list(kkt2.lambdas), "sigma": kkt2.sigma},
-        kkt_residual={"stage1": kkt1, "stage2": kkt2.residual},
+        multipliers={"lambda": list(kkt1.lambdas), "mu": list(kkt2.mus)},
+        kkt_residual={"stage1": kkt1.residual, "stage2": kkt2.residual},
         feasibility={"h": feas[0], "h_d": feas[1]},
         iterations={"stage1": stage1.iterations, "stage2": stage2.iterations},
         restart_index=restart_index,
@@ -747,8 +758,7 @@ def solve_eqdqo(
         )
     # min keeps the first of equal pairs, so ties go to the lower restart
     _, r, z1, outcome, stage2, feas = min(candidates, key=lambda c: c[0])
-    kkt1 = kkt_analysis(problem, z1, stage=1)
-    return _report(problem, cfg, t0, r, kkt1.residual, outcome, stage2, feas)
+    return _report(problem, cfg, t0, r, z1, outcome, stage2, feas)
 
 
 def solve_stage1(
@@ -827,7 +837,7 @@ def solve_stage2(
         cfg,
         t0,
         stage1.restart_index,
-        stage1.kkt_residual,
+        stage1.z,
         stage1,
         outcome,
         (feas_h, feas_hd),

@@ -1,5 +1,7 @@
 import json
 
+import numpy as np
+
 from dqopt.cli import main
 
 
@@ -54,6 +56,24 @@ def test_gen_and_solve_pgo(tmp_path):
     assert data["stage1_value"] <= 1e-8
     worst = max(row["rotation_error"] for row in data["errors"])
     assert worst <= 1e-6
+
+
+def test_pgo_solve_runs_no_dense_least_squares(tmp_path, monkeypatch):
+    # KKT multipliers come from per-variable 4x4 blocks; a dense lstsq over
+    # all coordinates would cost more than the rest of a large solve
+    g = tmp_path / "graph.txt"
+    rep = tmp_path / "report.json"
+    assert main(["gen-pgo", "--vertices", "200", "--loop-closures", "66",
+                 "--seed", "5", "--out", str(g)]) == 0
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    assert main(["solve-pgo", "--in", str(g), "--restarts", "1", "--out", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    assert data["degenerate"] is False
+    assert len(data["multipliers"]["lambda"]) == 199 + 4
 
 
 def test_reports_are_deterministic_modulo_wall_time(tmp_path):

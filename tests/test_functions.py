@@ -267,58 +267,66 @@ def test_anchor_constraints_reject_an_index_out_of_range():
             anchor_constraints(2, index, DualQuaternion.identity())
 
 
-def test_constraint_block_matches_each_constraint_exactly():
-    rng = np.random.default_rng(113)
-    n = 3
-    target = _rand_dq(rng)
-    # mixed and unsorted: anchors before units, units out of variable order
-    cons = (
+def _mixed_constraints(n, target):
+    # mixed and unsorted: anchors before units, units out of variable order;
+    # variable 0 carries a unit row and two anchor rows, so three gradients
+    # share its columns
+    return (
         anchor_constraints(n, 2, target)
         + (UnitNormConstraint(n, 1), UnitNormConstraint(n, 0))
         + anchor_constraints(n, 0, target)[1:3]
         + (UnitNormConstraint(n, 2),)
     )
+
+
+def _stage_jacobian(cons, z):
+    """``G`` stacked from each constraint's own ``gradient_at``, over the standard slots."""
+    std = (8 * np.arange(len(z) // 8)[:, None] + np.arange(4)).ravel()
+    return np.array([con.gradient_at(z)[0][std] for con in cons])
+
+
+def test_constraint_block_matches_each_constraint_exactly():
+    rng = np.random.default_rng(113)
+    n = 3
+    cons = _mixed_constraints(n, _rand_dq(rng))
     block = ConstraintBlock(n, cons)
     assert block.size == len(cons)
     std = (8 * np.arange(n)[:, None] + np.arange(4)).ravel()
     for _ in range(50):
         z = rng.standard_normal(8 * n) * rng.uniform(0.01, 100.0)
-        sh, sh_d, g = block.stage_rows(z)
-        rh, rh_d, j_s, j_d = block.rows(z)
+        h, h_d = block.values(z)
         for j, con in enumerate(cons):
             (v_std, g_std), (v_dual, g_dual) = con.fast_rows(z)
-            assert sh[j] == rh[j] == v_std
-            assert sh_d[j] == rh_d[j] == v_dual
+            assert h[j] == v_std and h_d[j] == v_dual
             # fast_rows returns the constraint's own gradient_at
-            assert np.array_equal(j_s[j], g_std) and np.array_equal(j_d[j], g_dual)
-            # the stage Jacobian is h over the standard slots and h_d over the dual ones
-            assert np.array_equal(g[j], g_std[std]) and np.array_equal(g[j], g_dual[std + 4])
+            own_std, own_dual = con.gradient_at(z)
+            assert np.array_equal(g_std, own_std) and np.array_equal(g_dual, own_dual)
+            # G^T e_j is row j of the stage Jacobian: h over the standard
+            # slots and h_d over the dual ones
+            row = block.pullback(z, np.eye(len(cons))[j])
+            assert np.array_equal(row, g_std[std]) and np.array_equal(row, g_dual[std + 4])
 
 
 def test_block_pullback_is_the_stage_jacobian_product():
     rng = np.random.default_rng(131)
     n = 3
-    target = _rand_dq(rng)
-    # variable 0 carries a unit row and two anchor rows, so two gradients
-    # share its columns
-    cons = (
-        anchor_constraints(n, 2, target)
-        + (UnitNormConstraint(n, 1), UnitNormConstraint(n, 0))
-        + anchor_constraints(n, 0, target)[1:3]
-        + (UnitNormConstraint(n, 2),)
-    )
+    cons = _mixed_constraints(n, _rand_dq(rng))
     block = ConstraintBlock(n, cons)
     for _ in range(50):
         z = rng.standard_normal(8 * n) * rng.uniform(0.01, 100.0)
         v = rng.standard_normal(len(cons))
-        _, _, g = block.stage_rows(z)
+        u = rng.standard_normal(4 * n)
+        g = _stage_jacobian(cons, z)
         assert np.array_equal(block.pullback(z, v), g.T @ v)
+        scale = np.abs(g) @ np.abs(u)
+        assert np.allclose(block.apply(z, u), g @ u, rtol=0, atol=1e-14 * np.max(scale))
         gram = block.gram(z)
         for i in range(n):
             cols = slice(4 * i, 4 * i + 4)
             assert np.allclose(gram[i], g[:, cols].T @ g[:, cols], rtol=1e-14, atol=0)
     empty = ConstraintBlock(n, ())
     assert np.array_equal(empty.pullback(z, np.empty(0)), np.zeros(4 * n))
+    assert empty.apply(z, u).shape == (0,)
 
 
 def _sparse_jacobian_matches_matrix_free(evaluate, arity, rng):

@@ -9,6 +9,7 @@ from dqopt import (
     UnitNormConstraint,
     anchor_constraints,
     build_axxb,
+    build_axyb,
     build_pgo,
     generate_cycle_graph,
     generate_synthetic,
@@ -19,6 +20,7 @@ from dqopt import (
     solve_eqdqo,
     solve_stage1,
     solve_stage2,
+    spanning_tree_guess,
     squared_distance_objective,
     unit_norm_constraint,
 )
@@ -102,34 +104,33 @@ def test_problem_rejects_a_constraint_that_is_not_a_unit_or_anchor_row():
 
 
 def test_kkt_with_supplied_multipliers_at_the_toy_optimum():
-    # grad |x - 2|^2 is -2 e0 in the standard slot (stage I) and in the dual
-    # slot (stage II); the unit row's gradients there are 2 e0, so lambda = 1
-    # and mu = 1 cancel them.  At stage II the standard slot holds
-    # 2 lambda e0 - 2 sigma e0, which vanishes for lambda = sigma.
+    # grad |x - 2|^2 is -2 e0 in the standard slot (stage I), and the
+    # gradient of its dual part is -2 e0 in the dual slot (stage II); the
+    # unit row's gradient is 2 e0 in both, so lambda = 1 and mu = 1 cancel them.
     z = np.zeros(8)
     z[0] = 1.0
     problem = _toy_problem()
     one = kkt_analysis(problem, z, stage=1, multipliers={"lambda": [1.0]})
     assert one.residual <= 1e-10
-    assert one.lambdas == (1.0,) and one.mus == () and one.sigma == 0.0
-    for lam in (0.0, 1.0, 2.5):
-        given = {"lambda": [lam], "mu": [1.0], "sigma": lam}
-        two = kkt_analysis(problem, z, stage=2, multipliers=given)
-        assert two.residual <= 1e-10
-        assert (two.lambdas, two.mus, two.sigma) == ((lam,), (1.0,), lam)
+    assert one.lambdas == (1.0,) and one.mus == ()
+    two = kkt_analysis(problem, z, stage=2, multipliers={"mu": [1.0]})
+    assert two.residual <= 1e-10
+    assert two.lambdas == () and two.mus == (1.0,)
+    # each stage reads only its own multipliers
+    both = {"lambda": [5.0], "mu": [1.0]}
+    assert kkt_analysis(problem, z, stage=2, multipliers=both).residual <= 1e-10
     assert kkt_residual(problem, z, multipliers={"lambda": [3.0]}, stage=1) == 4.0
-    wrong = {"lambda": [1.0], "mu": [0.0], "sigma": 1.0}
-    assert kkt_residual(problem, z, multipliers=wrong, stage=2) == 2.0
+    assert kkt_residual(problem, z, multipliers={"mu": [0.0]}, stage=2) == 2.0
 
 
 def test_kkt_rejects_supplied_multipliers_of_the_wrong_length():
     z = np.zeros(8)
     z[0] = 1.0
-    for mu in ([], [0.0, 5.0, 7.0]):
+    for given in ({"lambda": [1.0]}, {"lambda": [1.0], "mu": []}, {"mu": [0.0, 5.0, 7.0]}):
         with pytest.raises(ValueError, match="mu"):
-            kkt_analysis(_toy_problem(), z, stage=2, multipliers={"lambda": [1.0], "mu": mu})
+            kkt_analysis(_toy_problem(), z, stage=2, multipliers=given)
     with pytest.raises(ValueError, match="lambda"):
-        kkt_analysis(_toy_problem(), z, stage=2, multipliers={"mu": [1.0]})
+        kkt_analysis(_toy_problem(), z, stage=1, multipliers={"mu": [1.0]})
 
 
 def test_kkt_residual_rejects_an_unknown_on_degenerate():
@@ -181,11 +182,65 @@ def test_kkt_stage2_at_analytic_optimum():
     z[0] = 1.0
     info = kkt_analysis(_toy_problem(), z, stage=2)
     assert info.residual <= 1e-10
-    with pytest.raises(DegenerateConstraintGradients):
-        # at a stage-I optimum the stage-II system is structurally
-        # rank-deficient: the band gradient is spanned by the rows
-        kkt_residual(_toy_problem(), z, stage=2)
-    assert kkt_residual(_toy_problem(), z, stage=2, on_degenerate="lstsq") <= 1e-10
+    assert not info.degenerate and info.lambdas == ()
+    assert info.mus[0] == pytest.approx(1.0, abs=1e-9)
+    assert kkt_residual(_toy_problem(), z, stage=2) <= 1e-10
+    # a unit row and four anchor rows on one variable: five gradients in
+    # its four coordinates are dependent, in both stages
+    pinned = EqdqoProblem(
+        squared_distance_objective(DualQuaternion.from_real(2.0)),
+        (unit_norm_constraint(1, 0),) + anchor_constraints(1, 0, DualQuaternion.identity()),
+    )
+    for stage in (1, 2):
+        assert kkt_analysis(pinned, z, stage=stage).degenerate
+        with pytest.raises(DegenerateConstraintGradients):
+            kkt_residual(pinned, z, stage=stage)
+        assert kkt_residual(pinned, z, stage=stage, on_degenerate="lstsq") <= 1e-10
+
+
+def _dense_multipliers(problem, z, stage):
+    """Reference multipliers and residual from ``np.linalg.lstsq`` on the stacked gradients."""
+    part = stage - 1
+    slots = (8 * np.arange(problem.arity)[:, None] + 4 * part + np.arange(4)).ravel()
+    target = problem.objective.gradient_at(z)[part][slots]
+    g = np.array([con.gradient_at(z)[part][slots] for con in problem.constraints])
+    mult, *_ = np.linalg.lstsq(g.T, -target, rcond=None)
+    return mult, float(np.linalg.norm(target + g.T @ mult))
+
+
+def _noisy_graph_problem():
+    graph = generate_cycle_graph(30, loop_closures=10, noise_rot=0.01, noise_trans=0.01, seed=2)
+    guess = [u.as_dual_quaternion() for u in spanning_tree_guess(graph)]
+    return build_pgo(graph), guess
+
+
+@pytest.mark.parametrize("case", ["pgo", "axxb", "axyb"])
+def test_block_multipliers_match_a_dense_least_squares_solve(case):
+    if case == "pgo":
+        problem, guess = _noisy_graph_problem()
+        cfg = _fast_cfg(restarts=1)
+    else:
+        ds = generate_synthetic(case, 10, noise_rot=0.01, noise_trans=0.01, seed=1)
+        problem = build_axxb(ds) if case == "axxb" else build_axyb(ds)
+        guess, cfg = None, _fast_cfg()
+    s1 = solve_stage1(problem, cfg, initial=guess)
+    z2 = pack(list(solve_stage2(problem, s1, cfg).solution))
+    for stage, z in ((1, s1.z), (2, z2)):
+        info = kkt_analysis(problem, z, stage=stage)
+        ref, ref_residual = _dense_multipliers(problem, z, stage)
+        got = info.lambdas if stage == 1 else info.mus
+        assert not info.degenerate
+        assert np.max(np.abs(np.array(got) - ref)) <= 1e-10, (case, stage)
+        assert abs(info.residual - ref_residual) <= 1e-10, (case, stage)
+
+
+def test_pose_graph_solve_is_not_degenerate():
+    problem, guess = _noisy_graph_problem()
+    report = solve_eqdqo(problem, _fast_cfg(restarts=1), initial=guess)
+    assert report.degenerate is False
+    assert report.to_json_dict()["degenerate"] is False
+    # 29 unit rows and vertex 1's 4 anchor rows
+    assert len(report.multipliers["lambda"]) == len(report.multipliers["mu"]) == 33
 
 
 def test_stage1_matches_grid_enumeration_on_toy():
@@ -267,13 +322,15 @@ def test_report_json_shape():
         "solution",
         "multipliers",
         "kkt_residual",
+        "degenerate",
         "feasibility",
         "iterations",
         "restart_index",
         "wall_time_ms",
         "config",
     ]
-    assert set(data["multipliers"]) == {"lambda", "sigma"}
+    assert set(data["multipliers"]) == {"lambda", "mu"}
+    assert data["degenerate"] is False
     assert set(data["kkt_residual"]) == {"stage1", "stage2"}
     assert data["iterations"]["stage1"] >= 1
     assert len(data["solution"]) == 1

@@ -57,6 +57,15 @@ def test_noisy_translation_is_recovered_to_a_few_sigma(kind, multiple, sigma):
     assert np.median(errors) <= multiple * sigma, np.median(errors) / sigma
 
 
+def test_stage2_kkt_residual_vanishes_on_noisy_axxb():
+    # over the dual coordinates, the only ones stage II moves, the exact fit
+    # is stationary
+    for seed in SEEDS:
+        ds = generate_synthetic("axxb", 10, noise_rot=1e-2, noise_trans=1e-2, seed=seed)
+        report = solve_eqdqo(build_axxb(ds), SolverConfig(restarts=4, seed=0))
+        assert report.kkt_residual["stage2"] <= 1e-8, seed
+
+
 def _shifted(pose: Pose, shift: float) -> DualQuaternion:
     moved = Pose(pose.rotation, tuple(np.asarray(pose.translation) + shift))
     return moved.to_udq().as_dual_quaternion()
