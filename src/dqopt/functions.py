@@ -152,15 +152,16 @@ class DualFunction:
         """Piecewise-branch selections at ``z``; empty for smooth functions."""
         return ()
 
-    def stage2_system(self, z: np.ndarray, branches: tuple[bool, ...]):
+    def stage2_system(self, z: np.ndarray):
         """Stage-II least-squares rows ``(A, r, weights)`` at ``z``.
 
         ``r`` are residual rows whose dependence on the dual coordinates is
-        affine with slope ``A``, a sparse ``(k, 4n)`` matrix over the dual
-        slots (column ``4i + c`` for coefficient ``c`` of variable ``i``);
-        ``weights(r)`` gives the row weights of the stage-II fit at rows
-        ``r``.  A smooth standard function has a dual part linear in the
-        dual coordinates and contributes no rows.
+        affine with slope ``A``, a sparse CSR ``(k, 4n)`` matrix over the
+        dual slots (column ``4i + c`` for coefficient ``c`` of variable
+        ``i``); ``weights(r)`` gives the row weights of the stage-II fit at
+        rows ``r``, with any branch frozen where the standard coordinates of
+        ``z`` put it.  A smooth standard function has a dual part linear in
+        the dual coordinates and contributes no rows.
         """
         return sparse.csr_matrix((0, 4 * self.arity)), np.empty(0), np.ones_like
 
@@ -613,20 +614,20 @@ class ResidualNormObjective(DualFunction):
         r = r * self._expand(norms > self.tol)
         return jacobian(), r, weights, self._starts if len(self.groups) > 1 else None
 
-    def stage2_system(self, z, branches):
+    def stage2_system(self, z):
         """Stage-II rows: every residual's dual part, weighted per group.
 
         With the standard coordinates fixed, ``r_dual`` is affine in the dual
         ones with slope ``jacobian()``, the standard-slot Jacobian of
-        ``r_std``.  Groups frozen as appreciable weigh 1; infinitesimal
-        groups weigh ``1 / max(|r_dual,g|, tol)``, so re-solving with updated
-        weights (iteratively reweighted least squares) minimizes their sum
-        of magnitudes ``sum_g |r_dual,g|``, the stage-II objective on them.
+        ``r_std``.  Each group's branch is frozen by ``|r_std,g|`` at ``z``,
+        as :meth:`branch_flags` reads it: appreciable groups weigh 1;
+        infinitesimal groups weigh ``1 / max(|r_dual,g|, tol)``, so
+        re-solving with updated weights (iteratively reweighted least
+        squares) minimizes their sum of magnitudes ``sum_g |r_dual,g|``, the
+        stage-II objective on them.
         """
-        if len(branches) != len(self.groups):
-            raise ValueError("branch flags must match group count")
-        _, r_dual, _, jacobian = self._stack(z)
-        app = np.asarray(branches, dtype=bool)
+        r_std, r_dual, _, jacobian = self._stack(z)
+        app = np.sqrt(np.add.reduceat(r_std * r_std, self._starts)) > self.tol
 
         def weights(r):
             norms = np.sqrt(np.add.reduceat(r * r, self._starts))

@@ -467,12 +467,13 @@ def rotation_angle_between(a: Quaternion, b: Quaternion) -> float:
     return 2.0 * math.atan2(p.imaginary_norm(), abs(p.w))
 
 
-def _pose_errors(truth: UnitDualQuaternion, est: UnitDualQuaternion):
-    rot = rotation_angle_between(truth.std, est.std)
-    # world-frame translation difference; insensitive to the sign choice
-    dt = np.asarray(Pose.from_udq(truth).translation) - np.asarray(
-        Pose.from_udq(est).translation
-    )
+def pose_errors(truth: Pose, est: Pose) -> tuple[float, float]:
+    """Rotation angle and world-frame translation distance from ``truth`` to ``est``.
+
+    Both are insensitive to the sign of either rotation quaternion.
+    """
+    rot = rotation_angle_between(truth.rotation, est.rotation)
+    dt = np.asarray(truth.translation) - np.asarray(est.translation)
     return rot, float(np.linalg.norm(dt))
 
 
@@ -489,13 +490,13 @@ def evaluate_solution(
     if dataset.ground_truth_x is None:
         raise NoGroundTruth("dataset has no recorded ground truth")
     x_u = x if isinstance(x, UnitDualQuaternion) else UnitDualQuaternion.of(x)
-    rot_x, trans_x = _pose_errors(dataset.ground_truth_x, x_u)
+    rot_x, trans_x = pose_errors(Pose.from_udq(dataset.ground_truth_x), Pose.from_udq(x_u))
     out = {"rotation_error_x": rot_x, "translation_error_x": trans_x}
     if y is not None:
         if dataset.ground_truth_y is None:
             raise NoGroundTruth("dataset has no recorded ground truth for y")
         y_u = y if isinstance(y, UnitDualQuaternion) else UnitDualQuaternion.of(y)
-        rot_y, trans_y = _pose_errors(dataset.ground_truth_y, y_u)
+        rot_y, trans_y = pose_errors(Pose.from_udq(dataset.ground_truth_y), Pose.from_udq(y_u))
         out["rotation_error_y"] = rot_y
         out["translation_error_y"] = trans_y
     return out

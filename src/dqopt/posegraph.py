@@ -40,7 +40,7 @@ from .functions import (
     UnitNormConstraint,
     anchor_constraints,
 )
-from .handeye import Pose, rotation_angle_between
+from .handeye import Pose, pose_errors
 from .solver import EqdqoProblem
 
 __all__ = [
@@ -484,14 +484,6 @@ def vertex_errors(graph: PoseGraph, poses: Sequence[UnitDualQuaternion]) -> list
         p = poses[v - 1]
         if not isinstance(p, UnitDualQuaternion):
             p = UnitDualQuaternion.of(p)
-        e = Pose.from_udq(p)
-        rot = rotation_angle_between(t.rotation, e.rotation)
-        dt = np.asarray(t.translation) - np.asarray(e.translation)
-        out.append(
-            {
-                "vertex": v,
-                "rotation_error": rot,
-                "translation_error": float(np.linalg.norm(dt)),
-            }
-        )
+        rot, trans = pose_errors(t, Pose.from_udq(p))
+        out.append({"vertex": v, "rotation_error": rot, "translation_error": trans})
     return out

@@ -19,7 +19,7 @@ them and the two block programs above would not be the problem's split.
 The hand-eye and pose-graph problems are standard.  Their constraints,
 unit-norm conditions and anchor rows, are the only kinds accepted (else
 ``TypeError``); one :class:`~dqopt.functions.ConstraintBlock` evaluates
-them for both stages, feasibility, dual projection and KKT analysis.
+them for both stages, feasibility, the dual fiber and KKT analysis.
 
 Stage I takes Gauss-Newton steps on the objective's residual rows in the
 tangent space of the unit-norm and anchor rows, with a Newton correction
@@ -28,7 +28,8 @@ for sums of magnitudes, and keeps every iterate feasible (see
 standard coordinates fixed, every dual constraint row and every residual's
 dual part is affine in the dual coordinates, so the feasible set is an
 affine *dual fiber* and stage II is a weighted least-squares fit on it (see
-:func:`solve_stage2`), with branches frozen at the stage-I point.
+:func:`solve_stage2`), with each magnitude's branch frozen where the
+stage-I point puts it.
 Restarts draw independent unit starting points; stage II runs for the
 restarts tied at the least stage-I value, and the reported solution is
 the dn-order minimum over their feasible outcomes.
@@ -179,9 +180,9 @@ class TraceRow:
 class Stage1Result:
     """Stage-I outcome: standard coordinates, feasible duals, optimal value.
 
-    Iterates as ``(x, x_d, value)``.  ``solution`` bundles the same point as
-    dual quaternions; ``branches`` records magnitude-branch selections for
-    stage II.
+    Iterates as ``(x, x_d, value)``.  ``x_d`` is the minimum-norm point of
+    the dual fiber at ``x``, whatever the starting duals; ``solution``
+    bundles the same point as dual quaternions.
     """
 
     x: tuple[Quaternion, ...]
@@ -194,7 +195,6 @@ class Stage1Result:
     iterations: int
     converged: bool
     restart_index: int
-    branches: tuple[bool, ...]
     trace: tuple[TraceRow, ...]
 
     def __iter__(self):
@@ -301,25 +301,26 @@ def _gram_pinv(block: ConstraintBlock, z: np.ndarray):
     return pinv, rank, vecs
 
 
-def _dual_fiber(problem: EqdqoProblem, z: np.ndarray, dense_max: int = -1):
+def _dual_fiber(problem: EqdqoProblem, z: np.ndarray):
     """Gram pseudo-inverse and null space of the dual rows at the standard point of ``z``.
 
     :func:`_gram_pinv` splits each variable's dual coordinates into the
     row space of the stage Jacobian ``G`` and its null space (3 directions
     for a unit row alone, none for an anchored variable).  ``G`` is also
     the Jacobian of the standard rows over the standard coordinates, so the
-    null space is stage I's tangent space as well.  Returns ``(pinv, null,
-    var)``: ``pinv(G^T v)`` is the minimum-norm ``x`` with ``G x = v``
-    (least squares when there is none), ``null`` a ``(4n, k)`` orthonormal
-    basis of the null space, dense when ``k <= dense_max`` and sparse
-    otherwise, and ``var`` the variable of each of its columns.
+    null space is stage I's tangent space as well as stage II's fiber
+    directions.  Returns ``(pinv, null, var)``: ``pinv(G^T v)`` is the
+    minimum-norm ``x`` with ``G x = v`` (least squares when there is none),
+    ``null`` a ``(4n, k)`` orthonormal basis of the null space, dense when
+    ``k <= _DENSE_MAX`` and sparse otherwise, and ``var`` the variable of
+    each of its columns.
     """
     pinv, rank, vecs = _gram_pinv(problem.block, z)
     # One column per null eigenvector, its 4 entries in its variable's rows.
     var, col = np.nonzero(~rank)
     rows = (4 * var[:, None] + np.arange(4)).ravel()
     vals, shape = vecs[var, :, col].ravel(), (4 * problem.arity, var.size)
-    if var.size <= dense_max:
+    if var.size <= _DENSE_MAX:
         null = np.zeros(shape)
         null[rows, np.repeat(np.arange(var.size), 4)] = vals
     else:
@@ -327,21 +328,22 @@ def _dual_fiber(problem: EqdqoProblem, z: np.ndarray, dense_max: int = -1):
     return pinv, null, var
 
 
-def _project_duals(problem: EqdqoProblem, z: np.ndarray, tol: float) -> np.ndarray:
-    """Move the dual coordinates onto the dual rows ``h_d = 0``.
+def _fiber_point(problem: EqdqoProblem, z: np.ndarray):
+    """``(z_p, null)``: ``z`` with its duals at the dual fiber's minimum-norm point.
 
-    Every dual row is linear in the dual coordinates, with the stage
-    Jacobian ``G`` as its slope, so one minimum-norm step, ``(G^T G)^+ G^T
-    (-h_d)`` from :func:`_gram_pinv`, solves them exactly.  A point already
-    within ``tol`` is not moved.
+    Every dual row is affine in the dual coordinates, ``G x_d + h_d(0)``
+    with ``h_d(0)`` its value at zero duals, so ``x_p = (G^T G)^+ G^T
+    (-h_d(0))`` is the least-norm point that satisfies them (least squares
+    when none does); the fiber is ``x_p + null y``, ``null`` from
+    :func:`_dual_fiber`.
     """
+    pinv, null, _ = _dual_fiber(problem, z)
+    dual = _part_indices(problem.arity, 1)
     z = z.copy()
-    _, h_d = problem.block.values(z)
-    if np.max(np.abs(h_d), initial=0.0) <= tol:
-        return z
-    pinv, _, _ = _gram_pinv(problem.block, z)
-    z[_part_indices(problem.arity, 1)] += pinv(problem.block.pullback(z, -h_d))
-    return z
+    z[dual] = 0.0
+    _, h_d0 = problem.block.values(z)
+    z[dual] = pinv(problem.block.pullback(z, -h_d0))
+    return z, null
 
 
 # ---------------------------------------------------------------------------
@@ -430,22 +432,19 @@ def kkt_residual(
     point,
     multipliers: dict | None = None,
     stage: int = 1,
-    on_degenerate: str = "raise",
 ) -> float:
     """Stationarity residual norm of :func:`kkt_analysis`.
 
     Without supplied ``multipliers`` it raises
     :class:`DegenerateConstraintGradients` when the constraint gradients are
-    linearly dependent, unless ``on_degenerate`` is ``"lstsq"``, which
-    returns the residual at the minimum-norm least-squares multipliers.
+    linearly dependent; ``kkt_analysis(...).residual`` is the residual at
+    the minimum-norm least-squares multipliers there.
     """
-    if on_degenerate not in ("raise", "lstsq"):
-        raise ValueError(f"on_degenerate must be 'raise' or 'lstsq', got {on_degenerate!r}")
     info = kkt_analysis(problem, point, stage=stage, multipliers=multipliers)
-    if info.degenerate and multipliers is None and on_degenerate == "raise":
+    if info.degenerate and multipliers is None:
         raise DegenerateConstraintGradients(
             "constraint gradients are rank-deficient; pass multipliers or "
-            "on_degenerate='lstsq'"
+            "read kkt_analysis(...).residual"
         )
     return info.residual
 
@@ -453,11 +452,11 @@ def kkt_residual(
 # ---------------------------------------------------------------------------
 # Stage drivers
 
-#: Stage-I systems with at most this many tangent directions are built and
-#: solved densely: for a hand-eye problem's 3 or 6, setting up
-#: ``scipy.sparse`` objects costs more than the solve, and dense solves stay
-#: faster up to pose graphs of about 40 vertices (3 directions per vertex).
-#: Larger ones stay sparse.
+#: Dual fibers with at most this many directions are built dense, and so
+#: are both stages' least-squares systems on them: for a hand-eye problem's
+#: 3 or 6, setting up ``scipy.sparse`` objects costs more than the solve,
+#: and dense solves stay faster up to pose graphs of about 40 vertices (3
+#: directions per vertex).  Larger ones stay sparse.
 _DENSE_MAX = 128
 
 #: Levenberg-Marquardt damping as a multiple of the largest diagonal entry
@@ -475,17 +474,29 @@ _ROUNDING = 1e-12
 _PIN = 1e8
 
 
-def _reduced_solve(h, shift, rhs: np.ndarray) -> np.ndarray:
-    """``(h + diag(shift))^{-1} rhs`` for a dense or sparse ``h``; ``shift`` may be a scalar."""
+def _reduced_solve(h, rhs: np.ndarray, shift=0.0) -> np.ndarray:
+    """``(h + diag(shift))^{-1} rhs`` for a dense or sparse ``h``; ``shift`` may be a scalar.
+
+    An exactly singular system gives NaNs on both paths, as ``spsolve`` does.
+    """
     shift = np.broadcast_to(shift, rhs.shape)
     if sparse.issparse(h):
-        return spsolve((h + sparse.diags(shift)).tocsc(), rhs)
-    return np.linalg.solve(h + np.diag(shift), rhs)
+        if shift.any():
+            h = h + sparse.diags(shift)
+        return spsolve(h.tocsc(), rhs)
+    try:
+        return np.linalg.solve(h + np.diag(shift), rhs)
+    except np.linalg.LinAlgError:
+        return np.full_like(rhs, np.nan)
 
 
 def _scale_rows(b, v: np.ndarray):
-    """``diag(v) @ b`` for a dense or sparse ``b``."""
-    return sparse.diags(v) @ b if sparse.issparse(b) else v[:, None] * b
+    """``diag(v) @ b`` for a dense or CSR ``b``."""
+    if not sparse.issparse(b):
+        return v[:, None] * b
+    out = b.copy()
+    out.data *= np.repeat(v, np.diff(out.indptr))
+    return out
 
 
 def _newton_step(b, r, w, starts, grad, h, shift):
@@ -498,7 +509,7 @@ def _newton_step(b, r, w, starts, grad, h, shift):
     ``_PIN`` times more so that the next solve puts it at its kink.
     """
     if starts is None:
-        return _reduced_solve(h, shift, -grad)
+        return _reduced_solve(h, -grad, shift)
     group = np.repeat(np.arange(starts.size), np.diff(np.append(starts, r.size)))
     norms = np.sqrt(np.add.reduceat(r * r, starts))
     inv = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 0.0)
@@ -514,19 +525,18 @@ def _newton_step(b, r, w, starts, grad, h, shift):
         extra = (_PIN - 1.0) * w * pinned[group]
         c_n = c[newton]
         model = h - c_n.T @ c_n + b.T @ _scale_rows(b, extra)
-        y = _reduced_solve(model, shift, -(grad + b.T @ (extra * r)))
+        y = _reduced_solve(model, -(grad + b.T @ (extra * r)), shift)
         through = newton & (np.sqrt(norms) + c @ y < 0)
         if not through.any():
             return y
         pinned |= through
 
 
-def _stage1_point(problem: EqdqoProblem, cfg: SolverConfig, z0: np.ndarray):
-    """Stage I from ``z0``, then its dual coordinates projected onto the dual rows.
+def _stage1_point(problem: EqdqoProblem, cfg: SolverConfig, z0: np.ndarray) -> _StageOutcome:
+    """Stage I from ``z0``, one trace row per step; see :func:`solve_stage1`.
 
-    Returns ``(z1, outcome)`` with one trace row per step; see
-    :func:`solve_stage1` for the steps.  The dual coordinates keep the hint
-    from the starting point until the projection.
+    Only the standard coordinates move: the outcome's dual coordinates are
+    those of ``z0``, which stage II replaces.
     """
     obj, block = problem.objective, problem.block
     std = _part_indices(problem.arity, 0)
@@ -543,7 +553,7 @@ def _stage1_point(problem: EqdqoProblem, cfg: SolverConfig, z0: np.ndarray):
 
     for it in range(cfg.max_outer):
         jac, r, w, groups = obj.stage1_system(z)
-        _, basis, var = _dual_fiber(problem, z, _DENSE_MAX)
+        _, basis, var = _dual_fiber(problem, z)
         b = jac @ basis
         wr = w * r
         grad = b.T @ wr
@@ -559,17 +569,14 @@ def _stage1_point(problem: EqdqoProblem, cfg: SolverConfig, z0: np.ndarray):
         rounding = v.std + _ROUNDING * abs(v.std)
         curv = block.curvature(z, jac.T @ wr)
         shift = _DAMP_FLOOR * scale - curv[var]
-        try:
-            y = _newton_step(b, r, w, groups, grad, h, shift)
-        except np.linalg.LinAlgError:
-            y = np.full_like(grad, np.nan)
+        y = _newton_step(b, r, w, groups, grad, h, shift)
         step = None
         if grad @ y < 0:
             moved, moved_v = trial(y)
             if moved_v.std <= rounding:
                 step = moved, moved_v
         while step is None and damp <= _DAMP_CAP:
-            moved, moved_v = trial(_reduced_solve(h, damp * scale, -grad))
+            moved, moved_v = trial(_reduced_solve(h, -grad, damp * scale))
             if moved_v.std < v.std:
                 step = moved, moved_v
                 damp = max(damp / 10.0, _DAMP_FLOOR)
@@ -582,47 +589,33 @@ def _stage1_point(problem: EqdqoProblem, cfg: SolverConfig, z0: np.ndarray):
             break
         flat = not step[1].std < v.std
         z, v = step
-    outcome = _StageOutcome(z, it + 1, converged, grad_norm, trace)
-    return _project_duals(problem, z, cfg.tol_feas * 0.1), outcome
+    return _StageOutcome(z, it + 1, converged, grad_norm, trace)
 
 
-def _stage2(
-    problem: EqdqoProblem,
-    cfg: SolverConfig,
-    z1: np.ndarray,
-    branches: tuple[bool, ...],
-) -> _StageOutcome:
+def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageOutcome:
     """Stage II at the standard coordinates of ``z1``; see :func:`solve_stage2`.
 
-    The dual coordinates are ``x_p + N y`` on the dual fiber; each pass
-    solves the sparse normal equations ``B^T W B y = -B^T W r_p`` with
-    ``B = A N``, for the objective's rows ``r = r_p + B y``, until the
-    weights stop changing or ``y`` stops moving, at most ``max_outer``
-    times.  One trace row per solve.
+    The dual coordinates are ``x_p + N y`` on the dual fiber of
+    :func:`_fiber_point`; each pass solves the normal equations ``B^T W B y
+    = -B^T W r_p`` with ``B = A N``, for the objective's rows ``r = r_p + B
+    y``, until the weights stop changing or ``y`` stops moving, at most
+    ``max_outer`` times.  One trace row per solve.
     """
     dual = _part_indices(problem.arity, 1)
-    z = z1.copy()
-    z[dual] = 0.0
-    _, h_d0 = problem.block.values(z)
-    pinv, null, _ = _dual_fiber(problem, z)
-    x_p = pinv(problem.block.pullback(z, -h_d0))
-    z[dual] = x_p
-    a, r_p, weights = problem.objective.stage2_system(z, branches)
-    b = (a @ null).tocsc()
-    b.eliminate_zeros()
+    z, null = _fiber_point(problem, z1)
+    x_p = z[dual]
+    a, r_p, weights = problem.objective.stage2_system(z)
+    b = a @ null
     # Fiber directions that no row sees stay at x_p: all of them when the
     # objective has no rows (a smooth one, whose dual part is linear).
-    seen = np.diff(b.indptr) > 0
-    b, null = b[:, seen].tocsr(), null[:, seen]
-    b_t = b.T.tocsr()
-    row_of = np.repeat(np.arange(b.shape[0]), np.diff(b.indptr))
+    seen = np.asarray(abs(b).sum(axis=0)).ravel() > 0
+    b, null = b[:, seen], null[:, seen]
+    b_t = b.T
     w = weights(r_p)
     y = np.zeros(b.shape[1])
     trace = []
     for it in range(cfg.max_outer):
-        wb = b.copy()
-        wb.data *= w[row_of]
-        y_new = spsolve(b_t @ wb, -(b_t @ (w * r_p)))
+        y_new = _reduced_solve(b_t @ _scale_rows(b, w), -(b_t @ (w * r_p)))
         z[dual] = x_p + null @ y_new
         r = r_p + b @ y_new
         stationarity = float(np.linalg.norm(b_t @ (w * r)))
@@ -662,28 +655,27 @@ def _run_restarts(cfg: SolverConfig, runner) -> list:
 
 
 def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
-    """Stage I for every restart: the feasible outcomes, least stage-I value first.
+    """Stage I for every restart: the outcomes on the standard rows, least stage-I value first.
 
-    Items are ``(value, restart, z1, outcome, feasibility)``; equal values
-    keep restart order.  Raises :class:`Infeasible` when no restart reaches
-    feasibility.
+    Items are ``(value, restart, outcome)``; equal values keep restart
+    order.  Raises :class:`Infeasible` when no restart satisfies the
+    standard rows to ``tol_feas``.
     """
 
     def runner(r):
-        z1, outcome = _stage1_point(problem, cfg, _restart_start(problem, cfg, initial, r))
-        return z1, outcome, r, _feasibility(problem, z1)
+        return _stage1_point(problem, cfg, _restart_start(problem, cfg, initial, r))
 
-    results = _run_restarts(cfg, runner)
+    outcomes = _run_restarts(cfg, runner)
+    h = [_feasibility(problem, outcome.z)[0] for outcome in outcomes]
     scored = [
-        (problem.objective.value_at(z1).std, r, z1, outcome, feas)
-        for z1, outcome, r, feas in results
-        if max(feas) <= cfg.tol_feas
+        (problem.objective.value_at(outcome.z).std, r, outcome)
+        for r, outcome in enumerate(outcomes)
+        if h[r] <= cfg.tol_feas
     ]
     if not scored:
-        worst = min(max(feas) for *_, feas in results)
         raise Infeasible(
             f"no feasible candidate across {cfg.restarts} restarts "
-            f"(best feasibility {worst:.3e} > tol {cfg.tol_feas:.3e})"
+            f"(best feasibility {min(h):.3e} > tol {cfg.tol_feas:.3e})"
         )
     scored.sort(key=lambda item: (item[0], item[1]))
     return scored
@@ -694,28 +686,27 @@ def _report(
     cfg: SolverConfig,
     t0: float,
     restart_index: int,
-    z1: np.ndarray,
     stage1,
     stage2: _StageOutcome,
-    feas: tuple[float, float],
 ) -> SolveReport:
-    """Report at stage II's final point, with stage I's KKT analysis at ``z1``.
+    """Report at stage II's final point, with stage I's KKT analysis at ``stage1.z``.
 
-    ``stage1`` supplies the stage-I iteration count and trace, ``feas``
-    the final ``(h, h_d)`` violations; ``t0`` is when the solve started.
+    ``stage1`` supplies the stage-I point, iteration count and trace;
+    ``t0`` is when the solve started.
     """
     wall_ms = (time.perf_counter() - t0) * 1e3
     z2 = stage2.z
-    kkt1 = kkt_analysis(problem, z1, stage=1)
+    kkt1 = kkt_analysis(problem, stage1.z, stage=1)
     kkt2 = kkt_analysis(problem, z2, stage=2)
     v = problem.objective.value_at(z2)
+    feas_h, feas_hd = _feasibility(problem, z2)
     return SolveReport(
         stage1_value=v.std,
         stage2_value=v.dual,
         solution=DualQuaternionVector(unpack(z2, problem.arity)),
         multipliers={"lambda": list(kkt1.lambdas), "mu": list(kkt2.mus)},
         kkt_residual={"stage1": kkt1.residual, "stage2": kkt2.residual},
-        feasibility={"h": feas[0], "h_d": feas[1]},
+        feasibility={"h": feas_h, "h_d": feas_hd},
         iterations={"stage1": stage1.iterations, "stage2": stage2.iterations},
         restart_index=restart_index,
         wall_time_ms=wall_ms,
@@ -723,6 +714,11 @@ def _report(
         trace=tuple(stage1.trace) + tuple(stage2.trace),
         degenerate=kkt2.degenerate,
     )
+
+
+def _feasible(cfg: SolverConfig, feas: tuple[float, float]) -> bool:
+    """True when both violations of :func:`_feasibility` are within ``tol_feas`` (NaN is not)."""
+    return feas[0] <= cfg.tol_feas and feas[1] <= cfg.tol_feas
 
 
 def solve_eqdqo(
@@ -733,32 +729,31 @@ def solve_eqdqo(
     """Full two-stage solve with restarts.
 
     Every restart runs stage I.  Stage II can only break ties in the
-    standard value, so it runs for the feasible restarts whose stage-I
-    value equals the least one exactly; a restart is a candidate when its
-    final point satisfies all constraint rows to ``tol_feas``.  The report
-    carries the dn-order minimal candidate, ties broken by restart index.
-    Raises :class:`Infeasible` when no restart produces a candidate.
+    standard value, so it runs for the restarts on the standard rows whose
+    stage-I value equals the least one exactly; a restart is a candidate
+    when its final point satisfies all constraint rows to ``tol_feas``.
+    The report carries the dn-order minimal candidate, ties broken by
+    restart index.  Raises :class:`Infeasible` when no restart produces a
+    candidate.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
     scored = _stage1_restarts(problem, cfg, initial)
     candidates = []
-    for value, r, z1, outcome, _ in scored:
+    for value, r, outcome in scored:
         if value > scored[0][0]:
             break
-        stage2 = _stage2(problem, cfg, z1, problem.objective.branch_flags(z1))
-        feas = _feasibility(problem, stage2.z)
-        if max(feas) <= cfg.tol_feas:
-            pair = problem.objective.value_at(stage2.z)
-            candidates.append((pair, r, z1, outcome, stage2, feas))
+        stage2 = _stage2(problem, cfg, outcome.z)
+        if _feasible(cfg, _feasibility(problem, stage2.z)):
+            candidates.append((problem.objective.value_at(stage2.z), r, outcome, stage2))
     if not candidates:
         raise Infeasible(
             f"no feasible candidate across {cfg.restarts} restarts "
             f"(stage II left h_d above tol {cfg.tol_feas:.3e})"
         )
     # min keeps the first of equal pairs, so ties go to the lower restart
-    _, r, z1, outcome, stage2, feas = min(candidates, key=lambda c: c[0])
-    return _report(problem, cfg, t0, r, z1, outcome, stage2, feas)
+    _, r, outcome, stage2 = min(candidates, key=lambda c: c[0])
+    return _report(problem, cfg, t0, r, outcome, stage2)
 
 
 def solve_stage1(
@@ -778,12 +773,17 @@ def solve_stage1(
     falls; ``y`` moves to ``x + N y`` put back on the rows, so every
     iterate is feasible.  Stage I stops when ``|g| <= tol_grad``, when no
     step lowers the value (or, with the value flat to rounding, ``|g|``
-    stops falling), or after ``max_outer`` steps.  The dual coordinates
-    are then chosen feasible for the dual rows.  Raises :class:`Infeasible`
-    when no restart reaches feasibility.
+    stops falling), or after ``max_outer`` steps.  Stage I never reads the
+    dual coordinates: the reported point takes the minimum-norm duals of
+    the dual fiber.  Raises :class:`Infeasible` when no restart satisfies
+    the standard rows, or when the least one's dual rows cannot hold.
     """
     cfg = cfg or SolverConfig()
-    value, r, z1, outcome, feas = _stage1_restarts(problem, cfg, initial)[0]
+    value, r, outcome = _stage1_restarts(problem, cfg, initial)[0]
+    z1, _ = _fiber_point(problem, outcome.z)
+    feas = _feasibility(problem, z1)
+    if not _feasible(cfg, feas):
+        raise Infeasible(f"the dual rows cannot hold at the stage-I point (h_d {feas[1]:.3e})")
     solution = DualQuaternionVector(unpack(z1, problem.arity))
     kkt1 = kkt_analysis(problem, z1, stage=1)
     return Stage1Result(
@@ -797,7 +797,6 @@ def solve_stage1(
         iterations=outcome.iterations,
         converged=outcome.converged,
         restart_index=r,
-        branches=problem.objective.branch_flags(z1),
         trace=tuple(outcome.trace),
     )
 
@@ -815,30 +814,22 @@ def solve_stage2(
     Jacobian of the residuals.  The feasible dual coordinates form the
     *dual fiber* ``x_p + N y`` (minimum-norm solution plus null basis, per
     variable), and stage II minimizes ``sum_g w_g |r_dual,g|^2`` over ``y``
-    by sparse normal equations.  Groups frozen infinitesimal at stage I
-    are reweighted by ``1 / |r_dual,g|`` until the fit settles, which
-    minimizes the paper's stage-II objective ``sum_g |r_dual,g|`` on them
-    (robust to a few gross outliers).  Groups frozen appreciable weigh 1:
-    at a stage-I KKT point their part of the paper's objective is constant
-    on the fiber, so the paper leaves the dual coordinates undetermined
-    there, and the least-squares fit is a tie-break that goes beyond the
-    paper (the translation step of Daniilidis, 1999).  Objectives without
-    residual rows keep ``y = 0``, exact for smooth standard objectives.
-    Raises :class:`Infeasible` if the result misses a constraint row.
+    by normal equations, dense or sparse as the fiber is.  Groups
+    infinitesimal at the stage-I point are reweighted by ``1 / |r_dual,g|``
+    until the fit settles, which minimizes the paper's stage-II objective
+    ``sum_g |r_dual,g|`` on them (robust to a few gross outliers).
+    Appreciable groups weigh 1: at a stage-I KKT point their part of the
+    paper's objective is constant on the fiber, so the paper leaves the
+    dual coordinates undetermined there, and the least-squares fit is a
+    tie-break that goes beyond the paper (the translation step of
+    Daniilidis, 1999).  Objectives without residual rows keep ``y = 0``,
+    exact for smooth standard objectives.  Raises :class:`Infeasible` if
+    the result misses a constraint row.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    outcome = _stage2(problem, cfg, stage1.z, stage1.branches)
-    feas_h, feas_hd = _feasibility(problem, outcome.z)
-    if not (feas_h <= cfg.tol_feas and feas_hd <= cfg.tol_feas):
-        raise Infeasible(f"stage II lost feasibility (h {feas_h:.3e}, h_d {feas_hd:.3e})")
-    return _report(
-        problem,
-        cfg,
-        t0,
-        stage1.restart_index,
-        stage1.z,
-        stage1,
-        outcome,
-        (feas_h, feas_hd),
-    )
+    outcome = _stage2(problem, cfg, stage1.z)
+    feas = _feasibility(problem, outcome.z)
+    if not _feasible(cfg, feas):
+        raise Infeasible(f"stage II lost feasibility (h {feas[0]:.3e}, h_d {feas[1]:.3e})")
+    return _report(problem, cfg, t0, stage1.restart_index, stage1, outcome)

@@ -18,7 +18,7 @@ from dqopt import (
     rotation_angle_between,
     solve_eqdqo,
 )
-from dqopt.errors import InvalidPose, NoGroundTruth, TooFewMotions
+from dqopt.errors import Infeasible, InvalidPose, NoGroundTruth, TooFewMotions
 
 
 def _rand_pose(rng):
@@ -185,6 +185,22 @@ def test_parallel_axes_solve_despite_a_singular_normal_matrix():
     assert abs(np.linalg.norm(z[:4]) - 1.0) <= 1e-12
     assert max(report.feasibility.values()) <= 1e-9
     assert report.stage1_value <= 1e-9
+
+
+def test_an_exactly_singular_stage2_raises_infeasible_not_a_nan_answer():
+    # noiseless motions about one axis leave the translation along it free;
+    # here the stage-II normal matrix is exactly singular, and a NaN answer
+    # must not pass as feasible
+    x = Pose(Quaternion.exp_axis_angle(0.6, Quaternion(0, 0, 1, 0)), (0.1, 0.2, 0.3))
+    poses_a, poses_b = [], []
+    for angle, t in ((0.5, (1, 0, 0)), (0.9, (0, 1, 0.5)), (1.3, (0.3, -1, 0.2))):
+        a = Pose(Quaternion.exp_axis_angle(angle, Quaternion(0, 0, 0, 1)), t)
+        poses_a.append(a)
+        poses_b.append(x.inverse().compose(a).compose(x))
+    with pytest.warns(RuntimeWarning):
+        problem = build_axxb(HandEyeDataset("axxb", poses_a, poses_b))
+        with pytest.raises(Infeasible):
+            solve_eqdqo(problem, SolverConfig(restarts=2, seed=0))
 
 
 def test_too_few_motions():

@@ -133,13 +133,6 @@ def test_kkt_rejects_supplied_multipliers_of_the_wrong_length():
         kkt_analysis(_toy_problem(), z, stage=1, multipliers={"mu": [1.0]})
 
 
-def test_kkt_residual_rejects_an_unknown_on_degenerate():
-    z = np.zeros(8)
-    z[0] = 1.0
-    with pytest.raises(ValueError, match="on_degenerate"):
-        kkt_residual(_toy_problem(), z, stage=2, on_degenerate="lstq")
-
-
 def test_kkt_reads_the_constraint_block_not_each_constraint(monkeypatch):
     calls = []
     original = UnitNormConstraint.gradient_at
@@ -195,7 +188,7 @@ def test_kkt_stage2_at_analytic_optimum():
         assert kkt_analysis(pinned, z, stage=stage).degenerate
         with pytest.raises(DegenerateConstraintGradients):
             kkt_residual(pinned, z, stage=stage)
-        assert kkt_residual(pinned, z, stage=stage, on_degenerate="lstsq") <= 1e-10
+        assert kkt_analysis(pinned, z, stage=stage).residual <= 1e-10
 
 
 def _dense_multipliers(problem, z, stage):
@@ -275,6 +268,7 @@ def test_stage1_ignores_initial_dual_coordinates():
     rb = solve_stage1(problem, _fast_cfg(restarts=1), initial=b)
     assert ra.value == rb.value
     assert all(p.approx_eq(q, tol=0.0) for p, q in zip(ra.x, rb.x))
+    assert all(p.approx_eq(q, tol=0.0) for p, q in zip(ra.x_d, rb.x_d))
 
 
 def test_stage2_keeps_the_band():
@@ -311,6 +305,20 @@ def test_infeasible_raises():
     )
     with pytest.raises(Infeasible):
         solve_eqdqo(problem, _fast_cfg(restarts=2, max_outer=6))
+
+
+def test_dual_rows_that_cannot_hold_raise_infeasible():
+    # the anchor sets x = 1 + eps, on the unit row's standard part, but the
+    # unit row's dual part 2 <x, x_d> = 2 cannot vanish
+    problem = EqdqoProblem(
+        squared_distance_objective(DualQuaternion.identity()),
+        (unit_norm_constraint(1, 0),)
+        + anchor_constraints(1, 0, DualQuaternion(Quaternion(1, 0, 0, 0), Quaternion(1, 0, 0, 0))),
+    )
+    with pytest.raises(Infeasible):
+        solve_eqdqo(problem, _fast_cfg(restarts=2))
+    with pytest.raises(Infeasible):
+        solve_stage1(problem, _fast_cfg(restarts=2))
 
 
 def test_report_json_shape():

@@ -16,6 +16,7 @@ from dqopt import (
     build_pgo,
     generate_cycle_graph,
     generate_synthetic,
+    pack,
     solve_eqdqo,
     solve_stage1,
     spanning_tree_guess,
@@ -54,8 +55,8 @@ def test_importing_the_cli_loads_no_scipy_optimize():
 
 @pytest.mark.parametrize("kind", ["axyb", "pgo"])
 def test_sparse_systems_take_the_steps_of_dense_ones(kind, monkeypatch):
-    # small systems are solved densely and large ones sparsely; force the
-    # sparse path on a small problem and compare
+    # small systems are solved densely and large ones sparsely, in both
+    # stages; force the sparse path on a small problem and compare
     if kind == "pgo":
         g = generate_cycle_graph(12, loop_closures=4, noise_rot=SIGMA, noise_trans=SIGMA, seed=5)
         problem = build_pgo(g)
@@ -70,3 +71,10 @@ def test_sparse_systems_take_the_steps_of_dense_ones(kind, monkeypatch):
     assert sparse.iterations == dense.iterations
     assert sparse.value == pytest.approx(dense.value, rel=1e-12)
     assert np.max(np.abs(sparse.z - dense.z)) <= 1e-9
+    # and stage II on the same fiber, dense or sparse
+    monkeypatch.undo()
+    dense = solve_eqdqo(problem, cfg, initial)
+    monkeypatch.setattr(solver, "_DENSE_MAX", -1)
+    sparse = solve_eqdqo(problem, cfg, initial)
+    assert sparse.iterations == dense.iterations
+    assert np.max(np.abs(pack(list(sparse.solution)) - pack(list(dense.solution)))) <= 1e-9

@@ -111,9 +111,9 @@ def test_stage2_runs_once_per_restart_tied_at_the_least_stage1_value(monkeypatch
     calls = []
     original = solver._stage2
 
-    def counted(problem, cfg, z1, branches):
+    def counted(problem, cfg, z1):
         calls.append(problem.objective.value_at(z1).std)
-        return original(problem, cfg, z1, branches)
+        return original(problem, cfg, z1)
 
     monkeypatch.setattr(solver, "_stage2", counted)
     ds = generate_synthetic("axxb", 10, noise_rot=1e-2, noise_trans=1e-2, seed=0)
