@@ -171,20 +171,23 @@ def dual_max(first: DualNumber, *rest: DualNumber) -> DualNumber:
     return best
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Quaternion:
     """Quaternion ``w + x i + y j + z k`` over floats."""
 
     w: float
-    x: float = 0.0
-    y: float = 0.0
-    z: float = 0.0
+    x: float
+    y: float
+    z: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "w", float(self.w))
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "z", float(self.z))
+    # Written out rather than generated: each coefficient is stored once,
+    # already converted, which halves the cost of the many small values
+    # built from arrays.
+    def __init__(self, w, x=0.0, y=0.0, z=0.0):
+        object.__setattr__(self, "w", float(w))
+        object.__setattr__(self, "x", float(x))
+        object.__setattr__(self, "y", float(y))
+        object.__setattr__(self, "z", float(z))
 
     @classmethod
     def identity(cls) -> "Quaternion":
@@ -365,6 +368,34 @@ def left_mult_matrix(q) -> np.ndarray:
 def right_mult_matrix(q) -> np.ndarray:
     """Matrices ``R`` with ``R @ p == p * q``; shapes as in :func:`left_mult_matrix`."""
     return np.take(np.asarray(q, dtype=np.float64), _MULT_INDEX, axis=-1) * _RIGHT_SIGNS
+
+
+def quat_mul(a, b) -> np.ndarray:
+    """Products ``a * b`` of ``(..., 4)`` coefficient arrays, rounded as :meth:`Quaternion.__mul__`.
+
+    Each coefficient adds its four terms left to right with the signs of
+    the scalar product, so every entry equals that product bit for bit.
+    """
+    t = np.asarray(a, dtype=np.float64)[..., None, :] * right_mult_matrix(b)
+    return t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3]
+
+
+def quat_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:meth:`Quaternion.dot` over the last axis of ``(..., 4)`` arrays, summed in its order."""
+    p = a * b
+    return p[..., 0] + p[..., 1] + p[..., 2] + p[..., 3]
+
+
+def unit_deviations(std: np.ndarray, dual: np.ndarray) -> np.ndarray:
+    """:meth:`DualQuaternion.unit_deviation` of ``(..., 4)`` part arrays, bit for bit."""
+    return np.maximum(abs(np.sqrt(quat_dot(std, std)) - 1.0), abs(2.0 * quat_dot(std, dual)))
+
+
+def normalize_dq(std: np.ndarray, dual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`DualQuaternion.normalized` of ``(..., 4)`` part arrays with nonzero ``std``, bit for bit."""
+    norm = np.sqrt(quat_dot(std, std))
+    inv = (1.0 / norm)[..., None]
+    return std * inv, (dual - std * (quat_dot(std, dual) / (norm * norm))[..., None]) * inv
 
 
 def canonical_sign(q: Quaternion) -> int:
@@ -553,6 +584,26 @@ class UnitDualQuaternion:
     @classmethod
     def identity(cls) -> "UnitDualQuaternion":
         return cls(DualQuaternion.identity())
+
+    @classmethod
+    def from_rows(cls, rows) -> tuple["UnitDualQuaternion", ...]:
+        """Values of ``(k, 2, 4)`` rows (standard, dual part), validated in one pass.
+
+        Every row must meet the unit conditions to ``TOL_UNIT``, as the
+        constructor requires of one value; the check runs over all rows at
+        once rather than once per value.
+        """
+        rows = np.asarray(rows, dtype=np.float64).reshape(-1, 2, 4)
+        dev = unit_deviations(rows[:, 0], rows[:, 1])
+        bad = np.flatnonzero(dev > TOL_UNIT)
+        if bad.size:
+            raise UnitValidationError(f"unit deviation {float(dev[bad[0]])} exceeds {TOL_UNIT}")
+        out = []
+        for std, dual in rows.tolist():
+            value = object.__new__(cls)
+            object.__setattr__(value, "inner", DualQuaternion(Quaternion(*std), Quaternion(*dual)))
+            out.append(value)
+        return tuple(out)
 
     @classmethod
     def from_pose(cls, rotation: Quaternion, translation) -> "UnitDualQuaternion":

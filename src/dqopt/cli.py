@@ -234,7 +234,7 @@ def _cmd_solve_pgo(args) -> int:
     guess = [DualQuaternion(u.std, u.dual) for u in spanning_tree_guess(graph)]
     report = solve_eqdqo(problem, _config_from_args(args), initial=guess)
     out = report.to_json_dict()
-    if len(graph.ground_truth) == graph.n:
+    if len(graph.truth_ids) == graph.n:
         out["errors"] = vertex_errors(graph, list(report.solution))
     _emit_report(out, args.out)
     if args.csv:

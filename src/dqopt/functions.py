@@ -80,18 +80,11 @@ _APP_SOFT_FLOOR = 1e-9
 
 def pack(values: Sequence[DualQuaternion]) -> np.ndarray:
     """Flatten dual quaternions into the solver coordinate vector."""
-    out = np.empty(8 * len(values), dtype=np.float64)
-    for i, v in enumerate(values):
-        base = 8 * i
-        out[base] = v.std.w
-        out[base + 1] = v.std.x
-        out[base + 2] = v.std.y
-        out[base + 3] = v.std.z
-        out[base + 4] = v.dual.w
-        out[base + 5] = v.dual.x
-        out[base + 6] = v.dual.y
-        out[base + 7] = v.dual.z
-    return out
+    rows = [
+        (v.std.w, v.std.x, v.std.y, v.std.z, v.dual.w, v.dual.x, v.dual.y, v.dual.z)
+        for v in values
+    ]
+    return np.array(rows, dtype=np.float64).reshape(-1)
 
 
 def unpack(z: np.ndarray, arity: int) -> tuple[DualQuaternion, ...]:
@@ -99,16 +92,10 @@ def unpack(z: np.ndarray, arity: int) -> tuple[DualQuaternion, ...]:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (8 * arity,):
         raise ValueError(f"expected shape ({8 * arity},), got {z.shape}")
-    out = []
-    for i in range(arity):
-        base = 8 * i
-        out.append(
-            DualQuaternion(
-                Quaternion(z[base], z[base + 1], z[base + 2], z[base + 3]),
-                Quaternion(z[base + 4], z[base + 5], z[base + 6], z[base + 7]),
-            )
-        )
-    return tuple(out)
+    return tuple(
+        DualQuaternion(Quaternion(*std), Quaternion(*dual))
+        for std, dual in z.reshape(-1, 2, 4).tolist()
+    )
 
 
 class DualFunction:
@@ -484,31 +471,50 @@ class ResidualNormObjective(DualFunction):
     The residuals share one type, whose ``stack(residuals)`` gives, once at
     construction, the evaluator ``z -> (r_std, r_dual, pullback, jacobian)``
     of all their rows in group order; mixed types, or a type without
-    ``stack``, raise ``TypeError``.  Gradients are ``pullback(w_std,
-    w_dual)``, the transposed residual Jacobians times per-row weights;
-    value-only calls (``value_at``, ``branch_flags``) never call it, and only
-    the stage systems ask for the sparse ``jacobian()``.
+    ``stack``, raise ``TypeError``.  :meth:`from_stack` takes such an
+    evaluator directly, for residuals kept as arrays rather than objects.
+    Gradients are ``pullback(w_std, w_dual)``, the transposed residual
+    Jacobians times per-row weights; value-only calls (``value_at``,
+    ``branch_flags``) never call it, and only the stage systems ask for the
+    sparse ``jacobian()``.
     """
 
     def __init__(self, arity: int, groups, tol: float = TOL_APPRECIABLE):
         super().__init__(arity, declared_standard=True)
-        self.groups = tuple(tuple(g) for g in groups)
-        if not self.groups or any(not g for g in self.groups):
+        groups = tuple(tuple(g) for g in groups)
+        if not groups or any(not g for g in groups):
             raise ValueError("groups must be nonempty")
-        self.tol = float(tol)
-        self.residuals = tuple(r for g in self.groups for r in g)
-        kinds = sorted({type(r) for r in self.residuals}, key=lambda t: t.__name__)
+        residuals = tuple(r for g in groups for r in g)
+        kinds = sorted({type(r) for r in residuals}, key=lambda t: t.__name__)
         if len(kinds) > 1 or not hasattr(kinds[0], "stack"):
             names = ", ".join(t.__name__ for t in kinds)
             raise TypeError(f"residuals must share one type with a stack method, got {names}")
-        for r in self.residuals:
+        for r in residuals:
             if r.arity != self.arity:
                 raise ArityMismatch(f"residual arity {r.arity} != {self.arity}")
-        sizes = [4 * len(g) for g in self.groups]
+        self._setup(kinds[0].stack(residuals), [len(g) for g in groups], tol)
+
+    @classmethod
+    def from_stack(cls, arity: int, evaluate, sizes, tol: float = TOL_APPRECIABLE):
+        """Objective over the rows of ``evaluate``, groups of ``sizes[g]`` residuals in order.
+
+        ``evaluate`` is a ``stack`` evaluator whose residuals all have arity
+        ``arity``, 4 rows each.
+        """
+        if not len(sizes) or min(sizes) < 1:
+            raise ValueError("groups must be nonempty")
+        objective = cls.__new__(cls)
+        DualFunction.__init__(objective, arity, declared_standard=True)
+        objective._setup(evaluate, sizes, tol)
+        return objective
+
+    def _setup(self, evaluate, sizes, tol):
+        self.tol = float(tol)
+        rows = 4 * np.asarray(sizes, dtype=np.intp)
         # Row index where each group's block starts, for segmented sums.
-        self._starts = np.concatenate([[0], np.cumsum(sizes)[:-1]]).astype(np.intp)
-        self._row_group = np.repeat(np.arange(len(self.groups)), sizes)
-        self._stack = kinds[0].stack(self.residuals)
+        self._starts = np.concatenate([[0], np.cumsum(rows)[:-1]]).astype(np.intp)
+        self._row_group = np.repeat(np.arange(rows.size), rows)
+        self._stack = evaluate
 
     def _group_sums(self, r_std, r_dual):
         """Per-group sums: |r_std|^2, <r_std, r_dual>, |r_dual|^2."""
@@ -570,7 +576,7 @@ class ResidualNormObjective(DualFunction):
         return value, grad
 
     def stage2_value_grad(self, z, mu, branches):
-        if len(branches) != len(self.groups):
+        if len(branches) != self._starts.size:
             raise ValueError("branch flags must match group count")
         r_std, r_dual, pullback, _ = self._stack(z)
         s_std, cross, s_dual = self._group_sums(r_std, r_dual)
@@ -612,7 +618,7 @@ class ResidualNormObjective(DualFunction):
         norms = np.sqrt(np.add.reduceat(r * r, self._starts))
         weights = self._expand(1.0 / np.maximum(norms, self.tol))
         r = r * self._expand(norms > self.tol)
-        return jacobian(), r, weights, self._starts if len(self.groups) > 1 else None
+        return jacobian(), r, weights, self._starts if self._starts.size > 1 else None
 
     def stage2_system(self, z):
         """Stage-II rows: every residual's dual part, weighted per group.

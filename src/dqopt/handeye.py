@@ -29,10 +29,14 @@ from .algebra import (
     Quaternion,
     UnitDualQuaternion,
     canonical_sign,
+    normalize_dq,
+    quat_dot,
+    quat_mul,
     random_unit_quaternion,
+    unit_deviations,
 )
-from .errors import InvalidPose, NoGroundTruth, TooFewMotions
-from .functions import AffineResidual, ResidualNormObjective, UnitNormConstraint
+from .errors import InvalidPose, NoGroundTruth, TooFewMotions, UnitValidationError
+from .functions import AffineResidual, ResidualNormObjective, UnitNormConstraint, pack
 from .solver import EqdqoProblem
 
 __all__ = [
@@ -467,14 +471,49 @@ def rotation_angle_between(a: Quaternion, b: Quaternion) -> float:
     return 2.0 * math.atan2(p.imaginary_norm(), abs(p.w))
 
 
-def pose_errors(truth: Pose, est: Pose) -> tuple[float, float]:
-    """Rotation angle and world-frame translation distance from ``truth`` to ``est``.
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
-    Both are insensitive to the sign of either rotation quaternion.
+
+def pose_rows(values) -> np.ndarray:
+    """Poses of unit dual quaternions as ``(k, 7)`` rows ``(qw, qx, qy, qz, tx, ty, tz)``.
+
+    Each row is rounded as ``Pose.from_udq(UnitDualQuaternion.of(v))``;
+    values that are :class:`UnitDualQuaternion` already skip ``of``.  Raises
+    :class:`UnitValidationError` for a value farther than ``NORMALIZE_TOL``
+    from unit.
     """
-    rot = rotation_angle_between(truth.rotation, est.rotation)
-    dt = np.asarray(truth.translation) - np.asarray(est.translation)
-    return rot, float(np.linalg.norm(dt))
+    values = list(values)
+    dq = pack(values).reshape(-1, 2, 4)
+    std, dual = dq[:, 0], dq[:, 1]
+    plain = np.array([not isinstance(v, UnitDualQuaternion) for v in values], dtype=bool)
+    if plain.any():
+        dev = unit_deviations(std[plain], dual[plain])
+        bad = np.flatnonzero(dev > NORMALIZE_TOL)
+        if bad.size:
+            raise UnitValidationError(f"unit deviation {float(dev[bad[0]])} exceeds {NORMALIZE_TOL}")
+        std[plain], dual[plain] = normalize_dq(std[plain], dual[plain])
+    t = quat_mul(dual, std * _CONJ) * 2.0
+    rotation = std * (1.0 / np.sqrt(quat_dot(std, std)))[:, None]
+    return np.concatenate((rotation, t[:, 1:]), axis=1)
+
+
+def pose_errors(truth: np.ndarray, est: np.ndarray) -> tuple[list[float], list[float]]:
+    """Rotation angles and world-frame translation distances from ``truth`` to ``est``.
+
+    Both are ``(k, 7)`` pose rows as :func:`pose_rows` gives them; the
+    results are lists of ``k`` floats, insensitive to the sign of either
+    rotation quaternion and equal bit for bit to
+    :func:`rotation_angle_between` and the norm of the translation
+    difference per row.
+    """
+    p = quat_mul(truth[:, :4] * _CONJ, est[:, :4])
+    imag = np.sqrt(p[:, 1] * p[:, 1] + p[:, 2] * p[:, 2] + p[:, 3] * p[:, 3])
+    # math.atan2, not np.arctan2: the two differ in the last bit on some inputs.
+    rot = [2.0 * math.atan2(s, abs(w)) for s, w in zip(imag.tolist(), p[:, 0].tolist())]
+    dt = truth[:, 4:] - est[:, 4:]
+    # Each (1, 3) @ (3, 1) product sums as np.linalg.norm's dot does.
+    trans = np.sqrt((dt[:, None, :] @ dt[:, :, None])[:, 0, 0])
+    return rot, trans.tolist()
 
 
 def evaluate_solution(
@@ -489,14 +528,15 @@ def evaluate_solution(
     """
     if dataset.ground_truth_x is None:
         raise NoGroundTruth("dataset has no recorded ground truth")
-    x_u = x if isinstance(x, UnitDualQuaternion) else UnitDualQuaternion.of(x)
-    rot_x, trans_x = pose_errors(Pose.from_udq(dataset.ground_truth_x), Pose.from_udq(x_u))
-    out = {"rotation_error_x": rot_x, "translation_error_x": trans_x}
+    truths, estimates = [dataset.ground_truth_x], [x]
     if y is not None:
         if dataset.ground_truth_y is None:
             raise NoGroundTruth("dataset has no recorded ground truth for y")
-        y_u = y if isinstance(y, UnitDualQuaternion) else UnitDualQuaternion.of(y)
-        rot_y, trans_y = pose_errors(Pose.from_udq(dataset.ground_truth_y), Pose.from_udq(y_u))
-        out["rotation_error_y"] = rot_y
-        out["translation_error_y"] = trans_y
+        truths.append(dataset.ground_truth_y)
+        estimates.append(y)
+    rot, trans = pose_errors(pose_rows(truths), pose_rows(estimates))
+    out = {}
+    for name, rot_k, trans_k in zip("xy", rot, trans):
+        out[f"rotation_error_{name}"] = rot_k
+        out[f"translation_error_{name}"] = trans_k
     return out

@@ -7,6 +7,16 @@ The subtraction makes residuals sensitive to the double-cover sign, so
 measurements are sign-canonicalized when parsed or generated, and vertex 1
 is anchored to the identity to fix the global gauge.
 
+A :class:`PoseGraph` keeps its records as arrays and nothing else: edge ids
+and measured poses in input order, initial guesses and ground truth by
+vertex id.  :func:`parse_graph` converts every record of a kind at once,
+and :func:`build_pgo`, :func:`spanning_tree_guess` and
+:func:`vertex_errors` work on those arrays, with no object per edge or
+vertex.  The object forms, :class:`Edge` and one
+:class:`~dqopt.handeye.Pose` per vertex, are views for tests and
+generators: the constructor takes them, and the ``edges``, ``initial`` and
+``ground_truth`` properties build them on demand.
+
 Text format, one whitespace-separated record per line::
 
     VERTEX id qw qx qy qz tx ty tz     (optional initial guess)
@@ -19,8 +29,7 @@ Other ``#`` lines are comments.  Vertex ids are 1-based.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,19 +37,31 @@ from scipy import sparse
 
 from .algebra import (
     DualQuaternion,
+    DualQuaternionVector,
     Quaternion,
     UnitDualQuaternion,
     canonical_sign,
     left_mult_matrix,
+    normalize_dq,
+    quat_dot,
+    quat_mul,
     right_mult_matrix,
 )
-from .errors import DisconnectedGraph, NonUnitMeasurement, ParseError, TooFewMotions
+from .errors import (
+    DisconnectedGraph,
+    NoGroundTruth,
+    NonUnitMeasurement,
+    ParseError,
+    TooFewMotions,
+)
 from .functions import (
     ResidualNormObjective,
     UnitNormConstraint,
     anchor_constraints,
+    pack,
+    unpack,
 )
-from .handeye import Pose, pose_errors
+from .handeye import Pose, pose_errors, pose_rows
 from .solver import EqdqoProblem
 
 __all__ = [
@@ -57,6 +78,8 @@ __all__ = [
     "vertex_errors",
 ]
 
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -70,65 +93,182 @@ class Edge:
         return self.pose.to_udq()
 
 
-@dataclass(frozen=True)
+def _pose_row(pose: Pose) -> list[float]:
+    q = pose.rotation
+    return [q.w, q.x, q.y, q.z, *pose.translation]
+
+
+def _as_pose(row: list[float]) -> Pose:
+    """The :class:`Pose` of a stored row, bit for bit.
+
+    Stored rotations are normalized already; ``Pose()`` would divide one by
+    its computed norm again, which moves the last bit of about one rotation
+    in six.
+    """
+    pose = object.__new__(Pose)
+    pose.__dict__.update(rotation=Quaternion(*row[:4]), translation=tuple(row[4:]))
+    return pose
+
+
+def _pose_dict(ids: np.ndarray, rows: np.ndarray) -> dict[int, Pose]:
+    return {v: _as_pose(row) for v, row in zip(ids.tolist(), rows.tolist())}
+
+
+def _by_id(ids, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex records sorted by id; of several records for one id, the last counts."""
+    ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 7)
+    last = ids.size - 1 - np.unique(ids[::-1], return_index=True)[1]
+    return ids[last], rows[last]
+
+
 class PoseGraph:
-    """Vertices 1..n, measurement edges, optional guesses and ground truth."""
+    """Vertices 1..n, measurement edges, optional guesses and ground truth, as arrays.
 
-    n: int
-    edges: tuple[Edge, ...]
-    initial: dict = field(default_factory=dict)
-    ground_truth: dict = field(default_factory=dict)
+    A pose is a row ``(qw, qx, qy, qz, tx, ty, tz)``: a unit rotation and
+    the world-frame translation.  ``edge_ids`` ``(m, 2)`` holds each edge's
+    source and target and ``edge_poses`` ``(m, 7)`` its measured pose, with
+    the rotation's :func:`~dqopt.algebra.canonical_sign` positive, both in
+    input order.  ``vertex_ids``/``vertex_poses`` hold the initial guesses
+    and ``truth_ids``/``truth_poses`` the ground truth, ids ascending.
+    These read-only arrays are the only store.
 
-    def __post_init__(self):
+    ``PoseGraph(n, edges, initial, ground_truth)`` takes the object form,
+    :class:`Edge` records and ``{id: Pose}`` dicts; :meth:`from_arrays`
+    takes the arrays.  The ``edges``, ``initial`` and ``ground_truth``
+    properties build the objects again on each access.
+    """
+
+    def __init__(self, n: int, edges=(), initial=None, ground_truth=None):
+        edges = tuple(edges)
+        initial, ground_truth = initial or {}, ground_truth or {}
+        self._store(
+            n,
+            [(e.i, e.j) for e in edges],
+            [_pose_row(e.pose) for e in edges],
+            (list(initial), [_pose_row(p) for p in initial.values()]),
+            (list(ground_truth), [_pose_row(p) for p in ground_truth.values()]),
+        )
+
+    @classmethod
+    def from_arrays(cls, n, edge_ids, edge_poses, vertices=((), ()), truth=((), ())) -> "PoseGraph":
+        """Graph over the arrays laid out as its attributes.
+
+        ``vertices`` and ``truth`` are ``(ids, poses)`` pairs in any order;
+        of several records for one id, the last counts.
+        """
+        graph = cls.__new__(cls)
+        graph._store(n, edge_ids, edge_poses, vertices, truth)
+        return graph
+
+    def _store(self, n, edge_ids, edge_poses, vertices, truth) -> None:
+        self.n = int(n)
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
-        object.__setattr__(self, "edges", tuple(self.edges))
-        for e in self.edges:
-            if not (1 <= e.i <= self.n and 1 <= e.j <= self.n):
-                raise ValueError(f"edge ({e.i}, {e.j}) out of vertex range 1..{self.n}")
-            if e.i == e.j:
-                raise ValueError(f"self loop at vertex {e.i}")
-        for d in (self.initial, self.ground_truth):
-            for vid in d:
-                if not 1 <= vid <= self.n:
-                    raise ValueError(f"vertex id {vid} out of range 1..{self.n}")
+        self.edge_ids = np.asarray(edge_ids, dtype=np.intp).reshape(-1, 2)
+        self.edge_poses = np.asarray(edge_poses, dtype=np.float64).reshape(-1, 7)
+        i, j = self.edge_ids.T
+        outside = (np.minimum(i, j) < 1) | (np.maximum(i, j) > self.n)
+        bad = np.flatnonzero(outside | (i == j))
+        if bad.size:
+            i, j = self.edge_ids[bad[0]].tolist()
+            if not outside[bad[0]]:
+                raise ValueError(f"self loop at vertex {i}")
+            raise ValueError(f"edge ({i}, {j}) out of vertex range 1..{self.n}")
+        self.vertex_ids, self.vertex_poses = _by_id(*vertices)
+        self.truth_ids, self.truth_poses = _by_id(*truth)
+        for ids in (self.vertex_ids, self.truth_ids):
+            if ids.size and (ids[0] < 1 or ids[-1] > self.n):
+                vid = int(ids[0] if ids[0] < 1 else ids[-1])
+                raise ValueError(f"vertex id {vid} out of range 1..{self.n}")
+        for a in (self.edge_ids, self.edge_poses, self.vertex_ids, self.vertex_poses,
+                  self.truth_ids, self.truth_poses):
+            a.flags.writeable = False
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_ids)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as :class:`Edge` records, in input order."""
+        return tuple(
+            Edge(i, j, _as_pose(row))
+            for (i, j), row in zip(self.edge_ids.tolist(), self.edge_poses.tolist())
+        )
+
+    @property
+    def initial(self) -> dict[int, Pose]:
+        return _pose_dict(self.vertex_ids, self.vertex_poses)
+
+    @property
+    def ground_truth(self) -> dict[int, Pose]:
+        return _pose_dict(self.truth_ids, self.truth_poses)
+
+    def edge_order(self) -> np.ndarray:
+        """Edge indices by (source, target), input order among equals; fixes residual ordering."""
+        i, j = self.edge_ids.T
+        return np.argsort(i * (self.n + 1) + j, kind="stable")
 
     def sorted_edges(self) -> tuple[Edge, ...]:
-        """Lexicographic (i, j, input order); fixes residual ordering."""
-        return tuple(sorted(self.edges, key=lambda e: (e.i, e.j)))
+        edges = self.edges
+        return tuple(edges[k] for k in self.edge_order().tolist())
+
+    def measurements(self) -> np.ndarray:
+        """The edge poses as unit dual quaternions, ``(m, 2, 4)`` (standard, dual), input order.
+
+        Rounded as :meth:`Pose.to_udq`: the dual part is ``(t q) / 2`` with
+        ``t`` the translation as a pure quaternion.
+        """
+        q = self.edge_poses[:, :4]
+        t = np.zeros_like(q)
+        t[:, 1:] = self.edge_poses[:, 4:]
+        return np.stack((q, quat_mul(t, q) * 0.5), axis=1)
 
     def is_connected(self) -> bool:
-        return len(_bfs_order(self)) == self.n
+        return len(_bfs_tree(self, self.edge_order())[0]) == self.n - 1
 
 
-def _bfs_order(graph: PoseGraph) -> list[tuple[int, Edge | None, bool]]:
-    """Breadth-first traversal from vertex 1 over the undirected structure.
+def _bfs_tree(graph: PoseGraph, order: np.ndarray):
+    """Breadth-first tree from vertex 1 over the undirected structure.
 
-    Yields (vertex, entering edge, forward?) triples in visit order; the
-    root pairs with (None, True).  Edge direction ties are resolved by the
-    sorted edge order, so the traversal is deterministic.
+    Returns ``(vertices, parents, via, bounds)``: every vertex reached
+    besides vertex 1 (0-based, in visit order), its tree parent and its
+    entering edge, and the offsets where each depth starts and ends.  An
+    entering edge is ``k`` when it runs from the parent to the vertex and
+    ``m + k`` otherwise, ``k`` its position in ``order``, the sorted edge
+    order.  Neighbours are visited in that order, so the tree is
+    deterministic.
     """
-    adjacency: dict[int, list[tuple[int, Edge, bool]]] = {
-        v: [] for v in range(1, graph.n + 1)
-    }
-    for e in graph.sorted_edges():
-        adjacency[e.i].append((e.j, e, True))
-        adjacency[e.j].append((e.i, e, False))
-    seen = {1}
-    order = [(1, None, True)]
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for w, e, forward in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                order.append((w, e, forward))
-                queue.append(w)
-    return order
+    ij = graph.edge_ids[order] - 1
+    m = len(ij)
+    # Every edge once from each end, grouped by that end in edge order.
+    owner = np.concatenate((ij[:, 0], ij[:, 1]))
+    entry = np.argsort(owner * m + np.tile(np.arange(m), 2))
+    start = np.searchsorted(owner[entry], np.arange(graph.n + 1)).tolist()
+    other = np.concatenate((ij[:, 1], ij[:, 0]))[entry].tolist()
+    entry = entry.tolist()
+    seen = [False] * graph.n
+    seen[0] = True
+    vertices, parents, via, bounds = [], [], [], [0]
+    frontier = [0]
+    while frontier:
+        for v in frontier:
+            for s in range(start[v], start[v + 1]):
+                w = other[s]
+                if not seen[w]:
+                    seen[w] = True
+                    vertices.append(w)
+                    parents.append(v)
+                    via.append(entry[s])
+        frontier = vertices[bounds[-1] :]
+        bounds.append(len(vertices))
+    return (
+        np.array(vertices, dtype=np.intp),
+        np.array(parents, dtype=np.intp),
+        np.array(via, dtype=np.intp),
+        bounds[:-1],
+    )
 
 
 def edge_error(x_i, x_j, q_ij) -> DualQuaternion:
@@ -139,24 +279,28 @@ def edge_error(x_i, x_j, q_ij) -> DualQuaternion:
     return q - xi.conjugate() * xj
 
 
-def error_vector(graph: PoseGraph, poses: Sequence) -> "DualQuaternionVector":
-    """Edge errors stacked in sorted edge order under the given poses."""
-    from .algebra import DualQuaternionVector
+def _residuals(graph: PoseGraph):
+    """The :meth:`RelativePoseResidual.stack_arrays` evaluator of every edge, sorted order."""
+    order = graph.edge_order()
+    ij = graph.edge_ids[order] - 1
+    return RelativePoseResidual.stack_arrays(
+        graph.n, ij[:, 0], ij[:, 1], graph.measurements()[order]
+    )
 
+
+def error_vector(graph: PoseGraph, poses: Sequence) -> DualQuaternionVector:
+    """Edge errors stacked in sorted edge order under the given poses."""
     if len(poses) != graph.n:
         raise ValueError(f"expected {graph.n} poses, got {len(poses)}")
-    entries = [
-        edge_error(poses[e.i - 1], poses[e.j - 1], e.measurement())
-        for e in graph.sorted_edges()
-    ]
-    return DualQuaternionVector(tuple(entries))
+    if not graph.m:
+        return DualQuaternionVector(())
+    r_std, r_dual, _, _ = _residuals(graph)(pack(poses))
+    rows = np.stack((r_std.reshape(-1, 4), r_dual.reshape(-1, 4)), axis=1)
+    return DualQuaternionVector(unpack(rows.ravel(), graph.m))
 
 
 # ---------------------------------------------------------------------------
 # Residual with analytic derivatives
-
-
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 class RelativePoseResidual:
@@ -166,9 +310,11 @@ class RelativePoseResidual:
     ``conj(x_i) x_j`` has standard-part derivative ``L(conj(x_i))`` in
     ``x_j`` and ``R(x_j) C`` in ``x_i``, and the dual part adds the same
     blocks shifted to dual slots plus cross terms from the dual factors.
-    :meth:`stack` evaluates many edges in one batched pass and pulls row
-    weights back through those per-edge blocks, forming a (sparse) Jacobian
-    matrix only on request; :meth:`rows` is the stack of this edge alone.
+    :meth:`stack_arrays` evaluates many edges, given as index and
+    measurement arrays, in one batched pass and pulls row weights back
+    through those per-edge blocks, forming a (sparse) Jacobian matrix only
+    on request.  :meth:`stack` is the same over residual objects, and
+    :meth:`rows` the stack of this edge alone.
     """
 
     def __init__(self, arity: int, i: int, j: int, measurement: UnitDualQuaternion):
@@ -188,8 +334,18 @@ class RelativePoseResidual:
 
     @staticmethod
     def stack(residuals: Sequence[RelativePoseResidual]):
-        """Evaluator ``z -> (r_std, r_dual, pullback, jacobian)`` over every edge's rows.
+        """:meth:`stack_arrays` over these residuals' variables and measurements."""
+        ij = np.array([(r.i, r.j) for r in residuals])
+        q = np.array([(r.measurement.std.as_array(), r.measurement.dual.as_array()) for r in residuals])
+        return RelativePoseResidual.stack_arrays(residuals[0].arity, ij[:, 0], ij[:, 1], q)
 
+    @staticmethod
+    def stack_arrays(arity: int, i: np.ndarray, j: np.ndarray, measurements: np.ndarray):
+        """Evaluator ``z -> (r_std, r_dual, pullback, jacobian)`` over the rows of ``k`` edges.
+
+        Edge ``e`` runs from variable ``i[e]`` to ``j[e]`` (0-based, distinct,
+        below ``arity``) with measurement ``measurements[e]``, a ``(k, 2, 4)``
+        array of unit dual quaternions (standard, dual).
         Each call gathers all ``x_i``/``x_j`` with index arrays fixed here and
         forms their multiplication matrices as ``(k, 2, 4, 4)`` stacks (both
         parts of each edge); no loop over edges.  ``pullback(w_std,
@@ -201,14 +357,13 @@ class RelativePoseResidual:
         standard blocks as a sparse CSR ``(4k, 4n)`` matrix over the standard
         slots, column ``4i + c`` for coefficient ``c`` of vertex ``i``.
         """
-        n = residuals[0].arity
+        n = int(arity)
         n8 = 8 * n
-        i = np.array([r.i for r in residuals])
-        j = np.array([r.j for r in residuals])
+        i = np.asarray(i, dtype=np.intp)
+        j = np.asarray(j, dtype=np.intp)
         si = 8 * i[:, None] + np.arange(8)
         sj = 8 * j[:, None] + np.arange(8)
-        q_std = np.array([r.measurement.std.as_array() for r in residuals])
-        q_dual = np.array([r.measurement.dual.as_array() for r in residuals])
+        q_std, q_dual = measurements[:, 0], measurements[:, 1]
         # Columns of each edge's blocks, edge by edge: the standard part depends
         # on the standard slots of x_i and x_j, the dual part on all 16.
         cols_std = np.concatenate((si[:, :4], sj[:, :4]), axis=1).ravel()
@@ -216,7 +371,7 @@ class RelativePoseResidual:
         # The same blocks in the compact (4k, 4n) layout: 8 entries per row.
         cols_jac = np.concatenate((4 * i[:, None] + np.arange(4), 4 * j[:, None] + np.arange(4)), 1)
         cols_jac = np.repeat(cols_jac, 4, axis=0).ravel()
-        indptr = np.arange(0, 8 * 4 * len(residuals) + 1, 8)
+        indptr = np.arange(0, 8 * 4 * len(i) + 1, 8)
 
         def evaluate(z: np.ndarray):
             xj = z[sj][:, :, None]
@@ -249,24 +404,21 @@ def build_pgo(graph: PoseGraph) -> EqdqoProblem:
     """Problem: minimize the 2-norm of all edge errors over unit poses.
 
     One norm group holds every residual (a genuine vector 2-norm, not a
-    sum of magnitudes).  Constraints: the identity anchor on vertex 1 and
-    one unit condition per other vertex; vertex 1 gets none, because its
-    anchor implies it and a fifth row on its 4 coordinates would make the
-    constraint gradients dependent.  Raises :class:`DisconnectedGraph`
-    when some vertex is unreachable and :class:`TooFewMotions` when the
-    graph has no edges.
+    sum of magnitudes), evaluated from the graph's arrays by
+    :meth:`RelativePoseResidual.stack_arrays`.  Constraints: the identity
+    anchor on vertex 1 and one unit condition per other vertex; vertex 1
+    gets none, because its anchor implies it and a fifth row on its 4
+    coordinates would make the constraint gradients dependent.  Raises
+    :class:`DisconnectedGraph` when some vertex is unreachable and
+    :class:`TooFewMotions` when the graph has no edges.
     """
-    if not graph.edges:
+    if not graph.m:
         raise TooFewMotions(f"graph with {graph.n} vertices has no edges")
     if not graph.is_connected():
         raise DisconnectedGraph(
             f"graph with {graph.n} vertices is not weakly connected"
         )
-    residuals = [
-        RelativePoseResidual(graph.n, e.i - 1, e.j - 1, e.measurement())
-        for e in graph.sorted_edges()
-    ]
-    objective = ResidualNormObjective(graph.n, [residuals])
+    objective = ResidualNormObjective.from_stack(graph.n, _residuals(graph), [graph.m])
     constraints = [UnitNormConstraint(graph.n, k) for k in range(1, graph.n)]
     constraints.extend(anchor_constraints(graph.n, 0, DualQuaternion.identity()))
     return EqdqoProblem(objective, tuple(constraints))
@@ -277,120 +429,201 @@ def spanning_tree_guess(graph: PoseGraph) -> tuple[UnitDualQuaternion, ...]:
 
     Vertex 1 is the identity; a forward tree edge (i, j) sets
     ``x_j = x_i q_ij`` and a backward one sets ``x_i = x_j conj(q_ij)``.
+    Each level of the tree takes one batched product, rounded as
+    :meth:`UnitDualQuaternion.__mul__` (the product, then ``normalized``).
     """
-    order = _bfs_order(graph)
-    if len(order) != graph.n:
+    order = graph.edge_order()
+    vertices, parents, via, bounds = _bfs_tree(graph, order)
+    if len(vertices) != graph.n - 1:
         raise DisconnectedGraph(
-            f"only {len(order)} of {graph.n} vertices reachable from vertex 1"
+            f"only {len(vertices) + 1} of {graph.n} vertices reachable from vertex 1"
         )
-    poses: dict[int, UnitDualQuaternion] = {}
-    for v, e, forward in order:
-        if e is None:
-            poses[v] = UnitDualQuaternion.identity()
-        elif forward:
-            poses[v] = poses[e.i] * e.measurement()
-        else:
-            poses[v] = poses[e.j] * e.measurement().conjugate()
-    return tuple(poses[v] for v in range(1, graph.n + 1))
+    q = graph.measurements()[order]
+    # Entering edge k reads q_k, and m + k its conjugate.
+    q = np.concatenate((q, q * _CONJ))
+    # quat_mul for std*std, std*dual and dual*std, with every tree edge's
+    # multiplication matrices formed once
+    factors = right_mult_matrix(q[via][:, [0, 1, 0]])
+    rows = 2 * parents[:, None] + np.array([0, 0, 1])
+    poses = np.zeros((graph.n, 2, 4))
+    poses[0, 0, 0] = 1.0
+    flat = poses.reshape(-1, 4)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        t = flat[rows[lo:hi], None, :] * factors[lo:hi]
+        p = t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3]
+        v = vertices[lo:hi]
+        poses[v, 0], poses[v, 1] = normalize_dq(p[:, 0], p[:, 1] + p[:, 2])
+    return UnitDualQuaternion.from_rows(poses)
 
 
 # ---------------------------------------------------------------------------
 # Text format
 
-
-def _parse_floats(tokens, line_no):
-    out = []
-    for t in tokens:
-        try:
-            out.append(float(t))
-        except ValueError:
-            raise ParseError(line_no, f"not a number: {t!r}") from None
-    return out
+#: Tokens per record, counting the keyword, and the names of its id fields.
+_RECORDS = {
+    "EDGE": (10, ("edge source", "edge target")),
+    "VERTEX": (9, ("vertex id",)),
+    "TRUTH": (9, ("vertex id",)),  # after the leading "#"
+}
 
 
-def _parse_int(token, line_no, what):
+def _structure_error(kind: str, tokens: list[str]) -> str:
+    if kind not in _RECORDS:
+        return f"unknown record type {kind!r}"
+    if kind == "TRUTH":
+        return f"TRUTH needs 8 fields, got {len(tokens) - 1}"
+    return f"{kind} needs {_RECORDS[kind][0]} tokens, got {len(tokens)}"
+
+
+def _ints(tokens: list[str]) -> np.ndarray:
+    return np.array(list(map(int, tokens)), dtype=np.intp)
+
+
+def _floats(tokens: list[str]) -> np.ndarray:
+    return np.array(tokens, dtype=np.float64)
+
+
+def _convert(tokens: list[str], convert) -> tuple[np.ndarray, int]:
+    """``(values, k)``: ``tokens[:k]`` converted, ``k`` the first token ``convert`` rejects, else all."""
     try:
-        value = int(token)
+        return convert(tokens), len(tokens)
     except ValueError:
-        raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
-    if value < 1:
-        raise ParseError(line_no, f"{what} must be positive, got {value}")
-    return value
+        k = 0
+        while _accepts(convert, tokens[k]):
+            k += 1
+        return convert(tokens[:k]), k
 
 
-def _pose_from_record(numbers, line_no, record) -> Pose:
-    q = Quaternion.from_array(numbers[:4])
-    n = q.norm()
-    if abs(n - 1.0) > 1e-6:
-        raise NonUnitMeasurement(
-            f"line {line_no}: {record} rotation norm {n} deviates beyond 1e-06"
-        )
-    q = q / n
-    if canonical_sign(q) < 0:
-        q = -q
-    return Pose(q, tuple(numbers[4:7]))
+def _accepts(convert, token: str) -> bool:
+    try:
+        convert([token])
+    except ValueError:
+        return False
+    return True
+
+
+def _check_records(kind: str, lines: list[int], id_tokens: list[str], numbers: list[str]):
+    """``(ids, rows, failure)`` of every record of one kind, checked and converted together.
+
+    ``id_tokens`` and ``numbers`` hold the records' id fields and their 7
+    numbers, record after record.  ``ids`` is ``(k, w)`` for ``w`` id
+    fields and ``rows`` the normalized ``(k, 7)`` pose rows, rounded as
+    before: divided by their norm, sign-canonicalized, and divided by their
+    norm again as :class:`Pose` does.  ``failure`` is ``(line, error)`` of
+    the first record that fails a check, else None.  The checks run in the
+    order one record's would, each over the records before the last
+    failure found, so the last failure found is the first one.
+    """
+    names = _RECORDS[kind][1]
+    width = len(names)
+    count, failure = len(lines), None
+
+    def fail(record, message, error=ParseError):
+        nonlocal count, failure
+        count, failure = record, (record, message, error)
+
+    # Every id token is an integer, then positive, in token order.
+    ids, k = _convert(id_tokens, _ints)
+    low = np.flatnonzero(ids < 1)
+    if low.size:
+        fail(low[0] // width, f"{names[low[0] % width]} must be positive, got {ids[low[0]]}")
+    elif k < len(id_tokens):
+        fail(k // width, f"{names[k % width]} must be an integer, got {id_tokens[k]!r}")
+    ids = ids[: width * count].reshape(-1, width)
+    if width == 2:
+        loops = np.flatnonzero(ids[:, 0] == ids[:, 1])
+        if loops.size:
+            fail(loops[0], f"self loop at vertex {ids[loops[0], 0]}")
+    values, k = _convert(numbers[: 7 * count], _floats)
+    if k < 7 * count:
+        fail(k // 7, f"not a number: {numbers[k]!r}")
+    values = values[: 7 * count]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        fail(bad[0] // 7, f"not a finite number: {numbers[bad[0]]!r}")
+    q = values[: 7 * count].reshape(-1, 7)[:, :4]
+    norm = np.sqrt(quat_dot(q, q))
+    bad = np.flatnonzero(abs(norm - 1.0) > 1e-6)
+    if bad.size:
+        fail(bad[0], f"{kind} rotation norm {float(norm[bad[0]])} deviates beyond 1e-06",
+             NonUnitMeasurement)
+    if failure is not None:
+        record, message, error = failure
+        line = lines[record]
+        if error is ParseError:
+            return None, None, (line, ParseError(line, message))
+        return None, None, (line, error(f"line {line}: {message}"))
+    q = q * (1.0 / norm)[:, None]
+    # canonical_sign: the first nonzero coefficient decides.
+    first = np.argmax(q != 0.0, axis=1)
+    q = np.where(q[np.arange(len(q)), first, None] < 0.0, -q, q)
+    q = q * (1.0 / np.sqrt(quat_dot(q, q)))[:, None]
+    return ids, np.concatenate((q, values.reshape(-1, 7)[:, 4:]), axis=1), None
 
 
 def parse_graph(text: str) -> PoseGraph:
-    """Parse the text format; see the module docstring for the grammar."""
-    edges: list[Edge] = []
-    initial: dict[int, Pose] = {}
-    truth: dict[int, Pose] = {}
-    max_id = 0
+    """Parse the text format; see the module docstring for the grammar.
+
+    Each line is split once and checked for its record type and token
+    count.  The ids and numbers of all records of one kind are then
+    converted and checked (integer and positive ids, no self loop, finite
+    numbers, unit rotation) together, and the rotations normalized.  Errors
+    name the first offending line: :class:`ParseError`, or
+    :class:`NonUnitMeasurement` for a rotation norm off 1 by more than 1e-6.
+    """
+    lines = {kind: [] for kind in _RECORDS}
+    id_tokens = {kind: [] for kind in _RECORDS}
+    numbers = {kind: [] for kind in _RECORDS}
+    failures = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
             continue
-        if tokens[0].startswith("#"):
-            if tokens[0] == "#" and len(tokens) > 1 and tokens[1] == "TRUTH":
-                body = tokens[2:]
-                if len(body) != 8:
-                    raise ParseError(line_no, f"TRUTH needs 8 fields, got {len(body)}")
-                vid = _parse_int(body[0], line_no, "vertex id")
-                numbers = _parse_floats(body[1:], line_no)
-                truth[vid] = _pose_from_record(numbers, line_no, "TRUTH")
-                max_id = max(max_id, vid)
-            continue
         kind = tokens[0]
-        if kind == "VERTEX":
-            if len(tokens) != 9:
-                raise ParseError(line_no, f"VERTEX needs 9 tokens, got {len(tokens)}")
-            vid = _parse_int(tokens[1], line_no, "vertex id")
-            numbers = _parse_floats(tokens[2:], line_no)
-            initial[vid] = _pose_from_record(numbers, line_no, "VERTEX")
-            max_id = max(max_id, vid)
-        elif kind == "EDGE":
-            if len(tokens) != 10:
-                raise ParseError(line_no, f"EDGE needs 10 tokens, got {len(tokens)}")
-            i = _parse_int(tokens[1], line_no, "edge source")
-            j = _parse_int(tokens[2], line_no, "edge target")
-            if i == j:
-                raise ParseError(line_no, f"self loop at vertex {i}")
-            numbers = _parse_floats(tokens[3:], line_no)
-            edges.append(Edge(i, j, _pose_from_record(numbers, line_no, "EDGE")))
-            max_id = max(max_id, i, j)
-        else:
-            raise ParseError(line_no, f"unknown record type {kind!r}")
-    if max_id == 0:
+        if kind.startswith("#"):
+            if kind != "#" or len(tokens) < 2 or tokens[1] != "TRUTH":
+                continue
+            kind, tokens = "TRUTH", tokens[1:]
+        if kind not in _RECORDS or len(tokens) != _RECORDS[kind][0]:
+            # Later lines cannot hold the first error; earlier ones still can.
+            failures.append((line_no, ParseError(line_no, _structure_error(kind, tokens))))
+            break
+        lines[kind].append(line_no)
+        id_tokens[kind].extend(tokens[1:-7])
+        numbers[kind].extend(tokens[-7:])
+    ids, rows = {}, {}
+    for kind in _RECORDS:
+        ids[kind], rows[kind], failure = _check_records(
+            kind, lines[kind], id_tokens[kind], numbers[kind]
+        )
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    n = max((int(v.max()) for v in ids.values() if v.size), default=0)
+    if n == 0:
         raise ParseError(0, "no records found")
-    return PoseGraph(max_id, tuple(edges), initial, truth)
+    return PoseGraph.from_arrays(
+        n,
+        ids["EDGE"],
+        rows["EDGE"],
+        (ids["VERTEX"], rows["VERTEX"]),
+        (ids["TRUTH"], rows["TRUTH"]),
+    )
 
 
-def _format_pose(pose: Pose) -> str:
-    q = pose.rotation
-    parts = [q.w, q.x, q.y, q.z, *pose.translation]
-    return " ".join(repr(v) for v in parts)
+def _format_rows(label: str, ids, rows: np.ndarray) -> list[str]:
+    return [
+        f"{label} {' '.join(map(str, i))} {' '.join(map(repr, row))}"
+        for i, row in zip(ids, rows.tolist())
+    ]
 
 
 def serialize_graph(graph: PoseGraph) -> str:
     """Canonical text form; parse followed by serialize is byte-identical."""
-    lines = []
-    for vid in sorted(graph.initial):
-        lines.append(f"VERTEX {vid} {_format_pose(graph.initial[vid])}")
-    for e in graph.edges:
-        lines.append(f"EDGE {e.i} {e.j} {_format_pose(e.pose)}")
-    for vid in sorted(graph.ground_truth):
-        lines.append(f"# TRUTH {vid} {_format_pose(graph.ground_truth[vid])}")
+    lines = _format_rows("VERTEX", graph.vertex_ids[:, None].tolist(), graph.vertex_poses)
+    lines += _format_rows("EDGE", graph.edge_ids.tolist(), graph.edge_poses)
+    lines += _format_rows("# TRUTH", graph.truth_ids[:, None].tolist(), graph.truth_poses)
     return "\n".join(lines) + "\n"
 
 
@@ -470,20 +703,18 @@ def generate_cycle_graph(
 
 
 def vertex_errors(graph: PoseGraph, poses: Sequence[UnitDualQuaternion]) -> list[dict]:
-    """Per-vertex rotation/translation error against the stored truth."""
-    from .errors import NoGroundTruth
+    """Per-vertex rotation/translation error against the stored truth.
 
+    One :func:`~dqopt.handeye.pose_errors` pass over all vertices; plain
+    dual quaternions are normalized as ``UnitDualQuaternion.of`` would.
+    """
     if len(poses) != graph.n:
         raise ValueError(f"expected {graph.n} poses, got {len(poses)}")
-    missing = [v for v in range(1, graph.n + 1) if v not in graph.ground_truth]
-    if missing:
+    if len(graph.truth_ids) != graph.n:
+        missing = np.setdiff1d(np.arange(1, graph.n + 1), graph.truth_ids).tolist()
         raise NoGroundTruth(f"no ground truth for vertices {missing}")
-    out = []
-    for v in range(1, graph.n + 1):
-        t = graph.ground_truth[v]
-        p = poses[v - 1]
-        if not isinstance(p, UnitDualQuaternion):
-            p = UnitDualQuaternion.of(p)
-        rot, trans = pose_errors(t, Pose.from_udq(p))
-        out.append({"vertex": v, "rotation_error": rot, "translation_error": trans})
-    return out
+    rot, trans = pose_errors(graph.truth_poses, pose_rows(poses))
+    return [
+        {"vertex": v, "rotation_error": r, "translation_error": t}
+        for v, r, t in zip(range(1, graph.n + 1), rot, trans)
+    ]

@@ -254,6 +254,7 @@ class _StageOutcome:
     converged: bool
     grad_norm: float
     trace: list
+    gram: tuple | None = None  # stage II: _gram_pinv at the standard coordinates of z
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +303,22 @@ def _gram_pinv(block: ConstraintBlock, z: np.ndarray):
 
 
 def _dual_fiber(problem: EqdqoProblem, z: np.ndarray):
-    """Gram pseudo-inverse and null space of the dual rows at the standard point of ``z``.
+    """Gram factorization and null space of the dual rows at the standard point of ``z``.
 
     :func:`_gram_pinv` splits each variable's dual coordinates into the
     row space of the stage Jacobian ``G`` and its null space (3 directions
     for a unit row alone, none for an anchored variable).  ``G`` is also
     the Jacobian of the standard rows over the standard coordinates, so the
     null space is stage I's tangent space as well as stage II's fiber
-    directions.  Returns ``(pinv, null, var)``: ``pinv(G^T v)`` is the
-    minimum-norm ``x`` with ``G x = v`` (least squares when there is none),
-    ``null`` a ``(4n, k)`` orthonormal basis of the null space, dense when
-    ``k <= _DENSE_MAX`` and sparse otherwise, and ``var`` the variable of
-    each of its columns.
+    directions.  Returns ``(gram, null, var)``: ``gram`` is the
+    :func:`_gram_pinv` triple, whose ``pinv(G^T v)`` is the minimum-norm
+    ``x`` with ``G x = v`` (least squares when there is none), ``null`` a
+    ``(4n, k)`` orthonormal basis of the null space, dense when ``k <=
+    _DENSE_MAX`` and sparse otherwise, and ``var`` the variable of each of
+    its columns.
     """
-    pinv, rank, vecs = _gram_pinv(problem.block, z)
+    gram = _gram_pinv(problem.block, z)
+    _, rank, vecs = gram
     # One column per null eigenvector, its 4 entries in its variable's rows.
     var, col = np.nonzero(~rank)
     rows = (4 * var[:, None] + np.arange(4)).ravel()
@@ -325,25 +328,26 @@ def _dual_fiber(problem: EqdqoProblem, z: np.ndarray):
         null[rows, np.repeat(np.arange(var.size), 4)] = vals
     else:
         null = sparse.csc_matrix((vals, rows, np.arange(0, rows.size + 1, 4)), shape)
-    return pinv, null, var
+    return gram, null, var
 
 
 def _fiber_point(problem: EqdqoProblem, z: np.ndarray):
-    """``(z_p, null)``: ``z`` with its duals at the dual fiber's minimum-norm point.
+    """``(z_p, null, gram)``: ``z`` with its duals at the dual fiber's minimum-norm point.
 
     Every dual row is affine in the dual coordinates, ``G x_d + h_d(0)``
     with ``h_d(0)`` its value at zero duals, so ``x_p = (G^T G)^+ G^T
     (-h_d(0))`` is the least-norm point that satisfies them (least squares
-    when none does); the fiber is ``x_p + null y``, ``null`` from
-    :func:`_dual_fiber`.
+    when none does); the fiber is ``x_p + null y``, ``null`` and ``gram``
+    from :func:`_dual_fiber`.  ``gram`` depends on the standard
+    coordinates only, so it serves every point of the fiber.
     """
-    pinv, null, _ = _dual_fiber(problem, z)
+    gram, null, _ = _dual_fiber(problem, z)
     dual = _part_indices(problem.arity, 1)
     z = z.copy()
     z[dual] = 0.0
     _, h_d0 = problem.block.values(z)
-    z[dual] = pinv(problem.block.pullback(z, -h_d0))
-    return z, null
+    z[dual] = gram[0](problem.block.pullback(z, -h_d0))
+    return z, null, gram
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +394,7 @@ def kkt_analysis(
     point,
     stage: int = 1,
     multipliers: dict | None = None,
+    gram: tuple | None = None,
 ) -> KktInfo:
     """Multipliers and stationarity residual of one stage, over the coordinates it moves.
 
@@ -400,8 +405,10 @@ def kkt_analysis(
     minimum-norm least-squares ones ``-G (G^T G)^+ t``, from the
     per-variable Gram blocks of :func:`_gram_pinv`.  Supplied
     ``multipliers`` must hold one ``lambda`` (stage I) or ``mu`` (stage II)
-    per constraint, else ``ValueError``.  Piecewise gradients use the zero
-    subgradient at kinks.
+    per constraint, else ``ValueError``.  ``gram`` may pass in the
+    :func:`_gram_pinv` factorization at the standard coordinates of
+    ``point``, which is then not factored again.  Piecewise gradients use
+    the zero subgradient at kinks.
     """
     if stage not in (1, 2):
         raise ValueError("stage must be 1 or 2")
@@ -410,7 +417,7 @@ def kkt_analysis(
     part = stage - 1
     target = problem.objective.gradient_at(z)[part][_part_indices(problem.arity, part)]
     if multipliers is None:
-        pinv, rank, _ = _gram_pinv(block, z)
+        pinv, rank, _ = _gram_pinv(block, z) if gram is None else gram
         mult = -block.apply(z, pinv(target))
         degenerate = int(np.count_nonzero(rank)) < block.size
     else:
@@ -599,10 +606,12 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageO
     :func:`_fiber_point`; each pass solves the normal equations ``B^T W B y
     = -B^T W r_p`` with ``B = A N``, for the objective's rows ``r = r_p + B
     y``, until the weights stop changing or ``y`` stops moving, at most
-    ``max_outer`` times.  One trace row per solve.
+    ``max_outer`` times.  A singular system gives a non-finite ``y``, which
+    ends the passes unconverged.  One trace row per solve.  The outcome
+    carries the fiber's Gram factorization for the KKT analysis.
     """
     dual = _part_indices(problem.arity, 1)
-    z, null = _fiber_point(problem, z1)
+    z, null, gram = _fiber_point(problem, z1)
     x_p = z[dual]
     a, r_p, weights = problem.objective.stage2_system(z)
     b = a @ null
@@ -621,12 +630,15 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageO
         stationarity = float(np.linalg.norm(b_t @ (w * r)))
         v = problem.objective.value_at(z)
         trace.append(TraceRow(it, 2, v.std, v.dual, max(_feasibility(problem, z)), stationarity))
+        if not np.all(np.isfinite(y_new)):
+            done = False
+            break
         w_new = weights(r)
         done = np.array_equal(w_new, w) or np.max(np.abs(y_new - y), initial=0.0) <= cfg.tol_feas
         y, w = y_new, w_new
         if done:
             break
-    return _StageOutcome(z, it + 1, done, stationarity, trace)
+    return _StageOutcome(z, it + 1, done, stationarity, trace, gram)
 
 
 def _restart_start(
@@ -692,12 +704,13 @@ def _report(
     """Report at stage II's final point, with stage I's KKT analysis at ``stage1.z``.
 
     ``stage1`` supplies the stage-I point, iteration count and trace;
-    ``t0`` is when the solve started.
+    ``t0`` is when the solve started.  Stage II moved only the dual
+    coordinates, so both analyses reuse its Gram factorization.
     """
     wall_ms = (time.perf_counter() - t0) * 1e3
     z2 = stage2.z
-    kkt1 = kkt_analysis(problem, stage1.z, stage=1)
-    kkt2 = kkt_analysis(problem, z2, stage=2)
+    kkt1 = kkt_analysis(problem, stage1.z, stage=1, gram=stage2.gram)
+    kkt2 = kkt_analysis(problem, z2, stage=2, gram=stage2.gram)
     v = problem.objective.value_at(z2)
     feas_h, feas_hd = _feasibility(problem, z2)
     return SolveReport(
@@ -780,12 +793,12 @@ def solve_stage1(
     """
     cfg = cfg or SolverConfig()
     value, r, outcome = _stage1_restarts(problem, cfg, initial)[0]
-    z1, _ = _fiber_point(problem, outcome.z)
+    z1, _, gram = _fiber_point(problem, outcome.z)
     feas = _feasibility(problem, z1)
     if not _feasible(cfg, feas):
         raise Infeasible(f"the dual rows cannot hold at the stage-I point (h_d {feas[1]:.3e})")
     solution = DualQuaternionVector(unpack(z1, problem.arity))
-    kkt1 = kkt_analysis(problem, z1, stage=1)
+    kkt1 = kkt_analysis(problem, z1, stage=1, gram=gram)
     return Stage1Result(
         x=tuple(e.std for e in solution),
         x_d=tuple(e.dual for e in solution),

@@ -148,6 +148,10 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     badgraph = tmp_path / "bad.txt"
     badgraph.write_text("EDGE 1 2 1 0 0 0 1 0\n")
     assert main(["solve-pgo", "--in", str(badgraph)]) == 2
+    nangraph = tmp_path / "nan.txt"
+    nangraph.write_text("EDGE 1 2 nan 0 0 0 1 0 0\n")
+    assert main(["solve-pgo", "--in", str(nangraph)]) == 2
+    assert "line 1: not a finite number: 'nan'" in capsys.readouterr().err
     ds = tmp_path / "ds.json"
     assert main(["gen-handeye", "--model", "axxb", "--motions", "3",
                  "--seed", "1", "--out", str(ds)]) == 0

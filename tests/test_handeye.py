@@ -18,6 +18,7 @@ from dqopt import (
     rotation_angle_between,
     solve_eqdqo,
 )
+from dqopt import solver
 from dqopt.errors import Infeasible, InvalidPose, NoGroundTruth, TooFewMotions
 
 
@@ -197,10 +198,18 @@ def test_an_exactly_singular_stage2_raises_infeasible_not_a_nan_answer():
         a = Pose(Quaternion.exp_axis_angle(angle, Quaternion(0, 0, 0, 1)), t)
         poses_a.append(a)
         poses_b.append(x.inverse().compose(a).compose(x))
+    cfg = SolverConfig(restarts=2, seed=0)
     with pytest.warns(RuntimeWarning):
         problem = build_axxb(HandEyeDataset("axxb", poses_a, poses_b))
         with pytest.raises(Infeasible):
-            solve_eqdqo(problem, SolverConfig(restarts=2, seed=0))
+            solve_eqdqo(problem, cfg)
+    # the first non-finite pass ends stage II instead of repeating to max_outer
+    # (here the first pass is finite, its system has condition number 1.7e16)
+    _, _, outcome = solver._stage1_restarts(problem, cfg, None)[0]
+    stage2 = solver._stage2(problem, cfg, outcome.z)
+    finite = [np.isfinite(row.objective_dual) for row in stage2.trace]
+    assert stage2.iterations == len(finite) == 2
+    assert all(finite[:-1]) and not finite[-1]
 
 
 def test_too_few_motions():
@@ -219,3 +228,14 @@ def test_evaluate_without_truth_raises():
     ds2 = generate_synthetic("axxb", 3, seed=191)
     with pytest.raises(NoGroundTruth):
         evaluate_solution(ds2, UnitDualQuaternion.identity(), UnitDualQuaternion.identity())
+
+
+def test_evaluate_solution_matches_the_per_pose_computation():
+    ds = generate_synthetic("axyb", 6, noise_rot=0.01, noise_trans=0.01, seed=7)
+    x, y = solve_eqdqo(build_axyb(ds), SolverConfig(restarts=2, seed=0)).solution
+    errors = evaluate_solution(ds, x, y)
+    for name, truth, est in (("x", ds.ground_truth_x, x), ("y", ds.ground_truth_y, y)):
+        t, e = Pose.from_udq(truth), Pose.from_udq(UnitDualQuaternion.of(est))
+        dt = np.asarray(t.translation) - np.asarray(e.translation)
+        assert errors[f"rotation_error_{name}"] == rotation_angle_between(t.rotation, e.rotation)
+        assert errors[f"translation_error_{name}"] == float(np.linalg.norm(dt))

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dqopt import (
     generate_cycle_graph,
     pack,
     parse_graph,
+    rotation_angle_between,
     serialize_graph,
     solve_eqdqo,
     spanning_tree_guess,
@@ -30,6 +32,7 @@ from dqopt.errors import (
     ParseError,
     TooFewMotions,
 )
+from dqopt.algebra import canonical_sign
 from dqopt.posegraph import RelativePoseResidual
 
 
@@ -71,6 +74,8 @@ def test_parse_errors_carry_line_numbers():
         ("VERTEX 0 1 0 0 0 0 0 0\n", "must be positive"),
         ("EDGE 1 2 oops 0 0 0 0 0 0\n", "not a number"),
         ("EDGE one 2 1 0 0 0 0 0 0\n", "must be an integer"),
+        ("EDGE 1 2 nan 0 0 0 1 0 0\n", "not a finite number: 'nan'"),
+        ("VERTEX 1 1 0 0 0 -inf 0 0\n", "not a finite number: '-inf'"),
     ]
     for text, fragment in cases:
         with pytest.raises(ParseError) as exc:
@@ -80,6 +85,54 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         parse_graph("# just a comment\n")
     assert "no records found" in str(exc.value)
+
+
+_VALID = (
+    "VERTEX 1 1 0 0 0 0 0 0\n"
+    "EDGE 1 2 1 0 0 0 1 0 0\n"
+    "# TRUTH 2 1 0 0 0 1 0 0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "line, error, fragment",
+    [
+        ("EDGE 2 3 1 0 0 0 x 0 0", ParseError, "not a number: 'x'"),
+        ("EDGE 2 3 1 0 0 0 inf 0 0", ParseError, "not a finite number"),
+        ("EDGE 2 3 1 0 0 0 0 0", ParseError, "EDGE needs 10 tokens"),
+        ("VERTEX 3 1 0 0 0 0 0 0 0", ParseError, "VERTEX needs 9 tokens"),
+        ("# TRUTH 3 1 0 0 0 0 0", ParseError, "TRUTH needs 8 fields"),
+        ("EDGE 2 3 0 0 0 0 0 0 0", NonUnitMeasurement, "EDGE rotation norm 0.0"),
+        ("VERTEX 3 0.5 0 0 0 0 0 0", NonUnitMeasurement, "VERTEX rotation norm 0.5"),
+        ("# TRUTH 3 2 0 0 0 0 0 0", NonUnitMeasurement, "TRUTH rotation norm 2.0"),
+        ("EDGE 3 3 1 0 0 0 0 0 0", ParseError, "self loop at vertex 3"),
+        ("VERTEX -3 1 0 0 0 0 0 0", ParseError, "vertex id must be positive"),
+    ],
+)
+def test_batched_checks_name_the_line_after_valid_records(line, error, fragment):
+    with pytest.raises(error) as exc:
+        parse_graph(_VALID + line + "\n" + _VALID)
+    assert str(exc.value).startswith("line 4: ")
+    assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("EDGE 2 3 1 0 0 0 x 0 0", "EDGE 2 3 1 0 0 0 0 0"),
+        ("EDGE 2 3 1 0 0 0 0 0", "EDGE 2 3 1 0 0 0 x 0 0"),
+        ("VERTEX 3 2 0 0 0 0 0 0", "EDGE 2 3 1 0 0 0 x 0 0"),
+        ("EDGE 2 3 1 0 0 0 x 0 0", "VERTEX 3 2 0 0 0 0 0 0"),
+        ("# TRUTH 3 1 0 0 0 nan 0 0", "EDGE 2 x 1 0 0 0 0 0 0"),
+        ("EDGE 2 x 1 0 0 0 0 0 0", "# TRUTH 3 1 0 0 0 nan 0 0"),
+        ("EDGE 2 3 2 0 0 0 0 0 0", "FOO 1"),
+    ],
+)
+def test_of_two_bad_lines_the_first_is_reported(first, second):
+    text = _VALID + first + "\n" + _VALID + second + "\n"
+    with pytest.raises((ParseError, NonUnitMeasurement)) as exc:
+        parse_graph(text)
+    assert str(exc.value).startswith("line 4: ")
 
 
 def test_parse_rejects_non_unit_rotation():
@@ -286,3 +339,81 @@ def test_pgo_objective_zero_at_truth():
     v = problem.objective.value_at(z)
     assert v.std <= 1e-12
     assert abs(v.dual) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The per-record object code the array path replaced, kept as the reference.
+
+
+def _reference_parse(text):
+    """Records by kind as ``(ids, Pose)``, converted one line at a time."""
+    out = {"EDGE": [], "VERTEX": [], "TRUTH": []}
+    for raw in text.splitlines():
+        tokens = raw.split()
+        if tokens[0] == "#":
+            tokens = tokens[1:]
+        width = 2 if tokens[0] == "EDGE" else 1
+        ids = tuple(int(t) for t in tokens[1 : 1 + width])
+        numbers = [float(t) for t in tokens[1 + width :]]
+        q = Quaternion.from_array(numbers[:4])
+        q = q / q.norm()
+        if canonical_sign(q) < 0:
+            q = -q
+        out[tokens[0]].append((ids, Pose(q, tuple(numbers[4:]))))
+    return out
+
+
+def _reference_guess(edges, n):
+    """Per-edge products along the breadth-first tree from vertex 1."""
+    adjacency = {v: [] for v in range(1, n + 1)}
+    for (i, j), pose in sorted(edges, key=lambda e: e[0]):
+        adjacency[i].append((j, pose.to_udq()))
+        adjacency[j].append((i, pose.to_udq().conjugate()))
+    poses = {1: UnitDualQuaternion.identity()}
+    queue = deque([1])
+    while queue:
+        v = queue.popleft()
+        for w, q in adjacency[v]:
+            if w not in poses:
+                poses[w] = poses[v] * q
+                queue.append(w)
+    return [poses[v] for v in range(1, n + 1)]
+
+
+def _reference_errors(truth, poses):
+    out = []
+    for v, p in enumerate(poses, start=1):
+        est = Pose.from_udq(p if isinstance(p, UnitDualQuaternion) else UnitDualQuaternion.of(p))
+        rot = rotation_angle_between(truth[v].rotation, est.rotation)
+        dt = np.asarray(truth[v].translation) - np.asarray(est.translation)
+        out.append({"vertex": v, "rotation_error": rot, "translation_error": float(np.linalg.norm(dt))})
+    return out
+
+
+def _rows(records):
+    return np.array([[*p.rotation.as_array(), *p.translation] for _, p in records])
+
+
+def test_array_path_matches_the_object_code_bit_for_bit():
+    text = serialize_graph(
+        generate_cycle_graph(30, loop_closures=10, noise_rot=0.01, noise_trans=0.01, seed=71)
+    )
+    g = parse_graph(text)
+    ref = _reference_parse(text)
+    assert g.edge_poses.tobytes() == _rows(ref["EDGE"]).tobytes()
+    assert g.vertex_poses.tobytes() == _rows(ref["VERTEX"]).tobytes()
+    assert g.truth_poses.tobytes() == _rows(ref["TRUTH"]).tobytes()
+    measured = pack([pose.to_udq() for _, pose in ref["EDGE"]])
+    assert g.measurements().tobytes() == measured.tobytes()
+    # the Pose views hold the stored rows, not renormalized ones
+    assert pack([e.measurement() for e in g.edges]).tobytes() == measured.tobytes()
+
+    guess = spanning_tree_guess(g)
+    assert pack(guess).tobytes() == pack(_reference_guess(ref["EDGE"], g.n)).tobytes()
+
+    report = solve_eqdqo(
+        build_pgo(g), SolverConfig(restarts=1), initial=[u.as_dual_quaternion() for u in guess]
+    )
+    truth = {ids[0]: pose for ids, pose in ref["TRUTH"]}
+    for poses in (list(report.solution), guess):
+        assert vertex_errors(g, poses) == _reference_errors(truth, poses)

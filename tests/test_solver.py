@@ -365,3 +365,38 @@ def test_config_validation():
     # stage II cannot move the standard value, so there is no band width to set
     with pytest.raises(TypeError):
         SolverConfig(tau_l=1e-6)
+
+
+def _count_gram_after_stage1(monkeypatch):
+    """Counts of ``_gram_pinv`` calls made after stage I's restarts return."""
+    from dqopt import solver
+
+    calls = []
+    gram_pinv, stage1_restarts = solver._gram_pinv, solver._stage1_restarts
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return gram_pinv(*args, **kwargs)
+
+    def restarts(*args, **kwargs):
+        scored = stage1_restarts(*args, **kwargs)
+        calls.clear()
+        return scored
+
+    monkeypatch.setattr(solver, "_gram_pinv", counted)
+    monkeypatch.setattr(solver, "_stage1_restarts", restarts)
+    return calls
+
+
+def test_the_final_point_factors_its_gram_matrix_once(monkeypatch):
+    # stage II moves only the dual coordinates, so its fiber and both KKT
+    # analyses share one factorization of the per-variable Gram blocks
+    problem, guess = _noisy_graph_problem()
+    cfg = _fast_cfg(restarts=1)
+    calls = _count_gram_after_stage1(monkeypatch)
+    solve_eqdqo(problem, cfg, initial=guess)
+    assert len(calls) == 1
+    stage1 = solve_stage1(problem, cfg, initial=guess)
+    calls.clear()
+    solve_stage2(problem, stage1, cfg)
+    assert len(calls) == 1
