@@ -14,7 +14,6 @@ import json
 import os
 import sys
 
-from .algebra import DualQuaternion, UnitDualQuaternion
 from .errors import DqoptError, Infeasible
 from .handeye import (
     HandEyeDataset,
@@ -28,7 +27,7 @@ from .posegraph import (
     build_pgo,
     parse_graph,
     serialize_graph,
-    spanning_tree_guess,
+    spanning_tree_rows,
     vertex_errors,
 )
 from .selftest import run_all
@@ -55,7 +54,12 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--max-outer", type=int, default=60, help="stage-I Gauss-Newton step and stage-II solve cap"
     )
-    p.add_argument("--threads", type=int, default=1, help="restart parallelism")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="threads, each advancing a contiguous chunk of the restarts in lockstep",
+    )
     p.add_argument("--csv", default=None, metavar="PATH", help="write per-iteration trace")
     p.add_argument("--out", default=None, metavar="PATH", help="report file (default: stdout)")
 
@@ -231,8 +235,7 @@ def _cmd_gen_pgo(args) -> int:
 def _cmd_solve_pgo(args) -> int:
     graph = parse_graph(_read_text(args.infile))
     problem = build_pgo(graph)
-    guess = [DualQuaternion(u.std, u.dual) for u in spanning_tree_guess(graph)]
-    report = solve_eqdqo(problem, _config_from_args(args), initial=guess)
+    report = solve_eqdqo(problem, _config_from_args(args), initial=spanning_tree_rows(graph))
     out = report.to_json_dict()
     if len(graph.truth_ids) == graph.n:
         out["errors"] = vertex_errors(graph, list(report.solution))

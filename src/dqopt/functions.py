@@ -15,9 +15,11 @@ Likewise the residuals of one :class:`ResidualNormObjective` share one type,
 whose ``stack`` evaluates all their rows in one call together with their
 *pullback* ``(w_std, w_dual) -> J_s^T w_std + J_d^T w_dual``, the product of
 the transposed residual Jacobians with row weights, and a ``jacobian()``
-that gives the sparse standard-slot Jacobian on demand.  The objective's
-value and gradient calls read derivatives only through the pullback, so
-they build no Jacobian matrix; only the two stage systems ask for one.
+that gives the standard-slot Jacobian on demand.  The objective's value and
+gradient calls read derivatives only through the pullback, so they build no
+Jacobian matrix; only the two stage systems ask for one.  The value and
+stage-I calls the solver makes also take a stack ``(R, 8n)`` of points, one
+per restart, and answer for every row at once.
 
 Gradients come in pairs ``(grad_std, grad_dual)``, the coordinate
 gradients of the two scalar parts over all ``8n`` coordinates.  Piecewise
@@ -98,6 +100,19 @@ def unpack(z: np.ndarray, arity: int) -> tuple[DualQuaternion, ...]:
     )
 
 
+def _kept_sums(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``np.sum(x[k][keep[k]])`` for every row ``k`` of the 2-D ``x``, bit for bit.
+
+    Zeros in place of the dropped entries would shift the blocks of NumPy's
+    pairwise summation, so rows that keep some but not all entries are
+    summed one at a time.
+    """
+    out = np.sum(np.where(keep, x, 0.0), axis=-1)
+    for k in (keep.any(axis=-1) & ~keep.all(axis=-1)).nonzero()[0]:
+        out[k] = np.sum(x[k][keep[k]])
+    return out
+
+
 class DualFunction:
     """Base class for dual-number-valued functions.
 
@@ -130,8 +145,13 @@ class DualFunction:
             raise ArityMismatch(f"expected {self.arity} arguments, got {len(values)}")
         return self.value(tuple(values))
 
-    def value_at(self, z: np.ndarray) -> DualNumber:
-        return self.value(unpack(z, self.arity))
+    def value_at(self, z: np.ndarray):
+        """The value at ``z``; for a stack ``(R, 8n)``, the arrays ``(std, dual)`` of its rows."""
+        z = np.asarray(z, dtype=np.float64)
+        if z.ndim == 1:
+            return self.value(unpack(z, self.arity))
+        values = [self.value(unpack(row, self.arity)) for row in z]
+        return np.array([v.std for v in values]), np.array([v.dual for v in values])
 
     # -- solver stage hooks ----------------------------------------------
 
@@ -143,7 +163,7 @@ class DualFunction:
         """Stage-II least-squares rows ``(A, r, weights)`` at ``z``.
 
         ``r`` are residual rows whose dependence on the dual coordinates is
-        affine with slope ``A``, a sparse CSR ``(k, 4n)`` matrix over the
+        affine with slope ``A``, a dense or CSR ``(k, 4n)`` matrix over the
         dual slots (column ``4i + c`` for coefficient ``c`` of variable
         ``i``); ``weights(r)`` gives the row weights of the stage-II fit at
         rows ``r``, with any branch frozen where the standard coordinates of
@@ -432,19 +452,21 @@ class AffineResidual:
     def stack(residuals: Sequence[AffineResidual]):
         """Evaluator ``z -> (r_std, r_dual, pullback, jacobian)`` over the stacked rows.
 
+        ``z`` is one point ``(8n,)`` or a stack ``(R, 8n)``, whose rows come
+        out as ``(R, 4k)``, each equal bit for bit to that point's alone.
         The constant Jacobians are stacked here once; ``pullback(w_std,
-        w_dual=None)`` is ``jac_std.T @ w_std``, plus ``jac_dual.T @ w_dual``
-        when ``w_dual`` is given.  ``jacobian()`` is the standard-slot
-        columns of ``jac_std`` (also the dual-slot columns of ``jac_dual``)
-        as a sparse ``(4k, 4n)`` matrix, built once here; callers must not
-        modify it.
+        w_dual=None)`` (one point) is ``jac_std.T @ w_std``, plus
+        ``jac_dual.T @ w_dual`` when ``w_dual`` is given.  ``jacobian()`` is
+        the standard-slot columns of ``jac_std`` (also the dual-slot columns
+        of ``jac_dual``) as a dense ``(4k, 4n)`` array, the same for every
+        point and built once here; callers must not modify it.
         """
         jac_std = np.vstack([r.jac_std for r in residuals])
         jac_dual = np.vstack([r.jac_dual for r in residuals])
         const_std = np.concatenate([r.constant.std.as_array() for r in residuals])
         const_dual = np.concatenate([r.constant.dual.as_array() for r in residuals])
-        std_slots = jac_std.reshape(jac_std.shape[0], -1, 2, 4)[:, :, 0]
-        jac_slots = sparse.csr_matrix(std_slots.reshape(jac_std.shape[0], -1))
+        jac_slots = jac_std.reshape(jac_std.shape[0], -1, 2, 4)[:, :, 0]
+        jac_slots = jac_slots.reshape(jac_std.shape[0], -1).copy()
 
         def pullback(w_std, w_dual=None):
             if w_dual is None:
@@ -454,7 +476,12 @@ class AffineResidual:
         def jacobian():
             return jac_slots
 
-        return lambda z: (jac_std @ z + const_std, jac_dual @ z + const_dual, pullback, jacobian)
+        def evaluate(z):
+            # one matrix-vector product per point, as for a single point
+            col = z[..., None]
+            return (jac_std @ col)[..., 0] + const_std, (jac_dual @ col)[..., 0] + const_dual, pullback, jacobian
+
+        return evaluate
 
 
 class ResidualNormObjective(DualFunction):
@@ -475,8 +502,9 @@ class ResidualNormObjective(DualFunction):
     evaluator directly, for residuals kept as arrays rather than objects.
     Gradients are ``pullback(w_std, w_dual)``, the transposed residual
     Jacobians times per-row weights; value-only calls (``value_at``,
-    ``branch_flags``) never call it, and only the stage systems ask for the
-    sparse ``jacobian()``.
+    ``branch_flags``) never call it, and only the stage systems ask for
+    ``jacobian()``.  ``value_at`` and ``stage1_system`` also evaluate a
+    stack ``(R, 8n)`` of points in one pass.
     """
 
     def __init__(self, arity: int, groups, tol: float = TOL_APPRECIABLE):
@@ -518,9 +546,9 @@ class ResidualNormObjective(DualFunction):
 
     def _group_sums(self, r_std, r_dual):
         """Per-group sums: |r_std|^2, <r_std, r_dual>, |r_dual|^2."""
-        s_std = np.add.reduceat(r_std * r_std, self._starts)
-        cross = np.add.reduceat(r_std * r_dual, self._starts)
-        s_dual = np.add.reduceat(r_dual * r_dual, self._starts)
+        s_std = np.add.reduceat(r_std * r_std, self._starts, axis=-1)
+        cross = np.add.reduceat(r_std * r_dual, self._starts, axis=-1)
+        s_dual = np.add.reduceat(r_dual * r_dual, self._starts, axis=-1)
         return s_std, cross, s_dual
 
     # -- exact value and subgradient ---------------------------------------
@@ -528,18 +556,30 @@ class ResidualNormObjective(DualFunction):
     def value(self, values):
         return self.value_at(pack(values))
 
-    def value_at(self, z) -> DualNumber:
-        r_std, r_dual, _, _ = self._stack(np.asarray(z, dtype=np.float64))
+    def value_at(self, z):
+        """The value at ``z``; for a stack ``(R, 8n)``, the arrays ``(std, dual)`` of its rows.
+
+        Each row's value equals that point's alone bit for bit.
+        """
+        z = np.asarray(z, dtype=np.float64)
+        r_std, r_dual, _, _ = self._stack(z)
         s_std, cross, s_dual = self._group_sums(r_std, r_dual)
         norms = np.sqrt(s_std)
         app = norms > self.tol
-        total_std = float(np.sum(norms[app]))
-        total_dual = 0.0
-        if np.any(app):
-            total_dual += float(np.sum(cross[app] / norms[app]))
-        if not np.all(app):
-            total_dual += float(np.sum(np.sqrt(s_dual[~app])))
-        return DualNumber(total_std, total_dual)
+        if app.all():
+            total_std, total_dual = np.add.reduce(norms, axis=-1), 0.0 + np.add.reduce(cross / norms, axis=-1)
+        elif not app.any():
+            total_std = np.zeros(norms.shape[:-1])
+            total_dual = 0.0 + np.add.reduce(np.sqrt(s_dual), axis=-1)
+        else:
+            lead, rows = norms.shape[:-1], (-1, norms.shape[-1])
+            norms, cross, s_dual, app = (a.reshape(rows) for a in (norms, cross, s_dual, app))
+            total_std = _kept_sums(norms, app).reshape(lead)
+            total_dual = _kept_sums(cross / np.where(app, norms, 1.0), app)
+            total_dual = (total_dual + _kept_sums(np.sqrt(s_dual), ~app)).reshape(lead)
+        if z.ndim == 1:
+            return DualNumber(total_std, total_dual)
+        return total_std, total_dual
 
     def gradient_at(self, z):
         r_std, r_dual, pullback, _ = self._stack(z)
@@ -563,7 +603,7 @@ class ResidualNormObjective(DualFunction):
 
     def _expand(self, per_group: np.ndarray) -> np.ndarray:
         """Repeat a per-group weight across that group's residual rows."""
-        return per_group[self._row_group]
+        return per_group.take(self._row_group, axis=-1)
 
     # -- smoothed stage hooks ----------------------------------------------
 
@@ -608,14 +648,16 @@ class ResidualNormObjective(DualFunction):
         """Stage-I rows ``(J, r, weights, groups)``: ``J^T W r`` is the standard gradient.
 
         ``r`` are the standard residual rows (zero in a group at a kink,
-        ``|r_g| <= tol``, the zero subgradient) with sparse ``(k, 4n)``
-        standard-slot Jacobian ``J``; rows weigh ``1 / max(|r_g|, tol)``, so
-        ``J^T W J`` is the Hessian of the reweighted majorizer of ``sum_g
-        |r_g|``.  ``groups`` gives each group's first row, or ``None`` for
-        one group, which has the minimizer of ``|r|^2`` (Gauss-Newton).
+        ``|r_g| <= tol``, the zero subgradient) with ``(k, 4n)``
+        standard-slot Jacobian ``J`` from the stack's ``jacobian()``; rows
+        weigh ``1 / max(|r_g|, tol)``, so ``J^T W J`` is the Hessian of the
+        reweighted majorizer of ``sum_g |r_g|``.  ``groups`` gives each
+        group's first row, or ``None`` for one group, which has the
+        minimizer of ``|r|^2`` (Gauss-Newton).  For a stack ``(R, 8n)`` of
+        points, ``r`` and the weights are ``(R, k)``.
         """
         r, _, _, jacobian = self._stack(z)
-        norms = np.sqrt(np.add.reduceat(r * r, self._starts))
+        norms = np.sqrt(np.add.reduceat(r * r, self._starts, axis=-1))
         weights = self._expand(1.0 / np.maximum(norms, self.tol))
         r = r * self._expand(norms > self.tol)
         return jacobian(), r, weights, self._starts if self._starts.size > 1 else None
@@ -771,17 +813,19 @@ class ConstraintBlock:
         self._pull_cols = np.concatenate(((4 * u_var + np.arange(4)).ravel(), self._a_cols))
 
     def values(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(h, h_d)`` at ``z``, without any Jacobian."""
-        zz = z[self._u_slots]
+        """``(h, h_d)`` at ``z``, without any Jacobian; ``(R, m)`` each for a stack ``(R, 8n)``."""
+        # take keeps the gathered slots in C order, as the BLAS dot below needs
+        zz = z.take(self._u_slots, axis=-1)
         # xs.xs and xs.xd per unit row as a batched (1, 4) @ (4, 1) product,
         # summed bit for bit as ``xs @ xs``; h = xs.xs - 1 and h_d = 2 xs.xd.
-        dots = (zz[:, None, None, :4] @ zz.reshape(-1, 2, 4, 1))[:, :, 0, 0]
-        vals = np.empty((2, self.size))
-        vals[0, self._u_row] = dots[:, 0] - 1.0
-        vals[1, self._u_row] = 2.0 * dots[:, 1]
+        dots = (zz[..., None, None, :4] @ zz.reshape(zz.shape[:-1] + (2, 4, 1)))[..., 0, 0]
+        h, h_d = np.empty((2,) + z.shape[:-1] + (self.size,))
+        h[..., self._u_row] = dots[..., 0] - 1.0
+        h_d[..., self._u_row] = 2.0 * dots[..., 1]
         if self._a_row.size:
-            vals[:, self._a_row] = z[self._a_coords] - self._a_targets
-        return vals[0], vals[1]
+            h[..., self._a_row] = z[..., self._a_coords[0]] - self._a_targets[0]
+            h_d[..., self._a_row] = z[..., self._a_coords[1]] - self._a_targets[1]
+        return h, h_d
 
     def pullback(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``G^T v`` at ``z``: ``2 x_k v_k`` per unit row plus ``v`` per anchor row."""
@@ -798,31 +842,36 @@ class ConstraintBlock:
         return out
 
     def project(self, z: np.ndarray) -> np.ndarray:
-        """``z`` with unit-row standard parts normalized, then anchored ones set to target."""
+        """``z`` with unit-row standard parts normalized, then anchored ones set to target.
+
+        ``z`` may be a stack ``(R, 8n)``, projected row by row.
+        """
         out = z.copy()
         slots = self._u_slots[:, :4]
-        x = out[slots]
-        out[slots] = x / np.sqrt(np.sum(x * x, axis=1, keepdims=True))
-        out[self._a_coords[0]] = self._a_targets[0]
+        x = out[..., slots]
+        out[..., slots] = x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+        out[..., self._a_coords[0]] = self._a_targets[0]
         return out
 
     def curvature(self, z: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """``x_i . grad_i`` per variable with a unit row (else 0), ``grad`` over the standard slots.
 
         Along the unit sphere the Hessian of a function is the Euclidean one
-        minus ``(x_i . grad_i) I``.
+        minus ``(x_i . grad_i) I``.  For a stack ``(R, 8n)`` of points and
+        ``(R, 4n)`` gradients the result is ``(R, n)``.
         """
-        out = np.zeros(self.arity)
-        x = z[self._u_slots[:, :4]]
-        out[self._u_var] = np.einsum("ij,ij->i", x, grad.reshape(-1, 4)[self._u_var])
+        out = np.zeros(z.shape[:-1] + (self.arity,))
+        x = z.take(self._u_slots[:, :4], axis=-1)
+        g = grad.reshape(grad.shape[:-1] + (-1, 4)).take(self._u_var, axis=-2)
+        out[..., self._u_var] = np.einsum("...ij,...ij->...i", x, g)
         return out
 
     def gram(self, z: np.ndarray) -> np.ndarray:
-        """``G_i^T G_i`` per variable at ``z``, shape ``(n, 4, 4)``."""
-        x2 = 2.0 * z[self._u_slots[:, :4]]
-        out = np.zeros((self.arity, 4, 4))
-        np.add.at(out, self._u_var, x2[:, :, None] * x2[:, None, :])
-        np.add.at(out, (self._a_var, self._a_comp, self._a_comp), 1.0)
+        """``G_i^T G_i`` per variable at ``z``, shape ``(n, 4, 4)``, or ``(R, n, 4, 4)`` for a stack."""
+        x2 = 2.0 * z[..., self._u_slots[:, :4]]
+        out = np.zeros(z.shape[:-1] + (self.arity, 4, 4))
+        np.add.at(out, (..., self._u_var, slice(None), slice(None)), x2[..., :, None] * x2[..., None, :])
+        np.add.at(out, (..., self._a_var, self._a_comp, self._a_comp), 1.0)
         return out
 
 
@@ -833,8 +882,8 @@ class _SquaredDistance(DualFunction):
         super().__init__(arity, declared_standard=True)
         self.center = center
         self.index = int(index)
-        cols = 4 * self.index + np.arange(4)
-        self._jac = sparse.csr_matrix((np.ones(4), cols, np.arange(5)), (4, 4 * self.arity))
+        self._jac = np.zeros((4, 4 * self.arity))
+        self._jac[np.arange(4), 4 * self.index + np.arange(4)] = 1.0
 
     def value(self, values):
         d = values[self.index] - self.center
@@ -855,7 +904,8 @@ class _SquaredDistance(DualFunction):
     def stage1_system(self, z):
         """``(J, r, 2, None)``, ``r = x_std - center_std``: the value is ``|r|^2``."""
         s = 8 * self.index
-        return self._jac, z[s : s + 4] - self.center.std.as_array(), np.full(4, 2.0), None
+        r = z[..., s : s + 4] - self.center.std.as_array()
+        return self._jac, r, np.full(r.shape, 2.0), None
 
 
 def squared_distance_objective(

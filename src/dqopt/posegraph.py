@@ -72,6 +72,7 @@ __all__ = [
     "RelativePoseResidual",
     "build_pgo",
     "spanning_tree_guess",
+    "spanning_tree_rows",
     "parse_graph",
     "serialize_graph",
     "generate_cycle_graph",
@@ -348,14 +349,17 @@ class RelativePoseResidual:
         array of unit dual quaternions (standard, dual).
         Each call gathers all ``x_i``/``x_j`` with index arrays fixed here and
         forms their multiplication matrices as ``(k, 2, 4, 4)`` stacks (both
-        parts of each edge); no loop over edges.  ``pullback(w_std,
-        w_dual=None)`` returns ``J_s^T w_std + J_d^T w_dual`` as one ``8n``
-        vector: it forms each edge's 4x8 standard (and 4x16 dual) Jacobian
-        block, multiplies it by the edge's four weights and sums the products
-        into their columns with ``np.bincount``.  Value-only callers never
-        call it, so they build no block.  ``jacobian()`` returns the same 4x8
-        standard blocks as a sparse CSR ``(4k, 4n)`` matrix over the standard
-        slots, column ``4i + c`` for coefficient ``c`` of vertex ``i``.
+        parts of each edge); no loop over edges.  ``z`` is one point
+        ``(8n,)`` or a stack ``(R, 8n)``, whose rows come out as ``(R, 4k)``,
+        each equal bit for bit to that point's alone.  ``pullback(w_std,
+        w_dual=None)`` (one point) returns ``J_s^T w_std + J_d^T w_dual`` as
+        one ``8n`` vector: it forms each edge's 4x8 standard (and 4x16 dual)
+        Jacobian block, multiplies it by the edge's four weights and sums the
+        products into their columns with ``np.bincount``.  Value-only callers
+        never call it, so they build no block.  ``jacobian()`` returns the
+        same 4x8 standard blocks over the standard slots, column ``4i + c``
+        for coefficient ``c`` of vertex ``i``: a sparse CSR ``(4k, 4n)``
+        matrix for one point, a dense ``(R, 4k, 4n)`` array for a stack.
         """
         n = int(arity)
         n8 = 8 * n
@@ -372,14 +376,19 @@ class RelativePoseResidual:
         cols_jac = np.concatenate((4 * i[:, None] + np.arange(4), 4 * j[:, None] + np.arange(4)), 1)
         cols_jac = np.repeat(cols_jac, 4, axis=0).ravel()
         indptr = np.arange(0, 8 * 4 * len(i) + 1, 8)
+        # The same entries' positions in a flattened dense (4k, 4n) array.
+        flat_jac = np.repeat(np.arange(4 * len(i)), 8) * (4 * n) + cols_jac
 
         def evaluate(z: np.ndarray):
-            xj = z[sj][:, :, None]
+            lead = z.shape[:-1]
+            # np.take keeps the gathered rows in C order, as for one point
+            xj = z.take(sj, axis=-1)[..., None]
             # L(conj(x_i)) and R(x_j) C, each for the standard and the dual part.
-            l_i = left_mult_matrix(z[si].reshape(-1, 2, 4) * _CONJ)
-            r_j = right_mult_matrix(xj.reshape(-1, 2, 4)) * _CONJ
-            r_s = q_std - (l_i[:, 0] @ xj[:, :4])[..., 0]
-            r_d = q_dual - (l_i[:, 0] @ xj[:, 4:])[..., 0] - (l_i[:, 1] @ xj[:, :4])[..., 0]
+            l_i = left_mult_matrix(z.take(si, axis=-1).reshape(lead + (-1, 2, 4)) * _CONJ)
+            r_j = right_mult_matrix(xj.reshape(lead + (-1, 2, 4))) * _CONJ
+            l_s, l_d = l_i[..., 0, :, :], l_i[..., 1, :, :]
+            r_s = q_std - (l_s @ xj[..., :4, :])[..., 0]
+            r_d = q_dual - (l_s @ xj[..., 4:, :])[..., 0] - (l_d @ xj[..., :4, :])[..., 0]
 
             # The residual is q minus the product, so every block enters negated;
             # negating the sums instead is exact.
@@ -392,10 +401,14 @@ class RelativePoseResidual:
                 return grad
 
             def jacobian():
-                block = -np.concatenate((r_j[:, 0], l_i[:, 0]), axis=2)
-                return sparse.csr_matrix((block.ravel(), cols_jac, indptr), (4 * len(i), 4 * n))
+                block = -np.concatenate((r_j[..., 0, :, :], l_s), axis=-1)
+                if not lead:
+                    return sparse.csr_matrix((block.ravel(), cols_jac, indptr), (4 * len(i), 4 * n))
+                out = np.zeros(lead + (4 * len(i) * 4 * n,))
+                out[..., flat_jac] = block.reshape(lead + (-1,))
+                return out.reshape(lead + (4 * len(i), 4 * n))
 
-            return r_s.ravel(), r_d.ravel(), pullback, jacobian
+            return r_s.reshape(lead + (-1,)), r_d.reshape(lead + (-1,)), pullback, jacobian
 
         return evaluate
 
@@ -431,6 +444,15 @@ def spanning_tree_guess(graph: PoseGraph) -> tuple[UnitDualQuaternion, ...]:
     ``x_j = x_i q_ij`` and a backward one sets ``x_i = x_j conj(q_ij)``.
     Each level of the tree takes one batched product, rounded as
     :meth:`UnitDualQuaternion.__mul__` (the product, then ``normalized``).
+    :func:`spanning_tree_rows` gives the same poses as an array.
+    """
+    return UnitDualQuaternion.from_rows(spanning_tree_rows(graph))
+
+
+def spanning_tree_rows(graph: PoseGraph) -> np.ndarray:
+    """The poses of :func:`spanning_tree_guess` as ``(n, 8)`` rows (standard, dual part).
+
+    ``solve_eqdqo(initial=...)`` takes the array as it is.
     """
     order = graph.edge_order()
     vertices, parents, via, bounds = _bfs_tree(graph, order)
@@ -453,7 +475,7 @@ def spanning_tree_guess(graph: PoseGraph) -> tuple[UnitDualQuaternion, ...]:
         p = t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3]
         v = vertices[lo:hi]
         poses[v, 0], poses[v, 1] = normalize_dq(p[:, 0], p[:, 1] + p[:, 2])
-    return UnitDualQuaternion.from_rows(poses)
+    return poses.reshape(graph.n, 8)
 
 
 # ---------------------------------------------------------------------------

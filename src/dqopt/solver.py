@@ -30,9 +30,14 @@ dual part is affine in the dual coordinates, so the feasible set is an
 affine *dual fiber* and stage II is a weighted least-squares fit on it (see
 :func:`solve_stage2`), with each magnitude's branch frozen where the
 stage-I point puts it.
-Restarts draw independent unit starting points; stage II runs for the
-restarts tied at the least stage-I value, and the reported solution is
-the dn-order minimum over their feasible outcomes.
+Restarts draw independent unit starting points.  Stage I advances them
+in lockstep: while the tangent space is small enough for dense algebra,
+every step of every restart still running is one batched computation over
+the stack of their points, and each restart stops on its own stop rule
+with the iterates it would take alone.  Larger, sparse problems take the
+restarts one at a time through the same driver.  Stage II runs for the
+restarts tied at the least stage-I value, and the reported solution is the
+dn-order minimum over their feasible outcomes.
 """
 
 from __future__ import annotations
@@ -82,7 +87,11 @@ class SolverConfig:
     Stage I stops once the norm of its tangent gradient is at most
     ``tol_grad``, or when no step lowers the standard value; ``max_outer``
     caps its steps and the stage-II reweighted solves.  A restart's answer
-    counts only if every constraint row holds to ``tol_feas``.
+    counts only if every constraint row holds to ``tol_feas``.  Stage I
+    advances the ``restarts`` in lockstep as one batch; ``threads`` above 1
+    splits the batch into that many contiguous chunks, each advanced by its
+    own thread (a problem solved one restart at a time spreads its restarts
+    over the threads instead).  The answer does not depend on ``threads``.
     """
 
     restarts: int = 8
@@ -255,6 +264,7 @@ class _StageOutcome:
     grad_norm: float
     trace: list
     gram: tuple | None = None  # stage II: _gram_pinv at the standard coordinates of z
+    stop: str | None = None  # stage I: "converged", "stalled" or "max_outer"
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +299,12 @@ def _gram_pinv(block: ConstraintBlock, z: np.ndarray):
     and one batched ``eigh`` of the ``(n, 4, 4)`` stack ``G_i^T G_i`` factors
     it.  ``pinv(u)`` is ``(G^T G)^+ u`` for a ``4n`` vector ``u``; ``rank``
     marks each block's eigenvalues above ``_RANK_RCOND`` of its largest, and
-    ``vecs`` holds the eigenvectors as columns.
+    ``vecs`` holds the eigenvectors as columns.  For a stack ``(R, 8n)`` of
+    points, ``rank`` and ``vecs`` gain a leading axis and ``pinv`` does not
+    apply.
     """
     e, vecs = np.linalg.eigh(block.gram(z))
-    rank = e > _RANK_RCOND * e[:, -1:]
+    rank = e > _RANK_RCOND * e[..., -1:]
     inv = np.where(rank, 1.0 / np.where(rank, e, 1.0), 0.0)
 
     def pinv(u):
@@ -302,7 +314,7 @@ def _gram_pinv(block: ConstraintBlock, z: np.ndarray):
     return pinv, rank, vecs
 
 
-def _dual_fiber(problem: EqdqoProblem, z: np.ndarray):
+def _dual_fiber(problem: EqdqoProblem, z: np.ndarray, gram: tuple | None = None):
     """Gram factorization and null space of the dual rows at the standard point of ``z``.
 
     :func:`_gram_pinv` splits each variable's dual coordinates into the
@@ -311,43 +323,83 @@ def _dual_fiber(problem: EqdqoProblem, z: np.ndarray):
     the Jacobian of the standard rows over the standard coordinates, so the
     null space is stage I's tangent space as well as stage II's fiber
     directions.  Returns ``(gram, null, var)``: ``gram`` is the
-    :func:`_gram_pinv` triple, whose ``pinv(G^T v)`` is the minimum-norm
-    ``x`` with ``G x = v`` (least squares when there is none), ``null`` a
-    ``(4n, k)`` orthonormal basis of the null space, dense when ``k <=
-    _DENSE_MAX`` and sparse otherwise, and ``var`` the variable of each of
-    its columns.
+    :func:`_gram_pinv` triple (passed in, or factored here), whose
+    ``pinv(G^T v)`` is the minimum-norm ``x`` with ``G x = v`` (least
+    squares when there is none), ``null`` a ``(4n, k)`` orthonormal basis
+    of the null space, dense when ``k <= _DENSE_MAX`` and sparse otherwise,
+    and ``var`` the variable of each of its columns.  For a stack ``(R,
+    8n)`` of points whose null spaces have the same shape (see
+    :func:`_same_fibers`), ``null`` is a dense ``(R, 4n, k)`` stack.
     """
-    gram = _gram_pinv(problem.block, z)
+    gram = _gram_pinv(problem.block, z) if gram is None else gram
     _, rank, vecs = gram
     # One column per null eigenvector, its 4 entries in its variable's rows.
-    var, col = np.nonzero(~rank)
+    var, col = np.nonzero(~rank.reshape(-1, problem.arity, 4)[0])
     rows = (4 * var[:, None] + np.arange(4)).ravel()
-    vals, shape = vecs[var, :, col].ravel(), (4 * problem.arity, var.size)
+    vals = vecs.swapaxes(-1, -2)[..., var, col, :].reshape(z.shape[:-1] + (-1,))
+    shape = (4 * problem.arity, var.size)
     if var.size <= _DENSE_MAX:
-        null = np.zeros(shape)
-        null[rows, np.repeat(np.arange(var.size), 4)] = vals
+        null = np.zeros(z.shape[:-1] + shape)
+        null[..., rows, np.repeat(np.arange(var.size), 4)] = vals
     else:
-        null = sparse.csc_matrix((vals, rows, np.arange(0, rows.size + 1, 4)), shape)
+        null = sparse.csc_matrix((vals.reshape(-1), rows, np.arange(0, rows.size + 1, 4)), shape)
     return gram, null, var
 
 
+def _same_fibers(rank: np.ndarray) -> list:
+    """Indices of the stack's points grouped by the shape of their null spaces, in order.
+
+    A point's shape is which eigenvectors of its Gram blocks are null.  It
+    follows from the constraint structure (3 null directions per unit row,
+    none per anchored variable), so every point of a stack normally shares
+    one; a variable whose Gram block loses rank at some point would split
+    the stack.
+    """
+    if len(rank) == 1:
+        return [np.zeros(1, dtype=np.intp)]
+    masks = rank.reshape(len(rank), -1)
+    if (masks == masks[0]).all():
+        return [np.arange(len(rank))]
+    _, group = np.unique(masks, axis=0, return_inverse=True)
+    return [np.flatnonzero(group == g) for g in np.unique(group)]
+
+
+def _fiber_product(jac, null, var: np.ndarray):
+    """``J N`` for the residual Jacobian ``J`` and a null basis ``N`` of :func:`_dual_fiber`.
+
+    A sparse ``N`` gives a sparse product.  Otherwise ``J`` is dense
+    ``(..., k, 4n)`` or CSR and ``N`` dense ``(..., 4n, d)``, and each entry
+    adds the 4 products of its column's variable left to right, as SciPy's
+    product of a sparse ``J`` sums them: the result does not depend on how
+    many points are stacked.
+    """
+    if sparse.issparse(null):
+        return (jac if sparse.issparse(jac) else sparse.csr_matrix(jac)) @ null
+    if sparse.issparse(jac):
+        jac = jac.toarray()
+    cols = 4 * var[:, None] + np.arange(4)
+    t = jac[..., cols] * null[..., cols, np.arange(var.size)[:, None]][..., None, :, :]
+    # C order, as SciPy returns it: BLAS sums other layouts in another order.
+    return np.ascontiguousarray(t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3])
+
+
 def _fiber_point(problem: EqdqoProblem, z: np.ndarray):
-    """``(z_p, null, gram)``: ``z`` with its duals at the dual fiber's minimum-norm point.
+    """``(z_p, null, var, gram)``: ``z`` with its duals at the dual fiber's minimum-norm point.
 
     Every dual row is affine in the dual coordinates, ``G x_d + h_d(0)``
     with ``h_d(0)`` its value at zero duals, so ``x_p = (G^T G)^+ G^T
     (-h_d(0))`` is the least-norm point that satisfies them (least squares
-    when none does); the fiber is ``x_p + null y``, ``null`` and ``gram``
-    from :func:`_dual_fiber`.  ``gram`` depends on the standard
+    when none does); the fiber is ``x_p + null y``, ``null``, ``var`` and
+    ``gram`` from :func:`_dual_fiber`.  ``gram`` depends on the standard
     coordinates only, so it serves every point of the fiber.
     """
-    gram, null, _ = _dual_fiber(problem, z)
+    gram, null, var = _dual_fiber(problem, z)
     dual = _part_indices(problem.arity, 1)
     z = z.copy()
     z[dual] = 0.0
     _, h_d0 = problem.block.values(z)
     z[dual] = gram[0](problem.block.pullback(z, -h_d0))
-    return z, null, gram
+    return z, null, var, gram
 
 
 # ---------------------------------------------------------------------------
@@ -481,122 +533,248 @@ _ROUNDING = 1e-12
 _PIN = 1e8
 
 
-def _reduced_solve(h, rhs: np.ndarray, shift=0.0) -> np.ndarray:
-    """``(h + diag(shift))^{-1} rhs`` for a dense or sparse ``h``; ``shift`` may be a scalar.
+# Batched linear algebra.  Dense operands carry a leading axis of points,
+# ``(R, k, d)`` matrices with ``(R, k)`` vectors; sparse ones are single
+# ``(k, d)`` matrices, with vectors of shape ``(1, k)``.  Each dense point's
+# result equals the one it gets alone bit for bit, because every call
+# below runs the same BLAS or LAPACK routine on each point's slice, laid
+# out in C order as a single point's is (BLAS sums strided operands in
+# another order).
 
-    An exactly singular system gives NaNs on both paths, as ``spsolve`` does.
-    """
-    shift = np.broadcast_to(shift, rhs.shape)
-    if sparse.issparse(h):
-        if shift.any():
-            h = h + sparse.diags(shift)
-        return spsolve(h.tocsc(), rhs)
-    try:
-        return np.linalg.solve(h + np.diag(shift), rhs)
-    except np.linalg.LinAlgError:
-        return np.full_like(rhs, np.nan)
+
+def _mv(a, x: np.ndarray) -> np.ndarray:
+    """``A x`` per point."""
+    if sparse.issparse(a):
+        return (a @ x.T).T
+    return (a @ x[..., None])[..., 0]
+
+
+def _tmv(a, x: np.ndarray) -> np.ndarray:
+    """``A^T x`` per point."""
+    if sparse.issparse(a):
+        return (a.T @ x.T).T
+    return (a.swapaxes(-1, -2) @ x[..., None])[..., 0]
+
+
+def _pullback(jac, x: np.ndarray) -> np.ndarray:
+    """``J^T x`` per point for a residual Jacobian, dense summed row after row as SciPy sums a sparse one."""
+    if sparse.issparse(jac):
+        return (jac.T @ x.T).T
+    return np.add.reduce(jac * x[..., None], axis=-2)
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a . b`` per point, summed as ``a @ b`` of two vectors is."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _scale_rows(b, v: np.ndarray):
-    """``diag(v) @ b`` for a dense or CSR ``b``."""
+    """``diag(v) @ b`` per point."""
     if not sparse.issparse(b):
-        return v[:, None] * b
+        return v[..., None] * b
     out = b.copy()
-    out.data *= np.repeat(v, np.diff(out.indptr))
+    out.data *= np.repeat(v.reshape(-1), np.diff(out.indptr))
     return out
 
 
+def _normal(b, v: np.ndarray):
+    """``B^T diag(v) B`` per point."""
+    b_t = b.T if sparse.issparse(b) else b.swapaxes(-1, -2)
+    return b_t @ _scale_rows(b, v)
+
+
+def _kept_gram(c, keep: np.ndarray):
+    """``C_k^T C_k`` per point, ``C_k`` the rows of ``C`` that ``keep`` marks.
+
+    The product of kept rows runs on those rows alone: BLAS accumulates a
+    product with zeroed rows in other blocks, so points that drop some rows
+    are multiplied one at a time.
+    """
+    if sparse.issparse(c):
+        c = c[keep[0]]
+        return c.T @ c
+    out = c.swapaxes(-1, -2) @ c
+    for k in (~keep.all(axis=-1)).nonzero()[0]:
+        kept = c[k][keep[k]]
+        out[k] = kept.T @ kept
+    return out
+
+
+def _diagonal(h) -> np.ndarray:
+    if sparse.issparse(h):
+        return h.diagonal()[None]
+    return h.diagonal(axis1=-2, axis2=-1)
+
+
+def _reduced_solve(h, rhs: np.ndarray, shift=0.0) -> np.ndarray:
+    """``(h + diag(shift))^{-1} rhs`` per point; ``shift`` broadcasts against ``rhs``.
+
+    An exactly singular system gives NaNs for its point on both paths, as
+    ``spsolve`` does.
+    """
+    if sparse.issparse(h):
+        shift = np.broadcast_to(shift, rhs.shape)
+        if shift.any():
+            h = h + sparse.diags(shift.reshape(-1))
+        return spsolve(h.tocsc(), rhs.reshape(-1)).reshape(rhs.shape)
+    m = h.copy()
+    # the diagonal of each (d, d) matrix, as a strided view
+    m.reshape(m.shape[:-2] + (-1,))[..., :: rhs.shape[-1] + 1] += shift
+    try:
+        return np.linalg.solve(m, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if m.ndim == 2:
+            return np.full_like(rhs, np.nan)
+        return np.stack([_reduced_solve(m_k, rhs_k) for m_k, rhs_k in zip(m, rhs)])
+
+
 def _newton_step(b, r, w, starts, grad, h, shift):
-    """Stage-I Newton step: ``(h + diag(shift)) y = -grad``, ``h = b^T W b``, ``grad = b^T W r``.
+    """Stage-I Newton step per point: ``(h + diag(shift)) y = -grad``, ``h = b^T W b``, ``grad = b^T W r``.
 
     For a sum of magnitudes (group ``starts`` given), each group's radial
     part ``c_g^T c_g``, ``c_g = r_g^T b_g / |r_g|^(3/2)``, leaves ``h``:
     ``|r_g|`` is flat along ``r_g``.  A group the step would carry through
     zero (``|r_g|^(1/2) + c_g y < 0``) is pinned instead, its rows weighted
-    ``_PIN`` times more so that the next solve puts it at its kink.
+    ``_PIN`` times more so that the next solve puts it at its kink.  Points
+    solve again until none pins a new group; a point that pinned nothing
+    gets the same ``y`` again.
     """
     if starts is None:
         return _reduced_solve(h, -grad, shift)
-    group = np.repeat(np.arange(starts.size), np.diff(np.append(starts, r.size)))
-    norms = np.sqrt(np.add.reduceat(r * r, starts))
+    group = np.repeat(np.arange(starts.size), np.diff(np.append(starts, r.shape[-1])))
+    norms = np.sqrt(np.add.reduceat(r * r, starts, axis=-1))
     inv = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 0.0)
-    scaled = _scale_rows(b, r * inv[group] ** 1.5)
+    scaled = _scale_rows(b, r * inv[..., group] ** 1.5)
     if sparse.issparse(scaled):
-        sums = (np.ones(r.size), np.arange(r.size), np.append(starts, r.size))
-        c = sparse.csr_matrix(sums, (starts.size, r.size)) @ scaled
+        sums = (np.ones(group.size), np.arange(group.size), np.append(starts, group.size))
+        c = sparse.csr_matrix(sums, (starts.size, group.size)) @ scaled
     else:
-        c = np.add.reduceat(scaled, starts)
-    pinned = np.zeros(starts.size, dtype=bool)
+        c = np.ascontiguousarray(np.add.reduceat(scaled, starts, axis=-2))
+    pinned = np.zeros(norms.shape, dtype=bool)
     while True:
         newton = (norms > 0) & ~pinned
-        extra = (_PIN - 1.0) * w * pinned[group]
-        c_n = c[newton]
-        model = h - c_n.T @ c_n + b.T @ _scale_rows(b, extra)
-        y = _reduced_solve(model, -(grad + b.T @ (extra * r)), shift)
-        through = newton & (np.sqrt(norms) + c @ y < 0)
+        extra = (_PIN - 1.0) * w * pinned[..., group]
+        model = h - _kept_gram(c, newton) + _normal(b, extra)
+        y = _reduced_solve(model, -(grad + _tmv(b, extra * r)), shift)
+        through = newton & (np.sqrt(norms) + _mv(c, y) < 0)
         if not through.any():
             return y
         pinned |= through
 
 
-def _stage1_point(problem: EqdqoProblem, cfg: SolverConfig, z0: np.ndarray) -> _StageOutcome:
-    """Stage I from ``z0``, one trace row per step; see :func:`solve_stage1`.
+def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> list:
+    """Stage I from every row of ``starts``, in lockstep; see :func:`solve_stage1`.
 
-    Only the standard coordinates move: the outcome's dual coordinates are
-    those of ``z0``, which stage II replaces.
+    All points still running take each step together: one fiber, one
+    residual system and one batched solve per step for the stack.  A point
+    stops when its own stop rule fires, and each keeps its own value,
+    damping, previous gradient norm, flat flag and trace, so its iterates
+    are those it takes alone.  A sparse fiber takes one start at a time.
+    Returns one :class:`_StageOutcome` per start; only the standard
+    coordinates move, the dual ones stay those of the start.
     """
     obj, block = problem.objective, problem.block
     std = _part_indices(problem.arity, 0)
-    z = block.project(z0)
-    v = obj.value_at(z)
-    damp, prev_grad, flat, converged = _DAMP_FLOOR, math.inf, False, False
-    trace = []
+    count = len(starts)
+    z = block.project(starts)
+    v_std, v_dual = obj.value_at(z)
+    damp = np.full(count, _DAMP_FLOOR)
+    prev_grad = np.full(count, math.inf)
+    flat = np.zeros(count, dtype=bool)
+    grad_norm = np.zeros(count)
+    stop = [None] * count
+    steps = np.zeros(count, dtype=int)
+    traces = [[] for _ in range(count)]
 
-    def trial(y):
-        moved = z.copy()
-        moved[std] += basis @ y
-        moved = block.project(moved)
-        return moved, obj.value_at(moved)
+    def advance(it, idx, gram):
+        z_a = z[idx]
+        _, basis, var = _dual_fiber(problem, z_a, gram)
+        dense = not sparse.issparse(basis)
+        jac, r, w, groups = obj.stage1_system(z_a if dense else z_a[0])
+        r, w = r.reshape(len(idx), -1), w.reshape(len(idx), -1)
+        b = _fiber_product(jac, basis, var)
+        wr = w * r
+        grad = _tmv(b, wr)
+        g_norm = np.sqrt(_dots(grad, grad))
+        h_std, h_dual = block.values(z_a)
+        feas = np.maximum.reduce(np.maximum(abs(h_std), abs(h_dual)), axis=-1, initial=0.0)
+        rows = np.empty((len(idx), 4))
+        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = v_std[idx], v_dual[idx], feas, g_norm
+        for k, row in zip(idx.tolist(), rows.tolist()):
+            traces[k].append(TraceRow(it, 1, *row))
+        grad_norm[idx] = g_norm
+        steps[idx] = it + 1
+        # Once the value is flat to rounding, only a falling gradient shows progress.
+        small = g_norm <= cfg.tol_grad
+        done = small | (flat[idx] & (g_norm >= prev_grad[idx]))
+        halted = done.nonzero()[0]
+        if halted.size:
+            for k, converged in zip(idx[halted].tolist(), small[halted].tolist()):
+                stop[k] = "converged" if converged else "stalled"
+            if halted.size == len(idx):
+                return
+            go = ~done
+            idx, z_a, basis, b, r, w, wr, grad = (
+                a[go] for a in (idx, z_a, basis, b, r, w, wr, grad))
+            jac = jac[go] if jac.ndim == 3 else jac
+        prev_grad[idx] = grad_norm[idx]
+        h = _normal(b, w)
+        scale = np.maximum.reduce(_diagonal(h), axis=-1, initial=0.0)
+        scale[scale == 0] = 1.0
+        rounding = v_std[idx] + _ROUNDING * np.abs(v_std[idx])
+        curv = block.curvature(z_a, _pullback(jac, wr))
+        shift = _DAMP_FLOOR * scale[:, None] - curv[:, var]
+        y = _newton_step(b, r, w, groups, grad, h, shift)
+        stepped = np.zeros(len(idx), dtype=bool)
+
+        # ``pos`` below indexes the points of this step that try a move.
+        def trial(pos, y):
+            moved = z_a[pos]
+            moved[:, std] += _mv(basis[pos] if basis.ndim == 3 else basis, y)
+            moved = block.project(moved)
+            return moved, obj.value_at(moved)
+
+        def accept(pos, moved, moved_v, ok):
+            points = idx[pos][ok]
+            flat[points] = ~(moved_v[0][ok] < v_std[points])
+            z[points], v_std[points], v_dual[points] = moved[ok], moved_v[0][ok], moved_v[1][ok]
+            stepped[pos[ok]] = True
+
+        pos = (_dots(grad, y) < 0).nonzero()[0]
+        if pos.size:
+            moved, moved_v = trial(pos, y[pos])
+            accept(pos, moved, moved_v, moved_v[0] <= rounding[pos])
+        # Levenberg-Marquardt steps for the points the Newton step did not move.
+        pos = (~stepped & (damp[idx] <= _DAMP_CAP)).nonzero()[0]
+        while pos.size:
+            points = idx[pos]
+            y = _reduced_solve(h[pos] if h.ndim == 3 else h, -grad[pos],
+                               (damp[points] * scale[pos])[:, None])
+            moved, moved_v = trial(pos, y)
+            lower = moved_v[0] < v_std[points]
+            accept(pos, moved, moved_v, lower)
+            # a trial within rounding of the value ends the search without a step
+            higher = ~lower & ~(moved_v[0] <= rounding[pos])
+            damp[points[lower]] = np.maximum(damp[points[lower]] / 10.0, _DAMP_FLOOR)
+            damp[points[higher]] *= 10.0
+            pos = pos[higher & (damp[points] <= _DAMP_CAP)]
+        for k in idx[~stepped].tolist():
+            stop[k] = "stalled"
 
     for it in range(cfg.max_outer):
-        jac, r, w, groups = obj.stage1_system(z)
-        _, basis, var = _dual_fiber(problem, z)
-        b = jac @ basis
-        wr = w * r
-        grad = b.T @ wr
-        grad_norm = float(np.linalg.norm(grad))
-        trace.append(TraceRow(it, 1, v.std, v.dual, max(_feasibility(problem, z)), grad_norm))
-        # Once the value is flat to rounding, only a falling gradient shows progress.
-        if grad_norm <= cfg.tol_grad or (flat and grad_norm >= prev_grad):
-            converged = True
+        live = np.array([k for k in range(count) if stop[k] is None], dtype=np.intp)
+        if not live.size:
             break
-        prev_grad = grad_norm
-        h = b.T @ _scale_rows(b, w)
-        scale = float(np.max(h.diagonal(), initial=0.0)) or 1.0
-        rounding = v.std + _ROUNDING * abs(v.std)
-        curv = block.curvature(z, jac.T @ wr)
-        shift = _DAMP_FLOOR * scale - curv[var]
-        y = _newton_step(b, r, w, groups, grad, h, shift)
-        step = None
-        if grad @ y < 0:
-            moved, moved_v = trial(y)
-            if moved_v.std <= rounding:
-                step = moved, moved_v
-        while step is None and damp <= _DAMP_CAP:
-            moved, moved_v = trial(_reduced_solve(h, -grad, damp * scale))
-            if moved_v.std < v.std:
-                step = moved, moved_v
-                damp = max(damp / 10.0, _DAMP_FLOOR)
-            elif moved_v.std <= rounding:
-                break
-            else:
-                damp *= 10.0
-        if step is None:
-            converged = True
-            break
-        flat = not step[1].std < v.std
-        z, v = step
-    return _StageOutcome(z, it + 1, converged, grad_norm, trace)
+        gram = _gram_pinv(block, z[live])
+        for members in _same_fibers(gram[1]):
+            part = gram if members.size == live.size else (None, gram[1][members], gram[2][members])
+            advance(it, live[members], part)
+    outcomes = []
+    for k in range(count):
+        reason = stop[k] or "max_outer"
+        outcomes.append(_StageOutcome(z[k], int(steps[k]), reason != "max_outer",
+                                      float(grad_norm[k]), traces[k], stop=reason))
+    return outcomes
 
 
 def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageOutcome:
@@ -606,15 +784,20 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageO
     :func:`_fiber_point`; each pass solves the normal equations ``B^T W B y
     = -B^T W r_p`` with ``B = A N``, for the objective's rows ``r = r_p + B
     y``, until the weights stop changing or ``y`` stops moving, at most
-    ``max_outer`` times.  A singular system gives a non-finite ``y``, which
-    ends the passes unconverged.  One trace row per solve.  The outcome
-    carries the fiber's Gram factorization for the KKT analysis.
+    ``max_outer`` times.  Weights that are one value before and after the
+    pass, as a single norm group's are, also count as settled: rescaling
+    every weight alike leaves the fit where it is.  (Weights of several groups
+    that change by one common factor are not taken as settled: on a
+    singular system the next solve is what shows the singularity.)  A
+    singular system gives a non-finite ``y``, which ends the passes
+    unconverged.  One trace row per solve.  The outcome carries the
+    fiber's Gram factorization for the KKT analysis.
     """
     dual = _part_indices(problem.arity, 1)
-    z, null, gram = _fiber_point(problem, z1)
+    z, null, var, gram = _fiber_point(problem, z1)
     x_p = z[dual]
     a, r_p, weights = problem.objective.stage2_system(z)
-    b = a @ null
+    b = _fiber_product(a, null, var)
     # Fiber directions that no row sees stay at x_p: all of them when the
     # objective has no rows (a smooth one, whose dual part is linear).
     seen = np.asarray(abs(b).sum(axis=0)).ravel() > 0
@@ -634,7 +817,12 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageO
             done = False
             break
         w_new = weights(r)
-        done = np.array_equal(w_new, w) or np.max(np.abs(y_new - y), initial=0.0) <= cfg.tol_feas
+        rescaled = bool(np.all(w == w[:1]) and np.all(w_new == w_new[:1]))
+        done = (
+            np.array_equal(w_new, w)
+            or rescaled
+            or np.max(np.abs(y_new - y), initial=0.0) <= cfg.tol_feas
+        )
         y, w = y_new, w_new
         if done:
             break
@@ -648,6 +836,12 @@ def _restart_start(
     r: int,
 ) -> np.ndarray:
     if r == 0 and initial is not None:
+        if isinstance(initial, np.ndarray):
+            if initial.shape != (problem.arity, 8):
+                raise ArityMismatch(
+                    f"initial guess has shape {initial.shape}, expected ({problem.arity}, 8)"
+                )
+            return initial.astype(np.float64).reshape(-1)
         vals = list(initial)
         if len(vals) != problem.arity:
             raise ArityMismatch(
@@ -658,32 +852,32 @@ def _restart_start(
     return _random_start(problem, rng)
 
 
-def _run_restarts(cfg: SolverConfig, runner) -> list:
-    indices = list(range(cfg.restarts))
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(runner, indices))
-    return [runner(r) for r in indices]
-
-
 def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     """Stage I for every restart: the outcomes on the standard rows, least stage-I value first.
 
     Items are ``(value, restart, outcome)``; equal values keep restart
-    order.  Raises :class:`Infeasible` when no restart satisfies the
-    standard rows to ``tol_feas``.
+    order.  The restarts advance in lockstep through :func:`_stage1`, all
+    in one batch, or in ``threads`` contiguous chunks of it run in a thread
+    pool; a sparse fiber takes them one at a time.  Raises
+    :class:`Infeasible` when no restart satisfies the standard rows to
+    ``tol_feas``.
     """
-
-    def runner(r):
-        return _stage1_point(problem, cfg, _restart_start(problem, cfg, initial, r))
-
-    outcomes = _run_restarts(cfg, runner)
-    h = [_feasibility(problem, outcome.z)[0] for outcome in outcomes]
-    scored = [
-        (problem.objective.value_at(outcome.z).std, r, outcome)
-        for r, outcome in enumerate(outcomes)
-        if h[r] <= cfg.tol_feas
-    ]
+    starts = np.stack([_restart_start(problem, cfg, initial, r) for r in range(cfg.restarts)])
+    tangent = np.count_nonzero(~_gram_pinv(problem.block, problem.block.project(starts[0]))[1])
+    if tangent > _DENSE_MAX:
+        chunks = np.split(starts, cfg.restarts)
+    else:
+        chunks = np.array_split(starts, min(cfg.threads, cfg.restarts))
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            parts = list(pool.map(lambda chunk: _stage1(problem, cfg, chunk), chunks))
+    else:
+        parts = [_stage1(problem, cfg, chunk) for chunk in chunks]
+    outcomes = [outcome for part in parts for outcome in part]
+    final = np.stack([outcome.z for outcome in outcomes])
+    h = np.max(np.abs(problem.block.values(final)[0]), axis=-1, initial=0.0).tolist()
+    values = problem.objective.value_at(final)[0].tolist()
+    scored = [(values[r], r, outcome) for r, outcome in enumerate(outcomes) if h[r] <= cfg.tol_feas]
     if not scored:
         raise Infeasible(
             f"no feasible candidate across {cfg.restarts} restarts "
@@ -737,7 +931,7 @@ def _feasible(cfg: SolverConfig, feas: tuple[float, float]) -> bool:
 def solve_eqdqo(
     problem: EqdqoProblem,
     cfg: SolverConfig | None = None,
-    initial: Sequence[DualQuaternion] | None = None,
+    initial: Sequence[DualQuaternion] | np.ndarray | None = None,
 ) -> SolveReport:
     """Full two-stage solve with restarts.
 
@@ -746,8 +940,10 @@ def solve_eqdqo(
     stage-I value equals the least one exactly; a restart is a candidate
     when its final point satisfies all constraint rows to ``tol_feas``.
     The report carries the dn-order minimal candidate, ties broken by
-    restart index.  Raises :class:`Infeasible` when no restart produces a
-    candidate.
+    restart index.  Restart 0 starts from ``initial`` when given, one dual
+    quaternion per variable or an ``(arity, 8)`` array of rows (standard,
+    dual part); another count or shape raises :class:`ArityMismatch`.
+    Raises :class:`Infeasible` when no restart produces a candidate.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
@@ -772,7 +968,7 @@ def solve_eqdqo(
 def solve_stage1(
     problem: EqdqoProblem,
     cfg: SolverConfig | None = None,
-    initial: Sequence[DualQuaternion] | None = None,
+    initial: Sequence[DualQuaternion] | np.ndarray | None = None,
 ) -> Stage1Result:
     """Stage I alone: minimize the standard part over restarts.
 
@@ -786,14 +982,17 @@ def solve_stage1(
     falls; ``y`` moves to ``x + N y`` put back on the rows, so every
     iterate is feasible.  Stage I stops when ``|g| <= tol_grad``, when no
     step lowers the value (or, with the value flat to rounding, ``|g|``
-    stops falling), or after ``max_outer`` steps.  Stage I never reads the
-    dual coordinates: the reported point takes the minimum-norm duals of
-    the dual fiber.  Raises :class:`Infeasible` when no restart satisfies
+    stops falling), or after ``max_outer`` steps.  The restarts advance in
+    lockstep, each step one batched computation for all restarts still
+    running (:func:`_stage1`); each restart keeps its own damping and stop
+    rule, so its iterates are those it takes alone.  Stage I never reads
+    the dual coordinates: the reported point takes the minimum-norm duals
+    of the dual fiber.  Raises :class:`Infeasible` when no restart satisfies
     the standard rows, or when the least one's dual rows cannot hold.
     """
     cfg = cfg or SolverConfig()
     value, r, outcome = _stage1_restarts(problem, cfg, initial)[0]
-    z1, _, gram = _fiber_point(problem, outcome.z)
+    z1, _, _, gram = _fiber_point(problem, outcome.z)
     feas = _feasibility(problem, z1)
     if not _feasible(cfg, feas):
         raise Infeasible(f"the dual rows cannot hold at the stage-I point (h_d {feas[1]:.3e})")

@@ -424,3 +424,28 @@ def test_stage_hook_gradients_match_fd():
         v2, g2 = obj.stage2_value_grad(z, mu, br)
         num2 = fd_gradient(lambda w: obj.stage2_value_grad(w, mu, br)[0], z, step=1e-6)
         assert np.max(np.abs(g2 - num2) / np.maximum(1.0, np.abs(g2))) <= 1e-5
+
+
+def test_stacked_points_evaluate_bit_for_bit_as_single_points():
+    from dqopt import build_axyb, build_pgo, generate_cycle_graph, generate_synthetic
+
+    ds = generate_synthetic("axyb", 10, noise_rot=0.01, noise_trans=0.01, seed=2)
+    graph = generate_cycle_graph(9, loop_closures=3, noise_rot=0.01, noise_trans=0.01, seed=2)
+    rng = np.random.default_rng(211)
+    for problem in (build_axyb(ds), build_pgo(graph)):
+        obj, block = problem.objective, problem.block
+        stack = block.project(rng.standard_normal((5, 8 * problem.arity)))
+        grads = rng.standard_normal((5, 4 * problem.arity))
+        std, dual = obj.value_at(stack)
+        jac, r, w, _ = obj.stage1_system(stack)
+        for k, z in enumerate(stack):
+            one = obj.value_at(z)
+            assert (std[k], dual[k]) == (one.std, one.dual)
+            jac_k, r_k, w_k, _ = obj.stage1_system(z)
+            assert np.array_equal(r[k], r_k) and np.array_equal(w[k], w_k)
+            dense = jac if jac.ndim == 2 else jac[k]
+            assert np.array_equal(dense, jac_k if isinstance(jac_k, np.ndarray) else jac_k.toarray())
+            for got, want in zip(block.values(stack), block.values(z)):
+                assert np.array_equal(got[k], want)
+            assert np.array_equal(block.gram(stack)[k], block.gram(z))
+            assert np.array_equal(block.curvature(stack, grads)[k], block.curvature(z, grads[k]))

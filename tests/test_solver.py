@@ -21,10 +21,12 @@ from dqopt import (
     solve_stage1,
     solve_stage2,
     spanning_tree_guess,
+    spanning_tree_rows,
     squared_distance_objective,
     unit_norm_constraint,
 )
 from dqopt.errors import (
+    ArityMismatch,
     DegenerateConstraintGradients,
     Infeasible,
     NonStandardProblem,
@@ -400,3 +402,18 @@ def test_the_final_point_factors_its_gram_matrix_once(monkeypatch):
     calls.clear()
     solve_stage2(problem, stage1, cfg)
     assert len(calls) == 1
+
+
+def test_an_initial_array_starts_restart_zero_as_dual_quaternions_do():
+    g = generate_cycle_graph(12, loop_closures=4, noise_rot=0.01, noise_trans=0.01, seed=5)
+    problem, cfg = build_pgo(g), SolverConfig(restarts=2, seed=0)
+    rows = spanning_tree_rows(g)
+    guess = spanning_tree_guess(g)
+    assert np.array_equal(rows, pack(list(guess)).reshape(g.n, 8))
+    from_rows = solve_eqdqo(problem, cfg, initial=rows)
+    from_objects = solve_eqdqo(problem, cfg, initial=[u.as_dual_quaternion() for u in guess])
+    assert from_rows.trace == from_objects.trace
+    assert np.array_equal(pack(list(from_rows.solution)), pack(list(from_objects.solution)))
+    for bad in (rows[:-1], rows.reshape(-1), rows[:, :4]):
+        with pytest.raises(ArityMismatch):
+            solve_eqdqo(problem, cfg, initial=bad)

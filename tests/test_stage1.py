@@ -20,6 +20,7 @@ from dqopt import (
     solve_eqdqo,
     solve_stage1,
     spanning_tree_guess,
+    spanning_tree_rows,
 )
 
 SEEDS = range(3)
@@ -78,3 +79,83 @@ def test_sparse_systems_take_the_steps_of_dense_ones(kind, monkeypatch):
     sparse = solve_eqdqo(problem, cfg, initial)
     assert sparse.iterations == dense.iterations
     assert np.max(np.abs(pack(list(sparse.solution)) - pack(list(dense.solution)))) <= 1e-9
+
+
+def _starts(problem, cfg, initial=None):
+    return np.stack([solver._restart_start(problem, cfg, initial, r) for r in range(cfg.restarts)])
+
+
+def _assert_batch_matches_singles(problem, cfg, starts):
+    batch = solver._stage1(problem, cfg, starts)
+    for k, outcome in enumerate(batch):
+        (alone,) = solver._stage1(problem, cfg, starts[k : k + 1])
+        assert np.max(np.abs(outcome.z - alone.z)) <= 1e-12
+        assert outcome.iterations == alone.iterations
+        assert outcome.stop == alone.stop
+        assert len(outcome.trace) == len(alone.trace) == outcome.iterations
+    return batch
+
+
+def _lockstep_cases():
+    for model in ("axxb", "axyb"):
+        ds = generate_synthetic(model, 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=3)
+        problem = build_axxb(ds) if model == "axxb" else build_axyb(ds)
+        yield model, problem, None, 8
+    g = generate_cycle_graph(12, loop_closures=4, noise_rot=SIGMA, noise_trans=SIGMA, seed=5)
+    yield "pgo", build_pgo(g), spanning_tree_rows(g), 4
+
+
+@pytest.mark.parametrize("case", list(_lockstep_cases()), ids=lambda c: c[0])
+def test_restarts_in_lockstep_take_the_steps_they_take_alone(case):
+    _, problem, initial, restarts = case
+    cfg = SolverConfig(restarts=restarts, seed=0)
+    starts = _starts(problem, cfg, initial)
+    batch = _assert_batch_matches_singles(problem, cfg, starts)
+    # the restarts do stop at different steps, so some ran on alone in the batch
+    assert len({outcome.iterations for outcome in batch}) > 1
+
+
+def test_a_restart_at_the_step_cap_leaves_the_others_their_own_outcomes():
+    ds = generate_synthetic("axyb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=0)
+    problem = build_axyb(ds)
+    cfg = SolverConfig(restarts=8, seed=0)
+    free = solver._stage1(problem, cfg, _starts(problem, cfg))
+    cfg = SolverConfig(restarts=8, seed=0, max_outer=12)
+    capped = _assert_batch_matches_singles(problem, cfg, _starts(problem, cfg))
+    for full, outcome in zip(free, capped):
+        if full.iterations <= 12:
+            assert (outcome.stop, outcome.iterations) == (full.stop, full.iterations)
+            assert np.array_equal(outcome.z, full.z)
+        else:
+            assert (outcome.stop, outcome.iterations, outcome.converged) == ("max_outer", 12, False)
+    assert {outcome.stop for outcome in capped} == {"converged", "max_outer"}
+
+
+def test_threads_split_the_batch_without_changing_any_restart():
+    ds = generate_synthetic("axxb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=3)
+    problem = build_axxb(ds)
+    one = solver._stage1_restarts(problem, SolverConfig(restarts=5, seed=0), None)
+    three = solver._stage1_restarts(problem, SolverConfig(restarts=5, seed=0, threads=3), None)
+    assert [(v, r) for v, r, _ in one] == [(v, r) for v, r, _ in three]
+    for (_, _, a), (_, _, b) in zip(one, three):
+        assert np.array_equal(a.z, b.z) and a.trace == b.trace
+
+
+def test_restarts_whose_tangent_spaces_differ_in_shape_advance_in_groups():
+    # one unit row and one anchored coefficient on the same variable: the
+    # Gram block has rank 2, or rank 1 where the point lies on the anchored
+    # axis, as restart 0 does here, so its tangent space has 3 directions
+    # against the other restarts' 2
+    from dqopt import DualQuaternion, EqdqoProblem, UnitNormConstraint, squared_distance_objective
+    from dqopt.functions import _ComponentAnchor
+
+    center = DualQuaternion.from_real(1.0)
+    problem = EqdqoProblem(
+        squared_distance_objective(DualQuaternion(center.std * 0.5, center.dual)),
+        (UnitNormConstraint(1, 0), _ComponentAnchor(1, 0, 0, center)),
+    )
+    cfg = SolverConfig(restarts=4, seed=0)
+    starts = _starts(problem, cfg, [center])
+    rank = solver._gram_pinv(problem.block, problem.block.project(starts))[1]
+    assert len(solver._same_fibers(rank)) == 2
+    _assert_batch_matches_singles(problem, cfg, starts)

@@ -17,6 +17,7 @@ from dqopt import (
     pack,
     solve_eqdqo,
     spanning_tree_guess,
+    spanning_tree_rows,
     vertex_errors,
 )
 import dqopt.solver as solver
@@ -121,3 +122,26 @@ def test_stage2_runs_once_per_restart_tied_at_the_least_stage1_value(monkeypatch
     # noisy groups are appreciable: one solve, on the one least restart
     assert calls == [report.stage1_value]
     assert report.iterations["stage2"] == 1
+
+
+def test_a_uniform_reweighting_ends_stage2_after_one_pass():
+    # noiseless: the graph's one norm group is infinitesimal, and its
+    # reweighting rescales every row alike, which leaves the fit in place
+    g = generate_cycle_graph(12, loop_closures=4, seed=5)
+    problem, cfg = build_pgo(g), SolverConfig(restarts=1, seed=0)
+    _, _, outcome = solver._stage1_restarts(problem, cfg, spanning_tree_rows(g))[0]
+    stage2 = solver._stage2(problem, cfg, outcome.z)
+    assert stage2.iterations == len(stage2.trace) == 1 and stage2.converged
+    # the second pass, with the rescaled weights, lands on the same point
+    z, null, _, _ = solver._fiber_point(problem, outcome.z)
+    a, r_p, weights = problem.objective.stage2_system(z)
+    b = a.toarray() @ null
+    w1 = weights(r_p)
+    y1 = np.linalg.solve(b.T @ (w1[:, None] * b), -b.T @ (w1 * r_p))
+    w2 = weights(r_p + b @ y1)
+    assert np.all(w2 == w2[0]) and w2[0] != w1[0]
+    y2 = np.linalg.solve(b.T @ (w2[:, None] * b), -b.T @ (w2 * r_p))
+    dual = solver._part_indices(g.n, 1)
+    two_pass = z.copy()
+    two_pass[dual] += null @ y2
+    assert np.max(np.abs(stage2.z - two_pass)) <= 1e-12
