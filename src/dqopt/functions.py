@@ -819,13 +819,12 @@ class ConstraintBlock:
         # xs.xs and xs.xd per unit row as a batched (1, 4) @ (4, 1) product,
         # summed bit for bit as ``xs @ xs``; h = xs.xs - 1 and h_d = 2 xs.xd.
         dots = (zz[..., None, None, :4] @ zz.reshape(zz.shape[:-1] + (2, 4, 1)))[..., 0, 0]
-        h, h_d = np.empty((2,) + z.shape[:-1] + (self.size,))
-        h[..., self._u_row] = dots[..., 0] - 1.0
-        h_d[..., self._u_row] = 2.0 * dots[..., 1]
+        vals = np.empty(z.shape[:-1] + (2, self.size))
+        vals[..., 0, self._u_row] = dots[..., 0] - 1.0
+        vals[..., 1, self._u_row] = 2.0 * dots[..., 1]
         if self._a_row.size:
-            h[..., self._a_row] = z[..., self._a_coords[0]] - self._a_targets[0]
-            h_d[..., self._a_row] = z[..., self._a_coords[1]] - self._a_targets[1]
-        return h, h_d
+            vals[..., self._a_row] = z[..., self._a_coords] - self._a_targets
+        return vals[..., 0, :], vals[..., 1, :]
 
     def pullback(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``G^T v`` at ``z``: ``2 x_k v_k`` per unit row plus ``v`` per anchor row."""

@@ -265,6 +265,7 @@ class _StageOutcome:
     trace: list
     gram: tuple | None = None  # stage II: _gram_pinv at the standard coordinates of z
     stop: str | None = None  # stage I: "converged", "stalled" or "max_outer"
+    value: float | None = None  # stage I: the standard value at z
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +306,9 @@ def _gram_pinv(block: ConstraintBlock, z: np.ndarray):
     """
     e, vecs = np.linalg.eigh(block.gram(z))
     rank = e > _RANK_RCOND * e[..., -1:]
-    inv = np.where(rank, 1.0 / np.where(rank, e, 1.0), 0.0)
 
     def pinv(u):
+        inv = np.where(rank, 1.0 / np.where(rank, e, 1.0), 0.0)
         coef = (u.reshape(-1, 1, 4) @ vecs)[:, 0] * inv
         return (vecs @ coef[..., None]).ravel()
 
@@ -355,7 +356,7 @@ def _same_fibers(rank: np.ndarray) -> list:
     one; a variable whose Gram block loses rank at some point would split
     the stack.
     """
-    if len(rank) == 1:
+    if rank.ndim == 2:  # one point
         return [np.zeros(1, dtype=np.intp)]
     masks = rank.reshape(len(rank), -1)
     if (masks == masks[0]).all():
@@ -367,16 +368,17 @@ def _same_fibers(rank: np.ndarray) -> list:
 def _fiber_product(jac, null, var: np.ndarray):
     """``J N`` for the residual Jacobian ``J`` and a null basis ``N`` of :func:`_dual_fiber`.
 
-    A sparse ``N`` gives a sparse product.  Otherwise ``J`` is dense
-    ``(..., k, 4n)`` or CSR and ``N`` dense ``(..., 4n, d)``, and each entry
-    adds the 4 products of its column's variable left to right, as SciPy's
-    product of a sparse ``J`` sums them: the result does not depend on how
-    many points are stacked.
+    A sparse ``N`` gives a sparse product, and a CSR ``J`` (one point) with
+    a dense ``N`` SciPy's dense one.  Otherwise ``J`` is dense ``(..., k,
+    4n)`` and ``N`` dense ``(..., 4n, d)``, and each entry adds the 4
+    products of its column's variable left to right, as SciPy's product of
+    a sparse ``J`` sums them: the result does not depend on how many points
+    are stacked.
     """
     if sparse.issparse(null):
         return (jac if sparse.issparse(jac) else sparse.csr_matrix(jac)) @ null
     if sparse.issparse(jac):
-        jac = jac.toarray()
+        return jac @ null if null.ndim == 2 else (jac @ null[0])[None]
     cols = 4 * var[:, None] + np.arange(4)
     t = jac[..., cols] * null[..., cols, np.arange(var.size)[:, None]][..., None, :, :]
     # C order, as SciPy returns it: BLAS sums other layouts in another order.
@@ -545,21 +547,21 @@ _PIN = 1e8
 def _mv(a, x: np.ndarray) -> np.ndarray:
     """``A x`` per point."""
     if sparse.issparse(a):
-        return (a @ x.T).T
+        return (a @ x[0])[None]
     return (a @ x[..., None])[..., 0]
 
 
 def _tmv(a, x: np.ndarray) -> np.ndarray:
     """``A^T x`` per point."""
     if sparse.issparse(a):
-        return (a.T @ x.T).T
+        return (a.T @ x[0])[None]
     return (a.swapaxes(-1, -2) @ x[..., None])[..., 0]
 
 
 def _pullback(jac, x: np.ndarray) -> np.ndarray:
     """``J^T x`` per point for a residual Jacobian, dense summed row after row as SciPy sums a sparse one."""
     if sparse.issparse(jac):
-        return (jac.T @ x.T).T
+        return (jac.T @ x[0])[None]
     return np.add.reduce(jac * x[..., None], axis=-2)
 
 
@@ -679,34 +681,36 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     z = block.project(starts)
     v_std, v_dual = obj.value_at(z)
     damp = np.full(count, _DAMP_FLOOR)
-    prev_grad = np.full(count, math.inf)
+    grad_norm = np.full(count, math.inf)  # of the last step taken
     flat = np.zeros(count, dtype=bool)
-    grad_norm = np.zeros(count)
     stop = [None] * count
-    steps = np.zeros(count, dtype=int)
-    traces = [[] for _ in range(count)]
+    traces = [[] for _ in range(count)]  # one row per step
 
     def advance(it, idx, gram):
         z_a = z[idx]
-        _, basis, var = _dual_fiber(problem, z_a, gram)
-        dense = not sparse.issparse(basis)
-        jac, r, w, groups = obj.stage1_system(z_a if dense else z_a[0])
+        # A lone point is evaluated as a single point, which costs less and
+        # gives a pose graph its sparse Jacobian; its results then get the
+        # stack's leading axis, of length 1.
+        pts = z_a[0] if len(idx) == 1 else z_a
+        _, basis, var = _dual_fiber(problem, pts, gram)
+        jac, r, w, groups = obj.stage1_system(pts)
         r, w = r.reshape(len(idx), -1), w.reshape(len(idx), -1)
         b = _fiber_product(jac, basis, var)
+        if pts.ndim == 1 and not sparse.issparse(b):
+            b, basis = b[None], basis[None]
         wr = w * r
         grad = _tmv(b, wr)
         g_norm = np.sqrt(_dots(grad, grad))
-        h_std, h_dual = block.values(z_a)
+        h_std, h_dual = block.values(pts)
         feas = np.maximum.reduce(np.maximum(abs(h_std), abs(h_dual)), axis=-1, initial=0.0)
         rows = np.empty((len(idx), 4))
         rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = v_std[idx], v_dual[idx], feas, g_norm
         for k, row in zip(idx.tolist(), rows.tolist()):
             traces[k].append(TraceRow(it, 1, *row))
-        grad_norm[idx] = g_norm
-        steps[idx] = it + 1
         # Once the value is flat to rounding, only a falling gradient shows progress.
         small = g_norm <= cfg.tol_grad
-        done = small | (flat[idx] & (g_norm >= prev_grad[idx]))
+        done = small | (flat[idx] & (g_norm >= grad_norm[idx]))
+        grad_norm[idx] = g_norm
         halted = done.nonzero()[0]
         if halted.size:
             for k, converged in zip(idx[halted].tolist(), small[halted].tolist()):
@@ -717,12 +721,13 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             idx, z_a, basis, b, r, w, wr, grad = (
                 a[go] for a in (idx, z_a, basis, b, r, w, wr, grad))
             jac = jac[go] if jac.ndim == 3 else jac
-        prev_grad[idx] = grad_norm[idx]
+            pts = z_a[0] if len(idx) == 1 else z_a
         h = _normal(b, w)
         scale = np.maximum.reduce(_diagonal(h), axis=-1, initial=0.0)
         scale[scale == 0] = 1.0
         rounding = v_std[idx] + _ROUNDING * np.abs(v_std[idx])
-        curv = block.curvature(z_a, _pullback(jac, wr))
+        pull = _pullback(jac, wr).reshape(pts.shape[:-1] + (-1,))
+        curv = block.curvature(pts, pull).reshape(len(idx), -1)
         shift = _DAMP_FLOOR * scale[:, None] - curv[:, var]
         y = _newton_step(b, r, w, groups, grad, h, shift)
         stepped = np.zeros(len(idx), dtype=bool)
@@ -730,7 +735,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         # ``pos`` below indexes the points of this step that try a move.
         def trial(pos, y):
             moved = z_a[pos]
-            moved[:, std] += _mv(basis[pos] if basis.ndim == 3 else basis, y)
+            moved[:, std] += _mv(basis[pos] if len(pos) < len(z_a) else basis, y)
             moved = block.project(moved)
             return moved, obj.value_at(moved)
 
@@ -765,15 +770,16 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         live = np.array([k for k in range(count) if stop[k] is None], dtype=np.intp)
         if not live.size:
             break
-        gram = _gram_pinv(block, z[live])
+        gram = _gram_pinv(block, z[live[0]] if live.size == 1 else z[live])
         for members in _same_fibers(gram[1]):
             part = gram if members.size == live.size else (None, gram[1][members], gram[2][members])
             advance(it, live[members], part)
     outcomes = []
     for k in range(count):
         reason = stop[k] or "max_outer"
-        outcomes.append(_StageOutcome(z[k], int(steps[k]), reason != "max_outer",
-                                      float(grad_norm[k]), traces[k], stop=reason))
+        outcomes.append(_StageOutcome(z[k], len(traces[k]), reason != "max_outer",
+                                      float(grad_norm[k]), traces[k], stop=reason,
+                                      value=float(v_std[k])))
     return outcomes
 
 
@@ -863,11 +869,12 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     ``tol_feas``.
     """
     starts = np.stack([_restart_start(problem, cfg, initial, r) for r in range(cfg.restarts)])
-    tangent = np.count_nonzero(~_gram_pinv(problem.block, problem.block.project(starts[0]))[1])
-    if tangent > _DENSE_MAX:
-        chunks = np.split(starts, cfg.restarts)
-    else:
-        chunks = np.array_split(starts, min(cfg.threads, cfg.restarts))
+    chunks = [starts] if cfg.threads == 1 else np.array_split(starts, min(cfg.threads, cfg.restarts))
+    # A fiber has at most 4n directions; past _DENSE_MAX, count them.
+    if cfg.restarts > 1 and 4 * problem.arity > _DENSE_MAX:
+        rank = _gram_pinv(problem.block, problem.block.project(starts[0]))[1]
+        if np.count_nonzero(~rank) > _DENSE_MAX:
+            chunks = np.split(starts, cfg.restarts)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             parts = list(pool.map(lambda chunk: _stage1(problem, cfg, chunk), chunks))
@@ -876,8 +883,7 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     outcomes = [outcome for part in parts for outcome in part]
     final = np.stack([outcome.z for outcome in outcomes])
     h = np.max(np.abs(problem.block.values(final)[0]), axis=-1, initial=0.0).tolist()
-    values = problem.objective.value_at(final)[0].tolist()
-    scored = [(values[r], r, outcome) for r, outcome in enumerate(outcomes) if h[r] <= cfg.tol_feas]
+    scored = [(outcome.value, r, outcome) for r, outcome in enumerate(outcomes) if h[r] <= cfg.tol_feas]
     if not scored:
         raise Infeasible(
             f"no feasible candidate across {cfg.restarts} restarts "
