@@ -479,7 +479,8 @@ class AffineResidual:
         def evaluate(z):
             # one matrix-vector product per point, as for a single point
             col = z[..., None]
-            return (jac_std @ col)[..., 0] + const_std, (jac_dual @ col)[..., 0] + const_dual, pullback, jacobian
+            r_std = (jac_std @ col)[..., 0] + const_std
+            return r_std, (jac_dual @ col)[..., 0] + const_dual, pullback, jacobian
 
         return evaluate
 
@@ -567,7 +568,8 @@ class ResidualNormObjective(DualFunction):
         norms = np.sqrt(s_std)
         app = norms > self.tol
         if app.all():
-            total_std, total_dual = np.add.reduce(norms, axis=-1), 0.0 + np.add.reduce(cross / norms, axis=-1)
+            total_std = np.add.reduce(norms, axis=-1)
+            total_dual = 0.0 + np.add.reduce(cross / norms, axis=-1)
         elif not app.any():
             total_std = np.zeros(norms.shape[:-1])
             total_dual = 0.0 + np.add.reduce(np.sqrt(s_dual), axis=-1)
@@ -866,10 +868,11 @@ class ConstraintBlock:
         return out
 
     def gram(self, z: np.ndarray) -> np.ndarray:
-        """``G_i^T G_i`` per variable at ``z``, shape ``(n, 4, 4)``, or ``(R, n, 4, 4)`` for a stack."""
+        """``G_i^T G_i`` per variable at ``z``: ``(n, 4, 4)``, or ``(R, n, 4, 4)`` for a stack."""
         x2 = 2.0 * z[..., self._u_slots[:, :4]]
         out = np.zeros(z.shape[:-1] + (self.arity, 4, 4))
-        np.add.at(out, (..., self._u_var, slice(None), slice(None)), x2[..., :, None] * x2[..., None, :])
+        units = (..., self._u_var, slice(None), slice(None))
+        np.add.at(out, units, x2[..., :, None] * x2[..., None, :])
         np.add.at(out, (..., self._a_var, self._a_comp, self._a_comp), 1.0)
         return out
 

@@ -559,7 +559,10 @@ def _tmv(a, x: np.ndarray) -> np.ndarray:
 
 
 def _pullback(jac, x: np.ndarray) -> np.ndarray:
-    """``J^T x`` per point for a residual Jacobian, dense summed row after row as SciPy sums a sparse one."""
+    """``J^T x`` per point for a residual Jacobian ``J``.
+
+    A dense ``J`` is summed row after row, as SciPy sums a sparse one.
+    """
     if sparse.issparse(jac):
         return (jac.T @ x[0])[None]
     return np.add.reduce(jac * x[..., None], axis=-2)
@@ -631,9 +634,9 @@ def _reduced_solve(h, rhs: np.ndarray, shift=0.0) -> np.ndarray:
 
 
 def _newton_step(b, r, w, starts, grad, h, shift):
-    """Stage-I Newton step per point: ``(h + diag(shift)) y = -grad``, ``h = b^T W b``, ``grad = b^T W r``.
+    """Stage-I Newton step per point: ``(h + diag(shift)) y = -grad``, ``h = b^T W b``.
 
-    For a sum of magnitudes (group ``starts`` given), each group's radial
+    ``grad = b^T W r``.  For a sum of magnitudes (group ``starts`` given), each group's radial
     part ``c_g^T c_g``, ``c_g = r_g^T b_g / |r_g|^(3/2)``, leaves ``h``:
     ``|r_g|`` is flat along ``r_g``.  A group the step would carry through
     zero (``|r_g|^(1/2) + c_g y < 0``) is pinned instead, its rows weighted
@@ -869,7 +872,9 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     ``tol_feas``.
     """
     starts = np.stack([_restart_start(problem, cfg, initial, r) for r in range(cfg.restarts)])
-    chunks = [starts] if cfg.threads == 1 else np.array_split(starts, min(cfg.threads, cfg.restarts))
+    chunks = [starts]
+    if cfg.threads > 1:
+        chunks = np.array_split(starts, min(cfg.threads, cfg.restarts))
     # A fiber has at most 4n directions; past _DENSE_MAX, count them.
     if cfg.restarts > 1 and 4 * problem.arity > _DENSE_MAX:
         rank = _gram_pinv(problem.block, problem.block.project(starts[0]))[1]
@@ -883,7 +888,7 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     outcomes = [outcome for part in parts for outcome in part]
     final = np.stack([outcome.z for outcome in outcomes])
     h = np.max(np.abs(problem.block.values(final)[0]), axis=-1, initial=0.0).tolist()
-    scored = [(outcome.value, r, outcome) for r, outcome in enumerate(outcomes) if h[r] <= cfg.tol_feas]
+    scored = [(o.value, r, o) for r, o in enumerate(outcomes) if h[r] <= cfg.tol_feas]
     if not scored:
         raise Infeasible(
             f"no feasible candidate across {cfg.restarts} restarts "

@@ -444,7 +444,8 @@ def test_stacked_points_evaluate_bit_for_bit_as_single_points():
             jac_k, r_k, w_k, _ = obj.stage1_system(z)
             assert np.array_equal(r[k], r_k) and np.array_equal(w[k], w_k)
             dense = jac if jac.ndim == 2 else jac[k]
-            assert np.array_equal(dense, jac_k if isinstance(jac_k, np.ndarray) else jac_k.toarray())
+            jac_k = jac_k if isinstance(jac_k, np.ndarray) else jac_k.toarray()
+            assert np.array_equal(dense, jac_k)
             for got, want in zip(block.values(stack), block.values(z)):
                 assert np.array_equal(got[k], want)
             assert np.array_equal(block.gram(stack)[k], block.gram(z))
