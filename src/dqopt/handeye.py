@@ -15,7 +15,6 @@ constraints, which the two-stage solver handles directly.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -242,16 +241,6 @@ class HandEyeDataset:
             ground_truth_y=gy,
             meta=dict(data.get("meta", {})),
         )
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "HandEyeDataset":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 def relative_motions(

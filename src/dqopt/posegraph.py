@@ -12,10 +12,8 @@ and measured poses in input order, initial guesses and ground truth by
 vertex id.  :func:`parse_graph` converts every record of a kind at once,
 and :func:`build_pgo`, :func:`spanning_tree_guess` and
 :func:`vertex_errors` work on those arrays, with no object per edge or
-vertex.  The object forms, :class:`Edge` and one
-:class:`~dqopt.handeye.Pose` per vertex, are views for tests and
-generators: the constructor takes them, and the ``edges``, ``initial`` and
-``ground_truth`` properties build them on demand.
+vertex.  Only :func:`generate_cycle_graph` composes
+:class:`~dqopt.handeye.Pose` objects, and it stores their rows.
 
 Text format, one whitespace-separated record per line::
 
@@ -29,7 +27,6 @@ Other ``#`` lines are comments.  Vertex ids are 1-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -65,7 +62,6 @@ from .handeye import Pose, pose_errors, pose_rows
 from .solver import EqdqoProblem
 
 __all__ = [
-    "Edge",
     "PoseGraph",
     "edge_error",
     "error_vector",
@@ -80,39 +76,6 @@ __all__ = [
 ]
 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Directed measurement: the pose of vertex ``j`` seen from vertex ``i``."""
-
-    i: int
-    j: int
-    pose: Pose
-
-    def measurement(self) -> UnitDualQuaternion:
-        return self.pose.to_udq()
-
-
-def _pose_row(pose: Pose) -> list[float]:
-    q = pose.rotation
-    return [q.w, q.x, q.y, q.z, *pose.translation]
-
-
-def _as_pose(row: list[float]) -> Pose:
-    """The :class:`Pose` of a stored row, bit for bit.
-
-    Stored rotations are normalized already; ``Pose()`` would divide one by
-    its computed norm again, which moves the last bit of about one rotation
-    in six.
-    """
-    pose = object.__new__(Pose)
-    pose.__dict__.update(rotation=Quaternion(*row[:4]), translation=tuple(row[4:]))
-    return pose
-
-
-def _pose_dict(ids: np.ndarray, rows: np.ndarray) -> dict[int, Pose]:
-    return {v: _as_pose(row) for v, row in zip(ids.tolist(), rows.tolist())}
 
 
 def _by_id(ids, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -134,40 +97,17 @@ class PoseGraph:
     and ``truth_ids``/``truth_poses`` the ground truth, ids ascending.
     These read-only arrays are the only store.
 
-    ``PoseGraph(n, edges, initial, ground_truth)`` takes the object form,
-    :class:`Edge` records and ``{id: Pose}`` dicts; :meth:`from_arrays`
-    takes the arrays.  The ``edges``, ``initial`` and ``ground_truth``
-    properties build the objects again on each access.
+    ``vertices`` and ``truth`` are ``(ids, poses)`` pairs in any order; of
+    several records for one id, the last counts.
     """
 
-    def __init__(self, n: int, edges=(), initial=None, ground_truth=None):
-        edges = tuple(edges)
-        initial, ground_truth = initial or {}, ground_truth or {}
-        self._store(
-            n,
-            [(e.i, e.j) for e in edges],
-            [_pose_row(e.pose) for e in edges],
-            (list(initial), [_pose_row(p) for p in initial.values()]),
-            (list(ground_truth), [_pose_row(p) for p in ground_truth.values()]),
-        )
-
-    @classmethod
-    def from_arrays(cls, n, edge_ids, edge_poses, vertices=((), ()), truth=((), ())) -> "PoseGraph":
-        """Graph over the arrays laid out as its attributes.
-
-        ``vertices`` and ``truth`` are ``(ids, poses)`` pairs in any order;
-        of several records for one id, the last counts.
-        """
-        graph = cls.__new__(cls)
-        graph._store(n, edge_ids, edge_poses, vertices, truth)
-        return graph
-
-    def _store(self, n, edge_ids, edge_poses, vertices, truth) -> None:
+    def __init__(self, n: int, edge_ids, edge_poses, vertices=((), ()), truth=((), ())):
         self.n = int(n)
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
-        self.edge_ids = np.asarray(edge_ids, dtype=np.intp).reshape(-1, 2)
-        self.edge_poses = np.asarray(edge_poses, dtype=np.float64).reshape(-1, 7)
+        # copies, so that no caller's array can change a validated graph
+        self.edge_ids = np.array(edge_ids, dtype=np.intp).reshape(-1, 2)
+        self.edge_poses = np.array(edge_poses, dtype=np.float64).reshape(-1, 7)
         i, j = self.edge_ids.T
         outside = (np.minimum(i, j) < 1) | (np.maximum(i, j) > self.n)
         bad = np.flatnonzero(outside | (i == j))
@@ -190,30 +130,10 @@ class PoseGraph:
     def m(self) -> int:
         return len(self.edge_ids)
 
-    @property
-    def edges(self) -> tuple[Edge, ...]:
-        """The edges as :class:`Edge` records, in input order."""
-        return tuple(
-            Edge(i, j, _as_pose(row))
-            for (i, j), row in zip(self.edge_ids.tolist(), self.edge_poses.tolist())
-        )
-
-    @property
-    def initial(self) -> dict[int, Pose]:
-        return _pose_dict(self.vertex_ids, self.vertex_poses)
-
-    @property
-    def ground_truth(self) -> dict[int, Pose]:
-        return _pose_dict(self.truth_ids, self.truth_poses)
-
     def edge_order(self) -> np.ndarray:
         """Edge indices by (source, target), input order among equals; fixes residual ordering."""
         i, j = self.edge_ids.T
         return np.argsort(i * (self.n + 1) + j, kind="stable")
-
-    def sorted_edges(self) -> tuple[Edge, ...]:
-        edges = self.edges
-        return tuple(edges[k] for k in self.edge_order().tolist())
 
     def measurements(self) -> np.ndarray:
         """The edge poses as unit dual quaternions, ``(m, 2, 4)`` (standard, dual), input order.
@@ -625,7 +545,7 @@ def parse_graph(text: str) -> PoseGraph:
     n = max((int(v.max()) for v in ids.values() if v.size), default=0)
     if n == 0:
         raise ParseError(0, "no records found")
-    return PoseGraph.from_arrays(
+    return PoseGraph(
         n,
         ids["EDGE"],
         rows["EDGE"],
@@ -685,7 +605,7 @@ def generate_cycle_graph(
         )
         raw.append(Pose(Quaternion.exp_axis_angle(angle, Quaternion(0.0, *axis)), position))
     base = raw[0].inverse()
-    truth = {k + 1: base.compose(raw[k]) for k in range(n)}
+    truth = [base.compose(pose) for pose in raw]
 
     pairs = [(k, k + 1) for k in range(1, n)] + [(n, 1)]
     chords = [
@@ -700,9 +620,9 @@ def generate_cycle_graph(
         picks = rng.choice(len(chords), size=loop_closures, replace=False)
         pairs.extend(chords[p] for p in sorted(picks))
 
-    edges = []
+    measured = []
     for i, j in pairs:
-        rel = truth[i].inverse().compose(truth[j])
+        rel = truth[i - 1].inverse().compose(truth[j - 1])
         if noise_rot > 0.0 or noise_trans > 0.0:
             bump = Quaternion.identity()
             if noise_rot > 0.0:
@@ -718,10 +638,12 @@ def generate_cycle_graph(
         q = rel.rotation
         if canonical_sign(q) < 0:
             q = -q
-        edges.append(Edge(i, j, Pose(q, rel.translation)))
+        measured.append(Pose(q, rel.translation))
 
-    initial = {k: Pose.identity() for k in range(1, n + 1)}
-    return PoseGraph(n, tuple(edges), initial, truth)
+    rows = [(*p.rotation.as_array(), *p.translation) for p in measured + truth]
+    ids = range(1, n + 1)
+    identity = [(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * n
+    return PoseGraph(n, pairs, rows[: len(pairs)], (ids, identity), (ids, rows[len(pairs) :]))
 
 
 def vertex_errors(graph: PoseGraph, poses: Sequence[UnitDualQuaternion]) -> list[dict]:

@@ -52,7 +52,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .algebra import DualQuaternion, DualQuaternionVector, Quaternion
+from .algebra import DualNumber, DualQuaternion, DualQuaternionVector, Quaternion
 from .errors import (
     ArityMismatch,
     DegenerateConstraintGradients,
@@ -265,7 +265,8 @@ class _StageOutcome:
     trace: list
     gram: tuple | None = None  # stage II: _gram_pinv at the standard coordinates of z
     stop: str | None = None  # stage I: "converged", "stalled" or "max_outer"
-    value: float | None = None  # stage I: the standard value at z
+    value: float | DualNumber | None = None  # at z: standard (stage I) or dual value (II)
+    feasibility: tuple[float, float] | None = None  # stage II: _feasibility at z
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +800,8 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageO
     that change by one common factor are not taken as settled: on a
     singular system the next solve is what shows the singularity.)  A
     singular system gives a non-finite ``y``, which ends the passes
-    unconverged.  One trace row per solve.  The outcome carries the
+    unconverged.  One trace row per solve.  The outcome carries the value
+    and feasibility of the last row, which are those of its point, and the
     fiber's Gram factorization for the KKT analysis.
     """
     dual = _part_indices(problem.arity, 1)
@@ -821,7 +823,8 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageO
         r = r_p + b @ y_new
         stationarity = float(np.linalg.norm(b_t @ (w * r)))
         v = problem.objective.value_at(z)
-        trace.append(TraceRow(it, 2, v.std, v.dual, max(_feasibility(problem, z)), stationarity))
+        feas = _feasibility(problem, z)
+        trace.append(TraceRow(it, 2, v.std, v.dual, max(feas), stationarity))
         if not np.all(np.isfinite(y_new)):
             done = False
             break
@@ -835,7 +838,7 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageO
         y, w = y_new, w_new
         if done:
             break
-    return _StageOutcome(z, it + 1, done, stationarity, trace, gram)
+    return _StageOutcome(z, it + 1, done, stationarity, trace, gram, value=v, feasibility=feas)
 
 
 def _restart_start(
@@ -916,8 +919,8 @@ def _report(
     z2 = stage2.z
     kkt1 = kkt_analysis(problem, stage1.z, stage=1, gram=stage2.gram)
     kkt2 = kkt_analysis(problem, z2, stage=2, gram=stage2.gram)
-    v = problem.objective.value_at(z2)
-    feas_h, feas_hd = _feasibility(problem, z2)
+    v = stage2.value
+    feas_h, feas_hd = stage2.feasibility
     return SolveReport(
         stage1_value=v.std,
         stage2_value=v.dual,
@@ -964,8 +967,8 @@ def solve_eqdqo(
         if value > scored[0][0]:
             break
         stage2 = _stage2(problem, cfg, outcome.z)
-        if _feasible(cfg, _feasibility(problem, stage2.z)):
-            candidates.append((problem.objective.value_at(stage2.z), r, outcome, stage2))
+        if _feasible(cfg, stage2.feasibility):
+            candidates.append((stage2.value, r, outcome, stage2))
     if not candidates:
         raise Infeasible(
             f"no feasible candidate across {cfg.restarts} restarts "
@@ -1052,7 +1055,7 @@ def solve_stage2(
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
     outcome = _stage2(problem, cfg, stage1.z)
-    feas = _feasibility(problem, outcome.z)
+    feas = outcome.feasibility
     if not _feasible(cfg, feas):
         raise Infeasible(f"stage II lost feasibility (h {feas[0]:.3e}, h_d {feas[1]:.3e})")
     return _report(problem, cfg, t0, stage1.restart_index, stage1, outcome)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -234,3 +238,25 @@ def test_report_prints_to_stdout_without_out(tmp_path, capsys):
     assert main(["solve-handeye", "--in", str(ds), "--restarts", "2"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert set(data) >= {"stage1_value", "stage2_value", "solution", "config"}
+
+
+def test_the_cli_fingerprint_is_the_same_in_two_processes(tmp_path):
+    # the fingerprint compares CLI outputs across checkouts, so it must not
+    # move between two runs of one checkout
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    runs = []
+    for k in range(2):
+        out = subprocess.run(
+            [sys.executable, str(root / "scripts" / "cli_fingerprint.py"),
+             "--out", str(tmp_path / str(k))],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        # one "<sha256>  <file>" line per output file, then the output directory
+        files = [line for line in out.stderr.splitlines() if not line.startswith("outputs in")]
+        runs.append((out.stdout.strip(), files))
+    assert runs[0] == runs[1]
+    combined, files = runs[0]
+    assert len(combined) == 64
+    assert len(files) == 4 * 3 + 2 * 3

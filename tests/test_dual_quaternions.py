@@ -4,6 +4,7 @@ import pytest
 from dqopt import (
     DualNumber,
     DualQuaternion,
+    DualQuaternionVector,
     Quaternion,
     UnitDualQuaternion,
 )
@@ -61,6 +62,22 @@ def test_magnitude_squares_to_self_product():
         assert np.allclose(qq.std.as_array()[1:], 0.0, atol=1e-12)
         assert np.allclose(qq.dual.as_array()[1:], 0.0, atol=1e-12)
         assert (m * m).approx_eq(qq.as_dual_number(), tol=1e-10)
+
+
+def test_vector_norm2_squares_to_the_sum_of_entry_self_products():
+    # appreciable: n n = sum_e conj(e) e, a dual number
+    rng = np.random.default_rng(61)
+    for _ in range(100):
+        v = DualQuaternionVector.of(_rand_dq(rng) for _ in range(4))
+        n = v.norm2()
+        assert n.std > 0.0
+        total = DualNumber(0.0, 0.0)
+        for e in v:
+            total = total + (e.conjugate() * e).as_dual_number()
+        assert (n * n).approx_eq(total, tol=1e-10)
+    # infinitesimal: the Euclidean norm of the dual parts times eps
+    v = DualQuaternionVector.of([DualQuaternion(ZERO, 3.0 * I), DualQuaternion(ZERO, 4.0 * K)])
+    assert v.norm2() == DualNumber(0.0, 5.0)
 
 
 def test_inverse_frozen_value():

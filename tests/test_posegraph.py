@@ -6,7 +6,6 @@ import pytest
 
 from dqopt import (
     DualQuaternion,
-    Edge,
     Pose,
     PoseGraph,
     Quaternion,
@@ -35,14 +34,30 @@ from dqopt.errors import (
 from dqopt.algebra import canonical_sign
 from dqopt.posegraph import RelativePoseResidual
 
+_IDENTITY = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+
+def _pose(row):
+    return Pose(Quaternion(*row[:4]), tuple(row[4:]))
+
+
+def _truth(g):
+    """The ground truth as ``{id: Pose}``, built from the stored rows."""
+    return {v: _pose(row) for v, row in zip(g.truth_ids.tolist(), g.truth_poses.tolist())}
+
+
+def _truth_poses(g):
+    truth = _truth(g)
+    return [truth[v].to_udq() for v in range(1, g.n + 1)]
+
 
 def test_parse_single_edge_frozen():
     g = parse_graph("EDGE 1 2 1 0 0 0 1 0 0\n")
     assert g.n == 2 and g.m == 1
-    m = g.edges[0].measurement()
-    assert m.std.approx_eq(Quaternion.identity(), tol=0.0)
+    std, dual = g.measurements()[0]
+    assert Quaternion.from_array(std).approx_eq(Quaternion.identity(), tol=0.0)
     # dual part is translation * rotation / 2
-    assert m.dual.approx_eq(Quaternion(0.0, 0.5, 0.0, 0.0), tol=0.0)
+    assert Quaternion.from_array(dual).approx_eq(Quaternion(0.0, 0.5, 0.0, 0.0), tol=0.0)
 
 
 def test_edge_error_at_identity():
@@ -59,11 +74,13 @@ def test_parse_serialize_roundtrip_is_byte_stable():
     s2 = serialize_graph(g1)
     assert s1 == s2
     assert g1.n == g0.n and g1.m == g0.m
-    for e0, e1 in zip(g0.sorted_edges(), g1.sorted_edges()):
-        assert (e0.i, e0.j) == (e1.i, e1.j)
-        assert e0.pose.approx_eq(e1.pose, tol=0.0)
-    for v in g0.ground_truth:
-        assert g0.ground_truth[v].approx_eq(g1.ground_truth[v], tol=0.0)
+    o0, o1 = g0.edge_order(), g1.edge_order()
+    assert np.array_equal(g0.edge_ids[o0], g1.edge_ids[o1])
+    for p0, p1 in zip(g0.edge_poses[o0].tolist(), g1.edge_poses[o1].tolist()):
+        assert _pose(p0).approx_eq(_pose(p1), tol=0.0)
+    truth0, truth1 = _truth(g0), _truth(g1)
+    for v in truth0:
+        assert truth0[v].approx_eq(truth1[v], tol=0.0)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -142,7 +159,7 @@ def test_parse_rejects_non_unit_rotation():
 
 def test_parse_canonicalizes_measurement_sign():
     g = parse_graph("EDGE 1 2 -1 0 0 0 0 0 0\n")
-    assert g.edges[0].pose.rotation.w == 1.0
+    assert g.edge_poses[0, 0] == 1.0
 
 
 def test_truth_records_survive_comments():
@@ -153,13 +170,12 @@ def test_truth_records_survive_comments():
         "# TRUTH 2 1 0 0 0 1 0 0\n"
     )
     g = parse_graph(text)
-    assert set(g.ground_truth) == {1, 2}
-    assert g.ground_truth[2].translation == (1.0, 0.0, 0.0)
+    assert set(_truth(g)) == {1, 2}
+    assert _truth(g)[2].translation == (1.0, 0.0, 0.0)
 
 
 def test_disconnected_graph_raises():
-    e = Edge(1, 2, Pose.identity())
-    g = PoseGraph(4, (e,))
+    g = PoseGraph(4, [(1, 2)], [_IDENTITY])
     with pytest.raises(DisconnectedGraph):
         build_pgo(g)
     with pytest.raises(DisconnectedGraph):
@@ -168,9 +184,17 @@ def test_disconnected_graph_raises():
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        PoseGraph(2, (Edge(1, 3, Pose.identity()),))
+        PoseGraph(2, [(1, 3)], [_IDENTITY])
     with pytest.raises(ValueError):
-        PoseGraph(2, (Edge(1, 1, Pose.identity()),))
+        PoseGraph(2, [(1, 1)], [_IDENTITY])
+    # the graph keeps copies: changing the arrays it was built from changes nothing
+    ids, vertex, poses = np.array([[1, 2]]), np.array([2]), np.array([_IDENTITY])
+    g = PoseGraph(2, ids, poses, (vertex, poses), (vertex, poses))
+    ids[0, 1], vertex[0], poses[0, 4] = 5, 7, 9.0
+    assert g.vertex_ids.tolist() == g.truth_ids.tolist() == [2]
+    assert g.edge_ids.tolist() == [[1, 2]]
+    for rows in (g.edge_poses, g.vertex_poses, g.truth_poses):
+        assert rows.tolist() == [list(_IDENTITY)]
     with pytest.raises(ValueError):
         generate_cycle_graph(2)
     with pytest.raises(ValueError):
@@ -180,15 +204,17 @@ def test_graph_validation():
 def test_generator_truth_is_consistent():
     g = generate_cycle_graph(8, loop_closures=3, seed=31)
     assert g.m == 8 + 3
-    assert g.ground_truth[1].approx_eq(Pose.identity(), tol=1e-12)
-    for e in g.edges:
-        rel = g.ground_truth[e.i].inverse().compose(g.ground_truth[e.j])
-        assert e.pose.approx_eq(rel, tol=1e-12)
+    truth = _truth(g)
+    assert truth[1].approx_eq(Pose.identity(), tol=1e-12)
+    for (i, j), row in zip(g.edge_ids.tolist(), g.edge_poses.tolist()):
+        rel = truth[i].inverse().compose(truth[j])
+        assert _pose(row).approx_eq(rel, tol=1e-12)
     noisy = generate_cycle_graph(8, loop_closures=3, noise_rot=0.05, seed=31)
+    truth = _truth(noisy)
     deviations = []
-    for e in noisy.edges:
-        rel = noisy.ground_truth[e.i].inverse().compose(noisy.ground_truth[e.j])
-        deviations.append(e.pose.approx_eq(rel, tol=1e-9))
+    for (i, j), row in zip(noisy.edge_ids.tolist(), noisy.edge_poses.tolist()):
+        rel = truth[i].inverse().compose(truth[j])
+        deviations.append(_pose(row).approx_eq(rel, tol=1e-9))
     assert not all(deviations)
 
 
@@ -204,17 +230,23 @@ def test_spanning_tree_guess_zeroes_tree_edges():
 
 def test_vertex_errors_at_truth():
     g = generate_cycle_graph(6, loop_closures=1, seed=41)
-    poses = [g.ground_truth[v].to_udq() for v in range(1, g.n + 1)]
+    poses = _truth_poses(g)
     for row in vertex_errors(g, poses):
         assert row["rotation_error"] <= 1e-12
         assert row["translation_error"] <= 1e-12
     with pytest.raises(NoGroundTruth):
-        vertex_errors(PoseGraph(2, (Edge(1, 2, Pose.identity()),)), poses[:2])
+        vertex_errors(PoseGraph(2, [(1, 2)], [_IDENTITY]), poses[:2])
 
 
 def test_residual_rows_match_eval_and_first_order():
     g = generate_cycle_graph(7, loop_closures=3, seed=43)
-    res = [RelativePoseResidual(g.n, e.i - 1, e.j - 1, e.measurement()) for e in g.sorted_edges()]
+    order = g.edge_order()
+    res = [
+        RelativePoseResidual(g.n, i - 1, j - 1, q)
+        for (i, j), q in zip(
+            g.edge_ids[order].tolist(), UnitDualQuaternion.from_rows(g.measurements()[order])
+        )
+    ]
     evaluate = RelativePoseResidual.stack(res)
     rng = np.random.default_rng(47)
     z = rng.standard_normal(8 * g.n)
@@ -300,13 +332,13 @@ def test_objective_calls_allocate_no_dense_jacobian():
 
 def test_graph_without_edges_is_rejected():
     with pytest.raises(TooFewMotions, match="no edges"):
-        build_pgo(PoseGraph(1, ()))
+        build_pgo(PoseGraph(1, (), ()))
 
 
 def test_gauge_invariance_of_error_vector():
     g = generate_cycle_graph(6, loop_closures=2, seed=53)
     rng = np.random.default_rng(59)
-    poses = [g.ground_truth[v].to_udq() for v in range(1, g.n + 1)]
+    poses = _truth_poses(g)
     base = error_vector(g, poses)
     for _ in range(10):
         w = rng.standard_normal(4)
@@ -335,7 +367,7 @@ def test_noiseless_solve_recovers_truth():
 def test_pgo_objective_zero_at_truth():
     g = generate_cycle_graph(10, loop_closures=3, seed=67)
     problem = build_pgo(g)
-    z = pack([g.ground_truth[v].to_udq().as_dual_quaternion() for v in range(1, g.n + 1)])
+    z = pack([u.as_dual_quaternion() for u in _truth_poses(g)])
     v = problem.objective.value_at(z)
     assert v.std <= 1e-12
     assert abs(v.dual) <= 1e-12
@@ -395,9 +427,10 @@ def _rows(records):
 
 
 def test_array_path_matches_the_object_code_bit_for_bit():
-    text = serialize_graph(
-        generate_cycle_graph(30, loop_closures=10, noise_rot=0.01, noise_trans=0.01, seed=71)
+    generated = generate_cycle_graph(
+        30, loop_closures=10, noise_rot=0.01, noise_trans=0.01, seed=71
     )
+    text = serialize_graph(generated)
     g = parse_graph(text)
     ref = _reference_parse(text)
     assert g.edge_poses.tobytes() == _rows(ref["EDGE"]).tobytes()
@@ -405,8 +438,8 @@ def test_array_path_matches_the_object_code_bit_for_bit():
     assert g.truth_poses.tobytes() == _rows(ref["TRUTH"]).tobytes()
     measured = pack([pose.to_udq() for _, pose in ref["EDGE"]])
     assert g.measurements().tobytes() == measured.tobytes()
-    # the Pose views hold the stored rows, not renormalized ones
-    assert pack([e.measurement() for e in g.edges]).tobytes() == measured.tobytes()
+    # the generator stores the rows of its Pose objects, which parse reproduces
+    assert generated.measurements().tobytes() == measured.tobytes()
 
     guess = spanning_tree_guess(g)
     assert pack(guess).tobytes() == pack(_reference_guess(ref["EDGE"], g.n)).tobytes()

@@ -417,3 +417,51 @@ def test_an_initial_array_starts_restart_zero_as_dual_quaternions_do():
     for bad in (rows[:-1], rows.reshape(-1), rows[:, :4]):
         with pytest.raises(ArityMismatch):
             solve_eqdqo(problem, cfg, initial=bad)
+
+
+def test_the_report_takes_stage2s_last_evaluation_of_its_point(monkeypatch):
+    # the last stage-II trace row is evaluated at the final point, so the
+    # candidate check and the report evaluate neither the value nor the rows again
+    from dqopt import solver
+
+    problem, guess = _noisy_graph_problem()
+    after = []
+    stage2, value_at, feasibility = solver._stage2, problem.objective.value_at, solver._feasibility
+
+    def tracked(*args):
+        outcome = stage2(*args)
+        after[:] = ["stage2"]
+        return outcome
+
+    monkeypatch.setattr(solver, "_stage2", tracked)
+    monkeypatch.setattr(problem.objective, "value_at", lambda z: after.append("value") or value_at(z))
+    monkeypatch.setattr(solver, "_feasibility", lambda p, z: after.append("rows") or feasibility(p, z))
+    cfg = _fast_cfg(restarts=1)
+    report = solve_eqdqo(problem, cfg, initial=guess)
+    assert after == ["stage2"]
+    last = report.trace[-1]
+    assert (last.objective_std, last.objective_dual) == (report.stage1_value, report.stage2_value)
+    assert last.feasibility == max(report.feasibility.values())
+    solve_stage2(problem, solve_stage1(problem, cfg, initial=guess), cfg)
+    assert after == ["stage2"]
+
+
+def test_a_singular_point_of_a_dense_stack_solves_to_nan_and_leaves_the_others_alone():
+    from dqopt.solver import _reduced_solve
+
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((4, 5, 5))
+    h = a @ a.swapaxes(-1, -2)
+    # a zero row and column: the elimination meets an exactly zero pivot
+    h[2, 3, :] = h[2, :, 3] = 0.0
+    rhs = rng.standard_normal((4, 5))
+    shift = rng.uniform(0.5, 1.0, (4, 1))
+    shift[2] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(h + shift[..., None] * np.eye(5), rhs[..., None])
+    out = _reduced_solve(h, rhs, shift)
+    assert np.isnan(out[2]).all()
+    for k in (0, 1, 3):
+        alone = _reduced_solve(h[k], rhs[k], shift[k])
+        assert np.isfinite(alone).all()
+        assert out[k].tobytes() == alone.tobytes()
