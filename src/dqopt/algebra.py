@@ -333,20 +333,6 @@ class Quaternion:
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z], dtype=np.float64)
 
-    def left_matrix(self) -> np.ndarray:
-        """Matrix ``L`` with ``L @ vec(q) == vec(self * q)``."""
-        return left_mult_matrix((self.w, self.x, self.y, self.z))
-
-    def right_matrix(self) -> np.ndarray:
-        """Matrix ``R`` with ``R @ vec(p) == vec(p * self)``."""
-        return right_mult_matrix((self.w, self.x, self.y, self.z))
-
-    def rotate_vector(self, v: Sequence[float]) -> np.ndarray:
-        """Apply the rotation this unit quaternion represents to a 3-vector."""
-        p = Quaternion(0.0, float(v[0]), float(v[1]), float(v[2]))
-        r = self * p * self.conjugate()
-        return np.array([r.x, r.y, r.z], dtype=np.float64)
-
 
 # Both multiplication matrices place coefficient ``_MULT_INDEX[r, c]`` of q
 # at (r, c), with the signs below.  ``take`` allocates in C order, so a
@@ -398,18 +384,19 @@ def normalize_dq(std: np.ndarray, dual: np.ndarray) -> tuple[np.ndarray, np.ndar
     return std * inv, (dual - std * (quat_dot(std, dual) / (norm * norm))[..., None]) * inv
 
 
-def canonical_sign(q: Quaternion) -> int:
-    """Sign ``s`` such that ``s * q`` has its first nonzero coefficient positive.
+def canonical_signs(q: np.ndarray) -> np.ndarray:
+    """Signs ``s`` (1.0 or -1.0) such that ``s * q`` has its first nonzero coefficient positive.
 
-    Coefficients are scanned in (w, x, y, z) order; the zero quaternion
-    gets ``+1``.  This fixes one representative of each double-cover pair.
+    ``q`` is ``(..., 4)`` in (w, x, y, z) order; the zero quaternion gets
+    ``+1``.  This fixes one representative of each double-cover pair.
     """
-    for comp in (q.w, q.x, q.y, q.z):
-        if comp > 0.0:
-            return 1
-        if comp < 0.0:
-            return -1
-    return 1
+    first = np.take_along_axis(q, np.argmax(q != 0.0, axis=-1)[..., None], axis=-1)[..., 0]
+    return np.where(first < 0.0, -1.0, 1.0)
+
+
+def canonical_sign(q: Quaternion) -> int:
+    """:func:`canonical_signs` of one quaternion, as an int."""
+    return int(canonical_signs(q.as_array()))
 
 
 def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:

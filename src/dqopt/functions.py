@@ -44,6 +44,8 @@ from .algebra import (
     DualQuaternion,
     Quaternion,
     UnitDualQuaternion,
+    left_mult_matrix,
+    right_mult_matrix,
 )
 from .errors import ArityMismatch, NonUnitValue
 
@@ -421,21 +423,8 @@ class AffineResidual:
         for _, v, _ in self.terms:
             if not 0 <= v < self.arity:
                 raise ValueError(f"variable index {v} out of range")
-        n8 = 8 * self.arity
-        jac_std = np.zeros((4, n8))
-        jac_dual = np.zeros((4, n8))
-        for left, v, right in self.terms:
-            k_ss = left.std.left_matrix() @ right.std.right_matrix()
-            k_mix = (
-                left.dual.left_matrix() @ right.std.right_matrix()
-                + left.std.left_matrix() @ right.dual.right_matrix()
-            )
-            s = 8 * v
-            jac_std[:, s : s + 4] += k_ss
-            jac_dual[:, s + 4 : s + 8] += k_ss
-            jac_dual[:, s : s + 4] += k_mix
-        self.jac_std = jac_std
-        self.jac_dual = jac_dual
+        terms = [(pack([l]).reshape(1, 2, 4), v, pack([r]).reshape(1, 2, 4)) for l, v, r in self.terms]
+        self.jac_std, self.jac_dual = AffineResidual.jacobians(self.arity, 1, terms)
 
     def eval(self, values: Sequence[DualQuaternion]) -> DualQuaternion:
         """Exact dual quaternion value, computed in quaternion arithmetic."""
@@ -449,24 +438,46 @@ class AffineResidual:
         return self.stack([self])(z)
 
     @staticmethod
-    def stack(residuals: Sequence[AffineResidual]):
-        """Evaluator ``z -> (r_std, r_dual, pullback, jacobian)`` over the stacked rows.
+    def jacobians(arity: int, k: int, terms) -> np.ndarray:
+        """``(jac_std, jac_dual)``, ``(4k, 8n)`` each, of ``k`` residuals with the same variables.
 
-        ``z`` is one point ``(8n,)`` or a stack ``(R, 8n)``, whose rows come
-        out as ``(R, 4k)``, each equal bit for bit to that point's alone.
-        The constant Jacobians are stacked here once; ``pullback(w_std,
+        ``terms`` holds ``(left, v, right)`` with ``left`` and ``right``
+        ``(k, 2, 4)`` arrays (standard, dual part) of the ``k`` residuals'
+        factors on variable ``v``; the blocks add onto zeros term by term.
+        """
+        jac = np.zeros((2, k, 4, arity, 2, 4))
+        for left, v, right in terms:
+            lm, rm = left_mult_matrix(left), right_mult_matrix(right)
+            k_ss = lm[:, 0] @ rm[:, 0]
+            jac[0, :, :, v, 0] += k_ss
+            jac[1, :, :, v, 1] += k_ss
+            jac[1, :, :, v, 0] += lm[:, 1] @ rm[:, 0] + lm[:, 0] @ rm[:, 1]
+        return jac.reshape(2, -1, 8 * arity)
+
+    @staticmethod
+    def stack(residuals: Sequence[AffineResidual]):
+        """:meth:`stack_arrays` over these residuals' Jacobians and constants."""
+        constants = [(r.constant.std.as_array(), r.constant.dual.as_array()) for r in residuals]
+        jacobians = ([r.jac_std for r in residuals], [r.jac_dual for r in residuals])
+        return AffineResidual.stack_arrays(*map(np.vstack, jacobians), np.array(constants))
+
+    @staticmethod
+    def stack_arrays(jac_std: np.ndarray, jac_dual: np.ndarray, constants: np.ndarray):
+        """Evaluator ``z -> (r_std, r_dual, pullback, jacobian)`` over ``k`` stacked residuals.
+
+        The constant Jacobians come as C-ordered ``(4k, 8n)`` arrays, the
+        constants as ``(k, 2, 4)`` (standard, dual part).  ``z`` is one point
+        ``(8n,)`` or a stack ``(R, 8n)``, whose rows come out as ``(R, 4k)``,
+        each equal bit for bit to that point's alone.  ``pullback(w_std,
         w_dual=None)`` (one point) is ``jac_std.T @ w_std``, plus
         ``jac_dual.T @ w_dual`` when ``w_dual`` is given.  ``jacobian()`` is
         the standard-slot columns of ``jac_std`` (also the dual-slot columns
         of ``jac_dual``) as a dense ``(4k, 4n)`` array, the same for every
         point and built once here; callers must not modify it.
         """
-        jac_std = np.vstack([r.jac_std for r in residuals])
-        jac_dual = np.vstack([r.jac_dual for r in residuals])
-        const_std = np.concatenate([r.constant.std.as_array() for r in residuals])
-        const_dual = np.concatenate([r.constant.dual.as_array() for r in residuals])
-        jac_slots = jac_std.reshape(jac_std.shape[0], -1, 2, 4)[:, :, 0]
-        jac_slots = jac_slots.reshape(jac_std.shape[0], -1).copy()
+        rows = jac_std.shape[0]
+        const_std, const_dual = constants[:, 0].ravel(), constants[:, 1].ravel()
+        jac_slots = jac_std.reshape(rows, -1, 2, 4)[:, :, 0].reshape(rows, -1).copy()
 
         def pullback(w_std, w_dual=None):
             if w_dual is None:

@@ -11,23 +11,27 @@ Two measurement models:
 Both become sums of residual magnitudes (never squared: a squared
 magnitude annihilates purely infinitesimal residuals) subject to unit
 constraints, which the two-stage solver handles directly.
+
+A :class:`HandEyeDataset` keeps its poses as ``(k, 7)`` rows ``(qw, qx,
+qy, qz, tx, ty, tz)``.  The builders convert all rows, and stack every
+pair's constant Jacobian, in batched passes; :class:`Pose` is the one-pose
+view of the same row kernels, which :func:`generate_synthetic` composes.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
     NORMALIZE_TOL,
-    DualQuaternion,
     Quaternion,
     UnitDualQuaternion,
     canonical_sign,
+    canonical_signs,
     normalize_dq,
     quat_dot,
     quat_mul,
@@ -55,27 +59,107 @@ __all__ = [
 #: builders warn below it.
 MIN_AXIS_SPREAD = 0.3
 
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+_IDENTITY = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+
+
+def _unit(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Rows of the rotations ``q`` divided by their norms, then the translations ``t``."""
+    return np.concatenate((q * (1.0 / np.sqrt(quat_dot(q, q)))[:, None], t), axis=1)
+
+
+def unit_rows(rows, label: str) -> np.ndarray:
+    """``(k, 7)`` pose rows checked, their rotations divided by their norms, as a new array.
+
+    Raises :class:`InvalidPose`, naming the row ``label.format(index)``, for
+    the first row that is not finite or has a rotation norm off 1 by more
+    than ``NORMALIZE_TOL``.
+    """
+    rows = np.array(rows, dtype=np.float64)
+    if rows.ndim > 2 or rows.size and rows.shape[-1] != 7:
+        raise InvalidPose(f"pose rows need 7 columns, got shape {rows.shape}")
+    rows = rows.reshape(-1, 7)
+    norm = np.sqrt(quat_dot(rows[:, :4], rows[:, :4]))
+    finite = np.isfinite(rows).all(axis=1)
+    bad = np.flatnonzero(~finite | (abs(norm - 1.0) > NORMALIZE_TOL))
+    if bad.size:
+        i = bad[0]
+        if not finite[i]:
+            raise InvalidPose(f"{label.format(i)} is not finite: {rows[i].tolist()}")
+        raise InvalidPose(f"{label.format(i)}: rotation norm {norm[i]} is not 1")
+    return _unit(rows[:, :4], rows[:, 4:])
+
+
+def _rotated(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``q v conj(q)`` of ``(k, 4)`` rotations and ``(k, 3)`` vectors, ``v`` as pure quaternions."""
+    p = np.zeros(q.shape)
+    p[:, 1:] = v
+    return quat_mul(quat_mul(q, p), q * _CONJ)[:, 1:]
+
+
+def pose_inverse(rows: np.ndarray) -> np.ndarray:
+    """Inverses of ``(k, 7)`` pose rows, rotations renormalized."""
+    qi = rows[:, :4] * _CONJ
+    return _unit(qi, -_rotated(qi, rows[:, 4:]))
+
+
+def pose_compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products ``a_i b_i`` of ``(k, 7)`` pose rows (``b`` applied first), rotations renormalized."""
+    return _unit(quat_mul(a[:, :4], b[:, :4]), _rotated(a[:, :4], b[:, 4:]) + a[:, 4:])
+
+
+def pose_udqs(rows: np.ndarray) -> np.ndarray:
+    """Unit dual quaternions ``(k, 2, 4)`` (standard, dual part) of ``(k, 7)`` pose rows.
+
+    The dual part is ``(t q) / 2``, the world-frame translation ``t`` on the
+    left as a pure quaternion; so the conversion is a homomorphism.
+    """
+    q = rows[:, :4]
+    t = np.zeros_like(q)
+    t[:, 1:] = rows[:, 4:]
+    return np.stack((q, quat_mul(t, q) * 0.5), axis=1)
+
+
+def canonicalized(dq: np.ndarray) -> np.ndarray:
+    """``(k, 2, 4)`` dual quaternions with the :func:`~dqopt.algebra.canonical_signs` of their standard parts."""
+    return dq * canonical_signs(dq[:, 0])[:, None, None]
+
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform as a unit rotation quaternion plus translation."""
+    """Rigid transform as a unit rotation quaternion plus translation.
+
+    The objects of one pose row: the constructor checks and normalizes as
+    :func:`unit_rows`, and every operation runs the row kernels.
+    """
 
     rotation: Quaternion
     translation: tuple[float, float, float]
 
     def __post_init__(self):
-        n = self.rotation.norm()
-        if abs(n - 1.0) > NORMALIZE_TOL:
-            raise InvalidPose(f"rotation norm {n} is not 1")
-        object.__setattr__(self, "rotation", self.rotation / n)
-        t = tuple(float(v) for v in self.translation)
+        t = tuple(self.translation)
         if len(t) != 3:
             raise InvalidPose(f"translation needs 3 components, got {len(t)}")
-        object.__setattr__(self, "translation", t)
+        self._set(unit_rows(np.concatenate((self.rotation.as_array(), t)), "pose"))
+
+    def _set(self, row: np.ndarray) -> "Pose":
+        values = row.ravel().tolist()
+        object.__setattr__(self, "rotation", Quaternion(*values[:4]))
+        object.__setattr__(self, "translation", tuple(values[4:]))
+        return self
+
+    @classmethod
+    def _of(cls, row: np.ndarray) -> "Pose":
+        """The pose of a row the kernels normalized already, not normalized again."""
+        return object.__new__(cls)._set(row)
 
     @classmethod
     def identity(cls) -> "Pose":
         return cls(Quaternion.identity(), (0.0, 0.0, 0.0))
+
+    def row(self) -> np.ndarray:
+        """The pose row ``(qw, qx, qy, qz, tx, ty, tz)``."""
+        return np.concatenate((self.rotation.as_array(), self.translation))
 
     def matrix(self) -> np.ndarray:
         """Homogeneous 4x4 matrix with bottom row (0, 0, 0, 1)."""
@@ -94,136 +178,80 @@ class Pose:
         m[:3, 3] = self.translation
         return m
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Pose":
-        """Inverse of :meth:`matrix`, largest-pivot quaternion extraction."""
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != (4, 4):
-            raise InvalidPose(f"expected 4x4 matrix, got {m.shape}")
-        if np.max(np.abs(m[3] - np.array([0.0, 0.0, 0.0, 1.0]))) > 1e-9:
-            raise InvalidPose("bottom row must be (0, 0, 0, 1)")
-        r = m[:3, :3]
-        if np.max(np.abs(r.T @ r - np.eye(3))) > 1e-6:
-            raise InvalidPose("rotation block is not orthonormal")
-        tr = r[0, 0] + r[1, 1] + r[2, 2]
-        # Pick the largest diagonal pivot so the divisor stays well away
-        # from zero for every rotation, including angles near pi.
-        if tr > r[0, 0] and tr > r[1, 1] and tr > r[2, 2]:
-            s = 2.0 * math.sqrt(1.0 + tr)
-            q = Quaternion(
-                0.25 * s,
-                (r[2, 1] - r[1, 2]) / s,
-                (r[0, 2] - r[2, 0]) / s,
-                (r[1, 0] - r[0, 1]) / s,
-            )
-        elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
-            s = 2.0 * math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2])
-            q = Quaternion(
-                (r[2, 1] - r[1, 2]) / s,
-                0.25 * s,
-                (r[0, 1] + r[1, 0]) / s,
-                (r[0, 2] + r[2, 0]) / s,
-            )
-        elif r[1, 1] > r[2, 2]:
-            s = 2.0 * math.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2])
-            q = Quaternion(
-                (r[0, 2] - r[2, 0]) / s,
-                (r[0, 1] + r[1, 0]) / s,
-                0.25 * s,
-                (r[1, 2] + r[2, 1]) / s,
-            )
-        else:
-            s = 2.0 * math.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1])
-            q = Quaternion(
-                (r[1, 0] - r[0, 1]) / s,
-                (r[0, 2] + r[2, 0]) / s,
-                (r[1, 2] + r[2, 1]) / s,
-                0.25 * s,
-            )
-        return cls(q.normalized(), tuple(m[:3, 3]))
-
     def compose(self, other: "Pose") -> "Pose":
         """This transform applied after ``other``: matrix product self @ other."""
-        t = self.rotation.rotate_vector(other.translation) + np.asarray(self.translation)
-        return Pose(self.rotation * other.rotation, tuple(t))
+        return Pose._of(pose_compose(self.row()[None], other.row()[None]))
 
     def inverse(self) -> "Pose":
-        qi = self.rotation.conjugate()
-        t = -qi.rotate_vector(self.translation)
-        return Pose(qi, tuple(t))
+        return Pose._of(pose_inverse(self.row()[None]))
 
     def to_udq(self) -> UnitDualQuaternion:
-        """Unit dual quaternion of this transform.
-
-        The dual part is ``translation * rotation / 2`` with the
-        world-frame translation on the left; this makes the conversion a
-        homomorphism, ``(p1 @ p2).to_udq() == p1.to_udq() * p2.to_udq()``.
-        The body-frame builder ``UnitDualQuaternion.from_pose`` would place
-        ``rotation.conjugate().rotate_vector(translation)`` in its slot.
-        """
-        t = Quaternion(0.0, *self.translation)
-        return UnitDualQuaternion(
-            DualQuaternion(self.rotation, (t * self.rotation) * 0.5)
-        )
+        """Unit dual quaternion of this transform, as :func:`pose_udqs` forms it."""
+        return UnitDualQuaternion.from_rows(pose_udqs(self.row()[None]))[0]
 
     @classmethod
     def from_udq(cls, u: UnitDualQuaternion) -> "Pose":
-        t = (u.dual * u.std.conjugate()) * 2.0
-        return cls(u.std, (t.x, t.y, t.z))
+        return cls._of(pose_rows([u]))
 
     def approx_eq(self, other: "Pose", tol: float = 1e-9) -> bool:
-        dq = min(
-            max(abs(a - b) for a, b in zip(_qtuple(self.rotation), _qtuple(other.rotation))),
-            max(abs(a + b) for a, b in zip(_qtuple(self.rotation), _qtuple(other.rotation))),
-        )
-        dt = max(abs(a - b) for a, b in zip(self.translation, other.translation))
-        return dq <= tol and dt <= tol
+        a, b = self.row(), other.row()
+        dq = min(np.max(abs(a[:4] - b[:4])), np.max(abs(a[:4] + b[:4])))
+        return bool(dq <= tol and np.max(abs(a[4:] - b[4:])) <= tol)
 
-    def to_json_dict(self) -> dict:
-        q = self.rotation
-        return {"q": [q.w, q.x, q.y, q.z], "t": list(self.translation)}
+
+def _json_rows(poses, label: str) -> np.ndarray:
+    """Rows of JSON poses ``{"q": [w, x, y, z], "t": [x, y, z]}``, unchecked but for their lengths."""
+    bad = [i for i, p in enumerate(poses) if len(p["q"]) != 4 or len(p["t"]) != 3]
+    if bad:
+        raise InvalidPose(f"{label.format(bad[0])} needs 4 rotation and 3 translation components")
+    return np.array([[*p["q"], *p["t"]] for p in poses], dtype=np.float64)
+
+
+def _json_poses(rows: np.ndarray) -> list[dict]:
+    return [{"q": row[:4], "t": row[4:]} for row in rows.tolist()]
+
+
+class HandEyeDataset:
+    """Pose rows of both sides plus optional ground truth and generator metadata.
+
+    ``poses_a`` and ``poses_b`` are read-only ``(k, 7)`` rows ``(qw, qx, qy,
+    qz, tx, ty, tz)``, row ``i`` of each side measured together; the
+    constructor takes rows only, checked and normalized by :func:`unit_rows`.
+    The ground truths are unit dual quaternions or None.
+    """
+
+    def __init__(self, model: str, poses_a, poses_b, ground_truth_x=None, ground_truth_y=None,
+                 meta: dict | None = None):
+        rows = unit_rows(poses_a, "A pose {}"), unit_rows(poses_b, "B pose {}")
+        self._store(model, *rows, ground_truth_x, ground_truth_y, meta)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Pose":
-        return cls(Quaternion.from_array(data["q"]), tuple(data["t"]))
+    def _of_unit_rows(cls, model: str, *rest) -> "HandEyeDataset":
+        """A dataset of rows that :class:`Pose` normalized already, stored as they are.
 
+        Normalizing them again would move the last bit of about a third of
+        them, and with it the generator's output.
+        """
+        dataset = cls.__new__(cls)
+        dataset._store(model, *rest)
+        return dataset
 
-def _qtuple(q: Quaternion):
-    return (q.w, q.x, q.y, q.z)
-
-
-@dataclass(frozen=True)
-class HandEyeDataset:
-    """Measurement lists plus optional ground truth and generator metadata."""
-
-    model: str
-    poses_a: tuple[Pose, ...]
-    poses_b: tuple[Pose, ...]
-    ground_truth_x: UnitDualQuaternion | None = None
-    ground_truth_y: UnitDualQuaternion | None = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.model not in ("axxb", "axyb"):
-            raise ValueError(f"unknown model {self.model!r}")
-        object.__setattr__(self, "poses_a", tuple(self.poses_a))
-        object.__setattr__(self, "poses_b", tuple(self.poses_b))
-        if len(self.poses_a) != len(self.poses_b):
+    def _store(self, model, poses_a, poses_b, ground_truth_x=None, ground_truth_y=None, meta=None):
+        if model not in ("axxb", "axyb"):
+            raise ValueError(f"unknown model {model!r}")
+        if len(poses_a) != len(poses_b):
             raise ValueError("pose lists must have equal length")
+        poses_a.flags.writeable = poses_b.flags.writeable = False
+        self.model, self.poses_a, self.poses_b = model, poses_a, poses_b
+        self.ground_truth_x, self.ground_truth_y = ground_truth_x, ground_truth_y
+        self.meta = dict(meta or {})
 
     def to_json_dict(self) -> dict:
-        out = {
-            "model": self.model,
-            "A": [p.to_json_dict() for p in self.poses_a],
-            "B": [p.to_json_dict() for p in self.poses_b],
-        }
-        if self.ground_truth_x is not None or self.ground_truth_y is not None:
-            gt = {}
-            if self.ground_truth_x is not None:
-                gt["X"] = Pose.from_udq(self.ground_truth_x).to_json_dict()
-            if self.ground_truth_y is not None:
-                gt["Y"] = Pose.from_udq(self.ground_truth_y).to_json_dict()
-            out["ground_truth"] = gt
+        out = {"model": self.model, "A": _json_poses(self.poses_a), "B": _json_poses(self.poses_b)}
+        truths = {k: u for k, u in zip("XY", (self.ground_truth_x, self.ground_truth_y))
+                  if u is not None}
+        if truths:
+            out["ground_truth"] = dict(zip(truths, _json_poses(pose_rows(truths.values()))))
         if self.meta:
             out["meta"] = dict(self.meta)
         return out
@@ -231,55 +259,45 @@ class HandEyeDataset:
     @classmethod
     def from_json_dict(cls, data: dict) -> "HandEyeDataset":
         gt = data.get("ground_truth", {}) or {}
-        gx = Pose.from_json_dict(gt["X"]).to_udq() if "X" in gt else None
-        gy = Pose.from_json_dict(gt["Y"]).to_udq() if "Y" in gt else None
-        return cls(
-            model=data["model"],
-            poses_a=tuple(Pose.from_json_dict(p) for p in data["A"]),
-            poses_b=tuple(Pose.from_json_dict(p) for p in data["B"]),
-            ground_truth_x=gx,
-            ground_truth_y=gy,
-            meta=dict(data.get("meta", {})),
-        )
+        truths = {}
+        for k in "XY":
+            if k in gt:
+                rows = unit_rows(_json_rows([gt[k]], f"ground truth {k}"), f"ground truth {k}")
+                truths[k] = UnitDualQuaternion.from_rows(pose_udqs(rows))[0]
+        rows = (_json_rows(data[side], side + " pose {}") for side in "AB")
+        return cls(data["model"], *rows, truths.get("X"), truths.get("Y"), data.get("meta", {}))
 
 
-def relative_motions(
-    dataset: HandEyeDataset,
-) -> list[tuple[UnitDualQuaternion, UnitDualQuaternion]]:
-    """Consecutive relative motion pairs for the AXXB model.
+def relative_motions(dataset: HandEyeDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Consecutive relative motion pairs for the AXXB model, as ``(k, 2, 4)`` arrays ``(a, b)``.
 
     Measurement ``i`` pairs ``A_{i+1} A_i^{-1}`` with ``B_{i+1}^{-1} B_i``,
     both converted to sign-canonicalized unit dual quaternions.
     """
     if dataset.model != "axxb":
         raise ValueError("relative motions apply to the axxb model")
-    if len(dataset.poses_a) < 2:
+    a, b = dataset.poses_a, dataset.poses_b
+    if len(a) < 2:
         raise TooFewMotions("need at least 2 poses for relative motions")
-    out = []
-    for i in range(len(dataset.poses_a) - 1):
-        a_rel = dataset.poses_a[i + 1].compose(dataset.poses_a[i].inverse())
-        b_rel = dataset.poses_b[i + 1].inverse().compose(dataset.poses_b[i])
-        out.append((a_rel.to_udq().canonicalized(), b_rel.to_udq().canonicalized()))
-    return out
+    a_rel = pose_compose(a[1:], pose_inverse(a[:-1]))
+    b_rel = pose_compose(pose_inverse(b[1:]), b[:-1])
+    return canonicalized(pose_udqs(a_rel)), canonicalized(pose_udqs(b_rel))
 
 
-def _axis_spread(rotations: Sequence[Quaternion]) -> float:
-    """Largest pairwise angle between rotation axis lines, 0 if under two axes."""
-    axes = []
-    for q in rotations:
-        imn = q.imaginary_norm()
-        if imn > 1e-6:
-            axes.append(np.array([q.x, q.y, q.z]) / imn)
-    best = 0.0
-    for i in range(len(axes)):
-        for j in range(i + 1, len(axes)):
-            c = min(1.0, abs(float(axes[i] @ axes[j])))
-            best = max(best, math.acos(c))
-    return best
+def _axis_spread(rotations: np.ndarray) -> float:
+    """Largest angle between the rotation axis lines of ``(k, 4)`` quaternions, 0 if under two axes."""
+    v = np.asarray(rotations, dtype=np.float64)[:, 1:]
+    norms = np.linalg.norm(v, axis=1)
+    axes = v[norms > 1e-6] / norms[norms > 1e-6, None]
+    if len(axes) < 2:
+        return 0.0
+    cosines = abs(axes @ axes.T)[np.triu_indices(len(axes), 1)]
+    # acos falls, so the largest angle is that of the smallest cosine
+    return math.acos(min(1.0, float(cosines.min())))
 
 
-def _warn_if_degenerate(motions) -> None:
-    if _axis_spread([m.std for m in motions]) < MIN_AXIS_SPREAD:
+def _warn_if_degenerate(rotations: np.ndarray) -> None:
+    if _axis_spread(rotations) < MIN_AXIS_SPREAD:
         warnings.warn(
             "rotation axes of the motions are nearly parallel; the "
             "calibration problem is ill conditioned",
@@ -288,17 +306,12 @@ def _warn_if_degenerate(motions) -> None:
         )
 
 
-_ONE = DualQuaternion.identity()
-_MINUS_ONE = -DualQuaternion.identity()
-
-
-def _magnitude_sum(arity: int, pairs, other: int) -> ResidualNormObjective:
-    """Sum over ``(a, b)`` in ``pairs`` of ``|a x_0 - x_other b|``, one norm group each."""
-    groups = []
-    for a, b in pairs:
-        terms = [(a.as_dual_quaternion(), 0, _ONE), (_MINUS_ONE, other, b.as_dual_quaternion())]
-        groups.append([AffineResidual(arity, terms)])
-    return ResidualNormObjective(arity, groups)
+def _magnitudes(arity: int, a: np.ndarray, b: np.ndarray, other: int) -> ResidualNormObjective:
+    """Sum over ``(k, 2, 4)`` pairs ``a``, ``b`` of ``|a_k x_0 - x_other b_k|``, one norm group each."""
+    one = np.broadcast_to(_IDENTITY, a.shape)
+    jac = AffineResidual.jacobians(arity, len(a), [(a, 0, one), (-one, other, b)])
+    stack = AffineResidual.stack_arrays(jac[0], jac[1], np.zeros((len(a), 2, 4)))
+    return ResidualNormObjective.from_stack(arity, stack, np.ones(len(a), dtype=np.intp))
 
 
 def build_axxb(dataset: HandEyeDataset) -> EqdqoProblem:
@@ -306,11 +319,11 @@ def build_axxb(dataset: HandEyeDataset) -> EqdqoProblem:
 
     Magnitudes are summed unsquared; each residual is its own norm group.
     """
-    motions = relative_motions(dataset)
-    if len(motions) < 2:
-        raise TooFewMotions(f"need at least 2 relative motions, got {len(motions)}")
-    _warn_if_degenerate([a for a, _ in motions])
-    return EqdqoProblem(_magnitude_sum(1, motions, 0), (UnitNormConstraint(1, 0),))
+    a, b = relative_motions(dataset)
+    if len(a) < 2:
+        raise TooFewMotions(f"need at least 2 relative motions, got {len(a)}")
+    _warn_if_degenerate(a[:, 0])
+    return EqdqoProblem(_magnitudes(1, a, b, 0), (UnitNormConstraint(1, 0),))
 
 
 def build_axyb(dataset: HandEyeDataset) -> EqdqoProblem:
@@ -323,14 +336,10 @@ def build_axyb(dataset: HandEyeDataset) -> EqdqoProblem:
         raise ValueError("build_axyb needs an axyb dataset")
     if len(dataset.poses_a) < 3:
         raise TooFewMotions(f"need at least 3 pose pairs, got {len(dataset.poses_a)}")
-    a_units = [p.to_udq().canonicalized() for p in dataset.poses_a]
-    b_units = [p.to_udq().canonicalized() for p in dataset.poses_b]
-    rel = [
-        a_units[i + 1].inverse() * a_units[i] for i in range(len(a_units) - 1)
-    ]
-    _warn_if_degenerate(rel)
-    objective = _magnitude_sum(2, zip(a_units, b_units), 1)
-    return EqdqoProblem(objective, (UnitNormConstraint(2, 0), UnitNormConstraint(2, 1)))
+    a, b = (canonicalized(pose_udqs(rows)) for rows in (dataset.poses_a, dataset.poses_b))
+    # rotations of the relative motions a_{i+1}^{-1} a_i
+    _warn_if_degenerate(quat_mul(a[1:, 0] * _CONJ, a[:-1, 0]))
+    return EqdqoProblem(_magnitudes(2, a, b, 1), (UnitNormConstraint(2, 0), UnitNormConstraint(2, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +372,12 @@ def _spread_motion_angles(rng: np.random.Generator, n: int) -> list[Quaternion]:
         rots = [
             _random_rotation_about(rng, rng.uniform(0.5, 2.5)) for _ in range(n)
         ]
-        if _axis_spread(rots) >= MIN_AXIS_SPREAD:
+        if _axis_spread(np.array([q.as_array() for q in rots])) >= MIN_AXIS_SPREAD:
             return rots
+
+
+def _rows(poses) -> np.ndarray:
+    return np.array([p.row() for p in poses])
 
 
 def generate_synthetic(
@@ -405,13 +418,8 @@ def generate_synthetic(
             a_rel = truth_x.compose(b_rel).compose(truth_x.inverse())
             poses_a.append(a_rel.compose(poses_a[i]))
         noisy_b = [_noisy(p, rng, noise_rot, noise_trans) for p in poses_b]
-        return HandEyeDataset(
-            "axxb",
-            tuple(poses_a),
-            tuple(noisy_b),
-            ground_truth_x=truth_x.to_udq().canonicalized(),
-            meta=meta,
-        )
+        truth = truth_x.to_udq().canonicalized()
+        return HandEyeDataset._of_unit_rows("axxb", _rows(poses_a), _rows(noisy_b), truth, None, meta)
     if model != "axyb":
         raise ValueError(f"unknown model {model!r}")
     truth_y = _random_pose(rng)
@@ -431,23 +439,15 @@ def generate_synthetic(
             if canonical_sign(a.rotation) * canonical_sign(qb) != sign_target:
                 continue
             poses_a.append(a)
-        rel = [
-            poses_a[i + 1].inverse().compose(poses_a[i]).rotation
-            for i in range(n - 1)
-        ]
-        if _axis_spread(rel) >= MIN_AXIS_SPREAD:
+        rows = _rows(poses_a)
+        rel = pose_compose(pose_inverse(rows[1:]), rows[:-1])
+        if _axis_spread(rel[:, :4]) >= MIN_AXIS_SPREAD:
             break
     # a_i x = y b_i, so b_i = y^{-1} a_i x.
     poses_b = [truth_y.inverse().compose(a).compose(truth_x) for a in poses_a]
     noisy_b = [_noisy(p, rng, noise_rot, noise_trans) for p in poses_b]
-    return HandEyeDataset(
-        "axyb",
-        tuple(poses_a),
-        tuple(noisy_b),
-        ground_truth_x=truth_x.to_udq().canonicalized(),
-        ground_truth_y=truth_y.to_udq().canonicalized(),
-        meta=meta,
-    )
+    truths = (truth_x.to_udq().canonicalized(), truth_y.to_udq().canonicalized())
+    return HandEyeDataset._of_unit_rows("axyb", rows, _rows(noisy_b), *truths, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -460,14 +460,12 @@ def rotation_angle_between(a: Quaternion, b: Quaternion) -> float:
     return 2.0 * math.atan2(p.imaginary_norm(), abs(p.w))
 
 
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-
-
 def pose_rows(values) -> np.ndarray:
     """Poses of unit dual quaternions as ``(k, 7)`` rows ``(qw, qx, qy, qz, tx, ty, tz)``.
 
-    Each row is rounded as ``Pose.from_udq(UnitDualQuaternion.of(v))``;
-    values that are :class:`UnitDualQuaternion` already skip ``of``.  Raises
+    The translation is ``2 q_d conj(q)`` and the rotation ``q`` divided by
+    its norm, after ``UnitDualQuaternion.of``'s normalization; values that
+    are :class:`UnitDualQuaternion` already skip ``of``.  Raises
     :class:`UnitValidationError` for a value farther than ``NORMALIZE_TOL``
     from unit.
     """
@@ -481,9 +479,7 @@ def pose_rows(values) -> np.ndarray:
         if bad.size:
             raise UnitValidationError(f"unit deviation {float(dev[bad[0]])} exceeds {NORMALIZE_TOL}")
         std[plain], dual[plain] = normalize_dq(std[plain], dual[plain])
-    t = quat_mul(dual, std * _CONJ) * 2.0
-    rotation = std * (1.0 / np.sqrt(quat_dot(std, std)))[:, None]
-    return np.concatenate((rotation, t[:, 1:]), axis=1)
+    return _unit(std, (quat_mul(dual, std * _CONJ) * 2.0)[:, 1:])
 
 
 def pose_errors(truth: np.ndarray, est: np.ndarray) -> tuple[list[float], list[float]]:

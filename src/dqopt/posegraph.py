@@ -12,8 +12,8 @@ and measured poses in input order, initial guesses and ground truth by
 vertex id.  :func:`parse_graph` converts every record of a kind at once,
 and :func:`build_pgo`, :func:`spanning_tree_guess` and
 :func:`vertex_errors` work on those arrays, with no object per edge or
-vertex.  Only :func:`generate_cycle_graph` composes
-:class:`~dqopt.handeye.Pose` objects, and it stores their rows.
+vertex; :func:`generate_cycle_graph` composes its poses with the batched
+row kernels of :mod:`dqopt.handeye`.
 
 Text format, one whitespace-separated record per line::
 
@@ -37,7 +37,7 @@ from .algebra import (
     DualQuaternionVector,
     Quaternion,
     UnitDualQuaternion,
-    canonical_sign,
+    canonical_signs,
     left_mult_matrix,
     normalize_dq,
     quat_dot,
@@ -58,7 +58,7 @@ from .functions import (
     pack,
     unpack,
 )
-from .handeye import Pose, pose_errors, pose_rows
+from .handeye import pose_compose, pose_errors, pose_inverse, pose_rows, pose_udqs, unit_rows
 from .solver import EqdqoProblem
 
 __all__ = [
@@ -138,13 +138,10 @@ class PoseGraph:
     def measurements(self) -> np.ndarray:
         """The edge poses as unit dual quaternions, ``(m, 2, 4)`` (standard, dual), input order.
 
-        Rounded as :meth:`Pose.to_udq`: the dual part is ``(t q) / 2`` with
-        ``t`` the translation as a pure quaternion.
+        Converted by :func:`~dqopt.handeye.pose_udqs`: the dual part is
+        ``(t q) / 2`` with ``t`` the translation as a pure quaternion.
         """
-        q = self.edge_poses[:, :4]
-        t = np.zeros_like(q)
-        t[:, 1:] = self.edge_poses[:, 4:]
-        return np.stack((q, quat_mul(t, q) * 0.5), axis=1)
+        return pose_udqs(self.edge_poses)
 
     def is_connected(self) -> bool:
         return len(_bfs_tree(self, self.edge_order())[0]) == self.n - 1
@@ -451,10 +448,11 @@ def _check_records(kind: str, lines: list[int], id_tokens: list[str], numbers: l
     numbers, record after record.  ``ids`` is ``(k, w)`` for ``w`` id
     fields and ``rows`` the normalized ``(k, 7)`` pose rows, rounded as
     before: divided by their norm, sign-canonicalized, and divided by their
-    norm again as :class:`Pose` does.  ``failure`` is ``(line, error)`` of
-    the first record that fails a check, else None.  The checks run in the
-    order one record's would, each over the records before the last
-    failure found, so the last failure found is the first one.
+    norm again by :func:`~dqopt.handeye.unit_rows`.  ``failure`` is
+    ``(line, error)`` of the first record that fails a check, else None.
+    The checks run in the order one record's would, each over the records
+    before the last failure found, so the last failure found is the first
+    one.
     """
     names = _RECORDS[kind][1]
     width = len(names)
@@ -496,11 +494,8 @@ def _check_records(kind: str, lines: list[int], id_tokens: list[str], numbers: l
             return None, None, (line, ParseError(line, message))
         return None, None, (line, error(f"line {line}: {message}"))
     q = q * (1.0 / norm)[:, None]
-    # canonical_sign: the first nonzero coefficient decides.
-    first = np.argmax(q != 0.0, axis=1)
-    q = np.where(q[np.arange(len(q)), first, None] < 0.0, -q, q)
-    q = q * (1.0 / np.sqrt(quat_dot(q, q)))[:, None]
-    return ids, np.concatenate((q, values.reshape(-1, 7)[:, 4:]), axis=1), None
+    rows = np.concatenate((q * canonical_signs(q)[:, None], values.reshape(-1, 7)[:, 4:]), axis=1)
+    return ids, unit_rows(rows, kind + " {}"), None
 
 
 def parse_graph(text: str) -> PoseGraph:
@@ -598,14 +593,11 @@ def generate_cycle_graph(
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
         theta = 2.0 * math.pi * k / n
-        position = (
-            3.0 * math.cos(theta),
-            3.0 * math.sin(theta),
-            0.3 * math.sin(2.0 * theta),
-        )
-        raw.append(Pose(Quaternion.exp_axis_angle(angle, Quaternion(0.0, *axis)), position))
-    base = raw[0].inverse()
-    truth = [base.compose(pose) for pose in raw]
+        q = Quaternion.exp_axis_angle(angle, Quaternion(0.0, *axis))
+        raw.append((*q.as_array(), 3.0 * math.cos(theta), 3.0 * math.sin(theta),
+                    0.3 * math.sin(2.0 * theta)))
+    raw = unit_rows(raw, "vertex {}")
+    truth = pose_compose(np.repeat(pose_inverse(raw[:1]), n, axis=0), raw)
 
     pairs = [(k, k + 1) for k in range(1, n)] + [(n, 1)]
     chords = [
@@ -620,30 +612,27 @@ def generate_cycle_graph(
         picks = rng.choice(len(chords), size=loop_closures, replace=False)
         pairs.extend(chords[p] for p in sorted(picks))
 
-    measured = []
-    for i, j in pairs:
-        rel = truth[i - 1].inverse().compose(truth[j - 1])
-        if noise_rot > 0.0 or noise_trans > 0.0:
-            bump = Quaternion.identity()
+    ij = np.array(pairs) - 1
+    rel = pose_compose(pose_inverse(truth[ij[:, 0]]), truth[ij[:, 1]])
+    if noise_rot > 0.0 or noise_trans > 0.0:
+        # each edge draws its rotation, then its translation noise
+        bumps = np.tile([1.0, 0.0, 0.0, 0.0], (len(pairs), 1))
+        shifts = np.zeros((len(pairs), 3))
+        for e in range(len(pairs)):
             if noise_rot > 0.0:
                 axis = rng.standard_normal(3)
                 axis /= np.linalg.norm(axis)
-                bump = Quaternion.exp_axis_angle(
-                    rng.normal(0.0, noise_rot), Quaternion(0.0, *axis)
-                )
-            t = np.asarray(rel.translation)
+                bump = Quaternion.exp_axis_angle(rng.normal(0.0, noise_rot), Quaternion(0.0, *axis))
+                bumps[e] = bump.as_array()
             if noise_trans > 0.0:
-                t = t + rng.normal(0.0, noise_trans, 3)
-            rel = Pose(bump * rel.rotation, tuple(t))
-        q = rel.rotation
-        if canonical_sign(q) < 0:
-            q = -q
-        measured.append(Pose(q, rel.translation))
-
-    rows = [(*p.rotation.as_array(), *p.translation) for p in measured + truth]
+                shifts[e] = rng.normal(0.0, noise_trans, 3)
+        t = rel[:, 4:] + shifts if noise_trans > 0.0 else rel[:, 4:]
+        rel = unit_rows(np.concatenate((quat_mul(bumps, rel[:, :4]), t), axis=1), "edge {}")
+    q = rel[:, :4] * canonical_signs(rel[:, :4])[:, None]
+    measured = unit_rows(np.concatenate((q, rel[:, 4:]), axis=1), "edge {}")
     ids = range(1, n + 1)
     identity = [(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * n
-    return PoseGraph(n, pairs, rows[: len(pairs)], (ids, identity), (ids, rows[len(pairs) :]))
+    return PoseGraph(n, pairs, measured, (ids, identity), (ids, truth))
 
 
 def vertex_errors(graph: PoseGraph, poses: Sequence[UnitDualQuaternion]) -> list[dict]:

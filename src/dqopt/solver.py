@@ -449,7 +449,6 @@ def kkt_analysis(
     point,
     stage: int = 1,
     multipliers: dict | None = None,
-    gram: tuple | None = None,
 ) -> KktInfo:
     """Multipliers and stationarity residual of one stage, over the coordinates it moves.
 
@@ -460,17 +459,24 @@ def kkt_analysis(
     minimum-norm least-squares ones ``-G (G^T G)^+ t``, from the
     per-variable Gram blocks of :func:`_gram_pinv`.  Supplied
     ``multipliers`` must hold one ``lambda`` (stage I) or ``mu`` (stage II)
-    per constraint, else ``ValueError``.  ``gram`` may pass in the
-    :func:`_gram_pinv` factorization at the standard coordinates of
-    ``point``, which is then not factored again.  Piecewise gradients use
-    the zero subgradient at kinks.
+    per constraint, else ``ValueError``.  Piecewise gradients use the zero
+    subgradient at kinks.
     """
     if stage not in (1, 2):
         raise ValueError("stage must be 1 or 2")
     z = _point_to_z(point, problem.arity)
+    return _kkt(problem, z, stage, problem.objective.gradient_at(z)[stage - 1], multipliers)
+
+
+def _kkt(problem: EqdqoProblem, z, stage: int, grad, multipliers=None, gram=None) -> KktInfo:
+    """:func:`kkt_analysis` at ``z`` given the objective's gradient of the stage's part.
+
+    ``gram`` may pass in the :func:`_gram_pinv` factorization at the
+    standard coordinates of ``z``, which is then not factored again.
+    """
     block = problem.block
     part = stage - 1
-    target = problem.objective.gradient_at(z)[part][_part_indices(problem.arity, part)]
+    target = grad[_part_indices(problem.arity, part)]
     if multipliers is None:
         pinv, rank, _ = _gram_pinv(block, z) if gram is None else gram
         mult = -block.apply(z, pinv(target))
@@ -909,16 +915,17 @@ def _report(
     stage1,
     stage2: _StageOutcome,
 ) -> SolveReport:
-    """Report at stage II's final point, with stage I's KKT analysis at ``stage1.z``.
+    """Report at stage II's final point, with both stages' KKT analyses there.
 
-    ``stage1`` supplies the stage-I point, iteration count and trace;
-    ``t0`` is when the solve started.  Stage II moved only the dual
-    coordinates, so both analyses reuse its Gram factorization.
+    ``stage1`` supplies the stage-I iteration count and trace; ``t0`` is
+    when the solve started.  Stage II moved only the dual coordinates, so
+    both analyses share one objective gradient and its Gram factorization.
     """
     wall_ms = (time.perf_counter() - t0) * 1e3
     z2 = stage2.z
-    kkt1 = kkt_analysis(problem, stage1.z, stage=1, gram=stage2.gram)
-    kkt2 = kkt_analysis(problem, z2, stage=2, gram=stage2.gram)
+    grad_std, grad_dual = problem.objective.gradient_at(z2)
+    kkt1 = _kkt(problem, z2, 1, grad_std, gram=stage2.gram)
+    kkt2 = _kkt(problem, z2, 2, grad_dual, gram=stage2.gram)
     v = stage2.value
     feas_h, feas_hd = stage2.feasibility
     return SolveReport(
@@ -1011,7 +1018,7 @@ def solve_stage1(
     if not _feasible(cfg, feas):
         raise Infeasible(f"the dual rows cannot hold at the stage-I point (h_d {feas[1]:.3e})")
     solution = DualQuaternionVector(unpack(z1, problem.arity))
-    kkt1 = kkt_analysis(problem, z1, stage=1, gram=gram)
+    kkt1 = _kkt(problem, z1, 1, problem.objective.gradient_at(z1)[0], gram=gram)
     return Stage1Result(
         x=tuple(e.std for e in solution),
         x_d=tuple(e.dual for e in solution),

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from dqopt import (
+    AffineResidual,
+    DualQuaternion,
     HandEyeDataset,
     Pose,
     Quaternion,
+    ResidualNormObjective,
     SolverConfig,
     UnitDualQuaternion,
     build_axxb,
@@ -18,8 +21,19 @@ from dqopt import (
     rotation_angle_between,
     solve_eqdqo,
 )
-from dqopt import solver
+from dqopt import handeye, solver
+from dqopt.algebra import left_mult_matrix, right_mult_matrix
+from dqopt.cli import main
 from dqopt.errors import Infeasible, InvalidPose, NoGroundTruth, TooFewMotions
+
+
+def _rows(poses):
+    """``(k, 7)`` dataset rows of ``Pose`` objects."""
+    return np.array([p.row() for p in poses])
+
+
+def _pose(row):
+    return Pose(Quaternion(*row[:4]), tuple(row[4:]))
 
 
 def _rand_pose(rng):
@@ -42,8 +56,6 @@ def test_pose_inverse_and_matrix_roundtrip():
     for _ in range(100):
         p = _rand_pose(rng)
         assert np.allclose(p.compose(p.inverse()).matrix(), np.eye(4), atol=1e-12)
-        q = Pose.from_matrix(p.matrix())
-        assert p.approx_eq(q, tol=1e-10)
 
 
 def test_pose_rejects_bad_data():
@@ -51,6 +63,8 @@ def test_pose_rejects_bad_data():
         Pose(Quaternion(2, 0, 0, 0), (0, 0, 0))
     with pytest.raises(InvalidPose):
         Pose(Quaternion.identity(), (0, 0))
+    with pytest.raises(InvalidPose, match="7 columns"):
+        HandEyeDataset("axxb", np.zeros((7, 6)), np.zeros((7, 6)))
 
 
 def test_to_udq_is_a_homomorphism():
@@ -76,7 +90,7 @@ def test_generated_truth_satisfies_pose_identity_axxb():
     # relative motions conjugate by the sensor offset: a X = X b as 4x4s
     ds = generate_synthetic("axxb", 5, seed=151)
     x = Pose.from_udq(ds.ground_truth_x).matrix()
-    for a, b in relative_motions(ds):
+    for a, b in zip(*map(UnitDualQuaternion.from_rows, relative_motions(ds))):
         am = Pose.from_udq(a).matrix()
         bm = Pose.from_udq(b).matrix()
         assert np.allclose(am @ x, x @ bm, atol=1e-10)
@@ -87,7 +101,7 @@ def test_generated_truth_satisfies_pose_identity_axyb():
     x = Pose.from_udq(ds.ground_truth_x).matrix()
     y = Pose.from_udq(ds.ground_truth_y).matrix()
     for pa, pb in zip(ds.poses_a, ds.poses_b):
-        assert np.allclose(pa.matrix() @ x, y @ pb.matrix(), atol=1e-10)
+        assert np.allclose(_pose(pa).matrix() @ x, y @ _pose(pb).matrix(), atol=1e-10)
 
 
 def test_objective_vanishes_at_truth():
@@ -147,7 +161,7 @@ def test_dataset_json_roundtrip():
     back = HandEyeDataset.from_json_dict(json.loads(json.dumps(data)))
     assert back.model == ds.model
     for p, q in zip(back.poses_a, ds.poses_a):
-        assert p.approx_eq(q, tol=1e-12)
+        assert _pose(p).approx_eq(_pose(q), tol=1e-12)
     assert back.ground_truth_x.std.approx_eq(ds.ground_truth_x.std, tol=1e-12)
     assert back.meta == ds.meta
 
@@ -167,7 +181,7 @@ def _parallel_axes_dataset():
     for k in range(4):
         poses_a.append(poses_a[-1].compose(Pose(rot, (0.1 * k, 0, 0))))
         poses_b.append(poses_b[-1].compose(Pose(rot, (0, 0.1 * k, 0))))
-    return HandEyeDataset("axxb", poses_a, poses_b)
+    return HandEyeDataset("axxb", _rows(poses_a), _rows(poses_b))
 
 
 def test_parallel_axes_warn():
@@ -200,7 +214,9 @@ def test_an_exactly_singular_stage2_raises_infeasible_not_a_nan_answer():
         poses_b.append(x.inverse().compose(a).compose(x))
     cfg = SolverConfig(restarts=2, seed=0)
     with pytest.warns(RuntimeWarning):
-        problem = build_axxb(HandEyeDataset("axxb", poses_a, poses_b))
+        # the rows as the Pose objects hold them: the constructor would normalize
+        # them again, which moves last bits and the system off exact singularity
+        problem = build_axxb(HandEyeDataset._of_unit_rows("axxb", _rows(poses_a), _rows(poses_b)))
         with pytest.raises(Infeasible):
             solve_eqdqo(problem, cfg)
     # the first non-finite pass ends stage II instead of repeating to max_outer
@@ -215,14 +231,14 @@ def test_an_exactly_singular_stage2_raises_infeasible_not_a_nan_answer():
 def test_too_few_motions():
     p = Pose(Quaternion.identity(), (0, 0, 0))
     with pytest.raises(TooFewMotions):
-        build_axxb(HandEyeDataset("axxb", (p, p), (p, p)))
+        build_axxb(HandEyeDataset("axxb", _rows((p, p)), _rows((p, p))))
     with pytest.raises(TooFewMotions):
         generate_synthetic("axyb", 2)
 
 
 def test_evaluate_without_truth_raises():
     p = Pose(Quaternion.identity(), (0, 0, 0))
-    ds = HandEyeDataset("axxb", (p, p, p), (p, p, p))
+    ds = HandEyeDataset("axxb", _rows((p, p, p)), _rows((p, p, p)))
     with pytest.raises(NoGroundTruth):
         evaluate_solution(ds, UnitDualQuaternion.identity())
     ds2 = generate_synthetic("axxb", 3, seed=191)
@@ -239,3 +255,205 @@ def test_evaluate_solution_matches_the_per_pose_computation():
         dt = np.asarray(t.translation) - np.asarray(e.translation)
         assert errors[f"rotation_error_{name}"] == rotation_angle_between(t.rotation, e.rotation)
         assert errors[f"translation_error_{name}"] == float(np.linalg.norm(dt))
+
+
+def test_axyb_parallel_axes_warn():
+    # every relative motion a_{i+1}^{-1} a_i about the z axis
+    rot = Quaternion.exp_axis_angle(0.4, Quaternion(0, 0, 0, 1))
+    poses = [Pose(Quaternion.identity(), (0, 0, 0))]
+    for k in range(3):
+        poses.append(poses[-1].compose(Pose(rot, (0.2 * k, 0.1, 0))))
+    with pytest.warns(RuntimeWarning):
+        build_axyb(HandEyeDataset("axyb", _rows(poses), _rows(poses)))
+
+
+# ---------------------------------------------------------------------------
+# The per-pair object build that the batched builders replaced, kept as
+# their reference: pose arithmetic in Quaternion objects, rounded as the
+# Pose methods were, AffineResidual's Jacobians as one 4x4 product per
+# term, and one residual object per pair.
+
+
+def _ref_pose(q, t):
+    """``Pose(q, t)`` as the object constructor rounded it."""
+    return q / q.norm(), np.array([float(v) for v in t])
+
+
+def _ref_rotate(q, v):
+    """``q v conj(q)`` in Quaternion products, as ``Pose`` rotated translations."""
+    r = q * Quaternion(0.0, *v) * q.conjugate()
+    return np.array([r.x, r.y, r.z])
+
+
+def _ref_compose(p, o):
+    return _ref_pose(p[0] * o[0], _ref_rotate(p[0], o[1]) + p[1])
+
+
+def _ref_inverse(p):
+    qi = p[0].conjugate()
+    return _ref_pose(qi, -_ref_rotate(qi, p[1]))
+
+
+def _ref_canonical_udq(p):
+    """``Pose.to_udq().canonicalized()``: the first nonzero coefficient made positive."""
+    q, t = p
+    value = DualQuaternion(q, (Quaternion(0.0, *t) * q) * 0.5)
+    first = next((c for c in (q.w, q.x, q.y, q.z) if c != 0.0), 1.0)
+    return -value if first < 0.0 else value
+
+
+def _ref_jacobians(arity, terms):
+    """``AffineResidual``'s Jacobians as it built them, one 4x4 product per term."""
+
+    def lm(q):
+        return left_mult_matrix(q.as_array())
+
+    def rm(q):
+        return right_mult_matrix(q.as_array())
+
+    jac_std, jac_dual = np.zeros((4, 8 * arity)), np.zeros((4, 8 * arity))
+    for left, v, right in terms:
+        k_ss = lm(left.std) @ rm(right.std)
+        k_mix = lm(left.dual) @ rm(right.std) + lm(left.std) @ rm(right.dual)
+        s = 8 * v
+        jac_std[:, s : s + 4] += k_ss
+        jac_dual[:, s + 4 : s + 8] += k_ss
+        jac_dual[:, s : s + 4] += k_mix
+    return jac_std, jac_dual
+
+
+def _ref_build(ds):
+    """``(pairs, objective, jacobians)`` of the per-pair object build."""
+    a, b = ([(Quaternion(*r[:4]), r[4:]) for r in rows] for rows in (ds.poses_a, ds.poses_b))
+    if ds.model == "axxb":
+        pairs = [
+            (
+                _ref_canonical_udq(_ref_compose(a[i + 1], _ref_inverse(a[i]))),
+                _ref_canonical_udq(_ref_compose(_ref_inverse(b[i + 1]), b[i])),
+            )
+            for i in range(len(a) - 1)
+        ]
+        arity, other = 1, 0
+    else:
+        pairs = [(_ref_canonical_udq(p), _ref_canonical_udq(q)) for p, q in zip(a, b)]
+        arity, other = 2, 1
+    one = DualQuaternion.identity()
+    terms = [[(p, 0, one), (-one, other, q)] for p, q in pairs]
+    residuals = [AffineResidual(arity, t) for t in terms]
+    jacobians = [_ref_jacobians(arity, t) for t in terms]
+    return pairs, ResidualNormObjective(arity, [[r] for r in residuals]), jacobians
+
+
+DRAWS = [
+    (model, n, sigma, seed)
+    for model in ("axxb", "axyb")
+    for n in (10, 30)
+    for sigma in (0.0, 0.01)
+    for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("model,n,sigma,seed", DRAWS)
+def test_batched_build_matches_the_object_build(model, n, sigma, seed, monkeypatch):
+    ds = generate_synthetic(model, n, noise_rot=sigma, noise_trans=sigma, seed=seed)
+    stacked = []
+    original = AffineResidual.stack_arrays
+
+    def spy(jac_std, jac_dual, constants=None):
+        stacked.append((jac_std, jac_dual))
+        return original(jac_std, jac_dual, constants)
+
+    monkeypatch.setattr(AffineResidual, "stack_arrays", staticmethod(spy))
+    problem = (build_axxb if model == "axxb" else build_axyb)(ds)
+    jac_std, jac_dual = stacked[0]
+    pairs, reference, jacobians = _ref_build(ds)
+
+    # motions (axxb) or canonical poses (axyb), zero signs included
+    if model == "axxb":
+        a, b = relative_motions(ds)
+    else:
+        a, b = (handeye.canonicalized(handeye.pose_udqs(r)) for r in (ds.poses_a, ds.poses_b))
+    expected = np.array([[(v.std.as_array(), v.dual.as_array()) for v in pair] for pair in pairs])
+    assert np.stack((a, b), axis=1).tobytes() == expected.tobytes()
+    assert jac_std.tobytes() == np.vstack([j[0] for j in jacobians]).tobytes()
+    assert jac_dual.tobytes() == np.vstack([j[1] for j in jacobians]).tobytes()
+
+    rng = np.random.default_rng(seed)
+    for z in rng.standard_normal((3, 8 * problem.arity)):
+        v, w = problem.objective.value_at(z), reference.value_at(z)
+        assert np.array([v.std, v.dual]).tobytes() == np.array([w.std, w.dual]).tobytes()
+        got, want = problem.objective.gradient_at(z), reference.gradient_at(z)
+        assert np.concatenate(got).tobytes() == np.concatenate(want).tobytes()
+
+
+def _ref_json(data):
+    """``data`` read into Pose objects and written back, as the object path did."""
+
+    def pose(p):
+        q, t = _ref_pose(Quaternion(*p["q"]), p["t"])
+        return {"q": [q.w, q.x, q.y, q.z], "t": t.tolist()}
+
+    def truth(p):
+        # read as Pose(...).to_udq(), written as Pose.from_udq(...)
+        q, t = _ref_pose(Quaternion(*p["q"]), p["t"])
+        back = (((Quaternion(0.0, *t) * q) * 0.5) * q.conjugate()) * 2.0
+        return pose({"q": [q.w, q.x, q.y, q.z], "t": [back.x, back.y, back.z]})
+
+    return {
+        "model": data["model"],
+        "A": [pose(p) for p in data["A"]],
+        "B": [pose(p) for p in data["B"]],
+        "ground_truth": {k: truth(p) for k, p in data["ground_truth"].items()},
+        "meta": data["meta"],
+    }
+
+
+@pytest.mark.parametrize("model", ["axxb", "axyb"])
+def test_json_round_trip_writes_the_object_paths_bytes(model):
+    for seed in range(4):
+        ds = generate_synthetic(model, 8, noise_rot=0.01, noise_trans=0.01, seed=seed)
+        data = json.loads(json.dumps(ds.to_json_dict()))
+        read = HandEyeDataset.from_json_dict(data)
+        assert json.dumps(read.to_json_dict()) == json.dumps(_ref_json(data))
+        assert not read.poses_a.flags.writeable and not read.poses_b.flags.writeable
+
+
+NON_FINITE = [("q", 1, float("nan")), ("t", 0, float("nan")), ("t", 2, float("inf"))]
+
+
+@pytest.mark.parametrize("field,index,value", NON_FINITE)
+def test_non_finite_pose_is_invalid(field, index, value, tmp_path, capsys):
+    data = generate_synthetic("axxb", 6, seed=3).to_json_dict()
+    data["B"][4][field][index] = value
+    with pytest.raises(InvalidPose, match="B pose 4 is not finite"):
+        HandEyeDataset.from_json_dict(data)
+    rows = generate_synthetic("axyb", 4, seed=3).poses_a.copy()
+    rows[2, 4 * (field == "t") + index] = value
+    with pytest.raises(InvalidPose, match="A pose 2 is not finite"):
+        HandEyeDataset("axyb", rows, rows)
+    gt = generate_synthetic("axxb", 6, seed=3).to_json_dict()
+    gt["ground_truth"]["X"][field][index] = value
+    with pytest.raises(InvalidPose, match="ground truth X is not finite"):
+        HandEyeDataset.from_json_dict(gt)
+    for case in (data, gt):
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps(case))
+        assert main(["solve-handeye", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert "is not finite" in err and "Traceback" not in err
+
+
+def test_affine_residual_jacobians_match_the_per_term_products():
+    rng = np.random.default_rng(5)
+
+    def draw():
+        if rng.random() < 0.3:
+            return DualQuaternion.identity() * float(rng.choice([-1.0, 1.0]))
+        return DualQuaternion(Quaternion(*rng.standard_normal(4)), Quaternion(*rng.standard_normal(4)))
+
+    for _ in range(50):
+        terms = [(draw(), int(rng.integers(3)), draw()) for _ in range(3)]
+        jac_std, jac_dual = _ref_jacobians(3, terms)
+        r = AffineResidual(3, terms)
+        assert r.jac_std.tobytes() == jac_std.tobytes()
+        assert r.jac_dual.tobytes() == jac_dual.tobytes()

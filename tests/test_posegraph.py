@@ -450,3 +450,53 @@ def test_array_path_matches_the_object_code_bit_for_bit():
     truth = {ids[0]: pose for ids, pose in ref["TRUTH"]}
     for poses in (list(report.solution), guess):
         assert vertex_errors(g, poses) == _reference_errors(truth, poses)
+
+
+def _object_cycle_graph(n, loop_closures, noise_rot, noise_trans, seed):
+    """``(pairs, measured, truth)`` rows of the generator's former per-pose ``Pose`` code."""
+    import math
+
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+    raw = []
+    for k in range(n):
+        angle = rng.uniform(0.05, 0.2)
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        theta = 2.0 * math.pi * k / n
+        position = (3.0 * math.cos(theta), 3.0 * math.sin(theta), 0.3 * math.sin(2.0 * theta))
+        raw.append(Pose(Quaternion.exp_axis_angle(angle, Quaternion(0.0, *axis)), position))
+    base = raw[0].inverse()
+    truth = [base.compose(pose) for pose in raw]
+    pairs = [(k, k + 1) for k in range(1, n)] + [(n, 1)]
+    chords = [(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1) if not (i == 1 and j == n)]
+    if loop_closures:
+        picks = rng.choice(len(chords), size=loop_closures, replace=False)
+        pairs.extend(chords[p] for p in sorted(picks))
+    measured = []
+    for i, j in pairs:
+        rel = truth[i - 1].inverse().compose(truth[j - 1])
+        if noise_rot > 0.0 or noise_trans > 0.0:
+            bump = Quaternion.identity()
+            if noise_rot > 0.0:
+                axis = rng.standard_normal(3)
+                axis /= np.linalg.norm(axis)
+                bump = Quaternion.exp_axis_angle(rng.normal(0.0, noise_rot), Quaternion(0.0, *axis))
+            t = np.asarray(rel.translation)
+            if noise_trans > 0.0:
+                t = t + rng.normal(0.0, noise_trans, 3)
+            rel = Pose(bump * rel.rotation, tuple(t))
+        q = rel.rotation
+        if canonical_sign(q) < 0:
+            q = -q
+        measured.append(Pose(q, rel.translation))
+    return pairs, np.array([p.row() for p in measured]), np.array([p.row() for p in truth])
+
+
+@pytest.mark.parametrize("noise_rot,noise_trans", [(0.0, 0.0), (0.02, 0.0), (0.0, 0.02), (0.02, 0.02)])
+def test_batched_cycle_graph_matches_the_per_pose_generator(noise_rot, noise_trans):
+    for n, chords, seed in ((5, 1, 0), (12, 4, 1), (30, 10, 2)):
+        g = generate_cycle_graph(n, chords, noise_rot, noise_trans, seed=seed)
+        pairs, measured, truth = _object_cycle_graph(n, chords, noise_rot, noise_trans, seed)
+        assert g.edge_ids.tolist() == [list(p) for p in pairs]
+        assert g.edge_poses.tobytes() == measured.tobytes()
+        assert g.truth_poses.tobytes() == truth.tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dqopt import Quaternion, random_unit_quaternion
+from dqopt import Pose, Quaternion, random_unit_quaternion
 from dqopt.algebra import left_mult_matrix, right_mult_matrix
 from helpers import rodrigues_matrix, table_quat_product
 
@@ -37,8 +37,8 @@ def test_left_right_matrices_realize_the_product():
         p = Quaternion.from_array(rng.standard_normal(4))
         q = Quaternion.from_array(rng.standard_normal(4))
         prod = (p * q).as_array()
-        assert np.allclose(p.left_matrix() @ q.as_array(), prod, atol=1e-13)
-        assert np.allclose(q.right_matrix() @ p.as_array(), prod, atol=1e-13)
+        assert np.allclose(left_mult_matrix(p.as_array()) @ q.as_array(), prod, atol=1e-13)
+        assert np.allclose(right_mult_matrix(q.as_array()) @ p.as_array(), prod, atol=1e-13)
 
 
 def test_batched_mult_matrices_equal_each_rows_matrix_and_product():
@@ -80,7 +80,9 @@ def test_rotation_matches_rodrigues():
         angle = float(rng.uniform(-3.0, 3.0))
         q = Quaternion.exp_axis_angle(angle, Quaternion(0.0, *axis))
         v = rng.standard_normal(3)
-        assert np.allclose(q.rotate_vector(v), rodrigues_matrix(angle, axis) @ v, atol=1e-12)
+        # the translation of q after a pure translation by v is q v conj(q)
+        moved = Pose(q, (0.0, 0.0, 0.0)).compose(Pose(Quaternion.identity(), tuple(v)))
+        assert np.allclose(moved.translation, rodrigues_matrix(angle, axis) @ v, atol=1e-12)
 
 
 def test_exp_log_roundtrip():

@@ -5,6 +5,7 @@ from dqopt import (
     DualQuaternion,
     EqdqoProblem,
     Quaternion,
+    ResidualNormObjective,
     SolverConfig,
     UnitNormConstraint,
     anchor_constraints,
@@ -402,6 +403,41 @@ def test_the_final_point_factors_its_gram_matrix_once(monkeypatch):
     calls.clear()
     solve_stage2(problem, stage1, cfg)
     assert len(calls) == 1
+
+
+def test_a_solve_evaluates_the_objective_gradient_once(monkeypatch):
+    # both KKT analyses of the report read one gradient at stage II's point
+    calls = []
+    original = ResidualNormObjective.gradient_at
+
+    def counted(self, z):
+        calls.append(z)
+        return original(self, z)
+
+    monkeypatch.setattr(ResidualNormObjective, "gradient_at", counted)
+    problem, guess = _noisy_graph_problem()
+    for prob, cfg, initial in (
+        (build_axxb(generate_synthetic("axxb", 8, noise_rot=0.01, seed=2)), _fast_cfg(restarts=3), None),
+        (problem, _fast_cfg(restarts=1), guess),
+    ):
+        calls.clear()
+        solve_eqdqo(prob, cfg, initial=initial)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("model", ["axxb", "axyb"])
+def test_the_stage1_analysis_at_stage2s_point_is_the_one_at_stage1s(model):
+    # stage II keeps the standard coordinates, which are all the stage-I
+    # analysis reads
+    for seed in range(3):
+        ds = generate_synthetic(model, 8, noise_rot=0.01, noise_trans=0.01, seed=seed)
+        problem = (build_axxb if model == "axxb" else build_axyb)(ds)
+        cfg = _fast_cfg(restarts=2)
+        stage1 = solve_stage1(problem, cfg)
+        report = solve_stage2(problem, stage1, cfg)
+        info = kkt_analysis(problem, stage1.z, stage=1)
+        assert report.kkt_residual["stage1"] == info.residual
+        assert report.multipliers["lambda"] == list(info.lambdas)
 
 
 def test_an_initial_array_starts_restart_zero_as_dual_quaternions_do():

@@ -94,11 +94,9 @@ def test_a_translation_outlier_does_not_move_the_calibration():
     # data; a plain least-squares stage II would spread it over the answer
     for seed in SEEDS:
         ds = generate_synthetic("axxb", 10, seed=seed)
-        last = ds.poses_b[-1]
-        bad = Pose(last.rotation, tuple(np.asarray(last.translation) + [0.5, -0.3, 0.2]))
-        ds = HandEyeDataset(
-            "axxb", ds.poses_a, ds.poses_b[:-1] + (bad,), ground_truth_x=ds.ground_truth_x
-        )
+        poses_b = ds.poses_b.copy()
+        poses_b[-1, 4:] += [0.5, -0.3, 0.2]
+        ds = HandEyeDataset("axxb", ds.poses_a, poses_b, ground_truth_x=ds.ground_truth_x)
         report = solve_eqdqo(build_axxb(ds), SolverConfig(restarts=8, seed=0))
         errors = evaluate_solution(ds, *report.solution)
         assert errors["rotation_error_x"] <= 1e-6, seed
