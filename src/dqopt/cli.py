@@ -123,18 +123,24 @@ def _resolve_seed(args) -> int:
         raise _BadInput(f"DQOPT_SEED must be an integer, got {env!r}")
 
 
-def _config_from_args(args) -> SolverConfig:
+def _checked(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a ``ValueError`` it raises for bad arguments as bad input."""
     try:
-        return SolverConfig(
-            restarts=args.restarts,
-            seed=_resolve_seed(args),
-            tol_grad=args.tol_grad,
-            tol_feas=args.tol_feas,
-            max_outer=args.max_outer,
-            threads=args.threads,
-        )
+        return make(*args, **kwargs)
     except ValueError as e:
         raise _BadInput(str(e))
+
+
+def _config_from_args(args) -> SolverConfig:
+    return _checked(
+        SolverConfig,
+        restarts=args.restarts,
+        seed=_resolve_seed(args),
+        tol_grad=args.tol_grad,
+        tol_feas=args.tol_feas,
+        max_outer=args.max_outer,
+        threads=args.threads,
+    )
 
 
 def _read_text(path: str) -> str:
@@ -188,7 +194,8 @@ def _write_trace_csv(path: str, trace) -> None:
 
 
 def _cmd_gen_handeye(args) -> int:
-    ds = generate_synthetic(
+    ds = _checked(
+        generate_synthetic,
         args.model,
         args.motions,
         noise_rot=args.noise_rot,
@@ -220,7 +227,8 @@ def _cmd_solve_handeye(args) -> int:
 
 
 def _cmd_gen_pgo(args) -> int:
-    graph = generate_cycle_graph(
+    graph = _checked(
+        generate_cycle_graph,
         args.vertices,
         loop_closures=args.loop_closures,
         noise_rot=args.noise_rot,
@@ -316,10 +324,7 @@ def main(argv=None) -> int:
     except Infeasible as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except _BadInput as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DqoptError as e:
+    except (_BadInput, DqoptError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

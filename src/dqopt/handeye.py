@@ -13,16 +13,15 @@ magnitude annihilates purely infinitesimal residuals) subject to unit
 constraints, which the two-stage solver handles directly.
 
 A :class:`HandEyeDataset` keeps its poses as ``(k, 7)`` rows ``(qw, qx,
-qy, qz, tx, ty, tz)``.  The builders convert all rows, and stack every
-pair's constant Jacobian, in batched passes; :class:`Pose` is the one-pose
-view of the same row kernels, which :func:`generate_synthetic` composes.
+qy, qz, tx, ty, tz)``, the row kernels (:func:`pose_compose` and its kin)
+are the only pose arithmetic, and the builders and
+:func:`generate_synthetic` run them in batched passes.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .algebra import (
     NORMALIZE_TOL,
     Quaternion,
     UnitDualQuaternion,
-    canonical_sign,
     canonical_signs,
     normalize_dq,
     quat_dot,
@@ -43,7 +41,6 @@ from .functions import AffineResidual, ResidualNormObjective, UnitNormConstraint
 from .solver import EqdqoProblem
 
 __all__ = [
-    "Pose",
     "HandEyeDataset",
     "relative_motions",
     "build_axxb",
@@ -125,80 +122,6 @@ def canonicalized(dq: np.ndarray) -> np.ndarray:
     return dq * canonical_signs(dq[:, 0])[:, None, None]
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Rigid transform as a unit rotation quaternion plus translation.
-
-    The objects of one pose row: the constructor checks and normalizes as
-    :func:`unit_rows`, and every operation runs the row kernels.
-    """
-
-    rotation: Quaternion
-    translation: tuple[float, float, float]
-
-    def __post_init__(self):
-        t = tuple(self.translation)
-        if len(t) != 3:
-            raise InvalidPose(f"translation needs 3 components, got {len(t)}")
-        self._set(unit_rows(np.concatenate((self.rotation.as_array(), t)), "pose"))
-
-    def _set(self, row: np.ndarray) -> "Pose":
-        values = row.ravel().tolist()
-        object.__setattr__(self, "rotation", Quaternion(*values[:4]))
-        object.__setattr__(self, "translation", tuple(values[4:]))
-        return self
-
-    @classmethod
-    def _of(cls, row: np.ndarray) -> "Pose":
-        """The pose of a row the kernels normalized already, not normalized again."""
-        return object.__new__(cls)._set(row)
-
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(Quaternion.identity(), (0.0, 0.0, 0.0))
-
-    def row(self) -> np.ndarray:
-        """The pose row ``(qw, qx, qy, qz, tx, ty, tz)``."""
-        return np.concatenate((self.rotation.as_array(), self.translation))
-
-    def matrix(self) -> np.ndarray:
-        """Homogeneous 4x4 matrix with bottom row (0, 0, 0, 1)."""
-        q = self.rotation
-        w, x, y, z = q.w, q.x, q.y, q.z
-        m = np.eye(4)
-        m[0, 0] = 1 - 2 * (y * y + z * z)
-        m[0, 1] = 2 * (x * y - w * z)
-        m[0, 2] = 2 * (x * z + w * y)
-        m[1, 0] = 2 * (x * y + w * z)
-        m[1, 1] = 1 - 2 * (x * x + z * z)
-        m[1, 2] = 2 * (y * z - w * x)
-        m[2, 0] = 2 * (x * z - w * y)
-        m[2, 1] = 2 * (y * z + w * x)
-        m[2, 2] = 1 - 2 * (x * x + y * y)
-        m[:3, 3] = self.translation
-        return m
-
-    def compose(self, other: "Pose") -> "Pose":
-        """This transform applied after ``other``: matrix product self @ other."""
-        return Pose._of(pose_compose(self.row()[None], other.row()[None]))
-
-    def inverse(self) -> "Pose":
-        return Pose._of(pose_inverse(self.row()[None]))
-
-    def to_udq(self) -> UnitDualQuaternion:
-        """Unit dual quaternion of this transform, as :func:`pose_udqs` forms it."""
-        return UnitDualQuaternion.from_rows(pose_udqs(self.row()[None]))[0]
-
-    @classmethod
-    def from_udq(cls, u: UnitDualQuaternion) -> "Pose":
-        return cls._of(pose_rows([u]))
-
-    def approx_eq(self, other: "Pose", tol: float = 1e-9) -> bool:
-        a, b = self.row(), other.row()
-        dq = min(np.max(abs(a[:4] - b[:4])), np.max(abs(a[:4] + b[:4])))
-        return bool(dq <= tol and np.max(abs(a[4:] - b[4:])) <= tol)
-
-
 def _json_rows(poses, label: str) -> np.ndarray:
     """Rows of JSON poses ``{"q": [w, x, y, z], "t": [x, y, z]}``, unchecked but for their lengths."""
     bad = [i for i, p in enumerate(poses) if len(p["q"]) != 4 or len(p["t"]) != 3]
@@ -227,7 +150,7 @@ class HandEyeDataset:
 
     @classmethod
     def _of_unit_rows(cls, model: str, *rest) -> "HandEyeDataset":
-        """A dataset of rows that :class:`Pose` normalized already, stored as they are.
+        """A dataset of rows the row kernels normalized already, stored as they are.
 
         Normalizing them again would move the last bit of about a third of
         them, and with it the generator's output.
@@ -346,38 +269,41 @@ def build_axyb(dataset: HandEyeDataset) -> EqdqoProblem:
 # Synthetic data
 
 
-def _random_pose(rng: np.random.Generator, trans_scale: float = 0.5) -> Pose:
-    return Pose(
-        random_unit_quaternion(rng), tuple(rng.normal(0.0, trans_scale, 3))
-    )
+def _pose_row(rng: np.random.Generator) -> np.ndarray:
+    """Pose row of a uniform random rotation and a translation drawn from N(0, 0.5^2 I)."""
+    return unit_rows([*random_unit_quaternion(rng).as_array(), *rng.normal(0.0, 0.5, 3)], "pose")[0]
 
 
-def _random_rotation_about(rng: np.random.Generator, angle: float) -> Quaternion:
+def rotation_about(rng: np.random.Generator, angle: float) -> np.ndarray:
+    """Unit quaternion of a rotation by ``angle`` about an axis drawn next from ``rng``."""
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
-    return Quaternion.exp_axis_angle(angle, Quaternion(0.0, *axis))
+    return Quaternion.exp_axis_angle(angle, Quaternion(0.0, *axis)).as_array()
 
 
-def _noisy(pose: Pose, rng: np.random.Generator, sr: float, st: float) -> Pose:
+def check_noise(noise_rot: float, noise_trans: float) -> None:
+    """Raise ``ValueError`` unless both noise scales are finite and non-negative."""
+    for name, value in (("noise_rot", noise_rot), ("noise_trans", noise_trans)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
+def _noisy(rows: np.ndarray, rng: np.random.Generator, sr: float, st: float) -> np.ndarray:
+    """``rows`` turned by random rotations of angle ~N(0, sr^2) and shifted by N(0, st^2 I).
+
+    Each row draws its angle, then its axis, then its translation noise.
+    """
     if sr == 0.0 and st == 0.0:
-        return pose
-    bump = _random_rotation_about(rng, rng.normal(0.0, sr)) if sr > 0 else Quaternion.identity()
-    t = np.asarray(pose.translation) + (rng.normal(0.0, st, 3) if st > 0 else 0.0)
-    return Pose(bump * pose.rotation, tuple(t))
-
-
-def _spread_motion_angles(rng: np.random.Generator, n: int) -> list[Quaternion]:
-    """Relative rotations with well-separated axes."""
-    while True:
-        rots = [
-            _random_rotation_about(rng, rng.uniform(0.5, 2.5)) for _ in range(n)
-        ]
-        if _axis_spread(np.array([q.as_array() for q in rots])) >= MIN_AXIS_SPREAD:
-            return rots
-
-
-def _rows(poses) -> np.ndarray:
-    return np.array([p.row() for p in poses])
+        return rows
+    bumps = np.tile([1.0, 0.0, 0.0, 0.0], (len(rows), 1))
+    shifts = np.zeros((len(rows), 3))
+    for k in range(len(rows)):
+        if sr > 0.0:
+            bumps[k] = rotation_about(rng, rng.normal(0.0, sr))
+        if st > 0.0:
+            shifts[k] = rng.normal(0.0, st, 3)
+    noisy = np.concatenate((quat_mul(bumps, rows[:, :4]), rows[:, 4:] + shifts), axis=1)
+    return unit_rows(noisy, "pose {}")
 
 
 def generate_synthetic(
@@ -391,14 +317,19 @@ def generate_synthetic(
 
     ``n`` counts relative motions for axxb (so ``n + 1`` poses per side)
     and pose pairs for axyb.  Guarantees at least two relative rotation
-    axes at angle ``MIN_AXIS_SPREAD`` or more.
+    axes at angle ``MIN_AXIS_SPREAD`` or more.  Raises ``ValueError`` for
+    an unknown model or a noise scale that is negative or not finite.
     """
+    if model not in ("axxb", "axyb"):
+        raise ValueError(f"unknown model {model!r}")
     if model == "axxb" and n < 2:
         raise TooFewMotions("axxb needs n >= 2 relative motions")
     if model == "axyb" and n < 3:
         raise TooFewMotions("axyb needs n >= 3 pose pairs")
+    check_noise(noise_rot, noise_trans)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
-    truth_x = _random_pose(rng)
+    truths = _pose_row(rng)[None]
+    x = np.repeat(truths, n, axis=0)
     meta = {
         "seed": seed,
         "n": n,
@@ -406,48 +337,49 @@ def generate_synthetic(
         "noise_trans": float(noise_trans),
     }
     if model == "axxb":
-        rotations = _spread_motion_angles(rng, n)
-        poses_b = [_random_pose(rng)]
-        for q in rotations:
-            step = Pose(q, tuple(rng.normal(0.0, 0.5, 3)))
-            # Convention: relative motion i is B_{i+1}^{-1} B_i = step.
-            poses_b.append(poses_b[-1].compose(step.inverse()))
-        poses_a = [_random_pose(rng)]
+        # relative rotations with well-separated axes
+        while True:
+            rotations = np.array([rotation_about(rng, rng.uniform(0.5, 2.5)) for _ in range(n)])
+            if _axis_spread(rotations) >= MIN_AXIS_SPREAD:
+                break
+        poses_b, poses_a = np.empty((n + 1, 7)), np.empty((n + 1, 7))
+        poses_b[0] = _pose_row(rng)
+        steps = unit_rows(np.concatenate((rotations, rng.normal(0.0, 0.5, (n, 3))), axis=1), "step {}")
+        # Convention: relative motion i is B_{i+1}^{-1} B_i = steps[i].
+        inverses = pose_inverse(steps)
         for i in range(n):
-            b_rel = poses_b[i + 1].inverse().compose(poses_b[i])
-            a_rel = truth_x.compose(b_rel).compose(truth_x.inverse())
-            poses_a.append(a_rel.compose(poses_a[i]))
-        noisy_b = [_noisy(p, rng, noise_rot, noise_trans) for p in poses_b]
-        truth = truth_x.to_udq().canonicalized()
-        return HandEyeDataset._of_unit_rows("axxb", _rows(poses_a), _rows(noisy_b), truth, None, meta)
-    if model != "axyb":
-        raise ValueError(f"unknown model {model!r}")
-    truth_y = _random_pose(rng)
-    # Residuals subtract independently sign-canonicalized measurements, so
-    # a pose pair only zeroes its residual at the canonical truths when the
-    # canonical signs of a_i and b_i = y^{-1} a_i x agree with the product
-    # of the truths' canonical signs.  Draw poses until that holds with a
-    # scalar-part margin wide enough to survive the noise model.
-    sign_target = canonical_sign(truth_x.rotation) * canonical_sign(truth_y.rotation)
-    while True:
-        poses_a = []
-        while len(poses_a) < n:
-            a = _random_pose(rng)
-            qb = truth_y.rotation.conjugate() * a.rotation * truth_x.rotation
-            if abs(a.rotation.w) < 0.2 or abs(qb.w) < 0.2:
-                continue
-            if canonical_sign(a.rotation) * canonical_sign(qb) != sign_target:
-                continue
-            poses_a.append(a)
-        rows = _rows(poses_a)
-        rel = pose_compose(pose_inverse(rows[1:]), rows[:-1])
-        if _axis_spread(rel[:, :4]) >= MIN_AXIS_SPREAD:
-            break
-    # a_i x = y b_i, so b_i = y^{-1} a_i x.
-    poses_b = [truth_y.inverse().compose(a).compose(truth_x) for a in poses_a]
-    noisy_b = [_noisy(p, rng, noise_rot, noise_trans) for p in poses_b]
-    truths = (truth_x.to_udq().canonicalized(), truth_y.to_udq().canonicalized())
-    return HandEyeDataset._of_unit_rows("axyb", rows, _rows(noisy_b), *truths, meta)
+            poses_b[i + 1] = pose_compose(poses_b[i : i + 1], inverses[i : i + 1])[0]
+        b_rel = pose_compose(pose_inverse(poses_b[1:]), poses_b[:-1])
+        a_rel = pose_compose(pose_compose(x, b_rel), pose_inverse(x))
+        poses_a[0] = _pose_row(rng)
+        for i in range(n):
+            poses_a[i + 1] = pose_compose(a_rel[i : i + 1], poses_a[i : i + 1])[0]
+    else:
+        truths = np.concatenate((truths, _pose_row(rng)[None]))
+        # Residuals subtract independently sign-canonicalized measurements, so
+        # a pose pair only zeroes its residual at the canonical truths when the
+        # canonical signs of a_i and b_i = y^{-1} a_i x agree with the product
+        # of the truths' canonical signs.  Draw poses until that holds with a
+        # scalar-part margin wide enough to survive the noise model.
+        qx, qy = truths[:, :4]
+        sign_target = canonical_signs(qx) * canonical_signs(qy)
+        while True:
+            poses_a = []
+            while len(poses_a) < n:
+                a = _pose_row(rng)
+                qb = quat_mul(quat_mul(qy * _CONJ, a[:4]), qx)
+                # past the margin, the canonical signs are those of the scalar parts
+                if min(abs(a[0]), abs(qb[0])) >= 0.2 and a[0] * qb[0] * sign_target > 0.0:
+                    poses_a.append(a)
+            poses_a = np.array(poses_a)
+            rel = pose_compose(pose_inverse(poses_a[1:]), poses_a[:-1])
+            if _axis_spread(rel[:, :4]) >= MIN_AXIS_SPREAD:
+                break
+        # a_i x = y b_i, so b_i = y^{-1} a_i x.
+        poses_b = pose_compose(pose_compose(np.repeat(pose_inverse(truths[1:]), n, axis=0), poses_a), x)
+    noisy_b = _noisy(poses_b, rng, noise_rot, noise_trans)
+    truths = UnitDualQuaternion.from_rows(canonicalized(pose_udqs(truths))) + (None,)
+    return HandEyeDataset._of_unit_rows(model, poses_a, noisy_b, *truths[:2], meta)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,8 @@ from .functions import (
     pack,
     unpack,
 )
-from .handeye import pose_compose, pose_errors, pose_inverse, pose_rows, pose_udqs, unit_rows
+from .handeye import check_noise, pose_compose, pose_errors, pose_inverse, pose_rows, pose_udqs
+from .handeye import rotation_about, unit_rows
 from .solver import EqdqoProblem
 
 __all__ = [
@@ -582,20 +583,19 @@ def generate_cycle_graph(
     of measurements is then consistent with the stored truth, and the
     noiseless objective is exactly zero there.  Vertex 1 is the identity.
     Noise perturbs each measurement by a rotation of angle ~N(0, sigma_r^2)
-    about a random axis plus translation noise ~N(0, sigma_t^2 I).
+    about a random axis plus translation noise ~N(0, sigma_t^2 I).  Raises
+    ``ValueError`` for fewer than 3 vertices, a chord count the graph has no
+    room for, or a noise scale that is negative or not finite.
     """
     if n < 3:
         raise ValueError("need at least 3 vertices")
+    check_noise(noise_rot, noise_trans)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
     raw = []
     for k in range(n):
-        angle = rng.uniform(0.05, 0.2)
-        axis = rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
+        q = rotation_about(rng, rng.uniform(0.05, 0.2))
         theta = 2.0 * math.pi * k / n
-        q = Quaternion.exp_axis_angle(angle, Quaternion(0.0, *axis))
-        raw.append((*q.as_array(), 3.0 * math.cos(theta), 3.0 * math.sin(theta),
-                    0.3 * math.sin(2.0 * theta)))
+        raw.append((*q, 3.0 * math.cos(theta), 3.0 * math.sin(theta), 0.3 * math.sin(2.0 * theta)))
     raw = unit_rows(raw, "vertex {}")
     truth = pose_compose(np.repeat(pose_inverse(raw[:1]), n, axis=0), raw)
 
@@ -606,8 +606,8 @@ def generate_cycle_graph(
         for j in range(i + 2, n + 1)
         if not (i == 1 and j == n)
     ]
-    if loop_closures > len(chords):
-        raise ValueError(f"at most {len(chords)} chords are available")
+    if not 0 <= loop_closures <= len(chords):
+        raise ValueError(f"loop_closures must be between 0 and {len(chords)}")
     if loop_closures:
         picks = rng.choice(len(chords), size=loop_closures, replace=False)
         pairs.extend(chords[p] for p in sorted(picks))

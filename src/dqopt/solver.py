@@ -34,8 +34,8 @@ Restarts draw independent unit starting points.  Stage I advances them
 in lockstep: while the tangent space is small enough for dense algebra,
 every step of every restart still running is one batched computation over
 the stack of their points, and each restart stops on its own stop rule
-with the iterates it would take alone.  Larger, sparse problems take the
-restarts one at a time through the same driver.  Stage II runs for the
+with the iterates it would take alone.  Larger, sparse problems advance
+their restarts one after another within each step.  Stage II runs for the
 restarts tied at the least stage-I value, and the reported solution is the
 dn-order minimum over their feasible outcomes.
 """
@@ -90,8 +90,7 @@ class SolverConfig:
     counts only if every constraint row holds to ``tol_feas``.  Stage I
     advances the ``restarts`` in lockstep as one batch; ``threads`` above 1
     splits the batch into that many contiguous chunks, each advanced by its
-    own thread (a problem solved one restart at a time spreads its restarts
-    over the threads instead).  The answer does not depend on ``threads``.
+    own thread.  The answer does not depend on ``threads``.
     """
 
     restarts: int = 8
@@ -104,8 +103,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.tol_grad <= 0 or self.tol_feas <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0 < tol < math.inf for tol in (self.tol_grad, self.tol_feas)):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_outer < 1:
             raise ValueError("iteration caps must be positive")
         if self.threads < 1:
@@ -681,7 +680,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     residual system and one batched solve per step for the stack.  A point
     stops when its own stop rule fires, and each keeps its own value,
     damping, previous gradient norm, flat flag and trace, so its iterates
-    are those it takes alone.  A sparse fiber takes one start at a time.
+    are those it takes alone.  Points on a sparse fiber step one at a time.
     Returns one :class:`_StageOutcome` per start; only the standard
     coordinates move, the dual ones stay those of the start.
     """
@@ -782,8 +781,11 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             break
         gram = _gram_pinv(block, z[live[0]] if live.size == 1 else z[live])
         for members in _same_fibers(gram[1]):
-            part = gram if members.size == live.size else (None, gram[1][members], gram[2][members])
-            advance(it, live[members], part)
+            # points on a sparse fiber (past _DENSE_MAX directions) step one at a time
+            alone = members.size > 1 and np.count_nonzero(~gram[1][members[0]]) > _DENSE_MAX
+            for group in np.split(members, members.size) if alone else [members]:
+                part = gram if group.size == live.size else (None, gram[1][group], gram[2][group])
+                advance(it, live[group], part)
     outcomes = []
     for k in range(count):
         reason = stop[k] or "max_outer"
@@ -876,24 +878,17 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     Items are ``(value, restart, outcome)``; equal values keep restart
     order.  The restarts advance in lockstep through :func:`_stage1`, all
     in one batch, or in ``threads`` contiguous chunks of it run in a thread
-    pool; a sparse fiber takes them one at a time.  Raises
+    pool.  Raises
     :class:`Infeasible` when no restart satisfies the standard rows to
     ``tol_feas``.
     """
     starts = np.stack([_restart_start(problem, cfg, initial, r) for r in range(cfg.restarts)])
-    chunks = [starts]
     if cfg.threads > 1:
         chunks = np.array_split(starts, min(cfg.threads, cfg.restarts))
-    # A fiber has at most 4n directions; past _DENSE_MAX, count them.
-    if cfg.restarts > 1 and 4 * problem.arity > _DENSE_MAX:
-        rank = _gram_pinv(problem.block, problem.block.project(starts[0]))[1]
-        if np.count_nonzero(~rank) > _DENSE_MAX:
-            chunks = np.split(starts, cfg.restarts)
-    if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             parts = list(pool.map(lambda chunk: _stage1(problem, cfg, chunk), chunks))
     else:
-        parts = [_stage1(problem, cfg, chunk) for chunk in chunks]
+        parts = [_stage1(problem, cfg, starts)]
     outcomes = [outcome for part in parts for outcome in part]
     final = np.stack([outcome.z for outcome in outcomes])
     h = np.max(np.abs(problem.block.values(final)[0]), axis=-1, initial=0.0).tolist()

@@ -1,14 +1,16 @@
-"""Shared test oracles, computed independently of the library.
+"""Shared test oracles, computed independently of the library, and pose-row shorthands.
 
 The quaternion oracle multiplies through the basis table for {1, i, j, k}
 rather than through any closed-form product formula, so it cannot share a
 bug with the implementation under test.  The sphere grid enumerates unit
-quaternions nearly uniformly for brute-force minimization.
+quaternions nearly uniformly for brute-force minimization.  The pose-row
+shorthands are not oracles: they run the library's row kernels on one row.
 """
 
 import numpy as np
 
-from dqopt import DualFunction, DualNumber
+from dqopt import DualFunction, DualNumber, UnitDualQuaternion
+from dqopt.handeye import pose_compose, pose_inverse, pose_udqs, unit_rows
 
 # Basis products e_p * e_q = sign * e_m over (1, i, j, k).
 _SIGN = np.array(
@@ -61,6 +63,49 @@ def rodrigues_matrix(angle, axis):
         ]
     )
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def matrix(row):
+    """Homogeneous 4x4 matrix of a pose row ``(qw, qx, qy, qz, tx, ty, tz)``.
+
+    The rotation block is the textbook matrix of a unit quaternion, written
+    out from its coefficients; the bottom row is (0, 0, 0, 1).
+    """
+    w, x, y, z, *t = (float(v) for v in row)
+    m = np.eye(4)
+    m[:3, :3] = [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]
+    m[:3, 3] = t
+    return m
+
+
+def pose_row(q, t):
+    """The checked, normalized pose row of a rotation ``q`` and a translation ``t``."""
+    return unit_rows([*q.as_array(), *t], "pose")[0]
+
+
+def product(a, b):
+    """The pose row ``a b`` of two rows: ``b`` applied first."""
+    return pose_compose(a[None], b[None])[0]
+
+
+def inverse(a):
+    return pose_inverse(a[None])[0]
+
+
+def udqs(rows):
+    """The unit dual quaternions of ``(k, 7)`` pose rows."""
+    return UnitDualQuaternion.from_rows(pose_udqs(np.asarray(rows)))
+
+
+def poses_close(a, b, tol):
+    """Whether two pose rows agree to ``tol``, a rotation and its negative counting as one."""
+    a, b = np.asarray(a), np.asarray(b)
+    rotation = min(np.max(abs(a[:4] - b[:4])), np.max(abs(a[:4] + b[:4])))
+    return bool(rotation <= tol and np.max(abs(a[4:] - b[4:])) <= tol)
 
 
 class LeakyFunction(DualFunction):

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from dqopt.cli import main
 
@@ -162,6 +163,35 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert main(_solve_args(ds, tmp_path / "r.json", ["--restarts", "0"])) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("flag", ["--tol-feas", "--tol-grad"])
+def test_a_nan_tolerance_exits_2_without_a_report(flag, tmp_path, capsys):
+    ds = tmp_path / "ds.json"
+    assert main(["gen-handeye", "--model", "axxb", "--motions", "3", "--out", str(ds)]) == 0
+    capsys.readouterr()
+    report = tmp_path / "r.json"
+    assert main(_solve_args(ds, report, [flag, "nan"])) == 2
+    assert capsys.readouterr().err == "error: tolerances must be positive and finite\n"
+    assert not report.exists()
+
+
+BAD_GRAPH_ARGS = [
+    (["--vertices", "2"], "need at least 3 vertices"),
+    (["--vertices", "6", "--loop-closures", "99"], "loop_closures must be between 0 and 9"),
+    (["--vertices", "6", "--loop-closures", "-1"], "loop_closures must be between 0 and 9"),
+    (["--vertices", "6", "--noise-rot", "nan"], "noise_rot must be finite and non-negative"),
+    (["--vertices", "6", "--noise-trans", "-0.1"], "noise_trans must be finite and non-negative"),
+]
+
+
+@pytest.mark.parametrize("flags,message", BAD_GRAPH_ARGS)
+def test_bad_graph_generator_input_exits_2_without_a_file(flags, message, tmp_path, capsys):
+    out = tmp_path / "graph.txt"
+    assert main(["gen-pgo", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_solve_pgo_without_edges_exits_2(tmp_path, capsys):

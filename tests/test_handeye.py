@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from dqopt import (
+    MIN_AXIS_SPREAD,
     AffineResidual,
     DualQuaternion,
     HandEyeDataset,
-    Pose,
     Quaternion,
     ResidualNormObjective,
     SolverConfig,
@@ -17,91 +17,82 @@ from dqopt import (
     evaluate_solution,
     generate_synthetic,
     pack,
+    random_unit_quaternion,
     relative_motions,
     rotation_angle_between,
     solve_eqdqo,
 )
 from dqopt import handeye, solver
-from dqopt.algebra import left_mult_matrix, right_mult_matrix
+from dqopt.algebra import canonical_sign, left_mult_matrix, right_mult_matrix
 from dqopt.cli import main
 from dqopt.errors import Infeasible, InvalidPose, NoGroundTruth, TooFewMotions
+from dqopt.handeye import pose_compose, pose_inverse, pose_rows, unit_rows
+from helpers import inverse, matrix, pose_row, poses_close, product, udqs
+
+IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
-def _rows(poses):
-    """``(k, 7)`` dataset rows of ``Pose`` objects."""
-    return np.array([p.row() for p in poses])
-
-
-def _pose(row):
-    return Pose(Quaternion(*row[:4]), tuple(row[4:]))
-
-
-def _rand_pose(rng):
-    axis = rng.standard_normal(3)
-    axis /= np.linalg.norm(axis)
-    rot = Quaternion.exp_axis_angle(float(rng.uniform(-2.5, 2.5)), Quaternion(0, *axis))
-    return Pose(rot, tuple(rng.standard_normal(3)))
+def _rand_rows(rng, k):
+    rows = []
+    for _ in range(k):
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        rot = Quaternion.exp_axis_angle(float(rng.uniform(-2.5, 2.5)), Quaternion(0, *axis))
+        rows.append(pose_row(rot, rng.standard_normal(3)))
+    return np.array(rows)
 
 
 def test_pose_compose_matches_matrices():
-    rng = np.random.default_rng(131)
-    for _ in range(100):
-        p1 = _rand_pose(rng)
-        p2 = _rand_pose(rng)
-        assert np.allclose(p1.compose(p2).matrix(), p1.matrix() @ p2.matrix(), atol=1e-12)
+    rows = _rand_rows(np.random.default_rng(131), 200)
+    p1, p2 = rows[0::2], rows[1::2]
+    for p, a, b in zip(pose_compose(p1, p2), p1, p2):
+        assert np.allclose(matrix(p), matrix(a) @ matrix(b), atol=1e-12)
 
 
 def test_pose_inverse_and_matrix_roundtrip():
-    rng = np.random.default_rng(137)
-    for _ in range(100):
-        p = _rand_pose(rng)
-        assert np.allclose(p.compose(p.inverse()).matrix(), np.eye(4), atol=1e-12)
+    rows = _rand_rows(np.random.default_rng(137), 100)
+    for p in pose_compose(rows, pose_inverse(rows)):
+        assert np.allclose(matrix(p), np.eye(4), atol=1e-12)
 
 
 def test_pose_rejects_bad_data():
     with pytest.raises(InvalidPose):
-        Pose(Quaternion(2, 0, 0, 0), (0, 0, 0))
+        unit_rows([2, 0, 0, 0, 0, 0, 0], "pose")
     with pytest.raises(InvalidPose):
-        Pose(Quaternion.identity(), (0, 0))
+        unit_rows([1, 0, 0, 0, 0, 0], "pose")
     with pytest.raises(InvalidPose, match="7 columns"):
         HandEyeDataset("axxb", np.zeros((7, 6)), np.zeros((7, 6)))
 
 
 def test_to_udq_is_a_homomorphism():
-    rng = np.random.default_rng(139)
-    for _ in range(200):
-        p1 = _rand_pose(rng)
-        p2 = _rand_pose(rng)
-        lhs = p1.compose(p2).to_udq()
-        rhs = p1.to_udq() * p2.to_udq()
+    rows = _rand_rows(np.random.default_rng(139), 400)
+    p1, p2 = rows[0::2], rows[1::2]
+    for lhs, a, b in zip(udqs(pose_compose(p1, p2)), udqs(p1), udqs(p2)):
+        rhs = a * b
         assert lhs.std.approx_eq(rhs.std, tol=1e-12)
         assert lhs.dual.approx_eq(rhs.dual, tol=1e-12)
 
 
 def test_pose_udq_roundtrip():
-    rng = np.random.default_rng(149)
-    for _ in range(200):
-        p = _rand_pose(rng)
-        q = Pose.from_udq(p.to_udq())
-        assert p.approx_eq(q, tol=1e-12)
+    rows = _rand_rows(np.random.default_rng(149), 200)
+    for p, q in zip(rows, pose_rows(udqs(rows))):
+        assert poses_close(p, q, tol=1e-12)
 
 
 def test_generated_truth_satisfies_pose_identity_axxb():
     # relative motions conjugate by the sensor offset: a X = X b as 4x4s
     ds = generate_synthetic("axxb", 5, seed=151)
-    x = Pose.from_udq(ds.ground_truth_x).matrix()
-    for a, b in zip(*map(UnitDualQuaternion.from_rows, relative_motions(ds))):
-        am = Pose.from_udq(a).matrix()
-        bm = Pose.from_udq(b).matrix()
-        assert np.allclose(am @ x, x @ bm, atol=1e-10)
+    x = matrix(pose_rows([ds.ground_truth_x])[0])
+    a, b = (pose_rows(UnitDualQuaternion.from_rows(m)) for m in relative_motions(ds))
+    for pa, pb in zip(a, b):
+        assert np.allclose(matrix(pa) @ x, x @ matrix(pb), atol=1e-10)
 
 
 def test_generated_truth_satisfies_pose_identity_axyb():
     ds = generate_synthetic("axyb", 6, seed=157)
-    x = Pose.from_udq(ds.ground_truth_x).matrix()
-    y = Pose.from_udq(ds.ground_truth_y).matrix()
+    x, y = map(matrix, pose_rows([ds.ground_truth_x, ds.ground_truth_y]))
     for pa, pb in zip(ds.poses_a, ds.poses_b):
-        assert np.allclose(_pose(pa).matrix() @ x, y @ _pose(pb).matrix(), atol=1e-10)
+        assert np.allclose(matrix(pa) @ x, y @ matrix(pb), atol=1e-10)
 
 
 def test_objective_vanishes_at_truth():
@@ -161,7 +152,7 @@ def test_dataset_json_roundtrip():
     back = HandEyeDataset.from_json_dict(json.loads(json.dumps(data)))
     assert back.model == ds.model
     for p, q in zip(back.poses_a, ds.poses_a):
-        assert _pose(p).approx_eq(_pose(q), tol=1e-12)
+        assert poses_close(p, q, tol=1e-12)
     assert back.ground_truth_x.std.approx_eq(ds.ground_truth_x.std, tol=1e-12)
     assert back.meta == ds.meta
 
@@ -176,12 +167,11 @@ def test_rotation_angle_between():
 def _parallel_axes_dataset():
     # every relative motion about the same axis leaves the problem degenerate
     rot = Quaternion.exp_axis_angle(0.5, Quaternion(0, 0, 0, 1))
-    poses_a = [Pose(Quaternion.identity(), (0, 0, 0))]
-    poses_b = [Pose(Quaternion.identity(), (0, 0, 0))]
+    poses_a, poses_b = [IDENTITY], [IDENTITY]
     for k in range(4):
-        poses_a.append(poses_a[-1].compose(Pose(rot, (0.1 * k, 0, 0))))
-        poses_b.append(poses_b[-1].compose(Pose(rot, (0, 0.1 * k, 0))))
-    return HandEyeDataset("axxb", _rows(poses_a), _rows(poses_b))
+        poses_a.append(product(poses_a[-1], pose_row(rot, (0.1 * k, 0, 0))))
+        poses_b.append(product(poses_b[-1], pose_row(rot, (0, 0.1 * k, 0))))
+    return HandEyeDataset("axxb", poses_a, poses_b)
 
 
 def test_parallel_axes_warn():
@@ -206,17 +196,18 @@ def test_an_exactly_singular_stage2_raises_infeasible_not_a_nan_answer():
     # noiseless motions about one axis leave the translation along it free;
     # here the stage-II normal matrix is exactly singular, and a NaN answer
     # must not pass as feasible
-    x = Pose(Quaternion.exp_axis_angle(0.6, Quaternion(0, 0, 1, 0)), (0.1, 0.2, 0.3))
+    x = pose_row(Quaternion.exp_axis_angle(0.6, Quaternion(0, 0, 1, 0)), (0.1, 0.2, 0.3))
     poses_a, poses_b = [], []
     for angle, t in ((0.5, (1, 0, 0)), (0.9, (0, 1, 0.5)), (1.3, (0.3, -1, 0.2))):
-        a = Pose(Quaternion.exp_axis_angle(angle, Quaternion(0, 0, 0, 1)), t)
+        a = pose_row(Quaternion.exp_axis_angle(angle, Quaternion(0, 0, 0, 1)), t)
         poses_a.append(a)
-        poses_b.append(x.inverse().compose(a).compose(x))
+        poses_b.append(product(product(inverse(x), a), x))
     cfg = SolverConfig(restarts=2, seed=0)
     with pytest.warns(RuntimeWarning):
-        # the rows as the Pose objects hold them: the constructor would normalize
+        # the rows as the kernels formed them: the constructor would normalize
         # them again, which moves last bits and the system off exact singularity
-        problem = build_axxb(HandEyeDataset._of_unit_rows("axxb", _rows(poses_a), _rows(poses_b)))
+        rows = np.array(poses_a), np.array(poses_b)
+        problem = build_axxb(HandEyeDataset._of_unit_rows("axxb", *rows))
         with pytest.raises(Infeasible):
             solve_eqdqo(problem, cfg)
     # the first non-finite pass ends stage II instead of repeating to max_outer
@@ -229,16 +220,16 @@ def test_an_exactly_singular_stage2_raises_infeasible_not_a_nan_answer():
 
 
 def test_too_few_motions():
-    p = Pose(Quaternion.identity(), (0, 0, 0))
+    p = IDENTITY
     with pytest.raises(TooFewMotions):
-        build_axxb(HandEyeDataset("axxb", _rows((p, p)), _rows((p, p))))
+        build_axxb(HandEyeDataset("axxb", (p, p), (p, p)))
     with pytest.raises(TooFewMotions):
         generate_synthetic("axyb", 2)
 
 
 def test_evaluate_without_truth_raises():
-    p = Pose(Quaternion.identity(), (0, 0, 0))
-    ds = HandEyeDataset("axxb", _rows((p, p, p)), _rows((p, p, p)))
+    p = IDENTITY
+    ds = HandEyeDataset("axxb", (p, p, p), (p, p, p))
     with pytest.raises(NoGroundTruth):
         evaluate_solution(ds, UnitDualQuaternion.identity())
     ds2 = generate_synthetic("axxb", 3, seed=191)
@@ -251,36 +242,37 @@ def test_evaluate_solution_matches_the_per_pose_computation():
     x, y = solve_eqdqo(build_axyb(ds), SolverConfig(restarts=2, seed=0)).solution
     errors = evaluate_solution(ds, x, y)
     for name, truth, est in (("x", ds.ground_truth_x, x), ("y", ds.ground_truth_y, y)):
-        t, e = Pose.from_udq(truth), Pose.from_udq(UnitDualQuaternion.of(est))
-        dt = np.asarray(t.translation) - np.asarray(e.translation)
-        assert errors[f"rotation_error_{name}"] == rotation_angle_between(t.rotation, e.rotation)
+        t, e = pose_rows([truth, UnitDualQuaternion.of(est)])
+        dt = t[4:] - e[4:]
+        angle = rotation_angle_between(Quaternion(*t[:4]), Quaternion(*e[:4]))
+        assert errors[f"rotation_error_{name}"] == angle
         assert errors[f"translation_error_{name}"] == float(np.linalg.norm(dt))
 
 
 def test_axyb_parallel_axes_warn():
     # every relative motion a_{i+1}^{-1} a_i about the z axis
     rot = Quaternion.exp_axis_angle(0.4, Quaternion(0, 0, 0, 1))
-    poses = [Pose(Quaternion.identity(), (0, 0, 0))]
+    poses = [IDENTITY]
     for k in range(3):
-        poses.append(poses[-1].compose(Pose(rot, (0.2 * k, 0.1, 0))))
+        poses.append(product(poses[-1], pose_row(rot, (0.2 * k, 0.1, 0))))
     with pytest.warns(RuntimeWarning):
-        build_axyb(HandEyeDataset("axyb", _rows(poses), _rows(poses)))
+        build_axyb(HandEyeDataset("axyb", poses, poses))
 
 
 # ---------------------------------------------------------------------------
 # The per-pair object build that the batched builders replaced, kept as
 # their reference: pose arithmetic in Quaternion objects, rounded as the
-# Pose methods were, AffineResidual's Jacobians as one 4x4 product per
+# row kernels round, AffineResidual's Jacobians as one 4x4 product per
 # term, and one residual object per pair.
 
 
 def _ref_pose(q, t):
-    """``Pose(q, t)`` as the object constructor rounded it."""
+    """The pose ``(q, t)`` with ``q`` normalized as :func:`unit_rows` does it."""
     return q / q.norm(), np.array([float(v) for v in t])
 
 
 def _ref_rotate(q, v):
-    """``q v conj(q)`` in Quaternion products, as ``Pose`` rotated translations."""
+    """``q v conj(q)`` in Quaternion products, as the row kernels rotate translations."""
     r = q * Quaternion(0.0, *v) * q.conjugate()
     return np.array([r.x, r.y, r.z])
 
@@ -295,7 +287,7 @@ def _ref_inverse(p):
 
 
 def _ref_canonical_udq(p):
-    """``Pose.to_udq().canonicalized()``: the first nonzero coefficient made positive."""
+    """The unit dual quaternion of ``p``, its first nonzero coefficient made positive."""
     q, t = p
     value = DualQuaternion(q, (Quaternion(0.0, *t) * q) * 0.5)
     first = next((c for c in (q.w, q.x, q.y, q.z) if c != 0.0), 1.0)
@@ -387,14 +379,14 @@ def test_batched_build_matches_the_object_build(model, n, sigma, seed, monkeypat
 
 
 def _ref_json(data):
-    """``data`` read into Pose objects and written back, as the object path did."""
+    """``data`` read one pose at a time and written back, as the object path did."""
 
     def pose(p):
         q, t = _ref_pose(Quaternion(*p["q"]), p["t"])
         return {"q": [q.w, q.x, q.y, q.z], "t": t.tolist()}
 
     def truth(p):
-        # read as Pose(...).to_udq(), written as Pose.from_udq(...)
+        # read as the unit dual quaternion of a pose, written as its pose
         q, t = _ref_pose(Quaternion(*p["q"]), p["t"])
         back = (((Quaternion(0.0, *t) * q) * 0.5) * q.conjugate()) * 2.0
         return pose({"q": [q.w, q.x, q.y, q.z], "t": [back.x, back.y, back.z]})
@@ -416,6 +408,97 @@ def test_json_round_trip_writes_the_object_paths_bytes(model):
         read = HandEyeDataset.from_json_dict(data)
         assert json.dumps(read.to_json_dict()) == json.dumps(_ref_json(data))
         assert not read.poses_a.flags.writeable and not read.poses_b.flags.writeable
+
+
+def _ref_generate(model, n, sr, st, seed):
+    """The per-pose generator the batched one replaced, in the object arithmetic above."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+
+    def random_pose():
+        return _ref_pose(random_unit_quaternion(rng), rng.normal(0.0, 0.5, 3))
+
+    def rotation_about(angle):
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        return Quaternion.exp_axis_angle(angle, Quaternion(0.0, *axis))
+
+    def noisy(p):
+        if sr == 0.0 and st == 0.0:
+            return p
+        bump = rotation_about(rng.normal(0.0, sr)) if sr > 0 else Quaternion.identity()
+        return _ref_pose(bump * p[0], p[1] + (rng.normal(0.0, st, 3) if st > 0 else 0.0))
+
+    def rows(poses):
+        return np.array([[*q.as_array(), *t] for q, t in poses])
+
+    truth_x = random_pose()
+    if model == "axxb":
+        while True:
+            rotations = [rotation_about(rng.uniform(0.5, 2.5)) for _ in range(n)]
+            if handeye._axis_spread(np.array([q.as_array() for q in rotations])) >= MIN_AXIS_SPREAD:
+                break
+        poses_b = [random_pose()]
+        for q in rotations:
+            step = _ref_pose(q, rng.normal(0.0, 0.5, 3))
+            poses_b.append(_ref_compose(poses_b[-1], _ref_inverse(step)))
+        poses_a = [random_pose()]
+        for i in range(n):
+            b_rel = _ref_compose(_ref_inverse(poses_b[i + 1]), poses_b[i])
+            a_rel = _ref_compose(_ref_compose(truth_x, b_rel), _ref_inverse(truth_x))
+            poses_a.append(_ref_compose(a_rel, poses_a[i]))
+        truths = [truth_x]
+    else:
+        truth_y = random_pose()
+        target = canonical_sign(truth_x[0]) * canonical_sign(truth_y[0])
+        while True:
+            poses_a = []
+            while len(poses_a) < n:
+                a = random_pose()
+                qb = truth_y[0].conjugate() * a[0] * truth_x[0]
+                if abs(a[0].w) < 0.2 or abs(qb.w) < 0.2:
+                    continue
+                if canonical_sign(a[0]) * canonical_sign(qb) == target:
+                    poses_a.append(a)
+            rel = [_ref_compose(_ref_inverse(p), q) for p, q in zip(poses_a[1:], poses_a)]
+            if handeye._axis_spread(rows(rel)[:, :4]) >= MIN_AXIS_SPREAD:
+                break
+        poses_b = [_ref_compose(_ref_compose(_ref_inverse(truth_y), a), truth_x) for a in poses_a]
+        truths = [truth_x, truth_y]
+    noisy_b = [noisy(p) for p in poses_b]
+    truths = [UnitDualQuaternion(_ref_canonical_udq(p)) for p in truths] + [None]
+    meta = {"seed": seed, "n": n, "noise_rot": sr, "noise_trans": st}
+    return HandEyeDataset._of_unit_rows(model, rows(poses_a), rows(noisy_b), *truths[:2], meta)
+
+
+NOISE = [(0.0, 0.0), (0.01, 0.0), (0.0, 0.01), (0.01, 0.01)]
+
+
+@pytest.mark.parametrize("model", ["axxb", "axyb"])
+@pytest.mark.parametrize("sr,st", NOISE)
+def test_generator_writes_the_per_pose_generators_bytes(model, sr, st):
+    for n in (3, 10):
+        for seed in range(5):
+            got = generate_synthetic(model, n, sr, st, seed).to_json_dict()
+            want = _ref_generate(model, n, sr, st, seed).to_json_dict()
+            assert json.dumps(got, indent=2) == json.dumps(want, indent=2), (n, seed)
+
+
+BAD_NOISE = [
+    (["--noise-trans", "nan"], {"noise_trans": float("nan")}, "noise_trans"),
+    (["--noise-rot", "-0.1"], {"noise_rot": -0.1}, "noise_rot"),
+    (["--noise-rot", "inf"], {"noise_rot": float("inf")}, "noise_rot"),
+]
+
+
+@pytest.mark.parametrize("flags,kwargs,name", BAD_NOISE)
+def test_bad_noise_is_rejected(flags, kwargs, name, tmp_path, capsys):
+    with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+        generate_synthetic("axxb", 5, **kwargs)
+    out = tmp_path / "ds.json"
+    assert main(["gen-handeye", "--model", "axyb", "--motions", "5", *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {name} must be")
+    assert not out.exists()
 
 
 NON_FINITE = [("q", 1, float("nan")), ("t", 0, float("nan")), ("t", 2, float("inf"))]

@@ -6,7 +6,6 @@ import pytest
 
 from dqopt import (
     DualQuaternion,
-    Pose,
     PoseGraph,
     Quaternion,
     SolverConfig,
@@ -32,23 +31,21 @@ from dqopt.errors import (
     TooFewMotions,
 )
 from dqopt.algebra import canonical_sign
+from dqopt.handeye import pose_rows, unit_rows
 from dqopt.posegraph import RelativePoseResidual
+from helpers import inverse, pose_row, poses_close, product, udqs
 
 _IDENTITY = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
-def _pose(row):
-    return Pose(Quaternion(*row[:4]), tuple(row[4:]))
-
-
 def _truth(g):
-    """The ground truth as ``{id: Pose}``, built from the stored rows."""
-    return {v: _pose(row) for v, row in zip(g.truth_ids.tolist(), g.truth_poses.tolist())}
+    """The ground truth as ``{id: row}``, the stored rows checked and normalized."""
+    return dict(zip(g.truth_ids.tolist(), unit_rows(g.truth_poses, "truth {}")))
 
 
 def _truth_poses(g):
     truth = _truth(g)
-    return [truth[v].to_udq() for v in range(1, g.n + 1)]
+    return list(udqs([truth[v] for v in range(1, g.n + 1)]))
 
 
 def test_parse_single_edge_frozen():
@@ -61,7 +58,7 @@ def test_parse_single_edge_frozen():
 
 
 def test_edge_error_at_identity():
-    q = Pose(Quaternion(0, 0, 0, 1), (0, 0, 0)).to_udq()
+    q = udqs([[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])[0]
     e = edge_error(UnitDualQuaternion.identity(), UnitDualQuaternion.identity(), q)
     assert e.std.approx_eq(Quaternion(-1, 0, 0, 1), tol=0.0)
     assert e.dual.approx_eq(Quaternion(0, 0, 0, 0), tol=0.0)
@@ -76,11 +73,11 @@ def test_parse_serialize_roundtrip_is_byte_stable():
     assert g1.n == g0.n and g1.m == g0.m
     o0, o1 = g0.edge_order(), g1.edge_order()
     assert np.array_equal(g0.edge_ids[o0], g1.edge_ids[o1])
-    for p0, p1 in zip(g0.edge_poses[o0].tolist(), g1.edge_poses[o1].tolist()):
-        assert _pose(p0).approx_eq(_pose(p1), tol=0.0)
+    for p0, p1 in zip(unit_rows(g0.edge_poses[o0], "{}"), unit_rows(g1.edge_poses[o1], "{}")):
+        assert poses_close(p0, p1, tol=0.0)
     truth0, truth1 = _truth(g0), _truth(g1)
     for v in truth0:
-        assert truth0[v].approx_eq(truth1[v], tol=0.0)
+        assert poses_close(truth0[v], truth1[v], tol=0.0)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -171,7 +168,7 @@ def test_truth_records_survive_comments():
     )
     g = parse_graph(text)
     assert set(_truth(g)) == {1, 2}
-    assert _truth(g)[2].translation == (1.0, 0.0, 0.0)
+    assert _truth(g)[2][4:].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_disconnected_graph_raises():
@@ -201,20 +198,34 @@ def test_graph_validation():
         generate_cycle_graph(4, loop_closures=99)
 
 
+BAD_GRAPH_KWARGS = [
+    ({"n": 6, "loop_closures": -1}, "loop_closures must be between 0 and 9"),
+    ({"n": 6, "noise_rot": float("nan")}, "noise_rot must be finite and non-negative"),
+    ({"n": 6, "noise_rot": float("inf")}, "noise_rot must be finite and non-negative"),
+    ({"n": 6, "noise_trans": -0.1}, "noise_trans must be finite and non-negative"),
+]
+
+
+@pytest.mark.parametrize("kwargs,message", BAD_GRAPH_KWARGS)
+def test_generator_rejects_bad_input(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        generate_cycle_graph(**kwargs)
+
+
 def test_generator_truth_is_consistent():
     g = generate_cycle_graph(8, loop_closures=3, seed=31)
     assert g.m == 8 + 3
     truth = _truth(g)
-    assert truth[1].approx_eq(Pose.identity(), tol=1e-12)
-    for (i, j), row in zip(g.edge_ids.tolist(), g.edge_poses.tolist()):
-        rel = truth[i].inverse().compose(truth[j])
-        assert _pose(row).approx_eq(rel, tol=1e-12)
+    assert poses_close(truth[1], _IDENTITY, tol=1e-12)
+    for (i, j), row in zip(g.edge_ids.tolist(), unit_rows(g.edge_poses, "edge {}")):
+        rel = product(inverse(truth[i]), truth[j])
+        assert poses_close(row, rel, tol=1e-12)
     noisy = generate_cycle_graph(8, loop_closures=3, noise_rot=0.05, seed=31)
     truth = _truth(noisy)
     deviations = []
-    for (i, j), row in zip(noisy.edge_ids.tolist(), noisy.edge_poses.tolist()):
-        rel = truth[i].inverse().compose(truth[j])
-        deviations.append(_pose(row).approx_eq(rel, tol=1e-9))
+    for (i, j), row in zip(noisy.edge_ids.tolist(), unit_rows(noisy.edge_poses, "edge {}")):
+        rel = product(inverse(truth[i]), truth[j])
+        deviations.append(poses_close(row, rel, tol=1e-9))
     assert not all(deviations)
 
 
@@ -344,7 +355,7 @@ def test_gauge_invariance_of_error_vector():
         w = rng.standard_normal(4)
         w /= np.linalg.norm(w)
         t = rng.standard_normal(3)
-        gauge = Pose(Quaternion.from_array(w), tuple(t)).to_udq()
+        gauge = udqs([pose_row(Quaternion.from_array(w), t)])[0]
         moved = [gauge * p for p in poses]
         shifted = error_vector(g, moved)
         for a, b in zip(base, shifted):
@@ -378,7 +389,7 @@ def test_pgo_objective_zero_at_truth():
 
 
 def _reference_parse(text):
-    """Records by kind as ``(ids, Pose)``, converted one line at a time."""
+    """Records by kind as ``(ids, pose row)``, converted one line at a time."""
     out = {"EDGE": [], "VERTEX": [], "TRUTH": []}
     for raw in text.splitlines():
         tokens = raw.split()
@@ -391,7 +402,7 @@ def _reference_parse(text):
         q = q / q.norm()
         if canonical_sign(q) < 0:
             q = -q
-        out[tokens[0]].append((ids, Pose(q, tuple(numbers[4:]))))
+        out[tokens[0]].append((ids, pose_row(q, numbers[4:])))
     return out
 
 
@@ -399,8 +410,9 @@ def _reference_guess(edges, n):
     """Per-edge products along the breadth-first tree from vertex 1."""
     adjacency = {v: [] for v in range(1, n + 1)}
     for (i, j), pose in sorted(edges, key=lambda e: e[0]):
-        adjacency[i].append((j, pose.to_udq()))
-        adjacency[j].append((i, pose.to_udq().conjugate()))
+        u = udqs([pose])[0]
+        adjacency[i].append((j, u))
+        adjacency[j].append((i, u.conjugate()))
     poses = {1: UnitDualQuaternion.identity()}
     queue = deque([1])
     while queue:
@@ -415,15 +427,15 @@ def _reference_guess(edges, n):
 def _reference_errors(truth, poses):
     out = []
     for v, p in enumerate(poses, start=1):
-        est = Pose.from_udq(p if isinstance(p, UnitDualQuaternion) else UnitDualQuaternion.of(p))
-        rot = rotation_angle_between(truth[v].rotation, est.rotation)
-        dt = np.asarray(truth[v].translation) - np.asarray(est.translation)
+        est = pose_rows([p if isinstance(p, UnitDualQuaternion) else UnitDualQuaternion.of(p)])[0]
+        rot = rotation_angle_between(Quaternion(*truth[v][:4]), Quaternion(*est[:4]))
+        dt = truth[v][4:] - est[4:]
         out.append({"vertex": v, "rotation_error": rot, "translation_error": float(np.linalg.norm(dt))})
     return out
 
 
 def _rows(records):
-    return np.array([[*p.rotation.as_array(), *p.translation] for _, p in records])
+    return np.array([p for _, p in records])
 
 
 def test_array_path_matches_the_object_code_bit_for_bit():
@@ -436,9 +448,9 @@ def test_array_path_matches_the_object_code_bit_for_bit():
     assert g.edge_poses.tobytes() == _rows(ref["EDGE"]).tobytes()
     assert g.vertex_poses.tobytes() == _rows(ref["VERTEX"]).tobytes()
     assert g.truth_poses.tobytes() == _rows(ref["TRUTH"]).tobytes()
-    measured = pack([pose.to_udq() for _, pose in ref["EDGE"]])
+    measured = pack(list(udqs(_rows(ref["EDGE"]))))
     assert g.measurements().tobytes() == measured.tobytes()
-    # the generator stores the rows of its Pose objects, which parse reproduces
+    # the generator stores rows that parse reproduces
     assert generated.measurements().tobytes() == measured.tobytes()
 
     guess = spanning_tree_guess(g)
@@ -453,7 +465,7 @@ def test_array_path_matches_the_object_code_bit_for_bit():
 
 
 def _object_cycle_graph(n, loop_closures, noise_rot, noise_trans, seed):
-    """``(pairs, measured, truth)`` rows of the generator's former per-pose ``Pose`` code."""
+    """``(pairs, measured, truth)`` rows of the generator's former code, one pose at a time."""
     import math
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
@@ -464,9 +476,9 @@ def _object_cycle_graph(n, loop_closures, noise_rot, noise_trans, seed):
         axis /= np.linalg.norm(axis)
         theta = 2.0 * math.pi * k / n
         position = (3.0 * math.cos(theta), 3.0 * math.sin(theta), 0.3 * math.sin(2.0 * theta))
-        raw.append(Pose(Quaternion.exp_axis_angle(angle, Quaternion(0.0, *axis)), position))
-    base = raw[0].inverse()
-    truth = [base.compose(pose) for pose in raw]
+        raw.append(pose_row(Quaternion.exp_axis_angle(angle, Quaternion(0.0, *axis)), position))
+    base = inverse(raw[0])
+    truth = [product(base, pose) for pose in raw]
     pairs = [(k, k + 1) for k in range(1, n)] + [(n, 1)]
     chords = [(i, j) for i in range(1, n + 1) for j in range(i + 2, n + 1) if not (i == 1 and j == n)]
     if loop_closures:
@@ -474,22 +486,22 @@ def _object_cycle_graph(n, loop_closures, noise_rot, noise_trans, seed):
         pairs.extend(chords[p] for p in sorted(picks))
     measured = []
     for i, j in pairs:
-        rel = truth[i - 1].inverse().compose(truth[j - 1])
+        rel = product(inverse(truth[i - 1]), truth[j - 1])
         if noise_rot > 0.0 or noise_trans > 0.0:
             bump = Quaternion.identity()
             if noise_rot > 0.0:
                 axis = rng.standard_normal(3)
                 axis /= np.linalg.norm(axis)
                 bump = Quaternion.exp_axis_angle(rng.normal(0.0, noise_rot), Quaternion(0.0, *axis))
-            t = np.asarray(rel.translation)
+            t = rel[4:]
             if noise_trans > 0.0:
                 t = t + rng.normal(0.0, noise_trans, 3)
-            rel = Pose(bump * rel.rotation, tuple(t))
-        q = rel.rotation
+            rel = pose_row(bump * Quaternion(*rel[:4]), t)
+        q = Quaternion(*rel[:4])
         if canonical_sign(q) < 0:
             q = -q
-        measured.append(Pose(q, rel.translation))
-    return pairs, np.array([p.row() for p in measured]), np.array([p.row() for p in truth])
+        measured.append(pose_row(q, rel[4:]))
+    return pairs, np.array(measured), np.array(truth)
 
 
 @pytest.mark.parametrize("noise_rot,noise_trans", [(0.0, 0.0), (0.02, 0.0), (0.0, 0.02), (0.02, 0.02)])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dqopt import Pose, Quaternion, random_unit_quaternion
+from dqopt import Quaternion, random_unit_quaternion
 from dqopt.algebra import left_mult_matrix, right_mult_matrix
+from dqopt.handeye import pose_compose, unit_rows
 from helpers import rodrigues_matrix, table_quat_product
 
 
@@ -81,8 +82,9 @@ def test_rotation_matches_rodrigues():
         q = Quaternion.exp_axis_angle(angle, Quaternion(0.0, *axis))
         v = rng.standard_normal(3)
         # the translation of q after a pure translation by v is q v conj(q)
-        moved = Pose(q, (0.0, 0.0, 0.0)).compose(Pose(Quaternion.identity(), tuple(v)))
-        assert np.allclose(moved.translation, rodrigues_matrix(angle, axis) @ v, atol=1e-12)
+        rotation, shift = unit_rows([[*q.as_array(), 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, *v]], "{}")
+        moved = pose_compose(rotation[None], shift[None])[0]
+        assert np.allclose(moved[4:], rodrigues_matrix(angle, axis) @ v, atol=1e-12)
 
 
 def test_exp_log_roundtrip():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -360,6 +362,12 @@ def test_config_validation():
         SolverConfig(restarts=0)
     with pytest.raises(ValueError):
         SolverConfig(tol_grad=-1.0)
+    # a NaN tolerance passes every comparison, and an infinite one stops nothing
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverConfig(tol_grad=bad)
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverConfig(tol_feas=bad)
     # stage I takes Gauss-Newton steps: there is no smoothing schedule or inner solver to set
     with pytest.raises(TypeError):
         SolverConfig(mu_schedule=(1e-3, 1e-2))

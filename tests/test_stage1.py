@@ -115,6 +115,24 @@ def test_restarts_in_lockstep_take_the_steps_they_take_alone(case):
     assert len({outcome.iterations for outcome in batch}) > 1
 
 
+def test_restarts_on_a_sparse_fiber_step_one_at_a_time(monkeypatch):
+    g = generate_cycle_graph(12, loop_closures=4, noise_rot=SIGMA, noise_trans=SIGMA, seed=5)
+    problem, cfg = build_pgo(g), SolverConfig(restarts=3, seed=0)
+    starts = _starts(problem, cfg, spanning_tree_rows(g))
+    monkeypatch.setattr(solver, "_DENSE_MAX", -1)
+    points = []
+    dual_fiber = solver._dual_fiber
+
+    def spy(problem, z, gram=None):
+        points.append(z.ndim)
+        return dual_fiber(problem, z, gram)
+
+    monkeypatch.setattr(solver, "_dual_fiber", spy)
+    batch = _assert_batch_matches_singles(problem, cfg, starts)
+    # every step of the batch took its points one by one, each on the sparse path
+    assert set(points) == {1} and len(points) == 2 * sum(o.iterations for o in batch)
+
+
 def test_a_restart_at_the_step_cap_leaves_the_others_their_own_outcomes():
     ds = generate_synthetic("axyb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=0)
     problem = build_axyb(ds)

@@ -6,8 +6,8 @@ import pytest
 from dqopt import (
     DualQuaternion,
     HandEyeDataset,
-    Pose,
     SolverConfig,
+    UnitDualQuaternion,
     build_axxb,
     build_axyb,
     build_pgo,
@@ -21,6 +21,7 @@ from dqopt import (
     vertex_errors,
 )
 import dqopt.solver as solver
+from dqopt.handeye import pose_rows, pose_udqs, unit_rows
 
 SEEDS = range(5)
 
@@ -67,9 +68,10 @@ def test_stage2_kkt_residual_vanishes_on_noisy_axxb():
         assert report.kkt_residual["stage2"] <= 1e-8, seed
 
 
-def _shifted(pose: Pose, shift: float) -> DualQuaternion:
-    moved = Pose(pose.rotation, tuple(np.asarray(pose.translation) + shift))
-    return moved.to_udq().as_dual_quaternion()
+def _shifted(pose: np.ndarray, shift: float) -> DualQuaternion:
+    """The pose row ``pose`` with ``shift`` added to each translation component."""
+    moved = unit_rows(np.concatenate((pose[:4], pose[4:] + shift)), "pose")
+    return UnitDualQuaternion.from_rows(pose_udqs(moved))[0].as_dual_quaternion()
 
 
 @pytest.mark.parametrize("kind", ["axxb", "pgo"])
@@ -77,12 +79,12 @@ def test_stage2_does_not_follow_the_warm_start_translation(kind):
     if kind == "axxb":
         ds = generate_synthetic("axxb", 10, noise_rot=1e-2, noise_trans=1e-2, seed=0)
         problem, cfg = build_axxb(ds), SolverConfig(restarts=2, seed=0)
-        truth = Pose.from_udq(ds.ground_truth_x)
+        truth = pose_rows([ds.ground_truth_x])[0]
         starts = [[_shifted(truth, s)] for s in (0.0, 0.5, 2.0)]
     else:
         g = _graph(1e-2, 0)
         problem, cfg = build_pgo(g), SolverConfig(restarts=1, seed=0)
-        guess = [Pose.from_udq(u) for u in spanning_tree_guess(g)]
+        guess = pose_rows(spanning_tree_guess(g))
         starts = [[_shifted(p, s) for p in guess] for s in (0.0, 0.5, 2.0)]
     solutions = [pack(list(solve_eqdqo(problem, cfg, initial=x).solution)) for x in starts]
     for other in solutions[1:]:
