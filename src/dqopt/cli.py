@@ -115,12 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_seed(args) -> int:
     env = os.environ.get("DQOPT_SEED")
-    if env is None:
-        return args.seed
     try:
-        return int(env)
+        seed = args.seed if env is None else int(env)
     except ValueError:
         raise _BadInput(f"DQOPT_SEED must be an integer, got {env!r}")
+    if seed < 0:
+        raise _BadInput(f"seed must be non-negative, got {seed}")
+    return seed
 
 
 def _checked(make, *args, **kwargs):

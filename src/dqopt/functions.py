@@ -11,13 +11,15 @@ magnitudes, unit-norm conditions, and anchors are all standard; the
 two-stage solver relies on that structure.  Its constraints are unit-norm
 conditions and :func:`anchor_constraints` rows only, evaluated together by
 :class:`ConstraintBlock`; any other constraint type raises ``TypeError``.
-Likewise the residuals of one :class:`ResidualNormObjective` share one type,
-whose ``stack`` evaluates all their rows in one call together with their
-*pullback* ``(w_std, w_dual) -> J_s^T w_std + J_d^T w_dual``, the product of
-the transposed residual Jacobians with row weights, and a ``jacobian()``
-that gives the standard-slot Jacobian on demand.  The objective's value and
-gradient calls read derivatives only through the pullback, so they build no
-Jacobian matrix; only the two stage systems ask for one.  The value and
+Likewise a :class:`ResidualNormObjective` takes one array evaluator of all
+its residual rows, :meth:`AffineResidual.stack_arrays` or
+:meth:`dqopt.posegraph.RelativePoseResidual.stack_arrays`, which returns the
+rows in one call together with their *pullback* ``(w_std, w_dual) -> J_s^T
+w_std + J_d^T w_dual``, the product of the transposed residual Jacobians
+with row weights, and a ``jacobian()`` that gives the standard-slot
+Jacobian on demand.  The objective's value and gradient calls read
+derivatives only through the pullback, so they build no Jacobian matrix;
+only the two stage systems ask for one.  The value and
 stage-I calls the solver makes also take a stack ``(R, 8n)`` of points, one
 per restart, and answer for every row at once.
 
@@ -30,7 +32,6 @@ meaningful at nonsmooth minimizers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -119,10 +120,10 @@ class DualFunction:
     """Base class for dual-number-valued functions.
 
     Subclasses implement :meth:`value` and usually :meth:`gradient_at`.
-    The stage hooks below default to no branches and no stage-II rows,
-    which is correct for objectives that are already smooth; objectives
-    with nonsmooth structure override them.  An objective the solver
-    accepts also provides ``stage1_system``, its stage-I residual rows.
+    The stage-II hook below defaults to no rows, which is correct for
+    objectives that are already smooth; objectives with nonsmooth structure
+    override it.  An objective the solver accepts also provides
+    ``stage1_system``, its stage-I residual rows.
     """
 
     def __init__(self, arity: int, declared_standard: bool = False):
@@ -156,10 +157,6 @@ class DualFunction:
         return np.array([v.std for v in values]), np.array([v.dual for v in values])
 
     # -- solver stage hooks ----------------------------------------------
-
-    def branch_flags(self, z: np.ndarray) -> tuple[bool, ...]:
-        """Piecewise-branch selections at ``z``; empty for smooth functions."""
-        return ()
 
     def stage2_system(self, z: np.ndarray):
         """Stage-II least-squares rows ``(A, r, weights)`` at ``z``.
@@ -398,44 +395,22 @@ def unit_exp(value: DualQuaternion) -> UnitDualQuaternion:
 
 
 class AffineResidual:
-    """Residual ``sum_t left_t * x[var_t] * right_t + constant``.
+    """Residuals ``sum_t left_t * x[var_t] * right_t + constant``, kept as arrays.
 
     Both scalar parts are affine in the flattened coordinates, so the
-    Jacobians are constant and get precomputed: with ``L``/``R`` the left
-    and right multiplication matrices,
+    Jacobians are constant: with ``L``/``R`` the left and right
+    multiplication matrices,
 
     - standard part rows: ``K_ss = L(left_std) R(right_std)`` applied to
       the variable's standard slot;
     - dual part rows: ``K_ss`` applied to the dual slot plus
       ``L(left_dual) R(right_std) + L(left_std) R(right_dual)`` applied to
       the standard slot.
+
+    :meth:`jacobians` forms them for many residuals at once, and
+    :meth:`stack_arrays` evaluates the residuals from them and their
+    constants.
     """
-
-    def __init__(
-        self,
-        arity: int,
-        terms: Sequence[tuple[DualQuaternion, int, DualQuaternion]],
-        constant: DualQuaternion | None = None,
-    ):
-        self.arity = int(arity)
-        self.terms = tuple((l, int(v), r) for (l, v, r) in terms)
-        self.constant = constant if constant is not None else DualQuaternion.zero()
-        for _, v, _ in self.terms:
-            if not 0 <= v < self.arity:
-                raise ValueError(f"variable index {v} out of range")
-        terms = [(pack([l]).reshape(1, 2, 4), v, pack([r]).reshape(1, 2, 4)) for l, v, r in self.terms]
-        self.jac_std, self.jac_dual = AffineResidual.jacobians(self.arity, 1, terms)
-
-    def eval(self, values: Sequence[DualQuaternion]) -> DualQuaternion:
-        """Exact dual quaternion value, computed in quaternion arithmetic."""
-        total = self.constant
-        for left, v, right in self.terms:
-            total = total + left * values[v] * right
-        return total
-
-    def rows(self, z: np.ndarray):
-        """(r_std, r_dual, pullback, jacobian) at ``z``: the stack of this residual alone."""
-        return self.stack([self])(z)
 
     @staticmethod
     def jacobians(arity: int, k: int, terms) -> np.ndarray:
@@ -453,13 +428,6 @@ class AffineResidual:
             jac[1, :, :, v, 1] += k_ss
             jac[1, :, :, v, 0] += lm[:, 1] @ rm[:, 0] + lm[:, 0] @ rm[:, 1]
         return jac.reshape(2, -1, 8 * arity)
-
-    @staticmethod
-    def stack(residuals: Sequence[AffineResidual]):
-        """:meth:`stack_arrays` over these residuals' Jacobians and constants."""
-        constants = [(r.constant.std.as_array(), r.constant.dual.as_array()) for r in residuals]
-        jacobians = ([r.jac_std for r in residuals], [r.jac_dual for r in residuals])
-        return AffineResidual.stack_arrays(*map(np.vstack, jacobians), np.array(constants))
 
     @staticmethod
     def stack_arrays(jac_std: np.ndarray, jac_dual: np.ndarray, constants: np.ndarray):
@@ -507,48 +475,23 @@ class ResidualNormObjective(DualFunction):
     smoothed hooks ``*_value_grad`` (branch softened to ``sqrt(s + mu^2) -
     mu``) are only gradient-checked by the self-test.
 
-    The residuals share one type, whose ``stack(residuals)`` gives, once at
-    construction, the evaluator ``z -> (r_std, r_dual, pullback, jacobian)``
-    of all their rows in group order; mixed types, or a type without
-    ``stack``, raise ``TypeError``.  :meth:`from_stack` takes such an
-    evaluator directly, for residuals kept as arrays rather than objects.
-    Gradients are ``pullback(w_std, w_dual)``, the transposed residual
-    Jacobians times per-row weights; value-only calls (``value_at``,
-    ``branch_flags``) never call it, and only the stage systems ask for
-    ``jacobian()``.  ``value_at`` and ``stage1_system`` also evaluate a
-    stack ``(R, 8n)`` of points in one pass.
+    ``evaluate`` is an array evaluator ``z -> (r_std, r_dual, pullback,
+    jacobian)`` of every residual row, 4 per residual, such as
+    :meth:`AffineResidual.stack_arrays` or
+    :meth:`~dqopt.posegraph.RelativePoseResidual.stack_arrays` returns;
+    its residuals all have arity ``arity``.  Group ``g`` holds the next
+    ``sizes[g]`` residuals in row order.  Gradients are ``pullback(w_std,
+    w_dual)``, the transposed residual Jacobians times per-row weights;
+    value-only calls (``value_at``, ``branch_flags``) never call it, and
+    only the stage systems ask for ``jacobian()``.  ``value_at`` and
+    ``stage1_system`` also evaluate a stack ``(R, 8n)`` of points in one
+    pass.
     """
 
-    def __init__(self, arity: int, groups, tol: float = TOL_APPRECIABLE):
+    def __init__(self, arity: int, evaluate, sizes, tol: float = TOL_APPRECIABLE):
         super().__init__(arity, declared_standard=True)
-        groups = tuple(tuple(g) for g in groups)
-        if not groups or any(not g for g in groups):
-            raise ValueError("groups must be nonempty")
-        residuals = tuple(r for g in groups for r in g)
-        kinds = sorted({type(r) for r in residuals}, key=lambda t: t.__name__)
-        if len(kinds) > 1 or not hasattr(kinds[0], "stack"):
-            names = ", ".join(t.__name__ for t in kinds)
-            raise TypeError(f"residuals must share one type with a stack method, got {names}")
-        for r in residuals:
-            if r.arity != self.arity:
-                raise ArityMismatch(f"residual arity {r.arity} != {self.arity}")
-        self._setup(kinds[0].stack(residuals), [len(g) for g in groups], tol)
-
-    @classmethod
-    def from_stack(cls, arity: int, evaluate, sizes, tol: float = TOL_APPRECIABLE):
-        """Objective over the rows of ``evaluate``, groups of ``sizes[g]`` residuals in order.
-
-        ``evaluate`` is a ``stack`` evaluator whose residuals all have arity
-        ``arity``, 4 rows each.
-        """
         if not len(sizes) or min(sizes) < 1:
             raise ValueError("groups must be nonempty")
-        objective = cls.__new__(cls)
-        DualFunction.__init__(objective, arity, declared_standard=True)
-        objective._setup(evaluate, sizes, tol)
-        return objective
-
-    def _setup(self, evaluate, sizes, tol):
         self.tol = float(tol)
         rows = 4 * np.asarray(sizes, dtype=np.intp)
         # Row index where each group's block starts, for segmented sums.

@@ -234,7 +234,7 @@ def _magnitudes(arity: int, a: np.ndarray, b: np.ndarray, other: int) -> Residua
     one = np.broadcast_to(_IDENTITY, a.shape)
     jac = AffineResidual.jacobians(arity, len(a), [(a, 0, one), (-one, other, b)])
     stack = AffineResidual.stack_arrays(jac[0], jac[1], np.zeros((len(a), 2, 4)))
-    return ResidualNormObjective.from_stack(arity, stack, np.ones(len(a), dtype=np.intp))
+    return ResidualNormObjective(arity, stack, np.ones(len(a), dtype=np.intp))
 
 
 def build_axxb(dataset: HandEyeDataset) -> EqdqoProblem:
@@ -288,6 +288,13 @@ def check_noise(noise_rot: float, noise_trans: float) -> None:
             raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The generators' random stream for ``seed``; ``ValueError`` for a negative one."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+
+
 def _noisy(rows: np.ndarray, rng: np.random.Generator, sr: float, st: float) -> np.ndarray:
     """``rows`` turned by random rotations of angle ~N(0, sr^2) and shifted by N(0, st^2 I).
 
@@ -318,7 +325,8 @@ def generate_synthetic(
     ``n`` counts relative motions for axxb (so ``n + 1`` poses per side)
     and pose pairs for axyb.  Guarantees at least two relative rotation
     axes at angle ``MIN_AXIS_SPREAD`` or more.  Raises ``ValueError`` for
-    an unknown model or a noise scale that is negative or not finite.
+    an unknown model, a noise scale that is negative or not finite, or a
+    negative seed.
     """
     if model not in ("axxb", "axyb"):
         raise ValueError(f"unknown model {model!r}")
@@ -327,7 +335,7 @@ def generate_synthetic(
     if model == "axyb" and n < 3:
         raise TooFewMotions("axyb needs n >= 3 pose pairs")
     check_noise(noise_rot, noise_trans)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+    rng = _seeded_rng(seed)
     truths = _pose_row(rng)[None]
     x = np.repeat(truths, n, axis=0)
     meta = {

@@ -59,7 +59,7 @@ from .functions import (
     unpack,
 )
 from .handeye import check_noise, pose_compose, pose_errors, pose_inverse, pose_rows, pose_udqs
-from .handeye import rotation_about, unit_rows
+from .handeye import _seeded_rng, rotation_about, unit_rows
 from .solver import EqdqoProblem
 
 __all__ = [
@@ -145,7 +145,8 @@ class PoseGraph:
         return pose_udqs(self.edge_poses)
 
     def is_connected(self) -> bool:
-        return len(_bfs_tree(self, self.edge_order())[0]) == self.n - 1
+        # Fewer than n - 1 edges cannot connect n vertices; the search allocates per vertex.
+        return self.m >= self.n - 1 and len(_bfs_tree(self, self.edge_order())[0]) == self.n - 1
 
 
 def _bfs_tree(graph: PoseGraph, order: np.ndarray):
@@ -232,8 +233,7 @@ class RelativePoseResidual:
     :meth:`stack_arrays` evaluates many edges, given as index and
     measurement arrays, in one batched pass and pulls row weights back
     through those per-edge blocks, forming a (sparse) Jacobian matrix only
-    on request.  :meth:`stack` is the same over residual objects, and
-    :meth:`rows` the stack of this edge alone.
+    on request.  :meth:`rows` evaluates this edge alone the same way.
     """
 
     def __init__(self, arity: int, i: int, j: int, measurement: UnitDualQuaternion):
@@ -249,14 +249,8 @@ class RelativePoseResidual:
 
     def rows(self, z: np.ndarray):
         """(r_std, r_dual, pullback, jacobian) of this edge at ``z``."""
-        return self.stack([self])(z)
-
-    @staticmethod
-    def stack(residuals: Sequence[RelativePoseResidual]):
-        """:meth:`stack_arrays` over these residuals' variables and measurements."""
-        ij = np.array([(r.i, r.j) for r in residuals])
-        q = np.array([(r.measurement.std.as_array(), r.measurement.dual.as_array()) for r in residuals])
-        return RelativePoseResidual.stack_arrays(residuals[0].arity, ij[:, 0], ij[:, 1], q)
+        q = pack([self.measurement]).reshape(1, 2, 4)
+        return self.stack_arrays(self.arity, [self.i], [self.j], q)(z)
 
     @staticmethod
     def stack_arrays(arity: int, i: np.ndarray, j: np.ndarray, measurements: np.ndarray):
@@ -349,7 +343,7 @@ def build_pgo(graph: PoseGraph) -> EqdqoProblem:
         raise DisconnectedGraph(
             f"graph with {graph.n} vertices is not weakly connected"
         )
-    objective = ResidualNormObjective.from_stack(graph.n, _residuals(graph), [graph.m])
+    objective = ResidualNormObjective(graph.n, _residuals(graph), [graph.m])
     constraints = [UnitNormConstraint(graph.n, k) for k in range(1, graph.n)]
     constraints.extend(anchor_constraints(graph.n, 0, DualQuaternion.identity()))
     return EqdqoProblem(objective, tuple(constraints))
@@ -372,6 +366,8 @@ def spanning_tree_rows(graph: PoseGraph) -> np.ndarray:
 
     ``solve_eqdqo(initial=...)`` takes the array as it is.
     """
+    if graph.m < graph.n - 1:
+        raise DisconnectedGraph(f"graph with {graph.n} vertices and {graph.m} edges is not connected")
     order = graph.edge_order()
     vertices, parents, via, bounds = _bfs_tree(graph, order)
     if len(vertices) != graph.n - 1:
@@ -427,7 +423,7 @@ def _convert(tokens: list[str], convert) -> tuple[np.ndarray, int]:
     """``(values, k)``: ``tokens[:k]`` converted, ``k`` the first token ``convert`` rejects, else all."""
     try:
         return convert(tokens), len(tokens)
-    except ValueError:
+    except (ValueError, OverflowError):
         k = 0
         while _accepts(convert, tokens[k]):
             k += 1
@@ -437,7 +433,7 @@ def _convert(tokens: list[str], convert) -> tuple[np.ndarray, int]:
 def _accepts(convert, token: str) -> bool:
     try:
         convert([token])
-    except ValueError:
+    except (ValueError, OverflowError):
         return False
     return True
 
@@ -469,7 +465,8 @@ def _check_records(kind: str, lines: list[int], id_tokens: list[str], numbers: l
     if low.size:
         fail(low[0] // width, f"{names[low[0] % width]} must be positive, got {ids[low[0]]}")
     elif k < len(id_tokens):
-        fail(k // width, f"{names[k % width]} must be an integer, got {id_tokens[k]!r}")
+        name, token = names[k % width], id_tokens[k]
+        fail(k // width, f"{name} must be an integer that fits 64 bits, got {token!r}")
     ids = ids[: width * count].reshape(-1, width)
     if width == 2:
         loops = np.flatnonzero(ids[:, 0] == ids[:, 1])
@@ -585,12 +582,13 @@ def generate_cycle_graph(
     Noise perturbs each measurement by a rotation of angle ~N(0, sigma_r^2)
     about a random axis plus translation noise ~N(0, sigma_t^2 I).  Raises
     ``ValueError`` for fewer than 3 vertices, a chord count the graph has no
-    room for, or a noise scale that is negative or not finite.
+    room for, a noise scale that is negative or not finite, or a negative
+    seed.
     """
     if n < 3:
         raise ValueError("need at least 3 vertices")
     check_noise(noise_rot, noise_trans)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
+    rng = _seeded_rng(seed)
     raw = []
     for k in range(n):
         q = rotation_about(rng, rng.uniform(0.05, 0.2))

@@ -261,9 +261,10 @@ def _random_leaf(rng: np.random.Generator, arity: int) -> DualFunction:
             declared_standard=True,
         )
     picks = sorted(rng.permutation(arity)[: int(rng.integers(1, arity + 1))].tolist())
-    one = DualQuaternion.identity()
-    group = [AffineResidual(arity, [(one, int(j), one)]) for j in picks]
-    return ResidualNormObjective(arity, [group])
+    one = np.array([[[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]])
+    jac = np.concatenate([AffineResidual.jacobians(arity, 1, [(one, j, one)]) for j in picks], 1)
+    stack = AffineResidual.stack_arrays(jac[0], jac[1], np.zeros((len(picks), 2, 4)))
+    return ResidualNormObjective(arity, stack, [len(picks)])
 
 
 def _random_tree(rng: np.random.Generator, arity: int, depth: int) -> DualFunction:
@@ -428,7 +429,9 @@ def _grad_result(name: str, fn: DualFunction, points, tol: float) -> CheckResult
 
 
 def run_all(seed: int = 0) -> dict[str, list[CheckResult]]:
-    """All four suites keyed by name, in a fixed order."""
+    """All four suites keyed by name, in a fixed order; ``ValueError`` for a negative seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return {
         "algebra": algebra_suite(seed),
         "order": order_suite(seed),

@@ -103,6 +103,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not all(0 < tol < math.inf for tol in (self.tol_grad, self.tol_feas)):
             raise ValueError("tolerances must be positive and finite")
         if self.max_outer < 1:

@@ -5,11 +5,20 @@ rather than through any closed-form product formula, so it cannot share a
 bug with the implementation under test.  The sphere grid enumerates unit
 quaternions nearly uniformly for brute-force minimization.  The pose-row
 shorthands are not oracles: they run the library's row kernels on one row.
+Nor are the affine-residual helpers, which run ``AffineResidual``'s array
+kernels; ``affine_value`` is their reference, in quaternion arithmetic.
 """
 
 import numpy as np
 
-from dqopt import DualFunction, DualNumber, UnitDualQuaternion
+from dqopt import (
+    AffineResidual,
+    DualFunction,
+    DualNumber,
+    ResidualNormObjective,
+    UnitDualQuaternion,
+    pack,
+)
 from dqopt.handeye import pose_compose, pose_inverse, pose_udqs, unit_rows
 
 # Basis products e_p * e_q = sign * e_m over (1, i, j, k).
@@ -106,6 +115,40 @@ def poses_close(a, b, tol):
     a, b = np.asarray(a), np.asarray(b)
     rotation = min(np.max(abs(a[:4] - b[:4])), np.max(abs(a[:4] + b[:4])))
     return bool(rotation <= tol and np.max(abs(a[4:] - b[4:])) <= tol)
+
+
+# ---------------------------------------------------------------------------
+# Affine residuals given as dual quaternions; each residual is ``(terms,
+# constant)``, the value ``sum left * x[v] * right + constant`` over ``terms``
+# of ``(left, v, right)``.
+
+
+def affine_jacobians(arity, terms):
+    """``AffineResidual.jacobians`` of one residual with dual quaternion ``terms``."""
+    rows = [(pack([left]).reshape(1, 2, 4), v, pack([right]).reshape(1, 2, 4))
+            for left, v, right in terms]
+    return AffineResidual.jacobians(arity, 1, rows)
+
+
+def affine_stack(arity, residuals):
+    """The ``AffineResidual.stack_arrays`` evaluator of ``residuals``, in order."""
+    jac = np.concatenate([affine_jacobians(arity, terms) for terms, _ in residuals], axis=1)
+    constants = np.array([pack([constant]).reshape(2, 4) for _, constant in residuals])
+    return AffineResidual.stack_arrays(jac[0], jac[1], constants)
+
+
+def affine_objective(arity, groups):
+    """The ``ResidualNormObjective`` over ``groups``, each a list of residuals."""
+    stack = affine_stack(arity, [r for group in groups for r in group])
+    return ResidualNormObjective(arity, stack, [len(group) for group in groups])
+
+
+def affine_value(residual, values):
+    """The residual's value in quaternion arithmetic, the reference for its rows."""
+    terms, total = residual
+    for left, v, right in terms:
+        total = total + left * values[v] * right
+    return total
 
 
 class LeakyFunction(DualFunction):

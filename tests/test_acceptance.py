@@ -34,11 +34,10 @@ from dqopt import (
     vertex_errors,
 )
 from dqopt.cli import main
-from dqopt.functions import AffineResidual, ResidualNormObjective
 from dqopt.selftest import gradient_suite, standardness_suite
 from dqopt.solver import EqdqoProblem
 
-from helpers import covering_radius, grid_min_stage1, super_fibonacci_grid
+from helpers import affine_objective, covering_radius, grid_min_stage1, super_fibonacci_grid
 
 
 def _random_dq(rng) -> DualQuaternion:
@@ -238,8 +237,7 @@ def test_acceptance_9_squared_magnitude_pitfall():
     assert true_mag > DualNumber(0.0, 0.0)
     assert true_mag == DualNumber(0.0, 5.0)
 
-    residual = AffineResidual(1, [], constant=dual_only)
-    objective = ResidualNormObjective(1, [[residual]])
+    objective = affine_objective(1, [[([], dual_only)]])
     z = pack([DualQuaternion.identity()])
     assert objective.value_at(z) > DualNumber(0.0, 0.0)
     print("ACCEPTANCE 9 squared-magnitude pitfall: PASS")

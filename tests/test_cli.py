@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dqopt.cli import main
+from dqopt.selftest import run_all
 
 
 def _strip_volatile(report: dict) -> dict:
@@ -192,6 +193,50 @@ def test_bad_graph_generator_input_exits_2_without_a_file(flags, message, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert not out.exists()
+
+
+def _seeded_commands(tmp_path):
+    """One command line per subcommand that takes a seed; outputs go to ``out.*``."""
+    ds, graph = tmp_path / "ds.json", tmp_path / "graph.txt"
+    assert main(["gen-handeye", "--model", "axxb", "--motions", "3", "--out", str(ds)]) == 0
+    assert main(["gen-pgo", "--vertices", "5", "--out", str(graph)]) == 0
+    return {
+        "gen-handeye": ["gen-handeye", "--model", "axxb", "--motions", "3",
+                        "--out", str(tmp_path / "out.json")],
+        "gen-pgo": ["gen-pgo", "--vertices", "5", "--out", str(tmp_path / "out.txt")],
+        "solve-handeye": _solve_args(ds, tmp_path / "out.json"),
+        "solve-pgo": ["solve-pgo", "--in", str(graph), "--out", str(tmp_path / "out.json")],
+        "selftest": ["selftest"],
+    }
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("command", ["gen-handeye", "gen-pgo", "solve-handeye", "solve-pgo", "selftest"])
+def test_a_negative_seed_exits_2_naming_it(command, source, tmp_path, capsys, monkeypatch):
+    args = _seeded_commands(tmp_path)[command]
+    if source == "flag":
+        args += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("DQOPT_SEED", "-1")
+    capsys.readouterr()
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", "error: seed must be non-negative, got -1\n")
+    assert not list(tmp_path.glob("out.*"))
+
+
+def test_selftest_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        run_all(-1)
+
+
+def test_an_id_beyond_64_bits_exits_2_naming_the_line(tmp_path, capsys):
+    graph = tmp_path / "graph.txt"
+    graph.write_text("EDGE 1 99999999999999999999 1 0 0 0 0 0 0\n")
+    assert main(["solve-pgo", "--in", str(graph)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 1: edge target must be an integer that fits 64 bits, "
+        "got '99999999999999999999'\n"
+    )
 
 
 def test_solve_pgo_without_edges_exits_2(tmp_path, capsys):

@@ -27,7 +27,7 @@ from dqopt.algebra import canonical_sign, left_mult_matrix, right_mult_matrix
 from dqopt.cli import main
 from dqopt.errors import Infeasible, InvalidPose, NoGroundTruth, TooFewMotions
 from dqopt.handeye import pose_compose, pose_inverse, pose_rows, unit_rows
-from helpers import inverse, matrix, pose_row, poses_close, product, udqs
+from helpers import affine_jacobians, inverse, matrix, pose_row, poses_close, product, udqs
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
@@ -263,7 +263,7 @@ def test_axyb_parallel_axes_warn():
 # The per-pair object build that the batched builders replaced, kept as
 # their reference: pose arithmetic in Quaternion objects, rounded as the
 # row kernels round, AffineResidual's Jacobians as one 4x4 product per
-# term, and one residual object per pair.
+# term, and one norm group per pair.
 
 
 def _ref_pose(q, t):
@@ -295,7 +295,7 @@ def _ref_canonical_udq(p):
 
 
 def _ref_jacobians(arity, terms):
-    """``AffineResidual``'s Jacobians as it built them, one 4x4 product per term."""
+    """One residual's ``AffineResidual`` Jacobians, one 4x4 product per term."""
 
     def lm(q):
         return left_mult_matrix(q.as_array())
@@ -331,9 +331,10 @@ def _ref_build(ds):
         arity, other = 2, 1
     one = DualQuaternion.identity()
     terms = [[(p, 0, one), (-one, other, q)] for p, q in pairs]
-    residuals = [AffineResidual(arity, t) for t in terms]
     jacobians = [_ref_jacobians(arity, t) for t in terms]
-    return pairs, ResidualNormObjective(arity, [[r] for r in residuals]), jacobians
+    jac_std, jac_dual = (np.vstack(j) for j in zip(*jacobians))
+    stack = AffineResidual.stack_arrays(jac_std, jac_dual, np.zeros((len(pairs), 2, 4)))
+    return pairs, ResidualNormObjective(arity, stack, [1] * len(pairs)), jacobians
 
 
 DRAWS = [
@@ -501,6 +502,12 @@ def test_bad_noise_is_rejected(flags, kwargs, name, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_negative_seed_is_rejected():
+    for model in ("axxb", "axyb"):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            generate_synthetic(model, 5, seed=-1)
+
+
 NON_FINITE = [("q", 1, float("nan")), ("t", 0, float("nan")), ("t", 2, float("inf"))]
 
 
@@ -537,6 +544,6 @@ def test_affine_residual_jacobians_match_the_per_term_products():
     for _ in range(50):
         terms = [(draw(), int(rng.integers(3)), draw()) for _ in range(3)]
         jac_std, jac_dual = _ref_jacobians(3, terms)
-        r = AffineResidual(3, terms)
-        assert r.jac_std.tobytes() == jac_std.tobytes()
-        assert r.jac_dual.tobytes() == jac_dual.tobytes()
+        got_std, got_dual = affine_jacobians(3, terms)
+        assert got_std.tobytes() == jac_std.tobytes()
+        assert got_dual.tobytes() == jac_dual.tobytes()

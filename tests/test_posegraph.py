@@ -32,7 +32,8 @@ from dqopt.errors import (
 )
 from dqopt.algebra import canonical_sign
 from dqopt.handeye import pose_rows, unit_rows
-from dqopt.posegraph import RelativePoseResidual
+from dqopt import posegraph
+from dqopt.posegraph import RelativePoseResidual, spanning_tree_rows
 from helpers import inverse, pose_row, poses_close, product, udqs
 
 _IDENTITY = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -88,6 +89,8 @@ def test_parse_errors_carry_line_numbers():
         ("VERTEX 0 1 0 0 0 0 0 0\n", "must be positive"),
         ("EDGE 1 2 oops 0 0 0 0 0 0\n", "not a number"),
         ("EDGE one 2 1 0 0 0 0 0 0\n", "must be an integer"),
+        ("EDGE 1 99999999999999999999 1 0 0 0 0 0 0\n", "edge target must be an integer that fits"),
+        ("VERTEX -99999999999999999999 1 0 0 0 0 0 0\n", "vertex id must be an integer that fits"),
         ("EDGE 1 2 nan 0 0 0 1 0 0\n", "not a finite number: 'nan'"),
         ("VERTEX 1 1 0 0 0 -inf 0 0\n", "not a finite number: '-inf'"),
     ]
@@ -203,6 +206,7 @@ BAD_GRAPH_KWARGS = [
     ({"n": 6, "noise_rot": float("nan")}, "noise_rot must be finite and non-negative"),
     ({"n": 6, "noise_rot": float("inf")}, "noise_rot must be finite and non-negative"),
     ({"n": 6, "noise_trans": -0.1}, "noise_trans must be finite and non-negative"),
+    ({"n": 6, "seed": -1}, "seed must be non-negative, got -1"),
 ]
 
 
@@ -258,7 +262,8 @@ def test_residual_rows_match_eval_and_first_order():
             g.edge_ids[order].tolist(), UnitDualQuaternion.from_rows(g.measurements()[order])
         )
     ]
-    evaluate = RelativePoseResidual.stack(res)
+    ij = g.edge_ids[order] - 1
+    evaluate = RelativePoseResidual.stack_arrays(g.n, ij[:, 0], ij[:, 1], g.measurements()[order])
     rng = np.random.default_rng(47)
     z = rng.standard_normal(8 * g.n)
     values = unpack(z, g.n)
@@ -339,6 +344,28 @@ def test_objective_calls_allocate_no_dense_jacobian():
             assert peak < 2_000_000, f"{name} peaked at {peak / 1e6:.1f} MB"
     finally:
         tracemalloc.stop()
+
+
+def test_too_few_edges_are_rejected_before_the_search(monkeypatch):
+    # 10 vertices cannot be connected by one edge; the breadth-first search,
+    # which allocates per vertex, must not start
+    g = parse_graph("VERTEX 10 1 0 0 0 0 0 0\nEDGE 1 2 1 0 0 0 0 0 0\n")
+    assert (g.n, g.m) == (10, 1)
+
+    def spy(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(posegraph, "_bfs_tree", spy)
+    assert not g.is_connected()
+    with pytest.raises(DisconnectedGraph, match="not weakly connected"):
+        build_pgo(g)
+    for guess in (spanning_tree_rows, spanning_tree_guess):
+        with pytest.raises(DisconnectedGraph, match="10 vertices and 1 edges is not connected"):
+            guess(g)
+    monkeypatch.undo()
+    # n - 1 edges reach the search, which decides
+    assert PoseGraph(3, [(1, 2), (3, 2)], [_IDENTITY] * 2).is_connected()
+    assert not PoseGraph(4, [(1, 2), (2, 1), (3, 4)], [_IDENTITY] * 3).is_connected()
 
 
 def test_graph_without_edges_is_rejected():

@@ -362,6 +362,8 @@ def test_config_validation():
         SolverConfig(restarts=0)
     with pytest.raises(ValueError):
         SolverConfig(tol_grad=-1.0)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        SolverConfig(seed=-1)
     # a NaN tolerance passes every comparison, and an infinite one stops nothing
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
