@@ -643,19 +643,12 @@ class UnitDualQuaternion:
         """Logarithm: half the rotation vector plus half the translation.
 
         The sign is canonicalized first, so the rotation angle lands in
-        [0, pi].  The standard part is ``(angle/2) * axis`` and the dual
-        part is half the translation recovered by :meth:`to_pose`.
+        [0, pi].  The standard part is the rotation's
+        :meth:`Quaternion.log`, ``(angle/2) * axis``, and the dual part is
+        half the translation recovered by :meth:`to_pose`.
         """
-        canon = self.canonicalized()
-        q, t = canon.to_pose()
-        imn = q.imaginary_norm()
-        if imn <= 1e-12:
-            rot = Quaternion(0.0, 0.0, 0.0, 0.0)
-        else:
-            half = math.atan2(imn, q.w)
-            s = half / imn
-            rot = Quaternion(0.0, s * q.x, s * q.y, s * q.z)
-        return DualQuaternion(rot, t * 0.5)
+        q, t = self.canonicalized().to_pose()
+        return DualQuaternion(q.log(), t * 0.5)
 
     @classmethod
     def exp(cls, value: DualQuaternion) -> "UnitDualQuaternion":

@@ -49,10 +49,6 @@ class Infeasible(DqoptError):
     """No restart produced a point satisfying the constraints."""
 
 
-class DegenerateConstraintGradients(DqoptError):
-    """Constraint gradients are rank deficient at the query point."""
-
-
 class InvalidPose(DqoptError):
     """Pose data is not a rigid transform within tolerance."""
 

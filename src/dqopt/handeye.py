@@ -65,8 +65,8 @@ def _unit(q: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.concatenate((q * (1.0 / np.sqrt(quat_dot(q, q)))[:, None], t), axis=1)
 
 
-def unit_rows(rows, label: str) -> np.ndarray:
-    """``(k, 7)`` pose rows checked, their rotations divided by their norms, as a new array.
+def checked_rows(rows, label: str) -> np.ndarray:
+    """``(k, 7)`` pose rows as a new array, checked and left as they are.
 
     Raises :class:`InvalidPose`, naming the row ``label.format(index)``, for
     the first row that is not finite or has a rotation norm off 1 by more
@@ -84,6 +84,12 @@ def unit_rows(rows, label: str) -> np.ndarray:
         if not finite[i]:
             raise InvalidPose(f"{label.format(i)} is not finite: {rows[i].tolist()}")
         raise InvalidPose(f"{label.format(i)}: rotation norm {norm[i]} is not 1")
+    return rows
+
+
+def unit_rows(rows, label: str) -> np.ndarray:
+    """:func:`checked_rows`, their rotations divided by their norms, as a new array."""
+    rows = checked_rows(rows, label)
     return _unit(rows[:, :4], rows[:, 4:])
 
 

@@ -59,7 +59,7 @@ from .functions import (
     unpack,
 )
 from .handeye import check_noise, pose_compose, pose_errors, pose_inverse, pose_rows, pose_udqs
-from .handeye import _seeded_rng, rotation_about, unit_rows
+from .handeye import _seeded_rng, checked_rows, rotation_about, unit_rows
 from .solver import EqdqoProblem
 
 __all__ = [
@@ -79,10 +79,22 @@ __all__ = [
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def _by_id(ids, rows) -> tuple[np.ndarray, np.ndarray]:
+def _pose_rows_of(kind: str, ids: np.ndarray, rows) -> np.ndarray:
+    """One pose row per record of ``ids``, checked by :func:`~dqopt.handeye.checked_rows`.
+
+    Raises :class:`~dqopt.errors.InvalidPose` naming the ``kind`` and input
+    index of the first bad row, or ``ValueError`` when the counts differ.
+    """
+    rows = checked_rows(rows, kind + " row {}")
+    if len(rows) != len(ids):
+        raise ValueError(f"{len(ids)} {kind} ids but {len(rows)} pose rows")
+    return rows
+
+
+def _by_id(kind: str, ids, rows) -> tuple[np.ndarray, np.ndarray]:
     """Vertex records sorted by id; of several records for one id, the last counts."""
     ids = np.asarray(ids, dtype=np.intp).reshape(-1)
-    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 7)
+    rows = _pose_rows_of(kind, ids, rows)
     last = ids.size - 1 - np.unique(ids[::-1], return_index=True)[1]
     return ids[last], rows[last]
 
@@ -99,7 +111,10 @@ class PoseGraph:
     These read-only arrays are the only store.
 
     ``vertices`` and ``truth`` are ``(ids, poses)`` pairs in any order; of
-    several records for one id, the last counts.
+    several records for one id, the last counts.  Every pose row must be
+    finite with a rotation norm within ``NORMALIZE_TOL`` of 1, else
+    :class:`~dqopt.errors.InvalidPose` names its kind and input index; the
+    rows are stored as given, not normalized.
     """
 
     def __init__(self, n: int, edge_ids, edge_poses, vertices=((), ()), truth=((), ())):
@@ -108,7 +123,7 @@ class PoseGraph:
             raise ValueError("graph needs at least one vertex")
         # copies, so that no caller's array can change a validated graph
         self.edge_ids = np.array(edge_ids, dtype=np.intp).reshape(-1, 2)
-        self.edge_poses = np.array(edge_poses, dtype=np.float64).reshape(-1, 7)
+        self.edge_poses = _pose_rows_of("edge", self.edge_ids, edge_poses)
         i, j = self.edge_ids.T
         outside = (np.minimum(i, j) < 1) | (np.maximum(i, j) > self.n)
         bad = np.flatnonzero(outside | (i == j))
@@ -117,8 +132,8 @@ class PoseGraph:
             if not outside[bad[0]]:
                 raise ValueError(f"self loop at vertex {i}")
             raise ValueError(f"edge ({i}, {j}) out of vertex range 1..{self.n}")
-        self.vertex_ids, self.vertex_poses = _by_id(*vertices)
-        self.truth_ids, self.truth_poses = _by_id(*truth)
+        self.vertex_ids, self.vertex_poses = _by_id("vertex", *vertices)
+        self.truth_ids, self.truth_poses = _by_id("truth", *truth)
         for ids in (self.vertex_ids, self.truth_ids):
             if ids.size and (ids[0] < 1 or ids[-1] > self.n):
                 vid = int(ids[0] if ids[0] < 1 else ids[-1])

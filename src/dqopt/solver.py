@@ -21,14 +21,16 @@ unit-norm conditions and anchor rows, are the only kinds accepted (else
 ``TypeError``); one :class:`~dqopt.functions.ConstraintBlock` evaluates
 them for both stages, feasibility, the dual fiber and KKT analysis.
 
-Stage I takes Gauss-Newton steps on the objective's residual rows in the
-tangent space of the unit-norm and anchor rows, with a Newton correction
-for sums of magnitudes, and keeps every iterate feasible (see
-:func:`solve_stage1`).  Stage II is exact linear algebra.  With the
-standard coordinates fixed, every dual constraint row and every residual's
-dual part is affine in the dual coordinates, so the feasible set is an
-affine *dual fiber* and stage II is a weighted least-squares fit on it (see
-:func:`solve_stage2`), with each magnitude's branch frozen where the
+:func:`solve_eqdqo` runs both stages and :func:`kkt_analysis` analyses
+either one at a point; the report carries each stage's value, iterations,
+trace rows and KKT analysis.  Stage I takes Gauss-Newton steps on the
+objective's residual rows in the tangent space of the unit-norm and anchor
+rows, with a Newton correction for sums of magnitudes, and keeps every
+iterate feasible (see :func:`_stage1`).  Stage II is exact linear algebra.
+With the standard coordinates fixed, every dual constraint row and every
+residual's dual part is affine in the dual coordinates, so the feasible set
+is an affine *dual fiber* and stage II is a weighted least-squares fit on
+it (see :func:`_stage2`), with each magnitude's branch frozen where the
 stage-I point puts it.
 Restarts draw independent unit starting points.  Stage I advances them
 in lockstep: while the tangent space is small enough for dense algebra,
@@ -52,27 +54,18 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
-from .algebra import DualNumber, DualQuaternion, DualQuaternionVector, Quaternion
-from .errors import (
-    ArityMismatch,
-    DegenerateConstraintGradients,
-    Infeasible,
-    NonStandardProblem,
-)
+from .algebra import DualNumber, DualQuaternion, DualQuaternionVector
+from .errors import ArityMismatch, Infeasible, NonStandardProblem
 from .functions import ConstraintBlock, DualFunction, pack, unpack
 
 __all__ = [
     "SolverConfig",
     "EqdqoProblem",
-    "Stage1Result",
     "SolveReport",
     "TraceRow",
     "KktInfo",
-    "solve_stage1",
-    "solve_stage2",
     "solve_eqdqo",
     "kkt_analysis",
-    "kkt_residual",
 ]
 
 #: Singular values below this fraction of the largest are treated as zero
@@ -187,35 +180,6 @@ class TraceRow:
 
 
 @dataclass(frozen=True)
-class Stage1Result:
-    """Stage-I outcome: standard coordinates, feasible duals, optimal value.
-
-    Iterates as ``(x, x_d, value)``.  ``x_d`` is the minimum-norm point of
-    the dual fiber at ``x``, whatever the starting duals; ``solution``
-    bundles the same point as dual quaternions.
-    """
-
-    x: tuple[Quaternion, ...]
-    x_d: tuple[Quaternion, ...]
-    value: float
-    solution: DualQuaternionVector
-    feasibility: dict
-    kkt_residual: float
-    grad_norm: float
-    iterations: int
-    converged: bool
-    restart_index: int
-    trace: tuple[TraceRow, ...]
-
-    def __iter__(self):
-        return iter((self.x, self.x_d, self.value))
-
-    @property
-    def z(self) -> np.ndarray:
-        return pack(list(self.solution))
-
-
-@dataclass(frozen=True)
 class SolveReport:
     """Complete two-stage solve record.
 
@@ -262,7 +226,6 @@ class _StageOutcome:
     z: np.ndarray
     iterations: int
     converged: bool
-    grad_norm: float
     trace: list
     gram: tuple | None = None  # stage II: _gram_pinv at the standard coordinates of z
     stop: str | None = None  # stage I: "converged", "stalled" or "max_outer"
@@ -414,15 +377,14 @@ def _fiber_point(problem: EqdqoProblem, z: np.ndarray):
 class KktInfo:
     """Stationarity residual with recovered multipliers.
 
-    Stage I fills ``lambdas``, one per standard constraint row, and leaves
-    ``mus`` empty; stage II fills ``mus``, one per dual row, and leaves
-    ``lambdas`` empty.  ``degenerate`` is true when multipliers were
-    recovered and the constraint gradients are linearly dependent.
+    ``multipliers`` holds one per constraint row: stage I's ``lambda`` of
+    the standard row, or stage II's ``mu`` of the dual row.  ``degenerate``
+    is true when the constraint gradients are linearly dependent, so the
+    multipliers are not unique.
     """
 
     residual: float
-    lambdas: tuple[float, ...]
-    mus: tuple[float, ...]
+    multipliers: tuple[float, ...]
     degenerate: bool
 
 
@@ -437,85 +399,39 @@ def _point_to_z(point, arity: int) -> np.ndarray:
     return z
 
 
-def _supplied(values, name: str, count: int) -> np.ndarray:
-    """Supplied multipliers as ``count`` floats; ``ValueError`` for another count."""
-    vals = np.asarray(values, dtype=np.float64).reshape(-1)
-    if vals.shape[0] != count:
-        raise ValueError(f"expected {count} {name} values, got {vals.shape[0]}")
-    return vals
-
-
-def kkt_analysis(
-    problem: EqdqoProblem,
-    point,
-    stage: int = 1,
-    multipliers: dict | None = None,
-) -> KktInfo:
+def kkt_analysis(problem: EqdqoProblem, point, stage: int = 1) -> KktInfo:
     """Multipliers and stationarity residual of one stage, over the coordinates it moves.
 
     There the stage Jacobian ``G`` of the constraint block is every row's
     gradient.  Stage I: ``t + G^T lambda`` with ``t = grad f`` over the
     standard coordinates.  Stage II: ``t + G^T mu`` with ``t = grad f_d``
-    over the dual ones.  Unless supplied, the multipliers are the
-    minimum-norm least-squares ones ``-G (G^T G)^+ t``, from the
-    per-variable Gram blocks of :func:`_gram_pinv`.  Supplied
-    ``multipliers`` must hold one ``lambda`` (stage I) or ``mu`` (stage II)
-    per constraint, else ``ValueError``.  Piecewise gradients use the zero
-    subgradient at kinks.
+    over the dual ones.  The multipliers are the minimum-norm least-squares
+    ones ``-G (G^T G)^+ t``, from the per-variable Gram blocks of
+    :func:`_gram_pinv`.  Piecewise gradients use the zero subgradient at
+    kinks.
     """
     if stage not in (1, 2):
         raise ValueError("stage must be 1 or 2")
     z = _point_to_z(point, problem.arity)
-    return _kkt(problem, z, stage, problem.objective.gradient_at(z)[stage - 1], multipliers)
+    return _kkt(problem, z, stage, problem.objective.gradient_at(z)[stage - 1])
 
 
-def _kkt(problem: EqdqoProblem, z, stage: int, grad, multipliers=None, gram=None) -> KktInfo:
+def _kkt(problem: EqdqoProblem, z, stage: int, grad, gram=None) -> KktInfo:
     """:func:`kkt_analysis` at ``z`` given the objective's gradient of the stage's part.
 
     ``gram`` may pass in the :func:`_gram_pinv` factorization at the
     standard coordinates of ``z``, which is then not factored again.
     """
     block = problem.block
-    part = stage - 1
-    target = grad[_part_indices(problem.arity, part)]
-    if multipliers is None:
-        pinv, rank, _ = _gram_pinv(block, z) if gram is None else gram
-        mult = -block.apply(z, pinv(target))
-        degenerate = int(np.count_nonzero(rank)) < block.size
-    else:
-        name = ("lambda", "mu")[part]
-        mult = _supplied(multipliers.get(name, ()), name, block.size)
-        degenerate = False
+    target = grad[_part_indices(problem.arity, stage - 1)]
+    pinv, rank, _ = _gram_pinv(block, z) if gram is None else gram
+    mult = -block.apply(z, pinv(target))
     resid = target + block.pullback(z, mult)
-    mult = tuple(float(v) for v in mult)
     return KktInfo(
         float(np.linalg.norm(resid)),
-        mult if stage == 1 else (),
-        mult if stage == 2 else (),
-        degenerate,
+        tuple(float(v) for v in mult),
+        int(np.count_nonzero(rank)) < block.size,
     )
-
-
-def kkt_residual(
-    problem: EqdqoProblem,
-    point,
-    multipliers: dict | None = None,
-    stage: int = 1,
-) -> float:
-    """Stationarity residual norm of :func:`kkt_analysis`.
-
-    Without supplied ``multipliers`` it raises
-    :class:`DegenerateConstraintGradients` when the constraint gradients are
-    linearly dependent; ``kkt_analysis(...).residual`` is the residual at
-    the minimum-norm least-squares multipliers there.
-    """
-    info = kkt_analysis(problem, point, stage=stage, multipliers=multipliers)
-    if info.degenerate and multipliers is None:
-        raise DegenerateConstraintGradients(
-            "constraint gradients are rank-deficient; pass multipliers or "
-            "read kkt_analysis(...).residual"
-        )
-    return info.residual
 
 
 # ---------------------------------------------------------------------------
@@ -676,15 +592,25 @@ def _newton_step(b, r, w, starts, grad, h, shift):
 
 
 def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> list:
-    """Stage I from every row of ``starts``, in lockstep; see :func:`solve_stage1`.
+    """Stage I from every row of ``starts``, in lockstep: minimize the standard part.
+
+    Each point starts put on the standard rows and steps in their tangent
+    space ``N`` (per variable, 3 orthonormal directions on a unit sphere,
+    none if anchored).  With the objective's residual rows ``r``, Jacobian
+    ``J``, row weights ``W`` and ``B = J N``, ``g = B^T W r`` is the tangent
+    gradient.  A step first tries the Newton model (:func:`_newton_step`,
+    with each unit row's curvature), then Levenberg-Marquardt steps on ``B^T
+    W B`` until the exact standard value falls; ``y`` moves to ``x + N y``
+    put back on the rows, so every iterate is feasible.  A point stops when
+    ``|g| <= tol_grad``, when no step lowers the value (or, with the value
+    flat to rounding, ``|g|`` stops falling), or after ``max_outer`` steps.
 
     All points still running take each step together: one fiber, one
-    residual system and one batched solve per step for the stack.  A point
-    stops when its own stop rule fires, and each keeps its own value,
-    damping, previous gradient norm, flat flag and trace, so its iterates
-    are those it takes alone.  Points on a sparse fiber step one at a time.
-    Returns one :class:`_StageOutcome` per start; only the standard
-    coordinates move, the dual ones stay those of the start.
+    residual system and one batched solve per step for the stack.  Each
+    keeps its own value, damping, previous gradient norm, flat flag and
+    trace, so its iterates are those it takes alone.  Points on a sparse
+    fiber step one at a time.  Returns one :class:`_StageOutcome` per start.
+    Stage I never reads the dual coordinates: they stay those of the start.
     """
     obj, block = problem.objective, problem.block
     std = _part_indices(problem.arity, 0)
@@ -791,24 +717,39 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     outcomes = []
     for k in range(count):
         reason = stop[k] or "max_outer"
-        outcomes.append(_StageOutcome(z[k], len(traces[k]), reason != "max_outer",
-                                      float(grad_norm[k]), traces[k], stop=reason,
-                                      value=float(v_std[k])))
+        outcomes.append(_StageOutcome(z[k], len(traces[k]), reason != "max_outer", traces[k],
+                                      stop=reason, value=float(v_std[k])))
     return outcomes
 
 
 def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageOutcome:
-    """Stage II at the standard coordinates of ``z1``; see :func:`solve_stage2`.
+    """Stage II at the standard coordinates of ``z1``: one exact fit on the dual fiber.
 
-    The dual coordinates are ``x_p + N y`` on the dual fiber of
-    :func:`_fiber_point`; each pass solves the normal equations ``B^T W B y
-    = -B^T W r_p`` with ``B = A N``, for the objective's rows ``r = r_p + B
-    y``, until the weights stop changing or ``y`` stops moving, at most
-    ``max_outer`` times.  Weights that are one value before and after the
-    pass, as a single norm group's are, also count as settled: rescaling
-    every weight alike leaves the fit where it is.  (Weights of several groups
-    that change by one common factor are not taken as settled: on a
-    singular system the next solve is what shows the singularity.)  A
+    With the standard coordinates held at the stage-I point, the dual
+    constraint rows ``G x_d = -h_d(0)`` are affine, and so is every
+    residual's dual part, with slope ``A`` the standard Jacobian of the
+    residuals.  The feasible dual coordinates form the *dual fiber* ``x_p +
+    N y`` of :func:`_fiber_point` (minimum-norm solution plus null basis,
+    per variable), where the rows are ``r = r_p + B y`` with ``B = A N``.
+    Stage II minimizes ``sum_g w_g |r_g|^2`` over ``y``: each pass solves
+    the normal equations ``B^T W B y = -B^T W r_p``, dense or sparse as the
+    fiber is.  Groups infinitesimal at the stage-I point are reweighted by
+    ``1 / |r_g|`` until the fit settles, which minimizes the paper's
+    stage-II objective ``sum_g |r_g|`` on them (robust to a few gross
+    outliers).  Appreciable groups weigh 1: at a stage-I KKT point their
+    part of the paper's objective is constant on the fiber, so the paper
+    leaves the dual coordinates undetermined there, and the least-squares
+    fit is a tie-break that goes beyond the paper (the translation step of
+    Daniilidis, 1999).  Objectives without residual rows keep ``y = 0``,
+    exact for smooth standard objectives.
+
+    The passes stop when the weights stop changing or ``y`` stops moving,
+    at most ``max_outer`` times.  Weights that are one value before and
+    after the pass, as a single norm group's are, also count as settled:
+    rescaling every weight alike leaves the fit where it is.  (Weights of
+    several groups that change by one common factor are not taken as
+    settled: on a singular system the next solve is what shows the
+    singularity.)  A
     singular system gives a non-finite ``y``, which ends the passes
     unconverged.  One trace row per solve.  The outcome carries the value
     and feasibility of the last row, which are those of its point, and the
@@ -848,7 +789,7 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageO
         y, w = y_new, w_new
         if done:
             break
-    return _StageOutcome(z, it + 1, done, stationarity, trace, gram, value=v, feasibility=feas)
+    return _StageOutcome(z, it + 1, done, trace, gram, value=v, feasibility=feas)
 
 
 def _restart_start(
@@ -929,7 +870,7 @@ def _report(
         stage1_value=v.std,
         stage2_value=v.dual,
         solution=DualQuaternionVector(unpack(z2, problem.arity)),
-        multipliers={"lambda": list(kkt1.lambdas), "mu": list(kkt2.mus)},
+        multipliers={"lambda": list(kkt1.multipliers), "mu": list(kkt2.multipliers)},
         kkt_residual={"stage1": kkt1.residual, "stage2": kkt2.residual},
         feasibility={"h": feas_h, "h_d": feas_hd},
         iterations={"stage1": stage1.iterations, "stage2": stage2.iterations},
@@ -981,85 +922,3 @@ def solve_eqdqo(
     # min keeps the first of equal pairs, so ties go to the lower restart
     _, r, outcome, stage2 = min(candidates, key=lambda c: c[0])
     return _report(problem, cfg, t0, r, outcome, stage2)
-
-
-def solve_stage1(
-    problem: EqdqoProblem,
-    cfg: SolverConfig | None = None,
-    initial: Sequence[DualQuaternion] | np.ndarray | None = None,
-) -> Stage1Result:
-    """Stage I alone: minimize the standard part over restarts.
-
-    Each restart starts from its point put on the standard rows and steps
-    in their tangent space ``N`` (per variable, 3 orthonormal directions on
-    a unit sphere, none if anchored).  With the objective's residual rows
-    ``r``, Jacobian ``J``, row weights ``W`` and ``B = J N``, ``g = B^T W
-    r`` is the tangent gradient.  A step first tries the Newton model
-    (:func:`_newton_step`, with each unit row's curvature), then
-    Levenberg-Marquardt steps on ``B^T W B`` until the exact standard value
-    falls; ``y`` moves to ``x + N y`` put back on the rows, so every
-    iterate is feasible.  Stage I stops when ``|g| <= tol_grad``, when no
-    step lowers the value (or, with the value flat to rounding, ``|g|``
-    stops falling), or after ``max_outer`` steps.  The restarts advance in
-    lockstep, each step one batched computation for all restarts still
-    running (:func:`_stage1`); each restart keeps its own damping and stop
-    rule, so its iterates are those it takes alone.  Stage I never reads
-    the dual coordinates: the reported point takes the minimum-norm duals
-    of the dual fiber.  Raises :class:`Infeasible` when no restart satisfies
-    the standard rows, or when the least one's dual rows cannot hold.
-    """
-    cfg = cfg or SolverConfig()
-    value, r, outcome = _stage1_restarts(problem, cfg, initial)[0]
-    z1, _, _, gram = _fiber_point(problem, outcome.z)
-    feas = _feasibility(problem, z1)
-    if not _feasible(cfg, feas):
-        raise Infeasible(f"the dual rows cannot hold at the stage-I point (h_d {feas[1]:.3e})")
-    solution = DualQuaternionVector(unpack(z1, problem.arity))
-    kkt1 = _kkt(problem, z1, 1, problem.objective.gradient_at(z1)[0], gram=gram)
-    return Stage1Result(
-        x=tuple(e.std for e in solution),
-        x_d=tuple(e.dual for e in solution),
-        value=value,
-        solution=solution,
-        feasibility={"h": feas[0], "h_d": feas[1]},
-        kkt_residual=kkt1.residual,
-        grad_norm=outcome.grad_norm,
-        iterations=outcome.iterations,
-        converged=outcome.converged,
-        restart_index=r,
-        trace=tuple(outcome.trace),
-    )
-
-
-def solve_stage2(
-    problem: EqdqoProblem,
-    stage1: Stage1Result,
-    cfg: SolverConfig | None = None,
-) -> SolveReport:
-    """Stage II from a stage-I record: one exact fit on the dual fiber.
-
-    With the standard coordinates held at the stage-I point, the dual
-    constraint rows ``G x_d = -h_d(0)`` are affine, and so is every
-    residual's dual part, ``r_dual = A x_d + b`` with ``A`` the standard
-    Jacobian of the residuals.  The feasible dual coordinates form the
-    *dual fiber* ``x_p + N y`` (minimum-norm solution plus null basis, per
-    variable), and stage II minimizes ``sum_g w_g |r_dual,g|^2`` over ``y``
-    by normal equations, dense or sparse as the fiber is.  Groups
-    infinitesimal at the stage-I point are reweighted by ``1 / |r_dual,g|``
-    until the fit settles, which minimizes the paper's stage-II objective
-    ``sum_g |r_dual,g|`` on them (robust to a few gross outliers).
-    Appreciable groups weigh 1: at a stage-I KKT point their part of the
-    paper's objective is constant on the fiber, so the paper leaves the
-    dual coordinates undetermined there, and the least-squares fit is a
-    tie-break that goes beyond the paper (the translation step of
-    Daniilidis, 1999).  Objectives without residual rows keep ``y = 0``,
-    exact for smooth standard objectives.  Raises :class:`Infeasible` if
-    the result misses a constraint row.
-    """
-    cfg = cfg or SolverConfig()
-    t0 = time.perf_counter()
-    outcome = _stage2(problem, cfg, stage1.z)
-    feas = outcome.feasibility
-    if not _feasible(cfg, feas):
-        raise Infeasible(f"stage II lost feasibility (h {feas[0]:.3e}, h_d {feas[1]:.3e})")
-    return _report(problem, cfg, t0, stage1.restart_index, stage1, outcome)

@@ -27,7 +27,6 @@ from dqopt import (
     kkt_analysis,
     pack,
     solve_eqdqo,
-    solve_stage1,
     spanning_tree_guess,
     squared_distance_objective,
     unit_norm_constraint,
@@ -122,11 +121,11 @@ def test_acceptance_4_grid_oracle():
     ds = generate_synthetic("axxb", 4, seed=17)
     cases.append((build_axxb(ds), 2.0 * 4, "calibration residual sum"))
     for problem, lipschitz, label in cases:
-        s1 = solve_stage1(problem, SolverConfig(restarts=6, seed=0))
+        value = solve_eqdqo(problem, SolverConfig(restarts=6, seed=0)).stage1_value
         gmin = grid_min_stage1(problem.objective, grid)
         tol = lipschitz * radius
-        assert s1.value <= gmin + 1e-7, label
-        assert s1.value >= gmin - tol, (label, s1.value, gmin, tol)
+        assert value <= gmin + 1e-7, label
+        assert value >= gmin - tol, (label, value, gmin, tol)
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     print(f"ACCEPTANCE 4 grid oracle: PASS ({len(cases)} problems, {elapsed:.2f}s)")
@@ -141,7 +140,7 @@ def test_acceptance_5_kkt():
     z = np.zeros(8)
     z[0] = 1.0
     info = kkt_analysis(toy, z, stage=1)
-    assert abs(info.lambdas[0] - 1.0) <= 1e-6
+    assert abs(info.multipliers[0] - 1.0) <= 1e-6
     assert info.residual <= 1e-8
 
     ds = generate_synthetic("axxb", 5, seed=0)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import deque
 
@@ -25,13 +26,14 @@ from dqopt import (
 )
 from dqopt.errors import (
     DisconnectedGraph,
+    InvalidPose,
     NoGroundTruth,
     NonUnitMeasurement,
     ParseError,
     TooFewMotions,
 )
 from dqopt.algebra import canonical_sign
-from dqopt.handeye import pose_rows, unit_rows
+from dqopt.handeye import pose_inverse, pose_rows, unit_rows
 from dqopt import posegraph
 from dqopt.posegraph import RelativePoseResidual, spanning_tree_rows
 from helpers import inverse, pose_row, poses_close, product, udqs
@@ -368,6 +370,49 @@ def test_too_few_edges_are_rejected_before_the_search(monkeypatch):
     assert not PoseGraph(4, [(1, 2), (2, 1), (3, 4)], [_IDENTITY] * 3).is_connected()
 
 
+def _with_rows(g, kind, rows):
+    """``g`` rebuilt with its ``kind`` pose rows (edge, vertex or truth) replaced."""
+    parts = {"edge": g.edge_poses, "vertex": g.vertex_poses, "truth": g.truth_poses, kind: rows}
+    return PoseGraph(g.n, g.edge_ids, parts["edge"], (g.vertex_ids, parts["vertex"]),
+                     (g.truth_ids, parts["truth"]))
+
+
+@pytest.mark.parametrize(
+    "kind, row, column, value, message",
+    [
+        ("edge", 2, 1, np.nan, "edge row 2 is not finite"),
+        ("edge", 3, slice(0, 4), 3.0, "edge row 3: rotation norm 3.0000000000000004 is not 1"),
+        ("edge", 1, 5, np.inf, "edge row 1 is not finite"),
+        ("vertex", 4, 0, np.nan, "vertex row 4 is not finite"),
+        ("truth", 0, slice(0, 4), 3.0, "truth row 0: rotation norm 3.0 is not 1"),
+    ],
+    ids=["edge-nan", "edge-norm-3", "edge-inf-translation", "vertex-nan", "truth-norm-3"],
+)
+def test_a_bad_pose_row_is_rejected_with_its_kind_and_index(kind, row, column, value, message):
+    # before the check: an uncaught LinAlgError, a solve of the wrong
+    # problem, or Infeasible, after work on a graph that was never valid
+    g = generate_cycle_graph(6, loop_closures=2, noise_rot=0.01, noise_trans=0.01, seed=0)
+    good = getattr(g, kind + "_poses")
+    rows = good.copy()
+    if isinstance(column, slice):
+        rows[row, column] *= value
+    else:
+        rows[row, column] = value
+    with pytest.raises(InvalidPose, match=re.escape(message)):
+        _with_rows(g, kind, rows)
+    # valid rows are stored as given, not normalized again
+    assert getattr(_with_rows(g, kind, good), kind + "_poses").tobytes() == good.tobytes()
+
+
+def test_pose_rows_must_match_their_ids_in_number():
+    with pytest.raises(ValueError, match="2 edge ids but 1 pose rows"):
+        PoseGraph(3, [(1, 2), (2, 3)], [_IDENTITY])
+    with pytest.raises(ValueError, match="2 vertex ids but 1 pose rows"):
+        PoseGraph(2, [(1, 2)], [_IDENTITY], ([1, 2], [_IDENTITY]))
+    with pytest.raises(ValueError, match="1 truth ids but 2 pose rows"):
+        PoseGraph(2, [(1, 2)], [_IDENTITY], truth=([1], [_IDENTITY] * 2))
+
+
 def test_graph_without_edges_is_rejected():
     with pytest.raises(TooFewMotions, match="no edges"):
         build_pgo(PoseGraph(1, (), ()))
@@ -400,6 +445,52 @@ def test_noiseless_solve_recovers_truth():
     for row in vertex_errors(g, list(report.solution)):
         assert row["rotation_error"] <= 1e-6
         assert row["translation_error"] <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Invariance: the same graph written another way gives the same answer.
+
+
+def _answer(g):
+    """Pose rows of the one-restart solve from the spanning-tree guess."""
+    cfg = SolverConfig(restarts=1, seed=0)
+    report = solve_eqdqo(build_pgo(g), cfg, initial=spanning_tree_rows(g))
+    return pose_rows(report.solution)
+
+
+def _reverse_every_other_edge(g, seed):
+    ids, poses = g.edge_ids.copy(), g.edge_poses.copy()
+    ids[1::2] = ids[1::2, ::-1]
+    poses[1::2] = pose_inverse(poses[1::2])
+    return PoseGraph(g.n, ids, poses), lambda rows: rows
+
+
+def _scale_translations(g, seed):
+    poses = g.edge_poses.copy()
+    poses[:, 4:] *= 10.0
+    unscaled = np.array([1.0, 1.0, 1.0, 1.0, 0.1, 0.1, 0.1])
+    return PoseGraph(g.n, g.edge_ids, poses), lambda rows: rows * unscaled
+
+
+def _relabel_vertices(g, seed):
+    # vertex 1 keeps its label: it is the one anchored to the identity
+    label = np.concatenate(([1], 2 + np.random.default_rng(seed).permutation(g.n - 1)))
+    return PoseGraph(g.n, label[g.edge_ids - 1], g.edge_poses), lambda rows: rows[label - 1]
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [_reverse_every_other_edge, _scale_translations, _relabel_vertices],
+    ids=["reverse", "scale", "relabel"],
+)
+def test_a_rewritten_graph_gives_the_same_answer(rewrite):
+    for seed in range(10):
+        g = generate_cycle_graph(20, 6, 0.01, 0.01, seed)
+        other, back = rewrite(g, seed)
+        assert not (np.array_equal(other.edge_ids, g.edge_ids)
+                    and np.array_equal(other.edge_poses, g.edge_poses))
+        for a, b in zip(_answer(g), back(_answer(other))):
+            assert poses_close(a, b, 1e-9), seed
 
 
 def test_pgo_objective_zero_at_truth():

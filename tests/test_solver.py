@@ -17,23 +17,16 @@ from dqopt import (
     generate_cycle_graph,
     generate_synthetic,
     kkt_analysis,
-    kkt_residual,
     pack,
     scalar_power,
     solve_eqdqo,
-    solve_stage1,
-    solve_stage2,
     spanning_tree_guess,
     spanning_tree_rows,
     squared_distance_objective,
     unit_norm_constraint,
 )
-from dqopt.errors import (
-    ArityMismatch,
-    DegenerateConstraintGradients,
-    Infeasible,
-    NonStandardProblem,
-)
+from dqopt import solver
+from dqopt.errors import ArityMismatch, Infeasible, NonStandardProblem
 from helpers import LeakyFunction, covering_radius, grid_min_stage1, super_fibonacci_grid
 
 E0 = Quaternion.identity()
@@ -69,9 +62,8 @@ def test_kkt_multiplier_at_analytic_optimum():
     z[0] = 1.0
     info = kkt_analysis(_toy_problem(), z, stage=1)
     assert not info.degenerate
-    assert info.lambdas[0] == pytest.approx(1.0, abs=1e-9)
+    assert info.multipliers[0] == pytest.approx(1.0, abs=1e-9)
     assert info.residual <= 1e-10
-    assert kkt_residual(_toy_problem(), z, stage=1) <= 1e-10
 
 
 def test_problem_rejects_non_standard_objective():
@@ -108,36 +100,6 @@ def test_problem_rejects_a_constraint_that_is_not_a_unit_or_anchor_row():
         EqdqoProblem(objective, (ShiftedUnitNorm(1, 0),))
 
 
-def test_kkt_with_supplied_multipliers_at_the_toy_optimum():
-    # grad |x - 2|^2 is -2 e0 in the standard slot (stage I), and the
-    # gradient of its dual part is -2 e0 in the dual slot (stage II); the
-    # unit row's gradient is 2 e0 in both, so lambda = 1 and mu = 1 cancel them.
-    z = np.zeros(8)
-    z[0] = 1.0
-    problem = _toy_problem()
-    one = kkt_analysis(problem, z, stage=1, multipliers={"lambda": [1.0]})
-    assert one.residual <= 1e-10
-    assert one.lambdas == (1.0,) and one.mus == ()
-    two = kkt_analysis(problem, z, stage=2, multipliers={"mu": [1.0]})
-    assert two.residual <= 1e-10
-    assert two.lambdas == () and two.mus == (1.0,)
-    # each stage reads only its own multipliers
-    both = {"lambda": [5.0], "mu": [1.0]}
-    assert kkt_analysis(problem, z, stage=2, multipliers=both).residual <= 1e-10
-    assert kkt_residual(problem, z, multipliers={"lambda": [3.0]}, stage=1) == 4.0
-    assert kkt_residual(problem, z, multipliers={"mu": [0.0]}, stage=2) == 2.0
-
-
-def test_kkt_rejects_supplied_multipliers_of_the_wrong_length():
-    z = np.zeros(8)
-    z[0] = 1.0
-    for given in ({"lambda": [1.0]}, {"lambda": [1.0], "mu": []}, {"mu": [0.0, 5.0, 7.0]}):
-        with pytest.raises(ValueError, match="mu"):
-            kkt_analysis(_toy_problem(), z, stage=2, multipliers=given)
-    with pytest.raises(ValueError, match="lambda"):
-        kkt_analysis(_toy_problem(), z, stage=1, multipliers={"mu": [1.0]})
-
-
 def test_kkt_reads_the_constraint_block_not_each_constraint(monkeypatch):
     calls = []
     original = UnitNormConstraint.gradient_at
@@ -171,7 +133,7 @@ def test_kkt_rejects_a_point_of_the_wrong_arity():
         kkt_analysis(_toy_problem(), z, stage=1)
     two = [DualQuaternion.identity(), DualQuaternion.identity()]
     with pytest.raises(ValueError):
-        kkt_residual(_toy_problem(), two, stage=2)
+        kkt_analysis(_toy_problem(), two, stage=2)
 
 
 def test_kkt_stage2_at_analytic_optimum():
@@ -180,9 +142,8 @@ def test_kkt_stage2_at_analytic_optimum():
     z[0] = 1.0
     info = kkt_analysis(_toy_problem(), z, stage=2)
     assert info.residual <= 1e-10
-    assert not info.degenerate and info.lambdas == ()
-    assert info.mus[0] == pytest.approx(1.0, abs=1e-9)
-    assert kkt_residual(_toy_problem(), z, stage=2) <= 1e-10
+    assert not info.degenerate
+    assert info.multipliers[0] == pytest.approx(1.0, abs=1e-9)
     # a unit row and four anchor rows on one variable: five gradients in
     # its four coordinates are dependent, in both stages
     pinned = EqdqoProblem(
@@ -190,10 +151,9 @@ def test_kkt_stage2_at_analytic_optimum():
         (unit_norm_constraint(1, 0),) + anchor_constraints(1, 0, DualQuaternion.identity()),
     )
     for stage in (1, 2):
-        assert kkt_analysis(pinned, z, stage=stage).degenerate
-        with pytest.raises(DegenerateConstraintGradients):
-            kkt_residual(pinned, z, stage=stage)
-        assert kkt_analysis(pinned, z, stage=stage).residual <= 1e-10
+        info = kkt_analysis(pinned, z, stage=stage)
+        assert info.degenerate and len(info.multipliers) == 5
+        assert info.residual <= 1e-10
 
 
 def _dense_multipliers(problem, z, stage):
@@ -221,15 +181,16 @@ def test_block_multipliers_match_a_dense_least_squares_solve(case):
         ds = generate_synthetic(case, 10, noise_rot=0.01, noise_trans=0.01, seed=1)
         problem = build_axxb(ds) if case == "axxb" else build_axyb(ds)
         guess, cfg = None, _fast_cfg()
-    s1 = solve_stage1(problem, cfg, initial=guess)
-    z2 = pack(list(solve_stage2(problem, s1, cfg).solution))
-    for stage, z in ((1, s1.z), (2, z2)):
+    # stage II keeps stage I's standard coordinates, so its point serves both analyses
+    report = solve_eqdqo(problem, cfg, initial=guess)
+    z = pack(list(report.solution))
+    for stage, name in ((1, "lambda"), (2, "mu")):
         info = kkt_analysis(problem, z, stage=stage)
         ref, ref_residual = _dense_multipliers(problem, z, stage)
-        got = info.lambdas if stage == 1 else info.mus
         assert not info.degenerate
-        assert np.max(np.abs(np.array(got) - ref)) <= 1e-10, (case, stage)
+        assert np.max(np.abs(np.array(info.multipliers) - ref)) <= 1e-10, (case, stage)
         assert abs(info.residual - ref_residual) <= 1e-10, (case, stage)
+        assert report.multipliers[name] == list(info.multipliers)
 
 
 def test_pose_graph_solve_is_not_degenerate():
@@ -245,12 +206,12 @@ def test_stage1_matches_grid_enumeration_on_toy():
     grid = super_fibonacci_grid(4000)
     problem = _toy_problem()
     gmin = grid_min_stage1(problem.objective, grid)
-    s1 = solve_stage1(problem, _fast_cfg())
+    value = solve_eqdqo(problem, _fast_cfg()).stage1_value
     # objective is 2(1 + |c|)-Lipschitz in chord distance on the sphere
     lip = 2.0 * (1.0 + 2.0)
     slack = lip * covering_radius(grid, seed=1)
-    assert s1.value <= gmin + 1e-7
-    assert s1.value >= gmin - slack
+    assert value <= gmin + 1e-7
+    assert value >= gmin - slack
 
 
 def test_stage1_matches_grid_enumeration_on_calibration_instance():
@@ -258,31 +219,36 @@ def test_stage1_matches_grid_enumeration_on_calibration_instance():
     problem = build_axxb(ds)
     grid = super_fibonacci_grid(4000)
     gmin = grid_min_stage1(problem.objective, grid)
-    s1 = solve_stage1(problem, _fast_cfg())
+    value = solve_eqdqo(problem, _fast_cfg()).stage1_value
     lip = 2.0 * 3  # each unit-coefficient residual term is 2-Lipschitz
     slack = lip * covering_radius(grid, seed=2)
-    assert s1.value <= gmin + 1e-7
-    assert s1.value >= gmin - slack
+    assert value <= gmin + 1e-7
+    assert value >= gmin - slack
 
 
 def test_stage1_ignores_initial_dual_coordinates():
+    # stage I steps on the standard coordinates alone (its trace rows still
+    # show the dual value and rows at the start's duals), and stage II starts
+    # from the dual fiber's minimum-norm point
     problem = _toy_problem()
     a = [DualQuaternion(Quaternion(0.3, 0.5, -0.2, 0.1), ZERO)]
     b = [DualQuaternion(Quaternion(0.3, 0.5, -0.2, 0.1), Quaternion(9, -3, 2, 7))]
-    ra = solve_stage1(problem, _fast_cfg(restarts=1), initial=a)
-    rb = solve_stage1(problem, _fast_cfg(restarts=1), initial=b)
-    assert ra.value == rb.value
-    assert all(p.approx_eq(q, tol=0.0) for p, q in zip(ra.x, rb.x))
-    assert all(p.approx_eq(q, tol=0.0) for p, q in zip(ra.x_d, rb.x_d))
+    ra = solve_eqdqo(problem, _fast_cfg(restarts=1), initial=a)
+    rb = solve_eqdqo(problem, _fast_cfg(restarts=1), initial=b)
+    assert ra.iterations == rb.iterations
+    assert [(t.objective_std, t.kkt_residual) for t in ra.trace] == [
+        (t.objective_std, t.kkt_residual) for t in rb.trace
+    ]
+    assert np.array_equal(pack(list(ra.solution)), pack(list(rb.solution)))
 
 
 def test_stage2_keeps_the_band():
     problem = _toy_problem()
     cfg = _fast_cfg()
-    s1 = solve_stage1(problem, cfg)
-    report = solve_stage2(problem, s1, cfg)
-    tau = max(1e-8, 1e-6 * abs(s1.value))
-    assert abs(report.stage1_value - s1.value) <= tau
+    value = solver._stage1_restarts(problem, cfg, None)[0][0]
+    report = solve_eqdqo(problem, cfg)
+    tau = max(1e-8, 1e-6 * abs(value))
+    assert abs(report.stage1_value - value) <= tau
     assert report.feasibility["h"] <= cfg.tol_feas
     assert report.feasibility["h_d"] <= cfg.tol_feas
 
@@ -322,8 +288,6 @@ def test_dual_rows_that_cannot_hold_raise_infeasible():
     )
     with pytest.raises(Infeasible):
         solve_eqdqo(problem, _fast_cfg(restarts=2))
-    with pytest.raises(Infeasible):
-        solve_stage1(problem, _fast_cfg(restarts=2))
 
 
 def test_report_json_shape():
@@ -382,8 +346,6 @@ def test_config_validation():
 
 def _count_gram_after_stage1(monkeypatch):
     """Counts of ``_gram_pinv`` calls made after stage I's restarts return."""
-    from dqopt import solver
-
     calls = []
     gram_pinv, stage1_restarts = solver._gram_pinv, solver._stage1_restarts
 
@@ -408,10 +370,6 @@ def test_the_final_point_factors_its_gram_matrix_once(monkeypatch):
     cfg = _fast_cfg(restarts=1)
     calls = _count_gram_after_stage1(monkeypatch)
     solve_eqdqo(problem, cfg, initial=guess)
-    assert len(calls) == 1
-    stage1 = solve_stage1(problem, cfg, initial=guess)
-    calls.clear()
-    solve_stage2(problem, stage1, cfg)
     assert len(calls) == 1
 
 
@@ -443,11 +401,12 @@ def test_the_stage1_analysis_at_stage2s_point_is_the_one_at_stage1s(model):
         ds = generate_synthetic(model, 8, noise_rot=0.01, noise_trans=0.01, seed=seed)
         problem = (build_axxb if model == "axxb" else build_axyb)(ds)
         cfg = _fast_cfg(restarts=2)
-        stage1 = solve_stage1(problem, cfg)
-        report = solve_stage2(problem, stage1, cfg)
+        report = solve_eqdqo(problem, cfg)
+        scored = solver._stage1_restarts(problem, cfg, None)
+        stage1 = next(o for _, r, o in scored if r == report.restart_index)
         info = kkt_analysis(problem, stage1.z, stage=1)
         assert report.kkt_residual["stage1"] == info.residual
-        assert report.multipliers["lambda"] == list(info.lambdas)
+        assert report.multipliers["lambda"] == list(info.multipliers)
 
 
 def test_an_initial_array_starts_restart_zero_as_dual_quaternions_do():
@@ -468,8 +427,6 @@ def test_an_initial_array_starts_restart_zero_as_dual_quaternions_do():
 def test_the_report_takes_stage2s_last_evaluation_of_its_point(monkeypatch):
     # the last stage-II trace row is evaluated at the final point, so the
     # candidate check and the report evaluate neither the value nor the rows again
-    from dqopt import solver
-
     problem, guess = _noisy_graph_problem()
     after = []
     stage2, value_at, feasibility = solver._stage2, problem.objective.value_at, solver._feasibility
@@ -488,8 +445,6 @@ def test_the_report_takes_stage2s_last_evaluation_of_its_point(monkeypatch):
     last = report.trace[-1]
     assert (last.objective_std, last.objective_dual) == (report.stage1_value, report.stage2_value)
     assert last.feasibility == max(report.feasibility.values())
-    solve_stage2(problem, solve_stage1(problem, cfg, initial=guess), cfg)
-    assert after == ["stage2"]
 
 
 def test_a_singular_point_of_a_dense_stack_solves_to_nan_and_leaves_the_others_alone():

@@ -18,7 +18,6 @@ from dqopt import (
     generate_synthetic,
     pack,
     solve_eqdqo,
-    solve_stage1,
     spanning_tree_guess,
     spanning_tree_rows,
 )
@@ -66,12 +65,14 @@ def test_sparse_systems_take_the_steps_of_dense_ones(kind, monkeypatch):
         ds = generate_synthetic("axyb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=5)
         problem, initial = build_axyb(ds), None
     cfg = SolverConfig(restarts=2, seed=0)
-    dense = solve_stage1(problem, cfg, initial)
+    dense = {r: (v, o) for v, r, o in solver._stage1_restarts(problem, cfg, initial)}
     monkeypatch.setattr(solver, "_DENSE_MAX", -1)
-    sparse = solve_stage1(problem, cfg, initial)
-    assert sparse.iterations == dense.iterations
-    assert sparse.value == pytest.approx(dense.value, rel=1e-12)
-    assert np.max(np.abs(sparse.z - dense.z)) <= 1e-9
+    sparse = {r: (v, o) for v, r, o in solver._stage1_restarts(problem, cfg, initial)}
+    assert sparse.keys() == dense.keys()
+    for r, (value, outcome) in sparse.items():
+        assert outcome.iterations == dense[r][1].iterations
+        assert value == pytest.approx(dense[r][0], rel=1e-12)
+        assert np.max(np.abs(outcome.z - dense[r][1].z)) <= 1e-9
     # and stage II on the same fiber, dense or sparse
     monkeypatch.undo()
     dense = solve_eqdqo(problem, cfg, initial)
