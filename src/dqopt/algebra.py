@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -450,12 +450,8 @@ class DualQuaternion:
         return DualQuaternion(-self.std, -self.dual)
 
     def __mul__(self, other):
-        if isinstance(other, DualQuaternion):
-            return DualQuaternion(
-                self.std * other.std,
-                self.std * other.dual + self.dual * other.std,
-            )
-        if isinstance(other, DualNumber):
+        # A dual number's parts are floats, so one rule covers both kinds.
+        if isinstance(other, (DualQuaternion, DualNumber)):
             return DualQuaternion(
                 self.std * other.std,
                 self.std * other.dual + self.dual * other.std,
@@ -669,10 +665,6 @@ class DualQuaternionVector:
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
 
-    @classmethod
-    def of(cls, values: Iterable[DualQuaternion]) -> "DualQuaternionVector":
-        return cls(tuple(values))
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -687,8 +679,8 @@ class DualQuaternionVector:
 
         ``conj(e) * e`` is the dual number ``|e_std|^2 + 2 <e_std, e_dual> eps``
         for every entry, so the squared norm sums those scalars.  When the
-        stacked standard part is appreciable the square root follows the
-        usual first-order rule; otherwise every entry is infinitesimal and
+        stacked standard part is appreciable the norm is that sum's
+        :meth:`DualNumber.sqrt`; otherwise every entry is infinitesimal and
         the norm is the Euclidean norm of the dual parts times eps.
         """
         std_sq = 0.0
@@ -697,8 +689,7 @@ class DualQuaternionVector:
             std_sq += e.std.norm_squared()
             cross += 2.0 * e.std.dot(e.dual)
         if std_sq > tol * tol:
-            root = math.sqrt(std_sq)
-            return DualNumber(root, cross / (2.0 * root))
+            return DualNumber(std_sq, cross).sqrt(tol * tol)
         dual_sq = 0.0
         for e in self.entries:
             dual_sq += e.dual.norm_squared()

@@ -1,10 +1,13 @@
-"""Command-line surface: generate datasets, solve, self-test, report.
+"""Command-line surface: generate datasets, solve them, run the self-test.
 
-Exit codes: 0 on success, 1 when the solver fails (no restart ends at a
-feasible point), 2 on usage or input errors.  All output files are
-byte-identical across runs with the same inputs and seeds; the only
-nondeterministic report field is ``wall_time_ms``.  The environment
-variable ``DQOPT_SEED`` overrides ``--seed`` everywhere when set.
+The solve commands write the report as indented JSON to ``--out`` or
+stdout, with the ground-truth errors when the input has them, and the
+per-iteration trace as CSV to ``--csv``.  Exit codes: 0 on success, 1
+when the solver fails (no restart ends at a feasible point), 2 on usage or
+input errors.  All output files are byte-identical across runs with the
+same inputs and seeds; the only nondeterministic report field is
+``wall_time_ms``.  The environment variable ``DQOPT_SEED`` overrides
+``--seed`` everywhere when set.
 """
 
 from __future__ import annotations
@@ -102,10 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("selftest", help="run the built-in verification suites")
     t.add_argument("--seed", type=int, default=0)
     t.set_defaults(func=_cmd_selftest)
-
-    r = sub.add_parser("report", help="print a saved solve report")
-    r.add_argument("--in", dest="infile", required=True, metavar="PATH")
-    r.set_defaults(func=_cmd_report)
     return parser
 
 
@@ -171,13 +170,19 @@ def _write_text(path: str, text: str) -> None:
         raise _BadInput(f"cannot write {path}: {e.strerror or e}")
 
 
-def _emit_report(data: dict, path: str | None) -> None:
+def _emit(report, errors, args) -> None:
+    """The report, with ``errors`` unless None, to ``--out`` or stdout; its trace to ``--csv``."""
+    data = report.to_json_dict()
+    if errors is not None:
+        data["errors"] = errors
     text = json.dumps(data, indent=2) + "\n"
-    if path is None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        _write_text(path, text)
-        print(f"wrote {path}")
+        _write_text(args.out, text)
+        print(f"wrote {args.out}")
+    if args.csv:
+        _write_trace_csv(args.csv, report.trace)
 
 
 def _write_trace_csv(path: str, trace) -> None:
@@ -216,14 +221,11 @@ def _cmd_solve_handeye(args) -> int:
         raise _BadInput(f"{args.infile}: invalid dataset ({e})")
     problem = build_axxb(ds) if ds.model == "axxb" else build_axyb(ds)
     report = solve_eqdqo(problem, _config_from_args(args))
-    out = report.to_json_dict()
+    errors = None
     if ds.ground_truth_x is not None:
         sol = list(report.solution)
-        y = sol[1] if ds.model == "axyb" else None
-        out["errors"] = evaluate_solution(ds, sol[0], y)
-    _emit_report(out, args.out)
-    if args.csv:
-        _write_trace_csv(args.csv, report.trace)
+        errors = evaluate_solution(ds, sol[0], sol[1] if ds.model == "axyb" else None)
+    _emit(report, errors, args)
     return 0
 
 
@@ -245,12 +247,8 @@ def _cmd_solve_pgo(args) -> int:
     graph = parse_graph(_read_text(args.infile))
     problem = build_pgo(graph)
     report = solve_eqdqo(problem, _config_from_args(args), initial=spanning_tree_rows(graph))
-    out = report.to_json_dict()
-    if len(graph.truth_ids) == graph.n:
-        out["errors"] = vertex_errors(graph, list(report.solution))
-    _emit_report(out, args.out)
-    if args.csv:
-        _write_trace_csv(args.csv, report.trace)
+    errors = vertex_errors(graph, list(report.solution)) if len(graph.truth_ids) == graph.n else None
+    _emit(report, errors, args)
     return 0
 
 
@@ -271,44 +269,6 @@ def _cmd_selftest(args) -> int:
         return 0
     print(f"{total - passed} of {total} checks failed")
     return 1
-
-
-def _cmd_report(args) -> int:
-    data = _read_json(args.infile)
-    try:
-        lines = [
-            f"objective (std)   {data['stage1_value']}",
-            f"objective (dual)  {data['stage2_value']}",
-            f"feasibility       std {data['feasibility']['h']}"
-            f"  dual {data['feasibility']['h_d']}",
-            f"kkt residual      stage1 {data['kkt_residual']['stage1']}"
-            f"  stage2 {data['kkt_residual']['stage2']}",
-            f"iterations        stage1 {data['iterations']['stage1']}"
-            f"  stage2 {data['iterations']['stage2']}",
-            f"winning restart   {data['restart_index']}",
-            f"wall time (ms)    {data['wall_time_ms']}",
-        ]
-        cfg = data["config"]
-        if not isinstance(cfg, dict):
-            raise _BadInput(f"{args.infile}: not a solve report (config is not an object)")
-        lines.append(
-            "config            "
-            + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg))
-        )
-        errors = data.get("errors")
-        if isinstance(errors, dict):
-            for k in sorted(errors):
-                lines.append(f"{k:<22}{errors[k]}")
-        elif isinstance(errors, list):
-            for entry in errors:
-                lines.append(
-                    f"vertex {entry['vertex']:<11}rotation {entry['rotation_error']:.3e}"
-                    f"  translation {entry['translation_error']:.3e}"
-                )
-    except (KeyError, TypeError, ValueError) as e:
-        raise _BadInput(f"{args.infile}: not a solve report ({e})")
-    print("\n".join(lines))
-    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,8 @@ from .algebra import (
     DualQuaternion,
     Quaternion,
     UnitDualQuaternion,
+    dual_max,
+    dual_min,
     left_mult_matrix,
     right_mult_matrix,
 )
@@ -60,14 +62,12 @@ __all__ = [
     "variable_map",
     "normalize_map",
     "map_power",
-    "make_power",
     "compose_unit",
     "unit_log",
     "unit_exp",
     "AffineResidual",
     "ResidualNormObjective",
     "UnitNormConstraint",
-    "unit_norm_constraint",
     "anchor_constraints",
     "ConstraintBlock",
     "squared_distance_objective",
@@ -196,9 +196,8 @@ class _Combined(DualFunction):
             return a + b
         if self.op == "product":
             return a * b
-        if self.op == "min":
-            return a if a.compare(b) <= 0 else b
-        return a if a.compare(b) >= 0 else b
+        # both keep ``a`` on a tie, as the gradient below does
+        return dual_min(a, b) if self.op == "min" else dual_max(a, b)
 
     def gradient_at(self, z):
         if self.op == "sum":
@@ -340,11 +339,6 @@ class _MapPower(DualQuaternionMap):
 def map_power(inner: DualQuaternionMap, exponent: int) -> DualQuaternionMap:
     """The inner map's value raised to a positive integer power."""
     return _MapPower(inner, exponent)
-
-
-def make_power(exponent: int) -> DualQuaternionMap:
-    """Single-variable power map ``x -> x**exponent``."""
-    return map_power(variable_map(1, 0), exponent)
 
 
 class _ComposeUnit(DualFunction):
@@ -679,10 +673,6 @@ class UnitNormConstraint(DualFunction):
         v_dual = 2.0 * float(xs @ xd)
         g_std, g_dual = self.gradient_at(z)
         return (v_std, g_std), (v_dual, g_dual)
-
-
-def unit_norm_constraint(arity: int, index: int) -> UnitNormConstraint:
-    return UnitNormConstraint(arity, index)
 
 
 class _ComponentAnchor(DualFunction):

@@ -144,28 +144,16 @@ class HandEyeDataset:
     """Pose rows of both sides plus optional ground truth and generator metadata.
 
     ``poses_a`` and ``poses_b`` are read-only ``(k, 7)`` rows ``(qw, qx, qy,
-    qz, tx, ty, tz)``, row ``i`` of each side measured together; the
-    constructor takes rows only, checked and normalized by :func:`unit_rows`.
-    The ground truths are unit dual quaternions or None.
+    qz, tx, ty, tz)``, row ``i`` of each side measured together.  The
+    constructor takes rows only, checks them with :func:`checked_rows` and
+    stores them as given; :meth:`from_json_dict` normalizes file rows with
+    :func:`unit_rows` first.  The ground truths are unit dual quaternions or
+    None.
     """
 
     def __init__(self, model: str, poses_a, poses_b, ground_truth_x=None, ground_truth_y=None,
                  meta: dict | None = None):
-        rows = unit_rows(poses_a, "A pose {}"), unit_rows(poses_b, "B pose {}")
-        self._store(model, *rows, ground_truth_x, ground_truth_y, meta)
-
-    @classmethod
-    def _of_unit_rows(cls, model: str, *rest) -> "HandEyeDataset":
-        """A dataset of rows the row kernels normalized already, stored as they are.
-
-        Normalizing them again would move the last bit of about a third of
-        them, and with it the generator's output.
-        """
-        dataset = cls.__new__(cls)
-        dataset._store(model, *rest)
-        return dataset
-
-    def _store(self, model, poses_a, poses_b, ground_truth_x=None, ground_truth_y=None, meta=None):
+        poses_a, poses_b = checked_rows(poses_a, "A pose {}"), checked_rows(poses_b, "B pose {}")
         if model not in ("axxb", "axyb"):
             raise ValueError(f"unknown model {model!r}")
         if len(poses_a) != len(poses_b):
@@ -193,7 +181,7 @@ class HandEyeDataset:
             if k in gt:
                 rows = unit_rows(_json_rows([gt[k]], f"ground truth {k}"), f"ground truth {k}")
                 truths[k] = UnitDualQuaternion.from_rows(pose_udqs(rows))[0]
-        rows = (_json_rows(data[side], side + " pose {}") for side in "AB")
+        rows = (unit_rows(_json_rows(data[s], s + " pose {}"), s + " pose {}") for s in "AB")
         return cls(data["model"], *rows, truths.get("X"), truths.get("Y"), data.get("meta", {}))
 
 
@@ -393,7 +381,7 @@ def generate_synthetic(
         poses_b = pose_compose(pose_compose(np.repeat(pose_inverse(truths[1:]), n, axis=0), poses_a), x)
     noisy_b = _noisy(poses_b, rng, noise_rot, noise_trans)
     truths = UnitDualQuaternion.from_rows(canonicalized(pose_udqs(truths))) + (None,)
-    return HandEyeDataset._of_unit_rows(model, poses_a, noisy_b, *truths[:2], meta)
+    return HandEyeDataset(model, poses_a, noisy_b, *truths[:2], meta)
 
 
 # ---------------------------------------------------------------------------

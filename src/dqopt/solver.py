@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -94,6 +94,12 @@ class SolverConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name in ("restarts", "seed", "max_outer", "threads"):
+            count = getattr(self, name)
+            # bool is an int subclass, and a NumPy integer would reach the JSON report
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
+            object.__setattr__(self, name, int(count))
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.seed < 0:
@@ -106,14 +112,7 @@ class SolverConfig:
             raise ValueError("threads must be at least 1")
 
     def to_json_dict(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "tol_grad": self.tol_grad,
-            "tol_feas": self.tol_feas,
-            "max_outer": self.max_outer,
-            "threads": self.threads,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -167,8 +166,12 @@ class EqdqoProblem:
 class TraceRow:
     """One stage-I step or one stage-II solve, for convergence plots.
 
-    ``kkt_residual`` is stage I's tangent gradient norm at the start of the
-    step, or stage II's normal-equation residual after the solve.
+    ``feasibility`` is the largest violation of the rows the stage holds:
+    ``max |h|`` in stage I, which leaves the start's dual coordinates for
+    stage II to replace, and the larger of ``max |h|`` and ``max |h_d|`` in
+    stage II.  ``kkt_residual`` is stage I's tangent gradient norm at the
+    start of the step, or stage II's normal-equation residual after the
+    solve.
     """
 
     iteration: int
@@ -638,8 +641,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         wr = w * r
         grad = _tmv(b, wr)
         g_norm = np.sqrt(_dots(grad, grad))
-        h_std, h_dual = block.values(pts)
-        feas = np.maximum.reduce(np.maximum(abs(h_std), abs(h_dual)), axis=-1, initial=0.0)
+        feas = np.maximum.reduce(abs(block.values(pts)[0]), axis=-1, initial=0.0)
         rows = np.empty((len(idx), 4))
         rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = v_std[idx], v_dual[idx], feas, g_norm
         for k, row in zip(idx.tolist(), rows.tolist()):

@@ -17,6 +17,7 @@ from dqopt import (
     Quaternion,
     SolverConfig,
     UnitDualQuaternion,
+    UnitNormConstraint,
     build_axxb,
     build_axyb,
     build_pgo,
@@ -29,7 +30,6 @@ from dqopt import (
     solve_eqdqo,
     spanning_tree_guess,
     squared_distance_objective,
-    unit_norm_constraint,
     vertex_errors,
 )
 from dqopt.cli import main
@@ -104,7 +104,7 @@ def test_acceptance_4_grid_oracle():
     target = DualQuaternion.from_real(2.0)
     cases.append(
         (
-            EqdqoProblem(squared_distance_objective(target), (unit_norm_constraint(1, 0),)),
+            EqdqoProblem(squared_distance_objective(target), (UnitNormConstraint(1, 0),)),
             2.0 * (1.0 + target.std.norm()),
             "squared distance to 2",
         )
@@ -113,7 +113,7 @@ def test_acceptance_4_grid_oracle():
     other = _random_dq(rng)
     cases.append(
         (
-            EqdqoProblem(squared_distance_objective(other), (unit_norm_constraint(1, 0),)),
+            EqdqoProblem(squared_distance_objective(other), (UnitNormConstraint(1, 0),)),
             2.0 * (1.0 + other.std.norm()),
             "squared distance to random target",
         )
@@ -135,7 +135,7 @@ def test_acceptance_5_kkt():
     t0 = time.monotonic()
     toy = EqdqoProblem(
         squared_distance_objective(DualQuaternion.from_real(2.0)),
-        (unit_norm_constraint(1, 0),),
+        (UnitNormConstraint(1, 0),),
     )
     z = np.zeros(8)
     z[0] = 1.0

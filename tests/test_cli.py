@@ -265,46 +265,6 @@ def test_selftest_passes(capsys):
     assert "checks passed" in out
 
 
-def test_report_subcommand(tmp_path, capsys):
-    ds = tmp_path / "ds.json"
-    rep = tmp_path / "report.json"
-    assert main(["gen-handeye", "--model", "axxb", "--motions", "4",
-                 "--seed", "11", "--out", str(ds)]) == 0
-    assert main(_solve_args(ds, rep, ["--restarts", "2"])) == 0
-    capsys.readouterr()
-    assert main(["report", "--in", str(rep)]) == 0
-    out = capsys.readouterr().out
-    assert "objective (std)" in out
-    assert "rotation_error_x" in out
-    notrep = tmp_path / "not.json"
-    notrep.write_text('{"hello": 1}')
-    assert main(["report", "--in", str(notrep)]) == 2
-
-
-def test_report_rejects_malformed_reports(tmp_path, capsys):
-    base = {
-        "stage1_value": 0.0, "stage2_value": 0.0, "feasibility": {"h": 0.0, "h_d": 0.0},
-        "kkt_residual": {"stage1": 0.0, "stage2": 0.0},
-        "iterations": {"stage1": 1, "stage2": 1}, "restart_index": 0,
-        "wall_time_ms": 1.0, "config": {"restarts": 1},
-    }
-    row = {"vertex": 1, "rotation_error": 0.0, "translation_error": 0.0}
-    path = tmp_path / "report.json"
-    path.write_text(json.dumps(dict(base, errors=[row])))
-    assert main(["report", "--in", str(path)]) == 0
-    assert "vertex 1" in capsys.readouterr().out
-    for bad in (
-        dict(base, errors=[{"vertex": 1, "translation_error": 0.0}]),
-        dict(base, errors=[dict(row, rotation_error="small")]),
-        dict(base, errors=[[1, 0.0, 0.0]]),
-        dict(base, config=[5]),
-        dict(base, config=["restarts"]),
-    ):
-        path.write_text(json.dumps(bad))
-        assert main(["report", "--in", str(path)]) == 2
-        assert "error:" in capsys.readouterr().err
-
-
 def test_report_prints_to_stdout_without_out(tmp_path, capsys):
     ds = tmp_path / "ds.json"
     assert main(["gen-handeye", "--model", "axxb", "--motions", "3",

@@ -68,7 +68,7 @@ def test_vector_norm2_squares_to_the_sum_of_entry_self_products():
     # appreciable: n n = sum_e conj(e) e, a dual number
     rng = np.random.default_rng(61)
     for _ in range(100):
-        v = DualQuaternionVector.of(_rand_dq(rng) for _ in range(4))
+        v = DualQuaternionVector(_rand_dq(rng) for _ in range(4))
         n = v.norm2()
         assert n.std > 0.0
         total = DualNumber(0.0, 0.0)
@@ -76,7 +76,7 @@ def test_vector_norm2_squares_to_the_sum_of_entry_self_products():
             total = total + (e.conjugate() * e).as_dual_number()
         assert (n * n).approx_eq(total, tol=1e-10)
     # infinitesimal: the Euclidean norm of the dual parts times eps
-    v = DualQuaternionVector.of([DualQuaternion(ZERO, 3.0 * I), DualQuaternion(ZERO, 4.0 * K)])
+    v = DualQuaternionVector([DualQuaternion(ZERO, 3.0 * I), DualQuaternion(ZERO, 4.0 * K)])
     assert v.norm2() == DualNumber(0.0, 5.0)
 
 

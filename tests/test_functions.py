@@ -3,6 +3,7 @@ import pytest
 
 from dqopt import (
     ConstraintBlock,
+    DualFunction,
     DualNumber,
     DualQuaternion,
     Quaternion,
@@ -14,7 +15,6 @@ from dqopt import (
     compose_unit,
     fd_gradient,
     gradient_check,
-    make_power,
     map_power,
     normalize_map,
     pack,
@@ -63,8 +63,8 @@ def test_variable_and_power_magnitudes():
         assert g.value((a, b)).approx_eq((a * a).magnitude(), tol=1e-12)
 
 
-def test_make_power_is_single_variable():
-    cube = make_power(3)
+def test_a_power_of_the_single_variable_map():
+    cube = map_power(variable_map(1, 0), 3)
     assert cube.arity == 1
     rng = np.random.default_rng(89)
     q = _rand_dq(rng)
@@ -116,6 +116,19 @@ def test_min_and_max_ties_take_the_first_arguments_gradient():
     assert not np.array_equal(first, np.concatenate(g.gradient_at(z)))
     for op in ("min", "max"):
         assert np.array_equal(np.concatenate(combine(f, g, op).gradient_at(z)), first)
+    # the values tie the same way: equal dual numbers, the first one returned
+    a, b = DualNumber(1.0, 2.0), DualNumber(1.0, 2.0)
+    for op in ("min", "max"):
+        assert combine(_Constant(a), _Constant(b), op).value((x,)) is a
+
+
+class _Constant(DualFunction):
+    def __init__(self, value):
+        super().__init__(1, declared_standard=True)
+        self.constant = value
+
+    def value(self, values):
+        return self.constant
 
 
 def test_calling_a_function_checks_its_arity():

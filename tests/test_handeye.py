@@ -204,10 +204,9 @@ def test_an_exactly_singular_stage2_raises_infeasible_not_a_nan_answer():
         poses_b.append(product(product(inverse(x), a), x))
     cfg = SolverConfig(restarts=2, seed=0)
     with pytest.warns(RuntimeWarning):
-        # the rows as the kernels formed them: the constructor would normalize
-        # them again, which moves last bits and the system off exact singularity
-        rows = np.array(poses_a), np.array(poses_b)
-        problem = build_axxb(HandEyeDataset._of_unit_rows("axxb", *rows))
+        # the constructor keeps the rows as the kernels formed them: normalizing
+        # them again would move last bits and the system off exact singularity
+        problem = build_axxb(HandEyeDataset("axxb", poses_a, poses_b))
         with pytest.raises(Infeasible):
             solve_eqdqo(problem, cfg)
     # the first non-finite pass ends stage II instead of repeating to max_outer
@@ -257,6 +256,85 @@ def test_axyb_parallel_axes_warn():
         poses.append(product(poses[-1], pose_row(rot, (0.2 * k, 0.1, 0))))
     with pytest.warns(RuntimeWarning):
         build_axyb(HandEyeDataset("axyb", poses, poses))
+
+
+# ---------------------------------------------------------------------------
+# Invariance: the same measurements written another way give the same
+# calibration, compared on pose rows over seeds 0-9.
+
+
+_SCALE = np.array([1.0, 1.0, 1.0, 1.0, 10.0, 10.0, 10.0])
+# a robot base frame G, turned and moved away from the identity
+_BASE = pose_row(Quaternion.exp_axis_angle(1.1, Quaternion(0, 0.6, 0, 0.8)), (0.4, -1.3, 0.7))
+
+
+def _he_answer(ds):
+    problem = build_axxb(ds) if ds.model == "axxb" else build_axyb(ds)
+    return pose_rows(solve_eqdqo(problem, SolverConfig(restarts=8, seed=0)).solution)
+
+
+def _negate_rotations(ds, seed):
+    # every third A row and a shifted third of the B rows: the same poses
+    a, b = ds.poses_a.copy(), ds.poses_b.copy()
+    a[0::3, :4] *= -1.0
+    b[1::3, :4] *= -1.0
+    return HandEyeDataset(ds.model, a, b), lambda rows: rows
+
+
+def _scale_he_translations(ds, seed):
+    other = HandEyeDataset(ds.model, ds.poses_a * _SCALE, ds.poses_b * _SCALE)
+    return other, lambda rows: rows / _SCALE
+
+
+def _reorder_pairs(ds, seed):
+    order = np.random.default_rng(seed).permutation(len(ds.poses_a))
+    return HandEyeDataset(ds.model, ds.poses_a[order], ds.poses_b[order]), lambda rows: rows
+
+
+def _reverse_sequence(ds, seed):
+    # relative motion i becomes the inverse of motion k - 1 - i on both sides
+    return HandEyeDataset(ds.model, ds.poses_a[::-1], ds.poses_b[::-1]), lambda rows: rows
+
+
+def _change_base_frame(ds, seed):
+    # A_k <- G A_k turns every relative motion a into G a G^-1, so X becomes G X
+    g = np.repeat(_BASE[None], len(ds.poses_a), axis=0)
+    other = HandEyeDataset(ds.model, pose_compose(g, ds.poses_a), ds.poses_b)
+    return other, lambda rows: pose_compose(pose_inverse(g[: len(rows)]), rows)
+
+
+# Noisy reverse and base-frame AXXB answers differ in translation by up to
+# 2e-3: stage II's least-squares tie-break weighs the residuals' dual parts,
+# which multiplying them by a unit dual quaternion changes.  AXYB base-frame
+# changes flip a pose's canonical sign on some seeds, so they wait for
+# sign-consistent residuals.
+HE_REWRITES = [
+    ("axxb", _negate_rotations, 0.01),
+    ("axyb", _negate_rotations, 0.01),
+    ("axxb", _negate_rotations, 0.0),
+    ("axyb", _negate_rotations, 0.0),
+    ("axxb", _scale_he_translations, 0.01),
+    ("axyb", _scale_he_translations, 0.01),
+    ("axxb", _scale_he_translations, 0.0),
+    ("axyb", _scale_he_translations, 0.0),
+    ("axyb", _reorder_pairs, 0.01),
+    ("axyb", _reorder_pairs, 0.0),
+    ("axxb", _reverse_sequence, 0.0),
+    ("axxb", _change_base_frame, 0.0),
+]
+
+
+@pytest.mark.parametrize(
+    "model,rewrite,sigma", HE_REWRITES,
+    ids=[f"{m}-{f.__name__.strip('_')}-{s}" for m, f, s in HE_REWRITES],
+)
+def test_a_rewritten_dataset_gives_the_same_calibration(model, rewrite, sigma):
+    for seed in range(10):
+        ds = generate_synthetic(model, 10, sigma, sigma, seed)
+        other, back = rewrite(ds, seed)
+        assert not np.array_equal(other.poses_a, ds.poses_a)
+        for a, b in zip(_he_answer(ds), back(_he_answer(other))):
+            assert poses_close(a, b, 1e-9), seed
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +546,7 @@ def _ref_generate(model, n, sr, st, seed):
     noisy_b = [noisy(p) for p in poses_b]
     truths = [UnitDualQuaternion(_ref_canonical_udq(p)) for p in truths] + [None]
     meta = {"seed": seed, "n": n, "noise_rot": sr, "noise_trans": st}
-    return HandEyeDataset._of_unit_rows(model, rows(poses_a), rows(noisy_b), *truths[:2], meta)
+    return HandEyeDataset(model, rows(poses_a), rows(noisy_b), *truths[:2], meta)
 
 
 NOISE = [(0.0, 0.0), (0.01, 0.0), (0.0, 0.01), (0.01, 0.01)]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,6 @@ from dqopt import (
     spanning_tree_guess,
     spanning_tree_rows,
     squared_distance_objective,
-    unit_norm_constraint,
 )
 from dqopt import solver
 from dqopt.errors import ArityMismatch, Infeasible, NonStandardProblem
@@ -37,7 +37,7 @@ def _toy_problem():
     # min |x - 2|^2 subject to |x|^2 = 1; optimum x = 1, value 1, multiplier 1
     return EqdqoProblem(
         squared_distance_objective(DualQuaternion.from_real(2.0)),
-        (unit_norm_constraint(1, 0),),
+        (UnitNormConstraint(1, 0),),
     )
 
 
@@ -68,27 +68,27 @@ def test_kkt_multiplier_at_analytic_optimum():
 
 def test_problem_rejects_non_standard_objective():
     with pytest.raises(NonStandardProblem, match="objective .*LeakyFunction"):
-        EqdqoProblem(LeakyFunction(), (unit_norm_constraint(1, 0),))
+        EqdqoProblem(LeakyFunction(), (UnitNormConstraint(1, 0),))
 
 
 def test_problem_rejects_non_standard_constraint():
     objective = squared_distance_objective(DualQuaternion.identity())
     with pytest.raises(NonStandardProblem, match="constraint 1 .*LeakyFunction"):
-        EqdqoProblem(objective, (unit_norm_constraint(1, 0), LeakyFunction()))
+        EqdqoProblem(objective, (UnitNormConstraint(1, 0), LeakyFunction()))
 
 
 def test_problem_rejects_an_objective_without_residual_rows():
     # standard, but stage I has no residual rows to take steps on
     squared = scalar_power(squared_distance_objective(DualQuaternion.identity()), 2)
     with pytest.raises(TypeError, match="objective .*_ScalarPower"):
-        EqdqoProblem(squared, (unit_norm_constraint(1, 0),))
+        EqdqoProblem(squared, (UnitNormConstraint(1, 0),))
 
 
 def test_problem_rejects_a_constraint_that_is_not_a_unit_or_anchor_row():
     objective = squared_distance_objective(DualQuaternion.identity())
     other = squared_distance_objective(DualQuaternion.from_real(2.0))
     with pytest.raises(TypeError, match="constraint 1 .*_SquaredDistance"):
-        EqdqoProblem(objective, (unit_norm_constraint(1, 0), other))
+        EqdqoProblem(objective, (UnitNormConstraint(1, 0), other))
 
     class ShiftedUnitNorm(UnitNormConstraint):
         def value(self, values):  # |x|^2 = 2 instead of 1
@@ -148,7 +148,7 @@ def test_kkt_stage2_at_analytic_optimum():
     # its four coordinates are dependent, in both stages
     pinned = EqdqoProblem(
         squared_distance_objective(DualQuaternion.from_real(2.0)),
-        (unit_norm_constraint(1, 0),) + anchor_constraints(1, 0, DualQuaternion.identity()),
+        (UnitNormConstraint(1, 0),) + anchor_constraints(1, 0, DualQuaternion.identity()),
     )
     for stage in (1, 2):
         info = kkt_analysis(pinned, z, stage=stage)
@@ -228,18 +228,30 @@ def test_stage1_matches_grid_enumeration_on_calibration_instance():
 
 def test_stage1_ignores_initial_dual_coordinates():
     # stage I steps on the standard coordinates alone (its trace rows still
-    # show the dual value and rows at the start's duals), and stage II starts
-    # from the dual fiber's minimum-norm point
+    # show the dual value at the start's duals), and stage II starts from the
+    # dual fiber's minimum-norm point
     problem = _toy_problem()
     a = [DualQuaternion(Quaternion(0.3, 0.5, -0.2, 0.1), ZERO)]
     b = [DualQuaternion(Quaternion(0.3, 0.5, -0.2, 0.1), Quaternion(9, -3, 2, 7))]
     ra = solve_eqdqo(problem, _fast_cfg(restarts=1), initial=a)
     rb = solve_eqdqo(problem, _fast_cfg(restarts=1), initial=b)
     assert ra.iterations == rb.iterations
-    assert [(t.objective_std, t.kkt_residual) for t in ra.trace] == [
-        (t.objective_std, t.kkt_residual) for t in rb.trace
+    assert [(t.objective_std, t.feasibility, t.kkt_residual) for t in ra.trace] == [
+        (t.objective_std, t.feasibility, t.kkt_residual) for t in rb.trace
     ]
     assert np.array_equal(pack(list(ra.solution)), pack(list(rb.solution)))
+
+
+def test_stage1_trace_rows_report_the_rows_stage1_holds():
+    # a spanning-tree start carries duals that stage I leaves for stage II to
+    # replace; at the stage-I point they miss the dual rows by 3.3e-2
+    graph = generate_cycle_graph(20, 6, 0.01, 0.01, 0)
+    problem = build_pgo(graph)
+    start = spanning_tree_rows(graph).reshape(1, -1)
+    outcome = solver._stage1(problem, SolverConfig(restarts=1), start)[0]
+    assert solver._feasibility(problem, outcome.z)[1] > 3e-2
+    assert len(outcome.trace) == 5
+    assert max(row.feasibility for row in outcome.trace) <= 1e-15
 
 
 def test_stage2_keeps_the_band():
@@ -271,7 +283,7 @@ def test_infeasible_raises():
     # pinning x to 2 while requiring |x| = 1 admits no feasible point
     problem = EqdqoProblem(
         squared_distance_objective(DualQuaternion.identity()),
-        (unit_norm_constraint(1, 0),)
+        (UnitNormConstraint(1, 0),)
         + anchor_constraints(1, 0, DualQuaternion.from_real(2.0)),
     )
     with pytest.raises(Infeasible):
@@ -283,7 +295,7 @@ def test_dual_rows_that_cannot_hold_raise_infeasible():
     # unit row's dual part 2 <x, x_d> = 2 cannot vanish
     problem = EqdqoProblem(
         squared_distance_objective(DualQuaternion.identity()),
-        (unit_norm_constraint(1, 0),)
+        (UnitNormConstraint(1, 0),)
         + anchor_constraints(1, 0, DualQuaternion(Quaternion(1, 0, 0, 0), Quaternion(1, 0, 0, 0))),
     )
     with pytest.raises(Infeasible):
@@ -334,6 +346,9 @@ def test_config_validation():
             SolverConfig(tol_grad=bad)
         with pytest.raises(ValueError, match="positive and finite"):
             SolverConfig(tol_feas=bad)
+    # a NumPy integer count is range-checked as an int is
+    with pytest.raises(ValueError, match="restarts must be at least 1"):
+        SolverConfig(restarts=np.int64(0))
     # stage I takes Gauss-Newton steps: there is no smoothing schedule or inner solver to set
     with pytest.raises(TypeError):
         SolverConfig(mu_schedule=(1e-3, 1e-2))
@@ -342,6 +357,34 @@ def test_config_validation():
     # stage II cannot move the standard value, so there is no band width to set
     with pytest.raises(TypeError):
         SolverConfig(tau_l=1e-6)
+
+
+NON_INTEGER_COUNTS = [
+    ("restarts", 2.5),  # once ended in a TypeError from range
+    ("max_outer", 3.5),  # likewise
+    ("seed", 1.5),  # once ended inside SeedSequence
+    ("threads", 2.5),  # once solved and echoed 2.5
+    ("restarts", True),  # once echoed true
+]
+
+
+@pytest.mark.parametrize("name,value", NON_INTEGER_COUNTS)
+def test_config_rejects_counts_that_are_not_integers(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        SolverConfig(**{name: value})
+
+
+def test_config_stores_numpy_integer_counts_as_int():
+    # a NumPy integer echoed in the report once made json.dumps raise
+    cfg = SolverConfig(restarts=np.int64(3), seed=np.uint8(2), max_outer=np.int32(40),
+                       threads=np.int16(1))
+    counts = [getattr(cfg, name) for name in ("restarts", "seed", "max_outer", "threads")]
+    assert [type(count) for count in counts] == [int] * 4
+    report = json.loads(json.dumps(solve_eqdqo(_toy_problem(), cfg).to_json_dict()))
+    assert report["config"] == {"restarts": 3, "seed": 2, "tol_grad": 1e-9, "tol_feas": 1e-9,
+                                "max_outer": 40, "threads": 1}
+    assert list(report["config"]) == ["restarts", "seed", "tol_grad", "tol_feas", "max_outer",
+                                      "threads"]
 
 
 def _count_gram_after_stage1(monkeypatch):
