@@ -136,6 +136,20 @@ def _json_rows(poses, label: str) -> np.ndarray:
     return np.array([[*p["q"], *p["t"]] for p in poses], dtype=np.float64)
 
 
+def _file_rows(poses, label: str) -> np.ndarray:
+    """Checked rows of JSON poses, each rotation that is not unit to 4 ulps divided by its norm.
+
+    Rows written from unit rows come back as they were, so a dataset read
+    from its own JSON is the same dataset bit for bit; dividing such a row
+    by its rounded norm again would move its last bits.
+    """
+    rows = checked_rows(_json_rows(poses, label), label)
+    norm = np.sqrt(quat_dot(rows[:, :4], rows[:, :4]))
+    off = abs(norm - 1.0) > 4 * np.finfo(np.float64).eps
+    rows[off] = _unit(rows[off, :4], rows[off, 4:])
+    return rows
+
+
 def _json_poses(rows: np.ndarray) -> list[dict]:
     return [{"q": row[:4], "t": row[4:]} for row in rows.tolist()]
 
@@ -146,8 +160,9 @@ class HandEyeDataset:
     ``poses_a`` and ``poses_b`` are read-only ``(k, 7)`` rows ``(qw, qx, qy,
     qz, tx, ty, tz)``, row ``i`` of each side measured together.  The
     constructor takes rows only, checks them with :func:`checked_rows` and
-    stores them as given; :meth:`from_json_dict` normalizes file rows with
-    :func:`unit_rows` first.  The ground truths are unit dual quaternions or
+    stores them as given; :meth:`from_json_dict` first divides each file
+    row's rotation by its norm, unless the row is unit to a few ulps, as rows
+    the dataset wrote are.  The ground truths are unit dual quaternions or
     None.
     """
 
@@ -179,9 +194,9 @@ class HandEyeDataset:
         truths = {}
         for k in "XY":
             if k in gt:
-                rows = unit_rows(_json_rows([gt[k]], f"ground truth {k}"), f"ground truth {k}")
+                rows = _file_rows([gt[k]], f"ground truth {k}")
                 truths[k] = UnitDualQuaternion.from_rows(pose_udqs(rows))[0]
-        rows = (unit_rows(_json_rows(data[s], s + " pose {}"), s + " pose {}") for s in "AB")
+        rows = (_file_rows(data[s], s + " pose {}") for s in "AB")
         return cls(data["model"], *rows, truths.get("X"), truths.get("Y"), data.get("meta", {}))
 
 

@@ -48,6 +48,24 @@ def test_solve_axyb_reports_both_unknowns(tmp_path):
     assert errs["rotation_error_y"] <= 1e-6
 
 
+@pytest.mark.parametrize("model", ["axxb", "axyb"])
+def test_solve_handeye_on_a_generated_file_solves_the_generated_dataset(model, tmp_path):
+    # the file's rows read back as generated, so the CLI and the library
+    # solve the same numbers
+    from dqopt import SolverConfig, build_axxb, build_axyb, generate_synthetic, solve_eqdqo
+
+    for seed in range(3):
+        ds_path, rep = tmp_path / f"{seed}.json", tmp_path / f"{seed}.report.json"
+        assert main(["gen-handeye", "--model", model, "--motions", "10", "--noise-rot", "0.01",
+                     "--noise-trans", "0.01", "--seed", str(seed), "--out", str(ds_path)]) == 0
+        assert main(_solve_args(ds_path, rep, ["--seed", "0"])) == 0
+        ds = generate_synthetic(model, 10, noise_rot=0.01, noise_trans=0.01, seed=seed)
+        build = build_axxb if model == "axxb" else build_axyb
+        library = solve_eqdqo(build(ds), SolverConfig(seed=0)).to_json_dict()
+        assert _strip_volatile(json.loads(rep.read_text())) == dict(
+            _strip_volatile(library), errors=json.loads(rep.read_text())["errors"])
+
+
 def test_gen_and_solve_pgo(tmp_path):
     g = tmp_path / "graph.txt"
     rep = tmp_path / "report.json"

@@ -458,22 +458,31 @@ def test_batched_build_matches_the_object_build(model, n, sigma, seed, monkeypat
 
 
 def _ref_json(data):
-    """``data`` read one pose at a time and written back, as the object path did."""
+    """``data`` read one pose at a time and written back, as the object path did.
 
-    def pose(p):
-        q, t = _ref_pose(Quaternion(*p["q"]), p["t"])
+    A rotation that is unit to 4 ulps is read as given, as ``from_json_dict``
+    reads it; writing a pose normalizes its rotation.
+    """
+
+    def read(p):
+        q = Quaternion(*p["q"])
+        if abs(q.norm() - 1.0) > 4 * np.finfo(np.float64).eps:
+            q = q / q.norm()
+        return q, np.array([float(v) for v in p["t"]])
+
+    def pose(q, t):
         return {"q": [q.w, q.x, q.y, q.z], "t": t.tolist()}
 
     def truth(p):
         # read as the unit dual quaternion of a pose, written as its pose
-        q, t = _ref_pose(Quaternion(*p["q"]), p["t"])
+        q, t = read(p)
         back = (((Quaternion(0.0, *t) * q) * 0.5) * q.conjugate()) * 2.0
-        return pose({"q": [q.w, q.x, q.y, q.z], "t": [back.x, back.y, back.z]})
+        return pose(*_ref_pose(q, [back.x, back.y, back.z]))
 
     return {
         "model": data["model"],
-        "A": [pose(p) for p in data["A"]],
-        "B": [pose(p) for p in data["B"]],
+        "A": [pose(*read(p)) for p in data["A"]],
+        "B": [pose(*read(p)) for p in data["B"]],
         "ground_truth": {k: truth(p) for k, p in data["ground_truth"].items()},
         "meta": data["meta"],
     }
@@ -487,6 +496,32 @@ def test_json_round_trip_writes_the_object_paths_bytes(model):
         read = HandEyeDataset.from_json_dict(data)
         assert json.dumps(read.to_json_dict()) == json.dumps(_ref_json(data))
         assert not read.poses_a.flags.writeable and not read.poses_b.flags.writeable
+
+
+@pytest.mark.parametrize("model", ["axxb", "axyb"])
+def test_a_written_dataset_reads_back_bit_for_bit(model):
+    for seed in range(20):
+        sigma = 0.01 * (seed % 2)
+        ds = generate_synthetic(model, 10, noise_rot=sigma, noise_trans=sigma, seed=seed)
+        data = json.loads(json.dumps(ds.to_json_dict()))
+        read = HandEyeDataset.from_json_dict(data)
+        assert read.poses_a.tobytes() == ds.poses_a.tobytes()
+        assert read.poses_b.tobytes() == ds.poses_b.tobytes()
+        again = read.to_json_dict()
+        # the ground truth is read as a unit dual quaternion and written as a
+        # pose, which rounds its translation anew
+        assert {k: v for k, v in again.items() if k != "ground_truth"} == {
+            k: v for k, v in data.items() if k != "ground_truth"}
+
+
+def test_a_file_rotation_off_unit_is_still_normalized():
+    ds = generate_synthetic("axxb", 6, seed=3)
+    data = json.loads(json.dumps(ds.to_json_dict()))
+    data["A"][2]["q"] = [v * (1.0 + 1e-9) for v in data["A"][2]["q"]]
+    read = HandEyeDataset.from_json_dict(data)
+    expected = unit_rows([[*data["A"][2]["q"], *data["A"][2]["t"]]], "pose")[0]
+    assert read.poses_a[2].tobytes() == expected.tobytes()
+    assert np.delete(read.poses_a, 2, axis=0).tobytes() == np.delete(ds.poses_a, 2, axis=0).tobytes()
 
 
 def _ref_generate(model, n, sr, st, seed):
