@@ -159,17 +159,20 @@ class DualFunction:
     # -- solver stage hooks ----------------------------------------------
 
     def stage2_system(self, z: np.ndarray):
-        """Stage-II least-squares rows ``(A, r, weights)`` at ``z``.
+        """Stage-II least-squares rows ``(slope, r, weights)`` at ``z``.
 
         ``r`` are residual rows whose dependence on the dual coordinates is
-        affine with slope ``A``, a dense or CSR ``(k, 4n)`` matrix over the
-        dual slots (column ``4i + c`` for coefficient ``c`` of variable
-        ``i``); ``weights(r)`` gives the row weights of the stage-II fit at
-        rows ``r``, with any branch frozen where the standard coordinates of
-        ``z`` put it.  A smooth standard function has a dual part linear in
-        the dual coordinates and contributes no rows.
+        affine with slope ``A = slope()``, a dense or CSR ``(k, 4n)`` matrix
+        over the dual slots (column ``4i + c`` for coefficient ``c`` of
+        variable ``i``), built only when called; ``weights(r)`` gives the
+        row weights of the stage-II fit at rows ``r``, with any branch
+        frozen where the standard coordinates of ``z`` put it.  Rows, when
+        there are any, are the dual parts of the rows of ``stage1_system``,
+        so ``A`` is its ``J``: the solver then reuses stage I's product of
+        ``J`` with the fiber.  A smooth standard function has a dual part
+        linear in the dual coordinates and contributes no rows.
         """
-        return sparse.csr_matrix((0, 4 * self.arity)), np.empty(0), np.ones_like
+        return (lambda: sparse.csr_matrix((0, 4 * self.arity))), np.empty(0), np.ones_like
 
 
 def _check_same_arity(f: DualFunction, g: DualFunction):
@@ -617,7 +620,8 @@ class ResidualNormObjective(DualFunction):
 
         With the standard coordinates fixed, ``r_dual`` is affine in the dual
         ones with slope ``jacobian()``, the standard-slot Jacobian of
-        ``r_std``.  Each group's branch is frozen by ``|r_std,g|`` at ``z``,
+        ``r_std`` and so the ``J`` of :meth:`stage1_system`; the stack's
+        ``jacobian`` is returned uncalled.  Each group's branch is frozen by ``|r_std,g|`` at ``z``,
         as :meth:`branch_flags` reads it: appreciable groups weigh 1;
         infinitesimal groups weigh ``1 / max(|r_dual,g|, tol)``, so
         re-solving with updated weights (iteratively reweighted least
@@ -631,7 +635,7 @@ class ResidualNormObjective(DualFunction):
             norms = np.sqrt(np.add.reduceat(r * r, self._starts))
             return self._expand(np.where(app, 1.0, 1.0 / np.maximum(norms, self.tol)))
 
-        return jacobian(), r_dual, weights
+        return jacobian, r_dual, weights
 
 
 # ---------------------------------------------------------------------------

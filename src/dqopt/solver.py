@@ -35,11 +35,14 @@ stage-I point puts it.
 Restarts draw independent unit starting points.  Stage I advances them
 in lockstep: while the tangent space is small enough for dense algebra,
 every step of every restart still running is one batched computation over
-the stack of their points, and each restart stops on its own stop rule
-with the iterates it would take alone.  Larger, sparse problems advance
-their restarts one after another within each step.  Stage II runs for the
-restarts tied at the least stage-I value, and the reported solution is the
-dn-order minimum over their feasible outcomes.
+the stack of their points, and each restart takes the iterates it would
+take alone until it stops on its own stop rule, or until it comes within
+``_MERGE_RADIUS`` of a minimum another restart converged to, where it
+stops "merged".  Larger, sparse problems advance their restarts one after
+another within each step.  Stage II runs for the restarts tied at the
+least stage-I value, from the factorization of stage I's last step, and
+the reported solution is the dn-order minimum over their feasible
+outcomes.
 """
 
 from __future__ import annotations
@@ -83,7 +86,13 @@ class SolverConfig:
     counts only if every constraint row holds to ``tol_feas``.  Stage I
     advances the ``restarts`` in lockstep as one batch; ``threads`` above 1
     splits the batch into that many contiguous chunks, each advanced by its
-    own thread.  The answer does not depend on ``threads``.
+    own thread.  A restart that comes within ``_MERGE_RADIUS`` (1e-3, in
+    the max-norm over the standard coordinates, up to the global sign) of
+    a restart of its chunk that already converged to a positive value stops
+    there and is no candidate.  Restarts that converged to value 0 or
+    stalled are never merged into.  Of converged restarts at one minimum,
+    the one that converged first represents it, so the answer does not
+    depend on ``threads``.
     """
 
     restarts: int = 8
@@ -231,7 +240,9 @@ class _StageOutcome:
     converged: bool
     trace: list
     gram: tuple | None = None  # stage II: _gram_pinv at the standard coordinates of z
-    stop: str | None = None  # stage I: "converged", "stalled" or "max_outer"
+    stop: str | None = None  # stage I: "converged", "stalled", "merged" or "max_outer"
+    # stage I, stopped converged or stalled: (gram, null, var, B) of its last step, at z
+    fiber: tuple | None = None
     value: float | DualNumber | None = None  # at z: standard (stage I) or dual value (II)
     feasibility: tuple[float, float] | None = None  # stage II: _feasibility at z
 
@@ -262,25 +273,26 @@ def _random_start(problem: EqdqoProblem, rng: np.random.Generator) -> np.ndarray
 
 
 def _gram_pinv(block: ConstraintBlock, z: np.ndarray):
-    """``(pinv, rank, vecs)`` of the stage Jacobian's Gram matrix ``G^T G`` at ``z``.
+    """``(inv, rank, vecs)``: the stage Jacobian's Gram matrix ``G^T G`` at ``z``, factored.
 
     Every row of ``G`` touches one variable, so ``G^T G`` is block diagonal
     and one batched ``eigh`` of the ``(n, 4, 4)`` stack ``G_i^T G_i`` factors
-    it.  ``pinv(u)`` is ``(G^T G)^+ u`` for a ``4n`` vector ``u``; ``rank``
-    marks each block's eigenvalues above ``_RANK_RCOND`` of its largest, and
-    ``vecs`` holds the eigenvectors as columns.  For a stack ``(R, 8n)`` of
-    points, ``rank`` and ``vecs`` gain a leading axis and ``pinv`` does not
-    apply.
+    it.  ``rank`` marks each block's eigenvalues above ``_RANK_RCOND`` of its
+    largest, ``inv`` holds their reciprocals (zero for the others), and
+    ``vecs`` the eigenvectors as columns; :func:`_pinv` applies the
+    pseudo-inverse.  For a stack ``(R, 8n)`` of points each array gains a
+    leading axis, and its slices are the points' own triples.
     """
     e, vecs = np.linalg.eigh(block.gram(z))
     rank = e > _RANK_RCOND * e[..., -1:]
+    return np.where(rank, 1.0 / np.where(rank, e, 1.0), 0.0), rank, vecs
 
-    def pinv(u):
-        inv = np.where(rank, 1.0 / np.where(rank, e, 1.0), 0.0)
-        coef = (u.reshape(-1, 1, 4) @ vecs)[:, 0] * inv
-        return (vecs @ coef[..., None]).ravel()
 
-    return pinv, rank, vecs
+def _pinv(gram: tuple, u: np.ndarray) -> np.ndarray:
+    """``(G^T G)^+ u`` for a ``4n`` vector ``u``, with one point's :func:`_gram_pinv` triple."""
+    inv, _, vecs = gram
+    coef = (u.reshape(-1, 1, 4) @ vecs)[:, 0] * inv
+    return (vecs @ coef[..., None]).ravel()
 
 
 def _dual_fiber(problem: EqdqoProblem, z: np.ndarray, gram: tuple | None = None):
@@ -292,8 +304,8 @@ def _dual_fiber(problem: EqdqoProblem, z: np.ndarray, gram: tuple | None = None)
     the Jacobian of the standard rows over the standard coordinates, so the
     null space is stage I's tangent space as well as stage II's fiber
     directions.  Returns ``(gram, null, var)``: ``gram`` is the
-    :func:`_gram_pinv` triple (passed in, or factored here), whose
-    ``pinv(G^T v)`` is the minimum-norm ``x`` with ``G x = v`` (least
+    :func:`_gram_pinv` triple (passed in, or factored here), with which
+    ``_pinv(gram, G^T v)`` is the minimum-norm ``x`` with ``G x = v`` (least
     squares when there is none), ``null`` a ``(4n, k)`` orthonormal basis
     of the null space, dense when ``k <= _DENSE_MAX`` and sparse otherwise,
     and ``var`` the variable of each of its columns.  For a stack ``(R,
@@ -353,22 +365,23 @@ def _fiber_product(jac, null, var: np.ndarray):
     return np.ascontiguousarray(t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3])
 
 
-def _fiber_point(problem: EqdqoProblem, z: np.ndarray):
+def _fiber_point(problem: EqdqoProblem, z: np.ndarray, fiber: tuple | None = None):
     """``(z_p, null, var, gram)``: ``z`` with its duals at the dual fiber's minimum-norm point.
 
     Every dual row is affine in the dual coordinates, ``G x_d + h_d(0)``
     with ``h_d(0)`` its value at zero duals, so ``x_p = (G^T G)^+ G^T
     (-h_d(0))`` is the least-norm point that satisfies them (least squares
     when none does); the fiber is ``x_p + null y``, ``null``, ``var`` and
-    ``gram`` from :func:`_dual_fiber`.  ``gram`` depends on the standard
-    coordinates only, so it serves every point of the fiber.
+    ``gram`` from :func:`_dual_fiber`, or the first three items of a stage-I
+    ``fiber`` at the standard coordinates of ``z``.  ``gram`` depends on the
+    standard coordinates only, so it serves every point of the fiber.
     """
-    gram, null, var = _dual_fiber(problem, z)
+    gram, null, var = _dual_fiber(problem, z) if fiber is None else fiber[:3]
     dual = _part_indices(problem.arity, 1)
     z = z.copy()
     z[dual] = 0.0
     _, h_d0 = problem.block.values(z)
-    z[dual] = gram[0](problem.block.pullback(z, -h_d0))
+    z[dual] = _pinv(gram, problem.block.pullback(z, -h_d0))
     return z, null, var, gram
 
 
@@ -427,13 +440,13 @@ def _kkt(problem: EqdqoProblem, z, stage: int, grad, gram=None) -> KktInfo:
     """
     block = problem.block
     target = grad[_part_indices(problem.arity, stage - 1)]
-    pinv, rank, _ = _gram_pinv(block, z) if gram is None else gram
-    mult = -block.apply(z, pinv(target))
+    gram = _gram_pinv(block, z) if gram is None else gram
+    mult = -block.apply(z, _pinv(gram, target))
     resid = target + block.pullback(z, mult)
     return KktInfo(
         float(np.linalg.norm(resid)),
         tuple(float(v) for v in mult),
-        int(np.count_nonzero(rank)) < block.size,
+        int(np.count_nonzero(gram[1])) < block.size,
     )
 
 
@@ -460,6 +473,11 @@ _ROUNDING = 1e-12
 
 #: Weight factor that pins a magnitude at its kink in the Newton step.
 _PIN = 1e8
+
+#: A stage-I point this close to one where another restart converged, in the
+#: max-norm over the standard coordinates and up to the global sign, is
+#: heading for the same minimum: its restart stops there (see :func:`_stage1`).
+_MERGE_RADIUS = 1e-3
 
 
 # Batched linear algebra.  Dense operands carry a leading axis of points,
@@ -594,6 +612,17 @@ def _newton_step(b, r, w, starts, grad, h, shift):
         pinned |= through
 
 
+def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(len(a), len(b))`` flags: standard coordinates within ``_MERGE_RADIUS``, up to sign.
+
+    ``a`` and ``b`` are stacks of standard coordinates; the distance is the
+    max-norm of ``a_i - b_j`` or of ``a_i + b_j``, whichever is smaller.
+    """
+    apart = np.abs(a[:, None] - b[None]).max(axis=-1)
+    flipped = np.abs(a[:, None] + b[None]).max(axis=-1)
+    return np.minimum(apart, flipped) <= _MERGE_RADIUS
+
+
 def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> list:
     """Stage I from every row of ``starts``, in lockstep: minimize the standard part.
 
@@ -612,7 +641,15 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     residual system and one batched solve per step for the stack.  Each
     keeps its own value, damping, previous gradient norm, flat flag and
     trace, so its iterates are those it takes alone.  Points on a sparse
-    fiber step one at a time.  Returns one :class:`_StageOutcome` per start.
+    fiber step one at a time.  At the top of each step, a running point
+    within ``_MERGE_RADIUS`` of a point that stopped ``"converged"`` with a
+    positive value stops ``"merged"``: its trace is the start of the one it
+    takes alone, and it is no stage-II candidate.  Points that converged to
+    value 0 (noiseless data, where restarts at one minimum differ in what
+    stage II makes of them) and points that stalled (at kinks, where
+    restarts creep and stop apart) are never merged into.  Returns one
+    :class:`_StageOutcome` per start; one that stopped converged or stalled
+    carries the last step's ``fiber`` ``(gram, null, var, B)`` at its point.
     Stage I never reads the dual coordinates: they stay those of the start.
     """
     obj, block = problem.objective, problem.block
@@ -625,9 +662,12 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     flat = np.zeros(count, dtype=bool)
     stop = [None] * count
     traces = [[] for _ in range(count)]  # one row per step
+    fibers = [None] * count
 
     def advance(it, idx, gram):
         z_a = z[idx]
+        if gram[1].ndim == 2:  # one point's factorization gets the stack's axis
+            gram = tuple(a[None] for a in gram)
         # A lone point is evaluated as a single point, which costs less and
         # gives a pose graph its sparse Jacobian; its results then get the
         # stack's leading axis, of length 1.
@@ -638,6 +678,13 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         b = _fiber_product(jac, basis, var)
         if pts.ndim == 1 and not sparse.issparse(b):
             b, basis = b[None], basis[None]
+
+        def keep(pos):
+            # the points at ``pos`` stop where this step factored them
+            for j, k in zip(pos.tolist(), idx[pos].tolist()):
+                point = [m if sparse.issparse(m) else m[j] for m in (basis, b)]
+                fibers[k] = (tuple(a[j] for a in gram), point[0], var, point[1])
+
         wr = w * r
         grad = _tmv(b, wr)
         g_norm = np.sqrt(_dots(grad, grad))
@@ -654,11 +701,13 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         if halted.size:
             for k, converged in zip(idx[halted].tolist(), small[halted].tolist()):
                 stop[k] = "converged" if converged else "stalled"
+            keep(halted)
             if halted.size == len(idx):
                 return
             go = ~done
             idx, z_a, basis, b, r, w, wr, grad = (
                 a[go] for a in (idx, z_a, basis, b, r, w, wr, grad))
+            gram = tuple(a[go] for a in gram)
             jac = jac[go] if jac.ndim == 3 else jac
             pts = z_a[0] if len(idx) == 1 else z_a
         h = _normal(b, w)
@@ -704,9 +753,16 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             pos = pos[higher & (damp[points] <= _DAMP_CAP)]
         for k in idx[~stepped].tolist():
             stop[k] = "stalled"
+        keep((~stepped).nonzero()[0])
 
     for it in range(cfg.max_outer):
         live = np.array([k for k in range(count) if stop[k] is None], dtype=np.intp)
+        into = [k for k in range(count) if stop[k] == "converged" and v_std[k] > 0]
+        if live.size and into:
+            merged = _near(z[live][:, std], z[into][:, std]).any(axis=1)
+            for k in live[merged].tolist():
+                stop[k] = "merged"
+            live = live[~merged]
         if not live.size:
             break
         gram = _gram_pinv(block, z[live[0]] if live.size == 1 else z[live])
@@ -714,17 +770,19 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             # points on a sparse fiber (past _DENSE_MAX directions) step one at a time
             alone = members.size > 1 and np.count_nonzero(~gram[1][members[0]]) > _DENSE_MAX
             for group in np.split(members, members.size) if alone else [members]:
-                part = gram if group.size == live.size else (None, gram[1][group], gram[2][group])
+                part = gram if group.size == live.size else tuple(a[group] for a in gram)
                 advance(it, live[group], part)
     outcomes = []
     for k in range(count):
         reason = stop[k] or "max_outer"
-        outcomes.append(_StageOutcome(z[k], len(traces[k]), reason != "max_outer", traces[k],
-                                      stop=reason, value=float(v_std[k])))
+        outcomes.append(_StageOutcome(z[k], len(traces[k]), reason in ("converged", "stalled"),
+                                      traces[k], stop=reason, value=float(v_std[k]),
+                                      fiber=fibers[k]))
     return outcomes
 
 
-def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageOutcome:
+def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
+            fiber: tuple | None = None) -> _StageOutcome:
     """Stage II at the standard coordinates of ``z1``: one exact fit on the dual fiber.
 
     With the standard coordinates held at the stage-I point, the dual
@@ -756,12 +814,17 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageO
     unconverged.  One trace row per solve.  The outcome carries the value
     and feasibility of the last row, which are those of its point, and the
     fiber's Gram factorization for the KKT analysis.
+
+    ``fiber`` is stage I's ``(gram, null, var, B)`` at the standard
+    coordinates of ``z1`` (see :func:`_stage1`).  Stage II's rows are the
+    dual parts of stage I's, so its ``B`` is stage I's, and none of the
+    fiber is factored again; the result is the same bit for bit.
     """
     dual = _part_indices(problem.arity, 1)
-    z, null, var, gram = _fiber_point(problem, z1)
+    z, null, var, gram = _fiber_point(problem, z1, fiber)
     x_p = z[dual]
-    a, r_p, weights = problem.objective.stage2_system(z)
-    b = _fiber_product(a, null, var)
+    jacobian, r_p, weights = problem.objective.stage2_system(z)
+    b = fiber[3] if fiber is not None and r_p.size else _fiber_product(jacobian(), null, var)
     # Fiber directions that no row sees stay at x_p: all of them when the
     # objective has no rows (a smooth one, whose dual part is linear).
     seen = np.asarray(abs(b).sum(axis=0)).ravel() > 0
@@ -823,7 +886,13 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     Items are ``(value, restart, outcome)``; equal values keep restart
     order.  The restarts advance in lockstep through :func:`_stage1`, all
     in one batch, or in ``threads`` contiguous chunks of it run in a thread
-    pool.  Raises
+    pool; restarts merge only within a chunk.  Merged restarts are left
+    out, and so is every restart that converged to a positive value within
+    ``_MERGE_RADIUS`` of a kept one that converged at an earlier step: had
+    they shared a chunk, the later one would have merged.  So the restart
+    that converged first represents its minimum, ``threads`` does not change
+    the items, and restarts that converged at the same step all stay, the
+    least value winning as without merging.  Raises
     :class:`Infeasible` when no restart satisfies the standard rows to
     ``tol_feas``.
     """
@@ -837,14 +906,23 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     outcomes = [outcome for part in parts for outcome in part]
     final = np.stack([outcome.z for outcome in outcomes])
     h = np.max(np.abs(problem.block.values(final)[0]), axis=-1, initial=0.0).tolist()
-    scored = [(o.value, r, o) for r, o in enumerate(outcomes) if h[r] <= cfg.tol_feas]
+    scored = [(o.value, r, o) for r, o in enumerate(outcomes)
+              if h[r] <= cfg.tol_feas and o.stop != "merged"]
     if not scored:
         raise Infeasible(
             f"no feasible candidate across {cfg.restarts} restarts "
             f"(best feasibility {min(h):.3e} > tol {cfg.tol_feas:.3e})"
         )
-    scored.sort(key=lambda item: (item[0], item[1]))
-    return scored
+    std = _part_indices(problem.arity, 0)
+    kept, dropped = [], set()
+    for steps, r in sorted((o.iterations, r) for v, r, o in scored
+                           if o.stop == "converged" and v > 0):
+        earlier = [k for s, k in kept if s < steps]
+        if earlier and _near(final[r : r + 1, std], final[earlier][:, std]).any():
+            dropped.add(r)
+        else:
+            kept.append((steps, r))
+    return sorted((item for item in scored if item[1] not in dropped), key=lambda item: item[:2])
 
 
 def _report(
@@ -900,10 +978,17 @@ def solve_eqdqo(
     standard value, so it runs for the restarts on the standard rows whose
     stage-I value equals the least one exactly; a restart is a candidate
     when its final point satisfies all constraint rows to ``tol_feas``.
-    The report carries the dn-order minimal candidate, ties broken by
-    restart index.  Restart 0 starts from ``initial`` when given, one dual
-    quaternion per variable or an ``(arity, 8)`` array of rows (standard,
-    dual part); another count or shape raises :class:`ArityMismatch`.
+    A restart that merged into a minimum another restart converged to with
+    a positive value is none, nor is one that converged to such a minimum
+    after another restart did (see :class:`SolverConfig`); restarts at
+    value 0 or stalled are candidates as without merging, and stage II
+    picks the best of them.  Stage II starts from the factorization stage
+    I's last step made at the candidate's point, unless stage I stopped at
+    its step cap.  The report carries the dn-order minimal candidate, ties
+    broken by restart index.  Restart 0 starts from ``initial`` when
+    given, one dual quaternion per variable or an ``(arity, 8)`` array of
+    rows (standard, dual part); another count or shape raises
+    :class:`ArityMismatch`.
     Raises :class:`Infeasible` when no restart produces a candidate.
     """
     cfg = cfg or SolverConfig()
@@ -913,7 +998,7 @@ def solve_eqdqo(
     for value, r, outcome in scored:
         if value > scored[0][0]:
             break
-        stage2 = _stage2(problem, cfg, outcome.z)
+        stage2 = _stage2(problem, cfg, outcome.z, outcome.fiber)
         if _feasible(cfg, stage2.feasibility):
             candidates.append((stage2.value, r, outcome, stage2))
     if not candidates:

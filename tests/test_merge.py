@@ -1,0 +1,130 @@
+"""Restarts that reach a minimum another restart converged to stop there, "merged"."""
+
+import json
+
+import numpy as np
+import pytest
+
+import dqopt.solver as solver
+from dqopt import (
+    SolverConfig,
+    build_axxb,
+    build_axyb,
+    build_pgo,
+    generate_cycle_graph,
+    generate_synthetic,
+    pack,
+    solve_eqdqo,
+    spanning_tree_rows,
+)
+from dqopt.cli import main
+
+SIGMA = 0.01
+CFG = SolverConfig(restarts=8, seed=0)
+
+
+def _handeye(model, sigma, seed, n=10):
+    ds = generate_synthetic(model, n, noise_rot=sigma, noise_trans=sigma, seed=seed)
+    return (build_axxb if model == "axxb" else build_axyb)(ds), None
+
+
+def _graph(sigma, seed):
+    g = generate_cycle_graph(20, loop_closures=6, noise_rot=sigma, noise_trans=sigma, seed=seed)
+    return build_pgo(g), spanning_tree_rows(g)
+
+
+def _noisy_cases():
+    for model in ("axxb", "axyb"):
+        for seed in range(10):
+            yield _handeye(model, SIGMA, seed)
+    for seed in range(3):
+        yield _graph(SIGMA, seed)
+
+
+def _solve(problem, initial, monkeypatch, merging=True):
+    with monkeypatch.context() as m:
+        if not merging:
+            m.setattr(solver, "_MERGE_RADIUS", -1.0)
+        return solve_eqdqo(problem, CFG, initial)
+
+
+def _stage1(problem, initial):
+    starts = np.stack([solver._restart_start(problem, CFG, initial, r) for r in range(CFG.restarts)])
+    return starts, solver._stage1(problem, CFG, starts)
+
+
+def test_merging_moves_no_noisy_answer_beyond_1e_9(monkeypatch):
+    merged = 0
+    for problem, initial in _noisy_cases():
+        on = pack(list(_solve(problem, initial, monkeypatch).solution))
+        off = pack(list(_solve(problem, initial, monkeypatch, merging=False).solution))
+        assert min(np.max(np.abs(on - off)), np.max(np.abs(on + off))) <= 1e-9
+        merged += sum(o.stop == "merged" for o in _stage1(problem, initial)[1])
+    assert merged > 0
+
+
+@pytest.mark.parametrize("case", ["axxb", "axyb", "pgo"])
+def test_noiseless_solves_are_the_same_with_and_without_merging(case, monkeypatch):
+    # restarts at value 0 are never merged into: stage II picks the best of them
+    for seed in range(3):
+        problem, initial = _graph(0.0, seed) if case == "pgo" else _handeye(case, 0.0, seed)
+        on = _solve(problem, initial, monkeypatch)
+        off = _solve(problem, initial, monkeypatch, merging=False)
+        assert on.trace == off.trace
+        assert pack(list(on.solution)).tobytes() == pack(list(off.solution)).tobytes()
+        assert {o.stop for o in _stage1(problem, initial)[1]} <= {"converged", "stalled"}
+
+
+def test_stalled_restarts_are_never_merged_into(monkeypatch):
+    # at kink optima every restart creeps and stalls apart from the others
+    for seed in (10, 11, 15):
+        problem, _ = _handeye("axyb", SIGMA, seed)
+        assert {o.stop for o in _stage1(problem, None)[1]} == {"stalled"}
+        on = _solve(problem, None, monkeypatch)
+        off = _solve(problem, None, monkeypatch, merging=False)
+        assert on.trace == off.trace
+        assert pack(list(on.solution)).tobytes() == pack(list(off.solution)).tobytes()
+
+
+def test_a_restart_runs_alone_until_it_merges_into_an_earlier_minimum():
+    kinds = set()
+    for problem, initial in [_handeye("axxb", SIGMA, 3), _handeye("axyb", SIGMA, 0), _graph(SIGMA, 1)]:
+        starts, batch = _stage1(problem, initial)
+        std = solver._part_indices(problem.arity, 0)
+        for k, outcome in enumerate(batch):
+            (alone,) = solver._stage1(problem, CFG, starts[k : k + 1])
+            kinds.add(outcome.stop)
+            if outcome.stop != "merged":
+                assert outcome.z.tobytes() == alone.z.tobytes()
+                assert (outcome.trace, outcome.stop) == (alone.trace, alone.stop)
+                continue
+            assert outcome.trace == alone.trace[: outcome.iterations]
+            assert outcome.iterations < alone.iterations and outcome.fiber is None
+            into = [j for j, o in enumerate(batch) if o.stop == "converged" and o.value > 0
+                    and o.iterations <= outcome.iterations
+                    and solver._near(outcome.z[None, std], o.z[None, std])[0, 0]]
+            assert into
+    assert kinds == {"converged", "merged"}
+
+
+def test_threads_give_the_report_of_one_thread_where_restarts_merge(tmp_path):
+    # one thread: restarts 0-6 merge into restart 7.  Three threads, chunks
+    # 0-2, 3-5 and 6-7: seven restarts converge, and the ones that converged
+    # after another restart at the same minimum are left out
+    problem, _ = _handeye("axxb", SIGMA, 1)
+    starts, batch = _stage1(problem, None)
+    chunks = [o.stop for c in np.array_split(starts, 3) for o in solver._stage1(problem, CFG, c)]
+    assert [o.stop for o in batch] == ["merged"] * 7 + ["converged"]
+    assert chunks.count("converged") == 7
+    data = tmp_path / "data.json"
+    assert main(["gen-handeye", "--model", "axxb", "--motions", "10", "--noise-rot", "0.01",
+                 "--noise-trans", "0.01", "--seed", "1", "--out", str(data)]) == 0
+    outputs = []
+    for threads in ("1", "3"):
+        rep, csv = tmp_path / f"{threads}.json", tmp_path / f"{threads}.csv"
+        assert main(["solve-handeye", "--in", str(data), "--threads", threads,
+                     "--out", str(rep), "--csv", str(csv)]) == 0
+        report = json.loads(rep.read_text())
+        del report["wall_time_ms"], report["config"]["threads"]
+        outputs.append((report, csv.read_text()))
+    assert outputs[0] == outputs[1]

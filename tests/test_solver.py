@@ -406,14 +406,18 @@ def _count_gram_after_stage1(monkeypatch):
     return calls
 
 
-def test_the_final_point_factors_its_gram_matrix_once(monkeypatch):
+def test_the_final_point_is_factored_again_only_after_a_capped_stage1(monkeypatch):
     # stage II moves only the dual coordinates, so its fiber and both KKT
-    # analyses share one factorization of the per-variable Gram blocks
+    # analyses share one factorization of the per-variable Gram blocks: the
+    # one stage I's last step made there, or, when stage I stopped at its
+    # step cap after moving, one made anew
     problem, guess = _noisy_graph_problem()
-    cfg = _fast_cfg(restarts=1)
     calls = _count_gram_after_stage1(monkeypatch)
-    solve_eqdqo(problem, cfg, initial=guess)
-    assert len(calls) == 1
+    report = solve_eqdqo(problem, _fast_cfg(restarts=1), initial=guess)
+    assert report.iterations["stage1"] < 60 and len(calls) == 0
+    calls = _count_gram_after_stage1(monkeypatch)
+    report = solve_eqdqo(problem, _fast_cfg(restarts=1, max_outer=3), initial=guess)
+    assert report.iterations["stage1"] == 3 and len(calls) == 1
 
 
 def test_a_solve_evaluates_the_objective_gradient_once(monkeypatch):

@@ -82,6 +82,14 @@ def test_sparse_systems_take_the_steps_of_dense_ones(kind, monkeypatch):
     assert np.max(np.abs(pack(list(sparse.solution)) - pack(list(dense.solution)))) <= 1e-9
 
 
+@pytest.fixture
+def no_merging(monkeypatch):
+    # a restart that merges stops early, so it equals its solo run only as a
+    # prefix; the tests that compare whole runs restart by restart run
+    # without merging, and tests/test_merge.py pins what merging changes
+    monkeypatch.setattr(solver, "_MERGE_RADIUS", -1.0)
+
+
 def _starts(problem, cfg, initial=None):
     return np.stack([solver._restart_start(problem, cfg, initial, r) for r in range(cfg.restarts)])
 
@@ -107,7 +115,7 @@ def _lockstep_cases():
 
 
 @pytest.mark.parametrize("case", list(_lockstep_cases()), ids=lambda c: c[0])
-def test_restarts_in_lockstep_take_the_steps_they_take_alone(case):
+def test_restarts_in_lockstep_take_the_steps_they_take_alone(case, no_merging):
     _, problem, initial, restarts = case
     cfg = SolverConfig(restarts=restarts, seed=0)
     starts = _starts(problem, cfg, initial)
@@ -116,7 +124,7 @@ def test_restarts_in_lockstep_take_the_steps_they_take_alone(case):
     assert len({outcome.iterations for outcome in batch}) > 1
 
 
-def test_restarts_on_a_sparse_fiber_step_one_at_a_time(monkeypatch):
+def test_restarts_on_a_sparse_fiber_step_one_at_a_time(monkeypatch, no_merging):
     g = generate_cycle_graph(12, loop_closures=4, noise_rot=SIGMA, noise_trans=SIGMA, seed=5)
     problem, cfg = build_pgo(g), SolverConfig(restarts=3, seed=0)
     starts = _starts(problem, cfg, spanning_tree_rows(g))
@@ -134,7 +142,7 @@ def test_restarts_on_a_sparse_fiber_step_one_at_a_time(monkeypatch):
     assert set(points) == {1} and len(points) == 2 * sum(o.iterations for o in batch)
 
 
-def test_a_restart_at_the_step_cap_leaves_the_others_their_own_outcomes():
+def test_a_restart_at_the_step_cap_leaves_the_others_their_own_outcomes(no_merging):
     ds = generate_synthetic("axyb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=0)
     problem = build_axyb(ds)
     cfg = SolverConfig(restarts=8, seed=0)
@@ -150,7 +158,7 @@ def test_a_restart_at_the_step_cap_leaves_the_others_their_own_outcomes():
     assert {outcome.stop for outcome in capped} == {"converged", "max_outer"}
 
 
-def test_threads_split_the_batch_without_changing_any_restart():
+def test_threads_split_the_batch_without_changing_any_restart(no_merging):
     ds = generate_synthetic("axxb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=3)
     problem = build_axxb(ds)
     one = solver._stage1_restarts(problem, SolverConfig(restarts=5, seed=0), None)

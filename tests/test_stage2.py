@@ -112,9 +112,9 @@ def test_stage2_runs_once_per_restart_tied_at_the_least_stage1_value(monkeypatch
     calls = []
     original = solver._stage2
 
-    def counted(problem, cfg, z1):
+    def counted(problem, cfg, z1, *fiber):
         calls.append(problem.objective.value_at(z1).std)
-        return original(problem, cfg, z1)
+        return original(problem, cfg, z1, *fiber)
 
     monkeypatch.setattr(solver, "_stage2", counted)
     ds = generate_synthetic("axxb", 10, noise_rot=1e-2, noise_trans=1e-2, seed=0)
@@ -134,8 +134,8 @@ def test_a_uniform_reweighting_ends_stage2_after_one_pass():
     assert stage2.iterations == len(stage2.trace) == 1 and stage2.converged
     # the second pass, with the rescaled weights, lands on the same point
     z, null, _, _ = solver._fiber_point(problem, outcome.z)
-    a, r_p, weights = problem.objective.stage2_system(z)
-    b = a.toarray() @ null
+    slope, r_p, weights = problem.objective.stage2_system(z)
+    b = slope().toarray() @ null
     w1 = weights(r_p)
     y1 = np.linalg.solve(b.T @ (w1[:, None] * b), -b.T @ (w1 * r_p))
     w2 = weights(r_p + b @ y1)
@@ -145,3 +145,34 @@ def test_a_uniform_reweighting_ends_stage2_after_one_pass():
     two_pass = z.copy()
     two_pass[dual] += null @ y2
     assert np.max(np.abs(stage2.z - two_pass)) <= 1e-12
+
+
+@pytest.mark.parametrize("dense_max", [solver._DENSE_MAX, -1])
+def test_stage2_from_stage1s_last_factorization_is_the_one_from_scratch(dense_max, monkeypatch):
+    # a restart that stopped converged or stalled carries its last step's
+    # Gram factorization, fiber and B = J N; one that moved in its last
+    # step (the step cap) carries none
+    monkeypatch.setattr(solver, "_DENSE_MAX", dense_max)
+    problems = []
+    for model, build in (("axxb", build_axxb), ("axyb", build_axyb)):
+        for sigma in (0.0, 1e-2):
+            ds = generate_synthetic(model, 10, noise_rot=sigma, noise_trans=sigma, seed=1)
+            problems.append((build(ds), None, 4))
+    for sigma in (0.0, 1e-2):
+        g = generate_cycle_graph(12, loop_closures=4, noise_rot=sigma, noise_trans=sigma, seed=5)
+        problems += [(build_pgo(g), spanning_tree_rows(g), 1), (build_pgo(g), None, 3)]
+    stops = set()
+    for problem, initial, restarts in problems:
+        for cfg in (SolverConfig(restarts=restarts, seed=0),
+                    SolverConfig(restarts=restarts, seed=0, max_outer=4)):
+            for _, _, outcome in solver._stage1_restarts(problem, cfg, initial):
+                stops.add(outcome.stop)
+                assert (outcome.fiber is None) == (outcome.stop == "max_outer")
+                if outcome.fiber is None:
+                    continue
+                reused = solver._stage2(problem, cfg, outcome.z, outcome.fiber)
+                fresh = solver._stage2(problem, cfg, outcome.z)
+                assert reused.z.tobytes() == fresh.z.tobytes()
+                assert reused.trace == fresh.trace
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(reused.gram, fresh.gram))
+    assert {"converged", "max_outer"} <= stops
