@@ -80,18 +80,21 @@ def _quartiles(values: list[float]) -> list[float]:
     """``[median, q1, q3]`` rounded to 6 digits; one value stands for all three."""
     if len(values) == 1:
         return [round(values[0], 6)] * 3
-    q1, q2, q3 = statistics.quantiles(values, n=4)
+    q1, _, q3 = statistics.quantiles(values, n=4)
     return [round(statistics.median(values), 6), round(q1, 6), round(q3, 6)]
 
 
 def summarize(runs: list[dict]) -> list[dict]:
     """Per workload, seed, trace and metric: both sides' quartiles and the change's wins."""
-    groups: dict[tuple, dict[int, dict[str, dict]]] = {}
+    seeds: dict[str, set] = {}
+    for run in runs:
+        seeds.setdefault(run["workload"], set()).add(run["seed"])
+    groups: dict[tuple, dict[tuple, dict[str, dict]]] = {}
     for run in runs:
         if run["result"] is None:
             continue
         keys = [(run["workload"], run["seed"], run["trace"])]
-        if len({r["seed"] for r in runs if r["workload"] == run["workload"]}) > 1:
+        if len(seeds[run["workload"]]) > 1:
             keys.append((run["workload"], "all", run["trace"]))
         for key in keys:
             pair = (run["seed"], run["pair"])
