@@ -4,8 +4,9 @@ Vertices are unknown rigid poses, directed edges carry measured relative
 poses, and the objective is the dual-valued 2-norm of the stacked edge
 errors ``q_ij - conj(x_i) * x_j`` subject to unit constraints per vertex.
 The subtraction makes residuals sensitive to the double-cover sign, so
-measurements are sign-canonicalized when parsed or generated, and vertex 1
-is anchored to the identity to fix the global gauge.
+:meth:`PoseGraph.measurements`, through which every problem reads the edge
+poses, fixes their signs; a graph stores its rows as given.  Vertex 1 is
+anchored to the identity to fix the global gauge.
 
 A :class:`PoseGraph` keeps its records as arrays and nothing else: edge ids
 and measured poses in input order, initial guesses and ground truth by
@@ -37,7 +38,6 @@ from .algebra import (
     DualQuaternionVector,
     Quaternion,
     UnitDualQuaternion,
-    canonical_signs,
     left_mult_matrix,
     normalize_dq,
     quat_dot,
@@ -59,7 +59,7 @@ from .functions import (
     unpack,
 )
 from .handeye import check_noise, pose_compose, pose_errors, pose_inverse, pose_rows, pose_udqs
-from .handeye import _seeded_rng, checked_rows, rotation_about, unit_rows
+from .handeye import _seeded_rng, canonicalized, checked_rows, rotation_about, unit_rows
 from .solver import EqdqoProblem
 
 __all__ = [
@@ -104,10 +104,11 @@ class PoseGraph:
 
     A pose is a row ``(qw, qx, qy, qz, tx, ty, tz)``: a unit rotation and
     the world-frame translation.  ``edge_ids`` ``(m, 2)`` holds each edge's
-    source and target and ``edge_poses`` ``(m, 7)`` its measured pose, with
-    the rotation's :func:`~dqopt.algebra.canonical_sign` positive, both in
-    input order.  ``vertex_ids``/``vertex_poses`` hold the initial guesses
-    and ``truth_ids``/``truth_poses`` the ground truth, ids ascending.
+    source and target and ``edge_poses`` ``(m, 7)`` its measured pose, both
+    in input order, with the rotation's sign as given; :meth:`measurements`
+    fixes that sign.  ``vertex_ids``/``vertex_poses`` hold the initial
+    guesses and ``truth_ids``/``truth_poses`` the ground truth, ids
+    ascending.
     These read-only arrays are the only store.
 
     ``vertices`` and ``truth`` are ``(ids, poses)`` pairs in any order; of
@@ -155,9 +156,12 @@ class PoseGraph:
         """The edge poses as unit dual quaternions, ``(m, 2, 4)`` (standard, dual), input order.
 
         Converted by :func:`~dqopt.handeye.pose_udqs`: the dual part is
-        ``(t q) / 2`` with ``t`` the translation as a pure quaternion.
+        ``(t q) / 2`` with ``t`` the translation as a pure quaternion.  Each
+        is then :func:`~dqopt.handeye.canonicalized`, since the residuals
+        subtract it and ``q`` and ``-q`` are one motion: a graph whose edge
+        rows differ only in sign gives the same measurements bit for bit.
         """
-        return pose_udqs(self.edge_poses)
+        return canonicalized(pose_udqs(self.edge_poses))
 
     def is_connected(self) -> bool:
         # Fewer than n - 1 edges cannot connect n vertices; the search allocates per vertex.
@@ -459,8 +463,8 @@ def _check_records(kind: str, lines: list[int], id_tokens: list[str], numbers: l
     ``id_tokens`` and ``numbers`` hold the records' id fields and their 7
     numbers, record after record.  ``ids`` is ``(k, w)`` for ``w`` id
     fields and ``rows`` the normalized ``(k, 7)`` pose rows, rounded as
-    before: divided by their norm, sign-canonicalized, and divided by their
-    norm again by :func:`~dqopt.handeye.unit_rows`.  ``failure`` is
+    before: divided by their norm, then divided by their norm again by
+    :func:`~dqopt.handeye.unit_rows`, their signs as given.  ``failure`` is
     ``(line, error)`` of the first record that fails a check, else None.
     The checks run in the order one record's would, each over the records
     before the last failure found, so the last failure found is the first
@@ -506,8 +510,7 @@ def _check_records(kind: str, lines: list[int], id_tokens: list[str], numbers: l
         if error is ParseError:
             return None, None, (line, ParseError(line, message))
         return None, None, (line, error(f"line {line}: {message}"))
-    q = q * (1.0 / norm)[:, None]
-    rows = np.concatenate((q * canonical_signs(q)[:, None], values.reshape(-1, 7)[:, 4:]), axis=1)
+    rows = np.concatenate((q * (1.0 / norm)[:, None], values.reshape(-1, 7)[:, 4:]), axis=1)
     return ids, unit_rows(rows, kind + " {}"), None
 
 
@@ -591,9 +594,10 @@ def generate_cycle_graph(
     """Loop trajectory with sequential edges plus random chords.
 
     Ground-truth attitudes stay within 0.2 rad of the identity so every
-    relative rotation keeps a positive scalar part: sign canonicalization
-    of measurements is then consistent with the stored truth, and the
-    noiseless objective is exactly zero there.  Vertex 1 is the identity.
+    relative rotation keeps a positive scalar part: the sign that
+    :meth:`PoseGraph.measurements` gives each measurement is then
+    consistent with the stored truth, and the noiseless objective is
+    exactly zero there.  Vertex 1 is the identity.
     Noise perturbs each measurement by a rotation of angle ~N(0, sigma_r^2)
     about a random axis plus translation noise ~N(0, sigma_t^2 I).  Raises
     ``ValueError`` for fewer than 3 vertices, a chord count the graph has no
@@ -641,8 +645,7 @@ def generate_cycle_graph(
                 shifts[e] = rng.normal(0.0, noise_trans, 3)
         t = rel[:, 4:] + shifts if noise_trans > 0.0 else rel[:, 4:]
         rel = unit_rows(np.concatenate((quat_mul(bumps, rel[:, :4]), t), axis=1), "edge {}")
-    q = rel[:, :4] * canonical_signs(rel[:, :4])[:, None]
-    measured = unit_rows(np.concatenate((q, rel[:, 4:]), axis=1), "edge {}")
+    measured = unit_rows(rel, "edge {}")
     ids = range(1, n + 1)
     identity = [(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * n
     return PoseGraph(n, pairs, measured, (ids, identity), (ids, truth))
