@@ -336,8 +336,6 @@ def _same_fibers(rank: np.ndarray) -> list:
     one; a variable whose Gram block loses rank at some point would split
     the stack.
     """
-    if rank.ndim == 2:  # one point
-        return [np.zeros(1, dtype=np.intp)]
     masks = rank.reshape(len(rank), -1)
     if (masks == masks[0]).all():
         return [np.arange(len(rank))]
@@ -358,7 +356,7 @@ def _fiber_product(jac, null, var: np.ndarray):
     if sparse.issparse(null):
         return (jac if sparse.issparse(jac) else sparse.csr_matrix(jac)) @ null
     if sparse.issparse(jac):
-        return jac @ null if null.ndim == 2 else (jac @ null[0])[None]
+        return jac @ null
     cols = 4 * var[:, None] + np.arange(4)
     t = jac[..., cols] * null[..., cols, np.arange(var.size)[:, None]][..., None, :, :]
     # C order, as SciPy returns it: BLAS sums other layouts in another order.
@@ -664,20 +662,16 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     traces = [[] for _ in range(count)]  # one row per step
     fibers = [None] * count
 
-    def advance(it, idx, gram):
+    def advance(it, idx, gram, alone):
         z_a = z[idx]
-        if gram[1].ndim == 2:  # one point's factorization gets the stack's axis
-            gram = tuple(a[None] for a in gram)
-        # A lone point is evaluated as a single point, which costs less and
-        # gives a pose graph its sparse Jacobian; its results then get the
-        # stack's leading axis, of length 1.
-        pts = z_a[0] if len(idx) == 1 else z_a
+        # A point on a sparse fiber is evaluated as a single point, which gives
+        # a pose graph its sparse Jacobian; its rows then get the stack's
+        # leading axis, of length 1.
+        pts = z_a[0] if alone else z_a
         _, basis, var = _dual_fiber(problem, pts, gram)
         jac, r, w, groups = obj.stage1_system(pts)
         r, w = r.reshape(len(idx), -1), w.reshape(len(idx), -1)
         b = _fiber_product(jac, basis, var)
-        if pts.ndim == 1 and not sparse.issparse(b):
-            b, basis = b[None], basis[None]
 
         def keep(pos):
             # the points at ``pos`` stop where this step factored them
@@ -709,7 +703,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
                 a[go] for a in (idx, z_a, basis, b, r, w, wr, grad))
             gram = tuple(a[go] for a in gram)
             jac = jac[go] if jac.ndim == 3 else jac
-            pts = z_a[0] if len(idx) == 1 else z_a
+            pts = z_a
         h = _normal(b, w)
         scale = np.maximum.reduce(_diagonal(h), axis=-1, initial=0.0)
         scale[scale == 0] = 1.0
@@ -765,13 +759,13 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             live = live[~merged]
         if not live.size:
             break
-        gram = _gram_pinv(block, z[live[0]] if live.size == 1 else z[live])
+        gram = _gram_pinv(block, z[live])
         for members in _same_fibers(gram[1]):
             # points on a sparse fiber (past _DENSE_MAX directions) step one at a time
-            alone = members.size > 1 and np.count_nonzero(~gram[1][members[0]]) > _DENSE_MAX
+            alone = np.count_nonzero(~gram[1][members[0]]) > _DENSE_MAX
             for group in np.split(members, members.size) if alone else [members]:
                 part = gram if group.size == live.size else tuple(a[group] for a in gram)
-                advance(it, live[group], part)
+                advance(it, live[group], part, alone)
     outcomes = []
     for k in range(count):
         reason = stop[k] or "max_outer"
