@@ -158,12 +158,13 @@ class HandEyeDataset:
     """Pose rows of both sides plus optional ground truth and generator metadata.
 
     ``poses_a`` and ``poses_b`` are read-only ``(k, 7)`` rows ``(qw, qx, qy,
-    qz, tx, ty, tz)``, row ``i`` of each side measured together.  The
-    constructor takes rows only, checks them with :func:`checked_rows` and
-    stores them as given; :meth:`from_json_dict` first divides each file
+    qz, tx, ty, tz)``, row ``i`` of each side measured together, and
+    ``ground_truth_x``/``ground_truth_y`` read-only ``(7,)`` rows or None.
+    The constructor takes rows only, checks them with :func:`checked_rows`
+    and stores them as given; :meth:`from_json_dict` first divides each file
     row's rotation by its norm, unless the row is unit to a few ulps, as rows
-    the dataset wrote are.  The ground truths are unit dual quaternions or
-    None.
+    the dataset wrote are.  So :meth:`to_json_dict` of a dataset read from a
+    file writes that file's rows back bit for bit.
     """
 
     def __init__(self, model: str, poses_a, poses_b, ground_truth_x=None, ground_truth_y=None,
@@ -173,17 +174,20 @@ class HandEyeDataset:
             raise ValueError(f"unknown model {model!r}")
         if len(poses_a) != len(poses_b):
             raise ValueError("pose lists must have equal length")
-        poses_a.flags.writeable = poses_b.flags.writeable = False
+        truths = [None if t is None else checked_rows(t, f"ground truth {k}").reshape(7)
+                  for k, t in zip("XY", (ground_truth_x, ground_truth_y))]
+        for rows in (poses_a, poses_b, *(t for t in truths if t is not None)):
+            rows.flags.writeable = False
         self.model, self.poses_a, self.poses_b = model, poses_a, poses_b
-        self.ground_truth_x, self.ground_truth_y = ground_truth_x, ground_truth_y
+        self.ground_truth_x, self.ground_truth_y = truths
         self.meta = dict(meta or {})
 
     def to_json_dict(self) -> dict:
         out = {"model": self.model, "A": _json_poses(self.poses_a), "B": _json_poses(self.poses_b)}
-        truths = {k: u for k, u in zip("XY", (self.ground_truth_x, self.ground_truth_y))
-                  if u is not None}
+        truths = {k: _json_poses(t[None])[0]
+                  for k, t in zip("XY", (self.ground_truth_x, self.ground_truth_y)) if t is not None}
         if truths:
-            out["ground_truth"] = dict(zip(truths, _json_poses(pose_rows(truths.values()))))
+            out["ground_truth"] = truths
         if self.meta:
             out["meta"] = dict(self.meta)
         return out
@@ -191,13 +195,9 @@ class HandEyeDataset:
     @classmethod
     def from_json_dict(cls, data: dict) -> "HandEyeDataset":
         gt = data.get("ground_truth", {}) or {}
-        truths = {}
-        for k in "XY":
-            if k in gt:
-                rows = _file_rows([gt[k]], f"ground truth {k}")
-                truths[k] = UnitDualQuaternion.from_rows(pose_udqs(rows))[0]
+        truths = (_file_rows([gt[k]], f"ground truth {k}") if k in gt else None for k in "XY")
         rows = (_file_rows(data[s], s + " pose {}") for s in "AB")
-        return cls(data["model"], *rows, truths.get("X"), truths.get("Y"), data.get("meta", {}))
+        return cls(data["model"], *rows, *truths, data.get("meta", {}))
 
 
 def relative_motions(dataset: HandEyeDataset) -> tuple[np.ndarray, np.ndarray]:
@@ -395,7 +395,7 @@ def generate_synthetic(
         # a_i x = y b_i, so b_i = y^{-1} a_i x.
         poses_b = pose_compose(pose_compose(np.repeat(pose_inverse(truths[1:]), n, axis=0), poses_a), x)
     noisy_b = _noisy(poses_b, rng, noise_rot, noise_trans)
-    truths = UnitDualQuaternion.from_rows(canonicalized(pose_udqs(truths))) + (None,)
+    truths = list(pose_rows(UnitDualQuaternion.from_rows(canonicalized(pose_udqs(truths))))) + [None]
     return HandEyeDataset(model, poses_a, noisy_b, *truths[:2], meta)
 
 
@@ -468,7 +468,7 @@ def evaluate_solution(
             raise NoGroundTruth("dataset has no recorded ground truth for y")
         truths.append(dataset.ground_truth_y)
         estimates.append(y)
-    rot, trans = pose_errors(pose_rows(truths), pose_rows(estimates))
+    rot, trans = pose_errors(np.array(truths), pose_rows(estimates))
     out = {}
     for name, rot_k, trans_k in zip("xy", rot, trans):
         out[f"rotation_error_{name}"] = rot_k

@@ -79,7 +79,7 @@ def test_stage2_does_not_follow_the_warm_start_translation(kind):
     if kind == "axxb":
         ds = generate_synthetic("axxb", 10, noise_rot=1e-2, noise_trans=1e-2, seed=0)
         problem, cfg = build_axxb(ds), SolverConfig(restarts=2, seed=0)
-        truth = pose_rows([ds.ground_truth_x])[0]
+        truth = ds.ground_truth_x
         starts = [[_shifted(truth, s)] for s in (0.0, 0.5, 2.0)]
     else:
         g = _graph(1e-2, 0)
