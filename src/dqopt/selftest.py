@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DualNumber, DualQuaternion, Quaternion, UnitDualQuaternion
+from .algebra import DualNumber, DualQuaternion, DualQuaternionVector, Quaternion, UnitDualQuaternion
 from .functions import (
     AffineResidual,
     DualFunction,
@@ -287,7 +287,8 @@ def standardness_suite(
     Builds ``n_trees`` random compositions of magnitudes, normalized
     logarithms, residual norms, powers, and pointwise combiners, then
     probes each with re-randomized dual coordinates.  The two hand-eye
-    objectives and the pose-graph objective get the same probe.
+    objectives, the pose-graph objective and the 2-norm of a vector of
+    three dual quaternions get the same probe.
     """
     rng = np.random.default_rng(seed)
     results = []
@@ -306,13 +307,14 @@ def standardness_suite(
         )
 
     apps = [
-        ("standardness-axxb-objective", build_axxb(generate_synthetic("axxb", 5, seed=101)).objective),
-        ("standardness-axyb-objective", build_axyb(generate_synthetic("axyb", 6, seed=202)).objective),
-        ("standardness-pgo-objective", build_pgo(generate_cycle_graph(6, loop_closures=2, seed=303)).objective),
+        ("standardness-axxb-objective", build_axxb(generate_synthetic("axxb", 5, seed=101)).objective, None),
+        ("standardness-axyb-objective", build_axyb(generate_synthetic("axyb", 6, seed=202)).objective, None),
+        ("standardness-pgo-objective", build_pgo(generate_cycle_graph(6, loop_closures=2, seed=303)).objective, None),
+        ("standardness-norm2", lambda v: DualQuaternionVector(v).norm2(), 3),
     ]
-    for name, fn in apps:
+    for name, fn, arity in apps:
         rep = check_standardness(
-            fn, n_samples=n_samples, seed=int(rng.integers(2**31)), tol=1e-12
+            fn, arity, n_samples=n_samples, seed=int(rng.integers(2**31)), tol=1e-12
         )
         results.append(
             CheckResult(name, rep.passed, f"max std delta {rep.max_std_delta:.3e}")

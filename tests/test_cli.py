@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dqopt import DualQuaternion, DualQuaternionVector, selftest
 from dqopt.cli import main
 from dqopt.selftest import run_all
 
@@ -281,6 +282,31 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "algebra:" in out
     assert "checks passed" in out
+
+
+def test_selftest_reaches_the_abstracts_functions(monkeypatch):
+    # the 2-norm, the magnitude and the closure operations the paper proves
+    # standard; each must run in the self-test, every operator of combine too
+    called = set()
+
+    def spy(owner, name, key=lambda *args: ""):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            called.add(name + key(*args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(DualQuaternionVector, "norm2")
+    spy(DualQuaternion, "magnitude")
+    for name in ("map_power", "scalar_power", "compose_unit", "unit_log", "unit_exp"):
+        spy(selftest, name)
+    spy(selftest, "combine", lambda f, g, op: " " + op)
+    run_all(0)
+    wanted = {"norm2", "magnitude", "map_power", "scalar_power", "compose_unit", "unit_log",
+              "unit_exp", "combine sum", "combine product", "combine min", "combine max"}
+    assert wanted - called == set()
 
 
 def test_report_prints_to_stdout_without_out(tmp_path, capsys):
