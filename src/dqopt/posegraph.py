@@ -108,8 +108,7 @@ class PoseGraph:
     in input order, with the rotation's sign as given; :meth:`measurements`
     fixes that sign.  ``vertex_ids``/``vertex_poses`` hold the initial
     guesses and ``truth_ids``/``truth_poses`` the ground truth, ids
-    ascending.
-    These read-only arrays are the only store.
+    ascending.  These read-only arrays are the only store.
 
     ``vertices`` and ``truth`` are ``(ids, poses)`` pairs in any order; of
     several records for one id, the last counts.  Every pose row must be
@@ -156,10 +155,9 @@ class PoseGraph:
         """The edge poses as unit dual quaternions, ``(m, 2, 4)`` (standard, dual), input order.
 
         Converted by :func:`~dqopt.handeye.pose_udqs`: the dual part is
-        ``(t q) / 2`` with ``t`` the translation as a pure quaternion.  Each
-        is then :func:`~dqopt.handeye.canonicalized`, since the residuals
-        subtract it and ``q`` and ``-q`` are one motion: a graph whose edge
-        rows differ only in sign gives the same measurements bit for bit.
+        ``(t q) / 2`` with ``t`` the translation as a pure quaternion.  The
+        residuals subtract them, so their signs are fixed here by
+        :func:`~dqopt.handeye.canonicalized`, the same for ``q`` and ``-q``.
         """
         return canonicalized(pose_udqs(self.edge_poses))
 
