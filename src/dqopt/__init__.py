@@ -5,8 +5,11 @@ their total order), ``functions`` (dual-number-valued objectives with the
 standardness probe and gradient checks), ``solver`` (the two-stage
 equality-constrained minimizer), and the applications ``handeye`` and
 ``posegraph``.  The ``cli`` module exposes the same pipeline as the
-``dqopt`` command.
+``dqopt`` command.  The ``posegraph`` and ``selftest`` names load their
+modules, and with them SciPy, on first use; the rest need NumPy alone.
 """
+
+import importlib
 
 from .algebra import (
     NORMALIZE_TOL,
@@ -85,21 +88,6 @@ from .handeye import (
     relative_motions,
     rotation_angle_between,
 )
-from .posegraph import (
-    PoseGraph,
-    RelativePoseResidual,
-    build_pgo,
-    edge_error,
-    error_vector,
-    generate_cycle_graph,
-    parse_graph,
-    serialize_graph,
-    spanning_tree_guess,
-    spanning_tree_rows,
-    vertex_errors,
-)
-from .selftest import CheckResult, run_all
-
 __version__ = "0.1.0"
 
 __all__ = [
@@ -192,3 +180,34 @@ __all__ = [
     "CheckResult",
     "run_all",
 ]
+
+
+#: Names served on first use by :func:`__getattr__`, with their module.
+#: ``posegraph`` loads SciPy, and ``selftest`` loads ``posegraph``.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("posegraph", ("posegraph", "PoseGraph", "RelativePoseResidual", "build_pgo",
+                       "edge_error", "error_vector", "generate_cycle_graph", "parse_graph",
+                       "serialize_graph", "spanning_tree_guess", "spanning_tree_rows",
+                       "vertex_errors")),
+        ("selftest", ("selftest", "CheckResult", "run_all")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    """A name of ``_LAZY``, imported from its module on first use (PEP 562)."""
+    home = _LAZY.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{home}")  # binds the module's own name
+    if name == home:
+        return module
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

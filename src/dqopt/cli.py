@@ -25,15 +25,6 @@ from .handeye import (
     evaluate_solution,
     generate_synthetic,
 )
-from .posegraph import (
-    generate_cycle_graph,
-    build_pgo,
-    parse_graph,
-    serialize_graph,
-    spanning_tree_rows,
-    vertex_errors,
-)
-from .selftest import run_all
 from .solver import SolverConfig, solve_eqdqo
 
 __all__ = ["main", "build_parser"]
@@ -230,6 +221,8 @@ def _cmd_solve_handeye(args) -> int:
 
 
 def _cmd_gen_pgo(args) -> int:
+    from .posegraph import generate_cycle_graph, serialize_graph
+
     graph = _checked(
         generate_cycle_graph,
         args.vertices,
@@ -244,6 +237,8 @@ def _cmd_gen_pgo(args) -> int:
 
 
 def _cmd_solve_pgo(args) -> int:
+    from .posegraph import build_pgo, parse_graph, spanning_tree_rows, vertex_errors
+
     graph = parse_graph(_read_text(args.infile))
     problem = build_pgo(graph)
     report = solve_eqdqo(problem, _config_from_args(args), initial=spanning_tree_rows(graph))
@@ -253,6 +248,8 @@ def _cmd_solve_pgo(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import run_all
+
     suites = run_all(_resolve_seed(args))
     total = 0
     passed = 0

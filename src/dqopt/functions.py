@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .algebra import (
     NORMALIZE_TOL,
@@ -172,7 +171,7 @@ class DualFunction:
         ``J`` with the fiber.  A smooth standard function has a dual part
         linear in the dual coordinates and contributes no rows.
         """
-        return (lambda: sparse.csr_matrix((0, 4 * self.arity))), np.empty(0), np.ones_like
+        return (lambda: np.zeros((0, 4 * self.arity))), np.empty(0), np.ones_like
 
 
 def _check_same_arity(f: DualFunction, g: DualFunction):

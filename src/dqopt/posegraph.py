@@ -31,8 +31,8 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
+from ._sparse import sparse
 from .algebra import (
     DualQuaternion,
     DualQuaternionVector,

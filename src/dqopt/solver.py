@@ -49,13 +49,10 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
 from .algebra import DualNumber, DualQuaternion, DualQuaternionVector
 from .errors import ArityMismatch, Infeasible, NonStandardProblem
@@ -323,6 +320,8 @@ def _dual_fiber(problem: EqdqoProblem, z: np.ndarray, gram: tuple | None = None)
         null = np.zeros(z.shape[:-1] + shape)
         null[..., rows, np.repeat(np.arange(var.size), 4)] = vals
     else:
+        from ._sparse import sparse
+
         null = sparse.csc_matrix((vals.reshape(-1), rows, np.arange(0, rows.size + 1, 4)), shape)
     return gram, null, var
 
@@ -353,9 +352,11 @@ def _fiber_product(jac, null, var: np.ndarray):
     a sparse ``J`` sums them: the result does not depend on how many points
     are stacked.
     """
-    if sparse.issparse(null):
-        return (jac if sparse.issparse(jac) else sparse.csr_matrix(jac)) @ null
-    if sparse.issparse(jac):
+    if _is_sparse(null):
+        from ._sparse import sparse
+
+        return (jac if _is_sparse(jac) else sparse.csr_matrix(jac)) @ null
+    if _is_sparse(jac):
         return jac @ null
     cols = 4 * var[:, None] + np.arange(4)
     t = jac[..., cols] * null[..., cols, np.arange(var.size)[:, None]][..., None, :, :]
@@ -484,19 +485,25 @@ _MERGE_RADIUS = 1e-3
 # result equals the one it gets alone bit for bit, because every call
 # below runs the same BLAS or LAPACK routine on each point's slice, laid
 # out in C order as a single point's is (BLAS sums strided operands in
-# another order).
+# another order).  Sparse branches import SciPy where they run (see
+# ``dqopt._sparse``), so a dense solve loads none of it.
+
+
+def _is_sparse(a) -> bool:
+    """True for a SciPy sparse matrix: every dense operand here is an ndarray."""
+    return not isinstance(a, np.ndarray)
 
 
 def _mv(a, x: np.ndarray) -> np.ndarray:
     """``A x`` per point."""
-    if sparse.issparse(a):
+    if _is_sparse(a):
         return (a @ x[0])[None]
     return (a @ x[..., None])[..., 0]
 
 
 def _tmv(a, x: np.ndarray) -> np.ndarray:
     """``A^T x`` per point."""
-    if sparse.issparse(a):
+    if _is_sparse(a):
         return (a.T @ x[0])[None]
     return (a.swapaxes(-1, -2) @ x[..., None])[..., 0]
 
@@ -506,7 +513,7 @@ def _pullback(jac, x: np.ndarray) -> np.ndarray:
 
     A dense ``J`` is summed row after row, as SciPy sums a sparse one.
     """
-    if sparse.issparse(jac):
+    if _is_sparse(jac):
         return (jac.T @ x[0])[None]
     return np.add.reduce(jac * x[..., None], axis=-2)
 
@@ -518,7 +525,7 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _scale_rows(b, v: np.ndarray):
     """``diag(v) @ b`` per point."""
-    if not sparse.issparse(b):
+    if not _is_sparse(b):
         return v[..., None] * b
     out = b.copy()
     out.data *= np.repeat(v.reshape(-1), np.diff(out.indptr))
@@ -527,7 +534,7 @@ def _scale_rows(b, v: np.ndarray):
 
 def _normal(b, v: np.ndarray):
     """``B^T diag(v) B`` per point."""
-    b_t = b.T if sparse.issparse(b) else b.swapaxes(-1, -2)
+    b_t = b.T if _is_sparse(b) else b.swapaxes(-1, -2)
     return b_t @ _scale_rows(b, v)
 
 
@@ -538,7 +545,7 @@ def _kept_gram(c, keep: np.ndarray):
     product with zeroed rows in other blocks, so points that drop some rows
     are multiplied one at a time.
     """
-    if sparse.issparse(c):
+    if _is_sparse(c):
         c = c[keep[0]]
         return c.T @ c
     out = c.swapaxes(-1, -2) @ c
@@ -549,7 +556,7 @@ def _kept_gram(c, keep: np.ndarray):
 
 
 def _diagonal(h) -> np.ndarray:
-    if sparse.issparse(h):
+    if _is_sparse(h):
         return h.diagonal()[None]
     return h.diagonal(axis1=-2, axis2=-1)
 
@@ -560,7 +567,9 @@ def _reduced_solve(h, rhs: np.ndarray, shift=0.0) -> np.ndarray:
     An exactly singular system gives NaNs for its point on both paths, as
     ``spsolve`` does.
     """
-    if sparse.issparse(h):
+    if _is_sparse(h):
+        from ._sparse import sparse, spsolve
+
         shift = np.broadcast_to(shift, rhs.shape)
         if shift.any():
             h = h + sparse.diags(shift.reshape(-1))
@@ -593,7 +602,9 @@ def _newton_step(b, r, w, starts, grad, h, shift):
     norms = np.sqrt(np.add.reduceat(r * r, starts, axis=-1))
     inv = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 0.0)
     scaled = _scale_rows(b, r * inv[..., group] ** 1.5)
-    if sparse.issparse(scaled):
+    if _is_sparse(scaled):
+        from ._sparse import sparse
+
         sums = (np.ones(group.size), np.arange(group.size), np.append(starts, group.size))
         c = sparse.csr_matrix(sums, (starts.size, group.size)) @ scaled
     else:
@@ -676,7 +687,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         def keep(pos):
             # the points at ``pos`` stop where this step factored them
             for j, k in zip(pos.tolist(), idx[pos].tolist()):
-                point = [m if sparse.issparse(m) else m[j] for m in (basis, b)]
+                point = [m if _is_sparse(m) else m[j] for m in (basis, b)]
                 fibers[k] = (tuple(a[j] for a in gram), point[0], var, point[1])
 
         wr = w * r
@@ -892,6 +903,8 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     """
     starts = np.stack([_restart_start(problem, cfg, initial, r) for r in range(cfg.restarts)])
     if cfg.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         chunks = np.array_split(starts, min(cfg.threads, cfg.restarts))
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             parts = list(pool.map(lambda chunk: _stage1(problem, cfg, chunk), chunks))

@@ -1,13 +1,23 @@
-"""Every name a module of ``dqopt`` imports is used there or exported, and every export exists."""
+"""Every name a module of ``dqopt`` imports is used there or exported, and every export exists.
+
+Fresh interpreters check what loads with what: hand-eye work runs on NumPy
+alone, and SciPy loads with the pose-graph layer or a sparse solve.
+"""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import types
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "dqopt").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "dqopt").glob("*.py"))
 
 
 def exported_names(tree: ast.Module) -> list[str]:
@@ -64,3 +74,78 @@ def test_every_exported_name_exists_once(path):
     names = exported_names(ast.parse(path.read_text(encoding="utf-8")))
     module = importlib.import_module("dqopt" if path.stem == "__init__" else f"dqopt.{path.stem}")
     assert export_faults(module, names) == []
+
+
+def fresh(code: str, *args: str):
+    """The JSON value on the last line ``code`` prints, run by a new interpreter with ``args``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code), *args], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_hand_eye_work_loads_no_scipy_and_no_thread_pool(tmp_path):
+    loaded = fresh("""
+        import json, sys
+        import dqopt
+        from dqopt import SolverConfig, build_axxb, build_axyb, cli, generate_synthetic, solve_eqdqo
+
+        for model, build in (("axxb", build_axxb), ("axyb", build_axyb)):
+            ds = generate_synthetic(model, 6, noise_rot=0.01, noise_trans=0.01, seed=1)
+            solve_eqdqo(build(ds), SolverConfig(restarts=2, seed=0))
+        data, out = sys.argv[1] + "/data.json", sys.argv[1] + "/report.json"
+        assert cli.main(["gen-handeye", "--model", "axyb", "--motions", "6", "--out", data]) == 0
+        assert cli.main(["solve-handeye", "--in", data, "--out", out, "--restarts", "2"]) == 0
+        print(json.dumps(sorted(m for m in sys.modules
+                                if m.split(".")[0] in ("scipy", "concurrent") or "posegraph" in m)))
+    """, str(tmp_path))
+    assert loaded == []
+
+
+def test_the_lazy_names_load_on_first_use_and_all_of_them_bind():
+    listed, before, after, unbound = fresh("""
+        import json, sys
+        import dqopt
+
+        listed = sorted(set(dqopt.__all__) - set(dir(dqopt)))
+        before = "scipy" in sys.modules
+        dqopt.parse_graph
+        after = "scipy.sparse.linalg" in sys.modules
+        names = {}
+        exec("from dqopt import *", names)
+        print(json.dumps([listed, before, after, sorted(set(dqopt.__all__) - set(names))]))
+    """)
+    assert listed == [] and unbound == []
+    assert not before and after
+
+
+_GENERIC_SPARSE_SOLVE = """
+    import json, sys
+    from dqopt import (DualQuaternion, EqdqoProblem, Quaternion, SolverConfig,
+                       UnitNormConstraint, solve_eqdqo, solver, squared_distance_objective)
+
+    if sys.argv[1] == "posegraph":
+        import dqopt.posegraph
+    n = 50
+    center = DualQuaternion(Quaternion(0.5, 0.5, 0.5, 0.5), Quaternion(0.0, 0.1, -0.2, 0.3))
+    problem = EqdqoProblem(squared_distance_objective(center, n, 3),
+                           [UnitNormConstraint(n, i) for i in range(n)])
+    assert 3 * n > solver._DENSE_MAX
+    report = solve_eqdqo(problem, SolverConfig(restarts=2, seed=0))
+    fields = report.to_json_dict()
+    del fields["wall_time_ms"]
+    # repr gives every float to the last bit
+    print(json.dumps([repr((fields, report.trace)), "dqopt.posegraph" in sys.modules,
+                      "scipy.sparse.linalg" in sys.modules]))
+"""
+
+
+def test_a_sparse_fiber_solves_without_the_pose_graph_layer():
+    # 50 unit variables have 150 fiber directions, past _DENSE_MAX, and the
+    # objective's stage-II slope is the empty dense one of DualFunction
+    alone, graph_loaded, sparse_loaded = fresh(_GENERIC_SPARSE_SOLVE, "alone")
+    assert not graph_loaded and sparse_loaded
+    with_graph, graph_loaded, _ = fresh(_GENERIC_SPARSE_SOLVE, "posegraph")
+    assert graph_loaded
+    assert alone == with_graph
