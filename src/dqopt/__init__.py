@@ -87,6 +87,7 @@ from .handeye import (
     generate_synthetic,
     relative_motions,
     rotation_angle_between,
+    spectral_start,
 )
 __version__ = "0.1.0"
 
@@ -160,6 +161,7 @@ __all__ = [
     "relative_motions",
     "build_axxb",
     "build_axyb",
+    "spectral_start",
     "generate_synthetic",
     "evaluate_solution",
     "rotation_angle_between",

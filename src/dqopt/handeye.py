@@ -30,10 +30,12 @@ from .algebra import (
     Quaternion,
     UnitDualQuaternion,
     canonical_signs,
+    left_mult_matrix,
     normalize_dq,
     quat_dot,
     quat_mul,
     random_unit_quaternion,
+    right_mult_matrix,
     unit_deviations,
 )
 from .errors import InvalidPose, NoGroundTruth, TooFewMotions, UnitValidationError
@@ -45,6 +47,7 @@ __all__ = [
     "relative_motions",
     "build_axxb",
     "build_axyb",
+    "spectral_start",
     "generate_synthetic",
     "evaluate_solution",
     "rotation_angle_between",
@@ -246,32 +249,73 @@ def _magnitudes(arity: int, a: np.ndarray, b: np.ndarray, other: int) -> Residua
     return ResidualNormObjective(arity, stack, np.ones(len(a), dtype=np.intp))
 
 
+def _absolute_pairs(dataset: HandEyeDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The AXYB pose pairs ``(a, b)`` as sign-canonicalized ``(k, 2, 4)`` unit dual quaternions."""
+    if dataset.model != "axyb":
+        raise ValueError("build_axyb needs an axyb dataset")
+    return tuple(canonicalized(pose_udqs(rows)) for rows in (dataset.poses_a, dataset.poses_b))
+
+
+def _spectral(arity: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows ``(arity, 8)`` minimizing the squared stage I over ``(k, 2, 4)`` pairs, zero duals.
+
+    With ``C = sum_k L(a_k)^T R(b_k)`` of the standard parts, whose
+    multiplication matrices are orthogonal, ``sum_k |a_k x - x b_k|^2 = x^T
+    (2k I - (C + C^T)) x`` for unit ``x`` and ``sum_k |a_k x - y b_k|^2 = 2k
+    - 2 x^T C y`` for unit ``x, y``: the top eigenvector of ``C + C^T``, or
+    the top singular pair of ``C``, minimizes it.
+    """
+    c = (left_mult_matrix(a[:, 0]).swapaxes(-1, -2) @ right_mult_matrix(b[:, 0])).sum(axis=0)
+    rows = np.zeros((arity, 8))
+    if arity == 1:
+        rows[0, :4] = np.linalg.eigh(c + c.T)[1][:, -1]
+    else:
+        u, _, vt = np.linalg.svd(c)
+        rows[0, :4], rows[1, :4] = u[:, 0], vt[0]
+    return rows
+
+
+def spectral_start(dataset: HandEyeDataset) -> np.ndarray:
+    """The closed-form start of the dataset's problem: ``(arity, 8)`` rows, dual parts zero.
+
+    It minimizes the sum of *squared* residual magnitudes over the pairs
+    :func:`build_axxb` or :func:`build_axyb` solves over: one 4x4 quaternion
+    eigenproblem, the rotation step of Daniilidis (1999) and of Horaud and
+    Dornaika (1995).  The builders make it their problem's ``start``, which
+    restart 0 of :func:`~dqopt.solver.solve_eqdqo` begins from.
+    """
+    if dataset.model == "axxb":
+        return _spectral(1, *relative_motions(dataset))
+    return _spectral(2, *_absolute_pairs(dataset))
+
+
 def build_axxb(dataset: HandEyeDataset) -> EqdqoProblem:
     """Problem: minimize the sum of ``|a_i x - x b_i|`` over unit ``x``.
 
     Magnitudes are summed unsquared; each residual is its own norm group.
+    The problem's ``start`` is the :func:`spectral_start`.
     """
     a, b = relative_motions(dataset)
     if len(a) < 2:
         raise TooFewMotions(f"need at least 2 relative motions, got {len(a)}")
     _warn_if_degenerate(a[:, 0])
-    return EqdqoProblem(_magnitudes(1, a, b, 0), (UnitNormConstraint(1, 0),))
+    return EqdqoProblem(_magnitudes(1, a, b, 0), (UnitNormConstraint(1, 0),), _spectral(1, a, b))
 
 
 def build_axyb(dataset: HandEyeDataset) -> EqdqoProblem:
     """Problem: minimize the sum of ``|a_i x - y b_i|`` over unit ``x, y``.
 
     Variable 0 is ``x``, variable 1 is ``y``; absolute poses are used
-    directly, sign-canonicalized.
+    directly, sign-canonicalized.  The problem's ``start`` is the
+    :func:`spectral_start`.
     """
-    if dataset.model != "axyb":
-        raise ValueError("build_axyb needs an axyb dataset")
-    if len(dataset.poses_a) < 3:
-        raise TooFewMotions(f"need at least 3 pose pairs, got {len(dataset.poses_a)}")
-    a, b = (canonicalized(pose_udqs(rows)) for rows in (dataset.poses_a, dataset.poses_b))
+    a, b = _absolute_pairs(dataset)
+    if len(a) < 3:
+        raise TooFewMotions(f"need at least 3 pose pairs, got {len(a)}")
     # rotations of the relative motions a_{i+1}^{-1} a_i
     _warn_if_degenerate(quat_mul(a[1:, 0] * _CONJ, a[:-1, 0]))
-    return EqdqoProblem(_magnitudes(2, a, b, 1), (UnitNormConstraint(2, 0), UnitNormConstraint(2, 1)))
+    constraints = (UnitNormConstraint(2, 0), UnitNormConstraint(2, 1))
+    return EqdqoProblem(_magnitudes(2, a, b, 1), constraints, _spectral(2, a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,11 @@ residual's dual part is affine in the dual coordinates, so the feasible set
 is an affine *dual fiber* and stage II is a weighted least-squares fit on
 it (see :func:`_stage2`), with each magnitude's branch frozen where the
 stage-I point puts it.
-Restarts draw independent unit starting points.  Stage I advances them
-in lockstep: while the tangent space is small enough for dense algebra,
+Restart 0 starts from the caller's ``initial`` point if given, else from
+the problem's ``start`` if it has one (the hand-eye builders give their
+closed-form minimum of the squared residuals), and every other restart
+from an independent seeded unit point.  Stage I advances them in
+lockstep: while the tangent space is small enough for dense algebra,
 every step of every restart still running is one batched computation over
 the stack of their points, and each restart takes the iterates it would
 take alone until it stops on its own stop rule, or until it comes within
@@ -80,8 +83,11 @@ class SolverConfig:
     Stage I stops once the norm of its tangent gradient is at most
     ``tol_grad``, or when no step lowers the standard value; ``max_outer``
     caps its steps and the stage-II reweighted solves.  A restart's answer
-    counts only if every constraint row holds to ``tol_feas``.  Stage I
-    advances the ``restarts`` in lockstep as one batch; ``threads`` above 1
+    counts only if every constraint row holds to ``tol_feas``.  Restart 0
+    begins at the solve's ``initial`` point or the problem's ``start``, if
+    either is given, and the others at unit points drawn from ``seed``, so
+    a problem with a start needs fewer restarts.  Stage I advances the
+    ``restarts`` in lockstep as one batch; ``threads`` above 1
     splits the batch into that many contiguous chunks, each advanced by its
     own thread.  A restart that comes within ``_MERGE_RADIUS`` (1e-3, in
     the max-norm over the standard coordinates, up to the global sign) of
@@ -137,15 +143,24 @@ class EqdqoProblem:
     constraints must be unit-norm conditions and
     :func:`dqopt.functions.anchor_constraints` rows, which ``block``
     evaluates together.  Any other objective or constraint raises
-    ``TypeError``.
+    ``TypeError``.  ``start``, if given, is where restart 0 begins when the
+    solve gets no ``initial`` point: ``arity`` dual quaternions or an
+    ``(arity, 8)`` array of rows, stored as read-only rows (another count
+    or shape raises :class:`ArityMismatch`).  A problem that knows a good
+    start carries it, so every caller's solve uses it.
     """
 
     objective: DualFunction
     constraints: tuple[DualFunction, ...] = ()
+    start: np.ndarray | None = field(default=None, repr=False, compare=False)
     block: ConstraintBlock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
+        if self.start is not None:
+            start = _start_z(self.start, self.arity, "start").reshape(self.arity, 8)
+            start.flags.writeable = False
+            object.__setattr__(self, "start", start)
         named = [("objective", self.objective)]
         named += [(f"constraint {j}", h) for j, h in enumerate(self.constraints)]
         for name, fn in named:
@@ -612,9 +627,12 @@ def _newton_step(b, r, w, starts, grad, h, shift):
     pinned = np.zeros(norms.shape, dtype=bool)
     while True:
         newton = (norms > 0) & ~pinned
-        extra = (_PIN - 1.0) * w * pinned[..., group]
-        model = h - _kept_gram(c, newton) + _normal(b, extra)
-        y = _reduced_solve(model, -(grad + _tmv(b, extra * r)), shift)
+        model, rhs = h - _kept_gram(c, newton), -grad
+        if pinned.any():
+            # the pinned rows' extra weight; with none pinned it is all zero
+            extra = (_PIN - 1.0) * w * pinned[..., group]
+            model, rhs = model + _normal(b, extra), -(grad + _tmv(b, extra * r))
+        y = _reduced_solve(model, rhs, shift)
         through = newton & (np.sqrt(norms) + _mv(c, y) < 0)
         if not through.any():
             return y
@@ -862,25 +880,33 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
     return _StageOutcome(z, it + 1, done, trace, gram, value=v, feasibility=feas)
 
 
+def _start_z(start, arity: int, name: str) -> np.ndarray:
+    """Flat coordinates of a start: ``arity`` dual quaternions or an ``(arity, 8)`` array of rows.
+
+    Raises :class:`ArityMismatch`, naming the start ``name``, for another
+    count or shape.
+    """
+    if isinstance(start, np.ndarray):
+        if start.shape != (arity, 8):
+            raise ArityMismatch(f"{name} has shape {start.shape}, expected ({arity}, 8)")
+        return start.astype(np.float64).reshape(-1)
+    vals = list(start)
+    if len(vals) != arity:
+        raise ArityMismatch(f"{name} has {len(vals)} variables, expected {arity}")
+    return pack(vals)
+
+
 def _restart_start(
     problem: EqdqoProblem,
     cfg: SolverConfig,
     initial,
     r: int,
 ) -> np.ndarray:
+    """Restart ``r``'s point: ``initial``, else ``problem.start``, for restart 0, else a seeded draw."""
     if r == 0 and initial is not None:
-        if isinstance(initial, np.ndarray):
-            if initial.shape != (problem.arity, 8):
-                raise ArityMismatch(
-                    f"initial guess has shape {initial.shape}, expected ({problem.arity}, 8)"
-                )
-            return initial.astype(np.float64).reshape(-1)
-        vals = list(initial)
-        if len(vals) != problem.arity:
-            raise ArityMismatch(
-                f"initial guess has {len(vals)} variables, expected {problem.arity}"
-            )
-        return pack(vals)
+        return _start_z(initial, problem.arity, "initial guess")
+    if r == 0 and problem.start is not None:
+        return problem.start.reshape(-1)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, r])))
     return _random_start(problem, rng)
 
@@ -995,7 +1021,8 @@ def solve_eqdqo(
     broken by restart index.  Restart 0 starts from ``initial`` when
     given, one dual quaternion per variable or an ``(arity, 8)`` array of
     rows (standard, dual part); another count or shape raises
-    :class:`ArityMismatch`.
+    :class:`ArityMismatch`.  Without ``initial`` it starts from
+    ``problem.start``, and only without either from a random point.
     Raises :class:`Infeasible` when no restart produces a candidate.
     """
     cfg = cfg or SolverConfig()

@@ -7,6 +7,7 @@ from dqopt import (
     MIN_AXIS_SPREAD,
     AffineResidual,
     DualQuaternion,
+    EqdqoProblem,
     HandEyeDataset,
     Quaternion,
     ResidualNormObjective,
@@ -21,6 +22,7 @@ from dqopt import (
     relative_motions,
     rotation_angle_between,
     solve_eqdqo,
+    spectral_start,
 )
 from dqopt import handeye, solver
 from dqopt.algebra import canonical_sign, left_mult_matrix, right_mult_matrix
@@ -141,6 +143,50 @@ def test_noise_degrades_rotation_recovery():
     assert np.median(clean) <= np.median(noisy)
 
 
+def _calibration(model, sigma, seed, n=10):
+    ds = generate_synthetic(model, n, noise_rot=sigma, noise_trans=sigma, seed=seed)
+    return ds, (build_axxb if model == "axxb" else build_axyb)(ds)
+
+
+@pytest.mark.parametrize("model", ["axxb", "axyb"])
+def test_the_spectral_start_minimizes_the_squared_residuals(model):
+    # the least eigenvector of J^T J for the stacked standard residual matrix J
+    for seed in range(5):
+        ds, problem = _calibration(model, 0.01, seed)
+        a, b = relative_motions(ds) if model == "axxb" else (
+            handeye.canonicalized(handeye.pose_udqs(rows)) for rows in (ds.poses_a, ds.poses_b))
+        la, rb = left_mult_matrix(a[:, 0]), right_mult_matrix(b[:, 0])
+        jac = la - rb if model == "axxb" else np.concatenate((la, -rb), axis=-1)
+        jac = jac.reshape(-1, jac.shape[-1])
+        least = np.linalg.eigh(jac.T @ jac)[1][:, 0].reshape(-1, 4) * np.sqrt(len(problem.start))
+        rows = spectral_start(ds)
+        assert np.array_equal(rows, problem.start) and not rows[:, 4:].any()
+        assert min(abs(rows[:, :4] - least).max(), abs(rows[:, :4] + least).max()) <= 1e-9
+
+
+@pytest.mark.parametrize("model", ["axxb", "axyb"])
+def test_one_restart_from_the_spectral_start_recovers_noiseless_truth_exactly(model):
+    for seed in range(10):
+        ds, problem = _calibration(model, 0.0, seed)
+        report = solve_eqdqo(problem, SolverConfig(restarts=1))
+        assert max(evaluate_solution(ds, *report.solution).values()) <= 1e-12
+
+
+# At this kink optimum all 8 random restarts stall apart, short of the minimum.
+_KINK_BOUND = {("axyb", 0.01, 15): 1e-7}
+
+
+@pytest.mark.parametrize("model", ["axxb", "axyb"])
+@pytest.mark.parametrize("sigma", [0.0, 0.01])
+def test_one_restart_from_the_spectral_start_reaches_eight_random_restarts_minimum(model, sigma):
+    for seed in range(20):
+        _, problem = _calibration(model, sigma, seed)
+        start = solve_eqdqo(problem, SolverConfig(restarts=1)).stage1_value
+        bare = EqdqoProblem(problem.objective, problem.constraints)
+        random = solve_eqdqo(bare, SolverConfig(restarts=8)).stage1_value
+        assert abs(start - random) <= _KINK_BOUND.get((model, sigma, seed), 1e-9) * random
+
+
 def test_dataset_json_roundtrip():
     ds = generate_synthetic("axyb", 4, noise_rot=0.01, seed=181)
     data = ds.to_json_dict()
@@ -202,8 +248,12 @@ def test_an_exactly_singular_stage2_raises_infeasible_not_a_nan_answer():
         # the constructor keeps the rows as the kernels formed them: normalizing
         # them again would move last bits and the system off exact singularity
         problem = build_axxb(HandEyeDataset("axxb", poses_a, poses_b))
+    # from two random restarts, as from the spectral start and one
+    bare = EqdqoProblem(problem.objective, problem.constraints)
+    for p in (problem, bare):
         with pytest.raises(Infeasible):
-            solve_eqdqo(problem, cfg)
+            solve_eqdqo(p, cfg)
+    problem = bare
     # the first non-finite pass ends stage II instead of repeating to max_outer
     # (here the first pass is finite, its system has condition number 1.7e16)
     _, _, outcome = solver._stage1_restarts(problem, cfg, None)[0]

@@ -107,15 +107,28 @@ def test_a_restart_runs_alone_until_it_merges_into_an_earlier_minimum():
     assert kinds == {"converged", "merged"}
 
 
+def _report_of(report):
+    data = report.to_json_dict()
+    del data["wall_time_ms"], data["config"]["threads"]
+    return data, report.trace
+
+
 def test_threads_give_the_report_of_one_thread_where_restarts_merge(tmp_path):
-    # one thread: restarts 0-6 merge into restart 7.  Three threads, chunks
-    # 0-2, 3-5 and 6-7: seven restarts converge, and the ones that converged
-    # after another restart at the same minimum are left out
+    # From random starts alone, one thread: restarts 0-6 merge into restart 7.
+    # Three threads, chunks 0-2, 3-5 and 6-7: seven restarts converge, and the
+    # ones that converged after another restart at the same minimum are left
+    # out.  From the spectral start, restart 0 converges first and the others
+    # merge into it; with three threads, four converge later and are left out.
     problem, _ = _handeye("axxb", SIGMA, 1)
-    starts, batch = _stage1(problem, None)
-    chunks = [o.stop for c in np.array_split(starts, 3) for o in solver._stage1(problem, CFG, c)]
-    assert [o.stop for o in batch] == ["merged"] * 7 + ["converged"]
-    assert chunks.count("converged") == 7
+    bare = solver.EqdqoProblem(problem.objective, problem.constraints)
+    for p, alone, converged in ((bare, ["merged"] * 7 + ["converged"], 7),
+                                (problem, ["converged"] + ["merged"] * 7, 5)):
+        starts, batch = _stage1(p, None)
+        chunks = [o.stop for c in np.array_split(starts, 3) for o in solver._stage1(p, CFG, c)]
+        assert [o.stop for o in batch] == alone
+        assert chunks.count("converged") == converged
+    one, three = (solve_eqdqo(bare, SolverConfig(restarts=8, seed=0, threads=t)) for t in (1, 3))
+    assert _report_of(one) == _report_of(three)
     data = tmp_path / "data.json"
     assert main(["gen-handeye", "--model", "axxb", "--motions", "10", "--noise-rot", "0.01",
                  "--noise-trans", "0.01", "--seed", "1", "--out", str(data)]) == 0

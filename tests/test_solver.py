@@ -471,6 +471,31 @@ def test_an_initial_array_starts_restart_zero_as_dual_quaternions_do():
             solve_eqdqo(problem, cfg, initial=bad)
 
 
+def test_initial_overrides_the_problems_start_and_only_restart_zero_takes_either():
+    problem = build_axxb(generate_synthetic("axxb", 10, 0.01, 0.01, seed=3))
+    bare = EqdqoProblem(problem.objective, problem.constraints)
+    cfg = SolverConfig(restarts=3, seed=0)
+    assert bare.start is None and not problem.start.flags.writeable
+    assert np.array_equal(solver._restart_start(problem, cfg, None, 0), problem.start.ravel())
+    for r in (1, 2):
+        assert np.array_equal(solver._restart_start(problem, cfg, None, r),
+                              solver._restart_start(bare, cfg, None, r))
+    rows = np.array([[0.5, 0.5, -0.5, 0.5, 0.0, 0.0, 0.0, 0.0]])
+    given, given_bare = (solve_eqdqo(p, cfg, initial=rows) for p in (problem, bare))
+    assert given.trace == given_bare.trace and given.restart_index == given_bare.restart_index
+    assert solve_eqdqo(problem, cfg).trace != given.trace
+
+
+def test_a_start_of_the_wrong_shape_raises_arity_mismatch():
+    problem = build_axyb(generate_synthetic("axyb", 6, seed=4))
+    rows = np.array(problem.start)
+    for bad in (rows[:1], rows.reshape(-1), rows[:, :4], [DualQuaternion.identity()]):
+        with pytest.raises(ArityMismatch):
+            EqdqoProblem(problem.objective, problem.constraints, bad)
+    objects = [DualQuaternion(Quaternion(*row[:4]), Quaternion(*row[4:])) for row in rows]
+    assert np.array_equal(EqdqoProblem(problem.objective, problem.constraints, objects).start, rows)
+
+
 def test_the_report_takes_stage2s_last_evaluation_of_its_point(monkeypatch):
     # the last stage-II trace row is evaluated at the final point, so the
     # candidate check and the report evaluate neither the value nor the rows again
