@@ -39,13 +39,8 @@ class _BadInput(Exception):
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--restarts",
-        type=int,
-        default=8,
-        help="solver restarts: the first from the problem's start (hand-eye: closed form;"
-        " pose graphs: spanning tree), the others from seeded random points",
-    )
+    p.add_argument("--restarts", type=int, default=8,
+                   help="restarts: the first from the closed form or spanning tree, the rest random")
     p.add_argument("--seed", type=int, default=0, help="restart seed")
     p.add_argument(
         "--tol-grad", type=float, default=1e-9, help="stage-I tangent gradient norm to stop at"

@@ -85,9 +85,8 @@ class SolverConfig:
     caps its steps and the stage-II reweighted solves.  A restart's answer
     counts only if every constraint row holds to ``tol_feas``.  Restart 0
     begins at the solve's ``initial`` point or the problem's ``start``, if
-    either is given, and the others at unit points drawn from ``seed``, so
-    a problem with a start needs fewer restarts.  Stage I advances the
-    ``restarts`` in lockstep as one batch; ``threads`` above 1
+    either is given, the others at unit points drawn from ``seed``.  Stage
+    I advances the ``restarts`` in lockstep as one batch; ``threads`` above 1
     splits the batch into that many contiguous chunks, each advanced by its
     own thread.  A restart that comes within ``_MERGE_RADIUS`` (1e-3, in
     the max-norm over the standard coordinates, up to the global sign) of
@@ -902,7 +901,7 @@ def _restart_start(
     initial,
     r: int,
 ) -> np.ndarray:
-    """Restart ``r``'s point: ``initial``, else ``problem.start``, for restart 0, else a seeded draw."""
+    """Restart ``r``'s point: for ``r == 0`` ``initial``, else ``problem.start``, else a draw."""
     if r == 0 and initial is not None:
         return _start_z(initial, problem.arity, "initial guess")
     if r == 0 and problem.start is not None:
