@@ -248,7 +248,7 @@ def test_an_exactly_singular_stage2_raises_infeasible_not_a_nan_answer():
         # the constructor keeps the rows as the kernels formed them: normalizing
         # them again would move last bits and the system off exact singularity
         problem = build_axxb(HandEyeDataset("axxb", poses_a, poses_b))
-    # from two random restarts, as from the spectral start and one
+    # Infeasible from the spectral start and one random restart, and from two random ones
     bare = EqdqoProblem(problem.objective, problem.constraints)
     for p in (problem, bare):
         with pytest.raises(Infeasible):
