@@ -13,6 +13,7 @@ same inputs and seeds; the only nondeterministic report field is
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -272,10 +273,15 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads with, built on its first call and then kept."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:

@@ -926,11 +926,18 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     :class:`Infeasible` when no restart satisfies the standard rows to
     ``tol_feas``.
     """
-    starts = np.stack([_restart_start(problem, cfg, initial, r) for r in range(cfg.restarts)])
-    if cfg.threads > 1:
+    first = _restart_start(problem, cfg, initial, 0)
+    # The standard value is never negative, so a start at value 0 is a global
+    # stage-I minimum: the random restarts could only tie with it.
+    if cfg.restarts > 1 and problem.objective.value_at(problem.block.project(first[None]))[0][0] == 0:
+        starts = first[None]
+    else:
+        starts = np.stack([first] + [_restart_start(problem, cfg, initial, r)
+                                     for r in range(1, cfg.restarts)])
+    if cfg.threads > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        chunks = np.array_split(starts, min(cfg.threads, cfg.restarts))
+        chunks = np.array_split(starts, min(cfg.threads, len(starts)))
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             parts = list(pool.map(lambda chunk: _stage1(problem, cfg, chunk), chunks))
     else:
