@@ -41,7 +41,8 @@ class _BadInput(Exception):
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=8,
-                   help="restarts: the first from the closed form or spanning tree, the rest random")
+                   help="restarts: the first from the closed form or spanning tree, the rest "
+                   "random, run only when the first does not start at stage-I value 0")
     p.add_argument("--seed", type=int, default=0, help="restart seed")
     p.add_argument(
         "--tol-grad", type=float, default=1e-9, help="stage-I tangent gradient norm to stop at"

@@ -35,17 +35,20 @@ stage-I point puts it.
 Restart 0 starts from the caller's ``initial`` point if given, else from
 the problem's ``start`` if it has one (the hand-eye builders give their
 closed-form minimum of the squared residuals), and every other restart
-from an independent seeded unit point.  Stage I advances them in
-lockstep: while the tangent space is small enough for dense algebra,
-every step of every restart still running is one batched computation over
-the stack of their points, and each restart takes the iterates it would
-take alone until it stops on its own stop rule, or until it comes within
-``_MERGE_RADIUS`` of a minimum another restart converged to, where it
-stops "merged".  Larger, sparse problems advance their restarts one after
-another within each step.  Stage II runs for the restarts tied at the
-least stage-I value, from the factorization of stage I's last step, and
-the reported solution is the dn-order minimum over their feasible
-outcomes.
+from an independent seeded unit point.  The standard value is never
+negative, so a restart 0 that starts at value 0 (noiseless data from the
+closed-form start or the spanning tree) is a certified stage-I minimum:
+it runs alone, and no other restart is drawn.  Stage I advances the
+restarts in lockstep: while the tangent space is small enough for dense
+algebra, every step of every restart still running is one batched
+computation over the stack of their points, and each restart takes the
+iterates it would take alone until it stops on its own stop rule, or until
+it comes within ``_MERGE_RADIUS`` of a minimum another restart converged
+to, where it stops "merged".  Larger, sparse problems advance their
+restarts one after another within each step.  Stage II runs for the
+restarts tied at the least stage-I value, from the factorization of stage
+I's last step, and the reported solution is the dn-order minimum over
+their feasible outcomes.
 """
 
 from __future__ import annotations
@@ -85,8 +88,10 @@ class SolverConfig:
     caps its steps and the stage-II reweighted solves.  A restart's answer
     counts only if every constraint row holds to ``tol_feas``.  Restart 0
     begins at the solve's ``initial`` point or the problem's ``start``, if
-    either is given, the others at unit points drawn from ``seed``.  Stage
-    I advances the ``restarts`` in lockstep as one batch; ``threads`` above 1
+    either is given, the others at unit points drawn from ``seed``.  A
+    restart 0 that starts at stage-I value 0 is a global minimum and runs
+    alone, whatever ``restarts`` and ``threads`` say.  Otherwise stage I
+    advances the ``restarts`` in lockstep as one batch; ``threads`` above 1
     splits the batch into that many contiguous chunks, each advanced by its
     own thread.  A restart that comes within ``_MERGE_RADIUS`` (1e-3, in
     the max-norm over the standard coordinates, up to the global sign) of
@@ -914,24 +919,26 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     """Stage I for every restart: the outcomes on the standard rows, least stage-I value first.
 
     Items are ``(value, restart, outcome)``; equal values keep restart
-    order.  The restarts advance in lockstep through :func:`_stage1`, all
-    in one batch, or in ``threads`` contiguous chunks of it run in a thread
-    pool; restarts merge only within a chunk.  Merged restarts are left
-    out, and so is every restart that converged to a positive value within
-    ``_MERGE_RADIUS`` of a kept one that converged at an earlier step: had
-    they shared a chunk, the later one would have merged.  So the restart
-    that converged first represents its minimum, ``threads`` does not change
-    the items, and restarts that converged at the same step all stay, the
-    least value winning as without merging.  Raises
-    :class:`Infeasible` when no restart satisfies the standard rows to
-    ``tol_feas``.
+    order.  Restart 0's start is put on the standard rows first; at
+    standard value exactly 0 it is a global minimum (the value is never
+    negative), so it runs alone, as with ``restarts=1``, and no other start
+    is drawn.  Otherwise the restarts advance in lockstep through
+    :func:`_stage1`, all in one batch, or in ``threads`` contiguous chunks
+    of it run in a thread pool; restarts merge only within a chunk.
+    Merged restarts are left out, and so is every restart that converged
+    to a positive value within ``_MERGE_RADIUS`` of a kept one that
+    converged at an earlier step: had they shared a chunk, the later one
+    would have merged.  So the restart that converged first represents its
+    minimum, ``threads`` does not change the items, and restarts that
+    converged at the same step all stay, the least value winning as
+    without merging.  Raises :class:`Infeasible` when no restart satisfies
+    the standard rows to ``tol_feas``.
     """
     first = _restart_start(problem, cfg, initial, 0)
+    starts = first[None]
     # The standard value is never negative, so a start at value 0 is a global
     # stage-I minimum: the random restarts could only tie with it.
-    if cfg.restarts > 1 and problem.objective.value_at(problem.block.project(first[None]))[0][0] == 0:
-        starts = first[None]
-    else:
+    if cfg.restarts > 1 and problem.objective.value_at(problem.block.project(starts))[0][0] != 0:
         starts = np.stack([first] + [_restart_start(problem, cfg, initial, r)
                                      for r in range(1, cfg.restarts)])
     if cfg.threads > 1 and len(starts) > 1:
@@ -1028,8 +1035,14 @@ def solve_eqdqo(
     given, one dual quaternion per variable or an ``(arity, 8)`` array of
     rows (standard, dual part); another count or shape raises
     :class:`ArityMismatch`.  Without ``initial`` it starts from
-    ``problem.start``, and only without either from a random point.
-    Raises :class:`Infeasible` when no restart produces a candidate.
+    ``problem.start``, and only without either from a random point.  When
+    that start is at stage-I value 0, restart 0 runs alone and the report
+    is the one of ``restarts=1``.  A sum of magnitudes reads value 0
+    wherever every magnitude is within its tolerance (``TOL_APPRECIABLE``,
+    1e-8, for the hand-eye and pose-graph objectives), so an ``initial`` at value 0 comes back about
+    as precise as it was given: no random restart competes with it in
+    stage II.  Raises :class:`Infeasible` when no restart produces a
+    candidate.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()

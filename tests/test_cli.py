@@ -158,6 +158,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "dual quaternion optimization" in capsys.readouterr().out
 
 
+def test_main_builds_one_parser_and_build_parser_a_fresh_one(monkeypatch, capsys):
+    import dqopt.cli as cli
+
+    original, built = cli.build_parser, []
+
+    def counted():
+        built.append(original())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert main([]) == 2 and main(["frobnicate"]) == 2 and main(["--help"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert original() is not original()
+
+
 def test_bad_inputs_exit_2(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["solve-handeye", "--in", str(missing)]) == 2

@@ -1,5 +1,9 @@
-"""Restarts that reach a minimum another restart converged to stop there, "merged"."""
+"""Restarts that reach a minimum another restart converged to stop there, "merged".
 
+A restart 0 that starts at stage-I value 0 is a certified minimum and runs alone.
+"""
+
+import concurrent.futures
 import json
 
 import numpy as np
@@ -11,11 +15,13 @@ from dqopt import (
     build_axxb,
     build_axyb,
     build_pgo,
+    evaluate_solution,
     generate_cycle_graph,
     generate_synthetic,
     pack,
     solve_eqdqo,
     spanning_tree_rows,
+    vertex_errors,
 )
 from dqopt.cli import main
 
@@ -63,16 +69,42 @@ def test_merging_moves_no_noisy_answer_beyond_1e_9(monkeypatch):
     assert merged > 0
 
 
+def _bare(problem):
+    """The problem without its ``start``, so restart 0 is random."""
+    return solver.EqdqoProblem(problem.objective, problem.constraints)
+
+
+def _drawn(problem, initial, cfg, monkeypatch):
+    """The restarts whose starts a solve draws, and its report."""
+    drawn, original = [], solver._restart_start
+
+    def spy(problem, cfg, initial, r):
+        drawn.append(r)
+        return original(problem, cfg, initial, r)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_restart_start", spy)
+        report = solve_eqdqo(problem, cfg, initial)
+    return drawn, report
+
+
 @pytest.mark.parametrize("case", ["axxb", "axyb", "pgo"])
 def test_noiseless_solves_are_the_same_with_and_without_merging(case, monkeypatch):
-    # restarts at value 0 are never merged into: stage II picks the best of them
+    # restarts at value 0 are never merged into: stage II picks the best of them.
+    # From a start at value 0 (the spectral start, the spanning tree) restart 0
+    # runs alone, so these problems have none.  Hand-eye seeds start at 1:
+    # generate_synthetic(seed=0) draws the AXXB truth from restart 0's stream.
     for seed in range(3):
-        problem, initial = _graph(0.0, seed) if case == "pgo" else _handeye(case, 0.0, seed)
-        on = _solve(problem, initial, monkeypatch)
-        off = _solve(problem, initial, monkeypatch, merging=False)
+        if case == "pgo":
+            problem = build_pgo(generate_cycle_graph(20, 6, 0.0, 0.0, seed))
+        else:
+            problem = _bare(_handeye(case, 0.0, seed + 1)[0])
+        assert _drawn(problem, None, CFG, monkeypatch)[0] == list(range(CFG.restarts))
+        on = _solve(problem, None, monkeypatch)
+        off = _solve(problem, None, monkeypatch, merging=False)
         assert on.trace == off.trace
         assert pack(list(on.solution)).tobytes() == pack(list(off.solution)).tobytes()
-        assert {o.stop for o in _stage1(problem, initial)[1]} <= {"converged", "stalled"}
+        assert {o.stop for o in _stage1(problem, None)[1]} <= {"converged", "stalled"}
 
 
 def test_stalled_restarts_are_never_merged_into(monkeypatch):
@@ -141,3 +173,60 @@ def test_threads_give_the_report_of_one_thread_where_restarts_merge(tmp_path):
         del report["wall_time_ms"], report["config"]["threads"]
         outputs.append((report, csv.read_text()))
     assert outputs[0] == outputs[1]
+
+
+def _exact_cases():
+    """Noiseless problems whose restart 0 starts at value 0, each with its worst-error function."""
+    for model in ("axxb", "axyb"):
+        for seed in range(10):
+            ds = generate_synthetic(model, 10, seed=seed)
+            yield (build_axxb if model == "axxb" else build_axyb)(ds), None, (
+                lambda sol, ds=ds: max(evaluate_solution(ds, *sol).values()))
+    for seed in range(3):
+        g = generate_cycle_graph(20, 6, 0.0, 0.0, seed)
+        yield build_pgo(g), spanning_tree_rows(g), lambda sol, g=g: max(
+            max(e["rotation_error"], e["translation_error"]) for e in vertex_errors(g, sol))
+
+
+def test_a_start_at_value_0_runs_alone_and_gives_the_one_restart_report(monkeypatch):
+    for problem, initial, worst in _exact_cases():
+        drawn, report = _drawn(problem, initial, SolverConfig(), monkeypatch)
+        assert drawn == [0]
+        alone = solve_eqdqo(problem, SolverConfig(restarts=1), initial)
+        assert _report_of(report)[1] == _report_of(alone)[1]
+        data, one = (_report_of(r)[0] for r in (report, alone))
+        del data["config"], one["config"]
+        assert data == one
+        assert worst(list(report.solution)) <= 1e-12
+
+
+def test_every_restart_runs_from_a_start_off_value_0(monkeypatch):
+    every = list(range(CFG.restarts))
+    cases = [(*_handeye(model, SIGMA, seed), (model, seed)) for model in ("axxb", "axyb")
+             for seed in range(10)]
+    cases += [(*_graph(SIGMA, seed), ("pgo", seed)) for seed in range(3)]
+    # without a start restart 0 is random
+    cases += [(_bare(_handeye(model, 0.0, seed)[0]), None, (model, seed))
+              for model in ("axxb", "axyb") for seed in range(10)]
+    cases += [(build_pgo(generate_cycle_graph(20, 6, 0.0, 0.0, seed)), None, ("pgo", seed))
+              for seed in range(3)]
+    for problem, initial, case in cases:
+        drawn = _drawn(problem, initial, CFG, monkeypatch)[0]
+        if initial is None and problem.start is None and case == ("axxb", 0):
+            # generate_synthetic(seed=0) draws the truth from the stream of
+            # restart 0 at solver seed 0: a random start at value 0 also runs alone
+            assert drawn == [0]
+        else:
+            assert drawn == every, case
+
+
+def test_a_start_at_value_0_starts_no_thread_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool started")
+
+    for problem, initial, _ in _exact_cases():
+        one = solve_eqdqo(problem, SolverConfig(threads=1), initial)
+        with monkeypatch.context() as m:
+            m.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+            three = solve_eqdqo(problem, SolverConfig(threads=3), initial)
+        assert _report_of(one) == _report_of(three)
