@@ -1039,10 +1039,10 @@ def solve_eqdqo(
     that start is at stage-I value 0, restart 0 runs alone and the report
     is the one of ``restarts=1``.  A sum of magnitudes reads value 0
     wherever every magnitude is within its tolerance (``TOL_APPRECIABLE``,
-    1e-8, for the hand-eye and pose-graph objectives), so an ``initial`` at value 0 comes back about
-    as precise as it was given: no random restart competes with it in
-    stage II.  Raises :class:`Infeasible` when no restart produces a
-    candidate.
+    1e-8, for the hand-eye and pose-graph objectives), so an ``initial``
+    at value 0 comes back about as precise as it was given: no random
+    restart competes with it in stage II.  Raises :class:`Infeasible` when
+    no restart produces a candidate.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()

@@ -152,7 +152,7 @@ def test_threads_give_the_report_of_one_thread_where_restarts_merge(tmp_path):
     # out.  From the spectral start, restart 0 converges first and the others
     # merge into it; with three threads, four converge later and are left out.
     problem, _ = _handeye("axxb", SIGMA, 1)
-    bare = solver.EqdqoProblem(problem.objective, problem.constraints)
+    bare = _bare(problem)
     for p, alone, converged in ((bare, ["merged"] * 7 + ["converged"], 7),
                                 (problem, ["converged"] + ["merged"] * 7, 5)):
         starts, batch = _stage1(p, None)
