@@ -9,7 +9,10 @@ The solves are ``solve-handeye`` on AXXB and AXYB data at noise 0 and
 graph, each with ``--csv``.  The generated inputs, the JSON reports with
 ``wall_time_ms`` removed (the only field that changes between reruns) and
 the CSV traces are written to ``DIR`` (a new temporary directory by
-default); the hash covers every file there, by name and content.  Two
+default).  ``solve-pgo`` also runs on malformed graphs, one per parse
+check plus a structure error after a value error and two bad lines; each
+graph and a ``.stderr`` file with the exit code and the error message go
+to ``DIR`` too.  The hash covers every file there, by name and content.  Two
 checkouts give the same hash exactly when their CLI outputs are
 byte-identical apart from the timing field.  Each file's own SHA-256 is
 printed to stderr in ``sha256sum`` format, so when the combined hash of two
@@ -49,6 +52,30 @@ GRAPHS = [
     ("pgo-clean-60", 60, 20, 0.0, 1),
 ]
 
+# A valid 3-vertex graph, cut after its second line for the bad lines of a
+# malformed graph: (name, first bad line, optional second bad line at the end)
+BASE = (
+    "VERTEX 1 1.0 0.0 0.0 0.0 0.0 0.0 0.0\n"
+    "EDGE 1 2 1.0 0.0 0.0 0.0 1.0 0.0 0.0\n",
+    "EDGE 2 3 1.0 0.0 0.0 0.0 0.0 1.0 0.0\n"
+    "# TRUTH 2 1.0 0.0 0.0 0.0 1.0 0.0 0.0\n",
+)
+BAD_GRAPHS = [
+    ("record-type", "FOO 1 2"),
+    ("edge-tokens", "EDGE 1 3 1 0 0 0 0 0"),
+    ("vertex-tokens", "VERTEX 3 1 0 0 0 0 0 0 0"),
+    ("truth-fields", "# TRUTH 3 1 0 0 0 0 0"),
+    ("id-integer", "EDGE 1 3.0 1 0 0 0 0 0 0"),
+    ("id-64-bit", "VERTEX 12345678901234567890 1 0 0 0 0 0 0"),
+    ("id-positive", "EDGE 0 3 1 0 0 0 0 0 0"),
+    ("self-loop", "EDGE 3 3 1 0 0 0 0 0 0"),
+    ("not-a-number", "EDGE 1 3 1 0 0 0 1,5 0 0"),
+    ("not-finite", "# TRUTH 3 1 0 0 0 nan 0 0"),
+    ("rotation-norm", "EDGE 1 3 0.5 0.5 0.5 0.6 0 0 0"),
+    ("structure-after-value", "VERTEX 3 1 0 0 0 inf 0 0", "EDGE 1 3 1 0 0 0"),
+    ("two-bad-lines", "VERTEX 3 2 0 0 0 0 0 0", "EDGE 3 0 1 0 0 0 0 0 0"),
+]
+
 
 def _run(argv: list[str]) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
@@ -85,6 +112,19 @@ def run_all(out: str) -> None:
         _strip_timing(name + ".report.json")
 
 
+def run_malformed(out: str) -> None:
+    """Run ``solve-pgo`` on every malformed graph, writing each one's exit code and stderr."""
+    for label, *bad in BAD_GRAPHS:
+        name = os.path.join(out, f"bad-{label}")
+        with open(name + ".graph", "w", encoding="utf-8") as fh:
+            fh.write(BASE[0] + bad[0] + "\n" + BASE[1] + "".join(b + "\n" for b in bad[1:]))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["solve-pgo", "--in", name + ".graph", "--restarts", "1"])
+        with open(name + ".stderr", "w", encoding="utf-8") as fh:
+            fh.write(f"exit {code}\n{err.getvalue()}")
+
+
 def digest(out: str) -> str:
     """One SHA-256 over every file in ``out``; each file's own goes to stderr."""
     h = hashlib.sha256()
@@ -112,6 +152,7 @@ if __name__ == "__main__":
     if os.listdir(out):
         raise SystemExit(f"{out} is not empty")
     run_all(out)
+    run_malformed(out)
     print(f"outputs in {out}", file=sys.stderr)
     combined = digest(out)
     print(combined)

@@ -589,21 +589,14 @@ class UnitDualQuaternion:
         return tuple(out)
 
     @classmethod
-    def from_pose(cls, rotation: Quaternion, translation) -> "UnitDualQuaternion":
-        """Build the motion ``rotation`` followed by ``translation``.
+    def from_pose(cls, rotation: Quaternion, translation: Quaternion) -> "UnitDualQuaternion":
+        """Build the motion ``rotation`` followed by ``translation``, an imaginary quaternion.
 
-        ``translation`` may be an imaginary quaternion or a 3-sequence.  The
-        dual part is ``rotation * translation / 2``.
+        The dual part is ``rotation * translation / 2``.
         """
-        if isinstance(translation, Quaternion):
-            if not translation.is_imaginary(1e-12 * max(1.0, translation.norm())):
-                raise NonImaginaryTranslation(f"real part {translation.w}")
-            t = translation.imaginary()
-        else:
-            seq = list(translation)
-            if len(seq) != 3:
-                raise NonImaginaryTranslation(f"expected 3 components, got {len(seq)}")
-            t = Quaternion(0.0, seq[0], seq[1], seq[2])
+        if not translation.is_imaginary(1e-12 * max(1.0, translation.norm())):
+            raise NonImaginaryTranslation(f"real part {translation.w}")
+        t = translation.imaginary()
         n = rotation.norm()
         if abs(n - 1.0) > NORMALIZE_TOL:
             raise NonUnitRotation(f"rotation norm {n}")

@@ -40,23 +40,19 @@ class _BadInput(Exception):
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--restarts", type=int, default=8,
+    default = SolverConfig()
+    p.add_argument("--restarts", type=int, default=default.restarts,
                    help="restarts: the first from the closed form or spanning tree, the rest "
                    "random, run only when the first does not start at stage-I value 0")
-    p.add_argument("--seed", type=int, default=0, help="restart seed")
-    p.add_argument(
-        "--tol-grad", type=float, default=1e-9, help="stage-I tangent gradient norm to stop at"
-    )
-    p.add_argument("--tol-feas", type=float, default=1e-9, help="feasibility tolerance")
-    p.add_argument(
-        "--max-outer", type=int, default=60, help="stage-I Gauss-Newton step and stage-II solve cap"
-    )
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="threads, each advancing a contiguous chunk of the restarts in lockstep",
-    )
+    p.add_argument("--seed", type=int, default=default.seed, help="restart seed")
+    p.add_argument("--tol-grad", type=float, default=default.tol_grad,
+                   help="stage-I tangent gradient norm to stop at")
+    p.add_argument("--tol-feas", type=float, default=default.tol_feas,
+                   help="feasibility tolerance")
+    p.add_argument("--max-outer", type=int, default=default.max_outer,
+                   help="stage-I Gauss-Newton step and stage-II solve cap")
+    p.add_argument("--threads", type=int, default=default.threads,
+                   help="threads, each advancing a contiguous chunk of the restarts in lockstep")
     p.add_argument("--csv", default=None, metavar="PATH", help="write per-iteration trace")
     p.add_argument("--out", default=None, metavar="PATH", help="report file (default: stdout)")
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from ._sparse import sparse
 from .algebra import (
+    NORMALIZE_TOL,
     DualQuaternion,
     DualQuaternionVector,
     Quaternion,
@@ -59,7 +60,7 @@ from .functions import (
     unpack,
 )
 from .handeye import check_noise, pose_compose, pose_errors, pose_inverse, pose_rows, pose_udqs
-from .handeye import _seeded_rng, canonicalized, checked_rows, rotation_about, unit_rows
+from .handeye import _seeded_rng, _unit, canonicalized, checked_rows, rotation_about, unit_rows
 from .solver import EqdqoProblem
 
 __all__ = [
@@ -420,147 +421,114 @@ _RECORDS = {
 }
 
 
-def _structure_error(kind: str, tokens: list[str]) -> str:
-    if kind not in _RECORDS:
-        return f"unknown record type {kind!r}"
-    if kind == "TRUTH":
-        return f"TRUTH needs 8 fields, got {len(tokens) - 1}"
-    return f"{kind} needs {_RECORDS[kind][0]} tokens, got {len(tokens)}"
+def _records(text: str):
+    """``(line, tokens)`` of every record, lines 1-based; a ``# TRUTH`` record drops its ``#``."""
+    for line, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if tokens and tokens[0].startswith("#"):
+            tokens = tokens[1:] if tokens[0] == "#" and tokens[1:2] == ["TRUTH"] else []
+        if tokens:
+            yield line, tokens
 
 
-def _ints(tokens: list[str]) -> np.ndarray:
-    return np.array(list(map(int, tokens)), dtype=np.intp)
+def _converted(text: str) -> dict | None:
+    """``{kind: (ids, rows)}`` of every record, or None when some record fails a check.
 
-
-def _floats(tokens: list[str]) -> np.ndarray:
-    return np.array(tokens, dtype=np.float64)
-
-
-def _convert(tokens: list[str], convert) -> tuple[np.ndarray, int]:
-    """``(values, k)``: ``tokens[:k]`` converted, ``k`` the first token ``convert`` rejects, else all."""
-    try:
-        return convert(tokens), len(tokens)
-    except (ValueError, OverflowError):
-        k = 0
-        while _accepts(convert, tokens[k]):
-            k += 1
-        return convert(tokens[:k]), k
-
-
-def _accepts(convert, token: str) -> bool:
-    try:
-        convert([token])
-    except (ValueError, OverflowError):
-        return False
-    return True
-
-
-def _check_records(kind: str, lines: list[int], id_tokens: list[str], numbers: list[str]):
-    """``(ids, rows, failure)`` of every record of one kind, checked and converted together.
-
-    ``id_tokens`` and ``numbers`` hold the records' id fields and their 7
-    numbers, record after record.  ``ids`` is ``(k, w)`` for ``w`` id
-    fields and ``rows`` the normalized ``(k, 7)`` pose rows, rounded as
-    before: divided by their norm, then divided by their norm again by
-    :func:`~dqopt.handeye.unit_rows`, their signs as given.  ``failure`` is
-    ``(line, error)`` of the first record that fails a check, else None.
-    The checks run in the order one record's would, each over the records
-    before the last failure found, so the last failure found is the first
-    one.
+    Each line is split once; the ids and numbers of all records of one kind
+    are converted together and checked together: ids positive, no self
+    loop, numbers finite, rotation norms within ``NORMALIZE_TOL`` of 1.
+    ``ids`` is ``(k, w)`` for ``w`` id fields and ``rows`` the ``(k, 7)``
+    pose rows, each rotation divided by its norm and then once more by
+    :func:`~dqopt.handeye._unit`, its sign as given.
     """
-    names = _RECORDS[kind][1]
-    width = len(names)
-    count, failure = len(lines), None
+    fields = {kind: ([], []) for kind in _RECORDS}
+    for _, tokens in _records(text):
+        kind = tokens[0]
+        if kind not in _RECORDS or len(tokens) != _RECORDS[kind][0]:
+            return None
+        fields[kind][0].extend(tokens[1:-7])
+        fields[kind][1].extend(tokens[-7:])
+    out = {}
+    for kind, (id_tokens, numbers) in fields.items():
+        try:
+            ids = np.array(list(map(int, id_tokens)), dtype=np.intp)
+            values = np.array(numbers, dtype=np.float64).reshape(-1, 7)
+        except (ValueError, OverflowError):
+            return None
+        ids = ids.reshape(-1, len(_RECORDS[kind][1]))
+        q = values[:, :4]
+        norm = np.sqrt(quat_dot(q, q))
+        # ids[:, 1:] is empty for a vertex record, so it has no self loop
+        if ((ids < 1).any() or (ids[:, :1] == ids[:, 1:]).any() or not np.isfinite(values).all()
+                or (abs(norm - 1.0) > NORMALIZE_TOL).any()):
+            return None
+        out[kind] = ids, _unit(q * (1.0 / norm)[:, None], values[:, 4:])
+    return out
 
-    def fail(record, message, error=ParseError):
-        nonlocal count, failure
-        count, failure = record, (record, message, error)
 
-    # Every id token is an integer, then positive, in token order.
-    ids, k = _convert(id_tokens, _ints)
-    low = np.flatnonzero(ids < 1)
-    if low.size:
-        fail(low[0] // width, f"{names[low[0] % width]} must be positive, got {ids[low[0]]}")
-    elif k < len(id_tokens):
-        name, token = names[k % width], id_tokens[k]
-        fail(k // width, f"{name} must be an integer that fits 64 bits, got {token!r}")
-    ids = ids[: width * count].reshape(-1, width)
-    if width == 2:
-        loops = np.flatnonzero(ids[:, 0] == ids[:, 1])
-        if loops.size:
-            fail(loops[0], f"self loop at vertex {ids[loops[0], 0]}")
-    values, k = _convert(numbers[: 7 * count], _floats)
-    if k < 7 * count:
-        fail(k // 7, f"not a number: {numbers[k]!r}")
-    values = values[: 7 * count]
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        fail(bad[0] // 7, f"not a finite number: {numbers[bad[0]]!r}")
-    q = values[: 7 * count].reshape(-1, 7)[:, :4]
-    norm = np.sqrt(quat_dot(q, q))
-    bad = np.flatnonzero(abs(norm - 1.0) > 1e-6)
-    if bad.size:
-        fail(bad[0], f"{kind} rotation norm {float(norm[bad[0]])} deviates beyond 1e-06",
-             NonUnitMeasurement)
-    if failure is not None:
-        record, message, error = failure
-        line = lines[record]
-        if error is ParseError:
-            return None, None, (line, ParseError(line, message))
-        return None, None, (line, error(f"line {line}: {message}"))
-    rows = np.concatenate((q * (1.0 / norm)[:, None], values.reshape(-1, 7)[:, 4:]), axis=1)
-    return ids, unit_rows(rows, kind + " {}"), None
+def _record_error(line: int, tokens: list[str]) -> Exception | None:
+    """The error of the first check that the record ``tokens`` on ``line`` fails, else None.
+
+    The checks, in order: a known record type with its token count; each id
+    in turn an integer that fits 64 bits, then positive; no self loop; all 7
+    numbers, then all finite; a rotation norm within ``NORMALIZE_TOL`` of 1.
+    Tokens convert as in :func:`_converted`: ids by ``int`` into ``np.intp``,
+    numbers as ``float`` parses them, which is how NumPy parses them too.
+    """
+    kind = tokens[0]
+    if kind not in _RECORDS:
+        return ParseError(line, f"unknown record type {kind!r}")
+    size, names = _RECORDS[kind]
+    if len(tokens) != size:
+        if kind == "TRUTH":
+            return ParseError(line, f"TRUTH needs 8 fields, got {len(tokens) - 1}")
+        return ParseError(line, f"{kind} needs {size} tokens, got {len(tokens)}")
+    ids = []
+    for name, token in zip(names, tokens[1:]):
+        try:
+            ids.append(np.intp(int(token)))
+        except (ValueError, OverflowError):
+            return ParseError(line, f"{name} must be an integer that fits 64 bits, got {token!r}")
+        if ids[-1] < 1:
+            return ParseError(line, f"{name} must be positive, got {ids[-1]}")
+    if len(ids) == 2 and ids[0] == ids[1]:
+        return ParseError(line, f"self loop at vertex {ids[0]}")
+    values = []
+    for token in tokens[-7:]:
+        try:
+            values.append(float(token))
+        except ValueError:
+            return ParseError(line, f"not a number: {token!r}")
+    for token, value in zip(tokens[-7:], values):
+        if not math.isfinite(value):
+            return ParseError(line, f"not a finite number: {token!r}")
+    q = np.array(values[:4])
+    norm = float(np.sqrt(quat_dot(q, q)))
+    if abs(norm - 1.0) > NORMALIZE_TOL:
+        return NonUnitMeasurement(
+            f"line {line}: {kind} rotation norm {norm} deviates beyond {NORMALIZE_TOL}"
+        )
+    return None
 
 
 def parse_graph(text: str) -> PoseGraph:
     """Parse the text format; see the module docstring for the grammar.
 
-    Each line is split once and checked for its record type and token
-    count.  The ids and numbers of all records of one kind are then
-    converted and checked (integer and positive ids, no self loop, finite
-    numbers, unit rotation) together, and the rotations normalized.  Errors
-    name the first offending line: :class:`ParseError`, or
-    :class:`NonUnitMeasurement` for a rotation norm off 1 by more than 1e-6.
+    Valid text is converted in one pass over all records of a kind at once
+    (:func:`_converted`).  Only text that fails there is read again, record
+    by record, to raise the error of the first failing line
+    (:func:`_record_error`): :class:`ParseError`, or
+    :class:`NonUnitMeasurement` for a rotation norm off 1 by more than
+    ``NORMALIZE_TOL``.
     """
-    lines = {kind: [] for kind in _RECORDS}
-    id_tokens = {kind: [] for kind in _RECORDS}
-    numbers = {kind: [] for kind in _RECORDS}
-    failures = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        kind = tokens[0]
-        if kind.startswith("#"):
-            if kind != "#" or len(tokens) < 2 or tokens[1] != "TRUTH":
-                continue
-            kind, tokens = "TRUTH", tokens[1:]
-        if kind not in _RECORDS or len(tokens) != _RECORDS[kind][0]:
-            # Later lines cannot hold the first error; earlier ones still can.
-            failures.append((line_no, ParseError(line_no, _structure_error(kind, tokens))))
-            break
-        lines[kind].append(line_no)
-        id_tokens[kind].extend(tokens[1:-7])
-        numbers[kind].extend(tokens[-7:])
-    ids, rows = {}, {}
-    for kind in _RECORDS:
-        ids[kind], rows[kind], failure = _check_records(
-            kind, lines[kind], id_tokens[kind], numbers[kind]
-        )
-        if failure is not None:
-            failures.append(failure)
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-    n = max((int(v.max()) for v in ids.values() if v.size), default=0)
+    records = _converted(text)
+    if records is None:
+        # both passes accept the same records, so some record fails here
+        raise next(filter(None, (_record_error(*record) for record in _records(text))))
+    n = max((int(ids.max()) for ids, _ in records.values() if ids.size), default=0)
     if n == 0:
         raise ParseError(0, "no records found")
-    return PoseGraph(
-        n,
-        ids["EDGE"],
-        rows["EDGE"],
-        (ids["VERTEX"], rows["VERTEX"]),
-        (ids["TRUTH"], rows["TRUTH"]),
-    )
+    return PoseGraph(n, *records["EDGE"], records["VERTEX"], records["TRUTH"])
 
 
 def _format_rows(label: str, ids, rows: np.ndarray) -> list[str]:
@@ -614,26 +582,23 @@ def generate_cycle_graph(
     raw = unit_rows(raw, "vertex {}")
     truth = pose_compose(np.repeat(pose_inverse(raw[:1]), n, axis=0), raw)
 
-    pairs = [(k, k + 1) for k in range(1, n)] + [(n, 1)]
-    chords = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 2, n + 1)
-        if not (i == 1 and j == n)
-    ]
+    # 0-based: the ring's edges, then the chords to choose from, every pair
+    # two or more apart but the ring's (0, n - 1), in row order
+    ring = np.arange(n)
+    ij = np.stack((ring, np.roll(ring, -1)), axis=1)
+    rows, cols = np.triu_indices(n, 2)
+    chords = np.stack((rows, cols), axis=1)[(rows > 0) | (cols < n - 1)]
     if not 0 <= loop_closures <= len(chords):
         raise ValueError(f"loop_closures must be between 0 and {len(chords)}")
     if loop_closures:
         picks = rng.choice(len(chords), size=loop_closures, replace=False)
-        pairs.extend(chords[p] for p in sorted(picks))
-
-    ij = np.array(pairs) - 1
+        ij = np.concatenate((ij, chords[np.sort(picks)]))
     rel = pose_compose(pose_inverse(truth[ij[:, 0]]), truth[ij[:, 1]])
     if noise_rot > 0.0 or noise_trans > 0.0:
         # each edge draws its rotation, then its translation noise
-        bumps = np.tile([1.0, 0.0, 0.0, 0.0], (len(pairs), 1))
-        shifts = np.zeros((len(pairs), 3))
-        for e in range(len(pairs)):
+        bumps = np.tile([1.0, 0.0, 0.0, 0.0], (len(ij), 1))
+        shifts = np.zeros((len(ij), 3))
+        for e in range(len(ij)):
             if noise_rot > 0.0:
                 axis = rng.standard_normal(3)
                 axis /= np.linalg.norm(axis)
@@ -646,7 +611,7 @@ def generate_cycle_graph(
     measured = unit_rows(rel, "edge {}")
     ids = range(1, n + 1)
     identity = [(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * n
-    return PoseGraph(n, pairs, measured, (ids, identity), (ids, truth))
+    return PoseGraph(n, ij + 1, measured, (ids, identity), (ids, truth))
 
 
 def vertex_errors(graph: PoseGraph, poses: Sequence[UnitDualQuaternion]) -> list[dict]:

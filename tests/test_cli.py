@@ -357,4 +357,5 @@ def test_the_cli_fingerprint_is_the_same_in_two_processes(tmp_path):
     assert runs[0] == runs[1]
     combined, files = runs[0]
     assert len(combined) == 64
-    assert len(files) == 4 * 3 + 2 * 3
+    # three files per solve, two per malformed graph
+    assert len(files) == 4 * 3 + 2 * 3 + 2 * 13

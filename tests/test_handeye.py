@@ -183,7 +183,9 @@ def test_one_restart_from_the_spectral_start_reaches_eight_random_restarts_minim
         _, problem = _calibration(model, sigma, seed)
         start = solve_eqdqo(problem, SolverConfig(restarts=1)).stage1_value
         bare = EqdqoProblem(problem.objective, problem.constraints)
-        random = solve_eqdqo(bare, SolverConfig(restarts=8)).stage1_value
+        # Solver seed s draws restart 0 from the stream that generate_synthetic(seed=s)
+        # draws the truth from; seed 20 is outside the data seeds, so no start is the truth.
+        random = solve_eqdqo(bare, SolverConfig(restarts=8, seed=20)).stage1_value
         assert abs(start - random) <= _KINK_BOUND.get((model, sigma, seed), 1e-9) * random
 
 

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 from collections import deque
@@ -151,6 +152,123 @@ def test_of_two_bad_lines_the_first_is_reported(first, second):
     with pytest.raises((ParseError, NonUnitMeasurement)) as exc:
         parse_graph(text)
     assert str(exc.value).startswith("line 4: ")
+
+# Faults for one record, one per check in the order the checks run (the id
+# checks run per id, so they share one fault).  Each takes the record's
+# tokens (keyword first, a truth record without its "#") and returns the
+# corrupted tokens and the error message they must give.
+_ID_NAMES = {"EDGE": ("edge source", "edge target"), "VERTEX": ("vertex id",),
+             "TRUTH": ("vertex id",)}
+
+
+def _fault_type(tokens, rng):
+    return ["FOO"] + tokens[1:], "unknown record type 'FOO'"
+
+
+def _fault_count(tokens, rng):
+    bad = tokens[:-1] if rng.random() < 0.5 else tokens + ["0"]
+    if tokens[0] == "TRUTH":
+        return bad, f"TRUTH needs 8 fields, got {len(bad) - 1}"
+    return bad, f"{tokens[0]} needs {len(tokens)} tokens, got {len(bad)}"
+
+
+def _fault_id(tokens, rng):
+    names = _ID_NAMES[tokens[0]]
+    k = int(rng.integers(len(names)))
+    token = str(rng.choice(["x", "3.0", "12345678901234567890", "0", "-4"]))
+    bad = tokens[: 1 + k] + [token] + tokens[2 + k :]
+    if token in ("0", "-4"):
+        return bad, f"{names[k]} must be positive, got {token}"
+    return bad, f"{names[k]} must be an integer that fits 64 bits, got {token!r}"
+
+
+def _fault_loop(tokens, rng):
+    return tokens[:2] + tokens[1:2] + tokens[3:], f"self loop at vertex {tokens[1]}"
+
+
+def _replace_number(tokens, rng, choices):
+    k = len(tokens) - 7 + int(rng.integers(7))
+    token = str(rng.choice(choices))
+    return tokens[:k] + [token] + tokens[k + 1 :], token
+
+
+def _fault_number(tokens, rng):
+    bad, token = _replace_number(tokens, rng, ["x", "1,0", "0x10", "--1"])
+    return bad, f"not a number: {token!r}"
+
+
+def _fault_finite(tokens, rng):
+    bad, token = _replace_number(tokens, rng, ["inf", "-inf", "nan", "NaN", "infinity", "1e999"])
+    return bad, f"not a finite number: {token!r}"
+
+
+def _fault_norm(tokens, rng):
+    scale = rng.uniform(0.5, 0.99) if rng.random() < 0.5 else rng.uniform(1.01, 2.0)
+    q = [scale * float(t) for t in tokens[-7:-3]]
+    norm = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    bad = tokens[:-7] + [repr(v) for v in q] + tokens[-3:]
+    return bad, f"{tokens[0]} rotation norm {norm} deviates beyond 1e-06"
+
+
+_FAULTS = [_fault_type, _fault_count, _fault_id, _fault_loop, _fault_number, _fault_finite,
+           _fault_norm]
+
+
+def test_the_first_corrupted_line_is_named_with_its_first_failing_check():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        n = int(rng.integers(3, 13))
+        noise = float(rng.choice([0.0, 0.01]))
+        graph = generate_cycle_graph(n, int(rng.integers(n * (n - 3) // 2 + 1)), noise, noise,
+                                     seed=int(rng.integers(100)))
+        lines = serialize_graph(graph).splitlines()
+        expected = None
+        for k in sorted(rng.choice(len(lines), size=int(rng.integers(1, 4)), replace=False)):
+            tokens = lines[k].split()
+            tokens = tokens[1:] if tokens[0] == "#" else tokens
+            faults = [f for f in _FAULTS if f is not _fault_loop or tokens[0] == "EDGE"]
+            chosen = sorted(rng.choice(len(faults), size=int(rng.integers(1, 3)), replace=False))
+            # later checks' faults first, so the first failing check's edit is the last
+            for f in reversed(chosen):
+                tokens, message = faults[f](tokens, rng)
+            lines[k] = ("# " if tokens[0] == "TRUTH" else "") + " ".join(tokens)
+            if expected is None:
+                error = NonUnitMeasurement if faults[chosen[0]] is _fault_norm else ParseError
+                expected = error, f"line {k + 1}: {message}"
+        with pytest.raises(expected[0]) as exc:
+            parse_graph("\n".join(lines) + "\n")
+        assert str(exc.value) == expected[1]
+
+
+@pytest.mark.parametrize(
+    "token, as_id, as_number",
+    [
+        ("1_0", True, True),
+        ("infinity", False, False),
+        ("NaN", False, False),
+        ("0x10", False, False),
+        ("1,0", False, False),
+        ("12345678901234567890", False, True),
+    ],
+)
+def test_both_passes_accept_the_same_tokens(token, as_id, as_number):
+    for tokens, accepted in (
+        (["EDGE", "1", token, "1", "0", "0", "0", "0", "0", "0"], as_id),
+        (["EDGE", "1", "2", "1", "0", "0", "0", token, "0", "0"], as_number),
+    ):
+        assert (posegraph._converted(" ".join(tokens)) is not None) == accepted
+        assert (posegraph._record_error(1, tokens) is None) == accepted
+
+
+def test_valid_graphs_never_reach_the_per_record_pass(monkeypatch):
+    def per_record(*args):
+        raise AssertionError("a valid graph was read record by record")
+
+    monkeypatch.setattr(posegraph, "_record_error", per_record)
+    for n in (3, 4, 10, 50, 200):
+        for noise in (0.0, 0.01):
+            text = serialize_graph(generate_cycle_graph(n, min(n // 3, n - 3), noise, noise, n))
+            assert serialize_graph(parse_graph(text)) == text
 
 
 def test_parse_rejects_non_unit_rotation():
