@@ -52,14 +52,15 @@ GRAPHS = [
     ("pgo-clean-60", 60, 20, 0.0, 1),
 ]
 
-# A valid 3-vertex graph, cut after its second line for the bad lines of a
-# malformed graph: (name, first bad line, optional second bad line at the end)
+# A valid 3-vertex graph in two halves.  A malformed graph puts its first
+# bad line between them and its second, if any, at the end.
 BASE = (
     "VERTEX 1 1.0 0.0 0.0 0.0 0.0 0.0 0.0\n"
     "EDGE 1 2 1.0 0.0 0.0 0.0 1.0 0.0 0.0\n",
     "EDGE 2 3 1.0 0.0 0.0 0.0 0.0 1.0 0.0\n"
     "# TRUTH 2 1.0 0.0 0.0 0.0 1.0 0.0 0.0\n",
 )
+# (name, bad line, ...)
 BAD_GRAPHS = [
     ("record-type", "FOO 1 2"),
     ("edge-tokens", "EDGE 1 3 1 0 0 0 0 0"),
