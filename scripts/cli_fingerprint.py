@@ -6,7 +6,9 @@ Usage::
 
 The solves are ``solve-handeye`` on AXXB and AXYB data at noise 0 and
 0.01, and ``solve-pgo`` on a noisy 20-vertex and a clean 60-vertex cycle
-graph, each with ``--csv``.  The generated inputs, the JSON reports with
+graph, each with ``--csv``.  The noisy AXYB input and the noisy graph are
+solved again with ``--max-outer 3``, which stops stage I at its step cap.
+The generated inputs, the JSON reports with
 ``wall_time_ms`` removed (the only field that changes between reruns) and
 the CSV traces are written to ``DIR`` (a new temporary directory by
 default).  ``solve-pgo`` also runs on malformed graphs, one per parse
@@ -50,6 +52,12 @@ HANDEYE = [
 GRAPHS = [
     ("pgo-noisy-20", 20, 6, 0.01, 2),
     ("pgo-clean-60", 60, 20, 0.0, 1),
+]
+# Solves of generated inputs with stage I capped at 3 steps:
+# (input name, input suffix, command, restarts)
+CAPPED = [
+    ("axyb-0.01", ".data.json", "solve-handeye", 8),
+    ("pgo-noisy-20", ".graph", "solve-pgo", 2),
 ]
 
 # A valid 3-vertex graph in two halves.  A malformed graph puts its first
@@ -111,6 +119,11 @@ def run_all(out: str) -> None:
         _run(["solve-pgo", "--in", name + ".graph", "--restarts", str(restarts),
               "--out", name + ".report.json", "--csv", name + ".trace.csv"])
         _strip_timing(name + ".report.json")
+    for label, suffix, command, restarts in CAPPED:
+        name = os.path.join(out, label)
+        _run([command, "--in", name + suffix, "--restarts", str(restarts), "--max-outer", "3",
+              "--out", name + "-capped.report.json", "--csv", name + "-capped.trace.csv"])
+        _strip_timing(name + "-capped.report.json")
 
 
 def run_malformed(out: str) -> None:

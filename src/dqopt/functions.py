@@ -158,20 +158,19 @@ class DualFunction:
     # -- solver stage hooks ----------------------------------------------
 
     def stage2_system(self, z: np.ndarray):
-        """Stage-II least-squares rows ``(slope, r, weights)`` at ``z``.
+        """Stage-II least-squares rows ``(r, weights)`` at ``z``.
 
-        ``r`` are residual rows whose dependence on the dual coordinates is
-        affine with slope ``A = slope()``, a dense or CSR ``(k, 4n)`` matrix
-        over the dual slots (column ``4i + c`` for coefficient ``c`` of
-        variable ``i``), built only when called; ``weights(r)`` gives the
-        row weights of the stage-II fit at rows ``r``, with any branch
-        frozen where the standard coordinates of ``z`` put it.  Rows, when
-        there are any, are the dual parts of the rows of ``stage1_system``,
-        so ``A`` is its ``J``: the solver then reuses stage I's product of
-        ``J`` with the fiber.  A smooth standard function has a dual part
-        linear in the dual coordinates and contributes no rows.
+        ``r`` are residual rows, affine in the dual coordinates;
+        ``weights(r)`` gives the row weights of the stage-II fit at rows
+        ``r``, with any branch frozen where the standard coordinates of
+        ``z`` put it.  Rows, when there are any, are the dual parts of the
+        rows of ``stage1_system``, so their slope in the dual coordinates
+        is its standard Jacobian ``J``: the solver takes stage I's product
+        of ``J`` with the fiber and asks for no slope here.  A smooth
+        standard function has a dual part linear in the dual coordinates
+        and contributes no rows.
         """
-        return (lambda: np.zeros((0, 4 * self.arity))), np.empty(0), np.ones_like
+        return np.empty(0), np.ones_like
 
 
 def _check_same_arity(f: DualFunction, g: DualFunction):
@@ -615,26 +614,25 @@ class ResidualNormObjective(DualFunction):
         return jacobian(), r, weights, self._starts if self._starts.size > 1 else None
 
     def stage2_system(self, z):
-        """Stage-II rows: every residual's dual part, weighted per group.
+        """Stage-II rows ``(r_dual, weights)``: every residual's dual part, weighted per group.
 
         With the standard coordinates fixed, ``r_dual`` is affine in the dual
-        ones with slope ``jacobian()``, the standard-slot Jacobian of
-        ``r_std`` and so the ``J`` of :meth:`stage1_system`; the stack's
-        ``jacobian`` is returned uncalled.  Each group's branch is frozen by ``|r_std,g|`` at ``z``,
-        as :meth:`branch_flags` reads it: appreciable groups weigh 1;
-        infinitesimal groups weigh ``1 / max(|r_dual,g|, tol)``, so
-        re-solving with updated weights (iteratively reweighted least
-        squares) minimizes their sum of magnitudes ``sum_g |r_dual,g|``, the
-        stage-II objective on them.
+        ones with slope the standard-slot Jacobian of ``r_std``, the ``J``
+        of :meth:`stage1_system`.  Each group's branch is frozen by
+        ``|r_std,g|`` at ``z``, as :meth:`branch_flags` reads it: appreciable
+        groups weigh 1; infinitesimal groups weigh ``1 / max(|r_dual,g|,
+        tol)``, so re-solving with updated weights (iteratively reweighted
+        least squares) minimizes their sum of magnitudes ``sum_g
+        |r_dual,g|``, the stage-II objective on them.
         """
-        r_std, r_dual, _, jacobian = self._stack(z)
+        r_std, r_dual, _, _ = self._stack(z)
         app = np.sqrt(np.add.reduceat(r_std * r_std, self._starts)) > self.tol
 
         def weights(r):
             norms = np.sqrt(np.add.reduceat(r * r, self._starts))
             return self._expand(np.where(app, 1.0, 1.0 / np.maximum(norms, self.tol)))
 
-        return jacobian, r_dual, weights
+        return r_dual, weights
 
 
 # ---------------------------------------------------------------------------

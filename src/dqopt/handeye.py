@@ -133,9 +133,13 @@ def canonicalized(dq: np.ndarray) -> np.ndarray:
 
 def _json_rows(poses, label: str) -> np.ndarray:
     """Rows of JSON poses ``{"q": [w, x, y, z], "t": [x, y, z]}``, unchecked but for their lengths."""
-    bad = [i for i, p in enumerate(poses) if len(p["q"]) != 4 or len(p["t"]) != 3]
-    if bad:
-        raise InvalidPose(f"{label.format(bad[0])} needs 4 rotation and 3 translation components")
+    for i, p in enumerate(poses):
+        try:
+            ok = len(p["q"]) == 4 and len(p["t"]) == 3
+        except (KeyError, TypeError):  # no "q" or "t", or one without a length
+            ok = False
+        if not ok:
+            raise InvalidPose(f"{label.format(i)} needs 4 rotation and 3 translation components")
     return np.array([[*p["q"], *p["t"]] for p in poses], dtype=np.float64)
 
 
@@ -197,6 +201,9 @@ class HandEyeDataset:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HandEyeDataset":
+        for key in ("model", "A", "B"):
+            if key not in data:
+                raise ValueError(f"missing field {key!r}")
         gt = data.get("ground_truth", {}) or {}
         truths = (_file_rows([gt[k]], f"ground truth {k}") if k in gt else None for k in "XY")
         rows = (_file_rows(data[s], s + " pose {}") for s in "AB")

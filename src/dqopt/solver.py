@@ -47,7 +47,7 @@ it comes within ``_MERGE_RADIUS`` of a minimum another restart converged
 to, where it stops "merged".  Larger, sparse problems advance their
 restarts one after another within each step.  Stage II runs for the
 restarts tied at the least stage-I value, from the factorization of stage
-I's last step, and the reported solution is the dn-order minimum over
+I's final point, and the reported solution is the dn-order minimum over
 their feasible outcomes.
 """
 
@@ -85,7 +85,9 @@ class SolverConfig:
 
     Stage I stops once the norm of its tangent gradient is at most
     ``tol_grad``, or when no step lowers the standard value; ``max_outer``
-    caps its steps and the stage-II reweighted solves.  A restart's answer
+    caps its steps and the stage-II reweighted solves.  A stage-I trace
+    ends with a row at the point returned, so ``iterations["stage1"]``, its
+    row count, is the steps plus one.  A restart's answer
     counts only if every constraint row holds to ``tol_feas``.  Restart 0
     begins at the solve's ``initial`` point or the problem's ``start``, if
     either is given, the others at unit points drawn from ``seed``.  A
@@ -189,14 +191,13 @@ class EqdqoProblem:
 
 @dataclass(frozen=True)
 class TraceRow:
-    """One stage-I step or one stage-II solve, for convergence plots.
+    """One stage-I point (each step's start, then the point returned) or stage-II solve.
 
     ``feasibility`` is the largest violation of the rows the stage holds:
     ``max |h|`` in stage I, which leaves the start's dual coordinates for
     stage II to replace, and the larger of ``max |h|`` and ``max |h_d|`` in
     stage II.  ``kkt_residual`` is stage I's tangent gradient norm at the
-    start of the step, or stage II's normal-equation residual after the
-    solve.
+    row's point, or stage II's normal-equation residual after the solve.
     """
 
     iteration: int
@@ -253,11 +254,9 @@ class SolveReport:
 class _StageOutcome:
     z: np.ndarray
     iterations: int
-    converged: bool
     trace: list
-    gram: tuple | None = None  # stage II: _gram_pinv at the standard coordinates of z
     stop: str | None = None  # stage I: "converged", "stalled", "merged" or "max_outer"
-    # stage I, stopped converged or stalled: (gram, null, var, B) of its last step, at z
+    # stage I, not merged: (gram, null, var, B) of its last evaluation, at z
     fiber: tuple | None = None
     value: float | DualNumber | None = None  # at z: standard (stage I) or dual value (II)
     feasibility: tuple[float, float] | None = None  # stage II: _feasibility at z
@@ -311,24 +310,23 @@ def _pinv(gram: tuple, u: np.ndarray) -> np.ndarray:
     return (vecs @ coef[..., None]).ravel()
 
 
-def _dual_fiber(problem: EqdqoProblem, z: np.ndarray, gram: tuple | None = None):
-    """Gram factorization and null space of the dual rows at the standard point of ``z``.
+def _dual_fiber(problem: EqdqoProblem, z: np.ndarray, gram: tuple):
+    """Null space of the dual rows at the standard point of ``z``, from its Gram factorization.
 
-    :func:`_gram_pinv` splits each variable's dual coordinates into the
-    row space of the stage Jacobian ``G`` and its null space (3 directions
-    for a unit row alone, none for an anchored variable).  ``G`` is also
-    the Jacobian of the standard rows over the standard coordinates, so the
-    null space is stage I's tangent space as well as stage II's fiber
-    directions.  Returns ``(gram, null, var)``: ``gram`` is the
-    :func:`_gram_pinv` triple (passed in, or factored here), with which
-    ``_pinv(gram, G^T v)`` is the minimum-norm ``x`` with ``G x = v`` (least
-    squares when there is none), ``null`` a ``(4n, k)`` orthonormal basis
-    of the null space, dense when ``k <= _DENSE_MAX`` and sparse otherwise,
-    and ``var`` the variable of each of its columns.  For a stack ``(R,
-    8n)`` of points whose null spaces have the same shape (see
-    :func:`_same_fibers`), ``null`` is a dense ``(R, 4n, k)`` stack.
+    ``gram``, the :func:`_gram_pinv` triple at ``z``, splits each
+    variable's dual coordinates into the row space of the stage Jacobian
+    ``G`` and its null space (3 directions for a unit row alone, none for
+    an anchored variable); with it ``_pinv(gram, G^T v)`` is the
+    minimum-norm ``x`` with ``G x = v`` (least squares when there is none).
+    ``G`` is also the Jacobian of the standard rows over the standard
+    coordinates, so the null space is stage I's tangent space as well as
+    stage II's fiber directions.  Returns ``(null, var)``: ``null`` a
+    ``(4n, k)`` orthonormal basis of the null space, dense when ``k <=
+    _DENSE_MAX`` and sparse otherwise, and ``var`` the variable of each of
+    its columns.  For a stack ``(R, 8n)`` of points whose null spaces have
+    the same shape (see :func:`_same_fibers`), ``null`` is a dense ``(R,
+    4n, k)`` stack.
     """
-    gram = _gram_pinv(problem.block, z) if gram is None else gram
     _, rank, vecs = gram
     # One column per null eigenvector, its 4 entries in its variable's rows.
     var, col = np.nonzero(~rank.reshape(-1, problem.arity, 4)[0])
@@ -342,7 +340,7 @@ def _dual_fiber(problem: EqdqoProblem, z: np.ndarray, gram: tuple | None = None)
         from ._sparse import sparse
 
         null = sparse.csc_matrix((vals.reshape(-1), rows, np.arange(0, rows.size + 1, 4)), shape)
-    return gram, null, var
+    return null, var
 
 
 def _same_fibers(rank: np.ndarray) -> list:
@@ -364,43 +362,38 @@ def _same_fibers(rank: np.ndarray) -> list:
 def _fiber_product(jac, null, var: np.ndarray):
     """``J N`` for the residual Jacobian ``J`` and a null basis ``N`` of :func:`_dual_fiber`.
 
-    A sparse ``N`` gives a sparse product, and a CSR ``J`` (one point) with
-    a dense ``N`` SciPy's dense one.  Otherwise ``J`` is dense ``(..., k,
-    4n)`` and ``N`` dense ``(..., 4n, d)``, and each entry adds the 4
-    products of its column's variable left to right, as SciPy's product of
-    a sparse ``J`` sums them: the result does not depend on how many points
-    are stacked.
+    A sparse ``N`` gives a sparse product.  Otherwise ``J`` is dense
+    ``(..., k, 4n)`` and ``N`` dense ``(..., 4n, d)``, and each entry adds
+    the 4 products of its column's variable left to right, as SciPy's
+    product of a sparse ``J`` sums them: the result does not depend on how
+    many points are stacked.
     """
     if _is_sparse(null):
         from ._sparse import sparse
 
         return (jac if _is_sparse(jac) else sparse.csr_matrix(jac)) @ null
-    if _is_sparse(jac):
-        return jac @ null
     cols = 4 * var[:, None] + np.arange(4)
     t = jac[..., cols] * null[..., cols, np.arange(var.size)[:, None]][..., None, :, :]
     # C order, as SciPy returns it: BLAS sums other layouts in another order.
     return np.ascontiguousarray(t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3])
 
 
-def _fiber_point(problem: EqdqoProblem, z: np.ndarray, fiber: tuple | None = None):
-    """``(z_p, null, var, gram)``: ``z`` with its duals at the dual fiber's minimum-norm point.
+def _fiber_point(problem: EqdqoProblem, z: np.ndarray, gram: tuple) -> np.ndarray:
+    """``z`` with its duals at the dual fiber's minimum-norm point.
 
     Every dual row is affine in the dual coordinates, ``G x_d + h_d(0)``
     with ``h_d(0)`` its value at zero duals, so ``x_p = (G^T G)^+ G^T
     (-h_d(0))`` is the least-norm point that satisfies them (least squares
-    when none does); the fiber is ``x_p + null y``, ``null``, ``var`` and
-    ``gram`` from :func:`_dual_fiber`, or the first three items of a stage-I
-    ``fiber`` at the standard coordinates of ``z``.  ``gram`` depends on the
-    standard coordinates only, so it serves every point of the fiber.
+    when none does), with ``gram`` the :func:`_gram_pinv` triple at the
+    standard coordinates of ``z``; the fiber is ``x_p + null y``, ``null``
+    from :func:`_dual_fiber`.
     """
-    gram, null, var = _dual_fiber(problem, z) if fiber is None else fiber[:3]
     dual = _part_indices(problem.arity, 1)
     z = z.copy()
     z[dual] = 0.0
     _, h_d0 = problem.block.values(z)
     z[dual] = _pinv(gram, problem.block.pullback(z, -h_d0))
-    return z, null, var, gram
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +659,9 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     W B`` until the exact standard value falls; ``y`` moves to ``x + N y``
     put back on the rows, so every iterate is feasible.  A point stops when
     ``|g| <= tol_grad``, when no step lowers the value (or, with the value
-    flat to rounding, ``|g|`` stops falling), or after ``max_outer`` steps.
+    flat to rounding, ``|g|`` stops falling), or after ``max_outer`` steps,
+    where the next pass stops it ``"max_outer"`` instead of stepping: every
+    trace ends with a row at the point returned.
 
     All points still running take each step together: one fiber, one
     residual system and one batched solve per step for the stack.  Each
@@ -679,8 +674,8 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     value 0 (noiseless data, where restarts at one minimum differ in what
     stage II makes of them) and points that stalled (at kinks, where
     restarts creep and stop apart) are never merged into.  Returns one
-    :class:`_StageOutcome` per start; one that stopped converged or stalled
-    carries the last step's ``fiber`` ``(gram, null, var, B)`` at its point.
+    :class:`_StageOutcome` per start; every one not merged carries the
+    ``fiber`` ``(gram, null, var, B)`` of its last evaluation, at its point.
     Stage I never reads the dual coordinates: they stay those of the start.
     """
     obj, block = problem.objective, problem.block
@@ -701,7 +696,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         # a pose graph its sparse Jacobian; its rows then get the stack's
         # leading axis, of length 1.
         pts = z_a[0] if alone else z_a
-        _, basis, var = _dual_fiber(problem, pts, gram)
+        basis, var = _dual_fiber(problem, pts, gram)
         jac, r, w, groups = obj.stage1_system(pts)
         r, w = r.reshape(len(idx), -1), w.reshape(len(idx), -1)
         b = _fiber_product(jac, basis, var)
@@ -722,12 +717,15 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             traces[k].append(TraceRow(it, 1, *row))
         # Once the value is flat to rounding, only a falling gradient shows progress.
         small = g_norm <= cfg.tol_grad
-        done = small | (flat[idx] & (g_norm >= grad_norm[idx]))
+        stalled = flat[idx] & (g_norm >= grad_norm[idx])
+        # after max_outer steps, the points still running stop where they are
+        done = small | stalled | (it == cfg.max_outer)
         grad_norm[idx] = g_norm
         halted = done.nonzero()[0]
         if halted.size:
-            for k, converged in zip(idx[halted].tolist(), small[halted].tolist()):
-                stop[k] = "converged" if converged else "stalled"
+            reasons = np.where(small, "converged", np.where(stalled, "stalled", "max_outer"))
+            for k, reason in zip(idx[halted].tolist(), reasons[halted].tolist()):
+                stop[k] = reason
             keep(halted)
             if halted.size == len(idx):
                 return
@@ -782,7 +780,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             stop[k] = "stalled"
         keep((~stepped).nonzero()[0])
 
-    for it in range(cfg.max_outer):
+    for it in range(cfg.max_outer + 1):
         live = np.array([k for k in range(count) if stop[k] is None], dtype=np.intp)
         into = [k for k in range(count) if stop[k] == "converged" and v_std[k] > 0]
         if live.size and into:
@@ -799,17 +797,11 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             for group in np.split(members, members.size) if alone else [members]:
                 part = gram if group.size == live.size else tuple(a[group] for a in gram)
                 advance(it, live[group], part, alone)
-    outcomes = []
-    for k in range(count):
-        reason = stop[k] or "max_outer"
-        outcomes.append(_StageOutcome(z[k], len(traces[k]), reason in ("converged", "stalled"),
-                                      traces[k], stop=reason, value=float(v_std[k]),
-                                      fiber=fibers[k]))
-    return outcomes
+    return [_StageOutcome(z[k], len(traces[k]), traces[k], stop=stop[k], value=float(v_std[k]),
+                          fiber=fibers[k]) for k in range(count)]
 
 
-def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
-            fiber: tuple | None = None) -> _StageOutcome:
+def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray, fiber: tuple) -> _StageOutcome:
     """Stage II at the standard coordinates of ``z1``: one exact fit on the dual fiber.
 
     With the standard coordinates held at the stage-I point, the dual
@@ -837,21 +829,20 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
     several groups that change by one common factor are not taken as
     settled: on a singular system the next solve is what shows the
     singularity.)  A
-    singular system gives a non-finite ``y``, which ends the passes
-    unconverged.  One trace row per solve.  The outcome carries the value
-    and feasibility of the last row, which are those of its point, and the
-    fiber's Gram factorization for the KKT analysis.
+    singular system gives a non-finite ``y``, which ends the passes.  One
+    trace row per solve.  The outcome carries the value and feasibility of
+    the last row, which are those of its point.
 
-    ``fiber`` is stage I's ``(gram, null, var, B)`` at the standard
-    coordinates of ``z1`` (see :func:`_stage1`).  Stage II's rows are the
-    dual parts of stage I's, so its ``B`` is stage I's, and none of the
-    fiber is factored again; the result is the same bit for bit.
+    ``fiber`` is stage I's ``(gram, null, var, B)`` at ``z1`` (see
+    :func:`_stage1`).  Stage II's rows are the dual parts of stage I's, so
+    its ``B`` is stage I's (``stage2_system`` gives no slope), and nothing
+    is factored again.
     """
     dual = _part_indices(problem.arity, 1)
-    z, null, var, gram = _fiber_point(problem, z1, fiber)
+    z = _fiber_point(problem, z1, fiber[0])
     x_p = z[dual]
-    jacobian, r_p, weights = problem.objective.stage2_system(z)
-    b = fiber[3] if fiber is not None and r_p.size else _fiber_product(jacobian(), null, var)
+    r_p, weights = problem.objective.stage2_system(z)
+    null, b = fiber[1], fiber[3] if r_p.size else fiber[3][:0]
     # Fiber directions that no row sees stay at x_p: all of them when the
     # objective has no rows (a smooth one, whose dual part is linear).
     seen = np.asarray(abs(b).sum(axis=0)).ravel() > 0
@@ -869,19 +860,14 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
         feas = _feasibility(problem, z)
         trace.append(TraceRow(it, 2, v.std, v.dual, max(feas), stationarity))
         if not np.all(np.isfinite(y_new)):
-            done = False
             break
         w_new = weights(r)
         rescaled = bool(np.all(w == w[:1]) and np.all(w_new == w_new[:1]))
-        done = (
-            np.array_equal(w_new, w)
-            or rescaled
-            or np.max(np.abs(y_new - y), initial=0.0) <= cfg.tol_feas
-        )
-        y, w = y_new, w_new
-        if done:
+        if (np.array_equal(w_new, w) or rescaled
+                or np.max(np.abs(y_new - y), initial=0.0) <= cfg.tol_feas):
             break
-    return _StageOutcome(z, it + 1, done, trace, gram, value=v, feasibility=feas)
+        y, w = y_new, w_new
+    return _StageOutcome(z, it + 1, trace, value=v, feasibility=feas)
 
 
 def _start_z(start, arity: int, name: str) -> np.ndarray:
@@ -983,13 +969,15 @@ def _report(
 
     ``stage1`` supplies the stage-I iteration count and trace; ``t0`` is
     when the solve started.  Stage II moved only the dual coordinates, so
-    both analyses share one objective gradient and its Gram factorization.
+    both analyses share one objective gradient and the Gram factorization
+    of ``stage1``'s fiber.
     """
     wall_ms = (time.perf_counter() - t0) * 1e3
     z2 = stage2.z
     grad_std, grad_dual = problem.objective.gradient_at(z2)
-    kkt1 = _kkt(problem, z2, 1, grad_std, gram=stage2.gram)
-    kkt2 = _kkt(problem, z2, 2, grad_dual, gram=stage2.gram)
+    gram = stage1.fiber[0]
+    kkt1 = _kkt(problem, z2, 1, grad_std, gram=gram)
+    kkt2 = _kkt(problem, z2, 2, grad_dual, gram=gram)
     v = stage2.value
     feas_h, feas_hd = stage2.feasibility
     return SolveReport(
@@ -1029,12 +1017,12 @@ def solve_eqdqo(
     after another restart did (see :class:`SolverConfig`); restarts at
     value 0 or stalled are candidates as without merging, and stage II
     picks the best of them.  Stage II starts from the factorization stage
-    I's last step made at the candidate's point, unless stage I stopped at
-    its step cap.  The report carries the dn-order minimal candidate, ties
-    broken by restart index.  Restart 0 starts from ``initial`` when
-    given, one dual quaternion per variable or an ``(arity, 8)`` array of
-    rows (standard, dual part); another count or shape raises
-    :class:`ArityMismatch`.  Without ``initial`` it starts from
+    I made at the candidate's point, where its trace ends, capped or not;
+    ``iterations["stage1"]`` counts the trace rows.  The report carries the
+    dn-order minimal candidate, ties broken by restart index.  Restart 0
+    starts from ``initial`` when given, one dual quaternion per variable or
+    an ``(arity, 8)`` array of rows (standard, dual part); another count or
+    shape raises :class:`ArityMismatch`.  Without ``initial`` it starts from
     ``problem.start``, and only without either from a random point.  When
     that start is at stage-I value 0, restart 0 runs alone and the report
     is the one of ``restarts=1``.  A sum of magnitudes reads value 0

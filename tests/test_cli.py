@@ -204,6 +204,43 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert "error:" in err
 
 
+COMPONENTS = "A pose 1 needs 4 rotation and 3 translation components"
+# (fault, edit of a generated AXXB dataset, message)
+MALFORMED_DATASETS = [
+    ("no-q", lambda d: d["A"][1].pop("q"), COMPONENTS),
+    ("no-t", lambda d: d["A"][1].pop("t"), COMPONENTS),
+    ("q-without-length", lambda d: d["A"][1].update(q=5), COMPONENTS),
+    ("pose-not-an-object", lambda d: d["A"].__setitem__(1, 5), COMPONENTS),
+    ("no-model", lambda d: d.pop("model"), "missing field 'model'"),
+    ("no-A", lambda d: d.pop("A"), "missing field 'A'"),
+    ("no-B", lambda d: d.pop("B"), "missing field 'B'"),
+    ("unknown-model", lambda d: d.update(model="axzb"), "unknown model 'axzb'"),
+    ("unequal-sides", lambda d: d["B"].pop(), "pose lists must have equal length"),
+]
+
+
+@pytest.mark.parametrize("edit,message", [pytest.param(e, m, id=f) for f, e, m in MALFORMED_DATASETS])
+def test_a_malformed_dataset_exits_2_naming_its_fault(edit, message, tmp_path, capsys):
+    ds = tmp_path / "ds.json"
+    assert main(["gen-handeye", "--model", "axxb", "--motions", "3", "--out", str(ds)]) == 0
+    data = json.loads(ds.read_text())
+    edit(data)
+    ds.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["solve-handeye", "--in", str(ds)]) == 2
+    assert capsys.readouterr() == ("", f"error: {ds}: invalid dataset ({message})\n")
+
+
+def test_an_out_that_names_a_directory_exits_2(tmp_path, capsys):
+    ds = tmp_path / "ds.json"
+    assert main(["gen-handeye", "--model", "axxb", "--motions", "3", "--out", str(ds)]) == 0
+    capsys.readouterr()
+    assert main(_solve_args(ds, tmp_path, ["--restarts", "1"])) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("flag", ["--tol-feas", "--tol-grad"])
 def test_a_nan_tolerance_exits_2_without_a_report(flag, tmp_path, capsys):
     ds = tmp_path / "ds.json"
@@ -303,6 +340,16 @@ def test_selftest_passes(capsys):
     assert "checks passed" in out
 
 
+def test_a_failed_selftest_check_exits_1_naming_it(monkeypatch, capsys):
+    checks = [selftest.CheckResult("sound", True, "ok"),
+              selftest.CheckResult("broken", False, "off by 1")]
+    monkeypatch.setattr(selftest, "run_all", lambda seed: {"suite": checks})
+    assert main(["selftest"]) == 1
+    assert capsys.readouterr().out == (
+        "suite: 1/2 passed\n  FAIL broken: off by 1\n1 of 2 checks failed\n"
+    )
+
+
 def test_selftest_reaches_the_abstracts_functions(monkeypatch):
     # the 2-norm, the magnitude and the closure operations the paper proves
     # standard; each must run in the self-test, every operator of combine too
@@ -357,5 +404,5 @@ def test_the_cli_fingerprint_is_the_same_in_two_processes(tmp_path):
     assert runs[0] == runs[1]
     combined, files = runs[0]
     assert len(combined) == 64
-    # three files per solve, two per malformed graph
-    assert len(files) == 4 * 3 + 2 * 3 + 2 * 13
+    # three files per solve, two per capped solve of an input and per malformed graph
+    assert len(files) == 4 * 3 + 2 * 3 + 2 * 2 + 2 * 13

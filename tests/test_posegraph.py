@@ -307,6 +307,15 @@ def test_graph_validation():
         PoseGraph(2, [(1, 3)], [_IDENTITY])
     with pytest.raises(ValueError):
         PoseGraph(2, [(1, 1)], [_IDENTITY])
+    with pytest.raises(ValueError, match="graph needs at least one vertex"):
+        PoseGraph(0, [], [])
+    # a vertex or truth record outside 1..n
+    for vertices, truth, vid in (
+        (([3], [_IDENTITY]), ((), ()), 3),
+        (((), ()), ([0], [_IDENTITY]), 0),
+    ):
+        with pytest.raises(ValueError, match=f"vertex id {vid} out of range 1..2"):
+            PoseGraph(2, [(1, 2)], [_IDENTITY], vertices, truth)
     # the graph keeps copies: changing the arrays it was built from changes nothing
     ids, vertex, poses = np.array([[1, 2]]), np.array([2]), np.array([_IDENTITY])
     g = PoseGraph(2, ids, poses, (vertex, poses), (vertex, poses))
@@ -485,7 +494,10 @@ def test_too_few_edges_are_rejected_before_the_search(monkeypatch):
     monkeypatch.undo()
     # n - 1 edges reach the search, which decides
     assert PoseGraph(3, [(1, 2), (3, 2)], [_IDENTITY] * 2).is_connected()
-    assert not PoseGraph(4, [(1, 2), (2, 1), (3, 4)], [_IDENTITY] * 3).is_connected()
+    g = PoseGraph(4, [(1, 2), (2, 1), (3, 4)], [_IDENTITY] * 3)
+    assert not g.is_connected()
+    with pytest.raises(DisconnectedGraph, match="only 2 of 4 vertices reachable from vertex 1"):
+        spanning_tree_rows(g)
 
 
 def _with_rows(g, kind, rows):

@@ -136,6 +136,16 @@ def test_kkt_rejects_a_point_of_the_wrong_arity():
         kkt_analysis(_toy_problem(), two, stage=2)
 
 
+def test_kkt_rejects_a_stage_other_than_1_or_2():
+    with pytest.raises(ValueError, match="stage must be 1 or 2"):
+        kkt_analysis(_toy_problem(), [DualQuaternion.identity()], stage=3)
+
+
+def test_a_constraint_of_another_arity_raises_arity_mismatch():
+    with pytest.raises(ArityMismatch, match="constraint 0 arity 2 != objective arity 1"):
+        EqdqoProblem(_toy_problem().objective, (UnitNormConstraint(2, 0),))
+
+
 def test_kkt_stage2_at_analytic_optimum():
     # the dual row multiplier absorbs the dual objective gradient exactly
     z = np.zeros(8)
@@ -340,6 +350,10 @@ def test_config_validation():
         SolverConfig(tol_grad=-1.0)
     with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
         SolverConfig(seed=-1)
+    with pytest.raises(ValueError, match="iteration caps must be positive"):
+        SolverConfig(max_outer=0)
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        SolverConfig(threads=0)
     # a NaN tolerance passes every comparison, and an infinite one stops nothing
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -406,18 +420,18 @@ def _count_gram_after_stage1(monkeypatch):
     return calls
 
 
-def test_the_final_point_is_factored_again_only_after_a_capped_stage1(monkeypatch):
+def test_no_gram_factorization_follows_stage1_capped_or_not(monkeypatch):
     # stage II moves only the dual coordinates, so its fiber and both KKT
     # analyses share one factorization of the per-variable Gram blocks: the
-    # one stage I's last step made there, or, when stage I stopped at its
-    # step cap after moving, one made anew
+    # one stage I made at its last evaluation, which a capped stage I also
+    # makes at the point it returns
     problem, guess = _noisy_graph_problem()
     calls = _count_gram_after_stage1(monkeypatch)
     report = solve_eqdqo(problem, _fast_cfg(restarts=1), initial=guess)
     assert report.iterations["stage1"] < 60 and len(calls) == 0
     calls = _count_gram_after_stage1(monkeypatch)
     report = solve_eqdqo(problem, _fast_cfg(restarts=1, max_outer=3), initial=guess)
-    assert report.iterations["stage1"] == 3 and len(calls) == 1
+    assert report.iterations["stage1"] == 4 and len(calls) == 0
 
 
 def test_a_solve_evaluates_the_objective_gradient_once(monkeypatch):

@@ -143,18 +143,27 @@ def test_restarts_on_a_sparse_fiber_step_one_at_a_time(monkeypatch, no_merging):
 
 
 def test_a_restart_at_the_step_cap_leaves_the_others_their_own_outcomes(no_merging):
+    # every trace ends with a row at the point its restart returns, so a run
+    # of s steps has s + 1 rows: with the cap at k steps, a restart that
+    # converges within k steps, k itself included, keeps its outcome, and
+    # the others stop at the cap with the first k + 1 rows of their run
     ds = generate_synthetic("axyb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=0)
     problem = build_axyb(ds)
     cfg = SolverConfig(restarts=8, seed=0)
     free = solver._stage1(problem, cfg, _starts(problem, cfg))
-    cfg = SolverConfig(restarts=8, seed=0, max_outer=12)
+    k = 12
+    cfg = SolverConfig(restarts=8, seed=0, max_outer=k)
     capped = _assert_batch_matches_singles(problem, cfg, _starts(problem, cfg))
+    assert {full.stop for full in free} == {"converged"}
+    # one restart converges after exactly k steps, on the boundary
+    assert any(full.iterations == k + 1 for full in free)
     for full, outcome in zip(free, capped):
-        if full.iterations <= 12:
+        if full.iterations <= k + 1:
             assert (outcome.stop, outcome.iterations) == (full.stop, full.iterations)
             assert np.array_equal(outcome.z, full.z)
         else:
-            assert (outcome.stop, outcome.iterations, outcome.converged) == ("max_outer", 12, False)
+            assert (outcome.stop, outcome.iterations) == ("max_outer", k + 1)
+            assert outcome.trace == full.trace[: k + 1]
     assert {outcome.stop for outcome in capped} == {"converged", "max_outer"}
 
 

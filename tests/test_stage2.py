@@ -130,12 +130,13 @@ def test_a_uniform_reweighting_ends_stage2_after_one_pass():
     g = generate_cycle_graph(12, loop_closures=4, seed=5)
     problem, cfg = build_pgo(g), SolverConfig(restarts=1, seed=0)
     _, _, outcome = solver._stage1_restarts(problem, cfg, spanning_tree_rows(g))[0]
-    stage2 = solver._stage2(problem, cfg, outcome.z)
-    assert stage2.iterations == len(stage2.trace) == 1 and stage2.converged
+    stage2 = solver._stage2(problem, cfg, outcome.z, outcome.fiber)
+    assert stage2.iterations == len(stage2.trace) == 1
     # the second pass, with the rescaled weights, lands on the same point
-    z, null, _, _ = solver._fiber_point(problem, outcome.z)
-    slope, r_p, weights = problem.objective.stage2_system(z)
-    b = slope().toarray() @ null
+    gram, null, _, _ = outcome.fiber
+    z = solver._fiber_point(problem, outcome.z, gram)
+    r_p, weights = problem.objective.stage2_system(z)
+    b = problem.objective.stage1_system(z)[0].toarray() @ null
     w1 = weights(r_p)
     y1 = np.linalg.solve(b.T @ (w1[:, None] * b), -b.T @ (w1 * r_p))
     w2 = weights(r_p + b @ y1)
@@ -147,12 +148,27 @@ def test_a_uniform_reweighting_ends_stage2_after_one_pass():
     assert np.max(np.abs(stage2.z - two_pass)) <= 1e-12
 
 
+def _fiber_from_scratch(problem, z):
+    """``(gram, null, var, B)`` factored anew at ``z``, as stage I evaluates a point."""
+    gram = solver._gram_pinv(problem.block, z[None])
+    # a point on a sparse fiber is evaluated alone, any other as a stack of one
+    alone = np.count_nonzero(~gram[1]) > solver._DENSE_MAX
+    pts = z if alone else z[None]
+    null, var = solver._dual_fiber(problem, pts, gram)
+    b = solver._fiber_product(problem.objective.stage1_system(pts)[0], null, var)
+    return tuple(a[0] for a in gram), *((null, var, b) if alone else (null[0], var, b[0]))
+
+
+def _bytes(a):
+    return (a.toarray() if solver._is_sparse(a) else a).tobytes()
+
+
 @pytest.mark.parametrize("dense_max", [solver._DENSE_MAX, -1])
 def test_stage2_from_stage1s_last_factorization_is_the_one_from_scratch(dense_max, monkeypatch):
-    # a restart that stopped converged or stalled carries its last step's
-    # Gram factorization, fiber and B = J N; one that moved in its last
-    # step (the step cap) carries none.  A noiseless problem's spectral start
-    # is at value 0 and runs alone; without it the random restarts run too.
+    # every restart that did not merge carries the Gram factorization, fiber
+    # and B = J N of its last evaluation, at the point it returns, a capped
+    # one included.  A noiseless problem's spectral start is at value 0 and
+    # runs alone; without it the random restarts run too.
     monkeypatch.setattr(solver, "_DENSE_MAX", dense_max)
     problems = []
     for model, build in (("axxb", build_axxb), ("axyb", build_axyb)):
@@ -172,12 +188,12 @@ def test_stage2_from_stage1s_last_factorization_is_the_one_from_scratch(dense_ma
                     SolverConfig(restarts=restarts, seed=0, max_outer=4)):
             for _, _, outcome in solver._stage1_restarts(problem, cfg, initial):
                 stops.add(outcome.stop)
-                assert (outcome.fiber is None) == (outcome.stop == "max_outer")
-                if outcome.fiber is None:
-                    continue
+                scratch = _fiber_from_scratch(problem, outcome.z)
+                gram, null, var, b = outcome.fiber
+                assert all(a.tobytes() == c.tobytes() for a, c in zip(gram, scratch[0]))
+                assert [_bytes(a) for a in (null, var, b)] == [_bytes(a) for a in scratch[1:]]
                 reused = solver._stage2(problem, cfg, outcome.z, outcome.fiber)
-                fresh = solver._stage2(problem, cfg, outcome.z)
+                fresh = solver._stage2(problem, cfg, outcome.z, scratch)
                 assert reused.z.tobytes() == fresh.z.tobytes()
                 assert reused.trace == fresh.trace
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(reused.gram, fresh.gram))
     assert {"converged", "max_outer"} <= stops
