@@ -717,7 +717,7 @@ class _ComponentAnchor(DualFunction):
 def anchor_constraints(
     arity: int, index: int, target: DualQuaternion
 ) -> tuple[DualFunction, ...]:
-    """Constraints pinning variable ``index`` to ``target``, one per coefficient."""
+    """Constraints pinning variable ``index`` to ``target``: one per coefficient, a set of four."""
     return tuple(_ComponentAnchor(arity, index, c, target) for c in range(4))
 
 
@@ -730,8 +730,10 @@ class ConstraintBlock:
     standard coordinates equals that of ``h_d`` over the dual ones: the
     *stage Jacobian* ``G``, shape ``(m, 4n)``, column ``4i + c`` for
     coefficient ``c`` of variable ``i``.  Every row touches one variable,
-    so ``G`` is block diagonal by variable: :meth:`pullback`,
-    :meth:`apply` and :meth:`gram` use that and never form it.
+    so ``G`` is block diagonal by variable, and each variable is *anchored*
+    (all four :func:`anchor_constraints` rows, any unit rows), a *sphere*
+    (unit rows only) or *free*; another anchor pattern raises ``TypeError``.
+    :meth:`tangent`, :meth:`pinv` and :meth:`rank` are closed forms by class.
     """
 
     def __init__(self, arity: int, constraints: Sequence[DualFunction]):
@@ -758,6 +760,20 @@ class ConstraintBlock:
         self._a_cols = 4 * a_var + a_comp
         # Columns of G^T v, unit rows' four then the anchors', for one bincount.
         self._pull_cols = np.concatenate(((4 * u_var + np.arange(4)).ravel(), self._a_cols))
+        self._anchored = np.unique(a_var)
+        for i in self._anchored.tolist():
+            comps = sorted(a_comp[a_var == i].tolist())
+            if comps != [0, 1, 2, 3]:
+                raise TypeError(f"variable {i} is anchored on coefficients {comps}, "
+                                "not on all four once")
+        # 4 x (unit rows) per variable: G_i^T G_i is that times x x^T, plus I if anchored
+        self._weight = 4.0 * np.bincount(self._u_var, minlength=self.arity)
+        width = np.where(self._weight > 0, 3, 4)
+        width[self._anchored] = 0
+        self._sphere = np.flatnonzero(width == 3)
+        #: The variable of each tangent column, and ``_col`` its column of :meth:`tangent`'s frame.
+        self.var = np.repeat(np.arange(self.arity), width)
+        self._col = np.concatenate([np.arange(4 - w, 4) for w in width.tolist()])
 
     def values(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(h, h_d)`` at ``z``, without any Jacobian; ``(R, m)`` each for a stack ``(R, 8n)``."""
@@ -812,14 +828,38 @@ class ConstraintBlock:
         out[..., self._u_var] = np.einsum("...ij,...ij->...i", x, g)
         return out
 
-    def gram(self, z: np.ndarray) -> np.ndarray:
-        """``G_i^T G_i`` per variable at ``z``: ``(n, 4, 4)``, or ``(R, n, 4, 4)`` for a stack."""
-        x2 = 2.0 * z[..., self._u_slots[:, :4]]
-        out = np.zeros(z.shape[:-1] + (self.arity, 4, 4))
-        units = (..., self._u_var, slice(None), slice(None))
-        np.add.at(out, units, x2[..., :, None] * x2[..., None, :])
-        np.add.at(out, (..., self._a_var, self._a_comp, self._a_comp), 1.0)
-        return out
+    def tangent(self, z: np.ndarray) -> np.ndarray:
+        """The null space of ``G`` at ``z``: ``(k, 4)``, or ``(R, k, 4)`` for a stack ``(R, 8n)``.
+
+        Row ``j`` holds column ``j``'s entries for variable ``var[j]``: per
+        sphere variable ``x ⊗ i``, ``x ⊗ j``, ``x ⊗ k`` (columns 2-4 of
+        ``left_mult_matrix(x)``, orthonormal where ``|x| = 1``), per free one
+        the identity's columns.  Entries are copied, so stacks match bit for bit.
+        """
+        frames = np.broadcast_to(np.eye(4), z.shape[:-1] + (self.arity, 4, 4)).copy()
+        x = z[..., 8 * self._sphere[:, None] + np.arange(4)]
+        frames[..., self._sphere, :, :] = left_mult_matrix(x)
+        return frames.swapaxes(-1, -2)[..., self.var, self._col, :]
+
+    def pinv(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``(G^T G)^+ u`` at ``z`` for a ``4n`` vector ``u``: the minimum-norm least-squares step.
+
+        With ``a`` four times a variable's unit rows, it is ``x (x . u) / (a
+        |x|^4)`` (0 where ``x = 0``) per sphere variable, ``u - a x (x . u) /
+        (1 + a |x|^2)`` (Sherman-Morrison) per anchored one and 0 per free one.
+        """
+        x, u, a = z.reshape(-1, 8)[:, :4], u.reshape(-1, 4), self._weight
+        dot, sq = np.einsum("ij,ij->i", x, u), np.einsum("ij,ij->i", x, x)
+        out = np.zeros(u.shape)
+        s, k = self._sphere[sq[self._sphere] > 0], self._anchored
+        out[s] = x[s] * (dot[s] / (a[s] * sq[s] * sq[s]))[:, None]
+        out[k] = u[k] - x[k] * (a[k] * dot[k] / (1.0 + a[k] * sq[k]))[:, None]
+        return out.ravel()
+
+    def rank(self, z: np.ndarray) -> int:
+        """Rank of ``G`` at ``z``: 1 per sphere variable with ``x != 0``, 4 per anchored one."""
+        live = z.reshape(-1, 8)[self._sphere, :4].any(axis=-1)
+        return int(np.count_nonzero(live)) + 4 * self._anchored.size
 
 
 class _SquaredDistance(DualFunction):

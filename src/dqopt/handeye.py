@@ -132,7 +132,8 @@ def canonicalized(dq: np.ndarray) -> np.ndarray:
 
 
 def _json_rows(poses, label: str) -> np.ndarray:
-    """Rows of JSON poses ``{"q": [w, x, y, z], "t": [x, y, z]}``, unchecked but for their lengths."""
+    """Rows of JSON poses ``{"q": [w, x, y, z], "t": [x, y, z]}``, checked only for length and type."""
+    rows = np.empty((len(poses), 7))
     for i, p in enumerate(poses):
         try:
             ok = len(p["q"]) == 4 and len(p["t"]) == 3
@@ -140,7 +141,11 @@ def _json_rows(poses, label: str) -> np.ndarray:
             ok = False
         if not ok:
             raise InvalidPose(f"{label.format(i)} needs 4 rotation and 3 translation components")
-    return np.array([[*p["q"], *p["t"]] for p in poses], dtype=np.float64)
+        try:
+            rows[i] = [*p["q"], *p["t"]]
+        except (TypeError, ValueError):
+            raise InvalidPose(f"{label.format(i)} has a component that is not a number") from None
+    return rows
 
 
 def _file_rows(poses, label: str) -> np.ndarray:
@@ -204,10 +209,14 @@ class HandEyeDataset:
         for key in ("model", "A", "B"):
             if key not in data:
                 raise ValueError(f"missing field {key!r}")
-        gt = data.get("ground_truth", {}) or {}
+        gt, meta = data.get("ground_truth") or {}, data.get("meta") or {}
+        for key, value, kind in (("A", data["A"], "array"), ("B", data["B"], "array"),
+                                 ("ground_truth", gt, "object"), ("meta", meta, "object")):
+            if not isinstance(value, dict if kind == "object" else (list, tuple)):
+                raise ValueError(f"field {key!r} is not a JSON {kind}")
         truths = (_file_rows([gt[k]], f"ground truth {k}") if k in gt else None for k in "XY")
         rows = (_file_rows(data[s], s + " pose {}") for s in "AB")
-        return cls(data["model"], *rows, *truths, data.get("meta", {}))
+        return cls(data["model"], *rows, *truths, meta)
 
 
 def relative_motions(dataset: HandEyeDataset) -> tuple[np.ndarray, np.ndarray]:

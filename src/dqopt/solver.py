@@ -46,8 +46,8 @@ iterates it would take alone until it stops on its own stop rule, or until
 it comes within ``_MERGE_RADIUS`` of a minimum another restart converged
 to, where it stops "merged".  Larger, sparse problems advance their
 restarts one after another within each step.  Stage II runs for the
-restarts tied at the least stage-I value, from the factorization of stage
-I's final point, and the reported solution is the dn-order minimum over
+restarts tied at the least stage-I value, from the fiber stage I built at
+its final point, and the reported solution is the dn-order minimum over
 their feasible outcomes.
 """
 
@@ -73,11 +73,6 @@ __all__ = [
     "solve_eqdqo",
     "kkt_analysis",
 ]
-
-#: Singular values below this fraction of the largest are treated as zero
-#: when ranking constraint-gradient systems.
-_RANK_RCOND = 1e-8
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -146,8 +141,8 @@ class EqdqoProblem:
     residual rows, so the objective must provide them through
     ``stage1_system``, as :class:`~dqopt.functions.ResidualNormObjective`
     and :func:`~dqopt.functions.squared_distance_objective` do.  The
-    constraints must be unit-norm conditions and
-    :func:`dqopt.functions.anchor_constraints` rows, which ``block``
+    constraints must be unit-norm conditions and whole
+    :func:`dqopt.functions.anchor_constraints` sets, which ``block``
     evaluates together.  Any other objective or constraint raises
     ``TypeError``.  ``start``, if given, is where restart 0 begins when the
     solve gets no ``initial`` point: ``arity`` dual quaternions or an
@@ -256,7 +251,7 @@ class _StageOutcome:
     iterations: int
     trace: list
     stop: str | None = None  # stage I: "converged", "stalled", "merged" or "max_outer"
-    # stage I, not merged: (gram, null, var, B) of its last evaluation, at z
+    # stage I, not merged: (null, var, B) of its last evaluation, at z
     fiber: tuple | None = None
     value: float | DualNumber | None = None  # at z: standard (stage I) or dual value (II)
     feasibility: tuple[float, float] | None = None  # stage II: _feasibility at z
@@ -287,51 +282,15 @@ def _random_start(problem: EqdqoProblem, rng: np.random.Generator) -> np.ndarray
     return z
 
 
-def _gram_pinv(block: ConstraintBlock, z: np.ndarray):
-    """``(inv, rank, vecs)``: the stage Jacobian's Gram matrix ``G^T G`` at ``z``, factored.
+def _dual_fiber(problem: EqdqoProblem, z: np.ndarray):
+    """``(null, var)``: the null space of ``G`` at ``z``, stage I's tangent space and stage II's fiber.
 
-    Every row of ``G`` touches one variable, so ``G^T G`` is block diagonal
-    and one batched ``eigh`` of the ``(n, 4, 4)`` stack ``G_i^T G_i`` factors
-    it.  ``rank`` marks each block's eigenvalues above ``_RANK_RCOND`` of its
-    largest, ``inv`` holds their reciprocals (zero for the others), and
-    ``vecs`` the eigenvectors as columns; :func:`_pinv` applies the
-    pseudo-inverse.  For a stack ``(R, 8n)`` of points each array gains a
-    leading axis, and its slices are the points' own triples.
+    ``null`` is the ``(4n, k)`` basis of :meth:`ConstraintBlock.tangent`, sparse past
+    ``_DENSE_MAX`` columns, and for a stack ``(R, 8n)`` a dense ``(R, 4n, k)`` stack.
     """
-    e, vecs = np.linalg.eigh(block.gram(z))
-    rank = e > _RANK_RCOND * e[..., -1:]
-    return np.where(rank, 1.0 / np.where(rank, e, 1.0), 0.0), rank, vecs
-
-
-def _pinv(gram: tuple, u: np.ndarray) -> np.ndarray:
-    """``(G^T G)^+ u`` for a ``4n`` vector ``u``, with one point's :func:`_gram_pinv` triple."""
-    inv, _, vecs = gram
-    coef = (u.reshape(-1, 1, 4) @ vecs)[:, 0] * inv
-    return (vecs @ coef[..., None]).ravel()
-
-
-def _dual_fiber(problem: EqdqoProblem, z: np.ndarray, gram: tuple):
-    """Null space of the dual rows at the standard point of ``z``, from its Gram factorization.
-
-    ``gram``, the :func:`_gram_pinv` triple at ``z``, splits each
-    variable's dual coordinates into the row space of the stage Jacobian
-    ``G`` and its null space (3 directions for a unit row alone, none for
-    an anchored variable); with it ``_pinv(gram, G^T v)`` is the
-    minimum-norm ``x`` with ``G x = v`` (least squares when there is none).
-    ``G`` is also the Jacobian of the standard rows over the standard
-    coordinates, so the null space is stage I's tangent space as well as
-    stage II's fiber directions.  Returns ``(null, var)``: ``null`` a
-    ``(4n, k)`` orthonormal basis of the null space, dense when ``k <=
-    _DENSE_MAX`` and sparse otherwise, and ``var`` the variable of each of
-    its columns.  For a stack ``(R, 8n)`` of points whose null spaces have
-    the same shape (see :func:`_same_fibers`), ``null`` is a dense ``(R,
-    4n, k)`` stack.
-    """
-    _, rank, vecs = gram
-    # One column per null eigenvector, its 4 entries in its variable's rows.
-    var, col = np.nonzero(~rank.reshape(-1, problem.arity, 4)[0])
+    var = problem.block.var
     rows = (4 * var[:, None] + np.arange(4)).ravel()
-    vals = vecs.swapaxes(-1, -2)[..., var, col, :].reshape(z.shape[:-1] + (-1,))
+    vals = problem.block.tangent(z).reshape(z.shape[:-1] + (-1,))
     shape = (4 * problem.arity, var.size)
     if var.size <= _DENSE_MAX:
         null = np.zeros(z.shape[:-1] + shape)
@@ -341,22 +300,6 @@ def _dual_fiber(problem: EqdqoProblem, z: np.ndarray, gram: tuple):
 
         null = sparse.csc_matrix((vals.reshape(-1), rows, np.arange(0, rows.size + 1, 4)), shape)
     return null, var
-
-
-def _same_fibers(rank: np.ndarray) -> list:
-    """Indices of the stack's points grouped by the shape of their null spaces, in order.
-
-    A point's shape is which eigenvectors of its Gram blocks are null.  It
-    follows from the constraint structure (3 null directions per unit row,
-    none per anchored variable), so every point of a stack normally shares
-    one; a variable whose Gram block loses rank at some point would split
-    the stack.
-    """
-    masks = rank.reshape(len(rank), -1)
-    if (masks == masks[0]).all():
-        return [np.arange(len(rank))]
-    _, group = np.unique(masks, axis=0, return_inverse=True)
-    return [np.flatnonzero(group == g) for g in np.unique(group)]
 
 
 def _fiber_product(jac, null, var: np.ndarray):
@@ -378,21 +321,20 @@ def _fiber_product(jac, null, var: np.ndarray):
     return np.ascontiguousarray(t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3])
 
 
-def _fiber_point(problem: EqdqoProblem, z: np.ndarray, gram: tuple) -> np.ndarray:
+def _fiber_point(problem: EqdqoProblem, z: np.ndarray) -> np.ndarray:
     """``z`` with its duals at the dual fiber's minimum-norm point.
 
     Every dual row is affine in the dual coordinates, ``G x_d + h_d(0)``
     with ``h_d(0)`` its value at zero duals, so ``x_p = (G^T G)^+ G^T
     (-h_d(0))`` is the least-norm point that satisfies them (least squares
-    when none does), with ``gram`` the :func:`_gram_pinv` triple at the
-    standard coordinates of ``z``; the fiber is ``x_p + null y``, ``null``
-    from :func:`_dual_fiber`.
+    when none does), with ``G`` at the standard coordinates of ``z``; the
+    fiber is ``x_p + null y``, ``null`` from :func:`_dual_fiber`.
     """
     dual = _part_indices(problem.arity, 1)
     z = z.copy()
     z[dual] = 0.0
     _, h_d0 = problem.block.values(z)
-    z[dual] = _pinv(gram, problem.block.pullback(z, -h_d0))
+    z[dual] = problem.block.pinv(z, problem.block.pullback(z, -h_d0))
     return z
 
 
@@ -433,9 +375,9 @@ def kkt_analysis(problem: EqdqoProblem, point, stage: int = 1) -> KktInfo:
     gradient.  Stage I: ``t + G^T lambda`` with ``t = grad f`` over the
     standard coordinates.  Stage II: ``t + G^T mu`` with ``t = grad f_d``
     over the dual ones.  The multipliers are the minimum-norm least-squares
-    ones ``-G (G^T G)^+ t``, from the per-variable Gram blocks of
-    :func:`_gram_pinv`.  Piecewise gradients use the zero subgradient at
-    kinks.
+    ones ``-G (G^T G)^+ t``, ``(G^T G)^+`` in the closed form of
+    :meth:`~dqopt.functions.ConstraintBlock.pinv`.  Piecewise gradients
+    use the zero subgradient at kinks.
     """
     if stage not in (1, 2):
         raise ValueError("stage must be 1 or 2")
@@ -443,21 +385,16 @@ def kkt_analysis(problem: EqdqoProblem, point, stage: int = 1) -> KktInfo:
     return _kkt(problem, z, stage, problem.objective.gradient_at(z)[stage - 1])
 
 
-def _kkt(problem: EqdqoProblem, z, stage: int, grad, gram=None) -> KktInfo:
-    """:func:`kkt_analysis` at ``z`` given the objective's gradient of the stage's part.
-
-    ``gram`` may pass in the :func:`_gram_pinv` factorization at the
-    standard coordinates of ``z``, which is then not factored again.
-    """
+def _kkt(problem: EqdqoProblem, z, stage: int, grad) -> KktInfo:
+    """:func:`kkt_analysis` at ``z`` given the objective's gradient of the stage's part."""
     block = problem.block
     target = grad[_part_indices(problem.arity, stage - 1)]
-    gram = _gram_pinv(block, z) if gram is None else gram
-    mult = -block.apply(z, _pinv(gram, target))
+    mult = -block.apply(z, block.pinv(z, target))
     resid = target + block.pullback(z, mult)
     return KktInfo(
         float(np.linalg.norm(resid)),
         tuple(float(v) for v in mult),
-        int(np.count_nonzero(gram[1])) < block.size,
+        block.rank(z) < block.size,
     )
 
 
@@ -651,8 +588,8 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     """Stage I from every row of ``starts``, in lockstep: minimize the standard part.
 
     Each point starts put on the standard rows and steps in their tangent
-    space ``N`` (per variable, 3 orthonormal directions on a unit sphere,
-    none if anchored).  With the objective's residual rows ``r``, Jacobian
+    space ``N`` (3 orthonormal directions per sphere variable, 4 per free
+    one).  With the objective's residual rows ``r``, Jacobian
     ``J``, row weights ``W`` and ``B = J N``, ``g = B^T W r`` is the tangent
     gradient.  A step first tries the Newton model (:func:`_newton_step`,
     with each unit row's curvature), then Levenberg-Marquardt steps on ``B^T
@@ -675,7 +612,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     stage II makes of them) and points that stalled (at kinks, where
     restarts creep and stop apart) are never merged into.  Returns one
     :class:`_StageOutcome` per start; every one not merged carries the
-    ``fiber`` ``(gram, null, var, B)`` of its last evaluation, at its point.
+    ``fiber`` ``(null, var, B)`` of its last evaluation, at its point.
     Stage I never reads the dual coordinates: they stay those of the start.
     """
     obj, block = problem.objective, problem.block
@@ -689,14 +626,15 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     stop = [None] * count
     traces = [[] for _ in range(count)]  # one row per step
     fibers = [None] * count
+    alone = block.var.size > _DENSE_MAX  # points on a sparse fiber step one at a time
 
-    def advance(it, idx, gram, alone):
+    def advance(it, idx):
         z_a = z[idx]
         # A point on a sparse fiber is evaluated as a single point, which gives
         # a pose graph its sparse Jacobian; its rows then get the stack's
         # leading axis, of length 1.
         pts = z_a[0] if alone else z_a
-        basis, var = _dual_fiber(problem, pts, gram)
+        basis, var = _dual_fiber(problem, pts)
         jac, r, w, groups = obj.stage1_system(pts)
         r, w = r.reshape(len(idx), -1), w.reshape(len(idx), -1)
         b = _fiber_product(jac, basis, var)
@@ -705,7 +643,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             # the points at ``pos`` stop where this step factored them
             for j, k in zip(pos.tolist(), idx[pos].tolist()):
                 point = [m if _is_sparse(m) else m[j] for m in (basis, b)]
-                fibers[k] = (tuple(a[j] for a in gram), point[0], var, point[1])
+                fibers[k] = (point[0], var, point[1])
 
         wr = w * r
         grad = _tmv(b, wr)
@@ -732,7 +670,6 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             go = ~done
             idx, z_a, basis, b, r, w, wr, grad = (
                 a[go] for a in (idx, z_a, basis, b, r, w, wr, grad))
-            gram = tuple(a[go] for a in gram)
             jac = jac[go] if jac.ndim == 3 else jac
             pts = z_a
         h = _normal(b, w)
@@ -790,13 +727,8 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             live = live[~merged]
         if not live.size:
             break
-        gram = _gram_pinv(block, z[live])
-        for members in _same_fibers(gram[1]):
-            # points on a sparse fiber (past _DENSE_MAX directions) step one at a time
-            alone = np.count_nonzero(~gram[1][members[0]]) > _DENSE_MAX
-            for group in np.split(members, members.size) if alone else [members]:
-                part = gram if group.size == live.size else tuple(a[group] for a in gram)
-                advance(it, live[group], part, alone)
+        for group in np.split(live, live.size) if alone else [live]:
+            advance(it, group)
     return [_StageOutcome(z[k], len(traces[k]), traces[k], stop=stop[k], value=float(v_std[k]),
                           fiber=fibers[k]) for k in range(count)]
 
@@ -833,16 +765,16 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray, fiber: tup
     trace row per solve.  The outcome carries the value and feasibility of
     the last row, which are those of its point.
 
-    ``fiber`` is stage I's ``(gram, null, var, B)`` at ``z1`` (see
+    ``fiber`` is stage I's ``(null, var, B)`` at ``z1`` (see
     :func:`_stage1`).  Stage II's rows are the dual parts of stage I's, so
-    its ``B`` is stage I's (``stage2_system`` gives no slope), and nothing
-    is factored again.
+    its ``B`` is stage I's (``stage2_system`` gives no slope), and no fiber
+    is built again.
     """
     dual = _part_indices(problem.arity, 1)
-    z = _fiber_point(problem, z1, fiber[0])
+    z = _fiber_point(problem, z1)
     x_p = z[dual]
     r_p, weights = problem.objective.stage2_system(z)
-    null, b = fiber[1], fiber[3] if r_p.size else fiber[3][:0]
+    null, b = fiber[0], fiber[2] if r_p.size else fiber[2][:0]
     # Fiber directions that no row sees stay at x_p: all of them when the
     # objective has no rows (a smooth one, whose dual part is linear).
     seen = np.asarray(abs(b).sum(axis=0)).ravel() > 0
@@ -969,15 +901,13 @@ def _report(
 
     ``stage1`` supplies the stage-I iteration count and trace; ``t0`` is
     when the solve started.  Stage II moved only the dual coordinates, so
-    both analyses share one objective gradient and the Gram factorization
-    of ``stage1``'s fiber.
+    both analyses share one objective gradient.
     """
     wall_ms = (time.perf_counter() - t0) * 1e3
     z2 = stage2.z
     grad_std, grad_dual = problem.objective.gradient_at(z2)
-    gram = stage1.fiber[0]
-    kkt1 = _kkt(problem, z2, 1, grad_std, gram=gram)
-    kkt2 = _kkt(problem, z2, 2, grad_dual, gram=gram)
+    kkt1 = _kkt(problem, z2, 1, grad_std)
+    kkt2 = _kkt(problem, z2, 2, grad_dual)
     v = stage2.value
     feas_h, feas_hd = stage2.feasibility
     return SolveReport(
@@ -1016,8 +946,8 @@ def solve_eqdqo(
     a positive value is none, nor is one that converged to such a minimum
     after another restart did (see :class:`SolverConfig`); restarts at
     value 0 or stalled are candidates as without merging, and stage II
-    picks the best of them.  Stage II starts from the factorization stage
-    I made at the candidate's point, where its trace ends, capped or not;
+    picks the best of them.  Stage II starts from the fiber stage I built
+    at the candidate's point, where its trace ends, capped or not;
     ``iterations["stage1"]`` counts the trace rows.  The report carries the
     dn-order minimal candidate, ties broken by restart index.  Restart 0
     starts from ``initial`` when given, one dual quaternion per variable or

@@ -216,6 +216,14 @@ MALFORMED_DATASETS = [
     ("no-B", lambda d: d.pop("B"), "missing field 'B'"),
     ("unknown-model", lambda d: d.update(model="axzb"), "unknown model 'axzb'"),
     ("unequal-sides", lambda d: d["B"].pop(), "pose lists must have equal length"),
+    ("A-not-an-array", lambda d: d.update(A=5), "field 'A' is not a JSON array"),
+    ("q-of-strings", lambda d: d["A"][1].update(q=["a", "b", "c", "d"]),
+     "A pose 1 has a component that is not a number"),
+    ("t-of-lists", lambda d: d["B"][2].update(t=[[0.0], 1.0, 2.0]),
+     "B pose 2 has a component that is not a number"),
+    ("ground-truth-not-an-object", lambda d: d.update(ground_truth=5),
+     "field 'ground_truth' is not a JSON object"),
+    ("meta-not-an-object", lambda d: d.update(meta=[1, 2]), "field 'meta' is not a JSON object"),
 ]
 
 

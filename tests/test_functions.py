@@ -294,14 +294,24 @@ def test_anchor_constraints_reject_an_index_out_of_range():
 
 def _mixed_constraints(n, target):
     # mixed and unsorted: anchors before units, units out of variable order;
-    # variable 0 carries a unit row and two anchor rows, so three gradients
-    # share its columns
+    # variable 0 carries a unit row and four anchor rows, so five gradients
+    # share its columns; variable 1 carries its unit row twice, and every
+    # variable from 3 on is free
     return (
         anchor_constraints(n, 2, target)
         + (UnitNormConstraint(n, 1), UnitNormConstraint(n, 0))
-        + anchor_constraints(n, 0, target)[1:3]
-        + (UnitNormConstraint(n, 2),)
+        + anchor_constraints(n, 0, target)[1:]
+        + (UnitNormConstraint(n, 2), UnitNormConstraint(n, 1))
+        + anchor_constraints(n, 0, target)[:1]
     )
+
+
+def _tangent_matrix(block, z):
+    """The ``(4n, k)`` tangent basis placed from ``block.tangent`` and ``block.var``."""
+    null = np.zeros((4 * block.arity, block.var.size))
+    for j, (i, col) in enumerate(zip(block.var.tolist(), block.tangent(z))):
+        null[4 * i : 4 * i + 4, j] = col
+    return null
 
 
 def _stage_jacobian(cons, z):
@@ -312,7 +322,7 @@ def _stage_jacobian(cons, z):
 
 def test_constraint_block_matches_each_constraint_exactly():
     rng = np.random.default_rng(113)
-    n = 3
+    n = 4
     cons = _mixed_constraints(n, _rand_dq(rng))
     block = ConstraintBlock(n, cons)
     assert block.size == len(cons)
@@ -334,7 +344,7 @@ def test_constraint_block_matches_each_constraint_exactly():
 
 def test_block_pullback_is_the_stage_jacobian_product():
     rng = np.random.default_rng(131)
-    n = 3
+    n = 4
     cons = _mixed_constraints(n, _rand_dq(rng))
     block = ConstraintBlock(n, cons)
     for _ in range(50):
@@ -345,10 +355,14 @@ def test_block_pullback_is_the_stage_jacobian_product():
         assert np.array_equal(block.pullback(z, v), g.T @ v)
         scale = np.abs(g) @ np.abs(u)
         assert np.allclose(block.apply(z, u), g @ u, rtol=0, atol=1e-14 * np.max(scale))
-        gram = block.gram(z)
-        for i in range(n):
-            cols = slice(4 * i, 4 * i + 4)
-            assert np.allclose(gram[i], g[:, cols].T @ g[:, cols], rtol=1e-14, atol=0)
+        # on the constraint set the tangent basis is orthonormal and G N = 0:
+        # variable 1 spans 3 columns, the free variable 3 spans 4 and the
+        # anchored variables 0 and 2 none
+        z = block.project(z)
+        null = _tangent_matrix(block, z)
+        assert np.bincount(block.var, minlength=n).tolist() == [0, 3, 0, 4]
+        assert np.max(np.abs(null.T @ null - np.eye(null.shape[1]))) <= 1e-14
+        assert np.max(np.abs(_stage_jacobian(cons, z) @ null)) <= 1e-14
     empty = ConstraintBlock(n, ())
     assert np.array_equal(empty.pullback(z, np.empty(0)), np.zeros(4 * n))
     assert empty.apply(z, u).shape == (0,)
@@ -466,5 +480,5 @@ def test_stacked_points_evaluate_bit_for_bit_as_single_points():
             assert np.array_equal(dense, jac_k)
             for got, want in zip(block.values(stack), block.values(z)):
                 assert np.array_equal(got[k], want)
-            assert np.array_equal(block.gram(stack)[k], block.gram(z))
+            assert np.array_equal(block.tangent(stack)[k], block.tangent(z))
             assert np.array_equal(block.curvature(stack, grads)[k], block.curvature(z, grads[k]))

@@ -100,6 +100,19 @@ def test_problem_rejects_a_constraint_that_is_not_a_unit_or_anchor_row():
         EqdqoProblem(objective, (ShiftedUnitNorm(1, 0),))
 
 
+def test_problem_rejects_anchor_rows_other_than_all_four_coefficients_once():
+    # the constraint block takes a variable's tangent space and pseudo-inverse
+    # from its class, and a partial anchor fits none
+    objective = squared_distance_objective(DualQuaternion.identity(), arity=2)
+    anchors = anchor_constraints(2, 1, DualQuaternion.identity())
+    patterns = [anchors[:1], anchors[1:3], anchors[:3], anchors + anchors[2:3]]
+    for pattern in patterns:
+        for constraints in (pattern, (UnitNormConstraint(2, 1), UnitNormConstraint(2, 0)) + pattern):
+            with pytest.raises(TypeError, match="variable 1 is anchored on coefficients"):
+                EqdqoProblem(objective, constraints)
+    assert EqdqoProblem(objective, anchors[2:] + (UnitNormConstraint(2, 1),) + anchors[:2]).block
+
+
 def test_kkt_reads_the_constraint_block_not_each_constraint(monkeypatch):
     calls = []
     original = UnitNormConstraint.gradient_at
@@ -201,6 +214,41 @@ def test_block_multipliers_match_a_dense_least_squares_solve(case):
         assert np.max(np.abs(np.array(info.multipliers) - ref)) <= 1e-10, (case, stage)
         assert abs(info.residual - ref_residual) <= 1e-10, (case, stage)
         assert report.multipliers[name] == list(info.multipliers)
+
+
+def _unprojected_problems():
+    """AXYB's objective with constraints the builders never make, each at a random point."""
+    objective = build_axyb(generate_synthetic("axyb", 6, noise_rot=0.01, seed=3)).objective
+    target = DualQuaternion(Quaternion(0.3, -0.4, 0.5, 0.2), Quaternion(1.0, 0.2, -0.7, 0.1))
+    unit = [UnitNormConstraint(2, i) for i in (0, 1)]
+    cases = {
+        "duplicate unit rows": (unit[0], unit[1], unit[0], unit[0]),
+        "a unit row plus four anchors": (unit[1],) + anchor_constraints(2, 1, target) + (unit[0],),
+        "a sphere variable at x = 0": (unit[1], unit[0]),
+        "a free variable": (unit[1],),
+    }
+    rng = np.random.default_rng(17)
+    for name, constraints in cases.items():
+        for _ in range(10):
+            z = rng.standard_normal(16) * rng.uniform(0.1, 10.0)
+            if name == "a sphere variable at x = 0":
+                z[:4] = 0.0
+            yield name, EqdqoProblem(objective, constraints), z
+
+
+def test_block_multipliers_match_a_dense_least_squares_solve_off_the_constraint_set():
+    for name, problem, z in _unprojected_problems():
+        for stage in (1, 2):
+            info = kkt_analysis(problem, z, stage=stage)
+            ref, ref_residual = _dense_multipliers(problem, z, stage)
+            slots = solver._part_indices(problem.arity, stage - 1)
+            target = problem.objective.gradient_at(z)[stage - 1][slots]
+            g = np.array([con.gradient_at(z)[stage - 1][slots] for con in problem.constraints])
+            deficient = np.linalg.matrix_rank(g) < len(g)
+            assert info.degenerate == deficient, (name, stage)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(np.array(info.multipliers) - ref)) <= 1e-12 * scale, (name, stage)
+            assert abs(info.residual - ref_residual) <= 1e-12 * np.linalg.norm(target), (name, stage)
 
 
 def test_pose_graph_solve_is_not_degenerate():
@@ -401,35 +449,34 @@ def test_config_stores_numpy_integer_counts_as_int():
                                       "threads"]
 
 
-def _count_gram_after_stage1(monkeypatch):
-    """Counts of ``_gram_pinv`` calls made after stage I's restarts return."""
+def _count_fibers_after_stage1(monkeypatch):
+    """Counts of ``_dual_fiber`` calls made after stage I's restarts return."""
     calls = []
-    gram_pinv, stage1_restarts = solver._gram_pinv, solver._stage1_restarts
+    dual_fiber, stage1_restarts = solver._dual_fiber, solver._stage1_restarts
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return gram_pinv(*args, **kwargs)
+        return dual_fiber(*args, **kwargs)
 
     def restarts(*args, **kwargs):
         scored = stage1_restarts(*args, **kwargs)
         calls.clear()
         return scored
 
-    monkeypatch.setattr(solver, "_gram_pinv", counted)
+    monkeypatch.setattr(solver, "_dual_fiber", counted)
     monkeypatch.setattr(solver, "_stage1_restarts", restarts)
     return calls
 
 
-def test_no_gram_factorization_follows_stage1_capped_or_not(monkeypatch):
-    # stage II moves only the dual coordinates, so its fiber and both KKT
-    # analyses share one factorization of the per-variable Gram blocks: the
-    # one stage I made at its last evaluation, which a capped stage I also
-    # makes at the point it returns
+def test_no_fiber_is_built_after_stage1_capped_or_not(monkeypatch):
+    # stage II moves only the dual coordinates, so it runs on the fiber stage
+    # I built at its last evaluation, which a capped stage I also makes at
+    # the point it returns
     problem, guess = _noisy_graph_problem()
-    calls = _count_gram_after_stage1(monkeypatch)
+    calls = _count_fibers_after_stage1(monkeypatch)
     report = solve_eqdqo(problem, _fast_cfg(restarts=1), initial=guess)
     assert report.iterations["stage1"] < 60 and len(calls) == 0
-    calls = _count_gram_after_stage1(monkeypatch)
+    calls = _count_fibers_after_stage1(monkeypatch)
     report = solve_eqdqo(problem, _fast_cfg(restarts=1, max_outer=3), initial=guess)
     assert report.iterations["stage1"] == 4 and len(calls) == 0
 

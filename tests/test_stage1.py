@@ -132,9 +132,9 @@ def test_restarts_on_a_sparse_fiber_step_one_at_a_time(monkeypatch, no_merging):
     points = []
     dual_fiber = solver._dual_fiber
 
-    def spy(problem, z, gram=None):
+    def spy(problem, z):
         points.append(z.ndim)
-        return dual_fiber(problem, z, gram)
+        return dual_fiber(problem, z)
 
     monkeypatch.setattr(solver, "_dual_fiber", spy)
     batch = _assert_batch_matches_singles(problem, cfg, starts)
@@ -176,22 +176,3 @@ def test_threads_split_the_batch_without_changing_any_restart(no_merging):
     for (_, _, a), (_, _, b) in zip(one, three):
         assert np.array_equal(a.z, b.z) and a.trace == b.trace
 
-
-def test_restarts_whose_tangent_spaces_differ_in_shape_advance_in_groups():
-    # one unit row and one anchored coefficient on the same variable: the
-    # Gram block has rank 2, or rank 1 where the point lies on the anchored
-    # axis, as restart 0 does here, so its tangent space has 3 directions
-    # against the other restarts' 2
-    from dqopt import DualQuaternion, EqdqoProblem, UnitNormConstraint, squared_distance_objective
-    from dqopt.functions import _ComponentAnchor
-
-    center = DualQuaternion.from_real(1.0)
-    problem = EqdqoProblem(
-        squared_distance_objective(DualQuaternion(center.std * 0.5, center.dual)),
-        (UnitNormConstraint(1, 0), _ComponentAnchor(1, 0, 0, center)),
-    )
-    cfg = SolverConfig(restarts=4, seed=0)
-    starts = _starts(problem, cfg, [center])
-    rank = solver._gram_pinv(problem.block, problem.block.project(starts))[1]
-    assert len(solver._same_fibers(rank)) == 2
-    _assert_batch_matches_singles(problem, cfg, starts)

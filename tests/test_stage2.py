@@ -133,8 +133,8 @@ def test_a_uniform_reweighting_ends_stage2_after_one_pass():
     stage2 = solver._stage2(problem, cfg, outcome.z, outcome.fiber)
     assert stage2.iterations == len(stage2.trace) == 1
     # the second pass, with the rescaled weights, lands on the same point
-    gram, null, _, _ = outcome.fiber
-    z = solver._fiber_point(problem, outcome.z, gram)
+    null, _, _ = outcome.fiber
+    z = solver._fiber_point(problem, outcome.z)
     r_p, weights = problem.objective.stage2_system(z)
     b = problem.objective.stage1_system(z)[0].toarray() @ null
     w1 = weights(r_p)
@@ -149,14 +149,13 @@ def test_a_uniform_reweighting_ends_stage2_after_one_pass():
 
 
 def _fiber_from_scratch(problem, z):
-    """``(gram, null, var, B)`` factored anew at ``z``, as stage I evaluates a point."""
-    gram = solver._gram_pinv(problem.block, z[None])
+    """``(null, var, B)`` built anew at ``z``, as stage I evaluates a point."""
     # a point on a sparse fiber is evaluated alone, any other as a stack of one
-    alone = np.count_nonzero(~gram[1]) > solver._DENSE_MAX
+    alone = problem.block.var.size > solver._DENSE_MAX
     pts = z if alone else z[None]
-    null, var = solver._dual_fiber(problem, pts, gram)
+    null, var = solver._dual_fiber(problem, pts)
     b = solver._fiber_product(problem.objective.stage1_system(pts)[0], null, var)
-    return tuple(a[0] for a in gram), *((null, var, b) if alone else (null[0], var, b[0]))
+    return (null, var, b) if alone else (null[0], var, b[0])
 
 
 def _bytes(a):
@@ -165,10 +164,10 @@ def _bytes(a):
 
 @pytest.mark.parametrize("dense_max", [solver._DENSE_MAX, -1])
 def test_stage2_from_stage1s_last_factorization_is_the_one_from_scratch(dense_max, monkeypatch):
-    # every restart that did not merge carries the Gram factorization, fiber
-    # and B = J N of its last evaluation, at the point it returns, a capped
-    # one included.  A noiseless problem's spectral start is at value 0 and
-    # runs alone; without it the random restarts run too.
+    # every restart that did not merge carries the fiber and B = J N of its
+    # last evaluation, at the point it returns, a capped one included.  A
+    # noiseless problem's spectral start is at value 0 and runs alone;
+    # without it the random restarts run too.
     monkeypatch.setattr(solver, "_DENSE_MAX", dense_max)
     problems = []
     for model, build in (("axxb", build_axxb), ("axyb", build_axyb)):
@@ -189,9 +188,7 @@ def test_stage2_from_stage1s_last_factorization_is_the_one_from_scratch(dense_ma
             for _, _, outcome in solver._stage1_restarts(problem, cfg, initial):
                 stops.add(outcome.stop)
                 scratch = _fiber_from_scratch(problem, outcome.z)
-                gram, null, var, b = outcome.fiber
-                assert all(a.tobytes() == c.tobytes() for a, c in zip(gram, scratch[0]))
-                assert [_bytes(a) for a in (null, var, b)] == [_bytes(a) for a in scratch[1:]]
+                assert [_bytes(a) for a in outcome.fiber] == [_bytes(a) for a in scratch]
                 reused = solver._stage2(problem, cfg, outcome.z, outcome.fiber)
                 fresh = solver._stage2(problem, cfg, outcome.z, scratch)
                 assert reused.z.tobytes() == fresh.z.tobytes()
