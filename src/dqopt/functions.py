@@ -760,7 +760,7 @@ class ConstraintBlock:
         self._a_cols = 4 * a_var + a_comp
         # Columns of G^T v, unit rows' four then the anchors', for one bincount.
         self._pull_cols = np.concatenate(((4 * u_var + np.arange(4)).ravel(), self._a_cols))
-        self._anchored = np.unique(a_var)
+        self._anchored = np.flatnonzero(np.bincount(a_var, minlength=self.arity))
         for i in self._anchored.tolist():
             comps = sorted(a_comp[a_var == i].tolist())
             if comps != [0, 1, 2, 3]:
