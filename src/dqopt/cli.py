@@ -52,7 +52,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-outer", type=int, default=default.max_outer,
                    help="stage-I Gauss-Newton step and stage-II solve cap")
     p.add_argument("--threads", type=int, default=default.threads,
-                   help="threads, each advancing a contiguous chunk of the restarts in lockstep")
+                   help="accepts only 1: the restarts advance in lockstep as one batch")
     p.add_argument("--csv", default=None, metavar="PATH", help="write per-iteration trace")
     p.add_argument("--out", default=None, metavar="PATH", help="report file (default: stdout)")
 

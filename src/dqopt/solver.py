@@ -54,6 +54,7 @@ their feasible outcomes.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -87,16 +88,15 @@ class SolverConfig:
     begins at the solve's ``initial`` point or the problem's ``start``, if
     either is given, the others at unit points drawn from ``seed``.  A
     restart 0 that starts at stage-I value 0 is a global minimum and runs
-    alone, whatever ``restarts`` and ``threads`` say.  Otherwise stage I
-    advances the ``restarts`` in lockstep as one batch; ``threads`` above 1
-    splits the batch into that many contiguous chunks, each advanced by its
-    own thread.  A restart that comes within ``_MERGE_RADIUS`` (1e-3, in
-    the max-norm over the standard coordinates, up to the global sign) of
-    a restart of its chunk that already converged to a positive value stops
-    there and is no candidate.  Restarts that converged to value 0 or
-    stalled are never merged into.  Of converged restarts at one minimum,
-    the one that converged first represents it, so the answer does not
-    depend on ``threads``.
+    alone, whatever ``restarts`` says.  Otherwise stage I advances the
+    ``restarts`` in lockstep as one batch.  A restart that comes within
+    ``_MERGE_RADIUS`` (1e-3, in the max-norm over the standard
+    coordinates, up to the global sign) of a restart that already
+    converged to a positive value stops there and is no candidate.
+    Restarts that converged to value 0 or stalled are never merged into.
+    ``threads`` accepts only 1, so that callers passing it keep working.
+    Counts must be integers and tolerances real numbers, not bools; the
+    report echoes them as Python ``int`` and ``float``.
     """
 
     restarts: int = 8
@@ -113,6 +113,11 @@ class SolverConfig:
             if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {count!r}")
             object.__setattr__(self, name, int(count))
+        for name in ("tol_grad", "tol_feas"):
+            tol = getattr(self, name)
+            if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {tol!r}")
+            object.__setattr__(self, name, float(tol))
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.seed < 0:
@@ -121,8 +126,8 @@ class SolverConfig:
             raise ValueError("tolerances must be positive and finite")
         if self.max_outer < 1:
             raise ValueError("iteration caps must be positive")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
+        if self.threads != 1:
+            raise ValueError(f"threads must be 1, got {self.threads}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -840,17 +845,10 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     order.  Restart 0's start is put on the standard rows first; at
     standard value exactly 0 it is a global minimum (the value is never
     negative), so it runs alone, as with ``restarts=1``, and no other start
-    is drawn.  Otherwise the restarts advance in lockstep through
-    :func:`_stage1`, all in one batch, or in ``threads`` contiguous chunks
-    of it run in a thread pool; restarts merge only within a chunk.
-    Merged restarts are left out, and so is every restart that converged
-    to a positive value within ``_MERGE_RADIUS`` of a kept one that
-    converged at an earlier step: had they shared a chunk, the later one
-    would have merged.  So the restart that converged first represents its
-    minimum, ``threads`` does not change the items, and restarts that
-    converged at the same step all stay, the least value winning as
-    without merging.  Raises :class:`Infeasible` when no restart satisfies
-    the standard rows to ``tol_feas``.
+    is drawn.  Otherwise every restart advances in lockstep through one
+    :func:`_stage1` call, and merged restarts are left out.  Raises
+    :class:`Infeasible` when no restart satisfies the standard rows to
+    ``tol_feas``.
     """
     first = _restart_start(problem, cfg, initial, 0)
     starts = first[None]
@@ -859,15 +857,7 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     if cfg.restarts > 1 and problem.objective.value_at(problem.block.project(starts))[0][0] != 0:
         starts = np.stack([first] + [_restart_start(problem, cfg, initial, r)
                                      for r in range(1, cfg.restarts)])
-    if cfg.threads > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(starts, min(cfg.threads, len(starts)))
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            parts = list(pool.map(lambda chunk: _stage1(problem, cfg, chunk), chunks))
-    else:
-        parts = [_stage1(problem, cfg, starts)]
-    outcomes = [outcome for part in parts for outcome in part]
+    outcomes = _stage1(problem, cfg, starts)
     final = np.stack([outcome.z for outcome in outcomes])
     h = np.max(np.abs(problem.block.values(final)[0]), axis=-1, initial=0.0).tolist()
     scored = [(o.value, r, o) for r, o in enumerate(outcomes)
@@ -877,16 +867,7 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
             f"no feasible candidate across {cfg.restarts} restarts "
             f"(best feasibility {min(h):.3e} > tol {cfg.tol_feas:.3e})"
         )
-    std = _part_indices(problem.arity, 0)
-    kept, dropped = [], set()
-    for steps, r in sorted((o.iterations, r) for v, r, o in scored
-                           if o.stop == "converged" and v > 0):
-        earlier = [k for s, k in kept if s < steps]
-        if earlier and _near(final[r : r + 1, std], final[earlier][:, std]).any():
-            dropped.add(r)
-        else:
-            kept.append((steps, r))
-    return sorted((item for item in scored if item[1] not in dropped), key=lambda item: item[:2])
+    return sorted(scored, key=lambda item: item[:2])
 
 
 def _report(
@@ -943,8 +924,7 @@ def solve_eqdqo(
     stage-I value equals the least one exactly; a restart is a candidate
     when its final point satisfies all constraint rows to ``tol_feas``.
     A restart that merged into a minimum another restart converged to with
-    a positive value is none, nor is one that converged to such a minimum
-    after another restart did (see :class:`SolverConfig`); restarts at
+    a positive value is none (see :class:`SolverConfig`); restarts at
     value 0 or stalled are candidates as without merging, and stage II
     picks the best of them.  Stage II starts from the fiber stage I built
     at the candidate's point, where its trace ends, capped or not;

@@ -119,19 +119,24 @@ def test_reports_are_deterministic_modulo_wall_time(tmp_path):
     assert header == "iter,stage,objective_std,objective_dual,feasibility,kkt_residual"
 
 
-def test_threads_do_not_change_the_answer(tmp_path):
+def test_threads_do_not_change_the_answer(tmp_path, capsys):
+    # the restarts advance as one batch, so --threads accepts only 1
     ds = tmp_path / "ds.json"
     assert main(["gen-handeye", "--model", "axxb", "--motions", "4",
                  "--noise-rot", "0.01", "--seed", "19", "--out", str(ds)]) == 0
-    r1 = tmp_path / "r1.json"
-    r4 = tmp_path / "r4.json"
-    assert main(_solve_args(ds, r1, ["--restarts", "4", "--threads", "1"])) == 0
-    assert main(_solve_args(ds, r4, ["--restarts", "4", "--threads", "4"])) == 0
-    a = _strip_volatile(json.loads(r1.read_text()))
-    b = _strip_volatile(json.loads(r4.read_text()))
-    a["config"].pop("threads")
-    b["config"].pop("threads")
-    assert a == b
+    outputs = []
+    for name, extra in (("plain", []), ("one", ["--threads", "1"])):
+        rep, csv = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        assert main(_solve_args(ds, rep, ["--restarts", "4", "--csv", str(csv), *extra])) == 0
+        lines = [line for line in rep.read_text().splitlines() if '"wall_time_ms"' not in line]
+        outputs.append((lines, csv.read_text()))
+    assert outputs[0] == outputs[1]
+    capsys.readouterr()
+    for threads in ("2", "0"):
+        rep = tmp_path / f"{threads}.json"
+        assert main(_solve_args(ds, rep, ["--restarts", "4", "--threads", threads])) == 2
+        assert capsys.readouterr() == ("", f"error: threads must be 1, got {threads}\n")
+        assert not rep.exists()
 
 
 def test_seed_env_overrides_flag(tmp_path, monkeypatch):

@@ -3,9 +3,6 @@
 A restart 0 that starts at stage-I value 0 is a certified minimum and runs alone.
 """
 
-import concurrent.futures
-import json
-
 import numpy as np
 import pytest
 
@@ -23,7 +20,6 @@ from dqopt import (
     spanning_tree_rows,
     vertex_errors,
 )
-from dqopt.cli import main
 
 SIGMA = 0.01
 CFG = SolverConfig(restarts=8, seed=0)
@@ -141,38 +137,17 @@ def test_a_restart_runs_alone_until_it_merges_into_an_earlier_minimum():
 
 def _report_of(report):
     data = report.to_json_dict()
-    del data["wall_time_ms"], data["config"]["threads"]
+    del data["wall_time_ms"]
     return data, report.trace
 
 
-def test_threads_give_the_report_of_one_thread_where_restarts_merge(tmp_path):
-    # From random starts alone, one thread: restarts 0-6 merge into restart 7.
-    # Three threads, chunks 0-2, 3-5 and 6-7: seven restarts converge, and the
-    # ones that converged after another restart at the same minimum are left
-    # out.  From the spectral start, restart 0 converges first and the others
-    # merge into it; with three threads, four converge later and are left out.
+def test_restarts_merge_into_the_one_that_converges_first():
+    # From random starts alone, restarts 0-6 merge into restart 7.  From the
+    # spectral start, restart 0 converges first and the others merge into it.
     problem, _ = _handeye("axxb", SIGMA, 1)
-    bare = _bare(problem)
-    for p, alone, converged in ((bare, ["merged"] * 7 + ["converged"], 7),
-                                (problem, ["converged"] + ["merged"] * 7, 5)):
-        starts, batch = _stage1(p, None)
-        chunks = [o.stop for c in np.array_split(starts, 3) for o in solver._stage1(p, CFG, c)]
-        assert [o.stop for o in batch] == alone
-        assert chunks.count("converged") == converged
-    one, three = (solve_eqdqo(bare, SolverConfig(restarts=8, seed=0, threads=t)) for t in (1, 3))
-    assert _report_of(one) == _report_of(three)
-    data = tmp_path / "data.json"
-    assert main(["gen-handeye", "--model", "axxb", "--motions", "10", "--noise-rot", "0.01",
-                 "--noise-trans", "0.01", "--seed", "1", "--out", str(data)]) == 0
-    outputs = []
-    for threads in ("1", "3"):
-        rep, csv = tmp_path / f"{threads}.json", tmp_path / f"{threads}.csv"
-        assert main(["solve-handeye", "--in", str(data), "--threads", threads,
-                     "--out", str(rep), "--csv", str(csv)]) == 0
-        report = json.loads(rep.read_text())
-        del report["wall_time_ms"], report["config"]["threads"]
-        outputs.append((report, csv.read_text()))
-    assert outputs[0] == outputs[1]
+    for p, stops in ((_bare(problem), ["merged"] * 7 + ["converged"]),
+                     (problem, ["converged"] + ["merged"] * 7)):
+        assert [o.stop for o in _stage1(p, None)[1]] == stops
 
 
 def _exact_cases():
@@ -218,15 +193,3 @@ def test_every_restart_runs_from_a_start_off_value_0(monkeypatch):
             assert drawn == [0]
         else:
             assert drawn == every, case
-
-
-def test_a_start_at_value_0_starts_no_thread_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a thread pool started")
-
-    for problem, initial, _ in _exact_cases():
-        one = solve_eqdqo(problem, SolverConfig(threads=1), initial)
-        with monkeypatch.context() as m:
-            m.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-            three = solve_eqdqo(problem, SolverConfig(threads=3), initial)
-        assert _report_of(one) == _report_of(three)

@@ -1,3 +1,4 @@
+import fractions
 import json
 import math
 
@@ -400,8 +401,10 @@ def test_config_validation():
         SolverConfig(seed=-1)
     with pytest.raises(ValueError, match="iteration caps must be positive"):
         SolverConfig(max_outer=0)
-    with pytest.raises(ValueError, match="threads must be at least 1"):
-        SolverConfig(threads=0)
+    # the restarts advance as one batch: threads stays a name that accepts 1
+    for threads in (0, 2):
+        with pytest.raises(ValueError, match=f"^threads must be 1, got {threads}$"):
+            SolverConfig(threads=threads)
     # a NaN tolerance passes every comparison, and an infinite one stops nothing
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="positive and finite"):
@@ -434,6 +437,30 @@ NON_INTEGER_COUNTS = [
 def test_config_rejects_counts_that_are_not_integers(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
         SolverConfig(**{name: value})
+
+
+NON_REAL_TOLERANCES = [
+    ("tol_grad", True),  # once echoed true
+    ("tol_feas", False),
+    ("tol_grad", "1e-9"),  # once ended in a TypeError from <
+    ("tol_feas", None),
+    ("tol_grad", 1e-9j),
+]
+
+
+@pytest.mark.parametrize("name,value", NON_REAL_TOLERANCES)
+def test_config_rejects_tolerances_that_are_not_real(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a real number, got {value!r}$"):
+        SolverConfig(**{name: value})
+
+
+def test_config_stores_real_tolerances_as_float():
+    # a NumPy float32 tolerance once made json.dumps of the report raise
+    cfg = SolverConfig(tol_grad=np.float32(1e-9), tol_feas=fractions.Fraction(1, 10**9))
+    assert [type(cfg.tol_grad), type(cfg.tol_feas)] == [float, float]
+    assert (cfg.tol_grad, cfg.tol_feas) == (float(np.float32(1e-9)), 1e-9)
+    report = json.loads(json.dumps(solve_eqdqo(_toy_problem(), cfg).to_json_dict()))
+    assert report["config"]["tol_grad"] == float(np.float32(1e-9))
 
 
 def test_config_stores_numpy_integer_counts_as_int():

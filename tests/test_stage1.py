@@ -165,14 +165,3 @@ def test_a_restart_at_the_step_cap_leaves_the_others_their_own_outcomes(no_mergi
             assert (outcome.stop, outcome.iterations) == ("max_outer", k + 1)
             assert outcome.trace == full.trace[: k + 1]
     assert {outcome.stop for outcome in capped} == {"converged", "max_outer"}
-
-
-def test_threads_split_the_batch_without_changing_any_restart(no_merging):
-    ds = generate_synthetic("axxb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=3)
-    problem = build_axxb(ds)
-    one = solver._stage1_restarts(problem, SolverConfig(restarts=5, seed=0), None)
-    three = solver._stage1_restarts(problem, SolverConfig(restarts=5, seed=0, threads=3), None)
-    assert [(v, r) for v, r, _ in one] == [(v, r) for v, r, _ in three]
-    for (_, _, a), (_, _, b) in zip(one, three):
-        assert np.array_equal(a.z, b.z) and a.trace == b.trace
-
