@@ -18,6 +18,7 @@ import json
 import os
 import sys
 
+from . import selftest
 from .errors import DqoptError, Infeasible
 from .handeye import (
     HandEyeDataset,
@@ -25,6 +26,14 @@ from .handeye import (
     build_axyb,
     evaluate_solution,
     generate_synthetic,
+)
+from .posegraph import (
+    build_pgo,
+    generate_cycle_graph,
+    parse_graph,
+    serialize_graph,
+    spanning_tree_rows,
+    vertex_errors,
 )
 from .solver import SolverConfig, solve_eqdqo
 
@@ -220,8 +229,6 @@ def _cmd_solve_handeye(args) -> int:
 
 
 def _cmd_gen_pgo(args) -> int:
-    from .posegraph import generate_cycle_graph, serialize_graph
-
     graph = _checked(
         generate_cycle_graph,
         args.vertices,
@@ -236,8 +243,6 @@ def _cmd_gen_pgo(args) -> int:
 
 
 def _cmd_solve_pgo(args) -> int:
-    from .posegraph import build_pgo, parse_graph, spanning_tree_rows, vertex_errors
-
     graph = parse_graph(_read_text(args.infile))
     problem = build_pgo(graph)
     report = solve_eqdqo(problem, _config_from_args(args), initial=spanning_tree_rows(graph))
@@ -247,9 +252,7 @@ def _cmd_solve_pgo(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from .selftest import run_all
-
-    suites = run_all(_resolve_seed(args))
+    suites = selftest.run_all(_resolve_seed(args))
     total = 0
     passed = 0
     for name, results in suites.items():

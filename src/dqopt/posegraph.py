@@ -32,7 +32,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._sparse import sparse
 from .algebra import (
     NORMALIZE_TOL,
     DualQuaternion,
@@ -290,7 +289,10 @@ class RelativePoseResidual:
         same 4x8 standard blocks over the standard slots, column ``4i + c``
         for coefficient ``c`` of vertex ``i``: a sparse CSR ``(4k, 4n)``
         matrix for one point, a dense ``(R, 4k, 4n)`` array for a stack.
+        SciPy loads here, with the first stack built, not with this module.
         """
+        from ._sparse import sparse
+
         n = int(arity)
         n8 = 8 * n
         i = np.asarray(i, dtype=np.intp)

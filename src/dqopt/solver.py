@@ -811,16 +811,22 @@ def _start_z(start, arity: int, name: str) -> np.ndarray:
     """Flat coordinates of a start: ``arity`` dual quaternions or an ``(arity, 8)`` array of rows.
 
     Raises :class:`ArityMismatch`, naming the start ``name``, for another
-    count or shape.
+    count or shape, and ``ValueError``, naming it and the variable, for a
+    NaN or infinite entry.
     """
     if isinstance(start, np.ndarray):
         if start.shape != (arity, 8):
             raise ArityMismatch(f"{name} has shape {start.shape}, expected ({arity}, 8)")
-        return start.astype(np.float64).reshape(-1)
-    vals = list(start)
-    if len(vals) != arity:
-        raise ArityMismatch(f"{name} has {len(vals)} variables, expected {arity}")
-    return pack(vals)
+        z = start.astype(np.float64).reshape(-1)
+    else:
+        vals = list(start)
+        if len(vals) != arity:
+            raise ArityMismatch(f"{name} has {len(vals)} variables, expected {arity}")
+        z = pack(vals)
+    bad = np.flatnonzero(~np.isfinite(z.reshape(arity, 8)).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{name} variable {bad[0]} has a non-finite entry")
+    return z
 
 
 def _restart_start(
@@ -847,14 +853,22 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     negative), so it runs alone, as with ``restarts=1``, and no other start
     is drawn.  Otherwise every restart advances in lockstep through one
     :func:`_stage1` call, and merged restarts are left out.  Raises
-    :class:`Infeasible` when no restart satisfies the standard rows to
-    ``tol_feas``.
+    ``ValueError``, naming the start and the variable, when restart 0's
+    start has a zero standard part on a unit row, which no projection puts
+    on the row, and :class:`Infeasible` when no restart satisfies the
+    standard rows to ``tol_feas``.
     """
     first = _restart_start(problem, cfg, initial, 0)
     starts = first[None]
+    with np.errstate(invalid="ignore", divide="ignore"):  # a zero norm is reported below
+        projected = problem.block.project(starts)
+    lost = np.flatnonzero(~np.isfinite(projected.reshape(-1, 8)).all(axis=1))
+    if lost.size:
+        name = "initial guess" if initial is not None else "start"
+        raise ValueError(f"{name} variable {lost[0]} has a zero standard part on a unit row")
     # The standard value is never negative, so a start at value 0 is a global
     # stage-I minimum: the random restarts could only tie with it.
-    if cfg.restarts > 1 and problem.objective.value_at(problem.block.project(starts))[0][0] != 0:
+    if cfg.restarts > 1 and problem.objective.value_at(projected)[0][0] != 0:
         starts = np.stack([first] + [_restart_start(problem, cfg, initial, r)
                                      for r in range(1, cfg.restarts)])
     outcomes = _stage1(problem, cfg, starts)
