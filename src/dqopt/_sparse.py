@@ -1,14 +1,11 @@
 """The package's only SciPy imports: sparse matrices and their LU solve.
 
-Only large problems reach them, and nothing imports this module when the
-package loads.  ``RelativePoseResidual.stack_arrays``, which can return a
-CSR Jacobian, imports it when it builds a residual stack, so SciPy loads
-with the first pose-graph problem, error vector or edge evaluation; the
-solver imports it inside its sparse branches, taken past ``_DENSE_MAX``
-fiber directions.  Hand-eye calibration, every other dense solve, and
-reading, writing or generating a pose graph run on NumPy alone.
-``spsolve`` loads here too, so that a pose-graph problem's first sparse
-solve does not pay for loading ``scipy.sparse.linalg``.
+Nothing imports this module when the package loads.  The pose-graph
+residual stack, which can return a CSR Jacobian, imports it when it is
+built, and the solver inside its sparse branches, past ``_DENSE_MAX``
+fiber directions.  Hand-eye work and pose-graph files run on NumPy alone.
+``spsolve`` loads here too, so a pose-graph problem's first sparse solve
+does not pay for loading ``scipy.sparse.linalg``.
 """
 
 from scipy import sparse

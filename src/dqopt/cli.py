@@ -27,14 +27,8 @@ from .handeye import (
     evaluate_solution,
     generate_synthetic,
 )
-from .posegraph import (
-    build_pgo,
-    generate_cycle_graph,
-    parse_graph,
-    serialize_graph,
-    spanning_tree_rows,
-    vertex_errors,
-)
+from .posegraph import build_pgo, generate_cycle_graph, parse_graph, serialize_graph
+from .posegraph import spanning_tree_rows, vertex_errors
 from .solver import SolverConfig, solve_eqdqo
 
 __all__ = ["main", "build_parser"]

@@ -152,7 +152,8 @@ class EqdqoProblem:
     ``TypeError``.  ``start``, if given, is where restart 0 begins when the
     solve gets no ``initial`` point: ``arity`` dual quaternions or an
     ``(arity, 8)`` array of rows, stored as read-only rows (another count
-    or shape raises :class:`ArityMismatch`).  A problem that knows a good
+    or shape raises :class:`ArityMismatch`, a NaN or infinite entry
+    ``ValueError``).  A problem that knows a good
     start carries it, so every caller's solve uses it.
     """
 
@@ -814,19 +815,18 @@ def _start_z(start, arity: int, name: str) -> np.ndarray:
     count or shape, and ``ValueError``, naming it and the variable, for a
     NaN or infinite entry.
     """
-    if isinstance(start, np.ndarray):
-        if start.shape != (arity, 8):
-            raise ArityMismatch(f"{name} has shape {start.shape}, expected ({arity}, 8)")
-        z = start.astype(np.float64).reshape(-1)
-    else:
+    if not isinstance(start, np.ndarray):
         vals = list(start)
         if len(vals) != arity:
             raise ArityMismatch(f"{name} has {len(vals)} variables, expected {arity}")
-        z = pack(vals)
-    bad = np.flatnonzero(~np.isfinite(z.reshape(arity, 8)).all(axis=1))
+        start = pack(vals).reshape(arity, 8)
+    if start.shape != (arity, 8):
+        raise ArityMismatch(f"{name} has shape {start.shape}, expected ({arity}, 8)")
+    rows = start.astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise ValueError(f"{name} variable {bad[0]} has a non-finite entry")
-    return z
+    return rows.reshape(-1)
 
 
 def _restart_start(
@@ -853,9 +853,8 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     negative), so it runs alone, as with ``restarts=1``, and no other start
     is drawn.  Otherwise every restart advances in lockstep through one
     :func:`_stage1` call, and merged restarts are left out.  Raises
-    ``ValueError``, naming the start and the variable, when restart 0's
-    start has a zero standard part on a unit row, which no projection puts
-    on the row, and :class:`Infeasible` when no restart satisfies the
+    ``ValueError`` when restart 0's start has a zero standard part on a
+    unit row, and :class:`Infeasible` when no restart satisfies the
     standard rows to ``tol_feas``.
     """
     first = _restart_start(problem, cfg, initial, 0)
@@ -953,8 +952,10 @@ def solve_eqdqo(
     wherever every magnitude is within its tolerance (``TOL_APPRECIABLE``,
     1e-8, for the hand-eye and pose-graph objectives), so an ``initial``
     at value 0 comes back about as precise as it was given: no random
-    restart competes with it in stage II.  Raises :class:`Infeasible` when
-    no restart produces a candidate.
+    restart competes with it in stage II.  Raises ``ValueError``, naming
+    the start and the variable, for a start with a NaN or infinite entry
+    or a zero standard part on a unit row, and :class:`Infeasible` when no
+    restart produces a candidate.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()

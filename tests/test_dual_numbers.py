@@ -19,6 +19,18 @@ def test_arithmetic_matches_reference():
         assert p.dual == pytest.approx(a * d + b * c, abs=1e-15)
 
 
+def test_a_real_minus_a_dual_number_and_negation_act_on_both_parts():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        r, a, b = rng.standard_normal(3).tolist()
+        x = DualNumber(a, b)
+        # r - (a + b eps) = (r - a) - b eps, and -(a + b eps) = -a - b eps
+        assert r - x == DualNumber(r - a, -b) and 2 - x == DualNumber(2 - a, -b)
+        assert -x == DualNumber(-a, -b)
+        assert x + -x == DualNumber(0.0, 0.0)
+    assert DualNumber(1.0, 2.0).__rsub__("1") is NotImplemented
+
+
 def test_sqrt_frozen_value():
     r = DualNumber(4.0, 4.0).sqrt()
     assert r.std == 2.0

@@ -37,6 +37,32 @@ def test_product_matches_reference():
         assert np.allclose(got.dual.as_array(), dual, atol=1e-13)
 
 
+def test_a_real_or_dual_number_times_a_dual_quaternion_scales_both_parts():
+    rng = np.random.default_rng(59)
+    for _ in range(100):
+        q = _rand_dq(rng)
+        a, b = rng.standard_normal(2).tolist()
+        # (a + b eps)(p + q eps) = a p + (b p + a q) eps: a dual number commutes
+        got = DualNumber(a, b) * q
+        assert got == q * DualNumber(a, b)
+        assert np.allclose(got.std.as_array(), a * q.std.as_array(), rtol=0, atol=1e-15)
+        assert np.allclose(got.dual.as_array(), b * q.std.as_array() + a * q.dual.as_array(),
+                           rtol=0, atol=1e-14)
+        assert a * q == q * a and 2 * q == DualQuaternion(2 * q.std, 2 * q.dual)
+    with pytest.raises(TypeError):
+        "2" * _rand_dq(rng)
+
+
+def test_a_vector_indexes_its_entries_as_a_tuple():
+    rng = np.random.default_rng(67)
+    entries = tuple(_rand_dq(rng) for _ in range(3))
+    v = DualQuaternionVector(entries)
+    assert [v[i] for i in range(3)] == list(entries)
+    assert v[-1] is entries[2] and v[1:] == entries[1:]
+    with pytest.raises(IndexError):
+        v[3]
+
+
 def test_magnitude_frozen_values():
     # |2 + i eps| = 2: the dual part vanishes since <q, q_d> = 0
     m = DualQuaternion(Quaternion(2, 0, 0, 0), I).magnitude()

@@ -1,7 +1,9 @@
 """Every name a module of ``dqopt`` imports is used there or exported, and every export exists.
 
-Fresh interpreters check what loads with what: hand-eye work runs on NumPy
-alone, and SciPy loads with the pose-graph layer or a sparse solve.
+Fresh interpreters check what loads with what: importing the package,
+hand-eye work and reading, writing or generating pose graphs run on NumPy
+alone, and SciPy loads with the first pose-graph residual stack or sparse
+solve.
 """
 
 import ast
@@ -98,35 +100,64 @@ def test_hand_eye_work_loads_no_scipy_and_no_thread_pool(tmp_path):
         assert cli.main(["gen-handeye", "--model", "axyb", "--motions", "6", "--out", data]) == 0
         assert cli.main(["solve-handeye", "--in", data, "--out", out, "--restarts", "2"]) == 0
         print(json.dumps(sorted(m for m in sys.modules
-                                if m.split(".")[0] in ("scipy", "concurrent") or "posegraph" in m)))
+                                if m.split(".")[0] in ("scipy", "concurrent"))))
     """, str(tmp_path))
     assert loaded == []
 
 
-def test_the_lazy_names_load_on_first_use_and_all_of_them_bind():
-    listed, before, after, unbound = fresh("""
+def test_import_binds_every_public_name_and_loads_no_scipy():
+    unbound, star, scipy_loaded = fresh("""
         import json, sys
         import dqopt
 
-        listed = sorted(set(dqopt.__all__) - set(dir(dqopt)))
-        before = "scipy" in sys.modules
-        dqopt.parse_graph
-        after = "scipy.sparse.linalg" in sys.modules
         names = {}
         exec("from dqopt import *", names)
-        print(json.dumps([listed, before, after, sorted(set(dqopt.__all__) - set(names))]))
+        print(json.dumps([sorted(set(dqopt.__all__) - set(vars(dqopt))),
+                          sorted(set(dqopt.__all__) - set(names)),
+                          sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
     """)
-    assert listed == [] and unbound == []
-    assert not before and after
+    assert unbound == [] and star == [] and scipy_loaded == []
+
+
+def test_pose_graph_files_load_no_scipy_until_a_problem_is_built(tmp_path):
+    steps = fresh("""
+        import json, sys
+        from dqopt import (build_pgo, cli, generate_cycle_graph, parse_graph, serialize_graph,
+                           spanning_tree_guess, spanning_tree_rows, vertex_errors)
+
+        steps = []
+
+        def step(name):
+            steps.append([name, "scipy" in sys.modules, "scipy.sparse.linalg" in sys.modules])
+
+        path = sys.argv[1] + "/graph.txt"
+        assert cli.main(["gen-pgo", "--vertices", "12", "--loop-closures", "3",
+                         "--noise-rot", "0.01", "--seed", "2", "--out", path]) == 0
+        step("gen-pgo")
+        graph = parse_graph(open(path).read())
+        step("parse_graph")
+        assert parse_graph(serialize_graph(generate_cycle_graph(8, 2, seed=1))).n == 8
+        step("serialize_graph and generate_cycle_graph")
+        vertex_errors(graph, spanning_tree_guess(graph))
+        spanning_tree_rows(graph)
+        step("spanning tree and vertex_errors")
+        build_pgo(graph)
+        step("build_pgo")
+        print(json.dumps(steps))
+    """, str(tmp_path))
+    assert steps[:-1] == [[name, False, False] for name, _, _ in steps[:-1]]
+    assert steps[-1] == ["build_pgo", True, True]
 
 
 _GENERIC_SPARSE_SOLVE = """
     import json, sys
     from dqopt import (DualQuaternion, EqdqoProblem, Quaternion, SolverConfig,
-                       UnitNormConstraint, solve_eqdqo, solver, squared_distance_objective)
+                       UnitNormConstraint, build_pgo, generate_cycle_graph, solve_eqdqo, solver,
+                       squared_distance_objective)
 
     if sys.argv[1] == "posegraph":
-        import dqopt.posegraph
+        build_pgo(generate_cycle_graph(6, 1, seed=0))
+    before = "scipy.sparse.linalg" in sys.modules
     n = 50
     center = DualQuaternion(Quaternion(0.5, 0.5, 0.5, 0.5), Quaternion(0.0, 0.1, -0.2, 0.3))
     problem = EqdqoProblem(squared_distance_objective(center, n, 3),
@@ -136,16 +167,15 @@ _GENERIC_SPARSE_SOLVE = """
     fields = report.to_json_dict()
     del fields["wall_time_ms"]
     # repr gives every float to the last bit
-    print(json.dumps([repr((fields, report.trace)), "dqopt.posegraph" in sys.modules,
-                      "scipy.sparse.linalg" in sys.modules]))
+    print(json.dumps([repr((fields, report.trace)), before, "scipy.sparse.linalg" in sys.modules]))
 """
 
 
-def test_a_sparse_fiber_solves_without_the_pose_graph_layer():
+def test_a_sparse_fiber_solves_the_same_with_or_without_a_pose_graph_problem_first():
     # 50 unit variables have 150 fiber directions, past _DENSE_MAX, and the
     # objective's stage-II slope is the empty dense one of DualFunction
-    alone, graph_loaded, sparse_loaded = fresh(_GENERIC_SPARSE_SOLVE, "alone")
-    assert not graph_loaded and sparse_loaded
-    with_graph, graph_loaded, _ = fresh(_GENERIC_SPARSE_SOLVE, "posegraph")
-    assert graph_loaded
+    alone, before, after = fresh(_GENERIC_SPARSE_SOLVE, "alone")
+    assert not before and after
+    with_graph, before, _ = fresh(_GENERIC_SPARSE_SOLVE, "posegraph")
+    assert before
     assert alone == with_graph

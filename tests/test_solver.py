@@ -584,6 +584,30 @@ def test_a_start_of_the_wrong_shape_raises_arity_mismatch():
     assert np.array_equal(EqdqoProblem(problem.objective, problem.constraints, objects).start, rows)
 
 
+@pytest.mark.parametrize("restarts", [1, 8])
+@pytest.mark.parametrize("fill, fault", [(np.nan, "non-finite entry"), (np.inf, "non-finite entry"),
+                                         (0.0, "zero standard part on a unit row")])
+def test_an_unusable_initial_guess_raises_value_error_naming_it(restarts, fill, fault):
+    # a NaN point read as stage-I value 0 once, ran restart 0 alone and
+    # failed the solve as infeasible, blaming the constraints
+    problem = build_axxb(generate_synthetic("axxb", 6, 0.01, 0.01, 1))
+    with pytest.raises(ValueError, match=f"^initial guess variable 0 has a {fault}$"):
+        solve_eqdqo(problem, SolverConfig(restarts=restarts), initial=np.full((1, 8), fill))
+
+
+def test_a_start_with_non_finite_rows_or_a_zero_standard_part_raises_value_error_naming_it():
+    problem = build_axyb(generate_synthetic("axyb", 6, seed=4))
+    rows = np.array(problem.start)
+    rows[1, 5] = np.nan
+    with pytest.raises(ValueError, match="^start variable 1 has a non-finite entry$"):
+        EqdqoProblem(problem.objective, problem.constraints, rows)
+    rows[1] = 0.0
+    zero = EqdqoProblem(problem.objective, problem.constraints, rows)
+    for restarts in (1, 8):
+        with pytest.raises(ValueError, match="^start variable 1 has a zero standard part"):
+            solve_eqdqo(zero, SolverConfig(restarts=restarts))
+
+
 def test_the_report_takes_stage2s_last_evaluation_of_its_point(monkeypatch):
     # the last stage-II trace row is evaluated at the final point, so the
     # candidate check and the report evaluate neither the value nor the rows again
