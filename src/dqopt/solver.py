@@ -153,8 +153,8 @@ class EqdqoProblem:
     solve gets no ``initial`` point: ``arity`` dual quaternions or an
     ``(arity, 8)`` array of rows, stored as read-only rows (another count
     or shape raises :class:`ArityMismatch`, a NaN or infinite entry
-    ``ValueError``).  A problem that knows a good
-    start carries it, so every caller's solve uses it.
+    ``ValueError``).  A problem that knows a good start carries it, so
+    every caller's solve uses it.
     """
 
     objective: DualFunction
