@@ -27,8 +27,7 @@ from .handeye import (
     evaluate_solution,
     generate_synthetic,
 )
-from .posegraph import build_pgo, generate_cycle_graph, parse_graph, serialize_graph
-from .posegraph import spanning_tree_rows, vertex_errors
+from .posegraph import build_pgo, generate_cycle_graph, parse_graph, serialize_graph, vertex_errors
 from .solver import SolverConfig, solve_eqdqo
 
 __all__ = ["main", "build_parser"]
@@ -238,8 +237,7 @@ def _cmd_gen_pgo(args) -> int:
 
 def _cmd_solve_pgo(args) -> int:
     graph = parse_graph(_read_text(args.infile))
-    problem = build_pgo(graph)
-    report = solve_eqdqo(problem, _config_from_args(args), initial=spanning_tree_rows(graph))
+    report = solve_eqdqo(build_pgo(graph), _config_from_args(args))
     errors = vertex_errors(graph, list(report.solution)) if len(graph.truth_ids) == graph.n else None
     _emit(report, errors, args)
     return 0

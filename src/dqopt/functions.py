@@ -515,7 +515,8 @@ class ResidualNormObjective(DualFunction):
         r_std, r_dual, _, _ = self._stack(z)
         s_std, cross, s_dual = self._group_sums(r_std, r_dual)
         norms = np.sqrt(s_std)
-        app = norms > self.tol
+        # a NaN norm counts as appreciable, so a NaN point reads a NaN value, not 0
+        app = ~(norms <= self.tol)
         if app.all():
             total_std = np.add.reduce(norms, axis=-1)
             total_dual = 0.0 + np.add.reduce(cross / norms, axis=-1)

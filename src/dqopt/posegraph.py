@@ -161,31 +161,32 @@ class PoseGraph:
         """
         return canonicalized(pose_udqs(self.edge_poses))
 
-    def is_connected(self) -> bool:
-        # Fewer than n - 1 edges cannot connect n vertices; the search allocates per vertex.
-        return self.m >= self.n - 1 and len(_bfs_tree(self, self.edge_order())[0]) == self.n - 1
+
+def _sorted_edges(graph: PoseGraph) -> tuple[np.ndarray, np.ndarray]:
+    """0-based ends ``(m, 2)`` and measurements ``(m, 2, 4)`` of the edges in residual order."""
+    order = graph.edge_order()
+    return graph.edge_ids[order] - 1, graph.measurements()[order]
 
 
-def _bfs_tree(graph: PoseGraph, order: np.ndarray):
-    """Breadth-first tree from vertex 1 over the undirected structure.
+def _bfs_tree(n: int, ij: np.ndarray):
+    """Breadth-first tree from vertex 1 over the undirected structure of ``n`` vertices.
 
     Returns ``(vertices, parents, via, bounds)``: every vertex reached
     besides vertex 1 (0-based, in visit order), its tree parent and its
     entering edge, and the offsets where each depth starts and ends.  An
     entering edge is ``k`` when it runs from the parent to the vertex and
-    ``m + k`` otherwise, ``k`` its position in ``order``, the sorted edge
-    order.  Neighbours are visited in that order, so the tree is
+    ``m + k`` otherwise, ``k`` its row in ``ij``, the sorted edges' 0-based
+    ends.  Neighbours are visited in that order, so the tree is
     deterministic.
     """
-    ij = graph.edge_ids[order] - 1
     m = len(ij)
     # Every edge once from each end, grouped by that end in edge order.
     owner = np.concatenate((ij[:, 0], ij[:, 1]))
     entry = np.argsort(owner * m + np.tile(np.arange(m), 2))
-    start = np.searchsorted(owner[entry], np.arange(graph.n + 1)).tolist()
+    start = np.searchsorted(owner[entry], np.arange(n + 1)).tolist()
     other = np.concatenate((ij[:, 1], ij[:, 0]))[entry].tolist()
     entry = entry.tolist()
-    seen = [False] * graph.n
+    seen = [False] * n
     seen[0] = True
     vertices, parents, via, bounds = [], [], [], [0]
     frontier = [0]
@@ -216,22 +217,14 @@ def edge_error(x_i, x_j, q_ij) -> DualQuaternion:
     return q - xi.conjugate() * xj
 
 
-def _residuals(graph: PoseGraph):
-    """The :meth:`RelativePoseResidual.stack_arrays` evaluator of every edge, sorted order."""
-    order = graph.edge_order()
-    ij = graph.edge_ids[order] - 1
-    return RelativePoseResidual.stack_arrays(
-        graph.n, ij[:, 0], ij[:, 1], graph.measurements()[order]
-    )
-
-
 def error_vector(graph: PoseGraph, poses: Sequence) -> DualQuaternionVector:
     """Edge errors stacked in sorted edge order under the given poses."""
     if len(poses) != graph.n:
         raise ValueError(f"expected {graph.n} poses, got {len(poses)}")
     if not graph.m:
         return DualQuaternionVector(())
-    r_std, r_dual, _, _ = _residuals(graph)(pack(poses))
+    ij, q = _sorted_edges(graph)
+    r_std, r_dual, _, _ = RelativePoseResidual.stack_arrays(graph.n, *ij.T, q)(pack(poses))
     rows = np.stack((r_std.reshape(-1, 4), r_dual.reshape(-1, 4)), axis=1)
     return DualQuaternionVector(unpack(rows.ravel(), graph.m))
 
@@ -353,20 +346,19 @@ def build_pgo(graph: PoseGraph) -> EqdqoProblem:
     :meth:`RelativePoseResidual.stack_arrays`.  Constraints: the identity
     anchor on vertex 1 and one unit condition per other vertex; vertex 1
     gets none, because its anchor implies it and a fifth row on its 4
-    coordinates would make the constraint gradients dependent.  Raises
-    :class:`DisconnectedGraph` when some vertex is unreachable and
-    :class:`TooFewMotions` when the graph has no edges.
+    coordinates would make the constraint gradients dependent.  ``start``
+    is :func:`spanning_tree_rows`, from the search that proves the graph
+    connected.  Raises :class:`TooFewMotions` when the graph has no edges,
+    else :class:`DisconnectedGraph` as :func:`spanning_tree_rows` does.
     """
     if not graph.m:
         raise TooFewMotions(f"graph with {graph.n} vertices has no edges")
-    if not graph.is_connected():
-        raise DisconnectedGraph(
-            f"graph with {graph.n} vertices is not weakly connected"
-        )
-    objective = ResidualNormObjective(graph.n, _residuals(graph), [graph.m])
+    ij, q, start = _tree_start(graph)
+    residuals = RelativePoseResidual.stack_arrays(graph.n, *ij.T, q)
+    objective = ResidualNormObjective(graph.n, residuals, [graph.m])
     constraints = [UnitNormConstraint(graph.n, k) for k in range(1, graph.n)]
     constraints.extend(anchor_constraints(graph.n, 0, DualQuaternion.identity()))
-    return EqdqoProblem(objective, tuple(constraints))
+    return EqdqoProblem(objective, tuple(constraints), start)
 
 
 def spanning_tree_guess(graph: PoseGraph) -> tuple[UnitDualQuaternion, ...]:
@@ -384,22 +376,32 @@ def spanning_tree_guess(graph: PoseGraph) -> tuple[UnitDualQuaternion, ...]:
 def spanning_tree_rows(graph: PoseGraph) -> np.ndarray:
     """The poses of :func:`spanning_tree_guess` as ``(n, 8)`` rows (standard, dual part).
 
-    ``solve_eqdqo(initial=...)`` takes the array as it is.
+    They equal ``build_pgo(graph).start`` bit for bit.  Raises
+    :class:`DisconnectedGraph` when some vertex is unreachable from vertex 1.
+    """
+    return _tree_start(graph)[2]
+
+
+def _tree_start(graph: PoseGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ij, q, poses)``: the :func:`_sorted_edges` and the spanning-tree poses ``(n, 8)``.
+
+    One breadth-first search both proves the graph connected and builds
+    the tree; fewer than ``n - 1`` edges raise :class:`DisconnectedGraph`
+    before it, since it allocates per vertex.
     """
     if graph.m < graph.n - 1:
         raise DisconnectedGraph(f"graph with {graph.n} vertices and {graph.m} edges is not connected")
-    order = graph.edge_order()
-    vertices, parents, via, bounds = _bfs_tree(graph, order)
+    ij, q = _sorted_edges(graph)
+    vertices, parents, via, bounds = _bfs_tree(graph.n, ij)
     if len(vertices) != graph.n - 1:
         raise DisconnectedGraph(
             f"only {len(vertices) + 1} of {graph.n} vertices reachable from vertex 1"
         )
-    q = graph.measurements()[order]
     # Entering edge k reads q_k, and m + k its conjugate.
-    q = np.concatenate((q, q * _CONJ))
+    both = np.concatenate((q, q * _CONJ))
     # quat_mul for std*std, std*dual and dual*std, with every tree edge's
     # multiplication matrices formed once
-    factors = right_mult_matrix(q[via][:, [0, 1, 0]])
+    factors = right_mult_matrix(both[via][:, [0, 1, 0]])
     rows = 2 * parents[:, None] + np.array([0, 0, 1])
     poses = np.zeros((graph.n, 2, 4))
     poses[0, 0, 0] = 1.0
@@ -409,7 +411,7 @@ def spanning_tree_rows(graph: PoseGraph) -> np.ndarray:
         p = t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3]
         v = vertices[lo:hi]
         poses[v, 0], poses[v, 1] = normalize_dq(p[:, 0], p[:, 1] + p[:, 2])
-    return poses.reshape(graph.n, 8)
+    return ij, q, poses.reshape(graph.n, 8)
 
 
 # ---------------------------------------------------------------------------

@@ -355,8 +355,8 @@ def _worst_stage_hook_error(obj, points, mu: float, stage: int) -> float:
 def gradient_suite(seed: int = 0, n_points: int = 10) -> list[CheckResult]:
     """Analytic gradients against central differences.
 
-    Smooth toys and the hand-eye objective check exact gradients; the
-    application objectives also check the smoothed value hooks at the
+    Smooth toys and both application objectives check exact gradients;
+    the application objectives also check the smoothed value hooks at the
     smoothing level 1e-3.  The solver calls no smoothed hook: stage I
     steps on residual rows and stage II solves its normal equations.
     """
@@ -383,42 +383,14 @@ def gradient_suite(seed: int = 0, n_points: int = 10) -> list[CheckResult]:
 
     he = build_axxb(generate_synthetic("axxb", 5, seed=404)).objective
     pts_he = [rng.standard_normal(8) for _ in range(n_points)]
-    results.append(_grad_result("gradient-handeye-exact", he, pts_he, tol))
-    err = _worst_stage_hook_error(he, pts_he, mu, stage=1)
-    results.append(
-        CheckResult(
-            "gradient-handeye-smoothed-std",
-            err <= tol,
-            f"worst rel err {err:.3e} over {n_points} points",
-        )
-    )
-    err = _worst_stage_hook_error(he, pts_he, mu, stage=2)
-    results.append(
-        CheckResult(
-            "gradient-handeye-smoothed-dual",
-            err <= tol,
-            f"worst rel err {err:.3e} over {n_points} points",
-        )
-    )
-
     pg = build_pgo(generate_cycle_graph(5, loop_closures=1, seed=505)).objective
     pts_pg = [rng.standard_normal(8 * pg.arity) for _ in range(n_points)]
-    err = _worst_stage_hook_error(pg, pts_pg, mu, stage=1)
-    results.append(
-        CheckResult(
-            "gradient-pgo-smoothed-std",
-            err <= tol,
-            f"worst rel err {err:.3e} over {n_points} points",
-        )
-    )
-    err = _worst_stage_hook_error(pg, pts_pg, mu, stage=2)
-    results.append(
-        CheckResult(
-            "gradient-pgo-smoothed-dual",
-            err <= tol,
-            f"worst rel err {err:.3e} over {n_points} points",
-        )
-    )
+    for name, obj, pts in (("handeye", he, pts_he), ("pgo", pg, pts_pg)):
+        results.append(_grad_result(f"gradient-{name}-exact", obj, pts, tol))
+        for stage, part in ((1, "std"), (2, "dual")):
+            err = _worst_stage_hook_error(obj, pts, mu, stage)
+            detail = f"worst rel err {err:.3e} over {n_points} points"
+            results.append(CheckResult(f"gradient-{name}-smoothed-{part}", err <= tol, detail))
     return results
 
 

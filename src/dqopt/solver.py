@@ -33,8 +33,8 @@ is an affine *dual fiber* and stage II is a weighted least-squares fit on
 it (see :func:`_stage2`), with each magnitude's branch frozen where the
 stage-I point puts it.
 Restart 0 starts from the caller's ``initial`` point if given, else from
-the problem's ``start`` if it has one (the hand-eye builders give their
-closed-form minimum of the squared residuals), and every other restart
+the problem's ``start`` if it has one (the hand-eye closed form or the
+pose-graph spanning tree), and every other restart
 from an independent seeded unit point.  The standard value is never
 negative, so a restart 0 that starts at value 0 (noiseless data from the
 closed-form start or the spanning tree) is a certified stage-I minimum:
@@ -153,8 +153,8 @@ class EqdqoProblem:
     solve gets no ``initial`` point: ``arity`` dual quaternions or an
     ``(arity, 8)`` array of rows, stored as read-only rows (another count
     or shape raises :class:`ArityMismatch`, a NaN or infinite entry
-    ``ValueError``).  A problem that knows a good start carries it, so
-    every caller's solve uses it.
+    ``ValueError``).  A problem that knows a good start carries it, as
+    every hand-eye and pose-graph builder does, so every solve uses it.
     """
 
     objective: DualFunction

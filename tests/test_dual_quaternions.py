@@ -9,7 +9,12 @@ from dqopt import (
     UnitDualQuaternion,
 )
 from dqopt.algebra import canonical_sign
-from dqopt.errors import UnitValidationError
+from dqopt.errors import (
+    NonImaginaryTranslation,
+    NonUnitRotation,
+    NotAppreciable,
+    UnitValidationError,
+)
 from helpers import table_dq_product
 
 I = Quaternion(0, 1, 0, 0)
@@ -235,3 +240,23 @@ def _rand_unit(rng):
     axis /= np.linalg.norm(axis)
     rot = Quaternion.exp_axis_angle(float(rng.uniform(-3, 3)), Quaternion(0, *axis))
     return UnitDualQuaternion.from_pose(rot, Quaternion(0, *rng.standard_normal(3)))
+
+
+# Each id is the file and line of the check, as they were when the test was written.
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: DualQuaternion(ZERO, ONE).inverse(), NotAppreciable,
+                 "^inverse requires an appreciable standard part$", id="algebra.py:492"),
+    pytest.param(lambda: DualQuaternion(ZERO, ONE).normalized(), NotAppreciable,
+                 "^cannot normalize with a zero standard part$", id="algebra.py:500"),
+    pytest.param(lambda: UnitDualQuaternion.of(DualQuaternion(ONE * 1.5, ZERO)), UnitValidationError,
+                 "^unit deviation 0.5 exceeds 1e-06$", id="algebra.py:564"),
+    pytest.param(lambda: UnitDualQuaternion.from_rows([[1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0, 0]]),
+                 UnitValidationError, "^unit deviation 1.0 exceeds 1e-09$", id="algebra.py:583"),
+    pytest.param(lambda: UnitDualQuaternion.from_pose(ONE, Quaternion(0.5, 1, 0, 0)),
+                 NonImaginaryTranslation, "^real part 0.5$", id="algebra.py:598"),
+    pytest.param(lambda: UnitDualQuaternion.from_pose(ONE * 2.0, I), NonUnitRotation,
+                 "^rotation norm 2.0$", id="algebra.py:602"),
+])
+def test_algebra_input_checks_raise_naming_the_fault(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

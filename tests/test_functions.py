@@ -8,6 +8,7 @@ from dqopt import (
     DualQuaternion,
     Quaternion,
     RelativePoseResidual,
+    ResidualNormObjective,
     UnitNormConstraint,
     anchor_constraints,
     check_standardness,
@@ -482,3 +483,35 @@ def test_stacked_points_evaluate_bit_for_bit_as_single_points():
                 assert np.array_equal(got[k], want)
             assert np.array_equal(block.tangent(stack)[k], block.tangent(z))
             assert np.array_equal(block.curvature(stack, grads)[k], block.curvature(z, grads[k]))
+
+
+def test_a_nan_point_reads_a_nan_value_and_other_rows_keep_their_bits():
+    from dqopt import build_axxb, build_pgo, generate_cycle_graph, generate_synthetic
+
+    rng = np.random.default_rng(29)
+    for problem in (build_axxb(generate_synthetic("axxb", 6, seed=1)),
+                    build_pgo(generate_cycle_graph(6, loop_closures=1, seed=2))):
+        obj, n8 = problem.objective, 8 * problem.arity
+        one = obj.value_at(np.full(n8, np.nan))
+        assert np.isnan(one.std) and np.isnan(one.dual)
+        # a NaN row, a row at value 0 (the noiseless start) and a generic one
+        stack = np.stack((np.full(n8, np.nan), problem.start.ravel(), rng.standard_normal(n8)))
+        stack[0, 1:] = stack[2, 1:]
+        std, dual = obj.value_at(stack)
+        assert np.isnan(std[0]) and np.isnan(dual[0]) and std[1] == 0.0
+        for k in (1, 2):
+            one = obj.value_at(stack[k])
+            assert (std[k], dual[k]) == (one.std, one.dual)
+
+
+# Each id is the file and line of the check, as they were when the test was written.
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: unpack(np.zeros(7), 1), r"^expected shape \(8,\), got \(7,\)$",
+                 id="functions.py:98"),
+    pytest.param(lambda: DualFunction(0), "^arity must be positive$", id="functions.py:130"),
+    pytest.param(lambda: ResidualNormObjective(1, None, [2, 0]),
+                 "^groups must be nonempty$", id="functions.py:489"),
+])
+def test_function_input_checks_raise_naming_the_fault(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -27,7 +27,7 @@ from dqopt import (
 from dqopt import handeye, solver
 from dqopt.algebra import canonical_sign, left_mult_matrix, right_mult_matrix
 from dqopt.cli import main
-from dqopt.errors import Infeasible, InvalidPose, NoGroundTruth, TooFewMotions
+from dqopt.errors import Infeasible, InvalidPose, NoGroundTruth, TooFewMotions, UnitValidationError
 from dqopt.handeye import pose_compose, pose_inverse, pose_rows, unit_rows
 from helpers import affine_jacobians, inverse, matrix, pose_row, poses_close, product, udqs
 
@@ -698,3 +698,31 @@ def test_affine_residual_jacobians_match_the_per_term_products():
         got_std, got_dual = affine_jacobians(3, terms)
         assert got_std.tobytes() == jac_std.tobytes()
         assert got_dual.tobytes() == jac_dual.tobytes()
+
+
+def _first(model, k):
+    """A dataset of the first ``k`` pose pairs of a generated one."""
+    ds = generate_synthetic(model, 3, seed=1)
+    return HandEyeDataset(model, ds.poses_a[:k], ds.poses_b[:k])
+
+
+# Each id is the file and line of the check, as they were when the test was written.
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: relative_motions(_first("axyb", 3)), ValueError,
+                 "^relative motions apply to the axxb model$", id="handeye.py:229"),
+    pytest.param(lambda: relative_motions(_first("axxb", 1)), TooFewMotions,
+                 "^need at least 2 poses for relative motions$", id="handeye.py:232"),
+    pytest.param(lambda: build_axyb(_first("axxb", 3)), ValueError,
+                 "^build_axyb needs an axyb dataset$", id="handeye.py:271"),
+    pytest.param(lambda: build_axyb(_first("axyb", 2)), TooFewMotions,
+                 "^need at least 3 pose pairs, got 2$", id="handeye.py:330"),
+    pytest.param(lambda: generate_synthetic("axzb", 3), ValueError,
+                 "^unknown model 'axzb'$", id="handeye.py:401"),
+    pytest.param(lambda: generate_synthetic("axxb", 1), TooFewMotions,
+                 "^axxb needs n >= 2 relative motions$", id="handeye.py:403"),
+    pytest.param(lambda: pose_rows([DualQuaternion(Quaternion(1.001, 0, 0, 0), Quaternion(0, 0, 0, 0))]),
+                 UnitValidationError, "^unit deviation 0.00099", id="handeye.py:489"),
+])
+def test_hand_eye_input_checks_raise_naming_the_fault(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

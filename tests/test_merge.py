@@ -92,7 +92,7 @@ def test_noiseless_solves_are_the_same_with_and_without_merging(case, monkeypatc
     # generate_synthetic(seed=0) draws the AXXB truth from restart 0's stream.
     for seed in range(3):
         if case == "pgo":
-            problem = build_pgo(generate_cycle_graph(20, 6, 0.0, 0.0, seed))
+            problem = _bare(build_pgo(generate_cycle_graph(20, 6, 0.0, 0.0, seed)))
         else:
             problem = _bare(_handeye(case, 0.0, seed + 1)[0])
         assert _drawn(problem, None, CFG, monkeypatch)[0] == list(range(CFG.restarts))
@@ -183,7 +183,7 @@ def test_every_restart_runs_from_a_start_off_value_0(monkeypatch):
     # without a start restart 0 is random
     cases += [(_bare(_handeye(model, 0.0, seed)[0]), None, (model, seed))
               for model in ("axxb", "axyb") for seed in range(10)]
-    cases += [(build_pgo(generate_cycle_graph(20, 6, 0.0, 0.0, seed)), None, ("pgo", seed))
+    cases += [(_bare(build_pgo(generate_cycle_graph(20, 6, 0.0, 0.0, seed))), None, ("pgo", seed))
               for seed in range(3)]
     for problem, initial, case in cases:
         drawn = _drawn(problem, initial, CFG, monkeypatch)[0]

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import math
 import re
 import tracemalloc
@@ -34,7 +37,8 @@ from dqopt.errors import (
     TooFewMotions,
 )
 from dqopt.handeye import pose_inverse, pose_rows, unit_rows
-from dqopt import posegraph
+from dqopt import posegraph, solver
+from dqopt.cli import main
 from dqopt.posegraph import RelativePoseResidual, spanning_tree_rows
 from helpers import inverse, pose_row, poses_close, product, udqs
 
@@ -485,19 +489,48 @@ def test_too_few_edges_are_rejected_before_the_search(monkeypatch):
         raise AssertionError("the search ran")
 
     monkeypatch.setattr(posegraph, "_bfs_tree", spy)
-    assert not g.is_connected()
-    with pytest.raises(DisconnectedGraph, match="not weakly connected"):
-        build_pgo(g)
-    for guess in (spanning_tree_rows, spanning_tree_guess):
+    for make in (build_pgo, spanning_tree_rows, spanning_tree_guess):
         with pytest.raises(DisconnectedGraph, match="10 vertices and 1 edges is not connected"):
-            guess(g)
+            make(g)
     monkeypatch.undo()
     # n - 1 edges reach the search, which decides
-    assert PoseGraph(3, [(1, 2), (3, 2)], [_IDENTITY] * 2).is_connected()
+    build_pgo(PoseGraph(3, [(1, 2), (3, 2)], [_IDENTITY] * 2))
     g = PoseGraph(4, [(1, 2), (2, 1), (3, 4)], [_IDENTITY] * 3)
-    assert not g.is_connected()
-    with pytest.raises(DisconnectedGraph, match="only 2 of 4 vertices reachable from vertex 1"):
-        spanning_tree_rows(g)
+    for make in (build_pgo, spanning_tree_rows):
+        with pytest.raises(DisconnectedGraph, match="only 2 of 4 vertices reachable from vertex 1"):
+            make(g)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01])
+def test_every_pose_graph_solve_starts_from_the_one_spanning_tree(noise, tmp_path, monkeypatch):
+    path = tmp_path / "g.graph"
+    path.write_text(serialize_graph(generate_cycle_graph(12, 4, noise, noise, seed=3)))
+    g = parse_graph(path.read_text())
+    searches, search = [], posegraph._bfs_tree
+    monkeypatch.setattr(posegraph, "_bfs_tree", lambda *a: searches.append(a) or search(*a))
+    problem = build_pgo(g)
+    assert len(searches) == 1
+    assert problem.start.tobytes() == spanning_tree_rows(g).tobytes()
+
+    drawn, draw = [], solver._restart_start
+    monkeypatch.setattr(solver, "_restart_start", lambda *a: drawn.append(a[-1]) or draw(*a))
+    cfg = SolverConfig(restarts=8 if noise == 0.0 else 2, seed=0)
+    report = solve_eqdqo(problem, cfg)
+    # a clean graph's tree is at value 0, so restart 0 runs alone
+    assert drawn == ([0] if noise == 0.0 else [0, 1])
+    given = solve_eqdqo(problem, cfg, initial=spanning_tree_rows(g))
+    data, data_given = (r.to_json_dict() for r in (report, given))
+    del data["wall_time_ms"], data_given["wall_time_ms"]
+    assert data == data_given and report.trace == given.trace
+    assert pack(list(report.solution)).tobytes() == pack(list(given.solution)).tobytes()
+
+    out = tmp_path / "report.json"
+    argv = ["solve-pgo", "--in", str(path), "--restarts", str(cfg.restarts), "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    cli = json.loads(out.read_text())
+    del cli["wall_time_ms"], cli["errors"]
+    assert cli == json.loads(json.dumps(data))
 
 
 def _with_rows(g, kind, rows):
@@ -765,3 +798,21 @@ def test_batched_cycle_graph_matches_the_per_pose_generator(noise_rot, noise_tra
         assert g.edge_ids.tolist() == [list(p) for p in pairs]
         assert g.edge_poses.tobytes() == measured.tobytes()
         assert g.truth_poses.tobytes() == truth.tobytes()
+
+
+# Each id is the file and line of the check, as they were when the test was written.
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda g, x: error_vector(g, x[1:]), "^expected 4 poses, got 3$", id="posegraph.py:231"),
+    pytest.param(lambda g, x: error_vector(PoseGraph(4, (), ()), x), None, id="posegraph.py:233"),
+    pytest.param(lambda g, x: vertex_errors(g, x + x[:1]), "^expected 4 poses, got 5$",
+                 id="posegraph.py:626"),
+])
+def test_pose_lists_are_checked_against_the_graph(call, message):
+    g = generate_cycle_graph(4, seed=1)
+    poses = list(spanning_tree_guess(g))
+    if message is None:
+        # a graph with no edges has no errors to stack
+        assert len(call(g, poses)) == 0
+        return
+    with pytest.raises(ValueError, match=message):
+        call(g, poses)
