@@ -1,11 +1,12 @@
 """The package's only SciPy imports: sparse matrices and their LU solve.
 
-Nothing imports this module when the package loads.  The pose-graph
-residual stack, which can return a CSR Jacobian, imports it when it is
-built, and the solver inside its sparse branches, past ``_DENSE_MAX``
-fiber directions.  Hand-eye work and pose-graph files run on NumPy alone.
-``spsolve`` loads here too, so a pose-graph problem's first sparse solve
-does not pay for loading ``scipy.sparse.linalg``.
+Nothing imports this module when the package loads, and no dense solve
+does.  The solver imports it inside its sparse branches, past
+``_DENSE_MAX`` fiber directions, and the pose-graph residual stack when it
+forms a CSR Jacobian for a single point, which only such a solve asks for.
+``dqopt solve-pgo`` imports it before reading the graph, so the solve's
+``wall_time_ms`` leaves it out.  ``spsolve`` loads here too, so a problem's
+first sparse solve does not pay again for loading ``scipy.sparse.linalg``.
 """
 
 from scipy import sparse

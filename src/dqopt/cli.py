@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import sys
@@ -236,6 +237,10 @@ def _cmd_gen_pgo(args) -> int:
 
 
 def _cmd_solve_pgo(args) -> int:
+    # SciPy loads here, before the graph is read, so that a large graph's
+    # sparse solve does not count it in ``wall_time_ms``; importing this module
+    # does not load it, as hand-eye commands never need it.
+    importlib.import_module("._sparse", __package__)
     graph = parse_graph(_read_text(args.infile))
     report = solve_eqdqo(build_pgo(graph), _config_from_args(args))
     errors = vertex_errors(graph, list(report.solution)) if len(graph.truth_ids) == graph.n else None

@@ -594,7 +594,8 @@ class ResidualNormObjective(DualFunction):
     def branch_flags(self, z):
         r_std, _, _, _ = self._stack(np.asarray(z, dtype=np.float64))
         s_std = np.add.reduceat(r_std * r_std, self._starts)
-        return tuple(bool(b) for b in np.sqrt(s_std) > self.tol)
+        # a NaN norm counts as appreciable, as in ``value_at``
+        return tuple(bool(b) for b in ~(np.sqrt(s_std) <= self.tol))
 
     def stage1_system(self, z):
         """Stage-I rows ``(J, r, weights, groups)``: ``J^T W r`` is the standard gradient.
@@ -627,7 +628,8 @@ class ResidualNormObjective(DualFunction):
         |r_dual,g|``, the stage-II objective on them.
         """
         r_std, r_dual, _, _ = self._stack(z)
-        app = np.sqrt(np.add.reduceat(r_std * r_std, self._starts)) > self.tol
+        # a NaN norm counts as appreciable, as in ``value_at``
+        app = ~(np.sqrt(np.add.reduceat(r_std * r_std, self._starts)) <= self.tol)
 
         def weights(r):
             norms = np.sqrt(np.add.reduceat(r * r, self._starts))

@@ -282,10 +282,9 @@ class RelativePoseResidual:
         same 4x8 standard blocks over the standard slots, column ``4i + c``
         for coefficient ``c`` of vertex ``i``: a sparse CSR ``(4k, 4n)``
         matrix for one point, a dense ``(R, 4k, 4n)`` array for a stack.
-        SciPy loads here, with the first stack built, not with this module.
+        SciPy loads with the first single-point ``jacobian()``, the only CSR
+        matrix built here, so dense pose-graph solves run on NumPy alone.
         """
-        from ._sparse import sparse
-
         n = int(arity)
         n8 = 8 * n
         i = np.asarray(i, dtype=np.intp)
@@ -328,6 +327,8 @@ class RelativePoseResidual:
             def jacobian():
                 block = -np.concatenate((r_j[..., 0, :, :], l_s), axis=-1)
                 if not lead:
+                    from ._sparse import sparse
+
                     return sparse.csr_matrix((block.ravel(), cols_jac, indptr), (4 * len(i), 4 * n))
                 out = np.zeros(lead + (4 * len(i) * 4 * n,))
                 out[..., flat_jac] = block.reshape(lead + (-1,))

@@ -321,10 +321,22 @@ def _fiber_product(jac, null, var: np.ndarray):
         from ._sparse import sparse
 
         return (jac if _is_sparse(jac) else sparse.csr_matrix(jac)) @ null
-    cols = 4 * var[:, None] + np.arange(4)
-    t = jac[..., cols] * null[..., cols, np.arange(var.size)[:, None]][..., None, :, :]
+    cols = 4 * var + np.arange(4)[:, None]
+    n = null[..., cols, np.arange(var.size)][..., None, :, :]
+    if jac.ndim == 2:
+        # One J for the whole stack, as hand-eye problems have: its products
+        # are few, and one multiply forms them all.
+        t = jac[:, cols] * n
+        out = t[..., 0, :] + t[..., 1, :] + t[..., 2, :] + t[..., 3, :]
+    else:
+        # A stack of J (pose graphs): one column's products at a time, so no
+        # (R, k, 4, d) array is built.
+        terms = (jac[..., col] * n[..., c, :] for c, col in enumerate(cols))
+        out = next(terms)
+        for t in terms:
+            out += t
     # C order, as SciPy returns it: BLAS sums other layouts in another order.
-    return np.ascontiguousarray(t[..., 0] + t[..., 1] + t[..., 2] + t[..., 3])
+    return np.ascontiguousarray(out)
 
 
 def _fiber_point(problem: EqdqoProblem, z: np.ndarray) -> np.ndarray:

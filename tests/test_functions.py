@@ -515,3 +515,15 @@ def test_a_nan_point_reads_a_nan_value_and_other_rows_keep_their_bits():
 def test_function_input_checks_raise_naming_the_fault(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_a_nan_point_counts_every_group_appreciable_in_the_branch_flags_and_stage2_weights():
+    from dqopt import build_axxb, build_pgo, generate_cycle_graph, generate_synthetic
+
+    for problem, groups in ((build_axxb(generate_synthetic("axxb", 6, seed=1)), 6),
+                            (build_pgo(generate_cycle_graph(6, loop_closures=1, seed=2)), 1)):
+        obj, nan = problem.objective, np.full(8 * problem.arity, np.nan)
+        assert obj.branch_flags(nan) == (True,) * groups
+        r_dual, weights = obj.stage2_system(nan)
+        # an infinitesimal group of unit rows would weigh 1 / |r_g| = 1/2 or less
+        assert np.array_equal(weights(np.ones_like(r_dual)), np.ones_like(r_dual))

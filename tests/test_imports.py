@@ -1,9 +1,10 @@
 """Every name a module of ``dqopt`` imports is used there or exported, and every export exists.
 
 Fresh interpreters check what loads with what: importing the package,
-hand-eye work and reading, writing or generating pose graphs run on NumPy
-alone, and SciPy loads with the first pose-graph residual stack or sparse
-solve.
+hand-eye work, reading, writing or generating pose graphs, and building,
+solving and evaluating a pose graph whose fiber is dense run on NumPy
+alone.  SciPy loads with the first solve on a sparse fiber (a pose graph of
+44 vertices or more) and in ``dqopt solve-pgo``, whatever the graph's size.
 """
 
 import ast
@@ -119,34 +120,74 @@ def test_import_binds_every_public_name_and_loads_no_scipy():
     assert unbound == [] and star == [] and scipy_loaded == []
 
 
-def test_pose_graph_files_load_no_scipy_until_a_problem_is_built(tmp_path):
+def test_dense_pose_graph_work_loads_no_scipy(tmp_path):
     steps = fresh("""
         import json, sys
-        from dqopt import (build_pgo, cli, generate_cycle_graph, parse_graph, serialize_graph,
-                           spanning_tree_guess, spanning_tree_rows, vertex_errors)
+        from dqopt import (SolverConfig, build_pgo, cli, error_vector, generate_cycle_graph,
+                           parse_graph, serialize_graph, solve_eqdqo, spanning_tree_guess,
+                           spanning_tree_rows, vertex_errors)
 
         steps = []
 
         def step(name):
-            steps.append([name, "scipy" in sys.modules, "scipy.sparse.linalg" in sys.modules])
+            steps.append([name, "scipy" in sys.modules])
 
         path = sys.argv[1] + "/graph.txt"
-        assert cli.main(["gen-pgo", "--vertices", "12", "--loop-closures", "3",
+        assert cli.main(["gen-pgo", "--vertices", "20", "--loop-closures", "6",
                          "--noise-rot", "0.01", "--seed", "2", "--out", path]) == 0
         step("gen-pgo")
         graph = parse_graph(open(path).read())
         step("parse_graph")
         assert parse_graph(serialize_graph(generate_cycle_graph(8, 2, seed=1))).n == 8
         step("serialize_graph and generate_cycle_graph")
-        vertex_errors(graph, spanning_tree_guess(graph))
+        spanning_tree_guess(graph)
         spanning_tree_rows(graph)
-        step("spanning tree and vertex_errors")
-        build_pgo(graph)
+        step("spanning tree")
+        problem = build_pgo(graph)
         step("build_pgo")
+        report = solve_eqdqo(problem, SolverConfig(restarts=2, seed=0))
+        step("solve_eqdqo")
+        vertex_errors(graph, list(report.solution))
+        error_vector(graph, list(report.solution))
+        step("vertex_errors and error_vector")
         print(json.dumps(steps))
     """, str(tmp_path))
-    assert steps[:-1] == [[name, False, False] for name, _, _ in steps[:-1]]
-    assert steps[-1] == ["build_pgo", True, True]
+    assert steps == [[name, False] for name, _ in steps]
+
+
+def test_a_sparse_fiber_pose_graph_solve_loads_scipy():
+    before, after = fresh("""
+        import json, sys
+        from dqopt import SolverConfig, build_pgo, generate_cycle_graph, solve_eqdqo, solver
+
+        problem = build_pgo(generate_cycle_graph(44, 4, noise_rot=0.01, seed=1))
+        assert problem.block.var.size > solver._DENSE_MAX
+        before = "scipy" in sys.modules
+        solve_eqdqo(problem, SolverConfig(restarts=1, seed=0))
+        print(json.dumps([before, "scipy.sparse.linalg" in sys.modules]))
+    """)
+    assert (before, after) == (False, True)
+
+
+def test_solve_pgo_loads_scipy_before_it_reads_even_a_small_graph(tmp_path):
+    loaded = fresh("""
+        import json, sys
+        from dqopt import cli
+
+        path = sys.argv[1] + "/graph.txt"
+        assert cli.main(["gen-pgo", "--vertices", "10", "--loop-closures", "3", "--out", path]) == 0
+        loaded = []
+        parse = cli.parse_graph
+
+        def parse_graph(text):
+            loaded.append("scipy.sparse.linalg" in sys.modules)
+            return parse(text)
+
+        cli.parse_graph = parse_graph
+        assert cli.main(["solve-pgo", "--in", path, "--out", sys.argv[1] + "/report.json"]) == 0
+        print(json.dumps(loaded))
+    """, str(tmp_path))
+    assert loaded == [True]
 
 
 _GENERIC_SPARSE_SOLVE = """
@@ -156,7 +197,8 @@ _GENERIC_SPARSE_SOLVE = """
                        squared_distance_objective)
 
     if sys.argv[1] == "posegraph":
-        build_pgo(generate_cycle_graph(6, 1, seed=0))
+        # a clean graph on a sparse fiber: one stage-I evaluation loads SciPy
+        solve_eqdqo(build_pgo(generate_cycle_graph(44, 4, seed=0)), SolverConfig(restarts=1))
     before = "scipy.sparse.linalg" in sys.modules
     n = 50
     center = DualQuaternion(Quaternion(0.5, 0.5, 0.5, 0.5), Quaternion(0.0, 0.1, -0.2, 0.3))

@@ -650,3 +650,32 @@ def test_a_singular_point_of_a_dense_stack_solves_to_nan_and_leaves_the_others_a
         alone = _reduced_solve(h[k], rhs[k], shift[k])
         assert np.isfinite(alone).all()
         assert out[k].tobytes() == alone.tobytes()
+
+
+def _plain_fiber_product(jac, null, var):
+    """``J N`` point by point and entry by entry, the 4 products of each column added left to right."""
+    out = np.empty((len(null), jac.shape[-2], var.size))
+    for p, basis in enumerate(null):
+        j = jac if jac.ndim == 2 else jac[p]
+        for col, v in enumerate(var.tolist()):
+            prods = [j[:, 4 * v + c] * basis[4 * v + c, col] for c in range(4)]
+            out[p, :, col] = ((prods[0] + prods[1]) + prods[2]) + prods[3]
+    return out
+
+
+@pytest.mark.parametrize("name, problem, count", [
+    ("pgo", build_pgo(generate_cycle_graph(12, 4, noise_rot=0.01, seed=3)), 1),
+    ("pgo", build_pgo(generate_cycle_graph(12, 4, noise_rot=0.01, seed=3)), 2),
+    ("axxb", build_axxb(generate_synthetic("axxb", 8, noise_rot=0.01, noise_trans=0.01, seed=4)), 8),
+    ("axyb", build_axyb(generate_synthetic("axyb", 8, noise_rot=0.01, noise_trans=0.01, seed=5)), 8),
+], ids=["pgo-1", "pgo-2", "axxb-8", "axyb-8"])
+def test_the_dense_fiber_product_adds_each_columns_four_products_left_to_right(name, problem, count):
+    rng = np.random.default_rng(30)
+    z = problem.block.project(np.stack([solver._random_start(problem, rng) for _ in range(count)]))
+    null, var = solver._dual_fiber(problem, z)
+    jac = problem.objective.stage1_system(z)[0]
+    # pose graphs give one Jacobian per point, hand-eye problems one for the stack
+    assert jac.ndim == (3 if name == "pgo" else 2)
+    b = solver._fiber_product(jac, null, var)
+    assert b.flags.c_contiguous
+    assert b.tobytes() == _plain_fiber_product(jac, null, var).tobytes()
