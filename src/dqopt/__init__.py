@@ -93,7 +93,6 @@ from .posegraph import (
     PoseGraph,
     RelativePoseResidual,
     build_pgo,
-    edge_error,
     error_vector,
     generate_cycle_graph,
     parse_graph,
@@ -183,7 +182,6 @@ __all__ = [
     "MIN_AXIS_SPREAD",
     # posegraph
     "PoseGraph",
-    "edge_error",
     "error_vector",
     "RelativePoseResidual",
     "build_pgo",

@@ -77,10 +77,6 @@ __all__ = [
     "gradient_check",
 ]
 
-# Numerical floor under |r_std| in the second-stage surrogate for groups
-# frozen as appreciable; see ResidualNormObjective.stage2_value_grad.
-_APP_SOFT_FLOOR = 1e-9
-
 
 def pack(values: Sequence[DualQuaternion]) -> np.ndarray:
     """Flatten dual quaternions into the solver coordinate vector."""
@@ -466,9 +462,10 @@ class ResidualNormObjective(DualFunction):
     quaternion vector branches on whether the stacked standard part is
     appreciable.  A group with a single residual is that residual's
     magnitude; a single group holding every residual is the 2-norm of the
-    whole residual vector.  The solver reads the stage systems; the
-    smoothed hooks ``*_value_grad`` (branch softened to ``sqrt(s + mu^2) -
-    mu``) are only gradient-checked by the self-test.
+    whole residual vector.  The solver reads the stage systems.  No solve
+    calls the smoothed hooks ``*_value_grad`` (branch softened to ``sqrt(s
+    + mu^2) - mu``) or :meth:`branch_flags`; they stay only until ROADMAP
+    item 13's benchmark change, since the benchmark's tracer wraps them.
 
     ``evaluate`` is an array evaluator ``z -> (r_std, r_dual, pullback,
     jacobian)`` of every residual row, 4 per residual, such as
@@ -557,7 +554,7 @@ class ResidualNormObjective(DualFunction):
         """Repeat a per-group weight across that group's residual rows."""
         return per_group.take(self._row_group, axis=-1)
 
-    # -- smoothed stage hooks ----------------------------------------------
+    # -- smoothed stage hooks: no solve calls these; they go with ROADMAP item 13
 
     def stage1_value_grad(self, z, mu):
         r_std, _, pullback, _ = self._stack(z)
@@ -579,7 +576,7 @@ class ResidualNormObjective(DualFunction):
         # the first-order cancellation, in the dual coordinates, between
         # this term and the stage-I stationarity combination; the second
         # stage would then chase an artificial unbounded descent direction.
-        floor = _APP_SOFT_FLOOR
+        floor = 1e-9
         soft_std = np.sqrt(s_std + floor * floor)
         soft_dual = np.sqrt(s_dual + mu * mu)
         value = float(np.sum(cross[app] / soft_std[app])) + float(
@@ -621,7 +618,7 @@ class ResidualNormObjective(DualFunction):
         With the standard coordinates fixed, ``r_dual`` is affine in the dual
         ones with slope the standard-slot Jacobian of ``r_std``, the ``J``
         of :meth:`stage1_system`.  Each group's branch is frozen by
-        ``|r_std,g|`` at ``z``, as :meth:`branch_flags` reads it: appreciable
+        ``|r_std,g|`` at ``z``, as :meth:`value_at` reads it: appreciable
         groups weigh 1; infinitesimal groups weigh ``1 / max(|r_dual,g|,
         tol)``, so re-solving with updated weights (iteratively reweighted
         least squares) minimizes their sum of magnitudes ``sum_g
@@ -670,6 +667,7 @@ class UnitNormConstraint(DualFunction):
         return g_std, g_dual
 
     def fast_rows(self, z):
+        """No solve calls this; it stays only until ROADMAP item 13's benchmark change."""
         s = 8 * self.index
         xs = z[s : s + 4]
         xd = z[s + 4 : s + 8]
@@ -710,6 +708,7 @@ class _ComponentAnchor(DualFunction):
         return g_std, g_dual
 
     def fast_rows(self, z):
+        """No solve calls this; it stays only until ROADMAP item 13's benchmark change."""
         s = 8 * self.index
         v_std = float(z[s + self.component]) - self._t_std
         v_dual = float(z[s + 4 + self.component]) - self._t_dual

@@ -64,7 +64,6 @@ from .solver import EqdqoProblem
 
 __all__ = [
     "PoseGraph",
-    "edge_error",
     "error_vector",
     "RelativePoseResidual",
     "build_pgo",
@@ -209,14 +208,6 @@ def _bfs_tree(n: int, ij: np.ndarray):
     )
 
 
-def edge_error(x_i, x_j, q_ij) -> DualQuaternion:
-    """Measurement minus predicted relative pose: ``q_ij - conj(x_i) x_j``."""
-    xi = x_i.as_dual_quaternion() if isinstance(x_i, UnitDualQuaternion) else x_i
-    xj = x_j.as_dual_quaternion() if isinstance(x_j, UnitDualQuaternion) else x_j
-    q = q_ij.as_dual_quaternion() if isinstance(q_ij, UnitDualQuaternion) else q_ij
-    return q - xi.conjugate() * xj
-
-
 def error_vector(graph: PoseGraph, poses: Sequence) -> DualQuaternionVector:
     """Edge errors stacked in sorted edge order under the given poses."""
     if len(poses) != graph.n:
@@ -243,7 +234,8 @@ class RelativePoseResidual:
     :meth:`stack_arrays` evaluates many edges, given as index and
     measurement arrays, in one batched pass and pulls row weights back
     through those per-edge blocks, forming a (sparse) Jacobian matrix only
-    on request.  :meth:`rows` evaluates this edge alone the same way.
+    on request.  :meth:`rows` evaluates this edge alone the same way; no
+    solve calls it, and it stays only until ROADMAP item 13's benchmark change.
     """
 
     def __init__(self, arity: int, i: int, j: int, measurement: UnitDualQuaternion):
@@ -253,9 +245,6 @@ class RelativePoseResidual:
         if not (0 <= self.i < self.arity and 0 <= self.j < self.arity) or self.i == self.j:
             raise ValueError(f"edge ({i}, {j}) needs two distinct indices in [0, {arity})")
         self.measurement = measurement
-
-    def eval(self, values: Sequence[DualQuaternion]) -> DualQuaternion:
-        return edge_error(values[self.i], values[self.j], self.measurement)
 
     def rows(self, z: np.ndarray):
         """(r_std, r_dual, pullback, jacobian) of this edge at ``z``."""
@@ -369,7 +358,8 @@ def spanning_tree_guess(graph: PoseGraph) -> tuple[UnitDualQuaternion, ...]:
     ``x_j = x_i q_ij`` and a backward one sets ``x_i = x_j conj(q_ij)``.
     Each level of the tree takes one batched product, rounded as
     :meth:`UnitDualQuaternion.__mul__` (the product, then ``normalized``).
-    :func:`spanning_tree_rows` gives the same poses as an array.
+    :func:`spanning_tree_rows` gives the same poses as an array; only the
+    benchmark calls this form, until ROADMAP item 13's benchmark change.
     """
     return UnitDualQuaternion.from_rows(spanning_tree_rows(graph))
 

@@ -23,7 +23,6 @@ from .functions import (
     check_standardness,
     combine,
     compose_unit,
-    fd_gradient,
     gradient_check,
     map_power,
     normalize_map,
@@ -334,35 +333,14 @@ def _worst_gradient_error(fn: DualFunction, points, step: float = 1e-5) -> float
     return worst
 
 
-def _worst_stage_hook_error(obj, points, mu: float, stage: int) -> float:
-    worst = 0.0
-    for z in points:
-        if stage == 1:
-            _, g = obj.stage1_value_grad(z, mu)
-            value_fn = lambda v: obj.stage1_value_grad(v, mu)[0]
-        else:
-            # Branch selections freeze at the probe point, matching how
-            # the second stage holds them fixed during minimization.
-            branches = obj.branch_flags(z)
-            _, g = obj.stage2_value_grad(z, mu, branches)
-            value_fn = lambda v: obj.stage2_value_grad(v, mu, branches)[0]
-        numeric = fd_gradient(value_fn, z, step=1e-6)
-        denom = np.maximum(1.0, np.abs(g))
-        worst = max(worst, float(np.max(np.abs(g - numeric) / denom)))
-    return worst
-
-
 def gradient_suite(seed: int = 0, n_points: int = 10) -> list[CheckResult]:
     """Analytic gradients against central differences.
 
-    Smooth toys and both application objectives check exact gradients;
-    the application objectives also check the smoothed value hooks at the
-    smoothing level 1e-3.  The solver calls no smoothed hook: stage I
-    steps on residual rows and stage II solves its normal equations.
+    Smooth toys, a unit constraint and both application objectives (a
+    hand-eye and a pose-graph one) check their exact gradients.
     """
     rng = np.random.default_rng(seed)
     tol = 1e-5
-    mu = 1e-3
     results = []
 
     center = _random_dq(rng)
@@ -387,10 +365,6 @@ def gradient_suite(seed: int = 0, n_points: int = 10) -> list[CheckResult]:
     pts_pg = [rng.standard_normal(8 * pg.arity) for _ in range(n_points)]
     for name, obj, pts in (("handeye", he, pts_he), ("pgo", pg, pts_pg)):
         results.append(_grad_result(f"gradient-{name}-exact", obj, pts, tol))
-        for stage, part in ((1, "std"), (2, "dual")):
-            err = _worst_stage_hook_error(obj, pts, mu, stage)
-            detail = f"worst rel err {err:.3e} over {n_points} points"
-            results.append(CheckResult(f"gradient-{name}-smoothed-{part}", err <= tol, detail))
     return results
 
 

@@ -254,10 +254,9 @@ class SolveReport:
 @dataclass
 class _StageOutcome:
     z: np.ndarray
-    iterations: int
-    trace: list
+    trace: list  # one row per iteration
     stop: str | None = None  # stage I: "converged", "stalled", "merged" or "max_outer"
-    # stage I, not merged: (null, var, B) of its last evaluation, at z
+    # stage I, not merged: (null, B) of its last evaluation, at z
     fiber: tuple | None = None
     value: float | DualNumber | None = None  # at z: standard (stage I) or dual value (II)
     feasibility: tuple[float, float] | None = None  # stage II: _feasibility at z
@@ -289,10 +288,11 @@ def _random_start(problem: EqdqoProblem, rng: np.random.Generator) -> np.ndarray
 
 
 def _dual_fiber(problem: EqdqoProblem, z: np.ndarray):
-    """``(null, var)``: the null space of ``G`` at ``z``, stage I's tangent space and stage II's fiber.
+    """The null space of ``G`` at ``z``, stage I's tangent space and stage II's fiber.
 
-    ``null`` is the ``(4n, k)`` basis of :meth:`ConstraintBlock.tangent`, sparse past
-    ``_DENSE_MAX`` columns, and for a stack ``(R, 8n)`` a dense ``(R, 4n, k)`` stack.
+    It is the ``(4n, k)`` basis of :meth:`ConstraintBlock.tangent`, sparse past
+    ``_DENSE_MAX`` columns, and for a stack ``(R, 8n)`` a dense ``(R, 4n, k)`` stack;
+    its column ``c`` lies in variable ``problem.block.var[c]``'s slots.
     """
     var = problem.block.var
     rows = (4 * var[:, None] + np.arange(4)).ravel()
@@ -305,7 +305,7 @@ def _dual_fiber(problem: EqdqoProblem, z: np.ndarray):
         from ._sparse import sparse
 
         null = sparse.csc_matrix((vals.reshape(-1), rows, np.arange(0, rows.size + 1, 4)), shape)
-    return null, var
+    return null
 
 
 def _fiber_product(jac, null, var: np.ndarray):
@@ -630,7 +630,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     stage II makes of them) and points that stalled (at kinks, where
     restarts creep and stop apart) are never merged into.  Returns one
     :class:`_StageOutcome` per start; every one not merged carries the
-    ``fiber`` ``(null, var, B)`` of its last evaluation, at its point.
+    ``fiber`` ``(null, B)`` of its last evaluation, at its point.
     Stage I never reads the dual coordinates: they stay those of the start.
     """
     obj, block = problem.objective, problem.block
@@ -644,7 +644,8 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     stop = [None] * count
     traces = [[] for _ in range(count)]  # one row per step
     fibers = [None] * count
-    alone = block.var.size > _DENSE_MAX  # points on a sparse fiber step one at a time
+    var = block.var
+    alone = var.size > _DENSE_MAX  # points on a sparse fiber step one at a time
 
     def advance(it, idx):
         z_a = z[idx]
@@ -652,7 +653,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         # a pose graph its sparse Jacobian; its rows then get the stack's
         # leading axis, of length 1.
         pts = z_a[0] if alone else z_a
-        basis, var = _dual_fiber(problem, pts)
+        basis = _dual_fiber(problem, pts)
         jac, r, w, groups = obj.stage1_system(pts)
         r, w = r.reshape(len(idx), -1), w.reshape(len(idx), -1)
         b = _fiber_product(jac, basis, var)
@@ -660,8 +661,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         def keep(pos):
             # the points at ``pos`` stop where this step factored them
             for j, k in zip(pos.tolist(), idx[pos].tolist()):
-                point = [m if _is_sparse(m) else m[j] for m in (basis, b)]
-                fibers[k] = (point[0], var, point[1])
+                fibers[k] = tuple(m if _is_sparse(m) else m[j] for m in (basis, b))
 
         wr = w * r
         grad = _tmv(b, wr)
@@ -747,8 +747,8 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             break
         for group in np.split(live, live.size) if alone else [live]:
             advance(it, group)
-    return [_StageOutcome(z[k], len(traces[k]), traces[k], stop=stop[k], value=float(v_std[k]),
-                          fiber=fibers[k]) for k in range(count)]
+    return [_StageOutcome(z[k], traces[k], stop=stop[k], value=float(v_std[k]), fiber=fibers[k])
+            for k in range(count)]
 
 
 def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray, fiber: tuple) -> _StageOutcome:
@@ -783,7 +783,7 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray, fiber: tup
     trace row per solve.  The outcome carries the value and feasibility of
     the last row, which are those of its point.
 
-    ``fiber`` is stage I's ``(null, var, B)`` at ``z1`` (see
+    ``fiber`` is stage I's ``(null, B)`` at ``z1`` (see
     :func:`_stage1`).  Stage II's rows are the dual parts of stage I's, so
     its ``B`` is stage I's (``stage2_system`` gives no slope), and no fiber
     is built again.
@@ -792,7 +792,7 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray, fiber: tup
     z = _fiber_point(problem, z1)
     x_p = z[dual]
     r_p, weights = problem.objective.stage2_system(z)
-    null, b = fiber[0], fiber[2] if r_p.size else fiber[2][:0]
+    null, b = fiber[0], fiber[1] if r_p.size else fiber[1][:0]
     # Fiber directions that no row sees stay at x_p: all of them when the
     # objective has no rows (a smooth one, whose dual part is linear).
     seen = np.asarray(abs(b).sum(axis=0)).ravel() > 0
@@ -817,7 +817,7 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray, fiber: tup
                 or np.max(np.abs(y_new - y), initial=0.0) <= cfg.tol_feas):
             break
         y, w = y_new, w_new
-    return _StageOutcome(z, it + 1, trace, value=v, feasibility=feas)
+    return _StageOutcome(z, trace, value=v, feasibility=feas)
 
 
 def _start_z(start, arity: int, name: str) -> np.ndarray:
@@ -905,7 +905,7 @@ def _report(
 ) -> SolveReport:
     """Report at stage II's final point, with both stages' KKT analyses there.
 
-    ``stage1`` supplies the stage-I iteration count and trace; ``t0`` is
+    ``stage1`` supplies the stage-I trace, one row per iteration; ``t0`` is
     when the solve started.  Stage II moved only the dual coordinates, so
     both analyses share one objective gradient.
     """
@@ -923,7 +923,7 @@ def _report(
         multipliers={"lambda": list(kkt1.multipliers), "mu": list(kkt2.multipliers)},
         kkt_residual={"stage1": kkt1.residual, "stage2": kkt2.residual},
         feasibility={"h": feas_h, "h_d": feas_hd},
-        iterations={"stage1": stage1.iterations, "stage2": stage2.iterations},
+        iterations={"stage1": len(stage1.trace), "stage2": len(stage2.trace)},
         restart_index=restart_index,
         wall_time_ms=wall_ms,
         config=cfg,

@@ -28,7 +28,7 @@ from dqopt import (
     kkt_analysis,
     pack,
     solve_eqdqo,
-    spanning_tree_guess,
+    spanning_tree_rows,
     squared_distance_objective,
     vertex_errors,
 )
@@ -148,8 +148,7 @@ def test_acceptance_5_kkt():
     ds2 = generate_synthetic("axyb", 6, seed=0)
     r2 = solve_eqdqo(build_axyb(ds2), SolverConfig(restarts=8, seed=0))
     g = generate_cycle_graph(10, loop_closures=3, seed=0)
-    guess = [u.as_dual_quaternion() for u in spanning_tree_guess(g)]
-    r3 = solve_eqdqo(build_pgo(g), SolverConfig(restarts=2, seed=0), initial=guess)
+    r3 = solve_eqdqo(build_pgo(g), SolverConfig(restarts=2, seed=0), initial=spanning_tree_rows(g))
     for rep in (r1, r2, r3):
         assert rep.kkt_residual["stage1"] <= 1e-6
         assert rep.kkt_residual["stage2"] <= 1e-6
@@ -203,8 +202,7 @@ def test_acceptance_7_noise_monotonicity():
 def test_acceptance_8_pgo_noiseless_and_gauge():
     t0 = time.monotonic()
     g = generate_cycle_graph(10, loop_closures=3, seed=0)
-    guess = [u.as_dual_quaternion() for u in spanning_tree_guess(g)]
-    rep = solve_eqdqo(build_pgo(g), SolverConfig(restarts=2, seed=0), initial=guess)
+    rep = solve_eqdqo(build_pgo(g), SolverConfig(restarts=2, seed=0), initial=spanning_tree_rows(g))
     assert rep.stage1_value <= 1e-8
     assert abs(rep.stage2_value) <= 1e-6
     for row in vertex_errors(g, list(rep.solution)):

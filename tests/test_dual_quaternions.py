@@ -11,6 +11,7 @@ from dqopt import (
 from dqopt.algebra import canonical_sign
 from dqopt.errors import (
     NonImaginaryTranslation,
+    NonUnitAxis,
     NonUnitRotation,
     NotAppreciable,
     UnitValidationError,
@@ -260,3 +261,18 @@ def _rand_unit(rng):
 def test_algebra_input_checks_raise_naming_the_fault(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_bad_inputs_raise():
+    with pytest.raises(TypeError, match="cannot embed str"):
+        DualQuaternion.from_real("1")
+    with pytest.raises(ValueError, match="imaginary content"):
+        DualQuaternion(ONE, K).as_dual_number()
+    assert DualQuaternion(ONE * 2.0, ONE * 3.0).as_dual_number() == DualNumber(2.0, 3.0)
+    zero = DualQuaternion(ZERO, ONE)
+    with pytest.raises(NotAppreciable):
+        zero.inverse()
+    with pytest.raises(NotAppreciable, match="zero standard part"):
+        zero.normalized()
+    with pytest.raises(NonUnitAxis, match="imaginary dual quaternion"):
+        UnitDualQuaternion.exp(DualQuaternion(ONE, ZERO))

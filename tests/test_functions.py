@@ -9,6 +9,7 @@ from dqopt import (
     Quaternion,
     RelativePoseResidual,
     ResidualNormObjective,
+    UnitDualQuaternion,
     UnitNormConstraint,
     anchor_constraints,
     check_standardness,
@@ -527,3 +528,62 @@ def test_a_nan_point_counts_every_group_appreciable_in_the_branch_flags_and_stag
         r_dual, weights = obj.stage2_system(nan)
         # an infinitesimal group of unit rows would weigh 1 / |r_g| = 1/2 or less
         assert np.array_equal(weights(np.ones_like(r_dual)), np.ones_like(r_dual))
+
+
+def test_the_identity_and_plain_values_go_through_log_and_exp():
+    # the identity's logarithm is zero, whose exponential is the identity again
+    identity = UnitDualQuaternion.identity()
+    assert unit_log(identity).approx_eq(ZERO_DQ, tol=0.0)
+    assert unit_exp(unit_log(identity)).as_dual_quaternion().approx_eq(ONE_DQ, tol=0.0)
+    # a plain dual quaternion is taken as the unit value it is
+    plain = DualQuaternion(Quaternion(0.6, 0.8, 0.0, 0.0), Quaternion(0.0, 0.0, 0.5, 0.0))
+    assert unit_log(plain).approx_eq(UnitDualQuaternion.of(plain).log(), tol=0.0)
+    assert unit_exp(unit_log(plain)).as_dual_quaternion().approx_eq(plain, tol=1e-12)
+
+
+def test_a_first_power_keeps_the_value_and_gradient():
+    f = squared_distance_objective(_rand_dq(np.random.default_rng(3)))
+    z = np.random.default_rng(4).standard_normal(8)
+    power = scalar_power(f, 1)
+    assert power.value_at(z) == f.value_at(z)
+    for got, want in zip(power.gradient_at(z), f.gradient_at(z)):
+        assert np.array_equal(got, want)
+
+
+def test_gradient_check_takes_dual_quaternions_or_coordinates():
+    f = squared_distance_objective(_rand_dq(np.random.default_rng(5)))
+    point = [_rand_dq(np.random.default_rng(6))]
+    by_values, by_array = gradient_check(f, point), gradient_check(f, pack(point))
+    assert by_values.passed
+    for name in ("analytic_std", "analytic_dual", "numeric_std", "numeric_dual"):
+        assert np.array_equal(getattr(by_values, name), getattr(by_array, name))
+
+
+def test_check_standardness_redraws_failed_trials_and_gives_up_after_too_many():
+    calls = []
+
+    def half_defined(values):
+        calls.append(values)
+        if values[0].std.w < 0:
+            raise ValueError("undefined here")
+        return values[0].magnitude()
+
+    rep = check_standardness(half_defined, 1, n_samples=20, seed=0)
+    # two calls per kept trial, and one per trial that failed and was redrawn
+    assert rep.passed and len(calls) > 40
+
+    def nowhere_defined(values):
+        raise ValueError("undefined everywhere")
+
+    with pytest.raises(RuntimeError, match="too many failed evaluation attempts"):
+        check_standardness(nowhere_defined, 1, n_samples=1)
+
+
+def test_unknown_combiners_and_powers_below_one_raise():
+    f = variable_map(1, 0).magnitude()
+    with pytest.raises(ValueError, match="unknown combiner 'mean'"):
+        combine(f, f, "mean")
+    with pytest.raises(ValueError, match="positive integer"):
+        scalar_power(f, 0)
+    with pytest.raises(ValueError, match="positive integer"):
+        map_power(variable_map(1, 0), 0)

@@ -9,6 +9,7 @@ alone.  SciPy loads with the first solve on a sparse fiber (a pose graph of
 
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -221,3 +222,21 @@ def test_a_sparse_fiber_solves_the_same_with_or_without_a_pose_graph_problem_fir
     with_graph, before, _ = fresh(_GENERIC_SPARSE_SOLVE, "posegraph")
     assert before
     assert alone == with_graph
+
+
+def test_every_name_the_benchmark_traces_exists():
+    # perfbench/spans.py, loaded unedited, wraps these names; without this
+    # check a deleted one shows only as a KeyError inside the traced smoke run
+    import dqopt
+
+    path = SRC.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{cls.__name__}.{attr}" for _, cls, attrs in spans._methods(dqopt)
+               for attr in attrs if attr not in cls.__dict__]
+    missing += [name for _, name in spans.FUNCTIONS if not hasattr(dqopt, name)]
+    assert not missing, (
+        f"perfbench/spans.py traces {missing}, which dqopt no longer defines; "
+        "ROADMAP item 13's benchmark change must drop them from the benchmark first"
+    )

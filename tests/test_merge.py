@@ -126,10 +126,10 @@ def test_a_restart_runs_alone_until_it_merges_into_an_earlier_minimum():
                 assert outcome.z.tobytes() == alone.z.tobytes()
                 assert (outcome.trace, outcome.stop) == (alone.trace, alone.stop)
                 continue
-            assert outcome.trace == alone.trace[: outcome.iterations]
-            assert outcome.iterations < alone.iterations and outcome.fiber is None
+            assert outcome.trace == alone.trace[: len(outcome.trace)]
+            assert len(outcome.trace) < len(alone.trace) and outcome.fiber is None
             into = [j for j, o in enumerate(batch) if o.stop == "converged" and o.value > 0
-                    and o.iterations <= outcome.iterations
+                    and len(o.trace) <= len(outcome.trace)
                     and solver._near(outcome.z[None, std], o.z[None, std])[0, 0]]
             assert into
     assert kinds == {"converged", "merged"}

@@ -16,7 +16,6 @@ from dqopt import (
     SolverConfig,
     UnitDualQuaternion,
     build_pgo,
-    edge_error,
     error_vector,
     generate_cycle_graph,
     pack,
@@ -62,13 +61,6 @@ def test_parse_single_edge_frozen():
     assert Quaternion.from_array(std).approx_eq(Quaternion.identity(), tol=0.0)
     # dual part is translation * rotation / 2
     assert Quaternion.from_array(dual).approx_eq(Quaternion(0.0, 0.5, 0.0, 0.0), tol=0.0)
-
-
-def test_edge_error_at_identity():
-    q = udqs([[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])[0]
-    e = edge_error(UnitDualQuaternion.identity(), UnitDualQuaternion.identity(), q)
-    assert e.std.approx_eq(Quaternion(-1, 0, 0, 1), tol=0.0)
-    assert e.dual.approx_eq(Quaternion(0, 0, 0, 0), tol=0.0)
 
 
 def test_parse_serialize_roundtrip_is_byte_stable():
@@ -369,6 +361,7 @@ def test_generator_truth_is_consistent():
 def test_spanning_tree_guess_zeroes_tree_edges():
     g = generate_cycle_graph(9, loop_closures=2, seed=37)
     guess = spanning_tree_guess(g)
+    assert pack(guess).tobytes() == spanning_tree_rows(g).tobytes()
     assert guess[0].as_dual_quaternion().approx_eq(DualQuaternion.identity(), tol=0.0)
     errs = error_vector(g, guess)
     # noiseless: every measurement agrees with the propagated poses
@@ -386,24 +379,36 @@ def test_vertex_errors_at_truth():
         vertex_errors(PoseGraph(2, [(1, 2)], [_IDENTITY]), poses[:2])
 
 
+def _edge_errors(n, ij, measurements, z):
+    """``q_ij - conj(x_i) x_j`` per edge, in dual quaternion arithmetic."""
+    values = unpack(z, n)
+    q = unpack(measurements.reshape(-1), len(ij))
+    return [q_ij - values[i].conjugate() * values[j] for (i, j), q_ij in zip(ij.tolist(), q)]
+
+
 def test_residual_rows_match_eval_and_first_order():
+    # at the identity an edge's error is its measurement minus 1
+    q = pack(udqs([[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])).reshape(1, 2, 4)
+    z = pack([DualQuaternion.identity()] * 2)
+    r_std, r_dual, _, _ = RelativePoseResidual.stack_arrays(2, [0], [1], q)(z)
+    (e,) = _edge_errors(2, np.array([[0, 1]]), q, z)
+    assert r_std.tolist() == e.std.as_array().tolist() == [-1.0, 0.0, 0.0, 1.0]
+    assert r_dual.tolist() == e.dual.as_array().tolist() == [0.0] * 4
+
     g = generate_cycle_graph(7, loop_closures=3, seed=43)
     order = g.edge_order()
-    res = [
-        RelativePoseResidual(g.n, i - 1, j - 1, q)
-        for (i, j), q in zip(
-            g.edge_ids[order].tolist(), UnitDualQuaternion.from_rows(g.measurements()[order])
-        )
-    ]
     ij = g.edge_ids[order] - 1
-    evaluate = RelativePoseResidual.stack_arrays(g.n, ij[:, 0], ij[:, 1], g.measurements()[order])
+    measurements = g.measurements()[order]
+    res = [
+        RelativePoseResidual(g.n, i, j, q)
+        for (i, j), q in zip(ij.tolist(), UnitDualQuaternion.from_rows(measurements))
+    ]
+    evaluate = RelativePoseResidual.stack_arrays(g.n, ij[:, 0], ij[:, 1], measurements)
     rng = np.random.default_rng(47)
     z = rng.standard_normal(8 * g.n)
-    values = unpack(z, g.n)
     r_std, r_dual, pullback, _ = evaluate(z)
     w_std, w_dual = rng.standard_normal((2, 4 * len(res)))
-    for k, r in enumerate(res):
-        direct = r.eval(values)
+    for k, (r, direct) in enumerate(zip(res, _edge_errors(g.n, ij, measurements, z))):
         rows = slice(4 * k, 4 * k + 4)
         assert np.allclose(r_std[rows], direct.std.as_array(), rtol=0, atol=1e-12)
         assert np.allclose(r_dual[rows], direct.dual.as_array(), rtol=0, atol=1e-12)
@@ -441,13 +446,12 @@ def test_relative_pose_residual_rejects_bad_indices():
 def test_objective_evaluation_calls_no_per_edge_method(monkeypatch):
     g = generate_cycle_graph(6, loop_closures=2, noise_rot=0.01, seed=45)
     objective = build_pgo(g).objective
-    z = pack(spanning_tree_guess(g))
+    z = spanning_tree_rows(g).reshape(-1)
 
     def per_edge(*args):
         raise AssertionError("per-edge call on the evaluation path")
 
     monkeypatch.setattr(RelativePoseResidual, "rows", per_edge)
-    monkeypatch.setattr(RelativePoseResidual, "eval", per_edge)
     objective.value_at(z)
     objective.gradient_at(z)
     objective.stage1_value_grad(z, 1e-3)
@@ -458,7 +462,7 @@ def test_objective_calls_allocate_no_dense_jacobian():
     # A dense (4m, 8n) Jacobian of this graph takes 13.6 MB per part.
     g = generate_cycle_graph(200, loop_closures=66, seed=49)
     objective = build_pgo(g).objective
-    z = pack(spanning_tree_guess(g))
+    z = spanning_tree_rows(g).reshape(-1)
     flags = objective.branch_flags(z)
     calls = {
         "value_at": lambda: objective.value_at(z),
@@ -601,8 +605,7 @@ def test_gauge_invariance_of_error_vector():
 def test_noiseless_solve_recovers_truth():
     g = generate_cycle_graph(6, loop_closures=2, seed=61)
     problem = build_pgo(g)
-    guess = [u.as_dual_quaternion() for u in spanning_tree_guess(g)]
-    report = solve_eqdqo(problem, SolverConfig(restarts=2, seed=0), initial=guess)
+    report = solve_eqdqo(problem, SolverConfig(restarts=2, seed=0), initial=spanning_tree_rows(g))
     assert report.stage1_value <= 1e-8
     assert max(report.feasibility.values()) <= 1e-9
     for row in vertex_errors(g, list(report.solution)):
@@ -742,12 +745,11 @@ def test_array_path_matches_the_object_code_bit_for_bit():
     # the generator stores rows that parse reproduces
     assert generated.measurements().tobytes() == measured.tobytes()
 
-    guess = spanning_tree_guess(g)
-    assert pack(guess).tobytes() == pack(_reference_guess(ref["EDGE"], g.n)).tobytes()
+    rows = spanning_tree_rows(g)
+    assert rows.tobytes() == pack(_reference_guess(ref["EDGE"], g.n)).tobytes()
 
-    report = solve_eqdqo(
-        build_pgo(g), SolverConfig(restarts=1), initial=[u.as_dual_quaternion() for u in guess]
-    )
+    report = solve_eqdqo(build_pgo(g), SolverConfig(restarts=1), initial=rows)
+    guess = UnitDualQuaternion.from_rows(rows)
     truth = {ids[0]: pose for ids, pose in ref["TRUTH"]}
     for poses in (list(report.solution), guess):
         assert vertex_errors(g, poses) == _reference_errors(truth, poses)
@@ -809,7 +811,7 @@ def test_batched_cycle_graph_matches_the_per_pose_generator(noise_rot, noise_tra
 ])
 def test_pose_lists_are_checked_against_the_graph(call, message):
     g = generate_cycle_graph(4, seed=1)
-    poses = list(spanning_tree_guess(g))
+    poses = list(unpack(spanning_tree_rows(g).reshape(-1), g.n))
     if message is None:
         # a graph with no edges has no errors to stack
         assert len(call(g, poses)) == 0

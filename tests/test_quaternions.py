@@ -3,6 +3,7 @@ import pytest
 
 from dqopt import Quaternion, random_unit_quaternion
 from dqopt.algebra import left_mult_matrix, right_mult_matrix
+from dqopt.errors import NonUnitAxis, NotAppreciable
 from dqopt.handeye import pose_compose, unit_rows
 from helpers import rodrigues_matrix, table_quat_product
 
@@ -102,3 +103,22 @@ def test_normalized_is_unit():
     for _ in range(100):
         p = Quaternion.from_array(rng.standard_normal(4) * 3.0)
         assert abs(p.normalized().norm() - 1.0) <= 1e-12
+
+
+def test_bad_inputs_raise():
+    with pytest.raises(ValueError, match="expected 4 components, got 3"):
+        Quaternion.from_array([1.0, 0.0, 0.0])
+    zero = Quaternion(0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(NotAppreciable, match="no inverse"):
+        zero.inverse()
+    with pytest.raises(NotAppreciable, match="normalize"):
+        zero.normalized()
+    with pytest.raises(NonUnitAxis, match="axis must be imaginary"):
+        Quaternion.exp_axis_angle(0.3, Quaternion(0.5, 1.0, 0.0, 0.0))
+    with pytest.raises(NonUnitAxis, match="axis norm 2.0 is not 1"):
+        Quaternion.exp_axis_angle(0.3, Quaternion(0.0, 2.0, 0.0, 0.0))
+
+
+def test_the_exponential_of_zero_is_the_identity():
+    zero = Quaternion(0.0, 0.0, 0.0, 0.0)
+    assert Quaternion.exp_imaginary(zero).as_array().tolist() == [1.0, 0.0, 0.0, 0.0]

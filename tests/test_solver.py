@@ -22,9 +22,9 @@ from dqopt import (
     pack,
     scalar_power,
     solve_eqdqo,
-    spanning_tree_guess,
     spanning_tree_rows,
     squared_distance_objective,
+    unpack,
 )
 from dqopt import solver
 from dqopt.errors import ArityMismatch, Infeasible, NonStandardProblem
@@ -192,8 +192,7 @@ def _dense_multipliers(problem, z, stage):
 
 def _noisy_graph_problem():
     graph = generate_cycle_graph(30, loop_closures=10, noise_rot=0.01, noise_trans=0.01, seed=2)
-    guess = [u.as_dual_quaternion() for u in spanning_tree_guess(graph)]
-    return build_pgo(graph), guess
+    return build_pgo(graph), spanning_tree_rows(graph)
 
 
 @pytest.mark.parametrize("case", ["pgo", "axxb", "axyb"])
@@ -548,10 +547,8 @@ def test_an_initial_array_starts_restart_zero_as_dual_quaternions_do():
     g = generate_cycle_graph(12, loop_closures=4, noise_rot=0.01, noise_trans=0.01, seed=5)
     problem, cfg = build_pgo(g), SolverConfig(restarts=2, seed=0)
     rows = spanning_tree_rows(g)
-    guess = spanning_tree_guess(g)
-    assert np.array_equal(rows, pack(list(guess)).reshape(g.n, 8))
     from_rows = solve_eqdqo(problem, cfg, initial=rows)
-    from_objects = solve_eqdqo(problem, cfg, initial=[u.as_dual_quaternion() for u in guess])
+    from_objects = solve_eqdqo(problem, cfg, initial=list(unpack(rows.reshape(-1), g.n)))
     assert from_rows.trace == from_objects.trace
     assert np.array_equal(pack(list(from_rows.solution)), pack(list(from_objects.solution)))
     for bad in (rows[:-1], rows.reshape(-1), rows[:, :4]):
@@ -672,7 +669,7 @@ def _plain_fiber_product(jac, null, var):
 def test_the_dense_fiber_product_adds_each_columns_four_products_left_to_right(name, problem, count):
     rng = np.random.default_rng(30)
     z = problem.block.project(np.stack([solver._random_start(problem, rng) for _ in range(count)]))
-    null, var = solver._dual_fiber(problem, z)
+    null, var = solver._dual_fiber(problem, z), problem.block.var
     jac = problem.objective.stage1_system(z)[0]
     # pose graphs give one Jacobian per point, hand-eye problems one for the stack
     assert jac.ndim == (3 if name == "pgo" else 2)

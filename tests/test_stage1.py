@@ -18,7 +18,6 @@ from dqopt import (
     generate_synthetic,
     pack,
     solve_eqdqo,
-    spanning_tree_guess,
     spanning_tree_rows,
 )
 
@@ -29,8 +28,8 @@ SIGMA = 0.01
 @pytest.mark.parametrize("seed", SEEDS)
 def test_noisy_pose_graph_stage1_is_stationary_within_ten_steps(seed):
     g = generate_cycle_graph(20, loop_closures=6, noise_rot=SIGMA, noise_trans=SIGMA, seed=seed)
-    guess = [u.as_dual_quaternion() for u in spanning_tree_guess(g)]
-    report = solve_eqdqo(build_pgo(g), SolverConfig(restarts=1, seed=0), initial=guess)
+    cfg = SolverConfig(restarts=1, seed=0)
+    report = solve_eqdqo(build_pgo(g), cfg, initial=spanning_tree_rows(g))
     assert report.kkt_residual["stage1"] <= 1e-8
     assert report.iterations["stage1"] <= 10
 
@@ -60,7 +59,7 @@ def test_sparse_systems_take_the_steps_of_dense_ones(kind, monkeypatch):
     if kind == "pgo":
         g = generate_cycle_graph(12, loop_closures=4, noise_rot=SIGMA, noise_trans=SIGMA, seed=5)
         problem = build_pgo(g)
-        initial = [u.as_dual_quaternion() for u in spanning_tree_guess(g)]
+        initial = spanning_tree_rows(g)
     else:
         ds = generate_synthetic("axyb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=5)
         problem, initial = build_axyb(ds), None
@@ -70,7 +69,7 @@ def test_sparse_systems_take_the_steps_of_dense_ones(kind, monkeypatch):
     sparse = {r: (v, o) for v, r, o in solver._stage1_restarts(problem, cfg, initial)}
     assert sparse.keys() == dense.keys()
     for r, (value, outcome) in sparse.items():
-        assert outcome.iterations == dense[r][1].iterations
+        assert len(outcome.trace) == len(dense[r][1].trace)
         assert value == pytest.approx(dense[r][0], rel=1e-12)
         assert np.max(np.abs(outcome.z - dense[r][1].z)) <= 1e-9
     # and stage II on the same fiber, dense or sparse
@@ -99,9 +98,8 @@ def _assert_batch_matches_singles(problem, cfg, starts):
     for k, outcome in enumerate(batch):
         (alone,) = solver._stage1(problem, cfg, starts[k : k + 1])
         assert np.max(np.abs(outcome.z - alone.z)) <= 1e-12
-        assert outcome.iterations == alone.iterations
+        assert len(outcome.trace) == len(alone.trace)
         assert outcome.stop == alone.stop
-        assert len(outcome.trace) == len(alone.trace) == outcome.iterations
     return batch
 
 
@@ -121,7 +119,7 @@ def test_restarts_in_lockstep_take_the_steps_they_take_alone(case, no_merging):
     starts = _starts(problem, cfg, initial)
     batch = _assert_batch_matches_singles(problem, cfg, starts)
     # the restarts do stop at different steps, so some ran on alone in the batch
-    assert len({outcome.iterations for outcome in batch}) > 1
+    assert len({len(outcome.trace) for outcome in batch}) > 1
 
 
 def test_restarts_on_a_sparse_fiber_step_one_at_a_time(monkeypatch, no_merging):
@@ -139,7 +137,7 @@ def test_restarts_on_a_sparse_fiber_step_one_at_a_time(monkeypatch, no_merging):
     monkeypatch.setattr(solver, "_dual_fiber", spy)
     batch = _assert_batch_matches_singles(problem, cfg, starts)
     # every step of the batch took its points one by one, each on the sparse path
-    assert set(points) == {1} and len(points) == 2 * sum(o.iterations for o in batch)
+    assert set(points) == {1} and len(points) == 2 * sum(len(o.trace) for o in batch)
 
 
 def test_a_restart_at_the_step_cap_leaves_the_others_their_own_outcomes(no_merging):
@@ -156,12 +154,12 @@ def test_a_restart_at_the_step_cap_leaves_the_others_their_own_outcomes(no_mergi
     capped = _assert_batch_matches_singles(problem, cfg, _starts(problem, cfg))
     assert {full.stop for full in free} == {"converged"}
     # one restart converges after exactly k steps, on the boundary
-    assert any(full.iterations == k + 1 for full in free)
+    assert any(len(full.trace) == k + 1 for full in free)
     for full, outcome in zip(free, capped):
-        if full.iterations <= k + 1:
-            assert (outcome.stop, outcome.iterations) == (full.stop, full.iterations)
+        if len(full.trace) <= k + 1:
+            assert (outcome.stop, len(outcome.trace)) == (full.stop, len(full.trace))
             assert np.array_equal(outcome.z, full.z)
         else:
-            assert (outcome.stop, outcome.iterations) == ("max_outer", k + 1)
+            assert (outcome.stop, len(outcome.trace)) == ("max_outer", k + 1)
             assert outcome.trace == full.trace[: k + 1]
     assert {outcome.stop for outcome in capped} == {"converged", "max_outer"}

@@ -16,7 +16,6 @@ from dqopt import (
     generate_synthetic,
     pack,
     solve_eqdqo,
-    spanning_tree_guess,
     spanning_tree_rows,
     vertex_errors,
 )
@@ -44,7 +43,7 @@ def _pgo_solve(graph, guess):
 
 def _pgo_errors(sigma, seed):
     g = _graph(sigma, seed)
-    report = _pgo_solve(g, [u.as_dual_quaternion() for u in spanning_tree_guess(g)])
+    report = _pgo_solve(g, spanning_tree_rows(g))
     # vertex 1 is anchored to the truth
     return [row["translation_error"] for row in vertex_errors(g, list(report.solution))[1:]]
 
@@ -84,7 +83,7 @@ def test_stage2_does_not_follow_the_warm_start_translation(kind):
     else:
         g = _graph(1e-2, 0)
         problem, cfg = build_pgo(g), SolverConfig(restarts=1, seed=0)
-        guess = pose_rows(spanning_tree_guess(g))
+        guess = pose_rows(UnitDualQuaternion.from_rows(spanning_tree_rows(g)))
         starts = [[_shifted(p, s) for p in guess] for s in (0.0, 0.5, 2.0)]
     solutions = [pack(list(solve_eqdqo(problem, cfg, initial=x).solution)) for x in starts]
     for other in solutions[1:]:
@@ -131,9 +130,9 @@ def test_a_uniform_reweighting_ends_stage2_after_one_pass():
     problem, cfg = build_pgo(g), SolverConfig(restarts=1, seed=0)
     _, _, outcome = solver._stage1_restarts(problem, cfg, spanning_tree_rows(g))[0]
     stage2 = solver._stage2(problem, cfg, outcome.z, outcome.fiber)
-    assert stage2.iterations == len(stage2.trace) == 1
+    assert len(stage2.trace) == 1
     # the second pass, with the rescaled weights, lands on the same point
-    null, _, _ = outcome.fiber
+    null, _ = outcome.fiber
     z = solver._fiber_point(problem, outcome.z)
     r_p, weights = problem.objective.stage2_system(z)
     b = problem.objective.stage1_system(z)[0].toarray() @ null
@@ -149,13 +148,13 @@ def test_a_uniform_reweighting_ends_stage2_after_one_pass():
 
 
 def _fiber_from_scratch(problem, z):
-    """``(null, var, B)`` built anew at ``z``, as stage I evaluates a point."""
+    """``(null, B)`` built anew at ``z``, as stage I evaluates a point."""
     # a point on a sparse fiber is evaluated alone, any other as a stack of one
     alone = problem.block.var.size > solver._DENSE_MAX
     pts = z if alone else z[None]
-    null, var = solver._dual_fiber(problem, pts)
-    b = solver._fiber_product(problem.objective.stage1_system(pts)[0], null, var)
-    return (null, var, b) if alone else (null[0], var, b[0])
+    null = solver._dual_fiber(problem, pts)
+    b = solver._fiber_product(problem.objective.stage1_system(pts)[0], null, problem.block.var)
+    return (null, b) if alone else (null[0], b[0])
 
 
 def _bytes(a):
