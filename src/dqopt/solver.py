@@ -94,7 +94,8 @@ class SolverConfig:
     coordinates, up to the global sign) of a restart that already
     converged to a positive value stops there and is no candidate.
     Restarts that converged to value 0 or stalled are never merged into.
-    ``threads`` accepts only 1, so that callers passing it keep working.
+    ``threads`` accepts only 1, so that callers passing it keep working,
+    the benchmark among them until ROADMAP item 13's benchmark change.
     Counts must be integers and tolerances real numbers, not bools; the
     report echoes them as Python ``int`` and ``float``.
     """
