@@ -386,7 +386,7 @@ def _edge_errors(n, ij, measurements, z):
     return [q_ij - values[i].conjugate() * values[j] for (i, j), q_ij in zip(ij.tolist(), q)]
 
 
-def test_residual_rows_match_eval_and_first_order():
+def test_edge_error_at_identity():
     # at the identity an edge's error is its measurement minus 1
     q = pack(udqs([[0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]])).reshape(1, 2, 4)
     z = pack([DualQuaternion.identity()] * 2)
@@ -395,6 +395,8 @@ def test_residual_rows_match_eval_and_first_order():
     assert r_std.tolist() == e.std.as_array().tolist() == [-1.0, 0.0, 0.0, 1.0]
     assert r_dual.tolist() == e.dual.as_array().tolist() == [0.0] * 4
 
+
+def test_residual_rows_match_eval_and_first_order():
     g = generate_cycle_graph(7, loop_closures=3, seed=43)
     order = g.edge_order()
     ij = g.edge_ids[order] - 1
