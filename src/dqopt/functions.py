@@ -162,9 +162,9 @@ class DualFunction:
         ``z`` put it.  Rows, when there are any, are the dual parts of the
         rows of ``stage1_system``, so their slope in the dual coordinates
         is its standard Jacobian ``J``: the solver takes stage I's product
-        of ``J`` with the fiber and asks for no slope here.  A smooth
-        standard function has a dual part linear in the dual coordinates
-        and contributes no rows.
+        of ``J`` with the tangent basis and asks for no slope here.  A
+        smooth standard function has a dual part linear in the dual
+        coordinates and contributes no rows.
         """
         return np.empty(0), np.ones_like
 
@@ -460,12 +460,13 @@ class ResidualNormObjective(DualFunction):
 
     Each group contributes ``|(r_1, ..., r_k)|`` where the 2-norm of a dual
     quaternion vector branches on whether the stacked standard part is
-    appreciable.  A group with a single residual is that residual's
-    magnitude; a single group holding every residual is the 2-norm of the
-    whole residual vector.  The solver reads the stage systems.  No solve
-    calls the smoothed hooks ``*_value_grad`` (branch softened to ``sqrt(s
-    + mu^2) - mu``) or :meth:`branch_flags`; they stay only until ROADMAP
-    item 13's benchmark change, since the benchmark's tracer wraps them.
+    appreciable, its norm above ``TOL_APPRECIABLE``.  A group with a single
+    residual is that residual's magnitude; a single group holding every
+    residual is the 2-norm of the whole residual vector.  The solver reads
+    the stage systems.  No solve calls the smoothed hooks ``*_value_grad``
+    (branch softened to ``sqrt(s + mu^2) - mu``) or :meth:`branch_flags`;
+    they stay only until ROADMAP item 13's benchmark change, since the
+    benchmark's tracer wraps them.
 
     ``evaluate`` is an array evaluator ``z -> (r_std, r_dual, pullback,
     jacobian)`` of every residual row, 4 per residual, such as
@@ -480,11 +481,10 @@ class ResidualNormObjective(DualFunction):
     pass.
     """
 
-    def __init__(self, arity: int, evaluate, sizes, tol: float = TOL_APPRECIABLE):
+    def __init__(self, arity: int, evaluate, sizes):
         super().__init__(arity, declared_standard=True)
         if not len(sizes) or min(sizes) < 1:
             raise ValueError("groups must be nonempty")
-        self.tol = float(tol)
         rows = 4 * np.asarray(sizes, dtype=np.intp)
         # Row index where each group's block starts, for segmented sums.
         self._starts = np.concatenate([[0], np.cumsum(rows)[:-1]]).astype(np.intp)
@@ -513,7 +513,7 @@ class ResidualNormObjective(DualFunction):
         s_std, cross, s_dual = self._group_sums(r_std, r_dual)
         norms = np.sqrt(s_std)
         # a NaN norm counts as appreciable, so a NaN point reads a NaN value, not 0
-        app = ~(norms <= self.tol)
+        app = ~(norms <= TOL_APPRECIABLE)
         if app.all():
             total_std = np.add.reduce(norms, axis=-1)
             total_dual = 0.0 + np.add.reduce(cross / norms, axis=-1)
@@ -535,8 +535,8 @@ class ResidualNormObjective(DualFunction):
         s_std, cross, s_dual = self._group_sums(r_std, r_dual)
         norms = np.sqrt(s_std)
         dual_norms = np.sqrt(s_dual)
-        app = norms > self.tol
-        inf_pos = (~app) & (dual_norms > self.tol)
+        app = norms > TOL_APPRECIABLE
+        inf_pos = (~app) & (dual_norms > TOL_APPRECIABLE)
 
         # Row weights per group, expanded to residual rows.
         inv_norm = np.where(app, 1.0 / np.where(app, norms, 1.0), 0.0)
@@ -592,15 +592,15 @@ class ResidualNormObjective(DualFunction):
         r_std, _, _, _ = self._stack(np.asarray(z, dtype=np.float64))
         s_std = np.add.reduceat(r_std * r_std, self._starts)
         # a NaN norm counts as appreciable, as in ``value_at``
-        return tuple(bool(b) for b in ~(np.sqrt(s_std) <= self.tol))
+        return tuple(bool(b) for b in ~(np.sqrt(s_std) <= TOL_APPRECIABLE))
 
     def stage1_system(self, z):
         """Stage-I rows ``(J, r, weights, groups)``: ``J^T W r`` is the standard gradient.
 
         ``r`` are the standard residual rows (zero in a group at a kink,
-        ``|r_g| <= tol``, the zero subgradient) with ``(k, 4n)``
+        ``|r_g| <= TOL_APPRECIABLE``, the zero subgradient) with ``(k, 4n)``
         standard-slot Jacobian ``J`` from the stack's ``jacobian()``; rows
-        weigh ``1 / max(|r_g|, tol)``, so ``J^T W J`` is the Hessian of the
+        weigh ``1 / max(|r_g|, TOL_APPRECIABLE)``, so ``J^T W J`` is the Hessian of the
         reweighted majorizer of ``sum_g |r_g|``.  ``groups`` gives each
         group's first row, or ``None`` for one group, which has the
         minimizer of ``|r|^2`` (Gauss-Newton).  For a stack ``(R, 8n)`` of
@@ -608,8 +608,8 @@ class ResidualNormObjective(DualFunction):
         """
         r, _, _, jacobian = self._stack(z)
         norms = np.sqrt(np.add.reduceat(r * r, self._starts, axis=-1))
-        weights = self._expand(1.0 / np.maximum(norms, self.tol))
-        r = r * self._expand(norms > self.tol)
+        weights = self._expand(1.0 / np.maximum(norms, TOL_APPRECIABLE))
+        r = r * self._expand(norms > TOL_APPRECIABLE)
         return jacobian(), r, weights, self._starts if self._starts.size > 1 else None
 
     def stage2_system(self, z):
@@ -620,17 +620,17 @@ class ResidualNormObjective(DualFunction):
         of :meth:`stage1_system`.  Each group's branch is frozen by
         ``|r_std,g|`` at ``z``, as :meth:`value_at` reads it: appreciable
         groups weigh 1; infinitesimal groups weigh ``1 / max(|r_dual,g|,
-        tol)``, so re-solving with updated weights (iteratively reweighted
+        TOL_APPRECIABLE)``, so re-solving with updated weights (iteratively reweighted
         least squares) minimizes their sum of magnitudes ``sum_g
         |r_dual,g|``, the stage-II objective on them.
         """
         r_std, r_dual, _, _ = self._stack(z)
         # a NaN norm counts as appreciable, as in ``value_at``
-        app = ~(np.sqrt(np.add.reduceat(r_std * r_std, self._starts)) <= self.tol)
+        app = ~(np.sqrt(np.add.reduceat(r_std * r_std, self._starts)) <= TOL_APPRECIABLE)
 
         def weights(r):
             norms = np.sqrt(np.add.reduceat(r * r, self._starts))
-            return self._expand(np.where(app, 1.0, 1.0 / np.maximum(norms, self.tol)))
+            return self._expand(np.where(app, 1.0, 1.0 / np.maximum(norms, TOL_APPRECIABLE)))
 
         return r_dual, weights
 
@@ -775,6 +775,8 @@ class ConstraintBlock:
         self._sphere = np.flatnonzero(width == 3)
         #: The variable of each tangent column, and ``_col`` its column of :meth:`tangent`'s frame.
         self.var = np.repeat(np.arange(self.arity), width)
+        #: The standard slot ``4 var[j] + c`` of entry ``c`` of each frame ``j``, raveled.
+        self.slots = (4 * self.var[:, None] + np.arange(4)).ravel()
         self._col = np.concatenate([np.arange(4 - w, 4) for w in width.tolist()])
 
     def values(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -46,9 +46,10 @@ iterates it would take alone until it stops on its own stop rule, or until
 it comes within ``_MERGE_RADIUS`` of a minimum another restart converged
 to, where it stops "merged".  Larger, sparse problems advance their
 restarts one after another within each step.  Stage II runs for the
-restarts tied at the least stage-I value, from the fiber stage I built at
-its final point, and the reported solution is the dn-order minimum over
-their feasible outcomes.
+restarts tied at the least stage-I value, on the ``B = J N`` stage I
+formed at its final point, with ``N`` the constraint block's tangent
+frames, and the reported solution is the dn-order minimum over their
+feasible outcomes.
 """
 
 from __future__ import annotations
@@ -257,8 +258,8 @@ class _StageOutcome:
     z: np.ndarray
     trace: list  # one row per iteration
     stop: str | None = None  # stage I: "converged", "stalled", "merged" or "max_outer"
-    # stage I, not merged: (null, B) of its last evaluation, at z
-    fiber: tuple | None = None
+    # stage I, not merged: B = J N of its last evaluation, at z
+    fiber: np.ndarray | None = None
     value: float | DualNumber | None = None  # at z: standard (stage I) or dual value (II)
     feasibility: tuple[float, float] | None = None  # stage II: _feasibility at z
 
@@ -288,42 +289,23 @@ def _random_start(problem: EqdqoProblem, rng: np.random.Generator) -> np.ndarray
     return z
 
 
-def _dual_fiber(problem: EqdqoProblem, z: np.ndarray):
-    """The null space of ``G`` at ``z``, stage I's tangent space and stage II's fiber.
+def _fiber_product(jac, frames: np.ndarray, var: np.ndarray):
+    """``B = J N`` for the residual Jacobian ``J`` and ``N`` the stack of tangent ``frames``.
 
-    It is the ``(4n, k)`` basis of :meth:`ConstraintBlock.tangent`, sparse past
-    ``_DENSE_MAX`` columns, and for a stack ``(R, 8n)`` a dense ``(R, 4n, k)`` stack;
-    its column ``c`` lies in variable ``problem.block.var[c]``'s slots.
+    Column ``c`` of ``N`` is ``frames[..., c, :]`` in variable ``var[c]``'s
+    slots.  A sparse ``J`` or over ``_DENSE_MAX`` columns (one point) give a
+    sparse product on ``N`` as a CSC matrix.  Otherwise each entry adds the
+    4 products of its column's variable left to right, as SciPy's product
+    of a sparse ``J`` sums them, however many points are stacked.
     """
-    var = problem.block.var
-    rows = (4 * var[:, None] + np.arange(4)).ravel()
-    vals = problem.block.tangent(z).reshape(z.shape[:-1] + (-1,))
-    shape = (4 * problem.arity, var.size)
-    if var.size <= _DENSE_MAX:
-        null = np.zeros(z.shape[:-1] + shape)
-        null[..., rows, np.repeat(np.arange(var.size), 4)] = vals
-    else:
+    cols = 4 * var + np.arange(4)[:, None]  # the slot of entry c of frame j at [c, j]
+    if _is_sparse(jac) or var.size > _DENSE_MAX:
         from ._sparse import sparse
 
-        null = sparse.csc_matrix((vals.reshape(-1), rows, np.arange(0, rows.size + 1, 4)), shape)
-    return null
-
-
-def _fiber_product(jac, null, var: np.ndarray):
-    """``J N`` for the residual Jacobian ``J`` and a null basis ``N`` of :func:`_dual_fiber`.
-
-    A sparse ``N`` gives a sparse product.  Otherwise ``J`` is dense
-    ``(..., k, 4n)`` and ``N`` dense ``(..., 4n, d)``, and each entry adds
-    the 4 products of its column's variable left to right, as SciPy's
-    product of a sparse ``J`` sums them: the result does not depend on how
-    many points are stacked.
-    """
-    if _is_sparse(null):
-        from ._sparse import sparse
-
+        null = sparse.csc_matrix((frames.ravel(), cols.T.ravel(), np.arange(0, frames.size + 1, 4)),
+                                 (jac.shape[-1], var.size))
         return (jac if _is_sparse(jac) else sparse.csr_matrix(jac)) @ null
-    cols = 4 * var + np.arange(4)[:, None]
-    n = null[..., cols, np.arange(var.size)][..., None, :, :]
+    n = frames.swapaxes(-1, -2)[..., None, :, :]
     if jac.ndim == 2:
         # One J for the whole stack, as hand-eye problems have: its products
         # are few, and one multiply forms them all.
@@ -340,6 +322,18 @@ def _fiber_product(jac, null, var: np.ndarray):
     return np.ascontiguousarray(out)
 
 
+def _tangent_step(block: ConstraintBlock, frames: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``N y`` per point for ``(..., d, 4)`` tangent ``frames`` and ``(..., d)`` ``y``.
+
+    Each slot adds its ``frame * y`` terms to zero in column order, as
+    SciPy's sparse product does: dense or sparse, stacked or not, bit for bit.
+    """
+    count, size = math.prod(y.shape[:-1]), 4 * block.arity
+    at = (block.slots + size * np.arange(count)[:, None]).ravel()
+    out = np.bincount(at, (frames * y[..., None]).ravel(), count * size)
+    return out.reshape(y.shape[:-1] + (size,))
+
+
 def _fiber_point(problem: EqdqoProblem, z: np.ndarray) -> np.ndarray:
     """``z`` with its duals at the dual fiber's minimum-norm point.
 
@@ -347,7 +341,7 @@ def _fiber_point(problem: EqdqoProblem, z: np.ndarray) -> np.ndarray:
     with ``h_d(0)`` its value at zero duals, so ``x_p = (G^T G)^+ G^T
     (-h_d(0))`` is the least-norm point that satisfies them (least squares
     when none does), with ``G`` at the standard coordinates of ``z``; the
-    fiber is ``x_p + null y``, ``null`` from :func:`_dual_fiber`.
+    fiber is ``x_p + N y``, ``N`` the tangent basis of :func:`_fiber_product`.
     """
     dual = _part_indices(problem.arity, 1)
     z = z.copy()
@@ -420,8 +414,8 @@ def _kkt(problem: EqdqoProblem, z, stage: int, grad) -> KktInfo:
 # ---------------------------------------------------------------------------
 # Stage drivers
 
-#: Dual fibers with at most this many directions are built dense, and so
-#: are both stages' least-squares systems on them: for a hand-eye problem's
+#: Tangent spaces with at most this many directions get a dense ``B = J N``,
+#: and so both stages dense least-squares systems: for a hand-eye problem's
 #: 3 or 6, setting up ``scipy.sparse`` objects costs more than the solve,
 #: and dense solves stay faster up to pose graphs of about 40 vertices (3
 #: directions per vertex).  Larger ones stay sparse.
@@ -474,16 +468,6 @@ def _tmv(a, x: np.ndarray) -> np.ndarray:
     if _is_sparse(a):
         return (a.T @ x[0])[None]
     return (a.swapaxes(-1, -2) @ x[..., None])[..., 0]
-
-
-def _pullback(jac, x: np.ndarray) -> np.ndarray:
-    """``J^T x`` per point for a residual Jacobian ``J``.
-
-    A dense ``J`` is summed row after row, as SciPy sums a sparse one.
-    """
-    if _is_sparse(jac):
-        return (jac.T @ x[0])[None]
-    return np.add.reduce(jac * x[..., None], axis=-2)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -619,10 +603,10 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     where the next pass stops it ``"max_outer"`` instead of stepping: every
     trace ends with a row at the point returned.
 
-    All points still running take each step together: one fiber, one
-    residual system and one batched solve per step for the stack.  Each
-    keeps its own value, damping, previous gradient norm, flat flag and
-    trace, so its iterates are those it takes alone.  Points on a sparse
+    All points still running take each step together: one stack of tangent
+    frames, one residual system and one batched solve per step.  Each keeps
+    its own value, damping, previous gradient norm, flat flag and trace, so
+    its iterates are those it takes alone.  Points on a sparse
     fiber step one at a time.  At the top of each step, a running point
     within ``_MERGE_RADIUS`` of a point that stopped ``"converged"`` with a
     positive value stops ``"merged"``: its trace is the start of the one it
@@ -630,8 +614,8 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     value 0 (noiseless data, where restarts at one minimum differ in what
     stage II makes of them) and points that stalled (at kinks, where
     restarts creep and stop apart) are never merged into.  Returns one
-    :class:`_StageOutcome` per start; every one not merged carries the
-    ``fiber`` ``(null, B)`` of its last evaluation, at its point.
+    :class:`_StageOutcome` per start; every one not merged carries as
+    ``fiber`` the ``B`` of its last evaluation, at its point.
     Stage I never reads the dual coordinates: they stay those of the start.
     """
     obj, block = problem.objective, problem.block
@@ -654,15 +638,15 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         # a pose graph its sparse Jacobian; its rows then get the stack's
         # leading axis, of length 1.
         pts = z_a[0] if alone else z_a
-        basis = _dual_fiber(problem, pts)
-        jac, r, w, groups = obj.stage1_system(pts)
+        frames = block.tangent(z_a)
+        jac, r, w, starts = obj.stage1_system(pts)
         r, w = r.reshape(len(idx), -1), w.reshape(len(idx), -1)
-        b = _fiber_product(jac, basis, var)
+        b = _fiber_product(jac, frames, var)
 
         def keep(pos):
             # the points at ``pos`` stop where this step factored them
             for j, k in zip(pos.tolist(), idx[pos].tolist()):
-                fibers[k] = tuple(m if _is_sparse(m) else m[j] for m in (basis, b))
+                fibers[k] = b if _is_sparse(b) else b[j]
 
         wr = w * r
         grad = _tmv(b, wr)
@@ -687,24 +671,24 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             if halted.size == len(idx):
                 return
             go = ~done
-            idx, z_a, basis, b, r, w, wr, grad = (
-                a[go] for a in (idx, z_a, basis, b, r, w, wr, grad))
+            idx, z_a, frames, b, r, w, wr, grad = (
+                a[go] for a in (idx, z_a, frames, b, r, w, wr, grad))
             jac = jac[go] if jac.ndim == 3 else jac
             pts = z_a
         h = _normal(b, w)
         scale = np.maximum.reduce(_diagonal(h), axis=-1, initial=0.0)
         scale[scale == 0] = 1.0
         rounding = v_std[idx] + _ROUNDING * np.abs(v_std[idx])
-        pull = _pullback(jac, wr).reshape(pts.shape[:-1] + (-1,))
+        pull = _tmv(jac, wr).reshape(pts.shape[:-1] + (-1,))
         curv = block.curvature(pts, pull).reshape(len(idx), -1)
         shift = _DAMP_FLOOR * scale[:, None] - curv[:, var]
-        y = _newton_step(b, r, w, groups, grad, h, shift)
+        y = _newton_step(b, r, w, starts, grad, h, shift)
         stepped = np.zeros(len(idx), dtype=bool)
 
         # ``pos`` below indexes the points of this step that try a move.
         def trial(pos, y):
             moved = z_a[pos]
-            moved[:, std] += _mv(basis[pos] if len(pos) < len(z_a) else basis, y)
+            moved[:, std] += _tangent_step(block, frames[pos], y)
             moved = block.project(moved)
             return moved, obj.value_at(moved)
 
@@ -752,7 +736,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             for k in range(count)]
 
 
-def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray, fiber: tuple) -> _StageOutcome:
+def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray, fiber) -> _StageOutcome:
     """Stage II at the standard coordinates of ``z1``: one exact fit on the dual fiber.
 
     With the standard coordinates held at the stage-I point, the dual
@@ -779,32 +763,33 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray, fiber: tup
     rescaling every weight alike leaves the fit where it is.  (Weights of
     several groups that change by one common factor are not taken as
     settled: on a singular system the next solve is what shows the
-    singularity.)  A
-    singular system gives a non-finite ``y``, which ends the passes.  One
-    trace row per solve.  The outcome carries the value and feasibility of
+    singularity.)  A singular system gives a non-finite ``y``, which ends
+    the passes.  One trace row per solve.  The outcome carries the value and feasibility of
     the last row, which are those of its point.
 
-    ``fiber`` is stage I's ``(null, B)`` at ``z1`` (see
-    :func:`_stage1`).  Stage II's rows are the dual parts of stage I's, so
-    its ``B`` is stage I's (``stage2_system`` gives no slope), and no fiber
-    is built again.
+    ``fiber`` is stage I's ``B = J N`` at ``z1`` (see :func:`_stage1`).
+    Stage II's rows are the dual parts of stage I's, so its ``B`` is stage
+    I's (``stage2_system`` gives no slope), and ``N`` is
+    :meth:`~dqopt.functions.ConstraintBlock.tangent` at ``z1``.
     """
     dual = _part_indices(problem.arity, 1)
     z = _fiber_point(problem, z1)
     x_p = z[dual]
     r_p, weights = problem.objective.stage2_system(z)
-    null, b = fiber[0], fiber[1] if r_p.size else fiber[1][:0]
+    b = fiber if r_p.size else fiber[:0]
     # Fiber directions that no row sees stay at x_p: all of them when the
     # objective has no rows (a smooth one, whose dual part is linear).
     seen = np.asarray(abs(b).sum(axis=0)).ravel() > 0
-    b, null = b[:, seen], null[:, seen]
+    b, frames = b[:, seen], problem.block.tangent(z1)
     b_t = b.T
+    step = np.zeros(seen.size)  # y over every direction, 0 on the unseen ones
     w = weights(r_p)
     y = np.zeros(b.shape[1])
     trace = []
     for it in range(cfg.max_outer):
         y_new = _reduced_solve(b_t @ _scale_rows(b, w), -(b_t @ (w * r_p)))
-        z[dual] = x_p + null @ y_new
+        step[seen] = y_new
+        z[dual] = x_p + _tangent_step(problem.block, frames, step)
         r = r_p + b @ y_new
         stationarity = float(np.linalg.norm(b_t @ (w * r)))
         v = problem.objective.value_at(z)
@@ -867,8 +852,8 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     is drawn.  Otherwise every restart advances in lockstep through one
     :func:`_stage1` call, and merged restarts are left out.  Raises
     ``ValueError`` when restart 0's start has a zero standard part on a
-    unit row, and :class:`Infeasible` when no restart satisfies the
-    standard rows to ``tol_feas``.
+    unit row, and :class:`Infeasible`, naming the restarts that ran, when
+    none satisfies the standard rows to ``tol_feas``.
     """
     first = _restart_start(problem, cfg, initial, 0)
     starts = first[None]
@@ -890,7 +875,7 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
               if h[r] <= cfg.tol_feas and o.stop != "merged"]
     if not scored:
         raise Infeasible(
-            f"no feasible candidate across {cfg.restarts} restarts "
+            f"no feasible candidate across restarts {list(range(len(outcomes)))} "
             f"(best feasibility {min(h):.3e} > tol {cfg.tol_feas:.3e})"
         )
     return sorted(scored, key=lambda item: item[:2])
@@ -933,11 +918,6 @@ def _report(
     )
 
 
-def _feasible(cfg: SolverConfig, feas: tuple[float, float]) -> bool:
-    """True when both violations of :func:`_feasibility` are within ``tol_feas`` (NaN is not)."""
-    return feas[0] <= cfg.tol_feas and feas[1] <= cfg.tol_feas
-
-
 def solve_eqdqo(
     problem: EqdqoProblem,
     cfg: SolverConfig | None = None,
@@ -952,8 +932,8 @@ def solve_eqdqo(
     A restart that merged into a minimum another restart converged to with
     a positive value is none (see :class:`SolverConfig`); restarts at
     value 0 or stalled are candidates as without merging, and stage II
-    picks the best of them.  Stage II starts from the fiber stage I built
-    at the candidate's point, where its trace ends, capped or not;
+    picks the best of them.  Stage II starts from the ``B = J N`` stage I
+    formed at the candidate's point, where its trace ends, capped or not;
     ``iterations["stage1"]`` counts the trace rows.  The report carries the
     dn-order minimal candidate, ties broken by restart index.  Restart 0
     starts from ``initial`` when given, one dual quaternion per variable or
@@ -967,22 +947,24 @@ def solve_eqdqo(
     at value 0 comes back about as precise as it was given: no random
     restart competes with it in stage II.  Raises ``ValueError``, naming
     the start and the variable, for a start with a NaN or infinite entry
-    or a zero standard part on a unit row, and :class:`Infeasible` when no
-    restart produces a candidate.
+    or a zero standard part on a unit row, and :class:`Infeasible`, naming
+    the restarts stage I or else stage II ran for, when none gives a candidate.
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
     scored = _stage1_restarts(problem, cfg, initial)
-    candidates = []
+    candidates, tied = [], []
     for value, r, outcome in scored:
         if value > scored[0][0]:
             break
+        tied.append(r)
         stage2 = _stage2(problem, cfg, outcome.z, outcome.fiber)
-        if _feasible(cfg, stage2.feasibility):
+        # both violations within tol_feas; a NaN one is not
+        if all(v <= cfg.tol_feas for v in stage2.feasibility):
             candidates.append((stage2.value, r, outcome, stage2))
     if not candidates:
         raise Infeasible(
-            f"no feasible candidate across {cfg.restarts} restarts "
+            f"no feasible candidate across restarts {tied} "
             f"(stage II left h_d above tol {cfg.tol_feas:.3e})"
         )
     # min keeps the first of equal pairs, so ties go to the lower restart

@@ -7,6 +7,8 @@ quaternions nearly uniformly for brute-force minimization.  The pose-row
 shorthands are not oracles: they run the library's row kernels on one row.
 Nor are the affine-residual helpers, which run ``AffineResidual``'s array
 kernels; ``affine_value`` is their reference, in quaternion arithmetic.
+Nor is ``tangent_matrix``, which places ``ConstraintBlock.tangent``'s
+frames in a dense matrix.
 """
 
 import numpy as np
@@ -166,6 +168,14 @@ class LeakyFunction(DualFunction):
 # Brute-force minimization over the unit sphere in R^4
 
 SUPER_PSI = 1.533751168755204288118041
+
+
+def tangent_matrix(block, z):
+    """The ``(4n, k)`` tangent basis at a point, placed from ``block.tangent`` and ``block.var``."""
+    null = np.zeros((4 * block.arity, block.var.size))
+    for j, (i, col) in enumerate(zip(block.var.tolist(), block.tangent(z))):
+        null[4 * i : 4 * i + 4, j] = col
+    return null
 
 
 def super_fibonacci_grid(n):

@@ -96,3 +96,19 @@ def test_appreciable_threshold():
     assert not DualNumber(1e-8, 0.0).appreciable()
     assert DualNumber(2e-8, 0.0).appreciable()
     assert DualNumber(-1.0, 0.0).appreciable()
+
+
+
+@pytest.mark.parametrize("name, apply", [
+    ("__add__", lambda x: x + "a"),
+    ("__radd__", lambda x: "a" + x),
+    ("__sub__", lambda x: x - "a"),
+    ("__rsub__", lambda x: "a" - x),
+    ("__mul__", lambda x: x * "a"),
+    ("__rmul__", lambda x: "a" * x),
+])
+def test_arithmetic_with_an_unsupported_type_is_not_implemented(name, apply):
+    x = DualNumber(1.0, 2.0)
+    assert getattr(x, name)("a") is NotImplemented
+    with pytest.raises(TypeError):
+        apply(x)

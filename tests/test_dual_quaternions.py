@@ -276,3 +276,24 @@ def test_bad_inputs_raise():
         zero.normalized()
     with pytest.raises(NonUnitAxis, match="imaginary dual quaternion"):
         UnitDualQuaternion.exp(DualQuaternion(ONE, ZERO))
+
+
+@pytest.mark.parametrize("name, apply", [
+    ("__add__", lambda d: d + 1.0),
+    ("__sub__", lambda d: d - 1.0),
+    ("__mul__", lambda d: d * "a"),
+    ("__rmul__", lambda d: "a" * d),
+])
+def test_arithmetic_with_an_unsupported_type_is_not_implemented(name, apply):
+    d = DualQuaternion(Quaternion(1, 2, 3, 4), Quaternion(5, 6, 7, 8))
+    other = 1.0 if name in ("__add__", "__sub__") else "a"
+    assert getattr(d, name)(other) is NotImplemented
+    with pytest.raises(TypeError):
+        apply(d)
+
+
+def test_unit_products_take_only_unit_dual_quaternions():
+    u = UnitDualQuaternion.identity()
+    assert u.__mul__(u.inner) is NotImplemented
+    with pytest.raises(TypeError):
+        u * 2.0

@@ -6,6 +6,7 @@ from dqopt import (
     DualFunction,
     DualNumber,
     DualQuaternion,
+    DualQuaternionMap,
     Quaternion,
     RelativePoseResidual,
     ResidualNormObjective,
@@ -28,7 +29,14 @@ from dqopt import (
     variable_map,
 )
 from dqopt.errors import ArityMismatch, NonUnitValue
-from helpers import LeakyFunction, affine_jacobians, affine_objective, affine_stack, affine_value
+from helpers import (
+    LeakyFunction,
+    affine_jacobians,
+    affine_objective,
+    affine_stack,
+    affine_value,
+    tangent_matrix,
+)
 
 I = Quaternion(0, 1, 0, 0)
 ONE = Quaternion.identity()
@@ -308,14 +316,6 @@ def _mixed_constraints(n, target):
     )
 
 
-def _tangent_matrix(block, z):
-    """The ``(4n, k)`` tangent basis placed from ``block.tangent`` and ``block.var``."""
-    null = np.zeros((4 * block.arity, block.var.size))
-    for j, (i, col) in enumerate(zip(block.var.tolist(), block.tangent(z))):
-        null[4 * i : 4 * i + 4, j] = col
-    return null
-
-
 def _stage_jacobian(cons, z):
     """``G`` stacked from each constraint's own ``gradient_at``, over the standard slots."""
     std = (8 * np.arange(len(z) // 8)[:, None] + np.arange(4)).ravel()
@@ -361,7 +361,7 @@ def test_block_pullback_is_the_stage_jacobian_product():
         # variable 1 spans 3 columns, the free variable 3 spans 4 and the
         # anchored variables 0 and 2 none
         z = block.project(z)
-        null = _tangent_matrix(block, z)
+        null = tangent_matrix(block, z)
         assert np.bincount(block.var, minlength=n).tolist() == [0, 3, 0, 4]
         assert np.max(np.abs(null.T @ null - np.eye(null.shape[1]))) <= 1e-14
         assert np.max(np.abs(_stage_jacobian(cons, z) @ null)) <= 1e-14
@@ -587,3 +587,36 @@ def test_unknown_combiners_and_powers_below_one_raise():
         scalar_power(f, 0)
     with pytest.raises(ValueError, match="positive integer"):
         map_power(variable_map(1, 0), 0)
+
+
+class _Bare(DualFunction):
+    pass
+
+
+class _BareMap(DualQuaternionMap):
+    pass
+
+
+def test_the_base_hooks_raise_until_a_subclass_defines_them():
+    q = DualQuaternion.identity()
+    with pytest.raises(NotImplementedError):
+        _Bare(1).value((q,))
+    with pytest.raises(NotImplementedError, match="_Bare has no analytic gradient"):
+        _Bare(1).gradient_at(np.zeros(8))
+    with pytest.raises(NotImplementedError):
+        _BareMap(1)(q)
+
+
+def test_calling_a_map_checks_its_arity():
+    q = DualQuaternion.identity()
+    pick, r = variable_map(2, 1), 2.0 * q
+    assert pick(q, r) is r
+    with pytest.raises(ArityMismatch, match="expected 2 arguments, got 1"):
+        pick(q)
+
+
+@pytest.mark.parametrize("make", [variable_map, UnitNormConstraint])
+def test_an_index_out_of_range_is_rejected(make):
+    for index in (2, 5, -1):
+        with pytest.raises(ValueError, match=f"index {index} out of range for arity 2"):
+            make(2, index)

@@ -122,3 +122,31 @@ def test_bad_inputs_raise():
 def test_the_exponential_of_zero_is_the_identity():
     zero = Quaternion(0.0, 0.0, 0.0, 0.0)
     assert Quaternion.exp_imaginary(zero).as_array().tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("name, apply", [
+    ("__add__", lambda q: q + 1.0),
+    ("__sub__", lambda q: q - 1.0),
+    ("__mul__", lambda q: q * "a"),
+    ("__rmul__", lambda q: "a" * q),
+    ("__truediv__", lambda q: q / "a"),
+])
+def test_arithmetic_with_an_unsupported_type_is_not_implemented(name, apply):
+    q = Quaternion(1, 2, 3, 4)
+    other = 1.0 if name in ("__add__", "__sub__") else "a"
+    assert getattr(q, name)(other) is NotImplemented
+    with pytest.raises(TypeError):
+        apply(q)
+
+
+def test_exp_imaginary_rejects_a_real_part():
+    with pytest.raises(NonUnitAxis, match="exponent must be imaginary"):
+        Quaternion.exp_imaginary(Quaternion(0.5, 0.1, 0.2, 0.3))
+
+
+@pytest.mark.parametrize("q", [Quaternion(-1, 0, 0, 0), Quaternion(-1, 1e-13, 0, 0)])
+def test_log_is_undefined_near_minus_one(q):
+    with pytest.raises(ValueError, match="undefined near -1"):
+        q.log()
+    # just past the threshold the axis is defined again
+    assert Quaternion(-1, 2e-12, 0, 0).log().x > 0

@@ -28,7 +28,14 @@ from dqopt import (
 )
 from dqopt import solver
 from dqopt.errors import ArityMismatch, Infeasible, NonStandardProblem
-from helpers import LeakyFunction, covering_radius, grid_min_stage1, super_fibonacci_grid
+from dqopt.functions import ConstraintBlock
+from helpers import (
+    LeakyFunction,
+    covering_radius,
+    grid_min_stage1,
+    super_fibonacci_grid,
+    tangent_matrix,
+)
 
 E0 = Quaternion.identity()
 ZERO = Quaternion(0, 0, 0, 0)
@@ -337,27 +344,43 @@ def test_solve_is_deterministic():
         assert a == b
 
 
-def test_infeasible_raises():
+def _off_the_sphere():
     # pinning x to 2 while requiring |x| = 1 admits no feasible point
-    problem = EqdqoProblem(
+    return EqdqoProblem(
         squared_distance_objective(DualQuaternion.identity()),
         (UnitNormConstraint(1, 0),)
         + anchor_constraints(1, 0, DualQuaternion.from_real(2.0)),
     )
-    with pytest.raises(Infeasible):
-        solve_eqdqo(problem, _fast_cfg(restarts=2, max_outer=6))
 
 
-def test_dual_rows_that_cannot_hold_raise_infeasible():
+def _dual_rows_that_cannot_hold():
     # the anchor sets x = 1 + eps, on the unit row's standard part, but the
     # unit row's dual part 2 <x, x_d> = 2 cannot vanish
-    problem = EqdqoProblem(
+    return EqdqoProblem(
         squared_distance_objective(DualQuaternion.identity()),
         (UnitNormConstraint(1, 0),)
         + anchor_constraints(1, 0, DualQuaternion(Quaternion(1, 0, 0, 0), Quaternion(1, 0, 0, 0))),
     )
+
+
+def test_infeasible_raises():
     with pytest.raises(Infeasible):
-        solve_eqdqo(problem, _fast_cfg(restarts=2))
+        solve_eqdqo(_off_the_sphere(), _fast_cfg(restarts=2, max_outer=6))
+
+
+def test_dual_rows_that_cannot_hold_raise_infeasible():
+    with pytest.raises(Infeasible):
+        solve_eqdqo(_dual_rows_that_cannot_hold(), _fast_cfg(restarts=2))
+
+
+def test_infeasible_names_the_restarts_that_ran():
+    # every restart of the pinned toy runs and ends off its unit row
+    with pytest.raises(Infeasible, match=r"across restarts \[0, 1, 2\] \(best feasibility"):
+        solve_eqdqo(_off_the_sphere(), _fast_cfg(restarts=3, max_outer=6))
+    # restart 0 of the dual toy starts at value 0, so it runs alone, and
+    # stage II cannot hold its dual unit row
+    with pytest.raises(Infeasible, match=r"across restarts \[0\] \(stage II left h_d"):
+        solve_eqdqo(_dual_rows_that_cannot_hold(), _fast_cfg(restarts=8))
 
 
 def test_report_json_shape():
@@ -476,28 +499,28 @@ def test_config_stores_numpy_integer_counts_as_int():
 
 
 def _count_fibers_after_stage1(monkeypatch):
-    """Counts of ``_dual_fiber`` calls made after stage I's restarts return."""
+    """Counts of ``_fiber_product`` calls made after stage I's restarts return."""
     calls = []
-    dual_fiber, stage1_restarts = solver._dual_fiber, solver._stage1_restarts
+    fiber_product, stage1_restarts = solver._fiber_product, solver._stage1_restarts
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return dual_fiber(*args, **kwargs)
+        return fiber_product(*args, **kwargs)
 
     def restarts(*args, **kwargs):
         scored = stage1_restarts(*args, **kwargs)
         calls.clear()
         return scored
 
-    monkeypatch.setattr(solver, "_dual_fiber", counted)
+    monkeypatch.setattr(solver, "_fiber_product", counted)
     monkeypatch.setattr(solver, "_stage1_restarts", restarts)
     return calls
 
 
 def test_no_fiber_is_built_after_stage1_capped_or_not(monkeypatch):
-    # stage II moves only the dual coordinates, so it runs on the fiber stage
-    # I built at its last evaluation, which a capped stage I also makes at
-    # the point it returns
+    # stage II moves only the dual coordinates, so it runs on the B = J N
+    # stage I formed at its last evaluation, which a capped stage I also
+    # makes at the point it returns
     problem, guess = _noisy_graph_problem()
     calls = _count_fibers_after_stage1(monkeypatch)
     report = solve_eqdqo(problem, _fast_cfg(restarts=1), initial=guess)
@@ -649,13 +672,13 @@ def test_a_singular_point_of_a_dense_stack_solves_to_nan_and_leaves_the_others_a
         assert out[k].tobytes() == alone.tobytes()
 
 
-def _plain_fiber_product(jac, null, var):
+def _plain_fiber_product(jac, frames, var):
     """``J N`` point by point and entry by entry, the 4 products of each column added left to right."""
-    out = np.empty((len(null), jac.shape[-2], var.size))
-    for p, basis in enumerate(null):
+    out = np.empty((len(frames), jac.shape[-2], var.size))
+    for p, frame in enumerate(frames):
         j = jac if jac.ndim == 2 else jac[p]
         for col, v in enumerate(var.tolist()):
-            prods = [j[:, 4 * v + c] * basis[4 * v + c, col] for c in range(4)]
+            prods = [j[:, 4 * v + c] * frame[col, c] for c in range(4)]
             out[p, :, col] = ((prods[0] + prods[1]) + prods[2]) + prods[3]
     return out
 
@@ -669,10 +692,47 @@ def _plain_fiber_product(jac, null, var):
 def test_the_dense_fiber_product_adds_each_columns_four_products_left_to_right(name, problem, count):
     rng = np.random.default_rng(30)
     z = problem.block.project(np.stack([solver._random_start(problem, rng) for _ in range(count)]))
-    null, var = solver._dual_fiber(problem, z), problem.block.var
+    frames, var = problem.block.tangent(z), problem.block.var
     jac = problem.objective.stage1_system(z)[0]
     # pose graphs give one Jacobian per point, hand-eye problems one for the stack
     assert jac.ndim == (3 if name == "pgo" else 2)
-    b = solver._fiber_product(jac, null, var)
+    b = solver._fiber_product(jac, frames, var)
     assert b.flags.c_contiguous
-    assert b.tobytes() == _plain_fiber_product(jac, null, var).tobytes()
+    assert b.tobytes() == _plain_fiber_product(jac, frames, var).tobytes()
+
+
+def _mixed_block():
+    # variable 0 anchored, 1 and 3 on the sphere, 2 free
+    target = DualQuaternion(Quaternion(0.6, 0.8, 0, 0), Quaternion(0, 1, 2, 3))
+    return ConstraintBlock(4, anchor_constraints(4, 0, target)
+                           + (UnitNormConstraint(4, 3), UnitNormConstraint(4, 1)))
+
+
+@pytest.mark.parametrize("block", [
+    build_pgo(generate_cycle_graph(12, 4, noise_rot=0.01, seed=3)).block,
+    build_axyb(generate_synthetic("axyb", 8, noise_rot=0.01, noise_trans=0.01, seed=5)).block,
+    _mixed_block(),
+    ConstraintBlock(1, anchor_constraints(1, 0, DualQuaternion.identity())),
+], ids=["pgo", "axyb", "mixed", "anchored"])
+def test_the_tangent_step_is_the_null_basis_times_y(block):
+    from dqopt._sparse import sparse
+
+    rng = np.random.default_rng(32)
+    z = block.project(rng.standard_normal((3, 8 * block.arity)))
+    frames = block.tangent(z)
+    y = rng.standard_normal((3, block.var.size))
+    y[:, ::4] = 0.0  # zero steps give signed-zero products
+    step = solver._tangent_step(block, frames, y)
+    rows = block.slots
+    for p in range(3):
+        null = tangent_matrix(block, z[p])
+        dense = null @ y[p]
+        assert np.max(np.abs(step[p] - dense), initial=0.0) <= 1e-14 * np.max(np.abs(dense),
+                                                                              initial=0.0)
+        # the sparse basis the fiber product builds, and SciPy's product with it
+        csc = sparse.csc_matrix((frames[p].reshape(-1), rows, np.arange(0, rows.size + 1, 4)),
+                                null.shape)
+        assert np.array_equal(csc.toarray(), null)
+        assert step[p].tobytes() == (csc @ y[p]).tobytes()
+        # a point alone steps as it does in the stack
+        assert solver._tangent_step(block, frames[p], y[p]).tobytes() == step[p].tobytes()

@@ -128,16 +128,18 @@ def test_restarts_on_a_sparse_fiber_step_one_at_a_time(monkeypatch, no_merging):
     starts = _starts(problem, cfg, spanning_tree_rows(g))
     monkeypatch.setattr(solver, "_DENSE_MAX", -1)
     points = []
-    dual_fiber = solver._dual_fiber
+    fiber_product = solver._fiber_product
 
-    def spy(problem, z):
-        points.append(z.ndim)
-        return dual_fiber(problem, z)
+    def spy(jac, frames, var):
+        b = fiber_product(jac, frames, var)
+        points.append((len(frames), solver._is_sparse(jac), solver._is_sparse(b)))
+        return b
 
-    monkeypatch.setattr(solver, "_dual_fiber", spy)
+    monkeypatch.setattr(solver, "_fiber_product", spy)
     batch = _assert_batch_matches_singles(problem, cfg, starts)
     # every step of the batch took its points one by one, each on the sparse path
-    assert set(points) == {1} and len(points) == 2 * sum(len(o.trace) for o in batch)
+    assert set(points) == {(1, True, True)}
+    assert len(points) == 2 * sum(len(o.trace) for o in batch)
 
 
 def test_a_restart_at_the_step_cap_leaves_the_others_their_own_outcomes(no_merging):

@@ -21,6 +21,7 @@ from dqopt import (
 )
 import dqopt.solver as solver
 from dqopt.handeye import pose_rows, pose_udqs, unit_rows
+from helpers import tangent_matrix
 
 SEEDS = range(5)
 
@@ -132,7 +133,7 @@ def test_a_uniform_reweighting_ends_stage2_after_one_pass():
     stage2 = solver._stage2(problem, cfg, outcome.z, outcome.fiber)
     assert len(stage2.trace) == 1
     # the second pass, with the rescaled weights, lands on the same point
-    null, _ = outcome.fiber
+    null = tangent_matrix(problem.block, outcome.z)
     z = solver._fiber_point(problem, outcome.z)
     r_p, weights = problem.objective.stage2_system(z)
     b = problem.objective.stage1_system(z)[0].toarray() @ null
@@ -148,13 +149,12 @@ def test_a_uniform_reweighting_ends_stage2_after_one_pass():
 
 
 def _fiber_from_scratch(problem, z):
-    """``(null, B)`` built anew at ``z``, as stage I evaluates a point."""
+    """``B = J N`` built anew at ``z``, as stage I evaluates a point."""
     # a point on a sparse fiber is evaluated alone, any other as a stack of one
     alone = problem.block.var.size > solver._DENSE_MAX
-    pts = z if alone else z[None]
-    null = solver._dual_fiber(problem, pts)
-    b = solver._fiber_product(problem.objective.stage1_system(pts)[0], null, problem.block.var)
-    return (null, b) if alone else (null[0], b[0])
+    jac = problem.objective.stage1_system(z if alone else z[None])[0]
+    b = solver._fiber_product(jac, problem.block.tangent(z[None]), problem.block.var)
+    return b if alone else b[0]
 
 
 def _bytes(a):
@@ -163,8 +163,8 @@ def _bytes(a):
 
 @pytest.mark.parametrize("dense_max", [solver._DENSE_MAX, -1])
 def test_stage2_from_stage1s_last_factorization_is_the_one_from_scratch(dense_max, monkeypatch):
-    # every restart that did not merge carries the fiber and B = J N of its
-    # last evaluation, at the point it returns, a capped one included.  A
+    # every restart that did not merge carries the B = J N of its last
+    # evaluation, at the point it returns, a capped one included.  A
     # noiseless problem's spectral start is at value 0 and runs alone;
     # without it the random restarts run too.
     monkeypatch.setattr(solver, "_DENSE_MAX", dense_max)
@@ -187,7 +187,7 @@ def test_stage2_from_stage1s_last_factorization_is_the_one_from_scratch(dense_ma
             for _, _, outcome in solver._stage1_restarts(problem, cfg, initial):
                 stops.add(outcome.stop)
                 scratch = _fiber_from_scratch(problem, outcome.z)
-                assert [_bytes(a) for a in outcome.fiber] == [_bytes(a) for a in scratch]
+                assert _bytes(outcome.fiber) == _bytes(scratch)
                 reused = solver._stage2(problem, cfg, outcome.z, outcome.fiber)
                 fresh = solver._stage2(problem, cfg, outcome.z, scratch)
                 assert reused.z.tobytes() == fresh.z.tobytes()
