@@ -28,6 +28,20 @@ from .errors import (
     UnitValidationError,
 )
 
+__all__ = [
+    "TOL_APPRECIABLE",
+    "TOL_UNIT",
+    "NORMALIZE_TOL",
+    "DualNumber",
+    "Quaternion",
+    "DualQuaternion",
+    "UnitDualQuaternion",
+    "DualQuaternionVector",
+    "dual_min",
+    "dual_max",
+    "random_unit_quaternion",
+]
+
 #: Standard parts at or below this threshold count as zero when a piecewise
 #: definition must pick a branch.
 TOL_APPRECIABLE = 1e-8
@@ -120,8 +134,8 @@ class DualNumber:
 
     # -- queries -----------------------------------------------------------
 
-    def appreciable(self, tol: float = TOL_APPRECIABLE) -> bool:
-        return abs(self.std) > tol
+    def appreciable(self) -> bool:
+        return abs(self.std) > TOL_APPRECIABLE
 
     def sqrt(self, tol: float = TOL_APPRECIABLE) -> "DualNumber":
         """Square root of a nonnegative dual number.
@@ -472,10 +486,10 @@ class DualQuaternion:
     def conjugate(self) -> "DualQuaternion":
         return DualQuaternion(self.std.conjugate(), self.dual.conjugate())
 
-    def appreciable(self, tol: float = TOL_APPRECIABLE) -> bool:
-        return self.std.norm() > tol
+    def appreciable(self) -> bool:
+        return self.std.norm() > TOL_APPRECIABLE
 
-    def magnitude(self, tol: float = TOL_APPRECIABLE) -> DualNumber:
+    def magnitude(self) -> DualNumber:
         """Magnitude as a dual number.
 
         Appreciable values get ``|std| + <std, dual>/|std| * eps``; values
@@ -483,12 +497,12 @@ class DualQuaternion:
         magnitude is ``|dual| * eps``.
         """
         n = self.std.norm()
-        if n > tol:
+        if n > TOL_APPRECIABLE:
             return DualNumber(n, self.std.dot(self.dual) / n)
         return DualNumber(0.0, self.dual.norm())
 
-    def inverse(self, tol: float = TOL_APPRECIABLE) -> "DualQuaternion":
-        if not self.appreciable(tol):
+    def inverse(self) -> "DualQuaternion":
+        if not self.appreciable():
             raise NotAppreciable("inverse requires an appreciable standard part")
         qi = self.std.inverse()
         return DualQuaternion(qi, -(qi * self.dual * qi))
@@ -514,10 +528,10 @@ class DualQuaternion:
     def is_imaginary(self, tol: float = 1e-12) -> bool:
         return self.std.is_imaginary(tol) and self.dual.is_imaginary(tol)
 
-    def as_dual_number(self, tol: float = 1e-9) -> DualNumber:
+    def as_dual_number(self) -> DualNumber:
         """Extract a dual number from a value with no imaginary content."""
         imag = max(self.std.imaginary_norm(), self.dual.imaginary_norm())
-        if imag > tol:
+        if imag > 1e-9:
             raise ValueError(f"value has imaginary content {imag}")
         return DualNumber(self.std.w, self.dual.w)
 
@@ -558,10 +572,10 @@ class UnitDualQuaternion:
         return self.inner.dual
 
     @classmethod
-    def of(cls, value: DualQuaternion, normalize_tol: float = NORMALIZE_TOL) -> "UnitDualQuaternion":
+    def of(cls, value: DualQuaternion) -> "UnitDualQuaternion":
         dev = value.unit_deviation()
-        if dev > normalize_tol:
-            raise UnitValidationError(f"unit deviation {dev} exceeds {normalize_tol}")
+        if dev > NORMALIZE_TOL:
+            raise UnitValidationError(f"unit deviation {dev} exceeds {NORMALIZE_TOL}")
         return cls(value.normalized())
 
     @classmethod
@@ -667,7 +681,7 @@ class DualQuaternionVector:
     def __getitem__(self, index):
         return self.entries[index]
 
-    def norm2(self, tol: float = TOL_APPRECIABLE) -> DualNumber:
+    def norm2(self) -> DualNumber:
         """Dual-valued 2-norm.
 
         ``conj(e) * e`` is the dual number ``|e_std|^2 + 2 <e_std, e_dual> eps``
@@ -681,8 +695,8 @@ class DualQuaternionVector:
         for e in self.entries:
             std_sq += e.std.norm_squared()
             cross += 2.0 * e.std.dot(e.dual)
-        if std_sq > tol * tol:
-            return DualNumber(std_sq, cross).sqrt(tol * tol)
+        if std_sq > TOL_APPRECIABLE * TOL_APPRECIABLE:
+            return DualNumber(std_sq, cross).sqrt(TOL_APPRECIABLE * TOL_APPRECIABLE)
         dual_sq = 0.0
         for e in self.entries:
             dual_sq += e.dual.norm_squared()

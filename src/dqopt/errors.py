@@ -1,5 +1,26 @@
 """Exception types used across the toolkit."""
 
+__all__ = [
+    "DqoptError",
+    "NegativeStandardPart",
+    "InfinitesimalSqrt",
+    "NotAppreciable",
+    "UnitValidationError",
+    "NonUnitAxis",
+    "NonUnitRotation",
+    "NonImaginaryTranslation",
+    "NonUnitValue",
+    "ArityMismatch",
+    "NonStandardProblem",
+    "Infeasible",
+    "InvalidPose",
+    "TooFewMotions",
+    "NoGroundTruth",
+    "DisconnectedGraph",
+    "NonUnitMeasurement",
+    "ParseError",
+]
+
 
 class DqoptError(Exception):
     """Base class for every error raised by this package."""

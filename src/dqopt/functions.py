@@ -273,18 +273,17 @@ class DualQuaternionMap:
             raise ArityMismatch(f"expected {self.arity} arguments, got {len(values)}")
         return self.value(tuple(values))
 
-    def magnitude(self, tol: float = TOL_APPRECIABLE) -> DualFunction:
-        return _MapMagnitude(self, tol)
+    def magnitude(self) -> DualFunction:
+        return _MapMagnitude(self)
 
 
 class _MapMagnitude(DualFunction):
-    def __init__(self, inner: DualQuaternionMap, tol: float):
+    def __init__(self, inner: DualQuaternionMap):
         super().__init__(inner.arity, inner.declared_standard)
         self.inner = inner
-        self.tol = tol
 
     def value(self, values):
-        return self.inner.value(values).magnitude(self.tol)
+        return self.inner.value(values).magnitude()
 
 
 class _VariableMap(DualQuaternionMap):
@@ -923,7 +922,6 @@ def check_standardness(
     arity: int | None = None,
     n_samples: int = 50,
     seed: int = 0,
-    scale: float = 1.0,
     tol: float = 1e-12,
 ) -> StandardnessReport:
     """Probe a function by re-randomizing dual coordinates.
@@ -945,9 +943,9 @@ def check_standardness(
         attempts += 1
         if attempts > 200 * n_samples:
             raise RuntimeError("too many failed evaluation attempts")
-        std = rng.standard_normal((arity, 4)) * scale
-        dual_a = rng.standard_normal((arity, 4)) * scale
-        dual_b = rng.standard_normal((arity, 4)) * scale
+        std = rng.standard_normal((arity, 4))
+        dual_a = rng.standard_normal((arity, 4))
+        dual_b = rng.standard_normal((arity, 4))
         point_a = tuple(
             DualQuaternion(Quaternion.from_array(std[i]), Quaternion.from_array(dual_a[i]))
             for i in range(arity)

@@ -58,8 +58,8 @@ from .functions import (
     pack,
     unpack,
 )
-from .handeye import check_noise, pose_compose, pose_errors, pose_inverse, pose_rows, pose_udqs
-from .handeye import _seeded_rng, _unit, canonicalized, checked_rows, rotation_about, unit_rows
+from .handeye import _CONJ, _seeded_rng, _unit, check_noise, pose_compose, pose_errors, pose_inverse
+from .handeye import canonicalized, checked_rows, pose_rows, pose_udqs, rotation_about, unit_rows
 from .solver import EqdqoProblem
 
 __all__ = [
@@ -74,8 +74,6 @@ __all__ = [
     "generate_cycle_graph",
     "vertex_errors",
 ]
-
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def _pose_rows_of(kind: str, ids: np.ndarray, rows) -> np.ndarray:

@@ -24,27 +24,53 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SOURCES = sorted((SRC / "dqopt").glob("*.py"))
 
 
-def exported_names(tree: ast.Module) -> list[str]:
-    """The ``__all__`` list a module's syntax tree assigns, empty when it has none."""
+def module_exports(name: str) -> list[str]:
+    """The ``__all__`` of the ``dqopt`` module ``name``, read from its source."""
+    return exported_names(ast.parse((SRC / "dqopt" / f"{name}.py").read_text(encoding="utf-8")))
+
+
+def exported_names(tree: ast.Module, exports=module_exports) -> list[str]:
+    """The ``__all__`` list a module's syntax tree assigns, empty when it has none.
+
+    An entry ``*m.__all__`` expands to ``exports(m)``; any other entry that
+    is not a string literal raises ``ValueError``.
+    """
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            return ast.literal_eval(node.value)
+            if not isinstance(node.value, ast.List):
+                return ast.literal_eval(node.value)
+            names = []
+            for elt in node.value.elts:
+                if (isinstance(elt, ast.Starred) and isinstance(elt.value, ast.Attribute)
+                        and elt.value.attr == "__all__" and isinstance(elt.value.value, ast.Name)):
+                    names += exports(elt.value.value.id)
+                else:
+                    names.append(ast.literal_eval(elt))
+            return names
     return []
 
 
-def unused_imports(source: str) -> list[str]:
-    """Names bound by import statements that no expression reads and ``__all__`` omits."""
+def unused_imports(source: str, exports=module_exports) -> list[str]:
+    """Names bound by import statements that no expression reads and ``__all__`` omits.
+
+    ``from .m import *`` binds the names ``exports(m)`` gives; a star import
+    from any other place raises ``ValueError``.
+    """
     tree = ast.parse(source)
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
+        if isinstance(node, ast.ImportFrom) and node.names[0].name == "*":
+            if node.level != 1 or node.module is None:
+                raise ValueError(f"star import from {'.' * node.level}{node.module or ''}")
+            imported.update(exports(node.module))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
             imported.update(a.asname or a.name.split(".")[0] for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    used.update(exported_names(tree))
+    used.update(exported_names(tree, exports))
     return sorted(imported - used)
 
 
@@ -60,6 +86,14 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports("import math\nimport os\nos.getcwd()\n") == ["math"]
     assert unused_imports("from x import a, b as c\n__all__ = ['a']\nc()\n") == []
     assert unused_imports("from __future__ import annotations\n") == []
+    exports = {"m": ["a", "b"]}.__getitem__
+    assert unused_imports("from .m import *\n__all__ = ['a']\n", exports) == ["b"]
+    assert unused_imports("from . import m\nfrom .m import *\n__all__ = [*m.__all__]\n",
+                          exports) == []
+    with pytest.raises(ValueError):
+        unused_imports("from os import *\n", exports)
+    with pytest.raises(ValueError):
+        unused_imports("from .m import *\n__all__ = [*m.names]\n", exports)
 
 
 def test_the_export_check_finds_a_repeated_or_missing_name():
@@ -78,6 +112,16 @@ def test_every_exported_name_exists_once(path):
     names = exported_names(ast.parse(path.read_text(encoding="utf-8")))
     module = importlib.import_module("dqopt" if path.stem == "__init__" else f"dqopt.{path.stem}")
     assert export_faults(module, names) == []
+
+
+def test_the_package_exports_each_modules_list_once_in_layer_order():
+    import dqopt
+    from dqopt import algebra, errors, functions, handeye, posegraph, solver
+
+    expected = ["__version__", *algebra.__all__, *errors.__all__, *functions.__all__,
+                *solver.__all__, *handeye.__all__, *posegraph.__all__, "CheckResult", "run_all"]
+    assert dqopt.__all__ == expected
+    assert export_faults(dqopt, expected) == []
 
 
 def fresh(code: str, *args: str):
