@@ -16,8 +16,10 @@ import argparse
 import functools
 import importlib
 import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import selftest
 from .errors import DqoptError, Infeasible
@@ -163,12 +165,69 @@ def _write_text(path: str, text: str) -> None:
         raise _BadInput(f"cannot write {path}: {e.strerror or e}")
 
 
+def _json_parts(value, out: list, pad: str) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``pad`` is a newline and its indent.
+
+    Finite floats, most of a report's values, are written by their
+    container's loop, without a call of their own.
+    """
+    if isinstance(value, float):
+        out.append(float.__repr__(value) if -math.inf < value < math.inf
+                   else "NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        out.append({None: "null", True: "true", False: "false"}[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner, sep = pad + "  ", "{"
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            head = f"{sep}{inner}{encode_basestring_ascii(key)}: "
+            if type(item) is float and -math.inf < item < math.inf:
+                out.append(head + float.__repr__(item))
+            else:
+                out.append(head)
+                _json_parts(item, out, inner)
+            sep = ","
+        out.append(pad + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner, sep = pad + "  ", "["
+        for item in value:
+            if type(item) is float and -math.inf < item < math.inf:
+                out.append(sep + inner + float.__repr__(item))
+            else:
+                out.append(sep + inner)
+                _json_parts(item, out, inner)
+            sep = ","
+        out.append(pad + "]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(data) -> str:
+    """``json.dumps(data, indent=2)`` plus a newline, byte for byte.
+
+    ``json.dumps`` with an indent runs the standard library's pure-Python
+    encoder; this writer does the same formatting in one pass: floats by
+    ``float.__repr__`` (so NumPy floats print as plain numbers), NaN and
+    infinities as ``NaN`` and ``Infinity``, strings ASCII-escaped.  Keys
+    must be strings, and other types raise ``TypeError``.
+    """
+    out = []
+    _json_parts(data, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
 def _emit(report, errors, args) -> None:
     """The report, with ``errors`` unless None, to ``--out`` or stdout; its trace to ``--csv``."""
     data = report.to_json_dict()
     if errors is not None:
         data["errors"] = errors
-    text = json.dumps(data, indent=2) + "\n"
+    text = _json_text(data)
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -201,7 +260,7 @@ def _cmd_gen_handeye(args) -> int:
         noise_trans=args.noise_trans,
         seed=_resolve_seed(args),
     )
-    _write_text(args.out, json.dumps(ds.to_json_dict(), indent=2) + "\n")
+    _write_text(args.out, _json_text(ds.to_json_dict()))
     print(f"wrote {args.out}")
     return 0
 

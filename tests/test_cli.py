@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dqopt import DualQuaternion, DualQuaternionVector, selftest
-from dqopt.cli import main
+from dqopt.cli import _json_text, main
 from dqopt.selftest import run_all
 
 
@@ -386,6 +386,26 @@ def test_selftest_reaches_the_abstracts_functions(monkeypatch):
     wanted = {"norm2", "magnitude", "map_power", "scalar_power", "compose_unit", "unit_log",
               "unit_exp", "combine sum", "combine product", "combine min", "combine max"}
     assert wanted - called == set()
+
+
+def test_the_json_writer_formats_as_json_dumps_with_an_indent():
+    values = [
+        {}, [], (), {"a": {}, "b": [], "c": [{}]}, [[[]]], 0, -7, 2**70, True, False, None,
+        0.1, -0.0, 1e300, 5e-324, 1e16, float("nan"), float("inf"), -float("inf"),
+        np.float64(0.1), np.float64("nan"), np.float64(-np.inf),
+        "", "plain", 'quote " and \\ slash', "tab\tnew\nline\x00", "caf\u00e9 \U0001f600",
+        {"nested": [1, 2.5, [3.0, float("nan")], {"k": None}], "t": (1.0, "x")},
+        [{"vertex": 1, "rotation_error": 1e-17, "translation_error": 0.0}] * 3,
+    ]
+    for value in values + [values]:
+        assert _json_text(value) == json.dumps(value, indent=2) + "\n", value
+    # json.dumps refuses these too: NumPy integers and booleans, and any object
+    for value in (np.int64(1), np.bool_(True), object(), [1, {2.0}]):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _json_text(value)
+    # keys must be strings, which every report's are
+    with pytest.raises(TypeError, match="keys must be str, not int"):
+        _json_text({"a": {1: 2}})
 
 
 def test_report_prints_to_stdout_without_out(tmp_path, capsys):
