@@ -154,19 +154,17 @@ class DualFunction:
     # -- solver stage hooks ----------------------------------------------
 
     def stage2_system(self, z: np.ndarray):
-        """Stage-II least-squares rows ``(r, weights)`` at ``z``.
+        """Stage-II least-squares rows ``(r, weights, slope)`` at ``z``.
 
-        ``r`` are residual rows, affine in the dual coordinates;
-        ``weights(r)`` gives the row weights of the stage-II fit at rows
-        ``r``, with any branch frozen where the standard coordinates of
-        ``z`` put it.  Rows, when there are any, are the dual parts of the
-        rows of ``stage1_system``, so their slope in the dual coordinates
-        is its standard Jacobian ``J``: the solver takes stage I's product
-        of ``J`` with the tangent basis and asks for no slope here.  A
-        smooth standard function has a dual part linear in the dual
-        coordinates and contributes no rows.
+        ``r`` are residual rows, affine in the dual coordinates with slope
+        ``slope``, a ``(k, 4n)`` matrix over the dual slots, column ``4i +
+        c`` for coefficient ``c`` of variable ``i``; ``weights(r)`` gives
+        the row weights of the stage-II fit at rows ``r``, with any branch
+        frozen where the standard coordinates of ``z`` put it.  A smooth
+        standard function has a dual part linear in the dual coordinates
+        and contributes no rows, and no slope (``None``).
         """
-        return np.empty(0), np.ones_like
+        return np.empty(0), np.ones_like, None
 
 
 def _check_same_arity(f: DualFunction, g: DualFunction):
@@ -612,18 +610,18 @@ class ResidualNormObjective(DualFunction):
         return jacobian(), r, weights, self._starts if self._starts.size > 1 else None
 
     def stage2_system(self, z):
-        """Stage-II rows ``(r_dual, weights)``: every residual's dual part, weighted per group.
+        """Stage-II rows ``(r_dual, weights, J)``: every residual's dual part, weighted per group.
 
         With the standard coordinates fixed, ``r_dual`` is affine in the dual
-        ones with slope the standard-slot Jacobian of ``r_std``, the ``J``
-        of :meth:`stage1_system`.  Each group's branch is frozen by
+        ones with slope ``J``, the standard-slot Jacobian of ``r_std`` that
+        :meth:`stage1_system` gives at ``z``.  Each group's branch is frozen by
         ``|r_std,g|`` at ``z``, as :meth:`value_at` reads it: appreciable
         groups weigh 1; infinitesimal groups weigh ``1 / max(|r_dual,g|,
         TOL_APPRECIABLE)``, so re-solving with updated weights (iteratively reweighted
         least squares) minimizes their sum of magnitudes ``sum_g
         |r_dual,g|``, the stage-II objective on them.
         """
-        r_std, r_dual, _, _ = self._stack(z)
+        r_std, r_dual, _, jacobian = self._stack(z)
         # a NaN norm counts as appreciable, as in ``value_at``
         app = ~(np.sqrt(np.add.reduceat(r_std * r_std, self._starts)) <= TOL_APPRECIABLE)
 
@@ -631,7 +629,7 @@ class ResidualNormObjective(DualFunction):
             norms = np.sqrt(np.add.reduceat(r * r, self._starts))
             return self._expand(np.where(app, 1.0, 1.0 / np.maximum(norms, TOL_APPRECIABLE)))
 
-        return r_dual, weights
+        return r_dual, weights, jacobian()
 
 
 # ---------------------------------------------------------------------------

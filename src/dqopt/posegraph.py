@@ -3,6 +3,8 @@
 Vertices are unknown rigid poses, directed edges carry measured relative
 poses, and the objective is the dual-valued 2-norm of the stacked edge
 errors ``q_ij - conj(x_i) * x_j`` subject to unit constraints per vertex.
+Stage I minimizes the same norm of the affine rows ``x_i q_ij - x_j``,
+equal to it on the unit set and with a constant Jacobian.
 The subtraction makes residuals sensitive to the double-cover sign, so
 :meth:`PoseGraph.measurements`, through which every problem reads the edge
 poses, fixes their signs; a graph stores its rows as given.  Vertex 1 is
@@ -27,6 +29,7 @@ Other ``#`` lines are comments.  Vertex ids are 1-based.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -60,7 +63,7 @@ from .functions import (
 )
 from .handeye import _CONJ, _seeded_rng, _unit, check_noise, pose_compose, pose_errors, pose_inverse
 from .handeye import canonicalized, checked_rows, pose_rows, pose_udqs, rotation_about, unit_rows
-from .solver import EqdqoProblem
+from . import solver
 
 __all__ = [
     "PoseGraph",
@@ -267,10 +270,9 @@ class RelativePoseResidual:
         products into their columns with ``np.bincount``.  Value-only callers
         never call it, so they build no block.  ``jacobian()`` returns the
         same 4x8 standard blocks over the standard slots, column ``4i + c``
-        for coefficient ``c`` of vertex ``i``: a sparse CSR ``(4k, 4n)``
-        matrix for one point, a dense ``(R, 4k, 4n)`` array for a stack.
-        SciPy loads with the first single-point ``jacobian()``, the only CSR
-        matrix built here, so dense pose-graph solves run on NumPy alone.
+        for coefficient ``c`` of vertex ``i``: a dense ``(R, 4k, 4n)`` array
+        for a stack, and for one point a ``(4k, 4n)`` matrix laid out as
+        :func:`_assemble` says, CSR only on a sparse fiber.
         """
         n = int(arity)
         n8 = 8 * n
@@ -283,12 +285,6 @@ class RelativePoseResidual:
         # on the standard slots of x_i and x_j, the dual part on all 16.
         cols_std = np.concatenate((si[:, :4], sj[:, :4]), axis=1).ravel()
         cols_dual = np.concatenate((si, sj), axis=1).ravel()
-        # The same blocks in the compact (4k, 4n) layout: 8 entries per row.
-        cols_jac = np.concatenate((4 * i[:, None] + np.arange(4), 4 * j[:, None] + np.arange(4)), 1)
-        cols_jac = np.repeat(cols_jac, 4, axis=0).ravel()
-        indptr = np.arange(0, 8 * 4 * len(i) + 1, 8)
-        # The same entries' positions in a flattened dense (4k, 4n) array.
-        flat_jac = np.repeat(np.arange(4 * len(i)), 8) * (4 * n) + cols_jac
 
         def evaluate(z: np.ndarray):
             lead = z.shape[:-1]
@@ -313,28 +309,114 @@ class RelativePoseResidual:
 
             def jacobian():
                 block = -np.concatenate((r_j[..., 0, :, :], l_s), axis=-1)
-                if not lead:
-                    from ._sparse import sparse
-
-                    return sparse.csr_matrix((block.ravel(), cols_jac, indptr), (4 * len(i), 4 * n))
-                out = np.zeros(lead + (4 * len(i) * 4 * n,))
-                out[..., flat_jac] = block.reshape(lead + (-1,))
-                return out.reshape(lead + (4 * len(i), 4 * n))
+                # one call per solve, at stage II's point: the columns are not kept
+                return _assemble(block, _jacobian_cols(i, j), n, not lead and _sparse_fiber(n))
 
             return r_s.reshape(lead + (-1,)), r_d.reshape(lead + (-1,)), pullback, jacobian
 
         return evaluate
 
 
-def build_pgo(graph: PoseGraph) -> EqdqoProblem:
+def _sparse_fiber(n: int) -> bool:
+    """Whether :func:`build_pgo`'s problem on ``n`` vertices steps on a sparse fiber.
+
+    Every vertex but the anchored first has 3 tangent directions, and the
+    solver goes sparse past ``solver._DENSE_MAX`` of them (read at each
+    call).  Only then is a single point's Jacobian a CSR matrix, so a dense
+    graph loads no SciPy.
+    """
+    return 3 * (n - 1) > solver._DENSE_MAX
+
+
+def _jacobian_cols(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The ``(4k, 8)`` columns of the ``(k, 4, 8)`` standard blocks of ``k`` edges.
+
+    Row ``4e + r`` of the ``(4k, 4n)`` Jacobian holds row ``r`` of edge
+    ``e``'s block, its 8 entries in columns ``4 i[e] + c`` then ``4 j[e] + c``.
+    """
+    cols = np.concatenate((4 * i[:, None] + np.arange(4), 4 * j[:, None] + np.arange(4)), 1)
+    return np.repeat(cols, 4, axis=0)
+
+
+def _assemble(blocks: np.ndarray, cols: np.ndarray, n: int, sparse: bool):
+    """The Jacobian of ``(..., k, 4, 8)`` edge ``blocks`` in columns :func:`_jacobian_cols`.
+
+    A CSR ``(4k, 4n)`` matrix when ``sparse`` (one point only), else a
+    dense ``(..., 4k, 4n)`` array.
+    """
+    rows = len(cols)
+    if sparse:
+        from ._sparse import sparse as sp
+
+        indptr = np.arange(0, cols.size + 1, 8)
+        return sp.csr_matrix((blocks.ravel(), cols.ravel(), indptr), (rows, 4 * n))
+    lead = blocks.shape[:-3]
+    out = np.zeros(lead + (rows, 4 * n))
+    out[..., np.arange(rows)[:, None], cols] = blocks.reshape(lead + (rows, 8))
+    return out
+
+
+def _affine_rows(arity: int, i: np.ndarray, j: np.ndarray, measurements: np.ndarray):
+    """Evaluator ``z -> (r_std, r_dual, pullback, jacobian)`` of the rows ``x_i q_ij - x_j``.
+
+    Arguments are as for :meth:`RelativePoseResidual.stack_arrays`.  For a
+    unit ``x_i``, ``x_i q_ij - x_j = x_i (q_ij - conj(x_i) x_j)``, so each
+    edge's magnitude, as a dual number, is that of the bilinear rows; where
+    only ``x_i``'s standard part is unit, the standard parts agree.  The
+    rows are affine, as hand-eye's are: edge ``e``'s standard rows are its
+    ``(4, 8)`` block ``[R(q_s), -I]`` on the standard parts of ``x_i`` and
+    ``x_j``, its dual rows the same block on their dual parts plus
+    ``R(q_d)`` on ``x_i``'s standard part, so one ``(4, 12)`` matrix ``[R(q_s),
+    -I, R(q_d)]`` per edge gives both parts.  Stacks come out as for the
+    bilinear evaluator, bit for bit per point.  ``jacobian()`` places the
+    constant blocks by :func:`_assemble`: dense ``(4k, 4n)`` for a stack
+    and for one point, CSR for one point on a sparse fiber.
+    """
+    n = int(arity)
+    i = np.asarray(i, dtype=np.intp)
+    j = np.asarray(j, dtype=np.intp)
+    cols = _jacobian_cols(i, j)
+    # R(q_s), R(q_d) per edge; adding 0.0 turns each -0.0 into 0.0, as a
+    # CSR matrix's toarray() does, so both layouts hold the same bits
+    r_q = right_mult_matrix(measurements) + 0.0
+    minus = np.broadcast_to(0.0 - np.eye(4), r_q[:, 0].shape)
+    rows = np.concatenate((r_q[:, 0], minus, r_q[:, 1]), 2)  # [R(q_s), -I, R(q_d)]
+    block = rows[:, :, :8]
+    # The coordinates that the columns of ``rows`` multiply, for the standard
+    # part (last index 0) and the dual part (1); slot 8n of the padded point is 0.
+    x_i, x_j = 8 * i[:, None] + np.arange(4), 8 * j[:, None] + np.arange(4)
+    zero = np.full(x_i.shape, 8 * n)
+    slots = np.stack((np.concatenate((x_i, x_j, zero), 1), np.concatenate((x_i + 4, x_j + 4, x_i), 1)), 2)
+
+    def pullback(w_std: np.ndarray, w_dual: np.ndarray | None = None) -> np.ndarray:
+        grad = np.bincount(slots[:, :8, 0].ravel(), (w_std.reshape(-1, 1, 4) @ block).ravel(), 8 * n)
+        if w_dual is not None:
+            grad += np.bincount(slots[..., 1].ravel(), (w_dual.reshape(-1, 1, 4) @ rows).ravel(), 8 * n)
+        return grad
+
+    def evaluate(z: np.ndarray):
+        lead = z.shape[:-1]
+        padded = np.concatenate((z, np.zeros(lead + (1,))), axis=-1)
+        r = rows @ padded.take(slots, axis=-1)  # (..., k, 4, 2): both parts
+        jacobian = functools.partial(_assemble, block, cols, n, not lead and _sparse_fiber(n))
+        return r[..., 0].reshape(lead + (-1,)), r[..., 1].reshape(lead + (-1,)), pullback, jacobian
+
+    return evaluate
+
+
+def build_pgo(graph: PoseGraph) -> solver.EqdqoProblem:
     """Problem: minimize the 2-norm of all edge errors over unit poses.
 
     One norm group holds every residual (a genuine vector 2-norm, not a
     sum of magnitudes), evaluated from the graph's arrays by
-    :meth:`RelativePoseResidual.stack_arrays`.  Constraints: the identity
-    anchor on vertex 1 and one unit condition per other vertex; vertex 1
-    gets none, because its anchor implies it and a fifth row on its 4
-    coordinates would make the constraint gradients dependent.  ``start``
+    :meth:`RelativePoseResidual.stack_arrays`.  Stage I minimizes the
+    problem's ``stage1``, the same norm of the affine rows ``x_i q_ij -
+    x_j`` (:func:`_affine_rows`): its Jacobian is constant, and it equals
+    the objective wherever the vertices' standard parts are unit.
+    Constraints: the identity anchor on vertex 1 and one unit condition per
+    other vertex; vertex 1 gets none, because its anchor implies it and a
+    fifth row on its 4 coordinates would make the constraint gradients
+    dependent.  ``start``
     is :func:`spanning_tree_rows`, from the search that proves the graph
     connected.  Raises :class:`TooFewMotions` when the graph has no edges,
     else :class:`DisconnectedGraph` as :func:`spanning_tree_rows` does.
@@ -344,9 +426,10 @@ def build_pgo(graph: PoseGraph) -> EqdqoProblem:
     ij, q, start = _tree_start(graph)
     residuals = RelativePoseResidual.stack_arrays(graph.n, *ij.T, q)
     objective = ResidualNormObjective(graph.n, residuals, [graph.m])
+    stage1 = ResidualNormObjective(graph.n, _affine_rows(graph.n, *ij.T, q), [graph.m])
     constraints = [UnitNormConstraint(graph.n, k) for k in range(1, graph.n)]
     constraints.extend(anchor_constraints(graph.n, 0, DualQuaternion.identity()))
-    return EqdqoProblem(objective, tuple(constraints), start)
+    return solver.EqdqoProblem(objective, tuple(constraints), start, stage1)
 
 
 def spanning_tree_guess(graph: PoseGraph) -> tuple[UnitDualQuaternion, ...]:

@@ -16,6 +16,11 @@ two real programs, one per coordinate block:
 Non-standard problems are rejected when an :class:`EqdqoProblem` is built.
 Their standard part reads the dual coordinates, so stage I could not drop
 them and the two block programs above would not be the problem's split.
+Stage I reads the standard part alone, so it may minimize another
+objective with the same standard part on the standard rows, the problem's
+``stage1``: the pose-graph problem's stage I runs on the affine edge rows
+``x_i q_ij - x_j``, whose Jacobian is constant, in place of the bilinear
+``q_ij - conj(x_i) x_j`` that stage II and the report keep.
 The hand-eye and pose-graph problems are standard.  Their constraints,
 unit-norm conditions and anchor rows, are the only kinds accepted (else
 ``TypeError``); one :class:`~dqopt.functions.ConstraintBlock` evaluates
@@ -46,10 +51,10 @@ iterates it would take alone until it stops on its own stop rule, or until
 it comes within ``_MERGE_RADIUS`` of a minimum another restart converged
 to, where it stops "merged".  Larger, sparse problems advance their
 restarts one after another within each step.  Stage II runs for the
-restarts tied at the least stage-I value, on the ``B = J N`` stage I
-formed at its final point, with ``N`` the constraint block's tangent
-frames, and the reported solution is the dn-order minimum over their
-feasible outcomes.
+restarts tied at the least stage-I value, each on the ``B = J N`` it forms
+from the objective's slope ``J`` at the stage-I point, with ``N`` the
+constraint block's tangent frames, and the reported solution is the
+dn-order minimum over their feasible outcomes.
 """
 
 from __future__ import annotations
@@ -139,15 +144,23 @@ class SolverConfig:
 class EqdqoProblem:
     """Objective plus equality constraints, all dual-number valued.
 
-    Each constraint imposes both scalar parts equal to zero.  The objective
-    and every constraint must declare standard structure (a standard part
-    that ignores the dual coordinates), because stage I runs over the
-    standard coordinates alone; otherwise construction raises
-    :class:`NonStandardProblem`.  :func:`dqopt.functions.check_standardness`
-    probes whether a declaration holds.  Stage I steps on the objective's
-    residual rows, so the objective must provide them through
-    ``stage1_system``, as :class:`~dqopt.functions.ResidualNormObjective`
-    and :func:`~dqopt.functions.squared_distance_objective` do.  The
+    Each constraint imposes both scalar parts equal to zero.  Stage I
+    minimizes ``stage1``, which is ``objective`` unless given, and stage
+    II, the KKT analysis and the report read ``objective``.  A given
+    ``stage1`` must have a standard part equal to ``objective``'s wherever
+    the standard constraint rows hold, so that both define the same
+    stage-I problem; the solver does not check this.  Only
+    :func:`~dqopt.posegraph.build_pgo` gives one, the affine edge rows
+    ``x_i q_ij - x_j``.  The objective, ``stage1`` and every constraint
+    must have the same arity (else :class:`ArityMismatch`) and declare
+    standard structure (a standard part that ignores the dual
+    coordinates), because stage I runs over the standard coordinates
+    alone; otherwise construction raises :class:`NonStandardProblem`.
+    :func:`dqopt.functions.check_standardness` probes whether a
+    declaration holds.  Stage I steps on ``stage1``'s residual rows, so it
+    must provide them through ``stage1_system``, as
+    :class:`~dqopt.functions.ResidualNormObjective` and
+    :func:`~dqopt.functions.squared_distance_objective` do.  The
     constraints must be unit-norm conditions and whole
     :func:`dqopt.functions.anchor_constraints` sets, which ``block``
     evaluates together.  Any other objective or constraint raises
@@ -162,6 +175,7 @@ class EqdqoProblem:
     objective: DualFunction
     constraints: tuple[DualFunction, ...] = ()
     start: np.ndarray | None = field(default=None, repr=False, compare=False)
+    stage1: DualFunction | None = field(default=None, repr=False, compare=False)
     block: ConstraintBlock = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -170,7 +184,9 @@ class EqdqoProblem:
             start = _start_z(self.start, self.arity, "start").reshape(self.arity, 8)
             start.flags.writeable = False
             object.__setattr__(self, "start", start)
-        named = [("objective", self.objective)]
+        if self.stage1 is None:
+            object.__setattr__(self, "stage1", self.objective)
+        named = [("objective", self.objective), ("stage1", self.stage1)]
         named += [(f"constraint {j}", h) for j, h in enumerate(self.constraints)]
         for name, fn in named:
             if fn.arity != self.arity:
@@ -180,9 +196,10 @@ class EqdqoProblem:
                     f"{name} ({type(fn).__name__}) does not declare standard "
                     "structure; stage I would depend on the dual coordinates"
                 )
-        if not hasattr(self.objective, "stage1_system"):
+        if not hasattr(self.stage1, "stage1_system"):
+            name = "objective" if self.stage1 is self.objective else "stage1"
             raise TypeError(
-                f"objective ({type(self.objective).__name__}) has no residual rows "
+                f"{name} ({type(self.stage1).__name__}) has no residual rows "
                 "(stage1_system) for stage I"
             )
         object.__setattr__(self, "block", ConstraintBlock(self.arity, self.constraints))
@@ -258,8 +275,6 @@ class _StageOutcome:
     z: np.ndarray
     trace: list  # one row per iteration
     stop: str | None = None  # stage I: "converged", "stalled", "merged" or "max_outer"
-    # stage I, not merged: B = J N of its last evaluation, at z
-    fiber: np.ndarray | None = None
     value: float | DualNumber | None = None  # at z: standard (stage I) or dual value (II)
     feasibility: tuple[float, float] | None = None  # stage II: _feasibility at z
 
@@ -305,19 +320,13 @@ def _fiber_product(jac, frames: np.ndarray, var: np.ndarray):
         null = sparse.csc_matrix((frames.ravel(), cols.T.ravel(), np.arange(0, frames.size + 1, 4)),
                                  (jac.shape[-1], var.size))
         return (jac if _is_sparse(jac) else sparse.csr_matrix(jac)) @ null
+    # One J for the stack or one per point: one column's products at a time,
+    # so no (R, k, 4, d) array is built.
     n = frames.swapaxes(-1, -2)[..., None, :, :]
-    if jac.ndim == 2:
-        # One J for the whole stack, as hand-eye problems have: its products
-        # are few, and one multiply forms them all.
-        t = jac[:, cols] * n
-        out = t[..., 0, :] + t[..., 1, :] + t[..., 2, :] + t[..., 3, :]
-    else:
-        # A stack of J (pose graphs): one column's products at a time, so no
-        # (R, k, 4, d) array is built.
-        terms = (jac[..., col] * n[..., c, :] for c, col in enumerate(cols))
-        out = next(terms)
-        for t in terms:
-            out += t
+    terms = (jac[..., col] * n[..., c, :] for c, col in enumerate(cols))
+    out = next(terms)
+    for t in terms:
+        out += t
     # C order, as SciPy returns it: BLAS sums other layouts in another order.
     return np.ascontiguousarray(out)
 
@@ -614,11 +623,11 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     value 0 (noiseless data, where restarts at one minimum differ in what
     stage II makes of them) and points that stalled (at kinks, where
     restarts creep and stop apart) are never merged into.  Returns one
-    :class:`_StageOutcome` per start; every one not merged carries as
-    ``fiber`` the ``B`` of its last evaluation, at its point.
-    Stage I never reads the dual coordinates: they stay those of the start.
+    :class:`_StageOutcome` per start.  The objective is the problem's
+    ``stage1``.  Stage I never reads the dual coordinates: they stay those
+    of the start.
     """
-    obj, block = problem.objective, problem.block
+    obj, block = problem.stage1, problem.block
     std = _part_indices(problem.arity, 0)
     count = len(starts)
     z = block.project(starts)
@@ -628,7 +637,6 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     flat = np.zeros(count, dtype=bool)
     stop = [None] * count
     traces = [[] for _ in range(count)]  # one row per step
-    fibers = [None] * count
     var = block.var
     alone = var.size > _DENSE_MAX  # points on a sparse fiber step one at a time
 
@@ -642,12 +650,6 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         jac, r, w, starts = obj.stage1_system(pts)
         r, w = r.reshape(len(idx), -1), w.reshape(len(idx), -1)
         b = _fiber_product(jac, frames, var)
-
-        def keep(pos):
-            # the points at ``pos`` stop where this step factored them
-            for j, k in zip(pos.tolist(), idx[pos].tolist()):
-                fibers[k] = b if _is_sparse(b) else b[j]
-
         wr = w * r
         grad = _tmv(b, wr)
         g_norm = np.sqrt(_dots(grad, grad))
@@ -667,7 +669,6 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             reasons = np.where(small, "converged", np.where(stalled, "stalled", "max_outer"))
             for k, reason in zip(idx[halted].tolist(), reasons[halted].tolist()):
                 stop[k] = reason
-            keep(halted)
             if halted.size == len(idx):
                 return
             go = ~done
@@ -718,7 +719,6 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             pos = pos[higher & (damp[points] <= _DAMP_CAP)]
         for k in idx[~stepped].tolist():
             stop[k] = "stalled"
-        keep((~stepped).nonzero()[0])
 
     for it in range(cfg.max_outer + 1):
         live = np.array([k for k in range(count) if stop[k] is None], dtype=np.intp)
@@ -732,11 +732,11 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             break
         for group in np.split(live, live.size) if alone else [live]:
             advance(it, group)
-    return [_StageOutcome(z[k], traces[k], stop=stop[k], value=float(v_std[k]), fiber=fibers[k])
+    return [_StageOutcome(z[k], traces[k], stop=stop[k], value=float(v_std[k]))
             for k in range(count)]
 
 
-def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray, fiber) -> _StageOutcome:
+def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageOutcome:
     """Stage II at the standard coordinates of ``z1``: one exact fit on the dual fiber.
 
     With the standard coordinates held at the stage-I point, the dual
@@ -767,20 +767,23 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray, fiber) -> 
     the passes.  One trace row per solve.  The outcome carries the value and feasibility of
     the last row, which are those of its point.
 
-    ``fiber`` is stage I's ``B = J N`` at ``z1`` (see :func:`_stage1`).
-    Stage II's rows are the dual parts of stage I's, so its ``B`` is stage
-    I's (``stage2_system`` gives no slope), and ``N`` is
-    :meth:`~dqopt.functions.ConstraintBlock.tangent` at ``z1``.
+    The rows are those of ``objective``, whatever ``stage1`` is, and
+    ``stage2_system`` gives their slope ``A`` at ``z1``.  ``B = A N`` is
+    formed here by :func:`_fiber_product`, with ``N`` the tangent frames of
+    :meth:`~dqopt.functions.ConstraintBlock.tangent` at ``z1``, dense or
+    sparse as stage I's; for hand-eye's constant ``A`` it is stage I's last
+    ``B`` bit for bit.
     """
-    dual = _part_indices(problem.arity, 1)
+    dual, block = _part_indices(problem.arity, 1), problem.block
     z = _fiber_point(problem, z1)
     x_p = z[dual]
-    r_p, weights = problem.objective.stage2_system(z)
-    b = fiber if r_p.size else fiber[:0]
+    r_p, weights, slope = problem.objective.stage2_system(z)
+    frames = block.tangent(z1)
     # Fiber directions that no row sees stay at x_p: all of them when the
     # objective has no rows (a smooth one, whose dual part is linear).
+    b = _fiber_product(slope, frames, block.var) if r_p.size else np.zeros((0, block.var.size))
     seen = np.asarray(abs(b).sum(axis=0)).ravel() > 0
-    b, frames = b[:, seen], problem.block.tangent(z1)
+    b = b[:, seen]
     b_t = b.T
     step = np.zeros(seen.size)  # y over every direction, 0 on the unseen ones
     w = weights(r_p)
@@ -789,7 +792,7 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray, fiber) -> 
     for it in range(cfg.max_outer):
         y_new = _reduced_solve(b_t @ _scale_rows(b, w), -(b_t @ (w * r_p)))
         step[seen] = y_new
-        z[dual] = x_p + _tangent_step(problem.block, frames, step)
+        z[dual] = x_p + _tangent_step(block, frames, step)
         r = r_p + b @ y_new
         stationarity = float(np.linalg.norm(b_t @ (w * r)))
         v = problem.objective.value_at(z)
@@ -865,7 +868,7 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
         raise ValueError(f"{name} variable {lost[0]} has a zero standard part on a unit row")
     # The standard value is never negative, so a start at value 0 is a global
     # stage-I minimum: the random restarts could only tie with it.
-    if cfg.restarts > 1 and problem.objective.value_at(projected)[0][0] != 0:
+    if cfg.restarts > 1 and problem.stage1.value_at(projected)[0][0] != 0:
         starts = np.stack([first] + [_restart_start(problem, cfg, initial, r)
                                      for r in range(1, cfg.restarts)])
     outcomes = _stage1(problem, cfg, starts)
@@ -932,8 +935,8 @@ def solve_eqdqo(
     A restart that merged into a minimum another restart converged to with
     a positive value is none (see :class:`SolverConfig`); restarts at
     value 0 or stalled are candidates as without merging, and stage II
-    picks the best of them.  Stage II starts from the ``B = J N`` stage I
-    formed at the candidate's point, where its trace ends, capped or not;
+    picks the best of them.  Stage II forms its own ``B = J N`` at the
+    candidate's point, where its stage-I trace ends, capped or not;
     ``iterations["stage1"]`` counts the trace rows.  The report carries the
     dn-order minimal candidate, ties broken by restart index.  Restart 0
     starts from ``initial`` when given, one dual quaternion per variable or
@@ -958,7 +961,7 @@ def solve_eqdqo(
         if value > scored[0][0]:
             break
         tied.append(r)
-        stage2 = _stage2(problem, cfg, outcome.z, outcome.fiber)
+        stage2 = _stage2(problem, cfg, outcome.z)
         # both violations within tol_feas; a NaN one is not
         if all(v <= cfg.tol_feas for v in stage2.feasibility):
             candidates.append((stage2.value, r, outcome, stage2))

@@ -28,6 +28,7 @@ from dqopt import (
     unpack,
     variable_map,
 )
+from dqopt import posegraph
 from dqopt.errors import ArityMismatch, NonUnitValue
 from helpers import (
     LeakyFunction,
@@ -401,6 +402,7 @@ def test_sparse_jacobian_matches_the_matrix_free_layer():
     unit = pack([_rand_dq(rng).normalized() for _ in edges]).reshape(-1, 2, 4)
     evaluate = RelativePoseResidual.stack_arrays(4, edges[:, 0], edges[:, 1], unit)
     _sparse_jacobian_matches_matrix_free(evaluate, 4, rng)
+    _sparse_jacobian_matches_matrix_free(posegraph._affine_rows(4, *edges.T, unit), 4, rng)
 
 
 def test_gradients_of_builders():
@@ -525,7 +527,7 @@ def test_a_nan_point_counts_every_group_appreciable_in_the_branch_flags_and_stag
                             (build_pgo(generate_cycle_graph(6, loop_closures=1, seed=2)), 1)):
         obj, nan = problem.objective, np.full(8 * problem.arity, np.nan)
         assert obj.branch_flags(nan) == (True,) * groups
-        r_dual, weights = obj.stage2_system(nan)
+        r_dual, weights, _ = obj.stage2_system(nan)
         # an infinitesimal group of unit rows would weigh 1 / |r_g| = 1/2 or less
         assert np.array_equal(weights(np.ones_like(r_dual)), np.ones_like(r_dual))
 

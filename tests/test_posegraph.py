@@ -18,6 +18,7 @@ from dqopt import (
     build_pgo,
     error_vector,
     generate_cycle_graph,
+    gradient_check,
     pack,
     parse_graph,
     rotation_angle_between,
@@ -35,7 +36,7 @@ from dqopt.errors import (
     ParseError,
     TooFewMotions,
 )
-from dqopt.handeye import pose_inverse, pose_rows, unit_rows
+from dqopt.handeye import pose_errors, pose_inverse, pose_rows, pose_udqs, unit_rows
 from dqopt import posegraph, solver
 from dqopt.cli import main
 from dqopt.posegraph import RelativePoseResidual, spanning_tree_rows
@@ -483,6 +484,81 @@ def test_objective_calls_allocate_no_dense_jacobian():
             assert peak < 2_000_000, f"{name} peaked at {peak / 1e6:.1f} MB"
     finally:
         tracemalloc.stop()
+
+
+def _unit_points(rng, n, count):
+    """``count`` points of ``n`` random unit dual quaternions each, flattened."""
+    q = rng.standard_normal((count * n, 4))
+    rows = np.concatenate((q / np.linalg.norm(q, axis=1, keepdims=True),
+                           rng.uniform(-3.0, 3.0, (count * n, 3))), axis=1)
+    return pose_udqs(rows).reshape(count, 8 * n)
+
+
+def _edge_magnitudes(r_std, r_dual):
+    """Each edge's magnitude ``(|r_s|, <r_s, r_d> / |r_s|)``, as a ``(2, m)`` array."""
+    r_s, r_d = r_std.reshape(-1, 4), r_dual.reshape(-1, 4)
+    norms = np.sqrt(np.sum(r_s * r_s, axis=1))
+    return np.stack((norms, np.sum(r_s * r_d, axis=1) / norms))
+
+
+def test_affine_and_bilinear_edge_rows_have_equal_magnitudes_at_unit_points():
+    # x_i q - x_j = x_i (q - conj(x_i) x_j), and a unit x_i keeps magnitudes
+    g = generate_cycle_graph(9, loop_closures=3, noise_rot=0.05, noise_trans=0.05, seed=51)
+    ij, q = posegraph._sorted_edges(g)
+    bilinear = RelativePoseResidual.stack_arrays(g.n, *ij.T, q)
+    affine = posegraph._affine_rows(g.n, *ij.T, q)
+    rng = np.random.default_rng(53)
+    points = _unit_points(rng, g.n, 10)
+    for z in points:
+        want = _edge_magnitudes(*bilinear(z)[:2])
+        assert np.max(np.abs(_edge_magnitudes(*affine(z)[:2]) - want)) <= 1e-12
+    # stacks evaluate bit for bit as single points
+    stacked = affine(points)
+    for k, z in enumerate(points):
+        one = affine(z)
+        assert stacked[0][k].tobytes() == one[0].tobytes()
+        assert stacked[1][k].tobytes() == one[1].tobytes()
+
+
+def test_the_affine_jacobian_is_constant_and_the_same_dense_or_csr(monkeypatch):
+    g = generate_cycle_graph(9, loop_closures=3, noise_rot=0.05, noise_trans=0.05, seed=55)
+    ij, q = posegraph._sorted_edges(g)
+    evaluate = posegraph._affine_rows(g.n, *ij.T, q)
+    z = _unit_points(np.random.default_rng(57), g.n, 2)
+    dense = evaluate(z)[3]()
+    assert isinstance(dense, np.ndarray) and dense.shape == (4 * g.m, 4 * g.n)
+    # one point on a dense fiber gets the same array, wherever it is
+    for point in z:
+        assert evaluate(point)[3]().tobytes() == dense.tobytes()
+    monkeypatch.setattr(solver, "_DENSE_MAX", -1)
+    csr = evaluate(z[0])[3]()
+    assert solver._is_sparse(csr) and csr.toarray().tobytes() == dense.tobytes()
+
+
+def test_the_stage1_objective_passes_the_gradient_check():
+    g = generate_cycle_graph(6, loop_closures=2, noise_rot=0.05, noise_trans=0.05, seed=59)
+    problem = build_pgo(g)
+    assert problem.stage1 is not problem.objective
+    rng = np.random.default_rng(61)
+    for z in rng.standard_normal((5, 8 * g.n)):
+        rep = gradient_check(problem.stage1, z)
+        assert rep.passed, (rep.max_rel_error_std, rep.max_rel_error_dual)
+
+
+@pytest.mark.parametrize("restarts", [1, 8])
+def test_the_affine_stage1_gives_the_bilinear_answers(restarts):
+    # the same stage-I problem: the answers agree with those of the problem
+    # built without the affine rows, and stage I takes fewer steps
+    cfg = SolverConfig(restarts=restarts, seed=0)
+    for seed in range(10):
+        g = generate_cycle_graph(20, loop_closures=6, noise_rot=0.01, noise_trans=0.01, seed=seed)
+        problem = build_pgo(g)
+        bilinear = solver.EqdqoProblem(problem.objective, problem.constraints, problem.start)
+        affine, want = solve_eqdqo(problem, cfg), solve_eqdqo(bilinear, cfg)
+        rot, trans = pose_errors(pose_rows(want.solution), pose_rows(affine.solution))
+        assert max(rot) <= 1e-9 and max(trans) <= 1e-9, seed
+        if restarts == 1:
+            assert affine.iterations["stage1"] <= 4 < want.iterations["stage1"], seed
 
 
 def test_too_few_edges_are_rejected_before_the_search(monkeypatch):

@@ -77,6 +77,8 @@ def test_kkt_multiplier_at_analytic_optimum():
 def test_problem_rejects_non_standard_objective():
     with pytest.raises(NonStandardProblem, match="objective .*LeakyFunction"):
         EqdqoProblem(LeakyFunction(), (UnitNormConstraint(1, 0),))
+    with pytest.raises(NonStandardProblem, match="stage1 .*LeakyFunction"):
+        EqdqoProblem(_toy_problem().objective, (UnitNormConstraint(1, 0),), stage1=LeakyFunction())
 
 
 def test_problem_rejects_non_standard_constraint():
@@ -90,6 +92,13 @@ def test_problem_rejects_an_objective_without_residual_rows():
     squared = scalar_power(squared_distance_objective(DualQuaternion.identity()), 2)
     with pytest.raises(TypeError, match="objective .*_ScalarPower"):
         EqdqoProblem(squared, (UnitNormConstraint(1, 0),))
+    # the rows belong to the objective stage I minimizes, when it is another one
+    with pytest.raises(TypeError, match="stage1 .*_ScalarPower"):
+        EqdqoProblem(_toy_problem().objective, (UnitNormConstraint(1, 0),), stage1=squared)
+    rows = squared_distance_objective(DualQuaternion.identity())
+    assert EqdqoProblem(squared, (UnitNormConstraint(1, 0),), stage1=rows).stage1 is rows
+    toy = _toy_problem()
+    assert toy.stage1 is toy.objective
 
 
 def test_problem_rejects_a_constraint_that_is_not_a_unit_or_anchor_row():
@@ -165,6 +174,9 @@ def test_kkt_rejects_a_stage_other_than_1_or_2():
 def test_a_constraint_of_another_arity_raises_arity_mismatch():
     with pytest.raises(ArityMismatch, match="constraint 0 arity 2 != objective arity 1"):
         EqdqoProblem(_toy_problem().objective, (UnitNormConstraint(2, 0),))
+    other = squared_distance_objective(DualQuaternion.identity(), 2)
+    with pytest.raises(ArityMismatch, match="stage1 arity 2 != objective arity 1"):
+        EqdqoProblem(_toy_problem().objective, stage1=other)
 
 
 def test_kkt_stage2_at_analytic_optimum():
@@ -315,7 +327,7 @@ def test_stage1_trace_rows_report_the_rows_stage1_holds():
     start = spanning_tree_rows(graph).reshape(1, -1)
     outcome = solver._stage1(problem, SolverConfig(restarts=1), start)[0]
     assert solver._feasibility(problem, outcome.z)[1] > 3e-2
-    assert len(outcome.trace) == 5
+    assert len(outcome.trace) == 3
     assert max(row.feasibility for row in outcome.trace) <= 1e-15
 
 
@@ -517,17 +529,16 @@ def _count_fibers_after_stage1(monkeypatch):
     return calls
 
 
-def test_no_fiber_is_built_after_stage1_capped_or_not(monkeypatch):
-    # stage II moves only the dual coordinates, so it runs on the B = J N
-    # stage I formed at its last evaluation, which a capped stage I also
-    # makes at the point it returns
+def test_one_fiber_is_built_per_stage2_candidate_capped_or_not(monkeypatch):
+    # stage II forms its own B = J N from the objective's slope at the point
+    # stage I returns, a capped stage I's included: one product per candidate
     problem, guess = _noisy_graph_problem()
     calls = _count_fibers_after_stage1(monkeypatch)
     report = solve_eqdqo(problem, _fast_cfg(restarts=1), initial=guess)
-    assert report.iterations["stage1"] < 60 and len(calls) == 0
+    assert report.iterations["stage1"] < 60 and len(calls) == 1
     calls = _count_fibers_after_stage1(monkeypatch)
-    report = solve_eqdqo(problem, _fast_cfg(restarts=1, max_outer=3), initial=guess)
-    assert report.iterations["stage1"] == 4 and len(calls) == 0
+    report = solve_eqdqo(problem, _fast_cfg(restarts=1, max_outer=1), initial=guess)
+    assert report.iterations["stage1"] == 2 and len(calls) == 1
 
 
 def test_a_solve_evaluates_the_objective_gradient_once(monkeypatch):

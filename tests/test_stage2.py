@@ -130,13 +130,13 @@ def test_a_uniform_reweighting_ends_stage2_after_one_pass():
     g = generate_cycle_graph(12, loop_closures=4, seed=5)
     problem, cfg = build_pgo(g), SolverConfig(restarts=1, seed=0)
     _, _, outcome = solver._stage1_restarts(problem, cfg, spanning_tree_rows(g))[0]
-    stage2 = solver._stage2(problem, cfg, outcome.z, outcome.fiber)
+    stage2 = solver._stage2(problem, cfg, outcome.z)
     assert len(stage2.trace) == 1
     # the second pass, with the rescaled weights, lands on the same point
     null = tangent_matrix(problem.block, outcome.z)
     z = solver._fiber_point(problem, outcome.z)
-    r_p, weights = problem.objective.stage2_system(z)
-    b = problem.objective.stage1_system(z)[0].toarray() @ null
+    r_p, weights, slope = problem.objective.stage2_system(z)
+    b = slope @ null
     w1 = weights(r_p)
     y1 = np.linalg.solve(b.T @ (w1[:, None] * b), -b.T @ (w1 * r_p))
     w2 = weights(r_p + b @ y1)
@@ -148,25 +148,43 @@ def test_a_uniform_reweighting_ends_stage2_after_one_pass():
     assert np.max(np.abs(stage2.z - two_pass)) <= 1e-12
 
 
-def _fiber_from_scratch(problem, z):
-    """``B = J N`` built anew at ``z``, as stage I evaluates a point."""
+def _stage1_fiber(problem, z):
+    """``B = J N`` of the stage-I objective at ``z``, as stage I evaluates a point."""
     # a point on a sparse fiber is evaluated alone, any other as a stack of one
     alone = problem.block.var.size > solver._DENSE_MAX
-    jac = problem.objective.stage1_system(z if alone else z[None])[0]
+    jac = problem.stage1.stage1_system(z if alone else z[None])[0]
     b = solver._fiber_product(jac, problem.block.tangent(z[None]), problem.block.var)
     return b if alone else b[0]
 
 
-def _bytes(a):
-    return (a.toarray() if solver._is_sparse(a) else a).tobytes()
+def _dense(a):
+    return a.toarray() if solver._is_sparse(a) else a
+
+
+def _stage2_fiber(problem, cfg, z1, monkeypatch):
+    """The ``B = J N`` that stage II forms at ``z1``."""
+    formed = []
+    fiber_product = solver._fiber_product
+
+    def spy(*args):
+        formed.append(fiber_product(*args))
+        return formed[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_fiber_product", spy)
+        solver._stage2(problem, cfg, z1)
+    (b,) = formed
+    return b
 
 
 @pytest.mark.parametrize("dense_max", [solver._DENSE_MAX, -1])
-def test_stage2_from_stage1s_last_factorization_is_the_one_from_scratch(dense_max, monkeypatch):
-    # every restart that did not merge carries the B = J N of its last
-    # evaluation, at the point it returns, a capped one included.  A
-    # noiseless problem's spectral start is at value 0 and runs alone;
-    # without it the random restarts run too.
+def test_stage2_forms_its_fiber_from_the_objectives_slope(dense_max, monkeypatch):
+    # Stage II forms B = A N from the objective's slope A at the point stage
+    # I returns, a capped one included, dense or sparse as stage I's.  A
+    # hand-eye problem's A is constant, so B is stage I's last one bit for
+    # bit; a pose graph's is the bilinear rows' A, not that of stage I's
+    # affine rows.  A noiseless problem's spectral start is at value 0 and
+    # runs alone; without it the random restarts run too.
     monkeypatch.setattr(solver, "_DENSE_MAX", dense_max)
     problems = []
     for model, build in (("axxb", build_axxb), ("axyb", build_axyb)):
@@ -186,10 +204,14 @@ def test_stage2_from_stage1s_last_factorization_is_the_one_from_scratch(dense_ma
                     SolverConfig(restarts=restarts, seed=0, max_outer=4)):
             for _, _, outcome in solver._stage1_restarts(problem, cfg, initial):
                 stops.add(outcome.stop)
-                scratch = _fiber_from_scratch(problem, outcome.z)
-                assert _bytes(outcome.fiber) == _bytes(scratch)
-                reused = solver._stage2(problem, cfg, outcome.z, outcome.fiber)
-                fresh = solver._stage2(problem, cfg, outcome.z, scratch)
-                assert reused.z.tobytes() == fresh.z.tobytes()
-                assert reused.trace == fresh.trace
+                b = _stage2_fiber(problem, cfg, outcome.z, monkeypatch)
+                assert solver._is_sparse(b) == (dense_max < 0)
+                stage1 = _dense(_stage1_fiber(problem, outcome.z))
+                if problem.stage1 is problem.objective:
+                    assert _dense(b).tobytes() == stage1.tobytes()
+                    continue
+                slope = _dense(problem.objective.stage2_system(outcome.z)[2])
+                want = slope @ tangent_matrix(problem.block, outcome.z)
+                assert np.max(np.abs(_dense(b) - want)) <= 1e-14
+                assert np.max(np.abs(stage1 - want)) > 1e-3
     assert {"converged", "max_outer"} <= stops
