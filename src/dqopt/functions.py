@@ -594,19 +594,22 @@ class ResidualNormObjective(DualFunction):
     def stage1_system(self, z):
         """Stage-I rows ``(J, r, weights, groups)``: ``J^T W r`` is the standard gradient.
 
-        ``r`` are the standard residual rows (zero in a group at a kink,
-        ``|r_g| <= TOL_APPRECIABLE``, the zero subgradient) with ``(k, 4n)``
-        standard-slot Jacobian ``J`` from the stack's ``jacobian()``; rows
-        weigh ``1 / max(|r_g|, TOL_APPRECIABLE)``, so ``J^T W J`` is the Hessian of the
-        reweighted majorizer of ``sum_g |r_g|``.  ``groups`` gives each
+        ``r`` are the standard residual rows with ``(k, 4n)`` standard-slot
+        Jacobian ``J`` from the stack's ``jacobian()``.  Rows of an
+        appreciable group weigh ``1 / |r_g|``, so ``J^T W J`` is the
+        Hessian of the reweighted majorizer of ``sum_g |r_g|``.  Rows of a
+        group at its kink, ``|r_g| <= TOL_APPRECIABLE``, weigh 0 (the zero
+        subgradient); the solver reads the zero weight as the group's mark
+        and its rows ``r_g`` as where the kink is.  ``groups`` gives each
         group's first row, or ``None`` for one group, which has the
         minimizer of ``|r|^2`` (Gauss-Newton).  For a stack ``(R, 8n)`` of
         points, ``r`` and the weights are ``(R, k)``.
         """
         r, _, _, jacobian = self._stack(z)
         norms = np.sqrt(np.add.reduceat(r * r, self._starts, axis=-1))
-        weights = self._expand(1.0 / np.maximum(norms, TOL_APPRECIABLE))
-        r = r * self._expand(norms > TOL_APPRECIABLE)
+        # a NaN norm keeps a NaN weight, as in ``value_at``
+        kink = norms <= TOL_APPRECIABLE
+        weights = self._expand(np.where(kink, 0.0, 1.0 / np.where(kink, 1.0, norms)))
         return jacobian(), r, weights, self._starts if self._starts.size > 1 else None
 
     def stage2_system(self, z):

@@ -59,6 +59,7 @@ dn-order minimum over their feasible outcomes.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
@@ -67,7 +68,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import DualNumber, DualQuaternion, DualQuaternionVector
+from .algebra import TOL_APPRECIABLE, DualNumber, DualQuaternion, DualQuaternionVector
 from .errors import ArityMismatch, Infeasible, NonStandardProblem
 from .functions import ConstraintBlock, DualFunction, pack, unpack
 
@@ -277,6 +278,7 @@ class _StageOutcome:
     stop: str | None = None  # stage I: "converged", "stalled", "merged" or "max_outer"
     value: float | DualNumber | None = None  # at z: standard (stage I) or dual value (II)
     feasibility: tuple[float, float] | None = None  # stage II: _feasibility at z
+    kinked: bool = False  # stage I: a group of stage1 at its kink at z has multipliers
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +296,10 @@ def _feasibility(problem: EqdqoProblem, z: np.ndarray) -> tuple[float, float]:
     return float(np.max(np.abs(h), initial=0.0)), float(np.max(np.abs(h_d), initial=0.0))
 
 
-def _random_start(problem: EqdqoProblem, rng: np.random.Generator) -> np.ndarray:
-    """Unit standard parts per variable, zero dual parts."""
-    z = np.zeros(8 * problem.arity)
-    for i in range(problem.arity):
+def _random_start(arity: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit standard parts for each of ``arity`` variables, zero dual parts."""
+    z = np.zeros(8 * arity)
+    for i in range(arity):
         v = rng.standard_normal(4)
         v /= np.linalg.norm(v)
         z[8 * i : 8 * i + 4] = v
@@ -399,7 +401,12 @@ def kkt_analysis(problem: EqdqoProblem, point, stage: int = 1) -> KktInfo:
     over the dual ones.  The multipliers are the minimum-norm least-squares
     ones ``-G (G^T G)^+ t``, ``(G^T G)^+`` in the closed form of
     :meth:`~dqopt.functions.ConstraintBlock.pinv`.  Piecewise gradients
-    use the zero subgradient at kinks.
+    take the zero subgradient at kinks, except in stage I of an objective
+    with ``stage1_system`` and several magnitude groups: there ``t`` also
+    holds ``J_g^T u_g`` for each group ``g`` at its kink, with ``u_g`` the
+    least-squares multipliers of :func:`_kinks` cut back to norm 1, so the
+    residual is the distance to the subdifferential (the stage-I
+    stationarity that :func:`_stage1` stops on) whenever every ``|u_g| <= 1``.
     """
     if stage not in (1, 2):
         raise ValueError("stage must be 1 or 2")
@@ -407,10 +414,31 @@ def kkt_analysis(problem: EqdqoProblem, point, stage: int = 1) -> KktInfo:
     return _kkt(problem, z, stage, problem.objective.gradient_at(z)[stage - 1])
 
 
-def _kkt(problem: EqdqoProblem, z, stage: int, grad) -> KktInfo:
-    """:func:`kkt_analysis` at ``z`` given the objective's gradient of the stage's part."""
+def _kink_subgradient(problem: EqdqoProblem, z: np.ndarray):
+    """``J_A^T u`` over the standard coordinates for the groups at their kink at ``z``, or 0."""
+    system = getattr(problem.objective, "stage1_system", None)
+    if system is None:
+        return 0.0
+    jac, r, w, starts = system(z)
+    if starts is None or w.all():
+        return 0.0
+    b = _dense(_fiber_product(jac, problem.block.tangent(z), problem.block.var))
+    b = b if b.ndim == 3 else b[None]
+    r, w = r[None], w[None]
+    kinks = _kinks(b, r, w, starts, _row_groups(starts, r.shape[-1]), _tmv(b, w * r))
+    return jac.T @ kinks.u[0]
+
+
+def _kkt(problem: EqdqoProblem, z, stage: int, grad, kinks: bool = True) -> KktInfo:
+    """:func:`kkt_analysis` at ``z`` given the objective's gradient of the stage's part.
+
+    With ``kinks`` false the caller knows that no group at its kink has a
+    nonzero multiplier, and stage I reads no residual rows.
+    """
     block = problem.block
     target = grad[_part_indices(problem.arity, stage - 1)]
+    if stage == 1 and kinks:
+        target = target + _kink_subgradient(problem, z)
     mult = -block.apply(z, block.pinv(z, target))
     resid = target + block.pullback(z, mult)
     return KktInfo(
@@ -441,8 +469,21 @@ _DAMP_CAP = 1e4
 #: from magnitudes near 1e-4 is uncertain to about 1e-12 of itself.
 _ROUNDING = 1e-12
 
-#: Weight factor that pins a magnitude at its kink in the Newton step.
-_PIN = 1e8
+#: A group's rows ``B_A`` count as spanning only the eigenvectors of
+#: ``B_A^T B_A`` whose eigenvalue exceeds this fraction of the largest, a
+#: relative cut of 1e-6 on the singular values.  The 4 rows of an AXYB kink
+#: span 3 dimensions, the complement of ``p = a x = y b``; the fourth reads
+#: rounding, and without the cut its multipliers run to 1e3 and more.
+_RANK_CUT = 1e-12
+
+#: A pinned group whose norm is at most this sits at its kink to rounding:
+#: unit-quaternion residual rows carry absolute errors near 1e-16, and the
+#: spectral start of noiseless hand-eye data leaves them below 1e-14.
+_KINK_ROUNDING = 1e-12
+
+#: A released group leaves for at least this norm, twice the band
+#: ``TOL_APPRECIABLE`` in which magnitudes read 0.
+_RELEASE_MIN = 2.0 * TOL_APPRECIABLE
 
 #: A stage-I point this close to one where another restart converged, in the
 #: max-norm over the standard coordinates and up to the global sign, is
@@ -546,22 +587,193 @@ def _reduced_solve(h, rhs: np.ndarray, shift=0.0) -> np.ndarray:
         return np.stack([_reduced_solve(m_k, rhs_k) for m_k, rhs_k in zip(m, rhs)])
 
 
-def _newton_step(b, r, w, starts, grad, h, shift):
+def _dense(a):
+    """A sparse matrix as a stack of one dense matrix; dense stacks as they are."""
+    return a.toarray()[None] if _is_sparse(a) else a
+
+
+def _row_groups(starts: np.ndarray, size: int) -> np.ndarray:
+    """The group of each of ``size`` rows, for groups beginning at rows ``starts``."""
+    return np.repeat(np.arange(starts.size), np.diff(np.append(starts, size)))
+
+
+def _pinned_range(b: np.ndarray, rows: np.ndarray):
+    """``(B_A V, V, free, 1 / eigenvalue)`` per point for the pinned ``rows`` of ``b``.
+
+    ``B_A`` is ``b`` with each row scaled by ``rows``, its weight's square
+    root, 0 off the pinned rows.  ``V`` holds the eigenvectors of ``B_A^T
+    B_A``; those whose eigenvalue is at most ``_RANK_CUT`` times the largest
+    span its null space (``free``, inverse 0), the others its range.
+    """
+    b_a = b * rows[..., None]
+    lam, v = np.linalg.eigh(b_a.swapaxes(-1, -2) @ b_a)
+    free = lam <= _RANK_CUT * lam[..., -1:]
+    return b_a @ v, v, free, 1.0 / np.where(free, np.inf, lam)
+
+
+@dataclass
+class _Kinks:
+    """The points of a step with a magnitude group at its kink, and their active sets.
+
+    ``pos`` indexes those points among the step's.  Per point, ``groups``
+    flags the groups pinned at their kink (weight 0 in ``stage1_system``),
+    ``rows`` flags their rows, ``u`` holds their least-squares
+    multipliers cut back to norm 1 per group, and ``release`` is ``u`` in
+    the rows of the group with the largest multiplier norm ``|u_g| > 1``,
+    if that group is to leave its kink, zero elsewhere.  ``sigma``
+    is ``|g + B_A^T u|`` with each ``u_g`` cut back to norm 1: the reduced
+    gradient when every ``|u_g| <= 1``.  ``counted`` sums the pinned
+    groups' norms, and ``settled`` says that every ``|u_g| <= 1`` and every
+    pinned norm is at most ``_KINK_ROUNDING``.  ``span`` is
+    :func:`_pinned_range` of ``rows``, once formed.
+    """
+
+    pos: np.ndarray
+    groups: np.ndarray
+    rows: np.ndarray
+    u: np.ndarray
+    release: np.ndarray
+    sigma: np.ndarray
+    counted: np.ndarray
+    settled: np.ndarray
+    span: tuple | None = None
+
+    def take(self, go: np.ndarray):
+        """The kinks of the points that ``go`` keeps, renumbered among them; ``None`` if none."""
+        mine = go[self.pos]
+        if not mine.any():
+            return None
+        pos = (np.cumsum(go) - 1)[self.pos[mine]]
+        span = None if self.span is None else tuple(a[mine] for a in self.span)
+        return _Kinks(pos, *(a[mine] for a in (self.groups, self.rows, self.u, self.release,
+                                               self.sigma, self.counted, self.settled)), span)
+
+    def spanned(self, b) -> tuple:
+        """``span``, formed from the step's ``b`` if it is not yet."""
+        if self.span is None:
+            self.span = _pinned_range(_dense(b)[self.pos], self.rows)
+        return self.span
+
+
+def _kinks(b, r: np.ndarray, w: np.ndarray, starts: np.ndarray, group: np.ndarray,
+           grad: np.ndarray):
+    """The :class:`_Kinks` of a step's points, some group of which is at its kink.
+
+    A group is pinned where ``stage1_system`` weighs it 0; ``group`` maps
+    rows to groups.  The multipliers are the minimum-norm least-squares
+    ``u = -B_A (B_A^T B_A)^+ g`` on the range kept by ``_RANK_CUT``, with
+    ``g`` the gradient of the other groups: 0 when ``g`` is, as when every
+    group is pinned.
+    """
+    pinned = w[..., starts] == 0
+    pos = pinned.any(axis=-1).nonzero()[0]
+    groups = pinned[pos]
+    rows, g = groups[:, group], grad[pos]
+    r_a = np.where(rows, r[pos], 0.0)
+    norms = np.sqrt(np.add.reduceat(r_a * r_a, starts, axis=-1))
+    zero = np.zeros(rows.shape)
+    kinks = _Kinks(pos, groups, rows, zero, zero, np.zeros(pos.size), norms.sum(axis=-1),
+                   norms.max(axis=-1) <= _KINK_ROUNDING)
+    if not g.any():
+        return kinks
+    b_v, v, free, inv = kinks.spanned(b)
+    g_v = _tmv(v, g)  # in the eigenbasis, where the null space's part is the reduced gradient
+    u = -_mv(b_v, inv * g_v)
+    u_norm = np.sqrt(np.add.reduceat(u * u, starts, axis=-1))
+    kinks.u = u / np.maximum(u_norm, 1.0)[:, group]
+    reduced, excess = g_v * free, _tmv(b_v, u - kinks.u)  # the excess lies in the range
+    rr, ee = _dots(reduced, reduced), _dots(excess, excess)
+    top = u_norm.max(axis=-1)
+    # Release once the excess is a third of the reduced gradient: releasing
+    # far from the face's own minimum lets a group leave and come back.
+    out = (top > 1.0) & (9.0 * ee >= rr)
+    kinks.release = np.where((u_norm[:, group] == top[:, None]) & out[:, None], kinks.u, 0.0)
+    kinks.sigma = np.sqrt(rr + ee)
+    kinks.settled &= top <= 1.0
+    return kinks
+
+
+def _pinned_solve(m, grad, span, t):
+    """``y`` minimizing ``y^T m y / 2 + grad^T y`` subject to ``B_A y = t``, per point.
+
+    ``span`` is :func:`_pinned_range` of the pinned rows, whose weights
+    scale ``t`` as they scale ``B_A``; ``grad`` may be ``None``, for 0.  In
+    the eigenbasis ``V``, ``y`` is the least-squares solution of the rows
+    on their range plus the step on their null space that minimizes the
+    model there.
+    """
+    b_v, v, free, inv = span
+    x = inv * _tmv(b_v, t)
+    if not free.any():
+        return _mv(v, x)  # the rows fix y; any point with a null space gets 0 added below
+    m = v.swapaxes(-1, -2) @ m @ v
+    lin = _mv(m, x) if grad is None else _mv(m, x) + _tmv(v, grad)
+    # the model on the null space, the identity on the range, where x is set
+    k = m * (free[..., :, None] & free[..., None, :])
+    k.reshape(k.shape[:-2] + (-1,))[..., :: free.shape[-1] + 1] += ~free
+    lin *= free
+    try:
+        x -= np.linalg.solve(k, lin[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        # point by point, as each solves alone
+        x -= np.stack([_solve_or_pinv(k_p, lin_p) for k_p, lin_p in zip(k, lin)])
+    return _mv(v, x)
+
+
+def _active_solve(model, shift, grad, r, rows, span, release):
+    """The step of ``model + diag(shift)`` with the pinned ``rows`` at their kink, per point.
+
+    :func:`_pinned_solve` holds the rows' linearization ``r_A + B_A y`` at
+    0, in least squares weighted by the square of ``rows`` (0 off the pinned
+    rows) where it cannot hold.  A group along a nonzero ``release`` (in
+    rows of weight 1) leaves in that direction instead, for the norm
+    ``eps`` that minimizes the model plus ``eps`` (its magnitude), and at
+    least ``_RELEASE_MIN``, out of the band where it reads 0.
+    """
+    m = model.copy()
+    m.reshape(m.shape[:-2] + (-1,))[..., :: grad.shape[-1] + 1] += shift
+    y = _pinned_solve(m, grad, span, -r * rows)
+    out = None if release is None else release.any(axis=-1)
+    if out is not None and out.any():
+        m, y0 = m[out], y[out]
+        y1 = _pinned_solve(m, None, tuple(a[out] for a in span), release[out])
+        m_y1 = _mv(m, y1)
+        slope, curv = _dots(grad[out], y1) + _dots(y0, m_y1) + 1.0, _dots(y1, m_y1)
+        eps = np.where(curv > 0, -slope / np.where(curv > 0, curv, 1.0), _RELEASE_MIN)
+        eps = np.where(slope < 0, np.maximum(eps, _RELEASE_MIN), 0.0)
+        y[out] = y0 + eps[:, None] * y1
+    return y
+
+
+def _solve_or_pinv(k: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``k^{-1} rhs``, or ``k^+ rhs`` for a singular ``k``."""
+    try:
+        return np.linalg.solve(k, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.pinv(k) @ rhs
+
+
+def _newton_step(b, r, w, starts, group, grad, h, shift, kinks=None):
     """Stage-I Newton step per point: ``(h + diag(shift)) y = -grad``, ``h = b^T W b``.
 
-    ``grad = b^T W r``.  For a sum of magnitudes (group ``starts`` given), each group's radial
-    part ``c_g^T c_g``, ``c_g = r_g^T b_g / |r_g|^(3/2)``, leaves ``h``:
-    ``|r_g|`` is flat along ``r_g``.  A group the step would carry through
-    zero (``|r_g|^(1/2) + c_g y < 0``) is pinned instead, its rows weighted
-    ``_PIN`` times more so that the next solve puts it at its kink.  Points
-    solve again until none pins a new group; a point that pinned nothing
-    gets the same ``y`` again.
+    ``grad = b^T W r``.  For a sum of magnitudes (group ``starts`` given,
+    ``group`` of each row), each smooth group's radial part ``c_g^T c_g``,
+    ``c_g = r_g^T b_g / |r_g|^(3/2)``, leaves ``h``: ``|r_g|`` is flat
+    along ``r_g``.  Groups at their kink (``kinks``, weight 0 so out of
+    ``h``) and groups the step would carry through zero (``|r_g|^(1/2) +
+    c_g y < 0``) are pinned: :func:`_active_solve` holds their rows'
+    linearization at 0, in least squares weighted as the band edge weighs
+    a kink and as the majorizer weighs the others, and releases the group
+    ``kinks`` names.  Points re-solve until none pins a new group; the
+    others keep their ``y``.
     """
     if starts is None:
         return _reduced_solve(h, -grad, shift)
-    group = np.repeat(np.arange(starts.size), np.diff(np.append(starts, r.shape[-1])))
     norms = np.sqrt(np.add.reduceat(r * r, starts, axis=-1))
-    inv = np.where(norms > 0, 1.0 / np.where(norms > 0, norms, 1.0), 0.0)
+    newton = norms > 0
+    if kinks is not None:
+        newton[kinks.pos] &= ~kinks.groups
+    inv = np.where(newton, 1.0 / np.where(newton, norms, 1.0), 0.0)
     scaled = _scale_rows(b, r * inv[..., group] ** 1.5)
     if _is_sparse(scaled):
         from ._sparse import sparse
@@ -570,19 +782,30 @@ def _newton_step(b, r, w, starts, grad, h, shift):
         c = sparse.csr_matrix(sums, (starts.size, group.size)) @ scaled
     else:
         c = np.ascontiguousarray(np.add.reduceat(scaled, starts, axis=-2))
+    # a kink's rows of c are 0 (inv is), so its point needs no product of kept rows
+    model = h - _kept_gram(c, norms > 0)
+    y = _reduced_solve(model, -grad, shift)
     pinned = np.zeros(norms.shape, dtype=bool)
+    pts, rows, span, release = np.zeros(0, dtype=np.intp), None, None, None
+    if kinks is not None:
+        pinned[kinks.pos], pts, rows = kinks.groups, kinks.pos, kinks.rows
+        release = np.zeros(r.shape)
+        span, release[pts] = kinks.spanned(b), kinks.release
+    root, weight = np.sqrt(norms), None
     while True:
-        newton = (norms > 0) & ~pinned
-        model, rhs = h - _kept_gram(c, newton), -grad
-        if pinned.any():
-            # the pinned rows' extra weight; with none pinned it is all zero
-            extra = (_PIN - 1.0) * w * pinned[..., group]
-            model, rhs = model + _normal(b, extra), -(grad + _tmv(b, extra * r))
-        y = _reduced_solve(model, rhs, shift)
-        through = newton & (np.sqrt(norms) + _mv(c, y) < 0)
-        if not through.any():
+        if pts.size:
+            y[pts] = _active_solve(_dense(model)[pts], shift[pts], grad[pts], r[pts], rows, span,
+                                   None if release is None else release[pts])
+        through = newton & ~pinned & (root + _mv(c, y) < 0)
+        pts = through.any(axis=-1).nonzero()[0]
+        if not pts.size:
             return y
         pinned |= through
+        if weight is None:
+            # square roots of the weights, relative to a kink's (1 / TOL_APPRECIABLE)
+            weight = np.sqrt(w * TOL_APPRECIABLE) + (w == 0)
+        rows = weight[pts] * pinned[pts][:, group]
+        span = _pinned_range(_dense(b)[pts], rows)
 
 
 def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -635,10 +858,12 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     damp = np.full(count, _DAMP_FLOOR)
     grad_norm = np.full(count, math.inf)  # of the last step taken
     flat = np.zeros(count, dtype=bool)
+    kinked = np.zeros(count, dtype=bool)  # at the last row's point
     stop = [None] * count
     traces = [[] for _ in range(count)]  # one row per step
     var = block.var
     alone = var.size > _DENSE_MAX  # points on a sparse fiber step one at a time
+    groups = []  # the group of each residual row, once a sum of magnitudes gives its starts
 
     def advance(it, idx):
         z_a = z[idx]
@@ -653,13 +878,24 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         wr = w * r
         grad = _tmv(b, wr)
         g_norm = np.sqrt(_dots(grad, grad))
+        # at a kink the distance to the subdifferential stands in for |g|
+        if starts is not None and not groups:
+            groups.append(_row_groups(starts, r.shape[-1]))
+        group = groups[0] if groups else None
+        # a group at its kink weighs 0
+        kinks = None if starts is None or w.all() else _kinks(b, r, w, starts, group, grad)
+        small = g_norm <= cfg.tol_grad
+        kinked[idx] = False
+        if kinks is not None:
+            kinked[idx[kinks.pos]] = kinks.u.any(axis=-1)
+            g_norm[kinks.pos] = kinks.sigma
+            small[kinks.pos] = (kinks.sigma <= cfg.tol_grad) & kinks.settled
         feas = np.maximum.reduce(abs(block.values(pts)[0]), axis=-1, initial=0.0)
         rows = np.empty((len(idx), 4))
         rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = v_std[idx], v_dual[idx], feas, g_norm
         for k, row in zip(idx.tolist(), rows.tolist()):
             traces[k].append(TraceRow(it, 1, *row))
         # Once the value is flat to rounding, only a falling gradient shows progress.
-        small = g_norm <= cfg.tol_grad
         stalled = flat[idx] & (g_norm >= grad_norm[idx])
         # after max_outer steps, the points still running stop where they are
         done = small | stalled | (it == cfg.max_outer)
@@ -676,14 +912,23 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
                 a[go] for a in (idx, z_a, frames, b, r, w, wr, grad))
             jac = jac[go] if jac.ndim == 3 else jac
             pts = z_a
+            kinks = kinks and kinks.take(go)
         h = _normal(b, w)
         scale = np.maximum.reduce(_diagonal(h), axis=-1, initial=0.0)
         scale[scale == 0] = 1.0
-        rounding = v_std[idx] + _ROUNDING * np.abs(v_std[idx])
+        # Values compare with the pinned groups counted: holding them at their
+        # kink may cost the others what their norms in the band read as 0.
+        ref = low = v_std[idx]
+        if kinks is not None:
+            ref = ref.copy()
+            ref[kinks.pos] += kinks.counted
+            # and their progress is a fall beyond rounding, not a pinned norm's noise
+            low = ref - _ROUNDING * np.abs(ref) * np.isin(np.arange(len(idx)), kinks.pos)
+        rounding = ref + _ROUNDING * np.abs(ref)
         pull = _tmv(jac, wr).reshape(pts.shape[:-1] + (-1,))
         curv = block.curvature(pts, pull).reshape(len(idx), -1)
         shift = _DAMP_FLOOR * scale[:, None] - curv[:, var]
-        y = _newton_step(b, r, w, starts, grad, h, shift)
+        y = _newton_step(b, r, w, starts, group, grad, h, shift, kinks)
         stepped = np.zeros(len(idx), dtype=bool)
 
         # ``pos`` below indexes the points of this step that try a move.
@@ -695,11 +940,15 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
 
         def accept(pos, moved, moved_v, ok):
             points = idx[pos][ok]
-            flat[points] = ~(moved_v[0][ok] < v_std[points])
+            flat[points] = ~(moved_v[0][ok] < low[pos][ok])
             z[points], v_std[points], v_dual[points] = moved[ok], moved_v[0][ok], moved_v[1][ok]
             stepped[pos[ok]] = True
 
-        pos = (_dots(grad, y) < 0).nonzero()[0]
+        tries = _dots(grad, y) < 0
+        if kinks is not None:
+            # a step back to a kink may climb the smooth groups' slope
+            tries[kinks.pos] = True
+        pos = tries.nonzero()[0]
         if pos.size:
             moved, moved_v = trial(pos, y[pos])
             accept(pos, moved, moved_v, moved_v[0] <= rounding[pos])
@@ -707,10 +956,17 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         pos = (~stepped & (damp[idx] <= _DAMP_CAP)).nonzero()[0]
         while pos.size:
             points = idx[pos]
-            y = _reduced_solve(h[pos] if h.ndim == 3 else h, -grad[pos],
-                               (damp[points] * scale[pos])[:, None])
+            lm_shift = (damp[points] * scale[pos])[:, None]
+            y = _reduced_solve(h[pos] if h.ndim == 3 else h, -grad[pos], lm_shift)
+            if kinks is not None:
+                at, of = np.intersect1d(pos, kinks.pos, return_indices=True)[1:]
+                if at.size:
+                    y[at] = _active_solve(_dense(h)[pos[at]], lm_shift[at], grad[pos[at]],
+                                          r[pos[at]], kinks.rows[of],
+                                          tuple(a[of] for a in kinks.spanned(b)),
+                                          kinks.release[of])
             moved, moved_v = trial(pos, y)
-            lower = moved_v[0] < v_std[points]
+            lower = moved_v[0] < ref[pos]
             accept(pos, moved, moved_v, lower)
             # a trial within rounding of the value ends the search without a step
             higher = ~lower & ~(moved_v[0] <= rounding[pos])
@@ -732,8 +988,8 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             break
         for group in np.split(live, live.size) if alone else [live]:
             advance(it, group)
-    return [_StageOutcome(z[k], traces[k], stop=stop[k], value=float(v_std[k]))
-            for k in range(count)]
+    return [_StageOutcome(z[k], traces[k], stop=stop[k], value=float(v_std[k]),
+                          kinked=bool(kinked[k])) for k in range(count)]
 
 
 def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageOutcome:
@@ -841,8 +1097,19 @@ def _restart_start(
         return _start_z(initial, problem.arity, "initial guess")
     if r == 0 and problem.start is not None:
         return problem.start.reshape(-1)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([cfg.seed, r])))
-    return _random_start(problem, rng)
+    return _drawn_start(problem.arity, cfg.seed, r)
+
+
+@functools.lru_cache(maxsize=256)
+def _drawn_start(arity: int, seed: int, r: int) -> np.ndarray:
+    """:func:`_random_start` from the stream of ``(seed, r)``, read-only.
+
+    The draw depends on nothing else, so each solve with the same seed
+    reuses it instead of seeding a generator per restart.
+    """
+    z = _random_start(arity, np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r]))))
+    z.flags.writeable = False
+    return z
 
 
 def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
@@ -901,7 +1168,7 @@ def _report(
     wall_ms = (time.perf_counter() - t0) * 1e3
     z2 = stage2.z
     grad_std, grad_dual = problem.objective.gradient_at(z2)
-    kkt1 = _kkt(problem, z2, 1, grad_std)
+    kkt1 = _kkt(problem, z2, 1, grad_std, stage1.kinked)
     kkt2 = _kkt(problem, z2, 2, grad_dual)
     v = stage2.value
     feas_h, feas_hd = stage2.feasibility

@@ -103,13 +103,33 @@ def test_noiseless_solves_are_the_same_with_and_without_merging(case, monkeypatc
         assert {o.stop for o in _stage1(problem, None)[1]} <= {"converged", "stalled"}
 
 
-def test_stalled_restarts_are_never_merged_into(monkeypatch):
-    # at kink optima every restart creeps and stalls apart from the others
-    for seed in (10, 11, 15):
+KINK_SEEDS = (10, 11, 15)
+
+
+def test_restarts_at_kink_optima_converge_or_merge(monkeypatch):
+    # at these AXYB optima one residual is exactly 0; the restarts pin it at its
+    # kink and stop on the subdifferential, so they merge like smooth ones
+    for seed in KINK_SEEDS:
         problem, _ = _handeye("axyb", SIGMA, seed)
-        assert {o.stop for o in _stage1(problem, None)[1]} == {"stalled"}
-        on = _solve(problem, None, monkeypatch)
-        off = _solve(problem, None, monkeypatch, merging=False)
+        stops = [o.stop for o in _stage1(problem, None)[1]]
+        assert "converged" in stops and set(stops) <= {"converged", "merged"}
+        on = pack(list(_solve(problem, None, monkeypatch).solution))
+        off = pack(list(_solve(problem, None, monkeypatch, merging=False).solution))
+        assert min(np.max(np.abs(on - off)), np.max(np.abs(on + off))) <= 1e-9
+
+
+def test_stalled_restarts_are_never_merged_into(monkeypatch):
+    # a gradient tolerance no point reaches makes every restart stall where
+    # the value stops falling, and restarts that stalled are never merged into
+    cfg = SolverConfig(restarts=8, seed=0, tol_grad=1e-30)
+    for seed in KINK_SEEDS:
+        problem, _ = _handeye("axyb", SIGMA, seed)
+        starts = np.stack([solver._restart_start(problem, cfg, None, r) for r in range(8)])
+        assert {o.stop for o in solver._stage1(problem, cfg, starts)} == {"stalled"}
+        with monkeypatch.context() as m:
+            on = solve_eqdqo(problem, cfg)
+            m.setattr(solver, "_MERGE_RADIUS", -1.0)
+            off = solve_eqdqo(problem, cfg)
         assert on.trace == off.trace
         assert pack(list(on.solution)).tobytes() == pack(list(off.solution)).tobytes()
 

@@ -702,7 +702,7 @@ def _plain_fiber_product(jac, frames, var):
 ], ids=["pgo-1", "pgo-2", "axxb-8", "axyb-8"])
 def test_the_dense_fiber_product_adds_each_columns_four_products_left_to_right(name, problem, count):
     rng = np.random.default_rng(30)
-    z = problem.block.project(np.stack([solver._random_start(problem, rng) for _ in range(count)]))
+    z = problem.block.project(np.stack([solver._random_start(problem.arity, rng) for _ in range(count)]))
     frames, var = problem.block.tangent(z), problem.block.var
     jac = problem.objective.stage1_system(z)[0]
     # pose graphs give one Jacobian per point, hand-eye problems one for the stack

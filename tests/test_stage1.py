@@ -151,7 +151,7 @@ def test_a_restart_at_the_step_cap_leaves_the_others_their_own_outcomes(no_mergi
     problem = build_axyb(ds)
     cfg = SolverConfig(restarts=8, seed=0)
     free = solver._stage1(problem, cfg, _starts(problem, cfg))
-    k = 12
+    k = 10
     cfg = SolverConfig(restarts=8, seed=0, max_outer=k)
     capped = _assert_batch_matches_singles(problem, cfg, _starts(problem, cfg))
     assert {full.stop for full in free} == {"converged"}
@@ -165,3 +165,60 @@ def test_a_restart_at_the_step_cap_leaves_the_others_their_own_outcomes(no_mergi
             assert (outcome.stop, len(outcome.trace)) == ("max_outer", k + 1)
             assert outcome.trace == full.trace[: k + 1]
     assert {outcome.stop for outcome in capped} == {"converged", "max_outer"}
+
+
+# AXYB calibrations whose optimum puts one motion's residual exactly at 0, a kink
+KINK_SEEDS = (10, 11, 15, 21)
+
+
+@pytest.mark.parametrize("restarts", [1, 8])
+@pytest.mark.parametrize("seed", KINK_SEEDS)
+def test_kink_optima_converge_on_the_subdifferential(seed, restarts):
+    ds = generate_synthetic("axyb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=seed)
+    problem = build_axyb(ds)
+    cfg = SolverConfig(restarts=restarts, seed=0)
+    stops = [o.stop for o in solver._stage1(problem, cfg, _starts(problem, cfg))]
+    assert "converged" in stops and set(stops) <= {"converged", "merged"}
+    report = solve_eqdqo(problem, cfg)
+    # the kink group sits at its kink to rounding, not at the 1e-8 band edge
+    z = pack(list(report.solution))
+    _, r, w, starts = problem.objective.stage1_system(z)
+    norms = np.sqrt(np.add.reduceat(r * r, starts))
+    assert (w[starts] == 0).sum() == 1 and norms.min() <= 1e-12
+    # the stage-I KKT residual is the distance to the subdifferential there
+    assert report.kkt_residual["stage1"] <= 1e-8
+    assert dqopt.kkt_analysis(problem, report.solution, stage=1).residual <= 1e-8
+
+
+def _pinned_group(d=3):
+    """One pinned group of ``d`` rows with ``B = I``, at its kink, for point-wise checks."""
+    return np.eye(d)[None], np.zeros((1, d)), np.ones((1, d), dtype=bool)
+
+
+def test_a_group_at_its_kink_is_released_only_past_multiplier_1():
+    b, r, rows = _pinned_group()
+    model, span = np.eye(3)[None], solver._pinned_range(b, rows)
+    for size, eps in ((1.5, 0.5), (1.0 + 1e-12, solver._RELEASE_MIN)):
+        # u = -g, so the group leaves along u for the model's eps, and at
+        # least out of the band
+        grad = np.array([[-size, 0.0, 0.0]])
+        kinks = solver._kinks(b, r, np.where(rows, 0.0, 1.0), np.array([0]), np.zeros(3, int), grad)
+        assert kinks.release[0] == pytest.approx([1.0, 0.0, 0.0])
+        y = solver._active_solve(model, np.zeros((1, 3)), grad, r, rows, span, kinks.release)
+        assert np.linalg.norm(r + y) == pytest.approx(eps, rel=1e-9)
+    # within the subdifferential the group stays at its kink and the point is stationary
+    grad = np.array([[-0.5, 0.25, 0.0]])
+    kinks = solver._kinks(b, r, np.where(rows, 0.0, 1.0), np.array([0]), np.zeros(3, int), grad)
+    assert not kinks.release.any() and kinks.settled[0] and kinks.sigma[0] <= 1e-15
+
+
+def test_a_near_null_direction_of_the_pinned_rows_gives_no_multiplier():
+    # singular values 1, 1 and 1e-9: the third is cut, so its gradient
+    # stays in the reduced gradient instead of reading a multiplier of 1e9
+    b = np.diag([1.0, 1.0, 1e-9])[None]
+    r, rows = np.zeros((1, 3)), np.ones((1, 3), dtype=bool)
+    grad = np.array([[0.5, 0.0, 0.3]])
+    kinks = solver._kinks(b, r, np.zeros((1, 3)), np.array([0]), np.zeros(3, int), grad)
+    assert kinks.u[0] == pytest.approx([-0.5, 0.0, 0.0])
+    assert kinks.sigma[0] == pytest.approx(0.3)
+    assert kinks.settled[0]  # |u| <= 1 and the rows at 0, but sigma is not small
