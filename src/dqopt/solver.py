@@ -30,8 +30,9 @@ them for both stages, feasibility, the dual fiber and KKT analysis.
 either one at a point; the report carries each stage's value, iterations,
 trace rows and KKT analysis.  Stage I takes Gauss-Newton steps on the
 objective's residual rows in the tangent space of the unit-norm and anchor
-rows, with a Newton correction for sums of magnitudes, and keeps every
-iterate feasible (see :func:`_stage1`).  Stage II is exact linear algebra.
+rows, with a Newton correction for sums of magnitudes whose groups at their
+kink are equality rows of the step, and keeps every iterate feasible (see
+:func:`_stage1`).  Stage II is exact linear algebra.
 With the standard coordinates fixed, every dual constraint row and every
 residual's dual part is affine in the dual coordinates, so the feasible set
 is an affine *dual fiber* and stage II is a weighted least-squares fit on
@@ -88,7 +89,11 @@ class SolverConfig:
 
     Stage I stops once the norm of its tangent gradient is at most
     ``tol_grad``, or when no step lowers the standard value; ``max_outer``
-    caps its steps and the stage-II reweighted solves.  A stage-I trace
+    caps its steps and the stage-II reweighted solves.  At a kink of a sum
+    of magnitudes (a group within ``TOL_APPRECIABLE`` of 0) the norm is the
+    distance to the subdifferential, and the point stops on it only with
+    every kink's multiplier norm at most 1 and its residual at rounding, so
+    restarts at a kink optimum converge and merge like smooth ones.  A stage-I trace
     ends with a row at the point returned, so ``iterations["stage1"]``, its
     row count, is the steps plus one.  A restart's answer
     counts only if every constraint row holds to ``tol_feas``.  Restart 0
@@ -218,7 +223,12 @@ class TraceRow:
     ``max |h|`` in stage I, which leaves the start's dual coordinates for
     stage II to replace, and the larger of ``max |h|`` and ``max |h_d|`` in
     stage II.  ``kkt_residual`` is stage I's tangent gradient norm at the
-    row's point, or stage II's normal-equation residual after the solve.
+    row's point (at a kink, its distance to the subdifferential; see
+    :func:`_stage1`), or stage II's normal-equation residual after the
+    solve.  Stage-I rows read the problem's ``stage1``: for a pose graph,
+    ``objective_std`` equals the objective's standard value on the
+    standard rows, but ``objective_dual`` is the affine edge rows' dual
+    value at the start's dual coordinates, not the objective's.
     """
 
     iteration: int
@@ -835,6 +845,22 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     where the next pass stops it ``"max_outer"`` instead of stepping: every
     trace ends with a row at the point returned.
 
+    A sum of magnitudes is not smooth where a group's residual is 0, and
+    many optima sit at such a kink.  So each point has an active set: the
+    groups in the ``TOL_APPRECIABLE`` band, which ``stage1_system`` weighs
+    0 (:func:`_kinks`).  Both the Newton and the Levenberg-Marquardt steps
+    hold their linearized rows ``r_A + B_A y`` at 0 (:func:`_active_solve`),
+    and ``g`` leaves out their zero subgradient.  Their least-squares
+    multipliers ``u_g`` (``g + B_A^T u`` as small as it gets) stand in
+    for the subgradients: at such a point ``|g|`` above reads ``|g + B_A^T
+    u|`` with each ``u_g`` cut back to norm 1, the distance to the
+    subdifferential, and the point stops only if also every ``|u_g| <= 1``
+    and every pinned norm is at most ``_KINK_ROUNDING``.  A group with
+    ``|u_g| > 1`` is released, out of the band in that step.  Values then
+    compare with the pinned norms counted, since holding a group at its
+    kink may cost the others what a norm in the band reads as 0.  A point
+    without such a group steps exactly as it would without active sets.
+
     All points still running take each step together: one stack of tangent
     frames, one residual system and one batched solve per step.  Each keeps
     its own value, damping, previous gradient norm, flat flag and trace, so
@@ -844,8 +870,8 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     positive value stops ``"merged"``: its trace is the start of the one it
     takes alone, and it is no stage-II candidate.  Points that converged to
     value 0 (noiseless data, where restarts at one minimum differ in what
-    stage II makes of them) and points that stalled (at kinks, where
-    restarts creep and stop apart) are never merged into.  Returns one
+    stage II makes of them) and points that stalled (short of a minimum,
+    so possibly apart from the others) are never merged into.  Returns one
     :class:`_StageOutcome` per start.  The objective is the problem's
     ``stage1``.  Stage I never reads the dual coordinates: they stay those
     of the start.
@@ -863,7 +889,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     traces = [[] for _ in range(count)]  # one row per step
     var = block.var
     alone = var.size > _DENSE_MAX  # points on a sparse fiber step one at a time
-    groups = []  # the group of each residual row, once a sum of magnitudes gives its starts
+    row_groups = []  # the group of each residual row, once a sum of magnitudes gives starts
 
     def advance(it, idx):
         z_a = z[idx]
@@ -879,9 +905,9 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         grad = _tmv(b, wr)
         g_norm = np.sqrt(_dots(grad, grad))
         # at a kink the distance to the subdifferential stands in for |g|
-        if starts is not None and not groups:
-            groups.append(_row_groups(starts, r.shape[-1]))
-        group = groups[0] if groups else None
+        if starts is not None and not row_groups:
+            row_groups.append(_row_groups(starts, r.shape[-1]))
+        group = row_groups[0] if row_groups else None
         # a group at its kink weighs 0
         kinks = None if starts is None or w.all() else _kinks(b, r, w, starts, group, grad)
         small = g_norm <= cfg.tol_grad
@@ -922,8 +948,9 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         if kinks is not None:
             ref = ref.copy()
             ref[kinks.pos] += kinks.counted
-            # and their progress is a fall beyond rounding, not a pinned norm's noise
-            low = ref - _ROUNDING * np.abs(ref) * np.isin(np.arange(len(idx)), kinks.pos)
+            # and they progress by a fall beyond rounding, not by a pinned norm's noise
+            low = ref.copy()
+            low[kinks.pos] -= _ROUNDING * np.abs(ref[kinks.pos])
         rounding = ref + _ROUNDING * np.abs(ref)
         pull = _tmv(jac, wr).reshape(pts.shape[:-1] + (-1,))
         curv = block.curvature(pts, pull).reshape(len(idx), -1)

@@ -52,16 +52,18 @@ def test_importing_the_cli_loads_no_scipy_optimize():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("kind", ["axyb", "pgo"])
+@pytest.mark.parametrize("kind", ["axyb", "axyb-kink", "pgo"])
 def test_sparse_systems_take_the_steps_of_dense_ones(kind, monkeypatch):
     # small systems are solved densely and large ones sparsely, in both
-    # stages; force the sparse path on a small problem and compare
+    # stages; force the sparse path on a small problem and compare (AXYB
+    # seed 10 has a kink optimum, so its steps hold a group at its kink)
     if kind == "pgo":
         g = generate_cycle_graph(12, loop_closures=4, noise_rot=SIGMA, noise_trans=SIGMA, seed=5)
         problem = build_pgo(g)
         initial = spanning_tree_rows(g)
     else:
-        ds = generate_synthetic("axyb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=5)
+        seed = 10 if kind == "axyb-kink" else 5
+        ds = generate_synthetic("axyb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=seed)
         problem, initial = build_axyb(ds), None
     cfg = SolverConfig(restarts=2, seed=0)
     dense = {r: (v, o) for v, r, o in solver._stage1_restarts(problem, cfg, initial)}
@@ -72,6 +74,10 @@ def test_sparse_systems_take_the_steps_of_dense_ones(kind, monkeypatch):
         assert len(outcome.trace) == len(dense[r][1].trace)
         assert value == pytest.approx(dense[r][0], rel=1e-12)
         assert np.max(np.abs(outcome.z - dense[r][1].z)) <= 1e-9
+    if kind == "axyb-kink":
+        # stage II reweights the group at its kink by 1 / |r_dual|, where the
+        # dense and sparse fits part by about 1e-9 (7.6e-10 before active sets)
+        return
     # and stage II on the same fiber, dense or sparse
     monkeypatch.undo()
     dense = solve_eqdqo(problem, cfg, initial)
