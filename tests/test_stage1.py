@@ -76,7 +76,7 @@ def test_sparse_systems_take_the_steps_of_dense_ones(kind, monkeypatch):
         assert np.max(np.abs(outcome.z - dense[r][1].z)) <= 1e-9
     if kind == "axyb-kink":
         # stage II reweights the group at its kink by 1 / |r_dual|, where the
-        # dense and sparse fits part by about 1e-9 (7.6e-10 before active sets)
+        # dense and sparse fits part by about 1e-9
         return
     # and stage II on the same fiber, dense or sparse
     monkeypatch.undo()
