@@ -858,11 +858,13 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     All points still running take each step together: one stack of tangent
     frames, one residual system and one batched solve per step.  Each keeps
     its own value, damping, previous gradient norm, flat flag and trace, so
-    its iterates are those it takes alone.  Points on a sparse
-    fiber step one at a time.  At the top of each step, a running point
-    within ``_MERGE_RADIUS`` of a point that stopped ``"converged"`` with a
-    positive value stops ``"merged"``: its trace is the start of the one it
-    takes alone, and it is no stage-II candidate.  Points that converged to
+    its iterates are those it takes alone.  Points on a sparse fiber step
+    one at a time.  A running point within ``_MERGE_RADIUS`` of a point that
+    stops ``"converged"`` with a positive value in that step stops
+    ``"merged"`` before it steps, at its last row's point; near one that
+    converged earlier, at the top of the next step, one step past its last
+    row.  Its trace is the start of the one it takes alone, and it is no
+    stage-II candidate.  Points that converged to
     value 0 (noiseless data, where restarts at one minimum differ in what
     stage II makes of them) and points that stalled (short of a minimum,
     so possibly apart from the others) are never merged into.  Returns one
@@ -920,9 +922,13 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         # after max_outer steps, the points still running stop where they are
         done = small | stalled | (it == cfg.max_outer)
         grad_norm[idx] = g_norm
+        reasons = np.where(small, "converged", np.where(stalled, "stalled", "max_outer"))
+        # running points near a minimum reached in this step merge before they step
+        if (into := small & (v_std[idx] > 0)).any():
+            near = ~done & _near(z_a[:, std], z_a[into][:, std]).any(axis=1)
+            reasons[near], done = "merged", done | near
         halted = done.nonzero()[0]
         if halted.size:
-            reasons = np.where(small, "converged", np.where(stalled, "stalled", "max_outer"))
             for k, reason in zip(idx[halted].tolist(), reasons[halted].tolist()):
                 stop[k] = reason
             if halted.size == len(idx):

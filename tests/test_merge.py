@@ -3,6 +3,8 @@
 A restart 0 that starts at stage-I value 0 is a certified minimum and runs alone.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,38 @@ def test_a_restart_runs_alone_until_it_merges_into_an_earlier_minimum():
                     and solver._near(outcome.z[None, std], o.z[None, std])[0, 0]]
             assert into
     assert kinds == {"converged", "merged"}
+
+
+def test_a_restart_merges_in_the_step_its_minimum_converges():
+    # A running point within _MERGE_RADIUS of a minimum reached in this step
+    # stops before it steps, at the point of its last row.  One that comes near
+    # a minimum reached earlier stops at the top of the next step, one step on.
+    # Either way its trace is the one the top-of-step rule alone gives.
+    same_step = 0
+    for model in ("axxb", "axyb"):
+        for seed in range(10):
+            problem, _ = _handeye(model, SIGMA, seed)
+            starts, batch = _stage1(problem, None)
+            std = solver._part_indices(problem.arity, 0)
+            for k, outcome in enumerate(batch):
+                if outcome.stop != "merged":
+                    continue
+                rows = len(outcome.trace)
+                # the points of its last row and of the row after it, run alone
+                last, next_ = (solver._stage1(problem, replace(CFG, max_outer=cap), starts[k : k + 1])[0].z
+                               for cap in (rows - 1, rows))
+                minima = [o for o in batch if o.stop == "converged" and o.value > 0
+                          and len(o.trace) <= rows]
+                assert solver._near(next_[None, std], np.stack([o.z[std] for o in minima])).any()
+                if outcome.z.tobytes() == next_.tobytes():
+                    continue
+                assert outcome.z.tobytes() == last.tobytes()
+                value = problem.stage1.value_at(outcome.z[None])[0][0]
+                assert value == outcome.trace[-1].objective_std
+                now = [o.z[std] for o in minima if len(o.trace) == rows]
+                assert now and solver._near(last[None, std], np.stack(now)).any()
+                same_step += 1
+    assert same_step > 0
 
 
 def _report_of(report):
