@@ -312,12 +312,11 @@ def _spectral(arity: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def spectral_start(dataset: HandEyeDataset) -> np.ndarray:
     """The spectral start of the dataset's problem: ``(arity, 8)`` rows, dual parts zero.
 
-    It minimizes the sum of *squared* residual magnitudes over the pairs
-    :func:`build_axxb` or :func:`build_axyb` solves over (the rotation step of
-    Daniilidis (1999) and of Horaud and Dornaika (1995)), then on noisy data
-    takes 4 reweighted passes toward the minimum of their unsquared sum, the
-    stage-I value: 1 to 5 eigenproblems of order 4 (AXXB) or 8 (AXYB).  The
-    builders make it their ``start``, where restart 0 of :func:`~dqopt.solver.solve_eqdqo` begins.
+    It minimizes the sum of *squared* residual magnitudes over the pairs :func:`build_axxb`
+    or :func:`build_axyb` solves over (the rotation step of Daniilidis (1999) and of Horaud
+    and Dornaika (1995)), then on noisy data takes 4 reweighted passes toward the minimum of
+    their unsquared sum, the stage-I value: 1 to 5 eigenproblems of order 4 (AXXB) or 8
+    (AXYB).  The builders make it the ``start`` restart 0 of :func:`~dqopt.solver.solve_eqdqo` takes.
     """
     if dataset.model == "axxb":
         return _spectral(1, *relative_motions(dataset))

@@ -922,13 +922,14 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         # after max_outer steps, the points still running stop where they are
         done = small | stalled | (it == cfg.max_outer)
         grad_norm[idx] = g_norm
-        reasons = np.where(small, "converged", np.where(stalled, "stalled", "max_outer"))
-        # running points near a minimum reached in this step merge before they step
-        if (into := small & (v_std[idx] > 0)).any():
-            near = ~done & _near(z_a[:, std], z_a[into][:, std]).any(axis=1)
-            reasons[near], done = "merged", done | near
         halted = done.nonzero()[0]
         if halted.size:
+            reasons = np.where(small, "converged", np.where(stalled, "stalled", "max_outer"))
+            # running points near a minimum reached in this step merge before they step
+            if halted.size < len(idx) and (into := small & (v_std[idx] > 0)).any():
+                near = ~done & _near(z_a[:, std], z_a[into][:, std]).any(axis=1)
+                reasons[near], done = "merged", done | near
+                halted = done.nonzero()[0]
             for k, reason in zip(idx[halted].tolist(), reasons[halted].tolist()):
                 stop[k] = reason
             if halted.size == len(idx):
