@@ -221,11 +221,13 @@ class TraceRow:
 
     ``feasibility`` is the largest violation of the rows the stage holds:
     ``max |h|`` in stage I, which leaves the start's dual coordinates for
-    stage II to replace, and the larger of ``max |h|`` and ``max |h_d|`` in
-    stage II.  ``kkt_residual`` is stage I's tangent gradient norm at the
-    row's point (at a kink, its distance to the subdifferential; see
-    :func:`_stage1`), or stage II's normal-equation residual after the
-    solve.  Stage-I rows read the problem's ``stage1``: for a pose graph,
+    stage II to replace or keep, and the larger of ``max |h|`` and ``max
+    |h_d|`` in stage II.  ``kkt_residual`` is stage I's tangent gradient
+    norm at the row's point (at a kink, its distance to the
+    subdifferential; see :func:`_stage1`), or stage II's normal-equation
+    residual after the solve (0 when stage II keeps a point exact in both
+    parts, where every group is at its kink: see :func:`_stage2`).
+    Stage-I rows read the problem's ``stage1``: for a pose graph,
     ``objective_std`` equals the objective's standard value on the
     standard rows, but ``objective_dual`` is the affine edge rows' dual
     value at the start's dual coordinates, not the objective's.
@@ -1021,8 +1023,18 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
                           kinked=bool(kinked[k])) for k in range(count)]
 
 
-def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageOutcome:
+def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
+            last: TraceRow | None = None) -> _StageOutcome:
     """Stage II at the standard coordinates of ``z1``: one exact fit on the dual fiber.
+
+    A magnitude is never negative, so a ``z1`` whose objective reads
+    standard value exactly 0 and dual value at most ``TOL_APPRECIABLE``,
+    with every row held to ``tol_feas``, minimizes both parts: it comes
+    back unchanged, with one trace row whose ``kkt_residual`` is 0, the
+    distance to the subdifferential with every group at its kink.  No
+    fiber is formed.  ``last``, stage I's last trace row (at ``z1``), spares
+    that objective evaluation when it reads a positive value or a dual
+    value above ``TOL_APPRECIABLE``; without it the objective is read at ``z1``.
 
     With the standard coordinates held at the stage-I point, the dual
     constraint rows ``G x_d = -h_d(0)`` are affine, and so is every
@@ -1049,8 +1061,9 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageO
     several groups that change by one common factor are not taken as
     settled: on a singular system the next solve is what shows the
     singularity.)  A singular system gives a non-finite ``y``, which ends
-    the passes.  One trace row per solve.  The outcome carries the value and feasibility of
-    the last row, which are those of its point.
+    the passes.  One trace row per solve, or one for a kept ``z1``.  The
+    outcome carries the value and feasibility of the last row, which are
+    those of its point.
 
     The rows are those of ``objective``, whatever ``stage1`` is, and
     ``stage2_system`` gives their slope ``A`` at ``z1``.  ``B = A N`` is
@@ -1059,6 +1072,13 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray) -> _StageO
     sparse as stage I's; for hand-eye's constant ``A`` it is stage I's last
     ``B`` bit for bit.
     """
+    if last is None or (last.objective_std == 0 and last.objective_dual <= TOL_APPRECIABLE):
+        v = problem.objective.value_at(z1)
+        if v.std == 0 and v.dual <= TOL_APPRECIABLE:
+            feas = _feasibility(problem, z1)
+            if all(f <= cfg.tol_feas for f in feas):
+                return _StageOutcome(z1, [TraceRow(0, 2, v.std, v.dual, max(feas), 0.0)],
+                                     value=v, feasibility=feas)
     dual, block = _part_indices(problem.arity, 1), problem.block
     z = _fiber_point(problem, z1)
     x_p = z[dual]
@@ -1232,7 +1252,10 @@ def solve_eqdqo(
     a positive value is none (see :class:`SolverConfig`); restarts at
     value 0 or stalled are candidates as without merging, and stage II
     picks the best of them.  Stage II forms its own ``B = J N`` at the
-    candidate's point, where its stage-I trace ends, capped or not;
+    candidate's point, where its stage-I trace ends, capped or not, unless
+    the objective reads 0 in both parts there and every row holds: then it
+    keeps the point, and its last stage-I row spares that check's
+    evaluation when it shows an appreciable value.
     ``iterations["stage1"]`` counts the trace rows.  The report carries the
     dn-order minimal candidate, ties broken by restart index.  Restart 0
     starts from ``initial`` when given, one dual quaternion per variable or
@@ -1257,7 +1280,7 @@ def solve_eqdqo(
         if value > scored[0][0]:
             break
         tied.append(r)
-        stage2 = _stage2(problem, cfg, outcome.z)
+        stage2 = _stage2(problem, cfg, outcome.z, outcome.trace[-1])
         # both violations within tol_feas; a NaN one is not
         if all(v <= cfg.tol_feas for v in stage2.feasibility):
             candidates.append((stage2.value, r, outcome, stage2))

@@ -184,7 +184,9 @@ def test_stage2_forms_its_fiber_from_the_objectives_slope(dense_max, monkeypatch
     # hand-eye problem's A is constant, so B is stage I's last one bit for
     # bit; a pose graph's is the bilinear rows' A, not that of stage I's
     # affine rows.  A noiseless problem's spectral start is at value 0 and
-    # runs alone; without it the random restarts run too.
+    # runs alone; without it the random restarts run too.  A noiseless
+    # graph's tree start is exact in both parts, which stage II keeps
+    # without a fit, so here that start has its dual parts zeroed.
     monkeypatch.setattr(solver, "_DENSE_MAX", dense_max)
     problems = []
     for model, build in (("axxb", build_axxb), ("axyb", build_axyb)):
@@ -197,7 +199,12 @@ def test_stage2_forms_its_fiber_from_the_objectives_slope(dense_max, monkeypatch
                                  None, 4))
     for sigma in (0.0, 1e-2):
         g = generate_cycle_graph(12, loop_closures=4, noise_rot=sigma, noise_trans=sigma, seed=5)
-        problems += [(build_pgo(g), spanning_tree_rows(g), 1), (build_pgo(g), None, 3)]
+        problem, tree = build_pgo(g), spanning_tree_rows(g)
+        if sigma == 0.0:
+            tree[:, 4:] = 0.0
+            problem = solver.EqdqoProblem(problem.objective, problem.constraints, tree,
+                                          problem.stage1)
+        problems += [(problem, tree, 1), (problem, None, 3)]
     stops = set()
     for problem, initial, restarts in problems:
         for cfg in (SolverConfig(restarts=restarts, seed=0),
@@ -215,3 +222,96 @@ def test_stage2_forms_its_fiber_from_the_objectives_slope(dense_max, monkeypatch
                 assert np.max(np.abs(_dense(b) - want)) <= 1e-14
                 assert np.max(np.abs(stage1 - want)) > 1e-3
     assert {"converged", "max_outer"} <= stops
+
+
+def _after_stage1(problem, monkeypatch):
+    """Calls of the fit's kernels and of ``objective.value_at`` after stage I, and its outcomes."""
+    calls, ranked = [], []
+    restarts = solver._stage1_restarts
+
+    def stage1(*args):
+        ranked[:] = restarts(*args)
+        calls.clear()
+        return ranked
+
+    def spy(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(solver, "_stage1_restarts", stage1)
+    for name in ("_fiber_product", "_reduced_solve"):
+        monkeypatch.setattr(solver, name, spy(name, getattr(solver, name)))
+    monkeypatch.setattr(problem.objective, "value_at", spy("value_at", problem.objective.value_at))
+    return calls, ranked
+
+
+def _exact_solve(g, start, monkeypatch, cfg=SolverConfig(restarts=1, seed=0)):
+    """Solve ``g`` from ``start``: the report, the calls after stage I and stage I's point."""
+    problem = build_pgo(g)
+    calls, ranked = _after_stage1(problem, monkeypatch)
+    report = solve_eqdqo(problem, cfg, initial=start)
+    (_, _, outcome), = ranked
+    return report, calls, outcome.z
+
+
+@pytest.mark.parametrize("n", [12, 60])
+def test_a_start_exact_in_both_parts_is_kept_without_a_fit(n, monkeypatch):
+    # Every group of the noiseless tree start reads 0 + 0 epsilon and every
+    # row holds: both parts are at their minimum, so stage II keeps the
+    # point, dense fiber (12 vertices) or sparse (60), with one evaluation.
+    g = generate_cycle_graph(n, loop_closures=n // 3, seed=5)
+    assert (3 * (n - 1) > solver._DENSE_MAX) == (n == 60)
+    report, calls, z1 = _exact_solve(g, spanning_tree_rows(g), monkeypatch)
+    assert report.stage1_value == 0.0
+    assert calls == ["value_at"]
+    assert pack(list(report.solution)).tobytes() == z1.tobytes()
+    rows = [row for row in report.trace if row.stage == 2]
+    assert report.iterations["stage2"] == len(rows) == 1 and rows[0].kkt_residual == 0.0
+    assert (rows[0].objective_std, rows[0].objective_dual) == (0.0, report.stage2_value)
+    assert max(row["translation_error"] for row in vertex_errors(g, list(report.solution))) <= 1e-12
+
+    # The same start with zero duals is fitted, from the fiber's minimum-norm
+    # point, to the same answer.
+    tree = spanning_tree_rows(g)
+    tree[:, 4:] = 0.0
+    fitted, calls, _ = _exact_solve(g, tree, monkeypatch)
+    assert {"_fiber_product", "_reduced_solve"} <= set(calls)
+    assert calls.count("value_at") == fitted.iterations["stage2"]
+    assert np.max(np.abs(pack(list(fitted.solution)) - z1)) <= 1e-12
+
+
+def test_a_start_off_its_dual_rows_is_fitted(monkeypatch):
+    # Moving a dual part along its standard part breaks that variable's dual
+    # unit row and barely moves the residuals: the objective still reads
+    # 0 + 0 epsilon, but the rows do not hold, so stage II fits.
+    g = generate_cycle_graph(12, loop_closures=4, seed=5)
+    cfg = SolverConfig(restarts=1, seed=0, tol_feas=1e-12)
+    tree = spanning_tree_rows(g)
+    tree[3, 4:] += 1e-11 * tree[3, :4]
+    problem = build_pgo(g)
+    v = problem.objective.value_at(tree.ravel())
+    h, h_d = solver._feasibility(problem, tree.ravel())
+    assert v.std == 0.0 and v.dual <= solver.TOL_APPRECIABLE and h <= cfg.tol_feas < h_d
+    report, calls, _ = _exact_solve(g, tree, monkeypatch, cfg)
+    assert {"_fiber_product", "_reduced_solve"} <= set(calls)
+    assert max(report.feasibility.values()) <= cfg.tol_feas
+
+
+@pytest.mark.parametrize("kind", ["pgo", "axxb", "axyb"])
+def test_noisy_graphs_and_noiseless_calibrations_are_fitted_without_another_evaluation(
+        kind, monkeypatch):
+    # A noisy graph ends stage I above value 0, and a noiseless calibration's
+    # spectral start has zero duals, whose value stage I's last row shows is
+    # appreciable: each is fitted, with one evaluation per stage-II row.
+    if kind == "pgo":
+        g = _graph(1e-2, 0)
+        problem, initial = build_pgo(g), spanning_tree_rows(g)
+        cfg = SolverConfig(restarts=1, seed=0)
+    else:
+        ds = generate_synthetic(kind, 10, seed=1)
+        problem = build_axxb(ds) if kind == "axxb" else build_axyb(ds)
+        cfg, initial = SolverConfig(restarts=8, seed=0), None
+    calls, ranked = _after_stage1(problem, monkeypatch)
+    report = solve_eqdqo(problem, cfg, initial=initial)
+    assert (report.stage1_value > 0) == (kind == "pgo")
+    assert {"_fiber_product", "_reduced_solve"} <= set(calls)
+    assert calls.count("value_at") == report.iterations["stage2"] and len(ranked) == 1
