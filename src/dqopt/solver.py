@@ -226,7 +226,7 @@ class TraceRow:
     norm at the row's point (at a kink, its distance to the
     subdifferential; see :func:`_stage1`), or stage II's normal-equation
     residual after the solve (0 when stage II keeps a point exact in both
-    parts, where every group is at its kink: see :func:`_stage2`).
+    parts to rounding, where every group is at its kink: see :func:`_stage2`).
     Stage-I rows read the problem's ``stage1``: for a pose graph,
     ``objective_std`` equals the objective's standard value on the
     standard rows, but ``objective_dual`` is the affine edge rows' dual
@@ -490,7 +490,9 @@ _RANK_CUT = 1e-12
 
 #: A pinned group whose norm is at most this sits at its kink to rounding:
 #: unit-quaternion residual rows carry absolute errors near 1e-16, and the
-#: spectral start of noiseless hand-eye data leaves them below 1e-14.
+#: spectral start of noiseless hand-eye data leaves them below 1e-14.  A
+#: dual value at most this reads 0 to rounding in stage II: exact tree
+#: starts of noiseless 200-vertex graphs sum to about 2e-14.
 _KINK_ROUNDING = 1e-12
 
 #: A released group leaves for at least this norm, twice the band
@@ -1024,17 +1026,17 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
 
 
 def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
-            last: TraceRow | None = None) -> _StageOutcome:
+            last: TraceRow) -> _StageOutcome:
     """Stage II at the standard coordinates of ``z1``: one exact fit on the dual fiber.
 
     A magnitude is never negative, so a ``z1`` whose objective reads
-    standard value exactly 0 and dual value at most ``TOL_APPRECIABLE``,
-    with every row held to ``tol_feas``, minimizes both parts: it comes
-    back unchanged, with one trace row whose ``kkt_residual`` is 0, the
-    distance to the subdifferential with every group at its kink.  No
-    fiber is formed.  ``last``, stage I's last trace row (at ``z1``), spares
-    that objective evaluation when it reads a positive value or a dual
-    value above ``TOL_APPRECIABLE``; without it the objective is read at ``z1``.
+    standard value exactly 0 and dual value 0 to rounding (at most
+    ``_KINK_ROUNDING``), with every row held to ``tol_feas``, minimizes
+    both parts to rounding: it comes back unchanged, with one trace row
+    whose ``kkt_residual`` is 0, the distance to the subdifferential with
+    every group at its kink.  No fiber is formed.  ``last``, stage I's last
+    trace row (at ``z1``), spares that objective evaluation when it reads a
+    positive value or a dual value above ``_KINK_ROUNDING``.
 
     With the standard coordinates held at the stage-I point, the dual
     constraint rows ``G x_d = -h_d(0)`` are affine, and so is every
@@ -1072,9 +1074,9 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
     sparse as stage I's; for hand-eye's constant ``A`` it is stage I's last
     ``B`` bit for bit.
     """
-    if last is None or (last.objective_std == 0 and last.objective_dual <= TOL_APPRECIABLE):
+    if last.objective_std == 0 and last.objective_dual <= _KINK_ROUNDING:
         v = problem.objective.value_at(z1)
-        if v.std == 0 and v.dual <= TOL_APPRECIABLE:
+        if v.std == 0 and v.dual <= _KINK_ROUNDING:
             feas = _feasibility(problem, z1)
             if all(f <= cfg.tol_feas for f in feas):
                 return _StageOutcome(z1, [TraceRow(0, 2, v.std, v.dual, max(feas), 0.0)],
@@ -1253,9 +1255,9 @@ def solve_eqdqo(
     value 0 or stalled are candidates as without merging, and stage II
     picks the best of them.  Stage II forms its own ``B = J N`` at the
     candidate's point, where its stage-I trace ends, capped or not, unless
-    the objective reads 0 in both parts there and every row holds: then it
-    keeps the point, and its last stage-I row spares that check's
-    evaluation when it shows an appreciable value.
+    the objective reads 0 there, its dual part to rounding, and every row
+    holds: then it keeps the point, and its last stage-I row spares that
+    check's evaluation when it shows a value above rounding.
     ``iterations["stage1"]`` counts the trace rows.  The report carries the
     dn-order minimal candidate, ties broken by restart index.  Restart 0
     starts from ``initial`` when given, one dual quaternion per variable or

@@ -313,7 +313,7 @@ def test_an_exactly_singular_stage2_raises_infeasible_not_a_nan_answer():
     # the first non-finite pass ends stage II instead of repeating to max_outer
     # (here it is the first pass: its system is exactly singular)
     _, _, outcome = solver._stage1_restarts(problem, cfg, None)[0]
-    stage2 = solver._stage2(problem, cfg, outcome.z)
+    stage2 = solver._stage2(problem, cfg, outcome.z, outcome.trace[-1])
     finite = [np.isfinite(row.objective_dual) for row in stage2.trace]
     assert len(finite) == 1
     assert all(finite[:-1]) and not finite[-1]

@@ -126,12 +126,16 @@ def test_stage2_runs_once_per_restart_tied_at_the_least_stage1_value(monkeypatch
 
 def test_a_uniform_reweighting_ends_stage2_after_one_pass():
     # noiseless: the graph's one norm group is infinitesimal, and its
-    # reweighting rescales every row alike, which leaves the fit in place
+    # reweighting rescales every row alike, which leaves the fit in place.
+    # The tree start is exact in both parts, which stage II keeps without a
+    # fit, so here that start has its dual parts zeroed.
     g = generate_cycle_graph(12, loop_closures=4, seed=5)
     problem, cfg = build_pgo(g), SolverConfig(restarts=1, seed=0)
-    _, _, outcome = solver._stage1_restarts(problem, cfg, spanning_tree_rows(g))[0]
-    stage2 = solver._stage2(problem, cfg, outcome.z)
-    assert len(stage2.trace) == 1
+    tree = spanning_tree_rows(g)
+    tree[:, 4:] = 0.0
+    _, _, outcome = solver._stage1_restarts(problem, cfg, tree)[0]
+    stage2 = solver._stage2(problem, cfg, outcome.z, outcome.trace[-1])
+    assert len(stage2.trace) == 1 and stage2.trace[0].kkt_residual > 0.0
     # the second pass, with the rescaled weights, lands on the same point
     null = tangent_matrix(problem.block, outcome.z)
     z = solver._fiber_point(problem, outcome.z)
@@ -161,8 +165,8 @@ def _dense(a):
     return a.toarray() if solver._is_sparse(a) else a
 
 
-def _stage2_fiber(problem, cfg, z1, monkeypatch):
-    """The ``B = J N`` that stage II forms at ``z1``."""
+def _stage2_fiber(problem, cfg, outcome, monkeypatch):
+    """The ``B = J N`` that stage II forms at stage I's point ``outcome.z``."""
     formed = []
     fiber_product = solver._fiber_product
 
@@ -172,7 +176,7 @@ def _stage2_fiber(problem, cfg, z1, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(solver, "_fiber_product", spy)
-        solver._stage2(problem, cfg, z1)
+        solver._stage2(problem, cfg, outcome.z, outcome.trace[-1])
     (b,) = formed
     return b
 
@@ -211,7 +215,7 @@ def test_stage2_forms_its_fiber_from_the_objectives_slope(dense_max, monkeypatch
                     SolverConfig(restarts=restarts, seed=0, max_outer=4)):
             for _, _, outcome in solver._stage1_restarts(problem, cfg, initial):
                 stops.add(outcome.stop)
-                b = _stage2_fiber(problem, cfg, outcome.z, monkeypatch)
+                b = _stage2_fiber(problem, cfg, outcome, monkeypatch)
                 assert solver._is_sparse(b) == (dense_max < 0)
                 stage1 = _dense(_stage1_fiber(problem, outcome.z))
                 if problem.stage1 is problem.objective:
@@ -282,18 +286,37 @@ def test_a_start_exact_in_both_parts_is_kept_without_a_fit(n, monkeypatch):
 def test_a_start_off_its_dual_rows_is_fitted(monkeypatch):
     # Moving a dual part along its standard part breaks that variable's dual
     # unit row and barely moves the residuals: the objective still reads
-    # 0 + 0 epsilon, but the rows do not hold, so stage II fits.
+    # 0 + 0 epsilon to rounding, but the rows do not hold, so stage II fits.
     g = generate_cycle_graph(12, loop_closures=4, seed=5)
-    cfg = SolverConfig(restarts=1, seed=0, tol_feas=1e-12)
+    cfg = SolverConfig(restarts=1, seed=0, tol_feas=1e-14)
     tree = spanning_tree_rows(g)
-    tree[3, 4:] += 1e-11 * tree[3, :4]
+    tree[3, 4:] += 1e-13 * tree[3, :4]
     problem = build_pgo(g)
     v = problem.objective.value_at(tree.ravel())
     h, h_d = solver._feasibility(problem, tree.ravel())
-    assert v.std == 0.0 and v.dual <= solver.TOL_APPRECIABLE and h <= cfg.tol_feas < h_d
+    assert v.std == 0.0 and v.dual <= solver._KINK_ROUNDING and h <= cfg.tol_feas < h_d
     report, calls, _ = _exact_solve(g, tree, monkeypatch, cfg)
     assert {"_fiber_product", "_reduced_solve"} <= set(calls)
     assert max(report.feasibility.values()) <= cfg.tol_feas
+
+
+def test_a_start_with_dual_residuals_above_rounding_is_fitted(monkeypatch):
+    # Moving one vertex's translation by about 2e-10 keeps every row and
+    # leaves its edges' dual residuals near 1e-10: the objective reads 0 in
+    # its standard part but not 0 to rounding in its dual part, so stage II
+    # fits, to the exact start's answer and a dual value at rounding.
+    g = generate_cycle_graph(12, loop_closures=4, seed=5)
+    problem, tree = build_pgo(g), spanning_tree_rows(g)
+    q = tree[3, :4]
+    moved = tree.copy()
+    moved[3, 4:] += 1e-10 * np.array([-q[1], q[0], -q[3], q[2]])
+    v = problem.objective.value_at(moved.ravel())
+    assert v.std == 0.0 and 1e-10 <= v.dual <= solver.TOL_APPRECIABLE
+    assert max(solver._feasibility(problem, moved.ravel())) <= SolverConfig().tol_feas
+    report, calls, _ = _exact_solve(g, moved, monkeypatch)
+    assert {"_fiber_product", "_reduced_solve"} <= set(calls)
+    assert report.stage2_value <= solver._KINK_ROUNDING
+    assert np.max(np.abs(pack(list(report.solution)) - tree.ravel())) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["pgo", "axxb", "axyb"])
