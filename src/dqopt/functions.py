@@ -486,6 +486,7 @@ class ResidualNormObjective(DualFunction):
         # Row index where each group's block starts, for segmented sums.
         self._starts = np.concatenate([[0], np.cumsum(rows)[:-1]]).astype(np.intp)
         self._row_group = np.repeat(np.arange(rows.size), rows)
+        self._groups = (self._starts, self._row_group) if rows.size > 1 else None
         self._stack = evaluate
 
     def _group_sums(self, r_std, r_dual):
@@ -600,9 +601,10 @@ class ResidualNormObjective(DualFunction):
         Hessian of the reweighted majorizer of ``sum_g |r_g|``.  Rows of a
         group at its kink, ``|r_g| <= TOL_APPRECIABLE``, weigh 0 (the zero
         subgradient); the solver reads the zero weight as the group's mark
-        and its rows ``r_g`` as where the kink is.  ``groups`` gives each
-        group's first row, or ``None`` for one group, which has the
-        minimizer of ``|r|^2`` (Gauss-Newton).  For a stack ``(R, 8n)`` of
+        and its rows ``r_g`` as where the kink is.  ``groups`` is the pair
+        ``(starts, row_group)``, each group's first row and each row's
+        group, or ``None`` for one group, which has the minimizer of
+        ``|r|^2`` (Gauss-Newton).  For a stack ``(R, 8n)`` of
         points, ``r`` and the weights are ``(R, k)``.
         """
         r, _, _, jacobian = self._stack(z)
@@ -610,7 +612,7 @@ class ResidualNormObjective(DualFunction):
         # a NaN norm keeps a NaN weight, as in ``value_at``
         kink = norms <= TOL_APPRECIABLE
         weights = self._expand(np.where(kink, 0.0, 1.0 / np.where(kink, 1.0, norms)))
-        return jacobian(), r, weights, self._starts if self._starts.size > 1 else None
+        return jacobian(), r, weights, self._groups
 
     def stage2_system(self, z):
         """Stage-II rows ``(r_dual, weights, J)``: every residual's dual part, weighted per group.

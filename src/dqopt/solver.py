@@ -95,8 +95,8 @@ class SolverConfig:
     every kink's multiplier norm at most 1 and its residual at rounding, so
     restarts at a kink optimum converge and merge like smooth ones.  A stage-I trace
     ends with a row at the point returned, so ``iterations["stage1"]``, its
-    row count, is the steps plus one.  A restart's answer
-    counts only if every constraint row holds to ``tol_feas``.  Restart 0
+    row count, is the steps plus one.  A restart's answer counts only if
+    every constraint row holds to ``tol_feas``, in stage I at its last row.  Restart 0
     begins at the solve's ``initial`` point or the problem's ``start``, if
     either is given, the others at unit points drawn from ``seed``.  A
     restart 0 that starts at stage-I value 0 is a global minimum and runs
@@ -431,14 +431,13 @@ def _kink_subgradient(problem: EqdqoProblem, z: np.ndarray):
     system = getattr(problem.objective, "stage1_system", None)
     if system is None:
         return 0.0
-    jac, r, w, starts = system(z)
-    if starts is None or w.all():
+    jac, r, w, groups = system(z)
+    if groups is None or w.all():
         return 0.0
     b = _dense(_fiber_product(jac, problem.block.tangent(z), problem.block.var))
     b = b if b.ndim == 3 else b[None]
     r, w = r[None], w[None]
-    kinks = _kinks(b, r, w, starts, _row_groups(starts, r.shape[-1]), _tmv(b, w * r))
-    return jac.T @ kinks.u[0]
+    return jac.T @ _kinks(b, r, w, groups, _tmv(b, w * r)).u[0]
 
 
 def _kkt(problem: EqdqoProblem, z, stage: int, grad, kinks: bool = True) -> KktInfo:
@@ -488,7 +487,8 @@ _ROUNDING = 1e-12
 #: rounding, and without the cut its multipliers run to 1e3 and more.
 _RANK_CUT = 1e-12
 
-#: A pinned group whose norm is at most this sits at its kink to rounding:
+#: A pinned group whose norm is at most this sits at its kink to rounding,
+#: and a stage-I point converges only with every pinned group there:
 #: unit-quaternion residual rows carry absolute errors near 1e-16, and the
 #: spectral start of noiseless hand-eye data leaves them below 1e-14.  A
 #: dual value at most this reads 0 to rounding in stage II: exact tree
@@ -554,23 +554,6 @@ def _normal(b, v: np.ndarray):
     return b_t @ _scale_rows(b, v)
 
 
-def _kept_gram(c, keep: np.ndarray):
-    """``C_k^T C_k`` per point, ``C_k`` the rows of ``C`` that ``keep`` marks.
-
-    The product of kept rows runs on those rows alone: BLAS accumulates a
-    product with zeroed rows in other blocks, so points that drop some rows
-    are multiplied one at a time.
-    """
-    if _is_sparse(c):
-        c = c[keep[0]]
-        return c.T @ c
-    out = c.swapaxes(-1, -2) @ c
-    for k in (~keep.all(axis=-1)).nonzero()[0]:
-        kept = c[k][keep[k]]
-        out[k] = kept.T @ kept
-    return out
-
-
 def _diagonal(h) -> np.ndarray:
     if _is_sparse(h):
         return h.diagonal()[None]
@@ -606,11 +589,6 @@ def _dense(a):
     return a.toarray()[None] if _is_sparse(a) else a
 
 
-def _row_groups(starts: np.ndarray, size: int) -> np.ndarray:
-    """The group of each of ``size`` rows, for groups beginning at rows ``starts``."""
-    return np.repeat(np.arange(starts.size), np.diff(np.append(starts, size)))
-
-
 def _pinned_range(b: np.ndarray, rows: np.ndarray):
     """``(B_A V, V, free, 1 / eigenvalue)`` per point for the pinned ``rows`` of ``b``.
 
@@ -638,11 +616,11 @@ class _Kinks:
     gradient when every ``|u_g| <= 1``.  ``counted`` sums the pinned
     groups' norms, and ``settled`` says that every ``|u_g| <= 1`` and every
     pinned norm is at most ``_KINK_ROUNDING``.  ``span`` is
-    :func:`_pinned_range` of ``rows``, once formed.  (A plain class: a
-    dataclass would add about 0.4 ms to every ``import dqopt``.)
+    :func:`_pinned_range` of ``rows``.  (A plain class: a dataclass would
+    add about 0.4 ms to every ``import dqopt``.)
     """
 
-    def __init__(self, pos, groups, rows, u, release, sigma, counted, settled, span=None):
+    def __init__(self, pos, groups, rows, u, release, sigma, counted, settled, span):
         self.pos, self.groups, self.rows, self.u, self.release = pos, groups, rows, u, release
         self.sigma, self.counted, self.settled, self.span = sigma, counted, settled, span
 
@@ -652,53 +630,43 @@ class _Kinks:
         if not mine.any():
             return None
         pos = (np.cumsum(go) - 1)[self.pos[mine]]
-        span = None if self.span is None else tuple(a[mine] for a in self.span)
         return _Kinks(pos, *(a[mine] for a in (self.groups, self.rows, self.u, self.release,
-                                               self.sigma, self.counted, self.settled)), span)
-
-    def spanned(self, b) -> tuple:
-        """``span``, formed from the step's ``b`` if it is not yet."""
-        if self.span is None:
-            self.span = _pinned_range(_dense(b)[self.pos], self.rows)
-        return self.span
+                                               self.sigma, self.counted, self.settled)),
+                      tuple(a[mine] for a in self.span))
 
 
-def _kinks(b, r: np.ndarray, w: np.ndarray, starts: np.ndarray, group: np.ndarray,
-           grad: np.ndarray):
+def _kinks(b, r: np.ndarray, w: np.ndarray, groups: tuple, grad: np.ndarray) -> _Kinks:
     """The :class:`_Kinks` of a step's points, some group of which is at its kink.
 
-    A group is pinned where ``stage1_system`` weighs it 0; ``group`` maps
-    rows to groups.  The multipliers are the minimum-norm least-squares
-    ``u = -B_A (B_A^T B_A)^+ g`` on the range kept by ``_RANK_CUT``, with
-    ``g`` the gradient of the other groups: 0 when ``g`` is, as when every
-    group is pinned.
+    A group is pinned where ``stage1_system`` weighs it 0; ``groups`` is
+    its ``(starts, row_group)``, each group's first row and each row's
+    group.  The multipliers are the minimum-norm least-squares ``u = -B_A
+    (B_A^T B_A)^+ g`` on the range kept by ``_RANK_CUT``, with ``g`` the
+    gradient of the other groups: 0 when ``g`` is, as when every group is
+    pinned.
     """
+    starts, group = groups
     pinned = w[..., starts] == 0
     pos = pinned.any(axis=-1).nonzero()[0]
-    groups = pinned[pos]
-    rows, g = groups[:, group], grad[pos]
+    pinned = pinned[pos]
+    rows = pinned[:, group]
     r_a = np.where(rows, r[pos], 0.0)
     norms = np.sqrt(np.add.reduceat(r_a * r_a, starts, axis=-1))
-    zero = np.zeros(rows.shape)
-    kinks = _Kinks(pos, groups, rows, zero, zero, np.zeros(pos.size), norms.sum(axis=-1),
-                   norms.max(axis=-1) <= _KINK_ROUNDING)
-    if not g.any():
-        return kinks
-    b_v, v, free, inv = kinks.spanned(b)
-    g_v = _tmv(v, g)  # in the eigenbasis, where the null space's part is the reduced gradient
+    span = b_v, v, free, inv = _pinned_range(_dense(b)[pos], rows)
+    # g in the eigenbasis, where the null space's part is the reduced gradient
+    g_v = _tmv(v, grad[pos])
     u = -_mv(b_v, inv * g_v)
     u_norm = np.sqrt(np.add.reduceat(u * u, starts, axis=-1))
-    kinks.u = u / np.maximum(u_norm, 1.0)[:, group]
-    reduced, excess = g_v * free, _tmv(b_v, u - kinks.u)  # the excess lies in the range
+    cut = u / np.maximum(u_norm, 1.0)[:, group]
+    reduced, excess = g_v * free, _tmv(b_v, u - cut)  # the excess lies in the range
     rr, ee = _dots(reduced, reduced), _dots(excess, excess)
     top = u_norm.max(axis=-1)
     # Release once the excess is a third of the reduced gradient: releasing
     # far from the face's own minimum lets a group leave and come back.
     out = (top > 1.0) & (9.0 * ee >= rr)
-    kinks.release = np.where((u_norm[:, group] == top[:, None]) & out[:, None], kinks.u, 0.0)
-    kinks.sigma = np.sqrt(rr + ee)
-    kinks.settled &= top <= 1.0
-    return kinks
+    release = np.where((u_norm[:, group] == top[:, None]) & out[:, None], cut, 0.0)
+    return _Kinks(pos, pinned, rows, cut, release, np.sqrt(rr + ee), norms.sum(axis=-1),
+                  (top <= 1.0) & (norms.max(axis=-1) <= _KINK_ROUNDING), span)
 
 
 def _pinned_solve(m, grad, span, t):
@@ -761,22 +729,24 @@ def _solve_or_pinv(k: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.pinv(k) @ rhs
 
 
-def _newton_step(b, r, w, starts, group, grad, h, shift, kinks=None):
+def _newton_step(b, r, w, groups, grad, h, shift, kinks=None):
     """Stage-I Newton step per point: ``(h + diag(shift)) y = -grad``, ``h = b^T W b``.
 
-    ``grad = b^T W r``.  For a sum of magnitudes (group ``starts`` given,
-    ``group`` of each row), each smooth group's radial part ``c_g^T c_g``,
-    ``c_g = r_g^T b_g / |r_g|^(3/2)``, leaves ``h``: ``|r_g|`` is flat
-    along ``r_g``.  Groups at their kink (``kinks``, weight 0 so out of
-    ``h``) and groups the step would carry through zero (``|r_g|^(1/2) +
-    c_g y < 0``) are pinned: :func:`_active_solve` holds their rows'
+    ``grad = b^T W r``.  For a sum of magnitudes (``groups``, the
+    ``(starts, row_group)`` of ``stage1_system``, given), each smooth
+    group's radial part ``c_g^T c_g``, ``c_g = r_g^T b_g / |r_g|^(3/2)``,
+    leaves ``h``: ``|r_g|`` is flat along ``r_g``.  A group at its kink or
+    at 0 has ``c_g = 0``.  Groups at their kink (``kinks``, weight 0 so out
+    of ``h``) and groups the step would carry through zero (``|r_g|^(1/2)
+    + c_g y < 0``) are pinned: :func:`_active_solve` holds their rows'
     linearization at 0, in least squares weighted as the band edge weighs
     a kink and as the majorizer weighs the others, and releases the group
     ``kinks`` names.  Points re-solve until none pins a new group; the
     others keep their ``y``.
     """
-    if starts is None:
+    if groups is None:
         return _reduced_solve(h, -grad, shift)
+    starts, group = groups
     norms = np.sqrt(np.add.reduceat(r * r, starts, axis=-1))
     newton = norms > 0
     if kinks is not None:
@@ -788,17 +758,17 @@ def _newton_step(b, r, w, starts, group, grad, h, shift, kinks=None):
 
         sums = (np.ones(group.size), np.arange(group.size), np.append(starts, group.size))
         c = sparse.csr_matrix(sums, (starts.size, group.size)) @ scaled
+        model = h - c.T @ c
     else:
-        c = np.ascontiguousarray(np.add.reduceat(scaled, starts, axis=-2))
-    # a kink's rows of c are 0 (inv is), so its point needs no product of kept rows
-    model = h - _kept_gram(c, norms > 0)
+        c = np.add.reduceat(scaled, starts, axis=-2)
+        model = h - c.swapaxes(-1, -2) @ c
     y = _reduced_solve(model, -grad, shift)
     pinned = np.zeros(norms.shape, dtype=bool)
     pts, rows, span, release = np.zeros(0, dtype=np.intp), None, None, None
     if kinks is not None:
-        pinned[kinks.pos], pts, rows = kinks.groups, kinks.pos, kinks.rows
+        pinned[kinks.pos], pts, rows, span = kinks.groups, kinks.pos, kinks.rows, kinks.span
         release = np.zeros(r.shape)
-        span, release[pts] = kinks.spanned(b), kinks.release
+        release[pts] = kinks.release
     root, weight = np.sqrt(norms), None
     while True:
         if pts.size:
@@ -846,14 +816,15 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     A sum of magnitudes is not smooth where a group's residual is 0, and
     many optima sit at such a kink.  So each point has an active set: the
     groups in the ``TOL_APPRECIABLE`` band, which ``stage1_system`` weighs
-    0 (:func:`_kinks`).  Both the Newton and the Levenberg-Marquardt steps
-    hold their linearized rows ``r_A + B_A y`` at 0 (:func:`_active_solve`),
-    and ``g`` leaves out their zero subgradient.  Their least-squares
+    0 (:func:`_kinks`, formed once per step).  Both the Newton and the
+    Levenberg-Marquardt steps hold their linearized rows ``r_A + B_A y`` at
+    0 (:func:`_active_solve`), and ``g`` leaves out their zero subgradient.  Their least-squares
     multipliers ``u_g`` (``g + B_A^T u`` as small as it gets) stand in
     for the subgradients: at such a point ``|g|`` above reads ``|g + B_A^T
     u|`` with each ``u_g`` cut back to norm 1, the distance to the
     subdifferential, and the point stops only if also every ``|u_g| <= 1``
-    and every pinned norm is at most ``_KINK_ROUNDING``.  A group with
+    and every pinned norm is at most ``_KINK_ROUNDING``, so that noiseless
+    data end at the truth to rounding, not at the band's edge.  A group with
     ``|u_g| > 1`` is released, out of the band in that step.  Values then
     compare with the pinned norms counted, since holding a group at its
     kink may cost the others what a norm in the band reads as 0.  A point
@@ -889,7 +860,6 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     traces = [[] for _ in range(count)]  # one row per step
     var = block.var
     alone = var.size > _DENSE_MAX  # points on a sparse fiber step one at a time
-    row_groups = []  # the group of each residual row, once a sum of magnitudes gives starts
 
     def advance(it, idx):
         z_a = z[idx]
@@ -898,17 +868,14 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         # leading axis, of length 1.
         pts = z_a[0] if alone else z_a
         frames = block.tangent(z_a)
-        jac, r, w, starts = obj.stage1_system(pts)
+        jac, r, w, groups = obj.stage1_system(pts)
         r, w = r.reshape(len(idx), -1), w.reshape(len(idx), -1)
         b = _fiber_product(jac, frames, var)
         wr = w * r
         grad = _tmv(b, wr)
         g_norm = np.sqrt(_dots(grad, grad))
-        if starts is not None and not row_groups:
-            row_groups.append(_row_groups(starts, r.shape[-1]))
-        group = row_groups[0] if row_groups else None
         # a group at its kink weighs 0
-        kinks = None if starts is None or w.all() else _kinks(b, r, w, starts, group, grad)
+        kinks = None if groups is None or w.all() else _kinks(b, r, w, groups, grad)
         small = g_norm <= cfg.tol_grad
         kinked[idx] = False
         if kinks is not None:
@@ -961,7 +928,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         pull = _tmv(jac, wr).reshape(pts.shape[:-1] + (-1,))
         curv = block.curvature(pts, pull).reshape(len(idx), -1)
         shift = _DAMP_FLOOR * scale[:, None] - curv[:, var]
-        y = _newton_step(b, r, w, starts, group, grad, h, shift, kinks)
+        y = _newton_step(b, r, w, groups, grad, h, shift, kinks)
         stepped = np.zeros(len(idx), dtype=bool)
 
         # ``pos`` below indexes the points of this step that try a move.
@@ -996,8 +963,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
                 if at.size:
                     y[at] = _active_solve(_dense(h)[pos[at]], lm_shift[at], grad[pos[at]],
                                           r[pos[at]], kinks.rows[of],
-                                          tuple(a[of] for a in kinks.spanned(b)),
-                                          kinks.release[of])
+                                          tuple(a[of] for a in kinks.span), kinks.release[of])
             moved, moved_v = trial(pos, y)
             lower = moved_v[0] < ref[pos]
             accept(pos, moved, moved_v, lower)
@@ -1171,7 +1137,8 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     standard value exactly 0 it is a global minimum (the value is never
     negative), so it runs alone, as with ``restarts=1``, and no other start
     is drawn.  Otherwise every restart advances in lockstep through one
-    :func:`_stage1` call, and merged restarts are left out.  Raises
+    :func:`_stage1` call, and merged restarts are left out.  A restart's
+    feasibility is its last trace row's, at the point it returns.  Raises
     ``ValueError`` when restart 0's start has a zero standard part on a
     unit row, and :class:`Infeasible`, naming the restarts that ran, when
     none satisfies the standard rows to ``tol_feas``.
@@ -1190,8 +1157,7 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
         starts = np.stack([first] + [_restart_start(problem, cfg, initial, r)
                                      for r in range(1, cfg.restarts)])
     outcomes = _stage1(problem, cfg, starts)
-    final = np.stack([outcome.z for outcome in outcomes])
-    h = np.max(np.abs(problem.block.values(final)[0]), axis=-1, initial=0.0).tolist()
+    h = [o.trace[-1].feasibility for o in outcomes]
     scored = [(o.value, r, o) for r, o in enumerate(outcomes)
               if h[r] <= cfg.tol_feas and o.stop != "merged"]
     if not scored:

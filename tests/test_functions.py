@@ -494,12 +494,12 @@ def test_stage1_rows_weigh_a_group_at_its_kink_0_and_keep_its_residual():
     problem = build_axyb(generate_synthetic("axyb", 6, seed=3))
     obj = problem.objective
     z = problem.start.reshape(-1)  # noiseless: every group within the band
-    jac, r, w, starts = obj.stage1_system(z)
+    jac, r, w, (starts, _) = obj.stage1_system(z)
     r_std = obj._stack(z)[0]
     assert np.array_equal(r, r_std) and not w.any()
     # away from the band, rows weigh 1 / |r_g|, the reweighted majorizer's Hessian
     z = problem.block.project(z + 0.1)
-    jac, r, w, starts = obj.stage1_system(z)
+    jac, r, w, (starts, _) = obj.stage1_system(z)
     norms = np.sqrt(np.add.reduceat(r * r, starts))
     assert norms.min() > TOL_APPRECIABLE
     assert np.array_equal(w, np.repeat(1.0 / norms, 4))

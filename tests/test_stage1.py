@@ -17,9 +17,11 @@ from dqopt import (
     generate_cycle_graph,
     generate_synthetic,
     pack,
+    posegraph,
     solve_eqdqo,
     spanning_tree_rows,
 )
+from dqopt.functions import ResidualNormObjective
 
 SEEDS = range(3)
 SIGMA = 0.01
@@ -188,12 +190,16 @@ def test_kink_optima_converge_on_the_subdifferential(seed, restarts):
     report = solve_eqdqo(problem, cfg)
     # the kink group sits at its kink to rounding, not at the 1e-8 band edge
     z = pack(list(report.solution))
-    _, r, w, starts = problem.objective.stage1_system(z)
+    _, r, w, (starts, _) = problem.objective.stage1_system(z)
     norms = np.sqrt(np.add.reduceat(r * r, starts))
     assert (w[starts] == 0).sum() == 1 and norms.min() <= 1e-12
     # the stage-I KKT residual is the distance to the subdifferential there
     assert report.kkt_residual["stage1"] <= 1e-8
     assert dqopt.kkt_analysis(problem, report.solution, stage=1).residual <= 1e-8
+
+
+# stage1_system's (starts, row_group) of one group of 3 rows
+ONE_GROUP = (np.array([0]), np.zeros(3, int))
 
 
 def _pinned_group(d=3):
@@ -208,13 +214,13 @@ def test_a_group_at_its_kink_is_released_only_past_multiplier_1():
         # u = -g, so the group leaves along u for the model's eps, and at
         # least out of the band
         grad = np.array([[-size, 0.0, 0.0]])
-        kinks = solver._kinks(b, r, np.where(rows, 0.0, 1.0), np.array([0]), np.zeros(3, int), grad)
+        kinks = solver._kinks(b, r, np.where(rows, 0.0, 1.0), ONE_GROUP, grad)
         assert kinks.release[0] == pytest.approx([1.0, 0.0, 0.0])
         y = solver._active_solve(model, np.zeros((1, 3)), grad, r, rows, span, kinks.release)
         assert np.linalg.norm(r + y) == pytest.approx(eps, rel=1e-9)
     # within the subdifferential the group stays at its kink and the point is stationary
     grad = np.array([[-0.5, 0.25, 0.0]])
-    kinks = solver._kinks(b, r, np.where(rows, 0.0, 1.0), np.array([0]), np.zeros(3, int), grad)
+    kinks = solver._kinks(b, r, np.where(rows, 0.0, 1.0), ONE_GROUP, grad)
     assert not kinks.release.any() and kinks.settled[0] and kinks.sigma[0] <= 1e-15
 
 
@@ -224,7 +230,83 @@ def test_a_near_null_direction_of_the_pinned_rows_gives_no_multiplier():
     b = np.diag([1.0, 1.0, 1e-9])[None]
     r, rows = np.zeros((1, 3)), np.ones((1, 3), dtype=bool)
     grad = np.array([[0.5, 0.0, 0.3]])
-    kinks = solver._kinks(b, r, np.zeros((1, 3)), np.array([0]), np.zeros(3, int), grad)
+    kinks = solver._kinks(b, r, np.zeros((1, 3)), ONE_GROUP, grad)
     assert kinks.u[0] == pytest.approx([-0.5, 0.0, 0.0])
     assert kinks.sigma[0] == pytest.approx(0.3)
     assert kinks.settled[0]  # |u| <= 1 and the rows at 0, but sigma is not small
+
+
+@pytest.mark.parametrize("seed", [4, 10, 14])
+def test_a_pinned_norm_counts_in_the_value_a_step_must_lower(seed):
+    # near-noiseless AXYB: a group sits in the band at 5e-9 to 9e-9, and holding
+    # it at its kink costs the others less than its norm, which the value
+    # reads as 0; compared without that norm, the step looks uphill and the
+    # restart stalls within two rows, at a stage-I KKT residual of 4e-3 to 0.14
+    ds = generate_synthetic("axyb", 3, noise_rot=1e-6, noise_trans=1e-6, seed=seed)
+    report = solve_eqdqo(build_axyb(ds), SolverConfig(restarts=1))
+    assert report.kkt_residual["stage1"] <= 1e-8
+    assert report.iterations["stage1"] <= 12
+
+
+@pytest.mark.parametrize("seed", [0, 5, 23])
+def test_a_rough_start_on_noiseless_data_ends_with_every_kink_at_rounding(seed):
+    # every group enters the band, where the value reads 0, a step before its
+    # rows reach 0: stopping there leaves errors of 1.5e-10 to 5e-10
+    ds = generate_synthetic("axyb", 3, seed=seed)
+    problem = build_axyb(ds)
+    rng = np.random.default_rng([seed, 1])  # not the stream that drew the truth
+    initial = problem.start + 1e-4 * rng.standard_normal(problem.start.shape)
+    report = solve_eqdqo(problem, SolverConfig(restarts=1), initial)
+    x, y = report.solution
+    assert max(dqopt.evaluate_solution(ds, x, y).values()) <= 1e-12
+
+
+def _per_edge_problem(graph):
+    """``build_pgo(graph)`` with one magnitude group per edge in the objective and in ``stage1``."""
+    ij, q, start = posegraph._tree_start(graph)
+    n, sizes = graph.n, [1] * graph.m
+    bilinear = posegraph.RelativePoseResidual.stack_arrays(n, *ij.T, q)
+    objective = ResidualNormObjective(n, bilinear, sizes)
+    stage1 = ResidualNormObjective(n, posegraph._affine_rows(n, *ij.T, q), sizes)
+    return solver.EqdqoProblem(objective, build_pgo(graph).constraints, start, stage1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_per_edge_groups_converge_with_many_groups_at_their_kink(seed):
+    # a sum of edge magnitudes puts many groups at their kink at once: the
+    # Levenberg-Marquardt steps must hold them there too, and a step releases
+    # only the group with the largest multiplier
+    g = generate_cycle_graph(20, loop_closures=6, noise_rot=SIGMA, noise_trans=SIGMA, seed=seed)
+    report = solve_eqdqo(_per_edge_problem(g), SolverConfig(restarts=1))
+    assert report.kkt_residual["stage1"] <= 1e-8
+    assert report.iterations["stage1"] <= 30
+
+
+def test_a_singular_model_on_the_pinned_rows_null_space_takes_the_least_norm_step(monkeypatch):
+    # B_A = diag(1, 0, 0) fixes y_0 = 2; the model is flat along y_1 at the
+    # first point, so the point falls back to the pseudo-inverse alone
+    b = np.diag([1.0, 0.0, 0.0])[None].repeat(2, axis=0)
+    span = solver._pinned_range(b, np.ones((2, 3), dtype=bool))
+    model = np.stack([np.diag([5.0, 0.0, 2.0]), np.eye(3)])
+    grad, t = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), np.array([[2.0, 0.0, 0.0]] * 2)
+    calls = []
+    solve_or_pinv = solver._solve_or_pinv
+    monkeypatch.setattr(solver, "_solve_or_pinv", lambda *a: calls.append(1) or solve_or_pinv(*a))
+    y = solver._pinned_solve(model, grad, span, t)
+    assert len(calls) == 2
+    assert y == pytest.approx(np.array([[2.0, 0.0, -0.5], [2.0, -1.0, -1.0]]), abs=1e-15)
+
+
+def test_a_point_that_takes_no_step_stops_stalled_where_it_started(monkeypatch):
+    # with the damping cap below its floor no Levenberg-Marquardt step is
+    # tried, so a random start whose Newton step climbs takes none
+    g = generate_cycle_graph(12, loop_closures=4, noise_rot=SIGMA, noise_trans=SIGMA, seed=5)
+    problem, cfg = build_pgo(g), SolverConfig(restarts=4, seed=0)
+    monkeypatch.setattr(solver, "_DAMP_CAP", solver._DAMP_FLOOR / 10)
+    starts = _starts(problem, cfg, spanning_tree_rows(g))
+    outcomes = solver._stage1(problem, cfg, starts)
+    assert [o.stop for o in outcomes] == ["converged", "stalled", "stalled", "stalled"]
+    for start, outcome in zip(starts[1:], outcomes[1:]):
+        assert len(outcome.trace) == 1
+        assert np.array_equal(outcome.z, problem.block.project(start[None])[0])
+        assert outcome.trace[0].objective_std == outcome.value
