@@ -96,13 +96,13 @@ class SolverConfig:
     restarts at a kink optimum converge and merge like smooth ones.  A stage-I trace
     ends with a row at the point returned, so ``iterations["stage1"]``, its
     row count, is the steps plus one.  A restart's answer counts only if
-    every constraint row holds to ``tol_feas``, in stage I at its last row.  Restart 0
-    begins at the solve's ``initial`` point or the problem's ``start``, if
-    either is given, the others at unit points drawn from ``seed``.  A
-    restart 0 that starts at stage-I value 0 is a global minimum and runs
-    alone, whatever ``restarts`` says.  Otherwise stage I advances the
-    ``restarts`` in lockstep as one batch.  A restart that comes within
-    ``_MERGE_RADIUS`` (1e-3, in the max-norm over the standard
+    every constraint row holds to ``tol_feas``, in stage I at its last row.
+    Restart 0 begins at the solve's ``initial`` point or the problem's
+    ``start``, if either is given, the others at unit points drawn from
+    ``seed``.  A restart 0 that starts at stage-I value 0 is a global
+    minimum and runs alone, whatever ``restarts`` says.  Otherwise stage I
+    advances the ``restarts`` in lockstep as one batch.  A restart that
+    comes within ``_MERGE_RADIUS`` (1e-3, in the max-norm over the standard
     coordinates, up to the global sign) of a restart that already
     converged to a positive value stops there and is no candidate.
     Restarts that converged to value 0 or stalled are never merged into.
