@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import json
 import math
 import os
@@ -296,10 +295,8 @@ def _cmd_gen_pgo(args) -> int:
 
 
 def _cmd_solve_pgo(args) -> int:
-    # SciPy loads here, before the graph is read, so that a large graph's
-    # sparse solve does not count it in ``wall_time_ms``; importing this module
-    # does not load it, as hand-eye commands never need it.
-    importlib.import_module("._sparse", __package__)
+    # SciPy loads at the solve's first sparse step, inside ``wall_time_ms``, as
+    # in a library process: a dense graph or a noiseless one never loads it.
     graph = parse_graph(_read_text(args.infile))
     report = solve_eqdqo(build_pgo(graph), _config_from_args(args))
     errors = vertex_errors(graph, list(report.solution)) if len(graph.truth_ids) == graph.n else None

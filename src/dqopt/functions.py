@@ -593,10 +593,11 @@ class ResidualNormObjective(DualFunction):
         return tuple(bool(b) for b in ~(np.sqrt(s_std) <= TOL_APPRECIABLE))
 
     def stage1_system(self, z):
-        """Stage-I rows ``(J, r, weights, groups)``: ``J^T W r`` is the standard gradient.
+        """Stage-I rows ``(J, r, weights, groups)``: ``J()^T W r`` is the standard gradient.
 
         ``r`` are the standard residual rows with ``(k, 4n)`` standard-slot
-        Jacobian ``J`` from the stack's ``jacobian()``.  Rows of an
+        Jacobian ``J()``: ``J`` is the stack's ``jacobian``, uncalled, so
+        rows that all weigh 0 need no Jacobian formed.  Rows of an
         appreciable group weigh ``1 / |r_g|``, so ``J^T W J`` is the
         Hessian of the reweighted majorizer of ``sum_g |r_g|``.  Rows of a
         group at its kink, ``|r_g| <= TOL_APPRECIABLE``, weigh 0 (the zero
@@ -612,7 +613,7 @@ class ResidualNormObjective(DualFunction):
         # a NaN norm keeps a NaN weight, as in ``value_at``
         kink = norms <= TOL_APPRECIABLE
         weights = self._expand(np.where(kink, 0.0, 1.0 / np.where(kink, 1.0, norms)))
-        return jacobian(), r, weights, self._groups
+        return jacobian, r, weights, self._groups
 
     def stage2_system(self, z):
         """Stage-II rows ``(r_dual, weights, J)``: every residual's dual part, weighted per group.
@@ -895,10 +896,10 @@ class _SquaredDistance(DualFunction):
         return g_std, g_dual
 
     def stage1_system(self, z):
-        """``(J, r, 2, None)``, ``r = x_std - center_std``: the value is ``|r|^2``."""
+        """``(J, r, 2, None)``, ``r = x_std - center_std``: the value is ``|r|^2``, ``J()`` constant."""
         s = 8 * self.index
         r = z[..., s : s + 4] - self.center.std.as_array()
-        return self._jac, r, np.full(r.shape, 2.0), None
+        return lambda: self._jac, r, np.full(r.shape, 2.0), None
 
 
 def squared_distance_objective(

@@ -323,7 +323,7 @@ def _sparse_fiber(n: int) -> bool:
     Every vertex but the anchored first has 3 tangent directions, and the
     solver goes sparse past ``solver._DENSE_MAX`` of them (read at each
     call).  Only then is a single point's Jacobian a CSR matrix, so a dense
-    graph loads no SciPy.
+    graph loads no SciPy, nor does a sparse one whose stage I forms none.
     """
     return 3 * (n - 1) > solver._DENSE_MAX
 

@@ -164,7 +164,7 @@ class EqdqoProblem:
     alone; otherwise construction raises :class:`NonStandardProblem`.
     :func:`dqopt.functions.check_standardness` probes whether a
     declaration holds.  Stage I steps on ``stage1``'s residual rows, so it
-    must provide them through ``stage1_system``, as
+    must provide them through ``stage1_system``, its Jacobian uncalled, as
     :class:`~dqopt.functions.ResidualNormObjective` and
     :func:`~dqopt.functions.squared_distance_objective` do.  The
     constraints must be unit-norm conditions and whole
@@ -434,6 +434,7 @@ def _kink_subgradient(problem: EqdqoProblem, z: np.ndarray):
     jac, r, w, groups = system(z)
     if groups is None or w.all():
         return 0.0
+    jac = jac()
     b = _dense(_fiber_product(jac, problem.block.tangent(z), problem.block.var))
     b = b if b.ndim == 3 else b[None]
     r, w = r[None], w[None]
@@ -870,19 +871,27 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
         frames = block.tangent(z_a)
         jac, r, w, groups = obj.stage1_system(pts)
         r, w = r.reshape(len(idx), -1), w.reshape(len(idx), -1)
-        b = _fiber_product(jac, frames, var)
-        wr = w * r
-        grad = _tmv(b, wr)
-        g_norm = np.sqrt(_dots(grad, grad))
-        # a group at its kink weighs 0
-        kinks = None if groups is None or w.all() else _kinks(b, r, w, groups, grad)
-        small = g_norm <= cfg.tol_grad
         kinked[idx] = False
-        if kinks is not None:
-            kinked[idx[kinks.pos]] = kinks.u.any(axis=-1)
-            # the distance to the subdifferential stands in for |g|
-            g_norm[kinks.pos] = kinks.sigma
-            small[kinks.pos] = (kinks.sigma <= cfg.tol_grad) & kinks.settled
+        # Rows that all weigh 0 (a NaN weight is none) hold every group at its
+        # kink: with every norm 0 to rounding, g and the multipliers are 0, and
+        # each point stops "converged" with no J or B formed.
+        if not w.any() and (groups is None or np.sqrt(
+                np.add.reduceat(r * r, groups[0], axis=-1)).max() <= _KINK_ROUNDING):
+            g_norm, small = np.zeros(len(idx)), np.ones(len(idx), dtype=bool)
+        else:
+            jac = jac()
+            b = _fiber_product(jac, frames, var)
+            wr = w * r
+            grad = _tmv(b, wr)
+            g_norm = np.sqrt(_dots(grad, grad))
+            # a group at its kink weighs 0
+            kinks = None if groups is None or w.all() else _kinks(b, r, w, groups, grad)
+            small = g_norm <= cfg.tol_grad
+            if kinks is not None:
+                kinked[idx[kinks.pos]] = kinks.u.any(axis=-1)
+                # the distance to the subdifferential stands in for |g|
+                g_norm[kinks.pos] = kinks.sigma
+                small[kinks.pos] = (kinks.sigma <= cfg.tol_grad) & kinks.settled
         feas = np.maximum.reduce(abs(block.values(pts)[0]), axis=-1, initial=0.0)
         rows = np.empty((len(idx), 4))
         rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = v_std[idx], v_dual[idx], feas, g_norm

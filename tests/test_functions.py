@@ -474,10 +474,12 @@ def test_stacked_points_evaluate_bit_for_bit_as_single_points():
         grads = rng.standard_normal((5, 4 * problem.arity))
         std, dual = obj.value_at(stack)
         jac, r, w, _ = obj.stage1_system(stack)
+        jac = jac()  # formed only when called
         for k, z in enumerate(stack):
             one = obj.value_at(z)
             assert (std[k], dual[k]) == (one.std, one.dual)
             jac_k, r_k, w_k, _ = obj.stage1_system(z)
+            jac_k = jac_k()
             assert np.array_equal(r[k], r_k) and np.array_equal(w[k], w_k)
             dense = jac if jac.ndim == 2 else jac[k]
             jac_k = jac_k if isinstance(jac_k, np.ndarray) else jac_k.toarray()
@@ -494,12 +496,12 @@ def test_stage1_rows_weigh_a_group_at_its_kink_0_and_keep_its_residual():
     problem = build_axyb(generate_synthetic("axyb", 6, seed=3))
     obj = problem.objective
     z = problem.start.reshape(-1)  # noiseless: every group within the band
-    jac, r, w, (starts, _) = obj.stage1_system(z)
+    _, r, w, (starts, _) = obj.stage1_system(z)
     r_std = obj._stack(z)[0]
     assert np.array_equal(r, r_std) and not w.any()
     # away from the band, rows weigh 1 / |r_g|, the reweighted majorizer's Hessian
     z = problem.block.project(z + 0.1)
-    jac, r, w, (starts, _) = obj.stage1_system(z)
+    _, r, w, (starts, _) = obj.stage1_system(z)
     norms = np.sqrt(np.add.reduceat(r * r, starts))
     assert norms.min() > TOL_APPRECIABLE
     assert np.array_equal(w, np.repeat(1.0 / norms, 4))

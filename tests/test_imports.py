@@ -3,8 +3,9 @@
 Fresh interpreters check what loads with what: importing the package,
 hand-eye work, reading, writing or generating pose graphs, and building,
 solving and evaluating a pose graph whose fiber is dense run on NumPy
-alone.  SciPy loads with the first solve on a sparse fiber (a pose graph of
-44 vertices or more) and in ``dqopt solve-pgo``, whatever the graph's size.
+alone.  SciPy loads at a solve's first sparse step, on a sparse fiber (a
+pose graph of 44 vertices or more), in a library process and in ``dqopt
+solve-pgo`` alike; a noiseless start steps nowhere and loads none of it.
 """
 
 import ast
@@ -214,25 +215,35 @@ def test_a_sparse_fiber_pose_graph_solve_loads_scipy():
     assert (before, after) == (False, True)
 
 
-def test_solve_pgo_loads_scipy_before_it_reads_even_a_small_graph(tmp_path):
-    loaded = fresh("""
-        import json, sys
-        from dqopt import cli
+_SOLVE_PGO = """
+    import json, sys
+    from dqopt import cli
 
-        path = sys.argv[1] + "/graph.txt"
-        assert cli.main(["gen-pgo", "--vertices", "10", "--loop-closures", "3", "--out", path]) == 0
-        loaded = []
-        parse = cli.parse_graph
+    if sys.argv[2] == "preloaded":
+        import dqopt._sparse
+    graphs = (("10", "0.01"), ("200", "0"), ("60", "0.01"))  # vertices, rotation noise
+    loaded, report = [], None
+    for vertices, noise in graphs:
+        path, out = sys.argv[1] + "/graph.txt", sys.argv[1] + "/report.json"
+        assert cli.main(["gen-pgo", "--vertices", vertices, "--loop-closures", "6",
+                         "--noise-rot", noise, "--seed", "3", "--out", path]) == 0
+        assert cli.main(["solve-pgo", "--in", path, "--out", out, "--restarts", "1"]) == 0
+        loaded.append("scipy" in sys.modules)
+        with open(out) as f:
+            report = json.load(f)
+    del report["wall_time_ms"]
+    print(json.dumps([loaded, report]))
+"""
 
-        def parse_graph(text):
-            loaded.append("scipy.sparse.linalg" in sys.modules)
-            return parse(text)
 
-        cli.parse_graph = parse_graph
-        assert cli.main(["solve-pgo", "--in", path, "--out", sys.argv[1] + "/report.json"]) == 0
-        print(json.dumps(loaded))
-    """, str(tmp_path))
-    assert loaded == [True]
+def test_solve_pgo_loads_scipy_only_at_a_sparse_step(tmp_path):
+    # a noisy 10-vertex graph steps on a dense fiber, a noiseless 200-vertex one starts
+    # at value 0, where stage I forms no Jacobian; a noisy 60-vertex one steps
+    loaded, report = fresh(_SOLVE_PGO, str(tmp_path), "plain")
+    assert loaded == [False, False, True]
+    # SciPy loaded mid-solve, not up front, leaves the report as it was
+    _, preloaded = fresh(_SOLVE_PGO, str(tmp_path), "preloaded")
+    assert report == preloaded
 
 
 _GENERIC_SPARSE_SOLVE = """
@@ -242,8 +253,9 @@ _GENERIC_SPARSE_SOLVE = """
                        squared_distance_objective)
 
     if sys.argv[1] == "posegraph":
-        # a clean graph on a sparse fiber: one stage-I evaluation loads SciPy
-        solve_eqdqo(build_pgo(generate_cycle_graph(44, 4, seed=0)), SolverConfig(restarts=1))
+        # a noisy graph on a sparse fiber: its first stage-I step loads SciPy
+        solve_eqdqo(build_pgo(generate_cycle_graph(44, 4, noise_rot=0.01, seed=0)),
+                    SolverConfig(restarts=1))
     before = "scipy.sparse.linalg" in sys.modules
     n = 50
     center = DualQuaternion(Quaternion(0.5, 0.5, 0.5, 0.5), Quaternion(0.0, 0.1, -0.2, 0.3))

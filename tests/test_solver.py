@@ -704,7 +704,7 @@ def test_the_dense_fiber_product_adds_each_columns_four_products_left_to_right(n
     rng = np.random.default_rng(30)
     z = problem.block.project(np.stack([solver._random_start(problem.arity, rng) for _ in range(count)]))
     frames, var = problem.block.tangent(z), problem.block.var
-    jac = problem.objective.stage1_system(z)[0]
+    jac = problem.objective.stage1_system(z)[0]()
     # pose graphs give one Jacobian per point, hand-eye problems one for the stack
     assert jac.ndim == (3 if name == "pgo" else 2)
     b = solver._fiber_product(jac, frames, var)

@@ -22,6 +22,7 @@ from dqopt import (
     spanning_tree_rows,
 )
 from dqopt.functions import ResidualNormObjective
+from dqopt.solver import TraceRow
 
 SEEDS = range(3)
 SIGMA = 0.01
@@ -310,3 +311,82 @@ def test_a_point_that_takes_no_step_stops_stalled_where_it_started(monkeypatch):
         assert len(outcome.trace) == 1
         assert np.array_equal(outcome.z, problem.block.project(start[None])[0])
         assert outcome.trace[0].objective_std == outcome.value
+
+
+@pytest.fixture
+def formed(monkeypatch):
+    """Calls of ``_fiber_product`` and ``_kinks`` (``B = J N`` and the kink record), by name."""
+    calls = dict.fromkeys(("_fiber_product", "_kinks"), 0)
+    for name in calls:
+        def spy(*args, _name=name, _fn=getattr(solver, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(solver, name, spy)
+    return calls
+
+
+def _noiseless_cases():
+    for model, build in (("axxb", build_axxb), ("axyb", build_axyb)):
+        yield model, build(generate_synthetic(model, 10, seed=1))  # the spectral start
+    yield "pgo-60", build_pgo(generate_cycle_graph(60, loop_closures=20, seed=1))  # sparse fiber
+    yield "pgo-per-edge", _per_edge_problem(generate_cycle_graph(20, loop_closures=6, seed=1))
+
+
+@pytest.mark.parametrize("case", list(_noiseless_cases()), ids=lambda c: c[0])
+def test_a_noiseless_start_stops_converged_without_forming_b(case, formed):
+    # every row weighs 0 and every group norm reads 0 to rounding: a global
+    # minimum, whose gradient and multipliers are 0 without B
+    _, problem = case
+    start = problem.start.reshape(1, -1)
+    z = problem.block.project(start)
+    _, r, w, groups = problem.stage1.stage1_system(z)
+    assert not w.any()
+    (outcome,) = solver._stage1(problem, SolverConfig(restarts=1), start)
+    assert formed == {"_fiber_product": 0, "_kinks": 0}
+    std, dual = problem.stage1.value_at(z)
+    feas = np.max(np.abs(problem.block.values(z)[0]))
+    # the one row the Jacobian path gives, with |g| and the multipliers 0
+    assert outcome.trace == [TraceRow(0, 1, std[0], dual[0], feas, 0.0)]
+    assert (outcome.stop, outcome.kinked) == ("converged", False)
+    assert np.array_equal(outcome.z, z[0])
+
+
+def test_a_pinned_norm_above_rounding_still_forms_b(formed):
+    # noiseless AXYB 1e-10 off its spectral start: every row weighs 0, but
+    # the group norms, 1e-10 or so, are above _KINK_ROUNDING, so the point steps
+    problem = build_axyb(generate_synthetic("axyb", 10, seed=1))
+    rng = np.random.default_rng(7)
+    start = problem.block.project(problem.start.reshape(1, -1) + 1e-10 * rng.standard_normal((1, 8 * problem.arity)))
+    _, r, w, (starts, _) = problem.stage1.stage1_system(start)
+    assert not w.any() and np.sqrt(np.add.reduceat(r * r, starts, axis=-1)).max() > solver._KINK_ROUNDING
+    (outcome,) = solver._stage1(problem, SolverConfig(restarts=1), start)
+    assert formed["_fiber_product"] > 0 and formed["_kinks"] > 0
+    assert outcome.stop == "converged" and len(outcome.trace) > 1
+    _, r, _, (starts, _) = problem.stage1.stage1_system(outcome.z)
+    assert np.sqrt(np.add.reduceat(r * r, starts)).max() <= solver._KINK_ROUNDING
+
+
+def test_a_start_held_at_the_step_cap_by_a_pinned_norm_still_forms_b(formed):
+    # AXXB, 5 motions, sigma 1e-6, seed 0: one group of five stays pinned at a
+    # norm of 8.9e-9, above _KINK_ROUNDING, through all 61 rows
+    problem = build_axxb(generate_synthetic("axxb", 5, noise_rot=1e-6, noise_trans=1e-6, seed=0))
+    (outcome,) = solver._stage1(problem, SolverConfig(restarts=1), problem.start.reshape(1, -1))
+    assert formed["_fiber_product"] == 61 and formed["_kinks"] > 0
+    assert (outcome.stop, len(outcome.trace)) == ("max_outer", 61)
+
+
+def test_a_step_with_a_nan_row_forms_b_for_every_point(formed):
+    # a NaN weight is no 0: the step takes the Jacobian path, and the noiseless
+    # point beside the NaN one gets from it the row and stop it gets alone
+    problem = build_pgo(generate_cycle_graph(12, loop_closures=4, seed=5))
+    clean = problem.start.reshape(-1)
+    bad = clean.copy()
+    bad[24:32] = np.nan  # vertex 3
+    (alone,) = solver._stage1(problem, SolverConfig(restarts=1), clean[None])
+    assert formed["_fiber_product"] == 0
+    both = solver._stage1(problem, SolverConfig(restarts=2), np.stack([clean, bad]))
+    assert formed["_fiber_product"] == 1
+    assert (both[0].stop, both[0].trace) == (alone.stop, alone.trace)
+    assert np.array_equal(both[0].z, alone.z)
+    assert both[1].stop == "stalled" and np.isnan(both[1].trace[0].kkt_residual)

@@ -156,7 +156,7 @@ def _stage1_fiber(problem, z):
     """``B = J N`` of the stage-I objective at ``z``, as stage I evaluates a point."""
     # a point on a sparse fiber is evaluated alone, any other as a stack of one
     alone = problem.block.var.size > solver._DENSE_MAX
-    jac = problem.stage1.stage1_system(z if alone else z[None])[0]
+    jac = problem.stage1.stage1_system(z if alone else z[None])[0]()
     b = solver._fiber_product(jac, problem.block.tangent(z[None]), problem.block.var)
     return b if alone else b[0]
 
