@@ -5,9 +5,12 @@ Usage::
     PYTHONPATH=src python3 scripts/cli_fingerprint.py [--out DIR] [--expect HASH]
 
 The solves are ``solve-handeye`` on AXXB and AXYB data at noise 0 and
-0.01, and ``solve-pgo`` on a noisy 20-vertex and a clean 60-vertex cycle
-graph, each with ``--csv``.  The noisy AXYB input and the noisy graph are
-solved again with ``--max-outer 3``, which stops stage I at its step cap.
+0.01, and ``solve-pgo`` on a noisy 20-vertex, a clean 60-vertex and a
+noisy 60-vertex cycle graph, each with ``--csv``.  The noisy 60-vertex
+graph has 177 tangent directions, so its stage-I steps and stage-II solve
+run on sparse matrices.  The noisy AXYB input and the noisy 20-vertex
+graph are solved again with ``--max-outer 3``, which stops stage I at its
+step cap.
 The generated inputs, the JSON reports with
 ``wall_time_ms`` removed (the only field that changes between reruns) and
 the CSV traces are written to ``DIR`` (a new temporary directory by
@@ -52,6 +55,7 @@ HANDEYE = [
 GRAPHS = [
     ("pgo-noisy-20", 20, 6, 0.01, 2),
     ("pgo-clean-60", 60, 20, 0.0, 1),
+    ("pgo-noisy-60", 60, 20, 0.01, 2),
 ]
 # Solves of generated inputs with stage I capped at 3 steps:
 # (input name, input suffix, command, restarts)

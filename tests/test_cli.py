@@ -438,4 +438,4 @@ def test_the_cli_fingerprint_is_the_same_in_two_processes(tmp_path):
     combined, files = runs[0]
     assert len(combined) == 64
     # three files per solve, two per capped solve of an input and per malformed graph
-    assert len(files) == 4 * 3 + 2 * 3 + 2 * 2 + 2 * 13
+    assert len(files) == 4 * 3 + 3 * 3 + 2 * 2 + 2 * 13
