@@ -3,7 +3,7 @@
 Nothing imports this module when the package loads, and no dense solve
 does.  The solver imports it inside its sparse branches, past
 ``_DENSE_MAX`` fiber directions, and the pose-graph edge evaluators when
-they form a CSR Jacobian for a single point on such a fiber.
+the solver asks their ``jacobian(sparse)`` for a CSR matrix there.
 Stage I forms no Jacobian at a point whose rows all weigh 0, so a
 noiseless start loads none of it.  ``dqopt solve-pgo`` loads it as a
 library process does, at the solve's first sparse step, so that step's

@@ -274,8 +274,9 @@ def _cmd_solve_handeye(args) -> int:
     report = solve_eqdqo(problem, _config_from_args(args))
     errors = None
     if ds.ground_truth_x is not None:
-        sol = list(report.solution)
-        errors = evaluate_solution(ds, sol[0], sol[1] if ds.model == "axyb" else None)
+        # Y's errors only where its truth is recorded too
+        x, *y = report.solution
+        errors = evaluate_solution(ds, x, y[0] if y and ds.ground_truth_y is not None else None)
     _emit(report, errors, args)
     return 0
 

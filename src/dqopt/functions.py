@@ -16,12 +16,12 @@ its residual rows, :meth:`AffineResidual.stack_arrays` or
 :meth:`dqopt.posegraph.RelativePoseResidual.stack_arrays`, which returns the
 rows in one call together with their *pullback* ``(w_std, w_dual) -> J_s^T
 w_std + J_d^T w_dual``, the product of the transposed residual Jacobians
-with row weights, and a ``jacobian()`` that gives the standard-slot
-Jacobian on demand.  The objective's value and gradient calls read
-derivatives only through the pullback, so they build no Jacobian matrix;
-only the two stage systems ask for one.  The value and
-stage-I calls the solver makes also take a stack ``(R, 8n)`` of points, one
-per restart, and answer for every row at once.
+with row weights, and a ``jacobian(sparse)`` that gives the standard-slot
+Jacobian on demand, in the layout the solver asks for.  Value and gradient
+calls read derivatives only through the pullback, so they build no
+Jacobian matrix; only the solver asks for one, through the objective's
+*stage hook* ``stage_system``.  The value and stage-hook calls the solver
+makes also take a stack ``(R, 8n)`` of points, one per restart.
 
 Gradients come in pairs ``(grad_std, grad_dual)``, the coordinate
 gradients of the two scalar parts over all ``8n`` coordinates.  Piecewise
@@ -115,10 +115,9 @@ class DualFunction:
     """Base class for dual-number-valued functions.
 
     Subclasses implement :meth:`value` and usually :meth:`gradient_at`.
-    The stage-II hook below defaults to no rows, which is correct for
-    objectives that are already smooth; objectives with nonsmooth structure
-    override it.  An objective the solver accepts also provides
-    ``stage1_system``, its stage-I residual rows.
+    An objective the solver steps on also provides the stage hook
+    ``stage_system``, its residual rows, as
+    :meth:`ResidualNormObjective.stage_system` describes them.
     """
 
     def __init__(self, arity: int, declared_standard: bool = False):
@@ -150,21 +149,6 @@ class DualFunction:
             return self.value(unpack(z, self.arity))
         values = [self.value(unpack(row, self.arity)) for row in z]
         return np.array([v.std for v in values]), np.array([v.dual for v in values])
-
-    # -- solver stage hooks ----------------------------------------------
-
-    def stage2_system(self, z: np.ndarray):
-        """Stage-II least-squares rows ``(r, weights, slope)`` at ``z``.
-
-        ``r`` are residual rows, affine in the dual coordinates with slope
-        ``slope``, a ``(k, 4n)`` matrix over the dual slots, column ``4i +
-        c`` for coefficient ``c`` of variable ``i``; ``weights(r)`` gives
-        the row weights of the stage-II fit at rows ``r``, with any branch
-        frozen where the standard coordinates of ``z`` put it.  A smooth
-        standard function has a dual part linear in the dual coordinates
-        and contributes no rows, and no slope (``None``).
-        """
-        return np.empty(0), np.ones_like, None
 
 
 def _check_same_arity(f: DualFunction, g: DualFunction):
@@ -426,10 +410,11 @@ class AffineResidual:
         ``(8n,)`` or a stack ``(R, 8n)``, whose rows come out as ``(R, 4k)``,
         each equal bit for bit to that point's alone.  ``pullback(w_std,
         w_dual=None)`` (one point) is ``jac_std.T @ w_std``, plus
-        ``jac_dual.T @ w_dual`` when ``w_dual`` is given.  ``jacobian()`` is
-        the standard-slot columns of ``jac_std`` (also the dual-slot columns
-        of ``jac_dual``) as a dense ``(4k, 4n)`` array, the same for every
-        point and built once here; callers must not modify it.
+        ``jac_dual.T @ w_dual`` when ``w_dual`` is given.
+        ``jacobian(sparse)`` is the standard-slot columns of ``jac_std``
+        (also the dual-slot columns of ``jac_dual``) as a dense ``(4k, 4n)``
+        array whatever ``sparse`` asks, the same for every point and built
+        once here; callers must not modify it.
         """
         rows = jac_std.shape[0]
         const_std, const_dual = constants[:, 0].ravel(), constants[:, 1].ravel()
@@ -440,7 +425,7 @@ class AffineResidual:
                 return jac_std.T @ w_std
             return jac_std.T @ w_std + jac_dual.T @ w_dual
 
-        def jacobian():
+        def jacobian(sparse):
             return jac_slots
 
         def evaluate(z):
@@ -460,10 +445,10 @@ class ResidualNormObjective(DualFunction):
     appreciable, its norm above ``TOL_APPRECIABLE``.  A group with a single
     residual is that residual's magnitude; a single group holding every
     residual is the 2-norm of the whole residual vector.  The solver reads
-    the stage systems.  No solve calls the smoothed hooks ``*_value_grad``
-    (branch softened to ``sqrt(s + mu^2) - mu``) or :meth:`branch_flags`;
-    they stay only until ROADMAP item 13's benchmark change, since the
-    benchmark's tracer wraps them.
+    the stage hook :meth:`stage_system`.  No solve calls the smoothed hooks
+    ``*_value_grad`` (branch softened to ``sqrt(s + mu^2) - mu``) or
+    :meth:`branch_flags`; they stay only until ROADMAP item 13's benchmark
+    change, since the benchmark's tracer wraps them.
 
     ``evaluate`` is an array evaluator ``z -> (r_std, r_dual, pullback,
     jacobian)`` of every residual row, 4 per residual, such as
@@ -473,9 +458,9 @@ class ResidualNormObjective(DualFunction):
     ``sizes[g]`` residuals in row order.  Gradients are ``pullback(w_std,
     w_dual)``, the transposed residual Jacobians times per-row weights;
     value-only calls (``value_at``, ``branch_flags``) never call it, and
-    only the stage systems ask for ``jacobian()``.  ``value_at`` and
-    ``stage1_system`` also evaluate a stack ``(R, 8n)`` of points in one
-    pass.
+    only the solver calls ``jacobian(sparse)``, which :meth:`stage_system`
+    hands it uncalled.  ``value_at`` and ``stage_system`` also evaluate a
+    stack ``(R, 8n)`` of points in one pass.
     """
 
     def __init__(self, arity: int, evaluate, sizes):
@@ -592,50 +577,32 @@ class ResidualNormObjective(DualFunction):
         # a NaN norm counts as appreciable, as in ``value_at``
         return tuple(bool(b) for b in ~(np.sqrt(s_std) <= TOL_APPRECIABLE))
 
-    def stage1_system(self, z):
-        """Stage-I rows ``(J, r, weights, groups)``: ``J()^T W r`` is the standard gradient.
+    def stage_system(self, z):
+        """The rows of both stages ``(J, r_std, r_dual, weights, groups)`` at ``z``.
 
-        ``r`` are the standard residual rows with ``(k, 4n)`` standard-slot
-        Jacobian ``J()``: ``J`` is the stack's ``jacobian``, uncalled, so
-        rows that all weigh 0 need no Jacobian formed.  Rows of an
-        appreciable group weigh ``1 / |r_g|``, so ``J^T W J`` is the
-        Hessian of the reweighted majorizer of ``sum_g |r_g|``.  Rows of a
-        group at its kink, ``|r_g| <= TOL_APPRECIABLE``, weigh 0 (the zero
-        subgradient); the solver reads the zero weight as the group's mark
-        and its rows ``r_g`` as where the kink is.  ``groups`` is the pair
-        ``(starts, row_group)``, each group's first row and each row's
-        group, or ``None`` for one group, which has the minimizer of
-        ``|r|^2`` (Gauss-Newton).  For a stack ``(R, 8n)`` of
-        points, ``r`` and the weights are ``(R, k)``.
+        ``r_std`` and ``r_dual`` are the residual rows' standard and dual
+        parts.  ``J(sparse)`` is the evaluator's ``(k, 4n)`` standard-slot
+        Jacobian, uncalled, so that rows which all weigh 0 need none formed
+        and the solver picks its layout; with the standard coordinates
+        fixed, ``r_dual`` is affine in the dual ones with the same slope.
+        The weights are stage I's: rows of an appreciable group weigh ``1 /
+        |r_std,g|``, so ``J^T W J`` is the Hessian of the reweighted
+        majorizer of ``sum_g |r_g|``, and rows of a group at its kink,
+        ``|r_std,g| <= TOL_APPRECIABLE``, weigh 0 (the zero subgradient).
+        The solver reads the zero weight as the group's mark, in stage I
+        with its rows ``r_std,g`` as where the kink is and in stage II as
+        the branch to reweight.  ``groups`` is the pair ``(starts,
+        row_group)``, each group's first row and each row's group, or
+        ``None`` for one group, which has the minimizer of ``|r|^2``
+        (Gauss-Newton).  For a stack ``(R, 8n)`` of points, the rows and
+        the weights are ``(R, k)``.
         """
-        r, _, _, jacobian = self._stack(z)
+        r, r_dual, _, jacobian = self._stack(z)
         norms = np.sqrt(np.add.reduceat(r * r, self._starts, axis=-1))
         # a NaN norm keeps a NaN weight, as in ``value_at``
         kink = norms <= TOL_APPRECIABLE
         weights = self._expand(np.where(kink, 0.0, 1.0 / np.where(kink, 1.0, norms)))
-        return jacobian, r, weights, self._groups
-
-    def stage2_system(self, z):
-        """Stage-II rows ``(r_dual, weights, J)``: every residual's dual part, weighted per group.
-
-        With the standard coordinates fixed, ``r_dual`` is affine in the dual
-        ones with slope ``J``, the standard-slot Jacobian of ``r_std`` that
-        :meth:`stage1_system` gives at ``z``.  Each group's branch is frozen by
-        ``|r_std,g|`` at ``z``, as :meth:`value_at` reads it: appreciable
-        groups weigh 1; infinitesimal groups weigh ``1 / max(|r_dual,g|,
-        TOL_APPRECIABLE)``, so re-solving with updated weights (iteratively reweighted
-        least squares) minimizes their sum of magnitudes ``sum_g
-        |r_dual,g|``, the stage-II objective on them.
-        """
-        r_std, r_dual, _, jacobian = self._stack(z)
-        # a NaN norm counts as appreciable, as in ``value_at``
-        app = ~(np.sqrt(np.add.reduceat(r_std * r_std, self._starts)) <= TOL_APPRECIABLE)
-
-        def weights(r):
-            norms = np.sqrt(np.add.reduceat(r * r, self._starts))
-            return self._expand(np.where(app, 1.0, 1.0 / np.maximum(norms, TOL_APPRECIABLE)))
-
-        return r_dual, weights, jacobian()
+        return jacobian, r, r_dual, weights, self._groups
 
 
 # ---------------------------------------------------------------------------
@@ -895,11 +862,14 @@ class _SquaredDistance(DualFunction):
         g_dual[s + 4 : s + 8] = 2.0 * ds
         return g_std, g_dual
 
-    def stage1_system(self, z):
-        """``(J, r, 2, None)``, ``r = x_std - center_std``: the value is ``|r|^2``, ``J()`` constant."""
+    def stage_system(self, z):
+        """``(J, r, None, 2, None)``, ``r = x_std - center_std``: the value is ``|r|^2``, ``J`` constant.
+
+        The dual part is linear in the dual coordinates: no stage-II rows.
+        """
         s = 8 * self.index
         r = z[..., s : s + 4] - self.center.std.as_array()
-        return lambda: self._jac, r, np.full(r.shape, 2.0), None
+        return lambda sparse: self._jac, r, None, np.full(r.shape, 2.0), None
 
 
 def squared_distance_objective(

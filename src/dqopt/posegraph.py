@@ -268,11 +268,12 @@ class RelativePoseResidual:
         one ``8n`` vector: it forms each edge's 4x8 standard (and 4x16 dual)
         Jacobian block, multiplies it by the edge's four weights and sums the
         products into their columns with ``np.bincount``.  Value-only callers
-        never call it, so they build no block.  ``jacobian()`` returns the
-        same 4x8 standard blocks over the standard slots, column ``4i + c``
-        for coefficient ``c`` of vertex ``i``: a dense ``(R, 4k, 4n)`` array
-        for a stack, and for one point a ``(4k, 4n)`` matrix laid out as
-        :func:`_assemble` says, CSR only on a sparse fiber.
+        never call it, so they build no block.  ``jacobian(sparse)`` returns
+        the same 4x8 standard blocks over the standard slots, column ``4i +
+        c`` for coefficient ``c`` of vertex ``i``, laid out by
+        :func:`_assemble`: a dense ``(4k, 4n)`` array for one point and
+        ``(R, 4k, 4n)`` for a stack, or with ``sparse`` a CSR ``(4k, 4n)``
+        matrix for one point or a stack of one.
         """
         n = int(arity)
         n8 = 8 * n
@@ -307,25 +308,14 @@ class RelativePoseResidual:
                     grad -= np.bincount(cols_dual, (w_dual.reshape(-1, 1, 4) @ block).ravel(), n8)
                 return grad
 
-            def jacobian():
+            def jacobian(sparse):
                 block = -np.concatenate((r_j[..., 0, :, :], l_s), axis=-1)
                 # one call per solve, at stage II's point: the columns are not kept
-                return _assemble(block, _jacobian_cols(i, j), n, not lead and _sparse_fiber(n))
+                return _assemble(block, _jacobian_cols(i, j), n, sparse)
 
             return r_s.reshape(lead + (-1,)), r_d.reshape(lead + (-1,)), pullback, jacobian
 
         return evaluate
-
-
-def _sparse_fiber(n: int) -> bool:
-    """Whether :func:`build_pgo`'s problem on ``n`` vertices steps on a sparse fiber.
-
-    Every vertex but the anchored first has 3 tangent directions, and the
-    solver goes sparse past ``solver._DENSE_MAX`` of them (read at each
-    call).  Only then is a single point's Jacobian a CSR matrix, so a dense
-    graph loads no SciPy, nor does a sparse one whose stage I forms none.
-    """
-    return 3 * (n - 1) > solver._DENSE_MAX
 
 
 def _jacobian_cols(i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -341,8 +331,8 @@ def _jacobian_cols(i: np.ndarray, j: np.ndarray) -> np.ndarray:
 def _assemble(blocks: np.ndarray, cols: np.ndarray, n: int, sparse: bool):
     """The Jacobian of ``(..., k, 4, 8)`` edge ``blocks`` in columns :func:`_jacobian_cols`.
 
-    A CSR ``(4k, 4n)`` matrix when ``sparse`` (one point only), else a
-    dense ``(..., 4k, 4n)`` array.
+    A CSR ``(4k, 4n)`` matrix when ``sparse`` (one point, or a stack of
+    one), else a dense ``(..., 4k, 4n)`` array.
     """
     rows = len(cols)
     if sparse:
@@ -368,9 +358,9 @@ def _affine_rows(arity: int, i: np.ndarray, j: np.ndarray, measurements: np.ndar
     ``x_j``, its dual rows the same block on their dual parts plus
     ``R(q_d)`` on ``x_i``'s standard part, so one ``(4, 12)`` matrix ``[R(q_s),
     -I, R(q_d)]`` per edge gives both parts.  Stacks come out as for the
-    bilinear evaluator, bit for bit per point.  ``jacobian()`` places the
-    constant blocks by :func:`_assemble`: dense ``(4k, 4n)`` for a stack
-    and for one point, CSR for one point on a sparse fiber.
+    bilinear evaluator, bit for bit per point.  ``jacobian(sparse)`` places
+    the constant blocks by :func:`_assemble`: a dense ``(4k, 4n)`` array for
+    any point or stack, or with ``sparse`` a CSR matrix.
     """
     n = int(arity)
     i = np.asarray(i, dtype=np.intp)
@@ -394,11 +384,12 @@ def _affine_rows(arity: int, i: np.ndarray, j: np.ndarray, measurements: np.ndar
             grad += np.bincount(slots[..., 1].ravel(), (w_dual.reshape(-1, 1, 4) @ rows).ravel(), 8 * n)
         return grad
 
+    jacobian = functools.partial(_assemble, block, cols, n)
+
     def evaluate(z: np.ndarray):
         lead = z.shape[:-1]
         padded = np.concatenate((z, np.zeros(lead + (1,))), axis=-1)
         r = rows @ padded.take(slots, axis=-1)  # (..., k, 4, 2): both parts
-        jacobian = functools.partial(_assemble, block, cols, n, not lead and _sparse_fiber(n))
         return r[..., 0].reshape(lead + (-1,)), r[..., 1].reshape(lead + (-1,)), pullback, jacobian
 
     return evaluate

@@ -164,9 +164,10 @@ class EqdqoProblem:
     alone; otherwise construction raises :class:`NonStandardProblem`.
     :func:`dqopt.functions.check_standardness` probes whether a
     declaration holds.  Stage I steps on ``stage1``'s residual rows, so it
-    must provide them through ``stage1_system``, its Jacobian uncalled, as
-    :class:`~dqopt.functions.ResidualNormObjective` and
-    :func:`~dqopt.functions.squared_distance_objective` do.  The
+    must provide them through the stage hook ``stage_system``, its Jacobian
+    uncalled, as :class:`~dqopt.functions.ResidualNormObjective` and
+    :func:`~dqopt.functions.squared_distance_objective` do; stage II and
+    the KKT analysis read ``objective``'s hook, if it has one.  The
     constraints must be unit-norm conditions and whole
     :func:`dqopt.functions.anchor_constraints` sets, which ``block``
     evaluates together.  Any other objective or constraint raises
@@ -202,11 +203,11 @@ class EqdqoProblem:
                     f"{name} ({type(fn).__name__}) does not declare standard "
                     "structure; stage I would depend on the dual coordinates"
                 )
-        if not hasattr(self.stage1, "stage1_system"):
+        if not hasattr(self.stage1, "stage_system"):
             name = "objective" if self.stage1 is self.objective else "stage1"
             raise TypeError(
                 f"{name} ({type(self.stage1).__name__}) has no residual rows "
-                "(stage1_system) for stage I"
+                "(stage_system) for stage I"
             )
         object.__setattr__(self, "block", ConstraintBlock(self.arity, self.constraints))
 
@@ -394,14 +395,14 @@ class KktInfo:
 
 
 def _point_to_z(point, arity: int) -> np.ndarray:
-    """Flat coordinates of ``point``; raises ``ValueError`` unless ``(8 * arity,)``."""
+    """Flat coordinates of ``point``; raises ``ValueError`` unless ``(8 * arity,)`` or ``(arity, 8)``."""
     if isinstance(point, np.ndarray):
         z = np.asarray(point, dtype=np.float64)
     else:
         z = pack(list(point))
-    if z.shape != (8 * arity,):
-        raise ValueError(f"expected shape ({8 * arity},), got {z.shape}")
-    return z
+    if z.shape not in ((8 * arity,), (arity, 8)):
+        raise ValueError(f"expected shape ({8 * arity},) or ({arity}, 8), got {z.shape}")
+    return z.reshape(-1)
 
 
 def kkt_analysis(problem: EqdqoProblem, point, stage: int = 1) -> KktInfo:
@@ -414,11 +415,13 @@ def kkt_analysis(problem: EqdqoProblem, point, stage: int = 1) -> KktInfo:
     ones ``-G (G^T G)^+ t``, ``(G^T G)^+`` in the closed form of
     :meth:`~dqopt.functions.ConstraintBlock.pinv`.  Piecewise gradients
     take the zero subgradient at kinks, except in stage I of an objective
-    with ``stage1_system`` and several magnitude groups: there ``t`` also
+    with ``stage_system`` and several magnitude groups: there ``t`` also
     holds ``J_g^T u_g`` for each group ``g`` at its kink, with ``u_g`` the
     least-squares multipliers of :func:`_kinks` cut back to norm 1, so the
     residual is the distance to the subdifferential (the stage-I
     stationarity that :func:`_stage1` stops on) whenever every ``|u_g| <= 1``.
+    ``point`` is ``arity`` dual quaternions or their coordinates, flat or
+    as ``(arity, 8)`` rows; another shape raises ``ValueError``.
     """
     if stage not in (1, 2):
         raise ValueError("stage must be 1 or 2")
@@ -428,17 +431,15 @@ def kkt_analysis(problem: EqdqoProblem, point, stage: int = 1) -> KktInfo:
 
 def _kink_subgradient(problem: EqdqoProblem, z: np.ndarray):
     """``J_A^T u`` over the standard coordinates for the groups at their kink at ``z``, or 0."""
-    system = getattr(problem.objective, "stage1_system", None)
+    system = getattr(problem.objective, "stage_system", None)
     if system is None:
         return 0.0
-    jac, r, w, groups = system(z)
+    jac, r, _, w, groups = system(z[None])  # a stack of one, as stage I evaluates it
     if groups is None or w.all():
         return 0.0
-    jac = jac()
-    b = _dense(_fiber_product(jac, problem.block.tangent(z), problem.block.var))
-    b = b if b.ndim == 3 else b[None]
-    r, w = r[None], w[None]
-    return jac.T @ _kinks(b, r, w, groups, _tmv(b, w * r)).u[0]
+    jac = jac(problem.block.var.size > _DENSE_MAX)
+    b = _dense(_fiber_product(jac, problem.block.tangent(z[None]), problem.block.var))
+    return _tmv(jac, _kinks(b, r, w, groups, _tmv(b, w * r)).u)[0]
 
 
 def _kkt(problem: EqdqoProblem, z, stage: int, grad, kinks: bool = True) -> KktInfo:
@@ -467,7 +468,8 @@ def _kkt(problem: EqdqoProblem, z, stage: int, grad, kinks: bool = True) -> KktI
 #: and so both stages dense least-squares systems: for a hand-eye problem's
 #: 3 or 6, setting up ``scipy.sparse`` objects costs more than the solve,
 #: and dense solves stay faster up to pose graphs of about 40 vertices (3
-#: directions per vertex).  Larger ones stay sparse.
+#: directions per vertex).  Larger ones stay sparse: the solver asks the
+#: objective's ``jacobian(sparse)`` for a CSR matrix there.
 _DENSE_MAX = 128
 
 #: Levenberg-Marquardt damping as a multiple of the largest diagonal entry
@@ -608,7 +610,7 @@ class _Kinks:
     """The points of a step with a magnitude group at its kink, and their active sets.
 
     ``pos`` indexes those points among the step's.  Per point, ``groups``
-    flags the groups pinned at their kink (weight 0 in ``stage1_system``),
+    flags the groups pinned at their kink (stage-I weight 0 in ``stage_system``),
     ``rows`` flags their rows, ``u`` holds their least-squares
     multipliers cut back to norm 1 per group, and ``release`` is ``u`` in
     the rows of the group with the largest multiplier norm ``|u_g| > 1``,
@@ -639,7 +641,7 @@ class _Kinks:
 def _kinks(b, r: np.ndarray, w: np.ndarray, groups: tuple, grad: np.ndarray) -> _Kinks:
     """The :class:`_Kinks` of a step's points, some group of which is at its kink.
 
-    A group is pinned where ``stage1_system`` weighs it 0; ``groups`` is
+    A group is pinned where ``stage_system`` weighs it 0; ``groups`` is
     its ``(starts, row_group)``, each group's first row and each row's
     group.  The multipliers are the minimum-norm least-squares ``u = -B_A
     (B_A^T B_A)^+ g`` on the range kept by ``_RANK_CUT``, with ``g`` the
@@ -734,7 +736,7 @@ def _newton_step(b, r, w, groups, grad, h, shift, kinks=None):
     """Stage-I Newton step per point: ``(h + diag(shift)) y = -grad``, ``h = b^T W b``.
 
     ``grad = b^T W r``.  For a sum of magnitudes (``groups``, the
-    ``(starts, row_group)`` of ``stage1_system``, given), each smooth
+    ``(starts, row_group)`` of ``stage_system``, given), each smooth
     group's radial part ``c_g^T c_g``, ``c_g = r_g^T b_g / |r_g|^(3/2)``,
     leaves ``h``: ``|r_g|`` is flat along ``r_g``.  A group at its kink or
     at 0 has ``c_g = 0``.  Groups at their kink (``kinks``, weight 0 so out
@@ -816,7 +818,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
 
     A sum of magnitudes is not smooth where a group's residual is 0, and
     many optima sit at such a kink.  So each point has an active set: the
-    groups in the ``TOL_APPRECIABLE`` band, which ``stage1_system`` weighs
+    groups in the ``TOL_APPRECIABLE`` band, which ``stage_system`` weighs
     0 (:func:`_kinks`, formed once per step).  Both the Newton and the
     Levenberg-Marquardt steps hold their linearized rows ``r_A + B_A y`` at
     0 (:func:`_active_solve`), and ``g`` leaves out their zero subgradient.  Their least-squares
@@ -835,8 +837,9 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     frames, one residual system and one batched solve per step.  Each keeps
     its own value, damping, previous gradient norm, flat flag and trace, so
     its iterates are those it takes alone.  Points on a sparse fiber step
-    one at a time.  A running point within ``_MERGE_RADIUS`` of a point that
-    stops ``"converged"`` with a positive value in that step stops
+    one at a time, as a stack of one with a CSR Jacobian.  A running point
+    within ``_MERGE_RADIUS`` of a point that stops ``"converged"`` with a
+    positive value in that step stops
     ``"merged"`` before it steps, at its last row's point; near one that
     converged earlier, at the top of the next step, one step past its last
     row.  Its trace is the start of the one it takes alone, and it is no
@@ -864,13 +867,8 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
 
     def advance(it, idx):
         z_a = z[idx]
-        # A point on a sparse fiber is evaluated as a single point, which gives
-        # a pose graph its sparse Jacobian; its rows then get the stack's
-        # leading axis, of length 1.
-        pts = z_a[0] if alone else z_a
         frames = block.tangent(z_a)
-        jac, r, w, groups = obj.stage1_system(pts)
-        r, w = r.reshape(len(idx), -1), w.reshape(len(idx), -1)
+        jac, r, _, w, groups = obj.stage_system(z_a)
         kinked[idx] = False
         # Rows that all weigh 0 (a NaN weight is none) hold every group at its
         # kink: with every norm 0 to rounding, g and the multipliers are 0, and
@@ -879,7 +877,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
                 np.add.reduceat(r * r, groups[0], axis=-1)).max() <= _KINK_ROUNDING):
             g_norm, small = np.zeros(len(idx)), np.ones(len(idx), dtype=bool)
         else:
-            jac = jac()
+            jac = jac(alone)
             b = _fiber_product(jac, frames, var)
             wr = w * r
             grad = _tmv(b, wr)
@@ -892,7 +890,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
                 # the distance to the subdifferential stands in for |g|
                 g_norm[kinks.pos] = kinks.sigma
                 small[kinks.pos] = (kinks.sigma <= cfg.tol_grad) & kinks.settled
-        feas = np.maximum.reduce(abs(block.values(pts)[0]), axis=-1, initial=0.0)
+        feas = np.maximum.reduce(abs(block.values(z_a)[0]), axis=-1, initial=0.0)
         rows = np.empty((len(idx), 4))
         rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = v_std[idx], v_dual[idx], feas, g_norm
         for k, row in zip(idx.tolist(), rows.tolist()):
@@ -918,7 +916,6 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             idx, z_a, frames, b, r, w, wr, grad = (
                 a[go] for a in (idx, z_a, frames, b, r, w, wr, grad))
             jac = jac[go] if jac.ndim == 3 else jac
-            pts = z_a
             if kinks is not None:
                 kinks = kinks.take(go)
         h = _normal(b, w)
@@ -934,8 +931,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
             low = ref.copy()
             low[kinks.pos] -= _ROUNDING * np.abs(ref[kinks.pos])
         rounding = ref + _ROUNDING * np.abs(ref)
-        pull = _tmv(jac, wr).reshape(pts.shape[:-1] + (-1,))
-        curv = block.curvature(pts, pull).reshape(len(idx), -1)
+        curv = block.curvature(z_a, _tmv(jac, wr))
         shift = _DAMP_FLOOR * scale[:, None] - curv[:, var]
         y = _newton_step(b, r, w, groups, grad, h, shift, kinks)
         stepped = np.zeros(len(idx), dtype=bool)
@@ -1022,14 +1018,15 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
     Stage II minimizes ``sum_g w_g |r_g|^2`` over ``y``: each pass solves
     the normal equations ``B^T W B y = -B^T W r_p``, dense or sparse as the
     fiber is.  Groups infinitesimal at the stage-I point are reweighted by
-    ``1 / |r_g|`` until the fit settles, which minimizes the paper's
-    stage-II objective ``sum_g |r_g|`` on them (robust to a few gross
-    outliers).  Appreciable groups weigh 1: at a stage-I KKT point their
-    part of the paper's objective is constant on the fiber, so the paper
+    ``1 / |r_g|`` (:func:`_stage2_weights`) until the fit settles, which
+    minimizes the paper's stage-II objective ``sum_g |r_g|`` on them
+    (robust to a few gross outliers).  Appreciable groups weigh 1: at a
+    stage-I KKT point their part of the paper's objective is constant on
+    the fiber, so the paper
     leaves the dual coordinates undetermined there, and the least-squares
     fit is a tie-break that goes beyond the paper (the translation step of
-    Daniilidis, 1999).  Objectives without residual rows keep ``y = 0``,
-    exact for smooth standard objectives.
+    Daniilidis, 1999).  Objectives without dual rows (no ``stage_system``,
+    or ``r_dual`` ``None``) keep ``y = 0``, exact for smooth ones.
 
     The passes stop when the weights stop changing or ``y`` stops moving,
     at most ``max_outer`` times.  Weights that are one value before and
@@ -1042,8 +1039,8 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
     outcome carries the value and feasibility of the last row, which are
     those of its point.
 
-    The rows are those of ``objective``, whatever ``stage1`` is, and
-    ``stage2_system`` gives their slope ``A`` at ``z1``.  ``B = A N`` is
+    The rows are those of ``objective``, whatever ``stage1`` is, and its
+    ``stage_system`` gives their slope ``A`` at ``z1``.  ``B = A N`` is
     formed here by :func:`_fiber_product`, with ``N`` the tangent frames of
     :meth:`~dqopt.functions.ConstraintBlock.tangent` at ``z1``, dense or
     sparse as stage I's; for hand-eye's constant ``A`` it is stage I's last
@@ -1059,16 +1056,19 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
     dual, block = _part_indices(problem.arity, 1), problem.block
     z = _fiber_point(problem, z1)
     x_p = z[dual]
-    r_p, weights, slope = problem.objective.stage2_system(z)
+    system = getattr(problem.objective, "stage_system", None)
+    jac, _, r_p, w1, groups = system(z) if system else (None,) * 5
     frames = block.tangent(z1)
-    # Fiber directions that no row sees stay at x_p: all of them when the
-    # objective has no rows (a smooth one, whose dual part is linear).
-    b = _fiber_product(slope, frames, block.var) if r_p.size else np.zeros((0, block.var.size))
+    if r_p is None:  # no rows: a smooth objective, whose dual part is linear
+        r_p, w1, groups = np.empty(0), np.empty(0), (np.empty(0, dtype=np.intp),) * 2
+    # Fiber directions that no row sees stay at x_p: all of them without rows.
+    b = (_fiber_product(jac(block.var.size > _DENSE_MAX), frames, block.var) if r_p.size
+         else np.zeros((0, block.var.size)))
     seen = np.asarray(abs(b).sum(axis=0)).ravel() > 0
     b = b[:, seen]
     b_t = b.T
     step = np.zeros(seen.size)  # y over every direction, 0 on the unseen ones
-    w = weights(r_p)
+    w = _stage2_weights(w1, r_p, groups)
     y = np.zeros(b.shape[1])
     trace = []
     for it in range(cfg.max_outer):
@@ -1082,13 +1082,26 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
         trace.append(TraceRow(it, 2, v.std, v.dual, max(feas), stationarity))
         if not np.all(np.isfinite(y_new)):
             break
-        w_new = weights(r)
+        w_new = _stage2_weights(w1, r, groups)
         rescaled = bool(np.all(w == w[:1]) and np.all(w_new == w_new[:1]))
         if (np.array_equal(w_new, w) or rescaled
                 or np.max(np.abs(y_new - y), initial=0.0) <= cfg.tol_feas):
             break
         y, w = y_new, w_new
     return _StageOutcome(z, trace, value=v, feasibility=feas)
+
+
+def _stage2_weights(w1: np.ndarray, r: np.ndarray, groups) -> np.ndarray:
+    """Stage II's row weights at the dual rows ``r``, from the stage-I weights ``w1`` of one point.
+
+    A group that stage I weighs 0, at its kink, weighs ``1 / max(|r_g|,
+    TOL_APPRECIABLE)``, so re-solving with updated weights (iteratively
+    reweighted least squares) minimizes its magnitude ``|r_g|``.  Any other
+    group, NaN included, weighs 1.  ``groups`` is ``stage_system``'s.
+    """
+    starts, group = groups or (np.zeros(1, dtype=np.intp), np.zeros(r.size, dtype=np.intp))
+    norms = np.sqrt(np.add.reduceat(r * r, starts))
+    return np.where(w1[starts] == 0, 1.0 / np.maximum(norms, TOL_APPRECIABLE), 1.0)[group]
 
 
 def _start_z(start, arity: int, name: str) -> np.ndarray:

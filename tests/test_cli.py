@@ -49,6 +49,22 @@ def test_solve_axyb_reports_both_unknowns(tmp_path):
     assert errs["rotation_error_y"] <= 1e-6
 
 
+def test_solve_axyb_with_only_x_recorded_reports_x_errors(tmp_path):
+    # a file may record X's ground truth and not Y's: the report carries X's
+    # errors, those of the same solve with both recorded, and no _y keys
+    ds, rep = tmp_path / "ds.json", tmp_path / "report.json"
+    assert main(["gen-handeye", "--model", "axyb", "--motions", "5",
+                 "--seed", "13", "--out", str(ds)]) == 0
+    assert main(_solve_args(ds, rep, ["--restarts", "4"])) == 0
+    both = json.loads(rep.read_text())["errors"]
+    data = json.loads(ds.read_text())
+    del data["ground_truth"]["Y"]
+    ds.write_text(json.dumps(data))
+    assert main(_solve_args(ds, rep, ["--restarts", "4"])) == 0
+    errs = json.loads(rep.read_text())["errors"]
+    assert errs == {k: both[k] for k in ("rotation_error_x", "translation_error_x")}
+
+
 @pytest.mark.parametrize("model", ["axxb", "axyb"])
 def test_solve_handeye_on_a_generated_file_solves_the_generated_dataset(model, tmp_path):
     # the file's rows read back as generated, so the CLI and the library

@@ -28,7 +28,7 @@ from dqopt import (
     unpack,
     variable_map,
 )
-from dqopt import posegraph
+from dqopt import posegraph, solver
 from dqopt.errors import ArityMismatch, NonUnitValue
 from helpers import (
     LeakyFunction,
@@ -372,23 +372,24 @@ def test_block_pullback_is_the_stage_jacobian_product():
 
 
 def _sparse_jacobian_matches_matrix_free(evaluate, arity, rng):
-    """``A`` from ``jacobian()`` against the pullback and the dual rows' slope."""
+    """``A`` from ``jacobian(sparse)``, in each layout, against the pullback and the dual rows' slope."""
     std = (8 * np.arange(arity)[:, None] + np.arange(4)).ravel()
     z = rng.standard_normal(8 * arity)
     r_std, r_dual, pullback, jacobian = evaluate(z)
-    a = jacobian()
-    assert a.shape == (r_std.size, 4 * arity)
-    w = rng.standard_normal(r_std.size)
-    assert np.allclose(a.T @ w, pullback(w)[std], rtol=0, atol=1e-12)
-    # r_dual is affine in the dual coordinates with slope A
-    at_zero = z.copy()
-    at_zero[std + 4] = 0.0
-    base = evaluate(at_zero)[1]
-    for _ in range(5):
-        v = rng.standard_normal(4 * arity)
-        moved = at_zero.copy()
-        moved[std + 4] = v
-        assert np.allclose(a @ v, evaluate(moved)[1] - base, rtol=0, atol=1e-12)
+    for sparse in (False, True):
+        a = jacobian(sparse)
+        assert a.shape == (r_std.size, 4 * arity)
+        w = rng.standard_normal(r_std.size)
+        assert np.allclose(a.T @ w, pullback(w)[std], rtol=0, atol=1e-12)
+        # r_dual is affine in the dual coordinates with slope A
+        at_zero = z.copy()
+        at_zero[std + 4] = 0.0
+        base = evaluate(at_zero)[1]
+        for _ in range(5):
+            v = rng.standard_normal(4 * arity)
+            moved = at_zero.copy()
+            moved[std + 4] = v
+            assert np.allclose(a @ v, evaluate(moved)[1] - base, rtol=0, atol=1e-12)
 
 
 def test_sparse_jacobian_matches_the_matrix_free_layer():
@@ -473,14 +474,15 @@ def test_stacked_points_evaluate_bit_for_bit_as_single_points():
         stack = block.project(rng.standard_normal((5, 8 * problem.arity)))
         grads = rng.standard_normal((5, 4 * problem.arity))
         std, dual = obj.value_at(stack)
-        jac, r, w, _ = obj.stage1_system(stack)
-        jac = jac()  # formed only when called
+        jac, r, r_dual, w, _ = obj.stage_system(stack)
+        jac = jac(False)  # formed only when called
         for k, z in enumerate(stack):
             one = obj.value_at(z)
             assert (std[k], dual[k]) == (one.std, one.dual)
-            jac_k, r_k, w_k, _ = obj.stage1_system(z)
-            jac_k = jac_k()
+            jac_k, r_k, r_dual_k, w_k, _ = obj.stage_system(z)
+            jac_k = jac_k(False)
             assert np.array_equal(r[k], r_k) and np.array_equal(w[k], w_k)
+            assert np.array_equal(r_dual[k], r_dual_k)
             dense = jac if jac.ndim == 2 else jac[k]
             jac_k = jac_k if isinstance(jac_k, np.ndarray) else jac_k.toarray()
             assert np.array_equal(dense, jac_k)
@@ -496,12 +498,12 @@ def test_stage1_rows_weigh_a_group_at_its_kink_0_and_keep_its_residual():
     problem = build_axyb(generate_synthetic("axyb", 6, seed=3))
     obj = problem.objective
     z = problem.start.reshape(-1)  # noiseless: every group within the band
-    _, r, w, (starts, _) = obj.stage1_system(z)
+    _, r, _, w, (starts, _) = obj.stage_system(z)
     r_std = obj._stack(z)[0]
     assert np.array_equal(r, r_std) and not w.any()
     # away from the band, rows weigh 1 / |r_g|, the reweighted majorizer's Hessian
     z = problem.block.project(z + 0.1)
-    _, r, w, (starts, _) = obj.stage1_system(z)
+    _, r, _, w, (starts, _) = obj.stage_system(z)
     norms = np.sqrt(np.add.reduceat(r * r, starts))
     assert norms.min() > TOL_APPRECIABLE
     assert np.array_equal(w, np.repeat(1.0 / norms, 4))
@@ -546,9 +548,10 @@ def test_a_nan_point_counts_every_group_appreciable_in_the_branch_flags_and_stag
                             (build_pgo(generate_cycle_graph(6, loop_closures=1, seed=2)), 1)):
         obj, nan = problem.objective, np.full(8 * problem.arity, np.nan)
         assert obj.branch_flags(nan) == (True,) * groups
-        r_dual, weights, _ = obj.stage2_system(nan)
+        _, _, r_dual, w, rows = obj.stage_system(nan)
         # an infinitesimal group of unit rows would weigh 1 / |r_g| = 1/2 or less
-        assert np.array_equal(weights(np.ones_like(r_dual)), np.ones_like(r_dual))
+        weights = solver._stage2_weights(w, np.ones_like(r_dual), rows)
+        assert np.array_equal(weights, np.ones_like(r_dual))
 
 
 def test_the_identity_and_plain_values_go_through_log_and_exp():

@@ -525,14 +525,16 @@ def test_the_affine_jacobian_is_constant_and_the_same_dense_or_csr(monkeypatch):
     ij, q = posegraph._sorted_edges(g)
     evaluate = posegraph._affine_rows(g.n, *ij.T, q)
     z = _unit_points(np.random.default_rng(57), g.n, 2)
-    dense = evaluate(z)[3]()
-    assert isinstance(dense, np.ndarray) and dense.shape == (4 * g.m, 4 * g.n)
-    # one point on a dense fiber gets the same array, wherever it is
-    for point in z:
-        assert evaluate(point)[3]().tobytes() == dense.tobytes()
-    monkeypatch.setattr(solver, "_DENSE_MAX", -1)
-    csr = evaluate(z[0])[3]()
-    assert solver._is_sparse(csr) and csr.toarray().tobytes() == dense.tobytes()
+    # the caller picks the layout: whatever _DENSE_MAX is, each layout holds
+    # the same entries, and every point and stack the same ones
+    for dense_max in (solver._DENSE_MAX, -1):
+        monkeypatch.setattr(solver, "_DENSE_MAX", dense_max)
+        dense = evaluate(z)[3](False)
+        assert isinstance(dense, np.ndarray) and dense.shape == (4 * g.m, 4 * g.n)
+        for point in z:
+            assert evaluate(point)[3](False).tobytes() == dense.tobytes()
+            csr = evaluate(point)[3](True)
+            assert solver._is_sparse(csr) and csr.toarray().tobytes() == dense.tobytes()
 
 
 def test_the_stage1_objective_passes_the_gradient_check():

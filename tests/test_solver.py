@@ -166,6 +166,23 @@ def test_kkt_rejects_a_point_of_the_wrong_arity():
         kkt_analysis(_toy_problem(), two, stage=2)
 
 
+def test_kkt_takes_arity_rows_of_8_as_solve_eqdqo_takes_initial():
+    from dqopt import build_axxb, build_pgo, generate_cycle_graph, generate_synthetic
+
+    for problem in (build_axxb(generate_synthetic("axxb", 6, noise_rot=0.01, seed=1)),
+                    build_pgo(generate_cycle_graph(6, loop_closures=1, noise_rot=0.01, seed=2))):
+        rows = problem.start
+        assert rows.shape == (problem.arity, 8)
+        for stage in (1, 2):
+            assert kkt_analysis(problem, rows, stage) == kkt_analysis(problem, rows.ravel(), stage)
+        # every other shape still raises
+        for shape in ((8, problem.arity), (1, 8 * problem.arity), (1, problem.arity, 8),
+                      (problem.arity + 1, 8), (problem.arity, 4)):
+            if shape != rows.shape:
+                with pytest.raises(ValueError, match="expected shape"):
+                    kkt_analysis(problem, np.zeros(shape), 1)
+
+
 def test_kkt_rejects_a_stage_other_than_1_or_2():
     with pytest.raises(ValueError, match="stage must be 1 or 2"):
         kkt_analysis(_toy_problem(), [DualQuaternion.identity()], stage=3)
@@ -704,7 +721,7 @@ def test_the_dense_fiber_product_adds_each_columns_four_products_left_to_right(n
     rng = np.random.default_rng(30)
     z = problem.block.project(np.stack([solver._random_start(problem.arity, rng) for _ in range(count)]))
     frames, var = problem.block.tangent(z), problem.block.var
-    jac = problem.objective.stage1_system(z)[0]()
+    jac = problem.objective.stage_system(z)[0](False)
     # pose graphs give one Jacobian per point, hand-eye problems one for the stack
     assert jac.ndim == (3 if name == "pgo" else 2)
     b = solver._fiber_product(jac, frames, var)

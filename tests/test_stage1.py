@@ -191,7 +191,7 @@ def test_kink_optima_converge_on_the_subdifferential(seed, restarts):
     report = solve_eqdqo(problem, cfg)
     # the kink group sits at its kink to rounding, not at the 1e-8 band edge
     z = pack(list(report.solution))
-    _, r, w, (starts, _) = problem.objective.stage1_system(z)
+    _, r, _, w, (starts, _) = problem.objective.stage_system(z)
     norms = np.sqrt(np.add.reduceat(r * r, starts))
     assert (w[starts] == 0).sum() == 1 and norms.min() <= 1e-12
     # the stage-I KKT residual is the distance to the subdifferential there
@@ -199,7 +199,7 @@ def test_kink_optima_converge_on_the_subdifferential(seed, restarts):
     assert dqopt.kkt_analysis(problem, report.solution, stage=1).residual <= 1e-8
 
 
-# stage1_system's (starts, row_group) of one group of 3 rows
+# stage_system's (starts, row_group) of one group of 3 rows
 ONE_GROUP = (np.array([0]), np.zeros(3, int))
 
 
@@ -272,15 +272,19 @@ def _per_edge_problem(graph):
     return solver.EqdqoProblem(objective, build_pgo(graph).constraints, start, stage1)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_per_edge_groups_converge_with_many_groups_at_their_kink(seed):
+@pytest.mark.parametrize("n, chords, seed, rows", [
+    *(pytest.param(20, 6, s, 30, id=str(s)) for s in range(5)),
+    # 177 tangent directions: each step evaluates its point as a sparse stack of one
+    *(pytest.param(60, 20, s, 35, id=f"60-{s}") for s in range(5)),
+])
+def test_per_edge_groups_converge_with_many_groups_at_their_kink(n, chords, seed, rows):
     # a sum of edge magnitudes puts many groups at their kink at once: the
     # Levenberg-Marquardt steps must hold them there too, and a step releases
     # only the group with the largest multiplier
-    g = generate_cycle_graph(20, loop_closures=6, noise_rot=SIGMA, noise_trans=SIGMA, seed=seed)
+    g = generate_cycle_graph(n, loop_closures=chords, noise_rot=SIGMA, noise_trans=SIGMA, seed=seed)
     report = solve_eqdqo(_per_edge_problem(g), SolverConfig(restarts=1))
     assert report.kkt_residual["stage1"] <= 1e-8
-    assert report.iterations["stage1"] <= 30
+    assert report.iterations["stage1"] <= rows
 
 
 def test_a_singular_model_on_the_pinned_rows_null_space_takes_the_least_norm_step(monkeypatch):
@@ -340,7 +344,7 @@ def test_a_noiseless_start_stops_converged_without_forming_b(case, formed):
     _, problem = case
     start = problem.start.reshape(1, -1)
     z = problem.block.project(start)
-    assert not problem.stage1.stage1_system(z)[2].any()
+    assert not problem.stage1.stage_system(z)[3].any()
     (outcome,) = solver._stage1(problem, SolverConfig(restarts=1), start)
     assert formed == {"_fiber_product": 0, "_kinks": 0}
     std, dual = problem.stage1.value_at(z)
@@ -358,13 +362,13 @@ def test_a_pinned_norm_above_rounding_still_forms_b(formed):
     rng = np.random.default_rng(7)
     start = problem.start.reshape(1, -1)
     start = problem.block.project(start + 1e-10 * rng.standard_normal(start.shape))
-    _, r, w, (starts, _) = problem.stage1.stage1_system(start)
+    _, r, _, w, (starts, _) = problem.stage1.stage_system(start)
     assert not w.any()
     assert np.sqrt(np.add.reduceat(r * r, starts, axis=-1)).max() > solver._KINK_ROUNDING
     (outcome,) = solver._stage1(problem, SolverConfig(restarts=1), start)
     assert formed["_fiber_product"] > 0 and formed["_kinks"] > 0
     assert outcome.stop == "converged" and len(outcome.trace) > 1
-    _, r, _, (starts, _) = problem.stage1.stage1_system(outcome.z)
+    _, r, _, _, (starts, _) = problem.stage1.stage_system(outcome.z)
     assert np.sqrt(np.add.reduceat(r * r, starts)).max() <= solver._KINK_ROUNDING
 
 

@@ -139,11 +139,11 @@ def test_a_uniform_reweighting_ends_stage2_after_one_pass():
     # the second pass, with the rescaled weights, lands on the same point
     null = tangent_matrix(problem.block, outcome.z)
     z = solver._fiber_point(problem, outcome.z)
-    r_p, weights, slope = problem.objective.stage2_system(z)
-    b = slope @ null
-    w1 = weights(r_p)
+    jac, _, r_p, w, groups = problem.objective.stage_system(z)
+    b = jac(False) @ null
+    w1 = solver._stage2_weights(w, r_p, groups)
     y1 = np.linalg.solve(b.T @ (w1[:, None] * b), -b.T @ (w1 * r_p))
-    w2 = weights(r_p + b @ y1)
+    w2 = solver._stage2_weights(w, r_p + b @ y1, groups)
     assert np.all(w2 == w2[0]) and w2[0] != w1[0]
     y2 = np.linalg.solve(b.T @ (w2[:, None] * b), -b.T @ (w2 * r_p))
     dual = solver._part_indices(g.n, 1)
@@ -153,12 +153,11 @@ def test_a_uniform_reweighting_ends_stage2_after_one_pass():
 
 
 def _stage1_fiber(problem, z):
-    """``B = J N`` of the stage-I objective at ``z``, as stage I evaluates a point."""
-    # a point on a sparse fiber is evaluated alone, any other as a stack of one
-    alone = problem.block.var.size > solver._DENSE_MAX
-    jac = problem.stage1.stage1_system(z if alone else z[None])[0]()
+    """``B = J N`` of the stage-I objective at ``z``, as stage I evaluates a point: a stack of one."""
+    sparse = problem.block.var.size > solver._DENSE_MAX
+    jac = problem.stage1.stage_system(z[None])[0](sparse)
     b = solver._fiber_product(jac, problem.block.tangent(z[None]), problem.block.var)
-    return b if alone else b[0]
+    return b if sparse else b[0]
 
 
 def _dense(a):
@@ -221,7 +220,8 @@ def test_stage2_forms_its_fiber_from_the_objectives_slope(dense_max, monkeypatch
                 if problem.stage1 is problem.objective:
                     assert _dense(b).tobytes() == stage1.tobytes()
                     continue
-                slope = _dense(problem.objective.stage2_system(outcome.z)[2])
+                sparse = problem.block.var.size > solver._DENSE_MAX
+                slope = _dense(problem.objective.stage_system(outcome.z)[0](sparse))
                 want = slope @ tangent_matrix(problem.block, outcome.z)
                 assert np.max(np.abs(_dense(b) - want)) <= 1e-14
                 assert np.max(np.abs(stage1 - want)) > 1e-3
