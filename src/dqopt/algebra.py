@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -663,17 +663,60 @@ class UnitDualQuaternion:
         return cls.from_pose(rot, t)
 
 
-@dataclass(frozen=True)
 class DualQuaternionVector:
-    """Immutable vector of dual quaternions with the dual-valued 2-norm."""
+    """Immutable vector of dual quaternions with the dual-valued 2-norm.
 
-    entries: tuple[DualQuaternion, ...]
+    Built from its entries, or by :meth:`from_rows` from an ``(n, 8)``
+    array of coordinates (standard part, then dual part) that it keeps,
+    read-only, as ``rows``; ``rows`` is None for a vector built from
+    entries.  A row-backed vector builds ``entries`` on first access
+    (iteration, indexing or ``.entries``), as :func:`~dqopt.functions.unpack`
+    builds them, while ``len``, :meth:`to_json_list` and
+    :func:`~dqopt.handeye.pose_rows` read the rows.  Equality, hashing and
+    ``repr`` go by the entries.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
+    __slots__ = ("_entries", "rows")
+
+    def __init__(self, entries: Iterable[DualQuaternion] = ()):
+        object.__setattr__(self, "_entries", tuple(entries))
+        object.__setattr__(self, "rows", None)
+
+    @classmethod
+    def from_rows(cls, rows) -> "DualQuaternionVector":
+        """The vector of the ``(n, 8)`` coordinate rows ``rows``, kept as a read-only copy."""
+        vector = object.__new__(cls)
+        rows = np.array(rows, dtype=np.float64).reshape(-1, 8)
+        rows.flags.writeable = False
+        object.__setattr__(vector, "_entries", None)
+        object.__setattr__(vector, "rows", rows)
+        return vector
+
+    @property
+    def entries(self) -> tuple[DualQuaternion, ...]:
+        if self._entries is None:
+            object.__setattr__(self, "_entries", tuple(
+                DualQuaternion(Quaternion(*std), Quaternion(*dual))
+                for std, dual in self.rows.reshape(-1, 2, 4).tolist()
+            ))
+        return self._entries
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"DualQuaternionVector(entries={self.entries!r})"
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.entries if self.rows is None else self.rows)
 
     def __iter__(self):
         return iter(self.entries)
@@ -703,4 +746,7 @@ class DualQuaternionVector:
         return DualNumber(0.0, math.sqrt(dual_sq))
 
     def to_json_list(self) -> list:
-        return [e.to_dict() for e in self.entries]
+        """:meth:`DualQuaternion.to_dict` of every entry, read off ``rows`` when it is held."""
+        if self.rows is None:
+            return [e.to_dict() for e in self.entries]
+        return [{"std": row[:4], "dual": row[4:]} for row in self.rows.tolist()]

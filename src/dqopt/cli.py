@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import operator
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -193,6 +195,10 @@ def _json_parts(value, out: list, pad: str) -> None:
             sep = ","
         out.append(pad + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
+        block = _uniform_block(value, pad) if value else None
+        if block is not None:
+            out.append(block)
+            return
         inner, sep = pad + "  ", "["
         for item in value:
             if type(item) is float and -math.inf < item < math.inf:
@@ -204,6 +210,46 @@ def _json_parts(value, out: list, pad: str) -> None:
         out.append(pad + "]" if value else "[]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _uniform_block(items, pad: str) -> str | None:
+    """The JSON text of a list of like items by one ``%``-format, or None for other lists.
+
+    Like items are finite floats, or dicts with the first item's keys in
+    its order whose leaves are floats, ints or float lists, each of the
+    first item's type and length.  The template is built from the first
+    item; a NaN or infinity shows as an ``n`` its formatted floats add.
+    """
+    inner = pad + "  "
+    first = items[0]
+    if type(first) is float:
+        columns, kinds, item = [items], [float], "%r"
+    elif (type(first) is dict and first and set(map(type, items)) == {dict}
+          and set(map(tuple, items)) == {tuple(first)} and set(map(type, first)) == {str}):
+        columns, kinds, fields, leaf_pad = [], [], [], inner + "  "
+        for key, leaf in first.items():
+            column = list(map(operator.itemgetter(key), items))
+            if type(leaf) is list and leaf and set(map(type, column)) == {list} \
+                    and set(map(len, column)) == {len(leaf)}:
+                columns += zip(*column)
+                kinds += [float] * len(leaf)
+                field = "[" + ",".join([leaf_pad + "  %r"] * len(leaf)) + leaf_pad + "]"
+            elif type(leaf) in (float, int):
+                columns.append(column)
+                kinds.append(type(leaf))
+                field = "%r"
+            else:
+                return None
+            fields.append(f"{leaf_pad}{encode_basestring_ascii(key).replace('%', '%%')}: {field}")
+        item = "{" + ",".join(fields) + inner + "}"
+    else:
+        return None
+    args = tuple(itertools.chain.from_iterable(zip(*columns)))
+    if list(map(type, args)) != kinds * len(items):
+        return None
+    template = "[" + inner + item + ("," + inner + item) * (len(items) - 1) + pad + "]"
+    text = template % args
+    return text if text.count("n") == template.count("n") else None
 
 
 def _json_text(data) -> str:
@@ -300,7 +346,7 @@ def _cmd_solve_pgo(args) -> int:
     # in a library process: a dense graph or a noiseless one never loads it.
     graph = parse_graph(_read_text(args.infile))
     report = solve_eqdqo(build_pgo(graph), _config_from_args(args))
-    errors = vertex_errors(graph, list(report.solution)) if len(graph.truth_ids) == graph.n else None
+    errors = vertex_errors(graph, report.solution) if len(graph.truth_ids) == graph.n else None
     _emit(report, errors, args)
     return 0
 

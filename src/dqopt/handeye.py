@@ -28,6 +28,7 @@ import numpy as np
 from .algebra import (
     NORMALIZE_TOL,
     TOL_APPRECIABLE,
+    DualQuaternionVector,
     Quaternion,
     UnitDualQuaternion,
     canonical_signs,
@@ -492,21 +493,31 @@ def pose_rows(values) -> np.ndarray:
 
     The translation is ``2 q_d conj(q)`` and the rotation ``q`` divided by
     its norm, after ``UnitDualQuaternion.of``'s normalization; values that
-    are :class:`UnitDualQuaternion` already skip ``of``.  Raises
-    :class:`UnitValidationError` for a value farther than ``NORMALIZE_TOL``
-    from unit.
+    are :class:`UnitDualQuaternion` already skip ``of``.  A row-backed
+    :class:`DualQuaternionVector` is read from its rows, every entry
+    normalized.  Raises :class:`UnitValidationError` for a value farther
+    than ``NORMALIZE_TOL`` from unit.
     """
-    values = list(values)
-    dq = pack(values).reshape(-1, 2, 4)
-    std, dual = dq[:, 0], dq[:, 1]
-    plain = np.array([not isinstance(v, UnitDualQuaternion) for v in values], dtype=bool)
-    if plain.any():
-        dev = unit_deviations(std[plain], dual[plain])
-        bad = np.flatnonzero(dev > NORMALIZE_TOL)
-        if bad.size:
-            raise UnitValidationError(f"unit deviation {float(dev[bad[0]])} exceeds {NORMALIZE_TOL}")
-        std[plain], dual[plain] = normalize_dq(std[plain], dual[plain])
+    rows = values.rows if isinstance(values, DualQuaternionVector) else None
+    if rows is not None:
+        std, dual = _normalized(rows[:, :4], rows[:, 4:])
+    else:
+        values = list(values)
+        dq = pack(values).reshape(-1, 2, 4)
+        std, dual = dq[:, 0], dq[:, 1]
+        plain = np.array([not isinstance(v, UnitDualQuaternion) for v in values], dtype=bool)
+        if plain.any():
+            std[plain], dual[plain] = _normalized(std[plain], dual[plain])
     return _unit(std, (quat_mul(dual, std * _CONJ) * 2.0)[:, 1:])
+
+
+def _normalized(std: np.ndarray, dual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`normalize_dq` of values within ``NORMALIZE_TOL`` of unit; raises otherwise."""
+    dev = unit_deviations(std, dual)
+    bad = np.flatnonzero(dev > NORMALIZE_TOL)
+    if bad.size:
+        raise UnitValidationError(f"unit deviation {float(dev[bad[0]])} exceeds {NORMALIZE_TOL}")
+    return normalize_dq(std, dual)
 
 
 def pose_errors(truth: np.ndarray, est: np.ndarray) -> tuple[list[float], list[float]]:

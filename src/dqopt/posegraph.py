@@ -59,7 +59,6 @@ from .functions import (
     UnitNormConstraint,
     anchor_constraints,
     pack,
-    unpack,
 )
 from .handeye import _CONJ, _seeded_rng, _unit, check_noise, pose_compose, pose_errors, pose_inverse
 from .handeye import canonicalized, checked_rows, pose_rows, pose_udqs, rotation_about, unit_rows
@@ -217,8 +216,8 @@ def error_vector(graph: PoseGraph, poses: Sequence) -> DualQuaternionVector:
         return DualQuaternionVector(())
     ij, q = _sorted_edges(graph)
     r_std, r_dual, _, _ = RelativePoseResidual.stack_arrays(graph.n, *ij.T, q)(pack(poses))
-    rows = np.stack((r_std.reshape(-1, 4), r_dual.reshape(-1, 4)), axis=1)
-    return DualQuaternionVector(unpack(rows.ravel(), graph.m))
+    return DualQuaternionVector.from_rows(
+        np.concatenate((r_std.reshape(-1, 4), r_dual.reshape(-1, 4)), axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ import numpy as np
 
 from .algebra import TOL_APPRECIABLE, DualNumber, DualQuaternion, DualQuaternionVector
 from .errors import ArityMismatch, Infeasible, NonStandardProblem
-from .functions import ConstraintBlock, DualFunction, pack, unpack
+from .functions import ConstraintBlock, DualFunction, pack
 
 __all__ = [
     "SolverConfig",
@@ -1214,7 +1214,7 @@ def _report(
     return SolveReport(
         stage1_value=v.std,
         stage2_value=v.dual,
-        solution=DualQuaternionVector(unpack(z2, problem.arity)),
+        solution=DualQuaternionVector.from_rows(z2),
         multipliers={"lambda": list(kkt1.multipliers), "mu": list(kkt2.multipliers)},
         kkt_residual={"stage1": kkt1.residual, "stage2": kkt2.residual},
         feasibility={"h": feas_h, "h_d": feas_hd},

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dqopt import DualQuaternion, DualQuaternionVector, selftest
-from dqopt.cli import _json_text, main
+from dqopt.cli import _json_text, _uniform_block, main
 from dqopt.selftest import run_all
 
 
@@ -115,6 +115,26 @@ def test_pgo_solve_runs_no_dense_least_squares(tmp_path, monkeypatch):
     data = json.loads(rep.read_text())
     assert data["degenerate"] is False
     assert len(data["multipliers"]["lambda"]) == 199 + 4
+
+
+def test_solve_pgo_builds_no_dual_quaternion_per_vertex(tmp_path, monkeypatch):
+    # the report's solution, errors and JSON text come from the solution's rows
+    g = tmp_path / "graph.txt"
+    rep = tmp_path / "report.json"
+    assert main(["gen-pgo", "--vertices", "200", "--loop-closures", "60",
+                 "--seed", "5", "--out", str(g)]) == 0
+    built = []
+    init = DualQuaternion.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DualQuaternion, "__init__", spy)
+    assert main(["solve-pgo", "--in", str(g), "--out", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    assert len(data["solution"]) == len(data["errors"]) == 200
+    assert len(built) <= 1  # build_pgo's anchor, the identity
 
 
 def test_reports_are_deterministic_modulo_wall_time(tmp_path):
@@ -415,6 +435,41 @@ def test_the_json_writer_formats_as_json_dumps_with_an_indent():
     ]
     for value in values + [values]:
         assert _json_text(value) == json.dumps(value, indent=2) + "\n", value
+    # lists of like items go through one %-format; any other list, the loop
+    rng = np.random.default_rng(83)
+    rows = [{"std": rng.standard_normal(4).tolist(), "dual": rng.standard_normal(4).tolist()}
+            for _ in range(200)]
+
+    def edited(k, row):
+        return rows[:k] + [row] + rows[k + 1:]
+
+    fast = [
+        rows,
+        [{"vertex": v, "rotation_error": 1e-17 * v, "translation_error": 0.5 / v}
+         for v in range(1, 201)],
+        [{"std": [-0.0, 5e-324, 1e16, 1.0], "dual": [1e-300, -2.5, 0.0, 1e22]}] * 3,
+        [{"info": 1.0, "inf nan": [2.0, 3.0], "100%r \n": 4}] * 2,
+        rng.standard_normal(50).tolist(),
+        [-0.0, 5e-324, 1e16],
+    ]
+    slow = [
+        edited(17, {"std": rows[17]["std"][:3] + [float("nan")], "dual": rows[17]["dual"]}),
+        edited(17, {"std": rows[17]["std"], "dual": [float("inf")] + rows[17]["dual"][1:]}),
+        edited(17, {**rows[17], "extra": 1.0}),
+        edited(17, {"dual": rows[17]["dual"], "std": rows[17]["std"]}),
+        edited(17, {"std": rows[17]["std"][:3], "dual": rows[17]["dual"]}),
+        [{"info": float("nan"), "inf nan": [2.0, 3.0]}] * 2,
+        [0.1, float("-inf")],
+        [0.1, 2],
+        [{"vertex": 1, "rotation_error": 0.1}, {"vertex": True, "rotation_error": 0.1}],
+    ] + [
+        edited(17, {"std": [odd] + rows[17]["std"][1:], "dual": rows[17]["dual"]})
+        for odd in (True, 1, np.float64(0.5))
+    ] + [[0.5, odd] for odd in (True, 1, np.float64(0.5))]
+    for value in fast + slow:
+        assert _json_text(value) == json.dumps(value, indent=2) + "\n"
+    assert [_uniform_block(value, "\n") is not None for value in fast + slow] == (
+        [True] * len(fast) + [False] * len(slow))
     # json.dumps refuses these too: NumPy integers and booleans, and any object
     for value in (np.int64(1), np.bool_(True), object(), [1, {2.0}]):
         with pytest.raises(TypeError, match="not JSON serializable"):

@@ -69,6 +69,22 @@ def test_a_vector_indexes_its_entries_as_a_tuple():
         v[3]
 
 
+def test_a_vector_of_rows_builds_its_entries_on_first_access_as_a_copy():
+    rng = np.random.default_rng(71)
+    entries = tuple(_rand_dq(rng) for _ in range(3))
+    source = np.array([[*e.std.as_array(), *e.dual.as_array()] for e in entries])
+    v = DualQuaternionVector.from_rows(source)
+    source[0, 0] = 9.0  # the vector keeps a read-only copy
+    assert len(v) == 3 and v._entries is None
+    assert not v.rows.flags.writeable and v.rows[0, 0] == entries[0].std.w
+    assert v.entries == entries and v[1] == entries[1] and list(v) == list(entries)
+    w = DualQuaternionVector(entries)
+    assert w.rows is None and v == w and hash(v) == hash(w) and repr(v) == repr(w)
+    assert v.to_json_list() == w.to_json_list() and v.norm2() == w.norm2()
+    with pytest.raises(AttributeError):
+        v.rows = None
+
+
 def test_magnitude_frozen_values():
     # |2 + i eps| = 2: the dual part vanishes since <q, q_d> = 0
     m = DualQuaternion(Quaternion(2, 0, 0, 0), I).magnitude()

@@ -764,3 +764,34 @@ def test_the_tangent_step_is_the_null_basis_times_y(block):
         assert step[p].tobytes() == (csc @ y[p]).tobytes()
         # a point alone steps as it does in the stack
         assert solver._tangent_step(block, frames[p], y[p]).tobytes() == step[p].tobytes()
+
+
+@pytest.mark.parametrize("case", ["axyb", "pgo"])
+def test_a_solution_held_as_rows_reads_as_its_unpacked_entries(case):
+    from dqopt.handeye import evaluate_solution, pose_errors, pose_rows
+    from dqopt.posegraph import vertex_errors
+
+    if case == "axyb":
+        data = generate_synthetic("axyb", 8, noise_rot=0.01, noise_trans=0.01, seed=5)
+        problem = build_axyb(data)
+    else:
+        data = generate_cycle_graph(30, 8, noise_rot=0.01, noise_trans=0.01, seed=3)
+        problem = build_pgo(data)
+    solution = solve_eqdqo(problem, SolverConfig(restarts=2, seed=0)).solution
+    rows = solution.rows
+    assert rows.shape == (problem.arity, 8) and not rows.flags.writeable
+    entries = list(solution)
+    assert pack(entries).tobytes() == rows.tobytes()
+    assert pack(unpack(rows.reshape(-1), problem.arity)).tobytes() == rows.tobytes()
+    assert entries == list(unpack(rows.reshape(-1), problem.arity))
+    # repr tells -0.0 from 0.0, which == does not
+    assert repr(solution.to_json_list()) == repr([e.to_dict() for e in solution.entries])
+    assert pose_rows(solution).tobytes() == pose_rows(entries).tobytes()
+    if case == "axyb":
+        rot, trans = pose_errors(np.array([data.ground_truth_x, data.ground_truth_y]),
+                                 pose_rows(solution))
+        errors = evaluate_solution(data, *entries)
+        assert [errors[f"{kind}_error_{name}"] for kind in ("rotation", "translation")
+                for name in "xy"] == rot + trans
+    else:
+        assert repr(vertex_errors(data, solution)) == repr(vertex_errors(data, entries))
