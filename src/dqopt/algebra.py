@@ -669,11 +669,10 @@ class DualQuaternionVector:
     Built from its entries, or by :meth:`from_rows` from an ``(n, 8)``
     array of coordinates (standard part, then dual part) that it keeps,
     read-only, as ``rows``; ``rows`` is None for a vector built from
-    entries.  A row-backed vector builds ``entries`` on first access
-    (iteration, indexing or ``.entries``), as :func:`~dqopt.functions.unpack`
-    builds them, while ``len``, :meth:`to_json_list` and
-    :func:`~dqopt.handeye.pose_rows` read the rows.  Equality, hashing and
-    ``repr`` go by the entries.
+    entries.  A row-backed vector builds ``entries`` from the rows' floats
+    on first access (iteration, indexing or ``.entries``), while ``len``,
+    :meth:`to_json_list` and :func:`~dqopt.handeye.pose_rows` read the
+    rows.  Equality, hashing and ``repr`` go by the entries.
     """
 
     __slots__ = ("_entries", "rows")
@@ -703,6 +702,12 @@ class DualQuaternionVector:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through a constructor, which may set the fields
+        if self.rows is None:
+            return type(self), (self._entries,)
+        return type(self).from_rows, (self.rows,)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

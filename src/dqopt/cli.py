@@ -259,7 +259,12 @@ def _json_text(data) -> str:
     encoder; this writer does the same formatting in one pass: floats by
     ``float.__repr__`` (so NumPy floats print as plain numbers), NaN and
     infinities as ``NaN`` and ``Infinity``, strings ASCII-escaped.  Keys
-    must be strings, and other types raise ``TypeError``.
+    must be strings, and other types raise ``TypeError``.  A list of like
+    items, such as a report's solution or error rows, is one ``%``-format
+    of a template (:func:`_uniform_block`); any other list is written item
+    by item.  A solution reaches it as lists read off the solution's rows,
+    so writing a report builds none of the entries the solution builds on
+    first access.
     """
     out = []
     _json_parts(data, out, "\n")

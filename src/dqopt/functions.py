@@ -42,6 +42,7 @@ from .algebra import (
     TOL_APPRECIABLE,
     DualNumber,
     DualQuaternion,
+    DualQuaternionVector,
     Quaternion,
     UnitDualQuaternion,
     dual_max,
@@ -88,14 +89,11 @@ def pack(values: Sequence[DualQuaternion]) -> np.ndarray:
 
 
 def unpack(z: np.ndarray, arity: int) -> tuple[DualQuaternion, ...]:
-    """Inverse of :func:`pack`."""
+    """Inverse of :func:`pack`: the entries of :meth:`DualQuaternionVector.from_rows`."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (8 * arity,):
         raise ValueError(f"expected shape ({8 * arity},), got {z.shape}")
-    return tuple(
-        DualQuaternion(Quaternion(*std), Quaternion(*dual))
-        for std, dual in z.reshape(-1, 2, 4).tolist()
-    )
+    return DualQuaternionVector.from_rows(z).entries
 
 
 def _kept_sums(x: np.ndarray, keep: np.ndarray) -> np.ndarray:

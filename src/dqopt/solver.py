@@ -253,6 +253,10 @@ class SolveReport:
     ``"stage1"`` at the stage-I point, ``"mu"`` and ``"stage2"`` at the
     solution.  ``degenerate`` is true when the constraint gradients there
     are linearly dependent, so the multipliers are not unique.
+    ``solution`` holds stage II's final coordinates as rows
+    (:meth:`DualQuaternionVector.from_rows`) and builds its dual
+    quaternions on first access; the JSON report and
+    :func:`~dqopt.handeye.pose_rows` read the rows.
     """
 
     stage1_value: float

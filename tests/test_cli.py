@@ -458,6 +458,7 @@ def test_the_json_writer_formats_as_json_dumps_with_an_indent():
         edited(17, {**rows[17], "extra": 1.0}),
         edited(17, {"dual": rows[17]["dual"], "std": rows[17]["std"]}),
         edited(17, {"std": rows[17]["std"][:3], "dual": rows[17]["dual"]}),
+        edited(17, {"std": rows[17]["std"], "dual": rows[17]["dual"] + [0.5]}),
         [{"info": float("nan"), "inf nan": [2.0, 3.0]}] * 2,
         [0.1, float("-inf")],
         [0.1, 2],

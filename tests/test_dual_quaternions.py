@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,9 @@ def test_a_vector_of_rows_builds_its_entries_on_first_access_as_a_copy():
     assert v.to_json_list() == w.to_json_list() and v.norm2() == w.norm2()
     with pytest.raises(AttributeError):
         v.rows = None
+    for copied in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), pickle.loads(pickle.dumps(w))):
+        assert copied == v
+    assert copy.deepcopy(v).rows.tobytes() == v.rows.tobytes()
 
 
 def test_magnitude_frozen_values():
