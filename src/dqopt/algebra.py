@@ -12,6 +12,7 @@ values within ``NORMALIZE_TOL`` of unit and renormalize them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -675,39 +676,30 @@ class DualQuaternionVector:
     rows.  Equality, hashing and ``repr`` go by the entries.
     """
 
-    __slots__ = ("_entries", "rows")
+    rows = None
 
     def __init__(self, entries: Iterable[DualQuaternion] = ()):
-        object.__setattr__(self, "_entries", tuple(entries))
-        object.__setattr__(self, "rows", None)
+        object.__setattr__(self, "entries", tuple(entries))
 
     @classmethod
     def from_rows(cls, rows) -> "DualQuaternionVector":
         """The vector of the ``(n, 8)`` coordinate rows ``rows``, kept as a read-only copy."""
         vector = object.__new__(cls)
-        rows = np.array(rows, dtype=np.float64).reshape(-1, 8)
-        rows.flags.writeable = False
-        object.__setattr__(vector, "_entries", None)
-        object.__setattr__(vector, "rows", rows)
+        object.__setattr__(vector, "rows", np.array(rows, dtype=np.float64).reshape(-1, 8))
+        vector.rows.flags.writeable = False
         return vector
 
-    @property
+    @functools.cached_property
     def entries(self) -> tuple[DualQuaternion, ...]:
-        if self._entries is None:
-            object.__setattr__(self, "_entries", tuple(
-                DualQuaternion(Quaternion(*std), Quaternion(*dual))
-                for std, dual in self.rows.reshape(-1, 2, 4).tolist()
-            ))
-        return self._entries
+        return tuple(DualQuaternion(Quaternion(*std), Quaternion(*dual))
+                     for std, dual in self.rows.reshape(-1, 2, 4).tolist())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __reduce__(self):
-        # pickle and copy rebuild through a constructor, which may set the fields
-        if self.rows is None:
-            return type(self), (self._entries,)
-        return type(self).from_rows, (self.rows,)
+        # copies rebuild through a constructor, so that their rows stay read-only
+        return (type(self), (self.entries,)) if self.rows is None else (type(self).from_rows, (self.rows,))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -78,7 +78,7 @@ def test_a_vector_of_rows_builds_its_entries_on_first_access_as_a_copy():
     source = np.array([[*e.std.as_array(), *e.dual.as_array()] for e in entries])
     v = DualQuaternionVector.from_rows(source)
     source[0, 0] = 9.0  # the vector keeps a read-only copy
-    assert len(v) == 3 and v._entries is None
+    assert len(v) == 3 and "entries" not in vars(v)  # not built yet
     assert not v.rows.flags.writeable and v.rows[0, 0] == entries[0].std.w
     assert v.entries == entries and v[1] == entries[1] and list(v) == list(entries)
     w = DualQuaternionVector(entries)
@@ -88,7 +88,8 @@ def test_a_vector_of_rows_builds_its_entries_on_first_access_as_a_copy():
         v.rows = None
     for copied in (pickle.loads(pickle.dumps(v)), copy.deepcopy(v), pickle.loads(pickle.dumps(w))):
         assert copied == v
-    assert copy.deepcopy(v).rows.tobytes() == v.rows.tobytes()
+    copied = copy.deepcopy(v)
+    assert copied.rows.tobytes() == v.rows.tobytes() and not copied.rows.flags.writeable
 
 
 def test_magnitude_frozen_values():
