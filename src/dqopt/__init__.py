@@ -7,8 +7,8 @@ equality-constrained minimizer), and the applications ``handeye`` and
 ``posegraph``.  The ``cli`` module exposes the same pipeline as the
 ``dqopt`` command.  Importing the package, and building, solving and
 evaluating every problem whose fiber is dense, need NumPy alone: SciPy
-loads where a sparse matrix is first formed, in a solve past 128 fiber
-directions (pose graphs of 44 vertices or more), and in ``dqopt solve-pgo``.
+loads where a solve past 128 fiber directions (44 or more pose-graph
+vertices) first forms a sparse matrix; an exact, noiseless start forms none.
 
 Each public name is declared once, in its module's ``__all__``; the
 package's ``__all__`` joins those lists in layer order.

@@ -40,6 +40,8 @@ import numpy as np
 from .algebra import (
     NORMALIZE_TOL,
     TOL_APPRECIABLE,
+    _LEFT_SIGNS,
+    _MULT_INDEX,
     DualNumber,
     DualQuaternion,
     DualQuaternionVector,
@@ -80,11 +82,11 @@ __all__ = [
 
 
 def pack(values: Sequence[DualQuaternion]) -> np.ndarray:
-    """Flatten dual quaternions into the solver coordinate vector."""
-    rows = [
-        (v.std.w, v.std.x, v.std.y, v.std.z, v.dual.w, v.dual.x, v.dual.y, v.dual.z)
-        for v in values
-    ]
+    """Flatten dual quaternions into the solver coordinate vector; copies a vector's rows."""
+    if isinstance(values, DualQuaternionVector) and values.rows is not None:
+        return values.rows.reshape(-1).copy()
+    rows = [(v.std.w, v.std.x, v.std.y, v.std.z, v.dual.w, v.dual.x, v.dual.y, v.dual.z)
+            for v in values]
     return np.array(rows, dtype=np.float64).reshape(-1)
 
 
@@ -704,32 +706,37 @@ class ConstraintBlock:
     (all four :func:`anchor_constraints` rows, any unit rows), a *sphere*
     (unit rows only) or *free*; another anchor pattern raises ``TypeError``.
     :meth:`tangent`, :meth:`pinv` and :meth:`rank` are closed forms by class.
+
+    ``__init__`` builds every index plan once: row positions (slices where
+    consecutive), slots and weights per family and class, and the signed
+    gather of :meth:`tangent`.  Each method keeps its plain formula's
+    arithmetic order and array layouts, so results match it bit for bit.
     """
 
     def __init__(self, arity: int, constraints: Sequence[DualFunction]):
         for j, con in enumerate(constraints):
             # Exact types: a subclass may override the formulas the block hard-codes.
             if type(con) not in (UnitNormConstraint, _ComponentAnchor):
-                raise TypeError(
-                    f"constraint {j} ({type(con).__name__}) is neither a unit-norm "
-                    "nor an anchor row"
-                )
+                raise TypeError(f"constraint {j} ({type(con).__name__}) is neither a unit-norm "
+                                "nor an anchor row")
         units = [(j, c) for j, c in enumerate(constraints) if type(c) is UnitNormConstraint]
         anchors = [(j, c) for j, c in enumerate(constraints) if type(c) is _ComponentAnchor]
         self.arity, self.size = int(arity), len(constraints)
-        self._u_row = np.array([j for j, _ in units], dtype=np.intp)
-        self._u_var = np.array([c.index for _, c in units], dtype=np.intp)
+        u_row, self._u_var = np.array(
+            [(j, c.index) for j, c in units], dtype=np.intp).reshape(-1, 2).T
         u_var = self._u_var.reshape(-1, 1)
-        self._u_slots = 8 * u_var + np.arange(8)
-        self._a_row = np.array([j for j, _ in anchors], dtype=np.intp)
-        self._a_var = np.array([c.index for _, c in anchors], dtype=np.intp)
-        self._a_comp = np.array([c.component for _, c in anchors], dtype=np.intp)
-        a_var, a_comp = self._a_var, self._a_comp
+        self._u_slots, self._u_std = 8 * u_var + np.arange(8), 8 * u_var + np.arange(4)
+        self._u_cols = 4 * u_var + np.arange(4)
+        self._a_row, a_var, a_comp = np.array(
+            [(j, c.index, c.component) for j, c in anchors], dtype=np.intp).reshape(-1, 3).T
         self._a_coords = np.stack((8 * a_var + a_comp, 8 * a_var + 4 + a_comp))
         self._a_targets = np.array([(c._t_std, c._t_dual) for _, c in anchors]).reshape(-1, 2).T
         self._a_cols = 4 * a_var + a_comp
+        self._u_at, self._a_at, self._u_var_at = (
+            slice(r[0], r[-1] + 1) if r.size and (np.diff(r) == 1).all() else r
+            for r in (u_row, self._a_row, self._u_var))
         # Columns of G^T v, unit rows' four then the anchors', for one bincount.
-        self._pull_cols = np.concatenate(((4 * u_var + np.arange(4)).ravel(), self._a_cols))
+        self._pull_cols = np.concatenate((self._u_cols.ravel(), self._a_cols))
         self._anchored = np.flatnonzero(np.bincount(a_var, minlength=self.arity))
         for i in self._anchored.tolist():
             comps = sorted(a_comp[a_var == i].tolist())
@@ -737,15 +744,21 @@ class ConstraintBlock:
                 raise TypeError(f"variable {i} is anchored on coefficients {comps}, "
                                 "not on all four once")
         # 4 x (unit rows) per variable: G_i^T G_i is that times x x^T, plus I if anchored
-        self._weight = 4.0 * np.bincount(self._u_var, minlength=self.arity)
-        width = np.where(self._weight > 0, 3, 4)
+        weight = 4.0 * np.bincount(self._u_var, minlength=self.arity)
+        width = np.where(weight > 0, 3, 4)
         width[self._anchored] = 0
         self._sphere = np.flatnonzero(width == 3)
+        self._sphere_weight, self._anchored_weight = weight[self._sphere], weight[self._anchored]
         #: The variable of each tangent column, and ``_col`` its column of :meth:`tangent`'s frame.
         self.var = np.repeat(np.arange(self.arity), width)
         #: The standard slot ``4 var[j] + c`` of entry ``c`` of each frame ``j``, raveled.
         self.slots = (4 * self.var[:, None] + np.arange(4)).ravel()
-        self._col = np.concatenate([np.arange(4 - w, 4) for w in width.tolist()])
+        self._col = np.arange(self.var.size) - np.repeat(np.cumsum(width) - 4, width)
+        # Entry e of frame j is left_mult_matrix(x)[e, col]: a signed coordinate of z.
+        self._frame_at = 8 * self.var[:, None] + _MULT_INDEX.T[self._col]
+        self._frame_sign = _LEFT_SIGNS.T[self._col][:, None]
+        self._free = np.flatnonzero(width[self.var] == 4)
+        self._free_frames = np.eye(4)[self._col[self._free]][:, None]
 
     def values(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(h, h_d)`` at ``z``, without any Jacobian; ``(R, m)`` each for a stack ``(R, 8n)``."""
@@ -755,24 +768,23 @@ class ConstraintBlock:
         # summed bit for bit as ``xs @ xs``; h = xs.xs - 1 and h_d = 2 xs.xd.
         dots = (zz[..., None, None, :4] @ zz.reshape(zz.shape[:-1] + (2, 4, 1)))[..., 0, 0]
         vals = np.empty(z.shape[:-1] + (2, self.size))
-        vals[..., 0, self._u_row] = dots[..., 0] - 1.0
-        vals[..., 1, self._u_row] = 2.0 * dots[..., 1]
+        vals[..., 0, self._u_at] = dots[..., 0] - 1.0
+        vals[..., 1, self._u_at] = 2.0 * dots[..., 1]
         if self._a_row.size:
-            vals[..., self._a_row] = z[..., self._a_coords] - self._a_targets
+            vals[..., self._a_at] = z[..., self._a_coords] - self._a_targets
         return vals[..., 0, :], vals[..., 1, :]
 
     def pullback(self, z: np.ndarray, v: np.ndarray) -> np.ndarray:
         """``G^T v`` at ``z``: ``2 x_k v_k`` per unit row plus ``v`` per anchor row."""
-        unit = 2.0 * z[self._u_slots[:, :4]] * v[self._u_row, None]
-        weights = np.concatenate((unit.ravel(), v[self._a_row]))
+        unit = 2.0 * z[self._u_std] * v[self._u_at, None]
+        weights = np.concatenate((unit.ravel(), v[self._a_at]))
         return np.bincount(self._pull_cols, weights, 4 * self.arity)
 
     def apply(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         """``G u`` at ``z``: ``2 x_i . u_i`` per unit row, the anchored entry of ``u`` per anchor row."""
         out = np.empty(self.size)
-        x = z[self._u_slots[:, :4]]
-        out[self._u_row] = 2.0 * np.einsum("ij,ij->i", x, u.reshape(-1, 4)[self._u_var])
-        out[self._a_row] = u[self._a_cols]
+        out[self._u_at] = 2.0 * np.einsum("ij,ij->i", z[self._u_std], u[self._u_cols])
+        out[self._a_at] = u[self._a_cols]
         return out
 
     def project(self, z: np.ndarray) -> np.ndarray:
@@ -781,9 +793,8 @@ class ConstraintBlock:
         ``z`` may be a stack ``(R, 8n)``, projected row by row.
         """
         out = z.copy()
-        slots = self._u_slots[:, :4]
-        x = out[..., slots]
-        out[..., slots] = x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
+        x = out[..., self._u_std]
+        out[..., self._u_std] = x / np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True))
         out[..., self._a_coords[0]] = self._a_targets[0]
         return out
 
@@ -795,9 +806,8 @@ class ConstraintBlock:
         ``(R, 4n)`` gradients the result is ``(R, n)``.
         """
         out = np.zeros(z.shape[:-1] + (self.arity,))
-        x = z.take(self._u_slots[:, :4], axis=-1)
-        g = grad.reshape(grad.shape[:-1] + (-1, 4)).take(self._u_var, axis=-2)
-        out[..., self._u_var] = np.einsum("...ij,...ij->...i", x, g)
+        x, g = z.take(self._u_std, axis=-1), grad.take(self._u_cols, axis=-1)
+        out[..., self._u_var_at] = np.einsum("...ij,...ij->...i", x, g)
         return out
 
     def tangent(self, z: np.ndarray) -> np.ndarray:
@@ -806,12 +816,12 @@ class ConstraintBlock:
         Row ``j`` holds column ``j``'s entries for variable ``var[j]``: per
         sphere variable ``x ⊗ i``, ``x ⊗ j``, ``x ⊗ k`` (columns 2-4 of
         ``left_mult_matrix(x)``, orthonormal where ``|x| = 1``), per free one
-        the identity's columns.  Entries are copied, so stacks match bit for bit.
+        the identity's columns, laid out frame-major: ``(k, R, 4)`` in memory.
         """
-        frames = np.broadcast_to(np.eye(4), z.shape[:-1] + (self.arity, 4, 4)).copy()
-        x = z[..., 8 * self._sphere[:, None] + np.arange(4)]
-        frames[..., self._sphere, :, :] = left_mult_matrix(x)
-        return frames.swapaxes(-1, -2)[..., self.var, self._col, :]
+        at = z.reshape(-1, z.shape[-1]).T.take(self._frame_at, axis=0)  # (k, 4, R)
+        out = np.multiply(at.swapaxes(1, 2), self._frame_sign, order="C")  # (k, R, 4), C order
+        out[self._free] = self._free_frames
+        return out[:, 0] if z.ndim == 1 else out.swapaxes(0, 1)
 
     def pinv(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         """``(G^T G)^+ u`` at ``z`` for a ``4n`` vector ``u``: the minimum-norm least-squares step.
@@ -820,12 +830,16 @@ class ConstraintBlock:
         |x|^4)`` (0 where ``x = 0``) per sphere variable, ``u - a x (x . u) /
         (1 + a |x|^2)`` (Sherman-Morrison) per anchored one and 0 per free one.
         """
-        x, u, a = z.reshape(-1, 8)[:, :4], u.reshape(-1, 4), self._weight
+        x, u = z.reshape(-1, 8)[:, :4], u.reshape(-1, 4)
         dot, sq = np.einsum("ij,ij->i", x, u), np.einsum("ij,ij->i", x, x)
         out = np.zeros(u.shape)
-        s, k = self._sphere[sq[self._sphere] > 0], self._anchored
-        out[s] = x[s] * (dot[s] / (a[s] * sq[s] * sq[s]))[:, None]
-        out[k] = u[k] - x[k] * (a[k] * dot[k] / (1.0 + a[k] * sq[k]))[:, None]
+        s, a, q = self._sphere, self._sphere_weight, sq[self._sphere]
+        if not (live := q > 0).all():
+            s, a, q = s[live], a[live], q[live]
+        out[s] = x[s] * (dot[s] / (a * q * q))[:, None]
+        k, a = self._anchored, self._anchored_weight
+        if k.size:
+            out[k] = u[k] - x[k] * (a * dot[k] / (1.0 + a * sq[k]))[:, None]
         return out.ravel()
 
     def rank(self, z: np.ndarray) -> int:

@@ -302,9 +302,12 @@ class _StageOutcome:
 # Coordinate blocks and constraint rows
 
 
+@functools.lru_cache(maxsize=256)
 def _part_indices(arity: int, part: int) -> np.ndarray:
-    """Flat indices of every variable's standard (part 0) or dual (part 1) slot."""
-    return (8 * np.arange(arity)[:, None] + 4 * part + np.arange(4)).ravel()
+    """Flat indices of every variable's standard (part 0) or dual (part 1) slot, read-only."""
+    indices = (8 * np.arange(arity)[:, None] + 4 * part + np.arange(4)).ravel()
+    indices.flags.writeable = False
+    return indices
 
 
 def _feasibility(problem: EqdqoProblem, z: np.ndarray) -> tuple[float, float]:
@@ -400,10 +403,7 @@ class KktInfo:
 
 def _point_to_z(point, arity: int) -> np.ndarray:
     """Flat coordinates of ``point``; raises ``ValueError`` unless ``(8 * arity,)`` or ``(arity, 8)``."""
-    if isinstance(point, np.ndarray):
-        z = np.asarray(point, dtype=np.float64)
-    else:
-        z = pack(list(point))
+    z = np.asarray(point, dtype=np.float64) if isinstance(point, np.ndarray) else pack(point)
     if z.shape not in ((8 * arity,), (arity, 8)):
         raise ValueError(f"expected shape ({8 * arity},) or ({arity}, 8), got {z.shape}")
     return z.reshape(-1)
@@ -458,11 +458,7 @@ def _kkt(problem: EqdqoProblem, z, stage: int, grad, kinks: bool = True) -> KktI
         target = target + _kink_subgradient(problem, z)
     mult = -block.apply(z, block.pinv(z, target))
     resid = target + block.pullback(z, mult)
-    return KktInfo(
-        float(np.linalg.norm(resid)),
-        tuple(float(v) for v in mult),
-        block.rank(z) < block.size,
-    )
+    return KktInfo(float(np.linalg.norm(resid)), tuple(mult.tolist()), block.rank(z) < block.size)
 
 
 # ---------------------------------------------------------------------------
@@ -1116,7 +1112,7 @@ def _start_z(start, arity: int, name: str) -> np.ndarray:
     NaN or infinite entry.
     """
     if not isinstance(start, np.ndarray):
-        vals = list(start)
+        vals = start if isinstance(start, DualQuaternionVector) else list(start)
         if len(vals) != arity:
             raise ArityMismatch(f"{name} has {len(vals)} variables, expected {arity}")
         start = pack(vals).reshape(arity, 8)
