@@ -192,7 +192,7 @@ def test_a_200_vertex_pose_graph_block_has_the_loop_forms_columns():
         _same(got, want)
 
 
-def test_kkt_and_edge_errors_read_a_solutions_rows(monkeypatch):
+def test_kkt_edge_errors_and_restarts_read_a_solutions_rows(monkeypatch):
     graph = generate_cycle_graph(200, 60, 0.01, 0.01, seed=2)
     problem = build_pgo(graph)
     report = solve_eqdqo(problem, SolverConfig(restarts=1, seed=0))
@@ -206,9 +206,12 @@ def test_kkt_and_edge_errors_read_a_solutions_rows(monkeypatch):
     monkeypatch.setattr(DualQuaternion, "__init__", spy)
     infos = [kkt_analysis(problem, report.solution, stage=stage) for stage in (1, 2)]
     errors = error_vector(graph, report.solution)
+    again = solve_eqdqo(problem, SolverConfig(restarts=1, seed=0), initial=report.solution)
     assert built == []
     monkeypatch.undo()
     entries = list(report.solution)
+    from_entries = solve_eqdqo(problem, SolverConfig(restarts=1, seed=0), initial=entries)
+    _same(again.solution.rows, from_entries.solution.rows)
     for stage, info in zip((1, 2), infos):
         ref = kkt_analysis(problem, entries, stage=stage)
         assert repr((info.residual, info.degenerate)) == repr((ref.residual, ref.degenerate))
