@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
-import operator
 import os
 import sys
+from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 
-from . import selftest
+from . import handeye, posegraph, selftest
+from .algebra import DualQuaternionVector
 from .errors import DqoptError, Infeasible
 from .handeye import (
     HandEyeDataset,
@@ -166,13 +166,19 @@ def _write_text(path: str, text: str) -> None:
         raise _BadInput(f"cannot write {path}: {e.strerror or e}")
 
 
+class _Text(str):
+    """JSON text that :func:`_json_parts` copies as it is."""
+
+
 def _json_parts(value, out: list, pad: str) -> None:
     """Append the JSON text of ``value`` to ``out``; ``pad`` is a newline and its indent.
 
     Finite floats, most of a report's values, are written by their
     container's loop, without a call of their own.
     """
-    if isinstance(value, float):
+    if type(value) is _Text:
+        out.append(value)
+    elif isinstance(value, float):
         out.append(float.__repr__(value) if -math.inf < value < math.inf
                    else "NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
     elif isinstance(value, str):
@@ -195,7 +201,8 @@ def _json_parts(value, out: list, pad: str) -> None:
             sep = ","
         out.append(pad + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
-        block = _uniform_block(value, pad) if value else None
+        floats = value and set(map(type, value)) == {float}
+        block = _uniform_block("%r", value, len(value), pad) if floats else None
         if block is not None:
             out.append(block)
             return
@@ -212,44 +219,28 @@ def _json_parts(value, out: list, pad: str) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _uniform_block(items, pad: str) -> str | None:
-    """The JSON text of a list of like items by one ``%``-format, or None for other lists.
+def _uniform_block(item: str, args, count: int, pad: str) -> _Text | None:
+    """The JSON list at ``pad`` of ``count`` items, ``item`` ``%``-formatted over ``args``.
 
-    Like items are finite floats, or dicts with the first item's keys in
-    its order whose leaves are floats, ints or float lists, each of the
-    first item's type and length.  The template is built from the first
-    item; a NaN or infinity shows as an ``n`` its formatted floats add.
+    ``args`` are floats and ints; None at a NaN or an infinity, which ``%r``
+    writes with an ``n`` that the template lacks.
     """
     inner = pad + "  "
-    first = items[0]
-    if type(first) is float:
-        columns, kinds, item = [items], [float], "%r"
-    elif (type(first) is dict and first and set(map(type, items)) == {dict}
-          and set(map(tuple, items)) == {tuple(first)} and set(map(type, first)) == {str}):
-        columns, kinds, fields, leaf_pad = [], [], [], inner + "  "
-        for key, leaf in first.items():
-            column = list(map(operator.itemgetter(key), items))
-            if type(leaf) is list and leaf and set(map(type, column)) == {list} \
-                    and set(map(len, column)) == {len(leaf)}:
-                columns += zip(*column)
-                kinds += [float] * len(leaf)
-                field = "[" + ",".join([leaf_pad + "  %r"] * len(leaf)) + leaf_pad + "]"
-            elif type(leaf) in (float, int):
-                columns.append(column)
-                kinds.append(type(leaf))
-                field = "%r"
-            else:
-                return None
-            fields.append(f"{leaf_pad}{encode_basestring_ascii(key).replace('%', '%%')}: {field}")
-        item = "{" + ",".join(fields) + inner + "}"
-    else:
-        return None
-    args = tuple(itertools.chain.from_iterable(zip(*columns)))
-    if list(map(type, args)) != kinds * len(items):
-        return None
-    template = "[" + inner + item + ("," + inner + item) * (len(items) - 1) + pad + "]"
-    text = template % args
-    return text if text.count("n") == template.count("n") else None
+    template = "[" + inner + item + ("," + inner + item) * (count - 1) + pad + "]"
+    text = template % tuple(args)
+    return _Text(text) if text.count("n") == template.count("n") else None
+
+
+def _rows_block(first: dict, args: list, count: int, pad: str) -> _Text | None:
+    """:func:`_uniform_block` of ``count`` dicts laid out like ``first``, their leaves ``args``.
+
+    ``first`` is an item as the layout's owner builds it, with float, int
+    or float-list leaves; written with ``%r`` leaves, it is the item format.
+    """
+    mark, item = _Text("%r"), []
+    _json_parts({key.replace("%", "%%"): [mark] * len(leaf) if type(leaf) is list else mark
+                 for key, leaf in first.items()}, item, pad + "  ")
+    return _uniform_block("".join(item), args, count, pad)
 
 
 def _json_text(data) -> str:
@@ -259,12 +250,11 @@ def _json_text(data) -> str:
     encoder; this writer does the same formatting in one pass: floats by
     ``float.__repr__`` (so NumPy floats print as plain numbers), NaN and
     infinities as ``NaN`` and ``Infinity``, strings ASCII-escaped.  Keys
-    must be strings, and other types raise ``TypeError``.  A list of like
-    items, such as a report's solution or error rows, is one ``%``-format
-    of a template (:func:`_uniform_block`); any other list is written item
-    by item.  A solution reaches it as lists read off the solution's rows,
-    so writing a report builds none of the entries the solution builds on
-    first access.
+    must be strings, and other types raise ``TypeError``.  A list of finite
+    floats is one ``%``-format (:func:`_uniform_block`), and a
+    :class:`_Text` value, such as ``solve-pgo``'s solution and error rows
+    (:func:`_pgo_report`), is copied as it is; any other list is written
+    item by item.
     """
     out = []
     _json_parts(data, out, "\n")
@@ -272,11 +262,8 @@ def _json_text(data) -> str:
     return "".join(out)
 
 
-def _emit(report, errors, args) -> None:
-    """The report, with ``errors`` unless None, to ``--out`` or stdout; its trace to ``--csv``."""
-    data = report.to_json_dict()
-    if errors is not None:
-        data["errors"] = errors
+def _emit(data: dict, trace, args) -> None:
+    """The report's JSON ``data`` to ``--out`` or stdout, its ``trace`` to ``--csv``."""
     text = _json_text(data)
     if args.out is None:
         sys.stdout.write(text)
@@ -284,7 +271,7 @@ def _emit(report, errors, args) -> None:
         _write_text(args.out, text)
         print(f"wrote {args.out}")
     if args.csv:
-        _write_trace_csv(args.csv, report.trace)
+        _write_trace_csv(args.csv, trace)
 
 
 def _write_trace_csv(path: str, trace) -> None:
@@ -323,12 +310,12 @@ def _cmd_solve_handeye(args) -> int:
         raise _BadInput(f"{args.infile}: invalid dataset ({e})")
     problem = build_axxb(ds) if ds.model == "axxb" else build_axyb(ds)
     report = solve_eqdqo(problem, _config_from_args(args))
-    errors = None
+    data = report.to_json_dict()
     if ds.ground_truth_x is not None:
-        # Y's errors only where its truth is recorded too
         x, *y = report.solution
-        errors = evaluate_solution(ds, x, y[0] if y and ds.ground_truth_y is not None else None)
-    _emit(report, errors, args)
+        y = y[0] if y and ds.ground_truth_y is not None else None  # Y's with its truth only
+        data["errors"] = evaluate_solution(ds, x, y)
+    _emit(data, report.trace, args)
     return 0
 
 
@@ -351,9 +338,27 @@ def _cmd_solve_pgo(args) -> int:
     # in a library process: a dense graph or a noiseless one never loads it.
     graph = parse_graph(_read_text(args.infile))
     report = solve_eqdqo(build_pgo(graph), _config_from_args(args))
-    errors = vertex_errors(graph, report.solution) if len(graph.truth_ids) == graph.n else None
-    _emit(report, errors, args)
+    _emit(_pgo_report(graph, report), report.trace, args)
     return 0
+
+
+def _pgo_report(graph, report) -> dict:
+    """``report.to_json_dict()``, with ``graph``'s ``vertex_errors`` when it has every truth.
+
+    :func:`_rows_block` writes the rows from arrays, unless a NaN or an infinity shows.
+    """
+    n, rows = graph.n, report.solution.rows
+    data = replace(report, solution=DualQuaternionVector()).to_json_dict()
+    first = DualQuaternionVector.from_rows(rows[:1]).to_json_list()[0]
+    data["solution"] = (_rows_block(first, rows.ravel().tolist(), n, "\n  ")
+                        or report.solution.to_json_list())
+    if len(graph.truth_ids) == n:
+        rot, trans = handeye.pose_errors(graph.truth_poses, handeye.pose_rows(report.solution))
+        cells = [1] * (3 * n)
+        cells[::3], cells[1::3], cells[2::3] = range(1, n + 1), rot, trans
+        data["errors"] = (_rows_block(dict(zip(posegraph._ERROR_KEYS, cells)), cells, n, "\n  ")
+                          or vertex_errors(graph, report.solution))
+    return data
 
 
 def _cmd_selftest(args) -> int:

@@ -267,9 +267,11 @@ class RelativePoseResidual:
         one ``8n`` vector: it forms each edge's 4x8 standard (and 4x16 dual)
         Jacobian block, multiplies it by the edge's four weights and sums the
         products into their columns with ``np.bincount``.  Value-only callers
-        never call it, so they build no block.  ``jacobian(sparse)`` returns
-        the same 4x8 standard blocks over the standard slots, column ``4i +
-        c`` for coefficient ``c`` of vertex ``i``, laid out by
+        never call it, so they build no block; nor does a call whose weights
+        are all ±0, as at an exact solution: its result at a finite ``z`` is
+        all ``-0.0`` (a NaN weight takes the full path).  ``jacobian(sparse)``
+        returns the same 4x8 standard blocks over the standard slots, column
+        ``4i + c`` for coefficient ``c`` of vertex ``i``, laid out by
         :func:`_assemble`: a dense ``(4k, 4n)`` array for one point and
         ``(R, 4k, 4n)`` for a stack, or with ``sparse`` a CSR ``(4k, 4n)``
         matrix for one point or a stack of one.
@@ -300,6 +302,8 @@ class RelativePoseResidual:
             # The residual is q minus the product, so every block enters negated;
             # negating the sums instead is exact.
             def pullback(w_std: np.ndarray, w_dual: np.ndarray | None = None) -> np.ndarray:
+                if not (w_std.any() or w_dual is not None and w_dual.any()):
+                    return np.full(n8, -0.0)  # the sums below, each +0, negated
                 block = np.concatenate((r_j[:, 0], l_i[:, 0]), axis=2)
                 grad = -np.bincount(cols_std, (w_std.reshape(-1, 1, 4) @ block).ravel(), n8)
                 if w_dual is not None:
@@ -680,6 +684,10 @@ def generate_cycle_graph(
     return PoseGraph(n, ij + 1, measured, (ids, identity), (ids, truth))
 
 
+# the keys of a vertex_errors entry, which dqopt solve-pgo writes from its own lists too
+_ERROR_KEYS = ("vertex", "rotation_error", "translation_error")
+
+
 def vertex_errors(graph: PoseGraph, poses: Sequence[UnitDualQuaternion]) -> list[dict]:
     """Per-vertex rotation/translation error against the stored truth.
 
@@ -692,7 +700,4 @@ def vertex_errors(graph: PoseGraph, poses: Sequence[UnitDualQuaternion]) -> list
         missing = np.setdiff1d(np.arange(1, graph.n + 1), graph.truth_ids).tolist()
         raise NoGroundTruth(f"no ground truth for vertices {missing}")
     rot, trans = pose_errors(graph.truth_poses, pose_rows(poses))
-    return [
-        {"vertex": v, "rotation_error": r, "translation_error": t}
-        for v, r, t in zip(range(1, graph.n + 1), rot, trans)
-    ]
+    return [dict(zip(_ERROR_KEYS, row)) for row in zip(range(1, graph.n + 1), rot, trans)]

@@ -7,8 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqopt import DualQuaternion, DualQuaternionVector, selftest
-from dqopt.cli import _json_text, _uniform_block, main
+from dataclasses import replace
+
+from dqopt import (DualQuaternion, DualQuaternionVector, PoseGraph, SolverConfig, build_pgo, cli,
+                   generate_cycle_graph, parse_graph, posegraph, selftest, solve_eqdqo,
+                   vertex_errors)
+from dqopt.cli import _json_text, _pgo_report, _rows_block, _uniform_block, main
 from dqopt.selftest import run_all
 
 
@@ -469,8 +473,26 @@ def test_the_json_writer_formats_as_json_dumps_with_an_indent():
     ] + [[0.5, odd] for odd in (True, 1, np.float64(0.5))]
     for value in fast + slow:
         assert _json_text(value) == json.dumps(value, indent=2) + "\n"
-    assert [_uniform_block(value, "\n") is not None for value in fast + slow] == (
-        [True] * len(fast) + [False] * len(slow))
+    # a list of finite floats is one %-format, and any other float list goes
+    # item by item; a row block writes dicts laid out like the first one
+    # from their leaves, at any depth
+    for value in fast[4:]:
+        assert _uniform_block("%r", value, len(value), "\n") == json.dumps(value, indent=2)
+    for value in fast[:4]:
+        for pad in ("\n", "\n  ", "\n    "):
+            assert _rows_block(value[0], _leaves(value), len(value), pad) == (
+                json.dumps(value, indent=2).replace("\n", pad))
+    # a NaN or an infinity anywhere in either block takes the fallback
+    for value in fast:
+        args = _leaves(value) if type(value[0]) is dict else value
+        for k in sorted({0, 1, len(args) // 2, len(args) - 1}):
+            for odd in (float("nan"), float("inf"), -float("inf")):
+                edited = args[:k] + [odd] + args[k + 1:]
+                if type(value[0]) is dict:
+                    assert _rows_block(value[0], edited, len(value), "\n  ") is None
+                else:
+                    assert _uniform_block("%r", edited, len(edited), "\n  ") is None
+                    assert _json_text(edited) == json.dumps(edited, indent=2) + "\n"
     # json.dumps refuses these too: NumPy integers and booleans, and any object
     for value in (np.int64(1), np.bool_(True), object(), [1, {2.0}]):
         with pytest.raises(TypeError, match="not JSON serializable"):
@@ -478,6 +500,87 @@ def test_the_json_writer_formats_as_json_dumps_with_an_indent():
     # keys must be strings, which every report's are
     with pytest.raises(TypeError, match="keys must be str, not int"):
         _json_text({"a": {1: 2}})
+
+
+def _leaves(items: list) -> list:
+    """The leaves of a list of dicts with float, int or float-list values, in order."""
+    return [x for item in items for leaf in item.values()
+            for x in (leaf if type(leaf) is list else [leaf])]
+
+
+def _expected_pgo_text(graph, report) -> str:
+    """``solve-pgo``'s report of ``report`` on ``graph`` as ``json.dumps`` writes it."""
+    data = report.to_json_dict()
+    if len(graph.truth_ids) == graph.n:
+        data["errors"] = vertex_errors(graph, report.solution)
+    return json.dumps(data, indent=2) + "\n"
+
+
+# (vertices, loop closures, noise, restarts): a noiseless 200-vertex graph,
+# as the benchmark solves, and the CLI fingerprint's noisy 60-vertex one
+_PGO_CASES = {"clean-200": ("200", "60", "0", "1"), "noisy-60": ("60", "20", "0.01", "2"),
+              "noisy-60-no-truth": ("60", "20", "0.01", "2")}
+
+
+@pytest.mark.parametrize("case", list(_PGO_CASES))
+def test_solve_pgo_writes_its_report_as_json_dumps_from_the_solvers_rows(
+        case, tmp_path, monkeypatch):
+    vertices, chords, noise, restarts = _PGO_CASES[case]
+    g, rep = tmp_path / "graph.txt", tmp_path / "report.json"
+    assert main(["gen-pgo", "--vertices", vertices, "--loop-closures", chords, "--noise-rot",
+                 noise, "--noise-trans", noise, "--seed", "5", "--out", str(g)]) == 0
+    if case.endswith("no-truth"):
+        g.write_text("".join(line for line in g.read_text().splitlines(True)
+                             if not line.startswith("# TRUTH")))
+    reports, blocks = [], []
+    solve, rows_block = cli.solve_eqdqo, cli._rows_block
+    monkeypatch.setattr(cli, "solve_eqdqo", lambda *a: reports.append(solve(*a)) or reports[-1])
+    monkeypatch.setattr(cli, "_rows_block", lambda *a: blocks.append(rows_block(*a)) or blocks[-1])
+    assert main(["solve-pgo", "--in", str(g), "--restarts", restarts, "--out", str(rep)]) == 0
+    (report,) = reports
+    graph = parse_graph(g.read_text())
+    assert rep.read_text() == _expected_pgo_text(graph, report)
+    # the solution and error rows were each one block, not the owners' lists
+    assert len(blocks) == (1 if case.endswith("no-truth") else 2) and None not in blocks
+
+
+def test_a_nan_or_an_infinity_in_the_solution_writes_the_rows_item_by_item():
+    graph = generate_cycle_graph(6, 2, seed=1)
+    report = solve_eqdqo(build_pgo(graph), SolverConfig(restarts=1, seed=0))
+    no_truth = PoseGraph(graph.n, graph.edge_ids, graph.edge_poses)
+    for k, odd in ((0, float("nan")), (21, float("nan")), (47, float("nan")),
+                   (13, float("inf")), (47, -float("inf"))):
+        rows = report.solution.rows.copy()
+        rows.flat[k] = odd
+        edited = replace(report, solution=DualQuaternionVector.from_rows(rows))
+        # an infinite coordinate has no pose, so only a graph without truth reports it
+        for g in (no_truth,) if odd in (float("inf"), -float("inf")) else (graph, no_truth):
+            data = _pgo_report(g, edited)
+            assert type(data["solution"]) is list
+            assert type(data.get("errors", [])) is list
+            assert _json_text(data) == _expected_pgo_text(g, edited)
+
+
+def test_a_noiseless_solve_pgo_forms_no_per_edge_block(tmp_path, monkeypatch):
+    # at an exact solution every weight of the objective's gradient is 0, so
+    # its pullbacks form none of the edges' 4x8 or 4x16 Jacobian blocks
+    g = tmp_path / "graph.txt"
+    assert main(["gen-pgo", "--vertices", "200", "--loop-closures", "60",
+                 "--seed", "5", "--out", str(g)]) == 0
+    shapes = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def concatenate(self, *args, **kwargs):
+            out = np.concatenate(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+    monkeypatch.setattr(posegraph, "np", Spy())
+    assert main(["solve-pgo", "--in", str(g), "--out", str(tmp_path / "report.json")]) == 0
+    assert shapes and [s for s in shapes if s[1:] in ((4, 8), (4, 16))] == []
 
 
 def test_report_prints_to_stdout_without_out(tmp_path, capsys):

@@ -201,6 +201,37 @@ def test_dense_pose_graph_work_loads_no_scipy(tmp_path):
     assert steps == [[name, False] for name, _ in steps]
 
 
+def test_pose_graph_work_without_scipy_loads_no_numpy_ma(tmp_path):
+    # np.unique loaded numpy.ma before NumPy 2.4; posegraph._by_id calls it on
+    # every parse. SciPy's sparse modules load numpy.ma, so a sparse step may.
+    steps = fresh("""
+        import json, sys
+        from dqopt import SolverConfig, build_pgo, cli, parse_graph, solve_eqdqo
+
+        steps = []
+
+        def step(name):
+            steps.append([name, "numpy.ma" in sys.modules, "scipy" in sys.modules])
+
+        out = sys.argv[1] + "/report.json"
+        for vertices, noise in (("20", "0.01"), ("200", "0")):  # a dense and a noiseless solve
+            path = sys.argv[1] + f"/graph-{vertices}.txt"
+            assert cli.main(["gen-pgo", "--vertices", vertices, "--loop-closures", "6",
+                             "--noise-rot", noise, "--seed", "2", "--out", path]) == 0
+            step("gen-pgo " + vertices)
+            graph = parse_graph(open(path).read())
+            step("parse_graph " + vertices)
+            problem = build_pgo(graph)
+            step("build_pgo " + vertices)
+            solve_eqdqo(problem, SolverConfig(restarts=2, seed=0))
+            step("solve_eqdqo " + vertices)
+            assert cli.main(["solve-pgo", "--in", path, "--out", out]) == 0
+            step("solve-pgo " + vertices)
+        print(json.dumps(steps))
+    """, str(tmp_path))
+    assert len(steps) == 10 and steps == [[name, False, False] for name, *_ in steps]
+
+
 def test_a_sparse_fiber_pose_graph_solve_loads_scipy():
     before, after = fresh("""
         import json, sys

@@ -439,6 +439,60 @@ def test_residual_rows_match_eval_and_first_order():
             assert abs(fd - grad[c]) <= 1e-8
 
 
+class _AlwaysAny(np.ndarray):
+    """Weights whose ``any()`` is true, so that a pullback takes its full computation."""
+
+    def any(self, *args, **kwargs):
+        return True
+
+
+class _ConcatenateSpy:
+    """``numpy`` for :mod:`dqopt.posegraph`, counting its ``concatenate`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def concatenate(self, *args, **kwargs):
+        self.calls += 1
+        return np.concatenate(*args, **kwargs)
+
+
+@pytest.mark.parametrize("edges", [1, 3, 10])
+def test_a_pullback_of_zero_weights_forms_no_block_and_returns_the_full_computations_bytes(
+        edges, monkeypatch):
+    # at an exact solution every row weight is ±0
+    g = generate_cycle_graph(7, loop_closures=3, seed=43)
+    order = g.edge_order()
+    ij, q = (g.edge_ids[order] - 1)[:edges], g.measurements()[order][:edges]
+    evaluate = RelativePoseResidual.stack_arrays(g.n, ij[:, 0], ij[:, 1], q)
+    rng = np.random.default_rng(53)
+    k = 4 * edges
+    mixed = np.where(rng.random((2, k)) < 0.5, 0.0, -0.0)
+    zeros = [(np.zeros(k), None), (np.full(k, -0.0), None), (mixed[0], None),
+             (np.zeros(k), np.full(k, -0.0)), (np.full(k, -0.0), np.zeros(k)), tuple(mixed)]
+    spy = _ConcatenateSpy()
+    for z in [*_unit_points(rng, g.n, 2), rng.standard_normal(8 * g.n)]:
+        _, _, pullback, _ = evaluate(z)
+        for w in zeros:
+            full = pullback(*(a.view(_AlwaysAny) for a in w if a is not None))
+            with monkeypatch.context() as m:
+                m.setattr(posegraph, "np", spy)
+                fast = pullback(*(a for a in w if a is not None))
+            assert spy.calls == 0
+            assert type(fast) is np.ndarray and fast.shape == full.shape == (8 * g.n,)
+            assert fast.tobytes() == full.tobytes() == np.full(8 * g.n, -0.0).tobytes()
+        # a NaN weight takes the full path, and its NaN reaches the gradient
+        nan = np.zeros(k)
+        nan[k // 2] = np.nan
+        for w in ((nan,), (nan, np.zeros(k)), (np.zeros(k), nan), (np.full(k, -0.0), nan)):
+            got = pullback(*w)
+            assert np.isnan(got).any()
+            assert got.tobytes() == pullback(*(a.view(_AlwaysAny) for a in w)).tobytes()
+
+
 def test_relative_pose_residual_rejects_bad_indices():
     m = UnitDualQuaternion.identity()
     for i, j in [(1, 1), (-1, 0), (0, 3), (3, 0)]:
