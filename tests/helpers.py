@@ -8,7 +8,8 @@ shorthands are not oracles: they run the library's row kernels on one row.
 Nor are the affine-residual helpers, which run ``AffineResidual``'s array
 kernels; ``affine_value`` is their reference, in quaternion arithmetic.
 Nor is ``tangent_matrix``, which places ``ConstraintBlock.tangent``'s
-frames in a dense matrix.
+frames in a dense matrix, nor ``ConcatenateSpy``, which stands in for a
+module's ``numpy``.
 """
 
 import numpy as np
@@ -168,6 +169,21 @@ class LeakyFunction(DualFunction):
 # Brute-force minimization over the unit sphere in R^4
 
 SUPER_PSI = 1.533751168755204288118041
+
+
+class ConcatenateSpy:
+    """``numpy`` for a module under test, recording each ``concatenate`` result's shape."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def concatenate(self, *args, **kwargs):
+        out = np.concatenate(*args, **kwargs)
+        self.shapes.append(out.shape)
+        return out
 
 
 def tangent_matrix(block, z):

@@ -2,18 +2,18 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-
-from dataclasses import replace
 
 from dqopt import (DualQuaternion, DualQuaternionVector, PoseGraph, SolverConfig, build_pgo, cli,
                    generate_cycle_graph, parse_graph, posegraph, selftest, solve_eqdqo,
                    vertex_errors)
 from dqopt.cli import _json_text, _pgo_report, _rows_block, _uniform_block, main
 from dqopt.selftest import run_all
+from helpers import ConcatenateSpy
 
 
 def _strip_volatile(report: dict) -> dict:
@@ -567,20 +567,10 @@ def test_a_noiseless_solve_pgo_forms_no_per_edge_block(tmp_path, monkeypatch):
     g = tmp_path / "graph.txt"
     assert main(["gen-pgo", "--vertices", "200", "--loop-closures", "60",
                  "--seed", "5", "--out", str(g)]) == 0
-    shapes = []
-
-    class Spy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def concatenate(self, *args, **kwargs):
-            out = np.concatenate(*args, **kwargs)
-            shapes.append(out.shape)
-            return out
-
-    monkeypatch.setattr(posegraph, "np", Spy())
+    spy = ConcatenateSpy()
+    monkeypatch.setattr(posegraph, "np", spy)
     assert main(["solve-pgo", "--in", str(g), "--out", str(tmp_path / "report.json")]) == 0
-    assert shapes and [s for s in shapes if s[1:] in ((4, 8), (4, 16))] == []
+    assert spy.shapes and [s for s in spy.shapes if s[1:] in ((4, 8), (4, 16))] == []
 
 
 def test_report_prints_to_stdout_without_out(tmp_path, capsys):

@@ -40,7 +40,7 @@ from dqopt.handeye import pose_errors, pose_inverse, pose_rows, pose_udqs, unit_
 from dqopt import posegraph, solver
 from dqopt.cli import main
 from dqopt.posegraph import RelativePoseResidual, spanning_tree_rows
-from helpers import inverse, pose_row, poses_close, product, udqs
+from helpers import ConcatenateSpy, inverse, pose_row, poses_close, product, udqs
 
 _IDENTITY = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
@@ -446,20 +446,6 @@ class _AlwaysAny(np.ndarray):
         return True
 
 
-class _ConcatenateSpy:
-    """``numpy`` for :mod:`dqopt.posegraph`, counting its ``concatenate`` calls."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def concatenate(self, *args, **kwargs):
-        self.calls += 1
-        return np.concatenate(*args, **kwargs)
-
-
 @pytest.mark.parametrize("edges", [1, 3, 10])
 def test_a_pullback_of_zero_weights_forms_no_block_and_returns_the_full_computations_bytes(
         edges, monkeypatch):
@@ -473,7 +459,7 @@ def test_a_pullback_of_zero_weights_forms_no_block_and_returns_the_full_computat
     mixed = np.where(rng.random((2, k)) < 0.5, 0.0, -0.0)
     zeros = [(np.zeros(k), None), (np.full(k, -0.0), None), (mixed[0], None),
              (np.zeros(k), np.full(k, -0.0)), (np.full(k, -0.0), np.zeros(k)), tuple(mixed)]
-    spy = _ConcatenateSpy()
+    spy = ConcatenateSpy()
     for z in [*_unit_points(rng, g.n, 2), rng.standard_normal(8 * g.n)]:
         _, _, pullback, _ = evaluate(z)
         for w in zeros:
@@ -481,7 +467,7 @@ def test_a_pullback_of_zero_weights_forms_no_block_and_returns_the_full_computat
             with monkeypatch.context() as m:
                 m.setattr(posegraph, "np", spy)
                 fast = pullback(*(a for a in w if a is not None))
-            assert spy.calls == 0
+            assert spy.shapes == []
             assert type(fast) is np.ndarray and fast.shape == full.shape == (8 * g.n,)
             assert fast.tobytes() == full.tobytes() == np.full(8 * g.n, -0.0).tobytes()
         # a NaN weight takes the full path, and its NaN reaches the gradient
