@@ -457,10 +457,10 @@ class ResidualNormObjective(DualFunction):
     its residuals all have arity ``arity``.  Group ``g`` holds the next
     ``sizes[g]`` residuals in row order.  Gradients are ``pullback(w_std,
     w_dual)``, the transposed residual Jacobians times per-row weights;
-    value-only calls (``value_at``, ``branch_flags``) never call it, and
-    only the solver calls ``jacobian(sparse)``, which :meth:`stage_system`
-    hands it uncalled.  ``value_at`` and ``stage_system`` also evaluate a
-    stack ``(R, 8n)`` of points in one pass.
+    value-only calls never call it, and only the solver calls
+    ``jacobian(sparse)``, which :meth:`stage_system` hands it uncalled.
+    ``value_at`` and ``stage_system`` also evaluate a stack ``(R, 8n)`` of
+    points in one pass; a hook given ``rows``, :meth:`rows_at` at ``z``, evaluates none.
     """
 
     def __init__(self, arity: int, evaluate, sizes):
@@ -486,13 +486,17 @@ class ResidualNormObjective(DualFunction):
     def value(self, values):
         return self.value_at(pack(values))
 
-    def value_at(self, z):
+    def rows_at(self, z):
+        """The evaluator's output at ``z``: the hooks below take it as ``rows`` at that ``z``."""
+        return self._stack(np.asarray(z, dtype=np.float64))
+
+    def value_at(self, z, rows=None):
         """The value at ``z``; for a stack ``(R, 8n)``, the arrays ``(std, dual)`` of its rows.
 
         Each row's value equals that point's alone bit for bit.
         """
         z = np.asarray(z, dtype=np.float64)
-        r_std, r_dual, _, _ = self._stack(z)
+        r_std, r_dual, _, _ = rows or self._stack(z)
         s_std, cross, s_dual = self._group_sums(r_std, r_dual)
         norms = np.sqrt(s_std)
         # a NaN norm counts as appreciable, so a NaN point reads a NaN value, not 0
@@ -513,8 +517,8 @@ class ResidualNormObjective(DualFunction):
             return DualNumber(total_std, total_dual)
         return total_std, total_dual
 
-    def gradient_at(self, z):
-        r_std, r_dual, pullback, _ = self._stack(z)
+    def gradient_at(self, z, rows=None):
+        r_std, r_dual, pullback, _ = rows or self._stack(z)
         s_std, cross, s_dual = self._group_sums(r_std, r_dual)
         norms = np.sqrt(s_std)
         dual_norms = np.sqrt(s_dual)
@@ -577,7 +581,7 @@ class ResidualNormObjective(DualFunction):
         # a NaN norm counts as appreciable, as in ``value_at``
         return tuple(bool(b) for b in ~(np.sqrt(s_std) <= TOL_APPRECIABLE))
 
-    def stage_system(self, z):
+    def stage_system(self, z, rows=None):
         """The rows of both stages ``(J, r_std, r_dual, weights, groups)`` at ``z``.
 
         ``r_std`` and ``r_dual`` are the residual rows' standard and dual
@@ -597,7 +601,7 @@ class ResidualNormObjective(DualFunction):
         (Gauss-Newton).  For a stack ``(R, 8n)`` of points, the rows and
         the weights are ``(R, k)``.
         """
-        r, r_dual, _, jacobian = self._stack(z)
+        r, r_dual, _, jacobian = rows or self._stack(z)
         norms = np.sqrt(np.add.reduceat(r * r, self._starts, axis=-1))
         # a NaN norm keeps a NaN weight, as in ``value_at``
         kink = norms <= TOL_APPRECIABLE
@@ -707,30 +711,31 @@ class ConstraintBlock:
     (unit rows only) or *free*; another anchor pattern raises ``TypeError``.
     :meth:`tangent`, :meth:`pinv` and :meth:`rank` are closed forms by class.
 
-    ``__init__`` builds every index plan once: row positions (slices where
-    consecutive), slots and weights per family and class, and the signed
-    gather of :meth:`tangent`.  Each method keeps its plain formula's
-    arithmetic order and array layouts, so results match it bit for bit.
+    ``__init__`` reads the rows in one pass (types, then indices) and builds
+    every index plan once: row positions, slices where consecutive, slots
+    and weights per family and class, and the signed gather of :meth:`tangent`.
+    Each method keeps its plain formula's arithmetic order and array
+    layouts, so results match it bit for bit.
     """
 
     def __init__(self, arity: int, constraints: Sequence[DualFunction]):
-        for j, con in enumerate(constraints):
-            # Exact types: a subclass may override the formulas the block hard-codes.
-            if type(con) not in (UnitNormConstraint, _ComponentAnchor):
-                raise TypeError(f"constraint {j} ({type(con).__name__}) is neither a unit-norm "
-                                "nor an anchor row")
-        units = [(j, c) for j, c in enumerate(constraints) if type(c) is UnitNormConstraint]
-        anchors = [(j, c) for j, c in enumerate(constraints) if type(c) is _ComponentAnchor]
+        # Exact types: a subclass may override the formulas the block hard-codes.
+        kind_of = {UnitNormConstraint: 0, _ComponentAnchor: 1}.get
+        kind = np.array([kind_of(type(c), 2) for c in constraints], dtype=np.intp)
+        if (bad := np.flatnonzero(kind == 2)).size:
+            raise TypeError(f"constraint {bad[0]} ({type(constraints[bad[0]]).__name__}) is neither "
+                            "a unit-norm nor an anchor row")
         self.arity, self.size = int(arity), len(constraints)
-        u_row, self._u_var = np.array(
-            [(j, c.index) for j, c in units], dtype=np.intp).reshape(-1, 2).T
+        u_row, self._a_row = np.flatnonzero(kind == 0), np.flatnonzero(kind == 1)
+        index = np.array([c.index for c in constraints], dtype=np.intp)
+        self._u_var, a_var = index[u_row], index[self._a_row]
+        anchors = [constraints[j] for j in self._a_row.tolist()]
+        a_comp = np.array([c.component for c in anchors], dtype=np.intp)
         u_var = self._u_var.reshape(-1, 1)
         self._u_slots, self._u_std = 8 * u_var + np.arange(8), 8 * u_var + np.arange(4)
         self._u_cols = 4 * u_var + np.arange(4)
-        self._a_row, a_var, a_comp = np.array(
-            [(j, c.index, c.component) for j, c in anchors], dtype=np.intp).reshape(-1, 3).T
         self._a_coords = np.stack((8 * a_var + a_comp, 8 * a_var + 4 + a_comp))
-        self._a_targets = np.array([(c._t_std, c._t_dual) for _, c in anchors]).reshape(-1, 2).T
+        self._a_targets = np.array([(c._t_std, c._t_dual) for c in anchors]).reshape(-1, 2).T
         self._a_cols = 4 * a_var + a_comp
         self._u_at, self._a_at, self._u_var_at = (
             slice(r[0], r[-1] + 1) if r.size and (np.diff(r) == 1).all() else r

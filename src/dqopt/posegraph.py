@@ -91,9 +91,11 @@ def _pose_rows_of(kind: str, ids: np.ndarray, rows) -> np.ndarray:
 
 
 def _by_id(kind: str, ids, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Vertex records sorted by id; of several records for one id, the last counts."""
-    ids = np.asarray(ids, dtype=np.intp).reshape(-1)
+    """Vertex records sorted by id, as new arrays; of several records for one id, the last counts."""
+    ids = np.array(ids, dtype=np.intp).reshape(-1)
     rows = _pose_rows_of(kind, ids, rows)
+    if (ids[1:] > ids[:-1]).all():  # already sorted, each id once
+        return ids, rows
     last = ids.size - 1 - np.unique(ids[::-1], return_index=True)[1]
     return ids[last], rows[last]
 
@@ -259,8 +261,9 @@ class RelativePoseResidual:
         below ``arity``) with measurement ``measurements[e]``, a ``(k, 2, 4)``
         array of unit dual quaternions (standard, dual).
         Each call gathers all ``x_i``/``x_j`` with index arrays fixed here and
-        forms their multiplication matrices as ``(k, 2, 4, 4)`` stacks (both
-        parts of each edge); no loop over edges.  ``z`` is one point
+        forms ``L(conj(x_i))`` as a ``(k, 2, 4, 4)`` stack (both parts of each
+        edge), and ``R(x_j) C`` once at the first ``pullback`` or ``jacobian``
+        call, never for values alone; no loop over edges.  ``z`` is one point
         ``(8n,)`` or a stack ``(R, 8n)``, whose rows come out as ``(R, 4k)``,
         each equal bit for bit to that point's alone.  ``pullback(w_std,
         w_dual=None)`` (one point) returns ``J_s^T w_std + J_d^T w_dual`` as
@@ -292,9 +295,9 @@ class RelativePoseResidual:
             lead = z.shape[:-1]
             # np.take keeps the gathered rows in C order, as for one point
             xj = z.take(sj, axis=-1)[..., None]
-            # L(conj(x_i)) and R(x_j) C, each for the standard and the dual part.
+            # L(conj(x_i)) and R(x_j) C for both parts, the latter on first use by a derivative
             l_i = left_mult_matrix(z.take(si, axis=-1).reshape(lead + (-1, 2, 4)) * _CONJ)
-            r_j = right_mult_matrix(xj.reshape(lead + (-1, 2, 4))) * _CONJ
+            r_j = functools.cache(lambda: right_mult_matrix(xj.reshape(lead + (-1, 2, 4))) * _CONJ)
             l_s, l_d = l_i[..., 0, :, :], l_i[..., 1, :, :]
             r_s = q_std - (l_s @ xj[..., :4, :])[..., 0]
             r_d = q_dual - (l_s @ xj[..., 4:, :])[..., 0] - (l_d @ xj[..., :4, :])[..., 0]
@@ -304,15 +307,15 @@ class RelativePoseResidual:
             def pullback(w_std: np.ndarray, w_dual: np.ndarray | None = None) -> np.ndarray:
                 if not (w_std.any() or w_dual is not None and w_dual.any()):
                     return np.full(n8, -0.0)  # the sums below, each +0, negated
-                block = np.concatenate((r_j[:, 0], l_i[:, 0]), axis=2)
+                block = np.concatenate((r_j()[:, 0], l_i[:, 0]), axis=2)
                 grad = -np.bincount(cols_std, (w_std.reshape(-1, 1, 4) @ block).ravel(), n8)
                 if w_dual is not None:
-                    block = np.concatenate((r_j[:, 1], r_j[:, 0], l_i[:, 1], l_i[:, 0]), axis=2)
+                    block = np.concatenate((r_j()[:, 1], r_j()[:, 0], l_i[:, 1], l_i[:, 0]), axis=2)
                     grad -= np.bincount(cols_dual, (w_dual.reshape(-1, 1, 4) @ block).ravel(), n8)
                 return grad
 
             def jacobian(sparse):
-                block = -np.concatenate((r_j[..., 0, :, :], l_s), axis=-1)
+                block = -np.concatenate((r_j()[..., 0, :, :], l_s), axis=-1)
                 # one call per solve, at stage II's point: the columns are not kept
                 return _assemble(block, _jacobian_cols(i, j), n, sparse)
 
@@ -652,17 +655,19 @@ def generate_cycle_graph(
     raw = unit_rows(raw, "vertex {}")
     truth = pose_compose(np.repeat(pose_inverse(raw[:1]), n, axis=0), raw)
 
-    # 0-based: the ring's edges, then the chords to choose from, every pair
-    # two or more apart but the ring's (0, n - 1), in row order
+    # 0-based: the ring's edges, then chords drawn by their number among every
+    # pair two or more apart but the ring's (0, n - 1), in row order
     ring = np.arange(n)
     ij = np.stack((ring, np.roll(ring, -1)), axis=1)
-    rows, cols = np.triu_indices(n, 2)
-    chords = np.stack((rows, cols), axis=1)[(rows > 0) | (cols < n - 1)]
-    if not 0 <= loop_closures <= len(chords):
-        raise ValueError(f"loop_closures must be between 0 and {len(chords)}")
+    count = (n - 1) * (n - 2) // 2 - 1
+    if not 0 <= loop_closures <= count:
+        raise ValueError(f"loop_closures must be between 0 and {count}")
     if loop_closures:
-        picks = rng.choice(len(chords), size=loop_closures, replace=False)
-        ij = np.concatenate((ij, chords[np.sort(picks)]))
+        picks = np.sort(rng.choice(count, size=loop_closures, replace=False))
+        picks += picks >= n - 3  # numbered with (0, n - 1): row i holds (i, i + 2) to (i, n - 1)
+        ends = np.cumsum(np.arange(n - 2, 0, -1))
+        i = np.searchsorted(ends, picks, side="right")
+        ij = np.concatenate((ij, np.stack((i, picks - ends[i] + n), axis=1)))
     rel = pose_compose(pose_inverse(truth[ij[:, 0]]), truth[ij[:, 1]])
     if noise_rot > 0.0 or noise_trans > 0.0:
         # each edge draws its rotation, then its translation noise

@@ -193,16 +193,14 @@ class EqdqoProblem:
             object.__setattr__(self, "start", start)
         if self.stage1 is None:
             object.__setattr__(self, "stage1", self.objective)
-        named = [("objective", self.objective), ("stage1", self.stage1)]
-        named += [(f"constraint {j}", h) for j, h in enumerate(self.constraints)]
-        for name, fn in named:
+        for j, fn in enumerate((self.objective, self.stage1) + self.constraints):
+            if fn.arity == self.arity and fn.declared_standard:
+                continue
+            name = ("objective", "stage1")[j] if j < 2 else f"constraint {j - 2}"
             if fn.arity != self.arity:
                 raise ArityMismatch(f"{name} arity {fn.arity} != objective arity {self.arity}")
-            if not fn.declared_standard:
-                raise NonStandardProblem(
-                    f"{name} ({type(fn).__name__}) does not declare standard "
-                    "structure; stage I would depend on the dual coordinates"
-                )
+            raise NonStandardProblem(f"{name} ({type(fn).__name__}) does not declare standard "
+                                     "structure; stage I would depend on the dual coordinates")
         if not hasattr(self.stage1, "stage_system"):
             name = "objective" if self.stage1 is self.objective else "stage1"
             raise TypeError(
@@ -296,6 +294,7 @@ class _StageOutcome:
     value: float | DualNumber | None = None  # at z: standard (stage I) or dual value (II)
     feasibility: tuple[float, float] | None = None  # stage II: _feasibility at z
     kinked: bool = False  # stage I: a group of stage1 at its kink at z has multipliers
+    rows: tuple = ()  # stage II: the objective's rows at z, from _valued, for the report
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +313,12 @@ def _feasibility(problem: EqdqoProblem, z: np.ndarray) -> tuple[float, float]:
     """Largest constraint violations ``(max |h|, max |h_d|)`` at ``z``."""
     h, h_d = problem.block.values(z)
     return float(np.max(np.abs(h), initial=0.0)), float(np.max(np.abs(h_d), initial=0.0))
+
+
+def _valued(fn, z: np.ndarray) -> tuple:
+    """``(value, rows)`` of ``fn`` at ``z``, ``rows`` ``(fn.rows_at(z),)`` or ``()``, for ``*rows``."""
+    rows = (fn.rows_at(z),) if hasattr(fn, "rows_at") else ()
+    return fn.value_at(z, *rows), rows
 
 
 def _random_start(arity: int, rng: np.random.Generator) -> np.ndarray:
@@ -430,7 +435,8 @@ def kkt_analysis(problem: EqdqoProblem, point, stage: int = 1) -> KktInfo:
     if stage not in (1, 2):
         raise ValueError("stage must be 1 or 2")
     z = _point_to_z(point, problem.arity)
-    return _kkt(problem, z, stage, problem.objective.gradient_at(z)[stage - 1])
+    resid, mult = _kkt(problem, z, stage, problem.objective.gradient_at(z)[stage - 1])
+    return KktInfo(resid, tuple(mult.tolist()), problem.block.rank(z) < problem.block.size)
 
 
 def _kink_subgradient(problem: EqdqoProblem, z: np.ndarray):
@@ -446,8 +452,8 @@ def _kink_subgradient(problem: EqdqoProblem, z: np.ndarray):
     return _tmv(jac, _kinks(b, r, w, groups, _tmv(b, w * r)).u)[0]
 
 
-def _kkt(problem: EqdqoProblem, z, stage: int, grad, kinks: bool = True) -> KktInfo:
-    """:func:`kkt_analysis` at ``z`` given the objective's gradient of the stage's part.
+def _kkt(problem: EqdqoProblem, z, stage: int, grad, kinks: bool = True):
+    """:func:`kkt_analysis`'s residual and multipliers at ``z``, given the stage part's gradient.
 
     With ``kinks`` false the caller knows that no group at its kink has a
     nonzero multiplier, and stage I reads no residual rows.
@@ -457,8 +463,7 @@ def _kkt(problem: EqdqoProblem, z, stage: int, grad, kinks: bool = True) -> KktI
     if stage == 1 and kinks:
         target = target + _kink_subgradient(problem, z)
     mult = -block.apply(z, block.pinv(z, target))
-    resid = target + block.pullback(z, mult)
-    return KktInfo(float(np.linalg.norm(resid)), tuple(mult.tolist()), block.rank(z) < block.size)
+    return float(np.linalg.norm(target + block.pullback(z, mult))), mult
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +805,7 @@ def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(apart, flipped) <= _MERGE_RADIUS
 
 
-def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> list:
+def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued=None) -> list:
     """Stage I from every row of ``starts``, in lockstep: minimize the standard part.
 
     Each point starts put on the standard rows and steps in their tangent
@@ -839,23 +844,23 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
     its iterates are those it takes alone.  Points on a sparse fiber step
     one at a time, as a stack of one with a CSR Jacobian.  A running point
     within ``_MERGE_RADIUS`` of a point that stops ``"converged"`` with a
-    positive value in that step stops
-    ``"merged"`` before it steps, at its last row's point; near one that
-    converged earlier, at the top of the next step, one step past its last
-    row.  Its trace is the start of the one it takes alone, and it is no
-    stage-II candidate.  Points that converged to
-    value 0 (noiseless data, where restarts at one minimum differ in what
-    stage II makes of them) and points that stalled (short of a minimum,
-    so possibly apart from the others) are never merged into.  Returns one
-    :class:`_StageOutcome` per start.  The objective is the problem's
-    ``stage1``.  Stage I never reads the dual coordinates: they stay those
-    of the start.
+    positive value in that step stops ``"merged"`` before it steps, at its
+    last row's point; near one that converged earlier, at the top of the
+    next step, one step past its last row.  Its trace is the start of the
+    one it takes alone, and it is no stage-II candidate.  Points that
+    converged to value 0 (noiseless data, where restarts at one minimum
+    differ in what stage II makes of them) and points that stalled (short of
+    a minimum, so possibly apart from the others) are never merged into.
+    Returns one :class:`_StageOutcome` per start.  The objective is the
+    problem's ``stage1``, and ``valued``, if given, its :func:`_valued` at
+    the projected ``starts``.  Stage I never reads the dual coordinates:
+    they stay those of the start.
     """
     obj, block = problem.stage1, problem.block
     std = _part_indices(problem.arity, 0)
     count = len(starts)
     z = block.project(starts)
-    v_std, v_dual = obj.value_at(z)
+    (v_std, v_dual), rows = valued or _valued(obj, z)
     damp = np.full(count, _DAMP_FLOOR)
     grad_norm = np.full(count, math.inf)  # of the last step taken
     flat = np.zeros(count, dtype=bool)
@@ -867,8 +872,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
 
     def advance(it, idx):
         z_a = z[idx]
-        frames = block.tangent(z_a)
-        jac, r, _, w, groups = obj.stage_system(z_a)
+        jac, r, _, w, groups = obj.stage_system(z_a, *(rows if it == 0 and len(idx) == count else ()))
         kinked[idx] = False
         # Rows that all weigh 0 (a NaN weight is none) hold every group at its
         # kink: with every norm 0 to rounding, g and the multipliers are 0, and
@@ -877,7 +881,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
                 np.add.reduceat(r * r, groups[0], axis=-1)).max() <= _KINK_ROUNDING):
             g_norm, small = np.zeros(len(idx)), np.ones(len(idx), dtype=bool)
         else:
-            jac = jac(alone)
+            jac, frames = jac(alone), block.tangent(z_a)
             b = _fiber_product(jac, frames, var)
             wr = w * r
             grad = _tmv(b, wr)
@@ -891,9 +895,9 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray) -> lis
                 g_norm[kinks.pos] = kinks.sigma
                 small[kinks.pos] = (kinks.sigma <= cfg.tol_grad) & kinks.settled
         feas = np.maximum.reduce(abs(block.values(z_a)[0]), axis=-1, initial=0.0)
-        rows = np.empty((len(idx), 4))
-        rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3] = v_std[idx], v_dual[idx], feas, g_norm
-        for k, row in zip(idx.tolist(), rows.tolist()):
+        table = np.empty((len(idx), 4))
+        table[:, 0], table[:, 1], table[:, 2], table[:, 3] = v_std[idx], v_dual[idx], feas, g_norm
+        for k, row in zip(idx.tolist(), table.tolist()):
             traces[k].append(TraceRow(it, 1, *row))
         # Once the value is flat to rounding, only a falling gradient shows progress.
         stalled = flat[idx] & (g_norm >= grad_norm[idx])
@@ -1007,7 +1011,8 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
     whose ``kkt_residual`` is 0, the distance to the subdifferential with
     every group at its kink.  No fiber is formed.  ``last``, stage I's last
     trace row (at ``z1``), spares that objective evaluation when it reads a
-    positive value or a dual value above ``_KINK_ROUNDING``.
+    positive value or a dual value above ``_KINK_ROUNDING``.  The outcome
+    passes on its point's evaluation (:func:`_valued`) to :func:`_report`.
 
     With the standard coordinates held at the stage-I point, the dual
     constraint rows ``G x_d = -h_d(0)`` are affine, and so is every
@@ -1047,12 +1052,12 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
     ``B`` bit for bit.
     """
     if last.objective_std == 0 and last.objective_dual <= _KINK_ROUNDING:
-        v = problem.objective.value_at(z1)
+        v, rows = _valued(problem.objective, z1)
         if v.std == 0 and v.dual <= _KINK_ROUNDING:
             feas = _feasibility(problem, z1)
             if all(f <= cfg.tol_feas for f in feas):
                 return _StageOutcome(z1, [TraceRow(0, 2, v.std, v.dual, max(feas), 0.0)],
-                                     value=v, feasibility=feas)
+                                     value=v, feasibility=feas, rows=rows)
     dual, block = _part_indices(problem.arity, 1), problem.block
     z = _fiber_point(problem, z1)
     x_p = z[dual]
@@ -1077,7 +1082,7 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
         z[dual] = x_p + _tangent_step(block, frames, step)
         r = r_p + b @ y_new
         stationarity = float(np.linalg.norm(b_t @ (w * r)))
-        v = problem.objective.value_at(z)
+        v, rows = _valued(problem.objective, z)
         feas = _feasibility(problem, z)
         trace.append(TraceRow(it, 2, v.std, v.dual, max(feas), stationarity))
         if not np.all(np.isfinite(y_new)):
@@ -1088,7 +1093,7 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
                 or np.max(np.abs(y_new - y), initial=0.0) <= cfg.tol_feas):
             break
         y, w = y_new, w_new
-    return _StageOutcome(z, trace, value=v, feasibility=feas)
+    return _StageOutcome(z, trace, value=v, feasibility=feas, rows=rows)
 
 
 def _stage2_weights(w1: np.ndarray, r: np.ndarray, groups) -> np.ndarray:
@@ -1175,10 +1180,11 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
         raise ValueError(f"{name} variable {lost[0]} has a zero standard part on a unit row")
     # The standard value is never negative, so a start at value 0 is a global
     # stage-I minimum: the random restarts could only tie with it.
-    if cfg.restarts > 1 and problem.stage1.value_at(projected)[0][0] != 0:
-        starts = np.stack([first] + [_restart_start(problem, cfg, initial, r)
-                                     for r in range(1, cfg.restarts)])
-    outcomes = _stage1(problem, cfg, starts)
+    valued = _valued(problem.stage1, projected)  # ((std, dual), rows)
+    if cfg.restarts > 1 and valued[0][0][0] != 0:
+        starts, valued = np.stack([first] + [_restart_start(problem, cfg, initial, r)
+                                             for r in range(1, cfg.restarts)]), None
+    outcomes = _stage1(problem, cfg, starts, valued)
     h = [o.trace[-1].feasibility for o in outcomes]
     scored = [(o.value, r, o) for r, o in enumerate(outcomes)
               if h[r] <= cfg.tol_feas and o.stop != "merged"]
@@ -1202,28 +1208,26 @@ def _report(
 
     ``stage1`` supplies the stage-I trace, one row per iteration; ``t0`` is
     when the solve started.  Stage II moved only the dual coordinates, so
-    both analyses share one objective gradient.
+    both analyses share one objective gradient, from the rows stage II
+    evaluated there, and one rank of the block, which tells ``degenerate``.
     """
     wall_ms = (time.perf_counter() - t0) * 1e3
     z2 = stage2.z
-    grad_std, grad_dual = problem.objective.gradient_at(z2)
-    kkt1 = _kkt(problem, z2, 1, grad_std, stage1.kinked)
-    kkt2 = _kkt(problem, z2, 2, grad_dual)
-    v = stage2.value
-    feas_h, feas_hd = stage2.feasibility
+    grad_std, grad_dual = problem.objective.gradient_at(z2, *stage2.rows)
+    kkt1, kkt2 = _kkt(problem, z2, 1, grad_std, stage1.kinked), _kkt(problem, z2, 2, grad_dual)
     return SolveReport(
-        stage1_value=v.std,
-        stage2_value=v.dual,
+        stage1_value=stage2.value.std,
+        stage2_value=stage2.value.dual,
         solution=DualQuaternionVector.from_rows(z2),
-        multipliers={"lambda": list(kkt1.multipliers), "mu": list(kkt2.multipliers)},
-        kkt_residual={"stage1": kkt1.residual, "stage2": kkt2.residual},
-        feasibility={"h": feas_h, "h_d": feas_hd},
+        multipliers={"lambda": kkt1[1].tolist(), "mu": kkt2[1].tolist()},
+        kkt_residual={"stage1": kkt1[0], "stage2": kkt2[0]},
+        feasibility=dict(zip(("h", "h_d"), stage2.feasibility)),
         iterations={"stage1": len(stage1.trace), "stage2": len(stage2.trace)},
         restart_index=restart_index,
         wall_time_ms=wall_ms,
         config=cfg,
         trace=tuple(stage1.trace) + tuple(stage2.trace),
-        degenerate=kkt2.degenerate,
+        degenerate=problem.block.rank(z2) < problem.block.size,
     )
 
 

@@ -37,7 +37,7 @@ from dqopt.errors import (
     TooFewMotions,
 )
 from dqopt.handeye import pose_errors, pose_inverse, pose_rows, pose_udqs, unit_rows
-from dqopt import posegraph, solver
+from dqopt import handeye, posegraph, solver
 from dqopt.cli import main
 from dqopt.posegraph import RelativePoseResidual, spanning_tree_rows
 from helpers import ConcatenateSpy, inverse, pose_row, poses_close, product, udqs
@@ -325,6 +325,50 @@ def test_graph_validation():
         generate_cycle_graph(2)
     with pytest.raises(ValueError):
         generate_cycle_graph(4, loop_closures=99)
+
+
+def _chords_from_every_pair(n, loop_closures, seed):
+    """The generator's chords as it drew them from a list of every candidate pair, 1-based.
+
+    The reference construction: the vertex attitudes draw first, then the
+    chords' numbers among the pairs two or more apart but (1, n).
+    """
+    rng = handeye._seeded_rng(seed)
+    for _ in range(n):
+        handeye.rotation_about(rng, rng.uniform(0.05, 0.2))
+    rows, cols = np.triu_indices(n, 2)
+    chords = np.stack((rows, cols), axis=1)[(rows > 0) | (cols < n - 1)]
+    if not loop_closures:
+        return np.empty((0, 2), dtype=np.intp), len(chords)
+    picks = rng.choice(len(chords), size=loop_closures, replace=False)
+    return chords[np.sort(picks)] + 1, len(chords)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 12, 31, 60])
+def test_generator_draws_the_chords_of_a_list_of_every_pair(n):
+    # the chords are numbered arithmetically, not listed, with the same draw
+    top = (n - 1) * (n - 2) // 2 - 1
+    for seed in (0, 7):
+        for count in sorted({0, min(1, top), top // 2, top}):
+            chords, listed = _chords_from_every_pair(n, count, seed)
+            assert listed == top
+            for noise in (0.0, 0.01):
+                g = generate_cycle_graph(n, count, noise, noise, seed=seed)
+                assert g.m == n + count
+                assert np.array_equal(g.edge_ids[n:], chords), (n, seed, count)
+    with pytest.raises(ValueError, match=f"loop_closures must be between 0 and {top}$"):
+        generate_cycle_graph(n, top + 1)
+
+
+def test_generator_memory_grows_with_the_vertices_not_the_pairs():
+    # a list of every candidate chord took 257 MB at 3000 vertices
+    tracemalloc.start()
+    try:
+        generate_cycle_graph(3000, 100, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000, f"peaked at {peak / 1e6:.1f} MB"
 
 
 BAD_GRAPH_KWARGS = [

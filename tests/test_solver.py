@@ -563,9 +563,9 @@ def test_a_solve_evaluates_the_objective_gradient_once(monkeypatch):
     calls = []
     original = ResidualNormObjective.gradient_at
 
-    def counted(self, z):
+    def counted(self, z, *rows):
         calls.append(z)
-        return original(self, z)
+        return original(self, z, *rows)
 
     monkeypatch.setattr(ResidualNormObjective, "gradient_at", counted)
     problem, guess = _noisy_graph_problem()
@@ -669,7 +669,8 @@ def test_the_report_takes_stage2s_last_evaluation_of_its_point(monkeypatch):
         return outcome
 
     monkeypatch.setattr(solver, "_stage2", tracked)
-    monkeypatch.setattr(problem.objective, "value_at", lambda z: after.append("value") or value_at(z))
+    monkeypatch.setattr(problem.objective, "value_at",
+                        lambda z, *rows: after.append("value") or value_at(z, *rows))
     monkeypatch.setattr(solver, "_feasibility", lambda p, z: after.append("rows") or feasibility(p, z))
     cfg = _fast_cfg(restarts=1)
     report = solve_eqdqo(problem, cfg, initial=guess)
