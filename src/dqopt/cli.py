@@ -1,8 +1,8 @@
 """Command-line surface: generate datasets, solve them, run the self-test.
 
-The solve commands write the report as indented JSON to ``--out`` or
-stdout, with the ground-truth errors when the input has them, and the
-per-iteration trace as CSV to ``--csv``.  Exit codes: 0 on success, 1
+The solve commands write the report, ``json.dumps(data, indent=2)``, to
+``--out`` or stdout, with the ground-truth errors when the input has them,
+and the per-iteration trace as CSV to ``--csv``.  Exit codes: 0 on success, 1
 when the solver fails (no restart ends at a feasible point), 2 on usage or
 input errors.  All output files are byte-identical across runs with the
 same inputs and seeds; the only nondeterministic report field is
@@ -15,11 +15,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
+import secrets
 import sys
-from dataclasses import replace
-from json.encoder import encode_basestring_ascii
+from dataclasses import dataclass, replace
 
 from . import handeye, posegraph, selftest
 from .algebra import DualQuaternionVector
@@ -166,57 +165,11 @@ def _write_text(path: str, text: str) -> None:
         raise _BadInput(f"cannot write {path}: {e.strerror or e}")
 
 
-class _Text(str):
-    """JSON text that :func:`_json_parts` copies as it is."""
+@dataclass
+class _Text:
+    """JSON text that :func:`_json_text` writes where this value stands, as it is."""
 
-
-def _json_parts(value, out: list, pad: str) -> None:
-    """Append the JSON text of ``value`` to ``out``; ``pad`` is a newline and its indent.
-
-    Finite floats, most of a report's values, are written by their
-    container's loop, without a call of their own.
-    """
-    if type(value) is _Text:
-        out.append(value)
-    elif isinstance(value, float):
-        out.append(float.__repr__(value) if -math.inf < value < math.inf
-                   else "NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
-    elif isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None or isinstance(value, bool):
-        out.append({None: "null", True: "true", False: "false"}[value])
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, dict):
-        inner, sep = pad + "  ", "{"
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            head = f"{sep}{inner}{encode_basestring_ascii(key)}: "
-            if type(item) is float and -math.inf < item < math.inf:
-                out.append(head + float.__repr__(item))
-            else:
-                out.append(head)
-                _json_parts(item, out, inner)
-            sep = ","
-        out.append(pad + "}" if value else "{}")
-    elif isinstance(value, (list, tuple)):
-        floats = value and set(map(type, value)) == {float}
-        block = _uniform_block("%r", value, len(value), pad) if floats else None
-        if block is not None:
-            out.append(block)
-            return
-        inner, sep = pad + "  ", "["
-        for item in value:
-            if type(item) is float and -math.inf < item < math.inf:
-                out.append(sep + inner + float.__repr__(item))
-            else:
-                out.append(sep + inner)
-                _json_parts(item, out, inner)
-            sep = ","
-        out.append(pad + "]" if value else "[]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    text: str
 
 
 def _uniform_block(item: str, args, count: int, pad: str) -> _Text | None:
@@ -231,35 +184,46 @@ def _uniform_block(item: str, args, count: int, pad: str) -> _Text | None:
     return _Text(text) if text.count("n") == template.count("n") else None
 
 
+@functools.cache
+def _item_template(layout: tuple, pad: str) -> str:
+    """The JSON text at ``pad`` of a dict with ``%r`` leaves: ``(key, list length or None)`` pairs."""
+    mark = _Text("%r")
+    item = {key.replace("%", "%%"): mark if n is None else [mark] * n for key, n in layout}
+    return _json_text(item)[:-1].replace("\n", pad)
+
+
 def _rows_block(first: dict, args: list, count: int, pad: str) -> _Text | None:
     """:func:`_uniform_block` of ``count`` dicts laid out like ``first``, their leaves ``args``.
 
     ``first`` is an item as the layout's owner builds it, with float, int
     or float-list leaves; written with ``%r`` leaves, it is the item format.
     """
-    mark, item = _Text("%r"), []
-    _json_parts({key.replace("%", "%%"): [mark] * len(leaf) if type(leaf) is list else mark
-                 for key, leaf in first.items()}, item, pad + "  ")
-    return _uniform_block("".join(item), args, count, pad)
+    layout = tuple((key, len(leaf) if type(leaf) is list else None) for key, leaf in first.items())
+    return _uniform_block(_item_template(layout, pad + "  "), args, count, pad)
 
 
 def _json_text(data) -> str:
-    """``json.dumps(data, indent=2)`` plus a newline, byte for byte.
+    """``json.dumps(data, indent=2)`` plus a newline, a :class:`_Text` value written as its text.
 
-    ``json.dumps`` with an indent runs the standard library's pure-Python
-    encoder; this writer does the same formatting in one pass: floats by
-    ``float.__repr__`` (so NumPy floats print as plain numbers), NaN and
-    infinities as ``NaN`` and ``Infinity``, strings ASCII-escaped.  Keys
-    must be strings, and other types raise ``TypeError``.  A list of finite
-    floats is one ``%``-format (:func:`_uniform_block`), and a
-    :class:`_Text` value, such as ``solve-pgo``'s solution and error rows
-    (:func:`_pgo_report`), is copied as it is; any other list is written
-    item by item.
+    Each :class:`_Text`, such as ``solve-pgo``'s solution, error and
+    multiplier blocks (:func:`_pgo_report`), goes through ``json.dumps``'
+    ``default`` hook as a placeholder string, a NUL and a random token,
+    which its text then replaces.  A string of ``data`` that equals the
+    placeholder shows as one placeholder too many, and the text is written
+    again with a new token.
     """
-    out = []
-    _json_parts(data, out, "\n")
-    out.append("\n")
-    return "".join(out)
+    blocks, mark = [], "\0" + secrets.token_hex(8)
+
+    def default(value):
+        if type(value) is not _Text:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        blocks.append(value.text)
+        return mark
+
+    parts = json.dumps(data, indent=2, default=default).split(json.dumps(mark))
+    if len(parts) != len(blocks) + 1:
+        return _json_text(data)
+    return "".join(part + text for part, text in zip(parts, blocks + ["\n"]))
 
 
 def _emit(data: dict, trace, args) -> None:
@@ -345,10 +309,15 @@ def _cmd_solve_pgo(args) -> int:
 def _pgo_report(graph, report) -> dict:
     """``report.to_json_dict()``, with ``graph``'s ``vertex_errors`` when it has every truth.
 
-    :func:`_rows_block` writes the rows from arrays, unless a NaN or an infinity shows.
+    The solution and error rows and both multiplier lists are :class:`_Text`
+    blocks, from arrays for the rows (:func:`_rows_block`), each the plain
+    list instead when a NaN or an infinity shows.
     """
     n, rows = graph.n, report.solution.rows
     data = replace(report, solution=DualQuaternionVector()).to_json_dict()
+    multipliers = data["multipliers"]  # never empty: every vertex has its unit rows
+    for stage, values in multipliers.items():
+        multipliers[stage] = _uniform_block("%r", values, len(values), "\n    ") or values
     first = DualQuaternionVector.from_rows(rows[:1]).to_json_list()[0]
     data["solution"] = (_rows_block(first, rows.ravel().tolist(), n, "\n  ")
                         or report.solution.to_json_list())

@@ -439,29 +439,31 @@ def kkt_analysis(problem: EqdqoProblem, point, stage: int = 1) -> KktInfo:
     return KktInfo(resid, tuple(mult.tolist()), problem.block.rank(z) < problem.block.size)
 
 
-def _kink_subgradient(problem: EqdqoProblem, z: np.ndarray):
+def _kink_subgradient(problem: EqdqoProblem, z: np.ndarray, rows: tuple = ()):
     """``J_A^T u`` over the standard coordinates for the groups at their kink at ``z``, or 0."""
     system = getattr(problem.objective, "stage_system", None)
     if system is None:
         return 0.0
-    jac, r, _, w, groups = system(z[None])  # a stack of one, as stage I evaluates it
+    jac, r, _, w, groups = system(z, *rows)
     if groups is None or w.all():
         return 0.0
+    r, w = r[None], w[None]  # a stack of one, as stage I evaluates it
     jac = jac(problem.block.var.size > _DENSE_MAX)
     b = _dense(_fiber_product(jac, problem.block.tangent(z[None]), problem.block.var))
     return _tmv(jac, _kinks(b, r, w, groups, _tmv(b, w * r)).u)[0]
 
 
-def _kkt(problem: EqdqoProblem, z, stage: int, grad, kinks: bool = True):
+def _kkt(problem: EqdqoProblem, z, stage: int, grad, kinks: bool = True, rows: tuple = ()):
     """:func:`kkt_analysis`'s residual and multipliers at ``z``, given the stage part's gradient.
 
     With ``kinks`` false the caller knows that no group at its kink has a
-    nonzero multiplier, and stage I reads no residual rows.
+    nonzero multiplier, and stage I reads no residual rows; else it reads
+    ``rows``, the objective's rows at ``z`` if given, as for ``*rows``.
     """
     block = problem.block
     target = grad[_part_indices(problem.arity, stage - 1)]
     if stage == 1 and kinks:
-        target = target + _kink_subgradient(problem, z)
+        target = target + _kink_subgradient(problem, z, rows)
     mult = -block.apply(z, block.pinv(z, target))
     return float(np.linalg.norm(target + block.pullback(z, mult))), mult
 
@@ -808,18 +810,19 @@ def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued=None) -> list:
     """Stage I from every row of ``starts``, in lockstep: minimize the standard part.
 
-    Each point starts put on the standard rows and steps in their tangent
-    space ``N`` (3 orthonormal directions per sphere variable, 4 per free
-    one).  With the objective's residual rows ``r``, Jacobian
-    ``J``, row weights ``W`` and ``B = J N``, ``g = B^T W r`` is the tangent
-    gradient.  A step first tries the Newton model (:func:`_newton_step`,
-    with each unit row's curvature), then Levenberg-Marquardt steps on ``B^T
-    W B`` until the exact standard value falls; ``y`` moves to ``x + N y``
-    put back on the rows, so every iterate is feasible.  A point stops when
-    ``|g| <= tol_grad``, when no step lowers the value (or, with the value
-    flat to rounding, ``|g|`` stops falling), or after ``max_outer`` steps,
-    where the next pass stops it ``"max_outer"`` instead of stepping: every
-    trace ends with a row at the point returned.
+    Each point of ``starts`` lies on the standard rows, as ``block.project``
+    puts it, and steps in their tangent space ``N`` (3 orthonormal
+    directions per sphere variable, 4 per free one).  With the objective's
+    residual rows ``r``, Jacobian ``J``, row weights ``W`` and ``B = J N``,
+    ``g = B^T W r`` is the tangent gradient.  A step first tries the Newton
+    model (:func:`_newton_step`, with each unit row's curvature), then
+    Levenberg-Marquardt steps on ``B^T W B`` until the exact standard value
+    falls; ``y`` moves to ``x + N y`` put back on the rows, so every iterate
+    is feasible.  A point stops when ``|g| <= tol_grad``, when no step
+    lowers the value (or, with the value flat to rounding, ``|g|`` stops
+    falling), or after ``max_outer`` steps, where the next pass stops it
+    ``"max_outer"`` instead of stepping: every trace ends with a row at the
+    point returned.
 
     A sum of magnitudes is not smooth where a group's residual is 0, and
     many optima sit at such a kink.  So each point has an active set: the
@@ -853,13 +856,13 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued
     a minimum, so possibly apart from the others) are never merged into.
     Returns one :class:`_StageOutcome` per start.  The objective is the
     problem's ``stage1``, and ``valued``, if given, its :func:`_valued` at
-    the projected ``starts``.  Stage I never reads the dual coordinates:
-    they stay those of the start.
+    ``starts``.  Stage I never reads the dual coordinates: they stay those
+    of the start.
     """
     obj, block = problem.stage1, problem.block
     std = _part_indices(problem.arity, 0)
     count = len(starts)
-    z = block.project(starts)
+    z = starts.copy()
     (v_std, v_dual), rows = valued or _valued(obj, z)
     damp = np.full(count, _DAMP_FLOOR)
     grad_norm = np.full(count, math.inf)  # of the last step taken
@@ -1170,10 +1173,8 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     unit row, and :class:`Infeasible`, naming the restarts that ran, when
     none satisfies the standard rows to ``tol_feas``.
     """
-    first = _restart_start(problem, cfg, initial, 0)
-    starts = first[None]
     with np.errstate(invalid="ignore", divide="ignore"):  # a zero norm is reported below
-        projected = problem.block.project(starts)
+        projected = problem.block.project(_restart_start(problem, cfg, initial, 0)[None])
     lost = np.flatnonzero(~np.isfinite(projected.reshape(-1, 8)).all(axis=1))
     if lost.size:
         name = "initial guess" if initial is not None else "start"
@@ -1182,9 +1183,9 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     # stage-I minimum: the random restarts could only tie with it.
     valued = _valued(problem.stage1, projected)  # ((std, dual), rows)
     if cfg.restarts > 1 and valued[0][0][0] != 0:
-        starts, valued = np.stack([first] + [_restart_start(problem, cfg, initial, r)
-                                             for r in range(1, cfg.restarts)]), None
-    outcomes = _stage1(problem, cfg, starts, valued)
+        drawn = np.stack([_restart_start(problem, cfg, initial, r) for r in range(1, cfg.restarts)])
+        projected, valued = np.concatenate([projected, problem.block.project(drawn)]), None
+    outcomes = _stage1(problem, cfg, projected, valued)
     h = [o.trace[-1].feasibility for o in outcomes]
     scored = [(o.value, r, o) for r, o in enumerate(outcomes)
               if h[r] <= cfg.tol_feas and o.stop != "merged"]
@@ -1214,7 +1215,8 @@ def _report(
     wall_ms = (time.perf_counter() - t0) * 1e3
     z2 = stage2.z
     grad_std, grad_dual = problem.objective.gradient_at(z2, *stage2.rows)
-    kkt1, kkt2 = _kkt(problem, z2, 1, grad_std, stage1.kinked), _kkt(problem, z2, 2, grad_dual)
+    kkt1 = _kkt(problem, z2, 1, grad_std, stage1.kinked, stage2.rows)
+    kkt2 = _kkt(problem, z2, 2, grad_dual)
     return SolveReport(
         stage1_value=stage2.value.std,
         stage2_value=stage2.value.dual,

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -477,10 +478,10 @@ def test_the_json_writer_formats_as_json_dumps_with_an_indent():
     # item by item; a row block writes dicts laid out like the first one
     # from their leaves, at any depth
     for value in fast[4:]:
-        assert _uniform_block("%r", value, len(value), "\n") == json.dumps(value, indent=2)
+        assert _uniform_block("%r", value, len(value), "\n").text == json.dumps(value, indent=2)
     for value in fast[:4]:
         for pad in ("\n", "\n  ", "\n    "):
-            assert _rows_block(value[0], _leaves(value), len(value), pad) == (
+            assert _rows_block(value[0], _leaves(value), len(value), pad).text == (
                 json.dumps(value, indent=2).replace("\n", pad))
     # a NaN or an infinity anywhere in either block takes the fallback
     for value in fast:
@@ -497,9 +498,26 @@ def test_the_json_writer_formats_as_json_dumps_with_an_indent():
     for value in (np.int64(1), np.bool_(True), object(), [1, {2.0}]):
         with pytest.raises(TypeError, match="not JSON serializable"):
             _json_text(value)
-    # keys must be strings, which every report's are
-    with pytest.raises(TypeError, match="keys must be str, not int"):
-        _json_text({"a": {1: 2}})
+    # json.dumps writes int keys as strings, and so does the writer
+    assert _json_text({"a": {1: 2}}) == json.dumps({"a": {1: 2}}, indent=2) + "\n"
+
+
+def test_strings_that_pose_as_a_placeholder_are_written_as_json_dumps_writes_them(monkeypatch):
+    # a block enters json.dumps as a placeholder string, a NUL and a token;
+    # a string of the data that equals one makes the writer try a new token
+    tokens = []
+    monkeypatch.setattr(cli, "secrets", SimpleNamespace(
+        token_hex=lambda n: tokens.append(["feed", "beef"][len(tokens) % 2]) or tokens[-1]))
+    for odd in ("\0", "\0feed", "\0beef", "\0feed\0", "\0\0feed", "a\0feed", "\0fee"):
+        plain = {"s": odd, odd: [odd, {odd: odd}], "t": (1.0, odd)}
+        for block in (None, [0.5, -1.5]):
+            data, want = dict(plain), dict(plain)
+            if block is not None:
+                data["b"], want["b"] = _uniform_block("%r", block, len(block), "\n  "), block
+            tokens.clear()
+            assert _json_text(data) == json.dumps(want, indent=2) + "\n", (odd, block)
+            # only a string equal to the first placeholder costs a second try
+            assert len(tokens) == (2 if odd == "\0feed" else 1)
 
 
 def _leaves(items: list) -> list:
@@ -532,16 +550,20 @@ def test_solve_pgo_writes_its_report_as_json_dumps_from_the_solvers_rows(
     if case.endswith("no-truth"):
         g.write_text("".join(line for line in g.read_text().splitlines(True)
                              if not line.startswith("# TRUTH")))
-    reports, blocks = [], []
-    solve, rows_block = cli.solve_eqdqo, cli._rows_block
+    reports, blocks, datas = [], [], []
+    solve, rows_block, pgo_report = cli.solve_eqdqo, cli._rows_block, cli._pgo_report
     monkeypatch.setattr(cli, "solve_eqdqo", lambda *a: reports.append(solve(*a)) or reports[-1])
     monkeypatch.setattr(cli, "_rows_block", lambda *a: blocks.append(rows_block(*a)) or blocks[-1])
+    monkeypatch.setattr(cli, "_pgo_report", lambda *a: datas.append(pgo_report(*a)) or datas[-1])
     assert main(["solve-pgo", "--in", str(g), "--restarts", restarts, "--out", str(rep)]) == 0
-    (report,) = reports
+    (report,), (data,) = reports, datas
     graph = parse_graph(g.read_text())
     assert rep.read_text() == _expected_pgo_text(graph, report)
-    # the solution and error rows were each one block, not the owners' lists
+    # the solution and error rows were each one block, not the owners' lists,
+    # and so was each multiplier list
     assert len(blocks) == (1 if case.endswith("no-truth") else 2) and None not in blocks
+    assert data["solution"] is blocks[0]
+    assert [type(v) for v in data["multipliers"].values()] == [cli._Text] * 2
 
 
 def test_a_nan_or_an_infinity_in_the_solution_writes_the_rows_item_by_item():
@@ -559,6 +581,16 @@ def test_a_nan_or_an_infinity_in_the_solution_writes_the_rows_item_by_item():
             assert type(data["solution"]) is list
             assert type(data.get("errors", [])) is list
             assert _json_text(data) == _expected_pgo_text(g, edited)
+    # so does a NaN or an infinity in a multiplier list, and that list alone
+    for stage in ("lambda", "mu"):
+        for k, odd in ((0, float("nan")), (5, float("inf")), (-1, -float("inf"))):
+            values = list(report.multipliers[stage])
+            values[k] = odd
+            edited = replace(report, multipliers={**report.multipliers, stage: values})
+            data = _pgo_report(graph, edited)
+            assert {s: type(v) for s, v in data["multipliers"].items()} == {
+                s: list if s == stage else cli._Text for s in ("lambda", "mu")}
+            assert _json_text(data) == _expected_pgo_text(graph, edited)
 
 
 def test_a_noiseless_solve_pgo_forms_no_per_edge_block(tmp_path, monkeypatch):

@@ -54,6 +54,7 @@ def _solve(problem, initial, monkeypatch, merging=True):
 
 def _stage1(problem, initial):
     starts = np.stack([solver._restart_start(problem, CFG, initial, r) for r in range(CFG.restarts)])
+    starts = problem.block.project(starts)
     return starts, solver._stage1(problem, CFG, starts)
 
 
@@ -126,7 +127,8 @@ def test_stalled_restarts_are_never_merged_into(monkeypatch):
     cfg = SolverConfig(restarts=8, seed=0, tol_grad=1e-30)
     for seed in KINK_SEEDS:
         problem, _ = _handeye("axyb", SIGMA, seed)
-        starts = np.stack([solver._restart_start(problem, cfg, None, r) for r in range(8)])
+        starts = problem.block.project(
+            np.stack([solver._restart_start(problem, cfg, None, r) for r in range(8)]))
         assert {o.stop for o in solver._stage1(problem, cfg, starts)} == {"stalled"}
         with monkeypatch.context() as m:
             on = solve_eqdqo(problem, cfg)

@@ -183,6 +183,28 @@ def test_kkt_takes_arity_rows_of_8_as_solve_eqdqo_takes_initial():
                     kkt_analysis(problem, np.zeros(shape), 1)
 
 
+def test_the_report_reads_stage_iis_rows_for_both_kkt_analyses(monkeypatch):
+    # an AXYB optimum with one motion's residual at its kink: the report's
+    # stage-I analysis reads the residual rows, the ones stage II evaluated
+    # at the point it returned, and evaluates the objective no more
+    problem = build_axyb(generate_synthetic("axyb", 10, 0.01, 0.01, seed=10))
+    calls, stack, stage2 = [], problem.objective._stack, solver._stage2
+    monkeypatch.setattr(problem.objective, "_stack", lambda z: calls.append(np.shape(z)) or stack(z))
+
+    def spy(*args):
+        outcome = stage2(*args)
+        calls.append("stage II")
+        return outcome
+
+    monkeypatch.setattr(solver, "_stage2", spy)
+    report = solve_eqdqo(problem, SolverConfig())
+    assert calls[-1] == "stage II" and calls.count("stage II") >= 1
+    monkeypatch.undo()
+    info = kkt_analysis(problem, report.solution, 1)
+    assert info.residual == report.kkt_residual["stage1"] > 0
+    assert list(info.multipliers) == report.multipliers["lambda"]
+
+
 def test_kkt_rejects_a_stage_other_than_1_or_2():
     with pytest.raises(ValueError, match="stage must be 1 or 2"):
         kkt_analysis(_toy_problem(), [DualQuaternion.identity()], stage=3)
@@ -341,7 +363,7 @@ def test_stage1_trace_rows_report_the_rows_stage1_holds():
     # replace; at the stage-I point they miss the dual rows by 3.3e-2
     graph = generate_cycle_graph(20, 6, 0.01, 0.01, 0)
     problem = build_pgo(graph)
-    start = spanning_tree_rows(graph).reshape(1, -1)
+    start = problem.block.project(spanning_tree_rows(graph).reshape(1, -1))
     outcome = solver._stage1(problem, SolverConfig(restarts=1), start)[0]
     assert solver._feasibility(problem, outcome.z)[1] > 3e-2
     assert len(outcome.trace) == 3

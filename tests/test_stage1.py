@@ -103,6 +103,7 @@ def _starts(problem, cfg, initial=None):
 
 
 def _assert_batch_matches_singles(problem, cfg, starts):
+    starts = problem.block.project(starts)
     batch = solver._stage1(problem, cfg, starts)
     for k, outcome in enumerate(batch):
         (alone,) = solver._stage1(problem, cfg, starts[k : k + 1])
@@ -159,7 +160,7 @@ def test_a_restart_at_the_step_cap_leaves_the_others_their_own_outcomes(no_mergi
     ds = generate_synthetic("axyb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=0)
     problem = build_axyb(ds)
     cfg = SolverConfig(restarts=8, seed=0)
-    free = solver._stage1(problem, cfg, _starts(problem, cfg))
+    free = solver._stage1(problem, cfg, problem.block.project(_starts(problem, cfg)))
     k = 10
     cfg = SolverConfig(restarts=8, seed=0, max_outer=k)
     capped = _assert_batch_matches_singles(problem, cfg, _starts(problem, cfg))
@@ -186,7 +187,8 @@ def test_kink_optima_converge_on_the_subdifferential(seed, restarts):
     ds = generate_synthetic("axyb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=seed)
     problem = build_axyb(ds)
     cfg = SolverConfig(restarts=restarts, seed=0)
-    stops = [o.stop for o in solver._stage1(problem, cfg, _starts(problem, cfg))]
+    starts = problem.block.project(_starts(problem, cfg))
+    stops = [o.stop for o in solver._stage1(problem, cfg, starts)]
     assert "converged" in stops and set(stops) <= {"converged", "merged"}
     report = solve_eqdqo(problem, cfg)
     # the kink group sits at its kink to rounding, not at the 1e-8 band edge
@@ -309,7 +311,7 @@ def test_a_point_that_takes_no_step_stops_stalled_where_it_started(monkeypatch):
     problem, cfg = build_pgo(g), SolverConfig(restarts=4, seed=0)
     monkeypatch.setattr(solver, "_DAMP_CAP", solver._DAMP_FLOOR / 10)
     starts = _starts(problem, cfg, spanning_tree_rows(g))
-    outcomes = solver._stage1(problem, cfg, starts)
+    outcomes = solver._stage1(problem, cfg, problem.block.project(starts))
     assert [o.stop for o in outcomes] == ["converged", "stalled", "stalled", "stalled"]
     for start, outcome in zip(starts[1:], outcomes[1:]):
         assert len(outcome.trace) == 1
@@ -345,7 +347,7 @@ def test_a_noiseless_start_stops_converged_without_forming_b(case, formed):
     start = problem.start.reshape(1, -1)
     z = problem.block.project(start)
     assert not problem.stage1.stage_system(z)[3].any()
-    (outcome,) = solver._stage1(problem, SolverConfig(restarts=1), start)
+    (outcome,) = solver._stage1(problem, SolverConfig(restarts=1), z)
     assert formed == {"_fiber_product": 0, "_kinks": 0}
     std, dual = problem.stage1.value_at(z)
     feas = np.max(np.abs(problem.block.values(z)[0]))
@@ -376,7 +378,8 @@ def test_a_start_held_at_the_step_cap_by_a_pinned_norm_still_forms_b(formed):
     # AXXB, 5 motions, sigma 1e-6, seed 0: one group of five stays pinned at a
     # norm of 8.9e-9, above _KINK_ROUNDING, through all 61 rows
     problem = build_axxb(generate_synthetic("axxb", 5, noise_rot=1e-6, noise_trans=1e-6, seed=0))
-    (outcome,) = solver._stage1(problem, SolverConfig(restarts=1), problem.start.reshape(1, -1))
+    start = problem.block.project(problem.start.reshape(1, -1))
+    (outcome,) = solver._stage1(problem, SolverConfig(restarts=1), start)
     assert formed["_fiber_product"] == 61 and formed["_kinks"] > 0
     assert (outcome.stop, len(outcome.trace)) == ("max_outer", 61)
 
@@ -388,9 +391,10 @@ def test_a_step_with_a_nan_row_forms_b_for_every_point(formed):
     clean = problem.start.reshape(-1)
     bad = clean.copy()
     bad[24:32] = np.nan  # vertex 3
-    (alone,) = solver._stage1(problem, SolverConfig(restarts=1), clean[None])
+    (alone,) = solver._stage1(problem, SolverConfig(restarts=1), problem.block.project(clean[None]))
     assert formed["_fiber_product"] == 0
-    both = solver._stage1(problem, SolverConfig(restarts=2), np.stack([clean, bad]))
+    both = solver._stage1(problem, SolverConfig(restarts=2),
+                          problem.block.project(np.stack([clean, bad])))
     assert formed["_fiber_product"] == 1
     assert (both[0].stop, both[0].trace) == (alone.stop, alone.trace)
     assert np.array_equal(both[0].z, alone.z)
