@@ -12,7 +12,7 @@ two-stage solver relies on that structure.  Its constraints are unit-norm
 conditions and :func:`anchor_constraints` rows only, evaluated together by
 :class:`ConstraintBlock`; any other constraint type raises ``TypeError``.
 Likewise a :class:`ResidualNormObjective` takes one array evaluator of all
-its residual rows, :meth:`AffineResidual.stack_arrays` or
+its residual rows, :func:`affine_rows` (hand-eye, pose-graph stage I) or
 :meth:`dqopt.posegraph.RelativePoseResidual.stack_arrays`, which returns the
 rows in one call together with their *pullback* ``(w_std, w_dual) -> J_s^T
 w_std + J_d^T w_dual``, the product of the transposed residual Jacobians
@@ -32,6 +32,7 @@ meaningful at nonsmooth minimizers.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -49,8 +50,6 @@ from .algebra import (
     UnitDualQuaternion,
     dual_max,
     dual_min,
-    left_mult_matrix,
-    right_mult_matrix,
 )
 from .errors import ArityMismatch, NonUnitValue
 
@@ -67,7 +66,7 @@ __all__ = [
     "compose_unit",
     "unit_log",
     "unit_exp",
-    "AffineResidual",
+    "affine_rows",
     "ResidualNormObjective",
     "UnitNormConstraint",
     "anchor_constraints",
@@ -366,75 +365,89 @@ def unit_exp(value: DualQuaternion) -> UnitDualQuaternion:
 # Residuals and the residual-norm objective
 
 
-class AffineResidual:
-    """Residuals ``sum_t left_t * x[var_t] * right_t + constant``, kept as arrays.
+def affine_rows(arity: int, i, j, first: np.ndarray, second: np.ndarray):
+    """Evaluator ``z -> (r_std, r_dual, pullback, jacobian)`` of the rows ``first_e x_i + second_e x_j``.
 
-    Both scalar parts are affine in the flattened coordinates, so the
-    Jacobians are constant: with ``L``/``R`` the left and right
-    multiplication matrices,
-
-    - standard part rows: ``K_ss = L(left_std) R(right_std)`` applied to
-      the variable's standard slot;
-    - dual part rows: ``K_ss`` applied to the dual slot plus
-      ``L(left_dual) R(right_std) + L(left_std) R(right_dual)`` applied to
-      the standard slot.
-
-    :meth:`jacobians` forms them for many residuals at once, and
-    :meth:`stack_arrays` evaluates the residuals from them and their
-    constants.
+    Residual ``e`` has a term on variable ``i[e]`` and one on ``j[e]`` (equal
+    or not): ``first`` and ``second`` are ``(k, 2, 4, 4)`` arrays of their
+    standard and dual matrices ``M_s``, ``M_d``, whose rows are ``M_s x_s``
+    and ``M_s x_d + M_d x_s``; ``left_mult_matrix(a)`` is the term ``a x``
+    and ``right_mult_matrix(b)`` the term ``x b``.  Each residual's rows are
+    one matrix ``[F_s, S_s, F_d, S_d]`` over its gathered coordinates, less
+    the dual columns of a term whose dual matrices are all zero: ``x_i q -
+    x_j`` is ``[R(q_s), -I, R(q_d)]``.  ``z`` is a point ``(8n,)`` or a stack
+    ``(R, 8n)``, each row of ``(R, 4k)`` equal bit for bit to its point's
+    alone.  ``pullback(w_std, w_dual=None)`` is ``J_s^T w_std + J_d^T
+    w_dual``, the weighted rows summed into their coordinates by
+    ``np.bincount``.  ``jacobian(sparse)`` is the ``[F_s, S_s]`` blocks in
+    the standard slots, laid out by :func:`_assemble` once per layout: a
+    dense ``(4k, 4n)`` array for any point or stack, or a CSR matrix;
+    callers must not modify it.
     """
+    n8 = 8 * int(arity)
+    i, j = (np.asarray(v, dtype=np.intp) for v in (i, j))
+    x_i, x_j = 8 * i[:, None] + np.arange(4), 8 * j[:, None] + np.arange(4)
+    # the coordinates that the columns multiply, for the standard part and
+    # the dual part; slot 8n of the padded point is 0
+    mats, std, dual = [first[:, 0], second[:, 0]], [x_i, x_j], [x_i + 4, x_j + 4]
+    for term, x in ((first, x_i), (second, x_j)):
+        if term[:, 1].any():
+            mats.append(term[:, 1])
+            std.append(np.full(x.shape, n8))
+            dual.append(x)
+    # adding 0.0 turns each -0.0 into 0.0, as a CSR matrix's toarray() does,
+    # so both layouts hold the same bits
+    rows = np.concatenate(mats, 2) + 0.0
+    block = rows[:, :, :8]
+    slots = np.stack((np.concatenate(std, 1), np.concatenate(dual, 1)), 2)
+    jacobian = functools.cache(functools.partial(_assemble, block, _jacobian_cols(i, j), int(arity)))
 
-    @staticmethod
-    def jacobians(arity: int, k: int, terms) -> np.ndarray:
-        """``(jac_std, jac_dual)``, ``(4k, 8n)`` each, of ``k`` residuals with the same variables.
+    def pullback(w_std: np.ndarray, w_dual: np.ndarray | None = None) -> np.ndarray:
+        grad = np.bincount(slots[:, :8, 0].ravel(), (w_std.reshape(-1, 1, 4) @ block).ravel(), n8)
+        if w_dual is not None:
+            grad += np.bincount(slots[..., 1].ravel(), (w_dual.reshape(-1, 1, 4) @ rows).ravel(), n8)
+        return grad
 
-        ``terms`` holds ``(left, v, right)`` with ``left`` and ``right``
-        ``(k, 2, 4)`` arrays (standard, dual part) of the ``k`` residuals'
-        factors on variable ``v``; the blocks add onto zeros term by term.
-        """
-        jac = np.zeros((2, k, 4, arity, 2, 4))
-        for left, v, right in terms:
-            lm, rm = left_mult_matrix(left), right_mult_matrix(right)
-            k_ss = lm[:, 0] @ rm[:, 0]
-            jac[0, :, :, v, 0] += k_ss
-            jac[1, :, :, v, 1] += k_ss
-            jac[1, :, :, v, 0] += lm[:, 1] @ rm[:, 0] + lm[:, 0] @ rm[:, 1]
-        return jac.reshape(2, -1, 8 * arity)
+    def evaluate(z: np.ndarray):
+        lead = z.shape[:-1]
+        padded = np.concatenate((z, np.zeros(lead + (1,))), axis=-1)
+        r = rows @ padded.take(slots, axis=-1)  # (..., k, 4, 2): both parts
+        return r[..., 0].reshape(lead + (-1,)), r[..., 1].reshape(lead + (-1,)), pullback, jacobian
 
-    @staticmethod
-    def stack_arrays(jac_std: np.ndarray, jac_dual: np.ndarray, constants: np.ndarray):
-        """Evaluator ``z -> (r_std, r_dual, pullback, jacobian)`` over ``k`` stacked residuals.
+    return evaluate
 
-        The constant Jacobians come as C-ordered ``(4k, 8n)`` arrays, the
-        constants as ``(k, 2, 4)`` (standard, dual part).  ``z`` is one point
-        ``(8n,)`` or a stack ``(R, 8n)``, whose rows come out as ``(R, 4k)``,
-        each equal bit for bit to that point's alone.  ``pullback(w_std,
-        w_dual=None)`` (one point) is ``jac_std.T @ w_std``, plus
-        ``jac_dual.T @ w_dual`` when ``w_dual`` is given.
-        ``jacobian(sparse)`` is the standard-slot columns of ``jac_std``
-        (also the dual-slot columns of ``jac_dual``) as a dense ``(4k, 4n)``
-        array whatever ``sparse`` asks, the same for every point and built
-        once here; callers must not modify it.
-        """
-        rows = jac_std.shape[0]
-        const_std, const_dual = constants[:, 0].ravel(), constants[:, 1].ravel()
-        jac_slots = jac_std.reshape(rows, -1, 2, 4)[:, :, 0].reshape(rows, -1).copy()
 
-        def pullback(w_std, w_dual=None):
-            if w_dual is None:
-                return jac_std.T @ w_std
-            return jac_std.T @ w_std + jac_dual.T @ w_dual
+def _jacobian_cols(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The ``(4k, 8)`` columns of the ``(k, 4, 8)`` standard blocks of ``k`` two-variable residuals.
 
-        def jacobian(sparse):
-            return jac_slots
+    Row ``4e + r`` of the ``(4k, 4n)`` Jacobian holds row ``r`` of residual
+    ``e``'s block, its 8 entries in columns ``4 i[e] + c`` then ``4 j[e] + c``.
+    """
+    cols = np.concatenate((4 * i[:, None] + np.arange(4), 4 * j[:, None] + np.arange(4)), 1)
+    return np.repeat(cols, 4, axis=0)
 
-        def evaluate(z):
-            # one matrix-vector product per point, as for a single point
-            col = z[..., None]
-            r_std = (jac_std @ col)[..., 0] + const_std
-            return r_std, (jac_dual @ col)[..., 0] + const_dual, pullback, jacobian
 
-        return evaluate
+def _assemble(blocks: np.ndarray, cols: np.ndarray, n: int, sparse: bool):
+    """The Jacobian of ``(..., k, 4, 8)`` residual ``blocks`` in columns :func:`_jacobian_cols`.
+
+    A CSR ``(4k, 4n)`` matrix when ``sparse`` (one point, or a stack of
+    one), else a dense ``(..., 4k, 4n)`` array.  Where a residual's two
+    variables are one, both layouts sum its two halves.
+    """
+    rows = len(cols)
+    if sparse:
+        from ._sparse import sparse as sp
+
+        indptr = np.arange(0, cols.size + 1, 8)
+        return sp.csr_matrix((blocks.ravel(), cols.ravel(), indptr), (rows, 4 * n))
+    lead = blocks.shape[:-3]
+    blocks = blocks.reshape(lead + (rows, 8))
+    out = np.zeros(lead + (rows, 4 * n))
+    out[..., np.arange(rows)[:, None], cols] = blocks
+    same = np.flatnonzero(cols[:, 0] == cols[:, 4])
+    if same.size:
+        out[..., same[:, None], cols[same, :4]] = blocks[..., same, :4] + blocks[..., same, 4:]
+    return out
 
 
 class ResidualNormObjective(DualFunction):
@@ -452,7 +465,7 @@ class ResidualNormObjective(DualFunction):
 
     ``evaluate`` is an array evaluator ``z -> (r_std, r_dual, pullback,
     jacobian)`` of every residual row, 4 per residual, such as
-    :meth:`AffineResidual.stack_arrays` or
+    :func:`affine_rows` or
     :meth:`~dqopt.posegraph.RelativePoseResidual.stack_arrays` returns;
     its residuals all have arity ``arity``.  Group ``g`` holds the next
     ``sizes[g]`` residuals in row order.  Gradients are ``pullback(w_std,

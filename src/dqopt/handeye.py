@@ -41,7 +41,7 @@ from .algebra import (
     unit_deviations,
 )
 from .errors import InvalidPose, NoGroundTruth, TooFewMotions, UnitValidationError
-from .functions import AffineResidual, ResidualNormObjective, UnitNormConstraint, pack
+from .functions import ResidualNormObjective, UnitNormConstraint, affine_rows, pack
 from .solver import EqdqoProblem
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
 MIN_AXIS_SPREAD = 0.3
 
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-_IDENTITY = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
 
 
 def _unit(q: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -261,10 +260,9 @@ def _warn_if_degenerate(rotations: np.ndarray) -> None:
 
 def _magnitudes(arity: int, a: np.ndarray, b: np.ndarray, other: int) -> ResidualNormObjective:
     """Sum over ``(k, 2, 4)`` pairs ``a``, ``b`` of ``|a_k x_0 - x_other b_k|``, one norm group each."""
-    one = np.broadcast_to(_IDENTITY, a.shape)
-    jac = AffineResidual.jacobians(arity, len(a), [(a, 0, one), (-one, other, b)])
-    stack = AffineResidual.stack_arrays(jac[0], jac[1], np.zeros((len(a), 2, 4)))
-    return ResidualNormObjective(arity, stack, np.ones(len(a), dtype=np.intp))
+    i = np.zeros(len(a), dtype=np.intp)
+    rows = affine_rows(arity, i, i + other, left_mult_matrix(a), -right_mult_matrix(b))
+    return ResidualNormObjective(arity, rows, np.ones(len(a), dtype=np.intp))
 
 
 def _absolute_pairs(dataset: HandEyeDataset) -> tuple[np.ndarray, np.ndarray]:

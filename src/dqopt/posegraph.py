@@ -57,6 +57,9 @@ from .errors import (
 from .functions import (
     ResidualNormObjective,
     UnitNormConstraint,
+    _assemble,
+    _jacobian_cols,
+    affine_rows,
     anchor_constraints,
     pack,
 )
@@ -275,9 +278,9 @@ class RelativePoseResidual:
         all ``-0.0`` (a NaN weight takes the full path).  ``jacobian(sparse)``
         returns the same 4x8 standard blocks over the standard slots, column
         ``4i + c`` for coefficient ``c`` of vertex ``i``, laid out by
-        :func:`_assemble`: a dense ``(4k, 4n)`` array for one point and
-        ``(R, 4k, 4n)`` for a stack, or with ``sparse`` a CSR ``(4k, 4n)``
-        matrix for one point or a stack of one.
+        :func:`~dqopt.functions._assemble`: a dense ``(4k, 4n)`` array for
+        one point and ``(R, 4k, 4n)`` for a stack, or with ``sparse`` a CSR
+        ``(4k, 4n)`` matrix for one point or a stack of one.
         """
         n = int(arity)
         n8 = 8 * n
@@ -324,83 +327,6 @@ class RelativePoseResidual:
         return evaluate
 
 
-def _jacobian_cols(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """The ``(4k, 8)`` columns of the ``(k, 4, 8)`` standard blocks of ``k`` edges.
-
-    Row ``4e + r`` of the ``(4k, 4n)`` Jacobian holds row ``r`` of edge
-    ``e``'s block, its 8 entries in columns ``4 i[e] + c`` then ``4 j[e] + c``.
-    """
-    cols = np.concatenate((4 * i[:, None] + np.arange(4), 4 * j[:, None] + np.arange(4)), 1)
-    return np.repeat(cols, 4, axis=0)
-
-
-def _assemble(blocks: np.ndarray, cols: np.ndarray, n: int, sparse: bool):
-    """The Jacobian of ``(..., k, 4, 8)`` edge ``blocks`` in columns :func:`_jacobian_cols`.
-
-    A CSR ``(4k, 4n)`` matrix when ``sparse`` (one point, or a stack of
-    one), else a dense ``(..., 4k, 4n)`` array.
-    """
-    rows = len(cols)
-    if sparse:
-        from ._sparse import sparse as sp
-
-        indptr = np.arange(0, cols.size + 1, 8)
-        return sp.csr_matrix((blocks.ravel(), cols.ravel(), indptr), (rows, 4 * n))
-    lead = blocks.shape[:-3]
-    out = np.zeros(lead + (rows, 4 * n))
-    out[..., np.arange(rows)[:, None], cols] = blocks.reshape(lead + (rows, 8))
-    return out
-
-
-def _affine_rows(arity: int, i: np.ndarray, j: np.ndarray, measurements: np.ndarray):
-    """Evaluator ``z -> (r_std, r_dual, pullback, jacobian)`` of the rows ``x_i q_ij - x_j``.
-
-    Arguments are as for :meth:`RelativePoseResidual.stack_arrays`.  For a
-    unit ``x_i``, ``x_i q_ij - x_j = x_i (q_ij - conj(x_i) x_j)``, so each
-    edge's magnitude, as a dual number, is that of the bilinear rows; where
-    only ``x_i``'s standard part is unit, the standard parts agree.  The
-    rows are affine, as hand-eye's are: edge ``e``'s standard rows are its
-    ``(4, 8)`` block ``[R(q_s), -I]`` on the standard parts of ``x_i`` and
-    ``x_j``, its dual rows the same block on their dual parts plus
-    ``R(q_d)`` on ``x_i``'s standard part, so one ``(4, 12)`` matrix ``[R(q_s),
-    -I, R(q_d)]`` per edge gives both parts.  Stacks come out as for the
-    bilinear evaluator, bit for bit per point.  ``jacobian(sparse)`` places
-    the constant blocks by :func:`_assemble`: a dense ``(4k, 4n)`` array for
-    any point or stack, or with ``sparse`` a CSR matrix.
-    """
-    n = int(arity)
-    i = np.asarray(i, dtype=np.intp)
-    j = np.asarray(j, dtype=np.intp)
-    cols = _jacobian_cols(i, j)
-    # R(q_s), R(q_d) per edge; adding 0.0 turns each -0.0 into 0.0, as a
-    # CSR matrix's toarray() does, so both layouts hold the same bits
-    r_q = right_mult_matrix(measurements) + 0.0
-    minus = np.broadcast_to(0.0 - np.eye(4), r_q[:, 0].shape)
-    rows = np.concatenate((r_q[:, 0], minus, r_q[:, 1]), 2)  # [R(q_s), -I, R(q_d)]
-    block = rows[:, :, :8]
-    # The coordinates that the columns of ``rows`` multiply, for the standard
-    # part (last index 0) and the dual part (1); slot 8n of the padded point is 0.
-    x_i, x_j = 8 * i[:, None] + np.arange(4), 8 * j[:, None] + np.arange(4)
-    zero = np.full(x_i.shape, 8 * n)
-    slots = np.stack((np.concatenate((x_i, x_j, zero), 1), np.concatenate((x_i + 4, x_j + 4, x_i), 1)), 2)
-
-    def pullback(w_std: np.ndarray, w_dual: np.ndarray | None = None) -> np.ndarray:
-        grad = np.bincount(slots[:, :8, 0].ravel(), (w_std.reshape(-1, 1, 4) @ block).ravel(), 8 * n)
-        if w_dual is not None:
-            grad += np.bincount(slots[..., 1].ravel(), (w_dual.reshape(-1, 1, 4) @ rows).ravel(), 8 * n)
-        return grad
-
-    jacobian = functools.partial(_assemble, block, cols, n)
-
-    def evaluate(z: np.ndarray):
-        lead = z.shape[:-1]
-        padded = np.concatenate((z, np.zeros(lead + (1,))), axis=-1)
-        r = rows @ padded.take(slots, axis=-1)  # (..., k, 4, 2): both parts
-        return r[..., 0].reshape(lead + (-1,)), r[..., 1].reshape(lead + (-1,)), pullback, jacobian
-
-    return evaluate
-
-
 def build_pgo(graph: PoseGraph) -> solver.EqdqoProblem:
     """Problem: minimize the 2-norm of all edge errors over unit poses.
 
@@ -408,8 +334,9 @@ def build_pgo(graph: PoseGraph) -> solver.EqdqoProblem:
     sum of magnitudes), evaluated from the graph's arrays by
     :meth:`RelativePoseResidual.stack_arrays`.  Stage I minimizes the
     problem's ``stage1``, the same norm of the affine rows ``x_i q_ij -
-    x_j`` (:func:`_affine_rows`): its Jacobian is constant, and it equals
-    the objective wherever the vertices' standard parts are unit.
+    x_j`` (:func:`~dqopt.functions.affine_rows` of ``R(q_ij)`` and ``-I``):
+    its Jacobian is constant, and it equals the objective wherever the
+    vertices' standard parts are unit.
     Constraints: the identity anchor on vertex 1 and one unit condition per
     other vertex; vertex 1 gets none, because its anchor implies it and a
     fifth row on its 4 coordinates would make the constraint gradients
@@ -423,7 +350,10 @@ def build_pgo(graph: PoseGraph) -> solver.EqdqoProblem:
     ij, q, start = _tree_start(graph)
     residuals = RelativePoseResidual.stack_arrays(graph.n, *ij.T, q)
     objective = ResidualNormObjective(graph.n, residuals, [graph.m])
-    stage1 = ResidualNormObjective(graph.n, _affine_rows(graph.n, *ij.T, q), [graph.m])
+    minus = np.zeros(q.shape + (4,))
+    minus[:, 0] = -np.eye(4)  # the term -x_j, with no dual matrix
+    rows = affine_rows(graph.n, *ij.T, right_mult_matrix(q), minus)
+    stage1 = ResidualNormObjective(graph.n, rows, [graph.m])
     constraints = [UnitNormConstraint(graph.n, k) for k in range(1, graph.n)]
     constraints.extend(anchor_constraints(graph.n, 0, DualQuaternion.identity()))
     return solver.EqdqoProblem(objective, tuple(constraints), start, stage1)

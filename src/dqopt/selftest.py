@@ -16,10 +16,10 @@ import numpy as np
 
 from .algebra import DualNumber, DualQuaternion, DualQuaternionVector, Quaternion, UnitDualQuaternion
 from .functions import (
-    AffineResidual,
     DualFunction,
     ResidualNormObjective,
     UnitNormConstraint,
+    affine_rows,
     check_standardness,
     combine,
     compose_unit,
@@ -261,10 +261,11 @@ def _random_leaf(rng: np.random.Generator, arity: int) -> DualFunction:
             declared_standard=True,
         )
     picks = sorted(rng.permutation(arity)[: int(rng.integers(1, arity + 1))].tolist())
-    one = np.array([[[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]])
-    jac = np.concatenate([AffineResidual.jacobians(arity, 1, [(one, j, one)]) for j in picks], 1)
-    stack = AffineResidual.stack_arrays(jac[0], jac[1], np.zeros((len(picks), 2, 4)))
-    return ResidualNormObjective(arity, stack, [len(picks)])
+    # the rows x_j of each picked variable, one norm group: |(x_j)_j|
+    eye = np.zeros((len(picks), 2, 4, 4))
+    eye[:, 0] = np.eye(4)
+    rows = affine_rows(arity, picks, picks, eye, np.zeros(eye.shape))
+    return ResidualNormObjective(arity, rows, [len(picks)])
 
 
 def _random_tree(rng: np.random.Generator, arity: int, depth: int) -> DualFunction:

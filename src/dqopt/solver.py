@@ -52,7 +52,9 @@ iterates it would take alone until it stops on its own stop rule, or until
 it comes within ``_MERGE_RADIUS`` of a minimum another restart converged
 to, where it stops "merged".  Larger, sparse problems advance their
 restarts one after another within each step.  Stage II runs for the
-restarts tied at the least stage-I value, each on the ``B = J N`` it forms
+restarts tied at the least stage-I value, values within rounding of it
+counting as the least and the lowest such restart first, each on the
+``B = J N`` it forms
 from the objective's slope ``J`` at the stage-I point, with ``N`` the
 constraint block's tangent frames, and the reported solution is the
 dn-order minimum over their feasible outcomes.
@@ -315,9 +317,14 @@ def _feasibility(problem: EqdqoProblem, z: np.ndarray) -> tuple[float, float]:
     return float(np.max(np.abs(h), initial=0.0)), float(np.max(np.abs(h_d), initial=0.0))
 
 
+def _rows(fn, z: np.ndarray) -> tuple:
+    """``(fn.rows_at(z),)``, or ``()`` for a function without rows, to pass on as ``*rows``."""
+    return (fn.rows_at(z),) if hasattr(fn, "rows_at") else ()
+
+
 def _valued(fn, z: np.ndarray) -> tuple:
-    """``(value, rows)`` of ``fn`` at ``z``, ``rows`` ``(fn.rows_at(z),)`` or ``()``, for ``*rows``."""
-    rows = (fn.rows_at(z),) if hasattr(fn, "rows_at") else ()
+    """``(value, rows)`` of ``fn`` at ``z``, with ``rows`` as :func:`_rows` gives them."""
+    rows = _rows(fn, z)
     return fn.value_at(z, *rows), rows
 
 
@@ -435,7 +442,8 @@ def kkt_analysis(problem: EqdqoProblem, point, stage: int = 1) -> KktInfo:
     if stage not in (1, 2):
         raise ValueError("stage must be 1 or 2")
     z = _point_to_z(point, problem.arity)
-    resid, mult = _kkt(problem, z, stage, problem.objective.gradient_at(z)[stage - 1])
+    rows = _rows(problem.objective, z)  # one evaluation for the gradient and the kinks
+    resid, mult = _kkt(problem, z, stage, problem.objective.gradient_at(z, *rows)[stage - 1], rows=rows)
     return KktInfo(resid, tuple(mult.tolist()), problem.block.rank(z) < problem.block.size)
 
 
@@ -1162,11 +1170,13 @@ def _drawn_start(arity: int, seed: int, r: int) -> np.ndarray:
 def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     """Stage I for every restart: the outcomes on the standard rows, least stage-I value first.
 
-    Items are ``(value, restart, outcome)``; equal values keep restart
-    order.  Restart 0's start is put on the standard rows first; at
-    standard value exactly 0 it is a global minimum (the value is never
-    negative), so it runs alone, as with ``restarts=1``, and no other start
-    is drawn.  Otherwise every restart advances in lockstep through one
+    Items are ``(value, restart, outcome)``.  Values within ``_ROUNDING`` of
+    the least, relative to it, count as the least, and equal values keep
+    restart order: a restart that ends a rounding below an earlier one at
+    the same minimum does not come first.  Restart 0's start is put on the
+    standard rows first; at standard value exactly 0 it is a global minimum
+    (the value is never negative), so it runs alone, as with
+    ``restarts=1``, and no other start is drawn.  Otherwise every restart advances in lockstep through one
     :func:`_stage1` call, and merged restarts are left out.  A restart's
     feasibility is its last trace row's, at the point it returns.  Raises
     ``ValueError`` when restart 0's start has a zero standard part on a
@@ -1194,7 +1204,8 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
             f"no feasible candidate across restarts {list(range(len(outcomes)))} "
             f"(best feasibility {min(h):.3e} > tol {cfg.tol_feas:.3e})"
         )
-    return sorted(scored, key=lambda item: item[:2])
+    least = min(item[0] for item in scored) * (1.0 + _ROUNDING)
+    return sorted(scored, key=lambda item: (max(item[0], least), item[1]))
 
 
 def _report(
@@ -1241,9 +1252,11 @@ def solve_eqdqo(
     """Full two-stage solve with restarts.
 
     Every restart runs stage I.  Stage II can only break ties in the
-    standard value, so it runs for the restarts on the standard rows whose
-    stage-I value equals the least one exactly; a restart is a candidate
-    when its final point satisfies all constraint rows to ``tol_feas``.
+    standard value, so it runs for the lowest restart on the standard rows
+    whose stage-I value is the least to rounding (:func:`_stage1_restarts`)
+    and for those whose value equals its value exactly; a restart is a
+    candidate when its final point satisfies all constraint rows to
+    ``tol_feas``.
     A restart that merged into a minimum another restart converged to with
     a positive value is none (see :class:`SolverConfig`); restarts at
     value 0 or stalled are candidates as without merging, and stage II
@@ -1273,8 +1286,8 @@ def solve_eqdqo(
     scored = _stage1_restarts(problem, cfg, initial)
     candidates, tied = [], []
     for value, r, outcome in scored:
-        if value > scored[0][0]:
-            break
+        if value != scored[0][0]:
+            continue
         tied.append(r)
         stage2 = _stage2(problem, cfg, outcome.z, outcome.trace[-1])
         # both violations within tol_feas; a NaN one is not

@@ -5,8 +5,10 @@ rather than through any closed-form product formula, so it cannot share a
 bug with the implementation under test.  The sphere grid enumerates unit
 quaternions nearly uniformly for brute-force minimization.  The pose-row
 shorthands are not oracles: they run the library's row kernels on one row.
-Nor are the affine-residual helpers, which run ``AffineResidual``'s array
-kernels; ``affine_value`` is their reference, in quaternion arithmetic.
+Nor are the affine-residual helpers, which run ``affine_rows``, the
+library's evaluator, with constants added by a wrapper, and read its
+Jacobians back through its pullback; ``affine_value`` is their reference,
+in quaternion arithmetic.
 Nor is ``tangent_matrix``, which places ``ConstraintBlock.tangent``'s
 frames in a dense matrix, nor ``ConcatenateSpy``, which stands in for a
 module's ``numpy``.
@@ -15,13 +17,15 @@ module's ``numpy``.
 import numpy as np
 
 from dqopt import (
-    AffineResidual,
     DualFunction,
     DualNumber,
+    DualQuaternion,
     ResidualNormObjective,
     UnitDualQuaternion,
+    affine_rows,
     pack,
 )
+from dqopt.algebra import left_mult_matrix, right_mult_matrix
 from dqopt.handeye import pose_compose, pose_inverse, pose_udqs, unit_rows
 
 # Basis products e_p * e_q = sign * e_m over (1, i, j, k).
@@ -126,18 +130,61 @@ def poses_close(a, b, tol):
 # of ``(left, v, right)``.
 
 
-def affine_jacobians(arity, terms):
-    """``AffineResidual.jacobians`` of one residual with dual quaternion ``terms``."""
-    rows = [(pack([left]).reshape(1, 2, 4), v, pack([right]).reshape(1, 2, 4))
-            for left, v, right in terms]
-    return AffineResidual.jacobians(arity, 1, rows)
+def term_matrix(left, right):
+    """The ``(2, 4, 4)`` standard and dual matrices of the term ``left * x * right``.
+
+    They are ``L(left) R(right)`` in dual arithmetic, one 4x4 product per
+    part, as ``affine_rows`` takes them.
+    """
+    lm = left_mult_matrix(pack([left]).reshape(2, 4))
+    rm = right_mult_matrix(pack([right]).reshape(2, 4))
+    return np.stack((lm[0] @ rm[0], lm[1] @ rm[0] + lm[0] @ rm[1]))
 
 
 def affine_stack(arity, residuals):
-    """The ``AffineResidual.stack_arrays`` evaluator of ``residuals``, in order."""
-    jac = np.concatenate([affine_jacobians(arity, terms) for terms, _ in residuals], axis=1)
+    """The evaluator of ``residuals``, in order, with their constants added to the rows.
+
+    ``affine_rows`` takes two terms per residual, so each pair of terms,
+    a missing one zero, gets its own evaluator, and the evaluators' rows,
+    pullbacks and Jacobians are summed.
+    """
+    zero = (DualQuaternion.zero(), 0, DualQuaternion.zero())
+    count = max(1, *(len(terms) for terms, _ in residuals))
+    padded = [list(terms) + [zero] * (count + count % 2 - len(terms)) for terms, _ in residuals]
+    evaluators = []
+    for p in range(0, count, 2):
+        pairs = [terms[p : p + 2] for terms in padded]
+        i, j = (np.array([pair[t][1] for pair in pairs]) for t in (0, 1))
+        first, second = (np.array([term_matrix(pair[t][0], pair[t][2]) for pair in pairs]) for t in (0, 1))
+        evaluators.append(affine_rows(arity, i, j, first, second))
     constants = np.array([pack([constant]).reshape(2, 4) for _, constant in residuals])
-    return AffineResidual.stack_arrays(jac[0], jac[1], constants)
+    c_std, c_dual = constants[:, 0].ravel(), constants[:, 1].ravel()
+
+    def evaluate(z):
+        (r_std, r_dual, pull, jac), *more = (e(z) for e in evaluators)
+
+        def pullback(*weights):
+            return sum((m[2](*weights) for m in more), pull(*weights))
+
+        def jacobian(sparse):
+            return sum((m[3](sparse) for m in more), jac(sparse))
+
+        r_std = sum((m[0] for m in more), r_std) + c_std
+        return r_std, sum((m[1] for m in more), r_dual) + c_dual, pullback, jacobian
+
+    return evaluate
+
+
+def pulled_jacobians(pullback, rows):
+    """The Jacobians ``(J_s, J_d)``, ``(rows, 8n)`` each, that ``pullback`` transposes, row by row."""
+    eye = np.eye(rows)
+    return np.array([pullback(e) for e in eye]), np.array([pullback(0.0 * e, e) for e in eye])
+
+
+def affine_jacobians(arity, terms):
+    """The ``(4, 8n)`` Jacobians ``(J_s, J_d)`` of one residual with dual quaternion ``terms``."""
+    pullback = affine_stack(arity, [(terms, DualQuaternion.zero())])(np.zeros(8 * arity))[2]
+    return pulled_jacobians(pullback, 4)
 
 
 def affine_objective(arity, groups):

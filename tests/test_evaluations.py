@@ -62,7 +62,7 @@ def test_a_noiseless_solve_pgo_evaluates_each_objective_once(tmp_path, monkeypat
     graph = tmp_path / "pgo-200.graph"
     graph.write_text(serialize_graph(generate_cycle_graph(200, 60, seed=5)))
     counts = collections.Counter()
-    monkeypatch.setattr(posegraph, "_affine_rows", _counted(posegraph._affine_rows, counts, "affine"))
+    monkeypatch.setattr(posegraph, "affine_rows", _counted(posegraph.affine_rows, counts, "affine"))
     monkeypatch.setattr(RelativePoseResidual, "stack_arrays", staticmethod(
         _counted(RelativePoseResidual.stack_arrays, counts, "bilinear")))
     out = tmp_path / "report.json"
@@ -99,6 +99,32 @@ def test_shared_evaluations_leave_every_report_byte_for_byte(name, monkeypatch):
     fresh = _report_bytes(problem, cfg, report_text)
     assert shared[0] == fresh[0]
     assert shared[1] == fresh[1]
+
+
+def test_kkt_analysis_evaluates_the_objective_once_at_a_kink(monkeypatch):
+    # stage I's analysis at an AXYB optimum with one motion's residual at its
+    # kink reads the residual rows twice, for the gradient and for the kink's
+    # subgradient: one evaluation serves both, and the analysis is the one
+    # that evaluates in each hook, bit for bit
+    problem = build_axyb(generate_synthetic("axyb", 10, noise_rot=0.01, noise_trans=0.01, seed=10))
+    solution = solve_eqdqo(problem, SolverConfig(restarts=8, seed=0)).solution
+    stack = problem.objective._stack
+
+    def counted_analysis():
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(problem.objective, "_stack", lambda z: calls.append(np.shape(z)) or stack(z))
+            info = kkt_analysis(problem, solution, 1)
+        return info, calls
+
+    shared, calls = counted_analysis()
+    assert calls == [(16,)]
+    monkeypatch.delattr(ResidualNormObjective, "rows_at")
+    fresh, calls = counted_analysis()
+    assert len(calls) == 2  # the gradient's, then the kink's: this point has a kink
+    assert np.array(shared.residual).tobytes() == np.array(fresh.residual).tobytes()
+    assert np.array(shared.multipliers).tobytes() == np.array(fresh.multipliers).tobytes()
+    assert shared.degenerate == fresh.degenerate
 
 
 def test_no_evaluation_outlives_a_solve():

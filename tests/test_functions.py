@@ -12,11 +12,15 @@ from dqopt import (
     ResidualNormObjective,
     UnitDualQuaternion,
     UnitNormConstraint,
+    affine_rows,
     anchor_constraints,
+    build_axxb,
+    build_axyb,
     check_standardness,
     combine,
     compose_unit,
     fd_gradient,
+    generate_synthetic,
     gradient_check,
     map_power,
     normalize_map,
@@ -28,7 +32,8 @@ from dqopt import (
     unpack,
     variable_map,
 )
-from dqopt import posegraph, solver
+from dqopt import solver
+from dqopt.algebra import right_mult_matrix
 from dqopt.errors import ArityMismatch, NonUnitValue
 from helpers import (
     LeakyFunction,
@@ -403,7 +408,16 @@ def test_sparse_jacobian_matches_the_matrix_free_layer():
     unit = pack([_rand_dq(rng).normalized() for _ in edges]).reshape(-1, 2, 4)
     evaluate = RelativePoseResidual.stack_arrays(4, edges[:, 0], edges[:, 1], unit)
     _sparse_jacobian_matches_matrix_free(evaluate, 4, rng)
-    _sparse_jacobian_matches_matrix_free(posegraph._affine_rows(4, *edges.T, unit), 4, rng)
+    # stage I's edge rows x_i q - x_j: the terms R(q) and -I
+    minus = np.zeros(unit.shape + (4,))
+    minus[:, 0] = -np.eye(4)
+    evaluate = affine_rows(4, *edges.T, right_mult_matrix(unit), minus)
+    _sparse_jacobian_matches_matrix_free(evaluate, 4, rng)
+    # hand-eye's a x - x b, both terms on one variable, and a x - y b
+    for model, arity in (("axxb", 1), ("axyb", 2)):
+        ds = generate_synthetic(model, 5, noise_rot=0.01, noise_trans=0.01, seed=3)
+        problem = (build_axxb if model == "axxb" else build_axyb)(ds)
+        _sparse_jacobian_matches_matrix_free(problem.objective.rows_at, arity, rng)
 
 
 def test_gradients_of_builders():

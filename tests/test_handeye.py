@@ -5,7 +5,6 @@ import pytest
 
 from dqopt import (
     MIN_AXIS_SPREAD,
-    AffineResidual,
     DualQuaternion,
     EqdqoProblem,
     HandEyeDataset,
@@ -29,7 +28,7 @@ from dqopt.algebra import canonical_sign, left_mult_matrix, right_mult_matrix
 from dqopt.cli import main
 from dqopt.errors import Infeasible, InvalidPose, NoGroundTruth, TooFewMotions, UnitValidationError
 from dqopt.handeye import pose_compose, pose_inverse, pose_rows, unit_rows
-from helpers import affine_jacobians, inverse, matrix, pose_row, poses_close, product, udqs
+from helpers import affine_jacobians, inverse, matrix, pose_row, poses_close, product, pulled_jacobians, udqs
 
 IDENTITY = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
@@ -289,10 +288,10 @@ def test_parallel_axes_solve_despite_a_singular_normal_matrix():
     assert report.stage1_value <= 1e-9
 
 
-def test_an_exactly_singular_stage2_raises_infeasible_not_a_nan_answer():
+def test_an_exactly_singular_stage2_raises_infeasible_not_a_nan_answer(monkeypatch):
     # noiseless motions about one axis leave the translation along it free;
-    # here the stage-II normal matrix is exactly singular, and a NaN answer
-    # must not pass as feasible
+    # from the spectral start a stage-II normal matrix is exactly singular,
+    # and a NaN answer must not pass as feasible
     x = pose_row(Quaternion.exp_axis_angle(0.6, Quaternion(0, 0, 1, 0)), (0.1, 0.2, 0.3))
     poses_a, poses_b = [], []
     for angle, t in ((0.5, (1, 0, 0)), (0.9, (0, 1, 0.5)), (1.3, (0.3, -1, 0.2))):
@@ -304,11 +303,19 @@ def test_an_exactly_singular_stage2_raises_infeasible_not_a_nan_answer():
         # the constructor keeps the rows as the kernels formed them: normalizing
         # them again would move last bits and the system off exact singularity
         problem = build_axxb(HandEyeDataset("axxb", poses_a, poses_b))
-    # Infeasible from the spectral start, at value 0 and so alone, and from two random restarts
+    # Infeasible from the spectral start, at value 0 and so alone
+    with pytest.raises(Infeasible, match="stage II left h_d"):
+        solve_eqdqo(problem, cfg)
+    # From two random restarts the systems are singular only to rounding, and
+    # their finite answers pass (ROADMAP item 4): the solve that an exactly
+    # singular system gives, NaN, is forced on stage II's passes, the calls
+    # without a damping shift.
     bare = EqdqoProblem(problem.objective, problem.constraints)
-    for p in (problem, bare):
-        with pytest.raises(Infeasible):
-            solve_eqdqo(p, cfg)
+    solve = solver._reduced_solve
+    monkeypatch.setattr(solver, "_reduced_solve", lambda h, rhs, *shift: (
+        solve(h, rhs, *shift) if shift else np.full_like(rhs, np.nan)))
+    with pytest.raises(Infeasible, match=r"restarts \[0, 1\] \(stage II left h_d"):
+        solve_eqdqo(bare, cfg)
     problem = bare
     # the first non-finite pass ends stage II instead of repeating to max_outer
     # (here it is the first pass: its system is exactly singular)
@@ -441,8 +448,8 @@ def test_a_rewritten_dataset_gives_the_same_calibration(model, rewrite, sigma):
 # ---------------------------------------------------------------------------
 # The per-pair object build that the batched builders replaced, kept as
 # their reference: pose arithmetic in Quaternion objects, rounded as the
-# row kernels round, AffineResidual's Jacobians as one 4x4 product per
-# term, and one norm group per pair.
+# row kernels round, the residual Jacobians as one 4x4 product per term,
+# and one norm group per pair.
 
 
 def _ref_pose(q, t):
@@ -474,7 +481,7 @@ def _ref_canonical_udq(p):
 
 
 def _ref_jacobians(arity, terms):
-    """One residual's ``AffineResidual`` Jacobians, one 4x4 product per term."""
+    """One residual's Jacobians ``(J_s, J_d)``, ``(4, 8n)`` each, one 4x4 product per term."""
 
     def lm(q):
         return left_mult_matrix(q.as_array())
@@ -511,8 +518,16 @@ def _ref_build(ds):
     one = DualQuaternion.identity()
     terms = [[(p, 0, one), (-one, other, q)] for p, q in pairs]
     jacobians = [_ref_jacobians(arity, t) for t in terms]
-    jac_std, jac_dual = (np.vstack(j) for j in zip(*jacobians))
-    stack = AffineResidual.stack_arrays(jac_std, jac_dual, np.zeros((len(pairs), 2, 4)))
+
+    def matrices(term, at):
+        # the term alone: its standard and dual matrices in its variable's standard slot
+        jac_std, jac_dual = _ref_jacobians(arity, [term])
+        return np.stack((jac_std[:, at : at + 4], jac_dual[:, at : at + 4]))
+
+    first = np.array([matrices(t[0], 0) for t in terms])
+    second = np.array([matrices(t[1], 8 * other) for t in terms])
+    i = np.zeros(len(pairs), dtype=np.intp)
+    stack = handeye.affine_rows(arity, i, i + other, first, second)
     return pairs, ResidualNormObjective(arity, stack, [1] * len(pairs)), jacobians
 
 
@@ -529,15 +544,18 @@ DRAWS = [
 def test_batched_build_matches_the_object_build(model, n, sigma, seed, monkeypatch):
     ds = generate_synthetic(model, n, noise_rot=sigma, noise_trans=sigma, seed=seed)
     stacked = []
-    original = AffineResidual.stack_arrays
+    original = handeye.affine_rows
 
-    def spy(jac_std, jac_dual, constants=None):
-        stacked.append((jac_std, jac_dual))
-        return original(jac_std, jac_dual, constants)
+    def spy(*args):
+        stacked.append(original(*args))
+        return stacked[-1]
 
-    monkeypatch.setattr(AffineResidual, "stack_arrays", staticmethod(spy))
+    monkeypatch.setattr(handeye, "affine_rows", spy)
     problem = (build_axxb if model == "axxb" else build_axyb)(ds)
-    jac_std, jac_dual = stacked[0]
+    monkeypatch.undo()
+    (evaluate,) = stacked
+    r_std, _, pullback, _ = evaluate(np.zeros(8 * problem.arity))
+    jac_std, jac_dual = pulled_jacobians(pullback, r_std.size)
     pairs, reference, jacobians = _ref_build(ds)
 
     # motions (axxb) or canonical poses (axyb), zero signs included

@@ -249,3 +249,30 @@ def test_every_restart_runs_from_a_start_off_value_0(monkeypatch):
             assert drawn == [0]
         else:
             assert drawn == every, case
+
+
+def test_restarts_within_rounding_of_the_least_value_keep_restart_order(monkeypatch):
+    # stage-I values that differ by rounding at one minimum are a tie, which
+    # the lower restart wins; a value lower beyond rounding still wins
+    problem, _ = _handeye("axyb", SIGMA, 15)
+    stage1 = solver._stage1
+    scale = (1.0, 1.0 - 1e-14, 1.0 + 1e-13, 1.0 + 1e-9, 1.0 - 1e-14, 1.0, 1.0, 1.0)
+
+    def shifted(*args):
+        outcomes = stage1(*args)
+        v = outcomes[0].value
+        return [replace(o, value=v * s) for o, s in zip(outcomes, scale)]
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_MERGE_RADIUS", -1.0)
+        m.setattr(solver, "_stage1", shifted)
+        order = [r for _, r, _ in solver._stage1_restarts(problem, CFG, None)]
+        report = solve_eqdqo(problem, CFG)
+    assert order == [0, 1, 2, 4, 5, 6, 7, 3]
+    # stage II runs for restart 0 and those at its value exactly, 5 to 7
+    assert report.restart_index in (0, 5, 6, 7)
+    scale = (1.0, 1.0 - 1e-11) + (1.0,) * 6
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_MERGE_RADIUS", -1.0)
+        m.setattr(solver, "_stage1", shifted)
+        assert solve_eqdqo(problem, CFG).restart_index == 1

@@ -590,7 +590,7 @@ def test_affine_and_bilinear_edge_rows_have_equal_magnitudes_at_unit_points():
     g = generate_cycle_graph(9, loop_closures=3, noise_rot=0.05, noise_trans=0.05, seed=51)
     ij, q = posegraph._sorted_edges(g)
     bilinear = RelativePoseResidual.stack_arrays(g.n, *ij.T, q)
-    affine = posegraph._affine_rows(g.n, *ij.T, q)
+    affine = build_pgo(g).stage1.rows_at
     rng = np.random.default_rng(53)
     points = _unit_points(rng, g.n, 10)
     for z in points:
@@ -606,8 +606,7 @@ def test_affine_and_bilinear_edge_rows_have_equal_magnitudes_at_unit_points():
 
 def test_the_affine_jacobian_is_constant_and_the_same_dense_or_csr(monkeypatch):
     g = generate_cycle_graph(9, loop_closures=3, noise_rot=0.05, noise_trans=0.05, seed=55)
-    ij, q = posegraph._sorted_edges(g)
-    evaluate = posegraph._affine_rows(g.n, *ij.T, q)
+    evaluate = build_pgo(g).stage1.rows_at
     z = _unit_points(np.random.default_rng(57), g.n, 2)
     # the caller picks the layout: whatever _DENSE_MAX is, each layout holds
     # the same entries, and every point and stack the same ones

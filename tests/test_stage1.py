@@ -266,12 +266,13 @@ def test_a_rough_start_on_noiseless_data_ends_with_every_kink_at_rounding(seed):
 
 def _per_edge_problem(graph):
     """``build_pgo(graph)`` with one magnitude group per edge in the objective and in ``stage1``."""
+    problem = build_pgo(graph)
     ij, q, start = posegraph._tree_start(graph)
     n, sizes = graph.n, [1] * graph.m
     bilinear = posegraph.RelativePoseResidual.stack_arrays(n, *ij.T, q)
     objective = ResidualNormObjective(n, bilinear, sizes)
-    stage1 = ResidualNormObjective(n, posegraph._affine_rows(n, *ij.T, q), sizes)
-    return solver.EqdqoProblem(objective, build_pgo(graph).constraints, start, stage1)
+    stage1 = ResidualNormObjective(n, problem.stage1.rows_at, sizes)
+    return solver.EqdqoProblem(objective, problem.constraints, start, stage1)
 
 
 @pytest.mark.parametrize("n, chords, seed, rows", [
