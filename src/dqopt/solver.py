@@ -52,12 +52,12 @@ iterates it would take alone until it stops on its own stop rule, or until
 it comes within ``_MERGE_RADIUS`` of a minimum another restart converged
 to, where it stops "merged".  Larger, sparse problems advance their
 restarts one after another within each step.  Stage II runs for the
-restarts tied at the least stage-I value, values within rounding of it
-counting as the least and the lowest such restart first, each on the
-``B = J N`` it forms
-from the objective's slope ``J`` at the stage-I point, with ``N`` the
-constraint block's tangent frames, and the reported solution is the
-dn-order minimum over their feasible outcomes.
+restarts tied at the least stage-I value, those within rounding of it
+included, in restart order, each with those at its value exactly, until
+one gives a candidate.  Each forms its ``B = J N`` from the objective's
+slope ``J`` at the stage-I point, with ``N`` the constraint block's
+tangent frames, and the reported solution is the dn-order minimum over
+the feasible outcomes.
 """
 
 from __future__ import annotations
@@ -1175,13 +1175,13 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     restart order: a restart that ends a rounding below an earlier one at
     the same minimum does not come first.  Restart 0's start is put on the
     standard rows first; at standard value exactly 0 it is a global minimum
-    (the value is never negative), so it runs alone, as with
-    ``restarts=1``, and no other start is drawn.  Otherwise every restart advances in lockstep through one
-    :func:`_stage1` call, and merged restarts are left out.  A restart's
-    feasibility is its last trace row's, at the point it returns.  Raises
-    ``ValueError`` when restart 0's start has a zero standard part on a
-    unit row, and :class:`Infeasible`, naming the restarts that ran, when
-    none satisfies the standard rows to ``tol_feas``.
+    (the value is never negative), so it runs alone, as with ``restarts=1``,
+    and no other start is drawn.  Otherwise every restart advances in
+    lockstep through one :func:`_stage1` call, and merged restarts are left
+    out.  A restart's feasibility is its last trace row's, at the point it
+    returns.  Raises ``ValueError`` when restart 0's start has a zero
+    standard part on a unit row, and :class:`Infeasible`, naming the
+    restarts that ran, when none satisfies the standard rows to ``tol_feas``.
     """
     with np.errstate(invalid="ignore", divide="ignore"):  # a zero norm is reported below
         projected = problem.block.project(_restart_start(problem, cfg, initial, 0)[None])
@@ -1252,11 +1252,11 @@ def solve_eqdqo(
     """Full two-stage solve with restarts.
 
     Every restart runs stage I.  Stage II can only break ties in the
-    standard value, so it runs for the lowest restart on the standard rows
-    whose stage-I value is the least to rounding (:func:`_stage1_restarts`)
-    and for those whose value equals its value exactly; a restart is a
-    candidate when its final point satisfies all constraint rows to
-    ``tol_feas``.
+    standard value, so it runs for the restarts on the standard rows whose
+    stage-I value is the least to rounding (:func:`_stage1_restarts`): in
+    restart order, each with those at its value exactly, until one of these
+    groups gives a candidate.  A restart is a candidate when its final
+    point satisfies all constraint rows to ``tol_feas``.
     A restart that merged into a minimum another restart converged to with
     a positive value is none (see :class:`SolverConfig`); restarts at
     value 0 or stalled are candidates as without merging, and stage II
@@ -1284,15 +1284,18 @@ def solve_eqdqo(
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
     scored = _stage1_restarts(problem, cfg, initial)
+    least = min(item[0] for item in scored) * (1.0 + _ROUNDING)  # as _stage1_restarts ties them
     candidates, tied = [], []
-    for value, r, outcome in scored:
-        if value != scored[0][0]:
-            continue
-        tied.append(r)
-        stage2 = _stage2(problem, cfg, outcome.z, outcome.trace[-1])
-        # both violations within tol_feas; a NaN one is not
-        if all(v <= cfg.tol_feas for v in stage2.feasibility):
-            candidates.append((stage2.value, r, outcome, stage2))
+    # the values in the band, in restart order; each with its exact ties
+    for exact in dict.fromkeys(value for value, _, _ in scored if value <= least):
+        for _, r, outcome in (item for item in scored if item[0] == exact):
+            tied.append(r)
+            stage2 = _stage2(problem, cfg, outcome.z, outcome.trace[-1])
+            # both violations within tol_feas; a NaN one is not
+            if all(v <= cfg.tol_feas for v in stage2.feasibility):
+                candidates.append((stage2.value, r, outcome, stage2))
+        if candidates:
+            break
     if not candidates:
         raise Infeasible(
             f"no feasible candidate across restarts {tied} "

@@ -37,11 +37,11 @@ from dqopt.algebra import right_mult_matrix
 from dqopt.errors import ArityMismatch, NonUnitValue
 from helpers import (
     LeakyFunction,
-    affine_jacobians,
     affine_objective,
     affine_stack,
     affine_value,
     tangent_matrix,
+    term_matrix,
 )
 
 I = Quaternion(0, 1, 0, 0)
@@ -242,9 +242,14 @@ def test_affine_residual_eval_matches_rows():
 def test_affine_pullback_is_the_stacked_jacobian_product():
     rng = np.random.default_rng(107)
     res = [([(_rand_dq(rng), v, _rand_dq(rng))], _rand_dq(rng)) for v in (0, 2, 1, 2)]
-    jacobians = [affine_jacobians(3, terms) for terms, _ in res]
-    jac_std = np.vstack([j[0] for j in jacobians])
-    jac_dual = np.vstack([j[1] for j in jacobians])
+    # the reference: each term's standard and dual matrices placed by hand,
+    # the dual rows M_d x_s + M_s x_d
+    jac_std, jac_dual = np.zeros((2, 16, 24))
+    for e, ([(left, v, right)], _) in enumerate(res):
+        m_std, m_dual = term_matrix(left, right)
+        jac_std[4 * e : 4 * e + 4, 8 * v : 8 * v + 4] = m_std
+        jac_dual[4 * e : 4 * e + 4, 8 * v : 8 * v + 4] = m_dual
+        jac_dual[4 * e : 4 * e + 4, 8 * v + 4 : 8 * v + 8] = m_std
     _, _, pullback, _ = affine_stack(3, res)(rng.standard_normal(24))
     a, b = rng.standard_normal((2, 16))
     assert np.array_equal(pullback(a), jac_std.T @ a)

@@ -304,26 +304,31 @@ def test_an_exactly_singular_stage2_raises_infeasible_not_a_nan_answer(monkeypat
         # them again would move last bits and the system off exact singularity
         problem = build_axxb(HandEyeDataset("axxb", poses_a, poses_b))
     # Infeasible from the spectral start, at value 0 and so alone
-    with pytest.raises(Infeasible, match="stage II left h_d"):
+    with pytest.raises(Infeasible, match=r"restarts \[0\] \(stage II left h_d"):
         solve_eqdqo(problem, cfg)
-    # From two random restarts the systems are singular only to rounding, and
-    # their finite answers pass (ROADMAP item 4): the solve that an exactly
-    # singular system gives, NaN, is forced on stage II's passes, the calls
-    # without a damping shift.
-    bare = EqdqoProblem(problem.objective, problem.constraints)
-    solve = solver._reduced_solve
-    monkeypatch.setattr(solver, "_reduced_solve", lambda h, rhs, *shift: (
-        solve(h, rhs, *shift) if shift else np.full_like(rhs, np.nan)))
-    with pytest.raises(Infeasible, match=r"restarts \[0, 1\] \(stage II left h_d"):
-        solve_eqdqo(bare, cfg)
-    problem = bare
     # the first non-finite pass ends stage II instead of repeating to max_outer
-    # (here it is the first pass: its system is exactly singular)
+    # (here the third: its system is exactly singular)
     _, _, outcome = solver._stage1_restarts(problem, cfg, None)[0]
     stage2 = solver._stage2(problem, cfg, outcome.z, outcome.trace[-1])
     finite = [np.isfinite(row.objective_dual) for row in stage2.trace]
-    assert len(finite) == 1
+    assert len(finite) == 3
     assert all(finite[:-1]) and not finite[-1]
+    # From two random restarts, restart 0's systems are singular only to
+    # rounding: its finite answer, with an undetermined translation, passes
+    # as in test_parallel_axes_solve_despite_a_singular_normal_matrix
+    # (ROADMAP item 4).
+    bare = EqdqoProblem(problem.objective, problem.constraints)
+    report = solve_eqdqo(bare, cfg)
+    assert np.all(np.isfinite(pack(list(report.solution))))
+    assert max(report.feasibility.values()) <= 1e-9
+    # The solve an exactly singular system gives, NaN, forced on stage II's
+    # passes (the calls without a damping shift), leaves no candidate.
+    solve = solver._reduced_solve
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_reduced_solve", lambda h, rhs, *shift: (
+            solve(h, rhs, *shift) if shift else np.full_like(rhs, np.nan)))
+        with pytest.raises(Infeasible, match=r"restarts \[0, 1\] \(stage II left h_d"):
+            solve_eqdqo(bare, cfg)
 
 
 def test_too_few_motions():

@@ -22,6 +22,7 @@ from dqopt import (
     spanning_tree_rows,
     vertex_errors,
 )
+from dqopt.errors import Infeasible
 
 SIGMA = 0.01
 CFG = SolverConfig(restarts=8, seed=0)
@@ -252,27 +253,42 @@ def test_every_restart_runs_from_a_start_off_value_0(monkeypatch):
 
 
 def test_restarts_within_rounding_of_the_least_value_keep_restart_order(monkeypatch):
-    # stage-I values that differ by rounding at one minimum are a tie, which
-    # the lower restart wins; a value lower beyond rounding still wins
+    # stage-I values that differ by rounding at one minimum are a tie: stage
+    # II runs for them in restart order, exact ties together, until one gives
+    # a candidate; a value lower beyond rounding still wins
     problem, _ = _handeye("axyb", SIGMA, 15)
-    stage1 = solver._stage1
+    stage1, stage2 = solver._stage1, solver._stage2
     scale = (1.0, 1.0 - 1e-14, 1.0 + 1e-13, 1.0 + 1e-9, 1.0 - 1e-14, 1.0, 1.0, 1.0)
+    failing, tried = set(), []  # stage II calls, counted from 1, made infeasible
 
     def shifted(*args):
         outcomes = stage1(*args)
         v = outcomes[0].value
         return [replace(o, value=v * s) for o, s in zip(outcomes, scale)]
 
-    with monkeypatch.context() as m:
-        m.setattr(solver, "_MERGE_RADIUS", -1.0)
-        m.setattr(solver, "_stage1", shifted)
-        order = [r for _, r, _ in solver._stage1_restarts(problem, CFG, None)]
-        report = solve_eqdqo(problem, CFG)
+    def fails(*args):
+        tried.append(stage2(*args))
+        return replace(tried[-1], feasibility=(np.inf, np.inf)) if len(tried) in failing else tried[-1]
+
+    monkeypatch.setattr(solver, "_MERGE_RADIUS", -1.0)
+    monkeypatch.setattr(solver, "_stage1", shifted)
+    monkeypatch.setattr(solver, "_stage2", fails)
+    order = [r for _, r, _ in solver._stage1_restarts(problem, CFG, None)]
     assert order == [0, 1, 2, 4, 5, 6, 7, 3]
     # stage II runs for restart 0 and those at its value exactly, 5 to 7
-    assert report.restart_index in (0, 5, 6, 7)
+    report = solve_eqdqo(problem, CFG)
+    assert len(tried) == 4 and report.restart_index in (0, 5, 6, 7)
+    # restart 0's group gives no candidate: restart 1's, 1 and 4, does, and
+    # restart 2 is not tried
+    failing.update((1, 2, 3, 4))
+    tried.clear()
+    report = solve_eqdqo(problem, CFG)
+    assert len(tried) == 6 and report.restart_index in (1, 4)
+    # no group in the band gives one: all seven are named, restart 3 not
+    failing.update(range(5, 8))
+    tried.clear()
+    with pytest.raises(Infeasible, match=r"restarts \[0, 5, 6, 7, 1, 4, 2\] \(stage II"):
+        solve_eqdqo(problem, CFG)
+    failing.clear()
     scale = (1.0, 1.0 - 1e-11) + (1.0,) * 6
-    with monkeypatch.context() as m:
-        m.setattr(solver, "_MERGE_RADIUS", -1.0)
-        m.setattr(solver, "_stage1", shifted)
-        assert solve_eqdqo(problem, CFG).restart_index == 1
+    assert solve_eqdqo(problem, CFG).restart_index == 1
