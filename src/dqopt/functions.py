@@ -8,11 +8,11 @@ part, wxyz order) and ``z[8i+4:8i+8]`` (dual part).
 A function is *standard* when its standard-part value never depends on
 the dual coordinates.  Objectives and constraints built from residual
 magnitudes, unit-norm conditions, and anchors are all standard; the
-two-stage solver relies on that structure.  Its constraints are unit-norm
-conditions and :func:`anchor_constraints` rows only, evaluated together by
-:class:`ConstraintBlock`; any other constraint type raises ``TypeError``.
-Likewise a :class:`ResidualNormObjective` takes one array evaluator of all
-its residual rows, :func:`affine_rows` (hand-eye, pose-graph stage I) or
+two-stage solver relies on that structure.  Its constraints are data:
+the unit-norm variables and the anchors' targets, whose rows
+:class:`ConstraintBlock` evaluates together.  Likewise a
+:class:`ResidualNormObjective` takes one array evaluator of all its
+residual rows, :func:`affine_rows` (hand-eye, pose-graph stage I) or
 :meth:`dqopt.posegraph.RelativePoseResidual.stack_arrays`, which returns the
 rows in one call together with their *pullback* ``(w_std, w_dual) -> J_s^T
 w_std + J_d^T w_dual``, the product of the transposed residual Jacobians
@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -627,10 +628,12 @@ class ResidualNormObjective(DualFunction):
 
 
 class UnitNormConstraint(DualFunction):
-    """Equality constraint forcing variable ``index`` to be unit.
+    """The paper's unit-norm condition on variable ``index``, as a dual function.
 
     The dual-number value is ``(|x_std|^2 - 1) + 2 <x_std, x_dual> eps``;
-    both parts vanishing is exactly the unit condition.
+    both parts vanishing is exactly the unit condition.  The self-test's
+    gradient suite checks it; a solve builds none, as :class:`ConstraintBlock`
+    evaluates these rows from the unit-norm variables' indices.
     """
 
     def __init__(self, arity: int, index: int):
@@ -665,25 +668,19 @@ class UnitNormConstraint(DualFunction):
 
 
 class _ComponentAnchor(DualFunction):
-    """One coefficient of ``x[index] - target``, as a dual-number constraint."""
+    """One coefficient of ``x[index] - target``; see :func:`anchor_constraints`."""
 
     def __init__(self, arity: int, index: int, component: int, target: DualQuaternion):
         super().__init__(arity, declared_standard=True)
         if not 0 <= index < arity:
             raise ValueError(f"index {index} out of range for arity {arity}")
-        self.index = int(index)
-        self.component = int(component)
-        self.target = target
-        t_std = target.std.as_array()
-        t_dual = target.dual.as_array()
-        self._t_std = float(t_std[self.component])
-        self._t_dual = float(t_dual[self.component])
+        self.index, self.component, self.target = int(index), int(component), target
+        self._t_std = float(target.std.as_array()[self.component])
+        self._t_dual = float(target.dual.as_array()[self.component])
 
     def value(self, values):
-        x = values[self.index]
-        xs = x.std.as_array()
-        xd = x.dual.as_array()
-        return DualNumber(xs[self.component] - self._t_std, xd[self.component] - self._t_dual)
+        x, c = values[self.index], self.component
+        return DualNumber(x.std.as_array()[c] - self._t_std, x.dual.as_array()[c] - self._t_dual)
 
     def gradient_at(self, z):
         n8 = 8 * self.arity
@@ -706,67 +703,66 @@ class _ComponentAnchor(DualFunction):
 def anchor_constraints(
     arity: int, index: int, target: DualQuaternion
 ) -> tuple[DualFunction, ...]:
-    """Constraints pinning variable ``index`` to ``target``: one per coefficient, a set of four."""
+    """Constraints pinning variable ``index`` to ``target``: one per coefficient, a set of four.
+
+    No solve builds these; they stay only while the benchmark's tracer wraps
+    their ``fast_rows`` and ``gradient_at``, until ROADMAP item 13 deletes them.
+    """
     return tuple(_ComponentAnchor(arity, index, c, target) for c in range(4))
 
 
 class ConstraintBlock:
     """Every unit-norm and anchor row of a problem, evaluated in one call.
 
-    Rows keep the order of ``constraints``; any other constraint type
-    raises ``TypeError``.  Both families are standard with a dual part
-    linear in the dual coordinates, so the Jacobian of ``h`` over the
-    standard coordinates equals that of ``h_d`` over the dual ones: the
-    *stage Jacobian* ``G``, shape ``(m, 4n)``, column ``4i + c`` for
-    coefficient ``c`` of variable ``i``.  Every row touches one variable,
-    so ``G`` is block diagonal by variable, and each variable is *anchored*
-    (all four :func:`anchor_constraints` rows, any unit rows), a *sphere*
-    (unit rows only) or *free*; another anchor pattern raises ``TypeError``.
-    :meth:`tangent`, :meth:`pinv` and :meth:`rank` are closed forms by class.
+    The rows are one :class:`UnitNormConstraint` row per variable in
+    ``unit``, each at most once, in that order, then the four coefficients
+    of ``x_i - target`` per entry of ``anchors``.  An index out of range or
+    repeated raises ``ValueError``, a target that is not a
+    :class:`DualQuaternion` ``TypeError``, naming the variable.  Both
+    families are standard with a dual part linear in the dual coordinates,
+    so the Jacobian of ``h`` over the standard coordinates equals that of
+    ``h_d`` over the dual ones: the *stage Jacobian* ``G``, shape ``(m,
+    4n)``, column ``4i + c`` for coefficient ``c`` of variable ``i``.
+    Every row touches one variable, so ``G`` is block diagonal by variable,
+    and each variable is *anchored* (with a unit row or without), a
+    *sphere* (a unit row only) or *free*.  :meth:`tangent`, :meth:`pinv`
+    and :meth:`rank` are closed forms by class.
 
-    ``__init__`` reads the rows in one pass (types, then indices) and builds
-    every index plan once: row positions, slices where consecutive, slots
-    and weights per family and class, and the signed gather of :meth:`tangent`.
-    Each method keeps its plain formula's arithmetic order and array
-    layouts, so results match it bit for bit.
+    ``__init__`` builds every index plan once, vectorized, and keeps
+    ``unit`` and ``anchors`` read-only.  Each method keeps its plain
+    formula's arithmetic order and array layouts, so results match it bit
+    for bit.
     """
 
-    def __init__(self, arity: int, constraints: Sequence[DualFunction]):
-        # Exact types: a subclass may override the formulas the block hard-codes.
-        kind_of = {UnitNormConstraint: 0, _ComponentAnchor: 1}.get
-        kind = np.array([kind_of(type(c), 2) for c in constraints], dtype=np.intp)
-        if (bad := np.flatnonzero(kind == 2)).size:
-            raise TypeError(f"constraint {bad[0]} ({type(constraints[bad[0]]).__name__}) is neither "
-                            "a unit-norm nor an anchor row")
-        self.arity, self.size = int(arity), len(constraints)
-        u_row, self._a_row = np.flatnonzero(kind == 0), np.flatnonzero(kind == 1)
-        index = np.array([c.index for c in constraints], dtype=np.intp)
-        self._u_var, a_var = index[u_row], index[self._a_row]
-        anchors = [constraints[j] for j in self._a_row.tolist()]
-        a_comp = np.array([c.component for c in anchors], dtype=np.intp)
-        u_var = self._u_var.reshape(-1, 1)
-        self._u_slots, self._u_std = 8 * u_var + np.arange(8), 8 * u_var + np.arange(4)
-        self._u_cols = 4 * u_var + np.arange(4)
-        self._a_coords = np.stack((8 * a_var + a_comp, 8 * a_var + 4 + a_comp))
-        self._a_targets = np.array([(c._t_std, c._t_dual) for c in anchors]).reshape(-1, 2).T
-        self._a_cols = 4 * a_var + a_comp
-        self._u_at, self._a_at, self._u_var_at = (
-            slice(r[0], r[-1] + 1) if r.size and (np.diff(r) == 1).all() else r
-            for r in (u_row, self._a_row, self._u_var))
+    def __init__(self, arity: int, unit: Sequence[int], anchors: Mapping | None):
+        self.arity, anchors = int(arity), dict(anchors or {})
+        u_var, a_var = (np.asarray(v).astype(np.intp).ravel() for v in (unit, list(anchors)))
+        for name, var in (("unit", u_var), ("anchored", a_var)):
+            if (bad := np.flatnonzero((var < 0) | (var >= self.arity))).size:
+                raise ValueError(f"{name} variable {var[bad[0]]} out of range for arity {self.arity}")
+        count = np.bincount(u_var, minlength=self.arity)
+        if (twice := np.flatnonzero(count > 1)).size:
+            raise ValueError(f"unit variable {twice[0]} is listed more than once")
+        if bad := [i for i, t in anchors.items() if not isinstance(t, DualQuaternion)]:
+            raise TypeError(f"anchor target of variable {bad[0]} is not a DualQuaternion")
+        u_var.flags.writeable = False
+        self.unit, self.anchors = u_var, MappingProxyType(dict(zip(a_var.tolist(), anchors.values())))
+        self.size = u_var.size + 4 * a_var.size
+        self._u_at, self._a_at = slice(0, u_var.size), slice(u_var.size, self.size)
+        u, a = u_var[:, None], a_var[:, None]
+        self._u_slots, self._u_std = 8 * u + np.arange(8), 8 * u + np.arange(4)
+        self._u_cols, self._a_cols = 4 * u + np.arange(4), (4 * a + np.arange(4)).ravel()
+        coords = (8 * a + np.arange(4)).ravel()
+        self._a_coords = np.stack((coords, coords + 4))
+        parts = [(t.std.as_array(), t.dual.as_array()) for t in anchors.values()]
+        self._a_targets = np.array(parts).reshape(-1, 2, 4).transpose(1, 0, 2).reshape(2, -1)
         # Columns of G^T v, unit rows' four then the anchors', for one bincount.
         self._pull_cols = np.concatenate((self._u_cols.ravel(), self._a_cols))
-        self._anchored = np.flatnonzero(np.bincount(a_var, minlength=self.arity))
-        for i in self._anchored.tolist():
-            comps = sorted(a_comp[a_var == i].tolist())
-            if comps != [0, 1, 2, 3]:
-                raise TypeError(f"variable {i} is anchored on coefficients {comps}, "
-                                "not on all four once")
-        # 4 x (unit rows) per variable: G_i^T G_i is that times x x^T, plus I if anchored
-        weight = 4.0 * np.bincount(self._u_var, minlength=self.arity)
-        width = np.where(weight > 0, 3, 4)
-        width[self._anchored] = 0
+        # 4 per unit row: G_i^T G_i is that times x x^T, plus I if anchored
+        self._anchored, self._anchored_weight = a_var, 4.0 * count[a_var]
+        width = np.where(count > 0, 3, 4)
+        width[a_var] = 0
         self._sphere = np.flatnonzero(width == 3)
-        self._sphere_weight, self._anchored_weight = weight[self._sphere], weight[self._anchored]
         #: The variable of each tangent column, and ``_col`` its column of :meth:`tangent`'s frame.
         self.var = np.repeat(np.arange(self.arity), width)
         #: The standard slot ``4 var[j] + c`` of entry ``c`` of each frame ``j``, raveled.
@@ -788,7 +784,7 @@ class ConstraintBlock:
         vals = np.empty(z.shape[:-1] + (2, self.size))
         vals[..., 0, self._u_at] = dots[..., 0] - 1.0
         vals[..., 1, self._u_at] = 2.0 * dots[..., 1]
-        if self._a_row.size:
+        if self._anchored.size:
             vals[..., self._a_at] = z[..., self._a_coords] - self._a_targets
         return vals[..., 0, :], vals[..., 1, :]
 
@@ -825,7 +821,7 @@ class ConstraintBlock:
         """
         out = np.zeros(z.shape[:-1] + (self.arity,))
         x, g = z.take(self._u_std, axis=-1), grad.take(self._u_cols, axis=-1)
-        out[..., self._u_var_at] = np.einsum("...ij,...ij->...i", x, g)
+        out[..., self.unit] = np.einsum("...ij,...ij->...i", x, g)
         return out
 
     def tangent(self, z: np.ndarray) -> np.ndarray:
@@ -844,17 +840,17 @@ class ConstraintBlock:
     def pinv(self, z: np.ndarray, u: np.ndarray) -> np.ndarray:
         """``(G^T G)^+ u`` at ``z`` for a ``4n`` vector ``u``: the minimum-norm least-squares step.
 
-        With ``a`` four times a variable's unit rows, it is ``x (x . u) / (a
-        |x|^4)`` (0 where ``x = 0``) per sphere variable, ``u - a x (x . u) /
-        (1 + a |x|^2)`` (Sherman-Morrison) per anchored one and 0 per free one.
+        With ``a`` 4 for a variable with a unit row, else 0, it is ``x (x . u)
+        / (a |x|^4)`` (0 where ``x = 0``) per sphere variable, ``u - a x (x .
+        u) / (1 + a |x|^2)`` (Sherman-Morrison) per anchored one, 0 per free one.
         """
         x, u = z.reshape(-1, 8)[:, :4], u.reshape(-1, 4)
         dot, sq = np.einsum("ij,ij->i", x, u), np.einsum("ij,ij->i", x, x)
         out = np.zeros(u.shape)
-        s, a, q = self._sphere, self._sphere_weight, sq[self._sphere]
+        s, q = self._sphere, sq[self._sphere]
         if not (live := q > 0).all():
-            s, a, q = s[live], a[live], q[live]
-        out[s] = x[s] * (dot[s] / (a * q * q))[:, None]
+            s, q = s[live], q[live]
+        out[s] = x[s] * (dot[s] / (4.0 * q * q))[:, None]
         k, a = self._anchored, self._anchored_weight
         if k.size:
             out[k] = u[k] - x[k] * (a * dot[k] / (1.0 + a * sq[k]))[:, None]

@@ -41,7 +41,7 @@ from .algebra import (
     unit_deviations,
 )
 from .errors import InvalidPose, NoGroundTruth, TooFewMotions, UnitValidationError
-from .functions import ResidualNormObjective, UnitNormConstraint, affine_rows, pack
+from .functions import ResidualNormObjective, affine_rows, pack
 from .solver import EqdqoProblem
 
 __all__ = [
@@ -332,7 +332,7 @@ def build_axxb(dataset: HandEyeDataset) -> EqdqoProblem:
     if len(a) < 2:
         raise TooFewMotions(f"need at least 2 relative motions, got {len(a)}")
     _warn_if_degenerate(a[:, 0])
-    return EqdqoProblem(_magnitudes(1, a, b, 0), (UnitNormConstraint(1, 0),), _spectral(1, a, b))
+    return EqdqoProblem(_magnitudes(1, a, b, 0), (0,), start=_spectral(1, a, b))
 
 
 def build_axyb(dataset: HandEyeDataset) -> EqdqoProblem:
@@ -347,8 +347,7 @@ def build_axyb(dataset: HandEyeDataset) -> EqdqoProblem:
         raise TooFewMotions(f"need at least 3 pose pairs, got {len(a)}")
     # rotations of the relative motions a_{i+1}^{-1} a_i
     _warn_if_degenerate(quat_mul(a[1:, 0] * _CONJ, a[:-1, 0]))
-    constraints = (UnitNormConstraint(2, 0), UnitNormConstraint(2, 1))
-    return EqdqoProblem(_magnitudes(2, a, b, 1), constraints, _spectral(2, a, b))
+    return EqdqoProblem(_magnitudes(2, a, b, 1), (0, 1), start=_spectral(2, a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -56,11 +56,9 @@ from .errors import (
 )
 from .functions import (
     ResidualNormObjective,
-    UnitNormConstraint,
     _assemble,
     _jacobian_cols,
     affine_rows,
-    anchor_constraints,
     pack,
 )
 from .handeye import _CONJ, _seeded_rng, _unit, check_noise, pose_compose, pose_errors, pose_inverse
@@ -354,9 +352,8 @@ def build_pgo(graph: PoseGraph) -> solver.EqdqoProblem:
     minus[:, 0] = -np.eye(4)  # the term -x_j, with no dual matrix
     rows = affine_rows(graph.n, *ij.T, right_mult_matrix(q), minus)
     stage1 = ResidualNormObjective(graph.n, rows, [graph.m])
-    constraints = [UnitNormConstraint(graph.n, k) for k in range(1, graph.n)]
-    constraints.extend(anchor_constraints(graph.n, 0, DualQuaternion.identity()))
-    return solver.EqdqoProblem(objective, tuple(constraints), start, stage1)
+    anchor = {0: DualQuaternion.identity()}
+    return solver.EqdqoProblem(objective, np.arange(1, graph.n), anchor, start, stage1)
 
 
 def spanning_tree_guess(graph: PoseGraph) -> tuple[UnitDualQuaternion, ...]:

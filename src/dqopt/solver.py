@@ -22,9 +22,9 @@ objective with the same standard part on the standard rows, the problem's
 ``x_i q_ij - x_j``, whose Jacobian is constant, in place of the bilinear
 ``q_ij - conj(x_i) x_j`` that stage II and the report keep.
 The hand-eye and pose-graph problems are standard.  Their constraints,
-unit-norm conditions and anchor rows, are the only kinds accepted (else
-``TypeError``); one :class:`~dqopt.functions.ConstraintBlock` evaluates
-them for both stages, feasibility, the dual fiber and KKT analysis.
+unit-norm conditions and whole anchors, the only kinds supported, are
+data; one :class:`~dqopt.functions.ConstraintBlock` evaluates them for
+both stages, feasibility, the dual fiber and KKT analysis.
 
 :func:`solve_eqdqo` runs both stages and :func:`kkt_analysis` analyses
 either one at a point; the report carries each stage's value, iterations,
@@ -67,7 +67,7 @@ import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -148,68 +148,65 @@ class SolverConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EqdqoProblem:
     """Objective plus equality constraints, all dual-number valued.
 
-    Each constraint imposes both scalar parts equal to zero.  Stage I
-    minimizes ``stage1``, which is ``objective`` unless given, and stage
-    II, the KKT analysis and the report read ``objective``.  A given
-    ``stage1`` must have a standard part equal to ``objective``'s wherever
-    the standard constraint rows hold, so that both define the same
-    stage-I problem; the solver does not check this.  Only
-    :func:`~dqopt.posegraph.build_pgo` gives one, the affine edge rows
-    ``x_i q_ij - x_j``.  The objective, ``stage1`` and every constraint
-    must have the same arity (else :class:`ArityMismatch`) and declare
-    standard structure (a standard part that ignores the dual
-    coordinates), because stage I runs over the standard coordinates
-    alone; otherwise construction raises :class:`NonStandardProblem`.
-    :func:`dqopt.functions.check_standardness` probes whether a
-    declaration holds.  Stage I steps on ``stage1``'s residual rows, so it
-    must provide them through the stage hook ``stage_system``, its Jacobian
-    uncalled, as :class:`~dqopt.functions.ResidualNormObjective` and
-    :func:`~dqopt.functions.squared_distance_objective` do; stage II and
-    the KKT analysis read ``objective``'s hook, if it has one.  The
-    constraints must be unit-norm conditions and whole
-    :func:`dqopt.functions.anchor_constraints` sets, which ``block``
-    evaluates together.  Any other objective or constraint raises
-    ``TypeError``.  ``start``, if given, is where restart 0 begins when the
-    solve gets no ``initial`` point: ``arity`` dual quaternions or an
-    ``(arity, 8)`` array of rows, stored as read-only rows (another count
-    or shape raises :class:`ArityMismatch`, a NaN or infinite entry
-    ``ValueError``).  A problem that knows a good start carries it, as
-    every hand-eye and pose-graph builder does, so every solve uses it.
+    The constraints are data, of the only two kinds the solver supports:
+    ``unit`` lists the variables with a unit-norm row and ``anchors`` maps
+    variables to their :class:`DualQuaternion` targets.  ``block``, their
+    :class:`~dqopt.functions.ConstraintBlock`, checks and orders the rows,
+    each setting both scalar parts to zero, and keeps ``unit`` and
+    ``anchors`` read-only.  Problems compare by identity.  Stage I
+    minimizes ``stage1`` (``objective`` unless given); stage II, the KKT
+    analysis and the report read ``objective``.  A given ``stage1`` must
+    have ``objective``'s standard part wherever the standard constraint
+    rows hold (unchecked); only :func:`~dqopt.posegraph.build_pgo` gives
+    one, the affine edge rows ``x_i q_ij - x_j``.  Both must have the
+    objective's arity (else :class:`ArityMismatch`) and declare standard
+    structure, a standard part that ignores the dual coordinates, since
+    stage I runs over the standard coordinates alone (else
+    :class:`NonStandardProblem`; :func:`dqopt.functions.check_standardness`
+    probes a declaration).  Stage I steps on ``stage1``'s residual rows
+    from the stage hook ``stage_system``, its Jacobian uncalled, as
+    :class:`~dqopt.functions.ResidualNormObjective` and
+    :func:`~dqopt.functions.squared_distance_objective` provide them (else
+    ``TypeError``); stage II and the KKT analysis read ``objective``'s
+    hook, if it has one.  ``start``, if given, is where restart 0 begins
+    when the solve gets no ``initial`` point: ``arity`` dual quaternions or
+    an ``(arity, 8)`` array of rows, stored as read-only rows (another
+    count or shape raises :class:`ArityMismatch`, a NaN or infinite entry
+    ``ValueError``).  Every hand-eye and pose-graph builder gives its good
+    start, so every solve uses it.
     """
 
     objective: DualFunction
-    constraints: tuple[DualFunction, ...] = ()
-    start: np.ndarray | None = field(default=None, repr=False, compare=False)
-    stage1: DualFunction | None = field(default=None, repr=False, compare=False)
-    block: ConstraintBlock = field(init=False, repr=False, compare=False)
+    unit: Sequence[int] = ()
+    anchors: Mapping[int, DualQuaternion] | None = None
+    start: np.ndarray | None = field(default=None, repr=False)
+    stage1: DualFunction | None = field(default=None, repr=False)
+    block: ConstraintBlock = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "constraints", tuple(self.constraints))
         if self.start is not None:
             start = _start_z(self.start, self.arity, "start").reshape(self.arity, 8)
             start.flags.writeable = False
             object.__setattr__(self, "start", start)
         if self.stage1 is None:
             object.__setattr__(self, "stage1", self.objective)
-        for j, fn in enumerate((self.objective, self.stage1) + self.constraints):
-            if fn.arity == self.arity and fn.declared_standard:
-                continue
-            name = ("objective", "stage1")[j] if j < 2 else f"constraint {j - 2}"
+        for name, fn in (("objective", self.objective), ("stage1", self.stage1)):
             if fn.arity != self.arity:
                 raise ArityMismatch(f"{name} arity {fn.arity} != objective arity {self.arity}")
-            raise NonStandardProblem(f"{name} ({type(fn).__name__}) does not declare standard "
-                                     "structure; stage I would depend on the dual coordinates")
+            if not fn.declared_standard:
+                raise NonStandardProblem(f"{name} ({type(fn).__name__}) does not declare standard "
+                                         "structure; stage I would depend on the dual coordinates")
         if not hasattr(self.stage1, "stage_system"):
             name = "objective" if self.stage1 is self.objective else "stage1"
-            raise TypeError(
-                f"{name} ({type(self.stage1).__name__}) has no residual rows "
-                "(stage_system) for stage I"
-            )
-        object.__setattr__(self, "block", ConstraintBlock(self.arity, self.constraints))
+            raise TypeError(f"{name} ({type(self.stage1).__name__}) has no residual rows "
+                            "(stage_system) for stage I")
+        block = ConstraintBlock(self.arity, self.unit, self.anchors)
+        for name, value in (("block", block), ("unit", block.unit), ("anchors", block.anchors)):
+            object.__setattr__(self, name, value)
 
     @property
     def arity(self) -> int:
@@ -338,25 +335,25 @@ def _random_start(arity: int, rng: np.random.Generator) -> np.ndarray:
     return z
 
 
-def _fiber_product(jac, frames: np.ndarray, var: np.ndarray):
+def _fiber_product(jac, frames: np.ndarray, block: ConstraintBlock):
     """``B = J N`` for the residual Jacobian ``J`` and ``N`` the stack of tangent ``frames``.
 
-    Column ``c`` of ``N`` is ``frames[..., c, :]`` in variable ``var[c]``'s
+    Column ``c`` of ``N`` is ``frames[..., c, :]`` in ``block.var[c]``'s
     slots.  A sparse ``J`` or over ``_DENSE_MAX`` columns (one point) give a
     sparse product on ``N`` as a CSC matrix.  Otherwise each entry adds the
     4 products of its column's variable left to right, as SciPy's product
     of a sparse ``J`` sums them, however many points are stacked.
     """
-    cols = 4 * var + np.arange(4)[:, None]  # the slot of entry c of frame j at [c, j]
-    if _is_sparse(jac) or var.size > _DENSE_MAX:
+    if _is_sparse(jac) or block.var.size > _DENSE_MAX:
         from ._sparse import sparse
 
-        null = sparse.csc_matrix((frames.ravel(), cols.T.ravel(), np.arange(0, frames.size + 1, 4)),
-                                 (jac.shape[-1], var.size))
+        null = sparse.csc_matrix((frames.ravel(), block.slots, np.arange(0, frames.size + 1, 4)),
+                                 (jac.shape[-1], block.var.size))
         return (jac if _is_sparse(jac) else sparse.csr_matrix(jac)) @ null
     # One J for the stack or one per point: one column's products at a time,
     # so no (R, k, 4, d) array is built.
     n = frames.swapaxes(-1, -2)[..., None, :, :]
+    cols = block.slots.reshape(-1, 4).T  # the slot of entry c of frame j at [c, j]
     terms = (jac[..., col] * n[..., c, :] for c, col in enumerate(cols))
     out = next(terms)
     for t in terms:
@@ -457,7 +454,7 @@ def _kink_subgradient(problem: EqdqoProblem, z: np.ndarray, rows: tuple = ()):
         return 0.0
     r, w = r[None], w[None]  # a stack of one, as stage I evaluates it
     jac = jac(problem.block.var.size > _DENSE_MAX)
-    b = _dense(_fiber_product(jac, problem.block.tangent(z[None]), problem.block.var))
+    b = _dense(_fiber_product(jac, problem.block.tangent(z[None]), problem.block))
     return _tmv(jac, _kinks(b, r, w, groups, _tmv(b, w * r)).u)[0]
 
 
@@ -893,7 +890,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued
             g_norm, small = np.zeros(len(idx)), np.ones(len(idx), dtype=bool)
         else:
             jac, frames = jac(alone), block.tangent(z_a)
-            b = _fiber_product(jac, frames, var)
+            b = _fiber_product(jac, frames, block)
             wr = w * r
             grad = _tmv(b, wr)
             g_norm = np.sqrt(_dots(grad, grad))
@@ -1078,7 +1075,7 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
     if r_p is None:  # no rows: a smooth objective, whose dual part is linear
         r_p, w1, groups = np.empty(0), np.empty(0), (np.empty(0, dtype=np.intp),) * 2
     # Fiber directions that no row sees stay at x_p: all of them without rows.
-    b = (_fiber_product(jac(block.var.size > _DENSE_MAX), frames, block.var) if r_p.size
+    b = (_fiber_product(jac(block.var.size > _DENSE_MAX), frames, block) if r_p.size
          else np.zeros((0, block.var.size)))
     seen = np.asarray(abs(b).sum(axis=0)).ravel() > 0
     b = b[:, seen]

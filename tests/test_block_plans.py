@@ -1,8 +1,9 @@
 """The constraint block's planned methods against their plain formulas, bit for bit.
 
 ``_Plain`` spells out each method of :class:`~dqopt.functions.ConstraintBlock`
-with no precomputed plan: every index array is derived from the rows where
-it is used, and the tangent frames are placed in an identity stack.  The
+with no precomputed plan: every index array is derived from the unit-norm
+variables and the anchors where it is used, each row placed by its own
+position, and the tangent frames are placed in an identity stack.  The
 block must give the same bytes, shapes and C-contiguity on every class of
 variable, on single points and stacks, and at a zero standard part.
 """
@@ -14,8 +15,6 @@ from dqopt import (
     DualQuaternion,
     Quaternion,
     SolverConfig,
-    UnitNormConstraint,
-    anchor_constraints,
     build_axyb,
     build_pgo,
     error_vector,
@@ -29,18 +28,23 @@ from dqopt.functions import ConstraintBlock
 
 
 class _Plain:
-    """The block's formulas over index arrays built from the rows on each call."""
+    """The block's formulas over index arrays built from the data on each call.
 
-    def __init__(self, arity, constraints):
-        self.arity, self.size = arity, len(constraints)
-        units = [(j, c) for j, c in enumerate(constraints) if type(c) is UnitNormConstraint]
-        anchors = [(j, c) for j, c in enumerate(constraints) if type(c) is not UnitNormConstraint]
-        self.u_row = np.array([j for j, _ in units], dtype=np.intp)
-        self.u_var = np.array([c.index for _, c in units], dtype=np.intp)
-        self.a_row = np.array([j for j, _ in anchors], dtype=np.intp)
-        self.a_var = np.array([c.index for _, c in anchors], dtype=np.intp)
-        self.a_comp = np.array([c.component for _, c in anchors], dtype=np.intp)
-        self.a_targets = np.array([(c._t_std, c._t_dual) for _, c in anchors]).reshape(-1, 2).T
+    Rows are the unit rows in ``unit`` order, then four per anchor,
+    coefficients 0-3: row ``j`` of each family is a position, not a slice.
+    """
+
+    def __init__(self, arity, unit, anchors):
+        self.arity = arity
+        self.u_var = np.array(list(unit), dtype=np.intp)
+        rows = [(i, c, t) for i, t in anchors.items() for c in range(4)]
+        self.a_var = np.array([i for i, _, _ in rows], dtype=np.intp)
+        self.a_comp = np.array([c for _, c, _ in rows], dtype=np.intp)
+        self.a_targets = np.array([(t.std.as_array()[c], t.dual.as_array()[c])
+                                   for _, c, t in rows]).reshape(-1, 2).T
+        self.size = self.u_var.size + self.a_var.size
+        self.u_row = np.arange(self.u_var.size)
+        self.a_row = self.u_var.size + np.arange(self.a_var.size)
         self.anchored = np.flatnonzero(np.bincount(self.a_var, minlength=arity))
         self.weight = 4.0 * np.bincount(self.u_var, minlength=arity)
         width = np.where(self.weight > 0, 3, 4)
@@ -119,30 +123,21 @@ def _target():
     return DualQuaternion(Quaternion(0.6, 0.8, 0, 0), Quaternion(0, 1, 2, 3))
 
 
-def _interleaved():
-    # 0 anchored with a unit row, 1 a sphere with two, 2 anchored without one,
-    # 3 and 5 free, 4 a sphere; rows of each family are not consecutive
-    n, t = 6, _target()
-    return n, (anchor_constraints(n, 2, t)[:2] + (UnitNormConstraint(n, 1),)
-               + anchor_constraints(n, 0, t) + (UnitNormConstraint(n, 4),)
-               + anchor_constraints(n, 2, t)[2:]
-               + (UnitNormConstraint(n, 1), UnitNormConstraint(n, 0)))
-
-
-def _consecutive():
-    # unit rows on variables 1 to 3 in order, then variable 0's anchor: both as slices
-    units = tuple(UnitNormConstraint(4, i) for i in range(1, 4))
-    return 4, units + anchor_constraints(4, 0, _target())
+def _problem_case(problem):
+    return problem.arity, problem.unit, problem.anchors
 
 
 CASES = {
-    "interleaved": _interleaved(),
-    "consecutive": _consecutive(),
-    "spheres": (2, (UnitNormConstraint(2, 0), UnitNormConstraint(2, 1))),
-    "free": (3, (UnitNormConstraint(3, 1),)),
-    "anchored": (1, anchor_constraints(1, 0, DualQuaternion.identity())),
-    "pgo": (20, build_pgo(generate_cycle_graph(20, 6, 0.01, 0.01, seed=0)).constraints),
-    "axyb": (2, build_axyb(generate_synthetic("axyb", 6, 0.01, 0.01, seed=0)).constraints),
+    # 0 anchored with a unit row, 1 and 4 spheres, 2 anchored without one,
+    # 3 and 5 free; unit variables out of order, anchors out of order
+    "mixed": (6, (4, 0, 1), {2: _target(), 0: _target()}),
+    # unit rows on variables 1 to 3 in order, then variable 0's anchor
+    "consecutive": (4, (1, 2, 3), {0: _target()}),
+    "spheres": (2, (0, 1), {}),
+    "free": (3, (1,), {}),
+    "anchored": (1, (), {0: DualQuaternion.identity()}),
+    "pgo": _problem_case(build_pgo(generate_cycle_graph(20, 6, 0.01, 0.01, seed=0))),
+    "axyb": _problem_case(build_axyb(generate_synthetic("axyb", 6, 0.01, 0.01, seed=0))),
 }
 
 
@@ -163,8 +158,8 @@ def _singles(arity, rng):
 
 @pytest.mark.parametrize("case", list(CASES))
 def test_every_block_method_matches_its_plain_formula_bit_for_bit(case):
-    arity, constraints = CASES[case]
-    block, plain = ConstraintBlock(arity, constraints), _Plain(arity, constraints)
+    arity, unit, anchors = CASES[case]
+    block, plain = ConstraintBlock(arity, unit, anchors), _Plain(arity, unit, anchors)
     rng = np.random.default_rng(42)
     stack, singles = rng.standard_normal((3, 8 * arity)), _singles(arity, rng)
     for z in [stack, stack[:1]] + singles:
@@ -176,7 +171,7 @@ def test_every_block_method_matches_its_plain_formula_bit_for_bit(case):
             _same(block.project(z), plain.project(z))
         _same(block.curvature(z, grad), plain.curvature(z, grad))
     for z in singles:
-        u, v = rng.standard_normal(4 * arity), rng.standard_normal(len(constraints))
+        u, v = rng.standard_normal(4 * arity), rng.standard_normal(plain.size)
         _same(block.pinv(z, u), plain.pinv(z, u))
         _same(block.pullback(z, v), plain.pullback(z, v))
         _same(block.apply(z, u), plain.apply(z, u))
@@ -187,7 +182,7 @@ def test_every_block_method_matches_its_plain_formula_bit_for_bit(case):
 
 def test_a_200_vertex_pose_graph_block_has_the_loop_forms_columns():
     problem = build_pgo(generate_cycle_graph(200, 60, 0.01, 0.01, seed=1))
-    block, plain = problem.block, _Plain(problem.arity, problem.constraints)
+    block, plain = problem.block, _Plain(problem.arity, problem.unit, problem.anchors)
     for got, want in ((block.var, plain.var), (block._col, plain.col), (block.slots, plain.slots)):
         _same(got, want)
 

@@ -24,8 +24,6 @@ from dqopt import (
     DualQuaternion,
     EqdqoProblem,
     SolverConfig,
-    UnitNormConstraint,
-    anchor_constraints,
     build_axyb,
     build_pgo,
     generate_cycle_graph,
@@ -154,7 +152,8 @@ def test_a_degenerate_point_still_reads_degenerate_in_stage_1():
     # kkt_analysis reads for each stage
     pinned = EqdqoProblem(
         squared_distance_objective(DualQuaternion.from_real(2.0)),
-        (UnitNormConstraint(1, 0),) + anchor_constraints(1, 0, DualQuaternion.identity()),
+        (0,),
+        {0: DualQuaternion.identity()},
     )
     report = solve_eqdqo(pinned, SolverConfig(restarts=1))
     assert report.degenerate is True

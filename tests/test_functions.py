@@ -314,17 +314,18 @@ def test_anchor_constraints_reject_an_index_out_of_range():
 
 
 def _mixed_constraints(n, target):
-    # mixed and unsorted: anchors before units, units out of variable order;
-    # variable 0 carries a unit row and four anchor rows, so five gradients
-    # share its columns; variable 1 carries its unit row twice, and every
-    # variable from 3 on is free
-    return (
-        anchor_constraints(n, 2, target)
-        + (UnitNormConstraint(n, 1), UnitNormConstraint(n, 0))
-        + anchor_constraints(n, 0, target)[1:]
-        + (UnitNormConstraint(n, 2), UnitNormConstraint(n, 1))
-        + anchor_constraints(n, 0, target)[:1]
-    )
+    """``(unit, anchors, functions)``: the block's data, and its rows as dual functions in order.
+
+    Mixed and unsorted: unit variables and anchors out of variable order;
+    variables 0 and 2 carry a unit row and four anchor rows, so five
+    gradients share their columns; variable 1 is a sphere, and every
+    variable from 3 on is free.
+    """
+    unit, anchors = (1, 0, 2), {2: target, 0: target}
+    rows = [UnitNormConstraint(n, i) for i in unit]
+    for i, t in anchors.items():
+        rows.extend(anchor_constraints(n, i, t))
+    return unit, anchors, tuple(rows)
 
 
 def _stage_jacobian(cons, z):
@@ -336,8 +337,8 @@ def _stage_jacobian(cons, z):
 def test_constraint_block_matches_each_constraint_exactly():
     rng = np.random.default_rng(113)
     n = 4
-    cons = _mixed_constraints(n, _rand_dq(rng))
-    block = ConstraintBlock(n, cons)
+    unit, anchors, cons = _mixed_constraints(n, _rand_dq(rng))
+    block = ConstraintBlock(n, unit, anchors)
     assert block.size == len(cons)
     std = (8 * np.arange(n)[:, None] + np.arange(4)).ravel()
     for _ in range(50):
@@ -358,8 +359,8 @@ def test_constraint_block_matches_each_constraint_exactly():
 def test_block_pullback_is_the_stage_jacobian_product():
     rng = np.random.default_rng(131)
     n = 4
-    cons = _mixed_constraints(n, _rand_dq(rng))
-    block = ConstraintBlock(n, cons)
+    unit, anchors, cons = _mixed_constraints(n, _rand_dq(rng))
+    block = ConstraintBlock(n, unit, anchors)
     for _ in range(50):
         z = rng.standard_normal(8 * n) * rng.uniform(0.01, 100.0)
         v = rng.standard_normal(len(cons))
@@ -376,7 +377,7 @@ def test_block_pullback_is_the_stage_jacobian_product():
         assert np.bincount(block.var, minlength=n).tolist() == [0, 3, 0, 4]
         assert np.max(np.abs(null.T @ null - np.eye(null.shape[1]))) <= 1e-14
         assert np.max(np.abs(_stage_jacobian(cons, z) @ null)) <= 1e-14
-    empty = ConstraintBlock(n, ())
+    empty = ConstraintBlock(n, (), None)
     assert np.array_equal(empty.pullback(z, np.empty(0)), np.zeros(4 * n))
     assert empty.apply(z, u).shape == (0,)
 

@@ -190,7 +190,7 @@ def test_the_spectral_start_is_nearer_the_unsquared_minimum_than_the_squared_min
             values = problem.stage1.value_at(np.stack([problem.start, squared]).reshape(2, -1))[0]
             assert values[0] <= values[1]
             for kind, start in (("reweighted", problem.start), ("squared", squared)):
-                p = EqdqoProblem(problem.objective, problem.constraints, start)
+                p = EqdqoProblem(problem.objective, problem.unit, problem.anchors, start)
                 rows[kind] += solve_eqdqo(p, SolverConfig(restarts=1)).iterations["stage1"]
     assert rows["reweighted"] < rows["squared"]
 
@@ -209,7 +209,7 @@ def test_one_restart_from_the_spectral_start_reaches_eight_random_restarts_minim
     for seed in range(20):
         _, problem = _calibration(model, sigma, seed)
         start = solve_eqdqo(problem, SolverConfig(restarts=1)).stage1_value
-        bare = EqdqoProblem(problem.objective, problem.constraints)
+        bare = EqdqoProblem(problem.objective, problem.unit, problem.anchors)
         # Solver seed s draws restart 0 from the stream that generate_synthetic(seed=s)
         # draws the truth from; seed 20 is outside the data seeds, so no start is the truth.
         random = solve_eqdqo(bare, SolverConfig(restarts=8, seed=20)).stage1_value
@@ -317,7 +317,7 @@ def test_an_exactly_singular_stage2_raises_infeasible_not_a_nan_answer(monkeypat
     # rounding: its finite answer, with an undetermined translation, passes
     # as in test_parallel_axes_solve_despite_a_singular_normal_matrix
     # (ROADMAP item 4).
-    bare = EqdqoProblem(problem.objective, problem.constraints)
+    bare = EqdqoProblem(problem.objective, problem.unit, problem.anchors)
     report = solve_eqdqo(bare, cfg)
     assert np.all(np.isfinite(pack(list(report.solution))))
     assert max(report.feasibility.values()) <= 1e-9

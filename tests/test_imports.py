@@ -280,7 +280,7 @@ def test_solve_pgo_loads_scipy_only_at_a_sparse_step(tmp_path):
 _GENERIC_SPARSE_SOLVE = """
     import json, sys
     from dqopt import (DualQuaternion, EqdqoProblem, Quaternion, SolverConfig,
-                       UnitNormConstraint, build_pgo, generate_cycle_graph, solve_eqdqo, solver,
+                       build_pgo, generate_cycle_graph, solve_eqdqo, solver,
                        squared_distance_objective)
 
     if sys.argv[1] == "posegraph":
@@ -290,8 +290,7 @@ _GENERIC_SPARSE_SOLVE = """
     before = "scipy.sparse.linalg" in sys.modules
     n = 50
     center = DualQuaternion(Quaternion(0.5, 0.5, 0.5, 0.5), Quaternion(0.0, 0.1, -0.2, 0.3))
-    problem = EqdqoProblem(squared_distance_objective(center, n, 3),
-                           [UnitNormConstraint(n, i) for i in range(n)])
+    problem = EqdqoProblem(squared_distance_objective(center, n, 3), range(n))
     assert 3 * n > solver._DENSE_MAX
     report = solve_eqdqo(problem, SolverConfig(restarts=2, seed=0))
     fields = report.to_json_dict()

@@ -71,7 +71,7 @@ def test_merging_moves_no_noisy_answer_beyond_1e_9(monkeypatch):
 
 def _bare(problem):
     """The problem without its ``start``, so restart 0 is random."""
-    return solver.EqdqoProblem(problem.objective, problem.constraints)
+    return solver.EqdqoProblem(problem.objective, problem.unit, problem.anchors)
 
 
 def _drawn(problem, initial, cfg, monkeypatch):

@@ -638,7 +638,8 @@ def test_the_affine_stage1_gives_the_bilinear_answers(restarts):
     for seed in range(10):
         g = generate_cycle_graph(20, loop_closures=6, noise_rot=0.01, noise_trans=0.01, seed=seed)
         problem = build_pgo(g)
-        bilinear = solver.EqdqoProblem(problem.objective, problem.constraints, problem.start)
+        bilinear = solver.EqdqoProblem(problem.objective, problem.unit, problem.anchors,
+                                       problem.start)
         affine, want = solve_eqdqo(problem, cfg), solve_eqdqo(bilinear, cfg)
         rot, trans = pose_errors(pose_rows(want.solution), pose_rows(affine.solution))
         assert max(rot) <= 1e-9 and max(trans) <= 1e-9, seed

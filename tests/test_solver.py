@@ -43,10 +43,7 @@ ZERO = Quaternion(0, 0, 0, 0)
 
 def _toy_problem():
     # min |x - 2|^2 subject to |x|^2 = 1; optimum x = 1, value 1, multiplier 1
-    return EqdqoProblem(
-        squared_distance_objective(DualQuaternion.from_real(2.0)),
-        (UnitNormConstraint(1, 0),),
-    )
+    return EqdqoProblem(squared_distance_objective(DualQuaternion.from_real(2.0)), (0,))
 
 
 def _fast_cfg(**kw):
@@ -76,58 +73,81 @@ def test_kkt_multiplier_at_analytic_optimum():
 
 def test_problem_rejects_non_standard_objective():
     with pytest.raises(NonStandardProblem, match="objective .*LeakyFunction"):
-        EqdqoProblem(LeakyFunction(), (UnitNormConstraint(1, 0),))
+        EqdqoProblem(LeakyFunction(), (0,))
     with pytest.raises(NonStandardProblem, match="stage1 .*LeakyFunction"):
-        EqdqoProblem(_toy_problem().objective, (UnitNormConstraint(1, 0),), stage1=LeakyFunction())
-
-
-def test_problem_rejects_non_standard_constraint():
-    objective = squared_distance_objective(DualQuaternion.identity())
-    with pytest.raises(NonStandardProblem, match="constraint 1 .*LeakyFunction"):
-        EqdqoProblem(objective, (UnitNormConstraint(1, 0), LeakyFunction()))
+        EqdqoProblem(_toy_problem().objective, (0,), stage1=LeakyFunction())
 
 
 def test_problem_rejects_an_objective_without_residual_rows():
     # standard, but stage I has no residual rows to take steps on
     squared = scalar_power(squared_distance_objective(DualQuaternion.identity()), 2)
     with pytest.raises(TypeError, match="objective .*_ScalarPower"):
-        EqdqoProblem(squared, (UnitNormConstraint(1, 0),))
+        EqdqoProblem(squared, (0,))
     # the rows belong to the objective stage I minimizes, when it is another one
     with pytest.raises(TypeError, match="stage1 .*_ScalarPower"):
-        EqdqoProblem(_toy_problem().objective, (UnitNormConstraint(1, 0),), stage1=squared)
+        EqdqoProblem(_toy_problem().objective, (0,), stage1=squared)
     rows = squared_distance_objective(DualQuaternion.identity())
-    assert EqdqoProblem(squared, (UnitNormConstraint(1, 0),), stage1=rows).stage1 is rows
+    assert EqdqoProblem(squared, (0,), stage1=rows).stage1 is rows
     toy = _toy_problem()
     assert toy.stage1 is toy.objective
 
 
-def test_problem_rejects_a_constraint_that_is_not_a_unit_or_anchor_row():
-    objective = squared_distance_objective(DualQuaternion.identity())
-    other = squared_distance_objective(DualQuaternion.from_real(2.0))
-    with pytest.raises(TypeError, match="constraint 1 .*_SquaredDistance"):
-        EqdqoProblem(objective, (UnitNormConstraint(1, 0), other))
+def test_problem_keeps_its_unit_variables_and_anchor_targets_read_only():
+    objective = squared_distance_objective(DualQuaternion.identity(), arity=3)
+    target = DualQuaternion.identity()
+    unit = np.array([2, 0])
+    problem = EqdqoProblem(objective, unit, {1: target})
+    assert not hasattr(problem, "constraints")
+    assert problem.unit.tolist() == [2, 0] and not problem.unit.flags.writeable
+    assert unit.flags.writeable  # the caller's array is not the problem's
+    assert dict(problem.anchors) == {1: target} and problem.block.size == 6
+    with pytest.raises(TypeError):
+        problem.anchors[0] = target
+    # the unit rows in unit order, then the anchor's four
+    z = np.zeros(24)
+    z[16], z[8], z[10] = 2.0, 0.5, 3.0  # |x_2|^2 = 4, x_1 = (0.5, 0, 3, 0)
+    h, _ = problem.block.values(z)
+    assert h.tolist() == [3.0, -1.0, -0.5, 0.0, 3.0, 0.0]
 
-    class ShiftedUnitNorm(UnitNormConstraint):
-        def value(self, values):  # |x|^2 = 2 instead of 1
-            v = super().value(values)
-            return type(v)(v.std - 1.0, v.dual)
 
-    # the block would evaluate a subclass with the base unit-norm formula
-    with pytest.raises(TypeError, match="constraint 0 .*ShiftedUnitNorm"):
-        EqdqoProblem(objective, (ShiftedUnitNorm(1, 0),))
+def test_problem_names_a_bad_unit_variable_or_anchor_when_built():
+    objective = squared_distance_objective(DualQuaternion.identity(), arity=3)
+    target = DualQuaternion.identity()
+    bad = [
+        (ValueError, "^unit variable 3 out of range for arity 3$", (0, 3), None),
+        (ValueError, "^unit variable -1 out of range for arity 3$", (-1,), None),
+        (ValueError, "^unit variable 1 is listed more than once$", (2, 1, 0, 1), None),
+        (ValueError, "^anchored variable 5 out of range for arity 3$", (0,), {5: target}),
+        (TypeError, "^anchor target of variable 2 is not a DualQuaternion$", (),
+         {2: Quaternion.identity()}),
+    ]
+    for error, match, unit, anchors in bad:
+        with pytest.raises(error, match=match):
+            EqdqoProblem(objective, unit, anchors)
 
 
-def test_problem_rejects_anchor_rows_other_than_all_four_coefficients_once():
-    # the constraint block takes a variable's tangent space and pseudo-inverse
-    # from its class, and a partial anchor fits none
-    objective = squared_distance_objective(DualQuaternion.identity(), arity=2)
-    anchors = anchor_constraints(2, 1, DualQuaternion.identity())
-    patterns = [anchors[:1], anchors[1:3], anchors[:3], anchors + anchors[2:3]]
-    for pattern in patterns:
-        for constraints in (pattern, (UnitNormConstraint(2, 1), UnitNormConstraint(2, 0)) + pattern):
-            with pytest.raises(TypeError, match="variable 1 is anchored on coefficients"):
-                EqdqoProblem(objective, constraints)
-    assert EqdqoProblem(objective, anchors[2:] + (UnitNormConstraint(2, 1),) + anchors[:2]).block
+def test_no_build_or_solve_constructs_a_constraint_object(monkeypatch):
+    from dqopt.functions import _ComponentAnchor
+
+    built = []
+    for cls in (UnitNormConstraint, _ComponentAnchor):
+        def spy(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+    problems = [
+        build_axxb(generate_synthetic("axxb", 8, 0.01, 0.01, seed=1)),
+        build_axyb(generate_synthetic("axyb", 8, 0.01, 0.01, seed=1)),
+        build_pgo(generate_cycle_graph(30, 8, 0.01, 0.01, seed=1)),
+    ]
+    for problem in problems:
+        report = solve_eqdqo(problem, SolverConfig(restarts=2, seed=0))
+        kkt_analysis(problem, report.solution, stage=1)
+    assert built == []
+    # the spies do record a construction
+    anchor_constraints(2, 1, DualQuaternion.identity())
+    assert built == ["_ComponentAnchor"] * 4
 
 
 def test_kkt_reads_the_constraint_block_not_each_constraint(monkeypatch):
@@ -210,9 +230,7 @@ def test_kkt_rejects_a_stage_other_than_1_or_2():
         kkt_analysis(_toy_problem(), [DualQuaternion.identity()], stage=3)
 
 
-def test_a_constraint_of_another_arity_raises_arity_mismatch():
-    with pytest.raises(ArityMismatch, match="constraint 0 arity 2 != objective arity 1"):
-        EqdqoProblem(_toy_problem().objective, (UnitNormConstraint(2, 0),))
+def test_a_stage1_of_another_arity_raises_arity_mismatch():
     other = squared_distance_objective(DualQuaternion.identity(), 2)
     with pytest.raises(ArityMismatch, match="stage1 arity 2 != objective arity 1"):
         EqdqoProblem(_toy_problem().objective, stage1=other)
@@ -226,16 +244,26 @@ def test_kkt_stage2_at_analytic_optimum():
     assert info.residual <= 1e-10
     assert not info.degenerate
     assert info.multipliers[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_a_unit_row_on_an_anchored_variable_is_allowed_and_reads_degenerate():
     # a unit row and four anchor rows on one variable: five gradients in
     # its four coordinates are dependent, in both stages
-    pinned = EqdqoProblem(
-        squared_distance_objective(DualQuaternion.from_real(2.0)),
-        (UnitNormConstraint(1, 0),) + anchor_constraints(1, 0, DualQuaternion.identity()),
-    )
+    z = np.zeros(8)
+    z[0] = 1.0
+    pinned = EqdqoProblem(squared_distance_objective(DualQuaternion.from_real(2.0)), (0,),
+                          {0: DualQuaternion.identity()})
     for stage in (1, 2):
         info = kkt_analysis(pinned, z, stage=stage)
         assert info.degenerate and len(info.multipliers) == 5
         assert info.residual <= 1e-10
+
+
+def _constraint_functions(problem):
+    """The problem's rows as dual functions, in the block's order: its independent reference."""
+    n = problem.arity
+    return [UnitNormConstraint(n, i) for i in problem.unit.tolist()] + [
+        con for i, target in problem.anchors.items() for con in anchor_constraints(n, i, target)]
 
 
 def _dense_multipliers(problem, z, stage):
@@ -243,7 +271,7 @@ def _dense_multipliers(problem, z, stage):
     part = stage - 1
     slots = (8 * np.arange(problem.arity)[:, None] + 4 * part + np.arange(4)).ravel()
     target = problem.objective.gradient_at(z)[part][slots]
-    g = np.array([con.gradient_at(z)[part][slots] for con in problem.constraints])
+    g = np.array([con.gradient_at(z)[part][slots] for con in _constraint_functions(problem)])
     mult, *_ = np.linalg.lstsq(g.T, -target, rcond=None)
     return mult, float(np.linalg.norm(target + g.T @ mult))
 
@@ -278,20 +306,18 @@ def _unprojected_problems():
     """AXYB's objective with constraints the builders never make, each at a random point."""
     objective = build_axyb(generate_synthetic("axyb", 6, noise_rot=0.01, seed=3)).objective
     target = DualQuaternion(Quaternion(0.3, -0.4, 0.5, 0.2), Quaternion(1.0, 0.2, -0.7, 0.1))
-    unit = [UnitNormConstraint(2, i) for i in (0, 1)]
     cases = {
-        "duplicate unit rows": (unit[0], unit[1], unit[0], unit[0]),
-        "a unit row plus four anchors": (unit[1],) + anchor_constraints(2, 1, target) + (unit[0],),
-        "a sphere variable at x = 0": (unit[1], unit[0]),
-        "a free variable": (unit[1],),
+        "a unit row plus four anchors": ((1, 0), {1: target}),
+        "a sphere variable at x = 0": ((1, 0), None),
+        "a free variable": ((1,), None),
     }
     rng = np.random.default_rng(17)
-    for name, constraints in cases.items():
+    for name, (unit, anchors) in cases.items():
         for _ in range(10):
             z = rng.standard_normal(16) * rng.uniform(0.1, 10.0)
             if name == "a sphere variable at x = 0":
                 z[:4] = 0.0
-            yield name, EqdqoProblem(objective, constraints), z
+            yield name, EqdqoProblem(objective, unit, anchors), z
 
 
 def test_block_multipliers_match_a_dense_least_squares_solve_off_the_constraint_set():
@@ -301,7 +327,8 @@ def test_block_multipliers_match_a_dense_least_squares_solve_off_the_constraint_
             ref, ref_residual = _dense_multipliers(problem, z, stage)
             slots = solver._part_indices(problem.arity, stage - 1)
             target = problem.objective.gradient_at(z)[stage - 1][slots]
-            g = np.array([con.gradient_at(z)[stage - 1][slots] for con in problem.constraints])
+            g = np.array([con.gradient_at(z)[stage - 1][slots]
+                          for con in _constraint_functions(problem)])
             deficient = np.linalg.matrix_rank(g) < len(g)
             assert info.degenerate == deficient, (name, stage)
             scale = np.max(np.abs(ref))
@@ -397,21 +424,15 @@ def test_solve_is_deterministic():
 
 def _off_the_sphere():
     # pinning x to 2 while requiring |x| = 1 admits no feasible point
-    return EqdqoProblem(
-        squared_distance_objective(DualQuaternion.identity()),
-        (UnitNormConstraint(1, 0),)
-        + anchor_constraints(1, 0, DualQuaternion.from_real(2.0)),
-    )
+    return EqdqoProblem(squared_distance_objective(DualQuaternion.identity()), (0,),
+                        {0: DualQuaternion.from_real(2.0)})
 
 
 def _dual_rows_that_cannot_hold():
     # the anchor sets x = 1 + eps, on the unit row's standard part, but the
     # unit row's dual part 2 <x, x_d> = 2 cannot vanish
-    return EqdqoProblem(
-        squared_distance_objective(DualQuaternion.identity()),
-        (UnitNormConstraint(1, 0),)
-        + anchor_constraints(1, 0, DualQuaternion(Quaternion(1, 0, 0, 0), Quaternion(1, 0, 0, 0))),
-    )
+    return EqdqoProblem(squared_distance_objective(DualQuaternion.identity()), (0,),
+                        {0: DualQuaternion(Quaternion(1, 0, 0, 0), Quaternion(1, 0, 0, 0))})
 
 
 def test_infeasible_raises():
@@ -631,7 +652,7 @@ def test_an_initial_array_starts_restart_zero_as_dual_quaternions_do():
 
 def test_initial_overrides_the_problems_start_and_only_restart_zero_takes_either():
     problem = build_axxb(generate_synthetic("axxb", 10, 0.01, 0.01, seed=3))
-    bare = EqdqoProblem(problem.objective, problem.constraints)
+    bare = EqdqoProblem(problem.objective, problem.unit, problem.anchors)
     cfg = SolverConfig(restarts=3, seed=0)
     assert bare.start is None and not problem.start.flags.writeable
     assert np.array_equal(solver._restart_start(problem, cfg, None, 0), problem.start.ravel())
@@ -649,9 +670,10 @@ def test_a_start_of_the_wrong_shape_raises_arity_mismatch():
     rows = np.array(problem.start)
     for bad in (rows[:1], rows.reshape(-1), rows[:, :4], [DualQuaternion.identity()]):
         with pytest.raises(ArityMismatch):
-            EqdqoProblem(problem.objective, problem.constraints, bad)
+            EqdqoProblem(problem.objective, problem.unit, problem.anchors, bad)
     objects = [DualQuaternion(Quaternion(*row[:4]), Quaternion(*row[4:])) for row in rows]
-    assert np.array_equal(EqdqoProblem(problem.objective, problem.constraints, objects).start, rows)
+    from_objects = EqdqoProblem(problem.objective, problem.unit, problem.anchors, objects)
+    assert np.array_equal(from_objects.start, rows)
 
 
 @pytest.mark.parametrize("restarts", [1, 8])
@@ -670,9 +692,9 @@ def test_a_start_with_non_finite_rows_or_a_zero_standard_part_raises_value_error
     rows = np.array(problem.start)
     rows[1, 5] = np.nan
     with pytest.raises(ValueError, match="^start variable 1 has a non-finite entry$"):
-        EqdqoProblem(problem.objective, problem.constraints, rows)
+        EqdqoProblem(problem.objective, problem.unit, problem.anchors, rows)
     rows[1] = 0.0
-    zero = EqdqoProblem(problem.objective, problem.constraints, rows)
+    zero = EqdqoProblem(problem.objective, problem.unit, problem.anchors, rows)
     for restarts in (1, 8):
         with pytest.raises(ValueError, match="^start variable 1 has a zero standard part"):
             solve_eqdqo(zero, SolverConfig(restarts=restarts))
@@ -747,7 +769,7 @@ def test_the_dense_fiber_product_adds_each_columns_four_products_left_to_right(n
     jac = problem.objective.stage_system(z)[0](False)
     # pose graphs give one Jacobian per point, hand-eye problems one for the stack
     assert jac.ndim == (3 if name == "pgo" else 2)
-    b = solver._fiber_product(jac, frames, var)
+    b = solver._fiber_product(jac, frames, problem.block)
     assert b.flags.c_contiguous
     assert b.tobytes() == _plain_fiber_product(jac, frames, var).tobytes()
 
@@ -755,15 +777,14 @@ def test_the_dense_fiber_product_adds_each_columns_four_products_left_to_right(n
 def _mixed_block():
     # variable 0 anchored, 1 and 3 on the sphere, 2 free
     target = DualQuaternion(Quaternion(0.6, 0.8, 0, 0), Quaternion(0, 1, 2, 3))
-    return ConstraintBlock(4, anchor_constraints(4, 0, target)
-                           + (UnitNormConstraint(4, 3), UnitNormConstraint(4, 1)))
+    return ConstraintBlock(4, (3, 1), {0: target})
 
 
 @pytest.mark.parametrize("block", [
     build_pgo(generate_cycle_graph(12, 4, noise_rot=0.01, seed=3)).block,
     build_axyb(generate_synthetic("axyb", 8, noise_rot=0.01, noise_trans=0.01, seed=5)).block,
     _mixed_block(),
-    ConstraintBlock(1, anchor_constraints(1, 0, DualQuaternion.identity())),
+    ConstraintBlock(1, (), {0: DualQuaternion.identity()}),
 ], ids=["pgo", "axyb", "mixed", "anchored"])
 def test_the_tangent_step_is_the_null_basis_times_y(block):
     from dqopt._sparse import sparse

@@ -140,8 +140,8 @@ def test_restarts_on_a_sparse_fiber_step_one_at_a_time(monkeypatch, no_merging):
     points = []
     fiber_product = solver._fiber_product
 
-    def spy(jac, frames, var):
-        b = fiber_product(jac, frames, var)
+    def spy(jac, frames, block):
+        b = fiber_product(jac, frames, block)
         points.append((len(frames), solver._is_sparse(jac), solver._is_sparse(b)))
         return b
 
@@ -272,7 +272,7 @@ def _per_edge_problem(graph):
     bilinear = posegraph.RelativePoseResidual.stack_arrays(n, *ij.T, q)
     objective = ResidualNormObjective(n, bilinear, sizes)
     stage1 = ResidualNormObjective(n, problem.stage1.rows_at, sizes)
-    return solver.EqdqoProblem(objective, problem.constraints, start, stage1)
+    return solver.EqdqoProblem(objective, problem.unit, problem.anchors, start, stage1)
 
 
 @pytest.mark.parametrize("n, chords, seed, rows", [

@@ -156,7 +156,7 @@ def _stage1_fiber(problem, z):
     """``B = J N`` of the stage-I objective at ``z``, as stage I evaluates a point: a stack of one."""
     sparse = problem.block.var.size > solver._DENSE_MAX
     jac = problem.stage1.stage_system(z[None])[0](sparse)
-    b = solver._fiber_product(jac, problem.block.tangent(z[None]), problem.block.var)
+    b = solver._fiber_product(jac, problem.block.tangent(z[None]), problem.block)
     return b if sparse else b[0]
 
 
@@ -198,14 +198,14 @@ def test_stage2_forms_its_fiber_from_the_objectives_slope(dense_max, monkeypatch
             problem = build(ds)
             problems.append((problem, None, 4))
             if sigma == 0.0:
-                problems.append((solver.EqdqoProblem(problem.objective, problem.constraints),
-                                 None, 4))
+                bare = solver.EqdqoProblem(problem.objective, problem.unit, problem.anchors)
+                problems.append((bare, None, 4))
     for sigma in (0.0, 1e-2):
         g = generate_cycle_graph(12, loop_closures=4, noise_rot=sigma, noise_trans=sigma, seed=5)
         problem, tree = build_pgo(g), spanning_tree_rows(g)
         if sigma == 0.0:
             tree[:, 4:] = 0.0
-            problem = solver.EqdqoProblem(problem.objective, problem.constraints, tree,
+            problem = solver.EqdqoProblem(problem.objective, problem.unit, problem.anchors, tree,
                                           problem.stage1)
         problems += [(problem, tree, 1), (problem, None, 3)]
     stops = set()
