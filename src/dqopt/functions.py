@@ -717,8 +717,10 @@ class ConstraintBlock:
     The rows are one :class:`UnitNormConstraint` row per variable in
     ``unit``, each at most once, in that order, then the four coefficients
     of ``x_i - target`` per entry of ``anchors``.  An index out of range or
-    repeated raises ``ValueError``, a target that is not a
-    :class:`DualQuaternion` ``TypeError``, naming the variable.  Both
+    repeated raises ``ValueError``, naming it; indices whose dtype is not an
+    integer one (bools and floats included) raise ``TypeError`` naming the
+    first, as does a target that is not a :class:`DualQuaternion`, naming
+    its variable.  Both
     families are standard with a dual part linear in the dual coordinates,
     so the Jacobian of ``h`` over the standard coordinates equals that of
     ``h_d`` over the dual ones: the *stage Jacobian* ``G``, shape ``(m,
@@ -736,10 +738,14 @@ class ConstraintBlock:
 
     def __init__(self, arity: int, unit: Sequence[int], anchors: Mapping | None):
         self.arity, anchors = int(arity), dict(anchors or {})
-        u_var, a_var = (np.asarray(v).astype(np.intp).ravel() for v in (unit, list(anchors)))
+        u_var, a_var = (np.asarray(v).ravel() for v in (unit, list(anchors)))
         for name, var in (("unit", u_var), ("anchored", a_var)):
+            # a cast would truncate floats and read bools as 0 and 1; () reads float64
+            if var.size and var.dtype.kind not in "iu":
+                raise TypeError(f"{name} variable {var[:1].tolist()[0]!r} is not an integer")
             if (bad := np.flatnonzero((var < 0) | (var >= self.arity))).size:
                 raise ValueError(f"{name} variable {var[bad[0]]} out of range for arity {self.arity}")
+        u_var, a_var = u_var.astype(np.intp), a_var.astype(np.intp)
         count = np.bincount(u_var, minlength=self.arity)
         if (twice := np.flatnonzero(count > 1)).size:
             raise ValueError(f"unit variable {twice[0]} is listed more than once")
@@ -889,13 +895,15 @@ class _SquaredDistance(DualFunction):
         return g_std, g_dual
 
     def stage_system(self, z):
-        """``(J, r, None, 2, None)``, ``r = x_std - center_std``: the value is ``|r|^2``, ``J`` constant.
+        """``(J, r, r_dual, 2, None)`` of the rows ``x - center``, whose squared magnitude is the value.
 
-        The dual part is linear in the dual coordinates: no stage-II rows.
+        ``r`` and ``r_dual`` are their standard and dual parts, ``J`` their
+        constant slope in either part; stage II fits ``r_dual``.
         """
         s = 8 * self.index
         r = z[..., s : s + 4] - self.center.std.as_array()
-        return lambda sparse: self._jac, r, None, np.full(r.shape, 2.0), None
+        r_dual = z[..., s + 4 : s + 8] - self.center.dual.as_array()
+        return lambda sparse: self._jac, r, r_dual, np.full(r.shape, 2.0), None
 
 
 def squared_distance_objective(

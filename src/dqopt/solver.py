@@ -167,17 +167,17 @@ class EqdqoProblem:
     structure, a standard part that ignores the dual coordinates, since
     stage I runs over the standard coordinates alone (else
     :class:`NonStandardProblem`; :func:`dqopt.functions.check_standardness`
-    probes a declaration).  Stage I steps on ``stage1``'s residual rows
-    from the stage hook ``stage_system``, its Jacobian uncalled, as
-    :class:`~dqopt.functions.ResidualNormObjective` and
-    :func:`~dqopt.functions.squared_distance_objective` provide them (else
-    ``TypeError``); stage II and the KKT analysis read ``objective``'s
-    hook, if it has one.  ``start``, if given, is where restart 0 begins
-    when the solve gets no ``initial`` point: ``arity`` dual quaternions or
-    an ``(arity, 8)`` array of rows, stored as read-only rows (another
-    count or shape raises :class:`ArityMismatch`, a NaN or infinite entry
-    ``ValueError``).  Every hand-eye and pose-graph builder gives its good
-    start, so every solve uses it.
+    probes a declaration).  Both must give residual rows from the stage
+    hook ``stage_system``, as :class:`~dqopt.functions.ResidualNormObjective`
+    and :func:`~dqopt.functions.squared_distance_objective` do (else
+    ``TypeError``): stage I steps on ``stage1``'s, their Jacobian uncalled,
+    and stage II and the KKT analysis read ``objective``'s.  ``start``, if
+    given, is where restart 0 begins when the solve gets no ``initial``
+    point: ``arity`` dual quaternions or an ``(arity, 8)`` array of rows,
+    stored as read-only rows (another count or shape raises
+    :class:`ArityMismatch`, a NaN or infinite entry ``ValueError``).  Every
+    hand-eye and pose-graph builder gives its good start, so every solve
+    uses it.
     """
 
     objective: DualFunction
@@ -200,10 +200,8 @@ class EqdqoProblem:
             if not fn.declared_standard:
                 raise NonStandardProblem(f"{name} ({type(fn).__name__}) does not declare standard "
                                          "structure; stage I would depend on the dual coordinates")
-        if not hasattr(self.stage1, "stage_system"):
-            name = "objective" if self.stage1 is self.objective else "stage1"
-            raise TypeError(f"{name} ({type(self.stage1).__name__}) has no residual rows "
-                            "(stage_system) for stage I")
+            if not hasattr(fn, "stage_system"):
+                raise TypeError(f"{name} ({type(fn).__name__}) has no residual rows (stage_system)")
         block = ConstraintBlock(self.arity, self.unit, self.anchors)
         for name, value in (("block", block), ("unit", block.unit), ("anchors", block.anchors)):
             object.__setattr__(self, name, value)
@@ -445,11 +443,8 @@ def kkt_analysis(problem: EqdqoProblem, point, stage: int = 1) -> KktInfo:
 
 
 def _kink_subgradient(problem: EqdqoProblem, z: np.ndarray, rows: tuple = ()):
-    """``J_A^T u`` over the standard coordinates for the groups at their kink at ``z``, or 0."""
-    system = getattr(problem.objective, "stage_system", None)
-    if system is None:
-        return 0.0
-    jac, r, _, w, groups = system(z, *rows)
+    """``J_A^T u`` over the standard coordinates for ``objective``'s groups at their kink at ``z``, or 0."""
+    jac, r, _, w, groups = problem.objective.stage_system(z, *rows)
     if groups is None or w.all():
         return 0.0
     r, w = r[None], w[None]  # a stack of one, as stage I evaluates it
@@ -1030,25 +1025,20 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
     per variable), where the rows are ``r = r_p + B y`` with ``B = A N``.
     Stage II minimizes ``sum_g w_g |r_g|^2`` over ``y``: each pass solves
     the normal equations ``B^T W B y = -B^T W r_p``, dense or sparse as the
-    fiber is.  Groups infinitesimal at the stage-I point are reweighted by
-    ``1 / |r_g|`` (:func:`_stage2_weights`) until the fit settles, which
-    minimizes the paper's stage-II objective ``sum_g |r_g|`` on them
-    (robust to a few gross outliers).  Appreciable groups weigh 1: at a
-    stage-I KKT point their part of the paper's objective is constant on
-    the fiber, so the paper
-    leaves the dual coordinates undetermined there, and the least-squares
-    fit is a tie-break that goes beyond the paper (the translation step of
-    Daniilidis, 1999).  Objectives without dual rows (no ``stage_system``,
-    or ``r_dual`` ``None``) keep ``y = 0``, exact for smooth ones.
+    fiber is.  The kink groups of a sum of magnitudes, infinitesimal at the
+    stage-I point, are reweighted by ``1 / |r_g|`` (:func:`_stage2_weights`)
+    until the fit settles, which minimizes the paper's stage-II objective
+    ``sum_g |r_g|`` on them (robust to a few gross outliers).  Every other
+    row weighs 1: at a stage-I KKT point its part of the objective's dual
+    value is constant on the fiber, as is all of a smooth objective's, so
+    the paper leaves the dual coordinates undetermined there, and the
+    least-squares fit is a tie-break that goes beyond the paper (the
+    translation step of Daniilidis, 1999).
 
     The passes stop when the weights stop changing or ``y`` stops moving,
-    at most ``max_outer`` times.  Weights that are one value before and
-    after the pass, as a single norm group's are, also count as settled:
-    rescaling every weight alike leaves the fit where it is.  (Weights of
-    several groups that change by one common factor are not taken as
-    settled: on a singular system the next solve is what shows the
-    singularity.)  A singular system gives a non-finite ``y``, which ends
-    the passes.  One trace row per solve, or one for a kept ``z1``.  The
+    at most ``max_outer`` times: an objective without kink groups takes
+    one.  A singular system gives a non-finite ``y``, which ends the
+    passes.  One trace row per solve, or one for a kept ``z1``.  The
     outcome carries the value and feasibility of the last row, which are
     those of its point.
 
@@ -1069,14 +1059,10 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
     dual, block = _part_indices(problem.arity, 1), problem.block
     z = _fiber_point(problem, z1)
     x_p = z[dual]
-    system = getattr(problem.objective, "stage_system", None)
-    jac, _, r_p, w1, groups = system(z) if system else (None,) * 5
+    jac, _, r_p, w1, groups = problem.objective.stage_system(z)
     frames = block.tangent(z1)
-    if r_p is None:  # no rows: a smooth objective, whose dual part is linear
-        r_p, w1, groups = np.empty(0), np.empty(0), (np.empty(0, dtype=np.intp),) * 2
-    # Fiber directions that no row sees stay at x_p: all of them without rows.
-    b = (_fiber_product(jac(block.var.size > _DENSE_MAX), frames, block) if r_p.size
-         else np.zeros((0, block.var.size)))
+    # Fiber directions that no row sees stay at x_p.
+    b = _fiber_product(jac(block.var.size > _DENSE_MAX), frames, block)
     seen = np.asarray(abs(b).sum(axis=0)).ravel() > 0
     b = b[:, seen]
     b_t = b.T
@@ -1096,9 +1082,7 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
         if not np.all(np.isfinite(y_new)):
             break
         w_new = _stage2_weights(w1, r, groups)
-        rescaled = bool(np.all(w == w[:1]) and np.all(w_new == w_new[:1]))
-        if (np.array_equal(w_new, w) or rescaled
-                or np.max(np.abs(y_new - y), initial=0.0) <= cfg.tol_feas):
+        if np.array_equal(w_new, w) or np.max(np.abs(y_new - y), initial=0.0) <= cfg.tol_feas:
             break
         y, w = y_new, w_new
     return _StageOutcome(z, trace, value=v, feasibility=feas, rows=rows)
@@ -1107,12 +1091,15 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
 def _stage2_weights(w1: np.ndarray, r: np.ndarray, groups) -> np.ndarray:
     """Stage II's row weights at the dual rows ``r``, from the stage-I weights ``w1`` of one point.
 
-    A group that stage I weighs 0, at its kink, weighs ``1 / max(|r_g|,
-    TOL_APPRECIABLE)``, so re-solving with updated weights (iteratively
-    reweighted least squares) minimizes its magnitude ``|r_g|``.  Any other
-    group, NaN included, weighs 1.  ``groups`` is ``stage_system``'s.
+    Of several groups (``stage_system``'s ``groups``), one that stage I
+    weighs 0, at its kink, weighs ``1 / max(|r_g|, TOL_APPRECIABLE)``, so
+    re-solving with updated weights (IRLS) minimizes its magnitude.  Any
+    other, NaN included, weighs 1, as does a lone group, whose reweighting
+    would scale every row alike.
     """
-    starts, group = groups or (np.zeros(1, dtype=np.intp), np.zeros(r.size, dtype=np.intp))
+    if groups is None:
+        return np.ones(r.size)
+    starts, group = groups
     norms = np.sqrt(np.add.reduceat(r * r, starts))
     return np.where(w1[starts] == 0, 1.0 / np.maximum(norms, TOL_APPRECIABLE), 1.0)[group]
 

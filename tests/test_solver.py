@@ -79,15 +79,17 @@ def test_problem_rejects_non_standard_objective():
 
 
 def test_problem_rejects_an_objective_without_residual_rows():
-    # standard, but stage I has no residual rows to take steps on
+    # standard, but neither stage has residual rows to take steps on or fit
     squared = scalar_power(squared_distance_objective(DualQuaternion.identity()), 2)
     with pytest.raises(TypeError, match="objective .*_ScalarPower"):
         EqdqoProblem(squared, (0,))
-    # the rows belong to the objective stage I minimizes, when it is another one
+    # stage I's rows belong to stage1, when it is another function
     with pytest.raises(TypeError, match="stage1 .*_ScalarPower"):
         EqdqoProblem(_toy_problem().objective, (0,), stage1=squared)
+    # and stage II's to the objective, whatever stage1 is
     rows = squared_distance_objective(DualQuaternion.identity())
-    assert EqdqoProblem(squared, (0,), stage1=rows).stage1 is rows
+    with pytest.raises(TypeError, match="^objective .*_ScalarPower"):
+        EqdqoProblem(squared, (0,), stage1=rows)
     toy = _toy_problem()
     assert toy.stage1 is toy.objective
 
@@ -120,10 +122,23 @@ def test_problem_names_a_bad_unit_variable_or_anchor_when_built():
         (ValueError, "^anchored variable 5 out of range for arity 3$", (0,), {5: target}),
         (TypeError, "^anchor target of variable 2 is not a DualQuaternion$", (),
          {2: Quaternion.identity()}),
+        # a cast would read these as variables 0 and 1
+        (TypeError, "^unit variable 0.0 is not an integer$", (0.0, 1.5), None),
+        (TypeError, "^unit variable 1.5 is not an integer$", np.array([1.5]), None),
+        (TypeError, "^unit variable True is not an integer$", (True,), None),
+        (TypeError, "^anchored variable 1.0 is not an integer$", (0,), {1.0: target}),
+        (TypeError, "^anchored variable False is not an integer$", (), {False: target}),
     ]
     for error, match, unit, anchors in bad:
         with pytest.raises(error, match=match):
             EqdqoProblem(objective, unit, anchors)
+    # every integer form stays accepted, and so does an empty unit (float64 to NumPy)
+    for unit, anchors in [((), None), ([], {}), (range(1, 3), {np.int64(0): target}),
+                          (np.arange(3), None), ((np.int32(2), 0), {np.uint8(1): target}),
+                          (np.array([1], dtype=np.uint16), None)]:
+        problem = EqdqoProblem(objective, unit, anchors)
+        assert problem.unit.tolist() == list(np.asarray(unit, dtype=np.intp))
+        assert list(problem.anchors) == list(anchors or {})
 
 
 def test_no_build_or_solve_constructs_a_constraint_object(monkeypatch):
@@ -150,26 +165,14 @@ def test_no_build_or_solve_constructs_a_constraint_object(monkeypatch):
     assert built == ["_ComponentAnchor"] * 4
 
 
-def test_kkt_reads_the_constraint_block_not_each_constraint(monkeypatch):
-    calls = []
-    original = UnitNormConstraint.gradient_at
-
-    def counted(self, z):
-        calls.append(self.index)
-        return original(self, z)
-
-    monkeypatch.setattr(UnitNormConstraint, "gradient_at", counted)
-    problem = build_pgo(generate_cycle_graph(10, loop_closures=3, seed=0))
-    z = np.tile([1.0, 0, 0, 0, 0, 0, 0, 0], 10)
-    kkt_analysis(problem, z, stage=2)
-    assert calls == []
-
-
 def test_unconstrained_problem_solves_with_an_empty_constraint_block():
     center = DualQuaternion(Quaternion(0.5, -1.0, 2.0, 0.3), Quaternion(0.1, 0.2, -0.3, 0.4))
     report = solve_eqdqo(EqdqoProblem(squared_distance_objective(center)), _fast_cfg(restarts=2))
     assert report.stage1_value <= 1e-12
-    assert list(report.solution)[0].std.approx_eq(center.std, tol=1e-6)
+    solution = list(report.solution)[0]
+    assert solution.std.approx_eq(center.std, tol=1e-6)
+    # stage II fits the dual rows x_dual - center_dual, free without constraints
+    assert solution.dual.approx_eq(center.dual, tol=1e-12)
     assert report.feasibility == {"h": 0.0, "h_d": 0.0}
     assert report.multipliers["lambda"] == []
 

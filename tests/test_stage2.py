@@ -124,11 +124,11 @@ def test_stage2_runs_once_per_restart_tied_at_the_least_stage1_value(monkeypatch
     assert report.iterations["stage2"] == 1
 
 
-def test_a_uniform_reweighting_ends_stage2_after_one_pass():
-    # noiseless: the graph's one norm group is infinitesimal, and its
-    # reweighting rescales every row alike, which leaves the fit in place.
-    # The tree start is exact in both parts, which stage II keeps without a
-    # fit, so here that start has its dual parts zeroed.
+def test_one_norm_group_ends_stage2_after_one_unweighted_fit():
+    # noiseless: the graph's one norm group is infinitesimal, and reweighting
+    # it would rescale every row alike, so stage II weighs it 1 and stops
+    # after one pass.  The tree start is exact in both parts, which stage II
+    # keeps without a fit, so here that start has its dual parts zeroed.
     g = generate_cycle_graph(12, loop_closures=4, seed=5)
     problem, cfg = build_pgo(g), SolverConfig(restarts=1, seed=0)
     tree = spanning_tree_rows(g)
@@ -136,20 +136,16 @@ def test_a_uniform_reweighting_ends_stage2_after_one_pass():
     _, _, outcome = solver._stage1_restarts(problem, cfg, tree)[0]
     stage2 = solver._stage2(problem, cfg, outcome.z, outcome.trace[-1])
     assert len(stage2.trace) == 1 and stage2.trace[0].kkt_residual > 0.0
-    # the second pass, with the rescaled weights, lands on the same point
+    # the point is the unweighted least-squares fit of the dual rows
     null = tangent_matrix(problem.block, outcome.z)
     z = solver._fiber_point(problem, outcome.z)
     jac, _, r_p, w, groups = problem.objective.stage_system(z)
+    assert groups is None and np.all(w == 0.0)
     b = jac(False) @ null
-    w1 = solver._stage2_weights(w, r_p, groups)
-    y1 = np.linalg.solve(b.T @ (w1[:, None] * b), -b.T @ (w1 * r_p))
-    w2 = solver._stage2_weights(w, r_p + b @ y1, groups)
-    assert np.all(w2 == w2[0]) and w2[0] != w1[0]
-    y2 = np.linalg.solve(b.T @ (w2[:, None] * b), -b.T @ (w2 * r_p))
-    dual = solver._part_indices(g.n, 1)
-    two_pass = z.copy()
-    two_pass[dual] += null @ y2
-    assert np.max(np.abs(stage2.z - two_pass)) <= 1e-12
+    y = np.linalg.solve(b.T @ b, -b.T @ r_p)
+    fit = z.copy()
+    fit[solver._part_indices(g.n, 1)] += null @ y
+    assert np.max(np.abs(stage2.z - fit)) <= 1e-12
 
 
 def _stage1_fiber(problem, z):
