@@ -605,9 +605,10 @@ class UnitDualQuaternion:
 
     @classmethod
     def from_pose(cls, rotation: Quaternion, translation: Quaternion) -> "UnitDualQuaternion":
-        """Build the motion ``rotation`` followed by ``translation``, an imaginary quaternion.
+        """The pose ``q + eps q t / 2``: imaginary ``translation`` ``t``, then ``rotation`` ``q``.
 
-        The dual part is ``rotation * translation / 2``.
+        Pose rows are world-frame, ``q + eps t q / 2``
+        (:func:`~dqopt.handeye.pose_udqs`): a row of this value reads ``R(q) t``.
         """
         if not translation.is_imaginary(1e-12 * max(1.0, translation.norm())):
             raise NonImaginaryTranslation(f"real part {translation.w}")
@@ -619,7 +620,7 @@ class UnitDualQuaternion:
         return cls(DualQuaternion(q, (q * t) * 0.5))
 
     def to_pose(self) -> tuple[Quaternion, Quaternion]:
-        """Recover (rotation, translation) with an imaginary translation."""
+        """``(q, t)``, ``t = 2 conj(q) q_d`` as :meth:`from_pose` takes it: a row's ``R(q)^T t``."""
         q = self.inner.std
         t = (q.conjugate() * self.inner.dual) * 2.0
         return q, t.imaginary()

@@ -115,7 +115,7 @@ class DualFunction:
     """Base class for dual-number-valued functions.
 
     Subclasses implement :meth:`value` and usually :meth:`gradient_at`.
-    An objective the solver steps on also provides the stage hook
+    An objective the solver minimizes also provides the stage hook
     ``stage_system``, its residual rows, as
     :meth:`ResidualNormObjective.stage_system` describes them.
     """
@@ -720,14 +720,13 @@ class ConstraintBlock:
     repeated raises ``ValueError``, naming it; indices whose dtype is not an
     integer one (bools and floats included) raise ``TypeError`` naming the
     first, as does a target that is not a :class:`DualQuaternion`, naming
-    its variable.  Both
-    families are standard with a dual part linear in the dual coordinates,
-    so the Jacobian of ``h`` over the standard coordinates equals that of
-    ``h_d`` over the dual ones: the *stage Jacobian* ``G``, shape ``(m,
-    4n)``, column ``4i + c`` for coefficient ``c`` of variable ``i``.
-    Every row touches one variable, so ``G`` is block diagonal by variable,
-    and each variable is *anchored* (with a unit row or without), a
-    *sphere* (a unit row only) or *free*.  :meth:`tangent`, :meth:`pinv`
+    its variable.  Both families are standard with a dual part linear in the
+    dual coordinates, so the Jacobian of ``h`` over the standard coordinates
+    equals that of ``h_d`` over the dual ones: the *stage Jacobian* ``G``,
+    shape ``(m, 4n)``, column ``4i + c`` for coefficient ``c`` of variable
+    ``i``.  Every row touches one variable, so ``G`` is block diagonal by
+    variable, and each variable is *anchored* (with a unit row or without),
+    a *sphere* (a unit row only) or *free*.  :meth:`tangent`, :meth:`pinv`
     and :meth:`rank` are closed forms by class.
 
     ``__init__`` builds every index plan once, vectorized, and keeps
@@ -895,10 +894,9 @@ class _SquaredDistance(DualFunction):
         return g_std, g_dual
 
     def stage_system(self, z):
-        """``(J, r, r_dual, 2, None)`` of the rows ``x - center``, whose squared magnitude is the value.
+        """``(J, r, r_dual, 2, None)`` of the rows ``x - center``, the value ``|x - center|^2``.
 
-        ``r`` and ``r_dual`` are their standard and dual parts, ``J`` their
-        constant slope in either part; stage II fits ``r_dual``.
+        ``J`` is their constant slope in either part; stage II fits ``r_dual``.
         """
         s = 8 * self.index
         r = z[..., s : s + 4] - self.center.std.as_array()

@@ -119,7 +119,8 @@ def pose_udqs(rows: np.ndarray) -> np.ndarray:
     """Unit dual quaternions ``(k, 2, 4)`` (standard, dual part) of ``(k, 7)`` pose rows.
 
     The dual part is ``(t q) / 2``, the world-frame translation ``t`` on the
-    left as a pure quaternion; so the conversion is a homomorphism.
+    left as a pure quaternion; so the conversion is a homomorphism.  (``t``
+    is on the right in :meth:`~dqopt.algebra.UnitDualQuaternion.from_pose`.)
     """
     q = rows[:, :4]
     t = np.zeros_like(q)
@@ -488,9 +489,10 @@ def rotation_angle_between(a: Quaternion, b: Quaternion) -> float:
 def pose_rows(values) -> np.ndarray:
     """Poses of unit dual quaternions as ``(k, 7)`` rows ``(qw, qx, qy, qz, tx, ty, tz)``.
 
-    The translation is ``2 q_d conj(q)`` and the rotation ``q`` divided by
-    its norm, after ``UnitDualQuaternion.of``'s normalization; values that
-    are :class:`UnitDualQuaternion` already skip ``of``.  A row-backed
+    The translation is the world-frame ``2 q_d conj(q)`` (``R(q) t`` of
+    ``from_pose(q, t)``) and the rotation ``q`` divided by its norm, after
+    ``UnitDualQuaternion.of``'s normalization; values that are
+    :class:`UnitDualQuaternion` already skip ``of``.  A row-backed
     :class:`DualQuaternionVector` is read from its rows, every entry
     normalized.  Raises :class:`UnitValidationError` for a value farther
     than ``NORMALIZE_TOL`` from unit.

@@ -35,9 +35,9 @@ kink are equality rows of the step, and keeps every iterate feasible (see
 :func:`_stage1`).  Stage II is exact linear algebra.
 With the standard coordinates fixed, every dual constraint row and every
 residual's dual part is affine in the dual coordinates, so the feasible set
-is an affine *dual fiber* and stage II is a weighted least-squares fit on
-it (see :func:`_stage2`), with each magnitude's branch frozen where the
-stage-I point puts it.
+is an affine *dual fiber* and stage II is one weighted least-squares fit
+of every objective's dual rows on it (see :func:`_stage2`), with each
+magnitude's branch frozen where the stage-I point puts it.
 Restart 0 starts from the caller's ``initial`` point if given, else from
 the problem's ``start`` if it has one (the hand-eye closed form or the
 pose-graph spanning tree), and every other restart
@@ -170,14 +170,13 @@ class EqdqoProblem:
     probes a declaration).  Both must give residual rows from the stage
     hook ``stage_system``, as :class:`~dqopt.functions.ResidualNormObjective`
     and :func:`~dqopt.functions.squared_distance_objective` do (else
-    ``TypeError``): stage I steps on ``stage1``'s, their Jacobian uncalled,
-    and stage II and the KKT analysis read ``objective``'s.  ``start``, if
-    given, is where restart 0 begins when the solve gets no ``initial``
-    point: ``arity`` dual quaternions or an ``(arity, 8)`` array of rows,
-    stored as read-only rows (another count or shape raises
-    :class:`ArityMismatch`, a NaN or infinite entry ``ValueError``).  Every
-    hand-eye and pose-graph builder gives its good start, so every solve
-    uses it.
+    ``TypeError``): stage I steps on ``stage1``'s, and stage II and the KKT
+    analysis fit or read ``objective``'s.  ``start``, if given, is where
+    restart 0 begins when the solve gets no ``initial`` point: ``arity``
+    dual quaternions or an ``(arity, 8)`` array of rows, stored as
+    read-only rows (another count or shape raises :class:`ArityMismatch`,
+    a NaN or infinite entry ``ValueError``).  Every hand-eye and pose-graph
+    builder gives its good start, so every solve uses it.
     """
 
     objective: DualFunction
@@ -426,11 +425,11 @@ def kkt_analysis(problem: EqdqoProblem, point, stage: int = 1) -> KktInfo:
     ones ``-G (G^T G)^+ t``, ``(G^T G)^+`` in the closed form of
     :meth:`~dqopt.functions.ConstraintBlock.pinv`.  Piecewise gradients
     take the zero subgradient at kinks, except in stage I of an objective
-    with ``stage_system`` and several magnitude groups: there ``t`` also
-    holds ``J_g^T u_g`` for each group ``g`` at its kink, with ``u_g`` the
-    least-squares multipliers of :func:`_kinks` cut back to norm 1, so the
-    residual is the distance to the subdifferential (the stage-I
-    stationarity that :func:`_stage1` stops on) whenever every ``|u_g| <= 1``.
+    with several magnitude groups: there ``t`` also holds ``J_g^T u_g`` for
+    each group ``g`` at its kink, with ``u_g`` the least-squares multipliers
+    of :func:`_kinks` cut back to norm 1, so the residual is the distance to
+    the subdifferential (the stage-I stationarity that :func:`_stage1` stops
+    on) whenever every ``|u_g| <= 1``.
     ``point`` is ``arity`` dual quaternions or their coordinates, flat or
     as ``(arity, 8)`` rows; another shape raises ``ValueError``.
     """
@@ -443,7 +442,7 @@ def kkt_analysis(problem: EqdqoProblem, point, stage: int = 1) -> KktInfo:
 
 
 def _kink_subgradient(problem: EqdqoProblem, z: np.ndarray, rows: tuple = ()):
-    """``J_A^T u`` over the standard coordinates for ``objective``'s groups at their kink at ``z``, or 0."""
+    """``J_A^T u`` over the standard coordinates for the objective's kink groups at ``z``, or 0."""
     jac, r, _, w, groups = problem.objective.stage_system(z, *rows)
     if groups is None or w.all():
         return 0.0
@@ -1091,11 +1090,10 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
 def _stage2_weights(w1: np.ndarray, r: np.ndarray, groups) -> np.ndarray:
     """Stage II's row weights at the dual rows ``r``, from the stage-I weights ``w1`` of one point.
 
-    Of several groups (``stage_system``'s ``groups``), one that stage I
-    weighs 0, at its kink, weighs ``1 / max(|r_g|, TOL_APPRECIABLE)``, so
-    re-solving with updated weights (IRLS) minimizes its magnitude.  Any
-    other, NaN included, weighs 1, as does a lone group, whose reweighting
-    would scale every row alike.
+    Of several groups, one that stage I weighs 0, at its kink, weighs ``1 /
+    max(|r_g|, TOL_APPRECIABLE)``, so re-solving (IRLS) minimizes its
+    magnitude; any other, NaN included, weighs 1, as does a lone group
+    (``groups`` ``None``), whose reweighting would scale every row alike.
     """
     if groups is None:
         return np.ones(r.size)

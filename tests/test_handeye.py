@@ -80,6 +80,23 @@ def test_pose_udq_roundtrip():
         assert poses_close(p, q, tol=1e-12)
 
 
+def test_pose_rows_are_world_frame_and_from_pose_takes_t_before_the_rotation():
+    # from_pose(q, t) is q + eps q t / 2 and pose rows are q + eps t q / 2, so
+    # each reads the other's translation t as R(q) t or R(q)^T t
+    rows = _rand_rows(np.random.default_rng(167), 50)
+    x_turn = np.array([np.cos(0.4), np.sin(0.4), 0.0, 0.0, 1.0, 2.0, 3.0])
+    for row in [x_turn, *rows]:
+        q, t, rot = Quaternion(*row[:4]), row[4:], matrix(row)[:3, :3]
+        made = UnitDualQuaternion.from_pose(q, Quaternion(0, *t))
+        assert np.allclose(pose_rows([made])[0, 4:], rot @ t, rtol=0, atol=1e-12)
+        (value,) = UnitDualQuaternion.from_rows(handeye.pose_udqs(row[None]))
+        _, back = value.to_pose()
+        assert back.w == 0 and np.allclose(back.as_array()[1:], rot.T @ t, rtol=0, atol=1e-12)
+    # a 0.8 rad turn about x
+    made = UnitDualQuaternion.from_pose(Quaternion(*x_turn[:4]), Quaternion(0, 1, 2, 3))
+    assert np.allclose(pose_rows([made])[0, 4:], [1, -0.7587, 3.5248], rtol=0, atol=1e-4)
+
+
 def test_generated_truth_satisfies_pose_identity_axxb():
     # relative motions conjugate by the sensor offset: a X = X b as 4x4s
     ds = generate_synthetic("axxb", 5, seed=151)
