@@ -718,8 +718,8 @@ class ConstraintBlock:
     ``unit``, each at most once, in that order, then the four coefficients
     of ``x_i - target`` per entry of ``anchors``.  An index out of range or
     repeated raises ``ValueError``, naming it; indices whose dtype is not an
-    integer one (bools and floats included) raise ``TypeError`` naming the
-    first, as does a target that is not a :class:`DualQuaternion`, naming
+    integer one (bools and floats included), and a Python or NumPy bool
+    among integers, raise ``TypeError`` naming the first, as does a target that is not a :class:`DualQuaternion`, naming
     its variable.  Both families are standard with a dual part linear in the
     dual coordinates, so the Jacobian of ``h`` over the standard coordinates
     equals that of ``h_d`` over the dual ones: the *stage Jacobian* ``G``,
@@ -738,7 +738,11 @@ class ConstraintBlock:
     def __init__(self, arity: int, unit: Sequence[int], anchors: Mapping | None):
         self.arity, anchors = int(arity), dict(anchors or {})
         u_var, a_var = (np.asarray(v).ravel() for v in (unit, list(anchors)))
-        for name, var in (("unit", u_var), ("anchored", a_var)):
+        for name, given, var in (("unit", unit, u_var), ("anchored", anchors, a_var)):
+            # NumPy reads a bool among integers as 0 or 1; arrays and ranges carry their dtype
+            if not isinstance(given, (np.ndarray, range)):
+                if flag := [v for v in given if isinstance(v, (bool, np.bool_))]:
+                    raise TypeError(f"{name} variable {flag[0]!r} is not an integer")
             # a cast would truncate floats and read bools as 0 and 1; () reads float64
             if var.size and var.dtype.kind not in "iu":
                 raise TypeError(f"{name} variable {var[:1].tolist()[0]!r} is not an integer")

@@ -539,7 +539,11 @@ def _format_rows(label: str, ids, rows: np.ndarray) -> list[str]:
 
 
 def serialize_graph(graph: PoseGraph) -> str:
-    """Canonical text form; parse followed by serialize is byte-identical."""
+    """Canonical text form: serialize, parse and serialize again gives the same bytes.
+
+    Parse followed by serialize need not: of several records for one id
+    only the last is written, and numbers are written as their ``repr``.
+    """
     lines = _format_rows("VERTEX", graph.vertex_ids[:, None].tolist(), graph.vertex_poses)
     lines += _format_rows("EDGE", graph.edge_ids.tolist(), graph.edge_poses)
     lines += _format_rows("# TRUTH", graph.truth_ids[:, None].tolist(), graph.truth_poses)

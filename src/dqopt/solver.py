@@ -38,26 +38,13 @@ residual's dual part is affine in the dual coordinates, so the feasible set
 is an affine *dual fiber* and stage II is one weighted least-squares fit
 of every objective's dual rows on it (see :func:`_stage2`), with each
 magnitude's branch frozen where the stage-I point puts it.
-Restart 0 starts from the caller's ``initial`` point if given, else from
-the problem's ``start`` if it has one (the hand-eye closed form or the
-pose-graph spanning tree), and every other restart
-from an independent seeded unit point.  The standard value is never
-negative, so a restart 0 that starts at value 0 (noiseless data from the
-closed-form start or the spanning tree) is a certified stage-I minimum:
-it runs alone, and no other restart is drawn.  Stage I advances the
-restarts in lockstep: while the tangent space is small enough for dense
-algebra, every step of every restart still running is one batched
-computation over the stack of their points, and each restart takes the
-iterates it would take alone until it stops on its own stop rule, or until
-it comes within ``_MERGE_RADIUS`` of a minimum another restart converged
-to, where it stops "merged".  Larger, sparse problems advance their
-restarts one after another within each step.  Stage II runs for the
-restarts tied at the least stage-I value, those within rounding of it
-included, in restart order, each with those at its value exactly, until
-one gives a candidate.  Each forms its ``B = J N`` from the objective's
-slope ``J`` at the stage-I point, with ``N`` the constraint block's
-tangent frames, and the reported solution is the dn-order minimum over
-the feasible outcomes.
+Every restart runs stage I, in lockstep (see :func:`_stage1`), and stage
+II runs for those at the least stage-I value.  :func:`solve_eqdqo` states
+where restarts start, when restart 0 runs alone and which restarts stage
+II tries; :class:`SolverConfig` states when a restart stops "merged".
+Stage II forms its ``B = J N`` from the objective's slope ``J`` at the
+stage-I point, with ``N`` the constraint block's tangent frames, and the
+reported solution is the dn-order minimum over the feasible outcomes.
 """
 
 from __future__ import annotations
@@ -101,13 +88,17 @@ class SolverConfig:
     every constraint row holds to ``tol_feas``, in stage I at its last row.
     Restart 0 begins at the solve's ``initial`` point or the problem's
     ``start``, if either is given, the others at unit points drawn from
-    ``seed``.  A restart 0 that starts at stage-I value 0 is a global
-    minimum and runs alone, whatever ``restarts`` says.  Otherwise stage I
-    advances the ``restarts`` in lockstep as one batch.  A restart that
-    comes within ``_MERGE_RADIUS`` (1e-3, in the max-norm over the standard
-    coordinates, up to the global sign) of a restart that already
-    converged to a positive value stops there and is no candidate.
-    Restarts that converged to value 0 or stalled are never merged into.
+    ``seed``; :func:`solve_eqdqo` says when restart 0 runs alone.  The
+    ``restarts`` that run advance in lockstep, and each stops on its own
+    rule or *merges*: one whose point comes within ``_MERGE_RADIUS`` (1e-3,
+    in the max-norm over the standard coordinates, up to the global sign)
+    of a restart that converged to a positive value stops "merged" and is
+    no candidate.  Near a minimum reached in the same step it stops before
+    it steps, at its last row's point; near one reached earlier, at the top
+    of the next step, one step past its last row.  Restarts that converged
+    to value 0 (noiseless data, where restarts at one minimum differ in
+    what stage II makes of them) or stalled (short of a minimum, so
+    possibly apart from the others) are never merged into.
     ``threads`` accepts only 1, so that callers passing it keep working,
     the benchmark among them until ROADMAP item 13's benchmark change.
     Counts must be integers and tolerances real numbers, not bools; the
@@ -324,12 +315,11 @@ def _valued(fn, z: np.ndarray) -> tuple:
 
 def _random_start(arity: int, rng: np.random.Generator) -> np.ndarray:
     """Unit standard parts for each of ``arity`` variables, zero dual parts."""
-    z = np.zeros(8 * arity)
-    for i in range(arity):
-        v = rng.standard_normal(4)
-        v /= np.linalg.norm(v)
-        z[8 * i : 8 * i + 4] = v
-    return z
+    v = rng.standard_normal((arity, 4))
+    z = np.zeros((arity, 8))
+    # each norm summed as np.linalg.norm sums one vector's
+    z[:, :4] = v / np.sqrt(_dots(v, v))[:, None]
+    return z.reshape(-1)
 
 
 def _fiber_product(jac, frames: np.ndarray, block: ConstraintBlock):
@@ -510,7 +500,7 @@ _RELEASE_MIN = 2.0 * TOL_APPRECIABLE
 
 #: A stage-I point this close to one where another restart converged, in the
 #: max-norm over the standard coordinates and up to the global sign, is
-#: heading for the same minimum: its restart stops there (see :func:`_stage1`).
+#: heading for the same minimum: its restart stops there (see :class:`SolverConfig`).
 _MERGE_RADIUS = 1e-3
 
 
@@ -615,7 +605,8 @@ def _pinned_range(b: np.ndarray, rows: np.ndarray):
 class _Kinks:
     """The points of a step with a magnitude group at its kink, and their active sets.
 
-    ``pos`` indexes those points among the step's.  Per point, ``groups``
+    ``pos`` indexes those points among all of the step's, those that stop
+    in it included, for the step's whole course.  Per point, ``groups``
     flags the groups pinned at their kink (stage-I weight 0 in ``stage_system``),
     ``rows`` flags their rows, ``u`` holds their least-squares
     multipliers cut back to norm 1 per group, and ``release`` is ``u`` in
@@ -632,16 +623,6 @@ class _Kinks:
     def __init__(self, pos, groups, rows, u, release, sigma, counted, settled, span):
         self.pos, self.groups, self.rows, self.u, self.release = pos, groups, rows, u, release
         self.sigma, self.counted, self.settled, self.span = sigma, counted, settled, span
-
-    def take(self, go: np.ndarray):
-        """The kinks of the points that ``go`` keeps, renumbered among them; ``None`` if none."""
-        mine = go[self.pos]
-        if not mine.any():
-            return None
-        pos = (np.cumsum(go) - 1)[self.pos[mine]]
-        return _Kinks(pos, *(a[mine] for a in (self.groups, self.rows, self.u, self.release,
-                                               self.sigma, self.counted, self.settled)),
-                      tuple(a[mine] for a in self.span))
 
 
 def _kinks(b, r: np.ndarray, w: np.ndarray, groups: tuple, grad: np.ndarray) -> _Kinks:
@@ -843,16 +824,13 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued
     All points still running take each step together: one stack of tangent
     frames, one residual system and one batched solve per step.  Each keeps
     its own value, damping, previous gradient norm, flat flag and trace, so
-    its iterates are those it takes alone.  Points on a sparse fiber step
-    one at a time, as a stack of one with a CSR Jacobian.  A running point
-    within ``_MERGE_RADIUS`` of a point that stops ``"converged"`` with a
-    positive value in that step stops ``"merged"`` before it steps, at its
-    last row's point; near one that converged earlier, at the top of the
-    next step, one step past its last row.  Its trace is the start of the
-    one it takes alone, and it is no stage-II candidate.  Points that
-    converged to value 0 (noiseless data, where restarts at one minimum
-    differ in what stage II makes of them) and points that stalled (short of
-    a minimum, so possibly apart from the others) are never merged into.
+    its iterates are those it takes alone.  Points that stop in a step,
+    merged ones included (see :class:`SolverConfig`), stay in its stack,
+    where their Newton step is solved but unused: ``running``, the mask of
+    the others, picks the points that try a move, search and stall, and
+    the next step leaves them out.  Stop reasons live in one string array,
+    ``""`` while a point runs.  Points on a sparse fiber step one at a
+    time, as a stack of one with a CSR Jacobian.
     Returns one :class:`_StageOutcome` per start.  The objective is the
     problem's ``stage1``, and ``valued``, if given, its :func:`_valued` at
     ``starts``.  Stage I never reads the dual coordinates: they stay those
@@ -867,7 +845,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued
     grad_norm = np.full(count, math.inf)  # of the last step taken
     flat = np.zeros(count, dtype=bool)
     kinked = np.zeros(count, dtype=bool)  # at the last row's point
-    stop = [None] * count
+    stop = np.full(count, "", dtype="U9")  # "" while running
     traces = [[] for _ in range(count)]  # one row per step
     var = block.var
     alone = var.size > _DENSE_MAX  # points on a sparse fiber step one at a time
@@ -906,24 +884,15 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued
         # after max_outer steps, the points still running stop where they are
         done = small | stalled | (it == cfg.max_outer)
         grad_norm[idx] = g_norm
-        halted = done.nonzero()[0]
-        if halted.size:
-            reasons = np.where(small, "converged", np.where(stalled, "stalled", "max_outer"))
-            # running points near a minimum reached in this step merge before they step
-            if halted.size < len(idx) and (into := small & (v_std[idx] > 0)).any():
-                near = ~done & _near(z_a[:, std], z_a[into][:, std]).any(axis=1)
-                reasons[near], done = "merged", done | near
-                halted = done.nonzero()[0]
-            for k, reason in zip(idx[halted].tolist(), reasons[halted].tolist()):
-                stop[k] = reason
-            if halted.size == len(idx):
-                return
-            go = ~done
-            idx, z_a, frames, b, r, w, wr, grad = (
-                a[go] for a in (idx, z_a, frames, b, r, w, wr, grad))
-            jac = jac[go] if jac.ndim == 3 else jac
-            if kinks is not None:
-                kinks = kinks.take(go)
+        reasons = np.where(small, "converged", np.where(stalled, "stalled", "max_outer"))
+        # running points near a minimum reached in this step merge before they step
+        if not done.all() and (into := small & (v_std[idx] > 0)).any():
+            near = ~done & _near(z_a[:, std], z_a[into][:, std]).any(axis=1)
+            reasons[near], done = "merged", done | near
+        stop[idx[done]] = reasons[done]
+        if done.all():
+            return
+        running = ~done
         h = _normal(b, w)
         scale = np.maximum.reduce(_diagonal(h), axis=-1, initial=0.0)
         scale[scale == 0] = 1.0
@@ -959,12 +928,12 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued
         if kinks is not None:
             # a step back to a kink may climb the smooth groups' slope
             tries[kinks.pos] = True
-        pos = tries.nonzero()[0]
+        pos = (tries & running).nonzero()[0]
         if pos.size:
             moved, moved_v = trial(pos, y[pos])
             accept(pos, moved, moved_v, moved_v[0] <= rounding[pos])
         # Levenberg-Marquardt steps for the points the Newton step did not move.
-        pos = (~stepped & (damp[idx] <= _DAMP_CAP)).nonzero()[0]
+        pos = (running & ~stepped & (damp[idx] <= _DAMP_CAP)).nonzero()[0]
         while pos.size:
             points = idx[pos]
             lm_shift = (damp[points] * scale[pos])[:, None]
@@ -983,23 +952,21 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued
             damp[points[lower]] = np.maximum(damp[points[lower]] / 10.0, _DAMP_FLOOR)
             damp[points[higher]] *= 10.0
             pos = pos[higher & (damp[points] <= _DAMP_CAP)]
-        for k in idx[~stepped].tolist():
-            stop[k] = "stalled"
+        stop[idx[running & ~stepped]] = "stalled"
 
     for it in range(cfg.max_outer + 1):
-        live = np.array([k for k in range(count) if stop[k] is None], dtype=np.intp)
-        into = [k for k in range(count) if stop[k] == "converged" and v_std[k] > 0]
-        if live.size and into:
+        live = (stop == "").nonzero()[0]
+        into = (stop == "converged") & (v_std > 0)
+        if live.size and into.any():
             merged = _near(z[live][:, std], z[into][:, std]).any(axis=1)
-            for k in live[merged].tolist():
-                stop[k] = "merged"
+            stop[live[merged]] = "merged"
             live = live[~merged]
         if not live.size:
             break
         for group in np.split(live, live.size) if alone else [live]:
             advance(it, group)
-    return [_StageOutcome(z[k], traces[k], stop=stop[k], value=float(v_std[k]),
-                          kinked=bool(kinked[k])) for k in range(count)]
+    return [_StageOutcome(z[k], traces[k], stop=reason, value=float(v_std[k]),
+                          kinked=bool(kinked[k])) for k, reason in enumerate(stop.tolist())]
 
 
 def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
@@ -1152,15 +1119,11 @@ def _drawn_start(arity: int, seed: int, r: int) -> np.ndarray:
 def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     """Stage I for every restart: the outcomes on the standard rows, least stage-I value first.
 
-    Items are ``(value, restart, outcome)``.  Values within ``_ROUNDING`` of
-    the least, relative to it, count as the least, and equal values keep
-    restart order: a restart that ends a rounding below an earlier one at
-    the same minimum does not come first.  Restart 0's start is put on the
-    standard rows first; at standard value exactly 0 it is a global minimum
-    (the value is never negative), so it runs alone, as with ``restarts=1``,
-    and no other start is drawn.  Otherwise every restart advances in
-    lockstep through one :func:`_stage1` call, and merged restarts are left
-    out.  A restart's feasibility is its last trace row's, at the point it
+    Items are ``(value, restart, outcome)``, with the values in
+    :func:`solve_eqdqo`'s rounding band first, in restart order.  Restart
+    0's start is put on the standard rows first, and runs alone at value 0
+    (see :func:`solve_eqdqo`); otherwise every restart runs in one
+    :func:`_stage1` call, and merged restarts are left out.  A restart's feasibility is its last trace row's, at the point it
     returns.  Raises ``ValueError`` when restart 0's start has a zero
     standard part on a unit row, and :class:`Infeasible`, naming the
     restarts that ran, when none satisfies the standard rows to ``tol_feas``.
@@ -1234,15 +1197,14 @@ def solve_eqdqo(
     """Full two-stage solve with restarts.
 
     Every restart runs stage I.  Stage II can only break ties in the
-    standard value, so it runs for the restarts on the standard rows whose
-    stage-I value is the least to rounding (:func:`_stage1_restarts`): in
-    restart order, each with those at its value exactly, until one of these
-    groups gives a candidate.  A restart is a candidate when its final
-    point satisfies all constraint rows to ``tol_feas``.
-    A restart that merged into a minimum another restart converged to with
-    a positive value is none (see :class:`SolverConfig`); restarts at
-    value 0 or stalled are candidates as without merging, and stage II
-    picks the best of them.  Stage II forms its own ``B = J N`` at the
+    standard value, so it runs for the restarts on the standard rows in the
+    *rounding band*, whose stage-I value is within ``_ROUNDING`` (1e-12) of
+    the least, relative to it: in restart order, each with those at its
+    value exactly, until one of these groups gives a candidate, so a
+    restart that ends a rounding below an earlier one at the same minimum
+    does not win.  A restart is a candidate when its final point satisfies
+    all constraint rows to ``tol_feas``; a merged one (see
+    :class:`SolverConfig`) is none.  Stage II forms its own ``B = J N`` at the
     candidate's point, where its stage-I trace ends, capped or not, unless
     the objective reads 0 there, its dual part to rounding, and every row
     holds: then it keeps the point, and its last stage-I row spares that
@@ -1253,8 +1215,9 @@ def solve_eqdqo(
     an ``(arity, 8)`` array of rows (standard, dual part); another count or
     shape raises :class:`ArityMismatch`.  Without ``initial`` it starts from
     ``problem.start``, and only without either from a random point.  When
-    that start is at stage-I value 0, restart 0 runs alone and the report
-    is the one of ``restarts=1``.  A sum of magnitudes reads value 0
+    that start is at stage-I value 0, a global minimum since the value is
+    never negative, restart 0 runs alone, no other start is drawn, and the
+    report is the one of ``restarts=1``.  A sum of magnitudes reads value 0
     wherever every magnitude is within its tolerance (``TOL_APPRECIABLE``,
     1e-8, for the hand-eye and pose-graph objectives), so an ``initial``
     at value 0 comes back about as precise as it was given: no random

@@ -68,6 +68,8 @@ def test_a_vector_indexes_its_entries_as_a_tuple():
     v = DualQuaternionVector(entries)
     assert [v[i] for i in range(3)] == list(entries)
     assert v[-1] is entries[2] and v[1:] == entries[1:]
+    # a vector equals only a vector, not the tuple of its entries
+    assert (v == entries) is False and (DualQuaternionVector(()) == ()) is False
     with pytest.raises(IndexError):
         v[3]
 

@@ -291,6 +291,31 @@ def test_truth_records_survive_comments():
     assert _truth(g)[2][4:].tolist() == [1.0, 0.0, 0.0]
 
 
+def test_of_several_records_for_one_id_the_last_counts():
+    text = (
+        "VERTEX 3 1 0 0 0 3 0 0\n"
+        "VERTEX 2 1 0 0 0 1 0 0\n"
+        "EDGE 1 2 1 0 0 0 1 0 0\n"
+        "EDGE 2 3 1 0 0 0 1 0 0\n"
+        "VERTEX 2 0 1 0 0 2 0 0\n"
+        "# TRUTH 2 1 0 0 0 1 0 0\n"
+        "# TRUTH 1 1 0 0 0 0 0 0\n"
+        "# TRUTH 2 0 0 1 0 0 5 0\n"
+    )
+    g = parse_graph(text)
+    assert g.vertex_ids.tolist() == [2, 3]
+    assert g.vertex_poses.tolist() == [[0, 1, 0, 0, 2, 0, 0], [1, 0, 0, 0, 3, 0, 0]]
+    assert g.truth_ids.tolist() == [1, 2]
+    assert g.truth_poses.tolist() == [[1, 0, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 5, 0]]
+    # serializing drops the repeats, so only serialize -> parse -> serialize is stable
+    once = serialize_graph(g)
+    assert once.count("VERTEX 2 ") == 1 and serialize_graph(parse_graph(once)) == once
+    rows = np.array([[1, 0, 0, 0, 1, 0, 0], [1, 0, 0, 0, 2, 0, 0], [0, 1, 0, 0, 3, 0, 0]], float)
+    g = PoseGraph(3, [[1, 2], [2, 3]], rows[:2], vertices=([3, 1, 3], rows))
+    assert g.vertex_ids.tolist() == [1, 3]
+    assert g.vertex_poses.tolist() == rows[1:].tolist()
+
+
 def test_disconnected_graph_raises():
     g = PoseGraph(4, [(1, 2)], [_IDENTITY])
     with pytest.raises(DisconnectedGraph):

@@ -128,6 +128,10 @@ def test_problem_names_a_bad_unit_variable_or_anchor_when_built():
         (TypeError, "^unit variable True is not an integer$", (True,), None),
         (TypeError, "^anchored variable 1.0 is not an integer$", (0,), {1.0: target}),
         (TypeError, "^anchored variable False is not an integer$", (), {False: target}),
+        # NumPy gives a bool among integers their integer dtype
+        (TypeError, "^unit variable True is not an integer$", (0, True), None),
+        (TypeError, "^anchored variable True is not an integer$", (), {0: target, True: target}),
+        (TypeError, "^unit variable np.True_ is not an integer$", (0, np.True_), None),
     ]
     for error, match, unit, anchors in bad:
         with pytest.raises(error, match=match):
@@ -775,6 +779,19 @@ def test_the_dense_fiber_product_adds_each_columns_four_products_left_to_right(n
     b = solver._fiber_product(jac, frames, problem.block)
     assert b.flags.c_contiguous
     assert b.tobytes() == _plain_fiber_product(jac, frames, var).tobytes()
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 7, 40, 200])
+def test_a_random_start_is_the_per_variable_draw_bit_for_bit(arity):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        expected = np.zeros((arity, 8))
+        for i in range(arity):
+            v = rng.standard_normal(4)
+            expected[i, :4] = v / np.linalg.norm(v)
+        z = solver._random_start(arity, np.random.default_rng(seed))
+        assert z.shape == (8 * arity,)
+        assert z.tobytes() == expected.tobytes()
 
 
 def _mixed_block():
