@@ -719,10 +719,11 @@ class ConstraintBlock:
     of ``x_i - target`` per entry of ``anchors``.  An index out of range or
     repeated raises ``ValueError``, naming it; indices whose dtype is not an
     integer one (bools and floats included), and a Python or NumPy bool
-    among integers, raise ``TypeError`` naming the first, as does a target that is not a :class:`DualQuaternion`, naming
-    its variable.  Both families are standard with a dual part linear in the
-    dual coordinates, so the Jacobian of ``h`` over the standard coordinates
-    equals that of ``h_d`` over the dual ones: the *stage Jacobian* ``G``,
+    among integers, raise ``TypeError`` naming the first, as does a target
+    that is not a :class:`DualQuaternion`, naming its variable.  Both
+    families are standard with a dual part linear in the dual coordinates,
+    so the Jacobian of ``h`` over the standard coordinates equals that of
+    ``h_d`` over the dual ones: the *stage Jacobian* ``G``,
     shape ``(m, 4n)``, column ``4i + c`` for coefficient ``c`` of variable
     ``i``.  Every row touches one variable, so ``G`` is block diagonal by
     variable, and each variable is *anchored* (with a unit row or without),

@@ -1123,10 +1123,11 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     :func:`solve_eqdqo`'s rounding band first, in restart order.  Restart
     0's start is put on the standard rows first, and runs alone at value 0
     (see :func:`solve_eqdqo`); otherwise every restart runs in one
-    :func:`_stage1` call, and merged restarts are left out.  A restart's feasibility is its last trace row's, at the point it
-    returns.  Raises ``ValueError`` when restart 0's start has a zero
-    standard part on a unit row, and :class:`Infeasible`, naming the
-    restarts that ran, when none satisfies the standard rows to ``tol_feas``.
+    :func:`_stage1` call, and merged restarts are left out.  A restart's
+    feasibility is its last trace row's, at the point it returns.  Raises
+    ``ValueError`` when restart 0's start has a zero standard part on a
+    unit row, and :class:`Infeasible`, naming the restarts that ran, when
+    none satisfies the standard rows to ``tol_feas``.
     """
     with np.errstate(invalid="ignore", divide="ignore"):  # a zero norm is reported below
         projected = problem.block.project(_restart_start(problem, cfg, initial, 0)[None])
@@ -1204,8 +1205,8 @@ def solve_eqdqo(
     restart that ends a rounding below an earlier one at the same minimum
     does not win.  A restart is a candidate when its final point satisfies
     all constraint rows to ``tol_feas``; a merged one (see
-    :class:`SolverConfig`) is none.  Stage II forms its own ``B = J N`` at the
-    candidate's point, where its stage-I trace ends, capped or not, unless
+    :class:`SolverConfig`) is none.  Stage II forms its own ``B = J N`` at
+    the candidate's point, where its stage-I trace ends, capped or not, unless
     the objective reads 0 there, its dual part to rounding, and every row
     holds: then it keeps the point, and its last stage-I row spares that
     check's evaluation when it shows a value above rounding.
