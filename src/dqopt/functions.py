@@ -47,7 +47,6 @@ from .algebra import (
     DualNumber,
     DualQuaternion,
     DualQuaternionVector,
-    Quaternion,
     UnitDualQuaternion,
     dual_max,
     dual_min,
@@ -151,89 +150,92 @@ class DualFunction:
         return np.array([v.std for v in values]), np.array([v.dual for v in values])
 
 
-def _check_same_arity(f: DualFunction, g: DualFunction):
-    if f.arity != g.arity:
-        raise ArityMismatch(f"arity {f.arity} vs {g.arity}")
+def _count(name: str, value, error: type[Exception] = TypeError) -> int:
+    """``value`` as an ``int``: a Python or NumPy integer, not a bool, else ``error`` names it."""
+    # bool is an int subclass, a float would be truncated or compared unchecked,
+    # and a NumPy integer would reach a JSON report
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
-class _Combined(DualFunction):
-    """Pointwise combination of two dual functions."""
+class _Composed(DualFunction):
+    """A dual function a factory builds from its ``value`` and, if it has one, its gradient."""
 
-    def __init__(self, f: DualFunction, g: DualFunction, op: str):
-        _check_same_arity(f, g)
-        if op not in ("sum", "product", "min", "max"):
-            raise ValueError(f"unknown combiner {op!r}")
-        super().__init__(f.arity, f.declared_standard and g.declared_standard)
-        self.f = f
-        self.g = g
-        self.op = op
+    def __init__(self, arity: int, declared_standard: bool, value: Callable, gradient=None):
+        super().__init__(arity, declared_standard)
+        self._value, self._gradient = value, gradient
 
     def value(self, values):
-        a = self.f.value(values)
-        b = self.g.value(values)
-        if self.op == "sum":
-            return a + b
-        if self.op == "product":
-            return a * b
-        # both keep ``a`` on a tie, as the gradient below does
-        return dual_min(a, b) if self.op == "min" else dual_max(a, b)
+        return self._value(values)
 
     def gradient_at(self, z):
-        if self.op == "sum":
-            fs, fd = self.f.gradient_at(z)
-            gs, gd = self.g.gradient_at(z)
+        return super().gradient_at(z) if self._gradient is None else self._gradient(z)
+
+
+def combine(f: DualFunction, g: DualFunction, op: str) -> DualFunction:
+    """Pointwise sum, product, min, or max of two dual functions."""
+    if f.arity != g.arity:
+        raise ArityMismatch(f"arity {f.arity} vs {g.arity}")
+    if op not in ("sum", "product", "min", "max"):
+        raise ValueError(f"unknown combiner {op!r}")
+
+    def value(values):
+        a = f.value(values)
+        b = g.value(values)
+        if op == "sum":
+            return a + b
+        if op == "product":
+            return a * b
+        # both keep ``a`` on a tie, as the gradient below does
+        return dual_min(a, b) if op == "min" else dual_max(a, b)
+
+    def gradient(z):
+        if op == "sum":
+            fs, fd = f.gradient_at(z)
+            gs, gd = g.gradient_at(z)
             return fs + gs, fd + gd
-        if self.op == "product":
-            a = self.f.value_at(z)
-            b = self.g.value_at(z)
-            fs, fd = self.f.gradient_at(z)
-            gs, gd = self.g.gradient_at(z)
+        if op == "product":
+            a = f.value_at(z)
+            b = g.value_at(z)
+            fs, fd = f.gradient_at(z)
+            gs, gd = g.gradient_at(z)
             # (ab)_std = a_s b_s ; (ab)_dual = a_s b_d + a_d b_s
             grad_std = b.std * fs + a.std * gs
             grad_dual = b.dual * fs + a.std * gd + b.std * fd + a.dual * gs
             return grad_std, grad_dual
         # min/max pick the winning branch; ties go to the first argument,
         # a valid subgradient selection.
-        a = self.f.value_at(z)
-        b = self.g.value_at(z)
+        a = f.value_at(z)
+        b = g.value_at(z)
         cmp = a.compare(b)
-        take_f = cmp <= 0 if self.op == "min" else cmp >= 0
-        return self.f.gradient_at(z) if take_f else self.g.gradient_at(z)
+        take_f = cmp <= 0 if op == "min" else cmp >= 0
+        return f.gradient_at(z) if take_f else g.gradient_at(z)
+
+    return _Composed(f.arity, f.declared_standard and g.declared_standard, value, gradient)
 
 
-def combine(f: DualFunction, g: DualFunction, op: str) -> DualFunction:
-    """Pointwise sum, product, min, or max of two dual functions."""
-    return _Combined(f, g, op)
+def scalar_power(f: DualFunction, exponent: int) -> DualFunction:
+    """``f`` raised to a positive integer power in dual arithmetic."""
+    m = _count("exponent", exponent)
+    if m < 1:
+        raise ValueError("exponent must be a positive integer")
 
-
-class _ScalarPower(DualFunction):
-    def __init__(self, f: DualFunction, exponent: int):
-        if exponent < 1:
-            raise ValueError("exponent must be a positive integer")
-        super().__init__(f.arity, f.declared_standard)
-        self.f = f
-        self.exponent = int(exponent)
-
-    def value(self, values):
-        v = self.f.value(values)
-        m = self.exponent
+    def value(values):
+        v = f.value(values)
         # (a + b eps)^m = a^m + m a^(m-1) b eps
         return DualNumber(v.std**m, m * v.std ** (m - 1) * v.dual if m > 1 else v.dual)
 
-    def gradient_at(self, z):
-        v = self.f.value_at(z)
-        gs, gd = self.f.gradient_at(z)
-        m = self.exponent
+    def gradient(z):
+        v = f.value_at(z)
+        gs, gd = f.gradient_at(z)
         if m == 1:
             return gs, gd
         grad_std = m * v.std ** (m - 1) * gs
         grad_dual = m * (m - 1) * v.std ** (m - 2) * v.dual * gs + m * v.std ** (m - 1) * gd
         return grad_std, grad_dual
 
-
-def scalar_power(f: DualFunction, exponent: int) -> DualFunction:
-    """``f`` raised to a positive integer power in dual arithmetic."""
-    return _ScalarPower(f, exponent)
+    return _Composed(f.arity, f.declared_standard, value, gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -256,84 +258,47 @@ class DualQuaternionMap:
         return self.value(tuple(values))
 
     def magnitude(self) -> DualFunction:
-        return _MapMagnitude(self)
+        return _Composed(self.arity, self.declared_standard, lambda values: self.value(values).magnitude())
 
 
-class _MapMagnitude(DualFunction):
-    def __init__(self, inner: DualQuaternionMap):
-        super().__init__(inner.arity, inner.declared_standard)
-        self.inner = inner
+class _ComposedMap(DualQuaternionMap):
+    """A map a factory builds from its ``value``."""
 
-    def value(self, values):
-        return self.inner.value(values).magnitude()
-
-
-class _VariableMap(DualQuaternionMap):
-    def __init__(self, arity: int, index: int):
-        if not 0 <= index < arity:
-            raise ValueError(f"index {index} out of range for arity {arity}")
-        super().__init__(arity, declared_standard=True)
-        self.index = index
+    def __init__(self, arity: int, declared_standard: bool, value: Callable):
+        super().__init__(arity, declared_standard)
+        self._value = value
 
     def value(self, values):
-        return values[self.index]
+        return self._value(values)
 
 
 def variable_map(arity: int, index: int) -> DualQuaternionMap:
     """The map selecting variable ``index``."""
-    return _VariableMap(arity, index)
-
-
-class _NormalizeMap(DualQuaternionMap):
-    def __init__(self, inner: DualQuaternionMap):
-        super().__init__(inner.arity, inner.declared_standard)
-        self.inner = inner
-
-    def value(self, values):
-        return self.inner.value(values).normalized()
+    arity, index = _count("arity", arity), _count("index", index)
+    if not 0 <= index < arity:
+        raise ValueError(f"index {index} out of range for arity {arity}")
+    return _ComposedMap(arity, True, lambda values: values[index])
 
 
 def normalize_map(inner: DualQuaternionMap) -> DualQuaternionMap:
     """Project the inner map's value to the nearest unit dual quaternion."""
-    return _NormalizeMap(inner)
-
-
-class _MapPower(DualQuaternionMap):
-    def __init__(self, inner: DualQuaternionMap, exponent: int):
-        if exponent < 1:
-            raise ValueError("exponent must be a positive integer")
-        super().__init__(inner.arity, inner.declared_standard)
-        self.inner = inner
-        self.exponent = int(exponent)
-
-    def value(self, values):
-        v = self.inner.value(values)
-        out = v
-        for _ in range(self.exponent - 1):
-            out = out * v
-        return out
+    return _ComposedMap(inner.arity, inner.declared_standard, lambda values: inner.value(values).normalized())
 
 
 def map_power(inner: DualQuaternionMap, exponent: int) -> DualQuaternionMap:
     """The inner map's value raised to a positive integer power."""
-    return _MapPower(inner, exponent)
+    m = _count("exponent", exponent)
+    if m < 1:
+        raise ValueError("exponent must be a positive integer")
 
+    def value(values):
+        v = inner.value(values)
+        out = v
+        for _ in range(m - 1):
+            out = out * v
+        return out
 
-class _ComposeUnit(DualFunction):
-    def __init__(self, outer, inner: DualQuaternionMap, validate: bool, declared_standard: bool):
-        super().__init__(inner.arity, declared_standard)
-        self.outer = outer
-        self.inner = inner
-        self.validate = validate
-
-    def value(self, values):
-        v = self.inner.value(values)
-        if self.validate:
-            dev = v.unit_deviation()
-            if dev > NORMALIZE_TOL:
-                raise NonUnitValue(f"inner map produced unit deviation {dev}")
-        u = UnitDualQuaternion(v.normalized())
-        return self.outer(u)
+    return _ComposedMap(inner.arity, inner.declared_standard, value)
 
 
 def compose_unit(
@@ -347,7 +312,17 @@ def compose_unit(
     With ``validate`` the inner value must already be unit within the
     normalization tolerance; otherwise :class:`NonUnitValue` is raised.
     """
-    return _ComposeUnit(outer, inner, validate, declared_standard)
+
+    def value(values):
+        v = inner.value(values)
+        if validate:
+            dev = v.unit_deviation()
+            if dev > NORMALIZE_TOL:
+                raise NonUnitValue(f"inner map produced unit deviation {dev}")
+        u = UnitDualQuaternion(v.normalized())
+        return outer(u)
+
+    return _Composed(inner.arity, declared_standard, value)
 
 
 def unit_log(value) -> DualQuaternion:
@@ -957,14 +932,7 @@ def check_standardness(
         std = rng.standard_normal((arity, 4))
         dual_a = rng.standard_normal((arity, 4))
         dual_b = rng.standard_normal((arity, 4))
-        point_a = tuple(
-            DualQuaternion(Quaternion.from_array(std[i]), Quaternion.from_array(dual_a[i]))
-            for i in range(arity)
-        )
-        point_b = tuple(
-            DualQuaternion(Quaternion.from_array(std[i]), Quaternion.from_array(dual_b[i]))
-            for i in range(arity)
-        )
+        point_a, point_b = (unpack(np.hstack((std, dual)).ravel(), arity) for dual in (dual_a, dual_b))
         try:
             va = evaluate(point_a)
             vb = evaluate(point_b)

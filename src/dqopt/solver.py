@@ -60,7 +60,7 @@ import numpy as np
 
 from .algebra import TOL_APPRECIABLE, DualNumber, DualQuaternion, DualQuaternionVector
 from .errors import ArityMismatch, Infeasible, NonStandardProblem
-from .functions import ConstraintBlock, DualFunction, pack
+from .functions import ConstraintBlock, DualFunction, _count, pack
 
 __all__ = [
     "SolverConfig",
@@ -114,11 +114,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("restarts", "seed", "max_outer", "threads"):
-            count = getattr(self, name)
-            # bool is an int subclass, and a NumPy integer would reach the JSON report
-            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {count!r}")
-            object.__setattr__(self, name, int(count))
+            object.__setattr__(self, name, _count(name, getattr(self, name), ValueError))
         for name in ("tol_grad", "tol_feas"):
             tol = getattr(self, name)
             if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
@@ -256,6 +252,10 @@ class SolveReport:
     config: SolverConfig
     trace: tuple[TraceRow, ...] = field(repr=False, default=())
     degenerate: bool = False
+
+    #: The fields, timings only, that differ between two runs of one solve;
+    #: reports compare equal byte for byte without them.
+    TIMING_FIELDS = ("wall_time_ms",)
 
     def to_json_dict(self) -> dict:
         return {
@@ -829,8 +829,9 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued
     where their Newton step is solved but unused: ``running``, the mask of
     the others, picks the points that try a move, search and stall, and
     the next step leaves them out.  Stop reasons live in one string array,
-    ``""`` while a point runs.  Points on a sparse fiber step one at a
-    time, as a stack of one with a CSR Jacobian.
+    ``""`` while a point runs, written (and the same-step merge checked)
+    only in a step where some point stops.  Points on a sparse fiber step
+    one at a time, as a stack of one with a CSR Jacobian.
     Returns one :class:`_StageOutcome` per start.  The objective is the
     problem's ``stage1``, and ``valued``, if given, its :func:`_valued` at
     ``starts``.  Stage I never reads the dual coordinates: they stay those
@@ -884,14 +885,15 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued
         # after max_outer steps, the points still running stop where they are
         done = small | stalled | (it == cfg.max_outer)
         grad_norm[idx] = g_norm
-        reasons = np.where(small, "converged", np.where(stalled, "stalled", "max_outer"))
-        # running points near a minimum reached in this step merge before they step
-        if not done.all() and (into := small & (v_std[idx] > 0)).any():
-            near = ~done & _near(z_a[:, std], z_a[into][:, std]).any(axis=1)
-            reasons[near], done = "merged", done | near
-        stop[idx[done]] = reasons[done]
-        if done.all():
-            return
+        if done.any():
+            reasons = np.where(small, "converged", np.where(stalled, "stalled", "max_outer"))
+            # running points near a minimum reached in this step merge before they step
+            if not done.all() and (into := small & (v_std[idx] > 0)).any():
+                near = ~done & _near(z_a[:, std], z_a[into][:, std]).any(axis=1)
+                reasons[near], done = "merged", done | near
+            stop[idx[done]] = reasons[done]
+            if done.all():
+                return
         running = ~done
         h = _normal(b, w)
         scale = np.maximum.reduce(_diagonal(h), axis=-1, initial=0.0)

@@ -11,7 +11,8 @@ Jacobians back through its pullback; ``affine_value`` is their reference,
 in quaternion arithmetic.
 Nor is ``tangent_matrix``, which places ``ConstraintBlock.tangent``'s
 frames in a dense matrix, nor ``ConcatenateSpy``, which stands in for a
-module's ``numpy``.
+module's ``numpy``.  ``timing_free`` and ``timing_free_lines`` take a
+report's ``SolveReport.TIMING_FIELDS`` out, so that two runs compare.
 """
 
 import numpy as np
@@ -21,6 +22,7 @@ from dqopt import (
     DualNumber,
     DualQuaternion,
     ResidualNormObjective,
+    SolveReport,
     UnitDualQuaternion,
     affine_rows,
     pack,
@@ -268,6 +270,17 @@ def covering_radius(grid, n_probe=2000, seed=0, margin=1.3):
     # chord^2 = 2 - 2 <g, p> for unit vectors
     nearest = (grid @ probes.T).max(axis=0)
     return float(np.sqrt(np.max(2.0 - 2.0 * nearest))) * margin
+
+
+def timing_free(report: dict) -> dict:
+    """A JSON report's dict without :attr:`SolveReport.TIMING_FIELDS`."""
+    return {key: value for key, value in report.items() if key not in SolveReport.TIMING_FIELDS}
+
+
+def timing_free_lines(text: str) -> list[str]:
+    """A JSON report's lines, one field a line, less those of :attr:`SolveReport.TIMING_FIELDS`."""
+    keys = tuple(f'"{name}":' for name in SolveReport.TIMING_FIELDS)
+    return [line for line in text.splitlines() if not line.lstrip().startswith(keys)]
 
 
 def grid_min_stage1(objective, grid):

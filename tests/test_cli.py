@@ -14,13 +14,7 @@ from dqopt import (DualQuaternion, DualQuaternionVector, PoseGraph, SolverConfig
                    vertex_errors)
 from dqopt.cli import _json_text, _pgo_report, _rows_block, _uniform_block, main
 from dqopt.selftest import run_all
-from helpers import ConcatenateSpy
-
-
-def _strip_volatile(report: dict) -> dict:
-    out = dict(report)
-    out.pop("wall_time_ms", None)
-    return out
+from helpers import ConcatenateSpy, timing_free, timing_free_lines
 
 
 def _solve_args(infile, out, extra=()):
@@ -84,8 +78,8 @@ def test_solve_handeye_on_a_generated_file_solves_the_generated_dataset(model, t
         ds = generate_synthetic(model, 10, noise_rot=0.01, noise_trans=0.01, seed=seed)
         build = build_axxb if model == "axxb" else build_axyb
         library = solve_eqdqo(build(ds), SolverConfig(seed=0)).to_json_dict()
-        assert _strip_volatile(json.loads(rep.read_text())) == dict(
-            _strip_volatile(library), errors=json.loads(rep.read_text())["errors"])
+        assert timing_free(json.loads(rep.read_text())) == dict(
+            timing_free(library), errors=json.loads(rep.read_text())["errors"])
 
 
 def test_gen_and_solve_pgo(tmp_path):
@@ -154,7 +148,7 @@ def test_reports_are_deterministic_modulo_wall_time(tmp_path):
         assert main(_solve_args(ds, rep, ["--restarts", "3", "--csv", str(csv)])) == 0
         reports.append(json.loads(rep.read_text()))
         csvs.append(csv.read_text())
-    assert _strip_volatile(reports[0]) == _strip_volatile(reports[1])
+    assert timing_free(reports[0]) == timing_free(reports[1])
     assert csvs[0] == csvs[1]
     header = csvs[0].splitlines()[0]
     assert header == "iter,stage,objective_std,objective_dual,feasibility,kkt_residual"
@@ -169,8 +163,7 @@ def test_threads_do_not_change_the_answer(tmp_path, capsys):
     for name, extra in (("plain", []), ("one", ["--threads", "1"])):
         rep, csv = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
         assert main(_solve_args(ds, rep, ["--restarts", "4", "--csv", str(csv), *extra])) == 0
-        lines = [line for line in rep.read_text().splitlines() if '"wall_time_ms"' not in line]
-        outputs.append((lines, csv.read_text()))
+        outputs.append((timing_free_lines(rep.read_text()), csv.read_text()))
     assert outputs[0] == outputs[1]
     capsys.readouterr()
     for threads in ("2", "0"):

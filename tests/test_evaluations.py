@@ -23,6 +23,7 @@ import dqopt.cli
 from dqopt import (
     DualQuaternion,
     EqdqoProblem,
+    SolveReport,
     SolverConfig,
     build_axyb,
     build_pgo,
@@ -72,8 +73,9 @@ def test_a_noiseless_solve_pgo_evaluates_each_objective_once(tmp_path, monkeypat
 
 
 def _report_bytes(problem, cfg, report_text):
-    """``report_text`` of a solve, with ``wall_time_ms`` zeroed, and its trace."""
-    report = dataclasses.replace(solve_eqdqo(problem, cfg), wall_time_ms=0.0)
+    """``report_text`` of a solve, with its timing fields zeroed, and its trace."""
+    timings = dict.fromkeys(SolveReport.TIMING_FIELDS, 0.0)
+    report = dataclasses.replace(solve_eqdqo(problem, cfg), **timings)
     return report_text(report), report.trace
 
 

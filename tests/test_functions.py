@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -631,6 +633,30 @@ def test_unknown_combiners_and_powers_below_one_raise():
         scalar_power(f, 0)
     with pytest.raises(ValueError, match="positive integer"):
         map_power(variable_map(1, 0), 0)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True, np.True_, "2", None])
+def test_the_factories_take_only_integer_exponents_arities_and_indices(value):
+    # a float exponent was truncated, a bool read as 0 or 1, a float index failed only when called
+    pick = variable_map(2, 1)
+    f = pick.magnitude()
+    for name, build in (("exponent", lambda: scalar_power(f, value)),
+                        ("exponent", lambda: map_power(pick, value)),
+                        ("arity", lambda: variable_map(value, 0)),
+                        ("index", lambda: variable_map(2, value))):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            build()
+
+
+def test_the_factories_take_numpy_integers_as_python_ones():
+    q = DualQuaternion(Quaternion(0.5, 0.5, 0.5, 0.5), Quaternion(0.0, 0.1, -0.2, 0.3))
+    r = 2.0 * q
+    for kind in (np.int64, np.int32, np.uint8):
+        assert variable_map(kind(2), kind(1))(q, r) is r
+        assert map_power(variable_map(1, 0), kind(3))(q) == map_power(variable_map(1, 0), 3)(q)
+        f = variable_map(1, 0).magnitude()
+        z = pack([q])
+        assert scalar_power(f, kind(2)).value_at(z) == scalar_power(f, 2).value_at(z)
 
 
 class _Bare(DualFunction):

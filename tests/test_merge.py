@@ -23,6 +23,7 @@ from dqopt import (
     vertex_errors,
 )
 from dqopt.errors import Infeasible
+from helpers import timing_free
 
 SIGMA = 0.01
 CFG = SolverConfig(restarts=8, seed=0)
@@ -193,9 +194,7 @@ def test_a_restart_merges_in_the_step_its_minimum_converges():
 
 
 def _report_of(report):
-    data = report.to_json_dict()
-    del data["wall_time_ms"]
-    return data, report.trace
+    return timing_free(report.to_json_dict()), report.trace
 
 
 def test_restarts_merge_into_the_one_that_converges_first():

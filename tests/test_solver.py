@@ -81,14 +81,14 @@ def test_problem_rejects_non_standard_objective():
 def test_problem_rejects_an_objective_without_residual_rows():
     # standard, but neither stage has residual rows to take steps on or fit
     squared = scalar_power(squared_distance_objective(DualQuaternion.identity()), 2)
-    with pytest.raises(TypeError, match="objective .*_ScalarPower"):
+    with pytest.raises(TypeError, match="objective .*_Composed"):
         EqdqoProblem(squared, (0,))
     # stage I's rows belong to stage1, when it is another function
-    with pytest.raises(TypeError, match="stage1 .*_ScalarPower"):
+    with pytest.raises(TypeError, match="stage1 .*_Composed"):
         EqdqoProblem(_toy_problem().objective, (0,), stage1=squared)
     # and stage II's to the objective, whatever stage1 is
     rows = squared_distance_objective(DualQuaternion.identity())
-    with pytest.raises(TypeError, match="^objective .*_ScalarPower"):
+    with pytest.raises(TypeError, match="^objective .*_Composed"):
         EqdqoProblem(squared, (0,), stage1=rows)
     toy = _toy_problem()
     assert toy.stage1 is toy.objective
