@@ -668,19 +668,21 @@ class UnitDualQuaternion:
 class DualQuaternionVector:
     """Immutable vector of dual quaternions with the dual-valued 2-norm.
 
-    Built from its entries, or by :meth:`from_rows` from an ``(n, 8)``
-    array of coordinates (standard part, then dual part) that it keeps,
-    read-only, as ``rows``; ``rows`` is None for a vector built from
-    entries.  A row-backed vector builds ``entries`` from the rows' floats
-    on first access (iteration, indexing or ``.entries``), while ``len``,
-    :meth:`to_json_list` and :func:`~dqopt.handeye.pose_rows` read the
-    rows.  Equality, hashing and ``repr`` go by the entries.
+    Built from its entries, which it keeps, or by :meth:`from_rows` from an
+    ``(n, 8)`` array of coordinates (standard part, then dual part); either
+    way it holds the coordinates, read-only, as ``rows``.  A vector of rows
+    builds ``entries`` from the rows' floats on first access (iteration,
+    indexing or ``.entries``), while ``len``, pickling, :meth:`to_json_list`
+    and :func:`~dqopt.handeye.pose_rows` read the rows.  Equality, hashing
+    and ``repr`` go by the entries.
     """
-
-    rows = None
 
     def __init__(self, entries: Iterable[DualQuaternion] = ()):
         object.__setattr__(self, "entries", tuple(entries))
+        rows = [(v.std.w, v.std.x, v.std.y, v.std.z, v.dual.w, v.dual.x, v.dual.y, v.dual.z)
+                for v in self.entries]
+        object.__setattr__(self, "rows", np.array(rows, dtype=np.float64).reshape(-1, 8))
+        self.rows.flags.writeable = False
 
     @classmethod
     def from_rows(cls, rows) -> "DualQuaternionVector":
@@ -700,7 +702,7 @@ class DualQuaternionVector:
 
     def __reduce__(self):
         # copies rebuild through a constructor, so that their rows stay read-only
-        return (type(self), (self.entries,)) if self.rows is None else (type(self).from_rows, (self.rows,))
+        return type(self).from_rows, (self.rows,)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -714,7 +716,7 @@ class DualQuaternionVector:
         return f"DualQuaternionVector(entries={self.entries!r})"
 
     def __len__(self) -> int:
-        return len(self.entries if self.rows is None else self.rows)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.entries)
@@ -744,7 +746,5 @@ class DualQuaternionVector:
         return DualNumber(0.0, math.sqrt(dual_sq))
 
     def to_json_list(self) -> list:
-        """:meth:`DualQuaternion.to_dict` of every entry, read off ``rows`` when it is held."""
-        if self.rows is None:
-            return [e.to_dict() for e in self.entries]
+        """:meth:`DualQuaternion.to_dict` of every entry, read off ``rows``."""
         return [{"std": row[:4], "dual": row[4:]} for row in self.rows.tolist()]

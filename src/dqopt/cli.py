@@ -6,8 +6,7 @@ and the per-iteration trace as CSV to ``--csv``.  Exit codes: 0 on success, 1
 when the solver fails (no restart ends at a feasible point), 2 on usage or
 input errors.  All output files are byte-identical across runs with the
 same inputs and seeds; the only nondeterministic report field is
-``wall_time_ms``.  The environment variable ``DQOPT_SEED`` overrides
-``--seed`` everywhere when set.
+``wall_time_ms``.
 """
 
 from __future__ import annotations
@@ -15,10 +14,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import secrets
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from . import handeye, posegraph, selftest
 from .algebra import DualQuaternionVector
@@ -37,7 +35,7 @@ __all__ = ["main", "build_parser"]
 
 
 class _BadInput(Exception):
-    """Input file or environment problem; maps to exit code 2."""
+    """Input file or argument problem; maps to exit code 2."""
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
 # Shared plumbing
 
 
-def _resolve_seed(args) -> int:
-    env = os.environ.get("DQOPT_SEED")
-    try:
-        seed = args.seed if env is None else int(env)
-    except ValueError:
-        raise _BadInput(f"DQOPT_SEED must be an integer, got {env!r}")
-    if seed < 0:
-        raise _BadInput(f"seed must be non-negative, got {seed}")
-    return seed
-
-
 def _checked(make, *args, **kwargs):
     """``make(*args, **kwargs)``, a ``ValueError`` it raises for bad arguments as bad input."""
     try:
@@ -127,15 +114,7 @@ def _checked(make, *args, **kwargs):
 
 
 def _config_from_args(args) -> SolverConfig:
-    return _checked(
-        SolverConfig,
-        restarts=args.restarts,
-        seed=_resolve_seed(args),
-        tol_grad=args.tol_grad,
-        tol_feas=args.tol_feas,
-        max_outer=args.max_outer,
-        threads=args.threads,
-    )
+    return _checked(SolverConfig, **{f.name: getattr(args, f.name) for f in fields(SolverConfig)})
 
 
 def _read_text(path: str) -> str:
@@ -205,8 +184,8 @@ def _rows_block(first: dict, args: list, count: int, pad: str) -> _Text | None:
 def _json_text(data) -> str:
     """``json.dumps(data, indent=2)`` plus a newline, a :class:`_Text` value written as its text.
 
-    Each :class:`_Text`, such as ``solve-pgo``'s solution, error and
-    multiplier blocks (:func:`_pgo_report`), goes through ``json.dumps``'
+    Each :class:`_Text`, such as a solve report's solution and multiplier
+    blocks (:func:`_report_data`), goes through ``json.dumps``'
     ``default`` hook as a placeholder string, a NUL and a random token,
     which its text then replaces.  A string of ``data`` that equals the
     placeholder shows as one placeholder too many, and the text is written
@@ -259,7 +238,7 @@ def _cmd_gen_handeye(args) -> int:
         args.motions,
         noise_rot=args.noise_rot,
         noise_trans=args.noise_trans,
-        seed=_resolve_seed(args),
+        seed=args.seed,
     )
     _write_text(args.out, _json_text(ds.to_json_dict()))
     print(f"wrote {args.out}")
@@ -274,7 +253,7 @@ def _cmd_solve_handeye(args) -> int:
         raise _BadInput(f"{args.infile}: invalid dataset ({e})")
     problem = build_axxb(ds) if ds.model == "axxb" else build_axyb(ds)
     report = solve_eqdqo(problem, _config_from_args(args))
-    data = report.to_json_dict()
+    data = _report_data(report)
     if ds.ground_truth_x is not None:
         x, *y = report.solution
         y = y[0] if y and ds.ground_truth_y is not None else None  # Y's with its truth only
@@ -290,7 +269,7 @@ def _cmd_gen_pgo(args) -> int:
         loop_closures=args.loop_closures,
         noise_rot=args.noise_rot,
         noise_trans=args.noise_trans,
-        seed=_resolve_seed(args),
+        seed=args.seed,
     )
     _write_text(args.out, serialize_graph(graph))
     print(f"wrote {args.out}")
@@ -306,21 +285,26 @@ def _cmd_solve_pgo(args) -> int:
     return 0
 
 
-def _pgo_report(graph, report) -> dict:
-    """``report.to_json_dict()``, with ``graph``'s ``vertex_errors`` when it has every truth.
+def _report_data(report) -> dict:
+    """``report.to_json_dict()``, its solution rows and multiplier lists as :class:`_Text` blocks.
 
-    The solution and error rows and both multiplier lists are :class:`_Text`
-    blocks, from arrays for the rows (:func:`_rows_block`), each the plain
-    list instead when a NaN or an infinity shows.
+    The solution block is written from the rows' array (:func:`_rows_block`);
+    each block is the plain list instead when a NaN or an infinity shows.
     """
-    n, rows = graph.n, report.solution.rows
+    rows = report.solution.rows
     data = replace(report, solution=DualQuaternionVector()).to_json_dict()
-    multipliers = data["multipliers"]  # never empty: every vertex has its unit rows
+    multipliers = data["multipliers"]  # never empty: both commands' problems have unit rows
     for stage, values in multipliers.items():
         multipliers[stage] = _uniform_block("%r", values, len(values), "\n    ") or values
     first = DualQuaternionVector.from_rows(rows[:1]).to_json_list()[0]
-    data["solution"] = (_rows_block(first, rows.ravel().tolist(), n, "\n  ")
+    data["solution"] = (_rows_block(first, rows.ravel().tolist(), len(rows), "\n  ")
                         or report.solution.to_json_list())
+    return data
+
+
+def _pgo_report(graph, report) -> dict:
+    """:func:`_report_data`, with ``graph``'s ``vertex_errors`` as a block when it has every truth."""
+    n, data = graph.n, _report_data(report)
     if len(graph.truth_ids) == n:
         rot, trans = handeye.pose_errors(graph.truth_poses, handeye.pose_rows(report.solution))
         cells = [1] * (3 * n)
@@ -331,7 +315,7 @@ def _pgo_report(graph, report) -> dict:
 
 
 def _cmd_selftest(args) -> int:
-    suites = selftest.run_all(_resolve_seed(args))
+    suites = _checked(selftest.run_all, args.seed)
     total = 0
     passed = 0
     for name, results in suites.items():

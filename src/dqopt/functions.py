@@ -81,12 +81,9 @@ __all__ = [
 
 
 def pack(values: Sequence[DualQuaternion]) -> np.ndarray:
-    """Flatten dual quaternions into the solver coordinate vector; copies a vector's rows."""
-    if isinstance(values, DualQuaternionVector) and values.rows is not None:
-        return values.rows.reshape(-1).copy()
-    rows = [(v.std.w, v.std.x, v.std.y, v.std.z, v.dual.w, v.dual.x, v.dual.y, v.dual.z)
-            for v in values]
-    return np.array(rows, dtype=np.float64).reshape(-1)
+    """Flatten dual quaternions into the solver coordinate vector: a copy of their vector's rows."""
+    vector = values if isinstance(values, DualQuaternionVector) else DualQuaternionVector(values)
+    return vector.rows.reshape(-1).copy()
 
 
 def unpack(z: np.ndarray, arity: int) -> tuple[DualQuaternion, ...]:
@@ -120,9 +117,9 @@ class DualFunction:
     """
 
     def __init__(self, arity: int, declared_standard: bool = False):
-        if arity < 1:
+        self.arity = _count("arity", arity)
+        if self.arity < 1:
             raise ValueError("arity must be positive")
-        self.arity = int(arity)
         self.declared_standard = bool(declared_standard)
 
     # -- required hooks ------------------------------------------------
@@ -157,6 +154,14 @@ def _count(name: str, value, error: type[Exception] = TypeError) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _index(index, arity: int) -> int:
+    """``index`` by :func:`_count`, a ``ValueError`` unless it names one of ``arity`` variables."""
+    index = _count("index", index)
+    if not 0 <= index < arity:
+        raise ValueError(f"index {index} out of range for arity {arity}")
+    return index
 
 
 class _Composed(DualFunction):
@@ -246,7 +251,9 @@ class DualQuaternionMap:
     """A map from a dual quaternion vector to a single dual quaternion."""
 
     def __init__(self, arity: int, declared_standard: bool = False):
-        self.arity = int(arity)
+        self.arity = _count("arity", arity)
+        if self.arity < 1:
+            raise ValueError("arity must be positive")
         self.declared_standard = bool(declared_standard)
 
     def value(self, values: tuple[DualQuaternion, ...]) -> DualQuaternion:
@@ -274,9 +281,7 @@ class _ComposedMap(DualQuaternionMap):
 
 def variable_map(arity: int, index: int) -> DualQuaternionMap:
     """The map selecting variable ``index``."""
-    arity, index = _count("arity", arity), _count("index", index)
-    if not 0 <= index < arity:
-        raise ValueError(f"index {index} out of range for arity {arity}")
+    index = _index(index, _count("arity", arity))
     return _ComposedMap(arity, True, lambda values: values[index])
 
 
@@ -613,9 +618,7 @@ class UnitNormConstraint(DualFunction):
 
     def __init__(self, arity: int, index: int):
         super().__init__(arity, declared_standard=True)
-        if not 0 <= index < arity:
-            raise ValueError(f"index {index} out of range for arity {arity}")
-        self.index = int(index)
+        self.index = _index(index, self.arity)
 
     def value(self, values):
         x = values[self.index]
@@ -647,9 +650,7 @@ class _ComponentAnchor(DualFunction):
 
     def __init__(self, arity: int, index: int, component: int, target: DualQuaternion):
         super().__init__(arity, declared_standard=True)
-        if not 0 <= index < arity:
-            raise ValueError(f"index {index} out of range for arity {arity}")
-        self.index, self.component, self.target = int(index), int(component), target
+        self.index, self.component, self.target = _index(index, self.arity), int(component), target
         self._t_std = float(target.std.as_array()[self.component])
         self._t_dual = float(target.dual.as_array()[self.component])
 
@@ -853,7 +854,7 @@ class _SquaredDistance(DualFunction):
     def __init__(self, center: DualQuaternion, arity: int = 1, index: int = 0):
         super().__init__(arity, declared_standard=True)
         self.center = center
-        self.index = int(index)
+        self.index = _index(index, self.arity)
         self._jac = np.zeros((4, 4 * self.arity))
         self._jac[np.arange(4), 4 * self.index + np.arange(4)] = 1.0
 

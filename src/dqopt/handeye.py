@@ -492,14 +492,13 @@ def pose_rows(values) -> np.ndarray:
     The translation is the world-frame ``2 q_d conj(q)`` (``R(q) t`` of
     ``from_pose(q, t)``) and the rotation ``q`` divided by its norm, after
     ``UnitDualQuaternion.of``'s normalization; values that are
-    :class:`UnitDualQuaternion` already skip ``of``.  A row-backed
-    :class:`DualQuaternionVector` is read from its rows, every entry
+    :class:`UnitDualQuaternion` already skip ``of``, except in a
+    :class:`DualQuaternionVector`, which is read from its rows, every entry
     normalized.  Raises :class:`UnitValidationError` for a value farther
     than ``NORMALIZE_TOL`` from unit.
     """
-    rows = values.rows if isinstance(values, DualQuaternionVector) else None
-    if rows is not None:
-        std, dual = _normalized(rows[:, :4], rows[:, 4:])
+    if isinstance(values, DualQuaternionVector):
+        std, dual = _normalized(values.rows[:, :4], values.rows[:, 4:])
     else:
         values = list(values)
         dq = pack(values).reshape(-1, 2, 4)

@@ -287,8 +287,8 @@ def standardness_suite(
     Builds ``n_trees`` random compositions of magnitudes, normalized
     logarithms, residual norms, powers, and pointwise combiners, then
     probes each with re-randomized dual coordinates.  The two hand-eye
-    objectives, the pose-graph objective and the 2-norm of a vector of
-    three dual quaternions get the same probe.
+    objectives, the pose-graph objective, the 2-norm of a vector of three
+    dual quaternions and the pose graph's stage-I rows get the same probe.
     """
     rng = np.random.default_rng(seed)
     results = []
@@ -306,11 +306,13 @@ def standardness_suite(
             )
         )
 
+    pgo = build_pgo(generate_cycle_graph(6, loop_closures=2, seed=303))
     apps = [
         ("standardness-axxb-objective", build_axxb(generate_synthetic("axxb", 5, seed=101)).objective, None),
         ("standardness-axyb-objective", build_axyb(generate_synthetic("axyb", 6, seed=202)).objective, None),
-        ("standardness-pgo-objective", build_pgo(generate_cycle_graph(6, loop_closures=2, seed=303)).objective, None),
+        ("standardness-pgo-objective", pgo.objective, None),
         ("standardness-norm2", lambda v: DualQuaternionVector(v).norm2(), 3),
+        ("standardness-pgo-stage1", pgo.stage1, None),
     ]
     for name, fn, arity in apps:
         rep = check_standardness(

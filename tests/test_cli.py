@@ -173,18 +173,14 @@ def test_threads_do_not_change_the_answer(tmp_path, capsys):
         assert not rep.exists()
 
 
-def test_seed_env_overrides_flag(tmp_path, monkeypatch):
-    base = tmp_path / "base.json"
-    assert main(["gen-handeye", "--model", "axxb", "--motions", "3",
-                 "--seed", "9", "--out", str(base)]) == 0
+def test_the_seed_comes_from_the_flag_alone(tmp_path, monkeypatch):
+    # an environment variable the CLI once read in place of --seed changes nothing
+    base, other = tmp_path / "base.json", tmp_path / "other.json"
+    args = ["gen-handeye", "--model", "axxb", "--motions", "3", "--seed", "3", "--out"]
+    assert main([*args, str(base)]) == 0
     monkeypatch.setenv("DQOPT_SEED", "9")
-    over = tmp_path / "over.json"
-    assert main(["gen-handeye", "--model", "axxb", "--motions", "3",
-                 "--seed", "3", "--out", str(over)]) == 0
-    assert base.read_text() == over.read_text()
-    monkeypatch.setenv("DQOPT_SEED", "oops")
-    assert main(["gen-handeye", "--model", "axxb", "--motions", "3",
-                 "--seed", "3", "--out", str(tmp_path / "x.json")]) == 2
+    assert main([*args, str(other)]) == 0
+    assert base.read_bytes() == other.read_bytes()
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -332,14 +328,10 @@ def _seeded_commands(tmp_path):
     }
 
 
-@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("source", ["flag"])  # the seed's one source
 @pytest.mark.parametrize("command", ["gen-handeye", "gen-pgo", "solve-handeye", "solve-pgo", "selftest"])
-def test_a_negative_seed_exits_2_naming_it(command, source, tmp_path, capsys, monkeypatch):
-    args = _seeded_commands(tmp_path)[command]
-    if source == "flag":
-        args += ["--seed", "-1"]
-    else:
-        monkeypatch.setenv("DQOPT_SEED", "-1")
+def test_a_negative_seed_exits_2_naming_it(command, source, tmp_path, capsys):
+    args = _seeded_commands(tmp_path)[command] + ["--seed", "-1"]
     capsys.readouterr()
     assert main(args) == 2
     assert capsys.readouterr() == ("", "error: seed must be non-negative, got -1\n")
@@ -557,6 +549,33 @@ def test_solve_pgo_writes_its_report_as_json_dumps_from_the_solvers_rows(
     assert len(blocks) == (1 if case.endswith("no-truth") else 2) and None not in blocks
     assert data["solution"] is blocks[0]
     assert [type(v) for v in data["multipliers"].values()] == [cli._Text] * 2
+
+
+@pytest.mark.parametrize("case", ["axxb", "axyb", "axyb-no-y-truth"])
+def test_solve_handeye_writes_its_report_as_json_dumps_from_the_solvers_rows(
+        case, tmp_path, monkeypatch):
+    from dqopt import HandEyeDataset, evaluate_solution
+
+    ds_path, rep = tmp_path / "ds.json", tmp_path / "report.json"
+    assert main(["gen-handeye", "--model", case[:4], "--motions", "6", "--noise-rot", "0.01",
+                 "--noise-trans", "0.01", "--seed", "5", "--out", str(ds_path)]) == 0
+    if case.endswith("no-y-truth"):
+        raw = json.loads(ds_path.read_text())
+        del raw["ground_truth"]["Y"]
+        ds_path.write_text(json.dumps(raw))
+    reports, datas = [], []
+    solve, report_data = cli.solve_eqdqo, cli._report_data
+    monkeypatch.setattr(cli, "solve_eqdqo", lambda *a: reports.append(solve(*a)) or reports[-1])
+    monkeypatch.setattr(cli, "_report_data", lambda *a: datas.append(report_data(*a)) or datas[-1])
+    assert main(_solve_args(ds_path, rep, ["--restarts", "2"])) == 0
+    (report,), (data,) = reports, datas
+    ds = HandEyeDataset.from_json_dict(json.loads(ds_path.read_text()))
+    expected = report.to_json_dict()
+    x, *y = report.solution
+    expected["errors"] = evaluate_solution(ds, x, y[0] if case == "axyb" else None)
+    assert rep.read_text() == json.dumps(expected, indent=2) + "\n"
+    # the solution and each multiplier list were blocks, not the owners' lists
+    assert [type(v) for v in (data["solution"], *data["multipliers"].values())] == [cli._Text] * 3
 
 
 def test_a_nan_or_an_infinity_in_the_solution_writes_the_rows_item_by_item():

@@ -84,7 +84,7 @@ def test_a_vector_of_rows_builds_its_entries_on_first_access_as_a_copy():
     assert not v.rows.flags.writeable and v.rows[0, 0] == entries[0].std.w
     assert v.entries == entries and v[1] == entries[1] and list(v) == list(entries)
     w = DualQuaternionVector(entries)
-    assert w.rows is None and v == w and hash(v) == hash(w) and repr(v) == repr(w)
+    assert v == w and hash(v) == hash(w) and repr(v) == repr(w)
     assert v.to_json_list() == w.to_json_list() and v.norm2() == w.norm2()
     with pytest.raises(AttributeError):
         v.rows = None
@@ -92,6 +92,21 @@ def test_a_vector_of_rows_builds_its_entries_on_first_access_as_a_copy():
         assert copied == v
     copied = copy.deepcopy(v)
     assert copied.rows.tobytes() == v.rows.tobytes() and not copied.rows.flags.writeable
+
+
+def test_a_vector_of_entries_keeps_them_and_holds_their_rows():
+    from dqopt import pack
+
+    rng = np.random.default_rng(72)
+    entries = tuple(_rand_dq(rng) for _ in range(3))
+    w = DualQuaternionVector(entries)
+    assert w.entries is entries and len(w) == 3
+    assert not w.rows.flags.writeable and w.rows.shape == (3, 8)
+    assert w.rows.tobytes() == pack(entries).tobytes()
+    assert w == DualQuaternionVector.from_rows(w.rows)
+    assert w.__reduce__()[0] == DualQuaternionVector.from_rows
+    assert pickle.loads(pickle.dumps(w)) == w
+    assert DualQuaternionVector().rows.shape == (0, 8)
 
 
 def test_magnitude_frozen_values():

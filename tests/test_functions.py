@@ -648,6 +648,27 @@ def test_the_factories_take_only_integer_exponents_arities_and_indices(value):
             build()
 
 
+_T = DualQuaternion(Quaternion(1.0), Quaternion(0.0))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: UnitNormConstraint(2, 1.5), TypeError, "index must be an integer, got 1.5"),
+    (lambda: UnitNormConstraint(True, 0), TypeError, "arity must be an integer, got True"),
+    (lambda: DualFunction(2.7), TypeError, "arity must be an integer, got 2.7"),
+    (lambda: DualQuaternionMap(2.5), TypeError, "arity must be an integer, got 2.5"),
+    (lambda: DualQuaternionMap(0), ValueError, "arity must be positive"),
+    (lambda: anchor_constraints(2, 1.0, _T), TypeError, "index must be an integer, got 1.0"),
+    (lambda: squared_distance_objective(_T, 2, 1.9), TypeError, "index must be an integer, got 1.9"),
+    (lambda: squared_distance_objective(_T, 2, 5), ValueError, "index 5 out of range for arity 2"),
+    (lambda: squared_distance_objective(_T, 2, -1), ValueError, "index -1 out of range for arity 2"),
+], ids=["unit-index", "unit-arity", "function-arity", "map-arity", "map-arity-0", "anchor-index",
+        "distance-float-index", "distance-index-past-arity", "distance-negative-index"])
+def test_the_constructors_take_only_integer_arities_and_indices_in_range(build, error, message):
+    # each of these once built with a truncated or unchecked count, or failed later
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_the_factories_take_numpy_integers_as_python_ones():
     q = DualQuaternion(Quaternion(0.5, 0.5, 0.5, 0.5), Quaternion(0.0, 0.1, -0.2, 0.3))
     r = 2.0 * q
