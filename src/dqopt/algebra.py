@@ -672,8 +672,8 @@ class DualQuaternionVector:
     ``(n, 8)`` array of coordinates (standard part, then dual part); either
     way it holds the coordinates, read-only, as ``rows``.  A vector of rows
     builds ``entries`` from the rows' floats on first access (iteration,
-    indexing or ``.entries``), while ``len``, pickling, :meth:`to_json_list`
-    and :func:`~dqopt.handeye.pose_rows` read the rows.  Equality, hashing
+    indexing or ``.entries``), while ``len``, :meth:`to_json_list` and
+    :func:`~dqopt.handeye.pose_rows` read the rows.  Equality, hashing
     and ``repr`` go by the entries.
     """
 
@@ -701,8 +701,9 @@ class DualQuaternionVector:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __reduce__(self):
-        # copies rebuild through a constructor, so that their rows stay read-only
-        return type(self).from_rows, (self.rows,)
+        # copies rebuild through the constructor, so that their rows stay read-only
+        # and their entries keep their types (UnitDualQuaternion among them)
+        return type(self), (self.entries,)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -174,7 +174,7 @@ def test_threads_do_not_change_the_answer(tmp_path, capsys):
 
 
 def test_the_seed_comes_from_the_flag_alone(tmp_path, monkeypatch):
-    # an environment variable the CLI once read in place of --seed changes nothing
+    # DQOPT_SEED in the environment is no seed source
     base, other = tmp_path / "base.json", tmp_path / "other.json"
     args = ["gen-handeye", "--model", "axxb", "--motions", "3", "--seed", "3", "--out"]
     assert main([*args, str(base)]) == 0

@@ -104,8 +104,12 @@ def test_a_vector_of_entries_keeps_them_and_holds_their_rows():
     assert not w.rows.flags.writeable and w.rows.shape == (3, 8)
     assert w.rows.tobytes() == pack(entries).tobytes()
     assert w == DualQuaternionVector.from_rows(w.rows)
-    assert w.__reduce__()[0] == DualQuaternionVector.from_rows
-    assert pickle.loads(pickle.dumps(w)) == w
+    # a copy keeps the entries' types, so a vector of unit values equals its copy
+    units = DualQuaternionVector([UnitDualQuaternion(e.normalized()) for e in entries])
+    for vector in (w, units):
+        for copied in (pickle.loads(pickle.dumps(vector)), copy.deepcopy(vector)):
+            assert copied == vector and copied.rows.tobytes() == vector.rows.tobytes()
+            assert not copied.rows.flags.writeable
     assert DualQuaternionVector().rows.shape == (0, 8)
 
 

@@ -664,7 +664,7 @@ _T = DualQuaternion(Quaternion(1.0), Quaternion(0.0))
 ], ids=["unit-index", "unit-arity", "function-arity", "map-arity", "map-arity-0", "anchor-index",
         "distance-float-index", "distance-index-past-arity", "distance-negative-index"])
 def test_the_constructors_take_only_integer_arities_and_indices_in_range(build, error, message):
-    # each of these once built with a truncated or unchecked count, or failed later
+    # a float or bool count is rejected when built, not truncated or left to fail later
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
 
