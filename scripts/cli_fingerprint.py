@@ -23,9 +23,10 @@ byte-identical apart from the timing field.  Each file's own SHA-256 is
 printed to stderr in ``sha256sum`` format, so when the combined hash of two
 checkouts differs, diffing those lines shows which solve moved.  With
 ``--expect HASH`` the script exits 1, naming both hashes on stderr, when the
-combined hash is not ``HASH``; stdout is the same either way.  The script
-imports whichever ``dqopt`` is first on ``PYTHONPATH`` and uses only the
-standard library besides.
+combined hash is not ``HASH``; stdout is the same either way.  A
+non-empty ``DIR`` is a usage error: the script exits 2 before any solve
+and prints no hash.  The script imports whichever ``dqopt`` is first on
+``PYTHONPATH`` and uses only the standard library besides.
 """
 
 from __future__ import annotations
@@ -160,15 +161,16 @@ def parse_args(argv=None) -> argparse.Namespace:
                    help="empty or new directory for the outputs (default: a temporary one)")
     p.add_argument("--expect", default=None, metavar="HASH",
                    help="exit 1 unless the combined hash equals HASH")
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    if args.out and os.path.isdir(args.out) and os.listdir(args.out):
+        p.error(f"{args.out} is not empty")
+    return args
 
 
 if __name__ == "__main__":
     args = parse_args()
     out = args.out or tempfile.mkdtemp(prefix="cli_fingerprint_")
     os.makedirs(out, exist_ok=True)
-    if os.listdir(out):
-        raise SystemExit(f"{out} is not empty")
     run_all(out)
     run_malformed(out)
     print(f"outputs in {out}", file=sys.stderr)

@@ -219,11 +219,7 @@ def _emit(data: dict, trace, args) -> None:
 
 def _write_trace_csv(path: str, trace) -> None:
     lines = ["iter,stage,objective_std,objective_dual,feasibility,kkt_residual"]
-    for row in trace:
-        lines.append(
-            f"{row.iteration},{row.stage},{row.objective_std!r},"
-            f"{row.objective_dual!r},{row.feasibility!r},{row.kkt_residual!r}"
-        )
+    lines += (",".join(repr(getattr(row, f.name)) for f in fields(row)) for row in trace)
     _write_text(path, "\n".join(lines) + "\n")
 
 

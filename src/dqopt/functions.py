@@ -107,7 +107,26 @@ def _kept_sums(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-class DualFunction:
+class _OfVariables:
+    """The base of :class:`DualFunction` and :class:`DualQuaternionMap`: ``arity``,
+    a positive integer, and a call that takes one value per variable."""
+
+    def __init__(self, arity: int, declared_standard: bool = False):
+        self.arity = _count("arity", arity)
+        if self.arity < 1:
+            raise ValueError("arity must be positive")
+        self.declared_standard = bool(declared_standard)
+
+    def value(self, values: tuple[DualQuaternion, ...]):
+        raise NotImplementedError
+
+    def __call__(self, *values: DualQuaternion):
+        if len(values) != self.arity:
+            raise ArityMismatch(f"expected {self.arity} arguments, got {len(values)}")
+        return self.value(tuple(values))
+
+
+class DualFunction(_OfVariables):
     """Base class for dual-number-valued functions.
 
     Subclasses implement :meth:`value` and usually :meth:`gradient_at`.
@@ -116,27 +135,9 @@ class DualFunction:
     :meth:`ResidualNormObjective.stage_system` describes them.
     """
 
-    def __init__(self, arity: int, declared_standard: bool = False):
-        self.arity = _count("arity", arity)
-        if self.arity < 1:
-            raise ValueError("arity must be positive")
-        self.declared_standard = bool(declared_standard)
-
-    # -- required hooks ------------------------------------------------
-
-    def value(self, values: tuple[DualQuaternion, ...]) -> DualNumber:
-        raise NotImplementedError
-
     def gradient_at(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Exact coordinate gradients ``(grad_std, grad_dual)``."""
         raise NotImplementedError(f"{type(self).__name__} has no analytic gradient")
-
-    # -- ergonomics ------------------------------------------------------
-
-    def __call__(self, *values: DualQuaternion) -> DualNumber:
-        if len(values) != self.arity:
-            raise ArityMismatch(f"expected {self.arity} arguments, got {len(values)}")
-        return self.value(tuple(values))
 
     def value_at(self, z: np.ndarray):
         """The value at ``z``; for a stack ``(R, 8n)``, the arrays ``(std, dual)`` of its rows."""
@@ -169,10 +170,8 @@ class _Composed(DualFunction):
 
     def __init__(self, arity: int, declared_standard: bool, value: Callable, gradient=None):
         super().__init__(arity, declared_standard)
-        self._value, self._gradient = value, gradient
-
-    def value(self, values):
-        return self._value(values)
+        # the factory's callable, on the instance, is the value method
+        self.value, self._gradient = value, gradient
 
     def gradient_at(self, z):
         return super().gradient_at(z) if self._gradient is None else self._gradient(z)
@@ -247,36 +246,19 @@ def scalar_power(f: DualFunction, exponent: int) -> DualFunction:
 # Dual-quaternion-valued maps
 
 
-class DualQuaternionMap:
-    """A map from a dual quaternion vector to a single dual quaternion."""
-
-    def __init__(self, arity: int, declared_standard: bool = False):
-        self.arity = _count("arity", arity)
-        if self.arity < 1:
-            raise ValueError("arity must be positive")
-        self.declared_standard = bool(declared_standard)
-
-    def value(self, values: tuple[DualQuaternion, ...]) -> DualQuaternion:
-        raise NotImplementedError
-
-    def __call__(self, *values: DualQuaternion) -> DualQuaternion:
-        if len(values) != self.arity:
-            raise ArityMismatch(f"expected {self.arity} arguments, got {len(values)}")
-        return self.value(tuple(values))
+class DualQuaternionMap(_OfVariables):
+    """A map from a dual quaternion vector to a single dual quaternion, its :meth:`value`."""
 
     def magnitude(self) -> DualFunction:
         return _Composed(self.arity, self.declared_standard, lambda values: self.value(values).magnitude())
 
 
 class _ComposedMap(DualQuaternionMap):
-    """A map a factory builds from its ``value``."""
+    """A map a factory builds from its ``value``, held on the instance as in :class:`_Composed`."""
 
     def __init__(self, arity: int, declared_standard: bool, value: Callable):
         super().__init__(arity, declared_standard)
-        self._value = value
-
-    def value(self, values):
-        return self._value(values)
+        self.value = value
 
 
 def variable_map(arity: int, index: int) -> DualQuaternionMap:

@@ -41,7 +41,7 @@ from .algebra import (
     unit_deviations,
 )
 from .errors import InvalidPose, NoGroundTruth, TooFewMotions, UnitValidationError
-from .functions import ResidualNormObjective, affine_rows, pack
+from .functions import ResidualNormObjective, _count, affine_rows, pack
 from .solver import EqdqoProblem
 
 __all__ = [
@@ -411,11 +411,13 @@ def generate_synthetic(
     ``n`` counts relative motions for axxb (so ``n + 1`` poses per side)
     and pose pairs for axyb.  Guarantees at least two relative rotation
     axes at angle ``MIN_AXIS_SPREAD`` or more.  Raises ``ValueError`` for
-    an unknown model, a noise scale that is negative or not finite, or a
-    negative seed.
+    an unknown model, an ``n`` or ``seed`` that is not a Python or NumPy
+    integer (a bool is none), a noise scale that is negative or not
+    finite, or a negative seed; ``meta`` holds ``n`` and ``seed`` as ints.
     """
     if model not in ("axxb", "axyb"):
         raise ValueError(f"unknown model {model!r}")
+    n, seed = _count("n", n, ValueError), _count("seed", seed, ValueError)
     if model == "axxb" and n < 2:
         raise TooFewMotions("axxb needs n >= 2 relative motions")
     if model == "axyb" and n < 3:

@@ -57,6 +57,7 @@ from .errors import (
 from .functions import (
     ResidualNormObjective,
     _assemble,
+    _count,
     _jacobian_cols,
     affine_rows,
     pack,
@@ -120,7 +121,7 @@ class PoseGraph:
     """
 
     def __init__(self, n: int, edge_ids, edge_poses, vertices=((), ()), truth=((), ())):
-        self.n = int(n)
+        self.n = _count("n", n, ValueError)
         if self.n < 1:
             raise ValueError("graph needs at least one vertex")
         # copies, so that no caller's array can change a validated graph
@@ -215,8 +216,6 @@ def error_vector(graph: PoseGraph, poses: Sequence) -> DualQuaternionVector:
     """Edge errors stacked in sorted edge order under the given poses."""
     if len(poses) != graph.n:
         raise ValueError(f"expected {graph.n} poses, got {len(poses)}")
-    if not graph.m:
-        return DualQuaternionVector(())
     ij, q = _sorted_edges(graph)
     r_std, r_dual, _, _ = RelativePoseResidual.stack_arrays(graph.n, *ij.T, q)(pack(poses))
     return DualQuaternionVector.from_rows(
@@ -570,10 +569,13 @@ def generate_cycle_graph(
     exactly zero there.  Vertex 1 is the identity.
     Noise perturbs each measurement by a rotation of angle ~N(0, sigma_r^2)
     about a random axis plus translation noise ~N(0, sigma_t^2 I).  Raises
-    ``ValueError`` for fewer than 3 vertices, a chord count the graph has no
-    room for, a noise scale that is negative or not finite, or a negative
-    seed.
+    ``ValueError`` for an ``n``, ``loop_closures`` or ``seed`` that is not a
+    Python or NumPy integer (a bool is none), fewer than 3 vertices, a chord
+    count the graph has no room for, a noise scale that is negative or not
+    finite, or a negative seed.
     """
+    n, seed = _count("n", n, ValueError), _count("seed", seed, ValueError)
+    loop_closures = _count("loop_closures", loop_closures, ValueError)
     if n < 3:
         raise ValueError("need at least 3 vertices")
     check_noise(noise_rot, noise_trans)

@@ -53,7 +53,7 @@ import functools
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -245,32 +245,28 @@ class SolveReport:
     solution: DualQuaternionVector
     multipliers: dict
     kkt_residual: dict
+    degenerate: bool
     feasibility: dict
     iterations: dict
     restart_index: int
     wall_time_ms: float
     config: SolverConfig
     trace: tuple[TraceRow, ...] = field(repr=False, default=())
-    degenerate: bool = False
 
     #: The fields, timings only, that differ between two runs of one solve;
     #: reports compare equal byte for byte without them.
     TIMING_FIELDS = ("wall_time_ms",)
 
     def to_json_dict(self) -> dict:
-        return {
-            "stage1_value": self.stage1_value,
-            "stage2_value": self.stage2_value,
-            "solution": self.solution.to_json_list(),
-            "multipliers": dict(self.multipliers),
-            "kkt_residual": dict(self.kkt_residual),
-            "degenerate": self.degenerate,
-            "feasibility": dict(self.feasibility),
-            "iterations": dict(self.iterations),
-            "restart_index": self.restart_index,
-            "wall_time_ms": self.wall_time_ms,
-            "config": self.config.to_json_dict(),
-        }
+        """The fields ``repr`` shows, in order, as JSON values (see :func:`_json_value`)."""
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self) if f.repr}
+
+
+def _json_value(value):
+    """``value`` as a JSON value: a dict as a copy, a vector or config by its own writer."""
+    if isinstance(value, dict):
+        return dict(value)
+    return getattr(value, "to_json_list", getattr(value, "to_json_dict", lambda: value))()
 
 
 @dataclass
@@ -423,7 +419,7 @@ def kkt_analysis(problem: EqdqoProblem, point, stage: int = 1) -> KktInfo:
     ``point`` is ``arity`` dual quaternions or their coordinates, flat or
     as ``(arity, 8)`` rows; another shape raises ``ValueError``.
     """
-    if stage not in (1, 2):
+    if (stage := _count("stage", stage, ValueError)) not in (1, 2):
         raise ValueError("stage must be 1 or 2")
     z = _point_to_z(point, problem.arity)
     rows = _rows(problem.objective, z)  # one evaluation for the gradient and the kinks
@@ -1182,13 +1178,13 @@ def _report(
         solution=DualQuaternionVector.from_rows(z2),
         multipliers={"lambda": kkt1[1].tolist(), "mu": kkt2[1].tolist()},
         kkt_residual={"stage1": kkt1[0], "stage2": kkt2[0]},
+        degenerate=problem.block.rank(z2) < problem.block.size,
         feasibility=dict(zip(("h", "h_d"), stage2.feasibility)),
         iterations={"stage1": len(stage1.trace), "stage2": len(stage2.trace)},
         restart_index=restart_index,
         wall_time_ms=wall_ms,
         config=cfg,
         trace=tuple(stage1.trace) + tuple(stage2.trace),
-        degenerate=problem.block.rank(z2) < problem.block.size,
     )
 
 

@@ -12,8 +12,9 @@ import pytest
 from dqopt import (DualQuaternion, DualQuaternionVector, PoseGraph, SolverConfig, build_pgo, cli,
                    generate_cycle_graph, parse_graph, posegraph, selftest, solve_eqdqo,
                    vertex_errors)
-from dqopt.cli import _json_text, _pgo_report, _rows_block, _uniform_block, main
+from dqopt.cli import _json_text, _pgo_report, _rows_block, _uniform_block, _write_trace_csv, main
 from dqopt.selftest import run_all
+from dqopt.solver import TraceRow
 from helpers import ConcatenateSpy, timing_free, timing_free_lines
 
 
@@ -648,3 +649,36 @@ def test_the_cli_fingerprint_is_the_same_in_two_processes(tmp_path):
     assert len(combined) == 64
     # three files per solve, two per capped solve of an input and per malformed graph
     assert len(files) == 4 * 3 + 3 * 3 + 2 * 2 + 2 * 13
+
+
+def test_the_fingerprint_script_refuses_a_non_empty_out_as_a_usage_error(tmp_path):
+    # exit 1 means the hash moved, so a rerun into a used directory must not exit 1
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "old.txt").write_text("kept\n")
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "cli_fingerprint.py"), "--out", str(tmp_path),
+         "--expect", "0" * 64],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.endswith(f"error: {tmp_path} is not empty\n")
+    # it stopped before any solve wrote there
+    assert [p.name for p in tmp_path.iterdir()] == ["old.txt"]
+
+
+def test_the_trace_csv_writes_each_field_as_the_f_string_did(tmp_path):
+    rows = [
+        TraceRow(0, 1, 1.5, 0.0, 2.5e-17, 0.1),
+        TraceRow(12, 2, float("nan"), float("inf"), float("-inf"), -0.0),
+        TraceRow(3, 1, -0.0, 1e300, 5e-324, float("nan")),
+    ]
+    path = tmp_path / "trace.csv"
+    _write_trace_csv(str(path), rows)
+    expected = ["iter,stage,objective_std,objective_dual,feasibility,kkt_residual"] + [
+        f"{row.iteration},{row.stage},{row.objective_std!r},"
+        f"{row.objective_dual!r},{row.feasibility!r},{row.kkt_residual!r}"
+        for row in rows
+    ]
+    assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
+    assert path.read_text(encoding="utf-8").splitlines()[2] == "12,2,nan,inf,-inf,-0.0"

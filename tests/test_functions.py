@@ -698,6 +698,25 @@ def test_the_base_hooks_raise_until_a_subclass_defines_them():
         _BareMap(1)(q)
 
 
+@pytest.mark.parametrize("arity, error, message", [
+    (0, ValueError, "arity must be positive"),
+    (2.5, TypeError, "arity must be an integer, got 2.5"),
+    (True, TypeError, "arity must be an integer, got True"),
+])
+def test_functions_and_maps_check_their_arity_alike(arity, error, message):
+    for base in (_Bare, _BareMap):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            base(arity)
+
+
+def test_functions_and_maps_check_their_argument_count_alike():
+    q = DualQuaternion.identity()
+    for made in (_Bare(2), _BareMap(2), variable_map(2, 0), variable_map(2, 0).magnitude()):
+        for args in ((q,), (q, q, q)):
+            with pytest.raises(ArityMismatch, match=f"^expected 2 arguments, got {len(args)}$"):
+                made(*args)
+
+
 def test_calling_a_map_checks_its_arity():
     q = DualQuaternion.identity()
     pick, r = variable_map(2, 1), 2.0 * q

@@ -11,6 +11,7 @@ import pytest
 
 from dqopt import (
     DualQuaternion,
+    DualQuaternionVector,
     PoseGraph,
     Quaternion,
     SolverConfig,
@@ -18,7 +19,9 @@ from dqopt import (
     build_pgo,
     error_vector,
     generate_cycle_graph,
+    generate_synthetic,
     gradient_check,
+    kkt_analysis,
     pack,
     parse_graph,
     rotation_angle_between,
@@ -1006,3 +1009,46 @@ def test_pose_lists_are_checked_against_the_graph(call, message):
         return
     with pytest.raises(ValueError, match=message):
         call(g, poses)
+
+
+def test_an_edgeless_graph_has_the_empty_error_vector():
+    g = PoseGraph(3, (), ())
+    errors = error_vector(g, [UnitDualQuaternion.identity()] * 3)
+    assert errors == DualQuaternionVector(())
+    assert errors.rows.shape == (0, 8)
+
+
+def _kkt_at_stage(stage):
+    problem = build_pgo(generate_cycle_graph(4, seed=1))
+    return kkt_analysis(problem, problem.start, stage=stage)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: generate_synthetic("axxb", 5, seed=True), "seed must be an integer, got True",
+                 id="handeye-seed-bool"),
+    pytest.param(lambda: generate_synthetic("axyb", 5.0), "n must be an integer, got 5.0",
+                 id="handeye-n-float"),
+    pytest.param(lambda: generate_cycle_graph(6, 1, seed=True), "seed must be an integer, got True",
+                 id="cycle-seed-bool"),
+    pytest.param(lambda: generate_cycle_graph(6.0, 1), "n must be an integer, got 6.0", id="cycle-n-float"),
+    pytest.param(lambda: generate_cycle_graph(6, 1.0), "loop_closures must be an integer, got 1.0",
+                 id="cycle-chords-float"),
+    pytest.param(lambda: PoseGraph(2.9, (), ()), "n must be an integer, got 2.9", id="graph-n-float"),
+    pytest.param(lambda: PoseGraph(True, (), ()), "n must be an integer, got True", id="graph-n-bool"),
+    pytest.param(lambda: _kkt_at_stage(True), "stage must be an integer, got True", id="kkt-stage-bool"),
+    pytest.param(lambda: _kkt_at_stage(1.0), "stage must be an integer, got 1.0", id="kkt-stage-float"),
+])
+def test_counts_are_integers_not_bools_or_floats(call, message):
+    # a bool was read as 0 or 1 and a float truncated or compared as given
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_the_generators_store_numpy_counts_as_python_ints():
+    # a NumPy count reached meta, which json.dumps refused
+    ds = generate_synthetic("axyb", np.int64(5), seed=np.int64(3))
+    assert json.dumps(ds.to_json_dict()) == json.dumps(generate_synthetic("axyb", 5, seed=3).to_json_dict())
+    assert [type(ds.meta[k]) for k in ("n", "seed")] == [int, int]
+    g = generate_cycle_graph(np.int32(6), np.uint8(2), seed=np.int64(4))
+    assert type(g.n) is int
+    assert serialize_graph(g) == serialize_graph(generate_cycle_graph(6, 2, seed=4))

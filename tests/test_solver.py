@@ -485,6 +485,17 @@ def test_report_json_shape():
     assert len(data["solution"]) == 1
 
 
+def test_the_report_json_holds_copies_of_the_reports_dicts():
+    report = solve_eqdqo(_toy_problem(), _fast_cfg())
+    names = ("multipliers", "kkt_residual", "feasibility", "iterations")
+    before = {name: json.dumps(getattr(report, name)) for name in names}
+    data = report.to_json_dict()
+    for name in names:
+        data[name].clear()
+        data[name]["added"] = 1
+    assert {name: json.dumps(getattr(report, name)) for name in names} == before
+
+
 def test_trace_rows_are_labeled_and_feasible_at_the_end():
     report = solve_eqdqo(_toy_problem(), _fast_cfg())
     stages = {row.stage for row in report.trace}
