@@ -24,9 +24,10 @@ printed to stderr in ``sha256sum`` format, so when the combined hash of two
 checkouts differs, diffing those lines shows which solve moved.  With
 ``--expect HASH`` the script exits 1, naming both hashes on stderr, when the
 combined hash is not ``HASH``; stdout is the same either way.  A
-non-empty ``DIR`` is a usage error: the script exits 2 before any solve
-and prints no hash.  The script imports whichever ``dqopt`` is first on
-``PYTHONPATH`` and uses only the standard library besides.
+non-empty ``DIR``, or one that exists as a file, is a usage error: the
+script exits 2 before any solve and prints no hash.  The script imports
+whichever ``dqopt`` is first on ``PYTHONPATH`` and uses only the standard
+library besides.
 """
 
 from __future__ import annotations
@@ -162,8 +163,11 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--expect", default=None, metavar="HASH",
                    help="exit 1 unless the combined hash equals HASH")
     args = p.parse_args(argv)
-    if args.out and os.path.isdir(args.out) and os.listdir(args.out):
-        p.error(f"{args.out} is not empty")
+    if args.out and os.path.exists(args.out):
+        if not os.path.isdir(args.out):
+            p.error(f"{args.out} is not a directory")
+        if os.listdir(args.out):
+            p.error(f"{args.out} is not empty")
     return args
 
 

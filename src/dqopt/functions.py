@@ -157,6 +157,13 @@ def _count(name: str, value, error: type[Exception] = TypeError) -> int:
     return int(value)
 
 
+def _seed(seed) -> int:
+    """``seed`` by :func:`_count`, a ``ValueError`` unless it is a non-negative integer."""
+    if (seed := _count("seed", seed, ValueError)) < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _index(index, arity: int) -> int:
     """``index`` by :func:`_count`, a ``ValueError`` unless it names one of ``arity`` variables."""
     index = _count("index", index)

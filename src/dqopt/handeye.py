@@ -41,7 +41,7 @@ from .algebra import (
     unit_deviations,
 )
 from .errors import InvalidPose, NoGroundTruth, TooFewMotions, UnitValidationError
-from .functions import ResidualNormObjective, _count, affine_rows, pack
+from .functions import ResidualNormObjective, _count, _seed, affine_rows, pack
 from .solver import EqdqoProblem
 
 __all__ = [
@@ -375,9 +375,7 @@ def check_noise(noise_rot: float, noise_trans: float) -> None:
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:
-    """The generators' random stream for ``seed``; ``ValueError`` for a negative one."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    """The generators' random stream for ``seed``, a non-negative ``int``."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
 
 
@@ -417,7 +415,7 @@ def generate_synthetic(
     """
     if model not in ("axxb", "axyb"):
         raise ValueError(f"unknown model {model!r}")
-    n, seed = _count("n", n, ValueError), _count("seed", seed, ValueError)
+    n, seed = _count("n", n, ValueError), _seed(seed)
     if model == "axxb" and n < 2:
         raise TooFewMotions("axxb needs n >= 2 relative motions")
     if model == "axyb" and n < 3:

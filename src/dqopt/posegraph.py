@@ -59,6 +59,7 @@ from .functions import (
     _assemble,
     _count,
     _jacobian_cols,
+    _seed,
     affine_rows,
     pack,
 )
@@ -574,7 +575,7 @@ def generate_cycle_graph(
     count the graph has no room for, a noise scale that is negative or not
     finite, or a negative seed.
     """
-    n, seed = _count("n", n, ValueError), _count("seed", seed, ValueError)
+    n, seed = _count("n", n, ValueError), _seed(seed)
     loop_closures = _count("loop_closures", loop_closures, ValueError)
     if n < 3:
         raise ValueError("need at least 3 vertices")

@@ -19,6 +19,7 @@ from .functions import (
     DualFunction,
     ResidualNormObjective,
     UnitNormConstraint,
+    _seed,
     affine_rows,
     check_standardness,
     combine,
@@ -382,9 +383,8 @@ def _grad_result(name: str, fn: DualFunction, points, tol: float) -> CheckResult
 
 
 def run_all(seed: int = 0) -> dict[str, list[CheckResult]]:
-    """All four suites keyed by name, in a fixed order; ``ValueError`` for a negative seed."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    """All four suites by name, in fixed order; ``ValueError`` for a negative or non-integer seed."""
+    seed = _seed(seed)
     return {
         "algebra": algebra_suite(seed),
         "order": order_suite(seed),

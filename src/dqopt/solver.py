@@ -60,7 +60,7 @@ import numpy as np
 
 from .algebra import TOL_APPRECIABLE, DualNumber, DualQuaternion, DualQuaternionVector
 from .errors import ArityMismatch, Infeasible, NonStandardProblem
-from .functions import ConstraintBlock, DualFunction, _count, pack
+from .functions import ConstraintBlock, DualFunction, _count, _seed, pack
 
 __all__ = [
     "SolverConfig",
@@ -113,7 +113,8 @@ class SolverConfig:
     threads: int = 1
 
     def __post_init__(self):
-        for name in ("restarts", "seed", "max_outer", "threads"):
+        object.__setattr__(self, "seed", _seed(self.seed))
+        for name in ("restarts", "max_outer", "threads"):
             object.__setattr__(self, name, _count(name, getattr(self, name), ValueError))
         for name in ("tol_grad", "tol_feas"):
             tol = getattr(self, name)
@@ -122,8 +123,6 @@ class SolverConfig:
             object.__setattr__(self, name, float(tol))
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not all(0 < tol < math.inf for tol in (self.tol_grad, self.tol_feas)):
             raise ValueError("tolerances must be positive and finite")
         if self.max_outer < 1:
@@ -230,10 +229,10 @@ class SolveReport:
     ``stage1_value`` and ``stage2_value`` are the standard and dual parts
     of the exact objective recomputed at the reported solution, so the pair
     is the dual-number objective value at ``solution``.  ``multipliers``
-    and ``kkt_residual`` come from :func:`kkt_analysis`: ``"lambda"`` and
-    ``"stage1"`` at the stage-I point, ``"mu"`` and ``"stage2"`` at the
-    solution.  ``degenerate`` is true when the constraint gradients there
-    are linearly dependent, so the multipliers are not unique.
+    and ``kkt_residual`` are :func:`kkt_analysis`'s at ``solution``, bit
+    for bit: ``"lambda"`` and ``"stage1"`` of stage I, ``"mu"`` and
+    ``"stage2"`` of stage II.  ``degenerate`` is true when the constraint
+    gradients there are linearly dependent, so the multipliers are not unique.
     ``solution`` holds stage II's final coordinates as rows
     (:meth:`DualQuaternionVector.from_rows`) and builds its dual
     quaternions on first access; the JSON report and
@@ -263,9 +262,9 @@ class SolveReport:
 
 
 def _json_value(value):
-    """``value`` as a JSON value: a dict as a copy, a vector or config by its own writer."""
+    """``value`` as JSON: a dict as a copy, lists too; a vector or config by its own writer."""
     if isinstance(value, dict):
-        return dict(value)
+        return {key: list(v) if isinstance(v, list) else v for key, v in value.items()}
     return getattr(value, "to_json_list", getattr(value, "to_json_dict", lambda: value))()
 
 
@@ -276,7 +275,6 @@ class _StageOutcome:
     stop: str | None = None  # stage I: "converged", "stalled", "merged" or "max_outer"
     value: float | DualNumber | None = None  # at z: standard (stage I) or dual value (II)
     feasibility: tuple[float, float] | None = None  # stage II: _feasibility at z
-    kinked: bool = False  # stage I: a group of stage1 at its kink at z has multipliers
     rows: tuple = ()  # stage II: the objective's rows at z, from _valued, for the report
 
 
@@ -428,27 +426,26 @@ def kkt_analysis(problem: EqdqoProblem, point, stage: int = 1) -> KktInfo:
 
 
 def _kink_subgradient(problem: EqdqoProblem, z: np.ndarray, rows: tuple = ()):
-    """``J_A^T u`` over the standard coordinates for the objective's kink groups at ``z``, or 0."""
+    """``J_A^T u`` of the objective's kink groups at ``z``, or ``None`` where every ``u`` is 0."""
     jac, r, _, w, groups = problem.objective.stage_system(z, *rows)
     if groups is None or w.all():
-        return 0.0
+        return None
     r, w = r[None], w[None]  # a stack of one, as stage I evaluates it
     jac = jac(problem.block.var.size > _DENSE_MAX)
     b = _dense(_fiber_product(jac, problem.block.tangent(z[None]), problem.block))
-    return _tmv(jac, _kinks(b, r, w, groups, _tmv(b, w * r)).u)[0]
+    u = _kinks(b, r, w, groups, _tmv(b, w * r)).u
+    return _tmv(jac, u)[0] if u.any() else None
 
 
-def _kkt(problem: EqdqoProblem, z, stage: int, grad, kinks: bool = True, rows: tuple = ()):
+def _kkt(problem: EqdqoProblem, z, stage: int, grad, rows: tuple = ()):
     """:func:`kkt_analysis`'s residual and multipliers at ``z``, given the stage part's gradient.
 
-    With ``kinks`` false the caller knows that no group at its kink has a
-    nonzero multiplier, and stage I reads no residual rows; else it reads
-    ``rows``, the objective's rows at ``z`` if given, as for ``*rows``.
+    Stage I reads ``rows``, the objective's rows at ``z`` if given, as for ``*rows``.
     """
     block = problem.block
     target = grad[_part_indices(problem.arity, stage - 1)]
-    if stage == 1 and kinks:
-        target = target + _kink_subgradient(problem, z, rows)
+    if stage == 1 and (sub := _kink_subgradient(problem, z, rows)) is not None:
+        target = target + sub
     mult = -block.apply(z, block.pinv(z, target))
     return float(np.linalg.norm(target + block.pullback(z, mult))), mult
 
@@ -841,7 +838,6 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued
     damp = np.full(count, _DAMP_FLOOR)
     grad_norm = np.full(count, math.inf)  # of the last step taken
     flat = np.zeros(count, dtype=bool)
-    kinked = np.zeros(count, dtype=bool)  # at the last row's point
     stop = np.full(count, "", dtype="U9")  # "" while running
     traces = [[] for _ in range(count)]  # one row per step
     var = block.var
@@ -850,7 +846,6 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued
     def advance(it, idx):
         z_a = z[idx]
         jac, r, _, w, groups = obj.stage_system(z_a, *(rows if it == 0 and len(idx) == count else ()))
-        kinked[idx] = False
         # Rows that all weigh 0 (a NaN weight is none) hold every group at its
         # kink: with every norm 0 to rounding, g and the multipliers are 0, and
         # each point stops "converged" with no J or B formed.
@@ -867,7 +862,6 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued
             kinks = None if groups is None or w.all() else _kinks(b, r, w, groups, grad)
             small = g_norm <= cfg.tol_grad
             if kinks is not None:
-                kinked[idx[kinks.pos]] = kinks.u.any(axis=-1)
                 # the distance to the subdifferential stands in for |g|
                 g_norm[kinks.pos] = kinks.sigma
                 small[kinks.pos] = (kinks.sigma <= cfg.tol_grad) & kinks.settled
@@ -963,8 +957,8 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued
             break
         for group in np.split(live, live.size) if alone else [live]:
             advance(it, group)
-    return [_StageOutcome(z[k], traces[k], stop=reason, value=float(v_std[k]),
-                          kinked=bool(kinked[k])) for k, reason in enumerate(stop.tolist())]
+    return [_StageOutcome(z[k], traces[k], stop=reason, value=float(v_std[k]))
+            for k, reason in enumerate(stop.tolist())]
 
 
 def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
@@ -1170,7 +1164,7 @@ def _report(
     wall_ms = (time.perf_counter() - t0) * 1e3
     z2 = stage2.z
     grad_std, grad_dual = problem.objective.gradient_at(z2, *stage2.rows)
-    kkt1 = _kkt(problem, z2, 1, grad_std, stage1.kinked, stage2.rows)
+    kkt1 = _kkt(problem, z2, 1, grad_std, stage2.rows)
     kkt2 = _kkt(problem, z2, 2, grad_dual)
     return SolveReport(
         stage1_value=stage2.value.std,

@@ -344,6 +344,13 @@ def test_selftest_rejects_a_negative_seed():
         run_all(-1)
 
 
+def test_selftest_takes_only_an_integer_seed():
+    # a bool would run as seed 1, and a float reached NumPy's TypeError
+    for seed in (True, 2.5):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed}$"):
+            run_all(seed)
+
+
 def test_an_id_beyond_64_bits_exits_2_naming_the_line(tmp_path, capsys):
     graph = tmp_path / "graph.txt"
     graph.write_text("EDGE 1 99999999999999999999 1 0 0 0 0 0 0\n")
@@ -378,6 +385,30 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "algebra:" in out
     assert "checks passed" in out
+
+
+def test_the_inverse_check_skips_a_draw_with_a_near_null_standard_part(monkeypatch):
+    draws, draw = [], selftest._random_dq
+
+    def near_null_first(rng):
+        dq = draw(rng)
+        draws.append(dq)
+        return DualQuaternion(dq.std * 1e-4, dq.dual) if len(draws) == 1 else dq
+
+    monkeypatch.setattr(selftest, "_random_dq", near_null_first)
+    results = {r.name: r for r in selftest.algebra_suite(0, n_pairs=3)}
+    assert len(draws) == 6
+    inverse = results["algebra-two-sided-inverse"]
+    assert inverse.passed and inverse.detail.endswith(" over 2 pairs")
+    assert results["algebra-conjugate-antiautomorphism"].detail.endswith(" over 3 pairs")
+
+
+def test_python_m_dqopt_cli_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-m", "dqopt.cli", "--help"], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(root / "src")))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: ") and "selftest" in out.stdout
 
 
 def test_a_failed_selftest_check_exits_1_naming_it(monkeypatch, capsys):
@@ -665,6 +696,21 @@ def test_the_fingerprint_script_refuses_a_non_empty_out_as_a_usage_error(tmp_pat
     assert out.stderr.endswith(f"error: {tmp_path} is not empty\n")
     # it stopped before any solve wrote there
     assert [p.name for p in tmp_path.iterdir()] == ["old.txt"]
+
+
+def test_the_fingerprint_script_refuses_an_out_that_is_a_file_as_a_usage_error(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "out").write_text("kept\n")
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "cli_fingerprint.py"),
+         "--out", str(tmp_path / "out"), "--expect", "0" * 64],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), capture_output=True, text=True,
+    )
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.endswith(f"error: {tmp_path / 'out'} is not a directory\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert (tmp_path / "out").read_text() == "kept\n"
 
 
 def test_the_trace_csv_writes_each_field_as_the_f_string_did(tmp_path):

@@ -232,6 +232,26 @@ def test_the_report_reads_stage_iis_rows_for_both_kkt_analyses(monkeypatch):
     assert list(info.multipliers) == report.multipliers["lambda"]
 
 
+def test_the_reports_multipliers_are_kkt_analysis_bit_for_bit():
+    # a noiseless graph, whose lambda holds zeros of either sign; an AXXB
+    # optimum with a group at its kink and a nonzero multiplier; noiseless AXYB
+    problems = [
+        build_pgo(generate_cycle_graph(12, loop_closures=4, seed=5)),
+        build_axxb(generate_synthetic("axxb", 3, 1e-6, 1e-6, seed=31)),
+        build_axyb(generate_synthetic("axyb", 8, seed=3)),
+    ]
+    kinked = []
+    for problem in problems:
+        report = solve_eqdqo(problem, SolverConfig())
+        for stage, name, key in ((1, "lambda", "stage1"), (2, "mu", "stage2")):
+            info = kkt_analysis(problem, report.solution, stage)
+            assert [x.hex() for x in info.multipliers] == [x.hex() for x in report.multipliers[name]]
+            assert info.residual.hex() == report.kkt_residual[key].hex()
+        z = report.solution.rows.reshape(-1)
+        kinked.append(solver._kink_subgradient(problem, z) is not None)
+    assert kinked == [False, True, False]
+
+
 def test_kkt_rejects_a_stage_other_than_1_or_2():
     with pytest.raises(ValueError, match="stage must be 1 or 2"):
         kkt_analysis(_toy_problem(), [DualQuaternion.identity()], stage=3)
@@ -494,6 +514,16 @@ def test_the_report_json_holds_copies_of_the_reports_dicts():
         data[name].clear()
         data[name]["added"] = 1
     assert {name: json.dumps(getattr(report, name)) for name in names} == before
+
+
+def test_the_report_json_holds_copies_of_the_multiplier_lists():
+    report = solve_eqdqo(_toy_problem(), _fast_cfg())
+    before = json.dumps(report.multipliers)
+    data = report.to_json_dict()
+    for name in ("lambda", "mu"):
+        data["multipliers"][name].append(99.0)
+        data["multipliers"][name][0] = -1.0
+    assert json.dumps(report.multipliers) == before
 
 
 def test_trace_rows_are_labeled_and_feasible_at_the_end():
