@@ -17,7 +17,8 @@ current directory and prints, in this order:
 - in a new process, for its own peak RSS, a graph of ROADMAP item 25's
   size (20,000 vertices, 2000 chords): a fresh ``gen-pgo`` process, then
   ``parse_graph`` and ``build_pgo`` in that one, each the median of 5
-  calls after a warm-up.
+  calls after a warm-up, then the MB that ``tracemalloc`` traces as held
+  by one built problem: its residual data, and no solver product.
 
 The numbers are informational, with no threshold.  The script uses the
 standard library and ``dqopt`` only.
@@ -32,6 +33,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 _LARGE = "graph-20000"
 
@@ -113,6 +115,12 @@ def graph_20000() -> None:
     for name, phase in (("parse_graph", lambda: parse_graph(text)),
                         ("build_pgo", lambda: build_pgo(graph))):
         print(f"20000-vertex {name}, median of 5 after a warm-up: {_median_ms(phase, 5):.1f} ms")
+    tracemalloc.start()
+    problem = build_pgo(graph)
+    held = tracemalloc.get_traced_memory()[0] / 2**20
+    tracemalloc.stop()
+    del problem
+    print(f"20000-vertex build_pgo holds {held:.1f} MB (tracemalloc)")
 
 
 def main(argv: list[str]) -> int:

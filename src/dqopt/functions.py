@@ -32,7 +32,6 @@ meaningful at nonsmooth minimizers.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
@@ -350,9 +349,9 @@ def affine_rows(arity: int, i, j, first: np.ndarray, second: np.ndarray):
     alone.  ``pullback(w_std, w_dual=None)`` is ``J_s^T w_std + J_d^T
     w_dual``, the weighted rows summed into their coordinates by
     ``np.bincount``.  ``jacobian(sparse)`` is the ``[F_s, S_s]`` blocks in
-    the standard slots, laid out by :func:`_assemble` once per layout: a
-    dense ``(4k, 4n)`` array for any point or stack, or a CSR matrix;
-    callers must not modify it.
+    the standard slots, laid out by :func:`_assemble` with its column plan
+    on each call, and kept by nothing here: a dense ``(4k, 4n)`` array for
+    any point or stack, or a CSR matrix.  The solver forms it once per solve.
     """
     n8 = 8 * int(arity)
     i, j = (np.asarray(v, dtype=np.intp) for v in (i, j))
@@ -370,7 +369,9 @@ def affine_rows(arity: int, i, j, first: np.ndarray, second: np.ndarray):
     rows = np.concatenate(mats, 2) + 0.0
     block = rows[:, :, :8]
     slots = np.stack((np.concatenate(std, 1), np.concatenate(dual, 1)), 2)
-    jacobian = functools.cache(functools.partial(_assemble, block, _jacobian_cols(i, j), int(arity)))
+
+    def jacobian(sparse: bool):
+        return _assemble(block, _jacobian_cols(i, j), int(arity), sparse)
 
     def pullback(w_std: np.ndarray, w_dual: np.ndarray | None = None) -> np.ndarray:
         grad = np.bincount(slots[:, :8, 0].ravel(), (w_std.reshape(-1, 1, 4) @ block).ravel(), n8)
@@ -569,9 +570,9 @@ class ResidualNormObjective(DualFunction):
 
         ``r_std`` and ``r_dual`` are the residual rows' standard and dual
         parts.  ``J(sparse)`` is the evaluator's ``(k, 4n)`` standard-slot
-        Jacobian, uncalled, so that rows which all weigh 0 need none formed
-        and the solver picks its layout; with the standard coordinates
-        fixed, ``r_dual`` is affine in the dual ones with the same slope.
+        Jacobian, uncalled; a call forms it, so the solver forms it once per
+        solve in its layout, and none where all rows weigh 0.  With the
+        standard coordinates fixed, ``r_dual`` is affine in the dual ones, same slope.
         The weights are stage I's: rows of an appreciable group weigh ``1 /
         |r_std,g|``, so ``J^T W J`` is the Hessian of the reweighted
         majorizer of ``sum_g |r_g|``, and rows of a group at its kink,

@@ -307,6 +307,14 @@ def _valued(fn, z: np.ndarray) -> tuple:
     return fn.value_at(z, *rows), rows
 
 
+class _JacobianMemo(dict):
+    """One solve's Jacobians: ``memo[jacobian, sparse]`` is ``jacobian(sparse)``, formed once."""
+
+    def __missing__(self, key):
+        self[key] = matrix = key[0](key[1])
+        return matrix
+
+
 def _random_start(arity: int, rng: np.random.Generator) -> np.ndarray:
     """Unit standard parts for each of ``arity`` variables, zero dual parts."""
     v = rng.standard_normal((arity, 4))
@@ -421,30 +429,32 @@ def kkt_analysis(problem: EqdqoProblem, point, stage: int = 1) -> KktInfo:
         raise ValueError("stage must be 1 or 2")
     z = _point_to_z(point, problem.arity)
     rows = _rows(problem.objective, z)  # one evaluation for the gradient and the kinks
-    resid, mult = _kkt(problem, z, stage, problem.objective.gradient_at(z, *rows)[stage - 1], rows=rows)
+    grad = problem.objective.gradient_at(z, *rows)[stage - 1]
+    resid, mult = _kkt(problem, z, stage, grad, _JacobianMemo(), rows)
     return KktInfo(resid, tuple(mult.tolist()), problem.block.rank(z) < problem.block.size)
 
 
-def _kink_subgradient(problem: EqdqoProblem, z: np.ndarray, rows: tuple = ()):
+def _kink_subgradient(problem: EqdqoProblem, z: np.ndarray, memo: _JacobianMemo, rows: tuple = ()):
     """``J_A^T u`` of the objective's kink groups at ``z``, or ``None`` where every ``u`` is 0."""
     jac, r, _, w, groups = problem.objective.stage_system(z, *rows)
-    if groups is None or w.all():
+    # every row at a kink (a NaN weight is none) leaves no other group's gradient: u is 0
+    if groups is None or w.all() or not w.any():
         return None
     r, w = r[None], w[None]  # a stack of one, as stage I evaluates it
-    jac = jac(problem.block.var.size > _DENSE_MAX)
+    jac = memo[jac, problem.block.var.size > _DENSE_MAX]
     b = _dense(_fiber_product(jac, problem.block.tangent(z[None]), problem.block))
     u = _kinks(b, r, w, groups, _tmv(b, w * r)).u
     return _tmv(jac, u)[0] if u.any() else None
 
 
-def _kkt(problem: EqdqoProblem, z, stage: int, grad, rows: tuple = ()):
+def _kkt(problem: EqdqoProblem, z, stage: int, grad, memo: _JacobianMemo, rows: tuple = ()):
     """:func:`kkt_analysis`'s residual and multipliers at ``z``, given the stage part's gradient.
 
     Stage I reads ``rows``, the objective's rows at ``z`` if given, as for ``*rows``.
     """
     block = problem.block
     target = grad[_part_indices(problem.arity, stage - 1)]
-    if stage == 1 and (sub := _kink_subgradient(problem, z, rows)) is not None:
+    if stage == 1 and (sub := _kink_subgradient(problem, z, memo, rows)) is not None:
         target = target + sub
     mult = -block.apply(z, block.pinv(z, target))
     return float(np.linalg.norm(target + block.pullback(z, mult))), mult
@@ -780,7 +790,7 @@ def _near(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(apart, flipped) <= _MERGE_RADIUS
 
 
-def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued=None) -> list:
+def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, memo, valued=None) -> list:
     """Stage I from every row of ``starts``, in lockstep: minimize the standard part.
 
     Each point of ``starts`` lies on the standard rows, as ``block.project``
@@ -824,7 +834,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued
     the next step leaves them out.  Stop reasons live in one string array,
     ``""`` while a point runs, written (and the same-step merge checked)
     only in a step where some point stops.  Points on a sparse fiber step
-    one at a time, as a stack of one with a CSR Jacobian.
+    one at a time, as a stack of one with a CSR Jacobian; ``memo`` forms it once.
     Returns one :class:`_StageOutcome` per start.  The objective is the
     problem's ``stage1``, and ``valued``, if given, its :func:`_valued` at
     ``starts``.  Stage I never reads the dual coordinates: they stay those
@@ -853,7 +863,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued
                 np.add.reduceat(r * r, groups[0], axis=-1)).max() <= _KINK_ROUNDING):
             g_norm, small = np.zeros(len(idx)), np.ones(len(idx), dtype=bool)
         else:
-            jac, frames = jac(alone), block.tangent(z_a)
+            jac, frames = memo[jac, alone], block.tangent(z_a)
             b = _fiber_product(jac, frames, block)
             wr = w * r
             grad = _tmv(b, wr)
@@ -962,7 +972,7 @@ def _stage1(problem: EqdqoProblem, cfg: SolverConfig, starts: np.ndarray, valued
 
 
 def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
-            last: TraceRow) -> _StageOutcome:
+            last: TraceRow, memo: _JacobianMemo) -> _StageOutcome:
     """Stage II at the standard coordinates of ``z1``: one exact fit on the dual fiber.
 
     A magnitude is never negative, so a ``z1`` whose objective reads
@@ -1004,8 +1014,8 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
     ``stage_system`` gives their slope ``A`` at ``z1``.  ``B = A N`` is
     formed here by :func:`_fiber_product`, with ``N`` the tangent frames of
     :meth:`~dqopt.functions.ConstraintBlock.tangent` at ``z1``, dense or
-    sparse as stage I's; for hand-eye's constant ``A`` it is stage I's last
-    ``B`` bit for bit.
+    sparse as stage I's; for hand-eye's constant ``A``, which ``memo`` formed
+    for stage I, it is stage I's last ``B`` bit for bit.
     """
     if last.objective_std == 0 and last.objective_dual <= _KINK_ROUNDING:
         v, rows = _valued(problem.objective, z1)
@@ -1020,7 +1030,7 @@ def _stage2(problem: EqdqoProblem, cfg: SolverConfig, z1: np.ndarray,
     jac, _, r_p, w1, groups = problem.objective.stage_system(z)
     frames = block.tangent(z1)
     # Fiber directions that no row sees stay at x_p.
-    b = _fiber_product(jac(block.var.size > _DENSE_MAX), frames, block)
+    b = _fiber_product(memo[jac, block.var.size > _DENSE_MAX], frames, block)
     seen = np.asarray(abs(b).sum(axis=0)).ravel() > 0
     b = b[:, seen]
     b_t = b.T
@@ -1093,7 +1103,8 @@ def _restart_start(
         return _start_z(initial, problem.arity, "initial guess")
     if r == 0 and problem.start is not None:
         return problem.start.reshape(-1)
-    return _drawn_start(problem.arity, cfg.seed, r)
+    draw = _drawn_start if 3 * problem.arity <= _DENSE_MAX else _drawn_start.__wrapped__
+    return draw(problem.arity, cfg.seed, r)
 
 
 @functools.lru_cache(maxsize=256)
@@ -1101,14 +1112,15 @@ def _drawn_start(arity: int, seed: int, r: int) -> np.ndarray:
     """:func:`_random_start` from the stream of ``(seed, r)``, read-only.
 
     The draw depends on nothing else, so each solve with the same seed
-    reuses it instead of seeding a generator per restart.
+    reuses it; :func:`_restart_start` draws one of over ``_DENSE_MAX``
+    tangent directions afresh, so that no large start outlives its solve.
     """
     z = _random_start(arity, np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, r]))))
     z.flags.writeable = False
     return z
 
 
-def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
+def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial, memo: _JacobianMemo) -> list:
     """Stage I for every restart: the outcomes on the standard rows, least stage-I value first.
 
     Items are ``(value, restart, outcome)``, with the values in
@@ -1133,7 +1145,7 @@ def _stage1_restarts(problem: EqdqoProblem, cfg: SolverConfig, initial) -> list:
     if cfg.restarts > 1 and valued[0][0][0] != 0:
         drawn = np.stack([_restart_start(problem, cfg, initial, r) for r in range(1, cfg.restarts)])
         projected, valued = np.concatenate([projected, problem.block.project(drawn)]), None
-    outcomes = _stage1(problem, cfg, projected, valued)
+    outcomes = _stage1(problem, cfg, projected, memo, valued)
     h = [o.trace[-1].feasibility for o in outcomes]
     scored = [(o.value, r, o) for r, o in enumerate(outcomes)
               if h[r] <= cfg.tol_feas and o.stop != "merged"]
@@ -1153,6 +1165,7 @@ def _report(
     restart_index: int,
     stage1,
     stage2: _StageOutcome,
+    memo: _JacobianMemo,
 ) -> SolveReport:
     """Report at stage II's final point, with both stages' KKT analyses there.
 
@@ -1164,8 +1177,8 @@ def _report(
     wall_ms = (time.perf_counter() - t0) * 1e3
     z2 = stage2.z
     grad_std, grad_dual = problem.objective.gradient_at(z2, *stage2.rows)
-    kkt1 = _kkt(problem, z2, 1, grad_std, stage2.rows)
-    kkt2 = _kkt(problem, z2, 2, grad_dual)
+    kkt1 = _kkt(problem, z2, 1, grad_std, memo, stage2.rows)
+    kkt2 = _kkt(problem, z2, 2, grad_dual, memo)
     return SolveReport(
         stage1_value=stage2.value.std,
         stage2_value=stage2.value.dual,
@@ -1221,14 +1234,15 @@ def solve_eqdqo(
     """
     cfg = cfg or SolverConfig()
     t0 = time.perf_counter()
-    scored = _stage1_restarts(problem, cfg, initial)
+    memo = _JacobianMemo()  # every Jacobian the solve forms, dropped when it returns
+    scored = _stage1_restarts(problem, cfg, initial, memo)
     least = min(item[0] for item in scored) * (1.0 + _ROUNDING)  # as _stage1_restarts ties them
     candidates, tied = [], []
     # the values in the band, in restart order; each with its exact ties
     for exact in dict.fromkeys(value for value, _, _ in scored if value <= least):
         for _, r, outcome in (item for item in scored if item[0] == exact):
             tied.append(r)
-            stage2 = _stage2(problem, cfg, outcome.z, outcome.trace[-1])
+            stage2 = _stage2(problem, cfg, outcome.z, outcome.trace[-1], memo)
             # both violations within tol_feas; a NaN one is not
             if all(v <= cfg.tol_feas for v in stage2.feasibility):
                 candidates.append((stage2.value, r, outcome, stage2))
@@ -1241,4 +1255,4 @@ def solve_eqdqo(
         )
     # min keeps the first of equal pairs, so ties go to the lower restart
     _, r, outcome, stage2 = min(candidates, key=lambda c: c[0])
-    return _report(problem, cfg, t0, r, outcome, stage2)
+    return _report(problem, cfg, t0, r, outcome, stage2, memo)

@@ -5,7 +5,8 @@ other hooks there: the restart check, stage I's start value and first step
 share the affine rows, and stage II's last value and the report's gradient
 share the bilinear ones.  The tests count the evaluations of a noiseless
 solve, check that the reports are those of evaluating afresh in every hook,
-byte for byte, and that no evaluation outlives a solve.
+byte for byte, and that no evaluation outlives a solve.  Nor does a
+Jacobian: the solve forms each once per layout, and drops it on return.
 """
 
 import collections
@@ -34,7 +35,7 @@ from dqopt import (
     solve_eqdqo,
     squared_distance_objective,
 )
-from dqopt import posegraph
+from dqopt import functions, posegraph
 from dqopt.functions import ResidualNormObjective
 from dqopt.posegraph import RelativePoseResidual
 
@@ -94,6 +95,8 @@ def _cases():
 def test_shared_evaluations_leave_every_report_byte_for_byte(name, monkeypatch):
     _, problem, cfg, report_text = next(c for c in _cases() if c[0] == name)
     shared = _report_bytes(problem, cfg, report_text)
+    # the same problem object solved again: the first solve left nothing on it
+    assert _report_bytes(problem, cfg, report_text) == shared
     # without rows_at every hook evaluates its own rows, as before the sharing
     monkeypatch.delattr(ResidualNormObjective, "rows_at")
     fresh = _report_bytes(problem, cfg, report_text)
@@ -146,6 +149,56 @@ def test_no_evaluation_outlives_a_solve():
     assert report.iterations["stage2"] >= 1 and seen
     assert all(ref() is None for ref in seen)
     assert not any(isinstance(v, tuple) for v in vars(problem.objective).values())
+
+
+@pytest.mark.parametrize("name", ["pgo-noisy-60", "axyb-kink"])
+def test_no_jacobian_outlives_a_solve(name, monkeypatch):
+    # every matrix _assemble lays out, the constant affine rows' included, goes
+    # with the solve: a problem holds its residual data and no solver product
+    formed, assemble = [], functions._assemble
+
+    def spy(*args):
+        matrix = assemble(*args)
+        formed.append(weakref.ref(matrix))
+        return matrix
+
+    monkeypatch.setattr(functions, "_assemble", spy)
+    monkeypatch.setattr(posegraph, "_assemble", spy)
+    _, problem, cfg, _ = next(c for c in _cases() if c[0] == name)  # built with the spy in place
+    solve_eqdqo(problem, cfg)  # its report dropped
+    gc.collect()
+    assert formed and all(ref() is None for ref in formed)
+
+
+@pytest.mark.parametrize("name", ["pgo-noisy-60", "axyb-kink"])
+def test_a_solve_forms_each_jacobian_once_per_layout(name, monkeypatch):
+    # stage I asks at every step, stage II and the report's kink subgradient
+    # again; _assemble lays out each callable's matrix once per layout
+    laid_out, assemble = [], functions._assemble
+    monkeypatch.setattr(functions, "_assemble", lambda *a: laid_out.append(a) or assemble(*a))
+    monkeypatch.setattr(posegraph, "_assemble", functions._assemble)
+    _, problem, cfg, _ = next(c for c in _cases() if c[0] == name)  # built with the spy in place
+    formed, counted = collections.Counter(), {}
+
+    def counting(jacobian):
+        def count(sparse):
+            before = len(laid_out)
+            matrix = jacobian(sparse)
+            formed[jacobian, sparse] += len(laid_out) - before
+            return matrix
+
+        return count
+
+    for fn in {problem.stage1, problem.objective}:
+        def stack(z, evaluate=fn._stack):
+            *rows, jacobian = evaluate(z)
+            return (*rows, counted.setdefault(jacobian, counting(jacobian)))
+
+        monkeypatch.setattr(fn, "_stack", stack)
+    solve_eqdqo(problem, cfg)
+    assert formed and set(formed.values()) == {1} and len(laid_out) == len(formed)
+    if name == "axyb-kink":  # one constant Jacobian, for stage I, stage II and the report
+        assert len(formed) == 1
 
 
 def test_a_degenerate_point_still_reads_degenerate_in_stage_1():

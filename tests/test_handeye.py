@@ -325,8 +325,8 @@ def test_an_exactly_singular_stage2_raises_infeasible_not_a_nan_answer(monkeypat
         solve_eqdqo(problem, cfg)
     # the first non-finite pass ends stage II instead of repeating to max_outer
     # (here the third: its system is exactly singular)
-    _, _, outcome = solver._stage1_restarts(problem, cfg, None)[0]
-    stage2 = solver._stage2(problem, cfg, outcome.z, outcome.trace[-1])
+    _, _, outcome = solver._stage1_restarts(problem, cfg, None, solver._JacobianMemo())[0]
+    stage2 = solver._stage2(problem, cfg, outcome.z, outcome.trace[-1], solver._JacobianMemo())
     finite = [np.isfinite(row.objective_dual) for row in stage2.trace]
     assert len(finite) == 3
     assert all(finite[:-1]) and not finite[-1]

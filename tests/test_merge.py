@@ -57,7 +57,7 @@ def _solve(problem, initial, monkeypatch, merging=True):
 def _stage1(problem, initial):
     starts = np.stack([solver._restart_start(problem, CFG, initial, r) for r in range(CFG.restarts)])
     starts = problem.block.project(starts)
-    return starts, solver._stage1(problem, CFG, starts)
+    return starts, solver._stage1(problem, CFG, starts, solver._JacobianMemo())
 
 
 def test_merging_moves_no_noisy_answer_beyond_1e_9(monkeypatch):
@@ -131,7 +131,7 @@ def test_stalled_restarts_are_never_merged_into(monkeypatch):
         problem, _ = _handeye("axyb", SIGMA, seed)
         starts = problem.block.project(
             np.stack([solver._restart_start(problem, cfg, None, r) for r in range(8)]))
-        assert {o.stop for o in solver._stage1(problem, cfg, starts)} == {"stalled"}
+        assert {o.stop for o in solver._stage1(problem, cfg, starts, solver._JacobianMemo())} == {"stalled"}
         with monkeypatch.context() as m:
             on = solve_eqdqo(problem, cfg)
             m.setattr(solver, "_MERGE_RADIUS", -1.0)
@@ -146,7 +146,7 @@ def test_a_restart_runs_alone_until_it_merges_into_an_earlier_minimum():
         starts, batch = _stage1(problem, initial)
         std = solver._part_indices(problem.arity, 0)
         for k, outcome in enumerate(batch):
-            (alone,) = solver._stage1(problem, CFG, starts[k : k + 1])
+            (alone,) = solver._stage1(problem, CFG, starts[k : k + 1], solver._JacobianMemo())
             kinds.add(outcome.stop)
             if outcome.stop != "merged":
                 assert outcome.z.tobytes() == alone.z.tobytes()
@@ -177,7 +177,8 @@ def test_a_restart_merges_in_the_step_its_minimum_converges():
                     continue
                 rows = len(outcome.trace)
                 # the points of its last row and of the row after it, run alone
-                last, next_ = (solver._stage1(problem, replace(CFG, max_outer=cap), starts[k : k + 1])[0].z
+                last, next_ = (solver._stage1(problem, replace(CFG, max_outer=cap), starts[k : k + 1],
+                                              solver._JacobianMemo())[0].z
                                for cap in (rows - 1, rows))
                 minima = [o for o in batch if o.stop == "converged" and o.value > 0
                           and len(o.trace) <= rows]
@@ -272,7 +273,7 @@ def test_restarts_within_rounding_of_the_least_value_keep_restart_order(monkeypa
     monkeypatch.setattr(solver, "_MERGE_RADIUS", -1.0)
     monkeypatch.setattr(solver, "_stage1", shifted)
     monkeypatch.setattr(solver, "_stage2", fails)
-    order = [r for _, r, _ in solver._stage1_restarts(problem, CFG, None)]
+    order = [r for _, r, _ in solver._stage1_restarts(problem, CFG, None, solver._JacobianMemo())]
     assert order == [0, 1, 2, 4, 5, 6, 7, 3]
     # stage II runs for restart 0 and those at its value exactly, 5 to 7
     report = solve_eqdqo(problem, CFG)

@@ -248,8 +248,18 @@ def test_the_reports_multipliers_are_kkt_analysis_bit_for_bit():
             assert [x.hex() for x in info.multipliers] == [x.hex() for x in report.multipliers[name]]
             assert info.residual.hex() == report.kkt_residual[key].hex()
         z = report.solution.rows.reshape(-1)
-        kinked.append(solver._kink_subgradient(problem, z) is not None)
+        kinked.append(solver._kink_subgradient(problem, z, solver._JacobianMemo()) is not None)
     assert kinked == [False, True, False]
+
+
+@pytest.mark.parametrize("build", [build_axxb, build_axyb])
+def test_a_noiseless_hand_eye_report_forms_no_kink_system(build, monkeypatch):
+    # every group at its kink weighs 0, so no other group's gradient leaves a
+    # multiplier: the report's stage-I analysis forms no B = J N for _kinks
+    kinks, calls = solver._kinks, []
+    monkeypatch.setattr(solver, "_kinks", lambda *a: calls.append(a) or kinks(*a))
+    report = solve_eqdqo(build(generate_synthetic(build.__name__[6:], 8, seed=3)))
+    assert report.stage1_value == 0.0 and calls == []
 
 
 def test_kkt_rejects_a_stage_other_than_1_or_2():
@@ -418,7 +428,7 @@ def test_stage1_trace_rows_report_the_rows_stage1_holds():
     graph = generate_cycle_graph(20, 6, 0.01, 0.01, 0)
     problem = build_pgo(graph)
     start = problem.block.project(spanning_tree_rows(graph).reshape(1, -1))
-    outcome = solver._stage1(problem, SolverConfig(restarts=1), start)[0]
+    outcome = solver._stage1(problem, SolverConfig(restarts=1), start, solver._JacobianMemo())[0]
     assert solver._feasibility(problem, outcome.z)[1] > 3e-2
     assert len(outcome.trace) == 3
     assert max(row.feasibility for row in outcome.trace) <= 1e-15
@@ -427,7 +437,7 @@ def test_stage1_trace_rows_report_the_rows_stage1_holds():
 def test_stage2_keeps_the_band():
     problem = _toy_problem()
     cfg = _fast_cfg()
-    value = solver._stage1_restarts(problem, cfg, None)[0][0]
+    value = solver._stage1_restarts(problem, cfg, None, solver._JacobianMemo())[0][0]
     report = solve_eqdqo(problem, cfg)
     tau = max(1e-8, 1e-6 * abs(value))
     assert abs(report.stage1_value - value) <= tau
@@ -678,7 +688,7 @@ def test_the_stage1_analysis_at_stage2s_point_is_the_one_at_stage1s(model):
         problem = (build_axxb if model == "axxb" else build_axyb)(ds)
         cfg = _fast_cfg(restarts=2)
         report = solve_eqdqo(problem, cfg)
-        scored = solver._stage1_restarts(problem, cfg, None)
+        scored = solver._stage1_restarts(problem, cfg, None, solver._JacobianMemo())
         stage1 = next(o for _, r, o in scored if r == report.restart_index)
         info = kkt_analysis(problem, stage1.z, stage=1)
         assert report.kkt_residual["stage1"] == info.residual
@@ -711,6 +721,20 @@ def test_initial_overrides_the_problems_start_and_only_restart_zero_takes_either
     given, given_bare = (solve_eqdqo(p, cfg, initial=rows) for p in (problem, bare))
     assert given.trace == given_bare.trace and given.restart_index == given_bare.restart_index
     assert solve_eqdqo(problem, cfg).trace != given.trace
+
+
+def test_only_small_drawn_starts_outlive_their_solve():
+    # a 60-vertex graph has 177 tangent directions, over _DENSE_MAX: its
+    # random starts are drawn afresh, from the stream the cached draw reads
+    large = build_pgo(generate_cycle_graph(60, 20, 0.01, 0.01, seed=5))
+    cfg = SolverConfig(restarts=3, seed=61)  # a seed of this test's own
+    kept = solver._drawn_start.cache_info().currsize
+    solve_eqdqo(large, cfg)
+    assert solver._drawn_start.cache_info().currsize == kept
+    stream = np.random.Generator(np.random.PCG64(np.random.SeedSequence([61, 2])))
+    assert solver._restart_start(large, cfg, None, 2).tobytes() == solver._random_start(60, stream).tobytes()
+    small = build_axxb(generate_synthetic("axxb", 4, 0.01, 0.01, seed=0))
+    assert solver._restart_start(small, cfg, None, 2) is solver._restart_start(small, cfg, None, 2)
 
 
 def test_a_start_of_the_wrong_shape_raises_arity_mismatch():

@@ -69,9 +69,9 @@ def test_sparse_systems_take_the_steps_of_dense_ones(kind, monkeypatch):
         ds = generate_synthetic("axyb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=seed)
         problem, initial = build_axyb(ds), None
     cfg = SolverConfig(restarts=2, seed=0)
-    dense = {r: (v, o) for v, r, o in solver._stage1_restarts(problem, cfg, initial)}
+    dense = {r: (v, o) for v, r, o in solver._stage1_restarts(problem, cfg, initial, solver._JacobianMemo())}
     monkeypatch.setattr(solver, "_DENSE_MAX", -1)
-    sparse = {r: (v, o) for v, r, o in solver._stage1_restarts(problem, cfg, initial)}
+    sparse = {r: (v, o) for v, r, o in solver._stage1_restarts(problem, cfg, initial, solver._JacobianMemo())}
     assert sparse.keys() == dense.keys()
     for r, (value, outcome) in sparse.items():
         assert len(outcome.trace) == len(dense[r][1].trace)
@@ -104,9 +104,9 @@ def _starts(problem, cfg, initial=None):
 
 def _assert_batch_matches_singles(problem, cfg, starts):
     starts = problem.block.project(starts)
-    batch = solver._stage1(problem, cfg, starts)
+    batch = solver._stage1(problem, cfg, starts, solver._JacobianMemo())
     for k, outcome in enumerate(batch):
-        (alone,) = solver._stage1(problem, cfg, starts[k : k + 1])
+        (alone,) = solver._stage1(problem, cfg, starts[k : k + 1], solver._JacobianMemo())
         assert np.max(np.abs(outcome.z - alone.z)) <= 1e-12
         assert len(outcome.trace) == len(alone.trace)
         assert outcome.stop == alone.stop
@@ -160,7 +160,7 @@ def test_a_restart_at_the_step_cap_leaves_the_others_their_own_outcomes(no_mergi
     ds = generate_synthetic("axyb", 10, noise_rot=SIGMA, noise_trans=SIGMA, seed=0)
     problem = build_axyb(ds)
     cfg = SolverConfig(restarts=8, seed=0)
-    free = solver._stage1(problem, cfg, problem.block.project(_starts(problem, cfg)))
+    free = solver._stage1(problem, cfg, problem.block.project(_starts(problem, cfg)), solver._JacobianMemo())
     k = 10
     cfg = SolverConfig(restarts=8, seed=0, max_outer=k)
     capped = _assert_batch_matches_singles(problem, cfg, _starts(problem, cfg))
@@ -188,7 +188,7 @@ def test_kink_optima_converge_on_the_subdifferential(seed, restarts):
     problem = build_axyb(ds)
     cfg = SolverConfig(restarts=restarts, seed=0)
     starts = problem.block.project(_starts(problem, cfg))
-    stops = [o.stop for o in solver._stage1(problem, cfg, starts)]
+    stops = [o.stop for o in solver._stage1(problem, cfg, starts, solver._JacobianMemo())]
     assert "converged" in stops and set(stops) <= {"converged", "merged"}
     report = solve_eqdqo(problem, cfg)
     # the kink group sits at its kink to rounding, not at the 1e-8 band edge
@@ -312,7 +312,7 @@ def test_a_point_that_takes_no_step_stops_stalled_where_it_started(monkeypatch):
     problem, cfg = build_pgo(g), SolverConfig(restarts=4, seed=0)
     monkeypatch.setattr(solver, "_DAMP_CAP", solver._DAMP_FLOOR / 10)
     starts = _starts(problem, cfg, spanning_tree_rows(g))
-    outcomes = solver._stage1(problem, cfg, problem.block.project(starts))
+    outcomes = solver._stage1(problem, cfg, problem.block.project(starts), solver._JacobianMemo())
     assert [o.stop for o in outcomes] == ["converged", "stalled", "stalled", "stalled"]
     for start, outcome in zip(starts[1:], outcomes[1:]):
         assert len(outcome.trace) == 1
@@ -348,7 +348,7 @@ def test_a_noiseless_start_stops_converged_without_forming_b(case, formed):
     start = problem.start.reshape(1, -1)
     z = problem.block.project(start)
     assert not problem.stage1.stage_system(z)[3].any()
-    (outcome,) = solver._stage1(problem, SolverConfig(restarts=1), z)
+    (outcome,) = solver._stage1(problem, SolverConfig(restarts=1), z, solver._JacobianMemo())
     assert formed == {"_fiber_product": 0, "_kinks": 0}
     std, dual = problem.stage1.value_at(z)
     feas = np.max(np.abs(problem.block.values(z)[0]))
@@ -368,7 +368,7 @@ def test_a_pinned_norm_above_rounding_still_forms_b(formed):
     _, r, _, w, (starts, _) = problem.stage1.stage_system(start)
     assert not w.any()
     assert np.sqrt(np.add.reduceat(r * r, starts, axis=-1)).max() > solver._KINK_ROUNDING
-    (outcome,) = solver._stage1(problem, SolverConfig(restarts=1), start)
+    (outcome,) = solver._stage1(problem, SolverConfig(restarts=1), start, solver._JacobianMemo())
     assert formed["_fiber_product"] > 0 and formed["_kinks"] > 0
     assert outcome.stop == "converged" and len(outcome.trace) > 1
     _, r, _, _, (starts, _) = problem.stage1.stage_system(outcome.z)
@@ -380,7 +380,7 @@ def test_a_start_held_at_the_step_cap_by_a_pinned_norm_still_forms_b(formed):
     # norm of 8.9e-9, above _KINK_ROUNDING, through all 61 rows
     problem = build_axxb(generate_synthetic("axxb", 5, noise_rot=1e-6, noise_trans=1e-6, seed=0))
     start = problem.block.project(problem.start.reshape(1, -1))
-    (outcome,) = solver._stage1(problem, SolverConfig(restarts=1), start)
+    (outcome,) = solver._stage1(problem, SolverConfig(restarts=1), start, solver._JacobianMemo())
     assert formed["_fiber_product"] == 61 and formed["_kinks"] > 0
     assert (outcome.stop, len(outcome.trace)) == ("max_outer", 61)
 
@@ -392,10 +392,11 @@ def test_a_step_with_a_nan_row_forms_b_for_every_point(formed):
     clean = problem.start.reshape(-1)
     bad = clean.copy()
     bad[24:32] = np.nan  # vertex 3
-    (alone,) = solver._stage1(problem, SolverConfig(restarts=1), problem.block.project(clean[None]))
+    (alone,) = solver._stage1(problem, SolverConfig(restarts=1), problem.block.project(clean[None]),
+                              solver._JacobianMemo())
     assert formed["_fiber_product"] == 0
     both = solver._stage1(problem, SolverConfig(restarts=2),
-                          problem.block.project(np.stack([clean, bad])))
+                          problem.block.project(np.stack([clean, bad])), solver._JacobianMemo())
     assert formed["_fiber_product"] == 1
     assert (both[0].stop, both[0].trace) == (alone.stop, alone.trace)
     assert np.array_equal(both[0].z, alone.z)

@@ -133,8 +133,8 @@ def test_one_norm_group_ends_stage2_after_one_unweighted_fit():
     problem, cfg = build_pgo(g), SolverConfig(restarts=1, seed=0)
     tree = spanning_tree_rows(g)
     tree[:, 4:] = 0.0
-    _, _, outcome = solver._stage1_restarts(problem, cfg, tree)[0]
-    stage2 = solver._stage2(problem, cfg, outcome.z, outcome.trace[-1])
+    _, _, outcome = solver._stage1_restarts(problem, cfg, tree, solver._JacobianMemo())[0]
+    stage2 = solver._stage2(problem, cfg, outcome.z, outcome.trace[-1], solver._JacobianMemo())
     assert len(stage2.trace) == 1 and stage2.trace[0].kkt_residual > 0.0
     # the point is the unweighted least-squares fit of the dual rows
     null = tangent_matrix(problem.block, outcome.z)
@@ -171,7 +171,7 @@ def _stage2_fiber(problem, cfg, outcome, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(solver, "_fiber_product", spy)
-        solver._stage2(problem, cfg, outcome.z, outcome.trace[-1])
+        solver._stage2(problem, cfg, outcome.z, outcome.trace[-1], solver._JacobianMemo())
     (b,) = formed
     return b
 
@@ -208,7 +208,7 @@ def test_stage2_forms_its_fiber_from_the_objectives_slope(dense_max, monkeypatch
     for problem, initial, restarts in problems:
         for cfg in (SolverConfig(restarts=restarts, seed=0),
                     SolverConfig(restarts=restarts, seed=0, max_outer=4)):
-            for _, _, outcome in solver._stage1_restarts(problem, cfg, initial):
+            for _, _, outcome in solver._stage1_restarts(problem, cfg, initial, solver._JacobianMemo()):
                 stops.add(outcome.stop)
                 b = _stage2_fiber(problem, cfg, outcome, monkeypatch)
                 assert solver._is_sparse(b) == (dense_max < 0)
