@@ -570,9 +570,9 @@ class ResidualNormObjective(DualFunction):
 
         ``r_std`` and ``r_dual`` are the residual rows' standard and dual
         parts.  ``J(sparse)`` is the evaluator's ``(k, 4n)`` standard-slot
-        Jacobian, uncalled; a call forms it, so the solver forms it once per
-        solve in its layout, and none where all rows weigh 0.  With the
-        standard coordinates fixed, ``r_dual`` is affine in the dual ones, same slope.
+        Jacobian, uncalled; each call forms it, the solver once per solve in
+        its layout, and none where all rows weigh 0.  With the standard
+        coordinates fixed, ``r_dual`` is affine in the dual ones with the same slope.
         The weights are stage I's: rows of an appreciable group weigh ``1 /
         |r_std,g|``, so ``J^T W J`` is the Hessian of the reweighted
         majorizer of ``sum_g |r_g|``, and rows of a group at its kink,
